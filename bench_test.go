@@ -165,10 +165,10 @@ func BenchmarkR2ForceDynamic8(b *testing.B) { benchR2Force(b, parexec.Dynamic(2)
 // ---------------------------------------------------------------------------
 // R3 — the execution-engine comparison: the same workloads under the
 // tree-walking oracle (interp.EngineWalk) and the slot-resolved
-// compiled engine (interp.EngineCompiled, the default). These are the
+// compiled engine (interp.EngineCompiled). These are the
 // CI guards behind the R3 table (`cmd/experiments -real`) and the
 // checked-in BENCH_interp.json trajectory; TestCompiledSpeedupFloor
-// asserts the serial force-workload ratio.
+// asserts the serial force-workload ratio (under -cost-gates).
 
 func benchR3Serial(b *testing.B, eng interp.Engine, src, fn string, seed uint64, args ...interp.Value) {
 	c, err := core.Compile(src)

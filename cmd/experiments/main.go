@@ -22,8 +22,9 @@
 //	          generated many-loop programs (the BENCH_plan.json workload)
 //	-pes, -sched, -chunk
 //	          pool sizes and R2 scheduling policy for -real
-//	-engine   interpreter engine for the R1/R2 tables (compiled,
-//	          bytecode, kernel, or walk; R3 always measures all)
+//	-engine   interpreter engine for the R1/R2 tables (kernel — the
+//	          default — bytecode, compiled, or walk; R3 always times
+//	          walk, compiled and bytecode)
 //	-all      everything (the default when no flag is given)
 //	-measure  time steps simulated per T1 cell (default 1)
 //
@@ -636,8 +637,10 @@ func runR5(peList []int, eng interp.Engine) {
 // accumulation rewritten into a vectorizable shape. The serial
 // baseline is the bytecode VM on the unstripped program (its honest
 // serial form); kernel rows run the auto-parallelized program, serial
-// strips inline on the vector path and pooled runs with the slab
-// compute split across PEs. The plan print shows the per-loop vector
+// strips inline on the vector path and pooled runs through parexec's
+// strip scheduler, which splits the slab compute across PEs only for
+// strips big enough to repay the dispatch (none at this width). The
+// plan print shows the per-loop vector
 // verdict — which approved loops got the kernel and the classifier's
 // concrete why-not for the rest.
 func runR8(peList []int) {

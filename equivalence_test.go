@@ -19,6 +19,7 @@ package repro
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -216,47 +217,197 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompiledSpeedupFloor pins the point of the compiled engine: the
-// R2 force workload, run serially, must be several times faster than
-// the tree-walker. The floor is loose (the honest ratio on an idle
-// host is ~5-6×, see BENCH_interp.json and `cmd/experiments -real`'s
-// R3 table) so scheduler noise cannot flake CI; under the race
-// detector, whose instrumentation compresses the gap, it is looser
-// still. Best of 3 runs per engine, up to 3 attempts.
-func TestCompiledSpeedupFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
+// TestDefaultEngine is the grid's default column: a caller who sets no
+// engine — zero RunConfig, zero Config, zero Options, the empty name —
+// gets the kernel engine, and over the whole corpus, serial, simulated
+// and goroutine-parallel, that run is indistinguishable from an explicit
+// kernel run and from the walking oracle's.
+func TestDefaultEngine(t *testing.T) {
+	def, err := interp.ParseEngine("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	prog := lang.MustParse(nbody.BarnesHutForcePSL)
-	args := []interp.Value{interp.IntVal(96), interp.RealVal(0.5)}
-	measure := func(eng interp.Engine) time.Duration {
-		best := time.Duration(0)
-		for i := 0; i < 3; i++ {
-			t0 := time.Now()
-			if _, _, err := interp.Run(prog, interp.Config{Engine: eng, Seed: 7}, nbody.ForceFunc, args...); err != nil {
+	if def != interp.EngineKernel || (interp.Config{}).Engine != def ||
+		(core.RunConfig{}).Engine != def || (parexec.Options{}).Interp != def {
+		t.Fatalf("defaults disagree: ParseEngine(\"\")=%s Config=%s RunConfig=%s Options=%s, want all kernel",
+			def, (interp.Config{}).Engine, (core.RunConfig{}).Engine, (parexec.Options{}).Interp)
+	}
+	for eng, name := range map[interp.Engine]string{
+		interp.EngineKernel: "kernel", interp.EngineBytecode: "bytecode",
+		interp.EngineCompiled: "compiled", interp.EngineWalk: "walk",
+	} {
+		if eng.String() != name {
+			t.Errorf("engine %d is named %q, want %q", eng, eng, name)
+		}
+		if back, err := interp.ParseEngine(name); err != nil || back != eng {
+			t.Errorf("ParseEngine(%q) = %s, %v", name, back, err)
+		}
+	}
+
+	type cell struct {
+		v   string
+		out string
+		st  interp.Stats
+	}
+	for _, p := range equivalenceCorpus(t) {
+		p := p
+		t.Run(p.name, func(t *testing.T) {
+			c, err := core.Compile(p.src)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if d := time.Since(t0); best == 0 || d < best {
-				best = d
+			auto, err := c.AutoParallel(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			modes := map[string]func(rc core.RunConfig) (interp.Value, interp.Stats, error){
+				"serial": func(rc core.RunConfig) (interp.Value, interp.Stats, error) {
+					return c.Run(rc, p.fn, p.args...)
+				},
+				"simulated": func(rc core.RunConfig) (interp.Value, interp.Stats, error) {
+					rc.Simulate, rc.PEs = true, 4
+					return auto.Run(rc, p.fn, p.args...)
+				},
+				"parallel": func(rc core.RunConfig) (interp.Value, interp.Stats, error) {
+					return auto.RunParallel(rc, 2, p.fn, p.args...)
+				},
+			}
+			for mode, run := range modes {
+				cells := map[string]cell{}
+				for name, rc := range map[string]core.RunConfig{
+					"default": {}, "kernel": {Engine: interp.EngineKernel}, "walk": {Engine: interp.EngineWalk},
+				} {
+					var out bytes.Buffer
+					rc.Seed, rc.Output = p.seed, &out
+					v, st, err := run(rc)
+					if err != nil {
+						t.Fatalf("%s/%s: %v", mode, name, err)
+					}
+					cells[name] = cell{v.String(), out.String(), st}
+				}
+				if cells["default"] != cells["kernel"] || cells["default"] != cells["walk"] {
+					t.Errorf("%s: default %+v\nkernel %+v\nwalk %+v", mode, cells["default"], cells["kernel"], cells["walk"])
+				}
+			}
+		})
+	}
+}
+
+// TestKernelStripAllocs pins the vector path's allocation discipline:
+// the strip's phase closures and slabs live in reusable per-Interp
+// state, so a planned run on the kernel engine allocates no more Go
+// objects than the bytecode engine's run of the same planned program
+// (plus a constant for that state) — however many strips it executes.
+// Foralls run in place on a fork, so the count repeats exactly.
+func TestKernelStripAllocs(t *testing.T) {
+	c, err := core.Compile(nbody.VecForcePSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := c.AutoParallel(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := interp.CompileProgram(auto.Program)
+	args := []interp.Value{interp.IntVal(256), interp.IntVal(40), interp.RealVal(0.5)} // 1280 strips
+	allocs := func(eng interp.Engine) float64 {
+		return testing.AllocsPerRun(5, func() {
+			var worker *interp.Interp
+			root := interp.NewCompiled(cp, interp.Config{Engine: eng, Seed: 7,
+				Forall: func(_ lang.Pos, from, to int64, run func(w *interp.Interp, k int64) error) error {
+					for k := from; k <= to; k++ {
+						if err := run(worker, k); err != nil {
+							return err
+						}
+					}
+					return nil
+				}})
+			worker = root.Fork(nil)
+			if _, err := root.Call(nbody.VecForceFunc, args...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bc, kern := allocs(interp.EngineBytecode), allocs(interp.EngineKernel)
+	if kern > bc+128 {
+		t.Errorf("kernel engine allocates %.0f objects/run, bytecode %.0f: want at most bytecode + 128 (nothing per strip)", kern, bc)
+	}
+}
+
+// costGates opts in to the wall-clock halves of the three speedup-floor
+// tests below. Tier-1 (`go test ./...`) runs them without it, where
+// they assert only what repeats exactly — values and step counts; CI's
+// cost-gate step passes -cost-gates.
+var costGates = flag.Bool("cost-gates", false, "also assert the wall-clock speedup floors (timing gates; CI's cost-gate step)")
+
+// floorConfig is one side of a speedup floor: a program and the engine
+// that runs it serially.
+type floorConfig struct {
+	prog *lang.Program
+	eng  interp.Engine
+}
+
+// assertSpeedupFloor runs slow and fast on fn(args), checks that they
+// return the same value and — when they run the same program — the
+// same statistics, and under -cost-gates that fast beats slow by floor
+// (raceFloor under the race detector): best of 3 runs per side, up to 3
+// attempts, so scheduler noise cannot flake the gate.
+func assertSpeedupFloor(t *testing.T, slow, fast floorConfig, fn string, args []interp.Value, floor, raceFloor float64) {
+	t.Helper()
+	run := func(c floorConfig) (interp.Value, interp.Stats, time.Duration) {
+		t0 := time.Now()
+		v, st, err := interp.Run(c.prog, interp.Config{Engine: c.eng, Seed: 7}, fn, args...)
+		if err != nil {
+			t.Fatalf("engine %s: %v", c.eng, err)
+		}
+		return v, st, time.Since(t0)
+	}
+	sv, sst, _ := run(slow)
+	fv, fst, _ := run(fast)
+	if sv.String() != fv.String() {
+		t.Fatalf("%s returned %s, %s returned %s", slow.eng, sv, fast.eng, fv)
+	}
+	if slow.prog == fast.prog && sst != fst {
+		t.Fatalf("stats diverged: %s %+v, %s %+v", slow.eng, sst, fast.eng, fst)
+	}
+	if !*costGates {
+		return
+	}
+	if raceEnabled {
+		floor = raceFloor
+	}
+	best := func(c floorConfig) time.Duration {
+		b := time.Duration(0)
+		for i := 0; i < 3; i++ {
+			if _, _, d := run(c); b == 0 || d < b {
+				b = d
 			}
 		}
-		return best
-	}
-	floor := 3.0
-	if raceEnabled {
-		floor = 1.5
+		return b
 	}
 	var ratio float64
 	for attempt := 0; attempt < 3; attempt++ {
-		walk := measure(interp.EngineWalk)
-		compiled := measure(interp.EngineCompiled)
-		ratio = float64(walk) / float64(compiled)
-		t.Logf("attempt %d: walk %v, compiled %v, ratio %.2f (floor %.1f)", attempt+1, walk, compiled, ratio, floor)
+		sd, fd := best(slow), best(fast)
+		ratio = float64(sd) / float64(fd)
+		t.Logf("attempt %d: %s %v, %s %v, ratio %.2f (floor %.1f)", attempt+1, slow.eng, sd, fast.eng, fd, ratio, floor)
 		if ratio >= floor {
 			return
 		}
 	}
-	t.Errorf("compiled engine only %.2f× faster than the walker on the force workload (floor %.1f)", ratio, floor)
+	t.Errorf("%s only %.2f× faster than %s (floor %.1f)", fast.eng, ratio, slow.eng, floor)
+}
+
+// TestCompiledSpeedupFloor pins the point of the compiled engine: the
+// R2 force workload, run serially, must be several times faster than
+// the tree-walker. The floor is loose (the honest ratio on an idle
+// host is ~5-6×, see BENCH_interp.json and `cmd/experiments -real`'s
+// R3 table); under the race detector, whose instrumentation compresses
+// the gap, it is looser still.
+func TestCompiledSpeedupFloor(t *testing.T) {
+	prog := lang.MustParse(nbody.BarnesHutForcePSL)
+	args := []interp.Value{interp.IntVal(96), interp.RealVal(0.5)}
+	assertSpeedupFloor(t, floorConfig{prog, interp.EngineWalk}, floorConfig{prog, interp.EngineCompiled},
+		nbody.ForceFunc, args, 3.0, 1.5)
 }
 
 // TestBytecodeSpeedupFloor pins the point of the R6 bytecode VM: on
@@ -265,42 +416,12 @@ func TestCompiledSpeedupFloor(t *testing.T) {
 // The honest ratio on an idle host is recorded in BENCH_interp.json;
 // the floor here is the acceptance bar (≥1.5×), relaxed under the
 // race detector, whose per-access instrumentation penalizes the VM's
-// tight switch loop more than it penalizes closure dispatch. Best of
-// 3 runs per engine, up to 3 attempts.
+// tight switch loop more than it penalizes closure dispatch.
 func TestBytecodeSpeedupFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
 	prog := lang.MustParse(nbody.BarnesHutForcePSL)
 	args := []interp.Value{interp.IntVal(96), interp.RealVal(0.5)}
-	measure := func(eng interp.Engine) time.Duration {
-		best := time.Duration(0)
-		for i := 0; i < 3; i++ {
-			t0 := time.Now()
-			if _, _, err := interp.Run(prog, interp.Config{Engine: eng, Seed: 7}, nbody.ForceFunc, args...); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(t0); best == 0 || d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	floor := 1.5
-	if raceEnabled {
-		floor = 0.7
-	}
-	var ratio float64
-	for attempt := 0; attempt < 3; attempt++ {
-		compiled := measure(interp.EngineCompiled)
-		bc := measure(interp.EngineBytecode)
-		ratio = float64(compiled) / float64(bc)
-		t.Logf("attempt %d: compiled %v, bytecode %v, ratio %.2f (floor %.1f)", attempt+1, compiled, bc, ratio, floor)
-		if ratio >= floor {
-			return
-		}
-	}
-	t.Errorf("bytecode VM only %.2f× faster than the compiled engine on the force workload (floor %.1f)", ratio, floor)
+	assertSpeedupFloor(t, floorConfig{prog, interp.EngineCompiled}, floorConfig{prog, interp.EngineBytecode},
+		nbody.ForceFunc, args, 1.5, 0.7)
 }
 
 // TestKernelSpeedupFloor pins the point of the SPMD kernel path: on
@@ -313,13 +434,8 @@ func TestBytecodeSpeedupFloor(t *testing.T) {
 // path. The honest ratio on an idle host is in BENCH_interp.json
 // (acceptance bar ≥2×); the CI floor is 1.5×, relaxed under the race
 // detector, whose per-access instrumentation falls heaviest on the
-// slab sweeps. Best of 3 runs per engine, up to 3 attempts, value
-// checked for bit-identity every run.
+// slab sweeps.
 func TestKernelSpeedupFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	serial := lang.MustParse(nbody.VecForcePSL)
 	c, err := core.Compile(nbody.VecForcePSL)
 	if err != nil {
 		t.Fatal(err)
@@ -329,40 +445,6 @@ func TestKernelSpeedupFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := []interp.Value{interp.IntVal(256), interp.IntVal(160), interp.RealVal(0.5)}
-	var want string
-	measure := func(prog *lang.Program, eng interp.Engine) time.Duration {
-		best := time.Duration(0)
-		for i := 0; i < 3; i++ {
-			t0 := time.Now()
-			v, _, err := interp.Run(prog, interp.Config{Engine: eng, Seed: 7}, nbody.VecForceFunc, args...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := time.Since(t0)
-			if want == "" {
-				want = v.String()
-			} else if v.String() != want {
-				t.Fatalf("engine %s returned %s, want %s", eng, v, want)
-			}
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	floor := 1.5
-	if raceEnabled {
-		floor = 0.7
-	}
-	var ratio float64
-	for attempt := 0; attempt < 3; attempt++ {
-		bc := measure(serial, interp.EngineBytecode)
-		kern := measure(par.Program, interp.EngineKernel)
-		ratio = float64(bc) / float64(kern)
-		t.Logf("attempt %d: bytecode %v, kernel %v, ratio %.2f (floor %.1f)", attempt+1, bc, kern, ratio, floor)
-		if ratio >= floor {
-			return
-		}
-	}
-	t.Errorf("kernel path only %.2f× faster than the bytecode VM on the vector force workload (floor %.1f)", ratio, floor)
+	assertSpeedupFloor(t, floorConfig{c.Program, interp.EngineBytecode}, floorConfig{par.Program, interp.EngineKernel},
+		nbody.VecForceFunc, args, 1.5, 0.7)
 }

@@ -194,9 +194,11 @@ func (c *Compilation) Unroll(fn string, loopIndex, factor int) (*Compilation, er
 // RunConfig selects the execution mode for Run.
 type RunConfig struct {
 	// Engine selects the interpreter engine (default
-	// interp.EngineCompiled, the slot-resolved closure code;
-	// interp.EngineBytecode, the flat register-bank VM lowered from
-	// the same IR; interp.EngineWalk is the tree-walking oracle). The
+	// interp.EngineKernel: the flat register-bank bytecode VM, with
+	// vectorized forall strips run as batched kernels;
+	// interp.EngineBytecode is the VM without them,
+	// interp.EngineCompiled the slot-resolved closure code lowered
+	// from the same IR, interp.EngineWalk the tree-walking oracle). The
 	// engines are bit-identical in results, output, and simulated
 	// cycle counts.
 	Engine interp.Engine

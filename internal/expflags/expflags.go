@@ -33,7 +33,7 @@ type Flags struct {
 	PEs      string // -pes: comma-separated pool sizes for R1/R2
 	Sched    string // -sched: R2 scheduling policy ("all" sweeps every policy)
 	Chunk    int    // -chunk: R2 dynamic self-scheduling chunk size
-	Engine   string // -engine: interpreter engine for R1/R2 ("compiled", "bytecode", or "walk")
+	Engine   string // -engine: interpreter engine for R1/R2 ("kernel", "bytecode", "compiled", or "walk")
 }
 
 // Register installs the cmd/experiments flag set on fs and returns the
@@ -53,8 +53,11 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Sched, "sched", "all",
 		"scheduling policy for the R2 table: block, cyclic, dynamic, or all")
 	fs.IntVar(&f.Chunk, "chunk", 1, "chunk size for R2's dynamic self-scheduling")
-	fs.StringVar(&f.Engine, "engine", "compiled",
-		fmt.Sprintf("interpreter engine for the R1/R2 measured tables: %s (R3 always measures all three)",
+	// The flag's default is the zero Engine's name, so the binaries can
+	// never drift from what an empty interp.Config runs.
+	var def interp.Engine
+	fs.StringVar(&f.Engine, "engine", def.String(),
+		fmt.Sprintf("interpreter engine for the R1/R2 measured tables: %s (R3 always times walk, compiled and bytecode; R8 bytecode and kernel)",
 			strings.Join(interp.EngineNames(), " or ")))
 	return f
 }

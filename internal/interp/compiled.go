@@ -55,9 +55,9 @@ type compiledFunc struct {
 }
 
 // compiledProg is a program's closure code, shared by every Interp
-// (and fork) running the same *lang.Program. The compile.Program IR
-// is not retained: closures capture exactly what they need, so the IR
-// is garbage once codegen finishes.
+// (and fork) running the same *lang.Program. Closures capture exactly
+// what they need of the compile.Program IR, so the IR is garbage once
+// codegen finishes.
 type compiledProg struct {
 	funcs  []*compiledFunc
 	byName map[string]*compiledFunc
@@ -66,19 +66,48 @@ type compiledProg struct {
 // ---------------------------------------------------------------------------
 // Code cache
 
-// codeCacheEntry holds both backends' artifacts for one program,
-// built from a single compile.Compile pass: the closure code and the
-// flat bytecode. Building both eagerly keeps the serving layer's
-// zero-compile-on-hit contract engine-independent — a cached program
-// never compiles again no matter which engine a request selects.
+// codeCacheEntry holds one program's executable artifacts. A miss
+// builds the compile IR and the bytecode — what the default engine
+// runs — and nothing else; the closure tree is built from the retained
+// IR on the program's first compiled-engine run (closures), once, and
+// the IR is dropped then. Either way a cached program never runs the
+// front end again, whichever engine a request selects.
 type codeCacheEntry struct {
-	code  *compiledProg
+	// err is the front end's (compile.Compile) failure; it fails every
+	// engine but the walker.
 	err   error
 	bc    *bytecode.Program
 	bcErr error
+
+	closureOnce sync.Once
+	ir          *compile.Program // nil once the closures are built
+	code        *compiledProg
 }
 
-// codeCache memoizes closure code per program so that repeated
+// closures returns the closure engine's code, building it on first
+// use. Safe for concurrent callers: exactly one builds, the rest wait.
+func (e *codeCacheEntry) closures() *compiledProg {
+	e.closureOnce.Do(func() {
+		if e.ir == nil { // the front end failed; err says why
+			return
+		}
+		closureBuilds.Add(1)
+		cc := &compiledProg{byName: make(map[string]*compiledFunc, len(e.ir.Funcs))}
+		for _, f := range e.ir.Funcs {
+			cf := &compiledFunc{name: f.Name, slots: f.Slots, params: f.Params, result: f.Result}
+			cc.funcs = append(cc.funcs, cf)
+			cc.byName[f.Name] = cf
+		}
+		g := &codegen{cc: cc}
+		for i, f := range e.ir.Funcs {
+			cc.funcs[i].body = g.seq(f.Body)
+		}
+		e.code, e.ir = cc, nil
+	})
+	return e.code
+}
+
+// codeCache memoizes built code per program so that repeated
 // interp.New calls (benchmarks, the parexec pool, table sweeps) reuse
 // one build. codeCacheLimit bounds it for workloads that compile
 // unbounded fresh programs (the fuzzers).
@@ -89,64 +118,60 @@ var (
 
 const codeCacheLimit = 512
 
-// compileBuilds counts closure-code builds (misses in the per-program
-// code cache). Observability for the serving layer's contract that a
-// cache-hit request does zero compile work: internal/serve's tests
-// assert the count stays flat across hot requests.
-var compileBuilds atomic.Int64
+// compileBuilds counts front-end builds — compile IR plus bytecode,
+// one per miss in the per-program code cache. Observability for the
+// serving layer's contract that a cache-hit request does zero compile
+// work: internal/serve's tests assert the count stays flat across hot
+// requests. closureBuilds counts the lazy closure-tree builds.
+var compileBuilds, closureBuilds atomic.Int64
 
-// CompileCount reports how many times closure code has been built
-// (process-wide). Cache hits in the per-program code cache do not move
-// it.
+// CompileCount reports how many front-end builds (compile IR +
+// bytecode) have run, process-wide. Cache hits in the per-program code
+// cache do not move it, and neither does a lazy closure build.
 func CompileCount() int64 { return compileBuilds.Load() }
 
-// Precompile builds and memoizes the compiled engine's closure code
-// for prog, so that subsequent New calls with Config.Engine ==
-// EngineCompiled skip compilation entirely.
+// ClosureBuildCount reports how many closure trees have been built,
+// process-wide: one per program that has ever run on EngineCompiled.
+func ClosureBuildCount() int64 { return closureBuilds.Load() }
+
+// Precompile builds and memoizes prog's code, so that subsequent New
+// calls skip the front end entirely.
 func Precompile(prog *lang.Program) error {
 	return compiledFor(prog).err
 }
 
-// CompiledProgram pins a program's closure code: unlike the bounded
+// CompiledProgram pins a program's code: unlike the bounded
 // per-program code cache (which evicts arbitrarily past
 // codeCacheLimit), a handle keeps its code alive for as long as the
 // holder does. Long-lived caches — internal/serve's program cache —
 // store one per entry, so a cache hit can never recompile no matter
-// how much cold traffic churns the code cache underneath. Immutable
-// and safe for concurrent use, like everything it references.
+// how much cold traffic churns the code cache underneath. Safe for
+// concurrent use, like everything it references.
 type CompiledProgram struct {
 	prog *lang.Program
-	code *compiledProg
-	err  error
-	// bc / bcErr pin the bytecode backend's artifact alongside the
-	// closures, so the bytecode engine shares the no-recompile
-	// guarantee.
-	bc    *bytecode.Program
-	bcErr error
+	e    *codeCacheEntry
 }
 
-// CompileProgram builds (or reuses) the closure code for prog and
-// returns the pinning handle. Err reports a front-end failure.
+// CompileProgram builds (or reuses) the code for prog — compile IR and
+// bytecode now, closures if and when the compiled engine first runs it
+// — and returns the pinning handle. Err reports a front-end failure.
 func CompileProgram(prog *lang.Program) *CompiledProgram {
-	e := compiledFor(prog)
-	return &CompiledProgram{prog: prog, code: e.code, err: e.err, bc: e.bc, bcErr: e.bcErr}
+	return &CompiledProgram{prog: prog, e: compiledFor(prog)}
 }
 
 // Err reports why compilation failed (nil on success).
-func (cp *CompiledProgram) Err() error { return cp.err }
+func (cp *CompiledProgram) Err() error { return cp.e.err }
 
 // Program returns the source program the handle was built from.
 func (cp *CompiledProgram) Program() *lang.Program { return cp.prog }
 
 // NewCompiled creates an interpreter over a pinned compiled program.
-// Equivalent to New(cp.Program(), cfg) except that the closure code
-// comes from the handle, never the code cache — the serving layer's
-// hot path. The walk engine ignores the pinned code and walks the AST
-// as usual.
+// Equivalent to New(cp.Program(), cfg) except that the code comes from
+// the handle, never the code cache — the serving layer's hot path. The
+// walk engine ignores the pinned code and walks the AST as usual.
 func NewCompiled(cp *CompiledProgram, cfg Config) *Interp {
 	ip := newInterp(cp.prog, cfg)
-	ip.code, ip.compileErr = cp.code, cp.err
-	ip.bc, ip.bcErr = cp.bc, cp.bcErr
+	ip.attach(cp.e)
 	return ip
 }
 
@@ -184,26 +209,17 @@ func compiledFor(prog *lang.Program) *codeCacheEntry {
 	return entry
 }
 
-// buildCompiled lowers prog once (compile.Compile) and builds both
-// backends from the shared IR: the closure tree and the flat bytecode.
+// buildCompiled is the cold path: lower prog once (compile.Compile)
+// and build the bytecode from the IR. The IR stays on the entry for the
+// closure backend to build from, should anyone ask.
 func buildCompiled(prog *lang.Program) *codeCacheEntry {
 	compileBuilds.Add(1)
-	cp, err := compile.Compile(prog)
+	ir, err := compile.Compile(prog)
 	if err != nil {
 		return &codeCacheEntry{err: err, bcErr: err}
 	}
-	cc := &compiledProg{byName: make(map[string]*compiledFunc, len(cp.Funcs))}
-	for _, f := range cp.Funcs {
-		cf := &compiledFunc{name: f.Name, slots: f.Slots, params: f.Params, result: f.Result}
-		cc.funcs = append(cc.funcs, cf)
-		cc.byName[f.Name] = cf
-	}
-	g := &codegen{cc: cc}
-	for i, f := range cp.Funcs {
-		cc.funcs[i].body = g.seq(f.Body)
-	}
-	bc, bcErr := bytecode.Compile(cp)
-	return &codeCacheEntry{code: cc, bc: bc, bcErr: bcErr}
+	bc, bcErr := bytecode.Compile(ir)
+	return &codeCacheEntry{ir: ir, bc: bc, bcErr: bcErr}
 }
 
 // ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@
 // package sequent replays runs on the 1992 machine model through
 // Simulated mode.
 //
-// Execution has two engines behind Config.Engine: the default
-// compiled engine (closures over internal/compile's slot-resolved IR;
-// see compiled.go) and the tree-walking oracle in this file. They are
-// bit-identical in results, output, and simulated cycle accounting —
-// the equivalence suite and FuzzCompileVsWalk enforce it — and differ
-// only in speed.
+// Execution has four engines behind Config.Engine. The default (the
+// zero value) is the kernel VM: flat bytecode over typed register
+// banks (bcvm.go) plus batched struct-of-arrays kernels for the forall
+// strips the classifier vectorizes (kernel.go). The plain bytecode VM,
+// the closure engine (compiled.go) and the tree-walking oracle in this
+// file are explicit opt-ins. All four are bit-identical in results,
+// output, and simulated cycle accounting — the equivalence suite and
+// the three differential fuzzers enforce it — and differ only in
+// speed.
 //
 // Paper provenance: speculative traversability — loading a pointer
 // field through NULL yields NULL — is §3.2 (the transformed code's
@@ -38,25 +41,10 @@ import (
 // Engine selects the execution engine behind Run and Interp.Call.
 type Engine int
 
-// Execution engines. EngineCompiled is the zero value, so it is the
-// default everywhere an empty Config is used.
+// Execution engines. EngineKernel is the zero value, so it is what
+// every empty Config, RunConfig, parexec.Options, engine-less POST /run
+// and -engine flag resolves to; the other three are explicit opt-ins.
 const (
-	// EngineCompiled executes the slot-resolved closure code built from
-	// internal/compile's IR: flat slot frames instead of scope maps,
-	// field offsets instead of field-name hashing, pre-resolved calls.
-	// Results, printed output, and simulated cycle counts are
-	// bit-identical to the tree-walker's (asserted by the engine
-	// equivalence suite); it is just faster.
-	EngineCompiled Engine = iota
-	// EngineWalk executes the AST directly — the original tree-walking
-	// interpreter, kept as the differential-testing oracle.
-	EngineWalk
-	// EngineBytecode executes flat bytecode (internal/bytecode) over
-	// typed per-function register banks — no closure dispatch, no boxed
-	// intermediates. Same results, output, accounting, and error text
-	// as the other two engines (the three-way equivalence grid and
-	// FuzzBytecodeVsCompiled enforce it); it is just faster still.
-	EngineBytecode
 	// EngineKernel is the bytecode VM plus the SPMD vector path: strips
 	// the classifier proved vectorizable (ForallSite.Kernel != nil)
 	// execute as batched struct-of-arrays kernels — fields gathered
@@ -66,38 +54,56 @@ const (
 	// pressure, StrictNull runs) executes on the bytecode VM, so
 	// results, output, accounting, and error text stay bit-identical to
 	// the other engines.
-	EngineKernel
+	EngineKernel Engine = iota
+	// EngineCompiled executes the slot-resolved closure code built from
+	// internal/compile's IR: flat slot frames instead of scope maps,
+	// field offsets instead of field-name hashing, pre-resolved calls.
+	// Slower than the bytecode VM on every measured row; kept as the
+	// second differential reference (FuzzBytecodeVsCompiled). Its
+	// closure tree is built lazily, on a program's first compiled-engine
+	// run, so programs that never ask for it never pay for it.
+	EngineCompiled
+	// EngineWalk executes the AST directly — the original tree-walking
+	// interpreter, kept as the differential-testing oracle.
+	EngineWalk
+	// EngineBytecode executes flat bytecode (internal/bytecode) over
+	// typed per-function register banks — no closure dispatch, no boxed
+	// intermediates — with every forall on the scalar path: the kernel
+	// engine minus the vector strips.
+	EngineBytecode
 )
 
 // String names the engine ("compiled", "bytecode", "kernel", "walk").
 func (e Engine) String() string {
 	switch e {
+	case EngineCompiled:
+		return "compiled"
 	case EngineWalk:
 		return "walk"
 	case EngineBytecode:
 		return "bytecode"
-	case EngineKernel:
-		return "kernel"
 	}
-	return "compiled"
+	return "kernel"
 }
 
-// EngineNames lists the accepted ParseEngine names in display order.
-func EngineNames() []string { return []string{"compiled", "bytecode", "kernel", "walk"} }
+// EngineNames lists the accepted ParseEngine names in display order,
+// the default first.
+func EngineNames() []string { return []string{"kernel", "bytecode", "compiled", "walk"} }
 
-// ParseEngine resolves an engine name from the command line.
+// ParseEngine resolves an engine name from the command line or the
+// wire; the empty name is the default engine.
 func ParseEngine(name string) (Engine, error) {
 	switch name {
-	case "compiled", "":
-		return EngineCompiled, nil
+	case "kernel", "":
+		return EngineKernel, nil
 	case "bytecode":
 		return EngineBytecode, nil
-	case "kernel":
-		return EngineKernel, nil
+	case "compiled":
+		return EngineCompiled, nil
 	case "walk":
 		return EngineWalk, nil
 	}
-	return 0, fmt.Errorf("interp: unknown engine %q (want compiled, bytecode, kernel, walk)", name)
+	return 0, fmt.Errorf("interp: unknown engine %q (want %s)", name, strings.Join(EngineNames(), ", "))
 }
 
 // Mode selects how forall loops execute.
@@ -157,8 +163,9 @@ func DefaultCosts() CostModel {
 
 // Config configures an interpreter.
 type Config struct {
-	// Engine selects the execution engine (default EngineCompiled; the
-	// tree-walker remains available as the differential oracle).
+	// Engine selects the execution engine (default EngineKernel, the
+	// bytecode VM with vectorized strips; the closure engine and the
+	// tree-walking oracle are opt-ins).
 	Engine     Engine
 	Mode       Mode
 	Sched      Scheduling
@@ -230,11 +237,17 @@ type ForallScheduler func(pos lang.Pos, from, to int64, run func(w *Interp, k in
 type StripScheduler func(pos lang.Pos, lanes int, s KernelStrip) error
 
 // KernelStrip is one vectorized strip's phase closures, handed to a
-// StripScheduler.
+// StripScheduler. The closures belong to the interpreter and are
+// rebound on its next strip: a scheduler must not retain them past its
+// return.
 type KernelStrip struct {
 	Gather  func() error
 	Compute func(lo, hi int) error // lane range [lo, hi)
 	Scatter func() error
+	// Cost is the compute phase's static size, lanes × kernel
+	// instructions: what a scheduler weighs against its own dispatch
+	// cost when deciding whether splitting Compute is worth it.
+	Cost int64
 }
 
 // Stats reports execution counters.
@@ -276,15 +289,17 @@ type Interp struct {
 	// compileErr records why compilation failed (surfaced at Call).
 	code       *compiledProg
 	compileErr error
-	// bc is the flat program when cfg.Engine == EngineBytecode; bcErr
-	// records why lowering failed (surfaced at Call).
+	// bc is the flat program when cfg.Engine is EngineKernel or
+	// EngineBytecode; bcErr records why lowering failed (surfaced at
+	// Call).
 	bc    *bytecode.Program
 	bcErr error
 	// bcPool recycles bytecode register files, like framePool for the
 	// closure engine's slot frames.
 	bcPool []*bcFrame
-	// kern is the kernel engine's reusable slab storage (kernel.go),
-	// lazily built on the first vectorized strip.
+	// kern is the kernel engine's reusable strip state (kernel.go):
+	// slab storage and the phase closures, lazily built on the first
+	// vectorized strip.
 	kern *kernState
 	// stepsLocal batches the compiled engine's statement count between
 	// flushes to the shared atomic (each Interp executes on one
@@ -336,18 +351,25 @@ type state struct {
 // New creates an interpreter for a checked, normalized program.
 func New(prog *lang.Program, cfg Config) *Interp {
 	ip := newInterp(prog, cfg)
-	switch ip.cfg.Engine {
-	case EngineCompiled:
-		e := compiledFor(prog)
-		ip.code, ip.compileErr = e.code, e.err
-	case EngineBytecode, EngineKernel:
-		e := compiledFor(prog)
-		ip.bc, ip.bcErr = e.bc, e.bcErr
+	if cfg.Engine != EngineWalk {
+		ip.attach(compiledFor(prog))
 	}
 	return ip
 }
 
-// newInterp builds an interpreter without resolving closure code; New
+// attach binds the configured engine's code from a program's cache
+// entry. Only the closure engine asks for the closure tree, so only it
+// can trigger the entry's lazy closure build.
+func (ip *Interp) attach(e *codeCacheEntry) {
+	switch ip.cfg.Engine {
+	case EngineCompiled:
+		ip.code, ip.compileErr = e.closures(), e.err
+	case EngineBytecode, EngineKernel:
+		ip.bc, ip.bcErr = e.bc, e.bcErr
+	}
+}
+
+// newInterp builds an interpreter without any code attached; New
 // attaches it from the code cache, NewCompiled from a pinned handle.
 func newInterp(prog *lang.Program, cfg Config) *Interp {
 	if cfg.Output == nil {

@@ -40,10 +40,12 @@ import (
 // fallback re-raises the real error with the scalar engines' text).
 var errKernelFault = errors.New("interp: kernel strip fault")
 
-// kernState is an Interp's reusable slab storage: contiguous per-bank
-// backing arrays, re-sliced per strip, so a warm loop allocates
-// nothing. One Interp executes one strip at a time (the strip is the
-// barrier), so a single state per Interp suffices.
+// kernState is an Interp's reusable strip state: contiguous per-bank
+// backing arrays, re-sliced per strip, and the strip's phase closures,
+// bound once to this state and re-aimed per strip through the binding
+// fields below — so a warm loop allocates nothing. One Interp executes
+// one strip at a time (the strip is the barrier), so a single state per
+// Interp suffices.
 type kernState struct {
 	nodes []*Node
 	ib    []int64
@@ -56,6 +58,26 @@ type kernState struct {
 	// execution mask governs, so scatter popcounts each distinct mask
 	// once instead of once per statement.
 	stepCounts []int64
+
+	ip *Interp // the owner; scatter commits steps to its shared counters
+
+	// The strip in flight, set by bcForallKernel before any phase runs.
+	kern          *bytecode.Kernel
+	fr            *bcFrame       // the caller's frame, read by gather
+	args          []bytecode.Reg // the helper call's argument registers
+	lo            int64          // first iteration index
+	prologueSteps int64
+
+	// phases holds gather/compute/scatter as method values of this
+	// state, built once (newKernState): handing them to a StripScheduler
+	// costs no allocation per strip.
+	phases KernelStrip
+}
+
+func newKernState(ip *Interp) *kernState {
+	ks := &kernState{ip: ip}
+	ks.phases = KernelStrip{Gather: ks.gather, Compute: ks.compute, Scatter: ks.scatter}
+	return ks
 }
 
 // ensure sizes the slabs for a strip of n lanes.
@@ -135,201 +157,205 @@ func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.F
 
 	ks := ip.kern
 	if ks == nil {
-		ks = &kernState{}
+		ks = newKernState(ip)
 		ip.kern = ks
 	}
 	ks.ensure(kern, lanes)
-	args := f.Calls[kern.CallSite].Args
+	ks.kern, ks.fr, ks.args = kern, fr, f.Calls[kern.CallSite].Args
+	ks.lo, ks.prologueSteps = lo, prologueSteps
 
-	gather := func() error {
-		// One chain walk: lane j's node is advance^(lo+j) of the
-		// caller's element argument.
-		cur := fr.n[args[1].Idx]
-		var err error
-		for s := int64(0); s < lo; s++ {
+	if ip.cfg.Strip != nil {
+		strip := ks.phases
+		strip.Cost = n * int64(len(kern.Code))
+		return ip.cfg.Strip(pos, lanes, strip) == nil
+	}
+	if ks.gather() != nil || ks.compute(0, lanes) != nil {
+		return false
+	}
+	ks.scatter()
+	return true
+}
+
+// gather is the strip's first phase: one chain walk recording each
+// lane's node and the root mask, then a field-major AoS→SoA copy and
+// the free-argument broadcasts.
+func (ks *kernState) gather() error {
+	kern, fr, args, lanes := ks.kern, ks.fr, ks.args, len(ks.nodes)
+	// One chain walk: lane j's node is advance^(lo+j) of the caller's
+	// element argument.
+	cur := fr.n[args[1].Idx]
+	var err error
+	for s := int64(0); s < ks.lo; s++ {
+		if cur, err = kAdvance(cur, kern.AdvanceOff); err != nil {
+			return err
+		}
+	}
+	root := ks.b[kern.RootMask]
+	for j := 0; j < lanes; j++ {
+		ks.nodes[j] = cur
+		root[j] = cur != nil
+		if j+1 < lanes {
 			if cur, err = kAdvance(cur, kern.AdvanceOff); err != nil {
 				return err
 			}
 		}
-		root := ks.b[kern.RootMask]
-		for j := 0; j < lanes; j++ {
-			ks.nodes[j] = cur
-			root[j] = cur != nil
-			if j+1 < lanes {
-				if cur, err = kAdvance(cur, kern.AdvanceOff); err != nil {
-					return err
-				}
-			}
-		}
-		// Field-major copy over the recorded nodes: one bank dispatch
-		// per field, not per field per lane.
-		for _, fld := range kern.Fields {
-			switch fld.Bank {
-			case bytecode.BankInt:
-				s := ks.i[fld.Slab]
-				for j, nd := range ks.nodes {
-					if nd != nil {
-						s[j] = nd.vals[fld.Off].I
-					}
-				}
-			case bytecode.BankReal:
-				s := ks.f[fld.Slab]
-				for j, nd := range ks.nodes {
-					if nd != nil {
-						s[j] = nd.vals[fld.Off].F
-					}
-				}
-			case bytecode.BankBool:
-				s := ks.b[fld.Slab]
-				for j, nd := range ks.nodes {
-					if nd != nil {
-						s[j] = nd.vals[fld.Off].B
-					}
-				}
-			}
-		}
-		// Broadcast the free arguments: variables read the caller
-		// register named by the call site's argument list; literal
-		// arguments were folded into kconst entries at lowering (their
-		// caller registers are only written by body code the kernel
-		// path never runs, so they cannot be read here).
-		for _, in := range kern.Prologue {
-			switch in.Op {
-			case bytecode.KParamInt:
-				v := fr.i[args[in.B].Idx]
-				s := ks.i[in.A]
-				for j := range s {
-					s[j] = v
-				}
-			case bytecode.KParamReal:
-				v := fr.f[args[in.B].Idx]
-				s := ks.f[in.A]
-				for j := range s {
-					s[j] = v
-				}
-			case bytecode.KParamBool:
-				v := fr.b[args[in.B].Idx]
-				s := ks.b[in.A]
-				for j := range s {
-					s[j] = v
-				}
-			case bytecode.KConstInt:
-				s := ks.i[in.A]
-				for j := range s {
-					s[j] = in.Imm
-				}
-			case bytecode.KConstReal:
-				s := ks.f[in.A]
-				for j := range s {
-					s[j] = in.Fv
-				}
-			case bytecode.KConstBool:
-				v := in.Imm != 0
-				s := ks.b[in.A]
-				for j := range s {
-					s[j] = v
-				}
-			}
-		}
-		return nil
 	}
-
-	compute := func(clo, chi int) error {
-		return ks.compute(kern.Code, clo, chi)
-	}
-
-	scatter := func() error {
-		// Commit the strip's exact step total: the closed-form
-		// prologue plus each body statement's active-lane popcount.
-		// Masks are single-assignment (every `if` refines into fresh
-		// slabs), so counting after compute is exact. The conservative
-		// pre-check above already proved the total fits the budget.
-		total := prologueSteps
-		counts := ks.stepCounts
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, in := range kern.Code {
-			if in.Op == bytecode.KStep {
-				counts[in.M]++
-			}
-		}
-		for mi, c := range counts {
-			if c == 0 {
-				continue
-			}
-			var pop int64
-			for _, active := range ks.b[mi] {
-				if active {
-					pop++
+	// Field-major copy over the recorded nodes: one bank dispatch per
+	// field, not per field per lane.
+	for _, fld := range kern.Fields {
+		switch fld.Bank {
+		case bytecode.BankInt:
+			s := ks.i[fld.Slab]
+			for j, nd := range ks.nodes {
+				if nd != nil {
+					s[j] = nd.vals[fld.Off].I
 				}
 			}
-			total += c * pop
-		}
-		ip.sh.steps.Add(total)
-		root := ks.b[kern.RootMask]
-		// Writes update Kind and the data word in place rather than
-		// assigning a fresh Value: a typed data field invariantly holds
-		// its own kind with every other union member zero, so the end
-		// state is identical to IntVal/RealVal/BoolVal assignment — minus
-		// the write barrier the Value's pointer members would force.
-		for _, fld := range kern.Fields {
-			if !fld.Stored {
-				continue
+		case bytecode.BankReal:
+			s := ks.f[fld.Slab]
+			for j, nd := range ks.nodes {
+				if nd != nil {
+					s[j] = nd.vals[fld.Off].F
+				}
 			}
-			switch fld.Bank {
-			case bytecode.BankInt:
-				s := ks.i[fld.Slab]
-				for j := 0; j < lanes; j++ {
-					if root[j] {
-						v := &ks.nodes[j].vals[fld.Off]
-						v.Kind = KindInt
-						v.I = s[j]
-					}
-				}
-			case bytecode.BankReal:
-				s := ks.f[fld.Slab]
-				for j := 0; j < lanes; j++ {
-					if root[j] {
-						v := &ks.nodes[j].vals[fld.Off]
-						v.Kind = KindReal
-						v.F = s[j]
-					}
-				}
-			case bytecode.BankBool:
-				s := ks.b[fld.Slab]
-				for j := 0; j < lanes; j++ {
-					if root[j] {
-						v := &ks.nodes[j].vals[fld.Off]
-						v.Kind = KindBool
-						v.B = s[j]
-					}
+		case bytecode.BankBool:
+			s := ks.b[fld.Slab]
+			for j, nd := range ks.nodes {
+				if nd != nil {
+					s[j] = nd.vals[fld.Off].B
 				}
 			}
 		}
-		return nil
 	}
-
-	if ip.cfg.Strip != nil {
-		return ip.cfg.Strip(pos, lanes, KernelStrip{Gather: gather, Compute: compute, Scatter: scatter}) == nil
+	// Broadcast the free arguments: variables read the caller register
+	// named by the call site's argument list; literal arguments were
+	// folded into kconst entries at lowering (their caller registers are
+	// only written by body code the kernel path never runs, so they
+	// cannot be read here).
+	for _, in := range kern.Prologue {
+		switch in.Op {
+		case bytecode.KParamInt:
+			v := fr.i[args[in.B].Idx]
+			s := ks.i[in.A]
+			for j := range s {
+				s[j] = v
+			}
+		case bytecode.KParamReal:
+			v := fr.f[args[in.B].Idx]
+			s := ks.f[in.A]
+			for j := range s {
+				s[j] = v
+			}
+		case bytecode.KParamBool:
+			v := fr.b[args[in.B].Idx]
+			s := ks.b[in.A]
+			for j := range s {
+				s[j] = v
+			}
+		case bytecode.KConstInt:
+			s := ks.i[in.A]
+			for j := range s {
+				s[j] = in.Imm
+			}
+		case bytecode.KConstReal:
+			s := ks.f[in.A]
+			for j := range s {
+				s[j] = in.Fv
+			}
+		case bytecode.KConstBool:
+			v := in.Imm != 0
+			s := ks.b[in.A]
+			for j := range s {
+				s[j] = v
+			}
+		}
 	}
-	if gather() != nil {
-		return false
-	}
-	if compute(0, lanes) != nil {
-		return false
-	}
-	scatter()
-	return true
+	return nil
 }
 
-// compute executes the kernel body over the lane range [lo, hi). Every
+// scatter is the strip's last phase, and the only one that writes
+// shared state: it commits the step total and stores the fields back.
+func (ks *kernState) scatter() error {
+	kern, lanes := ks.kern, len(ks.nodes)
+	// Commit the strip's exact step total: the closed-form prologue plus
+	// each body statement's active-lane popcount. Masks are
+	// single-assignment (every `if` refines into fresh slabs), so
+	// counting after compute is exact. bcForallKernel's conservative
+	// pre-check already proved the total fits the budget.
+	total := ks.prologueSteps
+	counts := ks.stepCounts
+	for i := range counts {
+		counts[i] = 0
+	}
+	for _, in := range kern.Code {
+		if in.Op == bytecode.KStep {
+			counts[in.M]++
+		}
+	}
+	for mi, c := range counts {
+		if c == 0 {
+			continue
+		}
+		var pop int64
+		for _, active := range ks.b[mi] {
+			if active {
+				pop++
+			}
+		}
+		total += c * pop
+	}
+	ks.ip.sh.steps.Add(total)
+	root := ks.b[kern.RootMask]
+	// Writes update Kind and the data word in place rather than
+	// assigning a fresh Value: a typed data field invariantly holds its
+	// own kind with every other union member zero, so the end state is
+	// identical to IntVal/RealVal/BoolVal assignment — minus the write
+	// barrier the Value's pointer members would force.
+	for _, fld := range kern.Fields {
+		if !fld.Stored {
+			continue
+		}
+		switch fld.Bank {
+		case bytecode.BankInt:
+			s := ks.i[fld.Slab]
+			for j := 0; j < lanes; j++ {
+				if root[j] {
+					v := &ks.nodes[j].vals[fld.Off]
+					v.Kind = KindInt
+					v.I = s[j]
+				}
+			}
+		case bytecode.BankReal:
+			s := ks.f[fld.Slab]
+			for j := 0; j < lanes; j++ {
+				if root[j] {
+					v := &ks.nodes[j].vals[fld.Off]
+					v.Kind = KindReal
+					v.F = s[j]
+				}
+			}
+		case bytecode.BankBool:
+			s := ks.b[fld.Slab]
+			for j := 0; j < lanes; j++ {
+				if root[j] {
+					v := &ks.nodes[j].vals[fld.Off]
+					v.Kind = KindBool
+					v.B = s[j]
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// compute is the strip's second phase: it executes the kernel body over
+// the lane range [lo, hi). Every
 // op is elementwise over its own range, so disjoint ranges run
 // concurrently without synchronization. Ops with no execution mask
 // (temp destinations, mask combiners) run whole-slab; the rest test
 // their governing mask per lane.
-func (ks *kernState) compute(code []bytecode.KInstr, lo, hi int) error {
-	for _, in := range code {
+func (ks *kernState) compute(lo, hi int) error {
+	for _, in := range ks.kern.Code {
 		switch in.Op {
 		case bytecode.KStep:
 			// Accounted at scatter time from the final masks.

@@ -192,7 +192,9 @@ func TestCtxDeadlineMidRun(t *testing.T) {
 // Precompile, the serving layer's cache-insert path) and then
 // executed concurrently from 16 goroutines sharing the same program.
 // Run under -race in CI; results and output must agree across all
-// goroutines, with zero compile work during execution.
+// goroutines, with zero compile work during execution — except the
+// closure engine's lazy closure build, which the 16 racing first users
+// must perform exactly once between them.
 func sharedAcrossGoroutines(t *testing.T, eng Engine) {
 	t.Helper()
 	prog, err := lang.Parse(sandboxSrc)
@@ -202,7 +204,7 @@ func sharedAcrossGoroutines(t *testing.T, eng Engine) {
 	if err := Precompile(prog); err != nil {
 		t.Fatal(err)
 	}
-	before := CompileCount()
+	before, closuresBefore := CompileCount(), ClosureBuildCount()
 	const goroutines = 16
 	var wg sync.WaitGroup
 	results := make([]int64, goroutines)
@@ -229,6 +231,13 @@ func sharedAcrossGoroutines(t *testing.T, eng Engine) {
 	}
 	if n := CompileCount() - before; n != 0 {
 		t.Errorf("%d extra compiles during concurrent execution; cache hits must do zero compile work", n)
+	}
+	wantClosures := int64(0)
+	if eng == EngineCompiled {
+		wantClosures = 1
+	}
+	if n := ClosureBuildCount() - closuresBefore; n != wantClosures {
+		t.Errorf("engine %s: %d closure builds for one program, want %d", eng, n, wantClosures)
 	}
 }
 

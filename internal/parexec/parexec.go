@@ -4,9 +4,10 @@
 //
 // The engine runs a program on a root interpreter whose parallel
 // forall loops — the regions transform.StripMine emits — are handed to
-// a fixed pool of worker goroutines (one per PE, default GOMAXPROCS).
-// Each worker executes iterations on an interpreter forked from the
-// root: the program is shared and immutable, step/allocation counters
+// a fixed pool of worker goroutines (one per PE, default GOMAXPROCS;
+// a pool of one runs on the interpreting goroutine instead). Each
+// worker executes iterations on an interpreter forked from the root:
+// the program is shared and immutable, step/allocation counters
 // and the deterministic RNG are shared atomics, and heap writes are
 // partitioned by construction — the dependence test only licenses
 // loops whose iterations write disjoint nodes (and at field
@@ -17,6 +18,13 @@
 // "simple static scheduling"), or Dynamic self-scheduling with a
 // configurable chunk size. The policy affects only load balance and
 // scheduling overhead, never the result — see Policy.
+//
+// Strips the kernel classifier vectorized (the default engine,
+// interp.EngineKernel) do not go through the iteration scheduler at
+// all: the interpreter hands the strip's gather/compute/scatter phases
+// to runState.strip, which runs small strips entirely in place and
+// splits only the compute phase of large ones across the pool
+// (stripBreakEven).
 //
 // Every forall is a barrier, mirroring the paper's FOR1/FOR2 structure
 // (§4.3.3): the pool finishes all PE iteration procedures (FOR2 bodies)
@@ -49,19 +57,22 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Interp selects the interpreter engine the pool runs on
-	// (default interp.EngineCompiled; interp.EngineBytecode is the
-	// flat register-bank VM; interp.EngineWalk is the tree-walking
-	// oracle). Results are bit-identical across all three — the
-	// engines differ only in speed.
+	// Interp selects the interpreter engine the pool runs on (default
+	// interp.EngineKernel: the bytecode VM, with vectorized strips run
+	// as batched kernels; interp.EngineBytecode is the VM without them,
+	// interp.EngineCompiled the closure engine, interp.EngineWalk the
+	// tree-walking oracle). Results are bit-identical across all four —
+	// the engines differ only in speed.
 	Interp interp.Engine
-	// Compiled, if non-nil, supplies the program's pinned closure code
+	// Compiled, if non-nil, supplies the program's pinned code
 	// (interp.CompileProgram) instead of the per-program code cache —
 	// the serving layer's guarantee that cached programs never
 	// recompile. Must have been built from the same program the Engine
 	// was created with.
 	Compiled *interp.CompiledProgram
-	// PEs is the number of worker goroutines (0 = GOMAXPROCS).
+	// PEs is the number of PEs (0 = GOMAXPROCS). Two or more get one
+	// worker goroutine each; a pool of one runs its PE's streams on the
+	// interpreting goroutine itself.
 	PEs int
 	// Sched maps forall iterations to PEs (nil = Dynamic(1),
 	// self-scheduling one iteration at a time — the behavior of the
@@ -129,10 +140,7 @@ func (e *Engine) Run(fn string, args ...interp.Value) (interp.Value, interp.Stat
 		out = io.Discard
 	}
 	pes := e.PEs()
-	rs := &runState{tasks: make([]chan task, pes), out: out, pes: pes, sched: e.Sched(), prof: e.opt.Profiler}
-	for i := range rs.tasks {
-		rs.tasks[i] = make(chan task)
-	}
+	rs := &runState{out: out, pes: pes, sched: e.Sched(), prof: e.opt.Profiler}
 	icfg := interp.Config{
 		Engine:         e.opt.Interp,
 		Mode:           interp.Real,
@@ -152,49 +160,38 @@ func (e *Engine) Run(fn string, args ...interp.Value) (interp.Value, interp.Stat
 		root = interp.New(e.prog, icfg)
 	}
 
-	// One channel per worker, so PE p's assignment stream always runs
-	// on worker p: two streams can never collapse onto one goroutine
-	// (which would serialize a static policy's chunks and distort the
-	// measured schedule).
 	var workers sync.WaitGroup
-	for i := 0; i < pes; i++ {
-		workers.Add(1)
-		w := root.Fork(io.Discard)
-		go func(ch <-chan task) {
-			defer workers.Done()
-			for t := range ch {
-				if t.strip != nil {
-					// A vectorized strip's compute share: the closure
-					// owns its lane range, error slot, and timing.
-					t.strip(t.pe)
-					t.wg.Done()
-					continue
-				}
-				for {
-					k, ok := t.asn.Next(t.pe)
-					if !ok {
-						break
-					}
-					i := k - t.from
-					w.SetOutput(t.bufs[i])
-					if t.busy != nil {
-						t0 := time.Now()
-						t.errs[i] = t.run(w, k)
-						t.busy[t.pe] += int64(time.Since(t0))
-						t.ntasks[t.pe]++
+	if pes == 1 {
+		// A pool of one has nobody to run beside: PE 0's streams run on
+		// the interpreting goroutine's own fork, and a barrier costs no
+		// goroutine round trip (≈12 µs each when it did — three times
+		// the run on a program of small foralls).
+		rs.self = root.Fork(io.Discard)
+	} else {
+		// One channel per worker, so PE p's assignment stream always
+		// runs on worker p: two streams can never collapse onto one
+		// goroutine (which would serialize a static policy's chunks and
+		// distort the measured schedule).
+		rs.tasks = make([]chan task, pes)
+		for i := range rs.tasks {
+			rs.tasks[i] = make(chan task)
+			workers.Add(1)
+			w := root.Fork(io.Discard)
+			go func(ch <-chan task) {
+				defer workers.Done()
+				for t := range ch {
+					if t.strip != nil {
+						// A vectorized strip's compute share: the
+						// closure owns its lane range, error slot, and
+						// timing.
+						t.strip(t.pe)
 					} else {
-						t.errs[i] = t.run(w, k)
+						t.drain(w)
 					}
-					w.SetOutput(nil)
+					t.wg.Done()
 				}
-				if t.done != nil {
-					// Offset from dispatch at which this PE's stream
-					// drained: the gap to the barrier is its wait time.
-					t.done[t.pe] = int64(time.Since(t.start))
-				}
-				t.wg.Done()
-			}
-		}(rs.tasks[i])
+			}(rs.tasks[i])
+		}
 	}
 	v, err := root.Call(fn, args...)
 	for _, ch := range rs.tasks {
@@ -244,11 +241,42 @@ type task struct {
 	start  time.Time
 }
 
+// drain runs PE t.pe's share of a forall on the worker interpreter w:
+// every iteration the assignment hands this PE, each into its own
+// output buffer and error slot.
+func (t *task) drain(w *interp.Interp) {
+	for {
+		k, ok := t.asn.Next(t.pe)
+		if !ok {
+			break
+		}
+		i := k - t.from
+		w.SetOutput(t.bufs[i])
+		if t.busy != nil {
+			t0 := time.Now()
+			t.errs[i] = t.run(w, k)
+			t.busy[t.pe] += int64(time.Since(t0))
+			t.ntasks[t.pe]++
+		} else {
+			t.errs[i] = t.run(w, k)
+		}
+		w.SetOutput(nil)
+	}
+	if t.done != nil {
+		// Offset from dispatch at which this PE's stream drained: the
+		// gap to the barrier is its wait time.
+		t.done[t.pe] = int64(time.Since(t.start))
+	}
+}
+
 // runState is the per-Run scheduler the root interpreter calls for
 // every parallel forall. It lives on the interpreting goroutine; only
 // the per-worker task channels cross into the workers.
 type runState struct {
-	tasks    []chan task // tasks[pe] feeds worker pe
+	tasks []chan task // tasks[pe] feeds worker pe; nil in a pool of one
+	// self, in a pool of one, is the fork that runs PE 0's streams on
+	// the interpreting goroutine (nil otherwise).
+	self     *interp.Interp
 	out      io.Writer
 	pes      int
 	sched    Policy
@@ -265,41 +293,105 @@ func (rs *runState) getBuf() *bytes.Buffer {
 	return new(bytes.Buffer)
 }
 
+// stripBreakEven is the static cost (interp.KernelStrip.Cost: lanes ×
+// kernel instructions) below which a vectorized strip's compute phase
+// runs on the interpreting goroutine instead of being split across the
+// pool.
+//
+// Measured on the 2-vCPU sandbox the benchmark runs on (go1.24,
+// GOMAXPROCS 2, PEs 2; nbody.VecForcePSL strip-mined at widths 8 to
+// 8192 over 8192–16384 particles, a 67-instruction kernel; µs per
+// strip, lower quartile of 9–15 runs, serial set-up subtracted; three
+// sweeps). In place, compute costs ≈0.75 ns per lane-instruction
+// (width 8: 1.1 µs of a 1.3–1.9 µs strip; width 512: 24 µs of 70).
+// Split, a strip pays a channel send, a goroutine wake-up and a
+// WaitGroup wait per PE — ≈4 µs at width 8 — and here the second vCPU
+// adds little even once awake (the two behave like hyperthread
+// siblings):
+//
+//	cost (lanes×67)   split ÷ in-place, whole strip
+//	    536 … 4 288   2.1 – 4.2
+//	  8 576 … 68 608  1.4 – 2.0
+//	137 216, 205 824  1.25 – 1.5
+//	274 432           1.01, 1.06, 1.29
+//	411 648, 548 864  0.94 – 1.19
+//
+// Splitting loses clearly below ≈2.1e5 and is within run-to-run noise
+// of running in place from ≈2.7e5 up, so the line sits between them.
+// On a host whose PEs are independent cores the arithmetic alone
+// (0.75 ns × cost × (1-1/P) saved against ≈4 µs × P spent) would put
+// it near 2e4; no such host has been measured, and at the strip widths
+// the planner and the server hand out (4×PEs, capped at 256 lanes)
+// that is a saving of a few µs a strip at best.
+const stripBreakEven = 1 << 18
+
 // strip runs one vectorized strip (interp.StripScheduler): gather
-// serially on the interpreting goroutine, compute split across the
-// pool in contiguous lane chunks (slab granularity — each PE sweeps
-// one sub-range of every slab, not one iteration at a time), scatter
-// serially after the barrier. Any phase error aborts the strip before
-// the heap is written and before the barrier or profiler see it: the
-// interpreter then falls back to the scalar path, whose barrier
-// rs.forall counts instead — so a strip never double-counts.
+// serially on the interpreting goroutine, compute either in place —
+// a pool of one, or a strip too small to repay a dispatch
+// (stripBreakEven) — or split across the pool in contiguous lane
+// chunks (slab granularity — each PE sweeps one sub-range of every
+// slab, not one iteration at a time), scatter serially after the
+// barrier. Either way the strip is one barrier and commits the same
+// step total. Any phase error aborts the strip before the heap is
+// written and before the barrier or profiler see it: the interpreter
+// then falls back to the scalar path, whose barrier rs.forall counts
+// instead — so a strip never double-counts.
 func (rs *runState) strip(pos lang.Pos, lanes int, s interp.KernelStrip) error {
+	var busy, ntasks []int64
+	var start, t0 time.Time
 	var gatherNS, scatterNS int64
-	var start time.Time
 	if rs.prof != nil {
+		busy = make([]int64, rs.pes)
+		ntasks = make([]int64, rs.pes)
 		start = time.Now()
 	}
+	if err := s.Gather(); err != nil {
+		return err
+	}
 	if rs.prof != nil {
-		t0 := time.Now()
-		if err := s.Gather(); err != nil {
-			return err
+		t0 = time.Now()
+		gatherNS = int64(t0.Sub(start))
+	}
+
+	var err error
+	if rs.self != nil || s.Cost < stripBreakEven {
+		err = s.Compute(0, lanes)
+		if busy != nil {
+			busy[0] = int64(time.Since(t0))
+			ntasks[0] = 1
 		}
-		gatherNS = int64(time.Since(t0))
-	} else if err := s.Gather(); err != nil {
+	} else {
+		err = rs.splitCompute(lanes, s, busy, ntasks)
+	}
+	if err != nil {
 		return err
 	}
 
+	if rs.prof != nil {
+		t0 = time.Now()
+	}
+	if err := s.Scatter(); err != nil {
+		return err
+	}
+	rs.barriers++
+	if rs.prof != nil {
+		scatterNS = int64(time.Since(t0))
+		rs.prof.RecordKernel(pos.Line, int64(time.Since(start)), gatherNS, scatterNS, busy, ntasks)
+	}
+	return nil
+}
+
+// splitCompute runs a strip's compute phase on the pool, one
+// contiguous lane chunk per PE, and returns the first chunk's error in
+// lane order. busy/ntasks are the profiler's per-PE slots (nil when
+// unprofiled).
+func (rs *runState) splitCompute(lanes int, s interp.KernelStrip, busy, ntasks []int64) error {
 	pes := rs.pes
 	if pes > lanes {
 		pes = lanes
 	}
 	chunk := (lanes + pes - 1) / pes
 	errs := make([]error, pes)
-	var busy, ntasks []int64
-	if rs.prof != nil {
-		busy = make([]int64, rs.pes)
-		ntasks = make([]int64, rs.pes)
-	}
 	var wg sync.WaitGroup
 	wg.Add(pes)
 	for pe := 0; pe < pes; pe++ {
@@ -326,19 +418,6 @@ func (rs *runState) strip(pos lang.Pos, lanes int, s interp.KernelStrip) error {
 			return err
 		}
 	}
-	if rs.prof != nil {
-		t0 := time.Now()
-		if err := s.Scatter(); err != nil {
-			return err
-		}
-		scatterNS = int64(time.Since(t0))
-	} else if err := s.Scatter(); err != nil {
-		return err
-	}
-	rs.barriers++
-	if rs.prof != nil {
-		rs.prof.RecordKernel(pos.Line, int64(time.Since(start)), gatherNS, scatterNS, busy, ntasks)
-	}
 	return nil
 }
 
@@ -362,14 +441,18 @@ func (rs *runState) forall(pos lang.Pos, from, to int64, run func(w *interp.Inte
 		t.ntasks = make([]int64, rs.pes)
 		t.start = time.Now()
 	}
-	var wg sync.WaitGroup
-	wg.Add(rs.pes)
-	t.wg = &wg
-	for pe := 0; pe < rs.pes; pe++ {
-		t.pe = pe
-		rs.tasks[pe] <- t
+	if rs.self != nil {
+		t.drain(rs.self)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(rs.pes)
+		t.wg = &wg
+		for pe := 0; pe < rs.pes; pe++ {
+			t.pe = pe
+			rs.tasks[pe] <- t
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	rs.barriers++
 	if rs.prof != nil {
 		rs.prof.Record(pos.Line, int64(time.Since(t.start)), t.busy, t.done, t.ntasks)

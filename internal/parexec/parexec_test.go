@@ -2,9 +2,12 @@ package parexec_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -434,7 +437,9 @@ func TestEngineReuse(t *testing.T) {
 // TestForallProfilerRecordsSite: a profiled parallel run reports one
 // site, keyed to the line of the source while loop that strip-mining
 // replaced (line 30 of polyscale.psl), with task and barrier counts
-// matching the engine's own accounting.
+// matching the engine's own accounting. The bytecode engine keeps the
+// strip on the scalar dispatch path this test is about (the default
+// engine would vectorize it: one task per strip, not one per lane).
 func TestForallProfilerRecordsSite(t *testing.T) {
 	c := compileTestdata(t, "polyscale.psl")
 	const width = 8
@@ -447,7 +452,7 @@ func TestForallProfilerRecordsSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := par.RunParallel(core.RunConfig{Profiler: prof}, 2, "main")
+	got, st, err := par.RunParallel(core.RunConfig{Engine: interp.EngineBytecode, Profiler: prof}, 2, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,5 +491,227 @@ func TestForallProfilerRecordsSite(t *testing.T) {
 	}
 	if tasks != r.Tasks {
 		t.Errorf("per-PE tasks sum %d, site total %d", tasks, r.Tasks)
+	}
+}
+
+// goroutineProbe is a context the interpreter polls (at Call entry and
+// every few hundred statements, on whichever goroutine is executing)
+// that records the most goroutines it ever saw alive.
+type goroutineProbe struct {
+	context.Context
+	max atomic.Int64
+}
+
+func (p *goroutineProbe) Err() error {
+	if n := int64(runtime.NumGoroutine()); n > p.max.Load() {
+		p.max.Store(n)
+	}
+	return nil
+}
+
+// TestPoolOfOneRunsInPlace: PEs == 1 runs every barrier on the
+// interpreting goroutine — no worker goroutine exists while the program
+// runs — with the same result, output, counters and profiler accounting
+// (all on PE 0) as a real pool.
+func TestPoolOfOneRunsInPlace(t *testing.T) {
+	c := compileTestdata(t, "orthlist.psl")
+	par, err := c.StripMine("scale_row", 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []interp.Engine{interp.EngineKernel, interp.EngineBytecode, interp.EngineWalk} {
+		var wantOut bytes.Buffer
+		want, wantSt, err := par.RunParallel(core.RunConfig{Engine: eng, Output: &wantOut}, 2, "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := int64(runtime.NumGoroutine())
+		probe := &goroutineProbe{Context: context.Background()}
+		var out bytes.Buffer
+		prof := obs.NewForallProfiler()
+		got, st, err := par.RunParallel(core.RunConfig{Engine: eng, Output: &out, Profiler: prof, Ctx: probe}, 1, "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen := probe.max.Load(); seen == 0 || seen > before {
+			t.Errorf("%s: %d goroutines alive during a pool-of-one run, %d before it", eng, seen, before)
+		}
+		if got.String() != want.String() || out.String() != wantOut.String() || st != wantSt {
+			t.Errorf("%s: pool of one diverged: %s %+v %q, want %s %+v %q", eng, got, st, out.String(), want, wantSt, wantOut.String())
+		}
+		var barriers int64
+		for _, r := range prof.Report() {
+			barriers += r.Barriers
+			if r.PEs != 1 || len(r.PerPE) != 1 || r.PerPE[0].Tasks != r.Tasks {
+				t.Errorf("%s: site %+v, want every task on PE 0 of 1", eng, r)
+			}
+		}
+		if barriers != st.Barriers {
+			t.Errorf("%s: profiler saw %d barriers, engine counted %d", eng, barriers, st.Barriers)
+		}
+	}
+}
+
+// TestStripGrain: a vectorized strip runs its compute phase in place
+// below the break-even and split across the pool above it, and nobody
+// can tell but the profiler. VecForcePSL's kernel is 67 instructions,
+// so width 8 (cost 536) sits far below stripBreakEven and width 4096
+// (cost 274 432) just above: value, output, steps and barriers agree
+// across both widths' PE counts and with the scalar engine, while the
+// per-PE task counts show which side each width took.
+func TestStripGrain(t *testing.T) {
+	c, err := core.Compile(nbody.VecForcePSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []interp.Value{interp.IntVal(4096), interp.IntVal(1), interp.RealVal(0.5)}
+	want, _, err := c.Run(core.RunConfig{Seed: 7}, nbody.VecForceFunc, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{8, 4096} {
+		par, err := c.StripMine(nbody.VecForceFunc, nbody.VecForceLoop, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, scalar, err := par.RunParallel(core.RunConfig{Seed: 7, Engine: interp.EngineBytecode}, 2, nbody.VecForceFunc, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pes := range []int{1, 2, 4} {
+			var out bytes.Buffer
+			prof := obs.NewForallProfiler()
+			got, st, err := par.RunParallel(core.RunConfig{Seed: 7, Output: &out, Profiler: prof}, pes, nbody.VecForceFunc, args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() || out.Len() != 0 {
+				t.Errorf("width %d pes %d: %s %q, want %s and no output", width, pes, got, out.String(), want)
+			}
+			if st.Steps != scalar.Steps || st.Barriers != scalar.Barriers {
+				t.Errorf("width %d pes %d: steps %d barriers %d, scalar engine %d / %d",
+					width, pes, st.Steps, st.Barriers, scalar.Steps, scalar.Barriers)
+			}
+			rep := prof.Report()
+			if len(rep) != 1 || !rep[0].Kernel || rep[0].Barriers != st.Barriers {
+				t.Fatalf("width %d pes %d: profile %+v, want one kernel site of %d barriers", width, pes, rep, st.Barriers)
+			}
+			split := width == 4096 && pes > 1
+			wantTasks := st.Barriers // in place: one compute call a strip, on PE 0
+			if split {
+				wantTasks *= int64(pes)
+			}
+			if rep[0].Tasks != wantTasks || (!split && rep[0].PerPE[0].Tasks != wantTasks) {
+				t.Errorf("width %d pes %d: %d compute tasks (%+v), want %d (split=%t)",
+					width, pes, rep[0].Tasks, rep[0].PerPE, wantTasks, split)
+			}
+		}
+	}
+}
+
+// TestStripFaultFallsBack: a zero divisor in one lane faults the
+// strip's compute phase — in place or on a pool worker — before the
+// heap is written; the scalar path then re-executes the strip and
+// raises the scalar engines' error, text and all.
+func TestStripFaultFallsBack(t *testing.T) {
+	c, err := core.Compile(`
+type Cell [L]
+{ int v;
+  int d;
+  int q;
+  Cell *next is uniquely forward along L;
+};
+
+function Cell * build(int n, int bad) {
+  var Cell *head = NULL;
+  var int i = 0;
+  while i < n {
+    var Cell *t = new Cell;
+    t->v = 100 + i;
+    t->d = 1;
+    if i == bad {
+      t->d = 0;
+    }
+    t->q = 0 - 1;
+    t->next = head;
+    head = t;
+    i = i + 1;
+  }
+  return head;
+}
+
+procedure divide(Cell *head) {
+  var Cell *p = head;
+  while p != NULL {
+    var int t0 = p->v / p->d;
+    var int t1 = (p->v * 4 + t0) / 3 - t0 % 6;
+    var int t2 = (p->v * 5 + t1) / 4 - t1 % 7;
+    var int t3 = (p->v * 6 + t2) / 5 - t2 % 8;
+    var int t4 = (p->v * 7 + t3) / 6 - t3 % 9;
+    var int t5 = (p->v * 8 + t4) / 7 - t4 % 10;
+    var int t6 = (p->v * 9 + t5) / 8 - t5 % 11;
+    var int t7 = (p->v * 10 + t6) / 9 - t6 % 12;
+    var int t8 = (p->v * 11 + t7) / 10 - t7 % 13;
+    var int t9 = (p->v * 12 + t8) / 11 - t8 % 14;
+    var int t10 = (p->v * 13 + t9) / 12 - t9 % 15;
+    var int t11 = (p->v * 14 + t10) / 13 - t10 % 16;
+    var int t12 = (p->v * 15 + t11) / 14 - t11 % 17;
+    var int t13 = (p->v * 16 + t12) / 15 - t12 % 18;
+    var int t14 = (p->v * 17 + t13) / 16 - t13 % 19;
+    var int t15 = (p->v * 18 + t14) / 17 - t14 % 20;
+    var int t16 = (p->v * 19 + t15) / 18 - t15 % 21;
+    var int t17 = (p->v * 20 + t16) / 19 - t16 % 22;
+    var int t18 = (p->v * 21 + t17) / 20 - t17 % 23;
+    var int t19 = (p->v * 22 + t18) / 21 - t18 % 24;
+    p->q = t19;
+    p = p->next;
+  }
+}
+
+function int main(int n, int bad) {
+  var Cell *head = build(n, bad);
+  divide(head);
+  return head->q;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The body is long so that a strip of n lanes costs more than
+	// stripBreakEven (lanes × kernel instructions) while the scalar
+	// fallback, quadratic in the strip width, stays cheap: the profiler
+	// check below fails if the wide strip does not split.
+	const n = 2048
+	for _, width := range []int{8, n} {
+		par, err := c.StripMine("divide", 0, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean := []interp.Value{interp.IntVal(n), interp.IntVal(-1)}
+		prof := obs.NewForallProfiler()
+		if _, _, err := par.RunParallel(core.RunConfig{Profiler: prof}, 2, "main", clean...); err != nil {
+			t.Fatal(err)
+		}
+		rep := prof.Report()
+		if len(rep) != 1 || !rep[0].Kernel {
+			t.Fatalf("width %d: profile %+v, want one kernel site (the loop must vectorize)", width, rep)
+		}
+		if split := rep[0].Tasks == 2*rep[0].Barriers; split != (width == n) {
+			t.Fatalf("width %d: split=%t (%d tasks over %d barriers)", width, split, rep[0].Tasks, rep[0].Barriers)
+		}
+
+		// The bad cell is built mid-list, so it faults mid-strip.
+		faulty := []interp.Value{interp.IntVal(n), interp.IntVal(n / 2)}
+		_, wantSt, wantErr := par.RunParallel(core.RunConfig{Engine: interp.EngineBytecode}, 2, "main", faulty...)
+		if wantErr == nil || !strings.Contains(wantErr.Error(), "integer division by zero") {
+			t.Fatalf("width %d: scalar engine returned %v, want a division fault", width, wantErr)
+		}
+		_, st, err := par.RunParallel(core.RunConfig{}, 2, "main", faulty...)
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("width %d: kernel engine returned %v, want %v", width, err, wantErr)
+		}
+		if st.Barriers != wantSt.Barriers {
+			t.Errorf("width %d: %d barriers, scalar engine %d", width, st.Barriers, wantSt.Barriers)
+		}
 	}
 }

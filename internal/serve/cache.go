@@ -3,7 +3,7 @@
 // request source (plus a variant tag for auto-parallelized entries:
 // the serial program and each planned (auto, width) variant are
 // separate entries with separate compiled code), so byte-identical
-// programs share one checked AST and one set of compiled closures
+// programs share one checked AST and one set of compiled code
 // regardless of which client sent them; the shard is picked from the
 // hash's first byte, so hot keys spread across locks instead of
 // serializing on one.
@@ -169,8 +169,8 @@ type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
-	// Compiles counts front-end builds (parse + check + closure
-	// codegen). The hot-path contract is that it tracks misses, never
+	// Compiles counts front-end builds (parse + check + compile IR +
+	// bytecode). The hot-path contract is that it tracks misses, never
 	// hits: TestHotPathZeroCompileWork pins it together with
 	// interp.CompileCount.
 	Compiles int64 `json:"compiles"`

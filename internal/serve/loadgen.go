@@ -11,8 +11,8 @@
 //     cache residency test. An AutoRate fraction is sent with
 //     "auto": true (planner-parallelized execution), so the parallel
 //     path carries load too, not just the serial one; a BytecodeRate
-//     fraction is sent with "engine": "bytecode", so the flat VM
-//     carries load alongside the default closure engine.
+//     fraction is sent with "engine": "bytecode", so the explicit
+//     opt-in path carries load alongside the default kernel engine.
 //
 // Hit rates come from diffing the server's /stats around the hot
 // phase; latencies are measured client-side per request.
@@ -87,11 +87,10 @@ type LoadConfig struct {
 	// flight, per-request pools multiply).
 	AutoPEs int
 	// BytecodeRate is the fraction of hot-phase requests sent with
-	// "engine": "bytecode", load-testing the flat VM alongside the
-	// default closure engine. No extra cold phase is needed: the
-	// compiled-program cache is engine-independent (one compile
-	// populates both backends), so bytecode requests hit the same
-	// cache entries as serial ones.
+	// "engine": "bytecode", load-testing an explicit engine opt-in
+	// alongside the default kernel engine. No extra cold phase is
+	// needed: the compiled-program cache is engine-independent, so
+	// bytecode requests hit the same cache entries as default ones.
 	BytecodeRate float64
 	// TraceRate is the fraction of hot-phase requests sent with
 	// "profile": true, exercising the tracing path under load. A

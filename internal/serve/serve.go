@@ -6,14 +6,16 @@
 // under load* the performance story:
 //
 //   - a sharded, content-hash-keyed LRU cache of checked programs
-//     (cache.go) whose compiled closure code is pre-built at insert
-//     (interp.Precompile), so a repeat request skips lexing, parsing,
-//     checking, slot resolution, and codegen entirely — it binds a
-//     frame and runs. Concurrent cold misses for one source are
-//     singleflighted: one build, everyone waits on it.
+//     (cache.go) whose code — compile IR and bytecode — is built at
+//     insert (interp.CompileProgram), so a repeat request skips lexing,
+//     parsing, checking, slot resolution, and lowering entirely — it
+//     binds a frame and runs. (The closure engine's code is built from
+//     the entry's IR on the first "engine": "compiled" request, once.)
+//     Concurrent cold misses for one source are singleflighted: one
+//     build, everyone waits on it.
 //   - per-request sandboxing (execute below): wall-clock deadline via
 //     context cancellation plus step, allocation, and output-byte
-//     budgets, enforced inside both execution engines so the
+//     budgets, enforced inside every execution engine so the
 //     tree-walking oracle remains a valid differential check for the
 //     served configuration too.
 //   - an admission-controlled worker pool (pool.go): a bounded queue
@@ -165,9 +167,11 @@ type Request struct {
 	// Args are the call arguments; integral JSON numbers become PSL
 	// ints, fractional ones reals.
 	Args []json.Number `json:"args,omitempty"`
-	// Engine selects the interpreter engine: "compiled" (the
-	// default), "bytecode" (the flat register-bank VM), or "walk"
-	// (the differential oracle).
+	// Engine selects the interpreter engine: "kernel" (the default:
+	// the bytecode VM with vectorized strips run as batched kernels),
+	// "bytecode" (the VM alone), "compiled" (the closure engine, built
+	// on a program's first such request), or "walk" (the differential
+	// oracle).
 	Engine string `json:"engine,omitempty"`
 	// Parallel runs forall regions on the parexec worker pool with PEs
 	// workers (0 = GOMAXPROCS) under the Sched policy ("block",
@@ -535,9 +539,9 @@ func (s *Server) execute(ctx context.Context, req Request, eng interp.Engine, po
 			}
 			p = plan.Program
 		}
-		// Build and pin the closure code now, while we hold the cold
-		// path: the entry owns its code, so hits never recompile even
-		// when interp's bounded code cache churns under cold traffic.
+		// Build and pin the code now, while we hold the cold path: the
+		// entry owns its code, so hits never recompile even when
+		// interp's bounded code cache churns under cold traffic.
 		compileSp := cacheSp.Start("compile")
 		pinned := interp.CompileProgram(p)
 		compileSp.End()

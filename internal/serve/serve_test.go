@@ -95,8 +95,8 @@ func TestRunBasic(t *testing.T) {
 	if w.Result != "42" || w.Output != "sum 5\n" {
 		t.Errorf("walk engine diverged: %+v", w)
 	}
-	// So does the bytecode VM — and it hits the same cache entry (the
-	// entry holds both lowered backends).
+	// So does the plain bytecode VM — and it hits the same cache entry
+	// (entries are engine-independent).
 	bc := mustRun(t, s, Request{Source: addSrc, Engine: "bytecode"})
 	if bc.Result != "42" || bc.Output != "sum 5\n" {
 		t.Errorf("bytecode engine diverged: %+v", bc)
@@ -236,13 +236,13 @@ func TestCorpusCachedVsFresh(t *testing.T) {
 
 // TestHotPathZeroCompileWork is the acceptance guard: once a program
 // is resident, further requests do zero front-end work — no parses, no
-// checks, no closure builds — observable as flat compile counters at
-// both the serve and interp layers.
+// checks, no code builds of either backend — observable as flat compile
+// counters at both the serve and interp layers.
 func TestHotPathZeroCompileWork(t *testing.T) {
 	s := newTestServer(t, Config{})
 	mustRun(t, s, Request{Source: addSrc}) // warm
 	st0 := s.Stats().Cache
-	c0 := interp.CompileCount()
+	c0, b0 := interp.CompileCount(), interp.ClosureBuildCount()
 	const hot = 50
 	for i := 0; i < hot; i++ {
 		resp := mustRun(t, s, Request{Source: addSrc})
@@ -258,12 +258,90 @@ func TestHotPathZeroCompileWork(t *testing.T) {
 		t.Errorf("hits %d, want %d", st.Hits, st0.Hits+hot)
 	}
 	if d := interp.CompileCount() - c0; d != 0 {
-		t.Errorf("closure code rebuilt %d times on the hot path", d)
+		t.Errorf("front end ran %d times on the hot path", d)
+	}
+	if d := interp.ClosureBuildCount() - b0; d != 0 {
+		t.Errorf("default-engine requests built closure code %d times", d)
+	}
+}
+
+// TestLazyClosureBuild: a resident program carries no closure code
+// until somebody asks for the compiled engine; the first such requests
+// — 32 at once — build it exactly once, without a front-end build or a
+// serve-level compile, and later ones reuse it.
+func TestLazyClosureBuild(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 8, QueueDepth: 64})
+	src := addSrc + "// TestLazyClosureBuild\n" // a program no other test has compiled
+	want := mustRun(t, s, Request{Source: src})
+	if !want.OK {
+		t.Fatalf("warm: %+v", want)
+	}
+	st0 := s.Stats().Cache
+	c0, b0 := interp.CompileCount(), interp.ClosureBuildCount()
+
+	const clients = 32
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := s.Run(context.Background(), Request{Source: src, Engine: "compiled"})
+			if err != nil || !resp.OK || !resp.Cached || resp.Result != want.Result || resp.Output != want.Output {
+				t.Errorf("compiled request: %v %+v, want %+v", err, resp, want)
+			}
+		}()
+	}
+	wg.Wait()
+	mustRun(t, s, Request{Source: src, Engine: "compiled"})
+
+	if d := interp.ClosureBuildCount() - b0; d != 1 {
+		t.Errorf("closure code built %d times for one program, want exactly 1", d)
+	}
+	if d := interp.CompileCount() - c0; d != 0 {
+		t.Errorf("the lazy closure build ran the front end %d times", d)
+	}
+	if st := s.Stats().Cache; st.Compiles != st0.Compiles || st.Misses != st0.Misses {
+		t.Errorf("compiled-engine requests compiled at the serve layer: %+v vs %+v", st, st0)
+	}
+}
+
+// TestDefaultEngineOnTheWire: a POST /run body without "engine" runs on
+// the engine ParseEngine("") names. Results cannot tell engines apart,
+// but a profiled auto run can: only the kernel engine reports the
+// vectorized loop's forall site as a kernel site.
+func TestDefaultEngineOnTheWire(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	kernelSite := func(engine string) bool {
+		t.Helper()
+		req := Request{Source: scalePar, Engine: engine, Auto: true, PEs: 2, Profile: true}
+		if body, _ := json.Marshal(req); engine == "" && bytes.Contains(body, []byte("engine")) {
+			t.Fatalf("request body %s carries an engine", body)
+		}
+		resp, status, _, err := postRun(context.Background(), ts.Client(), ts.URL, req)
+		if err != nil || status != http.StatusOK || !resp.OK || resp.Result != "630" {
+			t.Fatalf("engine %q: %v %d %+v", engine, err, status, resp)
+		}
+		if len(resp.Efficiency) != 1 || len(resp.Plan.Parallelized) != 1 || !resp.Plan.Parallelized[0].Vectorized {
+			t.Fatalf("engine %q: plan %+v efficiency %+v, want one vectorized loop and its site", engine, resp.Plan, resp.Efficiency)
+		}
+		return resp.Efficiency[0].Kernel
+	}
+	def, err := interp.ParseEngine("")
+	if err != nil || def != interp.EngineKernel {
+		t.Fatalf("ParseEngine(\"\") = %s, %v", def, err)
+	}
+	if !kernelSite("") || !kernelSite("kernel") {
+		t.Errorf("an engine-less request did not run the vectorized strip as a kernel")
+	}
+	if kernelSite("bytecode") || kernelSite("compiled") || kernelSite("walk") {
+		t.Errorf("a scalar engine reported a kernel site: the probe cannot tell engines apart")
 	}
 }
 
 // TestHotPathSurvivesCodeCacheChurn: serve-cache entries pin their
-// closure code, so a hit does zero compile work even after interp's
+// code, so a hit does zero compile work even after interp's
 // bounded per-program code cache has been churned past its limit by
 // cold traffic (which evicts arbitrary entries, potentially including
 // programs the serve LRU still holds).
@@ -408,7 +486,7 @@ func TestAutoValidation(t *testing.T) {
 // TestAutoHotPathZeroCompileWork is the planner's acceptance guard:
 // once an (auto, width) variant is resident, further auto requests do
 // zero front-end work — no parses, no analysis, no planning, no
-// closure builds — observable as flat compile counters at both the
+// code builds — observable as flat compile counters at both the
 // serve and interp layers.
 func TestAutoHotPathZeroCompileWork(t *testing.T) {
 	s := newTestServer(t, Config{})
@@ -433,7 +511,7 @@ func TestAutoHotPathZeroCompileWork(t *testing.T) {
 		t.Errorf("hits %d, want %d", st.Hits, st0.Hits+hot)
 	}
 	if d := interp.CompileCount() - c0; d != 0 {
-		t.Errorf("closure code rebuilt %d times on the auto hot path", d)
+		t.Errorf("front end ran %d times on the auto hot path", d)
 	}
 }
 
