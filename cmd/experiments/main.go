@@ -638,8 +638,7 @@ func runR5(peList []int, eng interp.Engine) {
 // baseline is the bytecode VM on the unstripped program (its honest
 // serial form); kernel rows run the auto-parallelized program, serial
 // strips inline on the vector path and pooled runs through parexec's
-// strip scheduler, which splits the slab compute across PEs only for
-// strips big enough to repay the dispatch (none at this width). The
+// strip scheduler, which runs each strip in place as one barrier. The
 // plan print shows the per-loop vector
 // verdict — which approved loops got the kernel and the classifier's
 // concrete why-not for the rest.

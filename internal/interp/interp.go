@@ -209,9 +209,9 @@ type Config struct {
 	Forall ForallScheduler
 	// Strip, if non-nil and Engine == EngineKernel, schedules the
 	// gather/compute/scatter phases of each vectorized strip instead of
-	// the inline serial execution — parexec installs it to split the
-	// compute phase across PEs at slab granularity. Forks clear this
-	// hook along with Forall.
+	// the inline serial execution — parexec installs it to count the
+	// strip as a barrier and time its phases for the profiler. Forks
+	// clear this hook along with Forall.
 	Strip StripScheduler
 }
 
@@ -244,10 +244,6 @@ type KernelStrip struct {
 	Gather  func() error
 	Compute func(lo, hi int) error // lane range [lo, hi)
 	Scatter func() error
-	// Cost is the compute phase's static size, lanes × kernel
-	// instructions: what a scheduler weighs against its own dispatch
-	// cost when deciding whether splitting Compute is worth it.
-	Cost int64
 }
 
 // Stats reports execution counters.

@@ -9,8 +9,7 @@
 // per-bank slabs; scalar free variables broadcast into whole slabs.
 // Compute runs the lowered body as fused whole-slab operations, each
 // masked by its governing execution mask — `if` branches become mask
-// refinements, never control flow — over any lane sub-range, so
-// parexec can split it across PEs. Scatter commits the strip's step
+// refinements, never control flow — over any lane sub-range. Scatter commits the strip's step
 // accounting and writes the stored fields back to the heap, all
 // root-active lanes unconditionally: a lane an `if` masked off writes
 // back the value it was gathered with, which is exactly the value the
@@ -165,9 +164,7 @@ func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.F
 	ks.lo, ks.prologueSteps = lo, prologueSteps
 
 	if ip.cfg.Strip != nil {
-		strip := ks.phases
-		strip.Cost = n * int64(len(kern.Code))
-		return ip.cfg.Strip(pos, lanes, strip) == nil
+		return ip.cfg.Strip(pos, lanes, ks.phases) == nil
 	}
 	if ks.gather() != nil || ks.compute(0, lanes) != nil {
 		return false

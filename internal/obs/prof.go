@@ -81,10 +81,9 @@ func (p *ForallProfiler) Record(line int, wallNS int64, busyNS, doneNS, tasks []
 
 // RecordKernel adds one vectorized strip's measurements for the forall
 // at line: wallNS is gather-to-scatter wall clock, gatherNS/scatterNS
-// the serial slab phases, busyNS[pe] the PE's compute-share time,
-// tasks[pe] its chunk count (0 or 1 per strip). There is no per-PE
-// wait measurement — the compute split is a single contiguous chunk
-// per PE, so the imbalance column already tells the story. Nil-safe;
+// the serial slab phases, busyNS[pe] the PE's compute time, tasks[pe]
+// its compute-call count (parexec runs a strip's compute in place:
+// one call, on PE 0). There is no per-PE wait measurement. Nil-safe;
 // slices are copied-from, not retained.
 func (p *ForallProfiler) RecordKernel(line int, wallNS, gatherNS, scatterNS int64, busyNS, tasks []int64) {
 	if p == nil {

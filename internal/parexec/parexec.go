@@ -22,9 +22,8 @@
 // Strips the kernel classifier vectorized (the default engine,
 // interp.EngineKernel) do not go through the iteration scheduler at
 // all: the interpreter hands the strip's gather/compute/scatter phases
-// to runState.strip, which runs small strips entirely in place and
-// splits only the compute phase of large ones across the pool
-// (stripBreakEven).
+// to runState.strip, which runs them in place on the interpreting
+// goroutine — one barrier, no dispatch.
 //
 // Every forall is a barrier, mirroring the paper's FOR1/FOR2 structure
 // (§4.3.3): the pool finishes all PE iteration procedures (FOR2 bodies)
@@ -180,14 +179,7 @@ func (e *Engine) Run(fn string, args ...interp.Value) (interp.Value, interp.Stat
 			go func(ch <-chan task) {
 				defer workers.Done()
 				for t := range ch {
-					if t.strip != nil {
-						// A vectorized strip's compute share: the
-						// closure owns its lane range, error slot, and
-						// timing.
-						t.strip(t.pe)
-					} else {
-						t.drain(w)
-					}
+					t.drain(w)
 					t.wg.Done()
 				}
 			}(rs.tasks[i])
@@ -224,12 +216,6 @@ type task struct {
 	errs []error
 	run  func(w *interp.Interp, k int64) error
 	wg   *sync.WaitGroup
-
-	// strip, when non-nil, replaces the iteration stream entirely: the
-	// worker runs this one closure (a vectorized strip's compute phase
-	// over the PE's lane range) and hits the barrier. All other task
-	// fields except pe and wg are unused.
-	strip func(pe int)
 
 	// Profiling slots (nil when no profiler is installed — the nil
 	// check is the only per-iteration cost of having the hooks in
@@ -293,49 +279,32 @@ func (rs *runState) getBuf() *bytes.Buffer {
 	return new(bytes.Buffer)
 }
 
-// stripBreakEven is the static cost (interp.KernelStrip.Cost: lanes ×
-// kernel instructions) below which a vectorized strip's compute phase
-// runs on the interpreting goroutine instead of being split across the
-// pool.
+// strip runs one vectorized strip (interp.StripScheduler) on the
+// interpreting goroutine: gather, compute over every lane, scatter —
+// one barrier, and on the profiler one task on PE 0. Any phase error
+// aborts the strip before the heap is written and before the barrier
+// or profiler see it: the interpreter then falls back to the scalar
+// path, whose barrier rs.forall counts instead — so a strip never
+// double-counts.
 //
-// Measured on the 2-vCPU sandbox the benchmark runs on (go1.24,
-// GOMAXPROCS 2, PEs 2; nbody.VecForcePSL strip-mined at widths 8 to
-// 8192 over 8192–16384 particles, a 67-instruction kernel; µs per
-// strip, lower quartile of 9–15 runs, serial set-up subtracted; three
-// sweeps). In place, compute costs ≈0.75 ns per lane-instruction
-// (width 8: 1.1 µs of a 1.3–1.9 µs strip; width 512: 24 µs of 70).
-// Split, a strip pays a channel send, a goroutine wake-up and a
-// WaitGroup wait per PE — ≈4 µs at width 8 — and here the second vCPU
-// adds little even once awake (the two behave like hyperthread
-// siblings):
+// The compute phase is not split across the pool, because on the one
+// host measured it never repaid the dispatch (2-vCPU sandbox, go1.24,
+// PEs 2; nbody.VecForcePSL strip-mined at widths 8 to 8192, a
+// 67-instruction kernel; µs per strip, lower quartile of 9–15 runs,
+// three sweeps). In place, compute costs ≈0.75 ns per lane-instruction;
+// split, a strip pays a channel send, a goroutine wake-up and a
+// WaitGroup wait per PE, ≈4 µs at width 8:
 //
-//	cost (lanes×67)   split ÷ in-place, whole strip
-//	    536 … 4 288   2.1 – 4.2
-//	  8 576 … 68 608  1.4 – 2.0
-//	137 216, 205 824  1.25 – 1.5
-//	274 432           1.01, 1.06, 1.29
-//	411 648, 548 864  0.94 – 1.19
+//	lanes × 67 instrs   split ÷ in-place, whole strip
+//	    536 … 4 288     2.1 – 4.2
+//	  8 576 … 68 608    1.4 – 2.0
+//	137 216, 205 824    1.25 – 1.5
+//	274 432 … 548 864   0.94 – 1.29
 //
-// Splitting loses clearly below ≈2.1e5 and is within run-to-run noise
-// of running in place from ≈2.7e5 up, so the line sits between them.
-// On a host whose PEs are independent cores the arithmetic alone
-// (0.75 ns × cost × (1-1/P) saved against ≈4 µs × P spent) would put
-// it near 2e4; no such host has been measured, and at the strip widths
-// the planner and the server hand out (4×PEs, capped at 256 lanes)
-// that is a saving of a few µs a strip at best.
-const stripBreakEven = 1 << 18
-
-// strip runs one vectorized strip (interp.StripScheduler): gather
-// serially on the interpreting goroutine, compute either in place —
-// a pool of one, or a strip too small to repay a dispatch
-// (stripBreakEven) — or split across the pool in contiguous lane
-// chunks (slab granularity — each PE sweeps one sub-range of every
-// slab, not one iteration at a time), scatter serially after the
-// barrier. Either way the strip is one barrier and commits the same
-// step total. Any phase error aborts the strip before the heap is
-// written and before the barrier or profiler see it: the interpreter
-// then falls back to the scalar path, whose barrier rs.forall counts
-// instead — so a strip never double-counts.
+// The planner and the server hand out strips of 4×PEs lanes capped at
+// 256 (≈17 000 on that scale), far inside the region where splitting
+// loses. Bringing a split back needs a workload of wider strips in the
+// benchmark first, measured on a host whose PEs are independent cores.
 func (rs *runState) strip(pos lang.Pos, lanes int, s interp.KernelStrip) error {
 	var busy, ntasks []int64
 	var start, t0 time.Time
@@ -352,22 +321,12 @@ func (rs *runState) strip(pos lang.Pos, lanes int, s interp.KernelStrip) error {
 		t0 = time.Now()
 		gatherNS = int64(t0.Sub(start))
 	}
-
-	var err error
-	if rs.self != nil || s.Cost < stripBreakEven {
-		err = s.Compute(0, lanes)
-		if busy != nil {
-			busy[0] = int64(time.Since(t0))
-			ntasks[0] = 1
-		}
-	} else {
-		err = rs.splitCompute(lanes, s, busy, ntasks)
-	}
-	if err != nil {
+	if err := s.Compute(0, lanes); err != nil {
 		return err
 	}
-
 	if rs.prof != nil {
+		busy[0] = int64(time.Since(t0))
+		ntasks[0] = 1
 		t0 = time.Now()
 	}
 	if err := s.Scatter(); err != nil {
@@ -377,46 +336,6 @@ func (rs *runState) strip(pos lang.Pos, lanes int, s interp.KernelStrip) error {
 	if rs.prof != nil {
 		scatterNS = int64(time.Since(t0))
 		rs.prof.RecordKernel(pos.Line, int64(time.Since(start)), gatherNS, scatterNS, busy, ntasks)
-	}
-	return nil
-}
-
-// splitCompute runs a strip's compute phase on the pool, one
-// contiguous lane chunk per PE, and returns the first chunk's error in
-// lane order. busy/ntasks are the profiler's per-PE slots (nil when
-// unprofiled).
-func (rs *runState) splitCompute(lanes int, s interp.KernelStrip, busy, ntasks []int64) error {
-	pes := rs.pes
-	if pes > lanes {
-		pes = lanes
-	}
-	chunk := (lanes + pes - 1) / pes
-	errs := make([]error, pes)
-	var wg sync.WaitGroup
-	wg.Add(pes)
-	for pe := 0; pe < pes; pe++ {
-		lo := pe * chunk
-		hi := lo + chunk
-		if hi > lanes {
-			hi = lanes
-		}
-		slot := pe
-		rs.tasks[pe] <- task{pe: pe, wg: &wg, strip: func(p int) {
-			if busy != nil {
-				t0 := time.Now()
-				errs[slot] = s.Compute(lo, hi)
-				busy[p] += int64(time.Since(t0))
-				ntasks[p]++
-			} else {
-				errs[slot] = s.Compute(lo, hi)
-			}
-		}}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -437,9 +437,10 @@ func TestEngineReuse(t *testing.T) {
 // TestForallProfilerRecordsSite: a profiled parallel run reports one
 // site, keyed to the line of the source while loop that strip-mining
 // replaced (line 30 of polyscale.psl), with task and barrier counts
-// matching the engine's own accounting. The bytecode engine keeps the
-// strip on the scalar dispatch path this test is about (the default
-// engine would vectorize it: one task per strip, not one per lane).
+// matching the engine's own accounting. The bytecode and closure
+// engines keep the strip on the scalar dispatch path this test is about
+// (the default engine would vectorize it: one task per strip, not one
+// per lane).
 func TestForallProfilerRecordsSite(t *testing.T) {
 	c := compileTestdata(t, "polyscale.psl")
 	const width = 8
@@ -447,50 +448,54 @@ func TestForallProfilerRecordsSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := obs.NewForallProfiler()
 	want, _, err := c.Run(core.RunConfig{}, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := par.RunParallel(core.RunConfig{Engine: interp.EngineBytecode, Profiler: prof}, 2, "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.I != want.I {
-		t.Fatalf("profiled run changed the result: %d, want %d", got.I, want.I)
-	}
-	rep := prof.Report()
-	if len(rep) != 1 {
-		t.Fatalf("%d sites, want 1: %+v", len(rep), rep)
-	}
-	r := rep[0]
-	if r.Line != 30 {
-		t.Errorf("site line %d, want 30 (the source while loop)", r.Line)
-	}
-	if r.PEs != 2 {
-		t.Errorf("PEs %d, want 2", r.PEs)
-	}
-	if r.Barriers != st.Barriers {
-		t.Errorf("barriers %d, engine counted %d", r.Barriers, st.Barriers)
-	}
-	if r.Tasks != st.Barriers*width {
-		t.Errorf("tasks %d, want %d (barriers × strip width)", r.Tasks, st.Barriers*width)
-	}
-	if r.BusyPct <= 0 || r.BusyPct > 100 {
-		t.Errorf("busy %.2f%%, want in (0, 100]", r.BusyPct)
-	}
-	if r.Imbalance < 1 {
-		t.Errorf("imbalance %.3f, want >= 1", r.Imbalance)
-	}
-	if len(r.PerPE) != 2 {
-		t.Fatalf("per-PE rows: %+v", r.PerPE)
-	}
-	var tasks int64
-	for _, pe := range r.PerPE {
-		tasks += pe.Tasks
-	}
-	if tasks != r.Tasks {
-		t.Errorf("per-PE tasks sum %d, site total %d", tasks, r.Tasks)
+	for _, eng := range []interp.Engine{interp.EngineBytecode, interp.EngineCompiled} {
+		t.Run(eng.String(), func(t *testing.T) {
+			prof := obs.NewForallProfiler()
+			got, st, err := par.RunParallel(core.RunConfig{Engine: eng, Profiler: prof}, 2, "main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.I != want.I {
+				t.Fatalf("profiled run changed the result: %d, want %d", got.I, want.I)
+			}
+			rep := prof.Report()
+			if len(rep) != 1 {
+				t.Fatalf("%d sites, want 1: %+v", len(rep), rep)
+			}
+			r := rep[0]
+			if r.Line != 30 {
+				t.Errorf("site line %d, want 30 (the source while loop)", r.Line)
+			}
+			if r.PEs != 2 {
+				t.Errorf("PEs %d, want 2", r.PEs)
+			}
+			if r.Barriers != st.Barriers {
+				t.Errorf("barriers %d, engine counted %d", r.Barriers, st.Barriers)
+			}
+			if r.Tasks != st.Barriers*width {
+				t.Errorf("tasks %d, want %d (barriers × strip width)", r.Tasks, st.Barriers*width)
+			}
+			if r.BusyPct <= 0 || r.BusyPct > 100 {
+				t.Errorf("busy %.2f%%, want in (0, 100]", r.BusyPct)
+			}
+			if r.Imbalance < 1 {
+				t.Errorf("imbalance %.3f, want >= 1", r.Imbalance)
+			}
+			if len(r.PerPE) != 2 {
+				t.Fatalf("per-PE rows: %+v", r.PerPE)
+			}
+			var tasks int64
+			for _, pe := range r.PerPE {
+				tasks += pe.Tasks
+			}
+			if tasks != r.Tasks {
+				t.Errorf("per-PE tasks sum %d, site total %d", tasks, r.Tasks)
+			}
+		})
 	}
 }
 
@@ -552,13 +557,11 @@ func TestPoolOfOneRunsInPlace(t *testing.T) {
 	}
 }
 
-// TestStripGrain: a vectorized strip runs its compute phase in place
-// below the break-even and split across the pool above it, and nobody
-// can tell but the profiler. VecForcePSL's kernel is 67 instructions,
-// so width 8 (cost 536) sits far below stripBreakEven and width 4096
-// (cost 274 432) just above: value, output, steps and barriers agree
-// across both widths' PE counts and with the scalar engine, while the
-// per-PE task counts show which side each width took.
+// TestStripGrain: a vectorized strip runs gather, compute and scatter
+// on the interpreting goroutine whatever its width and the pool's size.
+// Narrow strips (8 lanes) and wide ones (4096) give the value, steps
+// and barriers of the scalar engine on 1, 2 and 4 PEs, and the profiler
+// sees one compute task per strip, on PE 0.
 func TestStripGrain(t *testing.T) {
 	c, err := core.Compile(nbody.VecForcePSL)
 	if err != nil {
@@ -596,23 +599,18 @@ func TestStripGrain(t *testing.T) {
 			if len(rep) != 1 || !rep[0].Kernel || rep[0].Barriers != st.Barriers {
 				t.Fatalf("width %d pes %d: profile %+v, want one kernel site of %d barriers", width, pes, rep, st.Barriers)
 			}
-			split := width == 4096 && pes > 1
-			wantTasks := st.Barriers // in place: one compute call a strip, on PE 0
-			if split {
-				wantTasks *= int64(pes)
-			}
-			if rep[0].Tasks != wantTasks || (!split && rep[0].PerPE[0].Tasks != wantTasks) {
-				t.Errorf("width %d pes %d: %d compute tasks (%+v), want %d (split=%t)",
-					width, pes, rep[0].Tasks, rep[0].PerPE, wantTasks, split)
+			if rep[0].Tasks != st.Barriers || rep[0].PerPE[0].Tasks != st.Barriers {
+				t.Errorf("width %d pes %d: %d compute tasks (%+v), want one a strip on PE 0",
+					width, pes, rep[0].Tasks, rep[0].PerPE)
 			}
 		}
 	}
 }
 
 // TestStripFaultFallsBack: a zero divisor in one lane faults the
-// strip's compute phase — in place or on a pool worker — before the
-// heap is written; the scalar path then re-executes the strip and
-// raises the scalar engines' error, text and all.
+// strip's compute phase before the heap is written; the scalar path
+// then re-executes the strip and raises the scalar engines' error, text
+// and all.
 func TestStripFaultFallsBack(t *testing.T) {
 	c, err := core.Compile(`
 type Cell [L]
@@ -643,27 +641,7 @@ function Cell * build(int n, int bad) {
 procedure divide(Cell *head) {
   var Cell *p = head;
   while p != NULL {
-    var int t0 = p->v / p->d;
-    var int t1 = (p->v * 4 + t0) / 3 - t0 % 6;
-    var int t2 = (p->v * 5 + t1) / 4 - t1 % 7;
-    var int t3 = (p->v * 6 + t2) / 5 - t2 % 8;
-    var int t4 = (p->v * 7 + t3) / 6 - t3 % 9;
-    var int t5 = (p->v * 8 + t4) / 7 - t4 % 10;
-    var int t6 = (p->v * 9 + t5) / 8 - t5 % 11;
-    var int t7 = (p->v * 10 + t6) / 9 - t6 % 12;
-    var int t8 = (p->v * 11 + t7) / 10 - t7 % 13;
-    var int t9 = (p->v * 12 + t8) / 11 - t8 % 14;
-    var int t10 = (p->v * 13 + t9) / 12 - t9 % 15;
-    var int t11 = (p->v * 14 + t10) / 13 - t10 % 16;
-    var int t12 = (p->v * 15 + t11) / 14 - t11 % 17;
-    var int t13 = (p->v * 16 + t12) / 15 - t12 % 18;
-    var int t14 = (p->v * 17 + t13) / 16 - t13 % 19;
-    var int t15 = (p->v * 18 + t14) / 17 - t14 % 20;
-    var int t16 = (p->v * 19 + t15) / 18 - t15 % 21;
-    var int t17 = (p->v * 20 + t16) / 19 - t16 % 22;
-    var int t18 = (p->v * 21 + t17) / 20 - t17 % 23;
-    var int t19 = (p->v * 22 + t18) / 21 - t18 % 24;
-    p->q = t19;
+    p->q = p->v / p->d;
     p = p->next;
   }
 }
@@ -677,11 +655,7 @@ function int main(int n, int bad) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The body is long so that a strip of n lanes costs more than
-	// stripBreakEven (lanes × kernel instructions) while the scalar
-	// fallback, quadratic in the strip width, stays cheap: the profiler
-	// check below fails if the wide strip does not split.
-	const n = 2048
+	const n = 512
 	for _, width := range []int{8, n} {
 		par, err := c.StripMine("divide", 0, width)
 		if err != nil {
@@ -692,12 +666,8 @@ function int main(int n, int bad) {
 		if _, _, err := par.RunParallel(core.RunConfig{Profiler: prof}, 2, "main", clean...); err != nil {
 			t.Fatal(err)
 		}
-		rep := prof.Report()
-		if len(rep) != 1 || !rep[0].Kernel {
+		if rep := prof.Report(); len(rep) != 1 || !rep[0].Kernel {
 			t.Fatalf("width %d: profile %+v, want one kernel site (the loop must vectorize)", width, rep)
-		}
-		if split := rep[0].Tasks == 2*rep[0].Barriers; split != (width == n) {
-			t.Fatalf("width %d: split=%t (%d tasks over %d barriers)", width, split, rep[0].Tasks, rep[0].Barriers)
 		}
 
 		// The bad cell is built mid-list, so it faults mid-strip.
