@@ -726,7 +726,8 @@ func runR8(peList []int) {
 // should stay roughly flat as programs grow; the full-restart
 // reference comparison (the seed row, ~an order of magnitude slower
 // at 200 loops) lives in BENCH_plan.json, and TestPlanCostSubquadratic
-// gates both the head-to-head gap and this table's scaling in CI.
+// gates both the head-to-head gap and this table's scaling in CI (its
+// wall-clock half runs under -cost-gates).
 func runR7() {
 	header("R7 — auto-parallelization planner cost (incremental analysis)")
 	fmt.Printf("host: GOMAXPROCS=%d, NumCPU=%d; best of 3 runs per cell.\n",
@@ -759,7 +760,7 @@ func runR7() {
 	}
 	fmt.Println("\nFlat ms-per-loop across rows is the incremental win; the quadratic")
 	fmt.Println("full-restart baseline is recorded in BENCH_plan.json (seed row) and")
-	fmt.Println("re-measured by TestPlanCostSubquadratic.")
+	fmt.Println("re-measured by TestPlanCostSubquadratic under -cost-gates.")
 }
 
 // ---------------------------------------------------------------------------

@@ -93,6 +93,13 @@ type Violation struct {
 
 // State is the abstract state at a program point: the path matrix plus
 // the set of active violations.
+//
+// A State stored in a FuncResult is a snapshot: it is never mutated,
+// and concurrent readers share it. To change one, take a Clone and use
+// the clone's methods. Clone copies the matrix's cell slice and shares
+// the two maps; the first method that writes a map after a Clone copies
+// it first (most statements write neither). Code outside this package
+// reads Violations and Prov and never writes them.
 type State struct {
 	PM         *pathmatrix.Matrix
 	Violations map[ViolationKey]*Violation
@@ -104,6 +111,10 @@ type State struct {
 	// distinct-parent uniqueness (children of provably different
 	// parents along a uniquely-forward dimension are different).
 	Prov map[string]Provenance
+
+	// sharedViolations / sharedProv: another State may hold the same
+	// map, so a writer must copy it first (ownViolations, ownProv).
+	sharedViolations, sharedProv bool
 }
 
 // Provenance describes how a handle's value was most recently produced.
@@ -124,22 +135,70 @@ func NewState() *State {
 	}
 }
 
-// Clone deep-copies the state.
+// Clone returns an independent copy of the state. The receiver is only
+// written when it has never been cloned (or come from a Clone) before,
+// so cloning a FuncResult's snapshots from several goroutines is safe.
 func (s *State) Clone() *State {
-	ns := &State{
-		PM:         s.PM.Clone(),
-		Violations: make(map[ViolationKey]*Violation, len(s.Violations)),
-		Prov:       make(map[string]Provenance, len(s.Prov)),
+	if !s.sharedViolations || !s.sharedProv {
+		s.snapshot()
 	}
-	for k, v := range s.Violations {
+	c := *s
+	c.PM = s.PM.Clone()
+	return &c
+}
+
+// snapshot marks s as shared and returns it. Every State a FuncResult
+// holds has been through here (directly or via Clone), which is what
+// keeps Clone from writing to it.
+func (s *State) snapshot() *State {
+	s.sharedViolations, s.sharedProv = true, true
+	return s
+}
+
+// copyViolations deep-copies a violation set (the structs and their
+// Refs are written in place by Retarget and invalidateIndexVar).
+func copyViolations(m map[ViolationKey]*Violation) map[ViolationKey]*Violation {
+	out := make(map[ViolationKey]*Violation, len(m))
+	for k, v := range m {
 		nv := *v
 		nv.Refs = append([]EdgeRef(nil), v.Refs...)
-		ns.Violations[k] = &nv
+		out[k] = &nv
 	}
-	for k, v := range s.Prov {
-		ns.Prov[k] = v
+	return out
+}
+
+// ownViolations makes s.Violations private to s before a write.
+func (s *State) ownViolations() {
+	if s.sharedViolations {
+		s.Violations = copyViolations(s.Violations)
+		s.sharedViolations = false
 	}
-	return ns
+}
+
+// ownProv makes s.Prov private to s before a write.
+func (s *State) ownProv() {
+	if s.sharedProv {
+		prov := make(map[string]Provenance, len(s.Prov))
+		for k, v := range s.Prov {
+			prov[k] = v
+		}
+		s.Prov, s.sharedProv = prov, false
+	}
+}
+
+// setProv records h's provenance; dropProv forgets it.
+func (s *State) setProv(h string, pv Provenance) {
+	if old, ok := s.Prov[h]; !ok || old != pv {
+		s.ownProv()
+		s.Prov[h] = pv
+	}
+}
+
+func (s *State) dropProv(h string) {
+	if _, ok := s.Prov[h]; ok {
+		s.ownProv()
+		delete(s.Prov, h)
+	}
 }
 
 // Valid reports whether the ADDS property (typ, dim) currently holds:
@@ -171,7 +230,7 @@ func (s *State) ViolationKeys() []ViolationKey {
 func (s *State) ClearProvAlongDim(dim string) {
 	for k, v := range s.Prov {
 		if v.Dim == dim {
-			delete(s.Prov, k)
+			s.dropProv(k)
 		}
 	}
 }
@@ -182,9 +241,10 @@ func (s *State) ClearProvAlongDim(dim string) {
 // matrix before the store (so definite aliases of x are still visible).
 // Incomparable indices ("?") never match.
 func (s *State) fixViolationsForStore(x, f, idx string, pm *pathmatrix.Matrix) {
-	if idx == "?" {
+	if idx == "?" || len(s.Violations) == 0 {
 		return
 	}
+	s.ownViolations()
 	for k, v := range s.Violations {
 		for _, r := range v.Refs {
 			if r.Field != f || r.Index != idx {
@@ -202,13 +262,13 @@ func (s *State) fixViolationsForStore(x, f, idx string, pm *pathmatrix.Matrix) {
 // exact descriptors and violation references indexed by it become
 // stale. Descriptors are dropped; references become unfixable ("?").
 func (s *State) invalidateIndexVar(name string) {
-	for _, a := range s.PM.Handles() {
-		for _, b := range s.PM.Handles() {
-			s.PM.Update(a, b, func(e *pathmatrix.Entry) {
-				e.RemoveExactsIndexedBy(name)
-			})
-		}
+	s.PM.UpdateAll(func(_, _ string, e *pathmatrix.Entry) {
+		e.RemoveExactsIndexedBy(name)
+	})
+	if len(s.Violations) == 0 {
+		return
 	}
+	s.ownViolations()
 	for _, v := range s.Violations {
 		for i := range v.Refs {
 			if v.Refs[i].Index == name {
@@ -226,12 +286,13 @@ func (s *State) Retarget(h string, pm *pathmatrix.Matrix) {
 	for k, v := range s.Prov {
 		if v.Src == h {
 			v.Src = ""
-			s.Prov[k] = v
+			s.setProv(k, v)
 		}
 	}
 	if len(s.Violations) == 0 {
 		return
 	}
+	s.ownViolations()
 	var alias string
 	for _, other := range pm.Aliases(h, false) {
 		alias = other
@@ -257,7 +318,7 @@ func (s *State) Retarget(h string, pm *pathmatrix.Matrix) {
 func joinStates(a, b *State) *State {
 	out := &State{
 		PM:         pathmatrix.Join(a.PM, b.PM),
-		Violations: make(map[ViolationKey]*Violation, len(a.Violations)+len(b.Violations)),
+		Violations: copyViolations(a.Violations),
 		Prov:       make(map[string]Provenance, len(a.Prov)),
 	}
 	for k, v := range a.Prov {
@@ -269,11 +330,6 @@ func joinStates(a, b *State) *State {
 			v.Src = ""
 		}
 		out.Prov[k] = v
-	}
-	for k, v := range a.Violations {
-		nv := *v
-		nv.Refs = append([]EdgeRef(nil), v.Refs...)
-		out.Violations[k] = &nv
 	}
 	for k, v := range b.Violations {
 		if prev, ok := out.Violations[k]; ok {
@@ -376,7 +432,9 @@ type FuncResult struct {
 	// Exit is the state at function exit (join over returns and
 	// fall-through).
 	Exit *State
-	// Before and After record the state around every statement.
+	// Before and After record the state around every statement, as
+	// snapshots (see State): After[s] and the next statement's Before
+	// are one *State.
 	Before map[lang.Stmt]*State
 	After  map[lang.Stmt]*State
 	// LoopInvariant records the fixed-point state at each loop head.
@@ -537,7 +595,7 @@ func (a *Analyzer) analyzeFunc(f *lang.FuncDecl) (*FuncResult, error) {
 	if out == nil {
 		out = NewState()
 	}
-	fr.Exit = out
+	fr.Exit = out.snapshot()
 	return fr, nil
 }
 
@@ -558,13 +616,19 @@ func (c *funcCtx) block(b *lang.Block, st *State) (*State, error) {
 	}
 	var declared []string
 	cur := st
+	// One snapshot serves as After[s] and Before[next]: nothing runs
+	// between the two program points.
+	var snap *State
 	for _, s := range b.Stmts {
 		if cur == nil {
 			// Unreachable code after a return: skip (conservatively,
 			// nothing to analyze).
 			break
 		}
-		c.fr.Before[s] = cur.Clone()
+		if snap == nil {
+			snap = cur.Clone()
+		}
+		c.fr.Before[s] = snap
 		next, err := c.stmt(s, cur)
 		if err != nil {
 			return nil, err
@@ -575,7 +639,8 @@ func (c *funcCtx) block(b *lang.Block, st *State) (*State, error) {
 			}
 		}
 		if next != nil {
-			c.fr.After[s] = next.Clone()
+			snap = next.Clone()
+			c.fr.After[s] = snap
 		}
 		cur = next
 	}

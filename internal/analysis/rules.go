@@ -139,7 +139,7 @@ func (c *funcCtx) assignPointer(st *State, p string, rhs lang.Expr, pos lang.Pos
 	case *lang.NullLit:
 		// p = NULL: p aliases nothing.
 		st.PM.Kill(p)
-		delete(st.Prov, p)
+		st.dropProv(p)
 		return st, nil
 
 	case *lang.Ident:
@@ -150,16 +150,16 @@ func (c *funcCtx) assignPointer(st *State, p string, rhs lang.Expr, pos lang.Pos
 		st.PM.Kill(p)
 		st.PM.CopyRelationships(p, rhs.Name)
 		if pv, ok := st.Prov[rhs.Name]; ok {
-			st.Prov[p] = pv
+			st.setProv(p, pv)
 		} else {
-			delete(st.Prov, p)
+			st.dropProv(p)
 		}
 		return st, nil
 
 	case *lang.NewExpr:
 		// p = new T: fresh node, disjoint from everything.
 		st.PM.Kill(p)
-		delete(st.Prov, p)
+		st.dropProv(p)
 		return st, nil
 
 	case *lang.FieldExpr:
@@ -240,9 +240,9 @@ func (c *funcCtx) load(st *State, p string, fe *lang.FieldExpr, pos lang.Pos) (*
 		if q == p {
 			src = ""
 		}
-		st.Prov[p] = Provenance{Dim: pf.Dim, Src: src}
+		st.setProv(p, Provenance{Dim: pf.Dim, Src: src})
 	} else {
-		delete(st.Prov, p)
+		st.dropProv(p)
 	}
 
 	for _, x := range old.Handles() {
@@ -255,7 +255,7 @@ func (c *funcCtx) load(st *State, p string, fe *lang.FieldExpr, pos lang.Pos) (*
 		var toP pathmatrix.Entry // x -> p
 		switch {
 		case exq.Alias == pathmatrix.DefiniteAlias || x == q:
-			toP = baseEntry.Clone()
+			toP = baseEntry
 		default:
 			// Path extension: a definite monotone path from x to q
 			// extends by f into a definite monotone path from x to p
@@ -422,18 +422,13 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 	// edge being overwritten, so they go. Edges out of provably
 	// different nodes survive, but longer (plus/star) paths using f go
 	// everywhere: they might run through p's node mid-path.
-	for _, a := range st.PM.Handles() {
-		mayAliasP := a == p || old.Get(a, p).Alias != pathmatrix.NoAlias
-		for _, b := range st.PM.Handles() {
-			st.PM.Update(a, b, func(e *pathmatrix.Entry) {
-				if mayAliasP {
-					e.RemovePathsUsing(lhs.Field)
-				} else {
-					e.RemoveNonExactUsing(lhs.Field)
-				}
-			})
+	st.PM.UpdateAll(func(a, _ string, e *pathmatrix.Entry) {
+		if a == p || old.Get(a, p).Alias != pathmatrix.NoAlias {
+			e.RemovePathsUsing(lhs.Field)
+		} else {
+			e.RemoveNonExactUsing(lhs.Field)
 		}
-	}
+	})
 	// The f-edge of p's node (at this index, for arrays) is definitely
 	// destroyed.
 	idxKey := indexKey(lhs.Index)
@@ -468,6 +463,7 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 
 		if cycle {
 			key := ViolationKey{Type: elem, Dim: pf.Dim, Kind: Cycle}
+			st.ownViolations()
 			st.Violations[key] = &Violation{
 				Key:  key,
 				Refs: []EdgeRef{{Handle: p, Field: lhs.Field, Index: idxKey}},
@@ -506,6 +502,7 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 			}
 			if len(refs) > 0 {
 				key := ViolationKey{Type: elem, Dim: pf.Dim, Kind: Sharing}
+				st.ownViolations()
 				st.Violations[key] = &Violation{
 					Key:  key,
 					Refs: append(refs, EdgeRef{Handle: p, Field: lhs.Field, Index: idxKey}),
@@ -559,13 +556,9 @@ func (c *funcCtx) call(st *State, call *lang.CallExpr) (*State, error) {
 		if fi := c.an.fields[f]; fi != nil {
 			st.ClearProvAlongDim(fi.Dim)
 		}
-		for _, a := range st.PM.Handles() {
-			for _, b := range st.PM.Handles() {
-				st.PM.Update(a, b, func(e *pathmatrix.Entry) {
-					e.RemovePathsUsing(f)
-				})
-			}
-		}
+		st.PM.UpdateAll(func(_, _ string, e *pathmatrix.Entry) {
+			e.RemovePathsUsing(f)
+		})
 	}
 	// Propagate the callee's exit violations (from the most recent
 	// analysis round; AnalyzeAll iterates until this stabilizes).
@@ -573,6 +566,7 @@ func (c *funcCtx) call(st *State, call *lang.CallExpr) (*State, error) {
 		if _, ok := st.Violations[k]; !ok {
 			nv := *v
 			nv.Refs = nil // the witnessing edges are callee-local
+			st.ownViolations()
 			st.Violations[k] = &nv
 		}
 	}
@@ -755,7 +749,7 @@ func (c *funcCtx) whileLoop(w *lang.WhileStmt, st *State) (*State, error) {
 		// Record the body-exit state (joined across iterations) before
 		// the primes are rebound: this is where p' vs p is meaningful.
 		if prev, ok := c.fr.LoopBodyExit[w]; ok {
-			c.fr.LoopBodyExit[w] = joinStates(prev, bodyOut)
+			c.fr.LoopBodyExit[w] = joinStates(prev, bodyOut).snapshot()
 		} else {
 			c.fr.LoopBodyExit[w] = bodyOut.Clone()
 		}
@@ -775,7 +769,7 @@ func (c *funcCtx) whileLoop(w *lang.WhileStmt, st *State) (*State, error) {
 		}
 		head = next
 	}
-	c.fr.LoopInvariant[w] = head.Clone()
+	c.fr.LoopInvariant[w] = head // cloned into bodyIn above, never written since
 
 	exit := head.Clone()
 	refineCond(exit, w.Cond, false)

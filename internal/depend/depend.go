@@ -18,7 +18,9 @@
 //     compute_force writes only force fields of p while reading only
 //     mass/position fields of the tree;
 //  5. the body carries no scalar loop-carried dependences (no writes to
-//     scalars declared outside the loop).
+//     scalars declared outside the loop);
+//  6. the body never calls rand(), directly or through a callee: the
+//     generator is one stream shared by every iteration.
 package depend
 
 import (
@@ -143,6 +145,17 @@ func analyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 	if v, ok := outerScalarWrite(loop.Body, adv); ok {
 		rep.Reasons = append(rep.Reasons,
 			fmt.Sprintf("body writes outer scalar %q (loop-carried dependence)", v))
+		return rep, nil
+	}
+
+	// --- 6. No draw from the shared random stream. A parallel run
+	// serves rand() in completion order, so iterations that draw —
+	// directly or through a callee — would see other values than the
+	// serial loop gives them. (print() is fine: its output is merged in
+	// iteration order.)
+	if sum.Has(effects.RandDraw) {
+		rep.Reasons = append(rep.Reasons,
+			fmt.Sprintf("body draws from the shared rand() stream (%s): parallel iterations would draw in completion order, not loop order", randPath(prog, eff, body)))
 		return rep, nil
 	}
 
@@ -317,6 +330,36 @@ func outerScalarWrite(body *lang.Block, adv *lang.AssignStmt) (string, bool) {
 		return false
 	})
 	return name, name != ""
+}
+
+// randPath names one call chain from the block to rand(): "rand()", or
+// "draw() -> rand()" when the draw happens inside a callee. The effect
+// summaries say which callees to descend into.
+func randPath(prog *lang.Program, eff *effects.Analyzer, b *lang.Block) string {
+	visited := map[string]bool{}
+	var find func(b *lang.Block) string
+	find = func(b *lang.Block) string {
+		path := ""
+		lang.Walk(b, func(s lang.Stmt) bool {
+			lang.WalkExprs(s, func(e lang.Expr) {
+				call, ok := e.(*lang.CallExpr)
+				if !ok || path != "" {
+					return
+				}
+				if call.Func == "rand" {
+					path = "rand()"
+				} else if f := prog.Func(call.Func); f != nil && !visited[f.Name] && eff.FuncSummary(f.Name).Has(effects.RandDraw) {
+					visited[f.Name] = true
+					if sub := find(f.Body); sub != "" {
+						path = f.Name + "() -> " + sub
+					}
+				}
+			})
+			return path == ""
+		})
+		return path
+	}
+	return find(b)
 }
 
 // crossIterationConflict checks the field-granularity condition: every

@@ -180,3 +180,49 @@ procedure f(OneWayList *head, int n) {
 		t.Errorf("reason:\n%s", reps[1])
 	}
 }
+
+// TestRandInLoopRejected: an iteration that draws from rand() — in the
+// body or anywhere below it — shares the generator with every other
+// iteration, and a parallel run serves the draws in completion order.
+// The verdict must say so and name the call path. print() is no such
+// hazard (its output is merged in iteration order).
+func TestRandInLoopRejected(t *testing.T) {
+	const helpers = `
+function int draw() {
+  if rand() < 0.5 { return 1; }
+  return 0;
+}
+function int noisy() {
+  return draw() + 1;
+}
+procedure show(OneWayList *p) {
+  print(p->data);
+}
+`
+	loop := func(stmt string) string {
+		return adds.OneWayListSrc + helpers + `
+procedure f(OneWayList *head) {
+  var OneWayList *p = head;
+  while p != NULL {
+    ` + stmt + `
+    p = p->next;
+  }
+}`
+	}
+	for _, c := range []struct{ stmt, path string }{
+		{"if rand() < 0.5 { p->data = 0; }", "(rand())"},
+		{"p->data = p->data + draw();", "(draw() -> rand())"},
+		{"p->data = noisy();", "(noisy() -> draw() -> rand())"},
+	} {
+		rep := reports(t, loop(c.stmt), "f")[0]
+		if rep.Parallelizable {
+			t.Errorf("%s: a loop that draws from rand() must be rejected:\n%s", c.stmt, rep)
+		}
+		if got := strings.Join(rep.Reasons, "; "); !strings.Contains(got, "rand() stream "+c.path) {
+			t.Errorf("%s: reason should name the call path %s, got %q", c.stmt, c.path, got)
+		}
+	}
+	if rep := reports(t, loop("show(p);"), "f")[0]; !rep.Parallelizable {
+		t.Errorf("a loop that only prints must stay approvable:\n%s", rep)
+	}
+}

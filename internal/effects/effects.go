@@ -17,6 +17,7 @@ package effects
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -48,7 +49,21 @@ const (
 	// AnchorUnknown marks accesses whose base pointer could not be
 	// traced to an anchor; they conflict with everything.
 	AnchorUnknown = "<unknown>"
+	// AnchorRand is the hidden region every rand() call writes: the one
+	// generator state all iterations share. print() has no such region —
+	// a parallel run merges its output in iteration order.
+	AnchorRand = "<rand>"
 )
+
+// RandDraw is the access a call to rand() contributes, directly or
+// through any callee's summary.
+var RandDraw = Access{Region: Region{Anchor: AnchorRand}, Field: "state", Kind: Write}
+
+// Has reports whether the summary contains the access.
+func (s *Summary) Has(a Access) bool {
+	_, ok := s.seen[a]
+	return ok
+}
 
 // Region abstracts where a pointer may point, relative to an anchor
 // variable: the anchor's node itself (Moved=false), or any node
@@ -113,18 +128,24 @@ func (a Access) String() string {
 	return fmt.Sprintf("%s %s.%s%s", a.Kind, a.Region, a.Field, p)
 }
 
-// Summary is the effect set of a function or block.
+// Summary is the effect set of a function or block: the accesses in the
+// order they were first found (reports quote the first offender, so the
+// order is part of the output), indexed by a set so that adding one is
+// O(1).
 type Summary struct {
 	Accesses []Access
+	seen     map[Access]struct{}
 }
 
 // add inserts an access, deduplicating.
 func (s *Summary) add(a Access) bool {
-	for _, x := range s.Accesses {
-		if x == a {
-			return false
-		}
+	if _, dup := s.seen[a]; dup {
+		return false
 	}
+	if s.seen == nil {
+		s.seen = make(map[Access]struct{})
+	}
+	s.seen[a] = struct{}{}
 	s.Accesses = append(s.Accesses, a)
 	return true
 }
@@ -176,9 +197,13 @@ func (s *Summary) String() string {
 type Analyzer struct {
 	prog      *lang.Program
 	summaries map[string]*Summary
-	// callees is the caller→callee graph, kept so Update can limit
+	// callees is the caller→callee graph (each function's callees in
+	// first-call order): solve orders its work by it, and Update limits
 	// recomputation to the functions a rewrite can actually affect.
-	callees map[string]map[string]bool
+	callees map[string][]string
+	// walks counts how often solve has walked each function's body;
+	// tests pin that a non-recursive function is walked once.
+	walks map[string]int
 }
 
 // NewAnalyzer prepares function summaries for the program, closing them
@@ -187,24 +212,30 @@ func NewAnalyzer(prog *lang.Program) *Analyzer {
 	a := &Analyzer{
 		prog:      prog,
 		summaries: make(map[string]*Summary),
-		callees:   make(map[string]map[string]bool),
+		callees:   make(map[string][]string),
+		walks:     make(map[string]int),
 	}
+	all := make(map[string]bool, len(prog.Funcs))
 	for _, f := range prog.Funcs {
 		a.summaries[f.Name] = &Summary{}
 		a.callees[f.Name] = calleesOf(f)
+		all[f.Name] = true
 	}
-	a.solve(nil)
+	a.solve(all)
 	return a
 }
 
-// calleesOf collects the non-builtin functions f calls.
-func calleesOf(f *lang.FuncDecl) map[string]bool {
-	out := map[string]bool{}
+// calleesOf collects the non-builtin functions f calls, in first-call
+// order.
+func calleesOf(f *lang.FuncDecl) []string {
+	var out []string
+	seen := map[string]bool{}
 	lang.Walk(f.Body, func(s lang.Stmt) bool {
 		lang.WalkExprs(s, func(e lang.Expr) {
 			if call, ok := e.(*lang.CallExpr); ok {
-				if lang.Builtins[call.Func] == nil {
-					out[call.Func] = true
+				if lang.Builtins[call.Func] == nil && !seen[call.Func] {
+					seen[call.Func] = true
+					out = append(out, call.Func)
 				}
 			}
 		})
@@ -213,35 +244,100 @@ func calleesOf(f *lang.FuncDecl) map[string]bool {
 	return out
 }
 
-// solve runs the summary fixed point. With a nil restriction every
-// function participates; otherwise only the listed functions are
-// recomputed, reading the (stable) summaries of the rest.
+// solve computes the (empty) summaries of the functions in only,
+// reading the finished summaries of the rest. It works callee-first over the strongly connected components of
+// the call graph, so a function outside any recursion is walked exactly
+// once, against complete callee summaries; inside a recursive component
+// a function is re-walked only when the summary of a member it calls
+// grew (the accesses only accumulate, and the field and dimension sets
+// are finite, so this terminates).
 func (a *Analyzer) solve(only map[string]bool) {
-	// Fixed point: recompute each function's summary, substituting
-	// callee summaries, until nothing changes.
-	for {
-		changed := false
-		for _, f := range a.prog.Funcs {
-			if only != nil && !only[f.Name] {
+	for _, members := range a.components(only) {
+		queue := append([]*lang.FuncDecl(nil), members...)
+		for len(queue) > 0 {
+			f := queue[0]
+			queue = queue[1:]
+			if !a.walk(f) {
 				continue
 			}
-			anchors := make([]string, 0, len(f.Params))
-			for _, prm := range f.Params {
-				if _, ok := lang.IsPointer(prm.Type); ok {
-					anchors = append(anchors, prm.Name)
+			for _, g := range members {
+				if slices.Contains(a.callees[g.Name], f.Name) && !slices.Contains(queue, g) {
+					queue = append(queue, g)
 				}
 			}
-			ns := a.analyzeBlock(f.Body, anchors)
-			for _, acc := range ns.Accesses {
-				if a.summaries[f.Name].add(acc) {
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return
 		}
 	}
+}
+
+// walk re-derives f's accesses from its body and the current callee
+// summaries, reporting whether f's summary grew.
+func (a *Analyzer) walk(f *lang.FuncDecl) bool {
+	a.walks[f.Name]++
+	anchors := make([]string, 0, len(f.Params))
+	for _, prm := range f.Params {
+		if _, ok := lang.IsPointer(prm.Type); ok {
+			anchors = append(anchors, prm.Name)
+		}
+	}
+	grew := false
+	sum := a.summaries[f.Name]
+	for _, acc := range a.analyzeBlock(f.Body, anchors).Accesses {
+		if sum.add(acc) {
+			grew = true
+		}
+	}
+	return grew
+}
+
+// components returns the strongly connected components of the call
+// graph restricted to only, callees before callers (Tarjan's algorithm
+// emits them in that order), each component's members in program order.
+func (a *Analyzer) components(only map[string]bool) [][]*lang.FuncDecl {
+	index := map[string]int{} // 1-based visit number
+	low := map[string]int{}
+	comp := map[string]int{} // component number, assigned when popped
+	var stack []string
+	n := 0
+	var visit func(v string)
+	visit = func(v string) {
+		index[v] = len(index) + 1
+		low[v] = index[v]
+		stack = append(stack, v)
+		for _, w := range a.callees[v] {
+			if !only[w] {
+				continue
+			}
+			if index[w] == 0 {
+				visit(w)
+				low[v] = min(low[v], low[w])
+			} else if _, done := comp[w]; !done {
+				low[v] = min(low[v], index[w])
+			}
+		}
+		if low[v] == index[v] {
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				comp[w] = n
+				if w == v {
+					break
+				}
+			}
+			n++
+		}
+	}
+	for _, f := range a.prog.Funcs {
+		if only[f.Name] && index[f.Name] == 0 {
+			visit(f.Name)
+		}
+	}
+	out := make([][]*lang.FuncDecl, n)
+	for _, f := range a.prog.Funcs {
+		if k, ok := comp[f.Name]; ok {
+			out[k] = append(out[k], f)
+		}
+	}
+	return out
 }
 
 // Update re-derives summaries after an in-place rewrite that touched
@@ -249,9 +345,9 @@ func (a *Analyzer) solve(only map[string]bool) {
 // function whose summary was recomputed. A function's summary depends
 // only on its own body and its (transitive) callees' summaries, so the
 // set that can change is the touched functions plus their transitive
-// callers; those summaries are reset (the fixed point is
-// accumulate-only, so stale accesses must not survive a body that lost
-// them) and re-solved against the unchanged remainder.
+// callers; those summaries are reset (accesses only accumulate, so
+// stale ones must not survive a body that lost them) and re-solved
+// against the unchanged remainder.
 func (a *Analyzer) Update(touched ...string) []string {
 	dirty := map[string]bool{}
 	var seed []string
@@ -270,7 +366,7 @@ func (a *Analyzer) Update(touched ...string) []string {
 	// Transitive callers over the reverse graph.
 	callers := map[string][]string{}
 	for caller, cs := range a.callees {
-		for callee := range cs {
+		for _, callee := range cs {
 			callers[callee] = append(callers[callee], caller)
 		}
 	}
@@ -486,6 +582,9 @@ func (a *Analyzer) emitFieldAccess(sum *Summary, fe *lang.FieldExpr, kind Access
 // accesses onto the caller's argument regions.
 func (a *Analyzer) emitCall(sum *Summary, call *lang.CallExpr, ev env) {
 	if lang.Builtins[call.Func] != nil {
+		if call.Func == "rand" {
+			sum.add(RandDraw)
+		}
 		return
 	}
 	callee := a.prog.Func(call.Func)

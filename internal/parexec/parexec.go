@@ -33,11 +33,14 @@
 // output stream — and its result, since the heap writes are disjoint —
 // is bit-identical to the serial run's under every scheduling policy.
 //
-// One caveat: the rand() builtin draws from a single shared stream in
-// completion order, so a forall body that calls rand() receives
-// scheduling-dependent draws and loses the bit-identical guarantee.
-// None of the paper's parallel loops use rand; programs that want
-// determinism must keep rand() out of parallel regions.
+// One caveat, for hand-written forall only: the rand() builtin draws
+// from a single shared stream in completion order, so a forall body
+// that calls rand() receives scheduling-dependent draws and loses the
+// bit-identical guarantee. The planner never produces such a region —
+// effects models rand() as a write to a region all iterations share,
+// and depend rejects any loop whose body reaches it, naming the call
+// path — so only source that spells forall itself must keep rand() out
+// of it.
 package parexec
 
 import (

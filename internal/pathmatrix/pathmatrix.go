@@ -24,10 +24,25 @@
 // The package is deliberately declaration-agnostic: it stores and joins
 // relationships. Interpreting fields against ADDS dimensions and
 // directions is the analysis's job.
+//
+// # Representation and the immutability contract
+//
+// A Matrix is a handle slice plus one dense row-major []Entry; an Entry
+// is a value holding a Descs slice; a Desc holds a Fields slice. Descs
+// and Fields are immutable once built: every Entry method that changes
+// the descriptors (AddDesc, the Remove family) leaves the old slice
+// untouched and installs a fresh one, and nothing ever writes through
+// Fields. That is what makes Matrix.Clone one slice copy, lets a clone
+// and its source — or a snapshot and the goroutines reading it — share
+// everything below the cell slice, and lets Get hand out entries
+// without copying. The rule for callers: an Entry read from a Matrix is
+// never written through (no e.Descs[i] = …, no d.Fields[i] = …); change
+// it with the Entry methods, or take Entry.Clone first.
 package pathmatrix
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -77,7 +92,8 @@ func JoinAlias(a, b Alias) Alias {
 //     loop-head join of "=" (zero steps) with "f+" (≥1 steps) keeps the
 //     path information that lets the next load re-derive "f+".
 type Desc struct {
-	// Fields is the sorted set of field names the path uses.
+	// Fields is the sorted set of field names the path uses. It is
+	// shared between descriptors and never modified.
 	Fields []string
 	// Exact marks a single, currently-existing edge via Fields[0].
 	// len(Fields) == 1 when Exact.
@@ -171,7 +187,8 @@ func (d Desc) HasField(f string) bool {
 	return false
 }
 
-// Entry is one cell of the matrix.
+// Entry is one cell of the matrix. Copies of an Entry share Descs; the
+// methods below replace the slice rather than write into it.
 type Entry struct {
 	Alias Alias
 	Descs []Desc
@@ -213,58 +230,103 @@ func (e Entry) HasPath() bool { return len(e.Descs) > 0 }
 // also a longer f-path from q to s cannot both hold for trees, but can
 // for general graphs until validated).
 func (e *Entry) AddDesc(d Desc) {
+	if i := e.find(d); i >= 0 && (!d.Exact || e.Descs[i].EdgeID == d.EdgeID) {
+		return // already recorded
+	}
+	ds := make([]Desc, len(e.Descs), len(e.Descs)+1)
+	copy(ds, e.Descs)
+	e.Descs = ds
+	e.addOwned(d)
+}
+
+// find returns the index of the descriptor of d's kind, index and field
+// set, or -1.
+func (e *Entry) find(d Desc) int {
 	for i, x := range e.Descs {
 		if x.Exact == d.Exact && x.Star == d.Star && x.Index == d.Index && sameFields(x, d) {
-			if d.Exact {
-				// Replace: the newer edge identity wins (the statement
-				// that created it overwrote the field).
-				e.Descs[i] = d
-			}
-			return
+			return i
 		}
+	}
+	return -1
+}
+
+// addOwned is AddDesc for an entry whose Descs slice no one else can
+// see (a fresh copy, or one under construction), so it may be written
+// in place.
+func (e *Entry) addOwned(d Desc) {
+	if i := e.find(d); i >= 0 {
+		if d.Exact {
+			e.Descs[i] = d
+		}
+		return
 	}
 	e.Descs = append(e.Descs, d)
 	e.dropSubsumedStars()
 	e.normalize()
 }
 
+// normalize sorts the (owned) descriptors: exact first, star last, then
+// by field set, index and edge. Entries hold a handful of descriptors,
+// so an insertion sort beats sort.Slice and allocates nothing.
 func (e *Entry) normalize() {
-	sort.Slice(e.Descs, func(i, j int) bool {
-		a, b := e.Descs[i], e.Descs[j]
-		if a.Exact != b.Exact {
-			return a.Exact
+	ds := e.Descs
+	for i := 1; i < len(ds); i++ {
+		for j := i; j > 0 && lessDesc(ds[j], ds[j-1]); j-- {
+			ds[j], ds[j-1] = ds[j-1], ds[j]
 		}
-		if a.Star != b.Star {
-			return b.Star
-		}
-		as, bs := strings.Join(a.Fields, "."), strings.Join(b.Fields, ".")
-		if as != bs {
+	}
+}
+
+func fieldKey(d Desc) string {
+	if len(d.Fields) == 1 {
+		return d.Fields[0]
+	}
+	return strings.Join(d.Fields, ".")
+}
+
+func lessDesc(a, b Desc) bool {
+	if a.Exact != b.Exact {
+		return a.Exact
+	}
+	if a.Star != b.Star {
+		return b.Star
+	}
+	if !sameFields(a, b) {
+		if as, bs := fieldKey(a), fieldKey(b); as != bs {
 			return as < bs
 		}
-		if a.Index != b.Index {
-			return a.Index < b.Index
+	}
+	if a.Index != b.Index {
+		return a.Index < b.Index
+	}
+	return a.EdgeID < b.EdgeID
+}
+
+// remove deletes every descriptor drop selects, returning the edge IDs
+// of the exact ones among them. The survivors go to a fresh slice; an
+// entry nothing is removed from keeps its slice.
+func (e *Entry) remove(drop func(Desc) bool) []int {
+	first := slices.IndexFunc(e.Descs, drop)
+	if first < 0 {
+		return nil
+	}
+	var removed []int
+	keep := append([]Desc(nil), e.Descs[:first]...)
+	for _, d := range e.Descs[first:] {
+		if !drop(d) {
+			keep = append(keep, d)
+		} else if d.Exact {
+			removed = append(removed, d.EdgeID)
 		}
-		return a.EdgeID < b.EdgeID
-	})
+	}
+	e.Descs = keep
+	return removed
 }
 
 // RemoveExact deletes exact descriptors via field f (any index),
 // returning the IDs of the removed edges.
 func (e *Entry) RemoveExact(f string) []int {
-	var removed []int
-	out := e.Descs[:0]
-	for _, d := range e.Descs {
-		if d.Exact && d.Fields[0] == f {
-			removed = append(removed, d.EdgeID)
-			continue
-		}
-		out = append(out, d)
-	}
-	e.Descs = out
-	if len(e.Descs) == 0 {
-		e.Descs = nil
-	}
-	return removed
+	return e.remove(func(d Desc) bool { return d.Exact && d.Fields[0] == f })
 }
 
 // RemovePathsUsing deletes every descriptor whose field set contains f
@@ -272,69 +334,28 @@ func (e *Entry) RemoveExact(f string) []int {
 // store rule to invalidate paths that may run through an overwritten
 // edge.
 func (e *Entry) RemovePathsUsing(f string) []int {
-	var removed []int
-	out := e.Descs[:0]
-	for _, d := range e.Descs {
-		if d.HasField(f) {
-			if d.Exact {
-				removed = append(removed, d.EdgeID)
-			}
-			continue
-		}
-		out = append(out, d)
-	}
-	e.Descs = out
-	if len(e.Descs) == 0 {
-		e.Descs = nil
-	}
-	return removed
+	return e.remove(func(d Desc) bool { return d.HasField(f) })
 }
 
 // RemoveExactsIndexedBy deletes exact descriptors whose index text
 // equals idx (used when the index variable is reassigned and the
 // recorded element identity goes stale).
 func (e *Entry) RemoveExactsIndexedBy(idx string) {
-	out := e.Descs[:0]
-	for _, d := range e.Descs {
-		if d.Exact && d.Index == idx {
-			continue
-		}
-		out = append(out, d)
-	}
-	e.Descs = out
-	if len(e.Descs) == 0 {
-		e.Descs = nil
-	}
+	e.remove(func(d Desc) bool { return d.Exact && d.Index == idx })
 }
 
 // RemoveNonExactUsing deletes plus/star descriptors whose field set
 // contains f, keeping exact edges (which are known to emanate from a
 // different node than the one being stored through).
 func (e *Entry) RemoveNonExactUsing(f string) {
-	out := e.Descs[:0]
-	for _, d := range e.Descs {
-		if !d.Exact && d.HasField(f) {
-			continue
-		}
-		out = append(out, d)
-	}
-	e.Descs = out
-	if len(e.Descs) == 0 {
-		e.Descs = nil
-	}
+	e.remove(func(d Desc) bool { return !d.Exact && d.HasField(f) })
 }
 
-// Clone deep-copies the entry.
+// Clone returns an entry whose Descs slice is private to the caller.
+// The descriptors' Fields stay shared: they are immutable.
 func (e Entry) Clone() Entry {
-	ne := Entry{Alias: e.Alias}
-	if len(e.Descs) > 0 {
-		ne.Descs = make([]Desc, len(e.Descs))
-		for i, d := range e.Descs {
-			ne.Descs[i] = Desc{Fields: append([]string(nil), d.Fields...),
-				Exact: d.Exact, Star: d.Star, EdgeID: d.EdgeID, Index: d.Index}
-		}
-	}
-	return ne
+	e.Descs = append([]Desc(nil), e.Descs...)
+	return e
 }
 
 // JoinEntry computes the least upper bound of two entries: alias
@@ -344,6 +365,8 @@ func (e Entry) Clone() Entry {
 // descriptors with the same edge identity stay exact; exact edges
 // established separately on each side weaken to a plus path.
 func JoinEntry(a, b Entry) Entry {
+	// Plus and star descriptors built here share the operand's Fields
+	// (already sorted, and immutable) instead of copying them.
 	out := Entry{Alias: JoinAlias(a.Alias, b.Alias)}
 	for _, da := range a.Descs {
 		for _, db := range b.Descs {
@@ -352,14 +375,14 @@ func JoinEntry(a, b Entry) Entry {
 			}
 			switch {
 			case da.Star || db.Star:
-				out.AddDesc(StarDesc(da.Fields...))
+				out.addOwned(Desc{Fields: da.Fields, Star: true})
 			case da.Exact && db.Exact && da.EdgeID == db.EdgeID && da.Index == db.Index:
-				out.AddDesc(da)
+				out.addOwned(da)
 			case da.Exact == db.Exact && !da.Exact:
-				out.AddDesc(da)
+				out.addOwned(da)
 			default:
 				// exact vs plus, or exact vs different exact: weaken.
-				out.AddDesc(PlusDesc(da.Fields...))
+				out.addOwned(Desc{Fields: da.Fields})
 			}
 		}
 	}
@@ -367,25 +390,17 @@ func JoinEntry(a, b Entry) Entry {
 	// side's paths it yields ≥0 paths, preserving reachability facts
 	// across loop-head joins. Fields already covered by the pairwise
 	// rules are skipped so that join stays idempotent.
-	hasFields := func(e Entry, d Desc) bool {
-		for _, x := range e.Descs {
-			if sameFields(x, d) {
-				return true
-			}
-		}
-		return false
-	}
 	if a.Alias == DefiniteAlias {
 		for _, db := range b.Descs {
-			if !hasFields(a, db) {
-				out.AddDesc(StarDesc(db.Fields...))
+			if !a.hasFields(db) {
+				out.addOwned(Desc{Fields: db.Fields, Star: true})
 			}
 		}
 	}
 	if b.Alias == DefiniteAlias {
 		for _, da := range a.Descs {
-			if !hasFields(b, da) {
-				out.AddDesc(StarDesc(da.Fields...))
+			if !b.hasFields(da) {
+				out.addOwned(Desc{Fields: da.Fields, Star: true})
 			}
 		}
 	}
@@ -395,20 +410,29 @@ func JoinEntry(a, b Entry) Entry {
 	return out
 }
 
+func (e Entry) hasFields(d Desc) bool {
+	for _, x := range e.Descs {
+		if sameFields(x, d) {
+			return true
+		}
+	}
+	return false
+}
+
+// dropSubsumedStars filters the (owned) descriptors in place.
 func (e *Entry) dropSubsumedStars() {
+	subsumed := func(d Desc) bool {
+		for _, x := range e.Descs {
+			if !x.Star && !x.Exact && sameFields(x, d) {
+				return true
+			}
+		}
+		return false
+	}
 	keep := e.Descs[:0]
 	for _, d := range e.Descs {
-		if d.Star {
-			subsumed := false
-			for _, x := range e.Descs {
-				if !x.Star && !x.Exact && sameFields(x, d) {
-					subsumed = true
-					break
-				}
-			}
-			if subsumed {
-				continue
-			}
+		if d.Star && subsumed(d) {
+			continue
 		}
 		keep = append(keep, d)
 	}
@@ -449,149 +473,144 @@ func (e Entry) String() string {
 // ---------------------------------------------------------------------------
 // Matrix
 
-// Matrix is a path matrix over a set of handles.
+// Matrix is a path matrix over a set of handles: the handle names in
+// insertion order plus one dense row-major slice of len(handles)²
+// entries. The handle slice is never written after it is built (adding
+// or removing a handle builds a new one), so clones share it; the
+// entries are values whose Descs are immutable, so Clone copies the one
+// cell slice and nothing under it.
 type Matrix struct {
 	handles []string
-	index   map[string]int
-	cells   map[[2]int]Entry
+	cells   []Entry
 }
 
 // New returns a matrix over the given handles. Diagonal entries are
 // DefiniteAlias (every handle aliases itself); all others are zero
 // (NoAlias): callers establish initial relationships explicitly.
 func New(handles ...string) *Matrix {
-	m := &Matrix{index: make(map[string]int), cells: make(map[[2]int]Entry)}
+	m := &Matrix{}
 	for _, h := range handles {
 		m.AddHandle(h)
 	}
 	return m
 }
 
-// Handles returns the handle names in insertion order.
-func (m *Matrix) Handles() []string {
-	return append([]string(nil), m.handles...)
+// Handles returns the handle names in insertion order. The slice is the
+// matrix's own and must not be modified; it stays valid (and unchanged)
+// if handles are later added or removed.
+func (m *Matrix) Handles() []string { return m.handles }
+
+// index returns h's row/column, or -1. Matrices hold 5–15 handles, so a
+// scan beats a map — and leaves nothing to copy.
+func (m *Matrix) index(h string) int {
+	for i, x := range m.handles {
+		if x == h {
+			return i
+		}
+	}
+	return -1
 }
 
 // HasHandle reports whether h is tracked.
-func (m *Matrix) HasHandle(h string) bool {
-	_, ok := m.index[h]
-	return ok
-}
+func (m *Matrix) HasHandle(h string) bool { return m.index(h) >= 0 }
 
 // AddHandle introduces a handle with a definite self-alias and no other
 // relationships. Adding an existing handle is a no-op.
 func (m *Matrix) AddHandle(h string) {
-	if _, ok := m.index[h]; ok {
+	if m.index(h) >= 0 {
 		return
 	}
-	i := len(m.handles)
-	m.handles = append(m.handles, h)
-	m.index[h] = i
-	m.cells[[2]int{i, i}] = Entry{Alias: DefiniteAlias}
+	n := len(m.handles)
+	handles := make([]string, n+1)
+	copy(handles, m.handles)
+	handles[n] = h
+	cells := make([]Entry, (n+1)*(n+1))
+	for i := 0; i < n; i++ {
+		copy(cells[i*(n+1):], m.cells[i*n:(i+1)*n])
+	}
+	cells[n*(n+1)+n] = Entry{Alias: DefiniteAlias}
+	m.handles, m.cells = handles, cells
 }
 
 // RemoveHandle deletes a handle and all its relationships.
 func (m *Matrix) RemoveHandle(h string) {
-	i, ok := m.index[h]
-	if !ok {
+	i := m.index(h)
+	if i < 0 {
 		return
 	}
-	for k := range m.cells {
-		if k[0] == i || k[1] == i {
-			delete(m.cells, k)
+	n := len(m.handles)
+	handles := make([]string, 0, n-1)
+	handles = append(append(handles, m.handles[:i]...), m.handles[i+1:]...)
+	cells := make([]Entry, 0, (n-1)*(n-1))
+	for r := 0; r < n; r++ {
+		if r == i {
+			continue
 		}
+		row := m.cells[r*n : (r+1)*n]
+		cells = append(append(cells, row[:i]...), row[i+1:]...)
 	}
-	// Compact indices: rebuild.
-	handles := append([]string(nil), m.handles[:i]...)
-	handles = append(handles, m.handles[i+1:]...)
-	old := m.cells
-	oldIndexOf := func(n int) int {
-		if n >= i {
-			return n + 1
-		}
-		return n
-	}
-	m.handles = handles
-	m.index = make(map[string]int, len(handles))
-	for j, h := range handles {
-		m.index[h] = j
-	}
-	m.cells = make(map[[2]int]Entry, len(old))
-	for j := range handles {
-		for k := range handles {
-			if e, ok := old[[2]int{oldIndexOf(j), oldIndexOf(k)}]; ok {
-				m.cells[[2]int{j, k}] = e
-			}
-		}
-	}
+	m.handles, m.cells = handles, cells
 }
 
 // Kill resets all of h's relationships (but keeps the handle): used when
 // h is reassigned or set to NULL. The self entry returns to definite.
 func (m *Matrix) Kill(h string) {
-	i, ok := m.index[h]
-	if !ok {
+	i := m.index(h)
+	if i < 0 {
 		return
 	}
-	for k := range m.cells {
-		if k[0] == i || k[1] == i {
-			delete(m.cells, k)
-		}
+	n := len(m.handles)
+	for k := 0; k < n; k++ {
+		m.cells[i*n+k] = Entry{}
+		m.cells[k*n+i] = Entry{}
 	}
-	m.cells[[2]int{i, i}] = Entry{Alias: DefiniteAlias}
+	m.cells[i*n+i] = Entry{Alias: DefiniteAlias}
 }
 
 // Get returns the entry from r to s (zero entry if either is untracked).
+// The entry's Descs are shared with the matrix: the Entry methods never
+// write through them, and neither may the caller.
 func (m *Matrix) Get(r, s string) Entry {
-	i, ok := m.index[r]
-	if !ok {
+	i, j := m.index(r), m.index(s)
+	if i < 0 || j < 0 {
 		return Entry{}
 	}
-	j, ok := m.index[s]
-	if !ok {
-		return Entry{}
+	return m.cells[i*len(m.handles)+j]
+}
+
+// cell returns the address of the entry from r to s, panicking on an
+// untracked handle.
+func (m *Matrix) cell(r, s string) *Entry {
+	i, j := m.index(r), m.index(s)
+	if i < 0 {
+		panic(fmt.Sprintf("pathmatrix: Set: unknown handle %q", r))
 	}
-	return m.cells[[2]int{i, j}]
+	if j < 0 {
+		panic(fmt.Sprintf("pathmatrix: Set: unknown handle %q", s))
+	}
+	return &m.cells[i*len(m.handles)+j]
 }
 
 // Set stores the entry from r to s. Both handles must be tracked.
-func (m *Matrix) Set(r, s string, e Entry) {
-	i, ok := m.index[r]
-	if !ok {
-		panic(fmt.Sprintf("pathmatrix: Set: unknown handle %q", r))
+func (m *Matrix) Set(r, s string, e Entry) { *m.cell(r, s) = e }
+
+// Update applies fn to the entry from r to s, in place.
+func (m *Matrix) Update(r, s string, fn func(*Entry)) { fn(m.cell(r, s)) }
+
+// UpdateAll applies fn to every entry in place, row by row. fn sees the
+// handle pair the entry relates.
+func (m *Matrix) UpdateAll(fn func(r, s string, e *Entry)) {
+	n := len(m.handles)
+	for i, r := range m.handles {
+		for j, s := range m.handles {
+			fn(r, s, &m.cells[i*n+j])
+		}
 	}
-	j, ok := m.index[s]
-	if !ok {
-		panic(fmt.Sprintf("pathmatrix: Set: unknown handle %q", s))
-	}
-	if e.IsZero() && i != j {
-		delete(m.cells, [2]int{i, j})
-		return
-	}
-	m.cells[[2]int{i, j}] = e
 }
 
-// Update applies fn to the entry from r to s and stores the result.
-func (m *Matrix) Update(r, s string, fn func(*Entry)) {
-	e := m.Get(r, s).Clone()
-	fn(&e)
-	m.Set(r, s, e)
-}
-
-// Clone deep-copies the matrix.
+// Clone copies the matrix: one struct, one cell slice.
 func (m *Matrix) Clone() *Matrix {
-	n := &Matrix{
-		handles: append([]string(nil), m.handles...),
-		index:   make(map[string]int, len(m.index)),
-		cells:   make(map[[2]int]Entry, len(m.cells)),
-	}
-	for k, v := range m.index {
-		n.index[k] = v
-	}
-	for k, v := range m.cells {
-		n.cells[k] = v.Clone()
-	}
-	return n
+	return &Matrix{handles: m.handles, cells: append([]Entry(nil), m.cells...)}
 }
 
 // Join computes the least upper bound of two matrices over the union of
@@ -599,27 +618,34 @@ func (m *Matrix) Clone() *Matrix {
 // entries weakened against the zero entry (alias facts weaken to
 // PossibleAlias unless both sides agree).
 func Join(a, b *Matrix) *Matrix {
-	out := New()
-	for _, h := range a.handles {
-		out.AddHandle(h)
-	}
+	// The union lists a's handles, then b's newcomers, so an output
+	// index below na is also a's index; ib maps it to b's (-1: absent).
+	handles := a.handles[:len(a.handles):len(a.handles)]
 	for _, h := range b.handles {
-		out.AddHandle(h)
+		if a.index(h) < 0 {
+			handles = append(handles, h)
+		}
 	}
-	for _, r := range out.handles {
-		for _, s := range out.handles {
+	n, na, nb := len(handles), len(a.handles), len(b.handles)
+	ib := make([]int, n)
+	for k, h := range handles {
+		ib[k] = b.index(h)
+	}
+	out := &Matrix{handles: handles, cells: make([]Entry, n*n)}
+	for r := 0; r < n; r++ {
+		for s := 0; s < n; s++ {
+			inA := r < na && s < na
+			inB := ib[r] >= 0 && ib[s] >= 0
 			var e Entry
-			inA := a.HasHandle(r) && a.HasHandle(s)
-			inB := b.HasHandle(r) && b.HasHandle(s)
 			switch {
 			case inA && inB:
-				e = JoinEntry(a.Get(r, s), b.Get(r, s))
+				e = JoinEntry(a.cells[r*na+s], b.cells[ib[r]*nb+ib[s]])
 			case inA:
-				e = a.Get(r, s).Clone()
+				e = a.cells[r*na+s]
 			case inB:
-				e = b.Get(r, s).Clone()
+				e = b.cells[ib[r]*nb+ib[s]]
 			}
-			out.Set(r, s, e)
+			out.cells[r*n+s] = e
 		}
 	}
 	return out
@@ -628,17 +654,19 @@ func Join(a, b *Matrix) *Matrix {
 // Equal reports whether the two matrices have identical handle sets and
 // entries (fixed-point test).
 func Equal(a, b *Matrix) bool {
-	if len(a.handles) != len(b.handles) {
+	n := len(a.handles)
+	if n != len(b.handles) {
 		return false
 	}
-	for _, h := range a.handles {
-		if !b.HasHandle(h) {
+	ib := make([]int, n)
+	for k, h := range a.handles {
+		if ib[k] = b.index(h); ib[k] < 0 {
 			return false
 		}
 	}
-	for _, r := range a.handles {
-		for _, s := range a.handles {
-			if !EqualEntry(a.Get(r, s), b.Get(r, s)) {
+	for r := 0; r < n; r++ {
+		for s := 0; s < n; s++ {
+			if !EqualEntry(a.cells[r*n+s], b.cells[ib[r]*n+ib[s]]) {
 				return false
 			}
 		}
@@ -650,27 +678,34 @@ func Equal(a, b *Matrix) bool {
 // (including the mutual definite alias), as required by "dst = src".
 // dst's previous relationships must already be killed.
 func (m *Matrix) CopyRelationships(dst, src string) {
-	for _, h := range m.handles {
-		if h == dst || h == src {
+	m.cell(dst, src) // both handles must be tracked
+	d, s, n := m.index(dst), m.index(src), len(m.handles)
+	for h := 0; h < n; h++ {
+		if h == d || h == s {
 			continue
 		}
-		m.Set(dst, h, m.Get(src, h).Clone())
-		m.Set(h, dst, m.Get(h, src).Clone())
+		m.cells[d*n+h] = m.cells[s*n+h]
+		m.cells[h*n+d] = m.cells[h*n+s]
 	}
-	m.Set(dst, src, Entry{Alias: DefiniteAlias})
-	m.Set(src, dst, Entry{Alias: DefiniteAlias})
-	m.Set(dst, dst, Entry{Alias: DefiniteAlias})
+	m.cells[d*n+s] = Entry{Alias: DefiniteAlias}
+	m.cells[s*n+d] = Entry{Alias: DefiniteAlias}
+	m.cells[d*n+d] = Entry{Alias: DefiniteAlias}
 }
 
 // Aliases enumerates handles h with a definite or possible alias to r
 // (excluding r itself).
 func (m *Matrix) Aliases(r string, includePossible bool) []string {
+	i := m.index(r)
+	if i < 0 {
+		return nil
+	}
 	var out []string
-	for _, h := range m.handles {
-		if h == r {
+	n := len(m.handles)
+	for j, h := range m.handles {
+		if j == i {
 			continue
 		}
-		a := m.Get(r, h).Alias
+		a := m.cells[i*n+j].Alias
 		if a == DefiniteAlias || (includePossible && a == PossibleAlias) {
 			out = append(out, h)
 		}
@@ -685,41 +720,37 @@ func (m *Matrix) Aliases(r string, includePossible bool) []string {
 //	p       |         | =       |
 //	p'      |         | next    | =
 func (m *Matrix) String() string {
-	cols := make([]int, len(m.handles)+1)
-	for _, h := range m.handles {
+	n := len(m.handles)
+	cols := make([]int, n+1)
+	for j, h := range m.handles {
 		if len(h) > cols[0] {
 			cols[0] = len(h)
 		}
+		cols[j+1] = len(h)
 	}
-	grid := make([][]string, len(m.handles))
-	for i, r := range m.handles {
-		grid[i] = make([]string, len(m.handles))
-		for j, s := range m.handles {
-			cell := m.Get(r, s).String()
-			grid[i][j] = cell
-			if len(cell) > cols[j+1] {
-				cols[j+1] = len(cell)
-			}
-			if len(s) > cols[j+1] {
-				cols[j+1] = len(s)
-			}
+	grid := make([]string, len(m.cells))
+	for k, e := range m.cells {
+		grid[k] = e.String()
+		if j := k%n + 1; len(grid[k]) > cols[j] {
+			cols[j] = len(grid[k])
 		}
 	}
 	var b strings.Builder
-	pad := func(s string, w int) string {
-		return s + strings.Repeat(" ", w-len(s))
+	pad := func(s string, w int) {
+		b.WriteString(s)
+		b.WriteString(strings.Repeat(" ", w-len(s)))
 	}
-	b.WriteString(pad("", cols[0]))
+	pad("", cols[0])
 	for j, s := range m.handles {
 		b.WriteString(" | ")
-		b.WriteString(pad(s, cols[j+1]))
+		pad(s, cols[j+1])
 	}
 	b.WriteString("\n")
 	for i, r := range m.handles {
-		b.WriteString(pad(r, cols[0]))
+		pad(r, cols[0])
 		for j := range m.handles {
 			b.WriteString(" | ")
-			b.WriteString(pad(grid[i][j], cols[j+1]))
+			pad(grid[i*n+j], cols[j+1])
 		}
 		b.WriteString("\n")
 	}

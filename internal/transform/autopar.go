@@ -166,6 +166,12 @@ type Plan struct {
 	Loops []*LoopPlan
 	// Parallelized counts the approved (strip-mined) loops.
 	Parallelized int
+
+	// reanalyzed and resummarized count the functions analysis.Cache
+	// .Update and effects.Analyzer.Update reported re-deriving, summed
+	// over the plan's rewrites: the planner's incremental cost in units
+	// that repeat exactly (TestPlanCostSubquadratic pins them).
+	reanalyzed, resummarized int
 }
 
 // Summary is the one-line form: "parallelized 2/7 loops (width 16):
@@ -365,7 +371,10 @@ func AutoParallelize(prog *lang.Program, width int) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, fn := range append(reanalyzed, eff.Update(c.name, helper)...) {
+			resummarized := eff.Update(c.name, helper)
+			plan.reanalyzed += len(reanalyzed)
+			plan.resummarized += len(resummarized)
+			for _, fn := range append(reanalyzed, resummarized...) {
 				if f := cur.Func(fn); f != nil {
 					for _, loop := range whileLoops(f.Body) {
 						delete(verdicts, loop.Pos())
