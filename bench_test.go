@@ -562,10 +562,10 @@ func BenchmarkXAblationFastSync(b *testing.B) {
 // Interpreter and front-end throughput.
 
 func BenchmarkInterpBHL1Step(b *testing.B) {
-	prog := lang.MustParse(nbody.BarnesHutPSL)
+	code := interp.CompileProgram(lang.MustParse(nbody.BarnesHutPSL))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ip := interp.New(prog, interp.Config{Seed: 7})
+		ip := interp.NewCompiled(code, interp.Config{Seed: 7})
 		if _, err := ip.Call("simulate", interp.IntVal(32), interp.IntVal(1),
 			interp.RealVal(0.5), interp.RealVal(0.01)); err != nil {
 			b.Fatal(err)

@@ -12,10 +12,12 @@
 //	                   e.g. -matrix "scale:p = p->next;"
 //	-stripmine fn:L:P  strip-mine while-loop L of fn across P PEs and
 //	                   print the transformed source
-//	-run fn            interpret fn (no arguments) after all transforms
+//	-run fn            interpret fn (no arguments) after all transforms;
+//	                   after -stripmine, on -pes real PEs unless -sim
 //	-shapecheck        validate ADDS shape promises at runtime (§2.2)
 //	-sim               run on the simulated machine (with -pes)
-//	-pes n             simulated PE count (default 4)
+//	-pes n             PE count: simulated with -sim, real after
+//	                   -stripmine (default 4)
 //	-seed n            deterministic rand() seed (default 7)
 //	-compare fn:L      compare conservative/k-limited/ADDS verdicts
 package main
@@ -37,7 +39,7 @@ func main() {
 	stripmine := flag.String("stripmine", "", "fn:loop:pes — strip-mine a loop")
 	runFn := flag.String("run", "", "function to interpret (niladic)")
 	sim := flag.Bool("sim", false, "use the simulated Sequent machine")
-	pes := flag.Int("pes", 4, "simulated PE count")
+	pes := flag.Int("pes", 4, "PE count: simulated with -sim, real for -run after -stripmine")
 	seed := flag.Uint64("seed", 7, "rand() seed")
 	shapecheck := flag.Bool("shapecheck", false, "validate ADDS shapes at runtime during -run")
 	compare := flag.String("compare", "", "fn:loop — baseline comparison")
@@ -146,6 +148,10 @@ func main() {
 					fmt.Println("runtime shape check:", sv)
 				}
 			}
+		} else if *stripmine != "" && !*sim {
+			// A transformed program runs on real PEs; Run alone would
+			// execute its foralls in place.
+			v, stats, err = c.RunParallel(rc, *pes, *runFn)
 		} else {
 			v, stats, err = c.Run(rc, *runFn)
 		}

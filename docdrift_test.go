@@ -127,3 +127,44 @@ func TestDocFlagReferences(t *testing.T) {
 		t.Skip("no abbreviated flag references in DESIGN.md's index")
 	}
 }
+
+// TestDocAddscFlags: cmd/addsc registers its flags in main, not through
+// expflags, so its usage comment is checked against its source: every
+// registered flag has a usage line and every usage line a flag, and
+// both descriptions of -pes — the one flag whose meaning depends on the
+// others — say that it counts real PEs for a -run after -stripmine.
+func TestDocAddscFlags(t *testing.T) {
+	data, err := os.ReadFile(filepath.FromSlash("cmd/addsc/main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(data)
+	registered := map[string]string{} // name -> help text
+	for _, m := range regexp.MustCompile(`flag\.\w+\("([a-z-]+)", [^,]+, "([^"]*)"\)`).FindAllStringSubmatch(src, -1) {
+		registered[m[1]] = m[2]
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^//\t-([a-z-]+) `).FindAllStringSubmatch(src, -1) {
+		documented[m[1]] = true
+	}
+	if len(registered) < 5 {
+		t.Fatalf("only %d flags found in cmd/addsc/main.go — extraction regex rotted?", len(registered))
+	}
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("cmd/addsc registers -%s but its usage comment does not list it", name)
+		}
+	}
+	for name := range documented {
+		if _, ok := registered[name]; !ok {
+			t.Errorf("cmd/addsc's usage comment lists -%s, which it no longer registers", name)
+		}
+	}
+	usagePes := regexp.MustCompile(`(?m)^//\t-pes n +(.*\n//\t +.*)`).FindStringSubmatch(src)
+	if usagePes == nil || !strings.Contains(usagePes[1], "real") || !strings.Contains(usagePes[1], "-stripmine") {
+		t.Errorf("usage comment's -pes entry %q does not say it counts real PEs after -stripmine", usagePes)
+	}
+	if help := registered["pes"]; !strings.Contains(help, "real") || !strings.Contains(help, "-stripmine") {
+		t.Errorf("-pes help %q does not say it counts real PEs after -stripmine", help)
+	}
+}

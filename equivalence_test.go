@@ -341,10 +341,13 @@ func TestKernelStripAllocs(t *testing.T) {
 var costGates = flag.Bool("cost-gates", false, "also assert the wall-clock speedup floors (timing gates; CI's cost-gate step)")
 
 // floorConfig is one side of a speedup floor: a program and the engine
-// that runs it serially.
+// that runs it serially. code is the program's code, built once by
+// assertSpeedupFloor so the timed runs measure execution, not
+// compilation.
 type floorConfig struct {
 	prog *lang.Program
 	eng  interp.Engine
+	code *interp.CompiledProgram
 }
 
 // assertSpeedupFloor runs slow and fast on fn(args), checks that they
@@ -354,9 +357,10 @@ type floorConfig struct {
 // attempts, so scheduler noise cannot flake the gate.
 func assertSpeedupFloor(t *testing.T, slow, fast floorConfig, fn string, args []interp.Value, floor, raceFloor float64) {
 	t.Helper()
+	slow.code, fast.code = interp.CompileProgram(slow.prog), interp.CompileProgram(fast.prog)
 	run := func(c floorConfig) (interp.Value, interp.Stats, time.Duration) {
 		t0 := time.Now()
-		v, st, err := interp.Run(c.prog, interp.Config{Engine: c.eng, Seed: 7}, fn, args...)
+		v, st, err := interp.RunCompiled(c.code, interp.Config{Engine: c.eng, Seed: 7}, fn, args...)
 		if err != nil {
 			t.Fatalf("engine %s: %v", c.eng, err)
 		}
@@ -406,7 +410,7 @@ func assertSpeedupFloor(t *testing.T, slow, fast floorConfig, fn string, args []
 func TestCompiledSpeedupFloor(t *testing.T) {
 	prog := lang.MustParse(nbody.BarnesHutForcePSL)
 	args := []interp.Value{interp.IntVal(96), interp.RealVal(0.5)}
-	assertSpeedupFloor(t, floorConfig{prog, interp.EngineWalk}, floorConfig{prog, interp.EngineCompiled},
+	assertSpeedupFloor(t, floorConfig{prog: prog, eng: interp.EngineWalk}, floorConfig{prog: prog, eng: interp.EngineCompiled},
 		nbody.ForceFunc, args, 3.0, 1.5)
 }
 
@@ -420,7 +424,7 @@ func TestCompiledSpeedupFloor(t *testing.T) {
 func TestBytecodeSpeedupFloor(t *testing.T) {
 	prog := lang.MustParse(nbody.BarnesHutForcePSL)
 	args := []interp.Value{interp.IntVal(96), interp.RealVal(0.5)}
-	assertSpeedupFloor(t, floorConfig{prog, interp.EngineCompiled}, floorConfig{prog, interp.EngineBytecode},
+	assertSpeedupFloor(t, floorConfig{prog: prog, eng: interp.EngineCompiled}, floorConfig{prog: prog, eng: interp.EngineBytecode},
 		nbody.ForceFunc, args, 1.5, 0.7)
 }
 
@@ -428,10 +432,10 @@ func TestBytecodeSpeedupFloor(t *testing.T) {
 // the vectorizable force workload, the batched struct-of-arrays strip
 // execution must beat the bytecode VM's scalar interpretation of the
 // same loop. The bytecode baseline runs the *unstripped* serial
-// program (the VM's honest serial form — a stripped program on the
-// plain VM would spawn a goroutine per lane); the kernel engine runs
-// the strip-mined program, whose strips execute inline on the vector
-// path. The honest ratio on an idle host is in BENCH_interp.json
+// program (the VM's honest serial form — on the plain VM a stripped
+// program pays the helper call and skip walk of every lane); the kernel
+// engine runs the strip-mined program, whose strips execute inline on
+// the vector path. The honest ratio on an idle host is in BENCH_interp.json
 // (acceptance bar ≥2×); the CI floor is 1.5×, relaxed under the race
 // detector, whose per-access instrumentation falls heaviest on the
 // slab sweeps.
@@ -445,6 +449,6 @@ func TestKernelSpeedupFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := []interp.Value{interp.IntVal(256), interp.IntVal(160), interp.RealVal(0.5)}
-	assertSpeedupFloor(t, floorConfig{c.Program, interp.EngineBytecode}, floorConfig{par.Program, interp.EngineKernel},
+	assertSpeedupFloor(t, floorConfig{prog: c.Program, eng: interp.EngineBytecode}, floorConfig{prog: par.Program, eng: interp.EngineKernel},
 		nbody.VecForceFunc, args, 1.5, 0.7)
 }

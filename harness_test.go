@@ -184,14 +184,18 @@ func TestHarnessNativeAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := v.N
 	i := 0
-	for node != nil {
-		x := node.Data["posx"].AsReal()
+	for !v.IsNull() {
+		x, err := interp.FieldReal(v, "posx")
+		if err != nil {
+			t.Fatal(err)
+		}
 		if diff := x - s.Bodies[i].Pos.X; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("particle %d: native %g vs interpreted %g", i, s.Bodies[i].Pos.X, x)
 		}
-		node = node.Ptrs["next"][0]
+		if v, err = interp.FieldPtr(v, "next"); err != nil {
+			t.Fatal(err)
+		}
 		i++
 	}
 	if i != n {

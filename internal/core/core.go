@@ -53,6 +53,11 @@ type Compilation struct {
 	// nothing. Guarded by autoMu; lazily allocated.
 	autoMu sync.Mutex
 	auto   map[int]*AutoPlan
+
+	// code is the program's executable code, built by the first run
+	// that needs it and used by every run after.
+	codeOnce sync.Once
+	code     *interp.CompiledProgram
 }
 
 // Compile parses, checks, normalizes, and analyzes PSL source.
@@ -203,7 +208,7 @@ type RunConfig struct {
 	// cycle counts.
 	Engine interp.Engine
 	// Simulate runs on the deterministic machine model instead of
-	// real goroutines.
+	// executing the program as written.
 	Simulate bool
 	// PEs is the simulated PE count (Simulate mode).
 	PEs int
@@ -231,13 +236,24 @@ type RunConfig struct {
 	Profiler *obs.ForallProfiler
 }
 
-// Run executes fn with the given arguments.
-func (c *Compilation) Run(cfg RunConfig, fn string, args ...interp.Value) (interp.Value, interp.Stats, error) {
+// compiled returns the program's code for the given engine, building
+// it on first use; the walk engine runs the AST and needs none (nil).
+func (c *Compilation) compiled(eng interp.Engine) *interp.CompiledProgram {
+	if eng == interp.EngineWalk {
+		return nil
+	}
+	c.codeOnce.Do(func() { c.code = interp.CompileProgram(c.Program) })
+	return c.code
+}
+
+// newInterp creates an interpreter for the program over the
+// compilation's one build of its code.
+func (c *Compilation) newInterp(cfg RunConfig, shapeChecks bool) *interp.Interp {
 	mode := interp.Real
 	if cfg.Simulate {
 		mode = interp.Simulated
 	}
-	return interp.Run(c.Program, interp.Config{
+	icfg := interp.Config{
 		Engine:         cfg.Engine,
 		Mode:           mode,
 		PEs:            cfg.PEs,
@@ -247,7 +263,21 @@ func (c *Compilation) Run(cfg RunConfig, fn string, args ...interp.Value) (inter
 		MaxSteps:       cfg.MaxSteps,
 		MaxAllocs:      cfg.MaxAllocs,
 		MaxOutputBytes: cfg.MaxOutputBytes,
-	}, fn, args...)
+		ShapeChecks:    shapeChecks,
+	}
+	if cp := c.compiled(cfg.Engine); cp != nil {
+		return interp.NewCompiled(cp, icfg)
+	}
+	return interp.New(c.Program, icfg)
+}
+
+// Run executes fn with the given arguments, serially: a forall's
+// iterations run in place, in index order (RunParallel runs them on a
+// pool of PEs, with the same result, output and counters).
+func (c *Compilation) Run(cfg RunConfig, fn string, args ...interp.Value) (interp.Value, interp.Stats, error) {
+	ip := c.newInterp(cfg, false)
+	v, err := ip.Call(fn, args...)
+	return v, ip.Stats(), err
 }
 
 // RunParallel executes fn with real goroutine parallelism: the
@@ -260,6 +290,7 @@ func (c *Compilation) Run(cfg RunConfig, fn string, args ...interp.Value) (inter
 func (c *Compilation) RunParallel(cfg RunConfig, pes int, fn string, args ...interp.Value) (interp.Value, interp.Stats, error) {
 	return parexec.Run(c.Program, parexec.Options{
 		Interp:         cfg.Engine,
+		Compiled:       c.compiled(cfg.Engine),
 		PEs:            pes,
 		Sched:          cfg.Sched,
 		Seed:           cfg.Seed,
@@ -277,22 +308,7 @@ func (c *Compilation) RunParallel(cfg RunConfig, pes int, fn string, args ...int
 // annotation, and the violations observed during execution are
 // returned alongside the result.
 func (c *Compilation) RunChecked(cfg RunConfig, fn string, args ...interp.Value) (interp.Value, interp.Stats, []interp.ShapeViolation, error) {
-	mode := interp.Real
-	if cfg.Simulate {
-		mode = interp.Simulated
-	}
-	ip := interp.New(c.Program, interp.Config{
-		Engine:         cfg.Engine,
-		Mode:           mode,
-		PEs:            cfg.PEs,
-		Seed:           cfg.Seed,
-		Output:         cfg.Output,
-		Ctx:            cfg.Ctx,
-		MaxSteps:       cfg.MaxSteps,
-		MaxAllocs:      cfg.MaxAllocs,
-		MaxOutputBytes: cfg.MaxOutputBytes,
-		ShapeChecks:    true,
-	})
+	ip := c.newInterp(cfg, true)
 	v, err := ip.Call(fn, args...)
 	return v, ip.Stats(), ip.ShapeViolations(), err
 }

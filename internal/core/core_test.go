@@ -72,6 +72,42 @@ func TestCompileAndRun(t *testing.T) {
 	}
 }
 
+// TestCompilationBuildsCodeOnce: a Compilation holds its program's
+// code, so however it is run — Run, RunChecked, RunParallel, any of the
+// code-running engines — the code is built once; the walk engine builds
+// none.
+func TestCompilationBuildsCodeOnce(t *testing.T) {
+	c, err := Compile(scaleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []interp.Value{interp.IntVal(10), interp.IntVal(2)}
+	c0 := interp.CompileCount()
+	if _, _, err := c.Run(RunConfig{Engine: interp.EngineWalk}, "main", args...); err != nil {
+		t.Fatal(err)
+	}
+	if d := interp.CompileCount() - c0; d != 0 {
+		t.Errorf("a walk run built code %d times, want 0", d)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := c.Run(RunConfig{}, "main", args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := interp.CompileCount() - c0; d != 1 {
+		t.Errorf("two Run built code %d times, want 1", d)
+	}
+	if _, _, _, err := c.RunChecked(RunConfig{Engine: interp.EngineBytecode}, "main", args...); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.RunParallel(RunConfig{Engine: interp.EngineCompiled}, 2, "main", args...); err != nil {
+		t.Fatal(err)
+	}
+	if d := interp.CompileCount() - c0; d != 1 {
+		t.Errorf("Run, RunChecked and RunParallel built code %d times between them, want 1", d)
+	}
+}
+
 func TestCompileError(t *testing.T) {
 	if _, err := Compile("procedure f() { x = 1; }"); err == nil {
 		t.Error("bad program accepted")

@@ -21,7 +21,6 @@ package interp
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/bytecode"
 	"repro/internal/lang"
@@ -758,19 +757,18 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 	return ctrlNext, nil
 }
 
-// bcForall runs one parallel loop, mirroring the closure engine's
-// three paths: Simulated (shared frame, per-iteration cycle rewind via
-// simForall), Real with an installed scheduler (parexec's pool), and
-// Real default (one goroutine per iteration). An empty range is a
-// no-op before any of them — no barrier, no charges.
+// bcForall runs one parallel loop, mirroring the closure engine's two
+// arms: Simulated (shared frame, per-iteration cycle rewind via
+// simForall) and Real (the vector path when the strip qualifies,
+// otherwise private frames through realForall). An empty range is a
+// no-op before either — no barrier, no charges.
 func (ip *Interp) bcForall(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallSite, pos lang.Pos) (ctrl, error) {
 	lo, hi := fr.i[site.From], fr.i[site.To]
-	n := hi - lo + 1
-	if n <= 0 {
-		return ctrlNext, nil
+	if ok, err := ip.forallTrips(pos, lo, hi); !ok {
+		return ctrlNext, err
 	}
 	if ip.cfg.Mode == Simulated {
-		return ctrlNext, ip.simForall(lo, hi, pos, ip.stepC, func(k int64) (ctrl, error) {
+		return ctrlNext, ip.simForall(lo, hi, pos, func(k int64) (ctrl, error) {
 			fr.i[site.Var] = k
 			return ip.runBC(f, fr, site.BodyStart, site.BodyEnd)
 		})
@@ -781,7 +779,7 @@ func (ip *Interp) bcForall(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallS
 	// — the kernel's speculative gather walk assumes NULL propagation —
 	// and any in-flight fault or budget concern makes bcForallKernel
 	// report false having touched nothing, falling through to the
-	// scalar paths below.
+	// scalar path below.
 	if ip.cfg.Engine == EngineKernel && site.Kernel != nil && !ip.cfg.StrictNull {
 		if ip.bcForallKernel(f, fr, site, pos, lo, hi) {
 			return ctrlNext, nil
@@ -791,49 +789,13 @@ func (ip *Interp) bcForall(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallS
 	// Iterations must see the enclosing call's remaining recursion
 	// budget (the walker threads its depth into every iteration).
 	depth := ip.cdepth
-
-	if ip.cfg.Forall != nil {
-		run := func(w *Interp, k int64) error {
-			nf := w.getBCFrame(f)
-			nf.copyBanksFrom(fr)
-			nf.i[site.Var] = k
-			w.cdepth = depth
-			c, err := w.runBC(f, nf, site.BodyStart, site.BodyEnd)
-			w.putBCFrame(nf)
-			if err == nil && c == ctrlReturn {
-				err = fmt.Errorf("%s: interp: return inside forall is not allowed", pos)
-			}
-			if ferr := w.flushSteps(pos); err == nil && ferr != nil {
-				err = ferr
-			}
-			return err
-		}
-		return ctrlNext, ip.cfg.Forall(pos, lo, hi, run)
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for k := lo; k <= hi; k++ {
-		wg.Add(1)
-		go func(k int64) {
-			defer wg.Done()
-			w := ip.Fork(nil)
-			nf := w.getBCFrame(f)
-			nf.copyBanksFrom(fr)
-			nf.i[site.Var] = k
-			w.cdepth = depth
-			_, err := w.runBC(f, nf, site.BodyStart, site.BodyEnd)
-			if ferr := w.flushSteps(pos); err == nil && ferr != nil {
-				err = ferr
-			}
-			errs[k-lo] = err
-		}(k)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return ctrlNext, err
-		}
-	}
-	return ctrlNext, nil
+	return ctrlNext, ip.realForall(pos, lo, hi, func(w *Interp, k int64) (ctrl, error) {
+		nf := w.getBCFrame(f)
+		nf.copyBanksFrom(fr)
+		nf.i[site.Var] = k
+		w.cdepth = depth
+		c, err := w.runBC(f, nf, site.BodyStart, site.BodyEnd)
+		w.putBCFrame(nf)
+		return c, err
+	})
 }

@@ -64,15 +64,37 @@ type compiledProg struct {
 }
 
 // ---------------------------------------------------------------------------
-// Code cache
+// Compiled programs
 
-// codeCacheEntry holds one program's executable artifacts. A miss
-// builds the compile IR and the bytecode — what the default engine
-// runs — and nothing else; the closure tree is built from the retained
-// IR on the program's first compiled-engine run (closures), once, and
-// the IR is dropped then. Either way a cached program never runs the
-// front end again, whichever engine a request selects.
-type codeCacheEntry struct {
+// compileBuilds counts front-end builds — compile IR plus bytecode, one
+// per CompileProgram call. Observability for the serving layer's
+// contract that a cache-hit request does zero compile work:
+// internal/serve's tests assert the count stays flat across hot
+// requests. closureBuilds counts the lazy closure-tree builds.
+var compileBuilds, closureBuilds atomic.Int64
+
+// CompileCount reports how many front-end builds (compile IR +
+// bytecode) have run, process-wide: one per CompileProgram call, and so
+// one per New on a non-walk engine. A lazy closure build does not move
+// it.
+func CompileCount() int64 { return compileBuilds.Load() }
+
+// ClosureBuildCount reports how many closure trees have been built,
+// process-wide: one per CompiledProgram that has ever run on
+// EngineCompiled.
+func ClosureBuildCount() int64 { return closureBuilds.Load() }
+
+// CompiledProgram is one program's executable code: the compile IR and
+// the bytecode — what the default engine runs — built by
+// CompileProgram, and the closure tree, built from the retained IR on
+// the handle's first compiled-engine interpreter, once, after which the
+// IR is dropped. Nothing in this package caches code: whoever runs a
+// program more than once holds its handle (core.Compilation does, and
+// internal/serve's program cache stores one per entry, so a cache hit
+// can never recompile). Safe for concurrent use, like everything it
+// references.
+type CompiledProgram struct {
+	prog *lang.Program
 	// err is the front end's (compile.Compile) failure; it fails every
 	// engine but the walker.
 	err   error
@@ -84,142 +106,70 @@ type codeCacheEntry struct {
 	code        *compiledProg
 }
 
+// CompileProgram builds the code for prog — lower it once
+// (compile.Compile) and build the bytecode from the IR now, closures if
+// and when the compiled engine first runs it — and returns the handle.
+// Err reports a front-end failure.
+func CompileProgram(prog *lang.Program) *CompiledProgram {
+	compileBuilds.Add(1)
+	ir, err := compile.Compile(prog)
+	if err != nil {
+		return &CompiledProgram{prog: prog, err: err, bcErr: err}
+	}
+	bc, bcErr := bytecode.Compile(ir)
+	return &CompiledProgram{prog: prog, ir: ir, bc: bc, bcErr: bcErr}
+}
+
+// Err reports why compilation failed (nil on success).
+func (cp *CompiledProgram) Err() error { return cp.err }
+
+// Program returns the source program the handle was built from.
+func (cp *CompiledProgram) Program() *lang.Program { return cp.prog }
+
 // closures returns the closure engine's code, building it on first
 // use. Safe for concurrent callers: exactly one builds, the rest wait.
-func (e *codeCacheEntry) closures() *compiledProg {
-	e.closureOnce.Do(func() {
-		if e.ir == nil { // the front end failed; err says why
+func (cp *CompiledProgram) closures() *compiledProg {
+	cp.closureOnce.Do(func() {
+		if cp.ir == nil { // the front end failed; err says why
 			return
 		}
 		closureBuilds.Add(1)
-		cc := &compiledProg{byName: make(map[string]*compiledFunc, len(e.ir.Funcs))}
-		for _, f := range e.ir.Funcs {
+		cc := &compiledProg{byName: make(map[string]*compiledFunc, len(cp.ir.Funcs))}
+		for _, f := range cp.ir.Funcs {
 			cf := &compiledFunc{name: f.Name, slots: f.Slots, params: f.Params, result: f.Result}
 			cc.funcs = append(cc.funcs, cf)
 			cc.byName[f.Name] = cf
 		}
 		g := &codegen{cc: cc}
-		for i, f := range e.ir.Funcs {
+		for i, f := range cp.ir.Funcs {
 			cc.funcs[i].body = g.seq(f.Body)
 		}
-		e.code, e.ir = cc, nil
+		cp.code, cp.ir = cc, nil
 	})
-	return e.code
+	return cp.code
 }
 
-// codeCache memoizes built code per program so that repeated
-// interp.New calls (benchmarks, the parexec pool, table sweeps) reuse
-// one build. codeCacheLimit bounds it for workloads that compile
-// unbounded fresh programs (the fuzzers).
-var (
-	codeCache     sync.Map // *lang.Program -> *codeCacheEntry
-	codeCacheSize atomic.Int64
-)
-
-const codeCacheLimit = 512
-
-// compileBuilds counts front-end builds — compile IR plus bytecode,
-// one per miss in the per-program code cache. Observability for the
-// serving layer's contract that a cache-hit request does zero compile
-// work: internal/serve's tests assert the count stays flat across hot
-// requests. closureBuilds counts the lazy closure-tree builds.
-var compileBuilds, closureBuilds atomic.Int64
-
-// CompileCount reports how many front-end builds (compile IR +
-// bytecode) have run, process-wide. Cache hits in the per-program code
-// cache do not move it, and neither does a lazy closure build.
-func CompileCount() int64 { return compileBuilds.Load() }
-
-// ClosureBuildCount reports how many closure trees have been built,
-// process-wide: one per program that has ever run on EngineCompiled.
-func ClosureBuildCount() int64 { return closureBuilds.Load() }
-
-// Precompile builds and memoizes prog's code, so that subsequent New
-// calls skip the front end entirely.
-func Precompile(prog *lang.Program) error {
-	return compiledFor(prog).err
-}
-
-// CompiledProgram pins a program's code: unlike the bounded
-// per-program code cache (which evicts arbitrarily past
-// codeCacheLimit), a handle keeps its code alive for as long as the
-// holder does. Long-lived caches — internal/serve's program cache —
-// store one per entry, so a cache hit can never recompile no matter
-// how much cold traffic churns the code cache underneath. Safe for
-// concurrent use, like everything it references.
-type CompiledProgram struct {
-	prog *lang.Program
-	e    *codeCacheEntry
-}
-
-// CompileProgram builds (or reuses) the code for prog — compile IR and
-// bytecode now, closures if and when the compiled engine first runs it
-// — and returns the pinning handle. Err reports a front-end failure.
-func CompileProgram(prog *lang.Program) *CompiledProgram {
-	return &CompiledProgram{prog: prog, e: compiledFor(prog)}
-}
-
-// Err reports why compilation failed (nil on success).
-func (cp *CompiledProgram) Err() error { return cp.e.err }
-
-// Program returns the source program the handle was built from.
-func (cp *CompiledProgram) Program() *lang.Program { return cp.prog }
-
-// NewCompiled creates an interpreter over a pinned compiled program.
-// Equivalent to New(cp.Program(), cfg) except that the code comes from
-// the handle, never the code cache — the serving layer's hot path. The
-// walk engine ignores the pinned code and walks the AST as usual.
+// NewCompiled creates an interpreter over a compiled program: the
+// configured engine's code is bound from the handle, and only the
+// closure engine asks for the closure tree, so only it can trigger the
+// handle's lazy closure build. The walk engine ignores the code and
+// walks the AST.
 func NewCompiled(cp *CompiledProgram, cfg Config) *Interp {
 	ip := newInterp(cp.prog, cfg)
-	ip.attach(cp.e)
+	switch cfg.Engine {
+	case EngineCompiled:
+		ip.code, ip.compileErr = cp.closures(), cp.err
+	case EngineBytecode, EngineKernel:
+		ip.bc, ip.bcErr = cp.bc, cp.bcErr
+	}
 	return ip
 }
 
-// RunCompiled is Run over a pinned compiled program.
+// RunCompiled is Run over a compiled program.
 func RunCompiled(cp *CompiledProgram, cfg Config, fn string, args ...Value) (Value, Stats, error) {
 	ip := NewCompiled(cp, cfg)
 	v, err := ip.Call(fn, args...)
 	return v, ip.Stats(), err
-}
-
-func compiledFor(prog *lang.Program) *codeCacheEntry {
-	if v, ok := codeCache.Load(prog); ok {
-		return v.(*codeCacheEntry)
-	}
-	entry := buildCompiled(prog)
-	if v, loaded := codeCache.LoadOrStore(prog, entry); loaded {
-		// Another goroutine built the same program first; use its copy
-		// so the size counter tracks distinct entries only.
-		return v.(*codeCacheEntry)
-	}
-	if codeCacheSize.Add(1) > codeCacheLimit {
-		// Evict one arbitrary entry — but never the one just inserted,
-		// which is about to be hot — rather than flushing the whole
-		// cache: other programs stay compiled and the counter stays
-		// exact under concurrent inserts.
-		codeCache.Range(func(k, _ any) bool {
-			if k == any(prog) {
-				return true
-			}
-			codeCache.Delete(k)
-			codeCacheSize.Add(-1)
-			return false
-		})
-	}
-	return entry
-}
-
-// buildCompiled is the cold path: lower prog once (compile.Compile)
-// and build the bytecode from the IR. The IR stays on the entry for the
-// closure backend to build from, should anyone ask.
-func buildCompiled(prog *lang.Program) *codeCacheEntry {
-	compileBuilds.Add(1)
-	ir, err := compile.Compile(prog)
-	if err != nil {
-		return &codeCacheEntry{err: err, bcErr: err}
-	}
-	bc, bcErr := bytecode.Compile(ir)
-	return &codeCacheEntry{ir: ir, bc: bc, bcErr: bcErr}
 }
 
 // ---------------------------------------------------------------------------
@@ -590,12 +540,15 @@ func (g *codegen) forStmt(s *compile.For) cStmt {
 			return ctrlNext, Value{}, err
 		}
 		lo, hi := fromV.I, toV.I
-		n := hi - lo + 1
-		if n <= 0 {
-			return ctrlNext, Value{}, nil
+		if ok, err := ip.forallTrips(pos, lo, hi); !ok {
+			return ctrlNext, Value{}, err
 		}
 		if ip.cfg.Mode == Simulated {
-			return ctrlNext, Value{}, simForallC(ip, fr, body, slot, pos, lo, hi)
+			return ctrlNext, Value{}, ip.simForall(lo, hi, pos, func(k int64) (ctrl, error) {
+				fr[slot] = IntVal(k)
+				c, _, err := runSeq(ip, fr, body)
+				return c, err
+			})
 		}
 
 		// The forall executes inside the enclosing function's call, so
@@ -603,67 +556,16 @@ func (g *codegen) forStmt(s *compile.For) cStmt {
 		// walker gives them (it threads the enclosing depth into every
 		// iteration); workers seed their live depth from it.
 		depth := ip.cdepth
-
-		// Real mode with an installed scheduler (parexec's worker
-		// pool): iterations run on worker forks; the slot frame makes
-		// the per-iteration fork one slice copy.
-		if ip.cfg.Forall != nil {
-			run := func(w *Interp, k int64) error {
-				nf := make([]Value, len(fr))
-				copy(nf, fr)
-				nf[slot] = IntVal(k)
-				w.cdepth = depth
-				c, _, err := runSeq(w, nf, body)
-				if err == nil && c == ctrlReturn {
-					err = fmt.Errorf("%s: interp: return inside forall is not allowed", pos)
-				}
-				if ferr := w.flushSteps(pos); err == nil && ferr != nil {
-					err = ferr
-				}
-				return err
-			}
-			return ctrlNext, Value{}, ip.cfg.Forall(pos, lo, hi, run)
-		}
-
-		// Real mode default: one goroutine per iteration. Each gets a
-		// fork (for its private step batch) and a frame copy.
-		var wg sync.WaitGroup
-		errs := make([]error, n)
-		for k := lo; k <= hi; k++ {
-			wg.Add(1)
-			go func(k int64) {
-				defer wg.Done()
-				w := ip.Fork(nil)
-				nf := make([]Value, len(fr))
-				copy(nf, fr)
-				nf[slot] = IntVal(k)
-				w.cdepth = depth
-				_, _, err := runSeq(w, nf, body)
-				if ferr := w.flushSteps(pos); err == nil && ferr != nil {
-					err = ferr
-				}
-				errs[k-lo] = err
-			}(k)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return ctrlNext, Value{}, err
-			}
-		}
-		return ctrlNext, Value{}, nil
+		// The slot frame makes the per-iteration fork one slice copy.
+		return ctrlNext, Value{}, ip.realForall(pos, lo, hi, func(w *Interp, k int64) (ctrl, error) {
+			nf := make([]Value, len(fr))
+			copy(nf, fr)
+			nf[slot] = IntVal(k)
+			w.cdepth = depth
+			c, _, err := runSeq(w, nf, body)
+			return c, err
+		})
 	}
-}
-
-// simForallC is the compiled engine's entry to the shared simForall
-// skeleton (see interp.go): set the loop slot and run the closure
-// body per iteration, with the batched step guard.
-func simForallC(ip *Interp, fr []Value, body []cStmt, slot int, pos lang.Pos, from, to int64) error {
-	return ip.simForall(from, to, pos, ip.stepC, func(k int64) (ctrl, error) {
-		fr[slot] = IntVal(k)
-		c, _, err := runSeq(ip, fr, body)
-		return c, err
-	})
 }
 
 // ---------------------------------------------------------------------------

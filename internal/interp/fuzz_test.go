@@ -101,9 +101,8 @@ func pickEntry(prog *lang.Program) (string, []interp.Value, bool) {
 	return "", nil, false
 }
 
-// hasParallelLoop reports whether any function contains a forall; the
-// fuzzer skips real-mode runs for those (an attacker-sized forall
-// would spawn a goroutine per iteration before the step limit bites).
+// hasParallelLoop reports whether any function contains a forall: the
+// programs worth a second run on a pool of PEs.
 func hasParallelLoop(prog *lang.Program) bool {
 	for _, f := range prog.Funcs {
 		found := false
@@ -186,14 +185,13 @@ func fuzzDiff(t *testing.T, src string, a, b interp.Engine) {
 		return
 	}
 	// Simulated mode exercises the full cost accounting (including
-	// simulatedForall's rewind) and is safe for any forall size.
+	// simForall's rewind); Real mode runs foralls in place. Both charge
+	// a forall's trip count to the step budget at entry, so both are
+	// safe for any forall size.
 	w := runOne(prog, a, interp.Simulated, fn, args)
 	c := runOne(prog, b, interp.Simulated, fn, args)
 	compareOutcomes(t, "simulated", a, b, w, c)
 
-	if hasParallelLoop(prog) {
-		return
-	}
 	w = runOne(prog, a, interp.Real, fn, args)
 	c = runOne(prog, b, interp.Real, fn, args)
 	compareOutcomes(t, "real", a, b, w, c)
@@ -254,13 +252,10 @@ function real main() {
   return acc;
 }`
 
-// fuzzKernelParallel is the real-mode leg of FuzzKernelVsBytecode:
-// forall programs route through parexec (2 PEs) — the deployment path
-// on which the kernel engine's vector strips actually run — instead of
-// the goroutine-per-iteration Real mode fuzzDiff skips. A simulated
-// dry run gates the leg: it executes every forall iteration serially
-// under the step budget, so a fuzzer-sized forall is rejected before
-// parexec would allocate its per-iteration output buffers.
+// fuzzKernelParallel is the pooled leg of FuzzKernelVsBytecode: forall
+// programs run again through parexec (2 PEs) — the deployment path, on
+// which the kernel engine's vector strips go through the strip
+// scheduler and scalar iterations run concurrently.
 func fuzzKernelParallel(t *testing.T, src string) {
 	prog, err := lang.Parse(src)
 	if err != nil {
@@ -268,9 +263,6 @@ func fuzzKernelParallel(t *testing.T, src string) {
 	}
 	fn, args, ok := pickEntry(prog)
 	if !ok || !hasParallelLoop(prog) {
-		return
-	}
-	if dry := runOne(prog, interp.EngineBytecode, interp.Simulated, fn, args); dry.err != nil {
 		return
 	}
 	run := func(eng interp.Engine) engineOutcome {

@@ -1,8 +1,10 @@
 // Package interp executes checked, normalized PSL programs. It is the
-// semantic reference for the whole reproduction: package parexec runs
-// forall regions on real goroutines through the Forall hook, and
-// package sequent replays runs on the 1992 machine model through
-// Simulated mode.
+// semantic reference for the whole reproduction, and it is serial: an
+// interpreter runs on the goroutine that calls it and starts no other.
+// Parallelism lives in package parexec, which installs the Forall hook
+// and runs forall iterations on its pool of PEs; without the hook a
+// forall's iterations run in place, in index order. Package sequent
+// replays runs on the 1992 machine model through Simulated mode.
 //
 // Execution has four engines behind Config.Engine. The default (the
 // zero value) is the kernel VM: flat bytecode over typed register
@@ -111,7 +113,9 @@ type Mode int
 
 // Execution modes.
 const (
-	// Real runs forall iterations in goroutines.
+	// Real executes the program as written. Forall iterations go to the
+	// Config.Forall scheduler when one is installed (parexec's PEs) and
+	// otherwise run in place, in index order.
 	Real Mode = iota
 	// Simulated runs everything sequentially, charging cycles from the
 	// cost model; forall charges max-over-PEs plus a barrier.
@@ -166,16 +170,20 @@ type Config struct {
 	// Engine selects the execution engine (default EngineKernel, the
 	// bytecode VM with vectorized strips; the closure engine and the
 	// tree-walking oracle are opt-ins).
-	Engine     Engine
-	Mode       Mode
-	Sched      Scheduling
-	PEs        int // simulated PE count (0: one PE per iteration)
-	Costs      CostModel
-	Output     io.Writer
-	Seed       uint64
-	MaxSteps   int64 // 0 = default guard
-	MaxDepth   int   // 0 = default (4096)
-	StrictNull bool  // disable speculative traversability (for tests)
+	Engine Engine
+	Mode   Mode
+	Sched  Scheduling
+	PEs    int // simulated PE count (0: one PE per iteration)
+	Costs  CostModel
+	Output io.Writer
+	Seed   uint64
+	// MaxSteps bounds executed statements (0 = default guard). A serial
+	// for pays one step per trip; a forall pays its whole trip count at
+	// entry, so a range larger than the remaining budget fails before
+	// anything runs or is allocated.
+	MaxSteps   int64
+	MaxDepth   int  // 0 = default (4096)
+	StrictNull bool // disable speculative traversability (for tests)
 	// Ctx, if non-nil, cancels the run: a deadline or explicit cancel
 	// makes Call return an error. Both engines poll it on the step
 	// path, at stepFlushChunk granularity, so a runaway loop is cut
@@ -200,12 +208,12 @@ type Config struct {
 	// ShapeWalkLimit bounds the cycle-check walk (0 = 100000 nodes).
 	ShapeWalkLimit int
 	// Forall, if non-nil and Mode == Real, schedules every parallel
-	// forall instead of the default goroutine-per-iteration strategy.
-	// It receives the inclusive iteration bounds and a run function
-	// that executes one iteration on the given worker interpreter
-	// (obtain workers with Fork). Forks clear this hook, so nested
-	// foralls inside a scheduled iteration fall back to the default
-	// strategy rather than re-entering the scheduler.
+	// forall instead of running its iterations in place. It receives the
+	// inclusive iteration bounds and a run function that executes one
+	// iteration on the given worker interpreter (obtain workers with
+	// Fork). Forks clear this hook, so a forall nested inside a
+	// scheduled iteration runs in place on that iteration's worker
+	// rather than re-entering the scheduler.
 	Forall ForallScheduler
 	// Strip, if non-nil and Engine == EngineKernel, schedules the
 	// gather/compute/scatter phases of each vectorized strip instead of
@@ -222,7 +230,9 @@ type Config struct {
 // every iteration has completed (it is the loop's barrier). pos is the
 // source position of the forall — for loops generated by strip-mining
 // it is the original loop's position — so profilers can key
-// measurements to the planner's loop table.
+// measurements to the planner's loop table. The range is never empty
+// and its trip count has been charged to the step budget, so
+// to - from + 1 fits an int64 and is at most MaxSteps.
 type ForallScheduler func(pos lang.Pos, from, to int64, run func(w *Interp, k int64) error) error
 
 // StripScheduler executes one vectorized strip. Gather must run first
@@ -301,6 +311,14 @@ type Interp struct {
 	// flushes to the shared atomic (each Interp executes on one
 	// goroutine at a time, so the field needs no synchronization).
 	stepsLocal int64
+	// ownSteps and ownAllocs are what this interpreter itself — not its
+	// parent or sibling forks — has added to the shared step and
+	// allocation counters: the difference across one forall iteration
+	// is what that iteration cost (see scheduledWindow).
+	ownSteps, ownAllocs int64
+	// costs is scheduledWindow's per-iteration ledger, reused from one
+	// window to the next.
+	costs []iterCost
 	// cdepth is the compiled engine's live call depth.
 	cdepth int
 	// framePool recycles call frames (slot slices). Frames never
@@ -344,29 +362,18 @@ type state struct {
 	shapeLog []ShapeViolation
 }
 
-// New creates an interpreter for a checked, normalized program.
+// New creates an interpreter for a checked, normalized program,
+// building its code (nothing is built for the walk engine). A caller
+// that runs one program many times builds once with CompileProgram and
+// uses NewCompiled.
 func New(prog *lang.Program, cfg Config) *Interp {
-	ip := newInterp(prog, cfg)
-	if cfg.Engine != EngineWalk {
-		ip.attach(compiledFor(prog))
+	if cfg.Engine == EngineWalk {
+		return newInterp(prog, cfg)
 	}
-	return ip
+	return NewCompiled(CompileProgram(prog), cfg)
 }
 
-// attach binds the configured engine's code from a program's cache
-// entry. Only the closure engine asks for the closure tree, so only it
-// can trigger the entry's lazy closure build.
-func (ip *Interp) attach(e *codeCacheEntry) {
-	switch ip.cfg.Engine {
-	case EngineCompiled:
-		ip.code, ip.compileErr = e.closures(), e.err
-	case EngineBytecode, EngineKernel:
-		ip.bc, ip.bcErr = e.bc, e.bcErr
-	}
-}
-
-// newInterp builds an interpreter without any code attached; New
-// attaches it from the code cache, NewCompiled from a pinned handle.
+// newInterp builds an interpreter without any code attached.
 func newInterp(prog *lang.Program, cfg Config) *Interp {
 	if cfg.Output == nil {
 		cfg.Output = io.Discard
@@ -400,9 +407,10 @@ func newInterp(prog *lang.Program, cfg Config) *Interp {
 // fork prints there through its own mutex (the parallel executor hands
 // each iteration a private buffer and merges them deterministically);
 // with nil it shares the parent's writer and lock. The fork drops the
-// parent's Forall scheduler so a nested parallel loop cannot re-enter
-// the worker pool that is running it. A fork must execute at most one
-// call at a time.
+// parent's Forall scheduler, so a parallel loop nested inside the
+// iteration a fork is running executes in place on that fork — in
+// index order, on its worker — and cannot re-enter the pool that is
+// running it. A fork must execute at most one call at a time.
 func (ip *Interp) Fork(out io.Writer) *Interp {
 	nf := &Interp{
 		prog:       ip.prog,
@@ -505,8 +513,15 @@ func (ip *Interp) charge(c int64) {
 	}
 }
 
+// addSteps charges n steps to the run's shared counter and returns the
+// new total.
+func (ip *Interp) addSteps(n int64) int64 {
+	ip.ownSteps += n
+	return ip.sh.steps.Add(n)
+}
+
 func (ip *Interp) step(pos lang.Pos) error {
-	n := ip.sh.steps.Add(1)
+	n := ip.addSteps(1)
 	if n > ip.maxSteps {
 		return fmt.Errorf("%s: interp: step limit exceeded (%d)", pos, ip.maxSteps)
 	}
@@ -545,7 +560,7 @@ func (ip *Interp) flushSteps(pos lang.Pos) error {
 	}
 	n := ip.stepsLocal
 	ip.stepsLocal = 0
-	if ip.sh.steps.Add(n) > ip.maxSteps {
+	if ip.addSteps(n) > ip.maxSteps {
 		return fmt.Errorf("%s: interp: step limit exceeded (%d)", pos, ip.maxSteps)
 	}
 	if ip.ctx != nil {
@@ -785,7 +800,7 @@ func (ip *Interp) execAssign(s *lang.AssignStmt, fr *frame, depth int) error {
 				}
 				idx = int(iv.I)
 			}
-			arr := node.Ptrs[lhs.Field]
+			arr := node.ptrs(lhs.Field)
 			if idx < 0 || idx >= len(arr) {
 				return fmt.Errorf("%s: interp: index %d out of range for %s.%s[%d]", s.Pos(), idx, node.Type, lhs.Field, len(arr))
 			}
@@ -796,8 +811,8 @@ func (ip *Interp) execAssign(s *lang.AssignStmt, fr *frame, depth int) error {
 			}
 			return nil
 		}
-		slot, ok := node.Data[lhs.Field]
-		if !ok {
+		slot := node.data(lhs.Field)
+		if slot == nil {
 			return fmt.Errorf("%s: interp: %s has no data field %q", s.Pos(), node.Type, lhs.Field)
 		}
 		*slot = coerce(rv, lhs.Type())
@@ -840,82 +855,169 @@ func (ip *Interp) execFor(s *lang.ForStmt, fr *frame, depth int) (ctrl, Value, e
 	}
 
 	// Parallel loop.
-	n := to - from + 1
-	if n <= 0 {
-		return ctrlNext, Value{}, nil
+	if ok, err := ip.forallTrips(s.Pos(), from, to); !ok {
+		return ctrlNext, Value{}, err
 	}
 	if ip.cfg.Mode == Simulated {
-		return ctrlNext, Value{}, ip.simulatedForall(s, fr, depth, from, to)
+		return ctrlNext, Value{}, ip.simForall(from, to, s.Pos(), func(k int64) (ctrl, error) {
+			fr.push()
+			fr.declare(s.Var, IntVal(k))
+			c, _, err := ip.execBlock(s.Body, fr, depth)
+			fr.pop()
+			return c, err
+		})
 	}
-
-	// Real mode with an installed scheduler (parexec's worker pool):
-	// hand the iterations over; the scheduler is the barrier.
-	if ip.cfg.Forall != nil {
-		run := func(w *Interp, k int64) error {
-			nf := fr.snapshot()
-			nf.push()
-			nf.declare(s.Var, IntVal(k))
-			c, _, err := w.execBlock(s.Body, nf, depth)
-			if err == nil && c == ctrlReturn {
-				err = fmt.Errorf("%s: interp: return inside forall is not allowed", s.Pos())
-			}
-			return err
-		}
-		return ctrlNext, Value{}, ip.cfg.Forall(s.Pos(), from, to, run)
-	}
-
-	// Real mode: one goroutine per iteration with a snapshot frame.
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for k := from; k <= to; k++ {
-		wg.Add(1)
-		go func(k int64) {
-			defer wg.Done()
-			nf := fr.snapshot()
-			nf.push()
-			nf.declare(s.Var, IntVal(k))
-			_, _, err := ip.execBlock(s.Body, nf, depth)
-			errs[k-from] = err
-		}(k)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return ctrlNext, Value{}, err
-		}
-	}
-	return ctrlNext, Value{}, nil
-}
-
-// simulatedForall is the walker's entry to the shared simForall
-// skeleton: push a scope per iteration and execute the AST body.
-func (ip *Interp) simulatedForall(s *lang.ForStmt, fr *frame, depth int, from, to int64) error {
-	return ip.simForall(from, to, s.Pos(), ip.step, func(k int64) (ctrl, error) {
-		fr.push()
-		fr.declare(s.Var, IntVal(k))
-		c, _, err := ip.execBlock(s.Body, fr, depth)
-		fr.pop()
+	// Each iteration gets a snapshot frame.
+	return ctrlNext, Value{}, ip.realForall(s.Pos(), from, to, func(w *Interp, k int64) (ctrl, error) {
+		nf := fr.snapshot()
+		nf.push()
+		nf.declare(s.Var, IntVal(k))
+		c, _, err := w.execBlock(s.Body, nf, depth)
 		return c, err
 	})
+}
+
+// forallTrips charges a parallel loop over [from, to] its trip count:
+// one step an iteration, what a serial for pays per trip, but in one
+// piece and at entry — in both modes, on every engine, before anything
+// sized by the range is allocated or scheduled. A range the remaining
+// budget cannot cover therefore fails at once, having run nothing. It
+// reports whether there are iterations to run; false with a nil error
+// is an empty range, which costs nothing and joins no barrier.
+func (ip *Interp) forallTrips(pos lang.Pos, from, to int64) (bool, error) {
+	if to < from {
+		return false, nil
+	}
+	n := to - from + 1 // wraps to <= 0 on a range wider than an int64
+	if n <= 0 || n > ip.maxSteps-ip.sh.steps.Load()-ip.stepsLocal {
+		return false, fmt.Errorf("%s: interp: step limit exceeded (%d)", pos, ip.maxSteps)
+	}
+	ip.addSteps(n)
+	return true, nil
+}
+
+// forallWindow is the most iterations a Real-mode forall runs between
+// two looks at the cancellation signal, and the most a ForallScheduler
+// is handed in one call: a scheduler's bookkeeping (parexec's
+// per-iteration output buffers and error slots) is bounded by it, not
+// by the loop's range. Strips the planner emits are at most 256 wide
+// and always fit one window.
+const forallWindow = 4096
+
+// realForall runs the Real-mode iterations [from, to] of a parallel
+// loop, a window at a time: through the installed scheduler, or — with
+// none, which is every fork's case, so a nested forall stays on its
+// worker — in place on this interpreter, in index order, stopping at
+// the first failing iteration. body is the engine's iteration body —
+// private frame, run on worker w — the same closure either way, which
+// is what makes Run and parexec.Run the same program with and without
+// a pool.
+func (ip *Interp) realForall(pos lang.Pos, from, to int64, body func(w *Interp, k int64) (ctrl, error)) error {
+	// run is one whole iteration on w: the body, the ban on returning
+	// out of a forall, and the flush of the engine's batched step count
+	// (so a worker's charges are exact whenever an iteration ends).
+	run := func(w *Interp, k int64) error {
+		c, err := body(w, k)
+		if err == nil && c == ctrlReturn {
+			err = fmt.Errorf("%s: interp: return inside forall is not allowed", pos)
+		}
+		if ferr := w.flushSteps(pos); err == nil {
+			err = ferr
+		}
+		return err
+	}
+	for lo := from; ; lo += forallWindow {
+		hi := to
+		if to-lo >= forallWindow {
+			hi = lo + forallWindow - 1
+		}
+		var err error
+		if ip.cfg.Forall != nil {
+			err = ip.scheduledWindow(pos, lo, hi, run)
+		} else {
+			// k == hi ends the loop, not k > hi: hi may be the largest int64.
+			for k := lo; ; k++ {
+				if err = run(ip, k); err != nil || k == hi {
+					break
+				}
+			}
+		}
+		if err != nil || hi == to {
+			return err
+		}
+		if ip.ctx != nil {
+			if err := ip.ctx.Err(); err != nil {
+				return fmt.Errorf("%s: interp: run cancelled: %v", pos, err)
+			}
+		}
+	}
+}
+
+// iterCost is what one scheduled iteration charged to the shared
+// counters, and whether it failed.
+type iterCost struct {
+	steps, allocs int64
+	failed        bool
+}
+
+// scheduledWindow hands one window to the scheduler and keeps the
+// run's Stats what the in-place loop would have left. A scheduler runs
+// iterations concurrently, so iterations past the first failing index
+// — which a serial run never reaches — may have executed before the
+// failure was known. Their output the scheduler discards; their steps
+// and allocations are taken back out here. Each slot of the ledger is
+// written by the one worker that runs that iteration.
+func (ip *Interp) scheduledWindow(pos lang.Pos, lo, hi int64, run func(w *Interp, k int64) error) error {
+	n := int(hi - lo + 1)
+	if cap(ip.costs) < n {
+		ip.costs = make([]iterCost, n)
+	}
+	costs := ip.costs[:n]
+	clear(costs)
+	err := ip.cfg.Forall(pos, lo, hi, func(w *Interp, k int64) error {
+		steps, allocs := w.ownSteps, w.ownAllocs
+		err := run(w, k)
+		costs[k-lo] = iterCost{w.ownSteps - steps, w.ownAllocs - allocs, err != nil}
+		return err
+	})
+	if err == nil {
+		return nil
+	}
+	first := 0
+	for first < n && !costs[first].failed {
+		first++
+	}
+	var steps, allocs int64
+	for _, c := range costs[min(first+1, n):] {
+		steps += c.steps
+		allocs += c.allocs
+	}
+	ip.sh.steps.Add(-steps)
+	ip.sh.allocs.Add(-allocs)
+	return err
 }
 
 // simForall executes a simulated parallel loop's iterations
 // sequentially, assigning them to PEs and charging elapsed =
 // max(PE busy time) + barrier. It is the single copy of the Sequent
 // model's forall accounting (PE mapping, per-iteration cycle rewind,
-// barrier charge), shared by both engines so the bit-identical-cycles
+// barrier charge), shared by the engines so the bit-identical-cycles
 // contract cannot drift: each engine supplies only its iteration body
-// (runIter) and its step-guard flavor (the walker counts steps on the
-// shared atomic immediately; the compiled engine batches).
-func (ip *Interp) simForall(from, to int64, pos lang.Pos, step func(lang.Pos) error, runIter func(k int64) (ctrl, error)) error {
+// (runIter).
+func (ip *Interp) simForall(from, to int64, pos lang.Pos, runIter func(k int64) (ctrl, error)) error {
 	n := int(to - from + 1)
 	pes := ip.cfg.PEs
-	if pes <= 0 {
+	// With no PE count every iteration has a PE to itself, and the
+	// busiest PE is the longest iteration: no per-PE table to allocate.
+	var busy []int64
+	if pes > 0 {
+		busy = make([]int64, pes)
+	} else {
 		pes = n
 	}
-	busy := make([]int64, pes)
+	maxBusy := int64(0)
 	outerCycles := ip.cycles
-	for k := from; k <= to; k++ {
+	for k := from; ; k++ {
 		var pe int
 		switch ip.cfg.Sched {
 		case Block:
@@ -936,18 +1038,18 @@ func (ip *Interp) simForall(from, to int64, pos lang.Pos, step func(lang.Pos) er
 		if c == ctrlReturn {
 			return fmt.Errorf("%s: interp: return inside forall is not allowed", pos)
 		}
-		busy[pe] += ip.cycles - start
+		if d := ip.cycles - start; busy == nil {
+			maxBusy = max(maxBusy, d)
+		} else {
+			busy[pe] += d
+		}
 		ip.cycles = start // rewind; we charge max at the end
-		// One step per iteration (the MaxSteps guard, as in serial for).
-		if err := step(pos); err != nil {
-			return err
+		if k == to {      // not k <= to in the header: to may be the largest int64
+			break
 		}
 	}
-	maxBusy := int64(0)
 	for _, b := range busy {
-		if b > maxBusy {
-			maxBusy = b
-		}
+		maxBusy = max(maxBusy, b)
 	}
 	ip.cycles = outerCycles + maxBusy + ip.cfg.Costs.Barrier
 	ip.work += ip.cfg.Costs.Barrier // busy time was already added to work
@@ -1020,20 +1122,19 @@ func (ip *Interp) alloc(typeName string) (Value, error) {
 	return ip.allocNode(decl, typeName)
 }
 
-// allocNode builds a fresh record with both addressing views (name
-// maps for the walker and inspectors, positional slices for the
-// compiled engine) over one backing store. The MaxAllocs budget is
-// checked on the shared counter, so parallel iterations draw from one
-// pool and the failing allocation is deterministic in serial runs.
+// allocNode builds a fresh record: one positional slot per declared
+// field, zeroed to the field's type. The MaxAllocs budget is checked
+// on the shared counter, so parallel iterations draw from one pool and
+// the failing allocation is deterministic in serial runs.
 func (ip *Interp) allocNode(decl *adds.Decl, typeName string) (Value, error) {
 	ip.charge(ip.cfg.Costs.Alloc)
+	ip.ownAllocs++
 	if n := ip.sh.allocs.Add(1); ip.maxAllocs > 0 && n > ip.maxAllocs {
 		return Value{}, fmt.Errorf("interp: allocation limit exceeded (%d)", ip.maxAllocs)
 	}
 	n := &Node{
 		Type: typeName,
-		Data: make(map[string]*Value, len(decl.Data)),
-		Ptrs: make(map[string][]*Node, len(decl.Pointers)),
+		decl: decl,
 		vals: make([]Value, len(decl.Data)),
 		parr: make([][]*Node, len(decl.Pointers)),
 		id:   ip.sh.nextID.Add(1),
@@ -1047,11 +1148,9 @@ func (ip *Interp) allocNode(decl *adds.Decl, typeName string) (Value, error) {
 		default:
 			n.vals[i] = IntVal(0)
 		}
-		n.Data[df.Name] = &n.vals[i]
 	}
 	for i, pf := range decl.Pointers {
 		n.parr[i] = make([]*Node, pf.Count)
-		n.Ptrs[pf.Name] = n.parr[i]
 	}
 	return PtrVal(n), nil
 }
@@ -1106,14 +1205,14 @@ func (ip *Interp) evalField(e *lang.FieldExpr, fr *frame, depth int) (Value, err
 			}
 			idx = int(iv.I)
 		}
-		arr := node.Ptrs[e.Field]
+		arr := node.ptrs(e.Field)
 		if idx < 0 || idx >= len(arr) {
 			return Value{}, fmt.Errorf("%s: interp: index %d out of range for %s.%s[%d]", e.Pos(), idx, node.Type, e.Field, len(arr))
 		}
 		return PtrVal(arr[idx]), nil
 	}
-	v, ok := node.Data[e.Field]
-	if !ok {
+	v := node.data(e.Field)
+	if v == nil {
 		return Value{}, fmt.Errorf("%s: interp: %s has no data field %q", e.Pos(), node.Type, e.Field)
 	}
 	return *v, nil
@@ -1279,8 +1378,8 @@ func Field(v Value, field string) (Value, error) {
 	if v.N == nil {
 		return Value{}, fmt.Errorf("interp: Field on NULL")
 	}
-	fv, ok := v.N.Data[field]
-	if !ok {
+	fv := v.N.data(field)
+	if fv == nil {
 		return Value{}, fmt.Errorf("interp: no field %q", field)
 	}
 	return *fv, nil
@@ -1303,8 +1402,8 @@ func FieldPtr(v Value, field string) (Value, error) {
 	if v.N == nil {
 		return Value{}, fmt.Errorf("interp: FieldPtr on NULL")
 	}
-	arr, ok := v.N.Ptrs[field]
-	if !ok || len(arr) == 0 {
+	arr := v.N.ptrs(field)
+	if len(arr) == 0 {
 		return Value{}, fmt.Errorf("interp: no pointer field %q", field)
 	}
 	return PtrVal(arr[0]), nil
@@ -1319,12 +1418,12 @@ func ListInts(head Value, field string, limit int) ([]int64, error) {
 		if limit--; limit < 0 {
 			return nil, fmt.Errorf("interp: list longer than limit (cycle?)")
 		}
-		v, ok := n.Data[field]
-		if !ok {
+		v := n.data(field)
+		if v == nil {
 			return nil, fmt.Errorf("interp: node lacks field %q", field)
 		}
 		out = append(out, v.I)
-		next := n.Ptrs["next"]
+		next := n.ptrs("next")
 		if len(next) == 0 {
 			break
 		}
@@ -1338,9 +1437,9 @@ func SortedFields(v Value) []string {
 	if v.N == nil {
 		return nil
 	}
-	out := make([]string, 0, len(v.N.Data))
-	for k := range v.N.Data {
-		out = append(out, k)
+	out := make([]string, 0, len(v.N.decl.Data))
+	for _, df := range v.N.decl.Data {
+		out = append(out, df.Name)
 	}
 	sort.Strings(out)
 	return out

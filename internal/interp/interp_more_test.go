@@ -128,8 +128,11 @@ func TestFormatRoundTripBarnesHut(t *testing.T) {
 		return v
 	}
 	v1, v2 := run(prog), run(prog2)
-	x1 := v1.N.Data["posx"].AsReal()
-	x2 := v2.N.Data["posx"].AsReal()
+	x1, err1 := FieldReal(v1, "posx")
+	x2, err2 := FieldReal(v2, "posx")
+	if err1 != nil || err2 != nil {
+		t.Fatalf("posx: %v, %v", err1, err2)
+	}
 	if x1 != x2 {
 		t.Errorf("round-tripped program diverges: %g vs %g", x1, x2)
 	}
@@ -148,5 +151,52 @@ func TestSimulatedDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("simulated cycles not deterministic: %d vs %d", a, b)
+	}
+}
+
+// TestNewOctreeAllocations: a heap record has one view of itself — the
+// node, its scalar slots, its pointer table and one target array per
+// pointer field. Barnes-Hut's Octree has two pointer fields: five Go
+// allocations (the name maps the walker used to read cost six more).
+func TestNewOctreeAllocations(t *testing.T) {
+	prog := lang.MustParse(nbody.BarnesHutPSL)
+	ip := New(prog, Config{Engine: EngineWalk})
+	decl := prog.Universe.Decl("Octree")
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := ip.allocNode(decl, "Octree"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 5 {
+		t.Errorf("new Octree costs %v Go allocations, want at most 5", got)
+	}
+}
+
+// TestNewBuildsEveryTime: the package keeps no code cache. New builds a
+// program's code on every call (and nothing at all for the walk
+// engine); whoever runs a program twice holds a CompiledProgram.
+func TestNewBuildsEveryTime(t *testing.T) {
+	prog := lang.MustParse(`function int main() { return 42; }`)
+	c0 := CompileCount()
+	for i := 0; i < 2; i++ {
+		if v, err := New(prog, Config{}).Call("main"); err != nil || v.I != 42 {
+			t.Fatalf("main = %v, %v", v, err)
+		}
+	}
+	if d := CompileCount() - c0; d != 2 {
+		t.Errorf("two New on one program built %d times, want 2", d)
+	}
+	c0 = CompileCount()
+	if v, err := New(prog, Config{Engine: EngineWalk}).Call("main"); err != nil || v.I != 42 {
+		t.Fatalf("walk: main = %v, %v", v, err)
+	}
+	cp := CompileProgram(prog)
+	for i := 0; i < 2; i++ {
+		if v, err := NewCompiled(cp, Config{}).Call("main"); err != nil || v.I != 42 {
+			t.Fatalf("main = %v, %v", v, err)
+		}
+	}
+	if d := CompileCount() - c0; d != 1 {
+		t.Errorf("a walk interpreter and two runs of one handle built %d times, want 1", d)
 	}
 }

@@ -147,7 +147,12 @@ func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.F
 		return false
 	}
 	// Per lane k the strip prologue (helper call, skip loop, NULL
-	// guard) charges 3+2k steps; the body at most NSteps more.
+	// guard) charges 3+2k steps; the body at most NSteps more. The
+	// closed form holds for lane indices from 0 up, and lanes whose
+	// skip loops alone outrun the budget would overflow it.
+	if lo < 0 || hi > ip.maxSteps/n {
+		return false
+	}
 	prologueSteps := 3*n + (lo+hi)*n
 	bound := prologueSteps + int64(kern.NSteps)*n
 	if ip.sh.steps.Load()+ip.stepsLocal+bound > ip.maxSteps {
@@ -301,7 +306,7 @@ func (ks *kernState) scatter() error {
 		}
 		total += c * pop
 	}
-	ks.ip.sh.steps.Add(total)
+	ks.ip.addSteps(total)
 	root := ks.b[kern.RootMask]
 	// Writes update Kind and the data word in place rather than
 	// assigning a fresh Value: a typed data field invariantly holds its

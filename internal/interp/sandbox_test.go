@@ -189,8 +189,8 @@ func TestCtxDeadlineMidRun(t *testing.T) {
 
 // sharedAcrossGoroutines enforces internal/compile's immutability
 // contract for one engine: code is built exactly once (via
-// Precompile, the serving layer's cache-insert path) and then
-// executed concurrently from 16 goroutines sharing the same program.
+// CompileProgram, the serving layer's cache-insert path) and then
+// executed concurrently from 16 goroutines sharing the same handle.
 // Run under -race in CI; results and output must agree across all
 // goroutines, with zero compile work during execution — except the
 // closure engine's lazy closure build, which the 16 racing first users
@@ -201,7 +201,8 @@ func sharedAcrossGoroutines(t *testing.T, eng Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Precompile(prog); err != nil {
+	cp := CompileProgram(prog)
+	if err := cp.Err(); err != nil {
 		t.Fatal(err)
 	}
 	before, closuresBefore := CompileCount(), ClosureBuildCount()
@@ -215,7 +216,7 @@ func sharedAcrossGoroutines(t *testing.T, eng Engine) {
 		go func(i int) {
 			defer wg.Done()
 			var out bytes.Buffer
-			ip := New(prog, Config{Engine: eng, Output: &out})
+			ip := NewCompiled(cp, Config{Engine: eng, Output: &out})
 			v, err := ip.Call("print_bomb", IntVal(50))
 			results[i], outputs[i], errs[i] = v.I, out.String(), err
 		}(i)
@@ -230,7 +231,7 @@ func sharedAcrossGoroutines(t *testing.T, eng Engine) {
 		}
 	}
 	if n := CompileCount() - before; n != 0 {
-		t.Errorf("%d extra compiles during concurrent execution; cache hits must do zero compile work", n)
+		t.Errorf("%d extra compiles during concurrent execution; running a handle must do zero compile work", n)
 	}
 	wantClosures := int64(0)
 	if eng == EngineCompiled {

@@ -128,7 +128,7 @@ func (ip *Interp) reachesForward(src, dst *Node, dim string, limit int) bool {
 			continue
 		}
 		for _, pf := range decl.FieldsAlong(dim, adds.Forward) {
-			for _, next := range n.Ptrs[pf.Name] {
+			for _, next := range n.ptrs(pf.Name) {
 				if next != nil {
 					stack = append(stack, next)
 				}

@@ -1,8 +1,10 @@
 // Package interp executes PSL programs. It provides the two execution
 // modes the reproduction needs:
 //
-//   - Real mode: forall loops run their iterations in goroutines, so
-//     transformed programs exhibit genuine parallelism on the host.
+//   - Real mode: the program runs as written. A forall's iterations go
+//     to the scheduler package parexec installs, which is where
+//     transformed programs get genuine parallelism on the host; with no
+//     scheduler they run in place, in index order.
 //
 //   - Simulated mode: execution is sequential but every operation is
 //     charged cycles from a cost model; a forall charges the maximum
@@ -20,6 +22,7 @@ package interp
 import (
 	"fmt"
 
+	"repro/internal/adds"
 	"repro/internal/lang"
 )
 
@@ -35,34 +38,52 @@ const (
 	KindPtr
 )
 
-// Node is a heap record instance. Fields have two addressing modes
-// over one shared backing store: by name through the Data/Ptrs maps
-// (the tree-walker and external inspectors) and by declaration offset
-// through vals/parr (the compiled engine, whose IR pre-resolves field
-// names to indices into the record declaration). Data[decl.Data[i].Name]
-// points at vals[i] and Ptrs[decl.Pointers[i].Name] shares parr[i]'s
-// backing array, so a store through either view is seen by both.
+// Node is a heap record instance. Fields are stored by position, in
+// the order of the record's ADDS declaration: vals[i] is decl.Data[i]
+// and parr[i] is decl.Pointers[i]. The engines that run compiled code
+// index the slices with offsets resolved at compile time; the
+// tree-walker, the shape checker and the Field* inspectors start from a
+// field name and find its position in the declaration themselves (data,
+// ptrs), so the oracle does not lean on the compile IR it checks.
+// Stores write one slot in place and the slices never grow, which keeps
+// concurrent access to different fields of one node race-free — the
+// parallel executor relies on it (the dependence test guarantees no two
+// iterations touch the same field of the same node).
 type Node struct {
 	Type string
-	// Data holds scalar fields. The map is fully populated at
-	// allocation and never structurally modified afterwards: stores
-	// mutate the pointed-to Value in place. That keeps concurrent
-	// access to *different* fields of one node race-free, which the
-	// parallel executor relies on (the dependence test guarantees no
-	// two iterations touch the same field of the same node).
-	Data map[string]*Value
-	// Ptrs holds pointer fields; each entry has the declared Count
-	// length (1 for plain pointers).
-	Ptrs map[string][]*Node
-	// vals is the positional backing of Data, indexed like decl.Data.
+	decl *adds.Decl
+	// vals holds the scalar fields, indexed like decl.Data.
 	vals []Value
-	// parr is the positional view of Ptrs, indexed like decl.Pointers.
+	// parr holds the pointer fields, indexed like decl.Pointers; each
+	// entry has the declared Count length (1 for plain pointers).
 	parr [][]*Node
 	// id is a stable allocation number for deterministic printing.
 	id int64
 	// inEdges counts in-edges per uniquely-forward dimension when
 	// runtime shape checks are enabled.
 	inEdges map[string]int
+}
+
+// data returns the named scalar field's slot, or nil if the record
+// declares no such field.
+func (n *Node) data(field string) *Value {
+	for i := range n.decl.Data {
+		if n.decl.Data[i].Name == field {
+			return &n.vals[i]
+		}
+	}
+	return nil
+}
+
+// ptrs returns the named pointer field's targets, or nil if the record
+// declares no such field.
+func (n *Node) ptrs(field string) []*Node {
+	for i := range n.decl.Pointers {
+		if n.decl.Pointers[i].Name == field {
+			return n.parr[i]
+		}
+	}
+	return nil
 }
 
 // Value is a PSL runtime value.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/effects"
 	"repro/internal/interp"
 	"repro/internal/lang"
+	"repro/internal/parexec"
 	"repro/internal/transform"
 )
 
@@ -126,19 +127,36 @@ func TestBHLoopsParallelizable(t *testing.T) {
 func runSim(t *testing.T, prog *lang.Program, mode interp.Mode, n, steps int) [][3]float64 {
 	t.Helper()
 	ip := interp.New(prog, interp.Config{Seed: 7, Mode: mode, PEs: 4})
-	v, err := ip.Call("simulate", interp.IntVal(int64(n)), interp.IntVal(int64(steps)),
-		interp.RealVal(0.5), interp.RealVal(0.01))
+	v, err := ip.Call("simulate", simArgs(n, steps)...)
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
 	}
+	return positions(t, v)
+}
+
+func simArgs(n, steps int) []interp.Value {
+	return []interp.Value{interp.IntVal(int64(n)), interp.IntVal(int64(steps)), interp.RealVal(0.5), interp.RealVal(0.01)}
+}
+
+// positions reads the particle list simulate returns.
+func positions(t *testing.T, v interp.Value) [][3]float64 {
+	t.Helper()
 	var out [][3]float64
-	node := v.N
-	for node != nil {
-		x := node.Data["posx"].AsReal()
-		y := node.Data["posy"].AsReal()
-		z := node.Data["posz"].AsReal()
-		out = append(out, [3]float64{x, y, z})
-		node = node.Ptrs["next"][0]
+	for !v.IsNull() {
+		var p [3]float64
+		for c, f := range []string{"posx", "posy", "posz"} {
+			x, err := interp.FieldReal(v, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p[c] = x
+		}
+		out = append(out, p)
+		next, err := interp.FieldPtr(v, "next")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v = next
 	}
 	return out
 }
@@ -177,15 +195,23 @@ func TestBHStripMinedMatchesSequential(t *testing.T) {
 		t.Fatalf("strip-mine BHL2: %v", err)
 	}
 
-	for _, mode := range []interp.Mode{interp.Real, interp.Simulated} {
-		got := runSim(t, r2.Program, mode, 24, 2)
+	// The real leg runs on a pool of 4 PEs, so -race sees the strips'
+	// iterations execute concurrently; the simulated leg is serial.
+	v, _, err := parexec.Run(r2.Program, parexec.Options{PEs: 4, Seed: 7}, "simulate", simArgs(24, 2)...)
+	if err != nil {
+		t.Fatalf("parexec: simulate: %v", err)
+	}
+	for name, got := range map[string][][3]float64{
+		"4 PEs":     positions(t, v),
+		"simulated": runSim(t, r2.Program, interp.Simulated, 24, 2),
+	} {
 		if len(got) != len(want) {
-			t.Fatalf("mode %v: particle count %d vs %d", mode, len(got), len(want))
+			t.Fatalf("%s: particle count %d vs %d", name, len(got), len(want))
 		}
 		for i := range want {
 			for c := 0; c < 3; c++ {
 				if math.Abs(got[i][c]-want[i][c]) > 1e-9 {
-					t.Fatalf("mode %v: particle %d coord %d: %g vs %g", mode, i, c, got[i][c], want[i][c])
+					t.Fatalf("%s: particle %d coord %d: %g vs %g", name, i, c, got[i][c], want[i][c])
 				}
 			}
 		}

@@ -2,7 +2,7 @@
 // goroutine parallelism: it is the hardware counterpart of the
 // simulated Sequent in package sequent.
 //
-// The engine runs a program on a root interpreter whose parallel
+// Run executes a program on a root interpreter whose parallel
 // forall loops — the regions transform.StripMine emits — are handed to
 // a fixed pool of worker goroutines (one per PE, default GOMAXPROCS;
 // a pool of one runs on the interpreting goroutine instead). Each
@@ -57,7 +57,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Options configures an Engine.
+// Options configures a Run.
 type Options struct {
 	// Interp selects the interpreter engine the pool runs on (default
 	// interp.EngineKernel: the bytecode VM, with vectorized strips run
@@ -66,11 +66,12 @@ type Options struct {
 	// tree-walking oracle). Results are bit-identical across all four —
 	// the engines differ only in speed.
 	Interp interp.Engine
-	// Compiled, if non-nil, supplies the program's pinned code
-	// (interp.CompileProgram) instead of the per-program code cache —
-	// the serving layer's guarantee that cached programs never
-	// recompile. Must have been built from the same program the Engine
-	// was created with.
+	// Compiled, if non-nil, is the program's code (interp.CompileProgram),
+	// built by a caller that runs the program more than once — the
+	// serving layer's guarantee that cached programs never recompile,
+	// core.Compilation's one build per compilation. Nil builds the code
+	// for this run. Must have been built from the same program Run is
+	// given.
 	Compiled *interp.CompiledProgram
 	// PEs is the number of PEs (0 = GOMAXPROCS). Two or more get one
 	// worker goroutine each; a pool of one runs its PE's streams on the
@@ -83,6 +84,8 @@ type Options struct {
 	// Seed for the deterministic rand() builtin.
 	Seed uint64
 	// Output receives the merged print() stream (nil discards).
+	// Concurrent runs must not share a writer: each would interleave
+	// unsynchronized writes into it.
 	Output io.Writer
 	// MaxSteps bounds execution (0 = interpreter default).
 	MaxSteps int64
@@ -103,63 +106,43 @@ type Options struct {
 	Profiler *obs.ForallProfiler
 }
 
-// Engine runs programs with a goroutine-backed worker pool. An Engine
-// is cheap; each Run call builds its own pool and tears it down, so
-// one Engine may be reused for many runs — concurrently too, provided
-// Options.Output is nil (concurrent runs would otherwise interleave
-// unsynchronized writes to the shared writer).
-type Engine struct {
-	prog *lang.Program
-	opt  Options
-}
-
-// New creates an engine for a checked, normalized program.
-func New(prog *lang.Program, opt Options) *Engine {
-	return &Engine{prog: prog, opt: opt}
-}
-
-// PEs reports the worker-pool size a Run will use.
-func (e *Engine) PEs() int {
-	if e.opt.PEs > 0 {
-		return e.opt.PEs
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Sched reports the scheduling policy a Run will use.
-func (e *Engine) Sched() Policy {
-	if e.opt.Sched != nil {
-		return e.opt.Sched
-	}
-	return Dynamic(1)
-}
-
-// Run executes fn on the pool and returns its result, with Stats whose
-// Barriers field counts the parallel regions joined.
-func (e *Engine) Run(fn string, args ...interp.Value) (interp.Value, interp.Stats, error) {
-	out := e.opt.Output
+// Run executes fn of a checked, normalized program on a pool of
+// opt.PEs PEs, built for this call and torn down when it returns, and
+// returns the result with Stats whose Barriers field counts the
+// parallel regions joined. Value, output, steps, allocations and error
+// are those of the serial interp.Run, whatever the pool size and
+// policy.
+func Run(prog *lang.Program, opt Options, fn string, args ...interp.Value) (interp.Value, interp.Stats, error) {
+	out := opt.Output
 	if out == nil {
 		out = io.Discard
 	}
-	pes := e.PEs()
-	rs := &runState{out: out, pes: pes, sched: e.Sched(), prof: e.opt.Profiler}
+	pes := opt.PEs
+	if pes <= 0 {
+		pes = runtime.GOMAXPROCS(0)
+	}
+	sched := opt.Sched
+	if sched == nil {
+		sched = Dynamic(1)
+	}
+	rs := &runState{out: out, pes: pes, sched: sched, prof: opt.Profiler}
 	icfg := interp.Config{
-		Engine:         e.opt.Interp,
+		Engine:         opt.Interp,
 		Mode:           interp.Real,
-		Seed:           e.opt.Seed,
+		Seed:           opt.Seed,
 		Output:         out,
-		MaxSteps:       e.opt.MaxSteps,
-		Ctx:            e.opt.Ctx,
-		MaxAllocs:      e.opt.MaxAllocs,
-		MaxOutputBytes: e.opt.MaxOutputBytes,
+		MaxSteps:       opt.MaxSteps,
+		Ctx:            opt.Ctx,
+		MaxAllocs:      opt.MaxAllocs,
+		MaxOutputBytes: opt.MaxOutputBytes,
 		Forall:         rs.forall,
 		Strip:          rs.strip,
 	}
 	var root *interp.Interp
-	if e.opt.Compiled != nil {
-		root = interp.NewCompiled(e.opt.Compiled, icfg)
+	if opt.Compiled != nil {
+		root = interp.NewCompiled(opt.Compiled, icfg)
 	} else {
-		root = interp.New(e.prog, icfg)
+		root = interp.New(prog, icfg)
 	}
 
 	var workers sync.WaitGroup
@@ -197,11 +180,6 @@ func (e *Engine) Run(fn string, args ...interp.Value) (interp.Value, interp.Stat
 	st := root.Stats()
 	st.Barriers = rs.barriers
 	return v, st, err
-}
-
-// Run is the one-shot convenience: execute fn on a fresh engine.
-func Run(prog *lang.Program, opt Options, fn string, args ...interp.Value) (interp.Value, interp.Stats, error) {
-	return New(prog, opt).Run(fn, args...)
 }
 
 // ---------------------------------------------------------------------------
@@ -270,16 +248,10 @@ type runState struct {
 	pes      int
 	sched    Policy
 	barriers int64
-	bufPool  sync.Pool
-	prof     *obs.ForallProfiler
-}
-
-func (rs *runState) getBuf() *bytes.Buffer {
-	if b, ok := rs.bufPool.Get().(*bytes.Buffer); ok {
-		b.Reset()
-		return b
-	}
-	return new(bytes.Buffer)
+	// bufs are the per-iteration output buffers, kept from one forall
+	// to the next (forall runs on the interpreting goroutine only).
+	bufs []*bytes.Buffer
+	prof *obs.ForallProfiler
 }
 
 // strip runs one vectorized strip (interp.StripScheduler) on the
@@ -347,13 +319,17 @@ func (rs *runState) strip(pos lang.Pos, lanes int, s interp.KernelStrip) error {
 // hands each PE its stream, and blocks until all complete — the
 // per-step barrier. Iteration output is then flushed in index order
 // and the first failing iteration (in index order, matching where a
-// serial run would have stopped) decides the error.
+// serial run would have stopped) decides the error: what it printed
+// before it failed is the last output flushed. The interpreter
+// hands a wide loop over a window at a time (at most a few thousand
+// iterations a call), so the per-iteration buffers and error slots
+// held here are bounded by that window, not by the loop's range.
 func (rs *runState) forall(pos lang.Pos, from, to int64, run func(w *interp.Interp, k int64) error) error {
 	n := int(to - from + 1)
-	bufs := make([]*bytes.Buffer, n)
-	for i := range bufs {
-		bufs[i] = rs.getBuf()
+	for len(rs.bufs) < n {
+		rs.bufs = append(rs.bufs, new(bytes.Buffer))
 	}
+	bufs := rs.bufs[:n]
 	errs := make([]error, n)
 	asn := rs.sched.Assign(from, to, rs.pes)
 	t := task{asn: asn, from: from, bufs: bufs, errs: errs, run: run}
@@ -381,7 +357,8 @@ func (rs *runState) forall(pos lang.Pos, from, to int64, run func(w *interp.Inte
 	}
 
 	// First failing iteration, in index order: a serial run would have
-	// stopped there, so only earlier iterations' output is flushed.
+	// stopped there, so output is flushed up to and including what that
+	// iteration printed before it failed, and nothing of later ones.
 	failed := -1
 	for i, err := range errs {
 		if err != nil {
@@ -391,12 +368,12 @@ func (rs *runState) forall(pos lang.Pos, from, to int64, run func(w *interp.Inte
 	}
 	var writeErr error
 	for i, b := range bufs {
-		if (failed < 0 || i < failed) && b.Len() > 0 && writeErr == nil {
+		if (failed < 0 || i <= failed) && b.Len() > 0 && writeErr == nil {
 			if _, err := rs.out.Write(b.Bytes()); err != nil {
 				writeErr = fmt.Errorf("parexec: merging output: %w", err)
 			}
 		}
-		rs.bufPool.Put(b)
+		b.Reset()
 	}
 	if failed >= 0 {
 		return errs[failed]

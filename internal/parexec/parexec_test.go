@@ -303,7 +303,15 @@ func TestBarnesHutParallelMatchesSerial(t *testing.T) {
 					t.Fatalf("pes=%d: %s diverged: %g vs %g", pes, f, wv.F, gv.F)
 				}
 			}
-			wn, gn = wn.Ptrs["next"][0], gn.Ptrs["next"][0]
+			wnext, err := interp.FieldPtr(interp.PtrVal(wn), "next")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gnext, err := interp.FieldPtr(interp.PtrVal(gn), "next")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wn, gn = wnext.N, gnext.N
 		}
 		if gn != nil {
 			t.Fatalf("pes=%d: parallel particle list too long", pes)
@@ -412,17 +420,17 @@ function int main() {
 	}
 }
 
-// TestEngineReuse: one engine, many runs, stable results.
+// TestEngineReuse: one program, many runs, each on a pool of its own,
+// stable results.
 func TestEngineReuse(t *testing.T) {
 	c := compileTestdata(t, "polyscale.psl")
 	par, err := c.StripMine("scale", 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := parexec.New(par.Program, parexec.Options{PEs: 4})
 	var first int64
 	for i := 0; i < 3; i++ {
-		v, _, err := e.Run("main")
+		v, _, err := parexec.Run(par.Program, parexec.Options{PEs: 4}, "main")
 		if err != nil {
 			t.Fatal(err)
 		}

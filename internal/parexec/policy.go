@@ -10,7 +10,7 @@ import (
 // forall — the scheduling lever of the paper's §4.3.3 discussion and
 // the X2 ablation (the "simple static scheduling" the paper blames for
 // part of its sublinearity, versus the self-scheduling alternatives it
-// cites). A Policy only chooses the iteration→PE mapping; the engine's
+// cites). A Policy only chooses the iteration→PE mapping; Run's
 // deterministic merge (per-iteration output buffers flushed in
 // iteration order, heap writes disjoint by the dependence test) is
 // identical under every policy, so the bit-identical-to-serial
@@ -49,7 +49,7 @@ var StaticCyclic Policy = cyclicPolicy{}
 // Dynamic returns a dynamic self-scheduling policy: idle PEs claim the
 // next unclaimed chunk of `chunk` iterations from a shared cursor, so
 // the schedule adapts to load at the cost of one atomic operation per
-// chunk. chunk < 1 is treated as 1. Dynamic(1) is the engine default
+// chunk. chunk < 1 is treated as 1. Dynamic(1) is the default
 // and reproduces the original task-queue behavior of the PR 1 pool.
 func Dynamic(chunk int) Policy {
 	if chunk < 1 {
