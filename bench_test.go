@@ -98,27 +98,30 @@ func BenchmarkR1RealPolySerial(b *testing.B) {
 	}
 }
 
-func benchRealPoly(b *testing.B, pes int) {
+// benchRealPoly runs PolyNormalize with normalize strip-mined at the
+// given width on pes PEs.
+func benchRealPoly(b *testing.B, eng interp.Engine, width, pes int) {
 	c, err := core.Compile(parexec.PolyNormalizePSL)
 	if err != nil {
 		b.Fatal(err)
 	}
-	par, err := c.StripMine(parexec.NormalizeFunc, parexec.NormalizeLoop, pes)
+	par, err := c.StripMine(parexec.NormalizeFunc, parexec.NormalizeLoop, width)
 	if err != nil {
 		b.Fatal(err)
 	}
 	args := []interp.Value{interp.IntVal(512), interp.RealVal(1.001)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := par.RunParallel(core.RunConfig{}, pes, "run", args...); err != nil {
+		if _, _, err := par.RunParallel(core.RunConfig{Engine: eng}, pes, "run", args...); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkR1RealPolyParallel2(b *testing.B) { benchRealPoly(b, 2) }
-func BenchmarkR1RealPolyParallel4(b *testing.B) { benchRealPoly(b, 4) }
-func BenchmarkR1RealPolyParallel8(b *testing.B) { benchRealPoly(b, 8) }
+// The R1 rows run the paper's width = PEs split on the default engine.
+func BenchmarkR1RealPolyParallel2(b *testing.B) { benchRealPoly(b, interp.EngineKernel, 2, 2) }
+func BenchmarkR1RealPolyParallel4(b *testing.B) { benchRealPoly(b, interp.EngineKernel, 4, 4) }
+func BenchmarkR1RealPolyParallel8(b *testing.B) { benchRealPoly(b, interp.EngineKernel, 8, 8) }
 
 // ---------------------------------------------------------------------------
 // R2 — the Barnes-Hut force loop on the parexec pool, one benchmark per
@@ -247,6 +250,16 @@ func BenchmarkR6BytecodePolySerial(b *testing.B) {
 	b.ReportAllocs()
 	src, fn, seed, args := r3PolyArgs()
 	benchR3Serial(b, interp.EngineBytecode, src, fn, seed, args...)
+}
+
+// BenchmarkR6BytecodePolyParallel2 is the planned form of
+// BenchmarkR6BytecodePolySerial on two PEs: normalize strip-mined at
+// the planner's default width (4×PEs), 64 scalar barriers of eight
+// ≈5 µs iterations — the grain at which the barrier's cost, not the
+// work, decides whether the planned program beats the serial one.
+func BenchmarkR6BytecodePolyParallel2(b *testing.B) {
+	b.ReportAllocs()
+	benchRealPoly(b, interp.EngineBytecode, transform.DefaultWidth(2), 2)
 }
 
 func BenchmarkR6BytecodeForceSerial(b *testing.B) {

@@ -76,6 +76,7 @@ var benchConfigs = []struct {
 	{"R1-poly/serial", interp.EngineWalk, BenchmarkR3WalkPolySerial},
 	{"R1-poly/serial", interp.EngineCompiled, BenchmarkR3CompiledPolySerial},
 	{"R1-poly/serial", interp.EngineBytecode, BenchmarkR6BytecodePolySerial},
+	{"R1-poly/par2", interp.EngineBytecode, BenchmarkR6BytecodePolyParallel2},
 	{"R2-force/serial", interp.EngineWalk, BenchmarkR3WalkForceSerial},
 	{"R2-force/serial", interp.EngineCompiled, BenchmarkR3CompiledForceSerial},
 	{"R2-force/serial", interp.EngineBytecode, BenchmarkR6BytecodeForceSerial},

@@ -282,8 +282,9 @@ func (c *Compilation) Run(cfg RunConfig, fn string, args ...interp.Value) (inter
 
 // RunParallel executes fn with real goroutine parallelism: the
 // program's forall regions (the ones StripMine emits) run on a
-// parexec worker pool of pes PEs (0 = one worker per logical CPU),
-// with cfg.Sched deciding which PE runs which iteration. Result and
+// parexec pool of pes PEs (0 = one per logical CPU) — the calling
+// goroutine and pes−1 workers — with cfg.Sched deciding which PE runs
+// which iteration. Result and
 // print() output are bit-identical to a serial Run under every policy,
 // with one exception: rand() inside a forall body draws from the
 // shared stream in scheduling order (see package parexec).

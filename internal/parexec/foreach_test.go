@@ -1,6 +1,7 @@
 package parexec
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -14,7 +15,9 @@ func TestForEachCoversAllIndices(t *testing.T) {
 		{8, 5},   // more PEs than work
 		{0, 64},  // pes<=0 means GOMAXPROCS
 		{4, 0},   // no work at all
+		{1, 0},   // nor anybody to do it
 		{4, 1},   // single item
+		{64, 3},  // far more PEs than work
 	} {
 		hits := make([]int64, tc.n)
 		ForEach(tc.pes, tc.n, func(k int) {
@@ -39,5 +42,21 @@ func TestForEachConcurrent(t *testing.T) {
 	})
 	if want := int64(n) * (n - 1) / 2; sum != want {
 		t.Errorf("sum = %d, want %d", sum, want)
+	}
+}
+
+// TestForEachCallerIsPE0: the calling goroutine takes a share of the
+// work, so pes PEs are pes−1 goroutines beside it.
+func TestForEachCallerIsPE0(t *testing.T) {
+	const pes = 4
+	baseline := int64(runtime.NumGoroutine())
+	var peak atomic.Int64
+	ForEach(pes, 256, func(int) {
+		if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+			peak.Store(n)
+		}
+	})
+	if got := peak.Load() - baseline; got > pes-1 {
+		t.Errorf("%d goroutines started for %d PEs, want at most %d", got, pes, pes-1)
 	}
 }

@@ -3,10 +3,11 @@
 // simulated Sequent in package sequent.
 //
 // Run executes a program on a root interpreter whose parallel
-// forall loops — the regions transform.StripMine emits — are handed to
-// a fixed pool of worker goroutines (one per PE, default GOMAXPROCS;
-// a pool of one runs on the interpreting goroutine instead). Each
-// worker executes iterations on an interpreter forked from the root:
+// forall loops — the regions transform.StripMine emits — are shared
+// out over a fixed pool of PEs (default GOMAXPROCS). The interpreting
+// goroutine is PE 0 and each further PE is one worker goroutine, so a
+// pool of P PEs starts P−1 goroutines and a pool of one starts none.
+// Each PE executes iterations on an interpreter forked from the root:
 // the program is shared and immutable, step/allocation counters
 // and the deterministic RNG are shared atomics, and heap writes are
 // partitioned by construction — the dependence test only licenses
@@ -28,6 +29,11 @@
 // Every forall is a barrier, mirroring the paper's FOR1/FOR2 structure
 // (§4.3.3): the pool finishes all PE iteration procedures (FOR2 bodies)
 // before the serial outer loop advances the induction pointer (FOR1).
+// The barrier never costs more than running the window in place: the
+// interpreting goroutine drains PE 0's assignment stream, then adopts
+// every stream no worker has claimed yet, and waits only for streams a
+// worker is inside (see runState.forall). An idle worker polls for the
+// next forall for a bounded time before it parks (spinPolls).
 // print() output from iterations is captured in per-iteration buffers
 // and flushed in iteration order at the barrier, so a parallel run's
 // output stream — and its result, since the heap writes are disjoint —
@@ -50,6 +56,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/interp"
@@ -73,9 +80,8 @@ type Options struct {
 	// for this run. Must have been built from the same program Run is
 	// given.
 	Compiled *interp.CompiledProgram
-	// PEs is the number of PEs (0 = GOMAXPROCS). Two or more get one
-	// worker goroutine each; a pool of one runs its PE's streams on the
-	// interpreting goroutine itself.
+	// PEs is the number of PEs (0 = GOMAXPROCS). The interpreting
+	// goroutine is PE 0; every further PE gets one worker goroutine.
 	PEs int
 	// Sched maps forall iterations to PEs (nil = Dynamic(1),
 	// self-scheduling one iteration at a time — the behavior of the
@@ -100,18 +106,20 @@ type Options struct {
 	MaxOutputBytes int64
 	// Profiler, if non-nil, receives per-barrier parallel-efficiency
 	// measurements (per-PE busy time, barrier wait, task counts) keyed
-	// by the forall's source line. Nil disables measurement entirely:
-	// the worker loop takes no clock readings and allocates nothing
-	// extra per barrier.
+	// by the forall's source line, indexed by the assignment stream's PE
+	// whichever goroutine drained it. Nil disables measurement entirely:
+	// no PE takes a clock reading and nothing extra is allocated per
+	// barrier.
 	Profiler *obs.ForallProfiler
 }
 
 // Run executes fn of a checked, normalized program on a pool of
-// opt.PEs PEs, built for this call and torn down when it returns, and
-// returns the result with Stats whose Barriers field counts the
-// parallel regions joined. Value, output, steps, allocations and error
-// are those of the serial interp.Run, whatever the pool size and
-// policy.
+// opt.PEs PEs — the calling goroutine and opt.PEs−1 workers, started
+// for this call and stopped and joined before it returns, however it
+// returns — and returns the result with Stats whose Barriers field
+// counts the parallel regions joined. Value, output, steps, allocations
+// and error are those of the serial interp.Run, whatever the pool size
+// and policy.
 func Run(prog *lang.Program, opt Options, fn string, args ...interp.Value) (interp.Value, interp.Stats, error) {
 	out := opt.Output
 	if out == nil {
@@ -144,39 +152,10 @@ func Run(prog *lang.Program, opt Options, fn string, args ...interp.Value) (inte
 	} else {
 		root = interp.New(prog, icfg)
 	}
+	rs.start(root)
+	defer rs.stop()
 
-	var workers sync.WaitGroup
-	if pes == 1 {
-		// A pool of one has nobody to run beside: PE 0's streams run on
-		// the interpreting goroutine's own fork, and a barrier costs no
-		// goroutine round trip (≈12 µs each when it did — three times
-		// the run on a program of small foralls).
-		rs.self = root.Fork(io.Discard)
-	} else {
-		// One channel per worker, so PE p's assignment stream always
-		// runs on worker p: two streams can never collapse onto one
-		// goroutine (which would serialize a static policy's chunks and
-		// distort the measured schedule).
-		rs.tasks = make([]chan task, pes)
-		for i := range rs.tasks {
-			rs.tasks[i] = make(chan task)
-			workers.Add(1)
-			w := root.Fork(io.Discard)
-			go func(ch <-chan task) {
-				defer workers.Done()
-				for t := range ch {
-					t.drain(w)
-					t.wg.Done()
-				}
-			}(rs.tasks[i])
-		}
-	}
 	v, err := root.Call(fn, args...)
-	for _, ch := range rs.tasks {
-		close(ch)
-	}
-	workers.Wait()
-
 	st := root.Stats()
 	st.Barriers = rs.barriers
 	return v, st, err
@@ -185,35 +164,34 @@ func Run(prog *lang.Program, opt Options, fn string, args ...interp.Value) (inte
 // ---------------------------------------------------------------------------
 // Pool internals
 
-// task is one PE's share of one forall: the worker drains its
-// Assignment stream, writing iteration k's output into bufs[k-from]
-// and its error into errs[k-from] (each slot owned by exactly one
-// iteration, so no locking).
+// task is the forall the pool is running: whoever claims PE pe's
+// Assignment stream drains it, writing iteration k's output into
+// bufs[k-from] and its error into errs[k-from] (each slot owned by
+// exactly one iteration, so no locking).
 type task struct {
-	pe   int
 	asn  Assignment
 	from int64
 	bufs []*bytes.Buffer
 	errs []error
 	run  func(w *interp.Interp, k int64) error
-	wg   *sync.WaitGroup
 
 	// Profiling slots (nil when no profiler is installed — the nil
 	// check is the only per-iteration cost of having the hooks in
-	// place). Each slice index is owned by exactly one PE, so the
-	// workers write without locks; start anchors the done offsets.
+	// place). Each slice index is owned by exactly one stream, so its
+	// drainer writes without locks; start anchors the done offsets.
 	busy   []int64
 	done   []int64
 	ntasks []int64
 	start  time.Time
 }
 
-// drain runs PE t.pe's share of a forall on the worker interpreter w:
-// every iteration the assignment hands this PE, each into its own
-// output buffer and error slot.
-func (t *task) drain(w *interp.Interp) {
+// drain runs PE pe's share of a forall on the interpreter w: every
+// iteration the assignment hands that PE, each into its own output
+// buffer and error slot. The caller has claimed the stream; w is the
+// claimant's own fork, not necessarily worker pe's.
+func (t *task) drain(w *interp.Interp, pe int) {
 	for {
-		k, ok := t.asn.Next(t.pe)
+		k, ok := t.asn.Next(pe)
 		if !ok {
 			break
 		}
@@ -222,8 +200,8 @@ func (t *task) drain(w *interp.Interp) {
 		if t.busy != nil {
 			t0 := time.Now()
 			t.errs[i] = t.run(w, k)
-			t.busy[t.pe] += int64(time.Since(t0))
-			t.ntasks[t.pe]++
+			t.busy[pe] += int64(time.Since(t0))
+			t.ntasks[pe]++
 		} else {
 			t.errs[i] = t.run(w, k)
 		}
@@ -232,26 +210,164 @@ func (t *task) drain(w *interp.Interp) {
 	if t.done != nil {
 		// Offset from dispatch at which this PE's stream drained: the
 		// gap to the barrier is its wait time.
-		t.done[t.pe] = int64(time.Since(t.start))
+		t.done[pe] = int64(time.Since(t.start))
 	}
 }
 
+// spinPolls is how many times an idle worker reads the epoch before it
+// parks, and spinYield how many reads it makes between two
+// runtime.Gosched calls, so the polling never holds a processor another
+// goroutine could use: beside a busy server a poller is mostly off the
+// processor. A worker still polling when the next forall is published
+// joins it at once; a parked one costs the publisher a channel send and
+// joins a scheduler wake-up later, by which time the interpreting
+// goroutine has run most of a small window by itself. 2000 polls are
+// ≈14 µs of an otherwise idle processor, long enough to bridge the
+// serial step between two barriers of a strip-mined loop and short
+// enough that a pool nobody gives a scalar forall (every strip
+// vectorized) is parked almost as soon as it starts.
+//
+// Chosen on the one host measured (2-vCPU sandbox, go1.24, PEs 2;
+// PolyNormalize run(1024, 1.001) planned at width 8: 128 barriers of 8
+// iterations, ≈5 µs each; lower quartile of 300 runs, nine such samples
+// a setting, interleaved; the serial program read 4.0–4.9 ms, and a
+// pool that sent each PE its task down a channel and slept on a
+// WaitGroup 6.8–7.3 ms):
+//
+//	polls / yield every   planned run, ms
+//	     0 (park at once)   4.8 – 8.0
+//	   200 / 16             4.0 – 6.1
+//	  2000 /  4             3.1 – 4.6
+//	  2000 / 16             3.1 – 4.6
+//	  2000 / 64             3.3 – 4.8
+//	 20000 / 16             3.4 – 4.5
+const (
+	spinPolls = 2000
+	spinYield = 16
+)
+
+// poolClosed is the epoch that tells the workers to exit.
+const poolClosed = ^uint64(0)
+
+// worker is what the pool keeps for one worker goroutine and its PE.
+type worker struct {
+	// claim is the last epoch whose stream for this PE was claimed — by
+	// this worker or by the interpreting goroutine, whichever swapped it
+	// from the previous epoch first. Every stream of every epoch is
+	// claimed before the barrier opens, so at publication it holds the
+	// previous epoch.
+	claim atomic.Uint64
+	// parked is set by the worker before it blocks on wake and cleared
+	// by whoever takes responsibility for its waking up: the publisher
+	// (which then sends on wake) or the worker itself, if it sees the
+	// new epoch after all.
+	parked atomic.Bool
+	// wake has one slot and at most one token in flight (a token is
+	// sent only by the goroutine that cleared parked), so the publisher
+	// never blocks on it.
+	wake chan struct{}
+}
+
 // runState is the per-Run scheduler the root interpreter calls for
-// every parallel forall. It lives on the interpreting goroutine; only
-// the per-worker task channels cross into the workers.
+// every parallel forall. Everything but the barrier protocol's atomics
+// and the published task belongs to the interpreting goroutine.
 type runState struct {
-	tasks []chan task // tasks[pe] feeds worker pe; nil in a pool of one
-	// self, in a pool of one, is the fork that runs PE 0's streams on
-	// the interpreting goroutine (nil otherwise).
+	// self is the fork that runs PE 0's stream, and any stream the
+	// interpreting goroutine adopts, on that goroutine.
 	self     *interp.Interp
 	out      io.Writer
 	pes      int
 	sched    Policy
 	barriers int64
-	// bufs are the per-iteration output buffers, kept from one forall
-	// to the next (forall runs on the interpreting goroutine only).
+	// bufs and errs are the per-iteration output buffers and error
+	// slots, kept from one forall to the next.
 	bufs []*bytes.Buffer
+	errs []error
 	prof *obs.ForallProfiler
+
+	// The barrier protocol. t is written only by the interpreting
+	// goroutine and only between barriers; storing the next epoch
+	// publishes it. A PE may read t once it has claimed a stream of the
+	// current epoch, and the epoch does not advance while a claimed
+	// stream is being drained.
+	t       task
+	epoch   atomic.Uint64 // foralls published so far, or poolClosed
+	done    atomic.Int32  // streams of this epoch that workers have finished
+	workers []worker      // workers[pe-1] is PE pe's
+	joined  sync.WaitGroup
+}
+
+// start forks PE 0's interpreter and starts the pool's workers.
+func (rs *runState) start(root *interp.Interp) {
+	rs.self = root.Fork(io.Discard)
+	rs.workers = make([]worker, rs.pes-1)
+	rs.joined.Add(len(rs.workers))
+	for i := range rs.workers {
+		rs.workers[i].wake = make(chan struct{}, 1)
+		go rs.work(i+1, root.Fork(io.Discard))
+	}
+}
+
+// stop tells the workers to exit and waits until they have.
+func (rs *runState) stop() {
+	rs.publish(poolClosed)
+	rs.joined.Wait()
+}
+
+// publish makes epoch e visible and wakes the workers that had parked.
+func (rs *runState) publish(e uint64) {
+	rs.epoch.Store(e)
+	for i := range rs.workers {
+		w := &rs.workers[i]
+		if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+			w.wake <- struct{}{}
+		}
+	}
+}
+
+// work is worker pe's goroutine: for every epoch it sees, it drains
+// stream pe on its own fork w if it is first to claim it. A worker that
+// turns up late — parked, descheduled — finds the stream claimed (or the
+// epoch gone) and goes back to waiting; it never holds a barrier up.
+func (rs *runState) work(pe int, w *interp.Interp) {
+	defer rs.joined.Done()
+	me := &rs.workers[pe-1]
+	seen := uint64(0)
+	for {
+		e := rs.await(me, seen)
+		if e == poolClosed {
+			return
+		}
+		seen = e
+		if me.claim.CompareAndSwap(e-1, e) {
+			rs.t.drain(w, pe)
+			rs.done.Add(1)
+		}
+	}
+}
+
+// await returns the first epoch other than seen: it polls spinPolls
+// times, then parks between polls until the publisher wakes it.
+func (rs *runState) await(me *worker, seen uint64) uint64 {
+	for polls := 1; ; polls++ {
+		if e := rs.epoch.Load(); e != seen {
+			return e
+		}
+		if polls <= spinPolls {
+			if polls%spinYield == 0 {
+				runtime.Gosched()
+			}
+			continue
+		}
+		// Either the publisher sees parked after its epoch store, or
+		// this goroutine sees the new epoch after its parked store: a
+		// wake-up is never lost. Losing the swap means a token is on
+		// its way and must be consumed.
+		me.parked.Store(true)
+		if rs.epoch.Load() == seen || !me.parked.CompareAndSwap(true, false) {
+			<-me.wake
+		}
+	}
 }
 
 // strip runs one vectorized strip (interp.StripScheduler) on the
@@ -316,40 +432,54 @@ func (rs *runState) strip(pos lang.Pos, lanes int, s interp.KernelStrip) error {
 }
 
 // forall asks the scheduling policy for an iteration→PE assignment,
-// hands each PE its stream, and blocks until all complete — the
-// per-step barrier. Iteration output is then flushed in index order
-// and the first failing iteration (in index order, matching where a
-// serial run would have stopped) decides the error: what it printed
-// before it failed is the last output flushed. The interpreter
-// hands a wide loop over a window at a time (at most a few thousand
-// iterations a call), so the per-iteration buffers and error slots
-// held here are bounded by that window, not by the loop's range.
+// publishes it, and returns when every PE's stream has been drained —
+// the per-step barrier. The interpreting goroutine is PE 0: it drains
+// stream 0 on its own fork, then claims and drains every stream whose
+// worker has not turned up yet, and finally waits for the streams
+// workers did claim. So a stream runs exactly once, on its own worker
+// whenever that worker is in time, and a barrier whose workers never
+// wake costs what running the window in place costs (under Dynamic a
+// late stream finds the shared cursor drained and is empty).
+//
+// Iteration output is then flushed in index order and the first
+// failing iteration (in index order, matching where a serial run would
+// have stopped) decides the error: what it printed before it failed is
+// the last output flushed. The interpreter hands a wide loop over a
+// window at a time (at most a few thousand iterations a call), so the
+// per-iteration buffers and error slots held here are bounded by that
+// window, not by the loop's range.
 func (rs *runState) forall(pos lang.Pos, from, to int64, run func(w *interp.Interp, k int64) error) error {
 	n := int(to - from + 1)
 	for len(rs.bufs) < n {
 		rs.bufs = append(rs.bufs, new(bytes.Buffer))
 	}
-	bufs := rs.bufs[:n]
-	errs := make([]error, n)
-	asn := rs.sched.Assign(from, to, rs.pes)
-	t := task{asn: asn, from: from, bufs: bufs, errs: errs, run: run}
+	if cap(rs.errs) < n {
+		rs.errs = make([]error, n)
+	}
+	bufs, errs := rs.bufs[:n], rs.errs[:n]
+	clear(errs)
+	t := &rs.t
+	*t = task{asn: rs.sched.Assign(from, to, rs.pes), from: from, bufs: bufs, errs: errs, run: run}
 	if rs.prof != nil {
 		t.busy = make([]int64, rs.pes)
 		t.done = make([]int64, rs.pes)
 		t.ntasks = make([]int64, rs.pes)
 		t.start = time.Now()
 	}
-	if rs.self != nil {
-		t.drain(rs.self)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(rs.pes)
-		t.wg = &wg
-		for pe := 0; pe < rs.pes; pe++ {
-			t.pe = pe
-			rs.tasks[pe] <- t
+	rs.done.Store(0)
+	e := rs.epoch.Load() + 1
+	rs.publish(e)
+	t.drain(rs.self, 0)
+	claimed := int32(0) // streams a worker got to first
+	for i := range rs.workers {
+		if rs.workers[i].claim.CompareAndSwap(e-1, e) {
+			t.drain(rs.self, i+1)
+		} else {
+			claimed++
 		}
-		wg.Wait()
+	}
+	for rs.done.Load() != claimed {
+		runtime.Gosched()
 	}
 	rs.barriers++
 	if rs.prof != nil {
