@@ -449,12 +449,9 @@ type FuncResult struct {
 
 // Analyzer runs general path matrix analysis over a program.
 type Analyzer struct {
-	prog    *lang.Program
-	fields  map[string]*fieldInfo
-	effects map[string]*callEffects
-	// callees is the caller→callee graph underlying effects; Cache
-	// updates cascade along its reverse edges.
-	callees   map[string]map[string]bool
+	prog      *lang.Program
+	fields    map[string]*fieldInfo
+	effects   map[string]*callEffects
 	edgeID    int
 	results   map[string]*FuncResult
 	exitViols map[string]map[ViolationKey]*Violation
@@ -465,12 +462,10 @@ type Analyzer struct {
 
 // New creates an analyzer for the program.
 func New(prog *lang.Program) *Analyzer {
-	effects, callees := computeCallEffects(prog)
 	return &Analyzer{
 		prog:              prog,
 		fields:            buildFieldInfo(prog.Universe),
-		effects:           effects,
-		callees:           callees,
+		effects:           computeCallEffects(prog),
 		results:           make(map[string]*FuncResult),
 		exitViols:         make(map[string]map[ViolationKey]*Violation),
 		MaxLoopIterations: 64,

@@ -16,32 +16,6 @@ type callEffects struct {
 	returnsPointer bool
 }
 
-// directCallEffects computes one function's own (uncalled) effect
-// summary plus the set of functions it calls.
-func directCallEffects(f *lang.FuncDecl) (*callEffects, map[string]bool) {
-	eff := &callEffects{storesFields: map[string]bool{}}
-	_, eff.returnsPointer = lang.IsPointer(f.Result)
-	callees := map[string]bool{}
-	lang.Walk(f.Body, func(s lang.Stmt) bool {
-		if as, ok := s.(*lang.AssignStmt); ok {
-			if fe, ok := as.LHS.(*lang.FieldExpr); ok {
-				if _, isPtr := lang.IsPointer(fe.Type()); isPtr {
-					eff.storesFields[fe.Field] = true
-				}
-			}
-		}
-		lang.WalkExprs(s, func(e lang.Expr) {
-			if call, ok := e.(*lang.CallExpr); ok {
-				if lang.Builtins[call.Func] == nil {
-					callees[call.Func] = true
-				}
-			}
-		})
-		return true
-	})
-	return eff, callees
-}
-
 // mergeCalleeStores folds every callee's store set into its callers,
 // reporting whether anything grew (one step of the transitive closure;
 // recursion converges because the field universe is finite).
@@ -65,19 +39,37 @@ func mergeCalleeStores(out map[string]*callEffects, calls map[string]map[string]
 	return changed
 }
 
-// computeCallEffects builds effect summaries for every function by
-// iterating direct effects through the call graph until stable. It also
-// returns the caller→callee graph so incremental updates can cascade
-// along reverse edges.
-func computeCallEffects(prog *lang.Program) (map[string]*callEffects, map[string]map[string]bool) {
+// computeCallEffects builds effect summaries for every function: each
+// function's own stores, iterated through the call graph until stable.
+func computeCallEffects(prog *lang.Program) map[string]*callEffects {
 	out := make(map[string]*callEffects, len(prog.Funcs))
 	calls := make(map[string]map[string]bool, len(prog.Funcs))
 	for _, f := range prog.Funcs {
-		out[f.Name], calls[f.Name] = directCallEffects(f)
+		eff := &callEffects{storesFields: map[string]bool{}}
+		_, eff.returnsPointer = lang.IsPointer(f.Result)
+		callees := map[string]bool{}
+		lang.Walk(f.Body, func(s lang.Stmt) bool {
+			if as, ok := s.(*lang.AssignStmt); ok {
+				if fe, ok := as.LHS.(*lang.FieldExpr); ok {
+					if _, isPtr := lang.IsPointer(fe.Type()); isPtr {
+						eff.storesFields[fe.Field] = true
+					}
+				}
+			}
+			lang.WalkExprs(s, func(e lang.Expr) {
+				if call, ok := e.(*lang.CallExpr); ok {
+					if lang.Builtins[call.Func] == nil {
+						callees[call.Func] = true
+					}
+				}
+			})
+			return true
+		})
+		out[f.Name], calls[f.Name] = eff, callees
 	}
 	for mergeCalleeStores(out, calls) {
 	}
-	return out, calls
+	return out
 }
 
 // StoresPointerFields exposes, for other packages, whether fn may write

@@ -156,11 +156,10 @@ type AutoPlan struct {
 // transformed program comes back as a new Compilation alongside the
 // structured plan. Planned variants are cached per resolved width on
 // this Compilation, so only the first call per width pays for
-// planning; that first call is itself incremental — the planner
-// memoizes per-function analysis and re-analyzes only the functions
-// each rewrite touches (see internal/transform), so cold-path plan
-// cost grows with approved loops, not with program size squared. The
-// serial Compilation is untouched either way.
+// planning; that first call analyzes the program once and tests every
+// loop against that one analysis (see internal/transform), so
+// cold-path plan cost grows linearly with loops. The serial
+// Compilation is untouched either way.
 func (c *Compilation) AutoParallel(widthHint int) (*AutoPlan, error) {
 	width := widthHint
 	if width <= 0 {

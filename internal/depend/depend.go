@@ -72,10 +72,8 @@ func loopDesc(r *Report) string {
 // path-matrix queries return entries by value and BlockSummary builds
 // a fresh Summary from the memoized per-function tables — so
 // independent loops may be tested from concurrent goroutines against
-// the same fr/eff pair, PROVIDED no analysis update (analysis.Cache
-// .Update, effects.Analyzer.Update) runs concurrently. The planner
-// relies on this to batch a pass's dependence tests on the parexec
-// pool; updates happen strictly between batches.
+// the same fr/eff pair. The planner relies on this to run every
+// dependence test of a program as one batch on the parexec pool.
 func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analyzer, fnName string, loopIndex int) (*Report, error) {
 	fn := prog.Func(fnName)
 	if fn == nil {

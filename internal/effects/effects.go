@@ -198,8 +198,7 @@ type Analyzer struct {
 	prog      *lang.Program
 	summaries map[string]*Summary
 	// callees is the caller→callee graph (each function's callees in
-	// first-call order): solve orders its work by it, and Update limits
-	// recomputation to the functions a rewrite can actually affect.
+	// first-call order): solve orders its work by it.
 	callees map[string][]string
 	// walks counts how often solve has walked each function's body;
 	// tests pin that a non-recursive function is walked once.
@@ -215,13 +214,11 @@ func NewAnalyzer(prog *lang.Program) *Analyzer {
 		callees:   make(map[string][]string),
 		walks:     make(map[string]int),
 	}
-	all := make(map[string]bool, len(prog.Funcs))
 	for _, f := range prog.Funcs {
 		a.summaries[f.Name] = &Summary{}
 		a.callees[f.Name] = calleesOf(f)
-		all[f.Name] = true
 	}
-	a.solve(all)
+	a.solve()
 	return a
 }
 
@@ -244,15 +241,15 @@ func calleesOf(f *lang.FuncDecl) []string {
 	return out
 }
 
-// solve computes the (empty) summaries of the functions in only,
-// reading the finished summaries of the rest. It works callee-first over the strongly connected components of
-// the call graph, so a function outside any recursion is walked exactly
-// once, against complete callee summaries; inside a recursive component
-// a function is re-walked only when the summary of a member it calls
-// grew (the accesses only accumulate, and the field and dimension sets
-// are finite, so this terminates).
-func (a *Analyzer) solve(only map[string]bool) {
-	for _, members := range a.components(only) {
+// solve computes every function's summary. It works callee-first over
+// the strongly connected components of the call graph, so a function
+// outside any recursion is walked exactly once, against complete callee
+// summaries; inside a recursive component a function is re-walked only
+// when the summary of a member it calls grew (the accesses only
+// accumulate, and the field and dimension sets are finite, so this
+// terminates).
+func (a *Analyzer) solve() {
+	for _, members := range a.components() {
 		queue := append([]*lang.FuncDecl(nil), members...)
 		for len(queue) > 0 {
 			f := queue[0]
@@ -290,9 +287,9 @@ func (a *Analyzer) walk(f *lang.FuncDecl) bool {
 }
 
 // components returns the strongly connected components of the call
-// graph restricted to only, callees before callers (Tarjan's algorithm
-// emits them in that order), each component's members in program order.
-func (a *Analyzer) components(only map[string]bool) [][]*lang.FuncDecl {
+// graph, callees before callers (Tarjan's algorithm emits them in that
+// order), each component's members in program order.
+func (a *Analyzer) components() [][]*lang.FuncDecl {
 	index := map[string]int{} // 1-based visit number
 	low := map[string]int{}
 	comp := map[string]int{} // component number, assigned when popped
@@ -304,8 +301,8 @@ func (a *Analyzer) components(only map[string]bool) [][]*lang.FuncDecl {
 		low[v] = index[v]
 		stack = append(stack, v)
 		for _, w := range a.callees[v] {
-			if !only[w] {
-				continue
+			if a.summaries[w] == nil {
+				continue // call to an undefined function
 			}
 			if index[w] == 0 {
 				visit(w)
@@ -327,7 +324,7 @@ func (a *Analyzer) components(only map[string]bool) [][]*lang.FuncDecl {
 		}
 	}
 	for _, f := range a.prog.Funcs {
-		if only[f.Name] && index[f.Name] == 0 {
+		if index[f.Name] == 0 {
 			visit(f.Name)
 		}
 	}
@@ -337,58 +334,6 @@ func (a *Analyzer) components(only map[string]bool) [][]*lang.FuncDecl {
 			out[k] = append(out[k], f)
 		}
 	}
-	return out
-}
-
-// Update re-derives summaries after an in-place rewrite that touched
-// exactly the named functions, returning the sorted names of every
-// function whose summary was recomputed. A function's summary depends
-// only on its own body and its (transitive) callees' summaries, so the
-// set that can change is the touched functions plus their transitive
-// callers; those summaries are reset (accesses only accumulate, so
-// stale ones must not survive a body that lost them) and re-solved
-// against the unchanged remainder.
-func (a *Analyzer) Update(touched ...string) []string {
-	dirty := map[string]bool{}
-	var seed []string
-	for _, name := range touched {
-		f := a.prog.Func(name)
-		if f == nil {
-			delete(a.summaries, name)
-			delete(a.callees, name)
-			seed = append(seed, name)
-			continue
-		}
-		a.callees[name] = calleesOf(f)
-		dirty[name] = true
-		seed = append(seed, name)
-	}
-	// Transitive callers over the reverse graph.
-	callers := map[string][]string{}
-	for caller, cs := range a.callees {
-		for _, callee := range cs {
-			callers[callee] = append(callers[callee], caller)
-		}
-	}
-	for len(seed) > 0 {
-		name := seed[0]
-		seed = seed[1:]
-		for _, caller := range callers[name] {
-			if !dirty[caller] {
-				dirty[caller] = true
-				seed = append(seed, caller)
-			}
-		}
-	}
-	for name := range dirty {
-		a.summaries[name] = &Summary{}
-	}
-	a.solve(dirty)
-	out := make([]string, 0, len(dirty))
-	for name := range dirty {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }
 

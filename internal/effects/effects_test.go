@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adds"
 	"repro/internal/lang"
+	"repro/internal/nbody"
 )
 
 func summaries(t *testing.T, src string) (*lang.Program, *Analyzer) {
@@ -207,5 +208,71 @@ procedure f(OneWayList *p) {
 		if w.Kind != Write {
 			t.Error("Writes returned a read")
 		}
+	}
+}
+
+// recursive reports whether f can reach itself through calls.
+func recursive(a *Analyzer, f string) bool {
+	seen := map[string]bool{}
+	var reach func(g string) bool
+	reach = func(g string) bool {
+		for _, h := range a.callees[g] {
+			if h == f {
+				return true
+			}
+			if !seen[h] {
+				seen[h] = true
+				if reach(h) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return reach(f)
+}
+
+// TestSolveWalksCalleesFirst pins the cost of closing summaries over
+// the call graph: on Barnes–Hut every function outside a recursion is
+// walked exactly once (its callees are complete by then), a recursive
+// one until its own summary stops growing.
+func TestSolveWalksCalleesFirst(t *testing.T) {
+	prog := lang.MustParse(nbody.BarnesHutPSL)
+	a := NewAnalyzer(prog)
+	sawRecursive := false
+	for _, f := range prog.Funcs {
+		n := a.walks[f.Name]
+		if recursive(a, f.Name) {
+			sawRecursive = true
+			if n < 2 {
+				t.Errorf("recursive %s walked %d times: a fixed point needs a confirming walk", f.Name, n)
+			}
+		} else if n != 1 {
+			t.Errorf("%s is not recursive but was walked %d times, want 1", f.Name, n)
+		}
+	}
+	if !sawRecursive {
+		t.Fatal("Barnes–Hut no longer has a recursive function (compute_force)")
+	}
+}
+
+// TestRandIsASharedWrite: rand() mutates the one generator every
+// iteration shares, so it shows up in the caller's summary — through
+// any depth of calls — as a write to a region of its own; print() and
+// the pure builtins leave no trace.
+func TestRandIsASharedWrite(t *testing.T) {
+	prog := lang.MustParse(adds.OneWayListSrc + `
+function real draw() { return rand(); }
+function real twice() { return draw() + draw(); }
+function real quiet(OneWayList *p) { print(p->data); return sqrt(abs(1.0)); }
+`)
+	a := NewAnalyzer(prog)
+	for fn, want := range map[string]bool{"draw": true, "twice": true, "quiet": false} {
+		if got := a.FuncSummary(fn).Has(RandDraw); got != want {
+			t.Errorf("%s: Has(RandDraw) = %v, want %v (%s)", fn, got, want, a.FuncSummary(fn))
+		}
+	}
+	if s := a.FuncSummary("twice").String(); s != "W <rand>.state" {
+		t.Errorf("twice summary = %q", s)
 	}
 }

@@ -540,8 +540,8 @@ func (s *Server) execute(ctx context.Context, req Request, eng interp.Engine, po
 			p = plan.Program
 		}
 		// Build and pin the code now, while we hold the cold path: the
-		// entry owns its code, so hits never recompile even when
-		// interp's bounded code cache churns under cold traffic.
+		// entry owns its code, so hits never recompile (interp keeps no
+		// code cache of its own).
 		compileSp := cacheSp.Start("compile")
 		pinned := interp.CompileProgram(p)
 		compileSp.End()

@@ -463,6 +463,38 @@ func TestAutoRun(t *testing.T) {
 	}
 }
 
+// TestAutoNameClash: a valid program that already uses a name the
+// strip-mine rewrite introduces (_pe as a parameter the loop reads, the
+// helper procedure's own name) is planned and run over HTTP like any
+// other — not answered with a compile error.
+func TestAutoNameClash(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for name, src := range map[string]string{
+		"_pe parameter": strings.Replace(scalePar, `procedure scale(OneWayList *head, int c) {
+  var OneWayList *p = head;
+  while p != NULL {
+    p->data = p->data * c;`, `procedure scale(OneWayList *head, int _pe) {
+  var OneWayList *p = head;
+  while p != NULL {
+    p->data = p->data * _pe;`, 1),
+		"helper name": scalePar + "procedure _scale_L0_iteration(int a) { }\n",
+	} {
+		if src == scalePar {
+			t.Fatalf("%s: scalePar no longer holds the text this test rewrites", name)
+		}
+		resp, status, _, err := postRun(context.Background(), ts.Client(), ts.URL, Request{Source: src, Auto: true, PEs: 2})
+		if err != nil || status != http.StatusOK || !resp.OK || resp.Result != "630" {
+			t.Errorf("%s: POST /run auto: %v %d %+v", name, err, status, resp)
+			continue
+		}
+		if resp.Plan == nil || len(resp.Plan.Parallelized) != 1 || resp.Plan.Parallelized[0].Fn != "scale" {
+			t.Errorf("%s: plan: %+v", name, resp.Plan)
+		}
+	}
+}
+
 // TestAutoValidation: width out of range and PEs beyond the cap are
 // malformed, not executed.
 func TestAutoValidation(t *testing.T) {

@@ -9,46 +9,51 @@
 //
 // Mechanics worth knowing:
 //
-//   - Loops are identified by their source position, not their index.
-//     Strip-mining loop k of a function moves any while loops nested
-//     in its body into the generated helper procedure, shifting the
-//     indices of every later loop in that function; positions survive
-//     the move, so the planner's bookkeeping does not. Position keying
-//     demands distinct positions: a program whose loops conflate (a
-//     hand-built AST with all-zero positions) is rejected up front with
-//     a DuplicateLoopPosError.
+//   - Verdict first, rewrite once — the paper's own order (§3 analysis,
+//     §4.2 test, §4.3.3 strip-mine). The *input* program is analyzed
+//     once; every while loop is tested against that one analysis; the
+//     outermost approved loops are then strip-mined, in scan order, on
+//     one clone. Nothing is re-analyzed after a rewrite, so planning
+//     costs one analysis plus one test and at most one rewrite per
+//     loop, and every approval is a fact about the program the caller
+//     wrote. That is sound on its own — strip-mining preserves a loop's
+//     reads and writes, so a rewrite cannot un-approve a neighbour — and
+//     it reproduces what re-analyzing the whole program after every
+//     rewrite would report: TestPlanMatchesFullRestart holds the two
+//     byte-identical (plan text, transformed program, loop coordinates)
+//     over the corpus and over generated programs.
 //
-//   - Planning is incremental. The input is cloned once; every rewrite
-//     then edits that working program in place, touching exactly two
-//     functions (the rewritten one and its appended helper), and the
-//     memoized analyses — analysis.Cache for path matrices,
-//     effects.Analyzer.Update for effect summaries — re-derive only the
-//     touched functions plus whatever the summary cascade reaches.
-//     Dependence verdicts are cached per loop and invalidated only for
-//     loops in re-analyzed functions, so a rewrite never re-tests the
-//     rest of the program; see analysis.Cache for the argument that a
-//     rewrite cannot change the dependence facts of an untouched
-//     function. The scan converges because a strip-mined loop can never
-//     be approved again (its body no longer ends with the advance) and
-//     no rewrite creates new while loops.
+//   - The dependence tests are independent read-only queries, so they
+//     run as one batch on parexec's own scheduling machinery
+//     (parexec.ForEach) — the tool eating its own cooking. Verdicts are
+//     consumed strictly in scan order (functions in program order, each
+//     function's loops in lang.Walk order), so the plan and the
+//     transformed program are deterministic.
 //
-//   - Within a pass, the dependence tests of the candidate loops are
-//     independent read-only queries, so they run in parallel on
-//     parexec's own scheduling machinery (parexec.ForEach) — the tool
-//     eating its own cooking. Verdicts are consumed strictly in scan
-//     order, so the plan (and the transformed program) is deterministic
-//     and byte-identical to what the serial full-restart planner
-//     produces.
+//   - Parallelism is never nested. An approved loop inside an approved
+//     loop moves into the outer loop's helper and is reported as
+//     absorbed, not rejected; a rejected loop around an approved one
+//     reports that its body holds a forall; helpers synthesized by the
+//     rewrites are not planned at all. Either way the inner loop
+//     already runs inside (or as) parallel iterations, and a second
+//     level of foralls would only oversubscribe the worker pool.
 //
-//   - Helper procedures synthesized by the rewrites are not re-planned:
-//     their loops already run inside parallel iterations, and nesting
-//     foralls would only oversubscribe the worker pool. A loop that
-//     moves into a helper is reported as absorbed, not rejected.
+//   - A rewrite moves the while loops nested in the approved body into
+//     the helper, shifting the index of every later loop of that
+//     function. Plan entries always carry the loop's index in the
+//     *input* program; the rewrite itself addresses the loop at its
+//     current index, which is what names the helper
+//     (_<fn>_L<index>_iteration). Source positions survive the move:
+//     they join the kernel classifier's verdicts (and the profiler's
+//     samples) back onto plan entries, so a program whose loops share a
+//     position (a hand-built AST with all-zero positions) is rejected
+//     up front with a DuplicateLoopPosError.
 package transform
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -73,10 +78,11 @@ func DefaultWidth(pes int) int {
 }
 
 // DuplicateLoopPosError reports that two while loops of the input
-// program share one source position, so the planner's position-keyed
-// bookkeeping cannot tell them apart. Programs built by lang.Parse give
-// every loop a distinct position; the usual way to hit this is a
-// hand-built AST whose loops all carry the zero position.
+// program share one source position, so the position-keyed joins (the
+// kernel classifier's verdict per strip, the profiler's samples per
+// loop) cannot tell them apart. Programs built by lang.Parse give every
+// loop a distinct position; the usual way to hit this is a hand-built
+// AST whose loops all carry the zero position.
 type DuplicateLoopPosError struct {
 	// Pos is the shared position; FuncA/FuncB name the functions holding
 	// the two conflated loops (equal when both loops share a function).
@@ -89,6 +95,21 @@ type DuplicateLoopPosError struct {
 func (e *DuplicateLoopPosError) Error() string {
 	return fmt.Sprintf("transform: loops in %s and %s share source position %s; the planner keys loops by position — give hand-built AST loops distinct positions",
 		e.FuncA, e.FuncB, e.Pos)
+}
+
+// checkLoopPositions returns a DuplicateLoopPosError if two while loops
+// of prog share a source position.
+func checkLoopPositions(prog *lang.Program) error {
+	owner := map[lang.Pos]string{}
+	for _, f := range prog.Funcs {
+		for _, loop := range whileLoops(f.Body) {
+			if prev, dup := owner[loop.Pos()]; dup {
+				return &DuplicateLoopPosError{Pos: loop.Pos(), FuncA: prev, FuncB: f.Name}
+			}
+			owner[loop.Pos()] = f.Name
+		}
+	}
+	return nil
 }
 
 // LoopPlan is one while loop's entry in a Plan: where the loop was
@@ -120,8 +141,8 @@ type LoopPlan struct {
 	// "pointer-chasing access", "allocates", ...).
 	Vectorized   bool
 	VectorReason string
-	// Report is the dependence verdict (nil for absorbed loops that
-	// moved before the scan reached them).
+	// Report is the dependence verdict (nil for absorbed loops: the
+	// planner does not act on theirs).
 	Report *depend.Report
 }
 
@@ -166,12 +187,6 @@ type Plan struct {
 	Loops []*LoopPlan
 	// Parallelized counts the approved (strip-mined) loops.
 	Parallelized int
-
-	// reanalyzed and resummarized count the functions analysis.Cache
-	// .Update and effects.Analyzer.Update reported re-deriving, summed
-	// over the plan's rewrites: the planner's incremental cost in units
-	// that repeat exactly (TestPlanCostSubquadratic pins them).
-	reanalyzed, resummarized int
 }
 
 // Summary is the one-line form: "parallelized 2/7 loops (width 16):
@@ -200,195 +215,113 @@ func (p *Plan) String() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
+// noNesting is the verdict of a loop whose body holds a forall, written
+// in the source or about to be put there by strip-mining a nested loop.
+func noNesting(fn string, loop *lang.WhileStmt) *depend.Report {
+	return &depend.Report{Func: fn, Loop: loop,
+		Reasons: []string{"body already contains a parallel forall (the planner does not nest parallelism)"}}
+}
+
 // AutoParallelize plans and transforms a whole checked program: every
 // while loop of every function is put through the dependence test, and
-// every approved loop is strip-mined with the given width (width <= 0
-// selects DefaultWidth for this host). The input program is not
-// modified. Planning is incremental — each rewrite re-analyzes only the
-// functions it touched (see the package comment and analysis.Cache) —
-// and the per-loop dependence tests of a pass run in parallel; the
-// resulting program is exactly what the equivalent sequence of
-// hand-written StripMine calls would produce, in program order.
+// every approved loop not nested in another approved loop is
+// strip-mined with the given width (width <= 0 selects DefaultWidth for
+// this host). The input program is analyzed once and not modified; the
+// tests run in parallel as one batch; the resulting program is exactly
+// what the equivalent sequence of hand-written StripMine calls would
+// produce, in program order (see the package comment).
 func AutoParallelize(prog *lang.Program, width int) (*Plan, error) {
 	if width <= 0 {
 		width = DefaultWidth(0)
 	}
-	plan := &Plan{Width: width}
-
-	// The functions to plan: a snapshot of what exists before any
-	// rewrite. Helpers synthesized below are appended after these and
-	// never revisited. origIndex remembers every loop's (function,
-	// index) in the *input* program — rewrites shift indices (nested
-	// loops move into helpers), and plan entries must report the
-	// coordinates the caller's own program uses. Position keying is only
-	// sound when positions are distinct, so conflation is an error, not
-	// a silent mis-plan.
-	names := make([]string, 0, len(prog.Funcs))
-	type loopAt struct {
-		fn    string
-		index int
-	}
-	origIndex := map[lang.Pos]loopAt{}
-	for _, f := range prog.Funcs {
-		names = append(names, f.Name)
-		for i, loop := range whileLoops(f.Body) {
-			if prev, dup := origIndex[loop.Pos()]; dup {
-				return nil, &DuplicateLoopPosError{Pos: loop.Pos(), FuncA: prev.fn, FuncB: f.Name}
-			}
-			origIndex[loop.Pos()] = loopAt{fn: f.Name, index: i}
-		}
-	}
-	newLoopPlan := func(pos lang.Pos, fn string, index int) (*LoopPlan, error) {
-		if at, ok := origIndex[pos]; ok {
-			fn, index = at.fn, at.index
-		}
-		if index < 0 {
-			// Every plannable loop exists in the input program and was
-			// indexed above; reaching here means the bookkeeping lost a
-			// loop, and an entry with Index -1 would point the caller at
-			// nothing.
-			return nil, fmt.Errorf("transform: internal: loop at %s in %s has no input-program index", pos, fn)
-		}
-		return &LoopPlan{Func: fn, Index: index, Pos: pos}, nil
+	if err := checkLoopPositions(prog); err != nil {
+		return nil, err
 	}
 
-	// One clone up front; every rewrite edits cur in place so that
-	// untouched functions keep their AST identity — the key the memoized
-	// analyses are filed under.
-	cur := prog.Clone()
-	cache, err := analysis.NewCache(cur)
+	// 1. One analysis of the input program.
+	res, err := analysis.New(prog).AnalyzeAll()
 	if err != nil {
 		return nil, err
 	}
-	eff := effects.NewAnalyzer(cur)
+	eff := effects.NewAnalyzer(prog)
 
-	// seen keys loop identity by source position (verified distinct
-	// above; positions survive the move into a helper). verdicts caches
-	// dependence reports by position until a rewrite dirties the
-	// enclosing function.
-	seen := map[lang.Pos]*LoopPlan{}
-	verdicts := map[lang.Pos]*depend.Report{}
-	for {
-		// Candidates, in scan order: every not-yet-settled loop of the
-		// planned functions.
-		type cand struct {
-			name  string
-			index int
-			loop  *lang.WhileStmt
-		}
-		var cands []cand
-		for _, name := range names {
-			fn := cur.Func(name)
-			for i, loop := range whileLoops(fn.Body) {
-				if lp := seen[loop.Pos()]; lp != nil && (lp.Parallelized || lp.Absorbed) {
-					continue
-				}
-				cands = append(cands, cand{name: name, index: i, loop: loop})
-			}
-		}
-
-		// Test every candidate without a cached verdict — in parallel,
-		// on the executor's own pool: each test is a read-only query of
-		// the shared program, analysis cache, and effect summaries.
-		var need []int
-		for k, c := range cands {
-			if _, ok := verdicts[c.loop.Pos()]; !ok {
-				need = append(need, k)
-			}
-		}
-		reports := make([]*depend.Report, len(cands))
-		errs := make([]error, len(cands))
-		parexec.ForEach(0, len(need), func(j int) {
-			k := need[j]
-			c := cands[k]
-			if containsForall(c.loop.Body) {
-				// Never nest parallel regions: a loop whose body already
-				// holds a forall (an inner loop this planner approved on
-				// an earlier pass, or surface-syntax forall) stays serial
-				// — the pool is already busy inside it.
-				reports[k] = &depend.Report{Func: c.name, Loop: c.loop,
-					Reasons: []string{"body already contains a parallel forall (the planner does not nest parallelism)"}}
-				return
-			}
-			reports[k], errs[k] = depend.AnalyzeLoop(cur, cache.Func(c.name), eff, c.name, c.index)
-		})
-		for _, k := range need {
-			if errs[k] != nil {
-				return nil, errs[k]
-			}
-			verdicts[cands[k].loop.Pos()] = reports[k]
-		}
-
-		// Consume verdicts in scan order; the first approval rewrites in
-		// place and ends the pass (the rewrite dirties its function, so
-		// later siblings re-test against the post-rewrite program).
-		transformed := false
-		for _, c := range cands {
-			rep := verdicts[c.loop.Pos()]
-			lp := seen[c.loop.Pos()]
-			if lp == nil {
-				if lp, err = newLoopPlan(c.loop.Pos(), c.name, c.index); err != nil {
-					return nil, err
-				}
-				seen[c.loop.Pos()] = lp
-				plan.Loops = append(plan.Loops, lp)
-			}
-			lp.Report = rep
-			if !rep.Parallelizable {
-				continue
-			}
-			// Snapshot the function's loop list and the approved body's
-			// nested loops before the in-place rewrite replaces the body.
-			loops := whileLoops(cur.Func(c.name).Body)
-			inners := whileLoops(c.loop.Body)
-			helper, err := stripMineInPlace(cur, rep, c.name, c.index, width)
-			if err != nil {
-				return nil, err
-			}
-			lp.Parallelized = true
-			lp.Helper = helper
-			lp.Width = width
-			plan.Parallelized++
-			// Loops nested in the approved body move into the helper
-			// and run serially inside the parallel iterations; record
-			// them so the plan accounts for every loop of the input.
-			for _, inner := range inners {
-				ilp := seen[inner.Pos()]
-				if ilp == nil {
-					if ilp, err = newLoopPlan(inner.Pos(), c.name, indexOfLoop(loops, inner)); err != nil {
-						return nil, err
-					}
-					seen[inner.Pos()] = ilp
-					plan.Loops = append(plan.Loops, ilp)
-				}
-				ilp.Absorbed = true
-				ilp.AbsorbedInto = helper
-			}
-			// Re-derive the memoized analyses for the touched functions
-			// and drop the cached verdicts of every loop whose facts the
-			// rewrite could have reached.
-			reanalyzed, err := cache.Update(c.name, helper)
-			if err != nil {
-				return nil, err
-			}
-			resummarized := eff.Update(c.name, helper)
-			plan.reanalyzed += len(reanalyzed)
-			plan.resummarized += len(resummarized)
-			for _, fn := range append(reanalyzed, resummarized...) {
-				if f := cur.Func(fn); f != nil {
-					for _, loop := range whileLoops(f.Body) {
-						delete(verdicts, loop.Pos())
-					}
-				}
-			}
-			transformed = true
-			break
-		}
-		if !transformed {
-			break
+	// 2. Every while loop, in scan order, tested in one batch on the
+	// executor's own pool: each test is a read-only query of the program,
+	// the analysis and the effect summaries. Walk order is pre-order, so
+	// the loops nested in sites[k] are the next sites[k].nested entries.
+	type site struct {
+		fn     string
+		index  int // among fn's while loops, in the input program
+		loop   *lang.WhileStmt
+		nested int
+	}
+	var sites []site
+	for _, f := range prog.Funcs {
+		for i, loop := range whileLoops(f.Body) {
+			sites = append(sites, site{fn: f.Name, index: i, loop: loop, nested: len(whileLoops(loop.Body))})
 		}
 	}
-	plan.Program = cur
+	reports := make([]*depend.Report, len(sites))
+	errs := make([]error, len(sites))
+	parexec.ForEach(0, len(sites), func(k int) {
+		s := sites[k]
+		if containsForall(s.loop.Body) {
+			reports[k] = noNesting(s.fn, s.loop)
+			return
+		}
+		reports[k], errs[k] = depend.AnalyzeLoop(prog, res.Funcs[s.fn], eff, s.fn, s.index)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	// 3. Choose, in scan order: an approved loop not inside a chosen loop
+	// is chosen and the loops nested in it are absorbed; a rejected loop
+	// around an approved one will hold that loop's forall.
+	plan := &Plan{Width: width, Program: prog, Loops: make([]*LoopPlan, len(sites))}
+	for k, s := range sites {
+		plan.Loops[k] = &LoopPlan{Func: s.fn, Index: s.index, Pos: s.loop.Pos(), Report: reports[k]}
+	}
+	var chosen []int
+	for k := 0; k < len(sites); k++ {
+		inner := reports[k+1 : k+1+sites[k].nested]
+		if reports[k].Parallelizable {
+			chosen = append(chosen, k)
+			k += len(inner)
+		} else if slices.ContainsFunc(inner, func(r *depend.Report) bool { return r.Parallelizable }) {
+			plan.Loops[k].Report = noNesting(sites[k].fn, sites[k].loop)
+		}
+	}
+	if len(chosen) == 0 {
+		return plan, nil
+	}
+
+	// 4. Rewrite the chosen loops, in scan order, on one clone. Each
+	// rewrite moves its nested loops out of the function, so a later
+	// sibling is addressed at its input index less the loops moved so far.
+	plan.Program = prog.Clone()
+	plan.Parallelized = len(chosen)
+	fn, moved := "", 0
+	for _, k := range chosen {
+		s := sites[k]
+		if s.fn != fn {
+			fn, moved = s.fn, 0
+		}
+		helper, err := stripMineInPlace(plan.Program, reports[k], s.fn, s.index-moved, width)
+		if err != nil {
+			return nil, err
+		}
+		moved += s.nested
+		lp := plan.Loops[k]
+		lp.Parallelized, lp.Helper, lp.Width = true, helper, width
+		for _, in := range plan.Loops[k+1 : k+1+s.nested] {
+			in.Absorbed, in.AbsorbedInto, in.Report = true, helper, nil
+		}
+	}
+
+	// 5. The kernel classifier's verdict on every strip.
 	annotateVectorVerdicts(plan)
 	return plan, nil
 }
@@ -452,18 +385,6 @@ func whileLoops(body *lang.Block) []*lang.WhileStmt {
 		return true
 	})
 	return loops
-}
-
-// indexOfLoop locates w in loops; -1 when absent (newLoopPlan treats a
-// position missing from the input index as an internal error rather
-// than emitting an entry with a negative index).
-func indexOfLoop(loops []*lang.WhileStmt, w *lang.WhileStmt) int {
-	for i, l := range loops {
-		if l == w {
-			return i
-		}
-	}
-	return -1
 }
 
 // containsForall reports whether any statement under body is a

@@ -10,12 +10,11 @@ import (
 // ManyLoopProgramPSL generates the R7 planner-cost workload: a PSL
 // program with funcs procedures of loopsPerFunc approvable
 // pointer-chasing loops each (funcs·loopsPerFunc approved rewrites in
-// total), plus a main that calls every worker — the caller each
-// rewrite's summary cascade gets a chance to reach, which is exactly
-// what an incremental planner must NOT re-analyze when the summaries
-// it consumes are unchanged. BenchmarkAutoParallelizePlanCost,
-// TestPlanCostSubquadratic, BENCH_plan.json, and `cmd/experiments
-// -plancost` all measure planning over this program.
+// total), plus a main that calls every worker, so every rewritten
+// procedure has a caller whose summaries consume its own.
+// BenchmarkAutoParallelizePlanCost, TestPlanCostSubquadratic,
+// BENCH_plan.json, and `cmd/experiments -plancost` all measure planning
+// over this program.
 func ManyLoopProgramPSL(funcs, loopsPerFunc int) string {
 	var b strings.Builder
 	b.WriteString(adds.OneWayListSrc)

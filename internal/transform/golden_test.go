@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/plans/*.g
 // TestPlanGolden pins the planner's whole deliverable — full plan text
 // (every verdict and every rejection reason) plus the transformed
 // program — byte for byte against files recorded before the analysis
-// packages were rewritten. TestIncrementalMatchesFullRestart cannot
+// packages were rewritten. TestPlanMatchesFullRestart cannot
 // witness a change to analysis/effects/depend, because the reference
 // planner shares them; these files can.
 func TestPlanGolden(t *testing.T) {

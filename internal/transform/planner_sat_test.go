@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/adds"
 	"repro/internal/depend"
+	"repro/internal/interp"
 	"repro/internal/lang"
 )
 
@@ -119,5 +120,99 @@ procedure crunch(OneWayList *head) {
 	}
 	if absorbed == 0 {
 		t.Fatal("test program exercised no absorbed-loop path")
+	}
+}
+
+// scaleProc is scaleSrc's scale procedure, the text the name-clash
+// variants below replace.
+const scaleProc = `
+procedure scale(OneWayList *head, int c) {
+  var OneWayList *p = head;
+  while p != NULL {
+    p->data = p->data * c;
+    p = p->next;
+  }
+}
+`
+
+// nameClashScales are valid variants of scale that already use a name
+// the strip-mine rewrite would introduce: the PE index as a parameter
+// the loop body reads, the skip-ahead counter as the induction handle,
+// and the helper procedure itself.
+var nameClashScales = map[string]string{
+	"_pe is a free variable of the body": `
+procedure scale(OneWayList *head, int _pe) {
+  var OneWayList *p = head;
+  while p != NULL {
+    p->data = p->data * _pe;
+    p = p->next;
+  }
+}
+`,
+	"_k is the induction handle, _pe a local": `
+procedure scale(OneWayList *head, int c) {
+  var OneWayList *_k = head;
+  while _k != NULL {
+    var int _pe = c;
+    _k->data = _k->data * _pe;
+    _k = _k->next;
+  }
+}
+`,
+	"the helper's name is a user procedure": `
+procedure _scale_L0_iteration(int a) { }
+procedure scale(OneWayList *head, int c) {
+  var OneWayList *p = head;
+  while p != NULL {
+    p->data = p->data * c;
+    p = p->next;
+  }
+  _scale_L0_iteration(c);
+}
+`,
+}
+
+// TestStripMineAvoidsTakenNames: a program that already uses _pe, _k or
+// the helper's name is as valid as any other — AutoParallelize and
+// StripMine must rename what they synthesize, not fail the plan, and
+// the planned program must compute what the serial one does on the
+// oracle walker and on the default kernel engine.
+func TestStripMineAvoidsTakenNames(t *testing.T) {
+	if !strings.Contains(scaleSrc, scaleProc) {
+		t.Fatal("scaleSrc no longer holds the scale procedure this test replaces")
+	}
+	for name, scale := range nameClashScales {
+		t.Run(name, func(t *testing.T) {
+			prog := lang.MustParse(strings.Replace(scaleSrc, scaleProc, scale, 1))
+			plan, err := AutoParallelize(prog, 4)
+			if err != nil {
+				t.Fatalf("AutoParallelize: %v", err)
+			}
+			if lp := loopByFunc(t, plan, "scale", 0); !lp.Parallelized {
+				t.Fatalf("scale#0 not parallelized:\n%s", plan)
+			}
+			sm, err := StripMine(prog, "scale", 0, 4)
+			if err != nil {
+				t.Fatalf("StripMine: %v", err)
+			}
+			if got, want := lang.Format(sm.Program), lang.Format(plan.Program); got != want {
+				t.Errorf("StripMine and AutoParallelize disagree:\n%s\n---\n%s", got, want)
+			}
+			args := []interp.Value{interp.IntVal(37), interp.IntVal(3)}
+			for _, engine := range []interp.Engine{interp.EngineWalk, interp.EngineKernel} {
+				cfg := interp.Config{Engine: engine}
+				want, _, err := interp.Run(prog, cfg, "main", args...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := interp.Run(plan.Program, cfg, "main", args...)
+				if err != nil {
+					t.Fatalf("%s: planned program: %v\n%s", engine, err, lang.Format(plan.Program))
+				}
+				if got.I != want.I || want.I != 3*37*38/2 {
+					t.Errorf("%s: planned program returned %d, serial %d, want %d", engine, got.I, want.I, 3*37*38/2)
+				}
+			}
+		})
 	}
 }

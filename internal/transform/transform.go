@@ -92,11 +92,12 @@ func stripMineCloned(prog *lang.Program, rep *depend.Report, fnName string, loop
 // stripMineInPlace performs the §4.3.3 rewrite directly on prog,
 // returning the generated helper's name. Exactly two functions are
 // touched: fnName (its loop body is replaced) and the appended helper;
-// only those two are re-checked, so every other function keeps its
-// statement and expression identities — the property the incremental
-// planner's memoized analysis relies on. On error the program may be
-// left partially rewritten; callers that need the input preserved clone
-// first (stripMineCloned).
+// only those two are re-checked. The names it introduces — the helper,
+// the PE index and the skip-ahead counter — are the documented ones
+// unless the program already uses them, in which case a numeric suffix
+// makes them free. On error the program may be left partially
+// rewritten; callers that need the input preserved clone first
+// (stripMineCloned).
 func stripMineInPlace(prog *lang.Program, rep *depend.Report, fnName string, loopIndex, width int) (string, error) {
 	if width < 1 {
 		return "", fmt.Errorf("transform: strip width must be >= 1, got %d", width)
@@ -120,10 +121,15 @@ func stripMineInPlace(prog *lang.Program, rep *depend.Report, fnName string, loo
 
 	// Free variables of the body (excluding the induction and locals):
 	// they become parameters of the iteration procedure.
-	frees := freeVars(loop.Body, ind)
+	frees, taken := freeVars(loop.Body, ind)
+	inBody := func(n string) bool { return taken[n] }
+	pe := freeName("_pe", inBody)
+	taken[pe] = true
+	skip := freeName("_k", inBody)
 
-	helperName := fmt.Sprintf("_%s_L%d_iteration", fnName, loopIndex)
-	helper, err := buildHelper(helperName, ind, indType, field, loop, frees)
+	helperName := freeName(fmt.Sprintf("_%s_L%d_iteration", fnName, loopIndex),
+		func(n string) bool { return prog.Func(n) != nil })
+	helper, err := buildHelper(helperName, pe, skip, ind, indType, field, loop, frees)
 	if err != nil {
 		return "", err
 	}
@@ -134,12 +140,12 @@ func stripMineInPlace(prog *lang.Program, rep *depend.Report, fnName string, loo
 	// Replace the loop body:
 	//   forall i = 0 to width-1 { helper(i, p, frees...); }  // parallel
 	//   for i = 0 to width-1 { p = p->f; }                   // FOR1
-	args := []lang.Expr{&lang.Ident{Name: "_pe"}, &lang.Ident{Name: ind}}
+	args := []lang.Expr{&lang.Ident{Name: pe}, &lang.Ident{Name: ind}}
 	for _, fv := range frees {
 		args = append(args, &lang.Ident{Name: fv.Name})
 	}
 	parallel := &lang.ForStmt{
-		Var:      "_pe",
+		Var:      pe,
 		From:     lang.NewIntLit(0, loop.Pos()),
 		To:       lang.NewIntLit(int64(width-1), loop.Pos()),
 		Parallel: true,
@@ -152,7 +158,7 @@ func stripMineInPlace(prog *lang.Program, rep *depend.Report, fnName string, loo
 	// same line the planner's Plan reports.
 	parallel.SetPos(loop.Pos())
 	advance := &lang.ForStmt{
-		Var:  "_pe",
+		Var:  pe,
 		From: lang.NewIntLit(0, loop.Pos()),
 		To:   lang.NewIntLit(int64(width-1), loop.Pos()),
 		Body: &lang.Block{Stmts: []lang.Stmt{
@@ -173,18 +179,18 @@ func stripMineInPlace(prog *lang.Program, rep *depend.Report, fnName string, loo
 
 // buildHelper constructs:
 //
-//	procedure <name>(int _pe, T *p, <frees>) {
-//	  for _k = 1 to _pe { p = p->f; }   // FOR2: speculative skip-ahead
+//	procedure <name>(int <pe>, T *p, <frees>) {
+//	  for <k> = 1 to <pe> { p = p->f; }   // FOR2: speculative skip-ahead
 //	  if p != NULL { <body without advance> }
 //	}
-func buildHelper(name, ind string, indType lang.Type, field string, loop *lang.WhileStmt, frees []lang.Param) (*lang.FuncDecl, error) {
-	params := []lang.Param{{Name: "_pe", Type: lang.Int}, {Name: ind, Type: indType}}
+func buildHelper(name, pe, k, ind string, indType lang.Type, field string, loop *lang.WhileStmt, frees []lang.Param) (*lang.FuncDecl, error) {
+	params := []lang.Param{{Name: pe, Type: lang.Int}, {Name: ind, Type: indType}}
 	params = append(params, frees...)
 
 	skip := &lang.ForStmt{
-		Var:  "_k",
+		Var:  k,
 		From: lang.NewIntLit(1, loop.Pos()),
-		To:   &lang.Ident{Name: "_pe"},
+		To:   &lang.Ident{Name: pe},
 		Body: &lang.Block{Stmts: []lang.Stmt{
 			&lang.AssignStmt{
 				LHS: &lang.Ident{Name: ind},
@@ -241,15 +247,17 @@ func inductionType(loop *lang.WhileStmt, ind string) lang.Type {
 }
 
 // freeVars lists the variables the body reads that are declared outside
-// it (excluding the induction variable), in deterministic order.
-func freeVars(body *lang.Block, ind string) []lang.Param {
-	declared := map[string]bool{ind: true}
+// it (excluding the induction variable), in deterministic order, and
+// the set of every name the body binds or reads from outside — what a
+// name synthesized around the body must avoid.
+func freeVars(body *lang.Block, ind string) ([]lang.Param, map[string]bool) {
+	taken := map[string]bool{ind: true}
 	lang.Walk(body, func(s lang.Stmt) bool {
 		switch s := s.(type) {
 		case *lang.VarStmt:
-			declared[s.Name] = true
+			taken[s.Name] = true
 		case *lang.ForStmt:
-			declared[s.Var] = true
+			taken[s.Var] = true
 		}
 		return true
 	})
@@ -257,7 +265,7 @@ func freeVars(body *lang.Block, ind string) []lang.Param {
 	lang.Walk(body, func(s lang.Stmt) bool {
 		lang.WalkExprs(s, func(e lang.Expr) {
 			id, ok := e.(*lang.Ident)
-			if !ok || declared[id.Name] || id.Type() == nil {
+			if !ok || taken[id.Name] || id.Type() == nil {
 				return
 			}
 			seen[id.Name] = id.Type()
@@ -272,8 +280,19 @@ func freeVars(body *lang.Block, ind string) []lang.Param {
 	out := make([]lang.Param, len(names))
 	for i, n := range names {
 		out[i] = lang.Param{Name: n, Type: seen[n]}
+		taken[n] = true
 	}
-	return out
+	return out, taken
+}
+
+// freeName returns base, or base with the smallest numeric suffix that
+// makes it not taken.
+func freeName(base string, taken func(string) bool) string {
+	name := base
+	for n := 1; taken(name); n++ {
+		name = fmt.Sprintf("%s%d", base, n)
+	}
+	return name
 }
 
 // Unroll replicates the body of the loop `factor` times ([HG92]). Each
