@@ -12,11 +12,11 @@ package serve
 import (
 	"context"
 	"crypto/sha256"
-	"fmt"
+	"hash"
+	"strconv"
 	"sync"
 
 	"repro/internal/interp"
-	"repro/internal/transform"
 )
 
 // centry is one cache slot. ready is closed by the goroutine that won
@@ -32,9 +32,10 @@ type centry struct {
 	ready chan struct{}
 	cp    *interp.CompiledProgram
 	// plan is the auto-parallelization report for (auto, width)
-	// variant entries — hot auto requests return it without
-	// re-planning. nil for serial entries.
-	plan *transform.Plan
+	// variant entries, already in wire form — hot auto requests return
+	// it without re-planning or re-rendering, and every reply of the
+	// variant shares it, so it is read-only. nil for serial entries.
+	plan *PlanSummary
 	err  error
 
 	prev, next *centry
@@ -107,15 +108,35 @@ func serialKey(source string) [32]byte {
 // autoKey is the cache key of a source's auto-parallelized variant at
 // one strip width: each (auto, width) pair is its own slot.
 func autoKey(source string, width int) [32]byte {
-	return variantKey(fmt.Sprintf("auto:%d", width), source)
+	return variantKey("auto:"+strconv.Itoa(width), source)
 }
 
-func variantKey(tag, source string) [32]byte {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%d\x00", tag, len(source))
-	h.Write([]byte(source))
-	var key [32]byte
-	h.Sum(key[:0])
+// keyHasher is a SHA-256 state plus the scratch a source is fed
+// through: hash.Hash takes bytes, and converting a source to bytes
+// would copy all of it to the heap on every request.
+type keyHasher struct {
+	h   hash.Hash
+	buf [1024]byte
+}
+
+var keyHashers = sync.Pool{New: func() any { return &keyHasher{h: sha256.New()} }}
+
+// variantKey is SHA-256 of tag, NUL, the source's length in decimal,
+// NUL, the source.
+func variantKey(tag, source string) (key [32]byte) {
+	kh := keyHashers.Get().(*keyHasher)
+	kh.h.Reset()
+	p := append(kh.buf[:0], tag...)
+	p = append(p, 0)
+	p = strconv.AppendInt(p, int64(len(source)), 10)
+	kh.h.Write(append(p, 0))
+	for len(source) > 0 {
+		n := copy(kh.buf[:], source)
+		kh.h.Write(kh.buf[:n])
+		source = source[n:]
+	}
+	copy(key[:], kh.h.Sum(kh.buf[:0]))
+	keyHashers.Put(kh)
 	return key
 }
 
@@ -126,7 +147,7 @@ func variantKey(tag, source string) [32]byte {
 // retrying a broken program in a loop stays on the hot path. The plan
 // is whatever the build returned (the auto-parallelization report for
 // auto variants, nil for serial entries).
-func (c *cache) get(ctx context.Context, key [32]byte, build func() (*interp.CompiledProgram, *transform.Plan, error)) (cp *interp.CompiledProgram, plan *transform.Plan, cached bool, err error) {
+func (c *cache) get(ctx context.Context, key [32]byte, build func() (*interp.CompiledProgram, *PlanSummary, error)) (cp *interp.CompiledProgram, plan *PlanSummary, cached bool, err error) {
 	sh := c.shards[int(key[0])%len(c.shards)]
 
 	sh.mu.Lock()

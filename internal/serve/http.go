@@ -17,7 +17,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 
 	"repro/internal/obs"
@@ -49,21 +48,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return
 	}
-	// Bound the body before the decoder sees it. JSON escaping expands
-	// a source byte to at most 6 bytes (\uXXXX), so 6× the source cap
-	// plus envelope slack admits every request Run itself would accept
-	// while still hard-bounding memory.
-	r.Body = http.MaxBytesReader(w, r.Body, 6*int64(s.cfg.MaxSourceBytes)+64*1024)
-	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	// JSON escaping expands a source byte to at most 6 bytes (\uXXXX), so
+	// 6× the source cap plus envelope slack admits every request Run
+	// itself would accept while still hard-bounding memory.
+	req, buf, ok := readRun(w, r, 6*int64(s.cfg.MaxSourceBytes)+64*1024)
+	if !ok {
 		return
 	}
+	releaseBody(buf)
 	// A propagated trace ID (the router's, or any upstream's) forces
 	// tracing and stitches this backend's spans into the caller's trace.
 	req.TraceID = r.Header.Get(obs.TraceHeader)

@@ -23,8 +23,8 @@
 //     complete or requeue, queued jobs stay queued in the ledger.
 //
 // The router holds no program state itself — backends own their caches
-// — so its per-request work is one JSON field decode, one ring lookup,
-// and one proxied hop.
+// — so its per-request work is one decode of the body (DecodeRequest,
+// the decoder the backend runs), one ring lookup, and one proxied hop.
 package serve
 
 import (
@@ -386,17 +386,11 @@ func (r *Router) proxyRun(ctx context.Context, source string, body []byte, tr *o
 // request costs one content hash and one ring lookup over a direct
 // hit, with no second decode, hop, or response copy.
 func (r *Router) handleRunEmbedded(w http.ResponseWriter, hreq *http.Request) {
-	hreq.Body = http.MaxBytesReader(w, hreq.Body, r.cfg.MaxBodyBytes)
-	var req Request
-	if err := json.NewDecoder(hreq.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		}
+	req, buf, ok := readRun(w, hreq, r.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
+	releaseBody(buf)
 	r.requests.Add(1)
 	// Trace propagation, in-process: the header (or the router's own
 	// sampler) sets the Request's TraceID directly — the owning
@@ -444,38 +438,20 @@ func (m *memResponse) Header() http.Header         { return m.header }
 func (m *memResponse) WriteHeader(code int)        { m.status = code }
 func (m *memResponse) Write(p []byte) (int, error) { return m.body.Write(p) }
 
-// runProbe is the slice of a /run body the router itself reads: the
-// source (whose content hash is the routing key) and the profile flag
-// (which forces tracing). The body is forwarded verbatim — the
-// backend does the full decode and validation.
-type runProbe struct {
-	Source  string `json:"source"`
-	Profile bool   `json:"profile"`
-}
-
-// readRunBody bounds and reads a /run-shaped request body and extracts
-// the probe fields.
-func (r *Router) readRunBody(w http.ResponseWriter, req *http.Request) (probe runProbe, body []byte, ok bool) {
-	req.Body = http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(req.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		}
-		return runProbe{}, nil, false
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		return runProbe{}, nil, false
-	}
-	if probe.Source == "" {
+// readRunBody reads and decodes a /run-shaped body the router will
+// forward verbatim, with the decoder the backend will run on it again:
+// the router rejects exactly the bodies the backend would (plus an
+// empty source, which has no ring owner), and the source it hashes for
+// the ring is the source the backend hashes for its cache. The caller
+// owns buf (see readRun).
+func (r *Router) readRunBody(w http.ResponseWriter, hreq *http.Request) (req Request, buf *bytes.Buffer, ok bool) {
+	req, buf, ok = readRun(w, hreq, r.cfg.MaxBodyBytes)
+	if ok && req.Source == "" {
+		releaseBody(buf)
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty source"})
-		return runProbe{}, nil, false
+		return Request{}, nil, false
 	}
-	return probe, body, true
+	return req, buf, ok
 }
 
 // Handler returns the router's HTTP mux:
@@ -522,19 +498,20 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 		r.handleRunEmbedded(w, req)
 		return
 	}
-	probe, body, ok := r.readRunBody(w, req)
+	run, buf, ok := r.readRunBody(w, req)
 	if !ok {
 		return
 	}
+	defer releaseBody(buf) // after the last failover attempt has sent it
 	r.requests.Add(1)
 	// Trace decision, mirroring the backend's: an incoming header
 	// propagates, "profile": true and the sampler's share start fresh
 	// traces. The same ID is forwarded to every failover attempt.
 	var tr *obs.Trace
-	if id := req.Header.Get(obs.TraceHeader); id != "" || probe.Profile || r.sampler.Sample() {
+	if id := req.Header.Get(obs.TraceHeader); id != "" || run.Profile || r.sampler.Sample() {
 		tr = obs.NewTrace(id)
 	}
-	status, respBody, hdr, err := r.proxyRun(req.Context(), probe.Source, body, tr)
+	status, respBody, hdr, err := r.proxyRun(req.Context(), run.Source, buf.Bytes(), tr)
 	if tr != nil {
 		tr.Finish()
 		r.traces.Add(tr.View())
@@ -562,11 +539,13 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: ErrDraining.Error()})
 		return
 	}
-	probe, body, ok := r.readRunBody(w, req)
+	run, buf, ok := r.readRunBody(w, req)
 	if !ok {
 		return
 	}
-	id, err := r.jobs.submit(probe.Source, body)
+	// The ledger keeps the body for the router's lifetime, so its buffer
+	// never goes back to the pool.
+	id, err := r.jobs.submit(run.Source, buf.Bytes())
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})

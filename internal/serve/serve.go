@@ -231,7 +231,8 @@ type Response struct {
 	Allocs    int64 `json:"allocs"`
 	ElapsedUS int64 `json:"elapsed_us"`
 	// Plan reports what the auto-parallelization planner did (Auto
-	// requests only).
+	// requests only). Every reply of one cached variant points at the
+	// same summary: read it, do not write to it.
 	Plan *PlanSummary `json:"plan,omitempty"`
 	// Trace is the request's span tree (Profile requests only).
 	Trace *obs.TraceView `json:"trace,omitempty"`
@@ -517,27 +518,27 @@ func (s *Server) execute(ctx context.Context, req Request, eng interp.Engine, po
 	// children appear only when THIS request ran the cold build (the
 	// closure runs on the winner's goroutine).
 	cacheSp := tr.Start("cache")
-	cp, plan, cached, err := s.cache.get(rctx, key, func() (*interp.CompiledProgram, *transform.Plan, error) {
+	cp, plan, cached, err := s.cache.get(rctx, key, func() (*interp.CompiledProgram, *PlanSummary, error) {
 		parseSp := cacheSp.Start("parse")
 		p, err := lang.Parse(req.Source)
 		parseSp.End()
 		if err != nil {
 			return nil, nil, err
 		}
-		var plan *transform.Plan
+		var summary *PlanSummary
 		if req.Auto {
 			// The whole front half of the paper runs here, once per
 			// (source, width): path-matrix analysis, dependence tests on
 			// every loop, strip-mining of the approved ones. The entry
-			// pins the plan next to the code, so hot auto requests get
-			// their report for free.
+			// pins the report, in wire form, next to the code, so hot
+			// auto requests get it for free.
 			planSp := cacheSp.Start("plan")
-			plan, err = transform.AutoParallelize(p, width)
+			plan, err := transform.AutoParallelize(p, width)
 			planSp.End()
 			if err != nil {
 				return nil, nil, err
 			}
-			p = plan.Program
+			p, summary = plan.Program, planSummary(plan)
 		}
 		// Build and pin the code now, while we hold the cold path: the
 		// entry owns its code, so hits never recompile (interp keeps no
@@ -548,7 +549,7 @@ func (s *Server) execute(ctx context.Context, req Request, eng interp.Engine, po
 		if pinned.Err() != nil {
 			return nil, nil, pinned.Err()
 		}
-		return pinned, plan, nil
+		return pinned, summary, nil
 	})
 	if cacheSp != nil {
 		cacheSp.SetAttr("hit", fmt.Sprintf("%t", cached))
@@ -612,9 +613,7 @@ func (s *Server) execute(ctx context.Context, req Request, eng interp.Engine, po
 		Output: out.String(),
 		Steps:  st.Steps,
 		Allocs: st.Allocations,
-	}
-	if plan != nil {
-		resp.Plan = planSummary(plan)
+		Plan:   plan,
 	}
 	if req.Profile && prof != nil {
 		resp.Efficiency = efficiencyReport(prof, resp.Plan)
