@@ -24,6 +24,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/adds"
 	"repro/internal/lang"
@@ -472,11 +473,20 @@ func New(prog *lang.Program) *Analyzer {
 	}
 }
 
+// analyzeAllRuns counts AnalyzeAll calls, process-wide.
+var analyzeAllRuns atomic.Int64
+
+// AnalyzeAllCount reports how many whole-program analyses have run,
+// process-wide — the front end's counterpart of interp.CompileCount:
+// tests pin that planning a program analyzes it once.
+func AnalyzeAllCount() int64 { return analyzeAllRuns.Load() }
+
 // AnalyzeAll analyzes every function and returns the combined result.
 // Functions are analyzed on demand (callee violation summaries are
 // consumed by callers), iterating until the violation summaries
 // stabilize.
 func (a *Analyzer) AnalyzeAll() (*Result, error) {
+	analyzeAllRuns.Add(1)
 	// Iterate to a fixed point of exit-violation summaries: a callee
 	// that ends with an active violation poisons its callers.
 	for round := 0; round < len(a.prog.Funcs)+2; round++ {

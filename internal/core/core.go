@@ -43,10 +43,17 @@ import (
 type Compilation struct {
 	// Program is the checked, normalized program.
 	Program *lang.Program
-	// Analysis is the general path matrix result for every function.
-	Analysis *analysis.Result
-	// Effects is the interprocedural effect analyzer.
-	Effects *effects.Analyzer
+
+	// analysis is the general path matrix result for every function and
+	// effects the interprocedural effect analyzer, built together by
+	// analyze: at once for a Compilation made by Compile or Analyze
+	// (which report its error), on first use for the planned program of
+	// an AutoPlan — planning runs on the input's analyses, so nothing
+	// analyzes the result unless a caller asks about it.
+	analyzeOnce sync.Once
+	analysis    *analysis.Result
+	effects     *effects.Analyzer
+	analyzeErr  error
 
 	// auto caches planned variants per strip width, so repeated
 	// AutoParallel calls (the serving layer's hot path) re-plan
@@ -54,8 +61,10 @@ type Compilation struct {
 	autoMu sync.Mutex
 	auto   map[int]*AutoPlan
 
-	// code is the program's executable code, built by the first run
-	// that needs it and used by every run after.
+	// code is the program's executable code, used by every run: the
+	// planner's own lowering for the planned program of an AutoPlan
+	// (transform.Plan.Code), otherwise built by the first run that needs
+	// it.
 	codeOnce sync.Once
 	code     *interp.CompiledProgram
 }
@@ -71,20 +80,29 @@ func Compile(src string) (*Compilation, error) {
 
 // Analyze wraps an already-parsed program.
 func Analyze(prog *lang.Program) (*Compilation, error) {
-	res, err := analysis.New(prog).AnalyzeAll()
-	if err != nil {
+	c := &Compilation{Program: prog}
+	if err := c.analyze(); err != nil {
 		return nil, err
 	}
-	return &Compilation{
-		Program:  prog,
-		Analysis: res,
-		Effects:  effects.NewAnalyzer(prog),
-	}, nil
+	return c, nil
+}
+
+// analyze runs the whole-program analyses, once.
+func (c *Compilation) analyze() error {
+	c.analyzeOnce.Do(func() {
+		if c.analysis, c.analyzeErr = analysis.New(c.Program).AnalyzeAll(); c.analyzeErr == nil {
+			c.effects = effects.NewAnalyzer(c.Program)
+		}
+	})
+	return c.analyzeErr
 }
 
 // FuncResult returns the path-matrix analysis of one function.
 func (c *Compilation) FuncResult(fn string) (*analysis.FuncResult, error) {
-	fr, ok := c.Analysis.Funcs[fn]
+	if err := c.analyze(); err != nil {
+		return nil, err
+	}
+	fr, ok := c.analysis.Funcs[fn]
 	if !ok {
 		return nil, fmt.Errorf("core: no function %q", fn)
 	}
@@ -118,7 +136,7 @@ func (c *Compilation) LoopReports(fn string) ([]*depend.Report, error) {
 	})
 	var out []*depend.Report
 	for i := range loops {
-		rep, err := depend.AnalyzeLoop(c.Program, fr, c.Effects, fn, i)
+		rep, err := depend.AnalyzeLoop(c.Program, fr, c.effects, fn, i)
 		if err != nil {
 			return nil, err
 		}
@@ -140,8 +158,9 @@ func (c *Compilation) StripMine(fn string, loopIndex, width int) (*Compilation, 
 	return Analyze(res.Program)
 }
 
-// AutoPlan is an auto-parallelized program: a full Compilation of the
-// transformed program plus the planner's per-loop report.
+// AutoPlan is an auto-parallelized program: a Compilation of the
+// transformed program — running the planner's own build of its code,
+// analyzed only if asked — plus the planner's per-loop report.
 type AutoPlan struct {
 	*Compilation
 	// Plan records which loops were strip-mined and why the rest were
@@ -156,10 +175,10 @@ type AutoPlan struct {
 // transformed program comes back as a new Compilation alongside the
 // structured plan. Planned variants are cached per resolved width on
 // this Compilation, so only the first call per width pays for
-// planning; that first call analyzes the program once and tests every
-// loop against that one analysis (see internal/transform), so
-// cold-path plan cost grows linearly with loops. The serial
-// Compilation is untouched either way.
+// planning; that first call tests every loop against the analyses this
+// Compilation already holds (see internal/transform) and analyzes
+// nothing again, so cold-path plan cost grows linearly with loops. The
+// serial Compilation is untouched either way.
 func (c *Compilation) AutoParallel(widthHint int) (*AutoPlan, error) {
 	width := widthHint
 	if width <= 0 {
@@ -170,15 +189,14 @@ func (c *Compilation) AutoParallel(widthHint int) (*AutoPlan, error) {
 	if ap, ok := c.auto[width]; ok {
 		return ap, nil
 	}
-	plan, err := transform.AutoParallelize(c.Program, width)
+	if err := c.analyze(); err != nil {
+		return nil, err
+	}
+	plan, err := transform.PlanAnalyzed(c.Program, c.analysis, c.effects, width)
 	if err != nil {
 		return nil, err
 	}
-	comp, err := Analyze(plan.Program)
-	if err != nil {
-		return nil, err
-	}
-	ap := &AutoPlan{Compilation: comp, Plan: plan}
+	ap := &AutoPlan{Compilation: &Compilation{Program: plan.Program, code: plan.Code}, Plan: plan}
 	if c.auto == nil {
 		c.auto = make(map[int]*AutoPlan)
 	}
@@ -236,12 +254,17 @@ type RunConfig struct {
 }
 
 // compiled returns the program's code for the given engine, building
-// it on first use; the walk engine runs the AST and needs none (nil).
+// it on first use unless the planner already did; the walk engine runs
+// the AST and needs none (nil).
 func (c *Compilation) compiled(eng interp.Engine) *interp.CompiledProgram {
 	if eng == interp.EngineWalk {
 		return nil
 	}
-	c.codeOnce.Do(func() { c.code = interp.CompileProgram(c.Program) })
+	c.codeOnce.Do(func() {
+		if c.code == nil {
+			c.code = interp.CompileProgram(c.Program)
+		}
+	})
 	return c.code
 }
 
@@ -398,7 +421,7 @@ func (c *Compilation) CompareBaselines(fn string, loopIndex int) (*BaselineVerdi
 	if err != nil {
 		return nil, err
 	}
-	rep, err := depend.AnalyzeLoop(c.Program, fr, c.Effects, fn, loopIndex)
+	rep, err := depend.AnalyzeLoop(c.Program, fr, c.effects, fn, loopIndex)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/adds"
+	"repro/internal/analysis"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/nbody"
@@ -105,6 +106,57 @@ func TestCompilationBuildsCodeOnce(t *testing.T) {
 	}
 	if d := interp.CompileCount() - c0; d != 1 {
 		t.Errorf("Run, RunChecked and RunParallel built code %d times between them, want 1", d)
+	}
+}
+
+// TestAutoPlanSharesPlanCode: AutoParallel plans on the analyses the
+// Compilation already holds — no whole-program analysis runs, where it
+// used to analyze the input again and then the result — and the planned
+// program runs the planner's own lowering: one build while planning,
+// none when it runs. The planned program is analyzed if and when a
+// caller asks about it, once.
+func TestAutoPlanSharesPlanCode(t *testing.T) {
+	a0 := analysis.AnalyzeAllCount()
+	c, err := Compile(scaleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := analysis.AnalyzeAllCount() - a0; d != 1 {
+		t.Fatalf("Compile analyzed the program %d times, want 1", d)
+	}
+	c0 := interp.CompileCount()
+	auto, err := c.AutoParallel(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := analysis.AnalyzeAllCount() - a0; d != 1 {
+		t.Errorf("Compile and AutoParallel analyzed %d times between them, want 1", d)
+	}
+	if d := interp.CompileCount() - c0; d != 1 {
+		t.Errorf("AutoParallel built code %d times, want 1 (the planner's lowering)", d)
+	}
+	if auto.Plan.Code == nil || auto.Plan.Code.Program() != auto.Program {
+		t.Fatalf("plan code %v is not the planned program's", auto.Plan.Code)
+	}
+	args := []interp.Value{interp.IntVal(10), interp.IntVal(2)}
+	for _, run := range []func() (interp.Value, interp.Stats, error){
+		func() (interp.Value, interp.Stats, error) { return auto.RunParallel(RunConfig{}, 2, "main", args...) },
+		func() (interp.Value, interp.Stats, error) { return auto.Run(RunConfig{}, "main", args...) },
+	} {
+		if v, _, err := run(); err != nil || v.I != 110 {
+			t.Fatalf("planned run = %v, %v", v, err)
+		}
+	}
+	if d := interp.CompileCount() - c0; d != 1 {
+		t.Errorf("running the planned program built code %d more times, want 0", d-1)
+	}
+	for i := 0; i < 2; i++ {
+		if reps, err := auto.LoopReports("scale"); err != nil || len(reps) != 1 {
+			t.Fatalf("LoopReports on the planned program: %v, %v", reps, err)
+		}
+	}
+	if d := analysis.AnalyzeAllCount() - a0; d != 2 {
+		t.Errorf("asking about the planned program twice brought the analyses to %d, want 2", d)
 	}
 }
 

@@ -364,30 +364,30 @@ func randPath(prog *lang.Program, eff *effects.Analyzer, b *lang.Block) string {
 // write must be anchored on the induction's own node; any other access
 // that may overlap a write's region must touch a different field.
 func crossIterationConflict(sum *effects.Summary, ind string) (bool, string) {
-	ownNode := func(r effects.Region) bool {
-		return r.Anchor == ind && !r.Moved
+	ownNode := func(a effects.Access) bool {
+		return a.Anchor() == ind && !a.Moved()
 	}
-	fresh := func(r effects.Region) bool {
-		return r.Anchor == effects.AnchorFresh
+	fresh := func(a effects.Access) bool {
+		return a.Anchor() == effects.AnchorFresh
 	}
 	for _, w := range sum.Writes() {
-		if fresh(w.Region) {
+		if fresh(w) {
 			continue // writes to freshly allocated nodes never conflict
 		}
-		if !ownNode(w.Region) {
+		if !ownNode(w) {
 			return true, fmt.Sprintf("write %s is not confined to the iteration's own node", w)
 		}
 		// Own-node write: iterations write distinct nodes, so the only
 		// cross-iteration hazard is another iteration *reaching* this
 		// node through a moved region and touching the same field.
 		for _, a := range sum.Accesses {
-			if a == w || fresh(a.Region) {
+			if a == w || fresh(a) {
 				continue
 			}
-			if ownNode(a.Region) {
+			if ownNode(a) {
 				continue // same distinct node, no cross-iteration overlap
 			}
-			if a.Field == w.Field {
+			if a.Field() == w.Field() {
 				return true, fmt.Sprintf("write %s may collide with %s in another iteration", w, a)
 			}
 		}

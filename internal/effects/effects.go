@@ -2,9 +2,12 @@
 // for PSL code at field granularity, anchored to pointer variables.
 //
 // An access such as "reads the mass field of every node reachable from
-// node along the down dimension" is represented as
-//
-//	Access{Anchor: "node", Dims: {"down"}, Moved: true, Field: "mass", Kind: Read}
+// node along the down dimension" renders as "R node.down*.mass" and is
+// held as one 64-bit word: the anchor and the field as small integers
+// from the Analyzer's name table, the dimension set as a bitset over
+// the universe's dimensions, and three flags (moved, write, pointer
+// field). The table is filled when NewAnalyzer starts and only read
+// afterwards, so concurrent BlockSummary calls need no lock.
 //
 // Summaries are closed over the call graph (recursion converges because
 // the dimension and field sets are finite). Package depend combines
@@ -16,186 +19,15 @@
 package effects
 
 import (
-	"fmt"
 	"slices"
-	"sort"
-	"strings"
 
 	"repro/internal/lang"
 )
 
-// AccessKind distinguishes reads from writes.
-type AccessKind int
-
-// Access kinds.
-const (
-	Read AccessKind = iota
-	Write
-)
-
-// String names the kind.
-func (k AccessKind) String() string {
-	if k == Write {
-		return "W"
-	}
-	return "R"
-}
-
-// Special anchors.
-const (
-	// AnchorFresh marks accesses to nodes allocated inside the analyzed
-	// code; they cannot conflict with pre-existing structure.
-	AnchorFresh = "<fresh>"
-	// AnchorUnknown marks accesses whose base pointer could not be
-	// traced to an anchor; they conflict with everything.
-	AnchorUnknown = "<unknown>"
-	// AnchorRand is the hidden region every rand() call writes: the one
-	// generator state all iterations share. print() has no such region —
-	// a parallel run merges its output in iteration order.
-	AnchorRand = "<rand>"
-)
-
-// RandDraw is the access a call to rand() contributes, directly or
-// through any callee's summary.
-var RandDraw = Access{Region: Region{Anchor: AnchorRand}, Field: "state", Kind: Write}
-
-// Has reports whether the summary contains the access.
-func (s *Summary) Has(a Access) bool {
-	_, ok := s.seen[a]
-	return ok
-}
-
-// Region abstracts where a pointer may point, relative to an anchor
-// variable: the anchor's node itself (Moved=false), or any node
-// reachable from it by traversing the listed dimensions (Moved=true).
-type Region struct {
-	Anchor string
-	Dims   string // sorted, comma-joined dimension names; "" if unmoved
-	Moved  bool
-}
-
-// String renders "node.down*" style.
-func (r Region) String() string {
-	if !r.Moved {
-		return r.Anchor
-	}
-	if r.Dims == "" {
-		return r.Anchor + ".?*"
-	}
-	return r.Anchor + "." + strings.ReplaceAll(r.Dims, ",", ".") + "*"
-}
-
-func joinDims(a, b string) string {
-	if a == "" {
-		return b
-	}
-	if b == "" {
-		return a
-	}
-	set := map[string]bool{}
-	for _, d := range strings.Split(a, ",") {
-		set[d] = true
-	}
-	for _, d := range strings.Split(b, ",") {
-		set[d] = true
-	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return strings.Join(out, ",")
-}
-
-// Access is one field access of a region.
-type Access struct {
-	Region Region
-	// Field is the accessed field name; "" for pointer-structure
-	// mutation records (see IsPointer).
-	Field string
-	Kind  AccessKind
-	// IsPointer marks accesses to pointer (shape) fields rather than
-	// data fields.
-	IsPointer bool
-}
-
-// String renders "W node.down*.mass".
-func (a Access) String() string {
-	p := ""
-	if a.IsPointer {
-		p = "!"
-	}
-	return fmt.Sprintf("%s %s.%s%s", a.Kind, a.Region, a.Field, p)
-}
-
-// Summary is the effect set of a function or block: the accesses in the
-// order they were first found (reports quote the first offender, so the
-// order is part of the output), indexed by a set so that adding one is
-// O(1).
-type Summary struct {
-	Accesses []Access
-	seen     map[Access]struct{}
-}
-
-// add inserts an access, deduplicating.
-func (s *Summary) add(a Access) bool {
-	if _, dup := s.seen[a]; dup {
-		return false
-	}
-	if s.seen == nil {
-		s.seen = make(map[Access]struct{})
-	}
-	s.seen[a] = struct{}{}
-	s.Accesses = append(s.Accesses, a)
-	return true
-}
-
-// Writes returns the write accesses.
-func (s *Summary) Writes() []Access {
-	var out []Access
-	for _, a := range s.Accesses {
-		if a.Kind == Write {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Reads returns the read accesses.
-func (s *Summary) Reads() []Access {
-	var out []Access
-	for _, a := range s.Accesses {
-		if a.Kind == Read {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// PointerWrites returns writes to pointer fields (structure mutation).
-func (s *Summary) PointerWrites() []Access {
-	var out []Access
-	for _, a := range s.Accesses {
-		if a.Kind == Write && a.IsPointer {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// String lists the accesses, sorted, one per line.
-func (s *Summary) String() string {
-	lines := make([]string, len(s.Accesses))
-	for i, a := range s.Accesses {
-		lines[i] = a.String()
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
 // Analyzer computes summaries over one program.
 type Analyzer struct {
 	prog      *lang.Program
+	tab       *names
 	summaries map[string]*Summary
 	// callees is the caller→callee graph (each function's callees in
 	// first-call order): solve orders its work by it.
@@ -210,29 +42,39 @@ type Analyzer struct {
 func NewAnalyzer(prog *lang.Program) *Analyzer {
 	a := &Analyzer{
 		prog:      prog,
-		summaries: make(map[string]*Summary),
-		callees:   make(map[string][]string),
-		walks:     make(map[string]int),
+		tab:       newNames(prog.Universe),
+		summaries: make(map[string]*Summary, len(prog.Funcs)),
+		callees:   make(map[string][]string, len(prog.Funcs)),
+		walks:     make(map[string]int, len(prog.Funcs)),
 	}
 	for _, f := range prog.Funcs {
-		a.summaries[f.Name] = &Summary{}
-		a.callees[f.Name] = calleesOf(f)
+		a.summaries[f.Name] = &Summary{tab: a.tab}
+		a.callees[f.Name] = a.scan(f)
 	}
 	a.solve()
 	return a
 }
 
-// calleesOf collects the non-builtin functions f calls, in first-call
-// order.
-func calleesOf(f *lang.FuncDecl) []string {
+// scan enters f's pointer variables and accessed fields into the name
+// table and collects the non-builtin functions f calls, in first-call
+// order. A pointer variable no expression mentions has no id: nothing
+// can be accessed through it.
+func (a *Analyzer) scan(f *lang.FuncDecl) []string {
 	var out []string
 	seen := map[string]bool{}
 	lang.Walk(f.Body, func(s lang.Stmt) bool {
 		lang.WalkExprs(s, func(e lang.Expr) {
-			if call, ok := e.(*lang.CallExpr); ok {
-				if lang.Builtins[call.Func] == nil && !seen[call.Func] {
-					seen[call.Func] = true
-					out = append(out, call.Func)
+			switch e := e.(type) {
+			case *lang.Ident:
+				if _, ok := lang.IsPointer(e.Type()); ok {
+					intern(a.tab.anchorID, &a.tab.anchors, e.Name, anchorShift, anchorBits)
+				}
+			case *lang.FieldExpr:
+				intern(a.tab.fieldID, &a.tab.fields, e.Field, fieldShift, fieldBits)
+			case *lang.CallExpr:
+				if lang.Builtins[e.Func] == nil && !seen[e.Func] {
+					seen[e.Func] = true
+					out = append(out, e.Func)
 				}
 			}
 		})
@@ -276,10 +118,15 @@ func (a *Analyzer) walk(f *lang.FuncDecl) bool {
 			anchors = append(anchors, prm.Name)
 		}
 	}
-	grew := false
+	found := a.BlockSummary(f.Body, anchors)
 	sum := a.summaries[f.Name]
-	for _, acc := range a.analyzeBlock(f.Body, anchors).Accesses {
-		if sum.add(acc) {
+	if len(sum.Accesses) == 0 {
+		a.summaries[f.Name] = found // the first walk's set is the summary so far
+		return len(found.Accesses) > 0
+	}
+	grew := false
+	for _, acc := range found.Accesses {
+		if sum.add(acc.key) {
 			grew = true
 		}
 	}
@@ -342,102 +189,99 @@ func (a *Analyzer) FuncSummary(name string) *Summary {
 	return a.summaries[name]
 }
 
-// BlockSummary computes the effect summary of a block with the given
-// anchor variables (e.g. a loop body anchored on its induction pointer
-// and the enclosing function's parameters).
-func (a *Analyzer) BlockSummary(b *lang.Block, anchors []string) *Summary {
-	return a.analyzeBlock(b, anchors)
-}
+// env holds, by anchor id, the region words each pointer variable may
+// point into; a variable with none reads as the unknown region.
+type env [][]uint64
 
-// env maps pointer variables to the regions they may point into.
-type env map[string][]Region
+var unknownOnly = []uint64{regionUnknown}
 
-func (e env) add(v string, r Region) bool {
-	for _, x := range e[v] {
-		if x == r {
-			return false
-		}
+func (e env) add(v, r uint64) bool {
+	v >>= anchorShift
+	if slices.Contains(e[v], r) {
+		return false
 	}
 	e[v] = append(e[v], r)
 	return true
 }
 
-func (a *Analyzer) dimOf(elem, field string) string {
-	_, pf := a.prog.Universe.FieldDecl(elem, field)
-	if pf == nil {
-		return ""
+// of returns the regions of the named variable.
+func (a *Analyzer) of(ev env, name string) []uint64 {
+	if rs := ev[a.tab.anchorID[name]>>anchorShift]; len(rs) > 0 {
+		return rs
 	}
-	return pf.Dim
+	return unknownOnly
 }
 
-// analyzeBlock runs a flow-insensitive effect collection over the block:
-// variable regions grow monotonically to a fixed point (loops need no
-// special handling), then every field access is emitted against its
-// base's regions.
-func (a *Analyzer) analyzeBlock(b *lang.Block, anchors []string) *Summary {
-	ev := env{}
+// dimOf returns the bit of the dimension elem.field traverses.
+func (a *Analyzer) dimOf(elem, field string) uint64 {
+	_, pf := a.prog.Universe.FieldDecl(elem, field)
+	if pf == nil {
+		return 0
+	}
+	return a.tab.dimBit[pf.Dim]
+}
+
+// BlockSummary computes the effect summary of a block with the given
+// anchor variables (e.g. a loop body anchored on its induction pointer
+// and the enclosing function's parameters). The collection is
+// flow-insensitive: variable regions grow monotonically to a fixed point
+// (loops need no special handling), then every field access is emitted
+// against its base's regions.
+func (a *Analyzer) BlockSummary(b *lang.Block, anchors []string) *Summary {
+	ev := make(env, len(a.tab.anchors))
 	for _, v := range anchors {
-		ev.add(v, Region{Anchor: v})
+		if id, ok := a.tab.anchorID[v]; ok {
+			ev.add(id, id) // an id, shifted into place, is the anchor's own unmoved region
+		}
 	}
 
 	// Grow regions to a fixed point.
-	for {
-		changed := false
+	var rs []uint64
+	for changed := true; changed; {
+		changed = false
 		lang.Walk(b, func(s lang.Stmt) bool {
 			var name string
+			var typ lang.Type
 			var rhs lang.Expr
 			switch s := s.(type) {
 			case *lang.VarStmt:
-				if _, ok := lang.IsPointer(s.DeclType); !ok {
-					return true
-				}
-				name, rhs = s.Name, s.Init
+				name, typ, rhs = s.Name, s.DeclType, s.Init
 			case *lang.AssignStmt:
-				id, ok := s.LHS.(*lang.Ident)
-				if !ok {
-					return true
+				if id, ok := s.LHS.(*lang.Ident); ok {
+					name, typ, rhs = id.Name, id.Type(), s.RHS
 				}
-				if _, ok := lang.IsPointer(id.Type()); !ok {
-					return true
-				}
-				name, rhs = id.Name, s.RHS
-			default:
+			}
+			id, ok := a.tab.anchorID[name]
+			if _, isPtr := lang.IsPointer(typ); !isPtr || rhs == nil || !ok {
 				return true
 			}
-			if rhs == nil {
-				return true
-			}
-			for _, r := range a.rhsRegions(rhs, ev) {
-				if ev.add(name, r) {
+			rs = a.rhsRegions(rs[:0], rhs, ev)
+			for _, r := range rs {
+				if ev.add(id, r) {
 					changed = true
 				}
 			}
 			return true
 		})
-		if !changed {
-			break
-		}
 	}
 
 	// Emit accesses.
-	sum := &Summary{}
+	sum := &Summary{tab: a.tab}
 	lang.Walk(b, func(s lang.Stmt) bool {
 		// Writes via assignment LHS.
-		if as, ok := s.(*lang.AssignStmt); ok {
+		as, _ := s.(*lang.AssignStmt)
+		if as != nil {
 			if fe, ok := as.LHS.(*lang.FieldExpr); ok {
-				_, isPtr := lang.IsPointer(fe.Type())
-				a.emitFieldAccess(sum, fe, Write, isPtr, ev)
+				a.emitFieldAccess(sum, fe, writeBit, ev)
 			}
 		}
 		// Reads via every other field expression, and callee effects.
 		lang.WalkExprs(s, func(e lang.Expr) {
 			switch e := e.(type) {
 			case *lang.FieldExpr:
-				if as, ok := s.(*lang.AssignStmt); ok && as.LHS == e {
-					return // already counted as a write
+				if as == nil || as.LHS != e { // else already counted as a write
+					a.emitFieldAccess(sum, e, 0, ev)
 				}
-				_, isPtr := lang.IsPointer(e.Type())
-				a.emitFieldAccess(sum, e, Read, isPtr, ev)
 			case *lang.CallExpr:
 				a.emitCall(sum, e, ev)
 			}
@@ -447,80 +291,64 @@ func (a *Analyzer) analyzeBlock(b *lang.Block, anchors []string) *Summary {
 	return sum
 }
 
-// rhsRegions computes the regions a pointer RHS may point into.
-func (a *Analyzer) rhsRegions(rhs lang.Expr, ev env) []Region {
+// rhsRegions appends the regions a pointer RHS may point into.
+func (a *Analyzer) rhsRegions(dst []uint64, rhs lang.Expr, ev env) []uint64 {
 	switch rhs := rhs.(type) {
 	case *lang.NullLit:
-		return nil
+		return dst
 	case *lang.NewExpr:
-		return []Region{{Anchor: AnchorFresh}}
+		return append(dst, regionFresh)
 	case *lang.Ident:
-		if rs, ok := ev[rhs.Name]; ok {
-			return rs
-		}
-		return []Region{{Anchor: AnchorUnknown}}
+		return append(dst, a.of(ev, rhs.Name)...)
 	case *lang.FieldExpr:
 		base := rhs.Base()
 		if base == nil {
-			return []Region{{Anchor: AnchorUnknown}}
+			break
 		}
 		elem, _ := lang.IsPointer(base.Type())
-		dim := a.dimOf(elem, rhs.Field)
-		var out []Region
-		rs, ok := ev[base.Name]
-		if !ok {
-			rs = []Region{{Anchor: AnchorUnknown}}
+		along := a.dimOf(elem, rhs.Field) | movedBit
+		for _, r := range a.of(ev, base.Name) {
+			dst = append(dst, r|along)
 		}
-		for _, r := range rs {
-			out = append(out, Region{
-				Anchor: r.Anchor,
-				Dims:   joinDims(r.Dims, dim),
-				Moved:  true,
-			})
-		}
-		return out
+		return dst
 	case *lang.CallExpr:
 		// The result may point anywhere the pointer arguments reach.
-		var out []Region
+		n := len(dst)
 		for _, arg := range rhs.Args {
-			if id, ok := arg.(*lang.Ident); ok {
-				if _, isPtr := lang.IsPointer(id.Type()); isPtr {
-					for _, r := range a.rhsRegions(id, ev) {
-						out = append(out, Region{Anchor: r.Anchor, Dims: r.Dims, Moved: true})
-					}
-					continue
-				}
-			}
-			if fe, ok := arg.(*lang.FieldExpr); ok {
-				if _, isPtr := lang.IsPointer(fe.Type()); isPtr {
-					for _, r := range a.rhsRegions(fe, ev) {
-						out = append(out, Region{Anchor: r.Anchor, Dims: r.Dims, Moved: true})
-					}
+			switch arg.(type) {
+			case *lang.Ident, *lang.FieldExpr:
+				if _, isPtr := lang.IsPointer(arg.Type()); isPtr {
+					dst = a.rhsRegions(dst, arg, ev)
 				}
 			}
 		}
-		if out == nil {
-			out = []Region{{Anchor: AnchorFresh}}
+		if len(dst) == n {
+			return append(dst, regionFresh)
 		}
-		return out
+		for i := n; i < len(dst); i++ {
+			dst[i] |= movedBit
+		}
+		return dst
 	}
-	return []Region{{Anchor: AnchorUnknown}}
+	return append(dst, regionUnknown)
 }
 
-func (a *Analyzer) emitFieldAccess(sum *Summary, fe *lang.FieldExpr, kind AccessKind, isPtr bool, ev env) {
-	base := fe.Base()
-	regions := []Region{{Anchor: AnchorUnknown}}
-	if base != nil {
-		if rs, ok := ev[base.Name]; ok {
-			regions = rs
-		}
+// emitFieldAccess records a read (flags 0) or write of fe against every
+// region of its base. An indexed access also reads the index
+// expression; scalar reads of locals are not tracked (they cannot
+// conflict across iterations unless heap-carried).
+func (a *Analyzer) emitFieldAccess(sum *Summary, fe *lang.FieldExpr, flags uint64, ev env) {
+	regions := unknownOnly
+	if base := fe.Base(); base != nil {
+		regions = a.of(ev, base.Name)
 	}
+	if _, isPtr := lang.IsPointer(fe.Type()); isPtr {
+		flags |= ptrBit
+	}
+	flags |= a.tab.fieldID[fe.Field]
 	for _, r := range regions {
-		sum.add(Access{Region: r, Field: fe.Field, Kind: kind, IsPointer: isPtr})
+		sum.add(r | flags)
 	}
-	// An indexed access also reads the index expression; scalar reads of
-	// locals are not tracked (they cannot conflict across iterations
-	// unless heap-carried).
 }
 
 // emitCall substitutes the callee's summary, rebasing parameter-anchored
@@ -528,44 +356,42 @@ func (a *Analyzer) emitFieldAccess(sum *Summary, fe *lang.FieldExpr, kind Access
 func (a *Analyzer) emitCall(sum *Summary, call *lang.CallExpr, ev env) {
 	if lang.Builtins[call.Func] != nil {
 		if call.Func == "rand" {
-			sum.add(RandDraw)
+			sum.add(RandDraw.key)
 		}
 		return
 	}
 	callee := a.prog.Func(call.Func)
 	calleeSum := a.summaries[call.Func]
 	if callee == nil || calleeSum == nil {
-		sum.add(Access{Region: Region{Anchor: AnchorUnknown}, Kind: Write, IsPointer: true})
+		sum.add(regionUnknown | writeBit | ptrBit)
 		return
 	}
-	// Map parameter name -> argument regions.
-	argRegions := map[string][]Region{}
+	// Each pointer parameter's anchor, and its argument's regions as a
+	// stretch of args.
+	type param struct {
+		anchor uint64
+		lo, hi int
+	}
+	var params []param
+	var args []uint64
 	for i, prm := range callee.Params {
-		if _, ok := lang.IsPointer(prm.Type); !ok {
+		anchor, ok := a.tab.anchorID[prm.Name]
+		if _, isPtr := lang.IsPointer(prm.Type); !isPtr || !ok || i >= len(call.Args) {
 			continue
 		}
-		if i < len(call.Args) {
-			argRegions[prm.Name] = a.rhsRegions(call.Args[i], ev)
-		}
+		lo := len(args)
+		args = a.rhsRegions(args, call.Args[i], ev)
+		params = append(params, param{anchor, lo, len(args)})
 	}
 	for _, acc := range calleeSum.Accesses {
-		bases, ok := argRegions[acc.Region.Anchor]
-		if !ok {
+		p := slices.IndexFunc(params, func(p param) bool { return p.anchor == acc.key&anchorMask })
+		if p < 0 {
 			// Fresh/unknown-anchored callee accesses pass through.
-			sum.add(acc)
+			sum.add(acc.key)
 			continue
 		}
-		for _, b := range bases {
-			sum.add(Access{
-				Region: Region{
-					Anchor: b.Anchor,
-					Dims:   joinDims(b.Dims, acc.Region.Dims),
-					Moved:  b.Moved || acc.Region.Moved,
-				},
-				Field:     acc.Field,
-				Kind:      acc.Kind,
-				IsPointer: acc.IsPointer,
-			})
+		for _, base := range args[params[p].lo:params[p].hi] {
+			sum.add(base | acc.key&^anchorMask)
 		}
 	}
 }

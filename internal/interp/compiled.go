@@ -126,6 +126,11 @@ func (cp *CompiledProgram) Err() error { return cp.err }
 // Program returns the source program the handle was built from.
 func (cp *CompiledProgram) Program() *lang.Program { return cp.prog }
 
+// Bytecode returns the lowered program, or why the front end or the
+// lowering failed. The planner reads the kernel classifier's verdict on
+// every forall from it.
+func (cp *CompiledProgram) Bytecode() (*bytecode.Program, error) { return cp.bc, cp.bcErr }
+
 // closures returns the closure engine's code, building it on first
 // use. Safe for concurrent callers: exactly one builds, the rest wait.
 func (cp *CompiledProgram) closures() *compiledProg {

@@ -166,6 +166,22 @@ func (s *Span) Start(name string) *Span {
 	return c
 }
 
+// Record adds a closed child span for a stage the callee timed itself:
+// it began at start and took d. Nil-safe.
+func (s *Span) Record(name string, start time.Time, d time.Duration) {
+	if s == nil {
+		return
+	}
+	c := &Span{tr: s.tr, Name: name, start: start, durUS: d.Microseconds()}
+	if c.durUS <= 0 {
+		c.durUS = -1 // closed, sub-microsecond
+	}
+	c.StartUS = start.Sub(s.tr.t0).Microseconds()
+	s.tr.mu.Lock()
+	s.children = append(s.children, c)
+	s.tr.mu.Unlock()
+}
+
 // End closes the span. Nil-safe; idempotent (first End wins).
 func (s *Span) End() {
 	if s == nil {

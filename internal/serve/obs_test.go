@@ -41,7 +41,7 @@ func findSpan(spans []obs.SpanView, name string) *obs.SpanView {
 }
 
 // TestProfileTrace: "profile": true returns the span tree — admission,
-// cache (with parse/plan/compile children on a miss, none on a hit),
+// cache (with parse and compile children on a serial miss, none on a hit),
 // execute, merge — with durations that fit inside the trace wall.
 func TestProfileTrace(t *testing.T) {
 	s := newTestServer(t, Config{})
@@ -85,6 +85,63 @@ func TestProfileTrace(t *testing.T) {
 	// An unprofiled request on an unsampled server returns no trace.
 	if plain := mustRun(t, s, Request{Source: addSrc}); plain.Trace != nil {
 		t.Errorf("unprofiled request returned a trace")
+	}
+}
+
+// TestAutoMissTraceShape: the trace of an auto miss explains where the
+// build went. The planner lowers the program it planned, so there is no
+// compile stage beside plan; instead plan carries the planner's own
+// stage timings — analyze, effects, depend, rewrite, lower — back to
+// back and inside its span. A plan that approves nothing lowers
+// nothing, and the miss compiles the input as a serial miss does.
+func TestAutoMissTraceShape(t *testing.T) {
+	s := newTestServer(t, Config{})
+	childNames := func(sp *obs.SpanView) string {
+		var names []string
+		for _, c := range sp.Children {
+			names = append(names, c.Name)
+		}
+		return strings.Join(names, ",")
+	}
+
+	miss := mustRun(t, s, Request{Source: scalePar + "// trace shape\n", Auto: true, PEs: 2, Profile: true})
+	if !miss.OK || miss.Cached || miss.Trace == nil {
+		t.Fatalf("profiled auto miss: %+v", miss)
+	}
+	cacheSp := findSpan(miss.Trace.Spans, "cache")
+	if got := childNames(cacheSp); got != "parse,plan" {
+		t.Fatalf("auto miss cache children %q, want parse,plan", got)
+	}
+	planSp := findSpan(cacheSp.Children, "plan")
+	if got := childNames(planSp); got != "analyze,effects,depend,rewrite,lower" {
+		t.Fatalf("plan children %q, want analyze,effects,depend,rewrite,lower", got)
+	}
+	at, sum := planSp.Children[0].StartUS, int64(0)
+	if at < planSp.StartUS {
+		t.Errorf("plan stages start at %d µs, before the plan span [%d +%d]", at, planSp.StartUS, planSp.DurUS)
+	}
+	for _, st := range planSp.Children {
+		// Each stage starts where the one before ended, give or take the
+		// microsecond each boundary is rounded to.
+		if st.StartUS < at-1 || st.StartUS > at+1 {
+			t.Errorf("stage %s starts at %d µs, the stage before it ended at %d", st.Name, st.StartUS, at)
+		}
+		at = st.StartUS + st.DurUS
+		sum += st.DurUS
+	}
+	if at > planSp.StartUS+planSp.DurUS+1 {
+		t.Errorf("plan stages end at %d µs, after the plan span [%d +%d]", at, planSp.StartUS, planSp.DurUS)
+	}
+	if lower := findSpan(planSp.Children, "lower"); sum == 0 || lower.DurUS == 0 {
+		t.Errorf("plan stages sum to %d µs (lower %d): the timings were not filled", sum, lower.DurUS)
+	}
+
+	none := mustRun(t, s, Request{Source: addSrc + "// trace shape\n", Auto: true, PEs: 2, Profile: true})
+	if !none.OK || none.Trace == nil {
+		t.Fatalf("profiled auto miss, nothing to approve: %+v", none)
+	}
+	if got := childNames(findSpan(none.Trace.Spans, "cache")); got != "parse,plan,compile" {
+		t.Errorf("auto miss with nothing approved: cache children %q, want parse,plan,compile", got)
 	}
 }
 

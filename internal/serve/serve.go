@@ -6,10 +6,11 @@
 // under load* the performance story:
 //
 //   - a sharded, content-hash-keyed LRU cache of checked programs
-//     (cache.go) whose code — compile IR and bytecode — is built at
-//     insert (interp.CompileProgram), so a repeat request skips lexing,
-//     parsing, checking, slot resolution, and lowering entirely — it
-//     binds a frame and runs. (The closure engine's code is built from
+//     (cache.go) whose code — compile IR and bytecode — is built once,
+//     at insert (interp.CompileProgram; for a planned variant the
+//     planner's own lowering, transform.Plan.Code), so a repeat request
+//     skips lexing, parsing, checking, slot resolution, and lowering
+//     entirely — it binds a frame and runs. (The closure engine's code is built from
 //     the entry's IR on the first "engine": "compiled" request, once.)
 //     Concurrent cold misses for one source are singleflighted: one
 //     build, everyone waits on it.
@@ -525,31 +526,7 @@ func (s *Server) execute(ctx context.Context, req Request, eng interp.Engine, po
 		if err != nil {
 			return nil, nil, err
 		}
-		var summary *PlanSummary
-		if req.Auto {
-			// The whole front half of the paper runs here, once per
-			// (source, width): path-matrix analysis, dependence tests on
-			// every loop, strip-mining of the approved ones. The entry
-			// pins the report, in wire form, next to the code, so hot
-			// auto requests get it for free.
-			planSp := cacheSp.Start("plan")
-			plan, err := transform.AutoParallelize(p, width)
-			planSp.End()
-			if err != nil {
-				return nil, nil, err
-			}
-			p, summary = plan.Program, planSummary(plan)
-		}
-		// Build and pin the code now, while we hold the cold path: the
-		// entry owns its code, so hits never recompile (interp keeps no
-		// code cache of its own).
-		compileSp := cacheSp.Start("compile")
-		pinned := interp.CompileProgram(p)
-		compileSp.End()
-		if pinned.Err() != nil {
-			return nil, nil, pinned.Err()
-		}
-		return pinned, summary, nil
+		return build(p, req.Auto, width, cacheSp)
 	})
 	if cacheSp != nil {
 		cacheSp.SetAttr("hit", fmt.Sprintf("%t", cached))
@@ -626,6 +603,62 @@ func (s *Server) execute(ctx context.Context, req Request, eng interp.Engine, po
 	}
 	mergeSp.End()
 	return done(resp)
+}
+
+// build turns a parsed program into what a cache entry pins: its code
+// and, for an auto request, the plan report in wire form. It is the
+// cold path, run once per (source, width); sp is the miss's cache span
+// (nil when the request is not traced).
+func build(p *lang.Program, auto bool, width int, sp *obs.Span) (*interp.CompiledProgram, *PlanSummary, error) {
+	var summary *PlanSummary
+	var pinned *interp.CompiledProgram
+	if auto {
+		// The whole front half of the paper runs here: path-matrix
+		// analysis, dependence tests on every loop, strip-mining of the
+		// approved ones, and — to read the kernel classifier's verdicts —
+		// the lowering of the result, which the plan owns and the entry
+		// pins.
+		planSp := sp.Start("plan")
+		planStart := time.Now()
+		plan, err := transform.AutoParallelize(p, width)
+		planSp.End()
+		if err != nil {
+			return nil, nil, err
+		}
+		recordPlanStages(planSp, planStart, plan.Timings)
+		summary, pinned = planSummary(plan), plan.Code
+	}
+	if pinned == nil {
+		// A serial request, or a plan that approved nothing (the input
+		// runs as written): build the code here. Either way the entry
+		// owns its code, so hits never recompile (interp keeps no code
+		// cache of its own).
+		compileSp := sp.Start("compile")
+		pinned = interp.CompileProgram(p)
+		compileSp.End()
+	}
+	if err := pinned.Err(); err != nil {
+		return nil, nil, err
+	}
+	return pinned, summary, nil
+}
+
+// recordPlanStages hangs the planner's own stage timings under a traced
+// miss's plan span, back to back from its start (the stages run in that
+// order with nothing between them), so a trace of an auto miss says
+// where planning went — including the lowering the plan now does in
+// place of the miss's compile stage.
+func recordPlanStages(planSp *obs.Span, start time.Time, tm transform.Timings) {
+	for _, st := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"analyze", tm.Analyze}, {"effects", tm.Effects}, {"depend", tm.Depend},
+		{"rewrite", tm.Rewrite}, {"lower", tm.Lower},
+	} {
+		planSp.Record(st.name, start, st.d)
+		start = start.Add(st.d)
+	}
 }
 
 // efficiencyReport joins the profiler's per-site measurements with the

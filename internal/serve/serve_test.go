@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,8 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/lang"
+	"repro/internal/nbody"
+	"repro/internal/transform"
 )
 
 const addSrc = `
@@ -860,5 +863,90 @@ func BenchmarkServeHot(b *testing.B) {
 	b.StopTimer()
 	if d := interp.CompileCount() - c0; d != 0 {
 		b.Fatalf("hot benchmark compiled %d times", d)
+	}
+}
+
+// BenchmarkServeColdAuto measures the cache-miss path of an auto request
+// end to end (no HTTP): every iteration sends a never-seen variant of
+// the vector-force source, so it parses, plans (lowering included) and
+// runs a small sweep — the work behind the benchmark's cold_p25_ms.
+func BenchmarkServeColdAuto(b *testing.B) {
+	s := New(Config{})
+	defer s.Close()
+	req := Request{Fn: nbody.VecForceFunc, Auto: true, Args: []json.Number{"64", "4", "0.5"}}
+	c0 := interp.CompileCount()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Source = nbody.VecForcePSL + "\n// cold " + strconv.Itoa(i) + "\n"
+		resp, err := s.Run(context.Background(), req)
+		if err != nil || !resp.OK || resp.Cached {
+			b.Fatal(err, resp.Error, resp.Cached)
+		}
+	}
+	b.StopTimer()
+	if d := interp.CompileCount() - c0; d != int64(b.N) {
+		b.Fatalf("%d misses built code %d times", b.N, d)
+	}
+}
+
+// TestAutoMissCompilesOnce: a miss lowers its program once, whatever it
+// is — a serial request builds the input, an auto request pins the code
+// the planner lowered to read the classifier's verdicts (it used to
+// build the planned program a second time), and an auto request whose
+// plan approved nothing builds the input it falls back to.
+func TestAutoMissCompilesOnce(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, c := range []struct {
+		name     string
+		req      Request
+		approved int
+	}{
+		{"serial", Request{Source: scalePar + "// once: serial\n"}, 0},
+		{"auto", Request{Source: scalePar + "// once: auto\n", Auto: true, PEs: 2}, 1},
+		{"auto, nothing approved", Request{Source: addSrc + "// once: none\n", Auto: true, PEs: 2}, 0},
+	} {
+		c0 := interp.CompileCount()
+		resp := mustRun(t, s, c.req)
+		if !resp.OK || resp.Cached {
+			t.Fatalf("%s: %+v", c.name, resp)
+		}
+		if d := interp.CompileCount() - c0; d != 1 {
+			t.Errorf("%s: the miss built code %d times, want 1", c.name, d)
+		}
+		if c.req.Auto && (resp.Plan == nil || len(resp.Plan.Parallelized) != c.approved) {
+			t.Errorf("%s: plan %+v, want %d loop(s) parallelized", c.name, resp.Plan, c.approved)
+		}
+		if again := mustRun(t, s, c.req); !again.Cached || interp.CompileCount()-c0 != 1 {
+			t.Errorf("%s: the repeat request was not a free hit", c.name)
+		}
+	}
+}
+
+// TestBuildReportsPlannedCompileFailure: a program whose planned form
+// does not compile fails the build with exactly the error building that
+// form by hand gives — what the miss reported when it compiled the plan
+// itself — and pins nothing. No source text gets there (a checked
+// program compiles), so the AST is damaged by hand, in a function the
+// planner's rewrite does not touch and so does not re-check.
+func TestBuildReportsPlannedCompileFailure(t *testing.T) {
+	p := lang.MustParse(scalePar)
+	ret := p.Func("total").Body.Stmts[len(p.Func("total").Body.Stmts)-1].(*lang.ReturnStmt)
+	ret.Value.(*lang.Ident).Name = "nosuch"
+
+	plan, err := transform.AutoParallelize(p, 8)
+	if err != nil || plan.Parallelized != 1 {
+		t.Fatalf("plan = %+v, %v", plan, err)
+	}
+	want := interp.CompileProgram(plan.Program).Err()
+	if want == nil {
+		t.Fatal("the damaged program compiles")
+	}
+	cp, summary, err := build(p, true, 8, nil)
+	if cp != nil || summary != nil || err == nil || err.Error() != want.Error() {
+		t.Errorf("build = %v, %v, %v; want nil, nil, %q", cp, summary, err, want)
+	}
+	if _, _, err := build(p, false, 0, nil); err == nil {
+		t.Error("the serial build of the damaged program succeeded")
 	}
 }

@@ -55,12 +55,13 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/bytecode"
-	"repro/internal/compile"
 	"repro/internal/depend"
 	"repro/internal/effects"
+	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/parexec"
 )
@@ -187,6 +188,24 @@ type Plan struct {
 	Loops []*LoopPlan
 	// Parallelized counts the approved (strip-mined) loops.
 	Parallelized int
+	// Code is Program's executable code. The planner lowers the
+	// transformed program once, to read the kernel classifier's verdict
+	// on every strip, and the plan owns the result: whoever runs Program
+	// runs this handle instead of compiling it again (Code.Err reports a
+	// lowering failure). Nil when nothing was approved — Program is then
+	// the caller's input, which the planner never lowers.
+	Code *interp.CompiledProgram
+	// Timings says where the planning time went.
+	Timings Timings
+}
+
+// Timings is the wall time of each planning stage, always filled:
+// Analyze and Effects are the two whole-program analyses (zero when the
+// caller handed them in, see PlanAnalyzed), Depend the batch of loop
+// tests, Rewrite the strip-mining and the type check of what it
+// touched, Lower the build of Plan.Code.
+type Timings struct {
+	Analyze, Effects, Depend, Rewrite, Lower time.Duration
 }
 
 // Summary is the one-line form: "parallelized 2/7 loops (width 16):
@@ -231,6 +250,28 @@ func noNesting(fn string, loop *lang.WhileStmt) *depend.Report {
 // what the equivalent sequence of hand-written StripMine calls would
 // produce, in program order (see the package comment).
 func AutoParallelize(prog *lang.Program, width int) (*Plan, error) {
+	// 1. One analysis of the input program.
+	t0 := time.Now()
+	res, err := analysis.New(prog).AnalyzeAll()
+	if err != nil {
+		return nil, err
+	}
+	t1 := time.Now()
+	eff := effects.NewAnalyzer(prog)
+	t2 := time.Now()
+	plan, err := PlanAnalyzed(prog, res, eff, width)
+	if err != nil {
+		return nil, err
+	}
+	plan.Timings.Analyze, plan.Timings.Effects = t1.Sub(t0), t2.Sub(t1)
+	return plan, nil
+}
+
+// PlanAnalyzed is AutoParallelize for a caller that already holds the
+// program's path-matrix analysis and effect summaries (core.Compilation
+// does): steps 2 to 5, against res and eff, which must describe prog as
+// it is now.
+func PlanAnalyzed(prog *lang.Program, res *analysis.Result, eff *effects.Analyzer, width int) (*Plan, error) {
 	if width <= 0 {
 		width = DefaultWidth(0)
 	}
@@ -238,17 +279,11 @@ func AutoParallelize(prog *lang.Program, width int) (*Plan, error) {
 		return nil, err
 	}
 
-	// 1. One analysis of the input program.
-	res, err := analysis.New(prog).AnalyzeAll()
-	if err != nil {
-		return nil, err
-	}
-	eff := effects.NewAnalyzer(prog)
-
 	// 2. Every while loop, in scan order, tested in one batch on the
 	// executor's own pool: each test is a read-only query of the program,
 	// the analysis and the effect summaries. Walk order is pre-order, so
 	// the loops nested in sites[k] are the next sites[k].nested entries.
+	t0 := time.Now()
 	type site struct {
 		fn     string
 		index  int // among fn's while loops, in the input program
@@ -294,6 +329,8 @@ func AutoParallelize(prog *lang.Program, width int) (*Plan, error) {
 			plan.Loops[k].Report = noNesting(sites[k].fn, sites[k].loop)
 		}
 	}
+	t1 := time.Now()
+	plan.Timings.Depend = t1.Sub(t0)
 	if len(chosen) == 0 {
 		return plan, nil
 	}
@@ -301,58 +338,64 @@ func AutoParallelize(prog *lang.Program, width int) (*Plan, error) {
 	// 4. Rewrite the chosen loops, in scan order, on one clone. Each
 	// rewrite moves its nested loops out of the function, so a later
 	// sibling is addressed at its input index less the loops moved so far.
+	// A rewrite reads types only off the loop it moves, so the synthesized
+	// nodes are typed by one check at the end: each touched function and
+	// each helper once.
 	plan.Program = prog.Clone()
 	plan.Parallelized = len(chosen)
+	var touched []*lang.FuncDecl
 	fn, moved := "", 0
 	for _, k := range chosen {
 		s := sites[k]
 		if s.fn != fn {
 			fn, moved = s.fn, 0
+			touched = append(touched, plan.Program.Func(fn))
 		}
-		helper, err := stripMineInPlace(plan.Program, reports[k], s.fn, s.index-moved, width)
+		helper, err := rewriteLoop(plan.Program, reports[k], s.fn, s.index-moved, width)
 		if err != nil {
 			return nil, err
 		}
+		touched = append(touched, helper)
 		moved += s.nested
 		lp := plan.Loops[k]
-		lp.Parallelized, lp.Helper, lp.Width = true, helper, width
+		lp.Parallelized, lp.Helper, lp.Width = true, helper.Name, width
 		for _, in := range plan.Loops[k+1 : k+1+s.nested] {
-			in.Absorbed, in.AbsorbedInto, in.Report = true, helper, nil
+			in.Absorbed, in.AbsorbedInto, in.Report = true, helper.Name, nil
 		}
 	}
+	if err := checkGenerated(plan.Program, touched...); err != nil {
+		return nil, err
+	}
+	t2 := time.Now()
+	plan.Timings.Rewrite = t2.Sub(t1)
 
 	// 5. The kernel classifier's verdict on every strip.
 	annotateVectorVerdicts(plan)
+	plan.Timings.Lower = time.Since(t2)
 	return plan, nil
 }
 
-// annotateVectorVerdicts joins the kernel classifier's per-strip
-// verdicts onto the plan: lower the transformed program through the
-// bytecode pipeline (whose forall lowering runs the classifier; see
-// bytecode/kernel.go) and match strips to plan entries by source
-// position — transform stamps each generated forall with the original
-// while loop's position, the same key the profiler joins on. The
-// verdict is advisory reporting; lowering failure therefore degrades
-// to a stated reason rather than failing the plan.
+// annotateVectorVerdicts builds the plan's code and joins the kernel
+// classifier's per-strip verdicts onto the plan: lowering the
+// transformed program through the bytecode pipeline runs the classifier
+// on every forall (see bytecode/kernel.go), and strips match plan
+// entries by source position — transform stamps each generated forall
+// with the original while loop's position, the same key the profiler
+// joins on. The verdict is advisory reporting; lowering failure
+// therefore degrades to a stated reason rather than failing the plan
+// (running plan.Code then reports the failure).
 func annotateVectorVerdicts(plan *Plan) {
 	if plan.Parallelized == 0 {
 		return
 	}
-	fail := func(err error) {
+	plan.Code = interp.CompileProgram(plan.Program)
+	bp, err := plan.Code.Bytecode()
+	if err != nil {
 		for _, lp := range plan.Loops {
 			if lp.Parallelized {
 				lp.VectorReason = fmt.Sprintf("kernel lowering unavailable: %v", err)
 			}
 		}
-	}
-	cp, err := compile.Compile(plan.Program)
-	if err != nil {
-		fail(err)
-		return
-	}
-	bp, err := bytecode.Compile(cp)
-	if err != nil {
-		fail(err)
 		return
 	}
 	byPos := map[lang.Pos]*bytecode.ForallSite{}

@@ -292,3 +292,71 @@ func TestAutoParallelizeDefaults(t *testing.T) {
 		t.Errorf("plan string lacks verdicts:\n%s", plan)
 	}
 }
+
+// TestPlanOwnsItsCode: a plan that approved a loop carries the code the
+// planner lowered to read the classifier's verdicts — built once, for
+// exactly the program the plan reports — and every stage timing is
+// filled; a plan that approved nothing lowered nothing.
+func TestPlanOwnsItsCode(t *testing.T) {
+	prog := lang.MustParse(scaleSrc)
+	c0 := interp.CompileCount()
+	plan, err := AutoParallelize(prog, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := interp.CompileCount() - c0; d != 1 {
+		t.Errorf("planning built code %d times, want 1", d)
+	}
+	if plan.Code == nil || plan.Code.Err() != nil || plan.Code.Program() != plan.Program {
+		t.Fatalf("plan.Code = %+v for program %p, want that program's working code", plan.Code, plan.Program)
+	}
+	if v, _, err := interp.RunCompiled(plan.Code, interp.Config{}, "main", interp.IntVal(20), interp.IntVal(3)); err != nil || v.I != 3*20*21/2 {
+		t.Errorf("running plan.Code: %v, %v", v, err)
+	}
+	if tm := plan.Timings; tm.Analyze <= 0 || tm.Effects <= 0 || tm.Depend <= 0 || tm.Rewrite <= 0 || tm.Lower <= 0 {
+		t.Errorf("timings not filled: %+v", tm)
+	}
+
+	c0 = interp.CompileCount()
+	none := planFor(t, adds.OneWayListSrc+`
+function int total(OneWayList *head) {
+  var int s = 0;
+  var OneWayList *p = head;
+  while p != NULL {
+    s = s + p->data;
+    p = p->next;
+  }
+  return s;
+}`, 4)
+	if none.Parallelized != 0 || none.Code != nil || interp.CompileCount() != c0 {
+		t.Errorf("a plan with no approvals has code %v after %d builds:\n%s", none.Code, interp.CompileCount()-c0, none)
+	}
+	if tm := none.Timings; tm.Depend <= 0 || tm.Rewrite != 0 || tm.Lower != 0 {
+		t.Errorf("timings of a plan with no approvals: %+v", tm)
+	}
+}
+
+// TestPlanSurvivesLoweringFailure: the classifier's verdict is advisory,
+// so a planned program that does not compile still comes back as a
+// plan, every approved loop saying why it has no vector verdict, and
+// plan.Code reports the failure to whoever tries to run it. No source
+// text gets there (a checked program compiles), so the AST is damaged by
+// hand, in a function the rewrite does not touch and so does not
+// re-check.
+func TestPlanSurvivesLoweringFailure(t *testing.T) {
+	prog := lang.MustParse(scaleSrc)
+	body := prog.Func("total").Body
+	body.Stmts[len(body.Stmts)-1].(*lang.ReturnStmt).Value.(*lang.Ident).Name = "nosuch"
+	plan, err := AutoParallelize(prog, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp := loopByFunc(t, plan, "scale", 0)
+	if !lp.Parallelized || lp.Vectorized || !strings.HasPrefix(lp.VectorReason, "kernel lowering unavailable: ") ||
+		!strings.Contains(lp.VectorReason, "nosuch") {
+		t.Errorf("approved loop of a program that does not compile: %+v", lp)
+	}
+	if plan.Code == nil || plan.Code.Err() == nil || !strings.Contains(lp.VectorReason, plan.Code.Err().Error()) {
+		t.Errorf("plan.Code = %+v, want a handle whose Err is the stated reason %q", plan.Code, lp.VectorReason)
+	}
+}

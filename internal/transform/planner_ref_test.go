@@ -197,7 +197,7 @@ const planSeeds = 200
 // planner's one structural assumption — that a verdict reached on the
 // input program still holds after other loops were strip-mined. Over
 // the testdata corpus, the measured workloads, the many-loop program
-// and planSeeds generated programs (genLoopProgram: the shapes a
+// and planSeeds generated programs (GenLoopProgramPSL: the shapes a
 // rewrite could plausibly disturb), AutoParallelize must produce the
 // plan text, transformed program and loop coordinates of the reference
 // that re-analyzes everything after every rewrite.
@@ -213,7 +213,7 @@ func TestPlanMatchesFullRestart(t *testing.T) {
 	}
 	t.Run("generated", func(t *testing.T) {
 		for seed := int64(0); seed < planSeeds; seed++ {
-			assertMatchesFullRestart(t, genLoopProgram(seed), widths[seed%3])
+			assertMatchesFullRestart(t, GenLoopProgramPSL(seed), widths[seed%3])
 		}
 	})
 }
@@ -242,6 +242,6 @@ func FuzzPlanMatchesFullRestart(f *testing.F) {
 	f.Add(int64(0), uint8(2))
 	f.Add(int64(planSeeds), uint8(8))
 	f.Fuzz(func(t *testing.T, seed int64, width uint8) {
-		assertMatchesFullRestart(t, genLoopProgram(seed), 1+int(width%16))
+		assertMatchesFullRestart(t, GenLoopProgramPSL(seed), 1+int(width%16))
 	})
 }

@@ -79,44 +79,57 @@ func approveLoop(prog *lang.Program, fnName string, loopIndex int) (*depend.Repo
 
 // stripMineCloned is the rewrite half of StripMine: it trusts rep (the
 // dependence report licensing loop loopIndex of fnName on this exact
-// program) and performs the §4.3.3 transformation on a clone.
+// program), performs the §4.3.3 transformation on a clone and re-checks
+// the two functions it touched — fnName and the appended helper.
 func stripMineCloned(prog *lang.Program, rep *depend.Report, fnName string, loopIndex, width int) (*StripMineResult, error) {
 	clone := prog.Clone()
-	helperName, err := stripMineInPlace(clone, rep, fnName, loopIndex, width)
+	helper, err := rewriteLoop(clone, rep, fnName, loopIndex, width)
+	if err == nil {
+		err = checkGenerated(clone, clone.Func(fnName), helper)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &StripMineResult{Program: clone, Report: rep, Helper: helperName, Width: width}, nil
+	return &StripMineResult{Program: clone, Report: rep, Helper: helper.Name, Width: width}, nil
 }
 
-// stripMineInPlace performs the §4.3.3 rewrite directly on prog,
-// returning the generated helper's name. Exactly two functions are
-// touched: fnName (its loop body is replaced) and the appended helper;
-// only those two are re-checked. The names it introduces — the helper,
-// the PE index and the skip-ahead counter — are the documented ones
-// unless the program already uses them, in which case a numeric suffix
-// makes them free. On error the program may be left partially
-// rewritten; callers that need the input preserved clone first
-// (stripMineCloned).
-func stripMineInPlace(prog *lang.Program, rep *depend.Report, fnName string, loopIndex, width int) (string, error) {
+// checkGenerated type-checks the functions a rewrite touched, to type
+// the synthesized nodes.
+func checkGenerated(prog *lang.Program, fns ...*lang.FuncDecl) error {
+	if err := lang.CheckFuncs(prog, fns...); err != nil {
+		return fmt.Errorf("transform: internal: generated code does not check: %w", err)
+	}
+	return nil
+}
+
+// rewriteLoop is the §4.3.3 rewrite itself, directly on prog: it
+// replaces the body of loop loopIndex of fnName and appends the
+// iteration procedure, which it returns. The synthesized nodes are left
+// untyped (checkGenerated types them); everything the rewrite needs to
+// know about types it reads off the loop it moves. On error the program
+// may be left partially rewritten. The names it introduces — the helper, the PE index
+// and the skip-ahead counter — are the documented ones unless the
+// program already uses them, in which case a numeric suffix makes them
+// free.
+func rewriteLoop(prog *lang.Program, rep *depend.Report, fnName string, loopIndex, width int) (*lang.FuncDecl, error) {
 	if width < 1 {
-		return "", fmt.Errorf("transform: strip width must be >= 1, got %d", width)
+		return nil, fmt.Errorf("transform: strip width must be >= 1, got %d", width)
 	}
 
 	fn := prog.Func(fnName)
 	if fn == nil {
-		return "", fmt.Errorf("transform: no function %q", fnName)
+		return nil, fmt.Errorf("transform: no function %q", fnName)
 	}
 	loop, err := analysis.FindLoop(fn, loopIndex)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	ind := rep.Induction
 	field := rep.AdvanceField
 
 	indType := inductionType(loop, ind)
 	if indType == nil {
-		return "", fmt.Errorf("transform: cannot determine type of induction %q", ind)
+		return nil, fmt.Errorf("transform: cannot determine type of induction %q", ind)
 	}
 
 	// Free variables of the body (excluding the induction and locals):
@@ -131,10 +144,10 @@ func stripMineInPlace(prog *lang.Program, rep *depend.Report, fnName string, loo
 		func(n string) bool { return prog.Func(n) != nil })
 	helper, err := buildHelper(helperName, pe, skip, ind, indType, field, loop, frees)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if err := prog.AddFunc(helper); err != nil {
-		return "", err
+		return nil, err
 	}
 
 	// Replace the loop body:
@@ -169,12 +182,7 @@ func stripMineInPlace(prog *lang.Program, rep *depend.Report, fnName string, loo
 		}},
 	}
 	loop.Body = &lang.Block{Stmts: []lang.Stmt{parallel, advance}}
-
-	// Re-check only the touched functions, to type the synthesized nodes.
-	if err := lang.CheckFuncs(prog, fn, helper); err != nil {
-		return "", fmt.Errorf("transform: internal: generated code does not check: %w", err)
-	}
-	return helperName, nil
+	return helper, nil
 }
 
 // buildHelper constructs:
