@@ -1,17 +1,16 @@
 // Command pslrouter fronts a fleet of pslserved backends: requests are
 // consistent-hashed by program content so every program lives on
 // exactly one replica's compiled cache (no duplicate compiles
-// fleet-wide), dead backends are health-checked out and their keys
-// rehash onto survivors, and POST /submit + GET /result/{id} offer an
-// async job API with retry-on-backend-failure. SIGINT/SIGTERM drain
-// gracefully: in-flight async attempts requeue, the ledger loses
-// nothing.
+// fleet-wide), and dead backends are health-checked out and their keys
+// rehash onto survivors. POST /run is the one way in: a request is
+// proxied on the goroutine that received it, so the router queues
+// nothing and SIGINT/SIGTERM drain is http.Server.Shutdown — every
+// request already received is answered — then stopping the health loop.
 //
 //	go run ./cmd/pslserved -addr 127.0.0.1:8081 &
 //	go run ./cmd/pslserved -addr 127.0.0.1:8082 &
 //	go run ./cmd/pslrouter -addr 127.0.0.1:8090 -backends http://127.0.0.1:8081,http://127.0.0.1:8082
 //	curl -s localhost:8090/run -d '{"source":"function int main() { return 42; }"}'
-//	curl -s localhost:8090/submit -d '{"source":"function int main() { return 42; }"}'
 //	go run ./cmd/loadgen -addr http://127.0.0.1:8090
 package main
 
@@ -65,8 +64,6 @@ func main() {
 		srv.Shutdown(shutCtx)
 		cancel()
 		r.Close()
-		st := r.Stats(context.Background())
-		log.Printf("pslrouter: drained (%d jobs done, %d still queued, %d failed)",
-			st.Jobs.Done, st.Jobs.Queued, st.Jobs.Failed)
+		log.Printf("pslrouter: drained")
 	}
 }

@@ -392,3 +392,39 @@ func TestBarnesHutThroughCore(t *testing.T) {
 		t.Errorf("build_tree violations: %v", keys)
 	}
 }
+
+// TestPlannedAnalysisErrorSurfacesAtFirstUse: planning reads the
+// input's analysis and analyzes nothing again, so an analysis failure
+// of the *planned* program does not fail AutoParallel, or running the
+// plan — it is the answer to the first question asked about the planned
+// program, and to every later one. No source text gets there (the
+// planner's output analyses whenever its input did), so the input's AST
+// is damaged by hand after Compile analyzed it, in a function the
+// rewrite copies untouched: total's p = p->next becomes a chained load
+// the path-matrix rules refuse.
+func TestPlannedAnalysisErrorSurfacesAtFirstUse(t *testing.T) {
+	c, err := Compile(scaleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := c.Program.Func("total").Body.Stmts[2].(*lang.WhileStmt)
+	advance := loop.Body.Stmts[len(loop.Body.Stmts)-1].(*lang.AssignStmt)
+	inner := advance.RHS.(*lang.FieldExpr)
+	outer := &lang.FieldExpr{X: inner, Field: "next"}
+	outer.SetType(inner.Type())
+	advance.RHS = outer
+
+	auto, err := c.AutoParallel(8)
+	if err != nil || auto.Plan.Parallelized != 1 {
+		t.Fatalf("AutoParallel = %+v, %v; want the scale loop approved", auto, err)
+	}
+	args := []interp.Value{interp.IntVal(10), interp.IntVal(2)}
+	if v, _, err := auto.RunParallel(RunConfig{}, 2, "main", args...); err != nil || v.I != 50 { // 2×(1+3+5+7+9)
+		t.Fatalf("planned run = %v, %v", v, err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := auto.LoopReports("scale"); err == nil || !strings.Contains(err.Error(), "chained load not normalized") {
+			t.Errorf("question %d about the planned program: err = %v, want the analysis failure", i+1, err)
+		}
+	}
+}

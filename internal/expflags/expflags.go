@@ -174,10 +174,6 @@ type RouterFlags struct {
 	Replicas       int           // -replicas: virtual nodes per backend on the hash ring
 	HealthInterval time.Duration // -health-interval: /healthz probe period
 	Retries        int           // -retries: extra backends tried after a transport failure
-	AsyncWorkers   int           // -async-workers: async job queue drainers
-	AsyncQueue     int           // -async-queue: queued async-job backlog cap
-	AsyncAttempts  int           // -async-attempts: attempts before an async job fails
-	AsyncTimeout   time.Duration // -async-timeout: per-attempt wall clock for async jobs
 	TraceRate      float64       // -trace-rate: fraction of proxied requests traced
 }
 
@@ -191,10 +187,6 @@ func RegisterRouter(fs *flag.FlagSet) *RouterFlags {
 	fs.DurationVar(&f.HealthInterval, "health-interval", 0, "backend /healthz probe period (0 = 250ms)")
 	fs.IntVar(&f.Retries, "retries", 0,
 		"extra backends a request tries after a transport failure (0 = 2, -1 = none)")
-	fs.IntVar(&f.AsyncWorkers, "async-workers", 0, "async job queue drainers (0 = 4)")
-	fs.IntVar(&f.AsyncQueue, "async-queue", 0, "queued async-job backlog cap (0 = 256)")
-	fs.IntVar(&f.AsyncAttempts, "async-attempts", 0, "attempts before an async job is failed (0 = 3)")
-	fs.DurationVar(&f.AsyncTimeout, "async-timeout", 0, "per-attempt wall clock for async jobs (0 = 60s)")
 	fs.Float64Var(&f.TraceRate, "trace-rate", 0,
 		"fraction of proxied requests traced into /debug/traces (0 = only profiled ones)")
 	return f
@@ -222,15 +214,11 @@ func (f *RouterFlags) RouterConfig() (serve.RouterConfig, error) {
 		return serve.RouterConfig{}, err
 	}
 	return serve.RouterConfig{
-		Backends:        backends,
-		Replicas:        f.Replicas,
-		HealthInterval:  f.HealthInterval,
-		Retries:         f.Retries,
-		AsyncWorkers:    f.AsyncWorkers,
-		AsyncQueueDepth: f.AsyncQueue,
-		AsyncAttempts:   f.AsyncAttempts,
-		AsyncTimeout:    f.AsyncTimeout,
-		TraceRate:       f.TraceRate,
+		Backends:       backends,
+		Replicas:       f.Replicas,
+		HealthInterval: f.HealthInterval,
+		Retries:        f.Retries,
+		TraceRate:      f.TraceRate,
 	}, nil
 }
 

@@ -23,10 +23,10 @@ import (
 // the insert race once cp/err are final; every other goroutine —
 // concurrent cold requests for the same source included — blocks on
 // ready instead of compiling again (the singleflight). The entry owns
-// a pinned interp.CompiledProgram, not just the AST: interp's own
-// per-program code cache is bounded and evicts arbitrarily under
-// churn, so holding the handle is what guarantees a hit here never
-// recompiles. The prev/next links are the shard's intrusive LRU list.
+// a pinned interp.CompiledProgram, not just the AST: interp keeps no
+// code cache of its own (interp.New builds every call), so the handle
+// held here is the only reason a hit never recompiles. The prev/next
+// links are the shard's intrusive LRU list.
 type centry struct {
 	key   [32]byte
 	ready chan struct{}

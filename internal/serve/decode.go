@@ -1,9 +1,9 @@
 // The one function that turns a /run-shaped body into a Request:
 // readRun reads the body once into a pooled buffer, DecodeRequest
 // decodes it once. Every handler that accepts a Request — a backend's
-// /run, the router's /run (embedded or proxying) and its /submit —
-// goes through them, so the router's idea of a body's source (the ring
-// key) is the backend's (the cache key) by construction.
+// /run and the router's /run (embedded or proxying) — goes through
+// them, so the router's idea of a body's source (the ring key) is the
+// backend's (the cache key) by construction.
 //
 // DecodeRequest is a single pass over the envelope every client
 // actually sends: an object of the fourteen lower-case Request keys,

@@ -7,71 +7,54 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
-// poolJob builds a job that appends label to order when it runs; when
-// gate is non-nil the job first blocks on it, pinning the worker so
-// the test can stage the queues deterministically.
-func poolJob(order *[]string, mu *sync.Mutex, label string, gate chan struct{}) *job {
-	return &job{
-		done:   make(chan struct{}),
-		tenant: strings.SplitN(label, ":", 2)[0],
-		fn: func() {
-			if gate != nil {
-				<-gate
-			}
-			mu.Lock()
-			*order = append(*order, label)
-			mu.Unlock()
-		},
-	}
-}
-
-func waitPool(t *testing.T, what string, cond func() bool) {
+// parkAt queues one request per label ("tenant:n") at g, in order —
+// each on its own goroutine, as requests arrive — and returns once all
+// are parked. An admitted request appends its label to order and
+// leaves; the caller holds g's only slot, so nothing runs before it
+// leaves, and then one request at a time.
+func parkAt(t *testing.T, g *gate, wg *sync.WaitGroup, order *[]string, labels ...string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
+	for _, label := range labels {
+		label := label
+		depth := g.stats().Depth
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := g.enter(context.Background(), strings.SplitN(label, ":", 2)[0]); err != nil {
+				t.Errorf("enter %s: %v", label, err)
+				return
+			}
+			*order = append(*order, label) // serialized by the one slot
+			g.leave()
+		}()
+		waitFor(t, label+" parked", func() bool { return g.stats().Depth == depth+1 })
 	}
 }
 
-// TestTenantFairQueuing: with one worker pinned, tenant A floods the
-// queue and tenants B and C each queue one request; dispatch is
+// TestTenantFairQueuing: with the one slot held, tenant A floods the
+// queue and tenants B and C each queue one request; hand-off is
 // round-robin across tenants, so B and C run after A's *first* queued
 // request, not after A's whole backlog.
 func TestTenantFairQueuing(t *testing.T) {
-	p := newPool(1, 16, 16)
-	defer p.close()
-	var mu sync.Mutex
-	var order []string
-	gate := make(chan struct{})
-
-	blocker := poolJob(&order, &mu, "A:blocker", gate)
-	if err := p.submit(blocker); err != nil {
+	g := newGate(1, 16, 16)
+	defer g.close()
+	if err := g.enter(context.Background(), "A"); err != nil {
 		t.Fatal(err)
 	}
-	waitPool(t, "worker pinned", func() bool { return p.running.Load() == 1 })
-
-	jobs := []*job{blocker}
-	for _, label := range []string{"A:1", "A:2", "A:3", "B:1", "C:1"} {
-		j := poolJob(&order, &mu, label, nil)
-		if err := p.submit(j); err != nil {
-			t.Fatalf("submit %s: %v", label, err)
-		}
-		jobs = append(jobs, j)
-	}
-	close(gate)
-	for _, j := range jobs {
-		<-j.done
-	}
+	var wg sync.WaitGroup
+	order := []string{"A:blocker"}
+	parkAt(t, g, &wg, &order, "A:1", "A:2", "A:3", "B:1", "C:1")
+	g.leave()
+	wg.Wait()
 
 	want := []string{"A:blocker", "A:1", "B:1", "C:1", "A:2", "A:3"}
 	if got := strings.Join(order, " "); got != strings.Join(want, " ") {
 		t.Errorf("dispatch order %q, want %q", got, strings.Join(want, " "))
+	}
+	if st := g.stats(); st.Running != 0 || st.Depth != 0 || st.Tenants != 0 {
+		t.Errorf("gate not idle after the last request left: %+v", st)
 	}
 }
 
@@ -79,43 +62,25 @@ func TestTenantFairQueuing(t *testing.T) {
 // with ErrTenantBusy while other tenants (and the global queue) still
 // have room.
 func TestTenantQuota(t *testing.T) {
-	p := newPool(1, 8, 2)
-	defer p.close()
-	var mu sync.Mutex
-	var order []string
-	gate := make(chan struct{})
-
-	blocker := poolJob(&order, &mu, "X:blocker", gate)
-	if err := p.submit(blocker); err != nil {
+	g := newGate(1, 8, 2)
+	defer g.close()
+	if err := g.enter(context.Background(), "X"); err != nil {
 		t.Fatal(err)
 	}
-	waitPool(t, "worker pinned", func() bool { return p.running.Load() == 1 })
+	var wg sync.WaitGroup
+	var order []string
+	parkAt(t, g, &wg, &order, "A:1", "A:2")
+	if err := g.enter(context.Background(), "A"); err != ErrTenantBusy {
+		t.Errorf("over-quota enter err = %v, want ErrTenantBusy", err)
+	}
+	parkAt(t, g, &wg, &order, "B:1") // under its own quota: admitted to the queue
 
-	jobs := []*job{blocker}
-	for _, label := range []string{"A:1", "A:2"} {
-		j := poolJob(&order, &mu, label, nil)
-		if err := p.submit(j); err != nil {
-			t.Fatalf("submit %s: %v", label, err)
-		}
-		jobs = append(jobs, j)
-	}
-	if err := p.submit(poolJob(&order, &mu, "A:3", nil)); err != ErrTenantBusy {
-		t.Errorf("over-quota submit err = %v, want ErrTenantBusy", err)
-	}
-	b := poolJob(&order, &mu, "B:1", nil)
-	if err := p.submit(b); err != nil {
-		t.Errorf("tenant B rejected while under its quota: %v", err)
-	}
-	jobs = append(jobs, b)
-
-	st := p.stats()
+	st := g.stats()
 	if st.TenantRejected != 1 || st.Tenants != 2 || st.TenantQuota != 2 {
 		t.Errorf("stats %+v, want 1 quota rejection across 2 queued tenants", st)
 	}
-	close(gate)
-	for _, j := range jobs {
-		<-j.done
-	}
+	g.leave()
+	wg.Wait()
 }
 
 // TestTenantQuotaHTTP stages a full tenant queue through the real

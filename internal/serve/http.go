@@ -6,12 +6,26 @@
 //	GET  /debug/traces — recent request traces (bounded ring)
 //	GET  /healthz      — 200 while serving, 503 once draining
 //
-// Error mapping: malformed requests are 400, admission rejections 503
-// (queue full, draining) or 429 (tenant over quota) with Retry-After
-// (back-pressure the load generator honors), and everything that
-// actually executed is 200 — including failed programs, whose Response
-// carries ok=false and the error string. A failed program is a
-// successful service interaction.
+// Error mapping: malformed requests are 400 (413 over the body cap),
+// admission rejections 503 (queue full, draining) or 429 (tenant over
+// quota) with Retry-After (back-pressure the load generator honors),
+// and every admitted request is 200 — including failed programs, whose
+// Response carries ok=false and the error string. A failed program is a
+// successful service interaction; what "error" begins with says which:
+//
+//   - "compile: …": the program could not be built — a parse or check
+//     error, or for an auto request a failed plan: path-matrix analysis
+//     of the input (the only analysis a request runs — nothing here
+//     analyses the planned program) or a planned program that does not
+//     compile. No plan in the reply; the failure is cached.
+//   - "interp: bytecode engine: …": it compiled but did not lower to
+//     bytecode. An auto reply still carries its plan, each approved
+//     loop's vector_reason reading "kernel lowering unavailable: …";
+//     "engine": "compiled" and "walk" still run it.
+//   - "<line>:<col>: interp: …": the run failed — a fault or a budget.
+//   - "serve: cancelled while …": the client or the deadline gave up
+//     before the run began; "… while queued" is counted as abandoned,
+//     not as an error, and nothing ran.
 package serve
 
 import (

@@ -39,7 +39,7 @@ func promRuntime(p *obs.Prom, rt RuntimeStats) {
 	p.Gauge("psl_gomaxprocs", "GOMAXPROCS of the serving process.", float64(rt.GoMaxProcs))
 	p.Gauge("psl_num_cpu", "Logical CPUs visible to the process.", float64(rt.NumCPU))
 	if rt.PEs > 0 {
-		p.Gauge("psl_pes", "Worker-pool size (concurrently executing requests).", float64(rt.PEs))
+		p.Gauge("psl_pes", "Requests the service executes at once.", float64(rt.PEs))
 	}
 }
 
@@ -56,10 +56,10 @@ func writeMetrics(p *obs.Prom, st Stats) {
 	p.Counter("psl_cache_compiles_total", "Front-end builds (parse + check + codegen).", float64(st.Cache.Compiles))
 	p.Gauge("psl_cache_entries", "Programs currently cached.", float64(st.Cache.Entries))
 	p.Gauge("psl_cache_capacity", "Program cache capacity.", float64(st.Cache.Capacity))
-	p.Gauge("psl_queue_depth", "Requests waiting for a worker.", float64(st.Queue.Depth))
+	p.Gauge("psl_queue_depth", "Requests waiting for a slot.", float64(st.Queue.Depth))
 	p.Gauge("psl_queue_capacity", "Admission queue capacity.", float64(st.Queue.Capacity))
 	p.Gauge("psl_queue_running", "Requests executing now.", float64(st.Queue.Running))
-	p.Gauge("psl_queue_workers", "Worker count.", float64(st.Queue.Workers))
+	p.Gauge("psl_queue_workers", "Requests that may execute at once.", float64(st.Queue.Workers))
 	p.Gauge("psl_queue_tenants", "Tenants with queued requests.", float64(st.Queue.Tenants))
 	p.Counter("psl_tenant_rejected_total", "Admissions refused because the tenant's quota was full.", float64(st.Queue.TenantRejected))
 	promLatency(p, "psl_request_latency_seconds", "Latency of executed requests.", st.Latency)
@@ -70,7 +70,6 @@ func writeMetrics(p *obs.Prom, st Stats) {
 // series labeled by backend URL.
 func writeRouterMetrics(p *obs.Prom, st RouterStats) {
 	p.Counter("psl_router_requests_total", "Requests the router received.", float64(st.Requests))
-	p.Counter("psl_router_submitted_total", "Async jobs submitted.", float64(st.Submitted))
 	p.Counter("psl_router_retries_total", "Failover retries to another backend.", float64(st.Retries))
 	p.Counter("psl_router_unroutable_total", "Requests with no healthy backend to try.", float64(st.Unroutable))
 	p.Counter("psl_router_cache_hits_total", "Fleet-aggregate program cache hits.", float64(st.Cache.Hits))
@@ -92,12 +91,6 @@ func writeRouterMetrics(p *obs.Prom, st RouterStats) {
 	p.LabeledGauge("psl_router_backend_healthy", "1 while the backend passes health checks.", healthy)
 	p.LabeledCounter("psl_router_backend_routed_total", "Requests routed to the backend.", routed)
 	p.LabeledCounter("psl_router_backend_failures_total", "Transport failures talking to the backend.", failures)
-	p.Counter("psl_router_jobs_submitted_total", "Jobs accepted by the async ledger.", float64(st.Jobs.Submitted))
-	p.Gauge("psl_router_jobs_queued", "Jobs waiting for dispatch.", float64(st.Jobs.Queued))
-	p.Gauge("psl_router_jobs_running", "Jobs dispatched and running.", float64(st.Jobs.Running))
-	p.Counter("psl_router_jobs_done_total", "Jobs completed.", float64(st.Jobs.Done))
-	p.Counter("psl_router_jobs_failed_total", "Jobs that exhausted their retries.", float64(st.Jobs.Failed))
-	p.Counter("psl_router_jobs_requeues_total", "Job requeues after a backend loss.", float64(st.Jobs.Requeues))
 	promRuntime(p, st.Runtime)
 }
 

@@ -1,7 +1,7 @@
 // The fleet router: the horizontal scale-out front of the execution
-// service, served by cmd/pslrouter. One process was the throughput
-// ceiling (BENCH_serve.json records rps *falling* as concurrency
-// rises); the router turns N pslserved processes into one service:
+// service, served by cmd/pslrouter. One process is the throughput
+// ceiling (BENCH_serve.json records rps *falling* from concurrency 8
+// to 64); the router turns N pslserved processes into one service:
 //
 //   - cache-affinity sharding: requests are routed by the content hash
 //     of their program source over a consistent-hash ring (ring.go),
@@ -15,20 +15,19 @@
 //     replica mid-load costs a bounded rehash (only its keys move),
 //     not an outage. When the replica returns, exactly those keys move
 //     back to its still-warm cache.
-//   - an async job API for runs that exceed the synchronous request
-//     deadline: POST /submit returns a job id immediately, workers
-//     drain a durable in-process queue with retry-on-backend-failure,
-//     GET /result/{id} reports state and, once done, the full backend
-//     response (jobs.go). Drain never loses a job: in-flight attempts
-//     complete or requeue, queued jobs stay queued in the ledger.
 //
-// The router holds no program state itself — backends own their caches
-// — so its per-request work is one decode of the body (DecodeRequest,
-// the decoder the backend runs), one ring lookup, and one proxied hop.
+// There is one way in, POST /run, and a routed request runs where it
+// arrives: on the net/http goroutine that read it, which proxies it to
+// the owning backend or — in the embedded fleet — calls that replica's
+// Run directly. The router holds no program state and no queue of its
+// own — backends own their caches and their admission gates — so its
+// per-request work is one decode of the body (DecodeRequest, the
+// decoder the backend runs), one ring lookup, and one hop; the only
+// goroutine it starts is the health loop, and that is all Close waits
+// for.
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -55,27 +54,16 @@ type RouterConfig struct {
 	// also times out after one interval.
 	HealthInterval time.Duration
 	// Retries is how many *additional* backends a request tries after a
-	// transport failure before giving up (0 = 2, -1 = no in-request
-	// failover, which leaves retrying to the async requeue path). Only
-	// transport failures re-route: an executed-but-failed program or a
-	// 503 from a live backend is relayed as-is, preserving cache
-	// affinity.
+	// transport failure before giving up (0 = 2, -1 = no failover: the
+	// client sees the 503 and retries itself). Only transport failures
+	// re-route: an executed-but-failed program or a 503 from a live
+	// backend is relayed as-is, preserving cache affinity.
 	Retries int
 	// MaxBodyBytes bounds the request body (0 = 6 MiB + 64 KiB, the
 	// same envelope pslserved itself admits).
 	MaxBodyBytes int64
-	// AsyncWorkers is the number of queue drainers (0 = 4);
-	// AsyncQueueDepth bounds the queued-job backlog (0 = 256);
-	// AsyncAttempts caps how often one job is tried before it is marked
-	// failed (0 = 3); AsyncTimeout is the per-attempt wall clock
-	// (0 = 60s) — deliberately longer than the synchronous default,
-	// that's what /submit is for.
-	AsyncWorkers    int
-	AsyncQueueDepth int
-	AsyncAttempts   int
-	AsyncTimeout    time.Duration
-	// Client overrides the backend HTTP client (nil = a pooled
-	// default).
+	// Client overrides the backend HTTP client, which stays the caller's
+	// (nil = a pooled default, whose idle connections Close drops).
 	Client *http.Client
 	// TraceRate samples routed requests for tracing, like
 	// Config.TraceRate does on a backend: a sampled request gets a
@@ -89,13 +77,14 @@ type RouterConfig struct {
 	TraceBuffer int
 	// Embedded runs the fleet in-process instead of over the network:
 	// Embedded[i] becomes backend i ("embedded-i" on the ring), and a
-	// routed request is handed to its owner's handler directly — same
-	// sharding, no second HTTP hop. This is the single-machine
-	// deployment of the fleet (and how BENCH_serve.json's fleet row is
-	// measured on one box): pools, caches, and latency histograms are
-	// split N ways while the request path stays one network hop, like
-	// the single-process server it is compared against. The servers
-	// remain owned by the caller — Close them after the router.
+	// routed request runs on its owner by a direct call, on the
+	// goroutine it arrived on — same sharding, no second HTTP hop. This
+	// is the single-machine deployment of the fleet (and how
+	// BENCH_serve.json's fleet row is measured on one box): admission
+	// gates, caches, and latency histograms are split N ways while the
+	// request path stays one network hop, like the single-process
+	// server it is compared against. The servers remain owned by the
+	// caller — Close them after the router.
 	// Mutually exclusive with Backends.
 	Embedded []*Server
 }
@@ -116,18 +105,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 6*(1<<20) + 64*1024
 	}
-	if c.AsyncWorkers <= 0 {
-		c.AsyncWorkers = 4
-	}
-	if c.AsyncQueueDepth <= 0 {
-		c.AsyncQueueDepth = 256
-	}
-	if c.AsyncAttempts <= 0 {
-		c.AsyncAttempts = 3
-	}
-	if c.AsyncTimeout <= 0 {
-		c.AsyncTimeout = 60 * time.Second
-	}
 	if c.TraceBuffer <= 0 {
 		c.TraceBuffer = 64
 	}
@@ -144,10 +121,9 @@ type routerBackend struct {
 	routed   atomic.Int64 // requests this backend answered (any status)
 	failures atomic.Int64 // transport failures observed against it
 
-	// Embedded-fleet fields: the in-process server and its handler.
-	// nil for network backends.
-	local        *Server
-	localHandler http.Handler
+	// local is the in-process server of an embedded fleet; nil for
+	// network backends.
+	local *Server
 }
 
 var errNoBackend = errors.New("serve: no healthy backend")
@@ -160,27 +136,22 @@ type Router struct {
 	backends map[string]*routerBackend
 	order    []string // config order, the ring-building and Stats order
 	client   *http.Client
-	jobs     *jobLedger
 	start    time.Time
 	sampler  *obs.Sampler
 	traces   *obs.Ring
 
 	draining atomic.Bool
-	stop     chan struct{}      // ends the health loop
-	drainCtx context.Context    // parent of async attempts; cancelled on Close
-	drainEnd context.CancelFunc //
-	wg       sync.WaitGroup     // health loop + async workers
+	stop     context.CancelFunc // ends the health loop, mid-probe if need be
+	wg       sync.WaitGroup     // the health loop
 
 	requests   atomic.Int64 // /run proxies attempted
-	submitted  atomic.Int64 // /submit admissions
 	retries    atomic.Int64 // re-routes after a transport failure
 	unroutable atomic.Int64 // requests that found no healthy backend
 }
 
 // NewRouter builds and starts a Router: the ring is built over the
 // configured backends (all optimistically healthy until the first
-// probe says otherwise), the health loop and async workers start
-// immediately.
+// probe says otherwise) and the health loop starts immediately.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Embedded) > 0 && len(cfg.Backends) > 0 {
@@ -206,7 +177,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	for i, s := range cfg.Embedded {
 		u := fmt.Sprintf("http://embedded-%d", i)
-		b := &routerBackend{url: u, local: s, localHandler: s.Handler()}
+		b := &routerBackend{url: u, local: s}
 		b.healthy.Store(true)
 		backends[u] = b
 		urls = append(urls, u)
@@ -224,44 +195,40 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		backends: backends,
 		order:    urls,
 		client:   client,
-		jobs:     newJobLedger(cfg.AsyncQueueDepth),
 		start:    time.Now(),
 		sampler:  obs.NewSampler(cfg.TraceRate),
 		traces:   obs.NewRing(cfg.TraceBuffer),
-		stop:     make(chan struct{}),
 	}
-	r.drainCtx, r.drainEnd = context.WithCancel(context.Background())
+	ctx, stop := context.WithCancel(context.Background())
+	r.stop = stop
 	r.wg.Add(1)
-	go r.healthLoop()
-	for i := 0; i < cfg.AsyncWorkers; i++ {
-		r.wg.Add(1)
-		go r.asyncWorker()
-	}
+	go r.healthLoop(ctx)
 	return r, nil
 }
 
-// Close drains the router: admission (sync and async) stops, the
-// health loop exits, and every async worker finishes — its in-flight
-// attempt is cancelled, which requeues rather than fails the job, so
-// the ledger ends with every job either done or still queued, never
-// lost (TestRouterDrainLedger pins it).
+// Close stops admission and the health loop, returns when the loop has
+// exited, and drops the idle connections of the client NewRouter built
+// — the router owns nothing else. Requests already inside the handler
+// finish on their own goroutines (http.Server.Shutdown waits for those;
+// an embedded replica's Close does too).
 func (r *Router) Close() {
 	if r.draining.Swap(true) {
 		return
 	}
-	close(r.stop)
-	r.jobs.close()
-	r.drainEnd()
+	r.stop()
 	r.wg.Wait()
+	if r.cfg.Client == nil {
+		r.client.CloseIdleConnections()
+	}
 }
 
-func (r *Router) healthLoop() {
+func (r *Router) healthLoop(ctx context.Context) {
 	defer r.wg.Done()
 	tick := time.NewTicker(r.cfg.HealthInterval)
 	defer tick.Stop()
 	for {
 		select {
-		case <-r.stop:
+		case <-ctx.Done():
 			return
 		case <-tick.C:
 		}
@@ -269,8 +236,8 @@ func (r *Router) healthLoop() {
 			if b.local != nil {
 				continue // in-process backends cannot vanish
 			}
-			ctx, cancel := context.WithTimeout(r.drainCtx, r.cfg.HealthInterval)
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz", nil)
+			probe, cancel := context.WithTimeout(ctx, r.cfg.HealthInterval)
+			req, err := http.NewRequestWithContext(probe, http.MethodGet, b.url+"/healthz", nil)
 			if err != nil {
 				cancel()
 				continue
@@ -350,18 +317,12 @@ func (r *Router) proxyRun(ctx context.Context, source string, body []byte, tr *o
 		}
 		sp := tr.Start("attempt")
 		sp.SetAttr("backend", b.url)
-		if b.local != nil {
-			status, respBody, hdr := r.localPost(ctx, b, body, tr.ID())
-			sp.End()
-			b.routed.Add(1)
-			return status, respBody, hdr, nil
-		}
 		status, respBody, hdr, err := r.post(ctx, b.url+"/run", body, tr.ID())
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 			sp.End()
 			if ctx.Err() != nil {
-				// The client (or drain) gave up — not the backend's fault.
+				// The client gave up — not the backend's fault.
 				return 0, nil, nil, err
 			}
 			b.healthy.Store(false)
@@ -380,17 +341,12 @@ func (r *Router) proxyRun(ctx context.Context, source string, body []byte, tr *o
 		errNoBackend, r.cfg.Retries+1, lastErr)
 }
 
-// handleRunEmbedded is the embedded fleet's sync fast path: decode the
-// Request exactly once, pick the ring owner of its source, and let
-// that replica execute and write the response itself — a routed
-// request costs one content hash and one ring lookup over a direct
-// hit, with no second decode, hop, or response copy.
-func (r *Router) handleRunEmbedded(w http.ResponseWriter, hreq *http.Request) {
-	req, buf, ok := readRun(w, hreq, r.cfg.MaxBodyBytes)
-	if !ok {
-		return
-	}
-	releaseBody(buf)
+// runEmbedded is the embedded fleet's fast path: pick the ring owner of
+// the decoded Request's source and let that replica execute and write
+// the response itself — a routed request costs one content hash and one
+// ring lookup over a direct hit, with no second decode, hop, or
+// response copy.
+func (r *Router) runEmbedded(w http.ResponseWriter, hreq *http.Request, req Request) {
 	r.requests.Add(1)
 	// Trace propagation, in-process: the header (or the router's own
 	// sampler) sets the Request's TraceID directly — the owning
@@ -409,56 +365,9 @@ func (r *Router) handleRunEmbedded(w http.ResponseWriter, hreq *http.Request) {
 	b.local.finishRun(hreq.Context(), w, req)
 }
 
-// localPost runs body against an embedded backend's handler, capturing
-// the response in memory — the async workers' analogue of the sync
-// embedded fast path.
-func (r *Router) localPost(ctx context.Context, b *routerBackend, body []byte, traceID string) (int, []byte, http.Header) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/run", bytes.NewReader(body))
-	if err != nil {
-		return http.StatusInternalServerError, nil, http.Header{}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceID != "" {
-		req.Header.Set(obs.TraceHeader, traceID)
-	}
-	rec := &memResponse{header: http.Header{}, status: http.StatusOK}
-	b.localHandler.ServeHTTP(rec, req)
-	return rec.status, rec.body.Bytes(), rec.header
-}
-
-// memResponse is a minimal in-memory http.ResponseWriter for embedded
-// async attempts.
-type memResponse struct {
-	header http.Header
-	status int
-	body   bytes.Buffer
-}
-
-func (m *memResponse) Header() http.Header         { return m.header }
-func (m *memResponse) WriteHeader(code int)        { m.status = code }
-func (m *memResponse) Write(p []byte) (int, error) { return m.body.Write(p) }
-
-// readRunBody reads and decodes a /run-shaped body the router will
-// forward verbatim, with the decoder the backend will run on it again:
-// the router rejects exactly the bodies the backend would (plus an
-// empty source, which has no ring owner), and the source it hashes for
-// the ring is the source the backend hashes for its cache. The caller
-// owns buf (see readRun).
-func (r *Router) readRunBody(w http.ResponseWriter, hreq *http.Request) (req Request, buf *bytes.Buffer, ok bool) {
-	req, buf, ok = readRun(w, hreq, r.cfg.MaxBodyBytes)
-	if ok && req.Source == "" {
-		releaseBody(buf)
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty source"})
-		return Request{}, nil, false
-	}
-	return req, buf, ok
-}
-
 // Handler returns the router's HTTP mux:
 //
-//	POST /run          — route and proxy a synchronous Request
-//	POST /submit       — enqueue an async job, returns its id
-//	GET  /result/{id}  — job state and, once done, the full Response
+//	POST /run          — route a Request to its owner, relay the Response
 //	GET  /stats        — RouterStats (fleet-aggregated cache counters)
 //	GET  /metrics      — the same snapshot in Prometheus text format
 //	GET  /debug/traces — recent routed-request traces (bounded ring)
@@ -466,8 +375,6 @@ func (r *Router) readRunBody(w http.ResponseWriter, hreq *http.Request) (req Req
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/run", r.handleRun)
-	mux.HandleFunc("/submit", r.handleSubmit)
-	mux.HandleFunc("/result/", r.handleResult)
 	mux.HandleFunc("/stats", r.handleStats)
 	mux.HandleFunc("/metrics", r.handleMetrics)
 	mux.HandleFunc("/debug/traces", r.handleTraces)
@@ -494,15 +401,24 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: ErrDraining.Error()})
 		return
 	}
-	if len(r.cfg.Embedded) > 0 {
-		r.handleRunEmbedded(w, req)
-		return
-	}
-	run, buf, ok := r.readRunBody(w, req)
+	// One read and one decode, by the decoder the backend runs: the
+	// router rejects exactly the bodies the backend would (an empty
+	// source, which has no ring owner, by hand) and hashes for the ring
+	// the source the backend hashes for its cache.
+	run, buf, ok := readRun(w, req, r.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
+	if len(r.cfg.Embedded) > 0 {
+		releaseBody(buf) // the Request owns its strings
+		r.runEmbedded(w, req, run)
+		return
+	}
 	defer releaseBody(buf) // after the last failover attempt has sent it
+	if run.Source == "" {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty source"})
+		return
+	}
 	r.requests.Add(1)
 	// Trace decision, mirroring the backend's: an incoming header
 	// propagates, "profile": true and the sampler's share start fresh
@@ -529,47 +445,6 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 	w.Write(respBody)
 }
 
-func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
-	if r.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: ErrDraining.Error()})
-		return
-	}
-	run, buf, ok := r.readRunBody(w, req)
-	if !ok {
-		return
-	}
-	// The ledger keeps the body for the router's lifetime, so its buffer
-	// never goes back to the pool.
-	id, err := r.jobs.submit(run.Source, buf.Bytes())
-	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-		return
-	}
-	r.submitted.Add(1)
-	view, _ := r.jobs.view(id)
-	writeJSON(w, http.StatusAccepted, view)
-}
-
-func (r *Router) handleResult(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
-		return
-	}
-	id := strings.TrimPrefix(req.URL.Path, "/result/")
-	view, ok := r.jobs.view(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("unknown job %q", id)})
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, r.Stats(req.Context()))
 }
@@ -586,32 +461,6 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy backend"})
-}
-
-// asyncWorker drains the job queue: one take is one attempt. A
-// transport-level failure requeues the job (up to AsyncAttempts, and
-// always during drain — shutdown must not turn retryable jobs into
-// failures); any answer from a live backend completes it.
-func (r *Router) asyncWorker() {
-	defer r.wg.Done()
-	for {
-		j := r.jobs.take()
-		if j == nil {
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.drainCtx, r.cfg.AsyncTimeout)
-		status, respBody, _, err := r.proxyRun(ctx, j.source, j.body, nil)
-		cancel()
-		if err != nil {
-			if r.jobs.isClosed() || j.attempts < r.cfg.AsyncAttempts {
-				r.jobs.requeue(j)
-			} else {
-				r.jobs.fail(j, fmt.Sprintf("after %d attempts: %v", j.attempts, err))
-			}
-			continue
-		}
-		r.jobs.complete(j, status, respBody)
-	}
 }
 
 // BackendStats is one replica's slice of RouterStats. Cache is the
@@ -631,12 +480,10 @@ type BackendStats struct {
 // hit rates against a router exactly as against one backend.
 type RouterStats struct {
 	Requests   int64          `json:"requests"`
-	Submitted  int64          `json:"submitted"`
 	Retries    int64          `json:"retries"`
 	Unroutable int64          `json:"unroutable"`
 	Cache      CacheStats     `json:"cache"`
 	Backends   []BackendStats `json:"backends"`
-	Jobs       JobStats       `json:"jobs"`
 	Runtime    RuntimeStats   `json:"runtime"`
 }
 
@@ -645,10 +492,8 @@ type RouterStats struct {
 func (r *Router) Stats(ctx context.Context) RouterStats {
 	st := RouterStats{
 		Requests:   r.requests.Load(),
-		Submitted:  r.submitted.Load(),
 		Retries:    r.retries.Load(),
 		Unroutable: r.unroutable.Load(),
-		Jobs:       r.jobs.stats(),
 		Runtime:    runtimeStats(r.start, 0),
 	}
 	ctx, cancel := context.WithTimeout(ctx, 500*time.Millisecond)

@@ -1,12 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -268,229 +269,10 @@ func TestRouterFaultInjection(t *testing.T) {
 	t.Logf("fault run: %d requests, %d failures, %d re-routes", req, fail, r.retries.Load())
 }
 
-// getJobView polls GET /result/{id}.
-func getJobView(t *testing.T, client *http.Client, base, id string) (JobView, int) {
-	t.Helper()
-	resp, err := client.Get(base + "/result/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var v JobView
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return v, resp.StatusCode
-}
-
-func submitJob(t *testing.T, client *http.Client, base string, req Request) JobView {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Post(base+"/submit", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("/submit status %d", resp.StatusCode)
-	}
-	var v JobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatal(err)
-	}
-	if v.ID == "" {
-		t.Fatalf("/submit returned no job id: %+v", v)
-	}
-	return v
-}
-
-// TestRouterAsyncJobs: the async API end to end — submit returns an
-// id immediately, the job executes on its ring owner, and the result
-// is the same Response a synchronous /run produces.
-func TestRouterAsyncJobs(t *testing.T) {
-	_, urls := startFleet(t, 2, Config{})
-	r := newTestRouter(t, RouterConfig{Backends: urls, HealthInterval: 10 * time.Second})
-	ts := httptest.NewServer(r.Handler())
-	defer ts.Close()
-
-	sync, status, _, err := postRun(context.Background(), ts.Client(), ts.URL, Request{Source: addSrc})
-	if err != nil || status != 200 || !sync.OK {
-		t.Fatalf("sync reference: %v %d %+v", err, status, sync)
-	}
-
-	job := submitJob(t, ts.Client(), ts.URL, Request{Source: addSrc})
-	var final JobView
-	waitFor(t, "job done", func() bool {
-		v, code := getJobView(t, ts.Client(), ts.URL, job.ID)
-		if code != http.StatusOK {
-			t.Fatalf("/result/%s status %d", job.ID, code)
-		}
-		final = v
-		return v.State == JobDone || v.State == JobFailed
-	})
-	if final.State != JobDone || final.Status != http.StatusOK || final.Attempts != 1 {
-		t.Fatalf("job ended %+v, want done in one attempt", final)
-	}
-	var resp Response
-	if err := json.Unmarshal(final.Response, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || resp.Result != sync.Result || resp.Output != sync.Output {
-		t.Errorf("async response %+v diverged from sync %+v", resp, sync)
-	}
-
-	if _, code := getJobView(t, ts.Client(), ts.URL, "job-999999"); code != http.StatusNotFound {
-		t.Errorf("unknown job id: status %d, want 404", code)
-	}
-	if resp, err := ts.Client().Get(ts.URL + "/submit"); err == nil {
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("GET /submit: status %d, want 405", resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
-}
-
-// sourceOwnedBy crafts a program whose content key the ring assigns to
-// the given backend — how tests aim requests at a specific replica.
-func sourceOwnedBy(t *testing.T, r *Router, owner string) string {
-	t.Helper()
-	owner = strings.TrimRight(owner, "/")
-	for i := 0; i < 100000; i++ {
-		src := fmt.Sprintf("function int main() { return %d; }", i)
-		if r.ring.owner(sourceKey(src), nil) == owner {
-			return src
-		}
-	}
-	t.Fatalf("no source found owned by %s", owner)
-	return ""
-}
-
-// TestRouterAsyncRetryOnBackendFailure: a job aimed at a dead replica
-// burns its first attempt on the transport failure, is requeued, and
-// completes on a survivor — retry-on-backend-failure observable in the
-// ledger. Retries: -1 disables in-request failover so the requeue path
-// itself is exercised.
-func TestRouterAsyncRetryOnBackendFailure(t *testing.T) {
-	fleet, urls := startFleet(t, 2, Config{})
-	r := newTestRouter(t, RouterConfig{
-		Backends:       urls,
-		HealthInterval: 10 * time.Second, // only the request path may mark backends down
-		Retries:        -1,
-		AsyncWorkers:   1,
-	})
-	ts := httptest.NewServer(r.Handler())
-	defer ts.Close()
-
-	src := sourceOwnedBy(t, r, urls[0])
-	fleet[0].kill()
-
-	job := submitJob(t, ts.Client(), ts.URL, Request{Source: src})
-	var final JobView
-	waitFor(t, "job done after retry", func() bool {
-		final, _ = getJobView(t, ts.Client(), ts.URL, job.ID)
-		return final.State == JobDone || final.State == JobFailed
-	})
-	if final.State != JobDone {
-		t.Fatalf("job ended %+v, want done on the surviving backend", final)
-	}
-	if final.Attempts != 2 {
-		t.Errorf("job took %d attempts, want 2 (fail on the corpse, complete on the survivor)", final.Attempts)
-	}
-	if js := r.jobs.stats(); js.Requeues != 1 || js.Done != 1 || js.Failed != 0 {
-		t.Errorf("ledger %+v, want exactly one requeue and one completion", js)
-	}
-	var resp Response
-	if err := json.Unmarshal(final.Response, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK {
-		t.Errorf("retried job's response not ok: %+v", resp)
-	}
-}
-
-// TestRouterDrainLedger is the drain guard: Close with async jobs in
-// every phase — done, mid-attempt, still queued — loses and duplicates
-// nothing. In-flight attempts are cancelled and requeued (never
-// failed), queued jobs stay queued, completed results stay recorded
-// exactly once; the job-id ledger accounts for every submission.
-func TestRouterDrainLedger(t *testing.T) {
-	_, urls := startFleet(t, 1, Config{Workers: 2, QueueDepth: 16, MaxSteps: 1 << 40})
-	r := newTestRouter(t, RouterConfig{Backends: urls, HealthInterval: 10 * time.Second, AsyncWorkers: 2})
-	ts := httptest.NewServer(r.Handler())
-	defer ts.Close()
-
-	// Phase 1: two fast jobs complete before the drain.
-	ids := []string{}
-	for i := 0; i < 2; i++ {
-		job := submitJob(t, ts.Client(), ts.URL, Request{Source: addSrc})
-		ids = append(ids, job.ID)
-		waitFor(t, "fast job done", func() bool {
-			v, _ := getJobView(t, ts.Client(), ts.URL, job.ID)
-			return v.State == JobDone
-		})
-	}
-	// Phase 2: four slow jobs — two go in flight (one per worker), two
-	// stay queued behind them.
-	for i := 0; i < 4; i++ {
-		ids = append(ids, submitJob(t, ts.Client(), ts.URL, slowRequest(400)).ID)
-	}
-	waitFor(t, "two jobs mid-attempt", func() bool { return r.jobs.stats().Running == 2 })
-
-	r.Close()
-
-	if len(ids) != 6 {
-		t.Fatalf("submitted %d ids, want 6", len(ids))
-	}
-	seen := map[string]bool{}
-	counts := map[string]int{}
-	r.jobs.mu.Lock()
-	for _, id := range ids {
-		j, ok := r.jobs.jobs[id]
-		if !ok {
-			t.Errorf("job %s lost from the ledger", id)
-			continue
-		}
-		if seen[id] {
-			t.Errorf("job id %s recorded twice", id)
-		}
-		seen[id] = true
-		counts[j.state]++
-		if j.completions > 1 {
-			t.Errorf("job %s completed %d times", id, j.completions)
-		}
-		if j.state == JobQueued && j.completions != 0 {
-			t.Errorf("requeued job %s carries a recorded completion", id)
-		}
-	}
-	r.jobs.mu.Unlock()
-	if counts[JobDone] != 2 || counts[JobQueued] != 4 || counts[JobFailed] != 0 || counts[JobRunning] != 0 {
-		t.Errorf("post-drain states %+v, want 2 done / 4 queued / none failed or running", counts)
-	}
-	if js := r.jobs.stats(); js.Requeues != 2 {
-		t.Errorf("requeues = %d, want 2 (one per cancelled in-flight attempt)", js.Requeues)
-	}
-
-	// Drained router refuses new work with back-pressure headers.
-	body, _ := json.Marshal(Request{Source: addSrc})
-	resp, err := ts.Client().Post(ts.URL+"/submit", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Errorf("post-drain /submit: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-}
-
 // TestRouterEmbedded covers the in-process fleet: same sharding
 // guarantees as the networked topology — byte-identical responses,
-// no duplicate compiles, a working async path, aggregated stats —
-// through the decode-once fast path instead of a proxied hop.
+// no duplicate compiles, aggregated stats — through the decode-once
+// fast path instead of a proxied hop.
 func TestRouterEmbedded(t *testing.T) {
 	replicas := make([]*Server, 3)
 	for i := range replicas {
@@ -530,26 +312,61 @@ func TestRouterEmbedded(t *testing.T) {
 		t.Errorf("embedded /stats aggregates %d compiles, replicas report %d", agg.Cache.Compiles, compiles)
 	}
 
-	// Async jobs run through the in-memory attempt path.
-	job := submitJob(t, ts.Client(), ts.URL, Request{Source: addSrc})
-	var final JobView
-	waitFor(t, "embedded job done", func() bool {
-		final, _ = getJobView(t, ts.Client(), ts.URL, job.ID)
-		return final.State == JobDone || final.State == JobFailed
-	})
-	if final.State != JobDone || final.Status != http.StatusOK {
-		t.Fatalf("embedded job ended %+v", final)
-	}
-	var resp Response
-	if err := json.Unmarshal(final.Response, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || resp.Result != "42" {
-		t.Errorf("embedded async response %+v", resp)
-	}
-
 	if _, err := NewRouter(RouterConfig{Embedded: replicas, Backends: []string{"http://x"}}); err == nil {
 		t.Errorf("router accepted Embedded and Backends together")
+	}
+}
+
+// TestRouterCloseLeavesNoGoroutines: the health loop is the one
+// goroutine a Router starts, and Close takes it — and the idle backend
+// connections the proxy path opened — back down, in both deployments.
+// Requests go straight into the handler, so no front listener's
+// goroutines blur the count.
+func TestRouterCloseLeavesNoGoroutines(t *testing.T) {
+	_, urls := startFleet(t, 2, Config{})
+	for name, cfg := range map[string]RouterConfig{
+		"embedded": {Embedded: []*Server{newTestServer(t, Config{}), newTestServer(t, Config{})}},
+		"network":  {Backends: urls},
+	} {
+		cfg.HealthInterval = 5 * time.Millisecond
+		base := runtime.NumGoroutine()
+		r, err := NewRouter(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := r.Handler()
+		for _, p := range routerCorpus(t) {
+			body, _ := json.Marshal(Request{Source: p.Source, Auto: true, PEs: 2})
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %s answered %d %s", name, p.Name, rec.Code, rec.Body)
+			}
+		}
+		r.Close()
+		waitFor(t, name+" router's goroutines gone", func() bool { return runtime.NumGoroutine() <= base })
+	}
+}
+
+// idleSpy records whether its client was told to drop idle connections.
+type idleSpy struct {
+	http.RoundTripper
+	closed atomic.Bool
+}
+
+func (s *idleSpy) CloseIdleConnections() { s.closed.Store(true) }
+
+// TestRouterCloseLeavesCallersClient: a RouterConfig.Client may be
+// shared with the rest of the process, so Close drops idle connections
+// only on the client NewRouter built itself.
+func TestRouterCloseLeavesCallersClient(t *testing.T) {
+	_, urls := startFleet(t, 1, Config{})
+	spy := &idleSpy{RoundTripper: http.DefaultTransport}
+	r := newTestRouter(t, RouterConfig{Backends: urls, HealthInterval: 10 * time.Second,
+		Client: &http.Client{Transport: spy}})
+	r.Close()
+	if spy.closed.Load() {
+		t.Errorf("Close dropped the idle connections of a client the router does not own")
 	}
 }
 

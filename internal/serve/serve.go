@@ -19,9 +19,11 @@
 //     budgets, enforced inside every execution engine so the
 //     tree-walking oracle remains a valid differential check for the
 //     served configuration too.
-//   - an admission-controlled worker pool (pool.go): a bounded queue
-//     in front of a fixed worker set, rejecting (rather than
-//     buffering) load beyond the queue, with graceful drain on Close.
+//   - an admission gate (gate.go): a request runs on the goroutine
+//     that brought it — net/http's, or whoever called Run. At most
+//     Workers run at once, a bounded fair queue parks the next few, and
+//     load beyond it is rejected, not buffered. The Server starts no
+//     goroutine, so Close has only requests to wait for.
 //   - a stats surface (stats.go, GET /stats): cache hit/miss/eviction
 //     and compile counts, queue depth, and a request-latency
 //     histogram — the numbers cmd/loadgen turns into BENCH_serve.json.
@@ -58,12 +60,12 @@ import (
 
 // Config sizes a Server. Zero values select the documented defaults.
 type Config struct {
-	// Workers is the number of concurrently executing requests
-	// (0 = GOMAXPROCS).
+	// Workers is the number of concurrently executing requests, each
+	// on its caller's goroutine (0 = GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the admission queue in front of the workers;
-	// a request arriving with the queue full is rejected with ErrBusy
-	// (0 = 4×Workers).
+	// QueueDepth bounds how many requests may wait for one of those
+	// slots; a request arriving with the queue full is rejected with
+	// ErrBusy (0 = 4×Workers).
 	QueueDepth int
 	// TenantQueueDepth is the per-tenant admission quota: how many of a
 	// single tenant's requests may be queued at once. A tenant at its
@@ -321,7 +323,7 @@ func badRequest(format string, args ...any) error {
 type Server struct {
 	cfg   Config
 	cache *cache
-	pool  *pool
+	gate  *gate
 	start time.Time
 
 	// sampler decides which untagged requests get traced (nil when
@@ -345,7 +347,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:     cfg,
 		cache:   newCache(cfg.CacheEntries, cfg.CacheShards),
-		pool:    newPool(cfg.Workers, cfg.QueueDepth, cfg.TenantQueueDepth),
+		gate:    newGate(cfg.Workers, cfg.QueueDepth, cfg.TenantQueueDepth),
 		start:   time.Now(),
 		sampler: obs.NewSampler(cfg.TraceRate),
 		traces:  obs.NewRing(cfg.TraceBuffer),
@@ -353,17 +355,19 @@ func New(cfg Config) *Server {
 	}
 }
 
-// Close stops admission and drains: queued and running requests finish,
-// then the workers exit. Subsequent Run calls return ErrDraining.
+// Close stops admission and drains: it returns once every running and
+// every queued request has been answered — the Server owns no
+// goroutine to wait for. Subsequent Run calls return ErrDraining.
 func (s *Server) Close() {
 	s.draining.Store(true)
-	s.pool.close()
+	s.gate.close()
 }
 
-// Run validates, admits, and executes one request. The returned error
-// is nil for every request that reached execution (Response.OK
-// distinguishes success); non-nil errors are admission rejections
-// (ErrBusy, ErrDraining) or *RequestError for malformed requests.
+// Run validates, admits, and executes one request on the calling
+// goroutine. The returned error is nil for every request that reached
+// execution (Response.OK distinguishes success); non-nil errors are
+// admission rejections (ErrBusy, ErrTenantBusy, ErrDraining) or
+// *RequestError for malformed requests.
 func (s *Server) Run(ctx context.Context, req Request) (Response, error) {
 	s.requests.Add(1)
 	if s.draining.Load() {
@@ -435,30 +439,27 @@ func (s *Server) Run(ctx context.Context, req Request) (Response, error) {
 		tr = obs.NewTrace(req.TraceID)
 	}
 
-	var resp Response
+	// The admission span covers the whole wait at the gate. The slot is
+	// released in a defer: net/http recovers a handler's panic, so the
+	// process outlives one and the slot must too.
 	adm := tr.Start("admission")
-	j := &job{
-		ctx:    ctx,
-		done:   make(chan struct{}),
-		tenant: req.Tenant,
-		fn: func() {
-			adm.End()
-			resp = s.execute(ctx, req, eng, pol, width, args, tr)
-		},
-	}
-	if err := s.pool.submit(j); err != nil {
-		s.rejected.Add(1)
-		return Response{}, err
-	}
-	<-j.done
-	if j.skipped {
+	err = s.gate.enter(ctx, req.Tenant)
+	adm.End()
+	if err == errAbandoned {
 		// The client abandoned the request while it was queued; nothing
 		// executed, so this is neither an execution error nor a latency
 		// sample — it gets its own counter.
 		s.abandoned.Add(1)
+		resp := Response{Error: fmt.Sprintf("%v: %v", errAbandoned, ctx.Err())}
 		s.finishTrace(tr, &resp, req.Profile)
-		return Response{Error: fmt.Sprintf("serve: cancelled while queued: %v", ctx.Err())}, nil
+		return resp, nil
 	}
+	if err != nil {
+		s.rejected.Add(1)
+		return Response{}, err
+	}
+	defer s.gate.leave()
+	resp := s.execute(ctx, req, eng, pol, width, args, tr)
 	s.finishTrace(tr, &resp, req.Profile)
 	return resp, nil
 }
@@ -478,7 +479,7 @@ func (s *Server) finishTrace(tr *obs.Trace, resp *Response, profile bool) {
 	}
 }
 
-// execute runs one admitted request on the calling worker: cache
+// execute runs one admitted request on the calling goroutine: cache
 // lookup (compiling — and for auto requests, planning — at most once
 // per distinct variant), then a sandboxed run — deadline, step,
 // allocation, and output budgets all active in whichever engine and

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -648,35 +649,138 @@ func TestAdmissionControl(t *testing.T) {
 	wg.Wait()
 }
 
-// TestGracefulDrain: Close waits for queued and in-flight work, and
-// later requests are refused with ErrDraining.
+// runReply is what Run returned, handed back from the goroutine a test
+// ran it on.
+type runReply struct {
+	resp Response
+	err  error
+}
+
+// TestGracefulDrain: Close waits for running and queued work alike —
+// one request holds the only slot, a second is parked behind it — and
+// a request arriving once Close has begun is refused with ErrDraining
+// while those two are still on their way.
 func TestGracefulDrain(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 4, MaxSteps: 1 << 40})
-	var resp Response
-	var err error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp, err = s.Run(context.Background(), slowRequest(200))
-	}()
-	waitFor(t, "worker busy", func() bool { return s.Stats().Queue.Running == 1 })
-	s.Close()
-	// When Close returns the job has executed; the submitting goroutine
-	// just needs a beat to observe its done channel.
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatalf("Close returned while a request was still in flight")
+	replies := make(chan runReply, 2)
+	run := func() {
+		resp, err := s.Run(context.Background(), slowRequest(200))
+		replies <- runReply{resp, err}
 	}
-	if err != nil {
-		t.Fatalf("in-flight request err: %v", err)
+	go run()
+	waitFor(t, "slot taken", func() bool { return s.Stats().Queue.Running == 1 })
+	go run()
+	waitFor(t, "second request queued", func() bool { return s.Stats().Queue.Depth == 1 })
+
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	waitFor(t, "drain begun", s.draining.Load)
+	if _, err := s.Run(context.Background(), Request{Source: addSrc}); err != ErrDraining {
+		t.Errorf("request arriving mid-drain: err = %v, want ErrDraining", err)
 	}
-	if resp.OK || !strings.Contains(resp.Error, "run cancelled") {
-		t.Errorf("drained request should have hit its own deadline: %+v", resp)
+	<-closed
+	if st := s.Stats().Queue; st.Running != 0 || st.Depth != 0 {
+		t.Errorf("Close returned with %d running and %d queued", st.Running, st.Depth)
+	}
+	// When Close returns both requests have left the gate; their
+	// goroutines just need a beat to hand the replies over.
+	for i := 0; i < 2; i++ {
+		select {
+		case r := <-replies:
+			if r.err != nil {
+				t.Fatalf("drained request err: %v", r.err)
+			}
+			if r.resp.OK || !strings.Contains(r.resp.Error, "run cancelled") {
+				t.Errorf("drained request should have hit its own deadline: %+v", r.resp)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("Close returned while a request was still in flight")
+		}
 	}
 	if _, err := s.Run(context.Background(), Request{Source: addSrc}); err != ErrDraining {
 		t.Errorf("post-drain err = %v, want ErrDraining", err)
 	}
+}
+
+// TestAbandonedWhileQueued: a request whose client gives up while it is
+// parked at the gate never runs. When the slot frees it is answered
+// ok:false "cancelled while queued", counted as abandoned — not as an
+// error, not as a latency sample — the gate is idle afterwards, and a
+// profiled one still gets its trace, whose admission span is the wait.
+func TestAbandonedWhileQueued(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4, MaxSteps: 1 << 40})
+	pinCtx, unpin := context.WithCancel(context.Background())
+	defer unpin()
+	pinned := make(chan struct{})
+	go func() {
+		defer close(pinned)
+		s.Run(pinCtx, slowRequest(10_000))
+	}()
+	waitFor(t, "slot pinned", func() bool { return s.Stats().Queue.Running == 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got := make(chan runReply, 1)
+	go func() {
+		resp, err := s.Run(ctx, Request{Source: addSrc, Profile: true})
+		got <- runReply{resp, err}
+	}()
+	waitFor(t, "second request queued", func() bool { return s.Stats().Queue.Depth == 1 })
+	cancel()
+	unpin()
+	<-pinned
+	r := <-got
+
+	if r.err != nil || r.resp.OK || r.resp.Error != "serve: cancelled while queued: context canceled" {
+		t.Errorf("abandoned request answered %+v, %v", r.resp, r.err)
+	}
+	if r.resp.Steps != 0 || r.resp.Cached || r.resp.Result != "" {
+		t.Errorf("abandoned request ran: %+v", r.resp)
+	}
+	if r.resp.Trace == nil || findSpan(r.resp.Trace.Spans, "admission") == nil {
+		t.Errorf("profiled abandoned request lost its trace: %+v", r.resp.Trace)
+	} else if names := spanNames(r.resp.Trace); len(names) != 1 {
+		t.Errorf("abandoned request's trace has spans %v, want admission alone", names)
+	}
+	// The pinning request is the one execution: cut short by its client,
+	// so the one error and the one latency sample are its own.
+	st := s.Stats()
+	if st.Abandoned != 1 || st.Errors != 1 || st.Latency.Count != 1 || st.Rejected != 0 {
+		t.Errorf("abandoned %d errors %d latency samples %d rejected %d, want 1 / 1 / 1 / 0",
+			st.Abandoned, st.Errors, st.Latency.Count, st.Rejected)
+	}
+	if st.Queue.Running != 0 || st.Queue.Depth != 0 || st.Queue.Tenants != 0 {
+		t.Errorf("gate not idle afterwards: %+v", st.Queue)
+	}
+	if resp := mustRun(t, s, Request{Source: addSrc}); !resp.OK {
+		t.Errorf("server stopped serving after an abandoned request: %+v", resp)
+	}
+}
+
+// TestServerOwnsNoGoroutines: New starts none, and after a hundred
+// serial, parallel and auto runs plus Close the process is back where
+// it began — a request runs on its caller's goroutine, and parexec
+// joins the PEs it started before Run returns.
+func TestServerOwnsNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New(Config{})
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("New started %d goroutines, want 0", n-base)
+	}
+	for i := 0; i < 100; i++ {
+		req := Request{Source: scalePar}
+		switch i % 3 {
+		case 1:
+			req.Parallel, req.PEs = true, 2
+		case 2:
+			req.Auto, req.PEs = true, 2
+		}
+		if resp := mustRun(t, s, req); !resp.OK || resp.Result != "630" {
+			t.Fatalf("run %d: %+v", i, resp)
+		}
+	}
+	s.Close()
+	waitFor(t, "goroutines back at baseline", func() bool { return runtime.NumGoroutine() <= base })
 }
 
 // TestHTTP drives the wire surface end to end.
@@ -866,6 +970,29 @@ func BenchmarkServeHot(b *testing.B) {
 	}
 }
 
+// BenchmarkServeHotParallel is BenchmarkServeHot from GOMAXPROCS callers
+// at once — the case a cross-goroutine hand-off costs most, and what
+// the gate's one mutex has to carry.
+func BenchmarkServeHotParallel(b *testing.B) {
+	s := New(Config{})
+	defer s.Close()
+	req := Request{Source: addSrc}
+	if resp, err := s.Run(context.Background(), req); err != nil || !resp.OK {
+		b.Fatalf("warm: %v %+v", err, resp)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			resp, err := s.Run(context.Background(), req)
+			if err != nil || !resp.OK {
+				b.Error(err, resp.Error)
+				return
+			}
+		}
+	})
+}
+
 // BenchmarkServeColdAuto measures the cache-miss path of an auto request
 // end to end (no HTTP): every iteration sends a never-seen variant of
 // the vector-force source, so it parses, plans (lowering included) and
@@ -948,5 +1075,113 @@ func TestBuildReportsPlannedCompileFailure(t *testing.T) {
 	}
 	if _, _, err := build(p, false, 0, nil); err == nil {
 		t.Error("the serial build of the damaged program succeeded")
+	}
+}
+
+// TestPlanFailureReplies pins, through POST /run, the status and reply
+// of the three ways a plan can fail to become a running program. No
+// source text reaches them (a checked, normalized program analyses,
+// compiles and lowers), so each cache entry is planted by a miss whose
+// parse result was damaged by hand, in `total`, which the planner's
+// rewrite does not touch and so does not re-check; the request over the
+// wire is then a hit on it.
+//
+//   - the input fails path-matrix analysis: no plan, 200 ok:false
+//     "compile: …". That is the only analysis a request can fail: the
+//     planner reads the input's analysis and nothing in serve analyses
+//     the planned program (core.AutoParallel's callers may, and then see
+//     the error at that first use — internal/core pins it). A serial
+//     request for the same program runs: nothing analyses it.
+//   - the planned program does not compile: 200 ok:false "compile: …",
+//     no plan; the failure is cached.
+//   - the planned program compiles but does not lower to bytecode: the
+//     entry is cached with its plan, every approved loop saying
+//     "kernel lowering unavailable: …" for a vector verdict, and runs on
+//     the bytecode engines are 200 ok:false "interp: bytecode engine: …";
+//     the engines that need no bytecode still run it.
+func TestPlanFailureReplies(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const width = 8
+	// plant caches, under src's key, what a miss would have built had
+	// its parse produced scalePar damaged by damage.
+	plant := func(src string, auto bool, damage func(total *lang.FuncDecl)) {
+		t.Helper()
+		p := lang.MustParse(scalePar)
+		damage(p.Func("total"))
+		key := serialKey(src)
+		if auto {
+			key = autoKey(src, width)
+		}
+		s.cache.get(context.Background(), key, func() (*interp.CompiledProgram, *PlanSummary, error) {
+			return build(p, auto, width, nil)
+		})
+	}
+	post := func(req Request) Response {
+		t.Helper()
+		req.Width, req.PEs = width, 2
+		resp, status, _, err := postRun(context.Background(), ts.Client(), ts.URL, req)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("POST /run: %v, status %d, want 200", err, status)
+		}
+		if !resp.Cached {
+			t.Fatalf("the request missed the planted entry: %+v", resp)
+		}
+		return resp
+	}
+
+	chainLoad := func(total *lang.FuncDecl) { // p = p->next  →  p = p->next->next
+		loop := total.Body.Stmts[2].(*lang.WhileStmt)
+		advance := loop.Body.Stmts[len(loop.Body.Stmts)-1].(*lang.AssignStmt)
+		inner := advance.RHS.(*lang.FieldExpr)
+		outer := &lang.FieldExpr{X: inner, Field: "next"}
+		outer.SetType(inner.Type())
+		advance.RHS = outer
+	}
+	src := scalePar + "// input fails analysis\n"
+	plant(src, true, chainLoad)
+	plant(src, false, chainLoad)
+	resp := post(Request{Source: src, Auto: true})
+	if resp.OK || !strings.HasPrefix(resp.Error, "compile: ") || !strings.Contains(resp.Error, "chained load not normalized") ||
+		resp.Plan != nil || resp.Steps != 0 {
+		t.Errorf("input fails analysis: %+v", resp)
+	}
+	if resp := post(Request{Source: src}); !resp.OK || resp.Result != "300" { // every other cell
+		t.Errorf("the same program, serial: %+v", resp)
+	}
+
+	src = scalePar + "// planned program does not compile\n"
+	plant(src, true, func(total *lang.FuncDecl) {
+		ret := total.Body.Stmts[len(total.Body.Stmts)-1].(*lang.ReturnStmt)
+		ret.Value.(*lang.Ident).Name = "nosuch"
+	})
+	resp = post(Request{Source: src, Auto: true})
+	if resp.OK || !strings.HasPrefix(resp.Error, "compile: ") || !strings.Contains(resp.Error, `unresolved variable "nosuch"`) ||
+		resp.Plan != nil || resp.Steps != 0 {
+		t.Errorf("planned program does not compile: %+v", resp)
+	}
+
+	src = scalePar + "// planned program does not lower\n"
+	plant(src, true, func(total *lang.FuncDecl) {
+		total.Body.Stmts[0].(*lang.VarStmt).DeclType = &lang.Scalar{Kind: 9} // no register bank holds it
+	})
+	for _, eng := range []string{"", "bytecode"} {
+		resp = post(Request{Source: src, Auto: true, Engine: eng})
+		if resp.OK || !strings.HasPrefix(resp.Error, "interp: bytecode engine: bytecode: total: ") {
+			t.Errorf("planned program does not lower, engine %q: %+v", eng, resp)
+		}
+		if resp.Plan == nil || len(resp.Plan.Parallelized) != 1 || resp.Plan.Parallelized[0].Vectorized ||
+			!strings.HasPrefix(resp.Plan.Parallelized[0].VectorReason, "kernel lowering unavailable: bytecode: total: ") {
+			t.Errorf("planned program does not lower, engine %q: plan %+v", eng, resp.Plan)
+		}
+	}
+	for _, eng := range []string{"compiled", "walk"} {
+		if resp = post(Request{Source: src, Auto: true, Engine: eng}); !resp.OK || resp.Result != "630" || resp.Plan == nil {
+			t.Errorf("planned program does not lower, engine %q: %+v", eng, resp)
+		}
+	}
+	if st := s.Stats(); st.Invalid != 0 || st.Rejected != 0 {
+		t.Errorf("a plan failure was counted as a bad or refused request: %+v", st)
 	}
 }

@@ -156,8 +156,8 @@ type RuntimeStats struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
 	GoVersion  string `json:"go_version"`
-	// PEs is the worker-pool size of the execution service — the
-	// parallel capacity one request can use (mirrors Config.Workers).
+	// PEs is how many requests the execution service runs at once
+	// (Config.Workers).
 	PEs int `json:"pes"`
 }
 
@@ -180,7 +180,7 @@ func (s *Server) Stats() Stats {
 		Abandoned: s.abandoned.Load(),
 		Errors:    s.errors.Load(),
 		Cache:     s.cache.stats(),
-		Queue:     s.pool.stats(),
+		Queue:     s.gate.stats(),
 		Latency:   s.latency.snapshot(),
 		Runtime:   runtimeStats(s.start, s.cfg.Workers),
 	}
