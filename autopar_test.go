@@ -28,7 +28,7 @@ import (
 func runAll(t *testing.T, prog *lang.Program, fn string, seed uint64, args []interp.Value) string {
 	t.Helper()
 	var fp bytes.Buffer
-	for _, eng := range []interp.Engine{interp.EngineWalk, interp.EngineCompiled} {
+	for _, eng := range []interp.Engine{interp.EngineWalk, interp.EngineBytecode} {
 		v, st, out := runEngine(t, prog, interp.Config{Engine: eng, Seed: seed}, fn, args)
 		fp.WriteString(v.String() + out)
 		writeStats(&fp, st)
@@ -152,7 +152,7 @@ func TestUnrollMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("factor %d: %v", factor, err)
 				}
-				for _, eng := range []interp.Engine{interp.EngineWalk, interp.EngineCompiled} {
+				for _, eng := range []interp.Engine{interp.EngineWalk, interp.EngineBytecode} {
 					v, _, out := runEngine(t, un.Program,
 						interp.Config{Engine: eng, Seed: p.seed}, p.fn, p.args)
 					if v.String() != wv.String() || out != wout {

@@ -167,11 +167,11 @@ func BenchmarkR2ForceDynamic8(b *testing.B) { benchR2Force(b, parexec.Dynamic(2)
 
 // ---------------------------------------------------------------------------
 // R3 — the execution-engine comparison: the same workloads under the
-// tree-walking oracle (interp.EngineWalk) and the slot-resolved
-// compiled engine (interp.EngineCompiled). These are the
-// CI guards behind the R3 table (`cmd/experiments -real`) and the
-// checked-in BENCH_interp.json trajectory; TestCompiledSpeedupFloor
-// asserts the serial force-workload ratio (under -cost-gates).
+// tree-walking oracle (interp.EngineWalk); the bytecode VM's side of
+// the table is R6 below. These are the CI guards behind the R3 table
+// (`cmd/experiments -real`) and the checked-in BENCH_interp.json
+// trajectory; TestBytecodeSpeedupFloor asserts the serial
+// force-workload ratio (under -cost-gates).
 
 func benchR3Serial(b *testing.B, eng interp.Engine, src, fn string, seed uint64, args ...interp.Value) {
 	c, err := core.Compile(src)
@@ -201,19 +201,9 @@ func BenchmarkR3WalkPolySerial(b *testing.B) {
 	benchR3Serial(b, interp.EngineWalk, src, fn, seed, args...)
 }
 
-func BenchmarkR3CompiledPolySerial(b *testing.B) {
-	src, fn, seed, args := r3PolyArgs()
-	benchR3Serial(b, interp.EngineCompiled, src, fn, seed, args...)
-}
-
 func BenchmarkR3WalkForceSerial(b *testing.B) {
 	src, fn, seed, args := r3ForceArgs()
 	benchR3Serial(b, interp.EngineWalk, src, fn, seed, args...)
-}
-
-func BenchmarkR3CompiledForceSerial(b *testing.B) {
-	src, fn, seed, args := r3ForceArgs()
-	benchR3Serial(b, interp.EngineCompiled, src, fn, seed, args...)
 }
 
 func benchR3ForceParallel(b *testing.B, eng interp.Engine) {
@@ -235,14 +225,13 @@ func benchR3ForceParallel(b *testing.B, eng interp.Engine) {
 	}
 }
 
-func BenchmarkR3WalkForceParallel4(b *testing.B)     { benchR3ForceParallel(b, interp.EngineWalk) }
-func BenchmarkR3CompiledForceParallel4(b *testing.B) { benchR3ForceParallel(b, interp.EngineCompiled) }
+func BenchmarkR3WalkForceParallel4(b *testing.B) { benchR3ForceParallel(b, interp.EngineWalk) }
 
 // ---------------------------------------------------------------------------
 // R6 — the flat bytecode VM (interp.EngineBytecode) on the same R3
-// workloads: the third engine's rows in BENCH_interp.json.
+// workloads: the production engine's rows in BENCH_interp.json.
 // TestBytecodeSpeedupFloor asserts the serial force-workload ratio
-// over the closure engine; allocs/op is reported because the VM's
+// over the walker; allocs/op is reported because the VM's
 // selling point is an allocation-free hot loop over typed register
 // banks (TestR6BytecodeSerialAllocs pins that).
 

@@ -1,11 +1,11 @@
 // BENCH_interp.json is the checked-in interpreter performance
-// trajectory: ns/op for the tree-walking oracle, the compiled closure
-// engine, the flat bytecode VM, and the SPMD kernel path on the R1
+// trajectory: ns/op for the tree-walking oracle, the flat bytecode VM,
+// and the SPMD kernel path on the R1
 // (polynomial), R2 (Barnes-Hut force), and R8 (vectorizable force)
 // workloads, regenerated via testing.Benchmark from the same
 // BenchmarkR3*/BenchmarkR6*/BenchmarkR8* configurations CI compiles.
 // Future PRs that touch the execution core re-emit the file and
-// commit it, so the walk/compiled/bytecode gaps — and any regression
+// commit it, so the walk/bytecode/kernel gaps — and any regression
 // of either fast path — are visible in review diffs rather than lost
 // to whoever happens to run the benchmarks.
 //
@@ -54,11 +54,8 @@ type benchFile struct {
 	GoMaxProcs  int          `json:"gomaxprocs"`
 	GoVersion   string       `json:"go_version"`
 	Entries     []benchEntry `json:"benchmarks"`
-	// SpeedupSerialForce is walk/compiled ns on the serial force
-	// workload — the ratio TestCompiledSpeedupFloor guards.
-	SpeedupSerialForce float64 `json:"speedup_serial_force"`
-	// SpeedupSerialForceBytecode is compiled/bytecode ns on the same
-	// workload — the ratio TestBytecodeSpeedupFloor guards.
+	// SpeedupSerialForceBytecode is walk/bytecode ns on the serial
+	// force workload — the ratio TestBytecodeSpeedupFloor guards.
 	SpeedupSerialForceBytecode float64 `json:"speedup_serial_force_bytecode"`
 	// SpeedupSerialForceKernel is bytecode/kernel ns on the serial
 	// vectorizable force workload (R8: unstripped program on the plain
@@ -74,14 +71,11 @@ var benchConfigs = []struct {
 	run    func(*testing.B)
 }{
 	{"R1-poly/serial", interp.EngineWalk, BenchmarkR3WalkPolySerial},
-	{"R1-poly/serial", interp.EngineCompiled, BenchmarkR3CompiledPolySerial},
 	{"R1-poly/serial", interp.EngineBytecode, BenchmarkR6BytecodePolySerial},
 	{"R1-poly/par2", interp.EngineBytecode, BenchmarkR6BytecodePolyParallel2},
 	{"R2-force/serial", interp.EngineWalk, BenchmarkR3WalkForceSerial},
-	{"R2-force/serial", interp.EngineCompiled, BenchmarkR3CompiledForceSerial},
 	{"R2-force/serial", interp.EngineBytecode, BenchmarkR6BytecodeForceSerial},
 	{"R2-force/par4", interp.EngineWalk, BenchmarkR3WalkForceParallel4},
-	{"R2-force/par4", interp.EngineCompiled, BenchmarkR3CompiledForceParallel4},
 	{"R2-force/par4", interp.EngineBytecode, BenchmarkR6BytecodeForceParallel4},
 	{"R8-vecforce/serial", interp.EngineBytecode, BenchmarkR8BytecodeVecForceSerial},
 	{"R8-vecforce/serial", interp.EngineKernel, BenchmarkR8KernelVecForceSerial},
@@ -111,12 +105,8 @@ func TestBenchInterpJSON(t *testing.T) {
 			t.Errorf("%s missing entry %s (regenerate with -write-bench)", benchJSONPath, key)
 		}
 	}
-	if f.SpeedupSerialForce <= 1 {
-		t.Errorf("recorded serial-force speedup %.2f should exceed 1 (compiled faster than walk)",
-			f.SpeedupSerialForce)
-	}
 	if f.SpeedupSerialForceBytecode <= 1 {
-		t.Errorf("recorded serial-force bytecode speedup %.2f should exceed 1 (bytecode faster than compiled)",
+		t.Errorf("recorded serial-force bytecode speedup %.2f should exceed 1 (bytecode faster than walk)",
 			f.SpeedupSerialForceBytecode)
 	}
 	if f.SpeedupSerialForceKernel <= 1 {
@@ -141,7 +131,7 @@ func writeBenchJSON(t *testing.T) {
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		GoVersion:   runtime.Version(),
 	}
-	var walkForce, compiledForce, bytecodeForce float64
+	var walkForce, bytecodeForce float64
 	var bytecodeVec, kernelVec float64
 	for _, c := range benchConfigs {
 		r := testing.Benchmark(c.run)
@@ -157,8 +147,6 @@ func writeBenchJSON(t *testing.T) {
 			switch c.engine {
 			case interp.EngineWalk:
 				walkForce = ns
-			case interp.EngineCompiled:
-				compiledForce = ns
 			case interp.EngineBytecode:
 				bytecodeForce = ns
 			}
@@ -173,11 +161,8 @@ func writeBenchJSON(t *testing.T) {
 		}
 		t.Logf("%s/%s: %.0f ns/op (N=%d)", c.name, c.engine, ns, r.N)
 	}
-	if compiledForce > 0 {
-		f.SpeedupSerialForce = walkForce / compiledForce
-	}
 	if bytecodeForce > 0 {
-		f.SpeedupSerialForceBytecode = compiledForce / bytecodeForce
+		f.SpeedupSerialForceBytecode = walkForce / bytecodeForce
 	}
 	if kernelVec > 0 {
 		f.SpeedupSerialForceKernel = bytecodeVec / kernelVec
@@ -189,5 +174,5 @@ func writeBenchJSON(t *testing.T) {
 	if err := os.WriteFile(benchJSONPath, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("wrote %s (serial force speedup %.2fx)\n", benchJSONPath, f.SpeedupSerialForce)
+	fmt.Printf("wrote %s (serial force speedup %.2fx)\n", benchJSONPath, f.SpeedupSerialForceBytecode)
 }

@@ -12,7 +12,7 @@
 //	          goroutines (parexec) next to the simulated Sequent
 //	          prediction — R1 on the §3.3.2 polynomial, R2 on the
 //	          Barnes-Hut force loop, per scheduling policy (RX2),
-//	          R3 the compiled-engine vs tree-walker comparison on both
+//	          R3 the bytecode-VM vs tree-walker comparison on both
 //	          workloads, R5 the auto-parallelization planner vs
 //	          the hand-tuned StripMine calls (with the plan report),
 //	          and R8 the SPMD kernel path vs the bytecode VM on the
@@ -23,8 +23,8 @@
 //	-pes, -sched, -chunk
 //	          pool sizes and R2 scheduling policy for -real
 //	-engine   interpreter engine for the R1/R2 tables (kernel — the
-//	          default — bytecode, compiled, or walk; R3 always times
-//	          walk, compiled and bytecode)
+//	          default — bytecode, or walk; R3 always times walk and
+//	          bytecode)
 //	-all      everything (the default when no flag is given)
 //	-measure  time steps simulated per T1 cell (default 1)
 //
@@ -427,14 +427,12 @@ func vectorCell(site obs.SiteReport) string {
 }
 
 // runR3 measures the execution-engine comparison: the same programs
-// under the tree-walking oracle, the slot-resolved compiled engine,
-// and the flat bytecode VM (R6), serial and strip-mined parallel,
-// with checksums asserted identical across every engine × mode cell.
-// It exists because R1/R2 speedups are only as honest as their serial
-// baseline: the compiled engine is that baseline made fast (no
-// scope-map lookups, no field-name hashing, slice-copy frame forks
-// instead of map rebuilds), and the bytecode VM is the same baseline
-// flattened further (typed register banks, no closure dispatch, no
+// under the tree-walking oracle and the flat bytecode VM (R6), serial
+// and strip-mined parallel, with checksums asserted identical across
+// every engine × mode cell. It exists because R1/R2 speedups are only
+// as honest as their serial baseline: the bytecode VM is that baseline
+// made fast (no scope-map lookups, no field-name hashing, typed
+// register banks copied per frame fork instead of map rebuilds, no
 // interface values in the hot loop).
 func runR3(peList []int) {
 	header("R3 — execution engines compared (same results, fewer cycles of ours)")
@@ -464,8 +462,8 @@ func runR3(peList []int) {
 		{"force N=128", nbody.BarnesHutForcePSL, nbody.ForceFunc, nbody.ForceLoop, nbody.ForceFunc, 7,
 			[]interp.Value{interp.IntVal(128), interp.RealVal(0.5)}},
 	}
-	fmt.Printf("%-14s %-9s %10s %12s %12s %8s %8s\n",
-		"workload", "config", "walk ms", "compiled ms", "bytecode ms", "w/c", "c/b")
+	fmt.Printf("%-14s %-9s %10s %12s %14s\n",
+		"workload", "config", "walk ms", "bytecode ms", "walk/bytecode")
 	for _, w := range workloads {
 		c, err := core.Compile(w.src)
 		if err != nil {
@@ -508,15 +506,13 @@ func runR3(peList []int) {
 				cfgLabel = fmt.Sprintf("par(%d)", maxPE)
 			}
 			wms := cell(interp.EngineWalk, parallel)
-			cms := cell(interp.EngineCompiled, parallel)
 			bms := cell(interp.EngineBytecode, parallel)
-			fmt.Printf("%-14s %-9s %10.1f %12.1f %12.1f %7.1fx %7.1fx\n",
-				w.label, cfgLabel, wms, cms, bms, wms/cms, cms/bms)
+			fmt.Printf("%-14s %-9s %10.1f %12.1f %13.1fx\n",
+				w.label, cfgLabel, wms, bms, wms/bms)
 		}
 	}
 	fmt.Println("\nEvery engine × mode cell reproduced the same checksum bit-for-bit;")
-	fmt.Println("TestCompiledSpeedupFloor and TestBytecodeSpeedupFloor pin the serial")
-	fmt.Println("force-workload ratios in CI.")
+	fmt.Println("TestBytecodeSpeedupFloor pins the serial force-workload ratio in CI.")
 }
 
 // runR5 measures the auto-parallelization planner against the

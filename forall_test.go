@@ -208,9 +208,9 @@ func TestWideForallIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	const pes = 4
-	// The default engine, and the one that allocates a frame for every
-	// iteration.
-	for _, eng := range []interp.Engine{interp.EngineKernel, interp.EngineCompiled} {
+	// The default engine, and the plain VM, which takes a private frame
+	// for every iteration.
+	for _, eng := range []interp.Engine{interp.EngineKernel, interp.EngineBytecode} {
 		cp := interp.CompileProgram(prog)
 		for _, pooled := range []bool{false, true} {
 			name := fmt.Sprintf("%s pooled=%t", eng, pooled)

@@ -1,11 +1,11 @@
 // Package bytecode lowers the slot-resolved IR of internal/compile
 // into a flat instruction array executed by internal/interp's
-// switch-loop VM — the third execution engine, behind the closure
-// engine and the tree-walking oracle.
+// switch-loop VM — the production engine, checked against the
+// tree-walking oracle.
 //
-// Where the closure engine still pays a Go closure call per IR node
-// and boxes every intermediate in an interface-free but Kind-tagged
-// Value, the bytecode form is a []Instr per function plus *typed
+// Where the walker pays an interface type switch per AST node and
+// boxes every intermediate in a Kind-tagged Value, the bytecode form
+// is a []Instr per function plus *typed
 // register banks*: every variable slot and expression temporary lives
 // in a per-function []int64, []float64, []bool, []string, or []*Node
 // bank chosen from its static type (sound because the interpreter's
@@ -26,8 +26,8 @@
 // folded VarAccess charges (slot operands read directly from their
 // home registers, so the read's VarAccess charge is folded into the
 // consuming instruction rather than spending an instruction on it).
-// Within one statement the charge *order* may differ from the closure
-// engine's, but per-statement totals are identical, which is the
+// Within one statement the charge *order* may differ from the
+// walker's, but per-statement totals are identical, which is the
 // granularity at which cycles are observable (simForall rewinds at
 // iteration boundaries; Stats is read at quiescence).
 //
@@ -178,7 +178,7 @@ const (
 	OpStoreBool
 	OpStoreNode // N[A].parr[C][0] = N[B], Imm=name (shape checks apply)
 	// OpStoreNodeIdxBegin: null check and FieldStore charge before the
-	// index expression evaluates (matching the closure engine's order);
+	// index expression evaluates (matching the walker's order);
 	// the store completes in OpStoreNodeIdx.
 	OpStoreNodeIdxBegin // A=base
 	OpStoreNodeIdx      // N[A].parr[off][I[C]] = N[B], Imm=off<<32|name
@@ -293,8 +293,9 @@ func (p *Program) Func(name string) *Func {
 
 // Compile lowers a compiled program to bytecode. Errors indicate IR
 // the lowering does not model (they should not occur for checked
-// programs) and are reported rather than panicked, so callers can fall
-// back to the closure engine.
+// programs) and are reported rather than panicked: interp surfaces
+// them at Call as "interp: bytecode engine: …", and only the walker
+// still runs such a program.
 func Compile(cp *compile.Program) (*Program, error) {
 	p := &Program{index: make(map[string]int, len(cp.Funcs))}
 	for i, f := range cp.Funcs {
@@ -519,7 +520,7 @@ func (b *builder) stmt(s compile.Stmt) error {
 		dst := b.slotReg[s.Slot]
 		if s.Init == nil {
 			// Zero value; one VarAccess for the write, like the
-			// closure engine's declare.
+			// walker's declare.
 			switch dst.Bank {
 			case BankInt:
 				b.emit(pos, Instr{Op: OpConstInt, A: dst.Idx, D: 1})
@@ -634,7 +635,7 @@ func (b *builder) stmt(s compile.Stmt) error {
 }
 
 // assignTo stores an expression into a slot home register, charging
-// the extra VarAccess the closure engine charges per assignment.
+// the extra VarAccess the walker charges per assignment.
 func (b *builder) assignTo(dst Reg, typ lang.Type, e compile.Expr) error {
 	if isReal(typ) && !isReal(e.Type()) {
 		return b.evalIntoReal(e, dst, 1)
@@ -781,7 +782,7 @@ func (b *builder) operand(e compile.Expr) (Reg, int32, error) {
 
 // realOperand is operand for a statically-int expression consumed in a
 // real context: the int→real widening is emitted here (the conversion
-// itself is free, matching the closure engine's AsReal call).
+// itself is free, matching the walker's AsReal call).
 func (b *builder) realOperand(e compile.Expr) (Reg, int32, error) {
 	if isReal(e.Type()) {
 		return b.operand(e)
@@ -936,8 +937,8 @@ func (b *builder) load(e *compile.Load, dst Reg, extraVA int32) error {
 		return nil
 	}
 	// Indexed pointer load: a NULL base short-circuits past the index
-	// expression (which must not evaluate), exactly as the closure
-	// engine's generic path orders it.
+	// expression (which must not evaluate), exactly as the walker
+	// orders it.
 	begin := b.emit(pos, Instr{Op: OpLoadNodeIdxBegin, A: dst.Idx, B: rb.Idx, C: name, D: pb + extraVA})
 	ri, pi, err := b.operand(e.Index)
 	if err != nil {

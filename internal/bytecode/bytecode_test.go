@@ -1,7 +1,7 @@
 // Structural tests for the lowering pass, plus golden disassembly
 // snapshots. The semantic contract (bit-identical results and cycle
-// accounting against the walker and the closure engine) is pinned by
-// the three-way grid in the repository root (equivalence_test.go) and
+// accounting against the walker) is pinned by the engine grid in the
+// repository root (equivalence_test.go) and
 // the differential fuzzer in internal/interp; this file checks the
 // invariants the VM relies on — well-formed jump targets, in-range
 // site-table and register references — and freezes the instruction

@@ -21,10 +21,10 @@
 //     index.
 //
 // The IR is pure data over package lang's types — it carries no
-// execution state and no dependency on the interpreter — so package
-// interp can consume it to build its pre-bound closure engine (see
-// interp's "compiled" engine) without an import cycle, and tests can
-// assert resolution facts (slot counts, offsets) directly.
+// execution state and no dependency on the interpreter — and has one
+// consumer: bytecode.Compile lowers it to the flat program interp's VM
+// runs, after which the IR is garbage. Tests assert resolution facts
+// (slot counts, offsets) on it directly.
 //
 // Compile expects the program to have passed lang.Check; it returns an
 // error (rather than panicking) on untyped or unresolvable input so
@@ -34,14 +34,14 @@
 //
 // A Program is immutable once Compile returns: neither this package
 // nor its consumers may mutate it (or the lang.Program it references)
-// afterwards. That contract is what lets one compiled program be
-// shared, without locks, by every interpreter instance and worker fork
-// executing it — interp memoizes the closure code it builds from the
-// IR per lang.Program, and the serving layer (internal/serve) keeps
-// cached programs hot across many concurrent requests. The contract is
-// enforced by interp's TestCompiledProgramSharedAcrossGoroutines,
-// which compiles once and executes the same program from 16 goroutines
-// under the race detector.
+// afterwards. The bytecode lowered from it keeps the same contract,
+// which is what lets one compiled program be shared, without locks, by
+// every interpreter instance and worker fork executing it — the
+// serving layer (internal/serve) keeps cached programs hot across many
+// concurrent requests. The contract is enforced by interp's
+// TestBytecodeProgramSharedAcrossGoroutines, which compiles once and
+// executes the same program from 16 goroutines under the race
+// detector.
 package compile
 
 import (

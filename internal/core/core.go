@@ -218,11 +218,9 @@ type RunConfig struct {
 	// Engine selects the interpreter engine (default
 	// interp.EngineKernel: the flat register-bank bytecode VM, with
 	// vectorized forall strips run as batched kernels;
-	// interp.EngineBytecode is the VM without them,
-	// interp.EngineCompiled the slot-resolved closure code lowered
-	// from the same IR, interp.EngineWalk the tree-walking oracle). The
-	// engines are bit-identical in results, output, and simulated
-	// cycle counts.
+	// interp.EngineBytecode is the VM without them, interp.EngineWalk
+	// the tree-walking oracle). The engines are bit-identical in
+	// results, output, and simulated cycle counts.
 	Engine interp.Engine
 	// Simulate runs on the deterministic machine model instead of
 	// executing the program as written.

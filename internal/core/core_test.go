@@ -101,7 +101,7 @@ func TestCompilationBuildsCodeOnce(t *testing.T) {
 	if _, _, _, err := c.RunChecked(RunConfig{Engine: interp.EngineBytecode}, "main", args...); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.RunParallel(RunConfig{Engine: interp.EngineCompiled}, 2, "main", args...); err != nil {
+	if _, _, err := c.RunParallel(RunConfig{Engine: interp.EngineBytecode}, 2, "main", args...); err != nil {
 		t.Fatal(err)
 	}
 	if d := interp.CompileCount() - c0; d != 1 {

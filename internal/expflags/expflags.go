@@ -33,7 +33,7 @@ type Flags struct {
 	PEs      string // -pes: comma-separated pool sizes for R1/R2
 	Sched    string // -sched: R2 scheduling policy ("all" sweeps every policy)
 	Chunk    int    // -chunk: R2 dynamic self-scheduling chunk size
-	Engine   string // -engine: interpreter engine for R1/R2 ("kernel", "bytecode", "compiled", or "walk")
+	Engine   string // -engine: interpreter engine for R1/R2 ("kernel", "bytecode", or "walk"; "compiled" is bytecode)
 }
 
 // Register installs the cmd/experiments flag set on fs and returns the
@@ -57,7 +57,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	// never drift from what an empty interp.Config runs.
 	var def interp.Engine
 	fs.StringVar(&f.Engine, "engine", def.String(),
-		fmt.Sprintf("interpreter engine for the R1/R2 measured tables: %s (R3 always times walk, compiled and bytecode; R8 bytecode and kernel)",
+		fmt.Sprintf("interpreter engine for the R1/R2 measured tables: %s; compiled is an old name for bytecode (R3 always times walk and bytecode; R8 bytecode and kernel)",
 			strings.Join(interp.EngineNames(), " or ")))
 	return f
 }

@@ -1,21 +1,22 @@
 // The bytecode engine: a switch-loop VM over internal/bytecode's flat
-// instruction arrays and typed register banks — the third engine,
-// behind the closure engine (compiled.go) and the tree-walking oracle
-// (interp.go).
+// instruction arrays and typed register banks — the production engine,
+// checked against the tree-walking oracle (interp.go).
 //
-// Where the closure engine pays a Go closure call per IR node and
-// moves every intermediate through a Kind-tagged Value, this VM runs a
+// Where the walker resolves names at every step — map-chain scope
+// lookups per variable, field-name hashing per heap access, function
+// lookup per call, an interface type switch per AST node — and moves
+// every intermediate through a Kind-tagged Value, this VM runs a
 // for-loop over []Instr with direct slice indexing into per-frame
 // []int64 / []float64 / []bool / []string / []*Node banks: hot
 // arithmetic (R1 polyscale, R2 force) touches no interface, builds no
 // Value, and allocates nothing once the frame pool is warm.
 //
-// Semantics are pinned to the closure engine — same results, printed
-// output, error text, Simulated cycle totals (at statement
-// granularity; see the bytecode package comment for why ordering
-// within a statement may differ), step batching, and sandbox budgets.
-// The three-way equivalence grid, FuzzBytecodeVsCompiled, and the
-// sandbox-parity suite enforce this.
+// Semantics are pinned to the walker — same results, printed output,
+// error text, Simulated cycle totals (at statement granularity; see
+// the bytecode package comment for why ordering within a statement
+// may differ), and sandbox budgets; step totals agree at every
+// quiescent point (see stepFlushChunk). The equivalence grid,
+// FuzzBytecodeVsWalk, and the sandbox-parity suite enforce this.
 package interp
 
 import (
@@ -89,8 +90,7 @@ func (ip *Interp) putBCFrame(fr *bcFrame) {
 }
 
 // copyBanksFrom makes fr an independent copy of src's banks (a
-// parallel iteration's private frame, mirroring the closure engine's
-// per-iteration slice copy).
+// parallel iteration's private frame).
 func (fr *bcFrame) copyBanksFrom(src *bcFrame) {
 	copy(fr.i, src.i)
 	copy(fr.f, src.f)
@@ -146,8 +146,10 @@ func (ip *Interp) callBytecode(f *bytecode.Func, args []Value) (Value, error) {
 	return Value{}, nil
 }
 
-// callBC mirrors callFrame: depth guard, call overhead, run, pool the
-// frame, fell-off-the-end check.
+// callBC mirrors the walker's callFunc: depth guard, call overhead,
+// run, pool the frame, fell-off-the-end check. The recursion guard uses
+// the Interp's live call depth (each Interp runs one call chain at a
+// time; parallel iterations run on forks with their own depth).
 func (ip *Interp) callBC(f *bytecode.Func, fr *bcFrame) (bcRet, error) {
 	if ip.cdepth > ip.maxDepth {
 		ip.putBCFrame(fr)
@@ -757,8 +759,8 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 	return ctrlNext, nil
 }
 
-// bcForall runs one parallel loop, mirroring the closure engine's two
-// arms: Simulated (shared frame, per-iteration cycle rewind via
+// bcForall runs one parallel loop, mirroring the walker's two arms:
+// Simulated (shared frame, per-iteration cycle rewind via
 // simForall) and Real (the vector path when the strip qualifies,
 // otherwise private frames through realForall). An empty range is a
 // no-op before either — no barrier, no charges.

@@ -1,13 +1,13 @@
-// FuzzCompileVsWalk / FuzzBytecodeVsCompiled: differential fuzzing of
+// FuzzBytecodeVsWalk / FuzzKernelVsBytecode: differential fuzzing of
 // the three execution engines. Any program the front end accepts must
-// behave identically under the tree-walking oracle, the compiled
-// closure engine, and the flat bytecode VM — same value, same printed
-// output, same error/no-error outcome, and (in simulated mode) the
-// same cycle/step/allocation counters. This is the property that lets
+// behave identically under the tree-walking oracle, the flat bytecode
+// VM, and the kernel engine — same value, same printed output, same
+// error/no-error outcome, and (in simulated mode) the same
+// cycle/step/allocation counters. This is the property that lets
 // later PRs refactor the execution core freely: the walker defines
 // the semantics, the fuzzers hunt for programs where a fast path
-// disagrees. The two fuzzers compose: compiled is pinned to the
-// walker, bytecode is pinned to compiled, so a bytecode-vs-walker
+// disagrees. The two fuzzers compose: bytecode is pinned to the
+// walker, kernel is pinned to bytecode, so a kernel-vs-walker
 // divergence cannot hide.
 package interp_test
 
@@ -24,9 +24,9 @@ import (
 )
 
 // fuzzMaxSteps bounds each engine run. Runaway programs hit the limit
-// in both engines; the limit is detected at slightly different
-// instants (the compiled engine batches step accounting), so
-// limit-hit runs only compare error-ness, not counters.
+// in every engine; the limit is detected at slightly different
+// instants (the bytecode VM batches step accounting), so limit-hit
+// runs only compare error-ness, not counters.
 const fuzzMaxSteps = 100_000
 
 func seedPrograms(f *testing.F) {
@@ -197,23 +197,13 @@ func fuzzDiff(t *testing.T, src string, a, b interp.Engine) {
 	compareOutcomes(t, "real", a, b, w, c)
 }
 
-func FuzzCompileVsWalk(f *testing.F) {
+// FuzzBytecodeVsWalk pins the bytecode VM to the walker, the
+// reference: a failure means the front end's slot resolution, the
+// lowering, or the VM is wrong.
+func FuzzBytecodeVsWalk(f *testing.F) {
 	seedPrograms(f)
 	f.Fuzz(func(t *testing.T, src string) {
-		fuzzDiff(t, src, interp.EngineWalk, interp.EngineCompiled)
-	})
-}
-
-// FuzzBytecodeVsCompiled pins the R6 bytecode VM to the closure
-// engine the same way the closure engine is pinned to the walker.
-// Compiled is the reference here (not the walker) so a failure
-// bisects immediately: this fuzzer failing alone means the lowering
-// or the VM is wrong; both fuzzers failing means the closure engine
-// drifted from the semantics.
-func FuzzBytecodeVsCompiled(f *testing.F) {
-	seedPrograms(f)
-	f.Fuzz(func(t *testing.T, src string) {
-		fuzzDiff(t, src, interp.EngineCompiled, interp.EngineBytecode)
+		fuzzDiff(t, src, interp.EngineWalk, interp.EngineBytecode)
 	})
 }
 
@@ -284,8 +274,8 @@ func fuzzKernelParallel(t *testing.T, src string) {
 // FuzzKernelVsBytecode pins the SPMD kernel engine to the bytecode VM
 // it extends. The VM is the reference: a failure here alone means the
 // kernel lowering, a mask, or the slab gather/scatter is wrong; this
-// and FuzzBytecodeVsCompiled failing together means the drift is in
-// the shared scalar core.
+// and FuzzBytecodeVsWalk failing together means the drift is in the
+// shared scalar core.
 func FuzzKernelVsBytecode(f *testing.F) {
 	seedPrograms(f)
 	f.Add(stripPatternSeed)
@@ -296,11 +286,10 @@ func FuzzKernelVsBytecode(f *testing.F) {
 }
 
 // TestForallDepthParity: a forall body's recursion budget is the
-// enclosing call chain's remaining depth in BOTH engines (the
-// compiled engine once reset workers to depth 0, silently granting
-// forall bodies the full MaxDepth the walker would refuse). Sweeping
-// MaxDepth across the boundary must flip both engines at the same
-// value.
+// enclosing call chain's remaining depth in BOTH engines (a fast
+// engine once reset workers to depth 0, silently granting forall
+// bodies the full MaxDepth the walker would refuse). Sweeping MaxDepth
+// across the boundary must flip both engines at the same value.
 func TestForallDepthParity(t *testing.T) {
 	prog, err := lang.Parse(`
 function int rec(int n) {
@@ -322,13 +311,13 @@ function int main() {
 	}
 	sawOK, sawErr := false, false
 	for maxDepth := 2; maxDepth <= 16; maxDepth++ {
-		var outcome [3]error
-		for i, eng := range []interp.Engine{interp.EngineWalk, interp.EngineCompiled, interp.EngineBytecode} {
+		var outcome [2]error
+		for i, eng := range []interp.Engine{interp.EngineWalk, interp.EngineBytecode} {
 			_, _, err := interp.Run(prog, interp.Config{Engine: eng, MaxDepth: maxDepth}, "main")
 			outcome[i] = err
 		}
-		if (outcome[0] != nil) != (outcome[1] != nil) || (outcome[0] != nil) != (outcome[2] != nil) {
-			t.Errorf("MaxDepth=%d: walk err=%v, compiled err=%v, bytecode err=%v", maxDepth, outcome[0], outcome[1], outcome[2])
+		if (outcome[0] != nil) != (outcome[1] != nil) {
+			t.Errorf("MaxDepth=%d: walk err=%v, bytecode err=%v", maxDepth, outcome[0], outcome[1])
 		}
 		if outcome[0] == nil {
 			sawOK = true
@@ -357,7 +346,7 @@ function int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []interp.Engine{interp.EngineWalk, interp.EngineCompiled, interp.EngineBytecode} {
+	for _, eng := range []interp.Engine{interp.EngineWalk, interp.EngineBytecode} {
 		v, _, err := interp.Run(prog, interp.Config{Engine: eng}, "main")
 		if err != nil {
 			t.Fatalf("engine %s: %v", eng, err)

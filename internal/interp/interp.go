@@ -6,15 +6,15 @@
 // forall's iterations run in place, in index order. Package sequent
 // replays runs on the 1992 machine model through Simulated mode.
 //
-// Execution has four engines behind Config.Engine. The default (the
+// Execution has three engines behind Config.Engine. The default (the
 // zero value) is the kernel VM: flat bytecode over typed register
 // banks (bcvm.go) plus batched struct-of-arrays kernels for the forall
-// strips the classifier vectorizes (kernel.go). The plain bytecode VM,
-// the closure engine (compiled.go) and the tree-walking oracle in this
-// file are explicit opt-ins. All four are bit-identical in results,
-// output, and simulated cycle accounting — the equivalence suite and
-// the three differential fuzzers enforce it — and differ only in
-// speed.
+// strips the classifier vectorizes (kernel.go). The plain bytecode VM
+// (the kernel engine's scalar path and fallback) and the tree-walking
+// oracle in this file are explicit opt-ins. All three are bit-identical
+// in results, output, and simulated cycle accounting — the equivalence
+// suite and the two differential fuzzers enforce it — and differ only
+// in speed.
 //
 // Paper provenance: speculative traversability — loading a pointer
 // field through NULL yields NULL — is §3.2 (the transformed code's
@@ -45,7 +45,7 @@ type Engine int
 
 // Execution engines. EngineKernel is the zero value, so it is what
 // every empty Config, RunConfig, parexec.Options, engine-less POST /run
-// and -engine flag resolves to; the other three are explicit opt-ins.
+// and -engine flag resolves to; the other two are explicit opt-ins.
 const (
 	// EngineKernel is the bytecode VM plus the SPMD vector path: strips
 	// the classifier proved vectorizable (ForallSite.Kernel != nil)
@@ -57,29 +57,26 @@ const (
 	// results, output, accounting, and error text stay bit-identical to
 	// the other engines.
 	EngineKernel Engine = iota
-	// EngineCompiled executes the slot-resolved closure code built from
-	// internal/compile's IR: flat slot frames instead of scope maps,
-	// field offsets instead of field-name hashing, pre-resolved calls.
-	// Slower than the bytecode VM on every measured row; kept as the
-	// second differential reference (FuzzBytecodeVsCompiled). Its
-	// closure tree is built lazily, on a program's first compiled-engine
-	// run, so programs that never ask for it never pay for it.
-	EngineCompiled
+	// EngineBytecode executes flat bytecode (internal/bytecode) over
+	// typed per-function register banks — slot-resolved variables,
+	// field offsets instead of field-name hashing, pre-resolved calls,
+	// no boxed intermediates — with every forall on the scalar path:
+	// the kernel engine minus the vector strips.
+	EngineBytecode
 	// EngineWalk executes the AST directly — the original tree-walking
 	// interpreter, kept as the differential-testing oracle.
 	EngineWalk
-	// EngineBytecode executes flat bytecode (internal/bytecode) over
-	// typed per-function register banks — no closure dispatch, no boxed
-	// intermediates — with every forall on the scalar path: the kernel
-	// engine minus the vector strips.
-	EngineBytecode
 )
 
-// String names the engine ("compiled", "bytecode", "kernel", "walk").
+// EngineCompiled is the bytecode VM under the name the deleted closure
+// engine had.
+//
+// Deprecated: use EngineBytecode.
+const EngineCompiled = EngineBytecode
+
+// String names the engine ("kernel", "bytecode", "walk").
 func (e Engine) String() string {
 	switch e {
-	case EngineCompiled:
-		return "compiled"
 	case EngineWalk:
 		return "walk"
 	case EngineBytecode:
@@ -90,18 +87,18 @@ func (e Engine) String() string {
 
 // EngineNames lists the accepted ParseEngine names in display order,
 // the default first.
-func EngineNames() []string { return []string{"kernel", "bytecode", "compiled", "walk"} }
+func EngineNames() []string { return []string{"kernel", "bytecode", "walk"} }
 
 // ParseEngine resolves an engine name from the command line or the
-// wire; the empty name is the default engine.
+// wire; the empty name is the default engine, and "compiled" — the
+// deleted closure engine's name, still accepted so old requests and
+// command lines keep working — is the bytecode VM.
 func ParseEngine(name string) (Engine, error) {
 	switch name {
 	case "kernel", "":
 		return EngineKernel, nil
-	case "bytecode":
+	case "bytecode", "compiled":
 		return EngineBytecode, nil
-	case "compiled":
-		return EngineCompiled, nil
 	case "walk":
 		return EngineWalk, nil
 	}
@@ -168,7 +165,7 @@ func DefaultCosts() CostModel {
 // Config configures an interpreter.
 type Config struct {
 	// Engine selects the execution engine (default EngineKernel, the
-	// bytecode VM with vectorized strips; the closure engine and the
+	// bytecode VM with vectorized strips; the plain bytecode VM and the
 	// tree-walking oracle are opt-ins).
 	Engine Engine
 	Mode   Mode
@@ -185,7 +182,7 @@ type Config struct {
 	MaxDepth   int  // 0 = default (4096)
 	StrictNull bool // disable speculative traversability (for tests)
 	// Ctx, if non-nil, cancels the run: a deadline or explicit cancel
-	// makes Call return an error. Both engines poll it on the step
+	// makes Call return an error. Every engine polls it on the step
 	// path, at stepFlushChunk granularity, so a runaway loop is cut
 	// within a few hundred statements. The sandbox budgets below plus
 	// Ctx are what the serving layer (internal/serve) relies on to run
@@ -288,26 +285,24 @@ type Interp struct {
 	maxAllocs int64
 	maxOutput int64
 	// ctx is the optional cancellation signal (Config.Ctx), polled at
-	// stepFlushChunk granularity on both engines' step paths.
+	// stepFlushChunk granularity on the walker's and the VM's step paths.
 	ctx context.Context
 
-	// code is the closure program when cfg.Engine == EngineCompiled;
-	// compileErr records why compilation failed (surfaced at Call).
-	code       *compiledProg
-	compileErr error
 	// bc is the flat program when cfg.Engine is EngineKernel or
 	// EngineBytecode; bcErr records why lowering failed (surfaced at
 	// Call).
 	bc    *bytecode.Program
 	bcErr error
-	// bcPool recycles bytecode register files, like framePool for the
-	// closure engine's slot frames.
+	// bcPool recycles bytecode register files. Frames never escape
+	// their call — parallel iterations copy, never retain — so a
+	// per-Interp free list is safe and keeps the recursive hot path
+	// (compute_force) off the allocator.
 	bcPool []*bcFrame
 	// kern is the kernel engine's reusable strip state (kernel.go):
 	// slab storage and the phase closures, lazily built on the first
 	// vectorized strip.
 	kern *kernState
-	// stepsLocal batches the compiled engine's statement count between
+	// stepsLocal batches the bytecode VM's statement count between
 	// flushes to the shared atomic (each Interp executes on one
 	// goroutine at a time, so the field needs no synchronization).
 	stepsLocal int64
@@ -319,34 +314,8 @@ type Interp struct {
 	// costs is scheduledWindow's per-iteration ledger, reused from one
 	// window to the next.
 	costs []iterCost
-	// cdepth is the compiled engine's live call depth.
+	// cdepth is the bytecode VM's live call depth.
 	cdepth int
-	// framePool recycles call frames (slot slices). Frames never
-	// escape their call — parallel iterations copy, never retain — so
-	// a per-Interp free list is safe and keeps the recursive hot path
-	// (compute_force) off the allocator.
-	framePool [][]Value
-}
-
-// getFrame returns a frame of n slots, reusing the top pooled frame
-// when it is large enough (a too-small top frame is left in place for
-// smaller calls rather than discarded). Reused slots may hold stale
-// values; every slot is written before it is read (the checker
-// enforces declare-before-use and VarSet re-initializes on every
-// scope entry).
-func (ip *Interp) getFrame(n int) []Value {
-	if l := len(ip.framePool); l > 0 && cap(ip.framePool[l-1]) >= n {
-		fr := ip.framePool[l-1]
-		ip.framePool = ip.framePool[:l-1]
-		return fr[:n]
-	}
-	return make([]Value, n)
-}
-
-func (ip *Interp) putFrame(fr []Value) {
-	if len(ip.framePool) < 64 {
-		ip.framePool = append(ip.framePool, fr)
-	}
 }
 
 // state holds the counters an interpreter shares with its forks.
@@ -413,20 +382,18 @@ func newInterp(prog *lang.Program, cfg Config) *Interp {
 // running it. A fork must execute at most one call at a time.
 func (ip *Interp) Fork(out io.Writer) *Interp {
 	nf := &Interp{
-		prog:       ip.prog,
-		cfg:        ip.cfg,
-		out:        ip.out,
-		outMu:      ip.outMu,
-		sh:         ip.sh,
-		maxSteps:   ip.maxSteps,
-		maxDepth:   ip.maxDepth,
-		maxAllocs:  ip.maxAllocs,
-		maxOutput:  ip.maxOutput,
-		ctx:        ip.ctx,
-		code:       ip.code,
-		compileErr: ip.compileErr,
-		bc:         ip.bc,
-		bcErr:      ip.bcErr,
+		prog:      ip.prog,
+		cfg:       ip.cfg,
+		out:       ip.out,
+		outMu:     ip.outMu,
+		sh:        ip.sh,
+		maxSteps:  ip.maxSteps,
+		maxDepth:  ip.maxDepth,
+		maxAllocs: ip.maxAllocs,
+		maxOutput: ip.maxOutput,
+		ctx:       ip.ctx,
+		bc:        ip.bc,
+		bcErr:     ip.bcErr,
 	}
 	nf.cfg.Forall = nil
 	nf.cfg.Strip = nil
@@ -469,22 +436,13 @@ func (ip *Interp) Call(fn string, args ...Value) (Value, error) {
 		return Value{}, fmt.Errorf("interp: %s expects %d args, got %d", fn, len(f.Params), len(args))
 	}
 	// A context that is already dead fails here, before any execution,
-	// so both engines report an identical error at an identical point.
+	// so every engine reports an identical error at an identical point.
 	if ip.ctx != nil {
 		if err := ip.ctx.Err(); err != nil {
 			return Value{}, fmt.Errorf("interp: run cancelled: %v", err)
 		}
 	}
 	switch ip.cfg.Engine {
-	case EngineCompiled:
-		if ip.compileErr != nil {
-			return Value{}, fmt.Errorf("interp: compiled engine: %w", ip.compileErr)
-		}
-		v, err := ip.callCompiled(ip.code.byName[fn], args)
-		if ferr := ip.flushSteps(f.Pos()); err == nil && ferr != nil {
-			err = ferr
-		}
-		return v, err
 	case EngineBytecode, EngineKernel:
 		if ip.bcErr != nil {
 			return Value{}, fmt.Errorf("interp: bytecode engine: %w", ip.bcErr)
@@ -525,8 +483,8 @@ func (ip *Interp) step(pos lang.Pos) error {
 	if n > ip.maxSteps {
 		return fmt.Errorf("%s: interp: step limit exceeded (%d)", pos, ip.maxSteps)
 	}
-	// Poll cancellation at the same granularity the compiled engine
-	// does (flushSteps): every stepFlushChunk statements.
+	// Poll cancellation at the same granularity the bytecode VM does
+	// (flushSteps): every stepFlushChunk statements.
 	if ip.ctx != nil && n&(stepFlushChunk-1) == 0 {
 		if err := ip.ctx.Err(); err != nil {
 			return fmt.Errorf("%s: interp: run cancelled: %v", pos, err)
@@ -535,14 +493,18 @@ func (ip *Interp) step(pos lang.Pos) error {
 	return nil
 }
 
-// stepFlushChunk is how many compiled-engine statements run between
+// stepFlushChunk is how many bytecode-VM statements run between
 // flushes of the local step count to the shared atomic. Batching keeps
 // the hot loop off the shared cache line (which parallel workers would
 // otherwise contend on every statement); the step limit is still
-// enforced, at chunk granularity.
+// enforced, at chunk granularity. This is the one intentional
+// accounting difference from the walker, which bumps the shared counter
+// per statement: totals are identical at every quiescent point (Call
+// return, forall iteration end); only the instant at which a MaxSteps
+// overrun is detected moves by up to one chunk.
 const stepFlushChunk = 256
 
-// stepC is the compiled engine's per-statement accounting.
+// stepC is the bytecode VM's per-statement accounting.
 func (ip *Interp) stepC(pos lang.Pos) error {
 	ip.stepsLocal++
 	if ip.stepsLocal >= stepFlushChunk {
@@ -619,8 +581,8 @@ func (fr *frame) lookup(name string) (*Value, bool) {
 //
 // Cost note: this rebuilds every scope map of the live frame on every
 // forall iteration fork — the dominant allocation source of walker
-// parallel runs (~330k allocs per R2 force run vs ~1.5k for the
-// compiled engine, whose slot-frame fork is one slice copy; see
+// parallel runs (~330k allocs per R2 force run vs ~0.9k for the
+// bytecode VM, whose register-bank fork is five slice copies; see
 // DESIGN.md's R3 section and BENCH_interp.json). Kept as-is: the
 // walker is the oracle, and oracles should stay simple.
 func (fr *frame) snapshot() *frame {
@@ -1155,7 +1117,7 @@ func (ip *Interp) allocNode(decl *adds.Decl, typeName string) (Value, error) {
 	return PtrVal(n), nil
 }
 
-// printLine renders print() arguments the one way both engines must
+// printLine renders print() arguments the one way every engine must
 // (space-separated, newline-terminated) and writes the line under the
 // output lock. The MaxOutputBytes budget is charged on the shared
 // counter before writing, so a run over budget fails without emitting

@@ -1,7 +1,7 @@
 // The kernel engine's run-time half: batched SPMD execution of
 // vectorized strips (bytecode.Kernel) over struct-of-arrays slabs —
-// the fourth engine, beside the closure engine, the tree-walking
-// oracle, and the bytecode VM it extends.
+// the third engine, beside the tree-walking oracle and the bytecode VM
+// it extends.
 //
 // A strip executes in three phases. Gather walks the iterated pointer
 // chain once, records each lane's node, fills the root execution mask

@@ -1,12 +1,13 @@
 // Sandbox tests: the per-run budgets (MaxSteps, MaxAllocs,
 // MaxOutputBytes) and Ctx cancellation that the serving layer
 // (internal/serve) relies on to run untrusted programs, asserted
-// equivalent across all three engines — the error paths stay inside
-// the "three engines, two oracles" contract. Also the
+// equivalent between the walker and the bytecode VM — the error paths
+// stay inside the "one VM, one oracle" contract (the kernel engine's
+// budget behaviour is the VM's: a strip under pressure declines and the
+// scalar path raises; serve's TestBudgetsMidStrip pins that). Also the
 // compile-once/share-everywhere contract behind internal/compile's
-// immutability note: one compiled program (closure and bytecode
-// backends alike) executed from 16 goroutines under the race
-// detector.
+// immutability note: one compiled program executed from 16 goroutines
+// under the race detector.
 package interp
 
 import (
@@ -20,9 +21,9 @@ import (
 	"repro/internal/lang"
 )
 
-// sandboxEngines is the full engine matrix the budget trips are
-// asserted identical across.
-var sandboxEngines = []Engine{EngineWalk, EngineCompiled, EngineBytecode}
+// sandboxEngines is the engine matrix the budget trips are asserted
+// identical across.
+var sandboxEngines = []Engine{EngineWalk, EngineBytecode}
 
 const sandboxSrc = `
 type Cell [X]
@@ -61,7 +62,7 @@ function int spin(int n) {
 // runAll executes fn under every engine with the same config and
 // returns (error string, output) per engine, indexed like
 // sandboxEngines.
-func runAll(t *testing.T, cfg Config, fn string, args ...Value) (errs [3]string, outs [3]string) {
+func runAll(t *testing.T, cfg Config, fn string, args ...Value) (errs [2]string, outs [2]string) {
 	t.Helper()
 	prog, err := lang.Parse(sandboxSrc)
 	if err != nil {
@@ -104,20 +105,15 @@ func TestMaxAllocsEquivalence(t *testing.T) {
 }
 
 // TestMaxStepsEquivalence: the step limit trips in every engine with
-// the same message. The walker may attribute the chunk flush to a
+// the same message. The VM may attribute its chunk flush to a
 // neighboring statement (limits fire at engine-specific instants, the
-// long-standing fuzzer carve-out), but the two lowered engines share
-// the closure engine's statement granularity exactly, so compiled and
-// bytecode must agree to the position.
+// long-standing fuzzer carve-out), so positions are not compared.
 func TestMaxStepsEquivalence(t *testing.T) {
 	errs, _ := runAll(t, Config{MaxSteps: 1000}, "spin", IntVal(1_000_000))
 	for i, e := range errs {
 		if !strings.Contains(e, "step limit exceeded (1000)") {
 			t.Errorf("engine %s: error %q, want step limit", sandboxEngines[i], e)
 		}
-	}
-	if errs[1] != errs[2] {
-		t.Errorf("lowered engines disagree: compiled %q vs bytecode %q", errs[1], errs[2])
 	}
 	errs, _ = runAll(t, Config{MaxSteps: 10_000_000}, "spin", IntVal(1000))
 	for i, e := range errs {
@@ -187,16 +183,15 @@ func TestCtxDeadlineMidRun(t *testing.T) {
 	}
 }
 
-// sharedAcrossGoroutines enforces internal/compile's immutability
-// contract for one engine: code is built exactly once (via
-// CompileProgram, the serving layer's cache-insert path) and then
-// executed concurrently from 16 goroutines sharing the same handle.
-// Run under -race in CI; results and output must agree across all
-// goroutines, with zero compile work during execution — except the
-// closure engine's lazy closure build, which the 16 racing first users
-// must perform exactly once between them.
-func sharedAcrossGoroutines(t *testing.T, eng Engine) {
-	t.Helper()
+// TestBytecodeProgramSharedAcrossGoroutines enforces
+// internal/compile's immutability contract: code is built exactly once
+// (via CompileProgram, the serving layer's cache-insert path) and the
+// bytecode Program is immutable after lowering, so 16 goroutines
+// execute the same flat code concurrently through one handle, each
+// over its own register banks. Run under -race in CI; results and
+// output must agree across all goroutines, with zero compile work
+// during execution.
+func TestBytecodeProgramSharedAcrossGoroutines(t *testing.T) {
 	prog, err := lang.Parse(sandboxSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +200,7 @@ func sharedAcrossGoroutines(t *testing.T, eng Engine) {
 	if err := cp.Err(); err != nil {
 		t.Fatal(err)
 	}
-	before, closuresBefore := CompileCount(), ClosureBuildCount()
+	before := CompileCount()
 	const goroutines = 16
 	var wg sync.WaitGroup
 	results := make([]int64, goroutines)
@@ -216,7 +211,7 @@ func sharedAcrossGoroutines(t *testing.T, eng Engine) {
 		go func(i int) {
 			defer wg.Done()
 			var out bytes.Buffer
-			ip := NewCompiled(cp, Config{Engine: eng, Output: &out})
+			ip := NewCompiled(cp, Config{Engine: EngineBytecode, Output: &out})
 			v, err := ip.Call("print_bomb", IntVal(50))
 			results[i], outputs[i], errs[i] = v.I, out.String(), err
 		}(i)
@@ -233,22 +228,4 @@ func sharedAcrossGoroutines(t *testing.T, eng Engine) {
 	if n := CompileCount() - before; n != 0 {
 		t.Errorf("%d extra compiles during concurrent execution; running a handle must do zero compile work", n)
 	}
-	wantClosures := int64(0)
-	if eng == EngineCompiled {
-		wantClosures = 1
-	}
-	if n := ClosureBuildCount() - closuresBefore; n != wantClosures {
-		t.Errorf("engine %s: %d closure builds for one program, want %d", eng, n, wantClosures)
-	}
-}
-
-func TestCompiledProgramSharedAcrossGoroutines(t *testing.T) {
-	sharedAcrossGoroutines(t, EngineCompiled)
-}
-
-// TestBytecodeProgramSharedAcrossGoroutines: the bytecode Program is
-// immutable after lowering; 16 goroutines execute the same flat code
-// concurrently, each over its own register banks.
-func TestBytecodeProgramSharedAcrossGoroutines(t *testing.T) {
-	sharedAcrossGoroutines(t, EngineBytecode)
 }

@@ -69,9 +69,8 @@ type Options struct {
 	// Interp selects the interpreter engine the pool runs on (default
 	// interp.EngineKernel: the bytecode VM, with vectorized strips run
 	// as batched kernels; interp.EngineBytecode is the VM without them,
-	// interp.EngineCompiled the closure engine, interp.EngineWalk the
-	// tree-walking oracle). Results are bit-identical across all four —
-	// the engines differ only in speed.
+	// interp.EngineWalk the tree-walking oracle). Results are
+	// bit-identical across all three — the engines differ only in speed.
 	Interp interp.Engine
 	// Compiled, if non-nil, is the program's code (interp.CompileProgram),
 	// built by a caller that runs the program more than once — the

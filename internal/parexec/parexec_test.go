@@ -482,10 +482,9 @@ func TestEngineReuse(t *testing.T) {
 // TestForallProfilerRecordsSite: a profiled parallel run reports one
 // site, keyed to the line of the source while loop that strip-mining
 // replaced (line 30 of polyscale.psl), with task and barrier counts
-// matching the engine's own accounting. The bytecode and closure
-// engines keep the strip on the scalar dispatch path this test is about
-// (the default engine would vectorize it: one task per strip, not one
-// per lane).
+// matching the engine's own accounting. The bytecode engine keeps the
+// strip on the scalar dispatch path this test is about (the default
+// engine would vectorize it: one task per strip, not one per lane).
 func TestForallProfilerRecordsSite(t *testing.T) {
 	c := compileTestdata(t, "polyscale.psl")
 	const width = 8
@@ -497,51 +496,50 @@ func TestForallProfilerRecordsSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []interp.Engine{interp.EngineBytecode, interp.EngineCompiled} {
-		t.Run(eng.String(), func(t *testing.T) {
-			prof := obs.NewForallProfiler()
-			got, st, err := par.RunParallel(core.RunConfig{Engine: eng, Profiler: prof}, 2, "main")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.I != want.I {
-				t.Fatalf("profiled run changed the result: %d, want %d", got.I, want.I)
-			}
-			rep := prof.Report()
-			if len(rep) != 1 {
-				t.Fatalf("%d sites, want 1: %+v", len(rep), rep)
-			}
-			r := rep[0]
-			if r.Line != 30 {
-				t.Errorf("site line %d, want 30 (the source while loop)", r.Line)
-			}
-			if r.PEs != 2 {
-				t.Errorf("PEs %d, want 2", r.PEs)
-			}
-			if r.Barriers != st.Barriers {
-				t.Errorf("barriers %d, engine counted %d", r.Barriers, st.Barriers)
-			}
-			if r.Tasks != st.Barriers*width {
-				t.Errorf("tasks %d, want %d (barriers × strip width)", r.Tasks, st.Barriers*width)
-			}
-			if r.BusyPct <= 0 || r.BusyPct > 100 {
-				t.Errorf("busy %.2f%%, want in (0, 100]", r.BusyPct)
-			}
-			if r.Imbalance < 1 {
-				t.Errorf("imbalance %.3f, want >= 1", r.Imbalance)
-			}
-			if len(r.PerPE) != 2 {
-				t.Fatalf("per-PE rows: %+v", r.PerPE)
-			}
-			var tasks int64
-			for _, pe := range r.PerPE {
-				tasks += pe.Tasks
-			}
-			if tasks != r.Tasks {
-				t.Errorf("per-PE tasks sum %d, site total %d", tasks, r.Tasks)
-			}
-		})
-	}
+	eng := interp.EngineBytecode
+	t.Run(eng.String(), func(t *testing.T) {
+		prof := obs.NewForallProfiler()
+		got, st, err := par.RunParallel(core.RunConfig{Engine: eng, Profiler: prof}, 2, "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.I != want.I {
+			t.Fatalf("profiled run changed the result: %d, want %d", got.I, want.I)
+		}
+		rep := prof.Report()
+		if len(rep) != 1 {
+			t.Fatalf("%d sites, want 1: %+v", len(rep), rep)
+		}
+		r := rep[0]
+		if r.Line != 30 {
+			t.Errorf("site line %d, want 30 (the source while loop)", r.Line)
+		}
+		if r.PEs != 2 {
+			t.Errorf("PEs %d, want 2", r.PEs)
+		}
+		if r.Barriers != st.Barriers {
+			t.Errorf("barriers %d, engine counted %d", r.Barriers, st.Barriers)
+		}
+		if r.Tasks != st.Barriers*width {
+			t.Errorf("tasks %d, want %d (barriers × strip width)", r.Tasks, st.Barriers*width)
+		}
+		if r.BusyPct <= 0 || r.BusyPct > 100 {
+			t.Errorf("busy %.2f%%, want in (0, 100]", r.BusyPct)
+		}
+		if r.Imbalance < 1 {
+			t.Errorf("imbalance %.3f, want >= 1", r.Imbalance)
+		}
+		if len(r.PerPE) != 2 {
+			t.Fatalf("per-PE rows: %+v", r.PerPE)
+		}
+		var tasks int64
+		for _, pe := range r.PerPE {
+			tasks += pe.Tasks
+		}
+		if tasks != r.Tasks {
+			t.Errorf("per-PE tasks sum %d, site total %d", tasks, r.Tasks)
+		}
+	})
 }
 
 // goroutineProbe is a context the interpreter polls (at Call entry and

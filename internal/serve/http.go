@@ -21,7 +21,7 @@
 //   - "interp: bytecode engine: …": it compiled but did not lower to
 //     bytecode. An auto reply still carries its plan, each approved
 //     loop's vector_reason reading "kernel lowering unavailable: …";
-//     "engine": "compiled" and "walk" still run it.
+//     only "engine": "walk" still runs it.
 //   - "<line>:<col>: interp: …": the run failed — a fault or a budget.
 //   - "serve: cancelled while …": the client or the deadline gave up
 //     before the run began; "… while queued" is counted as abandoned,

@@ -184,7 +184,10 @@ func assertFleetMatchesDirect(t *testing.T, ts *httptest.Server, direct *Server,
 // single-process server.
 func TestRouterFaultInjection(t *testing.T) {
 	fleet, urls := startFleet(t, 3, Config{})
-	r := newTestRouter(t, RouterConfig{Backends: urls, HealthInterval: 50 * time.Millisecond})
+	// The health interval outlasts the load phase, so the kill is first
+	// seen by a request, never by a probe that would mark the victim
+	// down before any request could be re-routed off it.
+	r := newTestRouter(t, RouterConfig{Backends: urls, HealthInterval: 10 * time.Second})
 	ts := httptest.NewServer(r.Handler())
 	defer ts.Close()
 	corpus := routerCorpus(t)
@@ -243,13 +246,13 @@ func TestRouterFaultInjection(t *testing.T) {
 		t.Errorf("%d of %d requests failed across the kill (budget %d)", fail, req, budget)
 	}
 
-	// The health loop notices the corpse, and the dead replica's keys
-	// were retried onto survivors.
-	waitFor(t, "victim backend marked down", func() bool {
-		return !r.backends[strings.TrimRight(urls[victim], "/")].healthy.Load()
-	})
+	// The request that found the corpse marked it down, and the dead
+	// replica's keys were retried onto survivors.
 	if r.retries.Load() == 0 {
 		t.Errorf("no re-routes recorded — the kill was never observed on the request path")
+	}
+	if r.backends[strings.TrimRight(urls[victim], "/")].healthy.Load() {
+		t.Errorf("victim backend still marked healthy after %d re-routes", r.retries.Load())
 	}
 	st := r.Stats(context.Background())
 	healthy := 0

@@ -6,12 +6,11 @@
 // under load* the performance story:
 //
 //   - a sharded, content-hash-keyed LRU cache of checked programs
-//     (cache.go) whose code — compile IR and bytecode — is built once,
-//     at insert (interp.CompileProgram; for a planned variant the
-//     planner's own lowering, transform.Plan.Code), so a repeat request
-//     skips lexing, parsing, checking, slot resolution, and lowering
-//     entirely — it binds a frame and runs. (The closure engine's code is built from
-//     the entry's IR on the first "engine": "compiled" request, once.)
+//     (cache.go) whose code — the bytecode — is built once, at insert
+//     (interp.CompileProgram; for a planned variant the planner's own
+//     lowering, transform.Plan.Code), so a repeat request skips lexing,
+//     parsing, checking, slot resolution, and lowering entirely — it
+//     binds a frame and runs, whichever engine it names.
 //     Concurrent cold misses for one source are singleflighted: one
 //     build, everyone waits on it.
 //   - per-request sandboxing (execute below): wall-clock deadline via
@@ -172,9 +171,9 @@ type Request struct {
 	Args []json.Number `json:"args,omitempty"`
 	// Engine selects the interpreter engine: "kernel" (the default:
 	// the bytecode VM with vectorized strips run as batched kernels),
-	// "bytecode" (the VM alone), "compiled" (the closure engine, built
-	// on a program's first such request), or "walk" (the differential
-	// oracle).
+	// "bytecode" (the VM alone; "compiled", the deleted closure
+	// engine's name, is accepted as a synonym), or "walk" (the
+	// differential oracle).
 	Engine string `json:"engine,omitempty"`
 	// Parallel runs forall regions on the parexec worker pool with PEs
 	// workers (0 = GOMAXPROCS) under the Sched policy ("block",

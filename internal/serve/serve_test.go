@@ -197,7 +197,7 @@ func TestSingleflight(t *testing.T) {
 		t.Fatalf("singleflight accounting: %+v", st)
 	}
 	if d := interp.CompileCount() - before; d != 1 {
-		t.Errorf("closure code built %d times, want exactly 1", d)
+		t.Errorf("code built %d times, want exactly 1", d)
 	}
 }
 
@@ -240,13 +240,15 @@ func TestCorpusCachedVsFresh(t *testing.T) {
 
 // TestHotPathZeroCompileWork is the acceptance guard: once a program
 // is resident, further requests do zero front-end work — no parses, no
-// checks, no code builds of either backend — observable as flat compile
-// counters at both the serve and interp layers.
+// checks, no code builds — observable as flat compile counters at both
+// the serve and interp layers, whichever engine name the request
+// carries. "compiled" is a second name for the bytecode VM: its reply
+// is the "bytecode" reply, byte for byte.
 func TestHotPathZeroCompileWork(t *testing.T) {
 	s := newTestServer(t, Config{})
 	mustRun(t, s, Request{Source: addSrc}) // warm
 	st0 := s.Stats().Cache
-	c0, b0 := interp.CompileCount(), interp.ClosureBuildCount()
+	c0 := interp.CompileCount()
 	const hot = 50
 	for i := 0; i < hot; i++ {
 		resp := mustRun(t, s, Request{Source: addSrc})
@@ -254,58 +256,30 @@ func TestHotPathZeroCompileWork(t *testing.T) {
 			t.Fatalf("hot request %d: %+v", i, resp)
 		}
 	}
+	reply := func(engine string) string {
+		resp := mustRun(t, s, Request{Source: addSrc, Engine: engine})
+		if !resp.OK || !resp.Cached {
+			t.Fatalf("hot %s request: %+v", engine, resp)
+		}
+		resp.ElapsedUS = 0
+		body, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	if bc, alias := reply("bytecode"), reply("compiled"); alias != bc {
+		t.Errorf("engine compiled replied\n%s\nengine bytecode\n%s", alias, bc)
+	}
 	st := s.Stats().Cache
 	if st.Compiles != st0.Compiles || st.Misses != st0.Misses {
 		t.Errorf("hot requests compiled: %+v vs %+v", st, st0)
 	}
-	if st.Hits != st0.Hits+hot {
-		t.Errorf("hits %d, want %d", st.Hits, st0.Hits+hot)
+	if st.Hits != st0.Hits+hot+2 {
+		t.Errorf("hits %d, want %d", st.Hits, st0.Hits+hot+2)
 	}
 	if d := interp.CompileCount() - c0; d != 0 {
 		t.Errorf("front end ran %d times on the hot path", d)
-	}
-	if d := interp.ClosureBuildCount() - b0; d != 0 {
-		t.Errorf("default-engine requests built closure code %d times", d)
-	}
-}
-
-// TestLazyClosureBuild: a resident program carries no closure code
-// until somebody asks for the compiled engine; the first such requests
-// — 32 at once — build it exactly once, without a front-end build or a
-// serve-level compile, and later ones reuse it.
-func TestLazyClosureBuild(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 8, QueueDepth: 64})
-	src := addSrc + "// TestLazyClosureBuild\n" // a program no other test has compiled
-	want := mustRun(t, s, Request{Source: src})
-	if !want.OK {
-		t.Fatalf("warm: %+v", want)
-	}
-	st0 := s.Stats().Cache
-	c0, b0 := interp.CompileCount(), interp.ClosureBuildCount()
-
-	const clients = 32
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := s.Run(context.Background(), Request{Source: src, Engine: "compiled"})
-			if err != nil || !resp.OK || !resp.Cached || resp.Result != want.Result || resp.Output != want.Output {
-				t.Errorf("compiled request: %v %+v, want %+v", err, resp, want)
-			}
-		}()
-	}
-	wg.Wait()
-	mustRun(t, s, Request{Source: src, Engine: "compiled"})
-
-	if d := interp.ClosureBuildCount() - b0; d != 1 {
-		t.Errorf("closure code built %d times for one program, want exactly 1", d)
-	}
-	if d := interp.CompileCount() - c0; d != 0 {
-		t.Errorf("the lazy closure build ran the front end %d times", d)
-	}
-	if st := s.Stats().Cache; st.Compiles != st0.Compiles || st.Misses != st0.Misses {
-		t.Errorf("compiled-engine requests compiled at the serve layer: %+v vs %+v", st, st0)
 	}
 }
 
@@ -909,7 +883,7 @@ func TestLoadAutoMix(t *testing.T) {
 // TestLoadBytecodeMix: the generator's bytecode-rate mix against the
 // HTTP service — the flat VM under concurrent load, zero errors, and
 // the hot-path guarantee intact without any extra cold phase (the
-// program cache is engine-independent: one entry serves compiled and
+// program cache is engine-independent: one entry serves kernel and
 // bytecode requests alike).
 func TestLoadBytecodeMix(t *testing.T) {
 	corpus, err := LoadCorpus(filepath.Join("..", "..", "testdata"))
@@ -1097,8 +1071,9 @@ func TestBuildReportsPlannedCompileFailure(t *testing.T) {
 //   - the planned program compiles but does not lower to bytecode: the
 //     entry is cached with its plan, every approved loop saying
 //     "kernel lowering unavailable: …" for a vector verdict, and runs on
-//     the bytecode engines are 200 ok:false "interp: bytecode engine: …";
-//     the engines that need no bytecode still run it.
+//     the bytecode engines — "compiled" is one of their names — are
+//     200 ok:false "interp: bytecode engine: …"; the walker, which needs
+//     no bytecode, still runs it.
 func TestPlanFailureReplies(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -1166,7 +1141,7 @@ func TestPlanFailureReplies(t *testing.T) {
 	plant(src, true, func(total *lang.FuncDecl) {
 		total.Body.Stmts[0].(*lang.VarStmt).DeclType = &lang.Scalar{Kind: 9} // no register bank holds it
 	})
-	for _, eng := range []string{"", "bytecode"} {
+	for _, eng := range []string{"", "bytecode", "compiled"} {
 		resp = post(Request{Source: src, Auto: true, Engine: eng})
 		if resp.OK || !strings.HasPrefix(resp.Error, "interp: bytecode engine: bytecode: total: ") {
 			t.Errorf("planned program does not lower, engine %q: %+v", eng, resp)
@@ -1176,10 +1151,8 @@ func TestPlanFailureReplies(t *testing.T) {
 			t.Errorf("planned program does not lower, engine %q: plan %+v", eng, resp.Plan)
 		}
 	}
-	for _, eng := range []string{"compiled", "walk"} {
-		if resp = post(Request{Source: src, Auto: true, Engine: eng}); !resp.OK || resp.Result != "630" || resp.Plan == nil {
-			t.Errorf("planned program does not lower, engine %q: %+v", eng, resp)
-		}
+	if resp = post(Request{Source: src, Auto: true, Engine: "walk"}); !resp.OK || resp.Result != "630" || resp.Plan == nil {
+		t.Errorf("planned program does not lower, engine walk: %+v", resp)
 	}
 	if st := s.Stats(); st.Invalid != 0 || st.Rejected != 0 {
 		t.Errorf("a plan failure was counted as a bad or refused request: %+v", st)
