@@ -20,20 +20,21 @@ import (
 	"repro/internal/parexec"
 )
 
-// runAll executes fn on prog under one configuration triplet — serial
-// real (both engines), simulated (4 PEs, cyclic), and goroutine-
-// parallel (4 PEs, static cyclic) — returning a fingerprint that
-// includes values, outputs, and full Stats (steps, allocations,
-// simulated cycles).
+// runAll executes fn on prog under one configuration triplet —
+// simulated (4 PEs, cyclic; the machine model has one implementation,
+// the walker), then per engine serial real and goroutine-parallel
+// (4 PEs, static cyclic) — returning a fingerprint that includes
+// values, outputs, and full Stats (steps, allocations, simulated
+// cycles).
 func runAll(t *testing.T, prog *lang.Program, fn string, seed uint64, args []interp.Value) string {
 	t.Helper()
 	var fp bytes.Buffer
+	v, st, out := runEngine(t, prog,
+		interp.Config{Mode: interp.Simulated, PEs: 4, Sched: interp.Cyclic, Seed: seed}, fn, args)
+	fp.WriteString(v.String() + out)
+	writeStats(&fp, st)
 	for _, eng := range []interp.Engine{interp.EngineWalk, interp.EngineBytecode} {
 		v, st, out := runEngine(t, prog, interp.Config{Engine: eng, Seed: seed}, fn, args)
-		fp.WriteString(v.String() + out)
-		writeStats(&fp, st)
-		v, st, out = runEngine(t, prog,
-			interp.Config{Engine: eng, Mode: interp.Simulated, PEs: 4, Sched: interp.Cyclic, Seed: seed}, fn, args)
 		fp.WriteString(v.String() + out)
 		writeStats(&fp, st)
 		var pout bytes.Buffer

@@ -1,12 +1,13 @@
 // Golden-output tests: the deterministic table modes of this command
 // are snapshotted under testdata/golden/ so that table-format
 // refactors (tablefmt, header text, cost-model constants, the
-// execution engine itself) cannot silently drift the reproduced
+// machine model itself) cannot silently drift the reproduced
 // paper artifacts. Every mode here is fully deterministic — simulated
 // cycles, static analysis verdicts, and calibrated seconds, never
-// wall-clock — and, because both execution engines must produce
-// bit-identical cycle counts, the snapshots also guard engine
-// equivalence end to end.
+// wall-clock. The cycle-derived snapshots (t, x1) pin the machine
+// model's one implementation, the tree walker's cost accounting; t
+// takes ≈ 8 s on 2 vCPUs (≈ 40 s under -race) because the walker, not
+// the VM, simulates the nine Barnes-Hut runs.
 //
 // Regenerate after an intentional change with:
 //

@@ -131,9 +131,13 @@ func TestForallOneAnswer(t *testing.T) {
 			}
 			check("interp.Run", serial)
 
-			out.Reset()
-			v, st, err = interp.Run(prog, interp.Config{Engine: eng, Mode: interp.Simulated, PEs: 3, Output: &out}, "main")
-			check("simulated", answerOf(v, st, out.String(), err))
+			// The machine model runs on the walker whatever the engine
+			// says, so its answer is checked once.
+			if ei == 0 {
+				out.Reset()
+				v, st, err = interp.Run(prog, interp.Config{Mode: interp.Simulated, PEs: 3, Output: &out}, "main")
+				check("simulated", answerOf(v, st, out.String(), err))
+			}
 
 			// On one processor the interpreting goroutine adopts nearly
 			// every stream; on all of them the workers race it for each.

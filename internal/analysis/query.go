@@ -24,11 +24,6 @@ func (fr *FuncResult) MatrixAfter(s lang.Stmt) *pathmatrix.Matrix {
 	return nil
 }
 
-// Invariant returns the loop-head fixed point for a while/for statement.
-func (fr *FuncResult) Invariant(loop lang.Stmt) *State {
-	return fr.LoopInvariant[loop]
-}
-
 // MayAliasAt reports whether handles a and b may alias in the state
 // before stmt. Unreached statements and unknown handles answer true
 // (conservative).

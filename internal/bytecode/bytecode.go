@@ -16,20 +16,10 @@
 // Vars{Ints, Floats, ...} shape of the interpreter literature (see
 // SNIPPETS.md's rpyth exemplar).
 //
-// # Cost-accounting parity
-//
-// The lowering must let the VM reproduce the walker's Simulated-mode
-// cycle accounting bit-for-bit at every success-path quiescent point.
-// CostModel amounts are per-Config, so instructions cannot carry
-// precomputed cycle totals; instead each instruction charges its own
-// operation cost at run time, and the D operand carries the number of
-// folded VarAccess charges (slot operands read directly from their
-// home registers, so the read's VarAccess charge is folded into the
-// consuming instruction rather than spending an instruction on it).
-// Within one statement the charge *order* may differ from the
-// walker's, but per-statement totals are identical, which is the
-// granularity at which cycles are observable (simForall rewinds at
-// iteration boundaries; Stats is read at quiescence).
+// The code carries no cost model: the simulated machine's cycle
+// accounting lives in the walker alone, and what the lowering owes the
+// walker is the order of its checks — null, budget, bounds — so that a
+// failing run reports the same error at the same position.
 //
 // A Program is immutable once Compile returns, like the compile IR it
 // is built from: one Program is shared without locks by every
@@ -85,13 +75,11 @@ type Reg struct {
 // Op is a VM opcode.
 type Op uint8
 
-// Opcodes. Unless noted otherwise every instruction charges
-// D × VarAccess cycles (its folded slot-read/assign charges) on top of
-// the operation cost listed.
+// Opcodes.
 const (
 	opInvalid Op = iota
 
-	// Constants and moves (no operation cost beyond the folded D).
+	// Constants and moves.
 	OpConstInt  // I[A] = Imm
 	OpConstReal // F[A] = Fv
 	OpConstBool // B[A] = (Imm != 0)
@@ -107,13 +95,13 @@ const (
 	// Control flow.
 	OpStep    // one statement against the MaxSteps/ctx guard
 	OpJump    // pc = Imm
-	OpBr      // charge Branch; if !B[A] pc = Imm
-	OpScAnd   // charge IntOp; if !B[A] pc = Imm (short-circuit AND)
-	OpScOr    // charge IntOp; if B[A] pc = Imm (short-circuit OR)
+	OpBr      // if !B[A] pc = Imm
+	OpScAnd   // if !B[A] pc = Imm (short-circuit AND)
+	OpScOr    // if B[A] pc = Imm (short-circuit OR)
 	OpForHead // if I[A] > I[B] pc = Imm else I[C] = I[A]
-	OpForTail // charge Branch+IntOp; step; I[A]++; pc = Imm
-	OpForall  // run Foralls[A] per mode; pc = site.BodyEnd
-	OpCall    // invoke Calls[A]; charge CallOver after the depth guard
+	OpForTail // step; I[A]++; pc = Imm
+	OpForall  // run Foralls[A]; pc = site.BodyEnd
+	OpCall    // invoke Calls[A] (depth guard applies)
 	OpPrint   // print Prints[A] (output budget applies)
 	OpReturnVoid
 	OpReturnInt  // ret = I[A]
@@ -122,7 +110,7 @@ const (
 	OpReturnStr  // ret = S[A]
 	OpReturnNode // ret = N[A]
 
-	// Integer ALU (charge IntOp).
+	// Integer ALU.
 	OpAddInt // I[A] = I[B] + I[C]
 	OpSubInt
 	OpMulInt
@@ -136,7 +124,7 @@ const (
 	OpGtInt
 	OpGeInt
 
-	// Real ALU (charge RealOp).
+	// Real ALU.
 	OpAddReal // F[A] = F[B] + F[C]
 	OpSubReal
 	OpMulReal
@@ -149,7 +137,7 @@ const (
 	OpGtReal
 	OpGeReal
 
-	// Bool / string / pointer ops (charge IntOp).
+	// Bool / string / pointer ops.
 	OpNot    // B[A] = !B[B]
 	OpEqBool // B[A] = B[B] == B[C]
 	OpNeBool
@@ -159,46 +147,45 @@ const (
 	OpNeNode
 
 	// Heap.
-	OpNew      // N[A] = allocNode(News[B]) (charge Alloc, budget check)
-	OpLoadInt  // null check; charge FieldLoad; I[A] = N[B].vals[C].I
+	OpNew      // N[A] = allocNode(News[B]) (budget check)
+	OpLoadInt  // null check; I[A] = N[B].vals[C].I
 	OpLoadReal // ... .F
 	OpLoadBool // ... .B
 	// OpLoadNode reads pointer field C (index 0) of N[B] into N[A]:
-	// a NULL base yields NULL without charging FieldLoad (speculative
-	// traversability, §3.2) unless StrictNull.
+	// a NULL base yields NULL (speculative traversability, §3.2) unless
+	// StrictNull.
 	OpLoadNode
 	// OpLoadNodeIdxBegin starts an indexed pointer load: on NULL base,
 	// N[A] = nil and pc = Imm (skipping the index expression, which a
-	// NULL base must not evaluate); otherwise charge FieldLoad and fall
-	// through to the index code ending in OpLoadNodeIdx.
+	// NULL base must not evaluate); otherwise fall through to the index
+	// code ending in OpLoadNodeIdx.
 	OpLoadNodeIdxBegin // A=dst, B=base, C=name, Imm=join pc
 	OpLoadNodeIdx      // N[A] = N[B].parr[off][I[C]], Imm=off<<32|name
-	OpStoreInt         // null check; charge FieldStore; N[A].vals[C] = I[B]
+	OpStoreInt         // null check; N[A].vals[C] = I[B]
 	OpStoreReal
 	OpStoreBool
 	OpStoreNode // N[A].parr[C][0] = N[B], Imm=name (shape checks apply)
-	// OpStoreNodeIdxBegin: null check and FieldStore charge before the
-	// index expression evaluates (matching the walker's order);
-	// the store completes in OpStoreNodeIdx.
+	// OpStoreNodeIdxBegin: null check before the index expression
+	// evaluates (matching the walker's order); the store completes in
+	// OpStoreNodeIdx.
 	OpStoreNodeIdxBegin // A=base
 	OpStoreNodeIdx      // N[A].parr[off][I[C]] = N[B], Imm=off<<32|name
 
 	// Builtins.
-	OpSqrt // charge Sqrt; F[A] = sqrt(F[B])
-	OpAbs  // charge RealOp; F[A] = abs(F[B])
-	OpRand // charge RealOp; F[A] = rand()
+	OpSqrt // F[A] = sqrt(F[B])
+	OpAbs  // F[A] = abs(F[B])
+	OpRand // F[A] = rand()
 
 	opCount
 )
 
 // Instr is one VM instruction. Operand meaning is per-opcode (see the
-// Op constants); D is the folded VarAccess charge count on every
-// opcode.
+// Op constants).
 type Instr struct {
-	Op         Op
-	A, B, C, D int32
-	Imm        int64
-	Fv         float64
+	Op      Op
+	A, B, C int32
+	Imm     int64
+	Fv      float64
 }
 
 // Param is one resolved parameter: bound into its home register at
@@ -519,19 +506,18 @@ func (b *builder) stmt(s compile.Stmt) error {
 	case *compile.VarSet:
 		dst := b.slotReg[s.Slot]
 		if s.Init == nil {
-			// Zero value; one VarAccess for the write, like the
-			// walker's declare.
+			// Zero value.
 			switch dst.Bank {
 			case BankInt:
-				b.emit(pos, Instr{Op: OpConstInt, A: dst.Idx, D: 1})
+				b.emit(pos, Instr{Op: OpConstInt, A: dst.Idx})
 			case BankReal:
-				b.emit(pos, Instr{Op: OpConstReal, A: dst.Idx, D: 1})
+				b.emit(pos, Instr{Op: OpConstReal, A: dst.Idx})
 			case BankBool:
-				b.emit(pos, Instr{Op: OpConstBool, A: dst.Idx, D: 1})
+				b.emit(pos, Instr{Op: OpConstBool, A: dst.Idx})
 			case BankStr:
-				b.emit(pos, Instr{Op: OpConstStr, A: dst.Idx, B: b.str(""), D: 1})
+				b.emit(pos, Instr{Op: OpConstStr, A: dst.Idx, B: b.str("")})
 			case BankNode:
-				b.emit(pos, Instr{Op: OpConstNull, A: dst.Idx, D: 1})
+				b.emit(pos, Instr{Op: OpConstNull, A: dst.Idx})
 			}
 			return nil
 		}
@@ -545,11 +531,11 @@ func (b *builder) stmt(s compile.Stmt) error {
 
 	case *compile.While:
 		head := int32(len(b.f.Code))
-		rc, pva, err := b.operand(s.Cond)
+		rc, err := b.operand(s.Cond)
 		if err != nil {
 			return err
 		}
-		br := b.emit(s.Cond.Pos(), Instr{Op: OpBr, A: rc.Idx, D: pva})
+		br := b.emit(s.Cond.Pos(), Instr{Op: OpBr, A: rc.Idx})
 		if err := b.stmts(s.Body); err != nil {
 			return err
 		}
@@ -559,11 +545,11 @@ func (b *builder) stmt(s compile.Stmt) error {
 		return nil
 
 	case *compile.If:
-		rc, pva, err := b.operand(s.Cond)
+		rc, err := b.operand(s.Cond)
 		if err != nil {
 			return err
 		}
-		br := b.emit(s.Cond.Pos(), Instr{Op: OpBr, A: rc.Idx, D: pva})
+		br := b.emit(s.Cond.Pos(), Instr{Op: OpBr, A: rc.Idx})
 		if err := b.stmts(s.Then); err != nil {
 			return err
 		}
@@ -588,14 +574,14 @@ func (b *builder) stmt(s compile.Stmt) error {
 		// boundary; emit the int→real widening statically.
 		fn := b.f
 		if isReal(fn.Result) && !isReal(s.Value.Type()) {
-			r, pva, err := b.realOperand(s.Value)
+			r, err := b.realOperand(s.Value)
 			if err != nil {
 				return err
 			}
-			b.emit(pos, Instr{Op: OpReturnReal, A: r.Idx, D: pva})
+			b.emit(pos, Instr{Op: OpReturnReal, A: r.Idx})
 			return nil
 		}
-		r, pva, err := b.operand(s.Value)
+		r, err := b.operand(s.Value)
 		if err != nil {
 			return err
 		}
@@ -614,7 +600,7 @@ func (b *builder) stmt(s compile.Stmt) error {
 		default:
 			return fmt.Errorf("%s: return of unbankable type %v", pos, s.Value.Type())
 		}
-		b.emit(pos, Instr{Op: op, A: r.Idx, D: pva})
+		b.emit(pos, Instr{Op: op, A: r.Idx})
 		return nil
 
 	case *compile.CallStmt:
@@ -624,9 +610,9 @@ func (b *builder) stmt(s compile.Stmt) error {
 		}
 		if e.Builtin != compile.NotBuiltin {
 			// A builtin evaluated for effect: discard into a temp.
-			return b.evalInto(e, b.temp(BankReal), 0)
+			return b.evalInto(e, b.temp(BankReal))
 		}
-		return b.userCall(e, Reg{Bank: BankNone}, 0)
+		return b.userCall(e, Reg{Bank: BankNone})
 
 	case *compile.For:
 		return b.forStmt(s)
@@ -634,54 +620,52 @@ func (b *builder) stmt(s compile.Stmt) error {
 	return fmt.Errorf("%s: unknown statement %T", pos, s)
 }
 
-// assignTo stores an expression into a slot home register, charging
-// the extra VarAccess the walker charges per assignment.
+// assignTo stores an expression into a slot home register.
 func (b *builder) assignTo(dst Reg, typ lang.Type, e compile.Expr) error {
 	if isReal(typ) && !isReal(e.Type()) {
-		return b.evalIntoReal(e, dst, 1)
+		return b.evalIntoReal(e, dst)
 	}
-	return b.evalInto(e, dst, 1)
+	return b.evalInto(e, dst)
 }
 
 func (b *builder) storeField(s *compile.StoreField) error {
 	pos := s.Pos()
 	if s.IsPtr {
-		rs, ps, err := b.operand(s.RHS)
+		rs, err := b.operand(s.RHS)
 		if err != nil {
 			return err
 		}
-		rb, pb, err := b.operand(s.Base)
+		rb, err := b.operand(s.Base)
 		if err != nil {
 			return err
 		}
 		if s.Index == nil {
 			b.emit(pos, Instr{Op: OpStoreNode, A: rb.Idx, B: rs.Idx, C: int32(s.Off),
-				Imm: int64(b.name(s.Field)), D: ps + pb})
+				Imm: int64(b.name(s.Field))})
 			return nil
 		}
-		b.emit(pos, Instr{Op: OpStoreNodeIdxBegin, A: rb.Idx, D: ps + pb})
-		ri, pi, err := b.operand(s.Index)
+		b.emit(pos, Instr{Op: OpStoreNodeIdxBegin, A: rb.Idx})
+		ri, err := b.operand(s.Index)
 		if err != nil {
 			return err
 		}
 		b.emit(pos, Instr{Op: OpStoreNodeIdx, A: rb.Idx, B: rs.Idx, C: ri.Idx,
-			Imm: packOffName(s.Off, b.name(s.Field)), D: pi})
+			Imm: packOffName(s.Off, b.name(s.Field))})
 		return nil
 	}
 
-	// Data store: rhs evaluates before the base's VarAccess charge.
+	// Data store: rhs evaluates before the base, as the walker orders it.
 	var rs Reg
-	var ps int32
 	var err error
 	if isReal(s.Type) && !isReal(s.RHS.Type()) {
-		rs, ps, err = b.realOperand(s.RHS)
+		rs, err = b.realOperand(s.RHS)
 	} else {
-		rs, ps, err = b.operand(s.RHS)
+		rs, err = b.operand(s.RHS)
 	}
 	if err != nil {
 		return err
 	}
-	rb, pb, err := b.operand(s.Base)
+	rb, err := b.operand(s.Base)
 	if err != nil {
 		return err
 	}
@@ -697,7 +681,7 @@ func (b *builder) storeField(s *compile.StoreField) error {
 		return fmt.Errorf("%s: data field %s has unbankable type %v", pos, s.Field, s.Type)
 	}
 	b.emit(pos, Instr{Op: op, A: rb.Idx, B: rs.Idx, C: int32(s.Off),
-		Imm: int64(b.name(s.Field)), D: ps + pb})
+		Imm: int64(b.name(s.Field))})
 	return nil
 }
 
@@ -740,14 +724,13 @@ func (b *builder) forStmt(s *compile.For) error {
 }
 
 // boundInto evaluates a loop bound into a hidden register: a plain
-// move when the bound is a slot (its VarAccess charge folded into the
-// move), a direct evaluation otherwise.
+// move when the bound is a slot, a direct evaluation otherwise.
 func (b *builder) boundInto(e compile.Expr, dst Reg) error {
 	if sr, ok := e.(*compile.SlotRef); ok {
-		b.emit(e.Pos(), Instr{Op: OpMovInt, A: dst.Idx, B: b.slotReg[sr.Slot].Idx, D: 1})
+		b.emit(e.Pos(), Instr{Op: OpMovInt, A: dst.Idx, B: b.slotReg[sr.Slot].Idx})
 		return nil
 	}
-	return b.evalInto(e, dst, 0)
+	return b.evalInto(e, dst)
 }
 
 func packOffName(off int, name int32) int64 {
@@ -763,66 +746,62 @@ func UnpackOffName(imm int64) (off int, name int32) {
 // ---------------------------------------------------------------------------
 // Expressions
 
-// operand yields a register holding e's value plus the number of
-// VarAccess charges the consumer must fold into its D (1 when the
-// result is a slot's home register, read in place without a move).
-func (b *builder) operand(e compile.Expr) (Reg, int32, error) {
+// operand yields a register holding e's value: a slot's home register,
+// read in place without a move, or a fresh temporary.
+func (b *builder) operand(e compile.Expr) (Reg, error) {
 	if sr, ok := e.(*compile.SlotRef); ok {
-		return b.slotReg[sr.Slot], 1, nil
+		return b.slotReg[sr.Slot], nil
 	}
 	t := b.temp(BankOf(e.Type()))
 	if t.Bank == BankNone {
-		return Reg{}, 0, fmt.Errorf("%s: expression of unbankable type %v", e.Pos(), e.Type())
+		return Reg{}, fmt.Errorf("%s: expression of unbankable type %v", e.Pos(), e.Type())
 	}
-	if err := b.evalInto(e, t, 0); err != nil {
-		return Reg{}, 0, err
+	if err := b.evalInto(e, t); err != nil {
+		return Reg{}, err
 	}
-	return t, 0, nil
+	return t, nil
 }
 
 // realOperand is operand for a statically-int expression consumed in a
-// real context: the int→real widening is emitted here (the conversion
-// itself is free, matching the walker's AsReal call).
-func (b *builder) realOperand(e compile.Expr) (Reg, int32, error) {
+// real context: the int→real widening is emitted here.
+func (b *builder) realOperand(e compile.Expr) (Reg, error) {
 	if isReal(e.Type()) {
 		return b.operand(e)
 	}
 	if lit, ok := e.(*compile.IntLit); ok {
 		t := b.temp(BankReal)
 		b.emit(e.Pos(), Instr{Op: OpConstReal, A: t.Idx, Fv: float64(lit.Val)})
-		return t, 0, nil
+		return t, nil
 	}
-	r, pva, err := b.operand(e)
+	r, err := b.operand(e)
 	if err != nil {
-		return Reg{}, 0, err
+		return Reg{}, err
 	}
 	t := b.temp(BankReal)
-	b.emit(e.Pos(), Instr{Op: OpIntToReal, A: t.Idx, B: r.Idx, D: pva})
-	return t, 0, nil
+	b.emit(e.Pos(), Instr{Op: OpIntToReal, A: t.Idx, B: r.Idx})
+	return t, nil
 }
 
 // evalIntoReal evaluates a statically-int expression into a real
 // destination register.
-func (b *builder) evalIntoReal(e compile.Expr, dst Reg, extraVA int32) error {
+func (b *builder) evalIntoReal(e compile.Expr, dst Reg) error {
 	if isReal(e.Type()) {
-		return b.evalInto(e, dst, extraVA)
+		return b.evalInto(e, dst)
 	}
 	if lit, ok := e.(*compile.IntLit); ok {
-		b.emit(e.Pos(), Instr{Op: OpConstReal, A: dst.Idx, Fv: float64(lit.Val), D: extraVA})
+		b.emit(e.Pos(), Instr{Op: OpConstReal, A: dst.Idx, Fv: float64(lit.Val)})
 		return nil
 	}
-	r, pva, err := b.operand(e)
+	r, err := b.operand(e)
 	if err != nil {
 		return err
 	}
-	b.emit(e.Pos(), Instr{Op: OpIntToReal, A: dst.Idx, B: r.Idx, D: pva + extraVA})
+	b.emit(e.Pos(), Instr{Op: OpIntToReal, A: dst.Idx, B: r.Idx})
 	return nil
 }
 
-// evalInto emits code leaving e's value in dst, folding extraVA
-// additional VarAccess charges (an enclosing assignment's write
-// charge) into the final instruction.
-func (b *builder) evalInto(e compile.Expr, dst Reg, extraVA int32) error {
+// evalInto emits code leaving e's value in dst.
+func (b *builder) evalInto(e compile.Expr, dst Reg) error {
 	pos := e.Pos()
 	switch e := e.(type) {
 	case *compile.SlotRef:
@@ -840,77 +819,67 @@ func (b *builder) evalInto(e compile.Expr, dst Reg, extraVA int32) error {
 		case BankNode:
 			op = OpMovNode
 		}
-		b.emit(pos, Instr{Op: op, A: dst.Idx, B: src.Idx, D: extraVA + 1})
+		b.emit(pos, Instr{Op: op, A: dst.Idx, B: src.Idx})
 		return nil
 
 	case *compile.IntLit:
-		b.emit(pos, Instr{Op: OpConstInt, A: dst.Idx, Imm: e.Val, D: extraVA})
+		b.emit(pos, Instr{Op: OpConstInt, A: dst.Idx, Imm: e.Val})
 		return nil
 	case *compile.RealLit:
-		b.emit(pos, Instr{Op: OpConstReal, A: dst.Idx, Fv: e.Val, D: extraVA})
+		b.emit(pos, Instr{Op: OpConstReal, A: dst.Idx, Fv: e.Val})
 		return nil
 	case *compile.StrLit:
-		b.emit(pos, Instr{Op: OpConstStr, A: dst.Idx, B: b.str(e.Val), D: extraVA})
+		b.emit(pos, Instr{Op: OpConstStr, A: dst.Idx, B: b.str(e.Val)})
 		return nil
 	case *compile.BoolLit:
 		imm := int64(0)
 		if e.Val {
 			imm = 1
 		}
-		b.emit(pos, Instr{Op: OpConstBool, A: dst.Idx, Imm: imm, D: extraVA})
+		b.emit(pos, Instr{Op: OpConstBool, A: dst.Idx, Imm: imm})
 		return nil
 	case *compile.NullLit:
-		b.emit(pos, Instr{Op: OpConstNull, A: dst.Idx, D: extraVA})
+		b.emit(pos, Instr{Op: OpConstNull, A: dst.Idx})
 		return nil
 
 	case *compile.New:
 		site := int32(len(b.f.News))
 		b.f.News = append(b.f.News, NewSite{TypeName: e.TypeName, Decl: e.Decl})
-		b.emit(pos, Instr{Op: OpNew, A: dst.Idx, B: site, D: extraVA})
+		b.emit(pos, Instr{Op: OpNew, A: dst.Idx, B: site})
 		return nil
 
 	case *compile.Load:
-		return b.load(e, dst, extraVA)
+		return b.load(e, dst)
 
 	case *compile.Call:
-		return b.call(e, dst, extraVA)
+		return b.call(e, dst)
 
 	case *compile.Bin:
-		return b.bin(e, dst, extraVA)
+		return b.bin(e, dst)
 
 	case *compile.Un:
-		switch e.Op {
-		case lang.MINUS:
-			if isReal(e.X.Type()) {
-				r, pva, err := b.operand(e.X)
-				if err != nil {
-					return err
-				}
-				b.emit(pos, Instr{Op: OpNegReal, A: dst.Idx, B: r.Idx, D: pva + extraVA})
-				return nil
-			}
-			r, pva, err := b.operand(e.X)
-			if err != nil {
-				return err
-			}
-			b.emit(pos, Instr{Op: OpNegInt, A: dst.Idx, B: r.Idx, D: pva + extraVA})
-			return nil
-		case lang.NOT:
-			r, pva, err := b.operand(e.X)
-			if err != nil {
-				return err
-			}
-			b.emit(pos, Instr{Op: OpNot, A: dst.Idx, B: r.Idx, D: pva + extraVA})
-			return nil
+		op := OpNegInt
+		switch {
+		case e.Op == lang.NOT:
+			op = OpNot
+		case e.Op != lang.MINUS:
+			return fmt.Errorf("%s: unknown unary op %s", pos, e.Op)
+		case isReal(e.X.Type()):
+			op = OpNegReal
 		}
-		return fmt.Errorf("%s: unknown unary op %s", pos, e.Op)
+		r, err := b.operand(e.X)
+		if err != nil {
+			return err
+		}
+		b.emit(pos, Instr{Op: op, A: dst.Idx, B: r.Idx})
+		return nil
 	}
 	return fmt.Errorf("%s: unknown expression %T", pos, e)
 }
 
-func (b *builder) load(e *compile.Load, dst Reg, extraVA int32) error {
+func (b *builder) load(e *compile.Load, dst Reg) error {
 	pos := e.Pos()
-	rb, pb, err := b.operand(e.X)
+	rb, err := b.operand(e.X)
 	if err != nil {
 		return err
 	}
@@ -928,100 +897,92 @@ func (b *builder) load(e *compile.Load, dst Reg, extraVA int32) error {
 			return fmt.Errorf("%s: data field %s has unbankable type %v", pos, e.Field, e.Type())
 		}
 		b.emit(pos, Instr{Op: op, A: dst.Idx, B: rb.Idx, C: int32(e.Off),
-			Imm: int64(name), D: pb + extraVA})
+			Imm: int64(name)})
 		return nil
 	}
 	if e.Index == nil {
 		b.emit(pos, Instr{Op: OpLoadNode, A: dst.Idx, B: rb.Idx, C: int32(e.Off),
-			Imm: int64(name), D: pb + extraVA})
+			Imm: int64(name)})
 		return nil
 	}
 	// Indexed pointer load: a NULL base short-circuits past the index
 	// expression (which must not evaluate), exactly as the walker
 	// orders it.
-	begin := b.emit(pos, Instr{Op: OpLoadNodeIdxBegin, A: dst.Idx, B: rb.Idx, C: name, D: pb + extraVA})
-	ri, pi, err := b.operand(e.Index)
+	begin := b.emit(pos, Instr{Op: OpLoadNodeIdxBegin, A: dst.Idx, B: rb.Idx, C: name})
+	ri, err := b.operand(e.Index)
 	if err != nil {
 		return err
 	}
 	b.emit(pos, Instr{Op: OpLoadNodeIdx, A: dst.Idx, B: rb.Idx, C: ri.Idx,
-		Imm: packOffName(e.Off, name), D: pi})
+		Imm: packOffName(e.Off, name)})
 	b.patch(begin)
 	return nil
 }
 
-func (b *builder) call(e *compile.Call, dst Reg, extraVA int32) error {
+func (b *builder) call(e *compile.Call, dst Reg) error {
 	pos := e.Pos()
 	switch e.Builtin {
-	case compile.BuiltinSqrt:
-		r, pva, err := b.realOperand(e.Args[0])
+	case compile.BuiltinSqrt, compile.BuiltinAbs:
+		r, err := b.realOperand(e.Args[0])
 		if err != nil {
 			return err
 		}
-		b.emit(pos, Instr{Op: OpSqrt, A: dst.Idx, B: r.Idx, D: pva + extraVA})
-		return nil
-	case compile.BuiltinAbs:
-		r, pva, err := b.realOperand(e.Args[0])
-		if err != nil {
-			return err
+		op := OpSqrt
+		if e.Builtin == compile.BuiltinAbs {
+			op = OpAbs
 		}
-		b.emit(pos, Instr{Op: OpAbs, A: dst.Idx, B: r.Idx, D: pva + extraVA})
+		b.emit(pos, Instr{Op: op, A: dst.Idx, B: r.Idx})
 		return nil
 	case compile.BuiltinRand:
-		b.emit(pos, Instr{Op: OpRand, A: dst.Idx, D: extraVA})
+		b.emit(pos, Instr{Op: OpRand, A: dst.Idx})
 		return nil
 	case compile.BuiltinPrint:
 		return fmt.Errorf("%s: print in value position", pos)
 	}
-	return b.userCall(e, dst, extraVA)
+	return b.userCall(e, dst)
 }
 
-func (b *builder) userCall(e *compile.Call, dst Reg, extraVA int32) error {
+func (b *builder) userCall(e *compile.Call, dst Reg) error {
 	// Arguments evaluate in order into their source registers (slot
-	// homes pass through untouched, their VarAccess folded into the
-	// call instruction). The VM copies them into the callee frame.
+	// homes pass through untouched). The VM copies them into the callee
+	// frame.
 	callee := b.cp.Funcs[e.FuncIdx]
-	va := extraVA
 	args := make([]Reg, len(e.Args))
 	for i, a := range e.Args {
 		var r Reg
-		var pva int32
 		var err error
 		if isReal(callee.Params[i].Type) && !isReal(a.Type()) {
-			r, pva, err = b.realOperand(a)
+			r, err = b.realOperand(a)
 		} else {
-			r, pva, err = b.operand(a)
+			r, err = b.operand(a)
 		}
 		if err != nil {
 			return err
 		}
 		args[i] = r
-		va += pva
 	}
 	site := int32(len(b.f.Calls))
 	b.f.Calls = append(b.f.Calls, CallSite{FuncIdx: int32(e.FuncIdx), Args: args, Dst: dst})
-	b.emit(e.Pos(), Instr{Op: OpCall, A: site, D: va})
+	b.emit(e.Pos(), Instr{Op: OpCall, A: site})
 	return nil
 }
 
 func (b *builder) printCall(e *compile.Call) error {
-	va := int32(0)
 	args := make([]Reg, len(e.Args))
 	for i, a := range e.Args {
-		r, pva, err := b.operand(a)
+		r, err := b.operand(a)
 		if err != nil {
 			return err
 		}
 		args[i] = r
-		va += pva
 	}
 	site := int32(len(b.f.Prints))
 	b.f.Prints = append(b.f.Prints, PrintSite{Args: args})
-	b.emit(e.Pos(), Instr{Op: OpPrint, A: site, D: va})
+	b.emit(e.Pos(), Instr{Op: OpPrint, A: site})
 	return nil
 }
 
-func (b *builder) bin(e *compile.Bin, dst Reg, extraVA int32) error {
+func (b *builder) bin(e *compile.Bin, dst Reg) error {
 	pos := e.Pos()
 	op := e.Op
 
@@ -1029,33 +990,27 @@ func (b *builder) bin(e *compile.Bin, dst Reg, extraVA int32) error {
 	// decides whether y overwrites it. When dst is a variable's home
 	// register the sequence goes through a temp — writing x straight
 	// into dst would let y observe the half-finished assignment (e.g.
-	// `b := b && f(b)`). The assignment charge (extraVA) rides the
-	// probe (direct form) or the final move (temp form); either
-	// executes exactly once on both paths.
+	// `b := b && f(b)`).
 	if op == lang.AND || op == lang.OR {
 		t := dst
 		viaTemp := dst.Idx < b.permTop[dst.Bank]
 		if viaTemp {
 			t = b.temp(BankBool)
 		}
-		if err := b.evalInto(e.X, t, 0); err != nil {
+		if err := b.evalInto(e.X, t); err != nil {
 			return err
 		}
 		probe := OpScAnd
 		if op == lang.OR {
 			probe = OpScOr
 		}
-		probeVA := extraVA
-		if viaTemp {
-			probeVA = 0
-		}
-		sc := b.emit(pos, Instr{Op: probe, A: t.Idx, D: probeVA})
-		if err := b.evalInto(e.Y, t, 0); err != nil {
+		sc := b.emit(pos, Instr{Op: probe, A: t.Idx})
+		if err := b.evalInto(e.Y, t); err != nil {
 			return err
 		}
 		b.patch(sc)
 		if viaTemp {
-			b.emit(pos, Instr{Op: OpMovBool, A: dst.Idx, B: t.Idx, D: extraVA})
+			b.emit(pos, Instr{Op: OpMovBool, A: dst.Idx, B: t.Idx})
 		}
 		return nil
 	}
@@ -1063,26 +1018,26 @@ func (b *builder) bin(e *compile.Bin, dst Reg, extraVA int32) error {
 	xt, yt := e.X.Type(), e.Y.Type()
 	switch {
 	case isStr(xt) && isStr(yt):
-		return b.cmp2(e, dst, extraVA, OpEqStr, OpNeStr, b.operand)
+		return b.cmp2(e, dst, OpEqStr, OpNeStr, b.operand)
 	case isPtr(xt) || isPtr(yt):
-		return b.cmp2(e, dst, extraVA, OpEqNode, OpNeNode, b.operand)
+		return b.cmp2(e, dst, OpEqNode, OpNeNode, b.operand)
 	case isReal(xt) || isReal(yt):
-		return b.realBin(e, dst, extraVA)
+		return b.realBin(e, dst)
 	case isBool(xt) && isBool(yt):
-		return b.cmp2(e, dst, extraVA, OpEqBool, OpNeBool, b.operand)
+		return b.cmp2(e, dst, OpEqBool, OpNeBool, b.operand)
 	default:
-		return b.intBin(e, dst, extraVA)
+		return b.intBin(e, dst)
 	}
 }
 
 // cmp2 lowers an == / != over same-bank operands.
-func (b *builder) cmp2(e *compile.Bin, dst Reg, extraVA int32, eqOp, neOp Op,
-	opnd func(compile.Expr) (Reg, int32, error)) error {
-	rx, px, err := opnd(e.X)
+func (b *builder) cmp2(e *compile.Bin, dst Reg, eqOp, neOp Op,
+	opnd func(compile.Expr) (Reg, error)) error {
+	rx, err := opnd(e.X)
 	if err != nil {
 		return err
 	}
-	ry, py, err := opnd(e.Y)
+	ry, err := opnd(e.Y)
 	if err != nil {
 		return err
 	}
@@ -1092,16 +1047,16 @@ func (b *builder) cmp2(e *compile.Bin, dst Reg, extraVA int32, eqOp, neOp Op,
 	} else if e.Op != lang.EQ {
 		return fmt.Errorf("%s: bad comparison op %s", e.Pos(), e.Op)
 	}
-	b.emit(e.Pos(), Instr{Op: op, A: dst.Idx, B: rx.Idx, C: ry.Idx, D: px + py + extraVA})
+	b.emit(e.Pos(), Instr{Op: op, A: dst.Idx, B: rx.Idx, C: ry.Idx})
 	return nil
 }
 
-func (b *builder) realBin(e *compile.Bin, dst Reg, extraVA int32) error {
-	rx, px, err := b.realOperand(e.X)
+func (b *builder) realBin(e *compile.Bin, dst Reg) error {
+	rx, err := b.realOperand(e.X)
 	if err != nil {
 		return err
 	}
-	ry, py, err := b.realOperand(e.Y)
+	ry, err := b.realOperand(e.Y)
 	if err != nil {
 		return err
 	}
@@ -1130,16 +1085,16 @@ func (b *builder) realBin(e *compile.Bin, dst Reg, extraVA int32) error {
 	default:
 		return fmt.Errorf("%s: bad real op %s", e.Pos(), e.Op)
 	}
-	b.emit(e.Pos(), Instr{Op: op, A: dst.Idx, B: rx.Idx, C: ry.Idx, D: px + py + extraVA})
+	b.emit(e.Pos(), Instr{Op: op, A: dst.Idx, B: rx.Idx, C: ry.Idx})
 	return nil
 }
 
-func (b *builder) intBin(e *compile.Bin, dst Reg, extraVA int32) error {
-	rx, px, err := b.operand(e.X)
+func (b *builder) intBin(e *compile.Bin, dst Reg) error {
+	rx, err := b.operand(e.X)
 	if err != nil {
 		return err
 	}
-	ry, py, err := b.operand(e.Y)
+	ry, err := b.operand(e.Y)
 	if err != nil {
 		return err
 	}
@@ -1170,6 +1125,6 @@ func (b *builder) intBin(e *compile.Bin, dst Reg, extraVA int32) error {
 	default:
 		return fmt.Errorf("%s: bad int op %s", e.Pos(), e.Op)
 	}
-	b.emit(e.Pos(), Instr{Op: op, A: dst.Idx, B: rx.Idx, C: ry.Idx, D: px + py + extraVA})
+	b.emit(e.Pos(), Instr{Op: op, A: dst.Idx, B: rx.Idx, C: ry.Idx})
 	return nil
 }

@@ -1,7 +1,7 @@
 // Structural tests for the lowering pass, plus golden disassembly
-// snapshots. The semantic contract (bit-identical results and cycle
-// accounting against the walker) is pinned by the engine grid in the
-// repository root (equivalence_test.go) and
+// snapshots. The semantic contract (bit-identical results, output and
+// step accounting against the walker) is pinned by the engine grid in
+// the repository root (equivalence_test.go) and
 // the differential fuzzer in internal/interp; this file checks the
 // invariants the VM relies on — well-formed jump targets, in-range
 // site-table and register references — and freezes the instruction
@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"repro/internal/compile"
 	"repro/internal/lang"
@@ -105,6 +106,12 @@ func checkReg(t *testing.T, f *Func, what string, r Reg) {
 // inside the function, site-table references in range, parameters
 // homed inside their banks.
 func TestCompileInvariants(t *testing.T) {
+	// An instruction is four words: opcode and three operands, Imm, Fv.
+	// A fifth operand (the cost fold the VM no longer carries) made it
+	// five.
+	if sz := unsafe.Sizeof(Instr{}); sz != 32 {
+		t.Errorf("unsafe.Sizeof(Instr{}) = %d, want 32", sz)
+	}
 	for _, name := range goldenFiles {
 		bp := compileFile(t, name+".psl")
 		for _, f := range bp.Funcs {
@@ -156,9 +163,6 @@ func TestCompileInvariants(t *testing.T) {
 					if int(in.B) < 0 || int(in.B) >= len(f.Strs) {
 						t.Errorf("%s@%d: string pool index %d out of range", f.Name, pc, in.B)
 					}
-				}
-				if in.D < 0 {
-					t.Errorf("%s@%d: negative VarAccess fold %d", f.Name, pc, in.D)
 				}
 			}
 		}

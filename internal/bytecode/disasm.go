@@ -164,49 +164,40 @@ func regOrNone(r Reg) string {
 	return fmt.Sprintf("%s%d", r.Bank, r.Idx)
 }
 
-// va renders the folded VarAccess count, present only when non-zero so
-// the common case stays visually quiet.
-func va(d int32) string {
-	if d == 0 {
-		return ""
-	}
-	return fmt.Sprintf("  +%dva", d)
-}
-
 func instrText(f *Func, in Instr) string {
 	op := in.Op.String()
 	switch in.Op {
 	case OpConstInt:
-		return fmt.Sprintf("%-16s i%d, %d%s", op, in.A, in.Imm, va(in.D))
+		return fmt.Sprintf("%-16s i%d, %d", op, in.A, in.Imm)
 	case OpConstReal:
-		return fmt.Sprintf("%-16s f%d, %g%s", op, in.A, in.Fv, va(in.D))
+		return fmt.Sprintf("%-16s f%d, %g", op, in.A, in.Fv)
 	case OpConstBool:
-		return fmt.Sprintf("%-16s b%d, %t%s", op, in.A, in.Imm != 0, va(in.D))
+		return fmt.Sprintf("%-16s b%d, %t", op, in.A, in.Imm != 0)
 	case OpConstStr:
-		return fmt.Sprintf("%-16s s%d, %q%s", op, in.A, f.Strs[in.B], va(in.D))
+		return fmt.Sprintf("%-16s s%d, %q", op, in.A, f.Strs[in.B])
 	case OpConstNull:
-		return fmt.Sprintf("%-16s n%d%s", op, in.A, va(in.D))
+		return fmt.Sprintf("%-16s n%d", op, in.A)
 	case OpMovInt:
-		return fmt.Sprintf("%-16s i%d, i%d%s", op, in.A, in.B, va(in.D))
+		return fmt.Sprintf("%-16s i%d, i%d", op, in.A, in.B)
 	case OpMovReal:
-		return fmt.Sprintf("%-16s f%d, f%d%s", op, in.A, in.B, va(in.D))
+		return fmt.Sprintf("%-16s f%d, f%d", op, in.A, in.B)
 	case OpMovBool:
-		return fmt.Sprintf("%-16s b%d, b%d%s", op, in.A, in.B, va(in.D))
+		return fmt.Sprintf("%-16s b%d, b%d", op, in.A, in.B)
 	case OpMovStr:
-		return fmt.Sprintf("%-16s s%d, s%d%s", op, in.A, in.B, va(in.D))
+		return fmt.Sprintf("%-16s s%d, s%d", op, in.A, in.B)
 	case OpMovNode:
-		return fmt.Sprintf("%-16s n%d, n%d%s", op, in.A, in.B, va(in.D))
+		return fmt.Sprintf("%-16s n%d, n%d", op, in.A, in.B)
 	case OpIntToReal:
-		return fmt.Sprintf("%-16s f%d, i%d%s", op, in.A, in.B, va(in.D))
+		return fmt.Sprintf("%-16s f%d, i%d", op, in.A, in.B)
 
 	case OpStep:
 		return op
 	case OpJump:
 		return fmt.Sprintf("%-16s ->%d", op, in.Imm)
 	case OpBr:
-		return fmt.Sprintf("%-16s b%d, ->%d%s", op, in.A, in.Imm, va(in.D))
+		return fmt.Sprintf("%-16s b%d, ->%d", op, in.A, in.Imm)
 	case OpScAnd, OpScOr:
-		return fmt.Sprintf("%-16s b%d, ->%d%s", op, in.A, in.Imm, va(in.D))
+		return fmt.Sprintf("%-16s b%d, ->%d", op, in.A, in.Imm)
 	case OpForHead:
 		return fmt.Sprintf("%-16s k=i%d to=i%d var=i%d ->%d", op, in.A, in.B, in.C, in.Imm)
 	case OpForTail:
@@ -214,78 +205,78 @@ func instrText(f *Func, in Instr) string {
 	case OpForall:
 		return fmt.Sprintf("%-16s forall[%d]", op, in.A)
 	case OpCall:
-		return fmt.Sprintf("%-16s call[%d]%s", op, in.A, va(in.D))
+		return fmt.Sprintf("%-16s call[%d]", op, in.A)
 	case OpPrint:
-		return fmt.Sprintf("%-16s print[%d]%s", op, in.A, va(in.D))
+		return fmt.Sprintf("%-16s print[%d]", op, in.A)
 	case OpReturnVoid:
 		return op
 	case OpReturnInt:
-		return fmt.Sprintf("%-16s i%d%s", op, in.A, va(in.D))
+		return fmt.Sprintf("%-16s i%d", op, in.A)
 	case OpReturnReal:
-		return fmt.Sprintf("%-16s f%d%s", op, in.A, va(in.D))
+		return fmt.Sprintf("%-16s f%d", op, in.A)
 	case OpReturnBool:
-		return fmt.Sprintf("%-16s b%d%s", op, in.A, va(in.D))
+		return fmt.Sprintf("%-16s b%d", op, in.A)
 	case OpReturnStr:
-		return fmt.Sprintf("%-16s s%d%s", op, in.A, va(in.D))
+		return fmt.Sprintf("%-16s s%d", op, in.A)
 	case OpReturnNode:
-		return fmt.Sprintf("%-16s n%d%s", op, in.A, va(in.D))
+		return fmt.Sprintf("%-16s n%d", op, in.A)
 
 	case OpAddInt, OpSubInt, OpMulInt, OpDivInt, OpModInt:
-		return fmt.Sprintf("%-16s i%d, i%d, i%d%s", op, in.A, in.B, in.C, va(in.D))
+		return fmt.Sprintf("%-16s i%d, i%d, i%d", op, in.A, in.B, in.C)
 	case OpNegInt:
-		return fmt.Sprintf("%-16s i%d, i%d%s", op, in.A, in.B, va(in.D))
+		return fmt.Sprintf("%-16s i%d, i%d", op, in.A, in.B)
 	case OpEqInt, OpNeInt, OpLtInt, OpLeInt, OpGtInt, OpGeInt:
-		return fmt.Sprintf("%-16s b%d, i%d, i%d%s", op, in.A, in.B, in.C, va(in.D))
+		return fmt.Sprintf("%-16s b%d, i%d, i%d", op, in.A, in.B, in.C)
 
 	case OpAddReal, OpSubReal, OpMulReal, OpDivReal:
-		return fmt.Sprintf("%-16s f%d, f%d, f%d%s", op, in.A, in.B, in.C, va(in.D))
+		return fmt.Sprintf("%-16s f%d, f%d, f%d", op, in.A, in.B, in.C)
 	case OpNegReal:
-		return fmt.Sprintf("%-16s f%d, f%d%s", op, in.A, in.B, va(in.D))
+		return fmt.Sprintf("%-16s f%d, f%d", op, in.A, in.B)
 	case OpEqReal, OpNeReal, OpLtReal, OpLeReal, OpGtReal, OpGeReal:
-		return fmt.Sprintf("%-16s b%d, f%d, f%d%s", op, in.A, in.B, in.C, va(in.D))
+		return fmt.Sprintf("%-16s b%d, f%d, f%d", op, in.A, in.B, in.C)
 
 	case OpNot:
-		return fmt.Sprintf("%-16s b%d, b%d%s", op, in.A, in.B, va(in.D))
+		return fmt.Sprintf("%-16s b%d, b%d", op, in.A, in.B)
 	case OpEqBool, OpNeBool:
-		return fmt.Sprintf("%-16s b%d, b%d, b%d%s", op, in.A, in.B, in.C, va(in.D))
+		return fmt.Sprintf("%-16s b%d, b%d, b%d", op, in.A, in.B, in.C)
 	case OpEqStr, OpNeStr:
-		return fmt.Sprintf("%-16s b%d, s%d, s%d%s", op, in.A, in.B, in.C, va(in.D))
+		return fmt.Sprintf("%-16s b%d, s%d, s%d", op, in.A, in.B, in.C)
 	case OpEqNode, OpNeNode:
-		return fmt.Sprintf("%-16s b%d, n%d, n%d%s", op, in.A, in.B, in.C, va(in.D))
+		return fmt.Sprintf("%-16s b%d, n%d, n%d", op, in.A, in.B, in.C)
 
 	case OpNew:
-		return fmt.Sprintf("%-16s n%d, new[%d]%s", op, in.A, in.B, va(in.D))
+		return fmt.Sprintf("%-16s n%d, new[%d]", op, in.A, in.B)
 	case OpLoadInt:
-		return fmt.Sprintf("%-16s i%d, n%d.%s@%d%s", op, in.A, in.B, f.Names[in.Imm], in.C, va(in.D))
+		return fmt.Sprintf("%-16s i%d, n%d.%s@%d", op, in.A, in.B, f.Names[in.Imm], in.C)
 	case OpLoadReal:
-		return fmt.Sprintf("%-16s f%d, n%d.%s@%d%s", op, in.A, in.B, f.Names[in.Imm], in.C, va(in.D))
+		return fmt.Sprintf("%-16s f%d, n%d.%s@%d", op, in.A, in.B, f.Names[in.Imm], in.C)
 	case OpLoadBool:
-		return fmt.Sprintf("%-16s b%d, n%d.%s@%d%s", op, in.A, in.B, f.Names[in.Imm], in.C, va(in.D))
+		return fmt.Sprintf("%-16s b%d, n%d.%s@%d", op, in.A, in.B, f.Names[in.Imm], in.C)
 	case OpLoadNode:
-		return fmt.Sprintf("%-16s n%d, n%d.%s@%d%s", op, in.A, in.B, f.Names[in.Imm], in.C, va(in.D))
+		return fmt.Sprintf("%-16s n%d, n%d.%s@%d", op, in.A, in.B, f.Names[in.Imm], in.C)
 	case OpLoadNodeIdxBegin:
-		return fmt.Sprintf("%-16s n%d, n%d.%s null->%d%s", op, in.A, in.B, f.Names[in.C], in.Imm, va(in.D))
+		return fmt.Sprintf("%-16s n%d, n%d.%s null->%d", op, in.A, in.B, f.Names[in.C], in.Imm)
 	case OpLoadNodeIdx:
 		off, name := UnpackOffName(in.Imm)
-		return fmt.Sprintf("%-16s n%d, n%d.%s@%d[i%d]%s", op, in.A, in.B, f.Names[name], off, in.C, va(in.D))
+		return fmt.Sprintf("%-16s n%d, n%d.%s@%d[i%d]", op, in.A, in.B, f.Names[name], off, in.C)
 	case OpStoreInt:
-		return fmt.Sprintf("%-16s n%d.%s@%d, i%d%s", op, in.A, f.Names[in.Imm], in.C, in.B, va(in.D))
+		return fmt.Sprintf("%-16s n%d.%s@%d, i%d", op, in.A, f.Names[in.Imm], in.C, in.B)
 	case OpStoreReal:
-		return fmt.Sprintf("%-16s n%d.%s@%d, f%d%s", op, in.A, f.Names[in.Imm], in.C, in.B, va(in.D))
+		return fmt.Sprintf("%-16s n%d.%s@%d, f%d", op, in.A, f.Names[in.Imm], in.C, in.B)
 	case OpStoreBool:
-		return fmt.Sprintf("%-16s n%d.%s@%d, b%d%s", op, in.A, f.Names[in.Imm], in.C, in.B, va(in.D))
+		return fmt.Sprintf("%-16s n%d.%s@%d, b%d", op, in.A, f.Names[in.Imm], in.C, in.B)
 	case OpStoreNode:
-		return fmt.Sprintf("%-16s n%d.%s@%d, n%d%s", op, in.A, f.Names[in.Imm], in.C, in.B, va(in.D))
+		return fmt.Sprintf("%-16s n%d.%s@%d, n%d", op, in.A, f.Names[in.Imm], in.C, in.B)
 	case OpStoreNodeIdxBegin:
-		return fmt.Sprintf("%-16s n%d%s", op, in.A, va(in.D))
+		return fmt.Sprintf("%-16s n%d", op, in.A)
 	case OpStoreNodeIdx:
 		off, name := UnpackOffName(in.Imm)
-		return fmt.Sprintf("%-16s n%d.%s@%d[i%d], n%d%s", op, in.A, f.Names[name], off, in.C, in.B, va(in.D))
+		return fmt.Sprintf("%-16s n%d.%s@%d[i%d], n%d", op, in.A, f.Names[name], off, in.C, in.B)
 
 	case OpSqrt, OpAbs:
-		return fmt.Sprintf("%-16s f%d, f%d%s", op, in.A, in.B, va(in.D))
+		return fmt.Sprintf("%-16s f%d, f%d", op, in.A, in.B)
 	case OpRand:
-		return fmt.Sprintf("%-16s f%d%s", op, in.A, va(in.D))
+		return fmt.Sprintf("%-16s f%d", op, in.A)
 	}
-	return fmt.Sprintf("%-16s A=%d B=%d C=%d D=%d Imm=%d", op, in.A, in.B, in.C, in.D, in.Imm)
+	return fmt.Sprintf("%-16s A=%d B=%d C=%d Imm=%d", op, in.A, in.B, in.C, in.Imm)
 }

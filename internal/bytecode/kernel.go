@@ -16,9 +16,7 @@
 // The run-time half (slab pools, mask evaluation, the transactional
 // fallback) lives in internal/interp's kernel engine.
 //
-// Accounting parity: kernels only run in Real mode (the interpreter's
-// dispatcher delegates Simulated strips to simForall), where the cost
-// model is zero and the only observable counters of a print-free,
+// Accounting parity: the only observable counters of a print-free,
 // allocation-free body are statement steps. The strip prologue (the
 // helper call, the skip loop, the NULL guard) contributes 3+2k steps
 // for lane k — charged in closed form by the runner — and every

@@ -3,7 +3,8 @@
 // general path matrix analysis and abstraction validation, answers
 // parallelizability queries, applies the paper's transformations, and
 // executes programs on the real-parallel interpreter or the simulated
-// Sequent machine.
+// Sequent machine (RunConfig.Simulate: the tree walker counting cycles,
+// whatever RunConfig.Engine says).
 //
 // Typical use:
 //
@@ -220,10 +221,12 @@ type RunConfig struct {
 	// vectorized forall strips run as batched kernels;
 	// interp.EngineBytecode is the VM without them, interp.EngineWalk
 	// the tree-walking oracle). The engines are bit-identical in
-	// results, output, and simulated cycle counts.
+	// results, output, steps and allocations. Ignored under Simulate.
 	Engine interp.Engine
 	// Simulate runs on the deterministic machine model instead of
-	// executing the program as written.
+	// executing the program as written. The model lives in the tree
+	// walker alone, so a simulated run is a walk-engine run and builds
+	// no code.
 	Simulate bool
 	// PEs is the simulated PE count (Simulate mode).
 	PEs int
@@ -252,10 +255,11 @@ type RunConfig struct {
 }
 
 // compiled returns the program's code for the given engine, building
-// it on first use unless the planner already did; the walk engine runs
-// the AST and needs none (nil).
-func (c *Compilation) compiled(eng interp.Engine) *interp.CompiledProgram {
-	if eng == interp.EngineWalk {
+// it on first use unless the planner already did; a run on the walker —
+// the walk engine, or any simulated run — walks the AST and needs none
+// (nil).
+func (c *Compilation) compiled(eng interp.Engine, simulate bool) *interp.CompiledProgram {
+	if eng == interp.EngineWalk || simulate {
 		return nil
 	}
 	c.codeOnce.Do(func() {
@@ -285,7 +289,7 @@ func (c *Compilation) newInterp(cfg RunConfig, shapeChecks bool) *interp.Interp 
 		MaxOutputBytes: cfg.MaxOutputBytes,
 		ShapeChecks:    shapeChecks,
 	}
-	if cp := c.compiled(cfg.Engine); cp != nil {
+	if cp := c.compiled(cfg.Engine, cfg.Simulate); cp != nil {
 		return interp.NewCompiled(cp, icfg)
 	}
 	return interp.New(c.Program, icfg)
@@ -311,7 +315,7 @@ func (c *Compilation) Run(cfg RunConfig, fn string, args ...interp.Value) (inter
 func (c *Compilation) RunParallel(cfg RunConfig, pes int, fn string, args ...interp.Value) (interp.Value, interp.Stats, error) {
 	return parexec.Run(c.Program, parexec.Options{
 		Interp:         cfg.Engine,
-		Compiled:       c.compiled(cfg.Engine),
+		Compiled:       c.compiled(cfg.Engine, false),
 		PEs:            pes,
 		Sched:          cfg.Sched,
 		Seed:           cfg.Seed,

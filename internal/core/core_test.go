@@ -203,12 +203,17 @@ func TestStripMineViaCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A simulated run is a walker run: it lowers nothing.
+	c0 := interp.CompileCount()
 	got, _, err := par.Run(RunConfig{Simulate: true, PEs: 4}, "main", interp.IntVal(23), interp.IntVal(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.I != want.I {
 		t.Errorf("transformed result %d, want %d", got.I, want.I)
+	}
+	if d := interp.CompileCount() - c0; d != 0 {
+		t.Errorf("RunConfig{Simulate: true} built code %d times, want 0", d)
 	}
 	if !strings.Contains(par.Source(), "forall") {
 		t.Error("transformed source lacks forall")

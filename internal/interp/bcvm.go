@@ -12,11 +12,10 @@
 // Value, and allocates nothing once the frame pool is warm.
 //
 // Semantics are pinned to the walker — same results, printed output,
-// error text, Simulated cycle totals (at statement granularity; see
-// the bytecode package comment for why ordering within a statement
-// may differ), and sandbox budgets; step totals agree at every
-// quiescent point (see stepFlushChunk). The equivalence grid,
-// FuzzBytecodeVsWalk, and the sandbox-parity suite enforce this.
+// error text, and sandbox budgets; step totals agree at every quiescent
+// point (see stepFlushChunk). The equivalence grid, FuzzBytecodeVsWalk,
+// and the sandbox-parity suite enforce this. The VM holds no cost
+// model: Simulated mode runs on the walker (newInterp).
 package interp
 
 import (
@@ -146,16 +145,15 @@ func (ip *Interp) callBytecode(f *bytecode.Func, args []Value) (Value, error) {
 	return Value{}, nil
 }
 
-// callBC mirrors the walker's callFunc: depth guard, call overhead,
-// run, pool the frame, fell-off-the-end check. The recursion guard uses
-// the Interp's live call depth (each Interp runs one call chain at a
-// time; parallel iterations run on forks with their own depth).
+// callBC mirrors the walker's callFunc: depth guard, run, pool the
+// frame, fell-off-the-end check. The recursion guard uses the Interp's
+// live call depth (each Interp runs one call chain at a time; parallel
+// iterations run on forks with their own depth).
 func (ip *Interp) callBC(f *bytecode.Func, fr *bcFrame) (bcRet, error) {
 	if ip.cdepth > ip.maxDepth {
 		ip.putBCFrame(fr)
 		return bcRet{}, fmt.Errorf("interp: recursion depth exceeded in %s", f.Name)
 	}
-	ip.charge(ip.cfg.Costs.CallOver)
 	ip.cdepth++
 	c, err := ip.runBC(f, fr, 0, int32(len(f.Code)))
 	ip.cdepth--
@@ -176,17 +174,7 @@ func (ip *Interp) callBC(f *bytecode.Func, fr *bcFrame) (bcRet, error) {
 // runBC executes code in [pc, end) on a frame. Jump targets are
 // absolute instruction indices; error positions come from the
 // function's parallel Pos table.
-//
-// Charging is branchless: cm is the configured cost model in Simulated
-// mode and the zero model in Real mode, so the unconditional
-// cycles/work adds contribute nothing when accounting is off (the same
-// observable behavior as charge()'s mode check, without a branch per
-// instruction).
 func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, error) {
-	var cm CostModel
-	if ip.cfg.Mode == Simulated {
-		cm = ip.cfg.Costs
-	}
 	code := f.Code
 	for pc < end {
 		in := &code[pc]
@@ -194,59 +182,26 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 		pc++
 		switch in.Op {
 		case bytecode.OpConstInt:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.i[in.A] = in.Imm
 		case bytecode.OpConstReal:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.f[in.A] = in.Fv
 		case bytecode.OpConstBool:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = in.Imm != 0
 		case bytecode.OpConstStr:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.s[in.A] = f.Strs[in.B]
 		case bytecode.OpConstNull:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.n[in.A] = nil
 		case bytecode.OpMovInt:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.i[in.A] = fr.i[in.B]
 		case bytecode.OpMovReal:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.f[in.A] = fr.f[in.B]
 		case bytecode.OpMovBool:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.b[in.B]
 		case bytecode.OpMovStr:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.s[in.A] = fr.s[in.B]
 		case bytecode.OpMovNode:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.n[in.A] = fr.n[in.B]
 		case bytecode.OpIntToReal:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.f[in.A] = float64(fr.i[in.B])
 
 		case bytecode.OpStep:
@@ -256,23 +211,14 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 		case bytecode.OpJump:
 			pc = int32(in.Imm)
 		case bytecode.OpBr:
-			c := int64(in.D)*cm.VarAccess + cm.Branch
-			ip.cycles += c
-			ip.work += c
 			if !fr.b[in.A] {
 				pc = int32(in.Imm)
 			}
 		case bytecode.OpScAnd:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			if !fr.b[in.A] {
 				pc = int32(in.Imm)
 			}
 		case bytecode.OpScOr:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			if fr.b[in.A] {
 				pc = int32(in.Imm)
 			}
@@ -283,9 +229,6 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 				fr.i[in.C] = fr.i[in.A]
 			}
 		case bytecode.OpForTail:
-			c := cm.Branch + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			if err := ip.stepC(f.Pos[ipc]); err != nil {
 				return ctrlNext, err
 			}
@@ -300,9 +243,6 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			}
 
 		case bytecode.OpCall:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			site := &f.Calls[in.A]
 			callee := ip.bc.Funcs[site.FuncIdx]
 			nf := ip.getBCFrame(callee)
@@ -341,9 +281,6 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			}
 
 		case bytecode.OpPrint:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			site := &f.Prints[in.A]
 			args := make([]Value, len(site.Args))
 			for j, a := range site.Args {
@@ -367,199 +304,91 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 		case bytecode.OpReturnVoid:
 			return ctrlReturn, nil
 		case bytecode.OpReturnInt:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.retI = fr.i[in.A]
 			return ctrlReturn, nil
 		case bytecode.OpReturnReal:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.retF = fr.f[in.A]
 			return ctrlReturn, nil
 		case bytecode.OpReturnBool:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.retB = fr.b[in.A]
 			return ctrlReturn, nil
 		case bytecode.OpReturnStr:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.retS = fr.s[in.A]
 			return ctrlReturn, nil
 		case bytecode.OpReturnNode:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			fr.retN = fr.n[in.A]
 			return ctrlReturn, nil
 
 		case bytecode.OpAddInt:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.i[in.A] = fr.i[in.B] + fr.i[in.C]
 		case bytecode.OpSubInt:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.i[in.A] = fr.i[in.B] - fr.i[in.C]
 		case bytecode.OpMulInt:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.i[in.A] = fr.i[in.B] * fr.i[in.C]
 		case bytecode.OpDivInt:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			if fr.i[in.C] == 0 {
 				return ctrlNext, fmt.Errorf("%s: interp: integer division by zero", f.Pos[ipc])
 			}
 			fr.i[in.A] = fr.i[in.B] / fr.i[in.C]
 		case bytecode.OpModInt:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			if fr.i[in.C] == 0 {
 				return ctrlNext, fmt.Errorf("%s: interp: integer modulo by zero", f.Pos[ipc])
 			}
 			fr.i[in.A] = fr.i[in.B] % fr.i[in.C]
 		case bytecode.OpNegInt:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.i[in.A] = -fr.i[in.B]
 		case bytecode.OpEqInt:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.i[in.B] == fr.i[in.C]
 		case bytecode.OpNeInt:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.i[in.B] != fr.i[in.C]
 		case bytecode.OpLtInt:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.i[in.B] < fr.i[in.C]
 		case bytecode.OpLeInt:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.i[in.B] <= fr.i[in.C]
 		case bytecode.OpGtInt:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.i[in.B] > fr.i[in.C]
 		case bytecode.OpGeInt:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.i[in.B] >= fr.i[in.C]
 
 		case bytecode.OpAddReal:
-			c := int64(in.D)*cm.VarAccess + cm.RealOp
-			ip.cycles += c
-			ip.work += c
 			fr.f[in.A] = fr.f[in.B] + fr.f[in.C]
 		case bytecode.OpSubReal:
-			c := int64(in.D)*cm.VarAccess + cm.RealOp
-			ip.cycles += c
-			ip.work += c
 			fr.f[in.A] = fr.f[in.B] - fr.f[in.C]
 		case bytecode.OpMulReal:
-			c := int64(in.D)*cm.VarAccess + cm.RealOp
-			ip.cycles += c
-			ip.work += c
 			fr.f[in.A] = fr.f[in.B] * fr.f[in.C]
 		case bytecode.OpDivReal:
-			c := int64(in.D)*cm.VarAccess + cm.RealOp
-			ip.cycles += c
-			ip.work += c
 			fr.f[in.A] = fr.f[in.B] / fr.f[in.C]
 		case bytecode.OpNegReal:
-			c := int64(in.D)*cm.VarAccess + cm.RealOp
-			ip.cycles += c
-			ip.work += c
 			fr.f[in.A] = -fr.f[in.B]
 		case bytecode.OpEqReal:
-			c := int64(in.D)*cm.VarAccess + cm.RealOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.f[in.B] == fr.f[in.C]
 		case bytecode.OpNeReal:
-			c := int64(in.D)*cm.VarAccess + cm.RealOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.f[in.B] != fr.f[in.C]
 		case bytecode.OpLtReal:
-			c := int64(in.D)*cm.VarAccess + cm.RealOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.f[in.B] < fr.f[in.C]
 		case bytecode.OpLeReal:
-			c := int64(in.D)*cm.VarAccess + cm.RealOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.f[in.B] <= fr.f[in.C]
 		case bytecode.OpGtReal:
-			c := int64(in.D)*cm.VarAccess + cm.RealOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.f[in.B] > fr.f[in.C]
 		case bytecode.OpGeReal:
-			c := int64(in.D)*cm.VarAccess + cm.RealOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.f[in.B] >= fr.f[in.C]
 
 		case bytecode.OpNot:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = !fr.b[in.B]
 		case bytecode.OpEqBool:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.b[in.B] == fr.b[in.C]
 		case bytecode.OpNeBool:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.b[in.B] != fr.b[in.C]
 		case bytecode.OpEqStr:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.s[in.B] == fr.s[in.C]
 		case bytecode.OpNeStr:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.s[in.B] != fr.s[in.C]
 		case bytecode.OpEqNode:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.n[in.B] == fr.n[in.C]
 		case bytecode.OpNeNode:
-			c := int64(in.D)*cm.VarAccess + cm.IntOp
-			ip.cycles += c
-			ip.work += c
 			fr.b[in.A] = fr.n[in.B] != fr.n[in.C]
 
 		case bytecode.OpNew:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			site := &f.News[in.B]
 			v, err := ip.allocNode(site.Decl, site.TypeName)
 			if err != nil {
@@ -568,55 +397,34 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			fr.n[in.A] = v.N
 
 		case bytecode.OpLoadInt:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			n := fr.n[in.B]
 			if n == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: field %s read through NULL pointer", f.Pos[ipc], f.Names[in.Imm])
 			}
-			ip.cycles += cm.FieldLoad
-			ip.work += cm.FieldLoad
 			fr.i[in.A] = n.vals[in.C].I
 		case bytecode.OpLoadReal:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			n := fr.n[in.B]
 			if n == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: field %s read through NULL pointer", f.Pos[ipc], f.Names[in.Imm])
 			}
-			ip.cycles += cm.FieldLoad
-			ip.work += cm.FieldLoad
 			fr.f[in.A] = n.vals[in.C].F
 		case bytecode.OpLoadBool:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			n := fr.n[in.B]
 			if n == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: field %s read through NULL pointer", f.Pos[ipc], f.Names[in.Imm])
 			}
-			ip.cycles += cm.FieldLoad
-			ip.work += cm.FieldLoad
 			fr.b[in.A] = n.vals[in.C].B
 
 		case bytecode.OpLoadNode:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			n := fr.n[in.B]
 			if n == nil {
 				if !ip.cfg.StrictNull {
-					// Speculative traversability (§3.2): NULL reads as
-					// NULL, without the FieldLoad charge.
+					// Speculative traversability (§3.2): NULL reads as NULL.
 					fr.n[in.A] = nil
 					continue
 				}
 				return ctrlNext, fmt.Errorf("%s: interp: field %s read through NULL pointer", f.Pos[ipc], f.Names[in.Imm])
 			}
-			ip.cycles += cm.FieldLoad
-			ip.work += cm.FieldLoad
 			arr := n.parr[in.C]
 			if len(arr) == 0 {
 				return ctrlNext, fmt.Errorf("%s: interp: index 0 out of range for %s.%s[0]", f.Pos[ipc], n.Type, f.Names[in.Imm])
@@ -624,11 +432,7 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			fr.n[in.A] = arr[0]
 
 		case bytecode.OpLoadNodeIdxBegin:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
-			n := fr.n[in.B]
-			if n == nil {
+			if fr.n[in.B] == nil {
 				if !ip.cfg.StrictNull {
 					// NULL base: skip the index expression entirely.
 					fr.n[in.A] = nil
@@ -637,12 +441,7 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 				}
 				return ctrlNext, fmt.Errorf("%s: interp: field %s read through NULL pointer", f.Pos[ipc], f.Names[in.C])
 			}
-			ip.cycles += cm.FieldLoad
-			ip.work += cm.FieldLoad
 		case bytecode.OpLoadNodeIdx:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			off, name := bytecode.UnpackOffName(in.Imm)
 			n := fr.n[in.B]
 			idx := fr.i[in.C]
@@ -653,49 +452,29 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			fr.n[in.A] = arr[idx]
 
 		case bytecode.OpStoreInt:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			n := fr.n[in.A]
 			if n == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: store through NULL pointer", f.Pos[ipc])
 			}
-			ip.cycles += cm.FieldStore
-			ip.work += cm.FieldStore
 			n.vals[in.C] = IntVal(fr.i[in.B])
 		case bytecode.OpStoreReal:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			n := fr.n[in.A]
 			if n == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: store through NULL pointer", f.Pos[ipc])
 			}
-			ip.cycles += cm.FieldStore
-			ip.work += cm.FieldStore
 			n.vals[in.C] = RealVal(fr.f[in.B])
 		case bytecode.OpStoreBool:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			n := fr.n[in.A]
 			if n == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: store through NULL pointer", f.Pos[ipc])
 			}
-			ip.cycles += cm.FieldStore
-			ip.work += cm.FieldStore
 			n.vals[in.C] = BoolVal(fr.b[in.B])
 
 		case bytecode.OpStoreNode:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			n := fr.n[in.A]
 			if n == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: store through NULL pointer", f.Pos[ipc])
 			}
-			ip.cycles += cm.FieldStore
-			ip.work += cm.FieldStore
 			arr := n.parr[in.C]
 			if len(arr) == 0 {
 				return ctrlNext, fmt.Errorf("%s: interp: index 0 out of range for %s.%s[0]", f.Pos[ipc], n.Type, f.Names[in.Imm])
@@ -709,18 +488,10 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			}
 
 		case bytecode.OpStoreNodeIdxBegin:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			if fr.n[in.A] == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: store through NULL pointer", f.Pos[ipc])
 			}
-			ip.cycles += cm.FieldStore
-			ip.work += cm.FieldStore
 		case bytecode.OpStoreNodeIdx:
-			c := int64(in.D) * cm.VarAccess
-			ip.cycles += c
-			ip.work += c
 			off, name := bytecode.UnpackOffName(in.Imm)
 			n := fr.n[in.A]
 			idx := fr.i[in.C]
@@ -737,19 +508,10 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			}
 
 		case bytecode.OpSqrt:
-			c := int64(in.D)*cm.VarAccess + cm.Sqrt
-			ip.cycles += c
-			ip.work += c
 			fr.f[in.A] = math.Sqrt(fr.f[in.B])
 		case bytecode.OpAbs:
-			c := int64(in.D)*cm.VarAccess + cm.RealOp
-			ip.cycles += c
-			ip.work += c
 			fr.f[in.A] = math.Abs(fr.f[in.B])
 		case bytecode.OpRand:
-			c := int64(in.D)*cm.VarAccess + cm.RealOp
-			ip.cycles += c
-			ip.work += c
 			fr.f[in.A] = ip.rand()
 
 		default:
@@ -759,23 +521,14 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 	return ctrlNext, nil
 }
 
-// bcForall runs one parallel loop, mirroring the walker's two arms:
-// Simulated (shared frame, per-iteration cycle rewind via
-// simForall) and Real (the vector path when the strip qualifies,
-// otherwise private frames through realForall). An empty range is a
-// no-op before either — no barrier, no charges.
+// bcForall runs one parallel loop: the vector path when the strip
+// qualifies, otherwise private frames through realForall — the walker's
+// Real arm. An empty range is a no-op before either.
 func (ip *Interp) bcForall(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallSite, pos lang.Pos) (ctrl, error) {
 	lo, hi := fr.i[site.From], fr.i[site.To]
 	if ok, err := ip.forallTrips(pos, lo, hi); !ok {
 		return ctrlNext, err
 	}
-	if ip.cfg.Mode == Simulated {
-		return ctrlNext, ip.simForall(lo, hi, pos, func(k int64) (ctrl, error) {
-			fr.i[site.Var] = k
-			return ip.runBC(f, fr, site.BodyStart, site.BodyEnd)
-		})
-	}
-
 	// The vector path: a strip the classifier proved vectorizable runs
 	// as a batched SoA kernel (kernel.go). StrictNull runs are excluded
 	// — the kernel's speculative gather walk assumes NULL propagation —

@@ -19,7 +19,7 @@ var compileBuilds atomic.Int64
 
 // CompileCount reports how many front-end builds (compile IR +
 // bytecode) have run, process-wide: one per CompileProgram call, and so
-// one per New on a non-walk engine.
+// one per New that runs on the VM (not the walk engine, not Simulated).
 func CompileCount() int64 { return compileBuilds.Load() }
 
 // CompiledProgram is one program's executable code: the bytecode the
@@ -62,16 +62,19 @@ func (cp *CompiledProgram) Program() *lang.Program { return cp.prog }
 // every forall from it.
 func (cp *CompiledProgram) Bytecode() (*bytecode.Program, error) { return cp.bc, cp.bcErr }
 
-// NewCompiled creates an interpreter over a compiled program. The walk
-// engine ignores the code and walks the AST.
+// NewCompiled creates an interpreter over a compiled program. A run on
+// the walker (the walk engine, or Simulated mode) ignores the code and
+// walks the AST.
 func NewCompiled(cp *CompiledProgram, cfg Config) *Interp {
 	ip := newInterp(cp.prog, cfg)
-	switch cfg.Engine {
-	case EngineBytecode, EngineKernel:
-		ip.bc, ip.bcErr = cp.bc, cp.bcErr
+	if ip.cfg.Engine != EngineWalk {
+		ip.attach(cp)
 	}
 	return ip
 }
+
+// attach hands the VM its code.
+func (ip *Interp) attach(cp *CompiledProgram) { ip.bc, ip.bcErr = cp.bc, cp.bcErr }
 
 // RunCompiled is Run over a compiled program.
 func RunCompiled(cp *CompiledProgram, cfg Config, fn string, args ...Value) (Value, Stats, error) {

@@ -12,9 +12,11 @@
 // strips the classifier vectorizes (kernel.go). The plain bytecode VM
 // (the kernel engine's scalar path and fallback) and the tree-walking
 // oracle in this file are explicit opt-ins. All three are bit-identical
-// in results, output, and simulated cycle accounting — the equivalence
-// suite and the two differential fuzzers enforce it — and differ only
-// in speed.
+// in results, output, steps and allocations — the equivalence suite and
+// the two differential fuzzers enforce it — and differ only in speed.
+// The machine model has one implementation: a Simulated run executes on
+// the walker whatever Config.Engine says, so cycle counts are the
+// walker's and the VM carries no cost accounting.
 //
 // Paper provenance: speculative traversability — loading a pointer
 // field through NULL yields NULL — is §3.2 (the transformed code's
@@ -30,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -115,7 +116,9 @@ const (
 	// otherwise run in place, in index order.
 	Real Mode = iota
 	// Simulated runs everything sequentially, charging cycles from the
-	// cost model; forall charges max-over-PEs plus a barrier.
+	// cost model; forall charges max-over-PEs plus a barrier. It always
+	// executes on the tree walker, the one implementation of the cost
+	// model: Config.Engine is ignored and no code is built.
 	Simulated
 )
 
@@ -166,8 +169,10 @@ func DefaultCosts() CostModel {
 type Config struct {
 	// Engine selects the execution engine (default EngineKernel, the
 	// bytecode VM with vectorized strips; the plain bytecode VM and the
-	// tree-walking oracle are opt-ins).
+	// tree-walking oracle are opt-ins). It applies to Real mode only.
 	Engine Engine
+	// Mode is Real (the default) or Simulated; a Simulated run is an
+	// EngineWalk run.
 	Mode   Mode
 	Sched  Scheduling
 	PEs    int // simulated PE count (0: one PE per iteration)
@@ -274,8 +279,8 @@ type Interp struct {
 	// shape-check log stay global across parallel workers.
 	sh *state
 
-	// cycles is the current accounting bucket (Simulated mode only;
-	// single-threaded there).
+	// cycles is the current accounting bucket (Simulated mode, so the
+	// walker, only; single-threaded there).
 	cycles   int64
 	work     int64
 	barriers int64
@@ -332,18 +337,23 @@ type state struct {
 }
 
 // New creates an interpreter for a checked, normalized program,
-// building its code (nothing is built for the walk engine). A caller
-// that runs one program many times builds once with CompileProgram and
-// uses NewCompiled.
+// building its code (nothing is built for a run on the walker: the walk
+// engine, or Simulated mode). A caller that runs one program many times
+// builds once with CompileProgram and uses NewCompiled.
 func New(prog *lang.Program, cfg Config) *Interp {
-	if cfg.Engine == EngineWalk {
-		return newInterp(prog, cfg)
+	ip := newInterp(prog, cfg)
+	if ip.cfg.Engine != EngineWalk {
+		ip.attach(CompileProgram(prog))
 	}
-	return NewCompiled(CompileProgram(prog), cfg)
+	return ip
 }
 
-// newInterp builds an interpreter without any code attached.
+// newInterp builds an interpreter without any code attached. It is the
+// one place that decides a Simulated run executes on the walker.
 func newInterp(prog *lang.Program, cfg Config) *Interp {
+	if cfg.Mode == Simulated {
+		cfg.Engine = EngineWalk
+	}
 	if cfg.Output == nil {
 		cfg.Output = io.Discard
 	}
@@ -961,11 +971,9 @@ func (ip *Interp) scheduledWindow(pos lang.Pos, lo, hi int64, run func(w *Interp
 
 // simForall executes a simulated parallel loop's iterations
 // sequentially, assigning them to PEs and charging elapsed =
-// max(PE busy time) + barrier. It is the single copy of the Sequent
-// model's forall accounting (PE mapping, per-iteration cycle rewind,
-// barrier charge), shared by the engines so the bit-identical-cycles
-// contract cannot drift: each engine supplies only its iteration body
-// (runIter).
+// max(PE busy time) + barrier: the Sequent model's forall accounting
+// (PE mapping, per-iteration cycle rewind, barrier charge). runIter is
+// the walker's iteration body.
 func (ip *Interp) simForall(from, to int64, pos lang.Pos, runIter func(k int64) (ctrl, error)) error {
 	n := int(to - from + 1)
 	pes := ip.cfg.PEs
@@ -1392,17 +1400,4 @@ func ListInts(head Value, field string, limit int) ([]int64, error) {
 		n = next[0]
 	}
 	return out, nil
-}
-
-// SortedFields lists a node's data fields (for debugging output).
-func SortedFields(v Value) []string {
-	if v.N == nil {
-		return nil
-	}
-	out := make([]string, 0, len(v.N.decl.Data))
-	for _, df := range v.N.decl.Data {
-		out = append(out, df.Name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -53,13 +53,6 @@ func paramType(t Type) string {
 	return t.String()
 }
 
-// FormatStmt renders a single statement at the given indent level.
-func FormatStmt(s Stmt, indent int) string {
-	var b strings.Builder
-	printStmt(&b, s, indent)
-	return b.String()
-}
-
 func ind(b *strings.Builder, n int) {
 	for i := 0; i < n; i++ {
 		b.WriteString("  ")

@@ -122,6 +122,3 @@ type Pos struct {
 
 // String renders "line:col".
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
-
-// IsValid reports whether the position was set.
-func (p Pos) IsValid() bool { return p.Line > 0 }

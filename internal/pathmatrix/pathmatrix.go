@@ -209,17 +209,6 @@ func (e Entry) HasExact(f string) (int, bool) {
 	return 0, false
 }
 
-// HasExactField reports whether any exact edge uses field f, indexed or
-// not.
-func (e Entry) HasExactField(f string) bool {
-	for _, d := range e.Descs {
-		if d.Exact && d.Fields[0] == f {
-			return true
-		}
-	}
-	return false
-}
-
 // HasPath reports whether the entry records any definite path (exact or
 // plus).
 func (e Entry) HasPath() bool { return len(e.Descs) > 0 }

@@ -1,7 +1,10 @@
 // Package sequent models the paper's evaluation platform — a Sequent
 // shared-memory multiprocessor — on top of the PSL interpreter's
 // simulated mode. It exists to regenerate the paper's §4.4 TIMES and
-// SPEEDUP tables deterministically.
+// SPEEDUP tables deterministically. A simulated run executes on the
+// interpreter's tree walker, the one implementation of the cost model,
+// so a Machine runs at walker speed (≈ 20× slower than the bytecode VM)
+// whatever engine the rest of the system defaults to.
 //
 // The model captures exactly the effects the paper cites for its
 // sublinear speedups: (1) simple static scheduling of iterations onto
@@ -21,6 +24,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/nbody"
+	"repro/internal/parexec"
 	"repro/internal/tablefmt"
 	"repro/internal/transform"
 )
@@ -140,8 +144,10 @@ func BarnesHutTable(cfg TableConfig) (*Table, error) {
 		costs = interp.DefaultCosts()
 	}
 
-	// Transform once per PE configuration: BHL1 then BHL2.
-	parallel := make(map[int]*lang.Program, len(cfg.PEs))
+	// Configuration 0 is the sequential program on one PE; the others
+	// transform it once per PE count: BHL1 then BHL2.
+	widths := append([]int{1}, cfg.PEs...)
+	programs := []*lang.Program{prog}
 	for _, pes := range cfg.PEs {
 		r1, err := transform.StripMine(prog, nbody.TimestepFunc, nbody.BHL1, pes)
 		if err != nil {
@@ -151,38 +157,50 @@ func BarnesHutTable(cfg TableConfig) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("strip-mining BHL2 for %d PEs: %w", pes, err)
 		}
-		parallel[pes] = r2.Program
+		programs = append(programs, r2.Program)
+	}
+
+	// One simulated run per (N, configuration). The runs are
+	// independent — the clock calibration below is arithmetic on the
+	// first one's cycle count — and each is a tree-walker run, so they
+	// share the host's CPUs, handed out last N first: Ns ascend, and the
+	// longest runs should not be the ones left over.
+	per := len(programs)
+	cycles := make([]int64, len(cfg.Ns)*per)
+	errs := make([]error, len(cycles))
+	parexec.ForEach(0, len(cycles), func(k int) {
+		k = len(cycles) - 1 - k
+		n, j := cfg.Ns[k/per], k%per
+		m := Machine{PEs: widths[j], ClockHz: DefaultClockHz, Costs: costs, Sched: cfg.Sched, Seed: cfg.Seed}
+		res, err := m.Run(programs[j], "simulate",
+			interp.IntVal(int64(n)), interp.IntVal(int64(measure)),
+			interp.RealVal(cfg.Theta), interp.RealVal(cfg.Dt))
+		if err != nil && j == 0 {
+			err = fmt.Errorf("sequential N=%d: %w", n, err)
+		} else if err != nil {
+			err = fmt.Errorf("parallel(%d) N=%d: %w", m.PEs, n, err)
+		}
+		cycles[k], errs[k] = res.Cycles, err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	clock := DefaultClockHz
+	if cfg.CalibrateSeconds > 0 && len(cycles) > 0 {
+		// Choose the clock so the first sequential run matches the
+		// paper's absolute seconds; ratios are unaffected.
+		clock = float64(cycles[0]) * scale / cfg.CalibrateSeconds
+	}
+	seconds := func(k int) float64 { return float64(cycles[k]) / clock * scale }
 	table := &Table{Config: cfg}
-	for _, n := range cfg.Ns {
-		args := []interp.Value{
-			interp.IntVal(int64(n)), interp.IntVal(int64(measure)),
-			interp.RealVal(cfg.Theta), interp.RealVal(cfg.Dt),
-		}
-		seqM := Machine{PEs: 1, ClockHz: clock, Costs: costs, Sched: cfg.Sched, Seed: cfg.Seed}
-		seq, err := seqM.Run(prog, "simulate", args...)
-		if err != nil {
-			return nil, fmt.Errorf("sequential N=%d: %w", n, err)
-		}
-		if cfg.CalibrateSeconds > 0 && n == cfg.Ns[0] {
-			// Choose the clock so the first sequential run matches the
-			// paper's absolute seconds; ratios are unaffected.
-			clock = float64(seq.Cycles) * scale / cfg.CalibrateSeconds
-			seqM.ClockHz = clock
-			seq.Seconds = float64(seq.Cycles) / clock
-		}
-		seq.Seconds = float64(seq.Cycles) / clock
-		row := TableRow{N: n, Seq: seq.Seconds * scale,
+	for i, n := range cfg.Ns {
+		row := TableRow{N: n, Seq: seconds(i * per),
 			Par: map[int]float64{}, Speedup: map[int]float64{}}
-		for _, pes := range cfg.PEs {
-			m := Machine{PEs: pes, ClockHz: clock, Costs: costs, Sched: cfg.Sched, Seed: cfg.Seed}
-			res, err := m.Run(parallel[pes], "simulate", args...)
-			if err != nil {
-				return nil, fmt.Errorf("parallel(%d) N=%d: %w", pes, n, err)
-			}
-			row.Par[pes] = res.Seconds * scale
+		for j, pes := range cfg.PEs {
+			row.Par[pes] = seconds(i*per + 1 + j)
 			row.Speedup[pes] = row.Seq / row.Par[pes]
 		}
 		table.Rows = append(table.Rows, row)

@@ -139,18 +139,6 @@ func (m *Matrix) remove(r, c int) {
 	m.nnz--
 }
 
-// RowHead returns the first node of row r.
-func (m *Matrix) RowHead(r int) *Node {
-	m.check(r, 0)
-	return m.rowHead[r]
-}
-
-// ColHead returns the first node of column c.
-func (m *Matrix) ColHead(c int) *Node {
-	m.check(0, c)
-	return m.colHead[c]
-}
-
 // EachInRow traverses row r forward along X.
 func (m *Matrix) EachInRow(r int, fn func(*Node)) {
 	for n := m.rowHead[r]; n != nil; n = n.Across {
