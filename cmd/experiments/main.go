@@ -22,9 +22,6 @@
 //	          generated many-loop programs (the BENCH_plan.json workload)
 //	-pes, -sched, -chunk
 //	          pool sizes and R2 scheduling policy for -real
-//	-engine   interpreter engine for the R1/R2 tables (kernel — the
-//	          default — bytecode, or walk; R3 always times walk and
-//	          bytecode)
 //	-all      everything (the default when no flag is given)
 //	-measure  time steps simulated per T1 cell (default 1)
 //
@@ -73,14 +70,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		eng, err := f.EngineKind()
-		if err != nil {
-			fatal(err)
-		}
-		runR1(peList, eng)
-		runR2(peList, policies, eng)
+		runR1(peList)
+		runR2(peList, policies)
 		runR3(peList)
-		runR5(peList, eng)
+		runR5(peList)
 		runR8(peList)
 	}
 	if f.All || f.PlanCost {
@@ -102,6 +95,10 @@ func main() {
 		}
 	}
 }
+
+// defaultEngine is the engine an empty RunConfig runs — what R1, R2 and
+// R5 measure and name in their headers.
+var defaultEngine = core.RunConfig{}.Engine
 
 func header(s string) { fmt.Printf("\n===== %s =====\n\n", s) }
 
@@ -171,7 +168,6 @@ func timeRun(run func() error) (time.Duration, error) {
 type realTable struct {
 	c         *core.Compilation
 	fn        string
-	eng       interp.Engine
 	seed      uint64
 	ns        []int
 	argsFor   func(n int) []interp.Value
@@ -187,9 +183,9 @@ type realTable struct {
 // newRealTable times the serial interpreter (and the 1-PE simulated
 // machine) on every N, filling the seq rows and the reference
 // checksums every parallel cell is compared against.
-func newRealTable(c *core.Compilation, fn string, eng interp.Engine, seed uint64, ns []int, argsFor func(n int) []interp.Value) *realTable {
+func newRealTable(c *core.Compilation, fn string, seed uint64, ns []int, argsFor func(n int) []interp.Value) *realTable {
 	rt := &realTable{
-		c: c, fn: fn, eng: eng, seed: seed, ns: ns, argsFor: argsFor,
+		c: c, fn: fn, seed: seed, ns: ns, argsFor: argsFor,
 		times:     tablefmt.New("TIMES ms", ns...),
 		speedups:  tablefmt.New("SPEEDUP", ns...),
 		simulated: tablefmt.New("SEQUENT", ns...),
@@ -201,7 +197,7 @@ func newRealTable(c *core.Compilation, fn string, eng interp.Engine, seed uint64
 	for i, n := range ns {
 		args := argsFor(n)
 		d, err := timeRun(func() error {
-			v, _, err := c.Run(core.RunConfig{Seed: seed, Engine: eng}, fn, args...)
+			v, _, err := c.Run(core.RunConfig{Seed: seed}, fn, args...)
 			rt.checksums[i] = v.F
 			return err
 		})
@@ -233,7 +229,7 @@ func (rt *realTable) addMeasuredRow(label string, par *core.Compilation, pes int
 	for i, n := range rt.ns {
 		args := rt.argsFor(n)
 		d, err := timeRun(func() error {
-			v, _, err := par.RunParallel(core.RunConfig{Seed: rt.seed, Sched: pol, Engine: rt.eng}, pes, rt.fn, args...)
+			v, _, err := par.RunParallel(core.RunConfig{Seed: rt.seed, Sched: pol}, pes, rt.fn, args...)
 			if err == nil && v.F != rt.checksums[i] {
 				return fmt.Errorf("%s N=%d: checksum %g != serial %g", label, n, v.F, rt.checksums[i])
 			}
@@ -283,11 +279,11 @@ func (rt *realTable) print() {
 // policy could let one PE claim two iterations on a loaded host). At
 // that width the -sched/-chunk knobs could only de-parallelize the
 // strip, so they shape the R2 tables instead.
-func runR1(peList []int, eng interp.Engine) {
+func runR1(peList []int) {
 	header("R1 — measured wall-clock speedup (goroutine-backed parexec)")
 	fmt.Printf("host: GOMAXPROCS=%d, NumCPU=%d; workload: §3.3.2 polynomial;\n",
 		runtime.GOMAXPROCS(0), runtime.NumCPU())
-	fmt.Printf("engine: %s\n", eng)
+	fmt.Printf("engine: %s\n", defaultEngine)
 	fmt.Println("normalize (O(exp) work per node); strip width = PEs, static cyclic")
 	fmt.Println("(the paper's §4.3.3 split); best of 3 runs per cell.")
 	warnOversubscribed(peList)
@@ -297,7 +293,7 @@ func runR1(peList []int, eng interp.Engine) {
 	if err != nil {
 		fatal(err)
 	}
-	rt := newRealTable(c, "run", eng, 0, []int{500, 2000}, func(n int) []interp.Value {
+	rt := newRealTable(c, "run", 0, []int{500, 2000}, func(n int) []interp.Value {
 		return []interp.Value{interp.IntVal(int64(n)), interp.RealVal(1.001)}
 	})
 	for _, pes := range peList {
@@ -329,11 +325,11 @@ func polLabel(pol parexec.Policy, pes int) string {
 // mined at width 4×PEs so the scheduling policy owns the iteration→PE
 // map, one row per policy × pool size, next to the simulated Sequent's
 // prediction for the same strip-mined program (the T1/T2 model).
-func runR2(peList []int, policies []parexec.Policy, eng interp.Engine) {
+func runR2(peList []int, policies []parexec.Policy) {
 	header("R2 — Barnes-Hut measured wall-clock (goroutine-backed parexec)")
 	fmt.Printf("host: GOMAXPROCS=%d, NumCPU=%d; workload: Barnes-Hut force loop;\n",
 		runtime.GOMAXPROCS(0), runtime.NumCPU())
-	fmt.Printf("engine: %s\n", eng)
+	fmt.Printf("engine: %s\n", defaultEngine)
 	fmt.Println("(run_forces: serial octree build, parallel FCL — the BHL1 shape);")
 	fmt.Println("strip width 4×PEs; best of 3 runs per cell; every parallel cell's")
 	fmt.Println("checksum is asserted bit-identical to the serial interpreter.")
@@ -344,7 +340,7 @@ func runR2(peList []int, policies []parexec.Policy, eng interp.Engine) {
 	if err != nil {
 		fatal(err)
 	}
-	rt := newRealTable(c, nbody.ForceFunc, eng, 7, []int{64, 128}, func(n int) []interp.Value {
+	rt := newRealTable(c, nbody.ForceFunc, 7, []int{64, 128}, func(n int) []interp.Value {
 		return []interp.Value{interp.IntVal(int64(n)), interp.RealVal(0.5)}
 	})
 	for _, pes := range peList {
@@ -365,7 +361,7 @@ func runR2(peList []int, policies []parexec.Policy, eng interp.Engine) {
 	fmt.Printf("All %d parallel cells (policies: %s; PEs: %v) matched the serial\n",
 		rt.cells, strings.Join(names, ", "), peList)
 	fmt.Println("checksum bit-for-bit.")
-	runR2Efficiency(c, peList, eng)
+	runR2Efficiency(c, peList)
 }
 
 // runR2Efficiency closes R2's loop from plan to silicon: the planner's
@@ -375,7 +371,7 @@ func runR2(peList []int, policies []parexec.Policy, eng interp.Engine) {
 // line. A near-100% busy share says the strip width kept every PE fed;
 // a high wait share or imbalance says the planned decomposition left
 // PEs idling at the barrier.
-func runR2Efficiency(c *core.Compilation, peList []int, eng interp.Engine) {
+func runR2Efficiency(c *core.Compilation, peList []int) {
 	fmt.Println("\nplanned vs achieved (auto-parallelized force run, profiler attached):")
 	fmt.Printf("%-10s %-24s %8s %6s %6s %6s %9s  %s\n",
 		"config", "planned site", "tasks", "busy%", "wait%", "imbal", "wall ms", "vector")
@@ -392,7 +388,7 @@ func runR2Efficiency(c *core.Compilation, peList []int, eng interp.Engine) {
 		}
 		prof := obs.NewForallProfiler()
 		_, _, err = auto.RunParallel(
-			core.RunConfig{Seed: 7, Sched: parexec.StaticCyclic, Engine: eng, Profiler: prof},
+			core.RunConfig{Seed: 7, Sched: parexec.StaticCyclic, Profiler: prof},
 			pes, nbody.ForceFunc, interp.IntVal(128), interp.RealVal(0.5))
 		if err != nil {
 			fatal(err)
@@ -526,10 +522,10 @@ func runR3(peList []int) {
 // row pair per pool size: hand(p) is today's hand-wired call, auto(p)
 // the planner's program, every cell checksum-asserted against the
 // serial run.
-func runR5(peList []int, eng interp.Engine) {
+func runR5(peList []int) {
 	header("R5 — auto-parallelization planner vs hand-tuned StripMine")
 	fmt.Printf("host: GOMAXPROCS=%d, NumCPU=%d; engine: %s\n",
-		runtime.GOMAXPROCS(0), runtime.NumCPU(), eng)
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), defaultEngine)
 	fmt.Println("core.AutoParallel plans whole programs (no function names, no loop")
 	fmt.Println("indices); widths match the hand-tuned conventions (R1 width = PEs,")
 	fmt.Println("R2 width = 4×PEs); static cyclic; best of 3 runs per cell.")
@@ -570,7 +566,7 @@ func runR5(peList []int, eng interp.Engine) {
 		var checksum float64
 		haveRef := false
 		serial, err := timeRun(func() error {
-			v, _, err := c.Run(core.RunConfig{Seed: w.seed, Engine: eng}, w.driver, w.args...)
+			v, _, err := c.Run(core.RunConfig{Seed: w.seed}, w.driver, w.args...)
 			checksum, haveRef = v.F, true
 			return err
 		})
@@ -580,7 +576,7 @@ func runR5(peList []int, eng interp.Engine) {
 		serialMs := float64(serial.Microseconds()) / 1000
 		cell := func(par *core.Compilation, pes int, kind string) float64 {
 			d, err := timeRun(func() error {
-				v, _, err := par.RunParallel(core.RunConfig{Seed: w.seed, Sched: parexec.StaticCyclic, Engine: eng},
+				v, _, err := par.RunParallel(core.RunConfig{Seed: w.seed, Sched: parexec.StaticCyclic},
 					pes, w.driver, w.args...)
 				if err == nil && haveRef && v.F != checksum {
 					return fmt.Errorf("%s %s(%d): checksum %g != serial %g", w.label, kind, pes, v.F, checksum)
@@ -798,15 +794,15 @@ procedure close(%s *a, %s *b) {
 
 	case 2:
 		header("F2 — Figure 2: the one-way linked list")
-		fmt.Println(adds.MustParse(adds.OneWayListSrc).Decl("OneWayList"))
-		d := adds.MustParse(adds.OneWayListSrc).Decl("OneWayList")
+		d := lang.MustParse(adds.OneWayListSrc).Universe.Decl("OneWayList")
+		fmt.Println(d)
 		fmt.Printf("\n  acyclic along next: %v\n", d.Acyclic("next"))
 		fmt.Printf("  unique along X:     %v\n", d.UniqueAlong("X"))
 		fmt.Printf("  traversal never revisits: %v\n", d.PathNeverRevisits("next"))
 
 	case 3:
 		header("F3 — Figure 3: the orthogonal list (sparse matrix)")
-		d := adds.MustParse(adds.OrthListSrc).Decl("OrthList")
+		d := lang.MustParse(adds.OrthListSrc).Universe.Decl("OrthList")
 		fmt.Println(d)
 		fmt.Printf("\n  X and Y dependent (default): %v\n", !d.Independent("X", "Y"))
 		fmt.Printf("  forward along X never revisits: %v\n", d.PathNeverRevisits("across"))
@@ -814,7 +810,7 @@ procedure close(%s *a, %s *b) {
 
 	case 4:
 		header("F4 — Figure 4: the two-dimensional range tree")
-		d := adds.MustParse(adds.TwoDRangeTreeSrc).Decl("TwoDRangeTree")
+		d := lang.MustParse(adds.TwoDRangeTreeSrc).Universe.Decl("TwoDRangeTree")
 		fmt.Println(d)
 		fmt.Printf("\n  sub independent of down:   %v\n", d.Independent("sub", "down"))
 		fmt.Printf("  sub independent of leaves: %v\n", d.Independent("sub", "leaves"))

@@ -4,13 +4,11 @@
 // workers hammering the service for -duration with a hot/cold key mix
 // (-cold is the forced-miss fraction; -auto-rate sends that fraction
 // of requests with auto:true, exercising the planner-parallelized
-// execution path under load; -bytecode-rate sends that fraction with
-// engine:bytecode, exercising the flat VM; -trace-rate sends that
-// fraction with profile:true and fails the request if the response
-// carries no trace). The JSON report on stdout
-// carries
-// throughput, client-side latency percentiles, and the
-// server-accounted hot-phase cache-hit rate.
+// execution path under load; -trace-rate sends that fraction with
+// profile:true and fails the request if the response carries no
+// trace). No request names an engine — the server owns that choice.
+// The JSON report on stdout carries throughput, client-side latency
+// percentiles, and the server-accounted hot-phase cache-hit rate.
 //
 // CI gates on it: -require-hot-rate 0.95 -fail-on-error makes the
 // process exit nonzero when the service misbehaves under load.
@@ -51,15 +49,14 @@ func main() {
 	}
 
 	res, err := serve.RunLoad(ctx, serve.LoadConfig{
-		URL:          f.Addr,
-		Corpus:       corpus,
-		Concurrency:  f.Concurrency,
-		Duration:     f.Duration,
-		ColdRatio:    f.Cold,
-		AutoRate:     f.AutoRate,
-		BytecodeRate: f.BytecodeRate,
-		TraceRate:    f.TraceRate,
-		Seed:         f.Seed,
+		URL:         f.Addr,
+		Corpus:      corpus,
+		Concurrency: f.Concurrency,
+		Duration:    f.Duration,
+		ColdRatio:   f.Cold,
+		AutoRate:    f.AutoRate,
+		TraceRate:   f.TraceRate,
+		Seed:        f.Seed,
 	})
 	if err != nil {
 		log.Fatalf("loadgen: %v", err)

@@ -24,7 +24,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -33,6 +32,8 @@ import (
 	"repro/internal/lang"
 	"repro/internal/nbody"
 	"repro/internal/parexec"
+	"repro/internal/serve"
+	"repro/internal/transform"
 )
 
 // eqEngines is the full engine matrix. The walker (first entry) is
@@ -86,8 +87,58 @@ func equivalenceCorpus(t *testing.T) []eqProgram {
 		{name: "vec-force", src: nbody.VecForcePSL, fn: nbody.VecForceFunc,
 			args: []interp.Value{interp.IntVal(48), interp.IntVal(3), interp.RealVal(0.5)}, seed: 7,
 			stripFn: nbody.VecForceFunc, stripLoop: nbody.VecForceLoop},
+		// The paper's whole program: tree rebuilt every step, BHL1's
+		// recursive descent and BHL2's integration both planned.
+		{name: "barnes-hut-sim", src: nbody.BarnesHutPSL + simChecksumDriver, fn: "sim_checksum",
+			args: []interp.Value{interp.IntVal(24), interp.IntVal(2), interp.RealVal(0.5), interp.RealVal(0.01)}, seed: 7,
+			stripFn: nbody.TimestepFunc, stripLoop: nbody.BHL1},
+		// The R7 planner-cost program: fifty approved loops, five to a
+		// procedure, all over one list.
+		{name: "many-loop-10x5", src: transform.ManyLoopProgramPSL(10, 5) + manyLoopDriver, fn: "run_many",
+			args:    []interp.Value{interp.IntVal(40)},
+			stripFn: "work0", stripLoop: 0},
 	}
 }
+
+// simChecksumDriver gives nbody.BarnesHutPSL an entry point that
+// returns a number: simulate, then fold the positions in list order.
+const simChecksumDriver = `
+function real sim_checksum(int n, int steps, real theta, real dt) {
+  var Octree *p = simulate(n, steps, theta, dt);
+  var real s = 0.0;
+  while p != NULL {
+    s = s + p->posx + p->posy + p->posz;
+    p = p->next;
+  }
+  return s;
+}
+`
+
+// manyLoopDriver gives the generated many-loop program an entry point
+// that takes a number: build an n-node list, run every worker over it,
+// fold the data fields weighted by position.
+const manyLoopDriver = `
+function int run_many(int n) {
+  var OneWayList *head = NULL;
+  var int i = 0;
+  while i < n {
+    var OneWayList *t = new OneWayList;
+    t->data = i;
+    t->next = head;
+    head = t;
+    i = i + 1;
+  }
+  main(head);
+  var int s = 0;
+  var OneWayList *p = head;
+  while p != NULL {
+    i = i + 1;
+    s = s + i * p->data;
+    p = p->next;
+  }
+  return s;
+}
+`
 
 // runEngine executes one configuration and returns value, stats, and
 // captured output.
@@ -217,20 +268,19 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // TestDefaultEngine is the grid's default column: a caller who sets no
-// engine — zero RunConfig, zero Config, zero Options, the empty name —
-// gets the kernel engine, and over the whole corpus, serial and
-// goroutine-parallel, that run is indistinguishable from an explicit
-// kernel run and from the walking oracle's. It also pins the name
-// table: three engines, and "compiled" — the deleted closure engine's
-// name — parsing as the bytecode VM without being listed.
+// engine — zero RunConfig, zero Config, zero Options, and on the wire
+// any name but "walk" — gets the kernel engine, and over the whole
+// corpus, serial and goroutine-parallel, that run is indistinguishable
+// from an explicit kernel run and from the walking oracle's. It also
+// pins the two name tables: Engine.String() has three names, and the
+// wire's switch (serve.ParseEngine) accepts those three, maps them onto
+// two behaviours, and refuses "compiled" — the deleted closure engine's
+// name — like any other unknown.
 func TestDefaultEngine(t *testing.T) {
-	def, err := interp.ParseEngine("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	var def interp.Engine
 	if def != interp.EngineKernel || (interp.Config{}).Engine != def ||
 		(core.RunConfig{}).Engine != def || (parexec.Options{}).Interp != def {
-		t.Fatalf("defaults disagree: ParseEngine(\"\")=%s Config=%s RunConfig=%s Options=%s, want all kernel",
+		t.Fatalf("defaults disagree: zero Engine=%s Config=%s RunConfig=%s Options=%s, want all kernel",
 			def, (interp.Config{}).Engine, (core.RunConfig{}).Engine, (parexec.Options{}).Interp)
 	}
 	for eng, name := range map[interp.Engine]string{
@@ -239,19 +289,19 @@ func TestDefaultEngine(t *testing.T) {
 		if eng.String() != name {
 			t.Errorf("engine %d is named %q, want %q", eng, eng, name)
 		}
-		if back, err := interp.ParseEngine(name); err != nil || back != eng {
-			t.Errorf("ParseEngine(%q) = %s, %v", name, back, err)
+	}
+	for name, want := range map[string]interp.Engine{
+		"": def, "kernel": def, "bytecode": def, "walk": interp.EngineWalk,
+	} {
+		if eng, err := serve.ParseEngine(name); err != nil || eng != want {
+			t.Errorf("serve.ParseEngine(%q) = %s, %v, want %s", name, eng, err, want)
 		}
 	}
-	if eng, err := interp.ParseEngine("compiled"); err != nil || eng != interp.EngineBytecode {
-		t.Errorf("ParseEngine(\"compiled\") = %s, %v, want bytecode", eng, err)
-	}
-	if names := strings.Join(interp.EngineNames(), ", "); names != "kernel, bytecode, walk" {
-		t.Errorf("EngineNames() = %s", names)
-	}
-	if _, err := interp.ParseEngine("closure"); err == nil ||
-		err.Error() != `interp: unknown engine "closure" (want kernel, bytecode, walk)` {
-		t.Errorf("ParseEngine(\"closure\"): %v", err)
+	for _, name := range []string{"compiled", "closure"} {
+		if _, err := serve.ParseEngine(name); err == nil ||
+			err.Error() != `unknown engine "`+name+`" (want kernel, bytecode or walk)` {
+			t.Errorf("serve.ParseEngine(%q): %v", name, err)
+		}
 	}
 
 	type cell struct {

@@ -1,12 +1,55 @@
-package adds
+package adds_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	. "repro/internal/adds"
+	"repro/internal/lang"
 )
 
+// lang holds the one parser of the ADDS surface syntax; these helpers
+// put the model's tests on top of it.
+
+// parse reads a source of declarations into a checked universe.
+func parse(src string) (*Universe, error) {
+	p, err := lang.ParseRaw(src)
+	if err != nil {
+		return nil, err
+	}
+	return p.Universe, nil
+}
+
+// parseDecl reads a source holding exactly one declaration.
+func parseDecl(src string) (*Decl, error) {
+	u, err := parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if u.Len() != 1 {
+		return nil, fmt.Errorf("%d declarations, want 1", u.Len())
+	}
+	return u.Decl(u.Types()[0]), nil
+}
+
+func mustParse(t *testing.T, src string) *Universe {
+	t.Helper()
+	u, err := parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// library is every canonical declaration of library.go in one universe.
+func library(t *testing.T) *Universe {
+	return mustParse(t, OneWayListSrc+ListNodeSrc+TwoWayListSrc+
+		BinTreeSrc+OrthListSrc+TwoDRangeTreeSrc+OctreeSrc)
+}
+
 func TestParseOneWayList(t *testing.T) {
-	d, err := ParseDecl(OneWayListSrc)
+	d, err := parseDecl(OneWayListSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +72,7 @@ func TestParseOneWayList(t *testing.T) {
 }
 
 func TestParseDefaultDimension(t *testing.T) {
-	d, err := ParseDecl(ListNodeSrc)
+	d, err := parseDecl(ListNodeSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +92,7 @@ func TestParseDefaultDimension(t *testing.T) {
 }
 
 func TestParseMultiNamePointerGroup(t *testing.T) {
-	d, err := ParseDecl(BinTreeSrc)
+	d, err := parseDecl(BinTreeSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +108,7 @@ func TestParseMultiNamePointerGroup(t *testing.T) {
 }
 
 func TestParseIndependenceClause(t *testing.T) {
-	d, err := ParseDecl(TwoDRangeTreeSrc)
+	d, err := parseDecl(TwoDRangeTreeSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +130,7 @@ func TestParseIndependenceClause(t *testing.T) {
 }
 
 func TestParsePointerArray(t *testing.T) {
-	d, err := ParseDecl(OctreeSrc)
+	d, err := parseDecl(OctreeSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,24 +150,24 @@ func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, src, wantSub string
 	}{
-		{"missing type kw", `foo X {};`, "expected \"type\""},
+		{"missing type kw", `foo X {};`, "1:1: expected type, function, or procedure"},
 		{"bad dim ref", `type T [X] { T *n is forward along Y; };`, "undeclared dimension"},
 		{"dup field", `type T [X] { int a; int a; };`, "declared twice"},
 		{"dup dim", `type T [X][X] { int a; };`, "declared twice"},
 		{"indep undeclared", `type T [X] where X||Y { int a; };`, "undeclared dimension"},
 		{"indep self", `type T [X] where X||X { int a; };`, "independent of itself"},
-		{"keyword ident", `type forward [X] { int a; };`, "keyword"},
-		{"bad array count", `type T [X] { T *n[0] is forward along X; };`, "bad array count"},
+		{"keyword ident", `type forward [X] { int a; };`, "1:6: expected identifier, found forward"},
+		{"bad array count", `type T [X] { T *n[0] is forward along X; };`, "1:20: bad array count \"0\" (1..1024)"},
 		{"dangling target", `type T [X] { U *n is forward along X; };`, "undeclared type"},
-		{"mixed declarators", `type T [X] { T *a, b; };`, "mixed data and pointer"},
-		{"missing along", `type T [X] { T *n is forward X; };`, "expected \"along\""},
-		{"truncated", `type T [X] { int a;`, "unexpected end"},
+		{"mixed declarators", `type T [X] { T *a, b; };`, "1:20: expected *, found identifier(\"b\")"},
+		{"missing along", `type T [X] { T *n is forward X; };`, "1:30: expected along, found identifier(\"X\")"},
+		{"truncated", `type T [X] { int a;`, "1:20: expected field type, found EOF"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Parse(c.src)
+			_, err := parse(c.src)
 			if err == nil {
-				t.Fatalf("Parse(%q) succeeded, want error containing %q", c.src, c.wantSub)
+				t.Fatalf("parse(%q) succeeded, want error containing %q", c.src, c.wantSub)
 			}
 			if !strings.Contains(err.Error(), c.wantSub) {
 				t.Errorf("error = %v, want substring %q", err, c.wantSub)
@@ -139,11 +182,11 @@ func TestRoundTrip(t *testing.T) {
 		OneWayListSrc, ListNodeSrc, TwoWayListSrc, BinTreeSrc,
 		OrthListSrc, TwoDRangeTreeSrc, OctreeSrc,
 	} {
-		d1, err := ParseDecl(src)
+		d1, err := parseDecl(src)
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		d2, err := ParseDecl(d1.String())
+		d2, err := parseDecl(d1.String())
 		if err != nil {
 			t.Fatalf("re-parse of %q: %v", d1.String(), err)
 		}
@@ -154,7 +197,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestAcyclic(t *testing.T) {
-	lib := Library()
+	lib := library(t)
 	owl := lib.Decl("OneWayList")
 	if !owl.Acyclic("next") {
 		t.Error("OneWayList.next must be acyclic")
@@ -190,7 +233,7 @@ func TestAcyclic(t *testing.T) {
 }
 
 func TestUniqueAlong(t *testing.T) {
-	lib := Library()
+	lib := library(t)
 	if !lib.Decl("OneWayList").UniqueAlong("X") {
 		t.Error("OneWayList unique along X")
 	}
@@ -201,19 +244,19 @@ func TestUniqueAlong(t *testing.T) {
 		t.Error("unannotated next is not unique")
 	}
 	// A dimension with no forward fields is not "unique".
-	d := MustParse(`type B [X] { int v; B *back is backward along X; };`).Decl("B")
+	d := mustParse(t, `type B [X] { int v; B *back is backward along X; };`).Decl("B")
 	if d.UniqueAlong("X") {
 		t.Error("dimension with only backward fields is not UniqueAlong")
 	}
 	// Non-unique forward field defeats the property.
-	d2 := MustParse(`type C [X] { int v; C *a is forward along X; };`).Decl("C")
+	d2 := mustParse(t, `type C [X] { int v; C *a is forward along X; };`).Decl("C")
 	if d2.UniqueAlong("X") {
 		t.Error("forward but not uniquely forward must not be UniqueAlong")
 	}
 }
 
 func TestDisjointSiblings(t *testing.T) {
-	lib := Library()
+	lib := library(t)
 	if !lib.Decl("BinTree").DisjointSiblings("left", "right") {
 		t.Error("binary tree subtrees are disjoint")
 	}
@@ -232,21 +275,21 @@ func TestDisjointSiblings(t *testing.T) {
 }
 
 func TestCrossDimensionDisjoint(t *testing.T) {
-	rt := Library().Decl("TwoDRangeTree")
+	rt := library(t).Decl("TwoDRangeTree")
 	if !rt.CrossDimensionDisjoint("sub", "down") {
 		t.Error("sub||down declared independent")
 	}
 	if rt.CrossDimensionDisjoint("down", "leaves") {
 		t.Error("down and leaves are dependent")
 	}
-	oc := Library().Decl("Octree")
+	oc := library(t).Decl("Octree")
 	if oc.CrossDimensionDisjoint("down", "leaves") {
 		t.Error("octree dims are dependent: leaves reachable along both")
 	}
 }
 
 func TestPathNeverRevisits(t *testing.T) {
-	lib := Library()
+	lib := library(t)
 	if !lib.Decl("OneWayList").PathNeverRevisits("next") {
 		t.Error("one-way list traversal never revisits")
 	}
@@ -262,7 +305,7 @@ func TestPathNeverRevisits(t *testing.T) {
 }
 
 func TestUniverse(t *testing.T) {
-	u := Library()
+	u := library(t)
 	if u.Len() != 7 {
 		t.Fatalf("library has %d decls, want 7", u.Len())
 	}
@@ -312,7 +355,7 @@ func TestValidateDirect(t *testing.T) {
 }
 
 func TestFieldsAlong(t *testing.T) {
-	ol := Library().Decl("OrthList")
+	ol := library(t).Decl("OrthList")
 	fwdX := ol.FieldsAlong("X", Forward)
 	if len(fwdX) != 1 || fwdX[0].Name != "across" {
 		t.Errorf("FieldsAlong(X, Forward) = %+v", fwdX)

@@ -3,7 +3,7 @@ package adds
 // This file holds the canonical ADDS declarations used throughout the
 // paper; they are referenced by tests, examples and the experiment
 // harness. Each is written exactly in the paper's surface syntax (§3.1
-// and §4.3.1) and parsed on first use.
+// and §4.3.1); package lang holds the one parser that reads it.
 
 // OneWayListSrc is the paper's §3.1.1 one-way linked-list declaration —
 // a single dimension X traversed uniquely forward by next.
@@ -76,9 +76,3 @@ type Octree [down][leaves]
   Octree *subtrees[8] is uniquely forward along down;
   Octree *next        is uniquely forward along leaves;
 };`
-
-// Library parses every canonical declaration above into one universe.
-func Library() *Universe {
-	return MustParse(OneWayListSrc + ListNodeSrc + TwoWayListSrc +
-		BinTreeSrc + OrthListSrc + TwoDRangeTreeSrc + OctreeSrc)
-}

@@ -1,4 +1,4 @@
-package adds
+package adds_test
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	. "repro/internal/adds"
 )
 
 // randomDecl builds a structurally valid random declaration.
@@ -70,7 +72,7 @@ func TestQuickDeclRoundTrip(t *testing.T) {
 			return false
 		}
 		text := g.D.String()
-		d2, err := ParseDecl(text)
+		d2, err := parseDecl(text)
 		if err != nil {
 			t.Logf("re-parse failed for:\n%s\n%v", text, err)
 			return false
@@ -139,7 +141,7 @@ func TestQuickUniverseRoundTrip(t *testing.T) {
 			seen[d.Name] = true
 			src += d.String() + "\n"
 		}
-		u, err := Parse(src)
+		u, err := parse(src)
 		if err != nil {
 			t.Logf("parse failed:\n%s\n%v", src, err)
 			return false

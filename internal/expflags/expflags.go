@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/interp"
 	"repro/internal/parexec"
 	"repro/internal/serve"
 )
@@ -33,7 +32,6 @@ type Flags struct {
 	PEs      string // -pes: comma-separated pool sizes for R1/R2
 	Sched    string // -sched: R2 scheduling policy ("all" sweeps every policy)
 	Chunk    int    // -chunk: R2 dynamic self-scheduling chunk size
-	Engine   string // -engine: interpreter engine for R1/R2 ("kernel", "bytecode", or "walk"; "compiled" is bytecode)
 }
 
 // Register installs the cmd/experiments flag set on fs and returns the
@@ -53,18 +51,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Sched, "sched", "all",
 		"scheduling policy for the R2 table: block, cyclic, dynamic, or all")
 	fs.IntVar(&f.Chunk, "chunk", 1, "chunk size for R2's dynamic self-scheduling")
-	// The flag's default is the zero Engine's name, so the binaries can
-	// never drift from what an empty interp.Config runs.
-	var def interp.Engine
-	fs.StringVar(&f.Engine, "engine", def.String(),
-		fmt.Sprintf("interpreter engine for the R1/R2 measured tables: %s; compiled is an old name for bytecode (R3 always times walk and bytecode; R8 bytecode and kernel)",
-			strings.Join(interp.EngineNames(), " or ")))
 	return f
-}
-
-// EngineKind resolves the -engine flag.
-func (f *Flags) EngineKind() (interp.Engine, error) {
-	return interp.ParseEngine(strings.ToLower(strings.TrimSpace(f.Engine)))
 }
 
 // PEList parses the -pes flag into pool sizes.
@@ -233,7 +220,6 @@ type LoadgenFlags struct {
 	Duration       time.Duration // -duration: hot-phase length
 	Cold           float64       // -cold: forced-miss fraction of hot requests
 	AutoRate       float64       // -auto-rate: fraction of hot requests sent with auto:true
-	BytecodeRate   float64       // -bytecode-rate: fraction of hot requests run on the bytecode VM
 	Seed           int64         // -seed: corpus-draw RNG seed
 	RequireHotRate float64       // -require-hot-rate: exit nonzero below this hit rate
 	FailOnError    bool          // -fail-on-error: exit nonzero on any request error
@@ -250,8 +236,6 @@ func RegisterLoadgen(fs *flag.FlagSet) *LoadgenFlags {
 	fs.Float64Var(&f.Cold, "cold", 0.02, "fraction of hot-phase requests with never-seen source")
 	fs.Float64Var(&f.AutoRate, "auto-rate", 0,
 		"fraction of hot-phase requests sent with auto:true (planner-parallelized execution)")
-	fs.Float64Var(&f.BytecodeRate, "bytecode-rate", 0,
-		"fraction of hot-phase requests sent with engine:bytecode (flat register-bank VM)")
 	fs.Int64Var(&f.Seed, "seed", 1, "RNG seed for corpus draws")
 	fs.Float64Var(&f.RequireHotRate, "require-hot-rate", 0,
 		"fail (exit 1) if the hot-phase cache-hit rate is below this")

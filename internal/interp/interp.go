@@ -45,8 +45,9 @@ import (
 type Engine int
 
 // Execution engines. EngineKernel is the zero value, so it is what
-// every empty Config, RunConfig, parexec.Options, engine-less POST /run
-// and -engine flag resolves to; the other two are explicit opt-ins.
+// every empty Config, RunConfig and parexec.Options resolves to, and
+// what every POST /run but "engine": "walk" runs (serve.ParseEngine);
+// the other two are explicit opt-ins of Go callers.
 const (
 	// EngineKernel is the bytecode VM plus the SPMD vector path: strips
 	// the classifier proved vectorizable (ForallSite.Kernel != nil)
@@ -84,26 +85,6 @@ func (e Engine) String() string {
 		return "bytecode"
 	}
 	return "kernel"
-}
-
-// EngineNames lists the accepted ParseEngine names in display order,
-// the default first.
-func EngineNames() []string { return []string{"kernel", "bytecode", "walk"} }
-
-// ParseEngine resolves an engine name from the command line or the
-// wire; the empty name is the default engine, and "compiled" — the
-// deleted closure engine's name, still accepted so old requests and
-// command lines keep working — is the bytecode VM.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "kernel", "":
-		return EngineKernel, nil
-	case "bytecode", "compiled":
-		return EngineBytecode, nil
-	case "walk":
-		return EngineWalk, nil
-	}
-	return 0, fmt.Errorf("interp: unknown engine %q (want %s)", name, strings.Join(EngineNames(), ", "))
 }
 
 // Mode selects how forall loops execute.

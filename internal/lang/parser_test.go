@@ -146,6 +146,8 @@ func TestParseErrors(t *testing.T) {
 		{"mod real", `procedure f() { var real r = 1.0 % 2.0; }`, "requires int operands"},
 		{"not on int", `procedure f() { var bool b = !3; }`, "requires bool"},
 		{"compare ptr int", polySrc + `procedure g(OneWayList *p) { if p == 3 { } }`, "cannot compare"},
+		{"array count over cap", `type T [X] { T *n[1025] is forward along X; };`, `1:23: bad array count "1025" (1..1024)`},
+		{"array count bomb", `type T [X] { T *n[5000] is forward along X; };`, `1:23: bad array count "5000" (1..1024)`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -157,6 +159,37 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("error = %v, want substring %q", err, c.wantSub)
 			}
 		})
+	}
+}
+
+// TestDeclarationsOnlySource: a source of declarations and nothing else
+// is a program — it parses, checks, and each Decl.String() reads back
+// through this parser to the same text. This is the one reader of the
+// ADDS surface syntax; package adds keeps its own round-trip tests on
+// top of it.
+func TestDeclarationsOnlySource(t *testing.T) {
+	src := adds.OneWayListSrc + adds.ListNodeSrc + adds.TwoWayListSrc + adds.BinTreeSrc +
+		adds.OrthListSrc + adds.TwoDRangeTreeSrc + adds.OctreeSrc
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.Funcs) != 0 || prog.Universe.Len() != 7 {
+		t.Fatalf("%d functions, %d declarations, want 0 and 7", len(prog.Funcs), prog.Universe.Len())
+	}
+	for _, name := range prog.Universe.Types() {
+		text := prog.Universe.Decl(name).String()
+		back, err := ParseRaw(text)
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v\n%s", name, err, text)
+		}
+		if got := back.Universe.Decl(name); got == nil || got.String() != text {
+			t.Errorf("%s does not round-trip:\n%s\nread back as\n%v", name, text, got)
+		}
+	}
+	// The largest pointer array the parser admits is the cap itself.
+	if _, err := Parse(`type T [X] { T *n[1024] is forward along X; };`); err != nil {
+		t.Errorf("array count 1024: %v", err)
 	}
 }
 

@@ -6,12 +6,14 @@
 //	GET  /debug/traces — recent request traces (bounded ring)
 //	GET  /healthz      — 200 while serving, 503 once draining
 //
-// Error mapping: malformed requests are 400 (413 over the body cap),
-// admission rejections 503 (queue full, draining) or 429 (tenant over
-// quota) with Retry-After (back-pressure the load generator honors),
-// and every admitted request is 200 — including failed programs, whose
-// Response carries ok=false and the error string. A failed program is a
-// successful service interaction; what "error" begins with says which:
+// Error mapping: malformed requests are 400 (413 over the body cap);
+// an "engine" ParseEngine does not list is one of them, "compiled"
+// included. Admission rejections are 503 (queue full, draining) or 429
+// (tenant over quota) with Retry-After (back-pressure the load
+// generator honors), and every admitted request is 200 — including
+// failed programs, whose Response carries ok=false and the error
+// string. A failed program is a successful service interaction; what
+// "error" begins with says which:
 //
 //   - "compile: …": the program could not be built — a parse or check
 //     error, or for an auto request a failed plan: path-matrix analysis

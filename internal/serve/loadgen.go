@@ -10,9 +10,8 @@
 //     the hot phase exercises the hot/cold mix rather than a pure
 //     cache residency test. An AutoRate fraction is sent with
 //     "auto": true (planner-parallelized execution), so the parallel
-//     path carries load too, not just the serial one; a BytecodeRate
-//     fraction is sent with "engine": "bytecode", so the explicit
-//     opt-in path carries load alongside the default kernel engine.
+//     path carries load too, not just the serial one. No request
+//     names an engine: the server owns that choice.
 //
 // Hit rates come from diffing the server's /stats around the hot
 // phase; latencies are measured client-side per request.
@@ -86,12 +85,6 @@ type LoadConfig struct {
 	// deliberately small: with Concurrency closed-loop workers in
 	// flight, per-request pools multiply).
 	AutoPEs int
-	// BytecodeRate is the fraction of hot-phase requests sent with
-	// "engine": "bytecode", load-testing an explicit engine opt-in
-	// alongside the default kernel engine. No extra cold phase is
-	// needed: the compiled-program cache is engine-independent, so
-	// bytecode requests hit the same cache entries as default ones.
-	BytecodeRate float64
 	// TraceRate is the fraction of hot-phase requests sent with
 	// "profile": true, exercising the tracing path under load. A
 	// profiled request whose Response carries no trace counts as an
@@ -120,11 +113,6 @@ type LoadResult struct {
 	// hot-phase requests actually sent with "auto": true.
 	AutoRate     float64 `json:"auto_rate"`
 	AutoRequests int64   `json:"auto_requests"`
-	// BytecodeRate echoes the configured engine mix; BytecodeRequests
-	// counts the hot-phase requests actually sent with
-	// "engine": "bytecode".
-	BytecodeRate     float64 `json:"bytecode_rate"`
-	BytecodeRequests int64   `json:"bytecode_requests"`
 	// TraceRate echoes the configured profile mix; ProfiledRequests
 	// counts the hot-phase requests actually sent with "profile": true
 	// (each verified to return a trace).
@@ -182,8 +170,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 		cfg.AutoPEs = 2
 	}
 	res := &LoadResult{Concurrency: cfg.Concurrency, ColdRatio: cfg.ColdRatio,
-		AutoRate: cfg.AutoRate, BytecodeRate: cfg.BytecodeRate,
-		TraceRate: cfg.TraceRate, Backends: cfg.FleetBackends}
+		AutoRate: cfg.AutoRate, TraceRate: cfg.TraceRate, Backends: cfg.FleetBackends}
 
 	// Cold phase: first touch of every corpus program — and, when the
 	// hot phase will send auto requests, of every program's planned
@@ -226,7 +213,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	start := time.Now()
 	var wg sync.WaitGroup
 	latencies := make([][]int64, cfg.Concurrency)
-	var requests, errors, rejected, autoReqs, bcReqs, profiled atomic.Int64
+	var requests, errors, rejected, autoReqs, profiled atomic.Int64
 	for w := 0; w < cfg.Concurrency; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -242,9 +229,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 				if cfg.AutoRate > 0 && rng.Float64() < cfg.AutoRate {
 					req.Auto = true
 					req.PEs = cfg.AutoPEs
-				}
-				if cfg.BytecodeRate > 0 && rng.Float64() < cfg.BytecodeRate {
-					req.Engine = "bytecode"
 				}
 				if cfg.TraceRate > 0 && rng.Float64() < cfg.TraceRate {
 					req.Profile = true
@@ -267,9 +251,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 				requests.Add(1)
 				if req.Auto {
 					autoReqs.Add(1)
-				}
-				if req.Engine == "bytecode" {
-					bcReqs.Add(1)
 				}
 				if req.Profile {
 					profiled.Add(1)
@@ -294,7 +275,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	res.Errors = errors.Load()
 	res.Rejected = rejected.Load()
 	res.AutoRequests = autoReqs.Load()
-	res.BytecodeRequests = bcReqs.Load()
 	res.ProfiledRequests = profiled.Load()
 	res.DurationMS = elapsed.Milliseconds()
 	if elapsed > 0 {

@@ -107,6 +107,12 @@ func TestLoadResultJSONShape(t *testing.T) {
 	if !jsonHasField(t, fleet, "backends") {
 		t.Errorf("fleet row lost its backends field: %s", fleet)
 	}
+	// The generator sends no "engine", so a row has no engine mix.
+	for _, key := range []string{"bytecode_rate", "bytecode_requests"} {
+		if jsonHasField(t, fleet, key) {
+			t.Errorf("row still carries %q: %s", key, fleet)
+		}
+	}
 }
 
 func jsonHasField(t *testing.T, data []byte, field string) bool {

@@ -169,11 +169,10 @@ type Request struct {
 	// Args are the call arguments; integral JSON numbers become PSL
 	// ints, fractional ones reals.
 	Args []json.Number `json:"args,omitempty"`
-	// Engine selects the interpreter engine: "kernel" (the default:
-	// the bytecode VM with vectorized strips run as batched kernels),
-	// "bytecode" (the VM alone; "compiled", the deleted closure
-	// engine's name, is accepted as a synonym), or "walk" (the
-	// differential oracle).
+	// Engine is validated, not obeyed: the server owns the engine, so
+	// "", "kernel" and "bytecode" all run it (the bytecode VM with
+	// vectorized strips as batched kernels). Only "walk" selects
+	// something else, the differential oracle. See ParseEngine.
 	Engine string `json:"engine,omitempty"`
 	// Parallel runs forall regions on the parexec worker pool with PEs
 	// workers (0 = GOMAXPROCS) under the Sched policy ("block",
@@ -317,6 +316,22 @@ func badRequest(format string, args ...any) error {
 	return &RequestError{Msg: fmt.Sprintf(format, args...)}
 }
 
+// ParseEngine is the wire's engine switch: the names "engine" on
+// POST /run may carry and what each runs. The empty name, "kernel" and
+// "bytecode" are the server's engine, the zero interp.Engine — one
+// answer, so a client cannot pick a slower path for the same result —
+// and "walk" is the tree-walking oracle, kept reachable so a reply can
+// be cross-checked. Anything else is a malformed request.
+func ParseEngine(name string) (interp.Engine, error) {
+	switch name {
+	case "", "kernel", "bytecode":
+		return interp.EngineKernel, nil
+	case "walk":
+		return interp.EngineWalk, nil
+	}
+	return 0, fmt.Errorf("unknown engine %q (want kernel, bytecode or walk)", name)
+}
+
 // Server is the execution service. Create with New, expose over HTTP
 // with Handler, retire with Close (drains in-flight requests).
 type Server struct {
@@ -381,7 +396,7 @@ func (s *Server) Run(ctx context.Context, req Request) (Response, error) {
 		s.invalid.Add(1)
 		return Response{}, badRequest("source is %d bytes, cap is %d", len(req.Source), s.cfg.MaxSourceBytes)
 	}
-	eng, err := interp.ParseEngine(req.Engine)
+	eng, err := ParseEngine(req.Engine)
 	if err != nil {
 		s.invalid.Add(1)
 		return Response{}, badRequest("%v", err)

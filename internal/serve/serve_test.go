@@ -99,8 +99,8 @@ func TestRunBasic(t *testing.T) {
 	if w.Result != "42" || w.Output != "sum 5\n" {
 		t.Errorf("walk engine diverged: %+v", w)
 	}
-	// So does the plain bytecode VM — and it hits the same cache entry
-	// (entries are engine-independent).
+	// So does a request that names the VM — and it hits the same cache
+	// entry (entries are engine-independent).
 	bc := mustRun(t, s, Request{Source: addSrc, Engine: "bytecode"})
 	if bc.Result != "42" || bc.Output != "sum 5\n" {
 		t.Errorf("bytecode engine diverged: %+v", bc)
@@ -113,8 +113,9 @@ func TestRunBasic(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	s := newTestServer(t, Config{})
 	cases := []Request{
-		{},                                  // empty source
-		{Source: addSrc, Engine: "quantum"}, // unknown engine
+		{},                                   // empty source
+		{Source: addSrc, Engine: "quantum"},  // unknown engine
+		{Source: addSrc, Engine: "compiled"}, // the closure engine's name went with it
 		{Source: addSrc, Parallel: true, Sched: "psychic"},
 		{Source: addSrc, Args: []json.Number{json.Number("nope")}},
 	}
@@ -268,8 +269,8 @@ func TestHotPathZeroCompileWork(t *testing.T) {
 		}
 		return string(body)
 	}
-	if bc, alias := reply("bytecode"), reply("compiled"); alias != bc {
-		t.Errorf("engine compiled replied\n%s\nengine bytecode\n%s", alias, bc)
+	if bc, def := reply("bytecode"), reply(""); def != bc {
+		t.Errorf("engine-less reply\n%s\nengine bytecode\n%s", def, bc)
 	}
 	st := s.Stats().Cache
 	if st.Compiles != st0.Compiles || st.Misses != st0.Misses {
@@ -283,10 +284,13 @@ func TestHotPathZeroCompileWork(t *testing.T) {
 	}
 }
 
-// TestDefaultEngineOnTheWire: a POST /run body without "engine" runs on
-// the engine ParseEngine("") names. Results cannot tell engines apart,
-// but a profiled auto run can: only the kernel engine reports the
-// vectorized loop's forall site as a kernel site.
+// TestDefaultEngineOnTheWire: the server owns the engine. A POST /run
+// body without "engine", with "kernel" and with "bytecode" all run the
+// kernel engine; only "walk" selects something else (the name table
+// itself is pinned by the root TestDefaultEngine). Results
+// cannot tell engines apart, but a profiled auto run can: only the
+// kernel engine reports the vectorized loop's forall site as a kernel
+// site.
 func TestDefaultEngineOnTheWire(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -306,15 +310,13 @@ func TestDefaultEngineOnTheWire(t *testing.T) {
 		}
 		return resp.Efficiency[0].Kernel
 	}
-	def, err := interp.ParseEngine("")
-	if err != nil || def != interp.EngineKernel {
-		t.Fatalf("ParseEngine(\"\") = %s, %v", def, err)
+	for _, name := range []string{"", "kernel", "bytecode"} {
+		if !kernelSite(name) {
+			t.Errorf("engine %q did not run the vectorized strip as a kernel", name)
+		}
 	}
-	if !kernelSite("") || !kernelSite("kernel") {
-		t.Errorf("an engine-less request did not run the vectorized strip as a kernel")
-	}
-	if kernelSite("bytecode") || kernelSite("compiled") || kernelSite("walk") {
-		t.Errorf("a scalar engine reported a kernel site: the probe cannot tell engines apart")
+	if kernelSite("walk") {
+		t.Errorf("the oracle reported a kernel site: the probe cannot tell engines apart")
 	}
 }
 
@@ -880,46 +882,6 @@ func TestLoadAutoMix(t *testing.T) {
 		res.Requests, res.AutoRequests, res.RPS, res.HotHitRate)
 }
 
-// TestLoadBytecodeMix: the generator's bytecode-rate mix against the
-// HTTP service — the flat VM under concurrent load, zero errors, and
-// the hot-path guarantee intact without any extra cold phase (the
-// program cache is engine-independent: one entry serves kernel and
-// bytecode requests alike).
-func TestLoadBytecodeMix(t *testing.T) {
-	corpus, err := LoadCorpus(filepath.Join("..", "..", "testdata"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, Config{Workers: 8, QueueDepth: 128})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	res, err := RunLoad(context.Background(), LoadConfig{
-		URL:          ts.URL,
-		Corpus:       corpus,
-		Concurrency:  16,
-		Duration:     400 * time.Millisecond,
-		ColdRatio:    0.02,
-		BytecodeRate: 0.5,
-		Seed:         1,
-		Client:       ts.Client(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Errorf("bytecode-mix load run had %d errors (of %d requests)", res.Errors, res.Requests)
-	}
-	if res.BytecodeRequests == 0 {
-		t.Errorf("bytecode mix sent no bytecode requests (of %d)", res.Requests)
-	}
-	if res.HotHitRate < 0.95 {
-		t.Errorf("hot-phase hit rate %.3f, want >= 0.95 (bytecode requests must share cache entries)", res.HotHitRate)
-	}
-	t.Logf("bytecode mix: %d req (%d bytecode), %.0f rps, hit rate %.3f",
-		res.Requests, res.BytecodeRequests, res.RPS, res.HotHitRate)
-}
-
 // BenchmarkServeHot measures the cache-hit request path end to end
 // (no HTTP): admission, cache lookup, sandboxed execution.
 func BenchmarkServeHot(b *testing.B) {
@@ -1071,9 +1033,9 @@ func TestBuildReportsPlannedCompileFailure(t *testing.T) {
 //   - the planned program compiles but does not lower to bytecode: the
 //     entry is cached with its plan, every approved loop saying
 //     "kernel lowering unavailable: …" for a vector verdict, and runs on
-//     the bytecode engines — "compiled" is one of their names — are
-//     200 ok:false "interp: bytecode engine: …"; the walker, which needs
-//     no bytecode, still runs it.
+//     the server's engine, under any of its names, are 200 ok:false
+//     "interp: bytecode engine: …"; the walker, which needs no
+//     bytecode, still runs it.
 func TestPlanFailureReplies(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -1141,7 +1103,7 @@ func TestPlanFailureReplies(t *testing.T) {
 	plant(src, true, func(total *lang.FuncDecl) {
 		total.Body.Stmts[0].(*lang.VarStmt).DeclType = &lang.Scalar{Kind: 9} // no register bank holds it
 	})
-	for _, eng := range []string{"", "bytecode", "compiled"} {
+	for _, eng := range []string{"", "kernel", "bytecode"} {
 		resp = post(Request{Source: src, Auto: true, Engine: eng})
 		if resp.OK || !strings.HasPrefix(resp.Error, "interp: bytecode engine: bytecode: total: ") {
 			t.Errorf("planned program does not lower, engine %q: %+v", eng, resp)
