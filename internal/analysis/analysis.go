@@ -19,6 +19,13 @@
 // Loops are analyzed to a fixed point with primed handles: for every
 // pointer variable v assigned in a loop body, a handle v' tracks v's
 // value in the previous iteration, exactly as the paper's matrices show.
+//
+// The interprocedural facts come from package effects, built once per
+// program by New: a call clears paths over the pointer fields its
+// callee's summary may write, and functions are analyzed in the
+// callee-first component order effects solved its summaries in, so a
+// function outside any recursion is analyzed once, against its callees'
+// final exit violations.
 package analysis
 
 import (
@@ -27,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/adds"
+	"repro/internal/effects"
 	"repro/internal/lang"
 	"repro/internal/pathmatrix"
 )
@@ -422,6 +430,9 @@ type Result struct {
 	Program *Analyzer
 	// Funcs maps each function to its analysis.
 	Funcs map[string]*FuncResult
+	// Effects holds the program's effect summaries, the ones the call
+	// rule read; package depend reads them too.
+	Effects *effects.Analyzer
 }
 
 // FuncResult is the analysis of one function.
@@ -452,24 +463,32 @@ type FuncResult struct {
 type Analyzer struct {
 	prog      *lang.Program
 	fields    map[string]*fieldInfo
-	effects   map[string]*callEffects
+	effects   *effects.Analyzer
 	edgeID    int
 	results   map[string]*FuncResult
 	exitViols map[string]map[ViolationKey]*Violation
-	// MaxLoopIterations bounds loop fixed-point iteration as a safety
-	// net; the lattice is finite so this should never be reached.
-	MaxLoopIterations int
+	// recursed is set by the call rule when a function calls itself: a
+	// one-function component is analyzed again only then.
+	recursed bool
+	// analyses counts analyzeFunc runs per function; tests pin that a
+	// function outside any recursion is analyzed once.
+	analyses map[string]int
 }
 
-// New creates an analyzer for the program.
+// maxLoopIterations bounds loop fixed-point iteration as a safety net;
+// the lattice is finite so this should never be reached.
+const maxLoopIterations = 64
+
+// New creates an analyzer for the program, building its effect
+// summaries.
 func New(prog *lang.Program) *Analyzer {
 	return &Analyzer{
-		prog:              prog,
-		fields:            buildFieldInfo(prog.Universe),
-		effects:           computeCallEffects(prog),
-		results:           make(map[string]*FuncResult),
-		exitViols:         make(map[string]map[ViolationKey]*Violation),
-		MaxLoopIterations: 64,
+		prog:      prog,
+		fields:    buildFieldInfo(prog.Universe),
+		effects:   effects.NewAnalyzer(prog),
+		results:   make(map[string]*FuncResult),
+		exitViols: make(map[string]map[ViolationKey]*Violation),
+		analyses:  make(map[string]int),
 	}
 }
 
@@ -482,34 +501,35 @@ var analyzeAllRuns atomic.Int64
 func AnalyzeAllCount() int64 { return analyzeAllRuns.Load() }
 
 // AnalyzeAll analyzes every function and returns the combined result.
-// Functions are analyzed on demand (callee violation summaries are
-// consumed by callers), iterating until the violation summaries
-// stabilize.
+// It walks the call graph's components callee-first (effects'
+// Components), so every call reads its callee's final exit violations:
+// a function outside any recursion is analyzed exactly once. A
+// recursive component — several functions, or one that calls itself —
+// is re-analyzed, its members in program order, until their exit
+// violation keys stop changing.
 func (a *Analyzer) AnalyzeAll() (*Result, error) {
 	analyzeAllRuns.Add(1)
-	// Iterate to a fixed point of exit-violation summaries: a callee
-	// that ends with an active violation poisons its callers.
-	for round := 0; round < len(a.prog.Funcs)+2; round++ {
-		changed := false
-		for _, f := range a.prog.Funcs {
-			prev := a.exitViols[f.Name]
-			fr, err := a.analyzeFunc(f)
-			if err != nil {
-				return nil, err
+	for _, members := range a.effects.Components() {
+		a.recursed = len(members) > 1
+		for round := 0; round < len(members)+2; round++ {
+			changed := false
+			for _, f := range members {
+				fr, err := a.analyzeFunc(f)
+				if err != nil {
+					return nil, err
+				}
+				a.results[f.Name] = fr
+				if !sameViolationKeys(a.exitViols[f.Name], fr.Exit.Violations) {
+					changed = true
+				}
+				a.exitViols[f.Name] = fr.Exit.Violations
 			}
-			a.results[f.Name] = fr
-			now := fr.Exit.Violations
-			if !sameViolationKeys(prev, now) {
-				changed = true
+			if !changed || !a.recursed {
+				break
 			}
-			a.exitViols[f.Name] = now
-		}
-		if !changed {
-			break
 		}
 	}
-	res := &Result{Program: a, Funcs: a.results}
-	return res, nil
+	return &Result{Program: a, Funcs: a.results, Effects: a.effects}, nil
 }
 
 // Analyze runs the full program analysis and returns the result for one
@@ -575,6 +595,7 @@ func (a *Analyzer) entryState(f *lang.FuncDecl) *State {
 }
 
 func (a *Analyzer) analyzeFunc(f *lang.FuncDecl) (*FuncResult, error) {
+	a.analyses[f.Name]++
 	fr := &FuncResult{
 		Name:          f.Name,
 		Before:        make(map[lang.Stmt]*State),

@@ -1,9 +1,46 @@
 package analysis
 
 import (
-	"repro/internal/adds"
 	"repro/internal/lang"
 )
+
+// The interprocedural mechanism AnalyzeAll had before it walked the
+// effect summaries' component order, kept as the oracle the new order
+// is checked against (analysis_diff_test.go): every function in
+// declaration order, round after round, until no exit violation set
+// changes; and the string-keyed closure of "pointer fields a function
+// may store" the call rule used to read. The call rule's outcome
+// depends only on that field set, so the oracle pairs refAnalyzeAll
+// (run with today's call rule) with a check that computeCallEffects and
+// the effect summaries name the same fields for every function.
+
+// refAnalyzeAll is the round-robin AnalyzeAll, moved here verbatim
+// (less the process-wide run counter).
+func (a *Analyzer) refAnalyzeAll() (*Result, error) {
+	// Iterate to a fixed point of exit-violation summaries: a callee
+	// that ends with an active violation poisons its callers.
+	for round := 0; round < len(a.prog.Funcs)+2; round++ {
+		changed := false
+		for _, f := range a.prog.Funcs {
+			prev := a.exitViols[f.Name]
+			fr, err := a.analyzeFunc(f)
+			if err != nil {
+				return nil, err
+			}
+			a.results[f.Name] = fr
+			now := fr.Exit.Violations
+			if !sameViolationKeys(prev, now) {
+				changed = true
+			}
+			a.exitViols[f.Name] = now
+		}
+		if !changed {
+			break
+		}
+	}
+	res := &Result{Program: a, Funcs: a.results}
+	return res, nil
+}
 
 // callEffects is the syntactic, transitively-closed effect summary the
 // call rule consumes: which pointer fields a function (or anything it
@@ -12,8 +49,6 @@ type callEffects struct {
 	// storesFields holds pointer field names the function may overwrite,
 	// directly or through callees.
 	storesFields map[string]bool
-	// returnsPointer reports whether the function returns a pointer.
-	returnsPointer bool
 }
 
 // mergeCalleeStores folds every callee's store set into its callers,
@@ -46,7 +81,6 @@ func computeCallEffects(prog *lang.Program) map[string]*callEffects {
 	calls := make(map[string]map[string]bool, len(prog.Funcs))
 	for _, f := range prog.Funcs {
 		eff := &callEffects{storesFields: map[string]bool{}}
-		_, eff.returnsPointer = lang.IsPointer(f.Result)
 		callees := map[string]bool{}
 		lang.Walk(f.Body, func(s lang.Stmt) bool {
 			if as, ok := s.(*lang.AssignStmt); ok {
@@ -72,39 +106,15 @@ func computeCallEffects(prog *lang.Program) map[string]*callEffects {
 	return out
 }
 
-// StoresPointerFields exposes, for other packages, whether fn may write
-// any pointer field, and which.
-func (r *Result) StoresPointerFields(fn string) []string {
-	eff := r.Program.effects[fn]
-	if eff == nil {
-		return nil
-	}
-	var out []string
-	for f := range eff.storesFields {
-		out = append(out, f)
-	}
-	return out
+// RefAnalyzeAll and StoredFields hand the oracle to the differential
+// test, which lives in package analysis_test so that it may import the
+// packages whose programs it reads (they import this one).
+func RefAnalyzeAll(prog *lang.Program) (*Result, error) { return New(prog).refAnalyzeAll() }
+
+// StoredFields returns the closure computeCallEffects gives fn.
+func StoredFields(prog *lang.Program, fn string) map[string]bool {
+	return computeCallEffects(prog)[fn].storesFields
 }
 
-// forwardAlongOneDim reports whether all the named fields are
-// unambiguously declared with one common (non-Unknown) direction along
-// one common dimension, so paths over them are acyclic and compose into
-// acyclic paths. Both forward-only and backward-only traversals
-// qualify (the paper's two-way list: next-only or prev-only never
-// revisits).
-func (a *Analyzer) forwardAlongOneDim(fields []string) bool {
-	dim := ""
-	dir := adds.Unknown
-	for _, f := range fields {
-		fi := a.fields[f]
-		if fi == nil || fi.Ambiguous || fi.Dir == adds.Unknown {
-			return false
-		}
-		if dim == "" {
-			dim, dir = fi.Dim, fi.Dir
-		} else if fi.Dim != dim || fi.Dir != dir {
-			return false
-		}
-	}
-	return dim != ""
-}
+// Analyses reports how often AnalyzeAll analyzed fn.
+func (a *Analyzer) Analyses(fn string) int { return a.analyses[fn] }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 
+	"repro/internal/adds"
 	"repro/internal/lang"
 	"repro/internal/pathmatrix"
 )
@@ -67,6 +68,29 @@ func (fr *FuncResult) InductionStrictlyAdvances(loop lang.Stmt, v string) bool {
 		}
 	}
 	return false
+}
+
+// forwardAlongOneDim reports whether all the named fields are
+// unambiguously declared with one common (non-Unknown) direction along
+// one common dimension, so paths over them are acyclic and compose into
+// acyclic paths. Both forward-only and backward-only traversals
+// qualify (the paper's two-way list: next-only or prev-only never
+// revisits).
+func (a *Analyzer) forwardAlongOneDim(fields []string) bool {
+	dim := ""
+	dir := adds.Unknown
+	for _, f := range fields {
+		fi := a.fields[f]
+		if fi == nil || fi.Ambiguous || fi.Dir == adds.Unknown {
+			return false
+		}
+		if dim == "" {
+			dim, dir = fi.Dim, fi.Dir
+		} else if fi.Dim != dim || fi.Dir != dir {
+			return false
+		}
+	}
+	return dim != ""
 }
 
 // FindLoop locates the n-th while loop (0-based, source order) in fn.

@@ -86,14 +86,14 @@ procedure ro(OneWayList *p) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fields := res.StoresPointerFields("mut"); len(fields) != 1 || fields[0] != "next" {
-		t.Errorf("mut stores = %v", fields)
+	if pw := res.Effects.FuncSummary("mut").PointerWrites(); len(pw) != 1 || pw[0].Field() != "next" {
+		t.Errorf("mut stores = %v", pw)
 	}
-	if fields := res.StoresPointerFields("ro"); len(fields) != 0 {
-		t.Errorf("ro stores = %v", fields)
+	if pw := res.Effects.FuncSummary("ro").PointerWrites(); len(pw) != 0 {
+		t.Errorf("ro stores = %v", pw)
 	}
-	if fields := res.StoresPointerFields("nosuch"); fields != nil {
-		t.Errorf("unknown fn stores = %v", fields)
+	if sum := res.Effects.FuncSummary("nosuch"); sum != nil {
+		t.Errorf("unknown fn summary = %v", sum)
 	}
 }
 

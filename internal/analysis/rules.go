@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/adds"
 	"repro/internal/lang"
@@ -528,11 +529,11 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 // ---------------------------------------------------------------------------
 // Calls
 
-// call applies a callee's effect summary: pointer-field stores in the
-// callee invalidate definite paths over those fields; violations active
-// at the callee's exit propagate. Caller handles themselves cannot be
-// moved by the callee (parameters are by value), so alias components
-// survive.
+// call applies a callee's effect summary: the pointer fields the callee
+// (or anything it calls) may store to invalidate definite paths over
+// those fields; violations active at the callee's exit propagate.
+// Caller handles themselves cannot be moved by the callee (parameters
+// are by value), so alias components survive.
 func (c *funcCtx) call(st *State, call *lang.CallExpr) (*State, error) {
 	// Argument expressions may themselves contain calls (normalizer
 	// keeps single loads, but calls can nest in scalar args).
@@ -548,11 +549,17 @@ func (c *funcCtx) call(st *State, call *lang.CallExpr) (*State, error) {
 	if lang.Builtins[call.Func] != nil {
 		return st, nil // builtins do not touch the heap
 	}
-	eff := c.an.effects[call.Func]
-	if eff == nil {
+	sum := c.an.effects.FuncSummary(call.Func)
+	if sum == nil {
 		return nil, fmt.Errorf("%s: call to unknown function %q", call.Pos(), call.Func)
 	}
-	for f := range eff.storesFields {
+	var cleared []string // a field is written through several regions
+	for _, w := range sum.PointerWrites() {
+		f := w.Field()
+		if slices.Contains(cleared, f) {
+			continue
+		}
+		cleared = append(cleared, f)
 		if fi := c.an.fields[f]; fi != nil {
 			st.ClearProvAlongDim(fi.Dim)
 		}
@@ -560,8 +567,12 @@ func (c *funcCtx) call(st *State, call *lang.CallExpr) (*State, error) {
 			e.RemovePathsUsing(f)
 		})
 	}
-	// Propagate the callee's exit violations (from the most recent
-	// analysis round; AnalyzeAll iterates until this stabilizes).
+	// Propagate the callee's exit violations. AnalyzeAll analyzes
+	// callees first, so these are final — except within a recursive
+	// component, which it re-analyzes until they stabilize.
+	if call.Func == c.fn.Name {
+		c.an.recursed = true
+	}
 	for k, v := range c.an.exitViols[call.Func] {
 		if _, ok := st.Violations[k]; !ok {
 			nv := *v
@@ -733,7 +744,7 @@ func (c *funcCtx) whileLoop(w *lang.WhileStmt, st *State) (*State, error) {
 	}
 
 	for iter := 0; ; iter++ {
-		if iter > c.an.MaxLoopIterations {
+		if iter > maxLoopIterations {
 			return nil, fmt.Errorf("%s: loop analysis did not converge after %d iterations", w.Pos(), iter)
 		}
 		bodyIn := head.Clone()
@@ -793,7 +804,7 @@ func (c *funcCtx) forLoop(f *lang.ForStmt, st *State) (*State, error) {
 	}
 	head := st.Clone()
 	for iter := 0; ; iter++ {
-		if iter > c.an.MaxLoopIterations {
+		if iter > maxLoopIterations {
 			return nil, fmt.Errorf("%s: loop analysis did not converge after %d iterations", f.Pos(), iter)
 		}
 		bodyOut, err := c.block(f.Body, head.Clone())

@@ -32,7 +32,6 @@ import (
 	"repro/internal/analysis/conservative"
 	"repro/internal/analysis/klimit"
 	"repro/internal/depend"
-	"repro/internal/effects"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/obs"
@@ -45,15 +44,14 @@ type Compilation struct {
 	// Program is the checked, normalized program.
 	Program *lang.Program
 
-	// analysis is the general path matrix result for every function and
-	// effects the interprocedural effect analyzer, built together by
+	// analysis is the general path matrix result for every function,
+	// with the effect summaries it read (analysis.Effects), built by
 	// analyze: at once for a Compilation made by Compile or Analyze
 	// (which report its error), on first use for the planned program of
 	// an AutoPlan — planning runs on the input's analyses, so nothing
 	// analyzes the result unless a caller asks about it.
 	analyzeOnce sync.Once
 	analysis    *analysis.Result
-	effects     *effects.Analyzer
 	analyzeErr  error
 
 	// auto caches planned variants per strip width, so repeated
@@ -91,9 +89,7 @@ func Analyze(prog *lang.Program) (*Compilation, error) {
 // analyze runs the whole-program analyses, once.
 func (c *Compilation) analyze() error {
 	c.analyzeOnce.Do(func() {
-		if c.analysis, c.analyzeErr = analysis.New(c.Program).AnalyzeAll(); c.analyzeErr == nil {
-			c.effects = effects.NewAnalyzer(c.Program)
-		}
+		c.analysis, c.analyzeErr = analysis.New(c.Program).AnalyzeAll()
 	})
 	return c.analyzeErr
 }
@@ -137,7 +133,7 @@ func (c *Compilation) LoopReports(fn string) ([]*depend.Report, error) {
 	})
 	var out []*depend.Report
 	for i := range loops {
-		rep, err := depend.AnalyzeLoop(c.Program, fr, c.effects, fn, i)
+		rep, err := depend.AnalyzeLoop(c.Program, fr, c.analysis.Effects, fn, i)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +189,7 @@ func (c *Compilation) AutoParallel(widthHint int) (*AutoPlan, error) {
 	if err := c.analyze(); err != nil {
 		return nil, err
 	}
-	plan, err := transform.PlanAnalyzed(c.Program, c.analysis, c.effects, width)
+	plan, err := transform.PlanAnalyzed(c.Program, c.analysis, width)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +419,7 @@ func (c *Compilation) CompareBaselines(fn string, loopIndex int) (*BaselineVerdi
 	if err != nil {
 		return nil, err
 	}
-	rep, err := depend.AnalyzeLoop(c.Program, fr, c.effects, fn, loopIndex)
+	rep, err := depend.AnalyzeLoop(c.Program, fr, c.analysis.Effects, fn, loopIndex)
 	if err != nil {
 		return nil, err
 	}

@@ -64,9 +64,9 @@ func loopDesc(r *Report) string {
 }
 
 // AnalyzeLoop runs the full dependence test on the n-th while loop of
-// function fnName, using a shared analysis result and effect analyzer
-// (construct them once per program with analysis.Analyze /
-// effects.NewAnalyzer).
+// function fnName, against one function's path-matrix analysis and the
+// program's effect summaries — both from one analysis.AnalyzeAll result
+// (res.Funcs[fnName], res.Effects).
 //
 // Concurrency contract: AnalyzeLoop only reads fr and eff — the
 // path-matrix queries return entries by value and BlockSummary builds
@@ -83,10 +83,6 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 	if err != nil {
 		return nil, err
 	}
-	return analyzeLoop(prog, fr, eff, fn, loop)
-}
-
-func analyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analyzer, fn *lang.FuncDecl, loop *lang.WhileStmt) (*Report, error) {
 	rep := &Report{Func: fn.Name, Loop: loop}
 
 	// --- Recognize the canonical pointer-chasing form.
@@ -170,35 +166,6 @@ func analyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 		"writes land only on the iteration's own node; overlapping reads touch disjoint fields",
 	)
 	return rep, nil
-}
-
-// AnalyzeAllLoops reports on every while loop in the function.
-func AnalyzeAllLoops(prog *lang.Program, fnName string) ([]*Report, error) {
-	fr, err := analysis.Analyze(prog, fnName)
-	if err != nil {
-		return nil, err
-	}
-	eff := effects.NewAnalyzer(prog)
-	fn := prog.Func(fnName)
-	if fn == nil {
-		return nil, fmt.Errorf("depend: no function %q", fnName)
-	}
-	var reports []*Report
-	var loops []*lang.WhileStmt
-	lang.Walk(fn.Body, func(s lang.Stmt) bool {
-		if w, ok := s.(*lang.WhileStmt); ok {
-			loops = append(loops, w)
-		}
-		return true
-	})
-	for _, w := range loops {
-		rep, err := analyzeLoop(prog, fr, eff, fn, w)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, rep)
-	}
-	return reports, nil
 }
 
 // inductionOfCond recognizes "p != NULL" / "NULL != p".

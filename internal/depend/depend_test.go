@@ -5,20 +5,32 @@ import (
 	"testing"
 
 	"repro/internal/adds"
+	"repro/internal/analysis"
 	"repro/internal/lang"
 )
 
+// reports runs the dependence test on every while loop of fn.
 func reports(t *testing.T, src, fn string) []*Report {
 	t.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps, err := AnalyzeAllLoops(prog, fn)
+	res, err := analysis.New(prog).AnalyzeAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return reps
+	var reps []*Report
+	for i := 0; ; i++ {
+		if _, err := analysis.FindLoop(prog.Func(fn), i); err != nil {
+			return reps
+		}
+		rep, err := AnalyzeLoop(prog, res.Funcs[fn], res.Effects, fn, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
 }
 
 func TestScaleLoopParallelizable(t *testing.T) {

@@ -10,7 +10,9 @@
 // afterwards, so concurrent BlockSummary calls need no lock.
 //
 // Summaries are closed over the call graph (recursion converges because
-// the dimension and field sets are finite). Package depend combines
+// the dimension and field sets are finite). Package analysis builds the
+// program's one Analyzer and reads its summaries' pointer writes and
+// its component order (Components); package depend combines
 // these summaries with the path matrix analysis to decide whether the
 // iterations of a pointer-chasing loop are independent — the paper's
 // §4.3.2 argument that BHL1 parallelizes because compute_force writes
@@ -30,8 +32,10 @@ type Analyzer struct {
 	tab       *names
 	summaries map[string]*Summary
 	// callees is the caller→callee graph (each function's callees in
-	// first-call order): solve orders its work by it.
+	// first-call order) and comps its strongly connected components in
+	// the order solve works through them.
 	callees map[string][]string
+	comps   [][]*lang.FuncDecl
 	// walks counts how often solve has walked each function's body;
 	// tests pin that a non-recursive function is walked once.
 	walks map[string]int
@@ -51,6 +55,7 @@ func NewAnalyzer(prog *lang.Program) *Analyzer {
 		a.summaries[f.Name] = &Summary{tab: a.tab}
 		a.callees[f.Name] = a.scan(f)
 	}
+	a.comps = a.components()
 	a.solve()
 	return a
 }
@@ -91,7 +96,7 @@ func (a *Analyzer) scan(f *lang.FuncDecl) []string {
 // accumulate, and the field and dimension sets are finite, so this
 // terminates).
 func (a *Analyzer) solve() {
-	for _, members := range a.components() {
+	for _, members := range a.comps {
 		queue := append([]*lang.FuncDecl(nil), members...)
 		for len(queue) > 0 {
 			f := queue[0]
@@ -183,6 +188,13 @@ func (a *Analyzer) components() [][]*lang.FuncDecl {
 	}
 	return out
 }
+
+// Components returns the strongly connected components of the call
+// graph in the order the summaries were solved: callees before callers,
+// each component's members in program order. It is the program's one
+// interprocedural order — package analysis walks it too. The slices are
+// shared and must not be modified.
+func (a *Analyzer) Components() [][]*lang.FuncDecl { return a.comps }
 
 // FuncSummary returns the closed summary for a function.
 func (a *Analyzer) FuncSummary(name string) *Summary {

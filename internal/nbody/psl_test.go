@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/depend"
-	"repro/internal/effects"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/parexec"
@@ -95,13 +94,12 @@ func TestBHInsertTemporarySharing(t *testing.T) {
 // BHL2 are parallelizable; the build loop is not (it mutates the tree).
 func TestBHLoopsParallelizable(t *testing.T) {
 	prog := parseBH(t)
-	fr, err := analysis.Analyze(prog, TimestepFunc)
+	res, err := analysis.New(prog).AnalyzeAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	eff := effects.NewAnalyzer(prog)
 	for _, loop := range []int{BHL1, BHL2} {
-		rep, err := depend.AnalyzeLoop(prog, fr, eff, TimestepFunc, loop)
+		rep, err := depend.AnalyzeLoop(prog, res.Funcs[TimestepFunc], res.Effects, TimestepFunc, loop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +108,7 @@ func TestBHLoopsParallelizable(t *testing.T) {
 		}
 	}
 	// The tree-building loop in build_tree must NOT parallelize.
-	frB, err := analysis.Analyze(prog, "build_tree")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := depend.AnalyzeLoop(prog, frB, eff, "build_tree", 0)
+	rep, err := depend.AnalyzeLoop(prog, res.Funcs["build_tree"], res.Effects, "build_tree", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

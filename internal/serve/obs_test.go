@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -91,9 +92,10 @@ func TestProfileTrace(t *testing.T) {
 // TestAutoMissTraceShape: the trace of an auto miss explains where the
 // build went. The planner lowers the program it planned, so there is no
 // compile stage beside plan; instead plan carries the planner's own
-// stage timings — analyze, effects, depend, rewrite, lower — back to
-// back and inside its span. A plan that approves nothing lowers
-// nothing, and the miss compiles the input as a serial miss does.
+// stage timings — analyze (effect summaries included), depend,
+// rewrite, lower — back to back and inside its span. A plan that
+// approves nothing lowers nothing, and the miss compiles the input as a
+// serial miss does.
 func TestAutoMissTraceShape(t *testing.T) {
 	s := newTestServer(t, Config{})
 	childNames := func(sp *obs.SpanView) string {
@@ -113,8 +115,8 @@ func TestAutoMissTraceShape(t *testing.T) {
 		t.Fatalf("auto miss cache children %q, want parse,plan", got)
 	}
 	planSp := findSpan(cacheSp.Children, "plan")
-	if got := childNames(planSp); got != "analyze,effects,depend,rewrite,lower" {
-		t.Fatalf("plan children %q, want analyze,effects,depend,rewrite,lower", got)
+	if got := childNames(planSp); got != "analyze,depend,rewrite,lower" {
+		t.Fatalf("plan children %q, want analyze,depend,rewrite,lower", got)
 	}
 	at, sum := planSp.Children[0].StartUS, int64(0)
 	if at < planSp.StartUS {
@@ -180,6 +182,35 @@ func TestProfileEfficiency(t *testing.T) {
 	// Unprofiled requests never pay for the report.
 	if again := mustRun(t, s, Request{Source: scalePar, Auto: true, PEs: 2, Width: 8}); len(again.Efficiency) != 0 {
 		t.Errorf("unprofiled auto run returned an efficiency report")
+	}
+}
+
+// TestDefaultPEsCappedByMaxPEs: pes 0 means this host capped at MaxPEs
+// for the pool as well as for the auto strip width, so on a host with
+// more CPUs than MaxPEs every forall site runs on MaxPEs PEs.
+func TestDefaultPEsCappedByMaxPEs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := newTestServer(t, Config{MaxPEs: 1})
+	const forallSrc = `
+function int main() {
+  forall i = 0 to 7 {
+    print(i);
+  }
+  return 1;
+}`
+	for _, req := range []Request{
+		{Source: forallSrc, Parallel: true, Profile: true},
+		{Source: scalePar, Auto: true, Profile: true},
+	} {
+		resp := mustRun(t, s, req)
+		if !resp.OK || len(resp.Efficiency) == 0 {
+			t.Fatalf("profiled run (auto %t): %+v", req.Auto, resp)
+		}
+		for _, site := range resp.Efficiency {
+			if site.PEs != 1 {
+				t.Errorf("auto %t: site at line %d ran on %d PEs, MaxPEs is 1", req.Auto, site.Line, site.PEs)
+			}
+		}
 	}
 }
 

@@ -407,6 +407,11 @@ func (s *Server) Run(ctx context.Context, req Request) (Response, error) {
 			s.invalid.Add(1)
 			return Response{}, badRequest("pes %d out of range [0, %d]", req.PEs, s.cfg.MaxPEs)
 		}
+		// One effective PE count sizes both the auto strip width and the
+		// pool: 0 means this host, capped at MaxPEs.
+		if req.PEs == 0 {
+			req.PEs = min(runtime.GOMAXPROCS(0), s.cfg.MaxPEs)
+		}
 		if req.Sched != "" {
 			if pol, err = parexec.ParsePolicy(req.Sched, req.Chunk); err != nil {
 				s.invalid.Add(1)
@@ -425,17 +430,7 @@ func (s *Server) Run(ctx context.Context, req Request) (Response, error) {
 		}
 		width = req.Width
 		if width == 0 {
-			pes := req.PEs
-			if pes <= 0 {
-				pes = runtime.GOMAXPROCS(0)
-				if pes > s.cfg.MaxPEs {
-					pes = s.cfg.MaxPEs
-				}
-			}
-			width = transform.DefaultWidth(pes)
-			if width > s.cfg.MaxStripWidth {
-				width = s.cfg.MaxStripWidth
-			}
+			width = min(transform.DefaultWidth(req.PEs), s.cfg.MaxStripWidth)
 		}
 	}
 	args, err := convertArgs(req.Args)
@@ -668,8 +663,7 @@ func recordPlanStages(planSp *obs.Span, start time.Time, tm transform.Timings) {
 		name string
 		d    time.Duration
 	}{
-		{"analyze", tm.Analyze}, {"effects", tm.Effects}, {"depend", tm.Depend},
-		{"rewrite", tm.Rewrite}, {"lower", tm.Lower},
+		{"analyze", tm.Analyze}, {"depend", tm.Depend}, {"rewrite", tm.Rewrite}, {"lower", tm.Lower},
 	} {
 		planSp.Record(st.name, start, st.d)
 		start = start.Add(st.d)

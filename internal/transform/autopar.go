@@ -60,7 +60,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/bytecode"
 	"repro/internal/depend"
-	"repro/internal/effects"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/parexec"
@@ -200,12 +199,12 @@ type Plan struct {
 }
 
 // Timings is the wall time of each planning stage, always filled:
-// Analyze and Effects are the two whole-program analyses (zero when the
-// caller handed them in, see PlanAnalyzed), Depend the batch of loop
-// tests, Rewrite the strip-mining and the type check of what it
-// touched, Lower the build of Plan.Code.
+// Analyze is the whole-program analysis, effect summaries included
+// (zero when the caller handed it in, see PlanAnalyzed), Depend the
+// batch of loop tests, Rewrite the strip-mining and the type check of
+// what it touched, Lower the build of Plan.Code.
 type Timings struct {
-	Analyze, Effects, Depend, Rewrite, Lower time.Duration
+	Analyze, Depend, Rewrite, Lower time.Duration
 }
 
 // Summary is the one-line form: "parallelized 2/7 loops (width 16):
@@ -250,28 +249,25 @@ func noNesting(fn string, loop *lang.WhileStmt) *depend.Report {
 // what the equivalent sequence of hand-written StripMine calls would
 // produce, in program order (see the package comment).
 func AutoParallelize(prog *lang.Program, width int) (*Plan, error) {
-	// 1. One analysis of the input program.
+	// 1. One analysis of the input program, effect summaries included.
 	t0 := time.Now()
 	res, err := analysis.New(prog).AnalyzeAll()
 	if err != nil {
 		return nil, err
 	}
 	t1 := time.Now()
-	eff := effects.NewAnalyzer(prog)
-	t2 := time.Now()
-	plan, err := PlanAnalyzed(prog, res, eff, width)
+	plan, err := PlanAnalyzed(prog, res, width)
 	if err != nil {
 		return nil, err
 	}
-	plan.Timings.Analyze, plan.Timings.Effects = t1.Sub(t0), t2.Sub(t1)
+	plan.Timings.Analyze = t1.Sub(t0)
 	return plan, nil
 }
 
 // PlanAnalyzed is AutoParallelize for a caller that already holds the
-// program's path-matrix analysis and effect summaries (core.Compilation
-// does): steps 2 to 5, against res and eff, which must describe prog as
-// it is now.
-func PlanAnalyzed(prog *lang.Program, res *analysis.Result, eff *effects.Analyzer, width int) (*Plan, error) {
+// program's analysis (core.Compilation does): steps 2 to 5, against res
+// and its effect summaries, which must describe prog as it is now.
+func PlanAnalyzed(prog *lang.Program, res *analysis.Result, width int) (*Plan, error) {
 	if width <= 0 {
 		width = DefaultWidth(0)
 	}
@@ -304,7 +300,7 @@ func PlanAnalyzed(prog *lang.Program, res *analysis.Result, eff *effects.Analyze
 			reports[k] = noNesting(s.fn, s.loop)
 			return
 		}
-		reports[k], errs[k] = depend.AnalyzeLoop(prog, res.Funcs[s.fn], eff, s.fn, s.index)
+		reports[k], errs[k] = depend.AnalyzeLoop(prog, res.Funcs[s.fn], res.Effects, s.fn, s.index)
 	})
 	for _, err := range errs {
 		if err != nil {

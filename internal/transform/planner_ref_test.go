@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/depend"
-	"repro/internal/effects"
 	"repro/internal/lang"
 	"repro/internal/nbody"
 	"repro/internal/parexec"
@@ -59,7 +58,6 @@ func autoParallelizeFullRestart(prog *lang.Program, width int) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		eff := effects.NewAnalyzer(cur)
 		transformed := false
 	scan:
 		for _, name := range names {
@@ -73,7 +71,7 @@ func autoParallelizeFullRestart(prog *lang.Program, width int) (*Plan, error) {
 				var rep *depend.Report
 				if containsForall(loop.Body) {
 					rep = noNesting(name, loop)
-				} else if rep, err = depend.AnalyzeLoop(cur, res.Funcs[name], eff, name, i); err != nil {
+				} else if rep, err = depend.AnalyzeLoop(cur, res.Funcs[name], res.Effects, name, i); err != nil {
 					return nil, err
 				}
 				if lp == nil {

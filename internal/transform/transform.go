@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/depend"
-	"repro/internal/effects"
 	"repro/internal/lang"
 )
 
@@ -69,12 +68,11 @@ func StripMine(prog *lang.Program, fnName string, loopIndex, width int) (*StripM
 // test — on one loop. The planner (AutoParallelize) reuses the verdict
 // it computed during its scan instead of calling this again per loop.
 func approveLoop(prog *lang.Program, fnName string, loopIndex int) (*depend.Report, error) {
-	fr, err := analysis.Analyze(prog, fnName)
+	res, err := analysis.New(prog).AnalyzeAll()
 	if err != nil {
 		return nil, err
 	}
-	eff := effects.NewAnalyzer(prog)
-	return depend.AnalyzeLoop(prog, fr, eff, fnName, loopIndex)
+	return depend.AnalyzeLoop(prog, res.Funcs[fnName], res.Effects, fnName, loopIndex)
 }
 
 // stripMineCloned is the rewrite half of StripMine: it trusts rep (the

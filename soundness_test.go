@@ -9,11 +9,13 @@ package repro
 import (
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/lang"
+	"repro/internal/transform"
 )
 
 // runReversed runs fn on the walking oracle with every forall window's
@@ -41,20 +43,23 @@ func runReversed(prog *lang.Program, seed uint64, fn string, args []interp.Value
 // orderSensitive is the probe: it runs ref serially on the walker —
 // a forall in place, in index order — and par with every forall
 // reversed, and describes how the two disagree on value or allocation
-// count ("" when they agree). foralls is how many par executed.
-func orderSensitive(t *testing.T, ref, par *lang.Program, seed uint64, fn string, args []interp.Value) (diff string, foralls int) {
-	t.Helper()
-	want, wst, _ := runEngine(t, ref, interp.Config{Engine: interp.EngineWalk, Seed: seed}, fn, args)
+// count ("" when they agree). foralls is how many par executed. A
+// program that fails serially (serialErr) must fail the same way
+// reversed.
+func orderSensitive(ref, par *lang.Program, seed uint64, fn string, args []interp.Value) (diff string, foralls int, serialErr error) {
+	want, wst, serialErr := interp.Run(ref, interp.Config{Engine: interp.EngineWalk, Seed: seed, Output: io.Discard}, fn, args...)
 	got, gst, foralls, err := runReversed(par, seed, fn, args)
 	switch {
-	case err != nil:
-		diff = fmt.Sprintf("reversed run failed: %v", err)
+	case err != nil || serialErr != nil:
+		if fmt.Sprint(err) != fmt.Sprint(serialErr) {
+			diff = fmt.Sprintf("reversed run: %v; serial run: %v", err, serialErr)
+		}
 	case got.String() != want.String():
 		diff = fmt.Sprintf("value %s with foralls reversed, %s serially", got, want)
 	case gst.Allocations != wst.Allocations:
 		diff = fmt.Sprintf("%d allocations with foralls reversed, %d serially", gst.Allocations, wst.Allocations)
 	}
-	return diff, foralls
+	return diff, foralls, serialErr
 }
 
 // TestApprovedLoopsAreOrderInsensitive: for every corpus program, what
@@ -72,7 +77,10 @@ func TestApprovedLoopsAreOrderInsensitive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			diff, foralls := orderSensitive(t, c.Program, auto.Program, p.seed, p.fn, p.args)
+			diff, foralls, err := orderSensitive(c.Program, auto.Program, p.seed, p.fn, p.args)
+			if err != nil {
+				t.Fatalf("serial run: %v", err)
+			}
 			if diff != "" {
 				t.Errorf("an approved loop depends on iteration order: %s\n%s", diff, auto.Plan)
 			}
@@ -128,7 +136,10 @@ func TestOrderProbeCanFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, foralls := orderSensitive(t, prog, prog, 0, "main", nil)
+	diff, foralls, err := orderSensitive(prog, prog, 0, "main", nil)
+	if err != nil {
+		t.Fatalf("serial run: %v", err)
+	}
 	if foralls != 1 {
 		t.Fatalf("%d foralls reversed, want 1", foralls)
 	}
@@ -136,4 +147,65 @@ func TestOrderProbeCanFail(t *testing.T) {
 		t.Fatal("a forall that writes p->next->data ran backwards unnoticed")
 	}
 	t.Log(diff)
+}
+
+// genDriver is the one entry point appended to every generated program
+// (transform.GenLoopProgramPSL): two short lists, every generated
+// procedure called on them in order (the %s), a checksum over both.
+const genDriver = `
+function OneWayList * gen_list(int n, int base) {
+  var OneWayList *head = NULL;
+  var int i = 0;
+  while i < n {
+    var OneWayList *t = new OneWayList;
+    t->data = base + i;
+    t->next = head;
+    head = t;
+    i = i + 1;
+  }
+  return head;
+}
+function int gen_main(int n) {
+  var OneWayList *head = gen_list(5, 1);
+  var OneWayList *other = gen_list(3, 100);
+%s  return total(head) * 31 + total(other);
+}
+`
+
+// TestGeneratedApprovedLoopsAreOrderInsensitive is the corpus probe
+// over the shapes the corpus lacks: sibling and nested list loops,
+// bodies calling procedures that hold approved loops, recursive
+// callees, loop-carried scalars. A failing seed is a planner soundness
+// bug. A generated procedure may be handed p->next at a list's last
+// node and read through it; such a program fails serially, and the
+// probe then requires the reversed run to fail with the same error.
+func TestGeneratedApprovedLoopsAreOrderInsensitive(t *testing.T) {
+	withApproval, failing := 0, 0
+	for seed := int64(1); seed <= 50; seed++ {
+		gen := transform.GenLoopProgramPSL(seed)
+		var calls strings.Builder
+		for i := 0; strings.Contains(gen, fmt.Sprintf("procedure f%d(", i)); i++ {
+			fmt.Fprintf(&calls, "  f%d(head, other, n);\n", i)
+		}
+		src := gen + fmt.Sprintf(genDriver, calls.String())
+		c, err := core.Compile(src)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
+		}
+		auto, err := c.AutoParallel(8)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
+		}
+		if auto.Plan.Parallelized > 0 {
+			withApproval++
+		}
+		diff, _, serialErr := orderSensitive(c.Program, auto.Program, 0, "gen_main", []interp.Value{interp.IntVal(3)})
+		if serialErr != nil {
+			failing++
+		}
+		if diff != "" {
+			t.Errorf("seed %d: an approved loop depends on iteration order: %s\n%s\n%s", seed, diff, auto.Plan, src)
+		}
+	}
+	t.Logf("%d of 50 seeds had at least one approved loop; %d fail serially, identically reversed", withApproval, failing)
 }
