@@ -628,10 +628,9 @@ func runR5(peList []int) {
 // force driver — the force arithmetic of R2 with the pointer-walking
 // accumulation rewritten into a vectorizable shape. The serial
 // baseline is the bytecode VM on the unstripped program (its honest
-// serial form); kernel rows run the auto-parallelized program, serial
-// strips inline on the vector path and pooled runs through parexec's
-// strip scheduler, which runs each strip in place as one barrier. The
-// plan print shows the per-loop vector
+// serial form); kernel rows run the auto-parallelized program, whose
+// strips run inline on the vector path as one barrier each, with or
+// without a parexec pool. The plan print shows the per-loop vector
 // verdict — which approved loops got the kernel and the classifier's
 // concrete why-not for the rest.
 func runR8(peList []int) {

@@ -350,8 +350,8 @@ func TestDefaultEngine(t *testing.T) {
 }
 
 // TestKernelStripAllocs pins the vector path's allocation discipline:
-// the strip's phase closures and slabs live in reusable per-Interp
-// state, so a planned run on the kernel engine allocates no more Go
+// the strip's slabs live in reusable per-Interp state, so a planned run
+// on the kernel engine allocates no more Go
 // objects than the bytecode engine's run of the same planned program
 // (plus a constant for that state) — however many strips it executes.
 // Foralls run in place on a fork, so the count repeats exactly.

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/parexec"
@@ -162,6 +163,55 @@ func TestForallOneAnswer(t *testing.T) {
 					forallAnswer{value: resp.Result, output: resp.Output, steps: resp.Steps, allocs: resp.Allocs, err: resp.Error})
 			}
 		}
+	}
+}
+
+// TestPoolLeavesTheSerialRun: every corpus program, planned, run on a
+// pool of 1, 2 or 4 PEs under each policy, leaves the value, the output
+// and the whole Stats — barriers included — of the same planned program
+// run serially in place with no scheduler, on every engine. The
+// interpreter, not the pool, decides a forall's output, error and
+// barrier count.
+func TestPoolLeavesTheSerialRun(t *testing.T) {
+	type run struct {
+		value, output string
+		st            interp.Stats
+	}
+	for _, p := range equivalenceCorpus(t) {
+		t.Run(p.name, func(t *testing.T) {
+			c, err := core.Compile(p.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			auto, err := c.AutoParallel(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp := interp.CompileProgram(auto.Program)
+			for _, eng := range eqEngines {
+				var out bytes.Buffer
+				v, st, err := interp.RunCompiled(cp, interp.Config{Engine: eng, Seed: p.seed, Output: &out}, p.fn, p.args...)
+				if err != nil {
+					t.Fatalf("%s serially: %v", eng, err)
+				}
+				want := run{v.String(), out.String(), st}
+				for _, pol := range []parexec.Policy{parexec.StaticBlock, parexec.StaticCyclic, parexec.Dynamic(1)} {
+					for _, pes := range []int{1, 2, 4} {
+						out.Reset()
+						v, st, err := parexec.Run(auto.Program, parexec.Options{
+							Interp: eng, Compiled: cp, PEs: pes, Sched: pol, Seed: p.seed, Output: &out,
+						}, p.fn, p.args...)
+						if err != nil {
+							t.Fatalf("%s pes=%d %s: %v", eng, pes, pol.Name(), err)
+						}
+						if got := (run{v.String(), out.String(), st}); got != want {
+							t.Errorf("%s pes=%d %s: value %s stats %+v, serially %s %+v (outputs equal: %t)",
+								eng, pes, pol.Name(), got.value, got.st, want.value, want.st, got.output == want.output)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

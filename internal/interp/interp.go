@@ -6,6 +6,16 @@
 // forall's iterations run in place, in index order. Package sequent
 // replays runs on the 1992 machine model through Simulated mode.
 //
+// Whoever runs the iterations, this package owns a forall's result:
+// with a hook installed, each iteration prints into a buffer of its
+// own, the buffers are flushed in index order up to the first failing
+// iteration, that iteration's error is the forall's, and what later
+// iterations charged to the step and allocation counters is taken back
+// — so a pooled run leaves exactly what the in-place loop leaves. The
+// barrier count is the interpreter's too: every executed forall window
+// and every vector strip is one barrier (Stats.Barriers), serial or
+// pooled.
+//
 // Execution has three engines behind Config.Engine. The default (the
 // zero value) is the kernel VM: flat bytecode over typed register
 // banks (bcvm.go) plus batched struct-of-arrays kernels for the forall
@@ -28,6 +38,7 @@
 package interp
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -39,6 +50,7 @@ import (
 	"repro/internal/adds"
 	"repro/internal/bytecode"
 	"repro/internal/lang"
+	"repro/internal/obs"
 )
 
 // Engine selects the execution engine behind Run and Interp.Call.
@@ -154,9 +166,13 @@ type Config struct {
 	Engine Engine
 	// Mode is Real (the default) or Simulated; a Simulated run is an
 	// EngineWalk run.
-	Mode   Mode
-	Sched  Scheduling
-	PEs    int // simulated PE count (0: one PE per iteration)
+	Mode  Mode
+	Sched Scheduling
+	// PEs is the run's PE count: the simulated machine's in Simulated
+	// mode (0: one PE per iteration), the pool's in Real mode (parexec
+	// sets it), where it sizes the per-PE rows of the strip profiles
+	// Profiler receives.
+	PEs    int
 	Costs  CostModel
 	Output io.Writer
 	Seed   uint64
@@ -188,8 +204,6 @@ type Config struct {
 	// ShapeChecksFatal turns a detected violation into an execution
 	// error instead of a log entry.
 	ShapeChecksFatal bool
-	// ShapeWalkLimit bounds the cycle-check walk (0 = 100000 nodes).
-	ShapeWalkLimit int
 	// Forall, if non-nil and Mode == Real, schedules every parallel
 	// forall instead of running its iterations in place. It receives the
 	// inclusive iteration bounds and a run function that executes one
@@ -198,46 +212,27 @@ type Config struct {
 	// scheduled iteration runs in place on that iteration's worker
 	// rather than re-entering the scheduler.
 	Forall ForallScheduler
-	// Strip, if non-nil and Engine == EngineKernel, schedules the
-	// gather/compute/scatter phases of each vectorized strip instead of
-	// the inline serial execution — parexec installs it to count the
-	// strip as a barrier and time its phases for the profiler. Forks
-	// clear this hook along with Forall.
-	Strip StripScheduler
+	// Profiler, if non-nil, receives one kernel record per vectorized
+	// strip (gather, compute and scatter times, the compute as one task
+	// on PE 0 of PEs), keyed by the forall's source line. Forks clear it
+	// along with Forall.
+	Profiler *obs.ForallProfiler
 }
 
 // ForallScheduler executes the iterations [from, to] of a parallel
-// loop, calling run(w, k) exactly once per k on a worker interpreter w.
-// run is safe to call from multiple goroutines concurrently as long as
-// each call gets its own worker. The scheduler must not return before
-// every iteration has completed (it is the loop's barrier). pos is the
-// source position of the forall — for loops generated by strip-mining
-// it is the original loop's position — so profilers can key
-// measurements to the planner's loop table. The range is never empty
-// and its trip count has been charged to the step budget, so
-// to - from + 1 fits an int64 and is at most MaxSteps.
+// loop, calling run(w, k) exactly once per k, in any order, on a worker
+// interpreter w. run is safe to call from multiple goroutines
+// concurrently as long as each call gets its own worker. The scheduler
+// must not return before every iteration has completed (it is the
+// loop's barrier). run's error is for the scheduler's information only:
+// the interpreter keeps each iteration's error and output itself and
+// decides the forall's result, so the scheduler returns non-nil only
+// when it fails itself. pos is the source position of the forall — for
+// loops generated by strip-mining it is the original loop's position —
+// so profilers can key measurements to the planner's loop table. The
+// range is never empty and its trip count has been charged to the step
+// budget, so to - from + 1 fits an int64 and is at most MaxSteps.
 type ForallScheduler func(pos lang.Pos, from, to int64, run func(w *Interp, k int64) error) error
-
-// StripScheduler executes one vectorized strip. Gather must run first
-// (serially — it walks the pointer chain and fills the slabs), then
-// Compute over disjoint lane sub-ranges (safe to call concurrently on
-// different ranges), then Scatter (serially — it commits the strip's
-// step accounting and writes the stored fields back). lanes is the
-// strip width; pos is the forall's source position (the planner's
-// key). Any error aborts the strip: the interpreter falls back to the
-// scalar path, which re-executes the strip from unmodified heap state
-// (Scatter is the only phase that writes it).
-type StripScheduler func(pos lang.Pos, lanes int, s KernelStrip) error
-
-// KernelStrip is one vectorized strip's phase closures, handed to a
-// StripScheduler. The closures belong to the interpreter and are
-// rebound on its next strip: a scheduler must not retain them past its
-// return.
-type KernelStrip struct {
-	Gather  func() error
-	Compute func(lo, hi int) error // lane range [lo, hi)
-	Scatter func() error
-}
 
 // Stats reports execution counters.
 type Stats struct {
@@ -245,7 +240,11 @@ type Stats struct {
 	WorkCycles  int64 // total work including all PEs
 	Steps       int64
 	Allocations int64
-	Barriers    int64
+	// Barriers counts the run's barriers, its forks' included: one per
+	// simulated forall in Simulated mode; in Real mode one per executed
+	// forall window and per vector strip, whether the window ran in
+	// place or on a scheduler.
+	Barriers int64
 }
 
 // Interp executes one program.
@@ -262,9 +261,8 @@ type Interp struct {
 
 	// cycles is the current accounting bucket (Simulated mode, so the
 	// walker, only; single-threaded there).
-	cycles   int64
-	work     int64
-	barriers int64
+	cycles int64
+	work   int64
 
 	maxSteps  int64
 	maxDepth  int
@@ -285,8 +283,7 @@ type Interp struct {
 	// (compute_force) off the allocator.
 	bcPool []*bcFrame
 	// kern is the kernel engine's reusable strip state (kernel.go):
-	// slab storage and the phase closures, lazily built on the first
-	// vectorized strip.
+	// slab storage, lazily built on the first vectorized strip.
 	kern *kernState
 	// stepsLocal batches the bytecode VM's statement count between
 	// flushes to the shared atomic (each Interp executes on one
@@ -297,9 +294,10 @@ type Interp struct {
 	// allocation counters: the difference across one forall iteration
 	// is what that iteration cost (see scheduledWindow).
 	ownSteps, ownAllocs int64
-	// costs is scheduledWindow's per-iteration ledger, reused from one
-	// window to the next.
+	// costs and bufs are scheduledWindow's per-iteration ledger and
+	// output buffers, reused from one window to the next.
 	costs []iterCost
+	bufs  []*bytes.Buffer
 	// cdepth is the bytecode VM's live call depth.
 	cdepth int
 }
@@ -310,6 +308,7 @@ type state struct {
 
 	steps    atomic.Int64
 	allocs   atomic.Int64
+	barriers atomic.Int64
 	nextID   atomic.Int64
 	outBytes atomic.Int64
 
@@ -364,13 +363,14 @@ func newInterp(prog *lang.Program, cfg Config) *Interp {
 
 // Fork returns a worker interpreter over the same program, sharing the
 // parent's counters, RNG, and shape-check log. If out is non-nil the
-// fork prints there through its own mutex (the parallel executor hands
-// each iteration a private buffer and merges them deterministically);
-// with nil it shares the parent's writer and lock. The fork drops the
-// parent's Forall scheduler, so a parallel loop nested inside the
-// iteration a fork is running executes in place on that fork — in
-// index order, on its worker — and cannot re-enter the pool that is
-// running it. A fork must execute at most one call at a time.
+// fork prints there through its own mutex; with nil it shares the
+// parent's writer and lock. Either way a scheduled iteration the fork
+// runs prints into that iteration's buffer (see scheduledWindow). The
+// fork drops the parent's Forall scheduler and Profiler, so a parallel
+// loop nested inside the iteration a fork is running executes in place
+// on that fork — in index order, on its worker — and cannot re-enter
+// the pool that is running it. A fork must execute at most one call at
+// a time.
 func (ip *Interp) Fork(out io.Writer) *Interp {
 	nf := &Interp{
 		prog:      ip.prog,
@@ -387,22 +387,12 @@ func (ip *Interp) Fork(out io.Writer) *Interp {
 		bcErr:     ip.bcErr,
 	}
 	nf.cfg.Forall = nil
-	nf.cfg.Strip = nil
+	nf.cfg.Profiler = nil
 	if out != nil {
 		nf.out = out
 		nf.outMu = &sync.Mutex{}
 	}
 	return nf
-}
-
-// SetOutput redirects this interpreter's print() stream (nil discards).
-// Not safe to call while the interpreter is executing; it exists for
-// worker loops that swap in a fresh buffer between tasks.
-func (ip *Interp) SetOutput(out io.Writer) {
-	if out == nil {
-		out = io.Discard
-	}
-	ip.out = out
 }
 
 // Stats returns execution counters so far.
@@ -412,7 +402,7 @@ func (ip *Interp) Stats() Stats {
 		WorkCycles:  ip.work,
 		Steps:       ip.sh.steps.Load(),
 		Allocations: ip.sh.allocs.Load(),
-		Barriers:    ip.barriers,
+		Barriers:    ip.sh.barriers.Load(),
 	}
 }
 
@@ -851,20 +841,19 @@ func (ip *Interp) forallTrips(pos lang.Pos, from, to int64) (bool, error) {
 
 // forallWindow is the most iterations a Real-mode forall runs between
 // two looks at the cancellation signal, and the most a ForallScheduler
-// is handed in one call: a scheduler's bookkeeping (parexec's
-// per-iteration output buffers and error slots) is bounded by it, not
-// by the loop's range. Strips the planner emits are at most 256 wide
-// and always fit one window.
+// is handed in one call: scheduledWindow's per-iteration output buffers
+// and ledger are bounded by it, not by the loop's range. Strips the
+// planner emits are at most 256 wide and always fit one window.
 const forallWindow = 4096
 
 // realForall runs the Real-mode iterations [from, to] of a parallel
-// loop, a window at a time: through the installed scheduler, or — with
-// none, which is every fork's case, so a nested forall stays on its
-// worker — in place on this interpreter, in index order, stopping at
-// the first failing iteration. body is the engine's iteration body —
-// private frame, run on worker w — the same closure either way, which
-// is what makes Run and parexec.Run the same program with and without
-// a pool.
+// loop, a window at a time, each window one barrier: through the
+// installed scheduler, or — with none, which is every fork's case, so a
+// nested forall stays on its worker — in place on this interpreter, in
+// index order, stopping at the first failing iteration. body is the
+// engine's iteration body — private frame, run on worker w — the same
+// closure either way, which is what makes Run and parexec.Run the same
+// program with and without a pool.
 func (ip *Interp) realForall(pos lang.Pos, from, to int64, body func(w *Interp, k int64) (ctrl, error)) error {
 	// run is one whole iteration on w: the body, the ban on returning
 	// out of a forall, and the flush of the engine's batched step count
@@ -884,6 +873,7 @@ func (ip *Interp) realForall(pos lang.Pos, from, to int64, body func(w *Interp, 
 		if to-lo >= forallWindow {
 			hi = lo + forallWindow - 1
 		}
+		ip.sh.barriers.Add(1)
 		var err error
 		if ip.cfg.Forall != nil {
 			err = ip.scheduledWindow(pos, lo, hi, run)
@@ -907,47 +897,69 @@ func (ip *Interp) realForall(pos lang.Pos, from, to int64, body func(w *Interp, 
 }
 
 // iterCost is what one scheduled iteration charged to the shared
-// counters, and whether it failed.
+// counters, and how it ended.
 type iterCost struct {
 	steps, allocs int64
-	failed        bool
+	err           error
 }
 
-// scheduledWindow hands one window to the scheduler and keeps the
-// run's Stats what the in-place loop would have left. A scheduler runs
-// iterations concurrently, so iterations past the first failing index
-// — which a serial run never reaches — may have executed before the
-// failure was known. Their output the scheduler discards; their steps
-// and allocations are taken back out here. Each slot of the ledger is
-// written by the one worker that runs that iteration.
+// scheduledWindow hands one window to the scheduler and leaves what the
+// in-place loop would have left. A scheduler runs the iterations in any
+// order, concurrently, so iterations past the first failing index —
+// which a serial run never reaches — may have executed before the
+// failure was known. Each iteration prints into a buffer of its own and
+// writes what it charged and its error into its slot of the ledger
+// (each buffer and slot is written by the one worker that runs that
+// iteration). At the barrier the buffers are flushed in index order up
+// to and including the first failing iteration — what it printed before
+// it failed is the last output flushed — the later iterations' steps
+// and allocations are taken back out, and the failing iteration's error
+// is the window's.
 func (ip *Interp) scheduledWindow(pos lang.Pos, lo, hi int64, run func(w *Interp, k int64) error) error {
 	n := int(hi - lo + 1)
 	if cap(ip.costs) < n {
 		ip.costs = make([]iterCost, n)
 	}
-	costs := ip.costs[:n]
+	for len(ip.bufs) < n {
+		ip.bufs = append(ip.bufs, new(bytes.Buffer))
+	}
+	costs, bufs := ip.costs[:n], ip.bufs[:n]
 	clear(costs)
-	err := ip.cfg.Forall(pos, lo, hi, func(w *Interp, k int64) error {
-		steps, allocs := w.ownSteps, w.ownAllocs
+	serr := ip.cfg.Forall(pos, lo, hi, func(w *Interp, k int64) error {
+		i := k - lo
+		steps, allocs, out := w.ownSteps, w.ownAllocs, w.out
+		w.out = bufs[i]
 		err := run(w, k)
-		costs[k-lo] = iterCost{w.ownSteps - steps, w.ownAllocs - allocs, err != nil}
+		w.out = out
+		costs[i] = iterCost{w.ownSteps - steps, w.ownAllocs - allocs, err}
 		return err
 	})
-	if err == nil {
-		return nil
-	}
 	first := 0
-	for first < n && !costs[first].failed {
+	for first < n && costs[first].err == nil {
 		first++
 	}
+	ran := min(first+1, n) // the iterations a serial run reaches
 	var steps, allocs int64
-	for _, c := range costs[min(first+1, n):] {
+	for _, c := range costs[ran:] {
 		steps += c.steps
 		allocs += c.allocs
 	}
 	ip.sh.steps.Add(-steps)
 	ip.sh.allocs.Add(-allocs)
-	return err
+	ip.outMu.Lock()
+	for _, b := range bufs[:ran] {
+		if b.Len() > 0 {
+			_, _ = ip.out.Write(b.Bytes()) // as in printLine, a writer error does not stop the run
+		}
+	}
+	ip.outMu.Unlock()
+	for _, b := range bufs {
+		b.Reset()
+	}
+	if first < n {
+		return costs[first].err
+	}
+	return serr
 }
 
 // simForall executes a simulated parallel loop's iterations
@@ -1004,7 +1016,7 @@ func (ip *Interp) simForall(from, to int64, pos lang.Pos, runIter func(k int64) 
 	}
 	ip.cycles = outerCycles + maxBusy + ip.cfg.Costs.Barrier
 	ip.work += ip.cfg.Costs.Barrier // busy time was already added to work
-	ip.barriers++
+	ip.sh.barriers.Add(1)
 	return nil
 }
 

@@ -9,7 +9,7 @@
 // per-bank slabs; scalar free variables broadcast into whole slabs.
 // Compute runs the lowered body as fused whole-slab operations, each
 // masked by its governing execution mask — `if` branches become mask
-// refinements, never control flow — over any lane sub-range. Scatter commits the strip's step
+// refinements, never control flow. Scatter commits the strip's step
 // accounting and writes the stored fields back to the heap, all
 // root-active lanes unconditionally: a lane an `if` masked off writes
 // back the value it was gathered with, which is exactly the value the
@@ -30,6 +30,7 @@ package interp
 import (
 	"errors"
 	"math"
+	"time"
 
 	"repro/internal/bytecode"
 	"repro/internal/lang"
@@ -40,11 +41,10 @@ import (
 var errKernelFault = errors.New("interp: kernel strip fault")
 
 // kernState is an Interp's reusable strip state: contiguous per-bank
-// backing arrays, re-sliced per strip, and the strip's phase closures,
-// bound once to this state and re-aimed per strip through the binding
-// fields below — so a warm loop allocates nothing. One Interp executes
-// one strip at a time (the strip is the barrier), so a single state per
-// Interp suffices.
+// backing arrays, re-sliced per strip, and the binding fields below
+// that aim the phases at the strip in flight — so a warm loop allocates
+// nothing. One Interp executes one strip at a time (the strip is the
+// barrier), so a single state per Interp suffices.
 type kernState struct {
 	nodes []*Node
 	ib    []int64
@@ -66,17 +66,6 @@ type kernState struct {
 	args          []bytecode.Reg // the helper call's argument registers
 	lo            int64          // first iteration index
 	prologueSteps int64
-
-	// phases holds gather/compute/scatter as method values of this
-	// state, built once (newKernState): handing them to a StripScheduler
-	// costs no allocation per strip.
-	phases KernelStrip
-}
-
-func newKernState(ip *Interp) *kernState {
-	ks := &kernState{ip: ip}
-	ks.phases = KernelStrip{Gather: ks.gather, Compute: ks.compute, Scatter: ks.scatter}
-	return ks
 }
 
 // ensure sizes the slabs for a strip of n lanes.
@@ -126,10 +115,31 @@ func kAdvance(cur *Node, off int32) (*Node, error) {
 	return arr[0], nil
 }
 
-// bcForallKernel tries to run one parallel loop as a vectorized strip.
-// It reports whether the strip completed on the vector path; false
-// means nothing observable happened (no heap writes, no accounting)
-// and the caller must run the scalar path.
+// bcForallKernel tries to run one parallel loop as a vectorized strip:
+// gather, compute over every lane, scatter, in place on the calling
+// goroutine, as one barrier. It reports whether the strip completed on
+// the vector path; false means nothing observable happened (no heap
+// writes, no accounting, no barrier) and the caller must run the scalar
+// path, whose window is then the barrier.
+//
+// The compute phase is not split across a pool of PEs, because on the
+// one host measured it never repaid the dispatch (2-vCPU sandbox,
+// go1.24, PEs 2; nbody.VecForcePSL strip-mined at widths 8 to 8192, a
+// 67-instruction kernel; µs per strip, lower quartile of 9–15 runs,
+// three sweeps). In place, compute costs ≈0.75 ns per
+// lane-instruction; split, a strip pays a channel send, a goroutine
+// wake-up and a WaitGroup wait per PE, ≈4 µs at width 8:
+//
+//	lanes × 67 instrs   split ÷ in-place, whole strip
+//	    536 … 4 288     2.1 – 4.2
+//	  8 576 … 68 608    1.4 – 2.0
+//	137 216, 205 824    1.25 – 1.5
+//	274 432 … 548 864   0.94 – 1.29
+//
+// The planner and the server hand out strips of 4×PEs lanes capped at
+// 256 (≈17 000 on that scale), far inside the region where splitting
+// loses. Bringing a split back needs a workload of wider strips in the
+// benchmark first, measured on a host whose PEs are independent cores.
 func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallSite, pos lang.Pos, lo, hi int64) bool {
 	kern := site.Kernel
 	n := hi - lo + 1
@@ -161,20 +171,47 @@ func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.F
 
 	ks := ip.kern
 	if ks == nil {
-		ks = newKernState(ip)
+		ks = &kernState{ip: ip}
 		ip.kern = ks
 	}
 	ks.ensure(kern, lanes)
 	ks.kern, ks.fr, ks.args = kern, fr, f.Calls[kern.CallSite].Args
 	ks.lo, ks.prologueSteps = lo, prologueSteps
 
-	if ip.cfg.Strip != nil {
-		return ip.cfg.Strip(pos, lanes, ks.phases) == nil
+	if ip.cfg.Profiler != nil {
+		if !ks.profiled(pos) {
+			return false
+		}
+	} else {
+		if ks.gather() != nil || ks.compute() != nil {
+			return false
+		}
+		ks.scatter()
 	}
-	if ks.gather() != nil || ks.compute(0, lanes) != nil {
+	ip.sh.barriers.Add(1)
+	return true
+}
+
+// profiled runs the strip's phases as bcForallKernel does, timing each,
+// and records a completed strip on Config.Profiler: its compute as one
+// task on PE 0 of Config.PEs.
+func (ks *kernState) profiled(pos lang.Pos) bool {
+	start := time.Now()
+	if ks.gather() != nil {
 		return false
 	}
+	computeStart := time.Now()
+	if ks.compute() != nil {
+		return false
+	}
+	scatterStart := time.Now()
 	ks.scatter()
+	end := time.Now()
+	pes := max(ks.ip.cfg.PEs, 1)
+	busy, tasks := make([]int64, pes), make([]int64, pes)
+	busy[0], tasks[0] = int64(scatterStart.Sub(computeStart)), 1
+	ks.ip.cfg.Profiler.RecordKernel(pos.Line, int64(end.Sub(start)),
+		int64(computeStart.Sub(start)), int64(end.Sub(scatterStart)), busy, tasks)
 	return true
 }
 
@@ -277,7 +314,7 @@ func (ks *kernState) gather() error {
 
 // scatter is the strip's last phase, and the only one that writes
 // shared state: it commits the step total and stores the fields back.
-func (ks *kernState) scatter() error {
+func (ks *kernState) scatter() {
 	kern, lanes := ks.kern, len(ks.nodes)
 	// Commit the strip's exact step total: the closed-form prologue plus
 	// each body statement's active-lane popcount. Masks are
@@ -347,16 +384,13 @@ func (ks *kernState) scatter() error {
 			}
 		}
 	}
-	return nil
 }
 
 // compute is the strip's second phase: it executes the kernel body over
-// the lane range [lo, hi). Every
-// op is elementwise over its own range, so disjoint ranges run
-// concurrently without synchronization. Ops with no execution mask
-// (temp destinations, mask combiners) run whole-slab; the rest test
-// their governing mask per lane.
-func (ks *kernState) compute(lo, hi int) error {
+// every lane. Every op is elementwise; ops with no execution mask (temp
+// destinations, mask combiners) run whole-slab, the rest test their
+// governing mask per lane.
+func (ks *kernState) compute() error {
 	for _, in := range ks.kern.Code {
 		switch in.Op {
 		case bytecode.KStep:
@@ -365,14 +399,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KConstInt:
 			a := ks.i[in.A]
 			if in.M < 0 {
-				av := a[lo:hi]
-				for j := range av {
-					av[j] = in.Imm
+				for j := range a {
+					a[j] = in.Imm
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = in.Imm
 				}
@@ -380,14 +413,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KConstReal:
 			a := ks.f[in.A]
 			if in.M < 0 {
-				av := a[lo:hi]
-				for j := range av {
-					av[j] = in.Fv
+				for j := range a {
+					a[j] = in.Fv
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = in.Fv
 				}
@@ -396,14 +428,13 @@ func (ks *kernState) compute(lo, hi int) error {
 			a := ks.b[in.A]
 			v := in.Imm != 0
 			if in.M < 0 {
-				av := a[lo:hi]
-				for j := range av {
-					av[j] = v
+				for j := range a {
+					a[j] = v
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = v
 				}
@@ -411,14 +442,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KMovInt:
 			a, b := ks.i[in.A], ks.i[in.B]
 			if in.M < 0 {
-				av, bv := a[lo:hi], b[lo:hi]
-				for j := range av {
-					av[j] = bv[j]
+				for j := range a {
+					a[j] = b[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j]
 				}
@@ -426,14 +456,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KMovReal:
 			a, b := ks.f[in.A], ks.f[in.B]
 			if in.M < 0 {
-				av, bv := a[lo:hi], b[lo:hi]
-				for j := range av {
-					av[j] = bv[j]
+				for j := range a {
+					a[j] = b[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j]
 				}
@@ -441,14 +470,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KMovBool:
 			a, b := ks.b[in.A], ks.b[in.B]
 			if in.M < 0 {
-				av, bv := a[lo:hi], b[lo:hi]
-				for j := range av {
-					av[j] = bv[j]
+				for j := range a {
+					a[j] = b[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j]
 				}
@@ -456,14 +484,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KIntToReal:
 			a, b := ks.f[in.A], ks.i[in.B]
 			if in.M < 0 {
-				av, bv := a[lo:hi], b[lo:hi]
-				for j := range av {
-					av[j] = float64(bv[j])
+				for j := range a {
+					a[j] = float64(b[j])
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = float64(b[j])
 				}
@@ -472,14 +499,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KAddInt:
 			a, b, c := ks.i[in.A], ks.i[in.B], ks.i[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] + cv[j]
+				for j := range a {
+					a[j] = b[j] + c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] + c[j]
 				}
@@ -487,14 +513,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KSubInt:
 			a, b, c := ks.i[in.A], ks.i[in.B], ks.i[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] - cv[j]
+				for j := range a {
+					a[j] = b[j] - c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] - c[j]
 				}
@@ -502,21 +527,20 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KMulInt:
 			a, b, c := ks.i[in.A], ks.i[in.B], ks.i[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] * cv[j]
+				for j := range a {
+					a[j] = b[j] * c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] * c[j]
 				}
 			}
 		case bytecode.KDivInt:
 			a, b, c, m := ks.i[in.A], ks.i[in.B], ks.i[in.C], ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					if c[j] == 0 {
 						return errKernelFault
@@ -526,7 +550,7 @@ func (ks *kernState) compute(lo, hi int) error {
 			}
 		case bytecode.KModInt:
 			a, b, c, m := ks.i[in.A], ks.i[in.B], ks.i[in.C], ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					if c[j] == 0 {
 						return errKernelFault
@@ -537,14 +561,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KNegInt:
 			a, b := ks.i[in.A], ks.i[in.B]
 			if in.M < 0 {
-				av, bv := a[lo:hi], b[lo:hi]
-				for j := range av {
-					av[j] = -bv[j]
+				for j := range a {
+					a[j] = -b[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = -b[j]
 				}
@@ -552,14 +575,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KEqInt:
 			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] == cv[j]
+				for j := range a {
+					a[j] = b[j] == c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] == c[j]
 				}
@@ -567,14 +589,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KNeInt:
 			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] != cv[j]
+				for j := range a {
+					a[j] = b[j] != c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] != c[j]
 				}
@@ -582,14 +603,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KLtInt:
 			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] < cv[j]
+				for j := range a {
+					a[j] = b[j] < c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] < c[j]
 				}
@@ -597,14 +617,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KLeInt:
 			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] <= cv[j]
+				for j := range a {
+					a[j] = b[j] <= c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] <= c[j]
 				}
@@ -612,14 +631,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KGtInt:
 			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] > cv[j]
+				for j := range a {
+					a[j] = b[j] > c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] > c[j]
 				}
@@ -627,14 +645,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KGeInt:
 			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] >= cv[j]
+				for j := range a {
+					a[j] = b[j] >= c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] >= c[j]
 				}
@@ -643,14 +660,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KAddReal:
 			a, b, c := ks.f[in.A], ks.f[in.B], ks.f[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] + cv[j]
+				for j := range a {
+					a[j] = b[j] + c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] + c[j]
 				}
@@ -658,14 +674,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KSubReal:
 			a, b, c := ks.f[in.A], ks.f[in.B], ks.f[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] - cv[j]
+				for j := range a {
+					a[j] = b[j] - c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] - c[j]
 				}
@@ -673,14 +688,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KMulReal:
 			a, b, c := ks.f[in.A], ks.f[in.B], ks.f[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] * cv[j]
+				for j := range a {
+					a[j] = b[j] * c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] * c[j]
 				}
@@ -688,14 +702,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KDivReal:
 			a, b, c := ks.f[in.A], ks.f[in.B], ks.f[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] / cv[j]
+				for j := range a {
+					a[j] = b[j] / c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] / c[j]
 				}
@@ -703,14 +716,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KNegReal:
 			a, b := ks.f[in.A], ks.f[in.B]
 			if in.M < 0 {
-				av, bv := a[lo:hi], b[lo:hi]
-				for j := range av {
-					av[j] = -bv[j]
+				for j := range a {
+					a[j] = -b[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = -b[j]
 				}
@@ -718,14 +730,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KEqReal:
 			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] == cv[j]
+				for j := range a {
+					a[j] = b[j] == c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] == c[j]
 				}
@@ -733,14 +744,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KNeReal:
 			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] != cv[j]
+				for j := range a {
+					a[j] = b[j] != c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] != c[j]
 				}
@@ -748,14 +758,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KLtReal:
 			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] < cv[j]
+				for j := range a {
+					a[j] = b[j] < c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] < c[j]
 				}
@@ -763,14 +772,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KLeReal:
 			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] <= cv[j]
+				for j := range a {
+					a[j] = b[j] <= c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] <= c[j]
 				}
@@ -778,14 +786,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KGtReal:
 			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] > cv[j]
+				for j := range a {
+					a[j] = b[j] > c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] > c[j]
 				}
@@ -793,14 +800,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KGeReal:
 			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] >= cv[j]
+				for j := range a {
+					a[j] = b[j] >= c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] >= c[j]
 				}
@@ -809,14 +815,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KNot:
 			a, b := ks.b[in.A], ks.b[in.B]
 			if in.M < 0 {
-				av, bv := a[lo:hi], b[lo:hi]
-				for j := range av {
-					av[j] = !bv[j]
+				for j := range a {
+					a[j] = !b[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = !b[j]
 				}
@@ -824,14 +829,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KEqBool:
 			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] == cv[j]
+				for j := range a {
+					a[j] = b[j] == c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] == c[j]
 				}
@@ -839,14 +843,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KNeBool:
 			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] != cv[j]
+				for j := range a {
+					a[j] = b[j] != c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] != c[j]
 				}
@@ -854,14 +857,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KAndBool:
 			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] && cv[j]
+				for j := range a {
+					a[j] = b[j] && c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] && c[j]
 				}
@@ -869,14 +871,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KOrBool:
 			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
 			if in.M < 0 {
-				av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-				for j := range av {
-					av[j] = bv[j] || cv[j]
+				for j := range a {
+					a[j] = b[j] || c[j]
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = b[j] || c[j]
 				}
@@ -885,14 +886,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KSqrt:
 			a, b := ks.f[in.A], ks.f[in.B]
 			if in.M < 0 {
-				av, bv := a[lo:hi], b[lo:hi]
-				for j := range av {
-					av[j] = math.Sqrt(bv[j])
+				for j := range a {
+					a[j] = math.Sqrt(b[j])
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = math.Sqrt(b[j])
 				}
@@ -900,14 +900,13 @@ func (ks *kernState) compute(lo, hi int) error {
 		case bytecode.KAbs:
 			a, b := ks.f[in.A], ks.f[in.B]
 			if in.M < 0 {
-				av, bv := a[lo:hi], b[lo:hi]
-				for j := range av {
-					av[j] = math.Abs(bv[j])
+				for j := range a {
+					a[j] = math.Abs(b[j])
 				}
 				continue
 			}
 			m := ks.b[in.M]
-			for j := lo; j < hi; j++ {
+			for j := range m {
 				if m[j] {
 					a[j] = math.Abs(b[j])
 				}
@@ -917,15 +916,13 @@ func (ks *kernState) compute(lo, hi int) error {
 			// Unmasked by construction: a false parent lane forces false
 			// regardless of the cond slab's (possibly stale) content there.
 			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
-			av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-			for j := range av {
-				av[j] = bv[j] && cv[j]
+			for j := range a {
+				a[j] = b[j] && c[j]
 			}
 		case bytecode.KMaskAndNot:
 			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
-			av, bv, cv := a[lo:hi], b[lo:hi], c[lo:hi]
-			for j := range av {
-				av[j] = bv[j] && !cv[j]
+			for j := range a {
+				a[j] = b[j] && !c[j]
 			}
 
 		default:

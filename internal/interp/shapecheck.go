@@ -95,7 +95,7 @@ func (ip *Interp) checkStore(pos lang.Pos, node *Node, field string, old, target
 
 	// Acyclicity: does the new edge close a forward cycle along the
 	// dimension? Bounded DFS from target through forward fields.
-	if target != nil && ip.reachesForward(target, node, pf.Dim, ip.cfg.ShapeWalkLimit) {
+	if target != nil && ip.reachesForward(target, node, pf.Dim) {
 		if err := ip.recordShape(ShapeViolation{
 			Pos: pos, Kind: "cycle", Type: node.Type, Dim: pf.Dim,
 		}); err != nil {
@@ -105,15 +105,15 @@ func (ip *Interp) checkStore(pos lang.Pos, node *Node, field string, old, target
 	return nil
 }
 
+// shapeWalkLimit bounds the cycle check's walk, in nodes visited.
+const shapeWalkLimit = 100_000
+
 // reachesForward reports whether dst is reachable from src by following
-// forward fields along dim, visiting at most limit nodes.
-func (ip *Interp) reachesForward(src, dst *Node, dim string, limit int) bool {
-	if limit <= 0 {
-		limit = 100000
-	}
+// forward fields along dim, visiting at most shapeWalkLimit nodes.
+func (ip *Interp) reachesForward(src, dst *Node, dim string) bool {
 	seen := map[*Node]bool{}
 	stack := []*Node{src}
-	for len(stack) > 0 && len(seen) < limit {
+	for len(stack) > 0 && len(seen) < shapeWalkLimit {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if n == dst {

@@ -7,8 +7,9 @@ import (
 )
 
 // ForallProfiler accumulates parallel-efficiency measurements per
-// forall site. parexec calls Record once per barrier with the raw
-// per-PE timings; Report derives the scores the paper's claim is
+// forall site. parexec calls Record once per scalar barrier with the raw
+// per-PE timings, and the interpreter RecordKernel once per vectorized
+// strip; Report derives the scores the paper's claim is
 // ultimately about: did the loop the planner approved actually keep
 // its PEs busy?
 //
@@ -82,8 +83,8 @@ func (p *ForallProfiler) Record(line int, wallNS int64, busyNS, doneNS, tasks []
 // RecordKernel adds one vectorized strip's measurements for the forall
 // at line: wallNS is gather-to-scatter wall clock, gatherNS/scatterNS
 // the serial slab phases, busyNS[pe] the PE's compute time, tasks[pe]
-// its compute-call count (parexec runs a strip's compute in place:
-// one call, on PE 0). There is no per-PE wait measurement. Nil-safe;
+// its compute-call count (the interpreter runs a strip's compute in
+// place: one call, on PE 0). There is no per-PE wait measurement. Nil-safe;
 // slices are copied-from, not retained.
 func (p *ForallProfiler) RecordKernel(line int, wallNS, gatherNS, scatterNS int64, busyNS, tasks []int64) {
 	if p == nil {

@@ -21,10 +21,9 @@
 // scheduling overhead, never the result — see Policy.
 //
 // Strips the kernel classifier vectorized (the default engine,
-// interp.EngineKernel) do not go through the iteration scheduler at
-// all: the interpreter hands the strip's gather/compute/scatter phases
-// to runState.strip, which runs them in place on the interpreting
-// goroutine — one barrier, no dispatch.
+// interp.EngineKernel) never reach the pool: the interpreter runs a
+// strip's gather, compute and scatter in place on the interpreting
+// goroutine, as one barrier.
 //
 // Every forall is a barrier, mirroring the paper's FOR1/FOR2 structure
 // (§4.3.3): the pool finishes all PE iteration procedures (FOR2 bodies)
@@ -34,10 +33,14 @@
 // every stream no worker has claimed yet, and waits only for streams a
 // worker is inside (see runState.forall). An idle worker polls for the
 // next forall for a bounded time before it parks (spinPolls).
-// print() output from iterations is captured in per-iteration buffers
-// and flushed in iteration order at the barrier, so a parallel run's
-// output stream — and its result, since the heap writes are disjoint —
-// is bit-identical to the serial run's under every scheduling policy.
+//
+// The pool only runs iterations. What a forall leaves is the
+// interpreter's to decide (interp.ForallScheduler): it buffers each
+// iteration's print() output and flushes it in iteration order, picks
+// the first failing iteration's error and counts the barriers, so a
+// parallel run's output stream, counters and result — the heap writes
+// being disjoint — are bit-identical to the serial run's under every
+// scheduling policy.
 //
 // One caveat, for hand-written forall only: the rand() builtin draws
 // from a single shared stream in completion order, so a forall body
@@ -50,9 +53,7 @@
 package parexec
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -106,24 +107,20 @@ type Options struct {
 	// Profiler, if non-nil, receives per-barrier parallel-efficiency
 	// measurements (per-PE busy time, barrier wait, task counts) keyed
 	// by the forall's source line, indexed by the assignment stream's PE
-	// whichever goroutine drained it. Nil disables measurement entirely:
-	// no PE takes a clock reading and nothing extra is allocated per
-	// barrier.
+	// whichever goroutine drained it; the interpreter adds one kernel
+	// record per vectorized strip (interp.Config.Profiler). Nil disables
+	// measurement entirely: no PE takes a clock reading and nothing extra
+	// is allocated per barrier.
 	Profiler *obs.ForallProfiler
 }
 
 // Run executes fn of a checked, normalized program on a pool of
 // opt.PEs PEs — the calling goroutine and opt.PEs−1 workers, started
 // for this call and stopped and joined before it returns, however it
-// returns — and returns the result with Stats whose Barriers field
-// counts the parallel regions joined. Value, output, steps, allocations
-// and error are those of the serial interp.Run, whatever the pool size
-// and policy.
+// returns. The pool only runs forall iterations; the interpreter keeps
+// the result, so value, output, error and every Stats counter are those
+// of the serial interp.Run, whatever the pool size and policy.
 func Run(prog *lang.Program, opt Options, fn string, args ...interp.Value) (interp.Value, interp.Stats, error) {
-	out := opt.Output
-	if out == nil {
-		out = io.Discard
-	}
 	pes := opt.PEs
 	if pes <= 0 {
 		pes = runtime.GOMAXPROCS(0)
@@ -132,18 +129,19 @@ func Run(prog *lang.Program, opt Options, fn string, args ...interp.Value) (inte
 	if sched == nil {
 		sched = Dynamic(1)
 	}
-	rs := &runState{out: out, pes: pes, sched: sched, prof: opt.Profiler}
+	rs := &runState{pes: pes, sched: sched, prof: opt.Profiler}
 	icfg := interp.Config{
 		Engine:         opt.Interp,
 		Mode:           interp.Real,
+		PEs:            pes,
 		Seed:           opt.Seed,
-		Output:         out,
+		Output:         opt.Output,
 		MaxSteps:       opt.MaxSteps,
 		Ctx:            opt.Ctx,
 		MaxAllocs:      opt.MaxAllocs,
 		MaxOutputBytes: opt.MaxOutputBytes,
 		Forall:         rs.forall,
-		Strip:          rs.strip,
+		Profiler:       opt.Profiler,
 	}
 	var root *interp.Interp
 	if opt.Compiled != nil {
@@ -155,24 +153,17 @@ func Run(prog *lang.Program, opt Options, fn string, args ...interp.Value) (inte
 	defer rs.stop()
 
 	v, err := root.Call(fn, args...)
-	st := root.Stats()
-	st.Barriers = rs.barriers
-	return v, st, err
+	return v, root.Stats(), err
 }
 
 // ---------------------------------------------------------------------------
 // Pool internals
 
 // task is the forall the pool is running: whoever claims PE pe's
-// Assignment stream drains it, writing iteration k's output into
-// bufs[k-from] and its error into errs[k-from] (each slot owned by
-// exactly one iteration, so no locking).
+// Assignment stream drains it.
 type task struct {
-	asn  Assignment
-	from int64
-	bufs []*bytes.Buffer
-	errs []error
-	run  func(w *interp.Interp, k int64) error
+	asn Assignment
+	run func(w *interp.Interp, k int64) error
 
 	// Profiling slots (nil when no profiler is installed — the nil
 	// check is the only per-iteration cost of having the hooks in
@@ -185,26 +176,23 @@ type task struct {
 }
 
 // drain runs PE pe's share of a forall on the interpreter w: every
-// iteration the assignment hands that PE, each into its own output
-// buffer and error slot. The caller has claimed the stream; w is the
-// claimant's own fork, not necessarily worker pe's.
+// iteration the assignment hands that PE. An iteration's error is the
+// interpreter's to act on, not the pool's. The caller has claimed the
+// stream; w is the claimant's own fork, not necessarily worker pe's.
 func (t *task) drain(w *interp.Interp, pe int) {
 	for {
 		k, ok := t.asn.Next(pe)
 		if !ok {
 			break
 		}
-		i := k - t.from
-		w.SetOutput(t.bufs[i])
 		if t.busy != nil {
 			t0 := time.Now()
-			t.errs[i] = t.run(w, k)
+			_ = t.run(w, k)
 			t.busy[pe] += int64(time.Since(t0))
 			t.ntasks[pe]++
 		} else {
-			t.errs[i] = t.run(w, k)
+			_ = t.run(w, k)
 		}
-		w.SetOutput(nil)
 	}
 	if t.done != nil {
 		// Offset from dispatch at which this PE's stream drained: the
@@ -273,16 +261,10 @@ type worker struct {
 type runState struct {
 	// self is the fork that runs PE 0's stream, and any stream the
 	// interpreting goroutine adopts, on that goroutine.
-	self     *interp.Interp
-	out      io.Writer
-	pes      int
-	sched    Policy
-	barriers int64
-	// bufs and errs are the per-iteration output buffers and error
-	// slots, kept from one forall to the next.
-	bufs []*bytes.Buffer
-	errs []error
-	prof *obs.ForallProfiler
+	self  *interp.Interp
+	pes   int
+	sched Policy
+	prof  *obs.ForallProfiler
 
 	// The barrier protocol. t is written only by the interpreting
 	// goroutine and only between barriers; storing the next epoch
@@ -369,96 +351,20 @@ func (rs *runState) await(me *worker, seen uint64) uint64 {
 	}
 }
 
-// strip runs one vectorized strip (interp.StripScheduler) on the
-// interpreting goroutine: gather, compute over every lane, scatter —
-// one barrier, and on the profiler one task on PE 0. Any phase error
-// aborts the strip before the heap is written and before the barrier
-// or profiler see it: the interpreter then falls back to the scalar
-// path, whose barrier rs.forall counts instead — so a strip never
-// double-counts.
-//
-// The compute phase is not split across the pool, because on the one
-// host measured it never repaid the dispatch (2-vCPU sandbox, go1.24,
-// PEs 2; nbody.VecForcePSL strip-mined at widths 8 to 8192, a
-// 67-instruction kernel; µs per strip, lower quartile of 9–15 runs,
-// three sweeps). In place, compute costs ≈0.75 ns per lane-instruction;
-// split, a strip pays a channel send, a goroutine wake-up and a
-// WaitGroup wait per PE, ≈4 µs at width 8:
-//
-//	lanes × 67 instrs   split ÷ in-place, whole strip
-//	    536 … 4 288     2.1 – 4.2
-//	  8 576 … 68 608    1.4 – 2.0
-//	137 216, 205 824    1.25 – 1.5
-//	274 432 … 548 864   0.94 – 1.29
-//
-// The planner and the server hand out strips of 4×PEs lanes capped at
-// 256 (≈17 000 on that scale), far inside the region where splitting
-// loses. Bringing a split back needs a workload of wider strips in the
-// benchmark first, measured on a host whose PEs are independent cores.
-func (rs *runState) strip(pos lang.Pos, lanes int, s interp.KernelStrip) error {
-	var busy, ntasks []int64
-	var start, t0 time.Time
-	var gatherNS, scatterNS int64
-	if rs.prof != nil {
-		busy = make([]int64, rs.pes)
-		ntasks = make([]int64, rs.pes)
-		start = time.Now()
-	}
-	if err := s.Gather(); err != nil {
-		return err
-	}
-	if rs.prof != nil {
-		t0 = time.Now()
-		gatherNS = int64(t0.Sub(start))
-	}
-	if err := s.Compute(0, lanes); err != nil {
-		return err
-	}
-	if rs.prof != nil {
-		busy[0] = int64(time.Since(t0))
-		ntasks[0] = 1
-		t0 = time.Now()
-	}
-	if err := s.Scatter(); err != nil {
-		return err
-	}
-	rs.barriers++
-	if rs.prof != nil {
-		scatterNS = int64(time.Since(t0))
-		rs.prof.RecordKernel(pos.Line, int64(time.Since(start)), gatherNS, scatterNS, busy, ntasks)
-	}
-	return nil
-}
-
 // forall asks the scheduling policy for an iteration→PE assignment,
 // publishes it, and returns when every PE's stream has been drained —
 // the per-step barrier. The interpreting goroutine is PE 0: it drains
 // stream 0 on its own fork, then claims and drains every stream whose
 // worker has not turned up yet, and finally waits for the streams
-// workers did claim. So a stream runs exactly once, on its own worker
-// whenever that worker is in time, and a barrier whose workers never
-// wake costs what running the window in place costs (under Dynamic a
-// late stream finds the shared cursor drained and is empty).
-//
-// Iteration output is then flushed in index order and the first
-// failing iteration (in index order, matching where a serial run would
-// have stopped) decides the error: what it printed before it failed is
-// the last output flushed. The interpreter hands a wide loop over a
-// window at a time (at most a few thousand iterations a call), so the
-// per-iteration buffers and error slots held here are bounded by that
-// window, not by the loop's range.
+// workers did claim. So every iteration runs exactly once, on its own
+// worker whenever that worker is in time, and a barrier whose workers
+// never wake costs what running the window in place costs (under
+// Dynamic a late stream finds the shared cursor drained and is empty).
+// The pool cannot fail, so forall always returns nil: the interpreter
+// decides the forall's output and error (interp.ForallScheduler).
 func (rs *runState) forall(pos lang.Pos, from, to int64, run func(w *interp.Interp, k int64) error) error {
-	n := int(to - from + 1)
-	for len(rs.bufs) < n {
-		rs.bufs = append(rs.bufs, new(bytes.Buffer))
-	}
-	if cap(rs.errs) < n {
-		rs.errs = make([]error, n)
-	}
-	bufs, errs := rs.bufs[:n], rs.errs[:n]
-	clear(errs)
 	t := &rs.t
-	*t = task{asn: rs.sched.Assign(from, to, rs.pes), from: from, bufs: bufs, errs: errs, run: run}
+	*t = task{asn: rs.sched.Assign(from, to, rs.pes), run: run}
 	if rs.prof != nil {
 		t.busy = make([]int64, rs.pes)
 		t.done = make([]int64, rs.pes)
@@ -480,32 +386,8 @@ func (rs *runState) forall(pos lang.Pos, from, to int64, run func(w *interp.Inte
 	for rs.done.Load() != claimed {
 		runtime.Gosched()
 	}
-	rs.barriers++
 	if rs.prof != nil {
 		rs.prof.Record(pos.Line, int64(time.Since(t.start)), t.busy, t.done, t.ntasks)
 	}
-
-	// First failing iteration, in index order: a serial run would have
-	// stopped there, so output is flushed up to and including what that
-	// iteration printed before it failed, and nothing of later ones.
-	failed := -1
-	for i, err := range errs {
-		if err != nil {
-			failed = i
-			break
-		}
-	}
-	var writeErr error
-	for i, b := range bufs {
-		if (failed < 0 || i <= failed) && b.Len() > 0 && writeErr == nil {
-			if _, err := rs.out.Write(b.Bytes()); err != nil {
-				writeErr = fmt.Errorf("parexec: merging output: %w", err)
-			}
-		}
-		b.Reset()
-	}
-	if failed >= 0 {
-		return errs[failed]
-	}
-	return writeErr
+	return nil
 }

@@ -10,10 +10,10 @@ import (
 // forall — the scheduling lever of the paper's §4.3.3 discussion and
 // the X2 ablation (the "simple static scheduling" the paper blames for
 // part of its sublinearity, versus the self-scheduling alternatives it
-// cites). A Policy only chooses the iteration→PE mapping; Run's
-// deterministic merge (per-iteration output buffers flushed in
-// iteration order, heap writes disjoint by the dependence test) is
-// identical under every policy, so the bit-identical-to-serial
+// cites). A Policy only chooses the iteration→PE mapping; the
+// interpreter's deterministic merge (per-iteration output buffers
+// flushed in iteration order, heap writes disjoint by the dependence
+// test) is identical under every policy, so the bit-identical-to-serial
 // guarantee does not depend on the schedule.
 type Policy interface {
 	// Name is the stable identifier used by flags and table labels

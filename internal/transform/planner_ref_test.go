@@ -216,24 +216,6 @@ func TestPlanMatchesFullRestart(t *testing.T) {
 	})
 }
 
-// TestIncrementalMatchesFullRestart is TestPlanMatchesFullRestart under
-// its former name and subtest layout (the sources it had then, widths 2
-// and 4, the second width as "#01"). It checks nothing the test above
-// does not; it stays only because the test floor this repository is
-// gated on lists these thirteen names one by one. Delete it when that
-// list is next re-recorded.
-func TestIncrementalMatchesFullRestart(t *testing.T) {
-	srcs := oracleSources(t)
-	for _, added := range []string{"nbody.BarnesHutPSL", "nbody.VecForcePSL", "gen-many-loop-10x5"} {
-		delete(srcs, added)
-	}
-	for _, width := range []int{2, 4} {
-		for name, src := range srcs {
-			t.Run(name, func(t *testing.T) { assertMatchesFullRestart(t, src, width) })
-		}
-	}
-}
-
 // FuzzPlanMatchesFullRestart runs the oracle on generated programs the
 // tier-1 seeds do not reach.
 func FuzzPlanMatchesFullRestart(f *testing.F) {

@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -18,53 +19,75 @@ import (
 	"repro/internal/transform"
 )
 
-// runReversed runs fn on the walking oracle with every forall window's
-// iterations executed last to first, one after another, each on a fork
-// of the root that discards its output (so only what an iteration
-// leaves in the heap reaches the result). It returns the value, the
-// run's stats and the number of foralls the scheduler was handed.
-func runReversed(prog *lang.Program, seed uint64, fn string, args []interp.Value) (interp.Value, interp.Stats, int, error) {
-	var root *interp.Interp
-	foralls := 0
-	root = interp.New(prog, interp.Config{Engine: interp.EngineWalk, Seed: seed, Output: io.Discard,
-		Forall: func(_ lang.Pos, from, to int64, run func(w *interp.Interp, k int64) error) error {
-			foralls++
-			for k := to; k >= from; k-- {
-				if err := run(root.Fork(io.Discard), k); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	v, err := root.Call(fn, args...)
-	return v, root.Stats(), foralls, err
+// probeRun is what the order probe compares of one run on the walker.
+type probeRun struct {
+	value, output string
+	st            interp.Stats
+	err           error
 }
 
-// orderSensitive is the probe: it runs ref serially on the walker —
-// a forall in place, in index order — and par with every forall
-// reversed, and describes how the two disagree on value or allocation
-// count ("" when they agree). foralls is how many par executed. A
-// program that fails serially (serialErr) must fail the same way
-// reversed.
-func orderSensitive(ref, par *lang.Program, seed uint64, fn string, args []interp.Value) (diff string, foralls int, serialErr error) {
-	want, wst, serialErr := interp.Run(ref, interp.Config{Engine: interp.EngineWalk, Seed: seed, Output: io.Discard}, fn, args...)
-	got, gst, foralls, err := runReversed(par, seed, fn, args)
-	switch {
-	case err != nil || serialErr != nil:
-		if fmt.Sprint(err) != fmt.Sprint(serialErr) {
-			diff = fmt.Sprintf("reversed run: %v; serial run: %v", err, serialErr)
+// walkRun runs fn on the walking oracle, serially — every forall in
+// place, in index order — or, reversed, with every forall window's
+// iterations executed last to first, one after another, each on a fresh
+// fork of the root. The reversed scheduler runs every iteration whatever
+// an earlier one returned, as the ForallScheduler contract asks; the
+// interpreter keeps what a serial run would have left of the window —
+// output flushed in index order up to the first failing iteration, that
+// iteration's error, the later iterations' counts taken back — so a
+// reversed run differs from the serial one only through an order
+// dependence. walkRun also returns how many windows the scheduler was
+// handed.
+func walkRun(prog *lang.Program, seed uint64, fn string, args []interp.Value, reversed bool) (probeRun, int) {
+	var out bytes.Buffer
+	var root *interp.Interp
+	foralls := 0
+	cfg := interp.Config{Engine: interp.EngineWalk, Seed: seed, Output: &out}
+	if reversed {
+		cfg.Forall = func(_ lang.Pos, from, to int64, run func(w *interp.Interp, k int64) error) error {
+			foralls++
+			for k := to; k >= from; k-- {
+				_ = run(root.Fork(io.Discard), k) // the interpreter keeps the error
+			}
+			return nil
 		}
-	case got.String() != want.String():
-		diff = fmt.Sprintf("value %s with foralls reversed, %s serially", got, want)
-	case gst.Allocations != wst.Allocations:
-		diff = fmt.Sprintf("%d allocations with foralls reversed, %d serially", gst.Allocations, wst.Allocations)
 	}
-	return diff, foralls, serialErr
+	root = interp.New(prog, cfg)
+	v, err := root.Call(fn, args...)
+	return probeRun{value: v.String(), output: out.String(), st: root.Stats(), err: err}, foralls
+}
+
+// orderSensitive is the probe: it runs ref serially, and par both
+// serially and with every forall reversed, all on the walker, and
+// describes how the reversed run disagrees ("" when it does not). The
+// reversed run must give ref's error text, value, print output and
+// allocation count, and par's serial step and barrier counts (strip-
+// mining adds steps, so those are par's own). foralls is how many
+// windows the reversed run executed. A program that fails serially
+// (serialErr) must fail the same way reversed.
+func orderSensitive(ref, par *lang.Program, seed uint64, fn string, args []interp.Value) (diff string, foralls int, serialErr error) {
+	serial, _ := walkRun(ref, seed, fn, args, false)
+	inPlace, _ := walkRun(par, seed, fn, args, false)
+	got, foralls := walkRun(par, seed, fn, args, true)
+	switch {
+	case fmt.Sprint(got.err) != fmt.Sprint(serial.err):
+		diff = fmt.Sprintf("reversed run: %v; serial run: %v", got.err, serial.err)
+	case serial.err == nil && got.value != serial.value:
+		diff = fmt.Sprintf("value %s with foralls reversed, %s serially", got.value, serial.value)
+	case got.output != serial.output:
+		diff = fmt.Sprintf("output with foralls reversed:\n%s\nserially:\n%s", got.output, serial.output)
+	case got.st.Allocations != serial.st.Allocations:
+		diff = fmt.Sprintf("%d allocations with foralls reversed, %d serially", got.st.Allocations, serial.st.Allocations)
+	case got.st.Steps != inPlace.st.Steps || got.st.Barriers != inPlace.st.Barriers:
+		diff = fmt.Sprintf("%d steps and %d barriers with foralls reversed, %d and %d in place",
+			got.st.Steps, got.st.Barriers, inPlace.st.Steps, inPlace.st.Barriers)
+	}
+	return diff, foralls, serial.err
 }
 
 // TestApprovedLoopsAreOrderInsensitive: for every corpus program, what
-// core.AutoParallel approved computes the serial program's value with
-// the serial program's allocations when each strip runs backwards.
+// core.AutoParallel approved computes the serial program's value,
+// output and allocations, and its own in-place steps and barriers,
+// when each strip runs backwards.
 func TestApprovedLoopsAreOrderInsensitive(t *testing.T) {
 	for _, p := range equivalenceCorpus(t) {
 		p := p
@@ -208,4 +231,132 @@ func TestGeneratedApprovedLoopsAreOrderInsensitive(t *testing.T) {
 		}
 	}
 	t.Logf("%d of 50 seeds had at least one approved loop; %d fail serially, identically reversed", withApproval, failing)
+}
+
+// nullArgList is the list and driver the NULL-argument programs share:
+// a five-node list, the procedure under test (the %s) run over it, and
+// a checksum that weighs every node's data by its position, so a write
+// that lands on the wrong node or in the wrong order shows.
+const nullArgList = `
+type OneWayList [X]
+{ int data;
+  OneWayList *next is uniquely forward along X;
+};
+
+function int main() {
+  var OneWayList *head = NULL;
+  var int i = 0;
+  while i < 5 {
+    var OneWayList *t = new OneWayList;
+    t->data = 10 + i;
+    t->next = head;
+    head = t;
+    i = i + 1;
+  }
+  walk(head);
+  var int s = 0;
+  var OneWayList *q = head;
+  i = 1;
+  while q != NULL {
+    s = s + i * q->data;
+    print(q->data);
+    q = q->next;
+    i = i + 1;
+  }
+  return s;
+}
+%s`
+
+// TestNullArgumentLoops covers the shape ROADMAP item 1(b) lists last:
+// a loop body that passes a literal NULL for a pointer parameter of a
+// callee that writes through it. Effects maps a callee's
+// parameter-anchored accesses onto the regions of the caller's
+// argument, and NULL has none, so the write through the parameter
+// itself drops out of the caller's summary. The three forms: the callee
+// writes through the parameter as it is (approved; the program faults on
+// the first iteration, serially and reversed alike); it first replaces
+// a NULL parameter with the induction pointer (approved: each iteration
+// writes its own node, reached through the second parameter); it
+// replaces it with the list head (rejected: every iteration writes
+// head->data, reached the same way). Each verdict and its reason are
+// pinned, and every approved loop must pass the order probe.
+func TestNullArgumentLoops(t *testing.T) {
+	const approvedOwnNode = "p advances along next (uniquely forward): iterations visit distinct nodes; body performs no pointer-field stores; writes land only on the iteration's own node; overlapping reads touch disjoint fields"
+	for _, tc := range []struct {
+		name, src string
+		approved  bool
+		reason    string
+		serialErr string // the run's error, "<nil>" for none
+	}{
+		{name: "plain write", src: `
+procedure set(OneWayList *q, int v) {
+  q->data = v;
+}
+procedure walk(OneWayList *head) {
+  var OneWayList *p = head;
+  while p != NULL {
+    p->data = p->data + 1;
+    set(NULL, p->data);
+    p = p->next;
+  }
+}`, approved: true, reason: approvedOwnNode, serialErr: "31:4: interp: store through NULL pointer"},
+		{name: "NULL replaced by the induction pointer", src: `
+procedure put(OneWayList *q, OneWayList *r, int v) {
+  if q == NULL {
+    q = r;
+  }
+  q->data = v;
+}
+procedure walk(OneWayList *head) {
+  var OneWayList *p = head;
+  while p != NULL {
+    put(NULL, p, p->data * 2);
+    p = p->next;
+  }
+}`, approved: true, reason: approvedOwnNode, serialErr: "<nil>"},
+		{name: "NULL replaced by the list head", src: `
+procedure put(OneWayList *q, OneWayList *r, int v) {
+  if q == NULL {
+    q = r;
+  }
+  q->data = v;
+}
+procedure walk(OneWayList *head) {
+  var OneWayList *p = head;
+  while p != NULL {
+    put(NULL, head, p->data);
+    p = p->next;
+  }
+}`, reason: "write W head.data is not confined to the iteration's own node", serialErr: "<nil>"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := core.Compile(fmt.Sprintf(nullArgList, tc.src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			auto, err := c.AutoParallel(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var walk *transform.LoopPlan
+			for _, lp := range auto.Plan.Loops {
+				if lp.Func == "walk" {
+					walk = lp
+				}
+			}
+			if walk == nil || walk.Parallelized != tc.approved || walk.ReasonText() != tc.reason {
+				t.Fatalf("walk's loop: %v, want approved=%t for %q", walk, tc.approved, tc.reason)
+			}
+			diff, foralls, err := orderSensitive(c.Program, auto.Program, 0, "main", nil)
+			if fmt.Sprint(err) != tc.serialErr {
+				t.Errorf("serial run: %v, want %s", err, tc.serialErr)
+			}
+			if diff != "" {
+				t.Errorf("an approved loop depends on iteration order: %s\n%s", diff, auto.Plan)
+			}
+			if tc.approved && foralls == 0 {
+				t.Error("the approved loop reached no forall: the probe saw nothing")
+			}
+		})
+	}
 }
