@@ -31,6 +31,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/adds"
@@ -435,7 +436,9 @@ type Result struct {
 	Effects *effects.Analyzer
 }
 
-// FuncResult is the analysis of one function.
+// FuncResult is the analysis of one function. It records the states
+// the dependence test reads; any other statement's are computed on
+// demand (Before, After).
 type FuncResult struct {
 	Name string
 	// Entry is the assumed state at function entry (parameters pairwise
@@ -444,11 +447,6 @@ type FuncResult struct {
 	// Exit is the state at function exit (join over returns and
 	// fall-through).
 	Exit *State
-	// Before and After record the state around every statement, as
-	// snapshots (see State): After[s] and the next statement's Before
-	// are one *State.
-	Before map[lang.Stmt]*State
-	After  map[lang.Stmt]*State
 	// LoopInvariant records the fixed-point state at each loop head.
 	LoopInvariant map[lang.Stmt]*State
 	// LoopBodyExit records the fixed-point state at the end of each
@@ -456,7 +454,12 @@ type FuncResult struct {
 	// is where the paper's p'-vs-p facts live.
 	LoopBodyExit map[lang.Stmt]*State
 
-	an *Analyzer
+	an         *Analyzer
+	fn         *lang.FuncDecl
+	loopBefore map[lang.Stmt]*State // before each reached while loop
+	// before and after hold every reached statement's states (recorded).
+	recordOnce    sync.Once
+	before, after map[lang.Stmt]*State
 }
 
 // Analyzer runs general path matrix analysis over a program.
@@ -464,7 +467,6 @@ type Analyzer struct {
 	prog      *lang.Program
 	fields    map[string]*fieldInfo
 	effects   *effects.Analyzer
-	edgeID    int
 	results   map[string]*FuncResult
 	exitViols map[string]map[ViolationKey]*Violation
 	// recursed is set by the call rule when a function calls itself: a
@@ -514,10 +516,14 @@ func (a *Analyzer) AnalyzeAll() (*Result, error) {
 		for round := 0; round < len(members)+2; round++ {
 			changed := false
 			for _, f := range members {
-				fr, err := a.analyzeFunc(f)
+				a.analyses[f.Name]++
+				// A recursive component's members read exit violations
+				// that change after, so they record as they run.
+				fr, selfCall, err := a.analyzeFunc(f, a.recursed, nil)
 				if err != nil {
 					return nil, err
 				}
+				a.recursed = a.recursed || selfCall
 				a.results[f.Name] = fr
 				if !sameViolationKeys(a.exitViols[f.Name], fr.Exit.Violations) {
 					changed = true
@@ -559,11 +565,6 @@ func sameViolationKeys(a, b map[ViolationKey]*Violation) bool {
 	return true
 }
 
-func (a *Analyzer) newEdgeID() int {
-	a.edgeID++
-	return a.edgeID
-}
-
 // entryState builds the conservative function-entry assumption: every
 // pair of same-record-type pointer parameters may be aliases.
 func (a *Analyzer) entryState(f *lang.FuncDecl) *State {
@@ -594,22 +595,28 @@ func (a *Analyzer) entryState(f *lang.FuncDecl) *State {
 	return s
 }
 
-func (a *Analyzer) analyzeFunc(f *lang.FuncDecl) (*FuncResult, error) {
-	a.analyses[f.Name]++
-	fr := &FuncResult{
+// analyzeFunc analyzes f, writing nothing outside its result; record
+// keeps every statement's states, and a replay passes the loops' states
+// the analysis recorded, to be kept.
+func (a *Analyzer) analyzeFunc(f *lang.FuncDecl, record bool, loops map[lang.Stmt]*State) (fr *FuncResult, selfCall bool, err error) {
+	fr = &FuncResult{
 		Name:          f.Name,
-		Before:        make(map[lang.Stmt]*State),
-		After:         make(map[lang.Stmt]*State),
 		LoopInvariant: make(map[lang.Stmt]*State),
 		LoopBodyExit:  make(map[lang.Stmt]*State),
 		an:            a,
+		fn:            f,
+		loopBefore:    make(map[lang.Stmt]*State),
+	}
+	if record {
+		fr.before, fr.after = make(map[lang.Stmt]*State), make(map[lang.Stmt]*State)
+		fr.recordOnce.Do(func() {}) // nothing to replay
 	}
 	fr.Entry = a.entryState(f)
-	ctx := &funcCtx{an: a, fr: fr, fn: f}
+	ctx := &funcCtx{an: a, fr: fr, fn: f, record: record, loops: loops}
 	st := fr.Entry.Clone()
 	out, err := ctx.block(f.Body, st)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if ctx.exit != nil {
 		if out != nil {
@@ -622,7 +629,25 @@ func (a *Analyzer) analyzeFunc(f *lang.FuncDecl) (*FuncResult, error) {
 		out = NewState()
 	}
 	fr.Exit = out.snapshot()
-	return fr, nil
+	return fr, ctx.selfCall, nil
+}
+
+// recorded returns fr with every statement's states: the first call
+// replays the analysis with recording on, and concurrent callers wait
+// for that one replay. AnalyzeAll records a recursive component as it
+// runs, except a self-calling function's first round, which it keeps
+// only if that ends with no exit violations — what the round read for
+// itself. So the replay reads the exit violations the analysis read and
+// reaches the same states: an error is a broken invariant.
+func (fr *FuncResult) recorded() *FuncResult {
+	fr.recordOnce.Do(func() {
+		full, _, err := fr.an.analyzeFunc(fr.fn, true, fr.loopBefore)
+		if err != nil {
+			panic(fmt.Sprintf("analysis: replaying %s: %v", fr.Name, err))
+		}
+		fr.before, fr.after = full.before, full.after
+	})
+	return fr
 }
 
 // funcCtx is the per-function analysis context.
@@ -631,6 +656,11 @@ type funcCtx struct {
 	fr   *FuncResult
 	fn   *lang.FuncDecl
 	exit *State // join of states at return statements
+	// record keeps every statement's states, not only loops'; edgeID
+	// numbers exact edges per function, so a replay numbers them alike.
+	record, selfCall bool
+	edgeID           int
+	loops            map[lang.Stmt]*State // a replay's: the analysis's loopBefore
 }
 
 // block analyzes a block, returning the fall-through state (nil when the
@@ -642,19 +672,32 @@ func (c *funcCtx) block(b *lang.Block, st *State) (*State, error) {
 	}
 	var declared []string
 	cur := st
-	// One snapshot serves as After[s] and Before[next]: nothing runs
-	// between the two program points.
-	var snap *State
+	var prev lang.Stmt
 	for _, s := range b.Stmts {
 		if cur == nil {
 			// Unreachable code after a return: skip (conservatively,
 			// nothing to analyze).
 			break
 		}
-		if snap == nil {
-			snap = cur.Clone()
+		_, isLoop := s.(*lang.WhileStmt)
+		if c.record || isLoop {
+			// One snapshot serves as after[prev] and before[s]: nothing
+			// runs between the two program points. Before a loop, a
+			// replay reuses the analysis's.
+			snap := c.loops[s]
+			if snap == nil {
+				snap = cur.Clone()
+			}
+			if isLoop {
+				c.fr.loopBefore[s] = snap
+			}
+			if c.record {
+				c.fr.before[s] = snap
+				if prev != nil {
+					c.fr.after[prev] = snap
+				}
+			}
 		}
-		c.fr.Before[s] = snap
 		next, err := c.stmt(s, cur)
 		if err != nil {
 			return nil, err
@@ -664,11 +707,10 @@ func (c *funcCtx) block(b *lang.Block, st *State) (*State, error) {
 				declared = append(declared, vs.Name)
 			}
 		}
-		if next != nil {
-			snap = next.Clone()
-			c.fr.After[s] = snap
-		}
-		cur = next
+		prev, cur = s, next
+	}
+	if c.record && cur != nil && prev != nil {
+		c.fr.after[prev] = cur.Clone()
 	}
 	if cur != nil {
 		for _, h := range declared {

@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/adds"
@@ -18,11 +18,11 @@ import (
 )
 
 // The differential test behind AnalyzeAll's callee-first order: on
-// every input, every function's states — entry, exit, and around every
-// statement and loop — match the round-robin oracle in
-// analysis_ref_test.go, and the pointer fields the call rule clears
-// (the effect summaries' pointer writes) are the fields the old
-// string-keyed closure named.
+// every input, every function's states — entry, exit, and at every
+// loop — match the round-robin oracle in analysis_ref_test.go
+// (TestReplayMatchesEagerRecording holds every other statement's), and
+// the pointer fields the call rule clears (the effect summaries' pointer
+// writes) are the fields the old string-keyed closure named.
 
 // Drivers the root package's equivalence corpus appends (mirrored from
 // equivalence_test.go, whose package this one cannot import).
@@ -207,8 +207,6 @@ func diffAgainstReference(prog *lang.Program) string {
 			name      string
 			got, want map[lang.Stmt]*analysis.State
 		}{
-			{"before", g.Before, w.Before},
-			{"after", g.After, w.After},
 			{"loop invariant", g.LoopInvariant, w.LoopInvariant},
 			{"loop body exit", g.LoopBodyExit, w.LoopBodyExit},
 		} {
@@ -247,19 +245,60 @@ func diffStates(at string, got, want *analysis.State) string {
 		}
 		return ""
 	}
-	if g, w := renderState(got), renderState(want); g != w {
+	if g, w := got.String(), want.String(); g != w {
 		return fmt.Sprintf("%s:\n%s\nreference:\n%s", at, g, w)
 	}
 	return ""
 }
 
-func renderState(st *analysis.State) string {
-	var prov []string
-	for h, p := range st.Prov {
-		prov = append(prov, fmt.Sprintf("%s:%s<-%s", h, p.Dim, p.Src))
+// TestReplayMatchesEagerRecording: AnalyzeAll records only the states
+// the dependence test reads, and the first Before or After of any other
+// statement replays its function with recording on. Every statement's
+// replayed states render as the reference records them while it
+// analyzes (in round-robin order, which reaches the same states), over
+// the corpus and 200 generated programs. Concurrent first queries on
+// one function share one replay: under -race a second writer is
+// reported.
+func TestReplayMatchesEagerRecording(t *testing.T) {
+	for name, src := range diffInputs(t) {
+		prog := lang.MustParse(src)
+		got, err := analysis.New(prog).AnalyzeAll()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := analysis.RefAnalyzeAll(prog)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		for _, f := range prog.Funcs {
+			g, w := got.Funcs[f.Name], want.Funcs[f.Name]
+			var stmts []lang.Stmt
+			lang.Walk(f.Body, func(s lang.Stmt) bool {
+				stmts = append(stmts, s)
+				return true
+			})
+			var wg sync.WaitGroup
+			for q := 0; q < 4; q++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, s := range stmts {
+						_, _ = g.Before(s), g.After(s)
+					}
+				}()
+			}
+			wg.Wait()
+			for _, s := range stmts {
+				at := fmt.Sprintf("%s %T at %s", f.Name, s, s.Pos())
+				if d := diffStates("before "+at, g.Before(s), w.Before(s)); d != "" {
+					t.Fatalf("%s: %s", name, d)
+				}
+				if d := diffStates("after "+at, g.After(s), w.After(s)); d != "" {
+					t.Fatalf("%s: %s", name, d)
+				}
+			}
+		}
 	}
-	sort.Strings(prov)
-	return fmt.Sprintf("%s\nviolations %v\nprov %s", st.PM, st.ViolationKeys(), strings.Join(prov, " "))
 }
 
 // TestAnalyzesEachFunctionOnceCalleeFirst counts analyses per function

@@ -1,8 +1,24 @@
 package analysis
 
 import (
+	"fmt"
+	"sort"
+	"strings"
+
 	"repro/internal/lang"
 )
+
+// String renders the state as the differential tests compare states:
+// its matrix, its active violation keys and its provenance facts,
+// sorted.
+func (s *State) String() string {
+	prov := make([]string, 0, len(s.Prov))
+	for h, p := range s.Prov {
+		prov = append(prov, fmt.Sprintf("%s:%s<-%s", h, p.Dim, p.Src))
+	}
+	sort.Strings(prov)
+	return fmt.Sprintf("%s\nviolations %v\nprov %s", s.PM, s.ViolationKeys(), strings.Join(prov, " "))
+}
 
 // The interprocedural mechanism AnalyzeAll had before it walked the
 // effect summaries' component order, kept as the oracle the new order
@@ -15,7 +31,10 @@ import (
 // the effect summaries name the same fields for every function.
 
 // refAnalyzeAll is the round-robin AnalyzeAll, moved here verbatim
-// (less the process-wide run counter).
+// (less the process-wide run counter), recording every statement's
+// states as the analysis runs — the eager record the replays behind
+// FuncResult.Before and After are held to. Every call reads its
+// callee's exit violations as they are at that moment.
 func (a *Analyzer) refAnalyzeAll() (*Result, error) {
 	// Iterate to a fixed point of exit-violation summaries: a callee
 	// that ends with an active violation poisons its callers.
@@ -23,7 +42,7 @@ func (a *Analyzer) refAnalyzeAll() (*Result, error) {
 		changed := false
 		for _, f := range a.prog.Funcs {
 			prev := a.exitViols[f.Name]
-			fr, err := a.analyzeFunc(f)
+			fr, _, err := a.analyzeFunc(f, true, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -50,7 +50,7 @@ func TestPolyLoopMatrices(t *testing.T) {
 	}
 
 	// "Just before the loop": head and p are definite aliases.
-	before := fr.Before[loop]
+	before := fr.Before(loop)
 	if before == nil {
 		t.Fatal("no state before loop")
 	}
@@ -66,7 +66,7 @@ func TestPolyLoopMatrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := fr.After[adv]
+	after := fr.After(adv)
 	if after == nil {
 		t.Fatal("no state after p = p->next")
 	}
@@ -115,7 +115,7 @@ procedure scale(ListNode *head, int c) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := fr.After[adv]
+	after := fr.After(adv)
 	if after.PM.Get("head", "p").Alias == pathmatrix.NoAlias {
 		t.Errorf("without ADDS the analysis must not prove head/p distinct\n%s", after.PM)
 	}
@@ -152,7 +152,7 @@ procedure move(BinTree *p1, BinTree *p2) {
 	if firstStore == nil {
 		t.Fatal("store not found")
 	}
-	st1 := fr.After[firstStore]
+	st1 := fr.After(firstStore)
 	if st1 == nil {
 		t.Fatal("no state after first store")
 	}
@@ -192,7 +192,7 @@ procedure close(OneWayList *a) {
 	prog, fr := analyzeOne(t, src, "close")
 	cl := prog.Func("close")
 	store := cl.Body.Stmts[1]
-	st := fr.After[store]
+	st := fr.After(store)
 	if st.Valid("OneWayList", "X") {
 		t.Errorf("cycle violation expected after b->next = a (b is a's next): %v", st.ViolationKeys())
 	}
@@ -279,7 +279,7 @@ procedure f(BinTree *p) {
 	if rDecl == nil {
 		t.Fatal("no var r")
 	}
-	st := fr.After[rDecl]
+	st := fr.After(rDecl)
 	if got := st.PM.Get("r", "q").Alias; got != pathmatrix.DefiniteAlias {
 		t.Errorf("r/q = %v, want definite alias\n%s", got, st.PM)
 	}
@@ -296,7 +296,7 @@ procedure f(OneWayList *a, OneWayList *b) {
 	prog, fr := analyzeOne(t, src, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	st := fr.Before[last]
+	st := fr.Before(last)
 	for _, h := range []string{"a", "b"} {
 		if st.PM.Get("n", h).Alias != pathmatrix.NoAlias {
 			t.Errorf("fresh n vs %s should be NoAlias", h)
@@ -321,7 +321,7 @@ procedure f(BinTree *t) {
 	prog, fr := analyzeOne(t, src, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	st := fr.Before[last]
+	st := fr.Before(last)
 	if got := st.PM.Get("l", "r").Alias; got != pathmatrix.NoAlias {
 		t.Errorf("left and right children must be provably distinct, got %v\n%s", got, st.PM)
 	}
@@ -343,7 +343,7 @@ procedure f(ListNode *a, ListNode *b) {
 	prog, fr := analyzeOne(t, src, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	st := fr.Before[last]
+	st := fr.Before(last)
 	if st.PM.Get("c", "a").Alias == pathmatrix.NoAlias {
 		t.Error("possibly-cyclic next: c may alias a")
 	}
@@ -368,7 +368,7 @@ procedure f(OneWayList *a, OneWayList *b, bool cond) {
 	prog, fr := analyzeOne(t, src, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	st := fr.Before[last]
+	st := fr.Before(last)
 	if st.PM.Get("p", "a").Alias != pathmatrix.PossibleAlias {
 		t.Errorf("p/a after join = %v, want possible", st.PM.Get("p", "a").Alias)
 	}
@@ -389,7 +389,7 @@ procedure f(OneWayList *p, OneWayList *q) {
 	prog, fr := analyzeOne(t, src, "f")
 	fn := prog.Func("f")
 	ifs := fn.Body.Stmts[0].(*lang.IfStmt)
-	st := fr.Before[ifs.Then.Stmts[0]]
+	st := fr.Before(ifs.Then.Stmts[0])
 	if st.PM.Get("p", "q").Alias != pathmatrix.NoAlias {
 		t.Errorf("p != q branch: alias = %v, want NoAlias", st.PM.Get("p", "q").Alias)
 	}
@@ -407,7 +407,7 @@ procedure f(OneWayList *p, OneWayList *q) {
 	prog, fr := analyzeOne(t, src, "f")
 	fn := prog.Func("f")
 	ifs := fn.Body.Stmts[0].(*lang.IfStmt)
-	st := fr.Before[ifs.Then.Stmts[0]]
+	st := fr.Before(ifs.Then.Stmts[0])
 	if st.PM.Get("p", "q").Alias != pathmatrix.NoAlias {
 		t.Error("NULL pointer aliases nothing")
 	}
@@ -431,7 +431,7 @@ procedure f(OneWayList *head) {
 	prog, fr := analyzeOne(t, src, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	st := fr.Before[last]
+	st := fr.Before(last)
 	e := st.PM.Get("head", "p")
 	if e.HasPath() {
 		t.Errorf("definite next path must not survive mutate(): %q", e)
@@ -488,7 +488,7 @@ procedure f(TwoWayList *a, TwoWayList *b) {
 	prog, fr := analyzeOne(t, src, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	st := fr.Before[last]
+	st := fr.Before(last)
 	if st.PM.Get("a", "p").Alias != pathmatrix.NoAlias {
 		t.Error("a and a->prev are distinct (prev is acyclic backward)")
 	}
@@ -502,7 +502,7 @@ func TestMatrixRendering(t *testing.T) {
 	prog, fr := analyzeOne(t, polyProgram, "scale")
 	scale := prog.Func("scale")
 	adv, _ := FindAssign(scale, "p = p->next;")
-	s := fr.After[adv].PM.String()
+	s := fr.After(adv).PM.String()
 	if !strings.Contains(s, "next+") {
 		t.Errorf("expected next+ in matrix:\n%s", s)
 	}

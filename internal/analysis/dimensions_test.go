@@ -25,7 +25,7 @@ procedure f(TwoDRangeTree *a, TwoDRangeTree *b) {
 	prog, fr := analyzeOne(t, src, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	st := fr.Before[last]
+	st := fr.Before(last)
 
 	if got := st.PM.Get("s", "d").Alias; got != pathmatrix.NoAlias {
 		t.Errorf("sub-loaded vs down-loaded = %v, want NoAlias (sub||down)\n%s", got, st.PM)
@@ -54,7 +54,7 @@ procedure f(TwoDRangeTree *a, TwoDRangeTree *b) {
 	prog, fr := analyzeOne(t, src, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	st := fr.Before[last]
+	st := fr.Before(last)
 	if got := st.PM.Get("s2", "d").Alias; got != pathmatrix.NoAlias {
 		t.Errorf("copied sub-handle vs down-loaded = %v, want NoAlias\n%s", got, st.PM)
 	}
@@ -78,7 +78,7 @@ procedure f(TwoDRangeTree *a, TwoDRangeTree *b, bool c) {
 	prog, fr := analyzeOne(t, src, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	st := fr.Before[last]
+	st := fr.Before(last)
 	// x may be down-loaded, so independence from down must NOT apply.
 	if got := st.PM.Get("x", "d").Alias; got == pathmatrix.NoAlias {
 		t.Errorf("mixed-provenance handle must stay possible vs down-loaded\n%s", st.PM)
@@ -100,7 +100,7 @@ procedure f(OrthList *grid) {
 	prog, fr := analyzeOne(t, src, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	st := fr.Before[last]
+	st := fr.Before(last)
 	if got := st.PM.Get("r1", "r2").Alias; got != pathmatrix.NoAlias {
 		t.Errorf("successive down-loads must be distinct, got %v", got)
 	}
@@ -198,7 +198,7 @@ procedure f(TwoWayList *a) {
 	prog, fr := analyzeOne(t, src, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	st := fr.Before[last]
+	st := fr.Before(last)
 	if st.PM.Get("a", "x").Alias != pathmatrix.NoAlias {
 		t.Error("a vs a->prev distinct (acyclic backward)")
 	}

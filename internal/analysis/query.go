@@ -8,29 +8,27 @@ import (
 	"repro/internal/pathmatrix"
 )
 
-// MatrixBefore returns the path matrix just before stmt, or nil if the
-// statement was not reached.
-func (fr *FuncResult) MatrixBefore(s lang.Stmt) *pathmatrix.Matrix {
-	if st, ok := fr.Before[s]; ok {
-		return st.PM
+// Before returns the state just before statement s, or nil if s was not
+// reached. Only a while loop's is recorded; another statement's comes
+// from one replay of the analysis (safe to query concurrently).
+func (fr *FuncResult) Before(s lang.Stmt) *State {
+	if _, ok := s.(*lang.WhileStmt); ok {
+		return fr.loopBefore[s]
 	}
-	return nil
+	return fr.recorded().before[s]
 }
 
-// MatrixAfter returns the path matrix just after stmt, or nil.
-func (fr *FuncResult) MatrixAfter(s lang.Stmt) *pathmatrix.Matrix {
-	if st, ok := fr.After[s]; ok {
-		return st.PM
-	}
-	return nil
+// After returns the state just after statement s, or nil; as Before.
+func (fr *FuncResult) After(s lang.Stmt) *State {
+	return fr.recorded().after[s]
 }
 
 // MayAliasAt reports whether handles a and b may alias in the state
 // before stmt. Unreached statements and unknown handles answer true
 // (conservative).
 func (fr *FuncResult) MayAliasAt(s lang.Stmt, a, b string) bool {
-	st, ok := fr.Before[s]
-	if !ok {
+	st := fr.Before(s)
+	if st == nil {
 		return true
 	}
 	if !st.PM.HasHandle(a) || !st.PM.HasHandle(b) {

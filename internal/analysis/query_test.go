@@ -51,8 +51,8 @@ procedure f(OneWayList *a, OneWayList *b) {
 	if !fr.MayAliasAt(fake, "a", "b") {
 		t.Error("unreached statement must answer true")
 	}
-	if fr.MatrixBefore(fake) != nil || fr.MatrixAfter(fake) != nil {
-		t.Error("unreached statement has no matrices")
+	if fr.Before(fake) != nil || fr.After(fake) != nil {
+		t.Error("unreached statement has no states")
 	}
 }
 
@@ -133,7 +133,7 @@ procedure f(OneWayList *a, bool c) {
 	}
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	st := fr.Before[last]
+	st := fr.Before(last)
 	if st.PM.HasHandle("tmp") {
 		t.Error("block-local handle must be removed at scope exit")
 	}

@@ -222,7 +222,8 @@ func (c *funcCtx) load(st *State, p string, fe *lang.FieldExpr, pos lang.Pos) (*
 	} else {
 		baseEntry.Alias = pathmatrix.PossibleAlias
 	}
-	baseEntry.AddDesc(pathmatrix.ExactIndexedDesc(fe.Field, indexKey(fe.Index), c.an.newEdgeID()))
+	c.edgeID++
+	baseEntry.AddDesc(pathmatrix.ExactIndexedDesc(fe.Field, indexKey(fe.Index), c.edgeID))
 
 	// Default alias verdict for handles unrelated to q: along a valid
 	// uniquely-forward dimension, unrelated handles point into disjoint
@@ -460,7 +461,8 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 		if q == p {
 			cycle = true // self-loop
 		}
-		newID := c.an.newEdgeID()
+		c.edgeID++
+		newID := c.edgeID
 
 		if cycle {
 			key := ViolationKey{Type: elem, Dim: pf.Dim, Kind: Cycle}
@@ -520,8 +522,9 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 	}
 
 	// Unknown/backward direction: just record the edge.
+	c.edgeID++
 	st.PM.Update(p, q, func(e *pathmatrix.Entry) {
-		e.AddDesc(pathmatrix.ExactIndexedDesc(lhs.Field, idxKey, c.an.newEdgeID()))
+		e.AddDesc(pathmatrix.ExactIndexedDesc(lhs.Field, idxKey, c.edgeID))
 	})
 	return st, nil
 }
@@ -570,9 +573,7 @@ func (c *funcCtx) call(st *State, call *lang.CallExpr) (*State, error) {
 	// Propagate the callee's exit violations. AnalyzeAll analyzes
 	// callees first, so these are final — except within a recursive
 	// component, which it re-analyzes until they stabilize.
-	if call.Func == c.fn.Name {
-		c.an.recursed = true
-	}
+	c.selfCall = c.selfCall || call.Func == c.fn.Name
 	for k, v := range c.an.exitViols[call.Func] {
 		if _, ok := st.Violations[k]; !ok {
 			nv := *v

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,15 +75,19 @@ func dumpState(s *State) string {
 	return b.String()
 }
 
-// snapshots lists every State a FuncResult holds.
+// snapshots lists every State a FuncResult holds or replays.
 func snapshots(fr *FuncResult) []*State {
 	out := []*State{fr.Entry, fr.Exit}
-	for _, m := range []map[lang.Stmt]*State{fr.Before, fr.After, fr.LoopInvariant, fr.LoopBodyExit} {
+	lang.Walk(fr.fn.Body, func(s lang.Stmt) bool {
+		out = append(out, fr.Before(s), fr.After(s))
+		return true
+	})
+	for _, m := range []map[lang.Stmt]*State{fr.LoopInvariant, fr.LoopBodyExit} {
 		for _, s := range m {
 			out = append(out, s)
 		}
 	}
-	return out
+	return slices.DeleteFunc(out, func(s *State) bool { return s == nil })
 }
 
 // scribble applies every State and Matrix mutator the transfer rules
@@ -166,12 +171,51 @@ func TestStateCloneIsolation(t *testing.T) {
 }
 
 // TestBlockSharesSnapshots: the state after a statement and the state
-// before the next one are the same program point, so the analysis
-// stores one snapshot for both.
+// before the next one are the same program point, so the analysis keeps
+// one snapshot for both — also when the next statement is a loop, whose
+// state the analysis records and the replay behind After reuses.
 func TestBlockSharesSnapshots(t *testing.T) {
 	prog, fr := analyzeOne(t, polyProgram, "scale")
-	stmts := prog.Func("scale").Body.Stmts
-	if fr.After[stmts[0]] == nil || fr.After[stmts[0]] != fr.Before[stmts[1]] {
-		t.Errorf("After[%T] and Before[%T] are distinct snapshots", stmts[0], stmts[1])
+	top := prog.Func("scale").Body.Stmts
+	body := top[1].(*lang.WhileStmt).Body.Stmts
+	for _, pair := range [][]lang.Stmt{top[:2], body[:2]} {
+		if fr.After(pair[0]) == nil || fr.After(pair[0]) != fr.Before(pair[1]) {
+			t.Errorf("After(%T) and Before(%T) are distinct snapshots", pair[0], pair[1])
+		}
+	}
+}
+
+// TestReplayReadsWhatTheAnalysisRead: After, for a member of a recursive
+// component, gives the states its analysis reached, which read the
+// members' exit violations of that round, not those AnalyzeAll ended
+// with. The two differ when a component stops at its round cap still
+// changing; here they are made to differ after the analysis.
+func TestReplayReadsWhatTheAnalysisRead(t *testing.T) {
+	prog := lang.MustParse(adds.OneWayListSrc + `
+procedure ping(OneWayList *h, int n) {
+  if n > 0 {
+    pong(h, n - 1);
+  }
+  h->data = n;
+}
+procedure pong(OneWayList *h, int n) {
+  ping(h, n);
+}`)
+	a := New(prog)
+	res, err := a.AnalyzeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := ViolationKey{Type: "OneWayList", Dim: "X", Kind: Cycle}
+	for _, f := range prog.Funcs {
+		a.exitViols[f.Name] = map[ViolationKey]*Violation{stale: {Key: stale}}
+	}
+	for _, f := range prog.Funcs {
+		lang.Walk(f.Body, func(s lang.Stmt) bool {
+			if st := res.Funcs[f.Name].After(s); st != nil && st.Violations[stale] != nil {
+				t.Errorf("%s: After(%T) at %s holds an exit violation the analysis did not read", f.Name, s, s.Pos())
+			}
+			return true
+		})
 	}
 }

@@ -348,9 +348,9 @@ func (c *Compilation) MatrixAfter(fn, stmtText string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	st, ok := fr.After[lang.Stmt(as)]
-	if !ok {
-		return "", fmt.Errorf("core: no state recorded after %q", stmtText)
+	st := fr.After(as)
+	if st == nil {
+		return "", fmt.Errorf("core: no state after %q (control does not reach past it)", stmtText)
 	}
 	return st.PM.String(), nil
 }
@@ -366,8 +366,8 @@ func (c *Compilation) MatrixBeforeLoop(fn string, loopIndex int) (string, error)
 	if err != nil {
 		return "", err
 	}
-	st, ok := fr.Before[lang.Stmt(loop)]
-	if !ok {
+	st := fr.Before(loop)
+	if st == nil {
 		return "", fmt.Errorf("core: loop not reached")
 	}
 	return st.PM.String(), nil

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/adds"
@@ -157,6 +159,66 @@ func TestAutoPlanSharesPlanCode(t *testing.T) {
 	}
 	if d := analysis.AnalyzeAllCount() - a0; d != 2 {
 		t.Errorf("asking about the planned program twice brought the analyses to %d, want 2", d)
+	}
+}
+
+// TestAutoPlansShareUnrewrittenFuncs: a plan copies only the functions
+// it rewrites and shares every other FuncDecl with its input. Planning
+// one Compilation at three widths at once, then running the input and
+// every planned program on the walker and on the bytecode VM at once,
+// leaves the input's text and FuncDecls as they were; under -race a
+// write to a shared function is reported.
+func TestAutoPlansShareUnrewrittenFuncs(t *testing.T) {
+	c, err := Compile(scaleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, funcs := lang.Format(c.Program), slices.Clone(c.Program.Funcs)
+	widths := []int{4, 8, 16}
+	plans := make([]*AutoPlan, len(widths))
+	var wg sync.WaitGroup
+	for i, w := range widths {
+		wg.Add(1)
+		go func(i, w int) {
+			defer wg.Done()
+			var err error
+			if plans[i], err = c.AutoParallel(w); err != nil {
+				t.Error(err)
+			}
+		}(i, w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	args := []interp.Value{interp.IntVal(10), interp.IntVal(2)}
+	for _, comp := range []*Compilation{c, plans[0].Compilation, plans[1].Compilation, plans[2].Compilation} {
+		for _, eng := range []interp.Engine{interp.EngineWalk, interp.EngineBytecode} {
+			wg.Add(1)
+			go func(comp *Compilation, eng interp.Engine) {
+				defer wg.Done()
+				if v, _, err := comp.Run(RunConfig{Engine: eng}, "main", args...); err != nil || v.I != 110 {
+					t.Errorf("engine %v: main = %v, %v; want 110", eng, v, err)
+				}
+			}(comp, eng)
+		}
+	}
+	wg.Wait()
+	if got := lang.Format(c.Program); got != text {
+		t.Errorf("planning and running changed the input:\n%s\nwas:\n%s", got, text)
+	}
+	if !slices.Equal(c.Program.Funcs, funcs) {
+		t.Error("planning changed the input's FuncDecls")
+	}
+	for i, ap := range plans {
+		if ap.Plan.Parallelized != 1 {
+			t.Fatalf("width %d: parallelized %d loops, want 1 (scale)", widths[i], ap.Plan.Parallelized)
+		}
+		for _, f := range funcs {
+			if shared := ap.Program.Func(f.Name) == f; shared == (f.Name == "scale") {
+				t.Errorf("width %d: %s shared with the input: %v", widths[i], f.Name, shared)
+			}
+		}
 	}
 }
 

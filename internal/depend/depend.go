@@ -115,7 +115,7 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 			dim = pf.Dim
 		}
 	}
-	if before, ok := fr.Before[lang.Stmt(loop)]; ok && decl != nil && dim != "" {
+	if before := fr.Before(loop); before != nil && decl != nil && dim != "" {
 		if !before.Valid(elem, dim) {
 			rep.Reasons = append(rep.Reasons,
 				fmt.Sprintf("the %s declaration is not valid at the loop (active violation on dimension %s)", elem, dim))

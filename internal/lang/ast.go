@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/adds"
 )
@@ -376,14 +377,18 @@ func (p *Program) AddFunc(f *FuncDecl) error {
 	return nil
 }
 
-// Clone returns a deep copy of the program. Transformations clone before
-// rewriting so the original stays available for comparison runs.
-func (p *Program) Clone() *Program {
-	q := &Program{Universe: p.Universe, funcMap: make(map[string]*FuncDecl)}
+// Clone returns a copy of the program that deep-copies every function,
+// or only the named ones, sharing the rest with p (which no one may then
+// modify). Transformations clone before rewriting so the original stays
+// available for comparison runs.
+func (p *Program) Clone(names ...string) *Program {
+	q := &Program{Universe: p.Universe, Funcs: make([]*FuncDecl, 0, len(p.Funcs)), funcMap: make(map[string]*FuncDecl, len(p.Funcs))}
 	for _, f := range p.Funcs {
-		cf := cloneFunc(f)
-		q.Funcs = append(q.Funcs, cf)
-		q.funcMap[cf.Name] = cf
+		if len(names) == 0 || slices.Contains(names, f.Name) {
+			f = cloneFunc(f)
+		}
+		q.Funcs = append(q.Funcs, f)
+		q.funcMap[f.Name] = f
 	}
 	return q
 }

@@ -66,16 +66,20 @@ func FuzzLexer(f *testing.F) {
 	})
 }
 
-// FuzzParser: parsing never panics, and whatever parses (checked and
-// normalized) round-trips through the printer — print → parse → print
-// reaches a fixed point on the first print. This is the property that
-// keeps Format output usable as input (the transformed programs the
-// harness prints are real PSL).
+// FuzzParser: parsing never panics and agrees with the reference
+// pipeline (ParseDiff), and whatever parses (checked and normalized)
+// round-trips through the printer — print → parse → print reaches a
+// fixed point on the first print. This is the property that keeps
+// Format output usable as input (the transformed programs the harness
+// prints are real PSL).
 func FuzzParser(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if d := ParseDiff(src); d != "" {
+			t.Fatalf("Parse and the reference disagree: %s\n--- source ---\n%s", d, src)
+		}
 		p1, err := Parse(src)
 		if err != nil {
 			return

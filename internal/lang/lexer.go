@@ -198,7 +198,7 @@ func (l *Lexer) Next() (Lexeme, error) {
 	}
 	one := func(tok Token) (Lexeme, error) {
 		l.advance()
-		return Lexeme{Tok: tok, Text: string(c), Pos: pos}, nil
+		return Lexeme{Tok: tok, Text: l.src[l.pos-1 : l.pos], Pos: pos}, nil
 	}
 	switch c {
 	case '(':

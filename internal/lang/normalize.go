@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Normalize rewrites the (checked) program into canonical pointer form:
@@ -15,16 +16,14 @@ import (
 //
 // These are exactly the statement forms the paper's pointer rules cover
 // (§3.3). Temporaries are named _t1, _t2, ... avoiding collisions with
-// existing names. The program must be re-checked after normalization to
-// type the introduced statements.
+// existing names. Everything it introduces is typed as it is built, so
+// the program needs no second check.
 func Normalize(p *Program) error {
 	for _, f := range p.Funcs {
 		n := &normalizer{prog: p, used: collectNames(p, f)}
-		body, err := n.block(f.Body)
-		if err != nil {
+		if err := n.block(f.Body); err != nil {
 			return err
 		}
-		f.Body = body
 	}
 	return nil
 }
@@ -150,63 +149,58 @@ func isSimpleRHS(e Expr) bool {
 	return false
 }
 
-func (nm *normalizer) block(b *Block) (*Block, error) {
+// block normalizes b in place.
+func (nm *normalizer) block(b *Block) error {
 	if b == nil {
-		return nil, nil
+		return nil
 	}
-	out := &Block{}
-	out.pos = b.pos
-	for _, s := range b.Stmts {
-		stmts, err := nm.stmt(s)
-		if err != nil {
-			return nil, err
+	in := b.Stmts
+	b.Stmts = make([]Stmt, 0, len(in))
+	for _, s := range in {
+		if err := nm.stmt(s, &b.Stmts); err != nil {
+			return err
 		}
-		out.Stmts = append(out.Stmts, stmts...)
 	}
-	return out, nil
+	return nil
 }
 
-func (nm *normalizer) stmt(s Stmt) ([]Stmt, error) {
-	var pre []Stmt
+// stmt appends s, normalized, to out, after the temporaries it hoists.
+func (nm *normalizer) stmt(s Stmt, out *[]Stmt) error {
 	switch s := s.(type) {
 	case *Block:
-		nb, err := nm.block(s)
-		if err != nil {
-			return nil, err
+		if err := nm.block(s); err != nil {
+			return err
 		}
-		return []Stmt{nb}, nil
 
 	case *VarStmt:
 		if s.Init != nil {
-			init, err := nm.expr(s.Init, &pre)
+			init, err := nm.expr(s.Init, out)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s.Init = init
 		}
-		return append(pre, s), nil
 
 	case *AssignStmt:
-		lhs, err := nm.expr(s.LHS, &pre)
+		lhs, err := nm.expr(s.LHS, out)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rhs, err := nm.expr(s.RHS, &pre)
+		rhs, err := nm.expr(s.RHS, out)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// A store into a pointer field must have a simple RHS.
 		if fe, ok := lhs.(*FieldExpr); ok {
 			if _, isPtr := IsPointer(fe.Type()); isPtr && !isSimpleRHS(rhs) {
-				id, err := nm.hoist(rhs, &pre)
+				id, err := nm.hoist(rhs, out)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				rhs = id
 			}
 		}
 		s.LHS, s.RHS = lhs, rhs
-		return append(pre, s), nil
 
 	case *WhileStmt:
 		// Hoisting from a while condition must re-evaluate the hoisted
@@ -215,26 +209,35 @@ func (nm *normalizer) stmt(s Stmt) ([]Stmt, error) {
 		var condPre []Stmt
 		cond, err := nm.expr(s.Cond, &condPre)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.Cond = cond
-		body, err := nm.block(s.Body)
-		if err != nil {
-			return nil, err
+		if err := nm.block(s.Body); err != nil {
+			return err
 		}
-		s.Body = body
 		if len(condPre) == 0 {
-			return []Stmt{s}, nil
+			break
 		}
-		var out []Stmt
+		// The re-evaluation must read the variables the condition read: a
+		// body that redeclares one of them moves into a block of its own.
+		reads := map[string]bool{}
 		for _, ps := range condPre {
-			vs, ok := ps.(*VarStmt)
-			if !ok {
-				return nil, fmt.Errorf("%s: internal: condition hoisting produced %T", s.Pos(), ps)
-			}
+			WalkExprs(ps, func(e Expr) {
+				if id, ok := e.(*Ident); ok {
+					reads[id.Name] = true
+				}
+			})
+		}
+		if slices.ContainsFunc(s.Body.Stmts, func(b Stmt) bool { vs, ok := b.(*VarStmt); return ok && reads[vs.Name] }) {
+			inner := s.Body
+			s.Body = &Block{Stmts: []Stmt{inner}}
+			s.Body.pos = inner.pos
+		}
+		for _, ps := range condPre {
+			vs := ps.(*VarStmt) // hoist's
 			decl := &VarStmt{Name: vs.Name, DeclType: vs.DeclType, Init: vs.Init}
 			decl.pos = vs.pos
-			out = append(out, decl)
+			*out = append(*out, decl)
 			// Re-evaluate at the end of each iteration.
 			assign := &AssignStmt{
 				LHS: NewIdent(vs.Name, vs.DeclType, vs.pos),
@@ -243,62 +246,53 @@ func (nm *normalizer) stmt(s Stmt) ([]Stmt, error) {
 			assign.pos = vs.pos
 			s.Body.Stmts = append(s.Body.Stmts, assign)
 		}
-		return append(out, s), nil
 
 	case *IfStmt:
-		cond, err := nm.expr(s.Cond, &pre)
+		cond, err := nm.expr(s.Cond, out)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.Cond = cond
-		then, err := nm.block(s.Then)
-		if err != nil {
-			return nil, err
+		if err := nm.block(s.Then); err != nil {
+			return err
 		}
-		s.Then = then
-		if s.Else != nil {
-			els, err := nm.block(s.Else)
-			if err != nil {
-				return nil, err
-			}
-			s.Else = els
+		if err := nm.block(s.Else); err != nil {
+			return err
 		}
-		return append(pre, s), nil
 
 	case *ReturnStmt:
 		if s.Value != nil {
-			v, err := nm.expr(s.Value, &pre)
+			v, err := nm.expr(s.Value, out)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s.Value = v
 		}
-		return append(pre, s), nil
 
 	case *CallStmt:
-		call, err := nm.expr(s.Call, &pre)
+		call, err := nm.expr(s.Call, out)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.Call = call.(*CallExpr)
-		return append(pre, s), nil
 
 	case *ForStmt:
-		from, err := nm.expr(s.From, &pre)
+		from, err := nm.expr(s.From, out)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		to, err := nm.expr(s.To, &pre)
+		to, err := nm.expr(s.To, out)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.From, s.To = from, to
-		body, err := nm.block(s.Body)
-		if err != nil {
-			return nil, err
+		if err := nm.block(s.Body); err != nil {
+			return err
 		}
-		s.Body = body
-		return append(pre, s), nil
+
+	default:
+		return fmt.Errorf("%s: unknown statement %T", s.Pos(), s)
 	}
-	return nil, fmt.Errorf("%s: unknown statement %T", s.Pos(), s)
+	*out = append(*out, s)
+	return nil
 }

@@ -9,7 +9,8 @@ import (
 
 // Parse lexes, parses, checks, and normalizes a PSL program. The result
 // is fully typed and in canonical pointer form (every pointer access is a
-// single step from a named variable).
+// single step from a named variable). It is checked once: Normalize
+// types everything it introduces.
 func Parse(src string) (*Program, error) {
 	p, err := ParseRaw(src)
 	if err != nil {
@@ -20,11 +21,6 @@ func Parse(src string) (*Program, error) {
 	}
 	if err := Normalize(p); err != nil {
 		return nil, err
-	}
-	// Normalization introduces temporaries; re-check to type them and to
-	// guarantee the canonical-form invariants hold.
-	if err := Check(p); err != nil {
-		return nil, fmt.Errorf("lang: internal: post-normalize check failed: %w", err)
 	}
 	return p, nil
 }
@@ -38,13 +34,23 @@ func MustParse(src string) *Program {
 	return p
 }
 
-// ParseRaw parses without checking or normalizing.
+// ParseRaw parses without checking or normalizing. A lexing error
+// anywhere in src is reported ahead of any other error, as if the whole
+// source had been lexed first.
 func ParseRaw(src string) (*Program, error) {
-	lexemes, err := LexAll(src)
-	if err != nil {
-		return nil, err
+	p := &parser{lx: NewLexer(src)}
+	p.cur, p.lexErr = p.lx.Next()
+	prog, err := p.program()
+	for err != nil && p.lexErr == nil && p.cur.Tok != EOF {
+		p.next()
 	}
-	p := &parser{lexemes: lexemes}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return prog, err
+}
+
+func (p *parser) program() (*Program, error) {
 	prog := &Program{Universe: adds.NewUniverse(), funcMap: make(map[string]*FuncDecl)}
 	for p.peek().Tok != EOF {
 		switch p.peek().Tok {
@@ -74,23 +80,20 @@ func ParseRaw(src string) (*Program, error) {
 	return prog, nil
 }
 
+// parser pulls lexemes one at a time. After the first lexing error cur
+// stays ILLEGAL, which no production accepts, and ParseRaw reports it.
 type parser struct {
-	lexemes []Lexeme
-	i       int
+	lx     *Lexer
+	cur    Lexeme
+	lexErr error
 }
 
-func (p *parser) peek() Lexeme { return p.lexemes[p.i] }
-func (p *parser) peek2() Lexeme {
-	if p.i+1 < len(p.lexemes) {
-		return p.lexemes[p.i+1]
-	}
-	return p.lexemes[len(p.lexemes)-1]
-}
+func (p *parser) peek() Lexeme { return p.cur }
 
 func (p *parser) next() Lexeme {
-	lex := p.lexemes[p.i]
-	if lex.Tok != EOF {
-		p.i++
+	lex := p.cur
+	if lex.Tok != EOF && lex.Tok != ILLEGAL {
+		p.cur, p.lexErr = p.lx.Next()
 	}
 	return lex
 }

@@ -74,14 +74,14 @@ func TestBHInsertTemporarySharing(t *testing.T) {
 	if sharingStore == nil || repairStore == nil {
 		t.Fatal("could not locate the sharing/repair stores")
 	}
-	afterShare := fr.After[sharingStore]
+	afterShare := fr.After(sharingStore)
 	if afterShare == nil {
 		t.Fatal("no state after sharing store")
 	}
 	if afterShare.Valid("Octree", "down") {
 		t.Error("expected a temporary sharing violation after sub->subtrees[cq] = child")
 	}
-	afterRepair := fr.After[repairStore]
+	afterRepair := fr.After(repairStore)
 	if afterRepair == nil {
 		t.Fatal("no state after repair store")
 	}

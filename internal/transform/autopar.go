@@ -13,15 +13,17 @@
 //     §4.2 test, §4.3.3 strip-mine). The *input* program is analyzed
 //     once; every while loop is tested against that one analysis; the
 //     outermost approved loops are then strip-mined, in scan order, on
-//     one clone. Nothing is re-analyzed after a rewrite, so planning
-//     costs one analysis plus one test and at most one rewrite per
-//     loop, and every approval is a fact about the program the caller
-//     wrote. That is sound on its own — strip-mining preserves a loop's
-//     reads and writes, so a rewrite cannot un-approve a neighbour — and
-//     it reproduces what re-analyzing the whole program after every
-//     rewrite would report: TestPlanMatchesFullRestart holds the two
-//     byte-identical (plan text, transformed program, loop coordinates)
-//     over the corpus and over generated programs.
+//     one copy that clones only the functions holding them (the others
+//     are shared with the input, which nothing modifies). Nothing is
+//     re-analyzed after a rewrite, so planning costs one analysis plus
+//     one test and at most one rewrite per loop, and every approval is
+//     a fact about the program the caller wrote. That is sound on its
+//     own — strip-mining preserves a loop's reads and writes, so a
+//     rewrite cannot un-approve a neighbour — and it reproduces what
+//     re-analyzing the whole program after every rewrite would report:
+//     TestPlanMatchesFullRestart holds the two byte-identical (plan
+//     text, transformed program, loop coordinates) over the corpus and
+//     over generated programs.
 //
 //   - The dependence tests are independent read-only queries, so they
 //     run as one batch on parexec's own scheduling machinery
@@ -178,7 +180,8 @@ func (lp *LoopPlan) String() string {
 // per while loop saying what happened to it and why.
 type Plan struct {
 	// Program is the fully transformed program (the input program when
-	// nothing was approved; the input is never modified).
+	// nothing was approved; the input is never modified, and shares
+	// every function the planner did not rewrite).
 	Program *lang.Program
 	// Width is the strip width applied to every approved loop.
 	Width int
@@ -316,10 +319,12 @@ func PlanAnalyzed(prog *lang.Program, res *analysis.Result, width int) (*Plan, e
 		plan.Loops[k] = &LoopPlan{Func: s.fn, Index: s.index, Pos: s.loop.Pos(), Report: reports[k]}
 	}
 	var chosen []int
+	var rewritten []string // the functions holding them
 	for k := 0; k < len(sites); k++ {
 		inner := reports[k+1 : k+1+sites[k].nested]
 		if reports[k].Parallelizable {
 			chosen = append(chosen, k)
+			rewritten = append(rewritten, sites[k].fn)
 			k += len(inner)
 		} else if slices.ContainsFunc(inner, func(r *depend.Report) bool { return r.Parallelizable }) {
 			plan.Loops[k].Report = noNesting(sites[k].fn, sites[k].loop)
@@ -331,13 +336,13 @@ func PlanAnalyzed(prog *lang.Program, res *analysis.Result, width int) (*Plan, e
 		return plan, nil
 	}
 
-	// 4. Rewrite the chosen loops, in scan order, on one clone. Each
-	// rewrite moves its nested loops out of the function, so a later
-	// sibling is addressed at its input index less the loops moved so far.
-	// A rewrite reads types only off the loop it moves, so the synthesized
-	// nodes are typed by one check at the end: each touched function and
-	// each helper once.
-	plan.Program = prog.Clone()
+	// 4. Rewrite the chosen loops, in scan order, on one copy of prog that
+	// clones only the functions holding them. Each rewrite moves its
+	// nested loops out of the function, so a later sibling is addressed at
+	// its input index less the loops moved so far. A rewrite reads types
+	// only off the loop it moves, so the synthesized nodes are typed by
+	// one check at the end: each touched function and each helper once.
+	plan.Program = prog.Clone(rewritten...)
 	plan.Parallelized = len(chosen)
 	var touched []*lang.FuncDecl
 	fn, moved := "", 0
