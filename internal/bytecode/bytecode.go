@@ -110,6 +110,25 @@ const (
 	OpReturnStr  // ret = S[A]
 	OpReturnNode // ret = N[A]
 
+	// Fused compare-and-branch (condBranch): taken when the comparison
+	// is false, so a NaN operand takes it.
+	OpBrfEqInt // if !(I[A] == I[B]) pc = Imm
+	OpBrfNeInt
+	OpBrfLtInt
+	OpBrfLeInt
+	OpBrfGtInt
+	OpBrfGeInt
+	OpBrfEqReal // if !(F[A] == F[B]) pc = Imm
+	OpBrfNeReal
+	OpBrfLtReal
+	OpBrfLeReal
+	OpBrfGtReal
+	OpBrfGeReal
+	OpBrfEqNode  // if N[A] != N[B] pc = Imm
+	OpBrfNeNode  // if N[A] == N[B] pc = Imm
+	OpBrfNull    // if N[A] != nil pc = Imm (p == NULL)
+	OpBrfNonNull // if N[A] == nil pc = Imm (p != NULL)
+
 	// Integer ALU.
 	OpAddInt // I[A] = I[B] + I[C]
 	OpSubInt
@@ -204,7 +223,13 @@ type CallSite struct {
 	FuncIdx int32
 	Args    []Reg
 	Dst     Reg
+	// Moves pairs each argument with the callee parameter it binds, one
+	// list per bank, so the VM binds arguments without a bank switch.
+	Moves [BankNode + 1][]Move
 }
+
+// Move copies caller register Src into callee register Dst of one bank.
+type Move struct{ Src, Dst int32 }
 
 // PrintSite is one print() call's argument registers, boxed to Values
 // at run time (print allocates in every engine).
@@ -292,6 +317,15 @@ func Compile(cp *compile.Program) (*Program, error) {
 	for i, f := range cp.Funcs {
 		if err := lowerFunc(cp, p.Funcs[i], f); err != nil {
 			return nil, fmt.Errorf("bytecode: %s: %w", f.Name, err)
+		}
+	}
+	// Every callee's parameter registers are known now.
+	for _, f := range p.Funcs {
+		for i := range f.Calls {
+			c := &f.Calls[i]
+			for j, a := range c.Args {
+				c.Moves[a.Bank] = append(c.Moves[a.Bank], Move{Src: a.Idx, Dst: p.Funcs[c.FuncIdx].Params[j].Reg.Idx})
+			}
 		}
 	}
 	return p, nil
@@ -531,11 +565,10 @@ func (b *builder) stmt(s compile.Stmt) error {
 
 	case *compile.While:
 		head := int32(len(b.f.Code))
-		rc, err := b.operand(s.Cond)
+		br, err := b.condBranch(s.Cond)
 		if err != nil {
 			return err
 		}
-		br := b.emit(s.Cond.Pos(), Instr{Op: OpBr, A: rc.Idx})
 		if err := b.stmts(s.Body); err != nil {
 			return err
 		}
@@ -545,11 +578,10 @@ func (b *builder) stmt(s compile.Stmt) error {
 		return nil
 
 	case *compile.If:
-		rc, err := b.operand(s.Cond)
+		br, err := b.condBranch(s.Cond)
 		if err != nil {
 			return err
 		}
-		br := b.emit(s.Cond.Pos(), Instr{Op: OpBr, A: rc.Idx})
 		if err := b.stmts(s.Then); err != nil {
 			return err
 		}
@@ -731,6 +763,53 @@ func (b *builder) boundInto(e compile.Expr, dst Reg) error {
 		return nil
 	}
 	return b.evalInto(e, dst)
+}
+
+// brfOf maps a value comparison to its fused compare-and-branch.
+var brfOf = [opCount]Op{
+	OpEqInt: OpBrfEqInt, OpNeInt: OpBrfNeInt, OpLtInt: OpBrfLtInt,
+	OpLeInt: OpBrfLeInt, OpGtInt: OpBrfGtInt, OpGeInt: OpBrfGeInt,
+	OpEqReal: OpBrfEqReal, OpNeReal: OpBrfNeReal, OpLtReal: OpBrfLtReal,
+	OpLeReal: OpBrfLeReal, OpGtReal: OpBrfGtReal, OpGeReal: OpBrfGeReal,
+	OpEqNode: OpBrfEqNode, OpNeNode: OpBrfNeNode,
+}
+
+// condBranch lowers an if or while condition and emits the branch taken
+// when it is false, returning its pc for patching. A peephole fuses a
+// condition that is one int, real or pointer comparison with its
+// br.false into one brf instruction; against a NULL literal it also
+// drops the literal's const.null (brf.null, brf.nonnull). A condition
+// whose code holds a jump — &&, ||, an indexed pointer load's NULL join
+// — keeps the compare and br.false, so no jump target moves.
+func (b *builder) condBranch(cond compile.Expr) (int32, error) {
+	start := len(b.f.Code)
+	rc, err := b.operand(cond)
+	if err != nil {
+		return 0, err
+	}
+	code, last := b.f.Code, len(b.f.Code)-1
+	fusable := last >= start && brfOf[code[last].Op] != opInvalid && code[last].A == rc.Idx
+	for j := start; fusable && j < last; j++ {
+		fusable = code[j].Op != OpScAnd && code[j].Op != OpScOr && code[j].Op != OpLoadNodeIdxBegin
+	}
+	if !fusable {
+		return b.emit(cond.Pos(), Instr{Op: OpBr, A: rc.Idx}), nil
+	}
+	cmp := code[last]
+	code[last] = Instr{Op: brfOf[cmp.Op], A: cmp.B, B: cmp.C}
+	for j := start; j < last && (cmp.Op == OpEqNode || cmp.Op == OpNeNode); j++ {
+		// A NULL literal's temp is written once, by its const.null.
+		if in := code[j]; in.Op == OpConstNull && (in.A == cmp.B || in.A == cmp.C) {
+			code[last] = Instr{Op: OpBrfNull, A: cmp.B + cmp.C - in.A} // the other operand
+			if cmp.Op == OpNeNode {
+				code[last].Op = OpBrfNonNull
+			}
+			b.f.Code = append(code[:j], code[j+1:]...)
+			b.f.Pos = append(b.f.Pos[:j], b.f.Pos[j+1:]...)
+			return int32(last - 1), nil
+		}
+	}
+	return int32(last), nil
 }
 
 func packOffName(off int, name int32) int64 {

@@ -26,7 +26,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
-var goldenFiles = []string{"kernels", "links", "strips"}
+var goldenFiles = []string{"barneshut", "kernels", "links", "strips"}
 
 func compileFile(t *testing.T, name string) *Program {
 	t.Helper()
@@ -123,6 +123,9 @@ func TestCompileInvariants(t *testing.T) {
 				checkReg(t, f, "param "+p.Name, p.Reg)
 			}
 			for pc, in := range f.Code {
+				if in.Op >= OpBrfEqInt && in.Op <= OpBrfNonNull && (in.Imm < 0 || in.Imm > n) {
+					t.Errorf("%s@%d: %s target %d outside [0,%d]", f.Name, pc, in.Op, in.Imm, n)
+				}
 				switch in.Op {
 				case OpJump, OpBr, OpScAnd, OpScOr, OpForHead, OpForTail, OpLoadNodeIdxBegin:
 					if in.Imm < 0 || in.Imm > n {
@@ -165,6 +168,58 @@ func TestCompileInvariants(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestCondBranchFusion pins which if conditions branch in one brf
+// instruction and which keep the compare and br.false because their code
+// holds a jump.
+func TestCondBranchFusion(t *testing.T) {
+	for _, c := range []struct{ cond, want string }{
+		{"i == j", "brf.eq.int"},
+		{"i >= 2", "brf.ge.int"},
+		{"x < y", "brf.lt.real"},
+		{"x != i", "brf.ne.real"},
+		{"x < x", "brf.lt.real"},
+		{"p == q", "brf.eq.node"},
+		{"p == NULL", "brf.null"},
+		{"NULL == p", "brf.null"},
+		{"p->next != NULL", "brf.nonnull"},
+		{"NULL != p->next", "brf.nonnull"},
+		{"ok", "br.false"},
+		{"ok == true", "br.false"},
+		{"i < j && x < y", "br.false"},
+		{"ok || p == q", "br.false"},
+		{"p->sub[i] != NULL", "br.false"},
+	} {
+		src := `type T [X][Y] { T *next is uniquely forward along X; T *sub[2] is uniquely forward along Y; };
+procedure f(int i, int j, real x, real y, bool ok, T *p, T *q) {
+  if ` + c.cond + ` { i = 1; }
+}`
+		prog, err := lang.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.cond, err)
+		}
+		cp, err := compile.Compile(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp, err := Compile(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code := bp.Func("f").Code
+		// The branch is the last instruction before the then-block's step.
+		var got string
+		for pc := len(code) - 1; pc > 0; pc-- {
+			if code[pc].Op == OpStep && code[pc-1].Op != OpStep {
+				got = code[pc-1].Op.String()
+				break
+			}
+		}
+		if got != c.want {
+			t.Errorf("if %s: branches with %s, want %s\n%s", c.cond, got, c.want, Disassemble(bp))
 		}
 	}
 }

@@ -39,6 +39,13 @@ var opNames = [opCount]string{
 	OpReturnStr:  "ret.str",
 	OpReturnNode: "ret.node",
 
+	OpBrfEqInt: "brf.eq.int", OpBrfNeInt: "brf.ne.int", OpBrfLtInt: "brf.lt.int",
+	OpBrfLeInt: "brf.le.int", OpBrfGtInt: "brf.gt.int", OpBrfGeInt: "brf.ge.int",
+	OpBrfEqReal: "brf.eq.real", OpBrfNeReal: "brf.ne.real", OpBrfLtReal: "brf.lt.real",
+	OpBrfLeReal: "brf.le.real", OpBrfGtReal: "brf.gt.real", OpBrfGeReal: "brf.ge.real",
+	OpBrfEqNode: "brf.eq.node", OpBrfNeNode: "brf.ne.node",
+	OpBrfNull: "brf.null", OpBrfNonNull: "brf.nonnull",
+
 	OpAddInt: "add.int",
 	OpSubInt: "sub.int",
 	OpMulInt: "mul.int",
@@ -194,9 +201,7 @@ func instrText(f *Func, in Instr) string {
 		return op
 	case OpJump:
 		return fmt.Sprintf("%-16s ->%d", op, in.Imm)
-	case OpBr:
-		return fmt.Sprintf("%-16s b%d, ->%d", op, in.A, in.Imm)
-	case OpScAnd, OpScOr:
+	case OpBr, OpScAnd, OpScOr:
 		return fmt.Sprintf("%-16s b%d, ->%d", op, in.A, in.Imm)
 	case OpForHead:
 		return fmt.Sprintf("%-16s k=i%d to=i%d var=i%d ->%d", op, in.A, in.B, in.C, in.Imm)
@@ -220,6 +225,15 @@ func instrText(f *Func, in Instr) string {
 		return fmt.Sprintf("%-16s s%d", op, in.A)
 	case OpReturnNode:
 		return fmt.Sprintf("%-16s n%d", op, in.A)
+
+	case OpBrfEqInt, OpBrfNeInt, OpBrfLtInt, OpBrfLeInt, OpBrfGtInt, OpBrfGeInt:
+		return fmt.Sprintf("%-16s i%d, i%d, ->%d", op, in.A, in.B, in.Imm)
+	case OpBrfEqReal, OpBrfNeReal, OpBrfLtReal, OpBrfLeReal, OpBrfGtReal, OpBrfGeReal:
+		return fmt.Sprintf("%-16s f%d, f%d, ->%d", op, in.A, in.B, in.Imm)
+	case OpBrfEqNode, OpBrfNeNode:
+		return fmt.Sprintf("%-16s n%d, n%d, ->%d", op, in.A, in.B, in.Imm)
+	case OpBrfNull, OpBrfNonNull:
+		return fmt.Sprintf("%-16s n%d, ->%d", op, in.A, in.Imm)
 
 	case OpAddInt, OpSubInt, OpMulInt, OpDivInt, OpModInt:
 		return fmt.Sprintf("%-16s i%d, i%d, i%d", op, in.A, in.B, in.C)

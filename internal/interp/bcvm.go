@@ -40,46 +40,41 @@ type bcFrame struct {
 	retB bool
 	retS string
 	retN *Node
+
+	fn *bytecode.Func // the function the banks are sized for
 }
 
 // getBCFrame returns a frame sized for f, reusing pooled bank storage
-// when capacities allow. Banks are not zeroed: every register is
-// written before it is read (slot homes by declare-before-use, temps
-// and hidden loop counters by construction).
+// when capacities allow; the pool is a stack, so a call mostly gets the
+// frame its sibling call just returned, already sized. Banks are not
+// zeroed: every register is written before it is read (slot homes by
+// declare-before-use, temps and hidden loop counters by construction).
 func (ip *Interp) getBCFrame(f *bytecode.Func) *bcFrame {
 	var fr *bcFrame
 	if l := len(ip.bcPool); l > 0 {
 		fr = ip.bcPool[l-1]
 		ip.bcPool = ip.bcPool[:l-1]
+		if fr.fn == f {
+			return fr
+		}
 	} else {
 		fr = new(bcFrame)
 	}
-	if cap(fr.i) >= f.NInt {
-		fr.i = fr.i[:f.NInt]
-	} else {
-		fr.i = make([]int64, f.NInt)
-	}
-	if cap(fr.f) >= f.NReal {
-		fr.f = fr.f[:f.NReal]
-	} else {
-		fr.f = make([]float64, f.NReal)
-	}
-	if cap(fr.b) >= f.NBool {
-		fr.b = fr.b[:f.NBool]
-	} else {
-		fr.b = make([]bool, f.NBool)
-	}
-	if cap(fr.s) >= f.NStr {
-		fr.s = fr.s[:f.NStr]
-	} else {
-		fr.s = make([]string, f.NStr)
-	}
-	if cap(fr.n) >= f.NNode {
-		fr.n = fr.n[:f.NNode]
-	} else {
-		fr.n = make([]*Node, f.NNode)
-	}
+	fr.fn = f
+	fr.i = resize(fr.i, f.NInt)
+	fr.f = resize(fr.f, f.NReal)
+	fr.b = resize(fr.b, f.NBool)
+	fr.s = resize(fr.s, f.NStr)
+	fr.n = resize(fr.n, f.NNode)
 	return fr
+}
+
+// resize returns s with length n, reusing its storage when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 func (ip *Interp) putBCFrame(fr *bcFrame) {
@@ -98,19 +93,11 @@ func (fr *bcFrame) copyBanksFrom(src *bcFrame) {
 	copy(fr.n, src.n)
 }
 
-// bcRet carries a call's return value across the frame-pool boundary.
-type bcRet struct {
-	i int64
-	f float64
-	b bool
-	s string
-	n *Node
-}
-
 // callBytecode is the external entry (Interp.Call): bind arguments
-// into a fresh frame by bank and run.
+// into a fresh frame by bank and run it as OpCall runs a callee.
 func (ip *Interp) callBytecode(f *bytecode.Func, args []Value) (Value, error) {
 	fr := ip.getBCFrame(f)
+	defer ip.putBCFrame(fr)
 	for i, p := range f.Params {
 		v := coerce(args[i], p.Type)
 		switch p.Reg.Bank {
@@ -126,60 +113,57 @@ func (ip *Interp) callBytecode(f *bytecode.Func, args []Value) (Value, error) {
 			fr.n[p.Reg.Idx] = v.N
 		}
 	}
-	r, err := ip.callBC(f, fr)
+	if ip.cdepth > ip.maxDepth {
+		return Value{}, errDepth(f)
+	}
+	ip.cdepth++
+	c, err := ip.runBC(f, fr, 0, int32(len(f.Code)))
+	ip.cdepth--
+	if err == nil && c != ctrlReturn && f.Result != nil {
+		err = errFellOff(f)
+	}
 	if err != nil || f.Result == nil {
 		return Value{}, err
 	}
 	switch bytecode.BankOf(f.Result) {
 	case bytecode.BankInt:
-		return IntVal(r.i), nil
+		return IntVal(fr.retI), nil
 	case bytecode.BankReal:
-		return RealVal(r.f), nil
+		return RealVal(fr.retF), nil
 	case bytecode.BankBool:
-		return BoolVal(r.b), nil
+		return BoolVal(fr.retB), nil
 	case bytecode.BankStr:
-		return StrVal(r.s), nil
+		return StrVal(fr.retS), nil
 	case bytecode.BankNode:
-		return PtrVal(r.n), nil
+		return PtrVal(fr.retN), nil
 	}
 	return Value{}, nil
 }
 
-// callBC mirrors the walker's callFunc: depth guard, run, pool the
-// frame, fell-off-the-end check. The recursion guard uses the Interp's
-// live call depth (each Interp runs one call chain at a time; parallel
-// iterations run on forks with their own depth).
-func (ip *Interp) callBC(f *bytecode.Func, fr *bcFrame) (bcRet, error) {
-	if ip.cdepth > ip.maxDepth {
-		ip.putBCFrame(fr)
-		return bcRet{}, fmt.Errorf("interp: recursion depth exceeded in %s", f.Name)
-	}
-	ip.cdepth++
-	c, err := ip.runBC(f, fr, 0, int32(len(f.Code)))
-	ip.cdepth--
-	r := bcRet{i: fr.retI, f: fr.retF, b: fr.retB, s: fr.retS, n: fr.retN}
-	ip.putBCFrame(fr)
-	if err != nil {
-		return bcRet{}, err
-	}
-	if c == ctrlReturn {
-		return r, nil
-	}
-	if f.Result != nil {
-		return bcRet{}, fmt.Errorf("interp: function %s fell off the end without returning", f.Name)
-	}
-	return bcRet{}, nil
+func errDepth(f *bytecode.Func) error {
+	return fmt.Errorf("interp: recursion depth exceeded in %s", f.Name)
+}
+
+func errFellOff(f *bytecode.Func) error {
+	return fmt.Errorf("interp: function %s fell off the end without returning", f.Name)
 }
 
 // runBC executes code in [pc, end) on a frame. Jump targets are
 // absolute instruction indices; error positions come from the
-// function's parallel Pos table.
+// function's parallel Pos table. The loop takes one trip through the
+// switch per operation: steps are counted ahead of it (DESIGN.md, R6).
 func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, error) {
 	code := f.Code
 	for pc < end {
 		in := &code[pc]
 		ipc := pc
 		pc++
+		if in.Op == bytecode.OpStep {
+			if err := ip.stepC(f, ipc); err != nil {
+				return ctrlNext, err
+			}
+			continue
+		}
 		switch in.Op {
 		case bytecode.OpConstInt:
 			fr.i[in.A] = in.Imm
@@ -204,18 +188,76 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 		case bytecode.OpIntToReal:
 			fr.f[in.A] = float64(fr.i[in.B])
 
-		case bytecode.OpStep:
-			if err := ip.stepC(f.Pos[ipc]); err != nil {
-				return ctrlNext, err
-			}
 		case bytecode.OpJump:
 			pc = int32(in.Imm)
-		case bytecode.OpBr:
+		case bytecode.OpBr, bytecode.OpScAnd:
 			if !fr.b[in.A] {
 				pc = int32(in.Imm)
 			}
-		case bytecode.OpScAnd:
-			if !fr.b[in.A] {
+		case bytecode.OpBrfEqInt:
+			if fr.i[in.A] != fr.i[in.B] {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfNeInt:
+			if fr.i[in.A] == fr.i[in.B] {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfLtInt:
+			if fr.i[in.A] >= fr.i[in.B] {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfLeInt:
+			if fr.i[in.A] > fr.i[in.B] {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfGtInt:
+			if fr.i[in.A] <= fr.i[in.B] {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfGeInt:
+			if fr.i[in.A] < fr.i[in.B] {
+				pc = int32(in.Imm)
+			}
+		// A real branch negates the comparison: every ordered comparison
+		// with a NaN is false, so a NaN takes the branch.
+		case bytecode.OpBrfEqReal:
+			if !(fr.f[in.A] == fr.f[in.B]) {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfNeReal:
+			if !(fr.f[in.A] != fr.f[in.B]) {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfLtReal:
+			if !(fr.f[in.A] < fr.f[in.B]) {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfLeReal:
+			if !(fr.f[in.A] <= fr.f[in.B]) {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfGtReal:
+			if !(fr.f[in.A] > fr.f[in.B]) {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfGeReal:
+			if !(fr.f[in.A] >= fr.f[in.B]) {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfEqNode:
+			if fr.n[in.A] != fr.n[in.B] {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfNeNode:
+			if fr.n[in.A] == fr.n[in.B] {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfNull:
+			if fr.n[in.A] != nil {
+				pc = int32(in.Imm)
+			}
+		case bytecode.OpBrfNonNull:
+			if fr.n[in.A] == nil {
 				pc = int32(in.Imm)
 			}
 		case bytecode.OpScOr:
@@ -229,7 +271,7 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 				fr.i[in.C] = fr.i[in.A]
 			}
 		case bytecode.OpForTail:
-			if err := ip.stepC(f.Pos[ipc]); err != nil {
+			if err := ip.stepC(f, ipc); err != nil {
 				return ctrlNext, err
 			}
 			fr.i[in.A]++
@@ -246,39 +288,50 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			site := &f.Calls[in.A]
 			callee := ip.bc.Funcs[site.FuncIdx]
 			nf := ip.getBCFrame(callee)
-			for j := range site.Args {
-				a := site.Args[j]
-				p := callee.Params[j].Reg.Idx
-				switch a.Bank {
-				case bytecode.BankInt:
-					nf.i[p] = fr.i[a.Idx]
-				case bytecode.BankReal:
-					nf.f[p] = fr.f[a.Idx]
-				case bytecode.BankBool:
-					nf.b[p] = fr.b[a.Idx]
-				case bytecode.BankStr:
-					nf.s[p] = fr.s[a.Idx]
-				case bytecode.BankNode:
-					nf.n[p] = fr.n[a.Idx]
-				}
+			for _, m := range site.Moves[bytecode.BankInt] {
+				nf.i[m.Dst] = fr.i[m.Src]
 			}
-			r, err := ip.callBC(callee, nf)
+			for _, m := range site.Moves[bytecode.BankReal] {
+				nf.f[m.Dst] = fr.f[m.Src]
+			}
+			for _, m := range site.Moves[bytecode.BankBool] {
+				nf.b[m.Dst] = fr.b[m.Src]
+			}
+			for _, m := range site.Moves[bytecode.BankStr] {
+				nf.s[m.Dst] = fr.s[m.Src]
+			}
+			for _, m := range site.Moves[bytecode.BankNode] {
+				nf.n[m.Dst] = fr.n[m.Src]
+			}
+			// The walker's callFunc (depth guard on the Interp's live call
+			// depth, run, fell-off-the-end check) in one Go call.
+			if ip.cdepth > ip.maxDepth {
+				ip.putBCFrame(nf)
+				return ctrlNext, errDepth(callee)
+			}
+			ip.cdepth++
+			c, err := ip.runBC(callee, nf, 0, int32(len(callee.Code)))
+			ip.cdepth--
+			if err == nil && c != ctrlReturn && callee.Result != nil {
+				err = errFellOff(callee)
+			}
 			if err != nil {
+				ip.putBCFrame(nf)
 				return ctrlNext, err
 			}
 			switch site.Dst.Bank {
-			case bytecode.BankNone:
 			case bytecode.BankInt:
-				fr.i[site.Dst.Idx] = r.i
+				fr.i[site.Dst.Idx] = nf.retI
 			case bytecode.BankReal:
-				fr.f[site.Dst.Idx] = r.f
+				fr.f[site.Dst.Idx] = nf.retF
 			case bytecode.BankBool:
-				fr.b[site.Dst.Idx] = r.b
+				fr.b[site.Dst.Idx] = nf.retB
 			case bytecode.BankStr:
-				fr.s[site.Dst.Idx] = r.s
+				fr.s[site.Dst.Idx] = nf.retS
 			case bytecode.BankNode:
-				fr.n[site.Dst.Idx] = r.n
+				fr.n[site.Dst.Idx] = nf.retN
 			}
+			ip.putBCFrame(nf)
 
 		case bytecode.OpPrint:
 			site := &f.Prints[in.A]

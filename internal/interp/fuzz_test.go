@@ -64,7 +64,105 @@ function real main() {
   if s > 3.0 || !(s == 0.0) { s = -s; }
   return abs(s);
 }`)
+	for _, src := range conditionSeeds {
+		f.Add(src)
+	}
 }
+
+// conditionSeeds cover every if and while condition shape the lowering
+// treats apart: each comparison over ints, reals (a NaN included, whose
+// every ordered comparison is false) and pointers, which branches in one
+// fused instruction, and the shapes that keep a compare and br.false —
+// an && / || chain ending in a comparison, a bare bool, an indexed
+// pointer load with its NULL join. x < x compares a register with
+// itself.
+var conditionSeeds = []string{`
+function int main() {
+  var int s = 0;
+  var int a = 3;
+  var int b = 5;
+  if a == b { s = s + 1; }
+  if a != b { s = s + 2; } else { s = s - 1; }
+  if a < b { s = s + 4; }
+  if a <= a { s = s + 8; }
+  if a > b { s = s + 16; } else { s = s + 17; }
+  if b >= a { s = s + 32; }
+  if a < a { s = s + 64; }
+  var int i = 0;
+  while i == 0 { i = i + 1; }
+  while i != 4 { i = i + 1; s = s * 3 % 1000; }
+  while i < 9 { i = i + 1; s = s + i; }
+  while i <= 12 { i = i + 1; s = s - 1; }
+  while i > 2 { i = i - 2; s = s + 7; }
+  while i >= 0 { i = i - 1; s = s + 3; }
+  while 0 > i && s < 5000 { s = s + 100; i = i - 1; if i < -3 { i = 5; } }
+  return s;
+}`, `
+function real main() {
+  var real s = 0.0;
+  var real x = 1.5;
+  var real y = 2.5;
+  var real z = 0.0 / 0.0;
+  var int k = 2;
+  if x == y { s = s + 1.0; }
+  if x != y { s = s + 2.0; }
+  if x < y { s = s + 4.0; } else { s = s - 4.0; }
+  if x <= k { s = s + 8.0; }
+  if x > y { s = s + 16.0; }
+  if k >= x { s = s + 32.0; }
+  if z == z { s = s + 64.0; }
+  if z != z { s = s + 128.0; }
+  if z < z { s = s + 256.0; }
+  if z <= 1.0 { s = s + 512.0; }
+  if z > 1.0 { s = s + 1024.0; }
+  if 1.0 >= z { s = s + 2048.0; }
+  if x < x { s = s + 4096.0; }
+  while x == 1.5 { x = x + 0.25; }
+  while x != 2.5 { x = x + 0.25; s = s + x; }
+  while x < 4.0 { x = x + 0.5; }
+  while x <= 5.0 { x = x + 0.5; s = s - x; }
+  while x > y { x = x - 1.0; }
+  while x >= 0.0 { x = x - 0.75; s = s + 1.0; }
+  while z < 1.0 || z >= 1.0 { z = 0.0; }
+  return s;
+}`, `
+type T [X][Y] { int v; T *next is uniquely forward along X; T *sub[2] is uniquely forward along Y; };
+function int main() {
+  var T *h = NULL;
+  var int i = 0;
+  while i < 4 { var T *t = new T; t->v = i + 1; t->next = h; h = t; i = i + 1; }
+  h->sub[1] = h->next;
+  var int s = 0;
+  var T *p = h;
+  var T *q = h->next;
+  if p == q { s = s + 1; }
+  if p != q { s = s + 2; }
+  if p == NULL { s = s + 4; }
+  if NULL == p { s = s + 8; } else { s = s + 9; }
+  if p != NULL { s = s + 16; }
+  if NULL != q { s = s + 32; }
+  if p->sub[1] != NULL { s = s + 64; }
+  if p->sub[0] == NULL { s = s + 128; }
+  if q->sub[i - 3] != NULL { s = s + 256; }
+  var int k = 1;
+  if h->sub[k] != NULL { s = s + 1024; }
+  if p->next == q { s = s + 512; }
+  while p != NULL { s = s + p->v; p = p->next; }
+  while p == NULL { p = h; }
+  while NULL != p->next { p = p->next; }
+  while p->next == NULL && p != q { p = q; s = s + 1000; }
+  while p != q { p = q; }
+  while p == q { p = h; }
+  p = q;
+  var bool c = p == q;
+  if c { s = s * 2; }
+  while c { c = false; s = s + 1; }
+  if s > 0 && p == q { s = s + 3; }
+  if s < 0 || p != q { s = s + 5; }
+  while i > 0 && p != NULL { i = i - 1; p = p->next; }
+  while h->sub[1] != NULL { h->sub[1] = h->sub[1]->next; s = s + 1; }
+  return s;
+}`}
 
 // pickEntry chooses a function to drive: main if present, otherwise
 // the first function whose parameters are all scalars (pointers get

@@ -485,11 +485,11 @@ func (ip *Interp) step(pos lang.Pos) error {
 // overrun is detected moves by up to one chunk.
 const stepFlushChunk = 256
 
-// stepC is the bytecode VM's per-statement accounting.
-func (ip *Interp) stepC(pos lang.Pos) error {
+// stepC is the bytecode VM's per-statement accounting for code[pc].
+func (ip *Interp) stepC(f *bytecode.Func, pc int32) error {
 	ip.stepsLocal++
 	if ip.stepsLocal >= stepFlushChunk {
-		return ip.flushSteps(pos)
+		return ip.flushSteps(f.Pos[pc])
 	}
 	return nil
 }

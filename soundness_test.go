@@ -360,3 +360,104 @@ procedure walk(OneWayList *head) {
 		})
 	}
 }
+
+// neighbourList is nullArgList's driver over a record with two int
+// fields: a five-node list, walk (the %s) run over it, a position-
+// weighted checksum of both fields.
+const neighbourList = `
+type L [X]
+{ int a;
+  int b;
+  L *next is uniquely forward along X;
+};
+
+function int main() {
+  var L *head = NULL;
+  var int i = 0;
+  while i < 5 {
+    var L *t = new L;
+    t->a = 10 + i;
+    t->b = 20 + 3 * i;
+    t->next = head;
+    head = t;
+    i = i + 1;
+  }
+  walk(head);
+  var int s = 0;
+  var L *q = head;
+  i = 1;
+  while q != NULL {
+    s = s + i * q->a + 7 * i * q->b;
+    print(q->a, q->b);
+    q = q->next;
+    i = i + 1;
+  }
+  return s;
+}
+%s`
+
+// TestNeighbourReadLoops covers ROADMAP item 1(b)'s first and fourth
+// shapes: a body that reads its successor's fields beside a write of its
+// own, and a second handle aliasing the induction pointer. Reading the
+// field the iteration writes one node ahead is a carried dependence and
+// is rejected; reading the other field is not; writing the successor is
+// rejected; a write and read through an alias of p land on p's own node
+// and are approved. Each verdict and its reason are pinned, and every
+// approved loop must pass the order probe.
+func TestNeighbourReadLoops(t *testing.T) {
+	const approvedOwnNode = "p advances along next (uniquely forward): iterations visit distinct nodes; body performs no pointer-field stores; writes land only on the iteration's own node; overlapping reads touch disjoint fields"
+	for _, tc := range []struct {
+		name, body string
+		approved   bool
+		reason     string
+	}{
+		{name: "successor's written field", body: "p->a = p->next->a + 1;",
+			reason: "write W p.a may collide with R p.X*.a in another iteration"},
+		{name: "successor's other field", body: "p->a = p->next->b + 1;",
+			approved: true, reason: approvedOwnNode},
+		{name: "write to the successor", body: "p->next->a = p->b;",
+			reason: "write W p.X*.a is not confined to the iteration's own node"},
+		{name: "alias of the induction pointer", body: "var L *q = p; q->a = q->b + 1;",
+			approved: true, reason: approvedOwnNode},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			walk := fmt.Sprintf(`
+procedure walk(L *head) {
+  var L *p = head;
+  while p != NULL {
+    if p->next != NULL {
+      %s
+    }
+    p = p->next;
+  }
+}`, tc.body)
+			c, err := core.Compile(fmt.Sprintf(neighbourList, walk))
+			if err != nil {
+				t.Fatal(err)
+			}
+			auto, err := c.AutoParallel(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lp *transform.LoopPlan
+			for _, l := range auto.Plan.Loops {
+				if l.Func == "walk" {
+					lp = l
+				}
+			}
+			if lp == nil || lp.Parallelized != tc.approved || lp.ReasonText() != tc.reason {
+				t.Fatalf("walk's loop: %v, want approved=%t for %q", lp, tc.approved, tc.reason)
+			}
+			diff, foralls, err := orderSensitive(c.Program, auto.Program, 0, "main", nil)
+			if err != nil {
+				t.Fatalf("serial run: %v", err)
+			}
+			if diff != "" {
+				t.Errorf("an approved loop depends on iteration order: %s\n%s", diff, auto.Plan)
+			}
+			if tc.approved && foralls == 0 {
+				t.Error("the approved loop reached no forall: the probe saw nothing")
+			}
+		})
+	}
+}
