@@ -3,10 +3,7 @@
 // hot-phase cache-hit rate of the internal/serve service over the
 // testdata corpus at concurrency 1, 8, and 64, plus an auto-parallel
 // row (concurrency 8 with a 25% "auto": true mix, exercising the
-// planner-transformed hot path) — the DESIGN.md R4/R5 rows — and a
-// fleet row: the c64 load against a pslrouter front over three
-// replicas (embedded mode), comparing the sharded topology against the
-// single process.
+// planner-transformed hot path) — the DESIGN.md R4/R5 rows.
 // Like BENCH_interp.json, PRs that touch the serving or execution core
 // re-emit the file and commit it, so cache-hit throughput — the
 // service's headline metric — is visible in review diffs.
@@ -26,7 +23,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
@@ -41,19 +37,13 @@ var writeBenchServe = flag.Bool("write-bench-serve", false, "re-measure and rewr
 const benchServePath = "BENCH_serve.json"
 
 // benchServeRows are the measured configurations: the concurrency
-// sweep, the auto-parallel hot-phase row, and the fleet row — the
-// same c64 load pointed at a pslrouter front over three backends
-// instead of one process, the 1-vs-3 comparison ISSUE'd the router.
+// sweep and the auto-parallel hot-phase row.
 var benchServeRows = []struct {
 	Concurrency int
 	AutoRate    float64
-	Backends    int // 0 = direct single process, N > 0 = router over N
-}{{1, 0, 0}, {8, 0, 0}, {64, 0, 0}, {8, 0.25, 0}, {64, 0, 3}}
+}{{1, 0}, {8, 0}, {64, 0}, {8, 0.25}}
 
-func benchRowKey(c int, autoRate float64, backends int) string {
-	if backends > 0 {
-		return fmt.Sprintf("c%d/auto%.2f/fleet%d", c, autoRate, backends)
-	}
+func benchRowKey(c int, autoRate float64) string {
 	return fmt.Sprintf("c%d/auto%.2f", c, autoRate)
 }
 
@@ -84,7 +74,7 @@ func TestBenchServeJSON(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, r := range f.Runs {
-		seen[benchRowKey(r.Concurrency, r.AutoRate, r.Backends)] = true
+		seen[benchRowKey(r.Concurrency, r.AutoRate)] = true
 		if r.Requests <= 0 || r.RPS <= 0 {
 			t.Errorf("concurrency %d: non-positive throughput (%d req, %.1f rps)",
 				r.Concurrency, r.Requests, r.RPS)
@@ -100,9 +90,9 @@ func TestBenchServeJSON(t *testing.T) {
 		}
 	}
 	for _, row := range benchServeRows {
-		if !seen[benchRowKey(row.Concurrency, row.AutoRate, row.Backends)] {
-			t.Errorf("%s missing the concurrency-%d auto-rate-%.2f backends-%d run (regenerate with -write-bench-serve)",
-				benchServePath, row.Concurrency, row.AutoRate, row.Backends)
+		if !seen[benchRowKey(row.Concurrency, row.AutoRate)] {
+			t.Errorf("%s missing the concurrency-%d auto-rate-%.2f run (regenerate with -write-bench-serve)",
+				benchServePath, row.Concurrency, row.AutoRate)
 		}
 	}
 	if f.GoMaxProcs <= 0 {
@@ -128,31 +118,29 @@ func writeServeJSON(t *testing.T) {
 		GoVersion:   runtime.Version(),
 	}
 	for _, row := range benchServeRows {
-		// A fresh topology per run: every row starts cold, so ColdMeanUS
+		// A fresh server per run: every row starts cold, so ColdMeanUS
 		// is a true first-touch measurement and the hit counters are
 		// the row's own.
-		url, client, teardown := startBenchTopology(t, row.Backends)
+		s := serve.New(serve.Config{Workers: 8, QueueDepth: 128})
+		ts := httptest.NewServer(s.Handler())
 		res, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-			URL:           url,
-			Corpus:        corpus,
-			Concurrency:   row.Concurrency,
-			Duration:      800 * time.Millisecond,
-			ColdRatio:     0.02,
-			AutoRate:      row.AutoRate,
-			Seed:          1,
-			FleetBackends: row.Backends,
-			Client:        client,
+			URL:         ts.URL,
+			Corpus:      corpus,
+			Concurrency: row.Concurrency,
+			Duration:    800 * time.Millisecond,
+			ColdRatio:   0.02,
+			AutoRate:    row.AutoRate,
+			Seed:        1,
+			Client:      ts.Client(),
 		})
-		teardown()
+		ts.Close()
+		s.Close()
 		if err != nil {
 			t.Fatalf("concurrency %d: %v", row.Concurrency, err)
 		}
 		f.Runs = append(f.Runs, *res)
-		t.Logf("concurrency %d (auto %.0f%%, backends %d): %.0f rps, hit rate %.3f, p50 %dµs p99 %dµs (cold %dµs)",
-			row.Concurrency, 100*row.AutoRate, row.Backends, res.RPS, res.HotHitRate, res.P50US, res.P99US, res.ColdMeanUS)
-	}
-	if err := assertFleetBeatsSingle(f.Runs); err != nil {
-		t.Error(err)
+		t.Logf("concurrency %d (auto %.0f%%): %.0f rps, hit rate %.3f, p50 %dµs p99 %dµs (cold %dµs)",
+			row.Concurrency, 100*row.AutoRate, res.RPS, res.HotHitRate, res.P50US, res.P99US, res.ColdMeanUS)
 	}
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
@@ -162,75 +150,4 @@ func writeServeJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Printf("wrote %s\n", benchServePath)
-}
-
-// startBenchTopology builds the service a bench row loads: the
-// single-process server for backends == 0, or a pslrouter front over
-// that many identically-sized pslserved replicas.
-func startBenchTopology(t *testing.T, backends int) (url string, client *http.Client, teardown func()) {
-	t.Helper()
-	cfg := serve.Config{Workers: 8, QueueDepth: 128}
-	if backends == 0 {
-		s := serve.New(cfg)
-		ts := httptest.NewServer(s.Handler())
-		return ts.URL, ts.Client(), func() { ts.Close(); s.Close() }
-	}
-	// The fleet row is measured in the router's embedded mode: the same
-	// consistent-hash sharding over N replicas, one network hop — the
-	// single-machine fleet, which is the comparable topology on the
-	// one-box bench (a networked fleet's extra hop measures the network,
-	// not the sharding).
-	replicas := make([]*serve.Server, backends)
-	for i := range replicas {
-		replicas[i] = serve.New(cfg)
-	}
-	r, err := serve.NewRouter(serve.RouterConfig{Embedded: replicas})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rts := httptest.NewServer(r.Handler())
-	teardown = func() {
-		rts.Close()
-		r.Close()
-		for _, s := range replicas {
-			s.Close()
-		}
-	}
-	return rts.URL, rts.Client(), teardown
-}
-
-// assertFleetBeatsSingle checks the point of the fleet at regeneration
-// time: with cores to scale onto, a router-fronted fleet must
-// out-serve the direct row at the same concurrency and auto rate — a
-// regeneration that loses that relationship fails loudly instead of
-// committing a regression. On a single-CPU box horizontal scale-out
-// has nothing to scale onto, so the gate becomes a bounded-overhead
-// one instead: the routed fleet must stay within 25% of the direct
-// row, i.e. the router layer itself is near-free. Absolute numbers
-// remain machine-dependent and are never asserted.
-func assertFleetBeatsSingle(runs []serve.LoadResult) error {
-	direct := map[string]float64{}
-	for _, r := range runs {
-		if r.Backends == 0 {
-			direct[benchRowKey(r.Concurrency, r.AutoRate, 0)] = r.RPS
-		}
-	}
-	for _, r := range runs {
-		if r.Backends == 0 {
-			continue
-		}
-		base, ok := direct[benchRowKey(r.Concurrency, r.AutoRate, 0)]
-		if !ok {
-			continue
-		}
-		if runtime.NumCPU() > 1 && r.RPS <= base {
-			return fmt.Errorf("fleet row (c%d, %d backends) measured %.0f rps, below the single-process %.0f on a %d-CPU machine",
-				r.Concurrency, r.Backends, r.RPS, base, runtime.NumCPU())
-		}
-		if r.RPS < 0.75*base {
-			return fmt.Errorf("fleet row (c%d, %d backends) measured %.0f rps against the single-process %.0f — router overhead above budget",
-				r.Concurrency, r.Backends, r.RPS, base)
-		}
-	}
-	return nil
 }

@@ -2,7 +2,7 @@
 // to run must still exist and parse. README.md, DESIGN.md, and
 // docs/ARCHITECTURE.md quote `go run ./...` commands; this test
 // extracts them, verifies the package path exists, and — for
-// cmd/experiments, cmd/pslserved, cmd/pslrouter, and cmd/loadgen,
+// cmd/experiments, cmd/pslserved, and cmd/loadgen,
 // whose flag surfaces are defined in internal/expflags precisely so
 // they can be checked here — parses the quoted flags against the real
 // flag set.
@@ -48,12 +48,6 @@ var cmdFlagSets = map[string]func() *flag.FlagSet{
 		fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		expflags.RegisterLoadgen(fs)
-		return fs
-	},
-	"./cmd/pslrouter": func() *flag.FlagSet {
-		fs := flag.NewFlagSet("pslrouter", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		expflags.RegisterRouter(fs)
 		return fs
 	},
 }

@@ -152,64 +152,6 @@ func (f *ServeFlags) ServerConfig() serve.Config {
 }
 
 // ---------------------------------------------------------------------------
-// cmd/pslrouter
-
-// RouterFlags is the parsed flag values of cmd/pslrouter.
-type RouterFlags struct {
-	Addr           string        // -addr: listen address
-	Backends       string        // -backends: comma-separated pslserved base URLs
-	Replicas       int           // -replicas: virtual nodes per backend on the hash ring
-	HealthInterval time.Duration // -health-interval: /healthz probe period
-	Retries        int           // -retries: extra backends tried after a transport failure
-	TraceRate      float64       // -trace-rate: fraction of proxied requests traced
-}
-
-// RegisterRouter installs the cmd/pslrouter flag set on fs.
-func RegisterRouter(fs *flag.FlagSet) *RouterFlags {
-	f := &RouterFlags{}
-	fs.StringVar(&f.Addr, "addr", "127.0.0.1:8090", "listen address")
-	fs.StringVar(&f.Backends, "backends", "http://127.0.0.1:8080",
-		"comma-separated pslserved base URLs to shard across")
-	fs.IntVar(&f.Replicas, "replicas", 0, "virtual nodes per backend on the hash ring (0 = 512)")
-	fs.DurationVar(&f.HealthInterval, "health-interval", 0, "backend /healthz probe period (0 = 250ms)")
-	fs.IntVar(&f.Retries, "retries", 0,
-		"extra backends a request tries after a transport failure (0 = 2, -1 = none)")
-	fs.Float64Var(&f.TraceRate, "trace-rate", 0,
-		"fraction of proxied requests traced into /debug/traces (0 = only profiled ones)")
-	return f
-}
-
-// BackendList splits the -backends flag into base URLs.
-func (f *RouterFlags) BackendList() ([]string, error) {
-	var out []string
-	for _, u := range strings.Split(f.Backends, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			out = append(out, u)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("expflags: -backends is empty")
-	}
-	return out, nil
-}
-
-// RouterConfig maps the flags onto a serve.RouterConfig (zeros keep the
-// router defaults).
-func (f *RouterFlags) RouterConfig() (serve.RouterConfig, error) {
-	backends, err := f.BackendList()
-	if err != nil {
-		return serve.RouterConfig{}, err
-	}
-	return serve.RouterConfig{
-		Backends:       backends,
-		Replicas:       f.Replicas,
-		HealthInterval: f.HealthInterval,
-		Retries:        f.Retries,
-		TraceRate:      f.TraceRate,
-	}, nil
-}
-
-// ---------------------------------------------------------------------------
 // cmd/loadgen
 
 // LoadgenFlags is the parsed flag values of cmd/loadgen.

@@ -1,9 +1,8 @@
 // Package obs is the observability layer of the repository: request
 // tracing, parallel-efficiency profiling, and metrics export. Every
 // other layer produces the signal — serve records per-request stage
-// spans, parexec records per-PE forall timings, the routers record
-// per-attempt failover spans — and this package owns the shared
-// vocabulary those layers speak:
+// spans, parexec records per-PE forall timings — and this package owns
+// the shared vocabulary those layers speak:
 //
 //   - Trace / Span (trace.go in spirit, this file): a cheap
 //     monotonic-clock span tree recorded per request. The whole API is
@@ -21,7 +20,7 @@
 //     line the planner's Plan reports, so "the planner approved this
 //     loop" and "here is its measured PE utilization" join on one key.
 //   - Prom (prom.go): the Prometheus text exposition writer behind
-//     GET /metrics on pslserved and pslrouter.
+//     GET /metrics on pslserved.
 package obs
 
 import (
@@ -31,11 +30,9 @@ import (
 	"time"
 )
 
-// TraceHeader is the HTTP header that propagates a trace ID from
-// pslrouter to its backends (and from any client that wants to stitch
-// a request into its own trace): a backend that receives it records
-// its spans under the caller's ID, so the router's per-attempt spans
-// and the owning backend's per-stage spans form one fleet-wide trace.
+// TraceHeader is the HTTP header a client sets to stitch a request
+// into a trace of its own: a server that receives it traces the
+// request and records its spans under the client's ID.
 const TraceHeader = "X-PSL-Trace"
 
 // NewID returns a fresh 16-hex-digit trace ID.
@@ -67,7 +64,7 @@ type Trace struct {
 }
 
 // NewTrace starts a trace. id == "" generates one; a non-empty id is
-// adopted verbatim (the propagated-from-the-router case).
+// adopted verbatim (the client-supplied X-PSL-Trace case).
 func NewTrace(id string) *Trace {
 	if id == "" {
 		id = NewID()

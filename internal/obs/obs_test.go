@@ -59,8 +59,8 @@ func TestTraceSpanTree(t *testing.T) {
 	}
 }
 
-// TestTraceAdoptedID: a propagated ID is used verbatim (the router →
-// backend stitching contract).
+// TestTraceAdoptedID: a client-supplied ID is used verbatim (the
+// X-PSL-Trace stitching contract).
 func TestTraceAdoptedID(t *testing.T) {
 	tr := NewTrace("deadbeef00112233")
 	if tr.ID() != "deadbeef00112233" {
@@ -220,10 +220,6 @@ func TestPromFormat(t *testing.T) {
 	p := NewProm(&b)
 	p.Counter("psl_requests_total", "Requests.", 42)
 	p.Gauge("psl_queue_depth", "Queue depth.", 3)
-	p.LabeledGauge("psl_backend_healthy", "Backend health.", []Labeled{
-		{Labels: `backend="a"`, Value: 1},
-		{Labels: `backend="b"`, Value: 0},
-	})
 	p.HistogramUS("psl_latency_seconds", "Latency.",
 		[]int64{100, 1000}, []int64{5, 3}, 2, 10, 12345)
 	if err := p.Err(); err != nil {
@@ -233,8 +229,6 @@ func TestPromFormat(t *testing.T) {
 	for _, want := range []string{
 		"# HELP psl_requests_total Requests.\n# TYPE psl_requests_total counter\npsl_requests_total 42\n",
 		"# TYPE psl_queue_depth gauge\npsl_queue_depth 3\n",
-		`psl_backend_healthy{backend="a"} 1`,
-		`psl_backend_healthy{backend="b"} 0`,
 		`psl_latency_seconds_bucket{le="0.0001"} 5`,
 		`psl_latency_seconds_bucket{le="0.001"} 8`,
 		`psl_latency_seconds_bucket{le="+Inf"} 10`,
@@ -244,8 +238,5 @@ func TestPromFormat(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
-	}
-	if got := EscapeLabel(`a"b\c`); got != `a\"b\\c` {
-		t.Errorf("EscapeLabel = %q", got)
 	}
 }

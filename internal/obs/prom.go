@@ -10,8 +10,8 @@ import (
 // Prom writes the Prometheus text exposition format (version 0.0.4 —
 // the format every Prometheus scraper accepts). It is deliberately a
 // writer over an existing stats snapshot, not an instrumentation
-// library: pslserved and pslrouter build their /metrics pages from the
-// same Stats structs their JSON /stats endpoints serialize, so the two
+// library: internal/serve builds its /metrics pages from the same
+// Stats structs its JSON /stats endpoints serialize, so the two
 // surfaces cannot report different numbers.
 type Prom struct {
 	w   io.Writer
@@ -38,13 +38,6 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// EscapeLabel escapes a label value per the exposition format.
-func EscapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
 func (p *Prom) head(name, typ, help string) {
 	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, typ)
 }
@@ -63,30 +56,6 @@ func (p *Prom) Counter(name, help string, v float64) {
 func (p *Prom) Gauge(name, help string, v float64) {
 	p.head(name, "gauge", help)
 	p.printf("%s %s\n", name, formatValue(v))
-}
-
-// Labeled is one sample of a labeled series: Labels is the rendered
-// label set without braces, e.g. `backend="http://host:8080"` (values
-// escaped with EscapeLabel).
-type Labeled struct {
-	Labels string
-	Value  float64
-}
-
-// LabeledCounter writes a counter family with one sample per entry.
-func (p *Prom) LabeledCounter(name, help string, samples []Labeled) {
-	p.head(name, "counter", help)
-	for _, s := range samples {
-		p.printf("%s{%s} %s\n", name, s.Labels, formatValue(s.Value))
-	}
-}
-
-// LabeledGauge writes a gauge family with one sample per entry.
-func (p *Prom) LabeledGauge(name, help string, samples []Labeled) {
-	p.head(name, "gauge", help)
-	for _, s := range samples {
-		p.printf("%s{%s} %s\n", name, s.Labels, formatValue(s.Value))
-	}
 }
 
 // HistogramUS writes a histogram whose buckets are microsecond upper

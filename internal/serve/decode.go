@@ -1,9 +1,8 @@
 // The one function that turns a /run-shaped body into a Request:
 // readRun reads the body once into a pooled buffer, DecodeRequest
-// decodes it once. Every handler that accepts a Request — a backend's
-// /run and the router's /run (embedded or proxying) — goes through
-// them, so the router's idea of a body's source (the ring key) is the
-// backend's (the cache key) by construction.
+// decodes it once. Every handler that accepts a Request — a Server's
+// /run and the Router's — goes through them, so the source the router
+// picks a replica by is the source that replica keys its cache by.
 //
 // DecodeRequest is a single pass over the envelope every client
 // actually sends: an object of the fourteen lower-case Request keys,
@@ -45,14 +44,13 @@ func releaseBody(buf *bytes.Buffer) {
 }
 
 // readRun reads r's body — at most limit bytes, into a pooled buffer
-// sized up front from Content-Length — and decodes it. On failure it writes the reply (413
-// for an oversized body, 400 for an unreadable or malformed one) and
-// returns ok false. On success the caller owns buf, which holds the
-// body as received, and hands it to releaseBody when done with the
-// bytes.
-func readRun(w http.ResponseWriter, r *http.Request, limit int64) (req Request, buf *bytes.Buffer, ok bool) {
-	buf = bodyPool.Get().(*bytes.Buffer)
+// sized up front from Content-Length — decodes it and gives the buffer
+// back. On failure it writes the reply (413 for an oversized body, 400
+// for an unreadable or malformed one) and returns ok false.
+func readRun(w http.ResponseWriter, r *http.Request, limit int64) (req Request, ok bool) {
+	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
+	defer releaseBody(buf) // the Request owns its strings
 	if n := r.ContentLength; n > 0 {
 		// The header is only a claim: believe it as far as a pooled buffer
 		// goes, and let a larger body grow the buffer as it arrives.
@@ -64,16 +62,15 @@ func readRun(w http.ResponseWriter, r *http.Request, limit int64) (req Request, 
 		req, err = DecodeRequest(buf.Bytes())
 	}
 	if err != nil {
-		releaseBody(buf)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
 		} else {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		}
-		return Request{}, nil, false
+		return Request{}, false
 	}
-	return req, buf, true
+	return req, true
 }
 
 // DecodeRequest decodes one POST /run body exactly as

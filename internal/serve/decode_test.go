@@ -1,6 +1,6 @@
 // Tests for the request decoder (decode.go): the differential against
 // encoding/json, that the bodies clients send take the single pass and
-// what it allocates, the pooled body buffer, and the router/backend
+// what it allocates, the pooled body buffer, and the router/server
 // agreement one decode function buys.
 package serve
 
@@ -242,19 +242,15 @@ func TestPooledBodyKeepAlive(t *testing.T) {
 }
 
 // TestRouterAndBackendDecodeAlike: a body gets the same status, and the
-// same program's answer, posted to a backend directly, through a
-// proxying router and through an embedded router — including bodies
-// encoding/json reads differently as a stream than as a document (bytes
-// after the object), by key case, or by repetition.
-// One decode function makes the router's ring key the backend's cache
-// key.
+// same program's answer, posted to a server directly and through a
+// router — including bodies encoding/json reads differently as a stream
+// than as a document (bytes after the object), by key case, or by
+// repetition. One decode function makes the source the router picks a
+// replica by the source that replica keys its cache by.
 func TestRouterAndBackendDecodeAlike(t *testing.T) {
-	_, urls := startFleet(t, 2, Config{})
-	proxy := httptest.NewServer(newTestRouter(t, RouterConfig{Backends: urls, HealthInterval: 10 * time.Second}).Handler())
-	defer proxy.Close()
-	embedded := httptest.NewServer(newTestRouter(t, RouterConfig{
-		Embedded: []*Server{newTestServer(t, Config{}), newTestServer(t, Config{})}}).Handler())
-	defer embedded.Close()
+	r, _ := newTestRouter(t, 2)
+	router := httptest.NewServer(r.Handler())
+	defer router.Close()
 	direct := httptest.NewServer(newTestServer(t, Config{}).Handler())
 	defer direct.Close()
 
@@ -294,10 +290,8 @@ func TestRouterAndBackendDecodeAlike(t *testing.T) {
 		if wantErr == nil && (want.Source != addSrc || wantResp.Result != "42") {
 			t.Errorf("body %.40q…: decoded another program (result %q)", body, wantResp.Result)
 		}
-		for name, url := range map[string]string{"proxying router": proxy.URL, "embedded router": embedded.URL} {
-			if status, resp := post(url+"/run", []byte(body)); status != wantStatus || resp.Result != wantResp.Result {
-				t.Errorf("body %.40q…: %s answered %d %q, backend %d %q", body, name, status, resp.Result, wantStatus, wantResp.Result)
-			}
+		if status, resp := post(router.URL+"/run", []byte(body)); status != wantStatus || resp.Result != wantResp.Result {
+			t.Errorf("body %.40q…: router answered %d %q, server %d %q", body, status, resp.Result, wantStatus, wantResp.Result)
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // parks until a leaving request hands it the slot, or is rejected
 // without blocking: ErrBusy when the global queue is full, ErrTenantBusy
 // when its tenant's own quota is, even if the global queue has room —
-// so one tenant cannot starve the fleet. Hand-off is round-robin over
+// so one tenant cannot starve the others. Hand-off is round-robin over
 // the queued tenants' FIFO heads, so a tenant with one queued request
 // waits behind at most one request per other active tenant, not behind
 // a flood. Requests without a tenant share the "" tenant. close()

@@ -64,24 +64,26 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return
 	}
-	// JSON escaping expands a source byte to at most 6 bytes (\uXXXX), so
-	// 6× the source cap plus envelope slack admits every request Run
-	// itself would accept while still hard-bounding memory.
-	req, buf, ok := readRun(w, r, 6*int64(s.cfg.MaxSourceBytes)+64*1024)
+	req, ok := readRun(w, r, bodyLimit(s.cfg.MaxSourceBytes))
 	if !ok {
 		return
 	}
-	releaseBody(buf)
-	// A propagated trace ID (the router's, or any upstream's) forces
-	// tracing and stitches this backend's spans into the caller's trace.
+	// A client-supplied trace ID forces tracing and files this request's
+	// spans under the client's ID.
 	req.TraceID = r.Header.Get(obs.TraceHeader)
 	s.finishRun(r.Context(), w, req)
 }
 
+// bodyLimit is the largest /run body a source cap of maxSource bytes
+// admits. JSON escaping expands a source byte to at most 6 bytes
+// (\uXXXX), so 6× the source cap plus envelope slack admits every
+// request Run itself would accept while still hard-bounding memory.
+func bodyLimit(maxSource int) int64 { return 6*int64(maxSource) + 64*1024 }
+
 // finishRun executes an already-decoded Request and writes the
 // Response under the documented error mapping. It is handleRun minus
-// the decode: the Router's embedded fast path calls it directly, so a
-// routed request decodes its body exactly once — same as a direct one.
+// the decode: the Router calls it directly, so a routed request
+// decodes its body exactly once — same as a direct one.
 func (s *Server) finishRun(ctx context.Context, w http.ResponseWriter, req Request) {
 	resp, err := s.Run(ctx, req)
 	switch {
@@ -92,7 +94,7 @@ func (s *Server) finishRun(ctx context.Context, w http.ResponseWriter, req Reque
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 	case err == ErrTenantBusy:
 		// Over-quota is the tenant's condition, not the service's: 429,
-		// so clients can tell "slow down, you" from "the fleet is full".
+		// so clients can tell "slow down, you" from "the server is full".
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
 	default:

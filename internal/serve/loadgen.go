@@ -95,20 +95,12 @@ type LoadConfig struct {
 	Seed int64
 	// Client overrides the HTTP client (nil = a pooled default).
 	Client *http.Client
-	// FleetBackends annotates the result row with the backend count the
-	// target URL fronts (0 = a single pslserved, no router). Metadata
-	// only — the generator always talks to one URL; pointing it at a
-	// pslrouter is what makes the run a fleet run.
-	FleetBackends int
 }
 
 // LoadResult is one generator run's report (the BENCH_serve.json row).
 type LoadResult struct {
 	Concurrency int     `json:"concurrency"`
 	ColdRatio   float64 `json:"cold_ratio"`
-	// Backends echoes FleetBackends: the number of pslserved replicas
-	// behind the target URL (0 = direct single process).
-	Backends int `json:"backends,omitempty"`
 	// AutoRate echoes the configured auto mix; AutoRequests counts the
 	// hot-phase requests actually sent with "auto": true.
 	AutoRate     float64 `json:"auto_rate"`
@@ -170,7 +162,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 		cfg.AutoPEs = 2
 	}
 	res := &LoadResult{Concurrency: cfg.Concurrency, ColdRatio: cfg.ColdRatio,
-		AutoRate: cfg.AutoRate, TraceRate: cfg.TraceRate, Backends: cfg.FleetBackends}
+		AutoRate: cfg.AutoRate, TraceRate: cfg.TraceRate}
 
 	// Cold phase: first touch of every corpus program — and, when the
 	// hot phase will send auto requests, of every program's planned

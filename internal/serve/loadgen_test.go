@@ -89,28 +89,22 @@ func TestLoadgenHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestLoadResultJSONShape guards the BENCH_serve.json row schema: the
-// fleet annotation serializes as "backends" and is omitted for direct
-// single-process rows, so pre-fleet rows keep their exact shape.
+// TestLoadResultJSONShape guards the BENCH_serve.json row schema: a row
+// measures one server, so it names no backend count, and the generator
+// sends no "engine", so it has no engine mix.
 func TestLoadResultJSONShape(t *testing.T) {
-	direct, err := json.Marshal(LoadResult{Concurrency: 1})
+	row, err := json.Marshal(LoadResult{Concurrency: 1, AutoRate: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(direct) != "" && jsonHasField(t, direct, "backends") {
-		t.Errorf("direct row serialized a backends field: %s", direct)
+	for _, key := range []string{"concurrency", "auto_rate", "rps", "hot_hit_rate"} {
+		if !jsonHasField(t, row, key) {
+			t.Errorf("row lost its %q field: %s", key, row)
+		}
 	}
-	fleet, err := json.Marshal(LoadResult{Concurrency: 1, Backends: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !jsonHasField(t, fleet, "backends") {
-		t.Errorf("fleet row lost its backends field: %s", fleet)
-	}
-	// The generator sends no "engine", so a row has no engine mix.
-	for _, key := range []string{"bytecode_rate", "bytecode_requests"} {
-		if jsonHasField(t, fleet, key) {
-			t.Errorf("row still carries %q: %s", key, fleet)
+	for _, key := range []string{"backends", "bytecode_rate", "bytecode_requests"} {
+		if jsonHasField(t, row, key) {
+			t.Errorf("row still carries %q: %s", key, row)
 		}
 	}
 }

@@ -1,12 +1,11 @@
-// The Prometheus surface: GET /metrics on pslserved and pslrouter
-// render the same Stats / RouterStats snapshots the JSON /stats
-// endpoints serve, in text exposition format. The metrics are derived
+// The Prometheus surface: GET /metrics on a Server (pslserved) and on
+// a Router renders the same Stats / RouterStats snapshot its JSON
+// /stats serves, in text exposition format. The metrics are derived
 // from the snapshot — there is no second set of counters to drift from
 // the JSON numbers, and scraping costs one snapshot, same as /stats.
 package serve
 
 import (
-	"fmt"
 	"net/http"
 
 	"repro/internal/obs"
@@ -38,9 +37,6 @@ func promRuntime(p *obs.Prom, rt RuntimeStats) {
 	p.Gauge("psl_uptime_seconds", "Seconds since the process started serving.", float64(rt.UptimeMS)/1e3)
 	p.Gauge("psl_gomaxprocs", "GOMAXPROCS of the serving process.", float64(rt.GoMaxProcs))
 	p.Gauge("psl_num_cpu", "Logical CPUs visible to the process.", float64(rt.NumCPU))
-	if rt.PEs > 0 {
-		p.Gauge("psl_pes", "Requests the service executes at once.", float64(rt.PEs))
-	}
 }
 
 // writeMetrics renders one backend's Stats.
@@ -66,31 +62,12 @@ func writeMetrics(p *obs.Prom, st Stats) {
 	promRuntime(p, st.Runtime)
 }
 
-// writeRouterMetrics renders the router's RouterStats, with per-backend
-// series labeled by backend URL.
+// writeRouterMetrics renders the router's RouterStats.
 func writeRouterMetrics(p *obs.Prom, st RouterStats) {
-	p.Counter("psl_router_requests_total", "Requests the router received.", float64(st.Requests))
-	p.Counter("psl_router_retries_total", "Failover retries to another backend.", float64(st.Retries))
-	p.Counter("psl_router_unroutable_total", "Requests with no healthy backend to try.", float64(st.Unroutable))
-	p.Counter("psl_router_cache_hits_total", "Fleet-aggregate program cache hits.", float64(st.Cache.Hits))
-	p.Counter("psl_router_cache_misses_total", "Fleet-aggregate program cache misses.", float64(st.Cache.Misses))
-	p.Counter("psl_router_cache_compiles_total", "Fleet-aggregate front-end builds.", float64(st.Cache.Compiles))
-	healthy := make([]obs.Labeled, 0, len(st.Backends))
-	routed := make([]obs.Labeled, 0, len(st.Backends))
-	failures := make([]obs.Labeled, 0, len(st.Backends))
-	for _, b := range st.Backends {
-		l := fmt.Sprintf("backend=%q", obs.EscapeLabel(b.URL))
-		h := 0.0
-		if b.Healthy {
-			h = 1
-		}
-		healthy = append(healthy, obs.Labeled{Labels: l, Value: h})
-		routed = append(routed, obs.Labeled{Labels: l, Value: float64(b.Routed)})
-		failures = append(failures, obs.Labeled{Labels: l, Value: float64(b.Failures)})
-	}
-	p.LabeledGauge("psl_router_backend_healthy", "1 while the backend passes health checks.", healthy)
-	p.LabeledCounter("psl_router_backend_routed_total", "Requests routed to the backend.", routed)
-	p.LabeledCounter("psl_router_backend_failures_total", "Transport failures talking to the backend.", failures)
+	p.Counter("psl_router_requests_total", "Requests the router handed to a replica.", float64(st.Requests))
+	p.Counter("psl_router_cache_hits_total", "Program cache hits, summed over the replicas.", float64(st.Cache.Hits))
+	p.Counter("psl_router_cache_misses_total", "Program cache misses, summed over the replicas.", float64(st.Cache.Misses))
+	p.Counter("psl_router_cache_compiles_total", "Front-end builds, summed over the replicas.", float64(st.Cache.Compiles))
 	promRuntime(p, st.Runtime)
 }
 

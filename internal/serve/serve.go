@@ -35,9 +35,12 @@
 //     end. The Response carries the plan: which loops run parallel,
 //     and why the rest were rejected.
 //
-// cmd/pslserved exposes a Server over HTTP (http.go); cmd/loadgen
-// drives it closed-loop (loadgen.go). DESIGN.md's R4 row records the
-// resulting throughput trajectory.
+// One process serves. cmd/pslserved exposes a Server over HTTP
+// (http.go); cmd/loadgen drives it closed-loop (loadgen.go), and the
+// load generator's clients are the only goroutines this package
+// starts. A Router (router.go) spreads requests over in-process
+// replicas for the benchmark's router probe. DESIGN.md's R4 row records
+// the resulting throughput trajectory.
 package serve
 
 import (
@@ -116,6 +119,10 @@ type Config struct {
 	TraceBuffer int
 }
 
+// defaultMaxSourceBytes is MaxSourceBytes's default; the Router reads
+// every body under the envelope it implies.
+const defaultMaxSourceBytes = 1 << 20
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -142,7 +149,7 @@ func (c Config) withDefaults() Config {
 		c.MaxTimeout = 30 * time.Second
 	}
 	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = 1 << 20
+		c.MaxSourceBytes = defaultMaxSourceBytes
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 50_000_000
@@ -206,12 +213,10 @@ type Request struct {
 	// auto requests, the per-forall efficiency report) in the Response.
 	// A profiled request is always traced, regardless of TraceRate.
 	Profile bool `json:"profile,omitempty"`
-	// TraceID is the propagated trace identifier, carried between
-	// processes in the X-PSL-Trace header (obs.TraceHeader), not the
-	// JSON body: the router stamps one ID on a request and reuses it
-	// across failover retries, so the backend spans of every attempt
-	// stitch into one logical trace. A request with a TraceID is always
-	// traced.
+	// TraceID is a client-supplied trace identifier, carried in the
+	// X-PSL-Trace header (obs.TraceHeader), not the JSON body, so a
+	// client can file the server's spans under a trace of its own. A
+	// request with a TraceID is always traced.
 	TraceID string `json:"-"`
 }
 

@@ -149,25 +149,21 @@ type Stats struct {
 }
 
 // RuntimeStats describes the serving process: how long it has been
-// up and what it is running on. The fleet aggregate view uses it to
-// spot a recently restarted or misconfigured backend at a glance.
+// up and what it is running on. (How many requests it runs at once is
+// Queue.Workers.)
 type RuntimeStats struct {
 	UptimeMS   int64  `json:"uptime_ms"`
 	GoMaxProcs int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
 	GoVersion  string `json:"go_version"`
-	// PEs is how many requests the execution service runs at once
-	// (Config.Workers).
-	PEs int `json:"pes"`
 }
 
-func runtimeStats(start time.Time, pes int) RuntimeStats {
+func runtimeStats(start time.Time) RuntimeStats {
 	return RuntimeStats{
 		UptimeMS:   time.Since(start).Milliseconds(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		GoVersion:  runtime.Version(),
-		PEs:        pes,
 	}
 }
 
@@ -182,6 +178,6 @@ func (s *Server) Stats() Stats {
 		Cache:     s.cache.stats(),
 		Queue:     s.gate.stats(),
 		Latency:   s.latency.snapshot(),
-		Runtime:   runtimeStats(s.start, s.cfg.Workers),
+		Runtime:   runtimeStats(s.start),
 	}
 }

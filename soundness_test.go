@@ -281,7 +281,6 @@ function int main() {
 // head->data, reached the same way). Each verdict and its reason are
 // pinned, and every approved loop must pass the order probe.
 func TestNullArgumentLoops(t *testing.T) {
-	const approvedOwnNode = "p advances along next (uniquely forward): iterations visit distinct nodes; body performs no pointer-field stores; writes land only on the iteration's own node; overlapping reads touch disjoint fields"
 	for _, tc := range []struct {
 		name, src string
 		approved  bool
@@ -396,6 +395,59 @@ function int main() {
 }
 %s`
 
+// approvedOwnNode is the planner's text for every approval: one fixed
+// text, whatever was proved (ROADMAP item 3).
+const approvedOwnNode = "p advances along next (uniquely forward): iterations visit distinct nodes; body performs no pointer-field stores; writes land only on the iteration's own node; overlapping reads touch disjoint fields"
+
+// walkLoop is the loop the hand-written soundness tests over a list of L
+// plan: walk advances p along next and runs the body (the %s) on every
+// node with a successor.
+const walkLoop = `
+procedure walk(L *head) {
+  var L *p = head;
+  while p != NULL {
+    if p->next != NULL {
+      %s
+    }
+    p = p->next;
+  }
+}`
+
+// walkVerdict plans src at width 2, returns walk's loop, and runs the
+// order probe over the plan: an approved loop must reach a forall and
+// give the serial answer with every forall reversed.
+func walkVerdict(t *testing.T, src string) *transform.LoopPlan {
+	t.Helper()
+	c, err := core.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := c.AutoParallel(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lp *transform.LoopPlan
+	for _, l := range auto.Plan.Loops {
+		if l.Func == "walk" {
+			lp = l
+		}
+	}
+	if lp == nil {
+		t.Fatalf("no plan entry for walk's loop:\n%s", auto.Plan)
+	}
+	diff, foralls, err := orderSensitive(c.Program, auto.Program, 0, "main", nil)
+	if err != nil {
+		t.Fatalf("serial run: %v", err)
+	}
+	if diff != "" {
+		t.Errorf("an approved loop depends on iteration order: %s\n%s", diff, auto.Plan)
+	}
+	if lp.Parallelized && foralls == 0 {
+		t.Error("the approved loop reached no forall: the probe saw nothing")
+	}
+	return lp
+}
+
 // TestNeighbourReadLoops covers ROADMAP item 1(b)'s first and fourth
 // shapes: a body that reads its successor's fields beside a write of its
 // own, and a second handle aliasing the induction pointer. Reading the
@@ -405,7 +457,6 @@ function int main() {
 // and are approved. Each verdict and its reason are pinned, and every
 // approved loop must pass the order probe.
 func TestNeighbourReadLoops(t *testing.T) {
-	const approvedOwnNode = "p advances along next (uniquely forward): iterations visit distinct nodes; body performs no pointer-field stores; writes land only on the iteration's own node; overlapping reads touch disjoint fields"
 	for _, tc := range []struct {
 		name, body string
 		approved   bool
@@ -421,42 +472,117 @@ func TestNeighbourReadLoops(t *testing.T) {
 			approved: true, reason: approvedOwnNode},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			walk := fmt.Sprintf(`
-procedure walk(L *head) {
-  var L *p = head;
-  while p != NULL {
-    if p->next != NULL {
-      %s
-    }
-    p = p->next;
+			lp := walkVerdict(t, fmt.Sprintf(neighbourList, fmt.Sprintf(walkLoop, tc.body)))
+			if lp.Parallelized != tc.approved || lp.ReasonText() != tc.reason {
+				t.Errorf("walk's loop: %v, want approved=%t for %q", lp, tc.approved, tc.reason)
+			}
+		})
+	}
+}
+
+// sharedTailList is neighbourList's record with next declared forward
+// but not uniquely forward, and a heap that uses the licence: a second
+// list, other, joins head's list at its second node, so that node has
+// two predecessors. walk (the %s) runs over both lists.
+const sharedTailList = `
+type L [X]
+{ int a;
+  int b;
+  L *next is forward along X;
+};
+
+function int main() {
+  var L *head = NULL;
+  var int i = 0;
+  while i < 5 {
+    var L *t = new L;
+    t->a = 10 + i;
+    t->b = 20 + 3 * i;
+    t->next = head;
+    head = t;
+    i = i + 1;
   }
-}`, tc.body)
-			c, err := core.Compile(fmt.Sprintf(neighbourList, walk))
-			if err != nil {
-				t.Fatal(err)
+  var L *other = new L;
+  other->a = 7;
+  other->b = 8;
+  other->next = head->next;
+  walk(head);
+  walk(other);
+  var int s = 13 * other->a + 17 * other->b;
+  var L *q = head;
+  i = 1;
+  while q != NULL {
+    s = s + i * q->a + 7 * i * q->b;
+    print(q->a, q->b);
+    q = q->next;
+    i = i + 1;
+  }
+  return s;
+}
+%s`
+
+// TestNonUniqueAdvanceLoops covers ROADMAP item 1(b)'s second shape: the
+// loop advances along a dimension declared forward but not uniquely
+// forward. One traversal of an acyclic dimension still visits distinct
+// nodes, so the planner gives the verdicts it gives on a uniquely
+// forward list: writes confined to the own node are approved, a read of
+// the successor's written field and a write to the successor are
+// rejected. The approval text still says "uniquely forward": it is
+// approvedOwnNode whatever the declaration.
+func TestNonUniqueAdvanceLoops(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+		approved   bool
+		reason     string
+	}{
+		{name: "own node's other field", body: "p->a = p->b + 1;",
+			approved: true, reason: approvedOwnNode},
+		{name: "own node's written field", body: "p->a = p->a * 2;",
+			approved: true, reason: approvedOwnNode},
+		{name: "successor's other field", body: "p->a = p->next->b + 1;",
+			approved: true, reason: approvedOwnNode},
+		{name: "successor's written field", body: "p->a = p->next->a + 1;",
+			reason: "write W p.a may collide with R p.X*.a in another iteration"},
+		{name: "write to the successor", body: "p->next->a = p->b;",
+			reason: "write W p.X*.a is not confined to the iteration's own node"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lp := walkVerdict(t, fmt.Sprintf(sharedTailList, fmt.Sprintf(walkLoop, tc.body)))
+			if lp.Parallelized != tc.approved || lp.ReasonText() != tc.reason {
+				t.Errorf("walk's loop: %v, want approved=%t for %q", lp, tc.approved, tc.reason)
 			}
-			auto, err := c.AutoParallel(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var lp *transform.LoopPlan
-			for _, l := range auto.Plan.Loops {
-				if l.Func == "walk" {
-					lp = l
-				}
-			}
-			if lp == nil || lp.Parallelized != tc.approved || lp.ReasonText() != tc.reason {
-				t.Fatalf("walk's loop: %v, want approved=%t for %q", lp, tc.approved, tc.reason)
-			}
-			diff, foralls, err := orderSensitive(c.Program, auto.Program, 0, "main", nil)
-			if err != nil {
-				t.Fatalf("serial run: %v", err)
-			}
-			if diff != "" {
-				t.Errorf("an approved loop depends on iteration order: %s\n%s", diff, auto.Plan)
-			}
-			if tc.approved && foralls == 0 {
-				t.Error("the approved loop reached no forall: the probe saw nothing")
+		})
+	}
+}
+
+// TestCalleeWriteLoops covers ROADMAP item 1(b)'s third shape: the body
+// calls bump, which writes q->a through its parameter q. Handed the
+// induction pointer, the write lands on the iteration's own node and the
+// loop is approved. Handed the successor, the write is mapped onto p's
+// next node and rejected (each iteration bumps a different node, so the
+// rejection is conservative, not required). Handed the list head, every
+// iteration writes one node, and the loop is rejected.
+func TestCalleeWriteLoops(t *testing.T) {
+	const bump = `
+procedure bump(L *q) {
+  q->a = q->a + 1;
+}`
+	for _, tc := range []struct {
+		name, arg string
+		approved  bool
+		reason    string
+	}{
+		{name: "the induction pointer", arg: "p",
+			approved: true, reason: "p advances along next (uniquely forward): iterations visit distinct nodes; body performs no pointer-field stores; writes land only on the iteration's own node; overlapping reads touch disjoint fields"},
+		{name: "its successor", arg: "p->next",
+			reason: "write W p.X*.a is not confined to the iteration's own node"},
+		{name: "the list head", arg: "head",
+			reason: "write W head.a is not confined to the iteration's own node"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lp := walkVerdict(t, fmt.Sprintf(neighbourList, bump+fmt.Sprintf(walkLoop, "bump("+tc.arg+");")))
+			if lp.Parallelized != tc.approved || lp.ReasonText() != tc.reason {
+				t.Errorf("walk's loop: %v, want approved=%t for %q", lp, tc.approved, tc.reason)
 			}
 		})
 	}
