@@ -1,7 +1,7 @@
 // Planner acceptance tests: the auto-parallelization planner
 // (transform.AutoParallelize / core.AutoParallel) must reproduce
-// exactly what the hand-wired StripMine calls in cmd/experiments and
-// the R1/R2 measurement conventions produce today — same programs
+// exactly what the hand-wired StripMine calls of the R1/R2
+// measurement conventions produce — same programs
 // where the drivers reach every transformed loop, and bit-identical
 // outputs, allocation counts, and simulated cycle counts everywhere.
 // The serving-layer side of the acceptance criterion (hot "auto"
@@ -23,7 +23,7 @@ import (
 // runAll executes fn on prog under one configuration triplet —
 // simulated (4 PEs, cyclic; the machine model has one implementation,
 // the walker), then per engine serial real and goroutine-parallel
-// (4 PEs, static cyclic) — returning a fingerprint that includes
+// (4 PEs) — returning a fingerprint that includes
 // values, outputs, and full Stats (steps, allocations, simulated
 // cycles).
 func runAll(t *testing.T, prog *lang.Program, fn string, seed uint64, args []interp.Value) string {
@@ -39,7 +39,7 @@ func runAll(t *testing.T, prog *lang.Program, fn string, seed uint64, args []int
 		writeStats(&fp, st)
 		var pout bytes.Buffer
 		v, st, err := parexec.Run(prog, parexec.Options{
-			Interp: eng, PEs: 4, Sched: parexec.StaticCyclic, Seed: seed, Output: &pout,
+			Interp: eng, PEs: 4, Seed: seed, Output: &pout,
 		}, fn, args...)
 		if err != nil {
 			t.Fatalf("parallel %s: %v", eng, err)

@@ -1,6 +1,9 @@
 // Benchmarks regenerating (at bench-friendly scale) every table and
 // figure in the paper's evaluation. The experiment IDs follow
-// DESIGN.md's index; full-scale regeneration is cmd/experiments.
+// DESIGN.md's index. Full scale is `go run ./cmd/experiments` for the
+// computed tables and, for the measured R rows, BENCH_interp.json
+// (`go test -run TestBenchInterpJSON -write-bench .`) and
+// `go run ./benchmark`.
 //
 // Run with: go test -bench=. -benchmem
 package repro
@@ -124,9 +127,9 @@ func BenchmarkR1RealPolyParallel4(b *testing.B) { benchRealPoly(b, interp.Engine
 func BenchmarkR1RealPolyParallel8(b *testing.B) { benchRealPoly(b, interp.EngineKernel, 8, 8) }
 
 // ---------------------------------------------------------------------------
-// R2 — the Barnes-Hut force loop on the parexec pool, one benchmark per
-// scheduling policy (the measured counterpart of the X2 ablation; full
-// scale is `go run ./cmd/experiments -real`).
+// R2 — the Barnes-Hut force loop on the parexec pool, strip width
+// 4×PEs, so a PE takes several iterations of each barrier from the
+// pool's one cursor.
 
 func BenchmarkR2ForceSerial(b *testing.B) {
 	c, err := core.Compile(nbody.BarnesHutForcePSL)
@@ -142,7 +145,7 @@ func BenchmarkR2ForceSerial(b *testing.B) {
 	}
 }
 
-func benchR2Force(b *testing.B, pol parexec.Policy, pes int) {
+func benchR2Force(b *testing.B, pes int) {
 	c, err := core.Compile(nbody.BarnesHutForcePSL)
 	if err != nil {
 		b.Fatal(err)
@@ -154,23 +157,20 @@ func benchR2Force(b *testing.B, pol parexec.Policy, pes int) {
 	args := []interp.Value{interp.IntVal(64), interp.RealVal(0.5)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := par.RunParallel(core.RunConfig{Seed: 7, Sched: pol}, pes, nbody.ForceFunc, args...); err != nil {
+		if _, _, err := par.RunParallel(core.RunConfig{Seed: 7}, pes, nbody.ForceFunc, args...); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkR2ForceBlock4(b *testing.B)   { benchR2Force(b, parexec.StaticBlock, 4) }
-func BenchmarkR2ForceCyclic4(b *testing.B)  { benchR2Force(b, parexec.StaticCyclic, 4) }
-func BenchmarkR2ForceDynamic4(b *testing.B) { benchR2Force(b, parexec.Dynamic(1), 4) }
-func BenchmarkR2ForceDynamic8(b *testing.B) { benchR2Force(b, parexec.Dynamic(2), 8) }
+func BenchmarkR2ForceParallel4(b *testing.B) { benchR2Force(b, 4) }
+func BenchmarkR2ForceParallel8(b *testing.B) { benchR2Force(b, 8) }
 
 // ---------------------------------------------------------------------------
 // R3 — the execution-engine comparison: the same workloads under the
 // tree-walking oracle (interp.EngineWalk); the bytecode VM's side of
-// the table is R6 below. These are the CI guards behind the R3 table
-// (`cmd/experiments -real`) and the checked-in BENCH_interp.json
-// trajectory; TestBytecodeSpeedupFloor asserts the serial
+// the table is R6 below. These are the CI guards behind the checked-in
+// BENCH_interp.json trajectory; TestBytecodeSpeedupFloor asserts the serial
 // force-workload ratio (under -cost-gates).
 
 func benchR3Serial(b *testing.B, eng interp.Engine, src, fn string, seed uint64, args ...interp.Value) {
@@ -218,7 +218,7 @@ func benchR3ForceParallel(b *testing.B, eng interp.Engine) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := par.RunParallel(core.RunConfig{Seed: seed, Engine: eng, Sched: parexec.StaticCyclic},
+		if _, _, err := par.RunParallel(core.RunConfig{Seed: seed, Engine: eng},
 			4, fn, args...); err != nil {
 			b.Fatal(err)
 		}

@@ -4,8 +4,8 @@
 // slot-resolved IR onto typed register banks, is the fast path that
 // R1/R2/R3 measure; the kernel engine is that VM plus the vector
 // strips. This file pins all three together: for every
-// corpus program, serial real and goroutine-parallel under every
-// scheduling policy at PEs {2, 4, 8}, results, printed output, and
+// corpus program, serial real and goroutine-parallel at PEs
+// {2, 4, 8}, results, printed output, and
 // execution statistics must be bit-identical across the full engine
 // matrix, compared pairwise against the walker. Simulated mode is not
 // an engine cell — the machine model runs on the walker alone
@@ -211,10 +211,10 @@ func TestEngineEquivalence(t *testing.T) {
 				}
 			}
 
-			// Goroutine-parallel mode: every scheduling policy × PEs
-			// {2,4,8} × all three engines must reproduce the serial
-			// walk reference (value, output, and the shared counters)
-			// — for the hand-stripped program and the auto-planned one.
+			// Goroutine-parallel mode: PEs {2,4,8} × all three engines
+			// must reproduce the serial walk reference (value, output,
+			// and the shared counters) — for the hand-stripped program
+			// and the auto-planned one.
 			variants := map[string]*lang.Program{}
 			if p.stripFn != "" {
 				par, err := c.StripMine(p.stripFn, p.stripLoop, 8)
@@ -227,38 +227,36 @@ func TestEngineEquivalence(t *testing.T) {
 				variants["auto"] = auto.Program
 			}
 			for vname, prog := range variants {
-				for _, pol := range []parexec.Policy{parexec.StaticBlock, parexec.StaticCyclic, parexec.Dynamic(2)} {
-					for _, pes := range []int{2, 4, 8} {
-						stats := map[interp.Engine]interp.Stats{}
-						for _, eng := range eqEngines {
-							var out bytes.Buffer
-							v, st, err := parexec.Run(prog, parexec.Options{
-								Interp: eng, PEs: pes, Sched: pol, Seed: p.seed, Output: &out,
-							}, p.fn, p.args...)
-							if err != nil {
-								t.Fatalf("%s/%s/%s pes=%d engine=%s: %v", p.name, vname, pol.Name(), pes, eng, err)
-							}
-							// Value and output reproduce the serial run of
-							// the *untransformed* program bit-for-bit.
-							if v.String() != wv.String() {
-								t.Errorf("%s/%s/%s pes=%d engine=%s: value %s != serial %s",
-									p.name, vname, pol.Name(), pes, eng, v, wv)
-							}
-							if out.String() != wout {
-								t.Errorf("%s/%s/%s pes=%d engine=%s: output diverged from serial run",
-									p.name, vname, pol.Name(), pes, eng)
-							}
-							stats[eng] = st
+				for _, pes := range []int{2, 4, 8} {
+					stats := map[interp.Engine]interp.Stats{}
+					for _, eng := range eqEngines {
+						var out bytes.Buffer
+						v, st, err := parexec.Run(prog, parexec.Options{
+							Interp: eng, PEs: pes, Seed: p.seed, Output: &out,
+						}, p.fn, p.args...)
+						if err != nil {
+							t.Fatalf("%s/%s pes=%d engine=%s: %v", p.name, vname, pes, eng, err)
 						}
-						// The strip-mined program executes more statements
-						// than the original (forall machinery), so counters
-						// are compared engine-vs-engine per cell, pairwise
-						// against the walker.
-						for _, eng := range eqEngines[1:] {
-							if stats[interp.EngineWalk] != stats[eng] {
-								t.Errorf("%s/%s/%s pes=%d: stats diverged: walk %+v, %s %+v",
-									p.name, vname, pol.Name(), pes, stats[interp.EngineWalk], eng, stats[eng])
-							}
+						// Value and output reproduce the serial run of
+						// the *untransformed* program bit-for-bit.
+						if v.String() != wv.String() {
+							t.Errorf("%s/%s pes=%d engine=%s: value %s != serial %s",
+								p.name, vname, pes, eng, v, wv)
+						}
+						if out.String() != wout {
+							t.Errorf("%s/%s pes=%d engine=%s: output diverged from serial run",
+								p.name, vname, pes, eng)
+						}
+						stats[eng] = st
+					}
+					// The strip-mined program executes more statements
+					// than the original (forall machinery), so counters
+					// are compared engine-vs-engine per cell, pairwise
+					// against the walker.
+					for _, eng := range eqEngines[1:] {
+						if stats[interp.EngineWalk] != stats[eng] {
+							t.Errorf("%s/%s pes=%d: stats diverged: walk %+v, %s %+v",
+								p.name, vname, pes, stats[interp.EngineWalk], eng, stats[eng])
 						}
 					}
 				}
@@ -463,7 +461,8 @@ func assertSpeedupFloor(t *testing.T, slow, fast floorConfig, fn string, args []
 // so R1/R2 are not "speedups of a slow interpreter". The honest ratio
 // on an idle host is recorded in BENCH_interp.json (12–20× from one
 // recording to the next: the walker allocates heavily, so its side is
-// the noisy one; see also `cmd/experiments -real`'s R3 table); the
+// the noisy one; see also the ledger's interp.steps_per_s rows in
+// `go run ./benchmark`); the
 // floor here is loose, and looser still under the race detector, whose
 // per-access instrumentation falls heaviest on the VM's tight switch
 // loop.

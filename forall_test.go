@@ -1,7 +1,7 @@
 // One forall, one answer: a program that spells forall gives the same
 // value, output, step and allocation counts and error text whether it
 // runs serially (interp.Run: iterations in place, in index order), on a
-// pool (parexec.Run at any size under any policy), on the simulated
+// pool (parexec.Run at any size), on the simulated
 // machine, or through the server with or without "parallel" — on all
 // four engines. Before the interpreter stopped running foralls on one
 // goroutine per iteration, a request's answer depended on which of
@@ -103,7 +103,6 @@ function int main() {
 func TestForallOneAnswer(t *testing.T) {
 	srv := serve.New(serve.Config{})
 	defer srv.Close()
-	policies := []parexec.Policy{parexec.StaticBlock, parexec.StaticCyclic, parexec.Dynamic(1)}
 
 	for _, p := range forallPrograms {
 		prog, err := lang.Parse(p.src)
@@ -140,17 +139,15 @@ func TestForallOneAnswer(t *testing.T) {
 				check("simulated", answerOf(v, st, out.String(), err))
 			}
 
-			// On one processor the interpreting goroutine adopts nearly
-			// every stream; on all of them the workers race it for each.
+			// On one processor the interpreting goroutine takes nearly
+			// every iteration; on all of them the workers race it for each.
 			for _, procs := range []int{1, runtime.NumCPU()} {
 				for _, pes := range []int{1, 2, 4, 8} {
-					for _, pol := range policies {
-						out.Reset()
-						prev := runtime.GOMAXPROCS(procs)
-						v, st, err := parexec.Run(prog, parexec.Options{Interp: eng, PEs: pes, Sched: pol, Output: &out}, "main")
-						runtime.GOMAXPROCS(prev)
-						check(fmt.Sprintf("parexec.Run procs=%d pes=%d %s", procs, pes, pol.Name()), answerOf(v, st, out.String(), err))
-					}
+					out.Reset()
+					prev := runtime.GOMAXPROCS(procs)
+					v, st, err := parexec.Run(prog, parexec.Options{Interp: eng, PEs: pes, Output: &out}, "main")
+					runtime.GOMAXPROCS(prev)
+					check(fmt.Sprintf("parexec.Run procs=%d pes=%d", procs, pes), answerOf(v, st, out.String(), err))
 				}
 			}
 
@@ -167,7 +164,7 @@ func TestForallOneAnswer(t *testing.T) {
 }
 
 // TestPoolLeavesTheSerialRun: every corpus program, planned, run on a
-// pool of 1, 2 or 4 PEs under each policy, leaves the value, the output
+// pool of 1, 2 or 4 PEs, leaves the value, the output
 // and the whole Stats — barriers included — of the same planned program
 // run serially in place with no scheduler, on every engine. The
 // interpreter, not the pool, decides a forall's output, error and
@@ -195,19 +192,17 @@ func TestPoolLeavesTheSerialRun(t *testing.T) {
 					t.Fatalf("%s serially: %v", eng, err)
 				}
 				want := run{v.String(), out.String(), st}
-				for _, pol := range []parexec.Policy{parexec.StaticBlock, parexec.StaticCyclic, parexec.Dynamic(1)} {
-					for _, pes := range []int{1, 2, 4} {
-						out.Reset()
-						v, st, err := parexec.Run(auto.Program, parexec.Options{
-							Interp: eng, Compiled: cp, PEs: pes, Sched: pol, Seed: p.seed, Output: &out,
-						}, p.fn, p.args...)
-						if err != nil {
-							t.Fatalf("%s pes=%d %s: %v", eng, pes, pol.Name(), err)
-						}
-						if got := (run{v.String(), out.String(), st}); got != want {
-							t.Errorf("%s pes=%d %s: value %s stats %+v, serially %s %+v (outputs equal: %t)",
-								eng, pes, pol.Name(), got.value, got.st, want.value, want.st, got.output == want.output)
-						}
+				for _, pes := range []int{1, 2, 4} {
+					out.Reset()
+					v, st, err := parexec.Run(auto.Program, parexec.Options{
+						Interp: eng, Compiled: cp, PEs: pes, Seed: p.seed, Output: &out,
+					}, p.fn, p.args...)
+					if err != nil {
+						t.Fatalf("%s pes=%d: %v", eng, pes, err)
+					}
+					if got := (run{v.String(), out.String(), st}); got != want {
+						t.Errorf("%s pes=%d: value %s stats %+v, serially %s %+v (outputs equal: %t)",
+							eng, pes, got.value, got.st, want.value, want.st, got.output == want.output)
 					}
 				}
 			}

@@ -225,9 +225,6 @@ type RunConfig struct {
 	Simulate bool
 	// PEs is the simulated PE count (Simulate mode).
 	PEs int
-	// Sched is the iteration→PE scheduling policy for RunParallel
-	// (nil = parexec's default, dynamic self-scheduling with chunk 1).
-	Sched parexec.Policy
 	// Seed for the deterministic rand() builtin.
 	Seed uint64
 	// Output receives print() output (nil discards).
@@ -302,17 +299,16 @@ func (c *Compilation) Run(cfg RunConfig, fn string, args ...interp.Value) (inter
 // RunParallel executes fn with real goroutine parallelism: the
 // program's forall regions (the ones StripMine emits) run on a
 // parexec pool of pes PEs (0 = one per logical CPU) — the calling
-// goroutine and pes−1 workers — with cfg.Sched deciding which PE runs
-// which iteration. Result and
-// print() output are bit-identical to a serial Run under every policy,
-// with one exception: rand() inside a forall body draws from the
-// shared stream in scheduling order (see package parexec).
+// goroutine and pes−1 workers — each taking the next iteration of a
+// forall as it becomes free. Result and print() output are
+// bit-identical to a serial Run, with one exception: rand() inside a
+// forall body draws from the shared stream in scheduling order (see
+// package parexec).
 func (c *Compilation) RunParallel(cfg RunConfig, pes int, fn string, args ...interp.Value) (interp.Value, interp.Stats, error) {
 	return parexec.Run(c.Program, parexec.Options{
 		Interp:         cfg.Engine,
 		Compiled:       c.compiled(cfg.Engine, false),
 		PEs:            pes,
-		Sched:          cfg.Sched,
 		Seed:           cfg.Seed,
 		Output:         cfg.Output,
 		Ctx:            cfg.Ctx,

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/adds"
 	"repro/internal/analysis"
 	"repro/internal/effects"
 	"repro/internal/lang"
@@ -109,9 +110,10 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 	// --- 2. The declaration is valid at the loop.
 	elem := inductionElem(loop, ind)
 	decl := prog.Universe.Decl(elem)
+	var pf *adds.PointerField
 	var dim string
 	if decl != nil {
-		if pf := decl.Pointer(field); pf != nil {
+		if pf = decl.Pointer(field); pf != nil {
 			dim = pf.Dim
 		}
 	}
@@ -161,11 +163,26 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 
 	rep.Parallelizable = true
 	rep.Reasons = append(rep.Reasons,
-		fmt.Sprintf("%s advances along %s (uniquely forward): iterations visit distinct nodes", ind, field),
+		ind+" advances along "+field+" ("+declaredAs(pf)+"): iterations visit distinct nodes",
 		"body performs no pointer-field stores",
 		"writes land only on the iteration's own node; overlapping reads touch disjoint fields",
 	)
 	return rep, nil
+}
+
+// declaredAs renders a pointer field's ADDS annotation as written —
+// "uniquely forward", "forward", … — and "not annotated" for a field
+// without one (or no declaration at all).
+func declaredAs(pf *adds.PointerField) string {
+	switch {
+	case pf == nil || pf.Dir == adds.Unknown:
+		return "not annotated"
+	case pf.Unique && pf.Dir == adds.Forward:
+		return "uniquely forward"
+	case pf.Unique:
+		return "uniquely backward"
+	}
+	return pf.Dir.String()
 }
 
 // inductionOfCond recognizes "p != NULL" / "NULL != p".

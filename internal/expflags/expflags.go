@@ -9,29 +9,20 @@ package expflags
 
 import (
 	"flag"
-	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
-	"repro/internal/parexec"
 	"repro/internal/serve"
 )
 
 // Flags is the parsed flag values of cmd/experiments. See DESIGN.md's
 // experiment index for the IDs each selector regenerates.
 type Flags struct {
-	Tables   bool   // -t: T1/T2 simulated Sequent tables (§4.4)
-	Fig      int    // -fig N: figures F1..F5
-	PM       int    // -pm N: path-matrix experiments PM1..PM3
-	X        int    // -x N: supplementary experiments X1..X3
-	Real     bool   // -real: measured wall-clock R1 (poly) and R2 (Barnes-Hut)
-	PlanCost bool   // -plancost: R7 planner-cost scaling on the generated many-loop program
-	All      bool   // -all: everything
-	Measure  int    // -measure: simulated time steps per table cell
-	PEs      string // -pes: comma-separated pool sizes for R1/R2
-	Sched    string // -sched: R2 scheduling policy ("all" sweeps every policy)
-	Chunk    int    // -chunk: R2 dynamic self-scheduling chunk size
+	Tables  bool // -t: T1/T2 simulated Sequent tables (§4.4)
+	Fig     int  // -fig N: figures F1..F5
+	PM      int  // -pm N: path-matrix experiments PM1..PM3
+	X       int  // -x N: supplementary experiments X1..X3
+	All     bool // -all: everything
+	Measure int  // -measure: simulated time steps per table cell
 }
 
 // Register installs the cmd/experiments flag set on fs and returns the
@@ -42,57 +33,9 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Fig, "fig", 0, "figure number (1-5)")
 	fs.IntVar(&f.PM, "pm", 0, "path-matrix experiment (1-3)")
 	fs.IntVar(&f.X, "x", 0, "supplementary experiment (1-3)")
-	fs.BoolVar(&f.Real, "real", false, "R1/R2: measured wall-clock speedups (parexec)")
-	fs.BoolVar(&f.PlanCost, "plancost", false,
-		"R7: auto-parallelization planner cost scaling on generated many-loop programs")
 	fs.BoolVar(&f.All, "all", false, "run everything")
 	fs.IntVar(&f.Measure, "measure", 1, "measured steps per table cell")
-	fs.StringVar(&f.PEs, "pes", "2,4,8", "comma-separated worker-pool sizes for -real (R1 and R2)")
-	fs.StringVar(&f.Sched, "sched", "all",
-		"scheduling policy for the R2 table: block, cyclic, dynamic, or all")
-	fs.IntVar(&f.Chunk, "chunk", 1, "chunk size for R2's dynamic self-scheduling")
 	return f
-}
-
-// PEList parses the -pes flag into pool sizes.
-func (f *Flags) PEList() ([]int, error) {
-	var out []int
-	for _, s := range strings.Split(f.PEs, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("expflags: -pes wants positive integers, got %q", s)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("expflags: -pes is empty")
-	}
-	return out, nil
-}
-
-// Policies resolves the -sched/-chunk flags into the scheduling
-// policies to measure ("all" sweeps block, cyclic, and dynamic).
-func (f *Flags) Policies() ([]parexec.Policy, error) {
-	if strings.EqualFold(strings.TrimSpace(f.Sched), "all") {
-		var out []parexec.Policy
-		for _, name := range parexec.PolicyNames() {
-			p, err := parexec.ParsePolicy(name, f.Chunk)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, p)
-		}
-		return out, nil
-	}
-	p, err := parexec.ParsePolicy(f.Sched, f.Chunk)
-	if err != nil {
-		return nil, err
-	}
-	return []parexec.Policy{p}, nil
 }
 
 // ---------------------------------------------------------------------------

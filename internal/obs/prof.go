@@ -46,7 +46,7 @@ func NewForallProfiler() *ForallProfiler {
 // Record adds one barrier's measurements for the forall at line:
 // wallNS is the dispatch-to-barrier wall clock, busyNS[pe] the summed
 // task execution time on pe, doneNS[pe] the offset (from dispatch) at
-// which pe drained its assignment stream, tasks[pe] the iterations pe
+// which pe found no iteration left to take, tasks[pe] the iterations pe
 // executed. Nil-safe, so callers thread an optional profiler without
 // branching. Slices are copied-from, not retained.
 func (p *ForallProfiler) Record(line int, wallNS int64, busyNS, doneNS, tasks []int64) {
@@ -140,9 +140,9 @@ type SiteReport struct {
 	WallUS   int64 `json:"wall_us"`
 	// BusyPct is aggregate PE utilization: Σ busy / (PEs × wall) × 100.
 	// WaitPct is the share of PE-time spent waiting at the barrier
-	// after the PE's own stream drained. Busy + wait < 100 in general —
-	// the remainder is scheduling overhead (assignment, channel
-	// handoff, output buffering).
+	// after the PE found no iteration left. Busy + wait < 100 in
+	// general — the remainder is scheduling overhead (the cursor, the
+	// barrier handoff, output buffering).
 	BusyPct float64 `json:"busy_pct"`
 	WaitPct float64 `json:"wait_pct"`
 	// Imbalance is max PE busy time over mean PE busy time: 1.0 is a

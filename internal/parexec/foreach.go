@@ -6,9 +6,9 @@ import (
 )
 
 // ForEach runs fn(0), …, fn(n-1) on pes PEs — the calling goroutine,
-// which is PE 0, and pes−1 goroutines started for the call —
-// self-scheduled with the package's Dynamic policy: the same machinery
-// that schedules transformed forall loops, here applied to the
+// which is PE 0, and pes−1 goroutines started for the call — each
+// taking the next index from one shared cursor, the schedule of the
+// pool that runs transformed forall loops, here applied to the
 // toolchain's own work (e.g. the planner testing independent loops in
 // parallel). fn must be safe to call concurrently; ForEach returns when
 // every call has completed. pes ≤ 0 means GOMAXPROCS.
@@ -28,24 +28,21 @@ func ForEach(pes, n int, fn func(k int)) {
 		}
 		return
 	}
-	asn := Dynamic(1).Assign(0, int64(n-1), pes)
-	drain := func(pe int) {
-		for {
-			k, ok := asn.Next(pe)
-			if !ok {
-				return
-			}
+	var c cursor
+	c.reset(0, int64(n-1))
+	drain := func() {
+		for k, ok := c.take(); ok; k, ok = c.take() {
 			fn(int(k))
 		}
 	}
 	var wg sync.WaitGroup
 	wg.Add(pes - 1)
 	for pe := 1; pe < pes; pe++ {
-		go func(pe int) {
+		go func() {
 			defer wg.Done()
-			drain(pe)
-		}(pe)
+			drain()
+		}()
 	}
-	drain(0)
+	drain()
 	wg.Wait()
 }

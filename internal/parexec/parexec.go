@@ -14,11 +14,13 @@
 // loops whose iterations write disjoint nodes (and at field
 // granularity, disjoint fields), so no locking of the heap is needed.
 //
-// Which PE runs which iteration is decided by a pluggable Policy
-// (§4.3.3 / experiment X2): StaticBlock, StaticCyclic (the paper's
-// "simple static scheduling"), or Dynamic self-scheduling with a
-// configurable chunk size. The policy affects only load balance and
-// scheduling overhead, never the result — see Policy.
+// Every PE takes a forall's iterations one at a time from one shared
+// cursor, so a PE that finishes early takes more and the schedule
+// adapts to uneven iteration costs at the price of one atomic add per
+// iteration. Which PE ran which iteration never shows in the result —
+// see below. (The paper's "simple static scheduling" of §4.3.3 is a
+// property of the simulated machine, interp.Scheduling, not of this
+// pool.)
 //
 // Strips the kernel classifier vectorized (the default engine,
 // interp.EngineKernel) never reach the pool: the interpreter runs a
@@ -29,18 +31,19 @@
 // (§4.3.3): the pool finishes all PE iteration procedures (FOR2 bodies)
 // before the serial outer loop advances the induction pointer (FOR1).
 // The barrier never costs more than running the window in place: the
-// interpreting goroutine drains PE 0's assignment stream, then adopts
-// every stream no worker has claimed yet, and waits only for streams a
-// worker is inside (see runState.forall). An idle worker polls for the
-// next forall for a bounded time before it parks (spinPolls).
+// interpreting goroutine takes iterations until the cursor is drained,
+// then closes the share of every worker that has not turned up yet, and
+// waits only for workers already inside the forall (see
+// runState.forall). An idle worker polls for the next forall for a
+// bounded time before it parks (spinPolls).
 //
 // The pool only runs iterations. What a forall leaves is the
 // interpreter's to decide (interp.ForallScheduler): it buffers each
 // iteration's print() output and flushes it in iteration order, picks
 // the first failing iteration's error and counts the barriers, so a
 // parallel run's output stream, counters and result — the heap writes
-// being disjoint — are bit-identical to the serial run's under every
-// scheduling policy.
+// being disjoint — are bit-identical to the serial run's whichever PE
+// ran which iteration.
 //
 // One caveat, for hand-written forall only: the rand() builtin draws
 // from a single shared stream in completion order, so a forall body
@@ -83,10 +86,6 @@ type Options struct {
 	// PEs is the number of PEs (0 = GOMAXPROCS). The interpreting
 	// goroutine is PE 0; every further PE gets one worker goroutine.
 	PEs int
-	// Sched maps forall iterations to PEs (nil = Dynamic(1),
-	// self-scheduling one iteration at a time — the behavior of the
-	// original task-queue pool).
-	Sched Policy
 	// Seed for the deterministic rand() builtin.
 	Seed uint64
 	// Output receives the merged print() stream (nil discards).
@@ -106,11 +105,10 @@ type Options struct {
 	MaxOutputBytes int64
 	// Profiler, if non-nil, receives per-barrier parallel-efficiency
 	// measurements (per-PE busy time, barrier wait, task counts) keyed
-	// by the forall's source line, indexed by the assignment stream's PE
-	// whichever goroutine drained it; the interpreter adds one kernel
-	// record per vectorized strip (interp.Config.Profiler). Nil disables
-	// measurement entirely: no PE takes a clock reading and nothing extra
-	// is allocated per barrier.
+	// by the forall's source line and indexed by PE; the interpreter adds
+	// one kernel record per vectorized strip (interp.Config.Profiler). Nil
+	// disables measurement entirely: no PE takes a clock reading and
+	// nothing extra is allocated per barrier.
 	Profiler *obs.ForallProfiler
 }
 
@@ -119,17 +117,18 @@ type Options struct {
 // for this call and stopped and joined before it returns, however it
 // returns. The pool only runs forall iterations; the interpreter keeps
 // the result, so value, output, error and every Stats counter are those
-// of the serial interp.Run, whatever the pool size and policy.
+// of the serial interp.Run, whatever the pool size.
 func Run(prog *lang.Program, opt Options, fn string, args ...interp.Value) (interp.Value, interp.Stats, error) {
 	pes := opt.PEs
 	if pes <= 0 {
 		pes = runtime.GOMAXPROCS(0)
 	}
-	sched := opt.Sched
-	if sched == nil {
-		sched = Dynamic(1)
+	rs := &runState{pes: pes, prof: opt.Profiler}
+	if rs.prof != nil {
+		rs.t.busy = make([]int64, pes)
+		rs.t.done = make([]int64, pes)
+		rs.t.ntasks = make([]int64, pes)
 	}
-	rs := &runState{pes: pes, sched: sched, prof: opt.Profiler}
 	icfg := interp.Config{
 		Engine:         opt.Interp,
 		Mode:           interp.Real,
@@ -159,29 +158,50 @@ func Run(prog *lang.Program, opt Options, fn string, args ...interp.Value) (inte
 // ---------------------------------------------------------------------------
 // Pool internals
 
-// task is the forall the pool is running: whoever claims PE pe's
-// Assignment stream drains it.
+// cursor hands out the iterations of one range, next through to, one
+// at a time to whoever asks first. It is the pool's one schedule, and
+// ForEach's.
+type cursor struct {
+	next atomic.Int64
+	to   int64
+}
+
+// reset makes the cursor hand out from through to.
+func (c *cursor) reset(from, to int64) {
+	c.next.Store(from)
+	c.to = to
+}
+
+// take claims the next iteration; ok is false once the range is drained.
+func (c *cursor) take() (k int64, ok bool) {
+	k = c.next.Add(1) - 1
+	return k, k <= c.to
+}
+
+// task is the forall the pool is running. It lives in the runState and
+// is reset, not rebuilt, for every forall, so a barrier allocates
+// nothing of the pool's.
 type task struct {
-	asn Assignment
+	cursor
 	run func(w *interp.Interp, k int64) error
 
 	// Profiling slots (nil when no profiler is installed — the nil
 	// check is the only per-iteration cost of having the hooks in
-	// place). Each slice index is owned by exactly one stream, so its
-	// drainer writes without locks; start anchors the done offsets.
+	// place). Slot pe is written only by whoever holds PE pe's claim,
+	// so without locks; start anchors the done offsets.
 	busy   []int64
 	done   []int64
 	ntasks []int64
 	start  time.Time
 }
 
-// drain runs PE pe's share of a forall on the interpreter w: every
-// iteration the assignment hands that PE. An iteration's error is the
-// interpreter's to act on, not the pool's. The caller has claimed the
-// stream; w is the claimant's own fork, not necessarily worker pe's.
+// drain runs iterations from the cursor on the interpreter w, charging
+// them to PE pe, until the range is drained. An iteration's error is the
+// interpreter's to act on, not the pool's. The caller holds PE pe's
+// claim; w is the caller's own fork, not necessarily worker pe's.
 func (t *task) drain(w *interp.Interp, pe int) {
 	for {
-		k, ok := t.asn.Next(pe)
+		k, ok := t.take()
 		if !ok {
 			break
 		}
@@ -195,8 +215,8 @@ func (t *task) drain(w *interp.Interp, pe int) {
 		}
 	}
 	if t.done != nil {
-		// Offset from dispatch at which this PE's stream drained: the
-		// gap to the barrier is its wait time.
+		// Offset from dispatch at which this PE found the cursor
+		// drained: the gap to the barrier is its wait time.
 		t.done[pe] = int64(time.Since(t.start))
 	}
 }
@@ -238,9 +258,10 @@ const poolClosed = ^uint64(0)
 
 // worker is what the pool keeps for one worker goroutine and its PE.
 type worker struct {
-	// claim is the last epoch whose stream for this PE was claimed — by
-	// this worker or by the interpreting goroutine, whichever swapped it
-	// from the previous epoch first. Every stream of every epoch is
+	// claim is the last epoch in which this PE was claimed — by this
+	// worker, which then takes iterations, or by the interpreting
+	// goroutine, which closes the late worker's share; whichever swapped
+	// it from the previous epoch first. Every PE of every epoch is
 	// claimed before the barrier opens, so at publication it holds the
 	// previous epoch.
 	claim atomic.Uint64
@@ -259,21 +280,20 @@ type worker struct {
 // every parallel forall. Everything but the barrier protocol's atomics
 // and the published task belongs to the interpreting goroutine.
 type runState struct {
-	// self is the fork that runs PE 0's stream, and any stream the
-	// interpreting goroutine adopts, on that goroutine.
-	self  *interp.Interp
-	pes   int
-	sched Policy
-	prof  *obs.ForallProfiler
+	// self is the fork that runs PE 0's iterations on the interpreting
+	// goroutine.
+	self *interp.Interp
+	pes  int
+	prof *obs.ForallProfiler
 
 	// The barrier protocol. t is written only by the interpreting
 	// goroutine and only between barriers; storing the next epoch
-	// publishes it. A PE may read t once it has claimed a stream of the
-	// current epoch, and the epoch does not advance while a claimed
-	// stream is being drained.
+	// publishes it. A worker may read t once it has claimed its PE for
+	// the current epoch, and the epoch does not advance while a claimed
+	// PE is taking iterations.
 	t       task
 	epoch   atomic.Uint64 // foralls published so far, or poolClosed
-	done    atomic.Int32  // streams of this epoch that workers have finished
+	done    atomic.Int32  // workers that have found this epoch's cursor drained
 	workers []worker      // workers[pe-1] is PE pe's
 	joined  sync.WaitGroup
 }
@@ -306,10 +326,10 @@ func (rs *runState) publish(e uint64) {
 	}
 }
 
-// work is worker pe's goroutine: for every epoch it sees, it drains
-// stream pe on its own fork w if it is first to claim it. A worker that
-// turns up late — parked, descheduled — finds the stream claimed (or the
-// epoch gone) and goes back to waiting; it never holds a barrier up.
+// work is worker pe's goroutine: for every epoch it sees, it takes
+// iterations on its own fork w if it is first to claim PE pe. A worker
+// that turns up late — parked, descheduled — finds its PE claimed (or
+// the epoch gone) and goes back to waiting; it never holds a barrier up.
 func (rs *runState) work(pe int, w *interp.Interp) {
 	defer rs.joined.Done()
 	me := &rs.workers[pe-1]
@@ -351,31 +371,31 @@ func (rs *runState) await(me *worker, seen uint64) uint64 {
 	}
 }
 
-// forall asks the scheduling policy for an iteration→PE assignment,
-// publishes it, and returns when every PE's stream has been drained —
-// the per-step barrier. The interpreting goroutine is PE 0: it drains
-// stream 0 on its own fork, then claims and drains every stream whose
-// worker has not turned up yet, and finally waits for the streams
-// workers did claim. So every iteration runs exactly once, on its own
-// worker whenever that worker is in time, and a barrier whose workers
-// never wake costs what running the window in place costs (under
-// Dynamic a late stream finds the shared cursor drained and is empty).
-// The pool cannot fail, so forall always returns nil: the interpreter
-// decides the forall's output and error (interp.ForallScheduler).
+// forall resets the cursor to the window, publishes it, and returns
+// when every PE has found the cursor drained — the per-step barrier.
+// The interpreting goroutine is PE 0: it takes iterations on its own
+// fork until none is left, then claims every PE whose worker has not
+// turned up yet, closing that PE's (empty) share, and finally waits for
+// the workers that did claim theirs. So every iteration runs exactly
+// once, on whichever PE took it, and a barrier whose workers never wake
+// costs what running the window in place costs. The pool cannot fail,
+// so forall always returns nil: the interpreter decides the forall's
+// output and error (interp.ForallScheduler).
 func (rs *runState) forall(pos lang.Pos, from, to int64, run func(w *interp.Interp, k int64) error) error {
 	t := &rs.t
-	*t = task{asn: rs.sched.Assign(from, to, rs.pes), run: run}
+	t.reset(from, to)
+	t.run = run
 	if rs.prof != nil {
-		t.busy = make([]int64, rs.pes)
-		t.done = make([]int64, rs.pes)
-		t.ntasks = make([]int64, rs.pes)
+		clear(t.busy)
+		clear(t.done)
+		clear(t.ntasks)
 		t.start = time.Now()
 	}
 	rs.done.Store(0)
 	e := rs.epoch.Load() + 1
 	rs.publish(e)
 	t.drain(rs.self, 0)
-	claimed := int32(0) // streams a worker got to first
+	claimed := int32(0) // PEs a worker got to first
 	for i := range rs.workers {
 		if rs.workers[i].claim.CompareAndSwap(e-1, e) {
 			t.drain(rs.self, i+1)

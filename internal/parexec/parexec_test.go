@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,17 +24,6 @@ import (
 // testdataPEs are the pool sizes the determinism tests sweep.
 var testdataPEs = []int{2, 4, 8}
 
-// testPolicies are the scheduling policies the determinism tests sweep
-// (every policy must preserve the bit-identical guarantee). The two
-// dynamic entries exercise both the chunk=1 engine default and a
-// multi-iteration chunk.
-var testPolicies = []parexec.Policy{
-	parexec.StaticBlock,
-	parexec.StaticCyclic,
-	parexec.Dynamic(1),
-	parexec.Dynamic(3),
-}
-
 func compileTestdata(t *testing.T, name string) *core.Compilation {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
@@ -50,9 +38,8 @@ func compileTestdata(t *testing.T, name string) *core.Compilation {
 }
 
 // TestPolyscaleDeterministic: the strip-mined §3.3.2 program returns
-// the serial checksum for every pool size and scheduling policy. The
-// strip width is 4×PEs so the policies actually differ (at width=PEs
-// every policy degenerates to one iteration per PE).
+// the serial checksum for every pool size. The strip width is 4×PEs, so
+// a PE may take several iterations of one barrier.
 func TestPolyscaleDeterministic(t *testing.T) {
 	c := compileTestdata(t, "polyscale.psl")
 	want, _, err := c.Run(core.RunConfig{}, "main")
@@ -64,25 +51,22 @@ func TestPolyscaleDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pol := range testPolicies {
-			got, st, err := par.RunParallel(core.RunConfig{Sched: pol}, pes, "main")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.I != want.I {
-				t.Errorf("pes=%d sched=%s: %d, want %d", pes, pol.Name(), got.I, want.I)
-			}
-			if st.Barriers == 0 {
-				t.Errorf("pes=%d sched=%s: no barriers counted — did the pool run?", pes, pol.Name())
-			}
+		got, st, err := par.RunParallel(core.RunConfig{}, pes, "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.I != want.I {
+			t.Errorf("pes=%d: %d, want %d", pes, got.I, want.I)
+		}
+		if st.Barriers == 0 {
+			t.Errorf("pes=%d: no barriers counted — did the pool run?", pes)
 		}
 	}
 }
 
 // TestForceWorkloadDeterministic: the R2 Barnes-Hut force loop
-// (nbody.BarnesHutForcePSL) produces the serial checksum bit-for-bit
-// under every scheduling policy at every pool size — the acceptance
-// property `cmd/experiments -real` asserts at full scale.
+// (nbody.BarnesHutForcePSL) produces the serial checksum bit-for-bit at
+// every pool size.
 func TestForceWorkloadDeterministic(t *testing.T) {
 	c, err := core.Compile(nbody.BarnesHutForcePSL)
 	if err != nil {
@@ -101,78 +85,12 @@ func TestForceWorkloadDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pol := range testPolicies {
-			got, _, err := par.RunParallel(core.RunConfig{Seed: 7, Sched: pol}, pes, nbody.ForceFunc, args...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.F != want.F {
-				t.Errorf("pes=%d sched=%s: checksum %g, want %g", pes, pol.Name(), got.F, want.F)
-			}
+		got, _, err := par.RunParallel(core.RunConfig{Seed: 7}, pes, nbody.ForceFunc, args...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestPolicyCoverage: every policy hands out each iteration exactly
-// once, for ranges that are smaller than, equal to, larger than, and
-// not divisible by the PE count — with every stream drained in turn by
-// one goroutine, and the way a barrier whose workers are late runs
-// them: the odd streams each on a goroutine of their own, and
-// meanwhile stream 0 and then every other even stream adopted by the
-// calling goroutine. An Assignment promises one drainer a stream, not
-// which goroutine that is.
-func TestPolicyCoverage(t *testing.T) {
-	for _, pol := range testPolicies {
-		for _, tc := range []struct {
-			from, to int64
-			pes      int
-		}{
-			{0, 0, 4}, {0, 2, 4}, {0, 3, 4}, {0, 14, 4}, {5, 21, 3}, {0, 63, 8}, {0, 6, 1},
-		} {
-			for _, adopted := range []bool{false, true} {
-				var mu sync.Mutex
-				seen := make(map[int64]int)
-				asn := pol.Assign(tc.from, tc.to, tc.pes)
-				drain := func(pe int) {
-					for {
-						k, ok := asn.Next(pe)
-						if !ok {
-							return
-						}
-						mu.Lock()
-						seen[k]++
-						mu.Unlock()
-					}
-				}
-				if adopted {
-					var workers sync.WaitGroup
-					for pe := 1; pe < tc.pes; pe += 2 {
-						workers.Add(1)
-						go func(pe int) {
-							defer workers.Done()
-							drain(pe)
-						}(pe)
-					}
-					for pe := 0; pe < tc.pes; pe += 2 {
-						drain(pe)
-					}
-					workers.Wait()
-				} else {
-					for pe := 0; pe < tc.pes; pe++ {
-						drain(pe)
-					}
-				}
-				for k := tc.from; k <= tc.to; k++ {
-					if seen[k] != 1 {
-						t.Errorf("%s [%d,%d] pes=%d adopted=%t: iteration %d handed out %d times",
-							pol.Name(), tc.from, tc.to, tc.pes, adopted, k, seen[k])
-					}
-				}
-				if int64(len(seen)) != tc.to-tc.from+1 {
-					t.Errorf("%s [%d,%d] pes=%d adopted=%t: %d distinct iterations, want %d",
-						pol.Name(), tc.from, tc.to, tc.pes, adopted, len(seen), tc.to-tc.from+1)
-				}
-			}
+		if got.F != want.F {
+			t.Errorf("pes=%d: checksum %g, want %g", pes, got.F, want.F)
 		}
 	}
 }
@@ -252,40 +170,18 @@ func TestOutputMergedInIterationOrder(t *testing.T) {
 		t.Fatal("serial run printed nothing")
 	}
 	for _, pes := range testdataPEs {
-		for _, pol := range testPolicies {
-			var par bytes.Buffer
-			_, st, err := parexec.Run(prog, parexec.Options{PEs: pes, Sched: pol, Output: &par}, "main")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serial.Bytes(), par.Bytes()) {
-				t.Errorf("pes=%d sched=%s: output diverged\nserial:\n%s\nparallel:\n%s",
-					pes, pol.Name(), serial.String(), par.String())
-			}
-			if st.Barriers != 1 {
-				t.Errorf("pes=%d sched=%s: barriers = %d, want 1", pes, pol.Name(), st.Barriers)
-			}
-		}
-	}
-}
-
-// TestParsePolicy: the flag-surface names resolve, and garbage is
-// rejected with the accepted names in the message.
-func TestParsePolicy(t *testing.T) {
-	for _, name := range parexec.PolicyNames() {
-		p, err := parexec.ParsePolicy(name, 2)
+		var par bytes.Buffer
+		_, st, err := parexec.Run(prog, parexec.Options{PEs: pes, Output: &par}, "main")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Name() != name {
-			t.Errorf("ParsePolicy(%q).Name() = %q", name, p.Name())
+		if !bytes.Equal(serial.Bytes(), par.Bytes()) {
+			t.Errorf("pes=%d: output diverged\nserial:\n%s\nparallel:\n%s",
+				pes, serial.String(), par.String())
 		}
-	}
-	if p, err := parexec.ParsePolicy(" Block ", 1); err != nil || p.Name() != "block" {
-		t.Errorf("ParsePolicy is not case/space-insensitive: %v, %v", p, err)
-	}
-	if _, err := parexec.ParsePolicy("guided", 1); err == nil {
-		t.Error("unknown policy accepted")
+		if st.Barriers != 1 {
+			t.Errorf("pes=%d: barriers = %d, want 1", pes, st.Barriers)
+		}
 	}
 }
 

@@ -6,6 +6,10 @@
 //	GET  /debug/traces — recent request traces (bounded ring)
 //	GET  /healthz      — 200 while serving, 503 once draining
 //
+// A /run body key Request does not name is ignored, as encoding/json
+// ignores it; "sched" and "chunk", which chose the pool's schedule
+// before it had only one, are two such keys.
+//
 // Error mapping: malformed requests are 400 (413 over the body cap);
 // an "engine" ParseEngine does not list is one of them, "compiled"
 // included. Admission rejections are 503 (queue full, draining) or 429

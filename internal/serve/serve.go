@@ -182,16 +182,15 @@ type Request struct {
 	// something else, the differential oracle. See ParseEngine.
 	Engine string `json:"engine,omitempty"`
 	// Parallel runs forall regions on the parexec worker pool with PEs
-	// workers (0 = GOMAXPROCS) under the Sched policy ("block",
-	// "cyclic", or "dynamic" with Chunk; default dynamic(1)).
-	Parallel bool   `json:"parallel,omitempty"`
-	PEs      int    `json:"pes,omitempty"`
-	Sched    string `json:"sched,omitempty"`
-	Chunk    int    `json:"chunk,omitempty"`
+	// workers (0 = GOMAXPROCS). The pool has one schedule, so there is
+	// nothing else to choose: a "sched" or "chunk" key in the body is
+	// ignored like any unknown key.
+	Parallel bool `json:"parallel,omitempty"`
+	PEs      int  `json:"pes,omitempty"`
 	// Auto asks the planner to decide what is parallel: every while
 	// loop of the program goes through the dependence test, approved
 	// loops are strip-mined, and the transformed program runs on the
-	// parexec pool (PEs/Sched/Chunk as with Parallel). The Response
+	// parexec pool (PEs as with Parallel). The Response
 	// carries the plan. The planned variant is cached like any other
 	// program — keyed by (source, width) — so hot auto requests do no
 	// analysis, planning, or compilation.
@@ -406,7 +405,6 @@ func (s *Server) Run(ctx context.Context, req Request) (Response, error) {
 		s.invalid.Add(1)
 		return Response{}, badRequest("%v", err)
 	}
-	var pol parexec.Policy
 	if req.Parallel || req.Auto {
 		if req.PEs < 0 || req.PEs > s.cfg.MaxPEs {
 			s.invalid.Add(1)
@@ -416,12 +414,6 @@ func (s *Server) Run(ctx context.Context, req Request) (Response, error) {
 		// pool: 0 means this host, capped at MaxPEs.
 		if req.PEs == 0 {
 			req.PEs = min(runtime.GOMAXPROCS(0), s.cfg.MaxPEs)
-		}
-		if req.Sched != "" {
-			if pol, err = parexec.ParsePolicy(req.Sched, req.Chunk); err != nil {
-				s.invalid.Add(1)
-				return Response{}, badRequest("%v", err)
-			}
 		}
 	}
 	// Resolve the auto strip width up front: the resolved width is part
@@ -473,7 +465,7 @@ func (s *Server) Run(ctx context.Context, req Request) (Response, error) {
 		return Response{}, err
 	}
 	defer s.gate.leave()
-	resp := s.execute(ctx, req, eng, pol, width, args, tr)
+	resp := s.execute(ctx, req, eng, width, args, tr)
 	s.finishTrace(tr, &resp, req.Profile)
 	return resp, nil
 }
@@ -498,7 +490,7 @@ func (s *Server) finishTrace(tr *obs.Trace, resp *Response, profile bool) {
 // per distinct variant), then a sandboxed run — deadline, step,
 // allocation, and output budgets all active in whichever engine and
 // mode the request selected.
-func (s *Server) execute(ctx context.Context, req Request, eng interp.Engine, pol parexec.Policy, width int, args []interp.Value, tr *obs.Trace) Response {
+func (s *Server) execute(ctx context.Context, req Request, eng interp.Engine, width int, args []interp.Value, tr *obs.Trace) Response {
 	start := time.Now()
 	done := func(resp Response) Response {
 		el := time.Since(start)
@@ -576,7 +568,6 @@ func (s *Server) execute(ctx context.Context, req Request, eng interp.Engine, po
 			Interp:         eng,
 			Compiled:       cp,
 			PEs:            req.PEs,
-			Sched:          pol,
 			Seed:           req.Seed,
 			Output:         &out,
 			MaxSteps:       s.cfg.MaxSteps,

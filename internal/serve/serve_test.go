@@ -116,7 +116,6 @@ func TestRunValidation(t *testing.T) {
 		{},                                   // empty source
 		{Source: addSrc, Engine: "quantum"},  // unknown engine
 		{Source: addSrc, Engine: "compiled"}, // the closure engine's name went with it
-		{Source: addSrc, Parallel: true, Sched: "psychic"},
 		{Source: addSrc, Args: []json.Number{json.Number("nope")}},
 	}
 	for i, req := range cases {
@@ -483,7 +482,6 @@ func TestAutoValidation(t *testing.T) {
 		{Source: scalePar, Auto: true, Width: -1},
 		{Source: scalePar, Auto: true, Width: 1 << 20},
 		{Source: scalePar, Auto: true, PEs: 1 << 30},
-		{Source: scalePar, Auto: true, Sched: "psychic"},
 	} {
 		if _, err := s.Run(context.Background(), req); err == nil {
 			t.Errorf("case %d: accepted", i)
@@ -533,9 +531,41 @@ func TestParallelPEsCap(t *testing.T) {
 	if _, ok := err.(*RequestError); !ok {
 		t.Fatalf("err = %v, want *RequestError", err)
 	}
-	resp := mustRun(t, s, Request{Source: addSrc, Parallel: true, PEs: 4, Sched: "cyclic"})
+	resp := mustRun(t, s, Request{Source: addSrc, Parallel: true, PEs: 4})
 	if !resp.OK || resp.Result != "42" {
 		t.Fatalf("parallel run: %+v", resp)
+	}
+}
+
+// TestScheduleKeysIgnored: the pool has one schedule, so a body that
+// still names one — "sched" and "chunk", keys the wire used to read —
+// is answered exactly as the same body without them: same status, same
+// reply but for the elapsed time.
+func TestScheduleKeysIgnored(t *testing.T) {
+	s := newTestServer(t, Config{})
+	src, err := json.Marshal(addSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(extra string) (int, Response) {
+		body := `{"source":` + string(src) + `,"parallel":true` + extra + `}`
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(body)))
+		var resp Response
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: %v (%q)", body, err, rec.Body.String())
+		}
+		resp.ElapsedUS = 0
+		return rec.Code, resp
+	}
+	answer("") // warm the cache, so both answers below are hits
+	wantCode, want := answer("")
+	if wantCode != http.StatusOK || !want.OK || want.Result != "42" || !want.Cached {
+		t.Fatalf("plain parallel body: HTTP %d %+v", wantCode, want)
+	}
+	code, got := answer(`,"sched":"psychic","chunk":3`)
+	if code != wantCode || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Errorf("with sched and chunk: HTTP %d %+v, want HTTP %d %+v", code, got, wantCode, want)
 	}
 }
 

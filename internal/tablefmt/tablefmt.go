@@ -1,7 +1,6 @@
 // Package tablefmt renders the paper-style evaluation grids — a label
-// column followed by one column per problem size N — used by both the
-// simulated Sequent tables (package sequent, §4.4 TIMES/SPEEDUP) and
-// the measured real-hardware tables (cmd/experiments -real).
+// column followed by one column per problem size N — of the simulated
+// Sequent tables (package sequent, §4.4 TIMES/SPEEDUP).
 package tablefmt
 
 import (

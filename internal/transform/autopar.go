@@ -69,8 +69,8 @@ import (
 
 // DefaultWidth is the planner's width policy when the caller has no
 // opinion: 4 forall iterations per PE per barrier — wide enough that
-// the scheduling policy owns the iteration→PE map (the R2 convention),
-// narrow enough that the FOR2 skip-ahead (quadratic in width) stays
+// a PE that finishes early takes more from the pool's cursor (the R2
+// convention), narrow enough that the FOR2 skip-ahead (quadratic in width) stays
 // modest. pes <= 0 means "this host": runtime.GOMAXPROCS.
 func DefaultWidth(pes int) int {
 	if pes <= 0 {

@@ -13,9 +13,8 @@ import (
 // pointer-chasing loops each (funcs·loopsPerFunc approved rewrites in
 // total), plus a main that calls every worker, so every rewritten
 // procedure has a caller whose summaries consume its own.
-// BenchmarkAutoParallelizePlanCost, TestPlanCostSubquadratic,
-// BENCH_plan.json, and `cmd/experiments -plancost` all measure planning
-// over this program.
+// BenchmarkAutoParallelizePlanCost, TestPlanCostSubquadratic and
+// BENCH_plan.json all measure planning over this program.
 func ManyLoopProgramPSL(funcs, loopsPerFunc int) string {
 	var b strings.Builder
 	b.WriteString(adds.OneWayListSrc)
@@ -79,8 +78,12 @@ procedure spread(OneWayList *l, int c) {
 // approved, approved in rejected), loop bodies that call a procedure
 // holding an approved loop — a library one, or an earlier generated
 // procedure, so every callee has several callers — recursive callees,
-// and loop-carried scalars. The planner's and the effect analysis'
-// differential tests and fuzz targets draw their programs from it.
+// and loop-carried scalars; and three shapes the dependence test must
+// see through: a second handle aliasing the loop's, a read of the
+// successor's field beside a write of the node's own, and a literal
+// NULL handed to a pointer parameter. The planner's and the effect
+// analysis' differential tests and fuzz targets, and the root
+// package's order probe, draw their programs from it.
 func GenLoopProgramPSL(seed int64) string {
 	g := &loopGen{r: rand.New(rand.NewSource(seed))}
 	g.b.WriteString(adds.OneWayListSrc + genLoopLibrary)
@@ -128,9 +131,9 @@ func (g *loopGen) listLoop(depth int, h string) {
 // stmt emits one statement about the node h points to; depth is one
 // more than the loops around it, and nesting stops at three.
 func (g *loopGen) stmt(depth int, h string) {
-	pick := g.r.Intn(12)
-	if depth > 3 && pick >= 9 {
-		pick -= 9
+	pick := g.r.Intn(15)
+	if depth > 3 && pick >= 12 {
+		pick -= 12
 	}
 	from := []string{"other", h, h + "->next"}[g.r.Intn(3)]
 	switch pick {
@@ -156,12 +159,27 @@ func (g *loopGen) stmt(depth int, h string) {
 		} else {
 			g.line(depth, "bump(%s, n);", h)
 		}
-	case 9, 10:
+	case 9:
+		g.vars++
+		a := fmt.Sprintf("a%d", g.vars)
+		g.line(depth, "var OneWayList *%s = %s;", a, h)
+		g.line(depth, "%s->data = %s->data + %d;", a, a, 1+g.r.Intn(9))
+	case 10:
+		g.line(depth, "if %s->next != NULL {", h)
+		g.line(depth+1, "%s->data = %s->next->data + %d;", h, h, 1+g.r.Intn(9))
+		g.line(depth, "}")
+	case 11:
+		if g.r.Intn(2) == 0 {
+			g.line(depth, "spread(NULL, 1);")
+		} else {
+			g.line(depth, "%s->data = total(NULL);", h)
+		}
+	case 12, 13:
 		g.vars++
 		q := fmt.Sprintf("q%d", g.vars)
 		g.line(depth, "var OneWayList *%s = %s;", q, from)
 		g.listLoop(depth, q)
-	case 11:
+	case 14:
 		g.vars++
 		k := fmt.Sprintf("k%d", g.vars)
 		g.line(depth, "var int %s = 0;", k)

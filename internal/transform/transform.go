@@ -10,8 +10,8 @@
 //     traversability (§3.2) makes the unguarded advances safe. The
 //     strip width is a free parameter, not the PE count: the paper sets
 //     width = PEs (one iteration per PE per trip), while experiment X2
-//     and the parexec scheduling policies use width > PEs so that the
-//     iteration→PE mapping is the scheduler's choice.
+//     and the parexec pool use width > PEs so that a PE that finishes
+//     early can take more of the trip's iterations.
 //
 //   - Unroll ([HG92]): replicate the body, relying on the same
 //     speculative traversability to avoid per-copy NULL checks on the
@@ -48,8 +48,8 @@ type StripMineResult struct {
 // StripMine parallelizes the loopIndex-th while loop of fnName with
 // the given strip width — the number of iterations each trip of the
 // outer loop runs as one parallel forall (§4.3.3 uses width = PEs; a
-// larger width hands the executor's scheduling policy more iterations
-// per barrier). It returns a transformed copy of the program (the
+// larger width hands the executor's PEs more iterations to share per
+// barrier). It returns a transformed copy of the program (the
 // input is not modified) and fails if the dependence test rejects the
 // loop.
 func StripMine(prog *lang.Program, fnName string, loopIndex, width int) (*StripMineResult, error) {

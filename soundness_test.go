@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -195,15 +196,52 @@ function int gen_main(int n) {
 }
 `
 
+// genShapes are the three statement kinds the generator emits for
+// ROADMAP item 1(b), each recognised by the line that opens it.
+var genShapes = []struct {
+	name string
+	line *regexp.Regexp
+}{
+	{"alias of the loop handle", regexp.MustCompile(`^\s*var OneWayList \*a\d+ = \w+;$`)},
+	{"neighbour read beside an own-node write", regexp.MustCompile(`^\s*if \w+->next != NULL \{$`)},
+	{"literal NULL for a pointer parameter", regexp.MustCompile(`^\s*(spread\(NULL, 1\)|\w+->data = total\(NULL\));$`)},
+}
+
+// enclosingLoop returns the 1-based line of the innermost while loop
+// around line i (0-based) of a generated program's lines, 0 when there
+// is none. The generator indents each statement by its nesting depth,
+// so that loop is the nearest line above, indented less, that opens a
+// while.
+func enclosingLoop(lines []string, i int) int {
+	indent := func(l string) int { return len(l) - len(strings.TrimLeft(l, " ")) }
+	d := indent(lines[i])
+	for j := i - 1; j >= 0; j-- {
+		if lines[j] == "}" {
+			return 0 // the end of the procedure before it
+		}
+		if indent(lines[j]) < d && strings.HasPrefix(strings.TrimSpace(lines[j]), "while ") {
+			return j + 1
+		}
+	}
+	return 0
+}
+
 // TestGeneratedApprovedLoopsAreOrderInsensitive is the corpus probe
 // over the shapes the corpus lacks: sibling and nested list loops,
 // bodies calling procedures that hold approved loops, recursive
-// callees, loop-carried scalars. A failing seed is a planner soundness
-// bug. A generated procedure may be handed p->next at a list's last
-// node and read through it; such a program fails serially, and the
-// probe then requires the reversed run to fail with the same error.
+// callees, loop-carried scalars, and the three of genShapes. A failing
+// seed is a planner soundness bug. A generated procedure may be handed
+// p->next at a list's last node and read through it; such a program
+// fails serially, and the probe then requires the reversed run to fail
+// with the same error. It logs, per shape of genShapes, how many seeds
+// place it inside a loop the planner tested (it tests every while
+// loop) and how many inside one that runs as parallel iterations
+// (approved, or absorbed into an approved loop); each must occur in a
+// tested loop at least once, or the probe says nothing about it.
 func TestGeneratedApprovedLoopsAreOrderInsensitive(t *testing.T) {
 	withApproval, failing := 0, 0
+	tested := make([]int, len(genShapes))
+	parallel := make([]int, len(genShapes))
 	for seed := int64(1); seed <= 50; seed++ {
 		gen := transform.GenLoopProgramPSL(seed)
 		var calls strings.Builder
@@ -222,6 +260,29 @@ func TestGeneratedApprovedLoopsAreOrderInsensitive(t *testing.T) {
 		if auto.Plan.Parallelized > 0 {
 			withApproval++
 		}
+		verdict := map[int]*transform.LoopPlan{}
+		for _, lp := range auto.Plan.Loops {
+			verdict[lp.Pos.Line] = lp
+		}
+		lines := strings.Split(gen, "\n")
+		for k, sh := range genShapes {
+			inTested, inParallel := false, false
+			for i, l := range lines {
+				if !sh.line.MatchString(l) {
+					continue
+				}
+				if lp := verdict[enclosingLoop(lines, i)]; lp != nil {
+					inTested = true
+					inParallel = inParallel || lp.Parallelized || lp.Absorbed
+				}
+			}
+			if inTested {
+				tested[k]++
+			}
+			if inParallel {
+				parallel[k]++
+			}
+		}
 		diff, _, serialErr := orderSensitive(c.Program, auto.Program, 0, "gen_main", []interp.Value{interp.IntVal(3)})
 		if serialErr != nil {
 			failing++
@@ -231,6 +292,12 @@ func TestGeneratedApprovedLoopsAreOrderInsensitive(t *testing.T) {
 		}
 	}
 	t.Logf("%d of 50 seeds had at least one approved loop; %d fail serially, identically reversed", withApproval, failing)
+	for k, sh := range genShapes {
+		t.Logf("%s: inside a tested loop in %d seeds, inside parallel iterations in %d", sh.name, tested[k], parallel[k])
+		if tested[k] == 0 {
+			t.Errorf("no seed places the %s inside a tested loop", sh.name)
+		}
+	}
 }
 
 // nullArgList is the list and driver the NULL-argument programs share:
@@ -395,9 +462,15 @@ function int main() {
 }
 %s`
 
-// approvedOwnNode is the planner's text for every approval: one fixed
-// text, whatever was proved (ROADMAP item 3).
+// approvedOwnNode is the planner's text for an approval along a
+// uniquely forward next. Only the declared annotation in parentheses
+// varies (approvedForward); the rest is fixed text, whatever was proved
+// (ROADMAP item 3).
 const approvedOwnNode = "p advances along next (uniquely forward): iterations visit distinct nodes; body performs no pointer-field stores; writes land only on the iteration's own node; overlapping reads touch disjoint fields"
+
+// approvedForward is approvedOwnNode for a next declared forward but not
+// uniquely forward.
+var approvedForward = strings.Replace(approvedOwnNode, "(uniquely forward)", "(forward)", 1)
 
 // walkLoop is the loop the hand-written soundness tests over a list of L
 // plan: walk advances p along next and runs the body (the %s) on every
@@ -527,8 +600,8 @@ function int main() {
 // nodes, so the planner gives the verdicts it gives on a uniquely
 // forward list: writes confined to the own node are approved, a read of
 // the successor's written field and a write to the successor are
-// rejected. The approval text still says "uniquely forward": it is
-// approvedOwnNode whatever the declaration.
+// rejected. The approval states the annotation as declared: "(forward)",
+// not "(uniquely forward)".
 func TestNonUniqueAdvanceLoops(t *testing.T) {
 	for _, tc := range []struct {
 		name, body string
@@ -536,11 +609,11 @@ func TestNonUniqueAdvanceLoops(t *testing.T) {
 		reason     string
 	}{
 		{name: "own node's other field", body: "p->a = p->b + 1;",
-			approved: true, reason: approvedOwnNode},
+			approved: true, reason: approvedForward},
 		{name: "own node's written field", body: "p->a = p->a * 2;",
-			approved: true, reason: approvedOwnNode},
+			approved: true, reason: approvedForward},
 		{name: "successor's other field", body: "p->a = p->next->b + 1;",
-			approved: true, reason: approvedOwnNode},
+			approved: true, reason: approvedForward},
 		{name: "successor's written field", body: "p->a = p->next->a + 1;",
 			reason: "write W p.a may collide with R p.X*.a in another iteration"},
 		{name: "write to the successor", body: "p->next->a = p->b;",
@@ -583,6 +656,108 @@ procedure bump(L *q) {
 			lp := walkVerdict(t, fmt.Sprintf(neighbourList, bump+fmt.Sprintf(walkLoop, "bump("+tc.arg+");")))
 			if lp.Parallelized != tc.approved || lp.ReasonText() != tc.reason {
 				t.Errorf("walk's loop: %v, want approved=%t for %q", lp, tc.approved, tc.reason)
+			}
+		})
+	}
+}
+
+// brokenList is a program whose build breaks the uniquely forward
+// promise of next (the %s is build's body after the four-node list
+// head → … → tail is made), then hands the list to walk, a loop the
+// planner approves on the declaration's word.
+const brokenList = `
+type OneWayList [X]
+{ int data;
+  OneWayList *next is uniquely forward along X;
+};
+
+function OneWayList * build() {
+  var OneWayList *tail = new OneWayList;
+  var OneWayList *head = tail;
+  var int i = 0;
+  while i < 3 {
+    var OneWayList *t = new OneWayList;
+    t->data = i;
+    t->next = head;
+    head = t;
+    i = i + 1;
+  }
+%s  return head;
+}
+
+procedure walk(OneWayList *head) {
+  var OneWayList *p = head;
+  while p != NULL {
+    p->data = p->data + 1;
+    p = p->next;
+  }
+}
+
+function int main() {
+  var OneWayList *h = build();
+  walk(h);
+  return h->data;
+}
+`
+
+// TestBrokenDeclarationsAreFlagged is the declaration leg of ROADMAP
+// item 1(c): a verdict is sound only if the declaration is true of the
+// heap. Each program breaks build's uniquely forward next — a join, two
+// nodes pointing at one; a cycle, tail->next = head — and then runs
+// walk's loop, which the planner approves because walk may assume the
+// declaration. Each must be flagged before that loop runs: by PM3
+// validation (build exits with a violation) or by the runtime shape
+// checks (ShapeChecksFatal) on the walker and on the VM alike. Which
+// alarms fire is pinned; a program neither flags is a soundness hole.
+// The join trips both. The cycle trips only the shape checks: after
+// build's loop the path matrix relates head and tail by =? alone — the
+// next+ path between them is lost — so the store closing the cycle is
+// recorded as a possible alias, not as a cycle, and PM3 calls build
+// valid at exit.
+func TestBrokenDeclarationsAreFlagged(t *testing.T) {
+	for _, tc := range []struct {
+		name, breakage string
+		exit           string // build's exit violations, as PM3 prints them
+		shapeErr       string // the fatal shape check's error, "<nil>" for none
+	}{
+		{name: "join", breakage: "  var OneWayList *x = new OneWayList;\n  x->next = head->next;\n",
+			exit: "[sharing of OneWayList along X]", shapeErr: "interp: 19:4: runtime sharing of OneWayList along X"},
+		{name: "cycle", breakage: "  tail->next = head;\n",
+			exit: "[]", shapeErr: "interp: 18:7: runtime cycle of OneWayList along X"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := core.Compile(fmt.Sprintf(brokenList, tc.breakage))
+			if err != nil {
+				t.Fatal(err)
+			}
+			auto, err := c.AutoParallel(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			approved := false
+			for _, lp := range auto.Plan.Loops {
+				approved = approved || (lp.Func == "walk" && lp.Parallelized)
+			}
+			if !approved {
+				t.Fatalf("walk's loop is not approved, so nothing unsound could run:\n%s", auto.Plan)
+			}
+			keys, err := c.ExitViolations("build")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(keys); got != tc.exit {
+				t.Errorf("PM3: build exits with %s, want %s", got, tc.exit)
+			}
+			for _, eng := range []interp.Engine{interp.EngineWalk, interp.EngineBytecode} {
+				_, _, err := interp.Run(auto.Program, interp.Config{
+					Engine: eng, ShapeChecks: true, ShapeChecksFatal: true, MaxSteps: 1 << 20,
+				}, "main")
+				if fmt.Sprint(err) != tc.shapeErr {
+					t.Errorf("%s with fatal shape checks: %v, want %s", eng, err, tc.shapeErr)
+				}
+			}
+			if len(keys) == 0 && tc.shapeErr == "<nil>" {
+				t.Error("neither alarm fires: the approved loop runs over a heap its declaration lies about")
 			}
 		})
 	}
