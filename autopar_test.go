@@ -130,38 +130,3 @@ func TestAutoMatchesHandTuned(t *testing.T) {
 		t.Errorf("R2: auto execution fingerprint diverged:\nauto %s\nhand %s", got, want)
 	}
 }
-
-// TestUnrollMatchesSerial is the corpus differential for the [HG92]
-// unrolling transformation: for every corpus program with an approved
-// loop, the unrolled program must reproduce the un-unrolled program's
-// value and output under both engines.
-func TestUnrollMatchesSerial(t *testing.T) {
-	for _, p := range equivalenceCorpus(t) {
-		if p.stripFn == "" {
-			continue
-		}
-		p := p
-		t.Run(p.name, func(t *testing.T) {
-			c, err := core.Compile(p.src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wv, _, wout := runEngine(t, c.Program,
-				interp.Config{Engine: interp.EngineWalk, Seed: p.seed}, p.fn, p.args)
-			for _, factor := range []int{2, 3} {
-				un, err := c.Unroll(p.stripFn, p.stripLoop, factor)
-				if err != nil {
-					t.Fatalf("factor %d: %v", factor, err)
-				}
-				for _, eng := range []interp.Engine{interp.EngineWalk, interp.EngineBytecode} {
-					v, _, out := runEngine(t, un.Program,
-						interp.Config{Engine: eng, Seed: p.seed}, p.fn, p.args)
-					if v.String() != wv.String() || out != wout {
-						t.Errorf("factor %d engine %s: unrolled run diverged (%s vs %s)",
-							factor, eng, v, wv)
-					}
-				}
-			}
-		})
-	}
-}

@@ -355,11 +355,11 @@ procedure close(OneWayList *a, OneWayList *x) {
 	prog := lang.MustParse(src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fr, err := analysis.Analyze(prog, "close")
+		res, err := analysis.New(prog).AnalyzeAll()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if fr.Exit.Valid("OneWayList", "X") {
+		if res.Funcs["close"].Exit.Valid("OneWayList", "X") {
 			b.Fatal("violation lost")
 		}
 	}
@@ -487,7 +487,7 @@ procedure scale(OneWayList *head, int c) {
 }`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.Analyze(prog, "scale"); err != nil {
+		if _, err := analysis.New(prog).AnalyzeAll(); err != nil {
 			b.Fatal(err)
 		}
 	}

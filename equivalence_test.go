@@ -32,7 +32,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/nbody"
 	"repro/internal/parexec"
-	"repro/internal/serve"
 	"repro/internal/transform"
 )
 
@@ -266,14 +265,12 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // TestDefaultEngine is the grid's default column: a caller who sets no
-// engine — zero RunConfig, zero Config, zero Options, and on the wire
-// any name but "walk" — gets the kernel engine, and over the whole
-// corpus, serial and goroutine-parallel, that run is indistinguishable
-// from an explicit kernel run and from the walking oracle's. It also
-// pins the two name tables: Engine.String() has three names, and the
-// wire's switch (serve.ParseEngine) accepts those three, maps them onto
-// two behaviours, and refuses "compiled" — the deleted closure engine's
-// name — like any other unknown.
+// engine — zero RunConfig, zero Config, zero Options, and every POST
+// /run, which has no engine key — gets the kernel engine, and over the
+// whole corpus, serial and goroutine-parallel, that run is
+// indistinguishable from an explicit kernel run and from the walking
+// oracle's. It also pins the name table: Engine.String() has three
+// names.
 func TestDefaultEngine(t *testing.T) {
 	var def interp.Engine
 	if def != interp.EngineKernel || (interp.Config{}).Engine != def ||
@@ -286,19 +283,6 @@ func TestDefaultEngine(t *testing.T) {
 	} {
 		if eng.String() != name {
 			t.Errorf("engine %d is named %q, want %q", eng, eng, name)
-		}
-	}
-	for name, want := range map[string]interp.Engine{
-		"": def, "kernel": def, "bytecode": def, "walk": interp.EngineWalk,
-	} {
-		if eng, err := serve.ParseEngine(name); err != nil || eng != want {
-			t.Errorf("serve.ParseEngine(%q) = %s, %v, want %s", name, eng, err, want)
-		}
-	}
-	for _, name := range []string{"compiled", "closure"} {
-		if _, err := serve.ParseEngine(name); err == nil ||
-			err.Error() != `unknown engine "`+name+`" (want kernel, bytecode or walk)` {
-			t.Errorf("serve.ParseEngine(%q): %v", name, err)
 		}
 	}
 

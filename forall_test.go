@@ -150,14 +150,17 @@ func TestForallOneAnswer(t *testing.T) {
 					check(fmt.Sprintf("parexec.Run procs=%d pes=%d", procs, pes), answerOf(v, st, out.String(), err))
 				}
 			}
+		}
 
-			for _, parallel := range []bool{false, true} {
-				resp, err := srv.Run(context.Background(), serve.Request{Source: p.src, Engine: eng.String(), Parallel: parallel, PEs: 2})
-				if err != nil {
-					t.Fatalf("%s: serve: %v", p.name, err)
-				}
-				check(fmt.Sprintf("serve.Run parallel=%t", parallel),
-					forallAnswer{value: resp.Result, output: resp.Output, steps: resp.Steps, allocs: resp.Allocs, err: resp.Error})
+		// The server runs its one engine, serially or on the pool.
+		for _, parallel := range []bool{false, true} {
+			resp, err := srv.Run(context.Background(), serve.Request{Source: p.src, Parallel: parallel, PEs: 2})
+			if err != nil {
+				t.Fatalf("%s: serve: %v", p.name, err)
+			}
+			got := forallAnswer{value: resp.Result, output: resp.Output, steps: resp.Steps, allocs: resp.Allocs, err: resp.Error}
+			if got != ref {
+				t.Errorf("%s, serve.Run parallel=%t:\n got %+v\nwant %+v", p.name, parallel, got, ref)
 			}
 		}
 	}
@@ -215,31 +218,42 @@ func TestPoolLeavesTheSerialRun(t *testing.T) {
 const hugeForall = `procedure main() { forall i = 0 to 4000000000000 { } }`
 
 // TestForallTripCountIsBudgeted: a forall's trip count is charged to
-// the step budget at entry, so under the server's default budgets the
-// four-trillion-iteration loop is refused at once — before a goroutine,
-// a buffer or an error slot exists for it — with the step-limit error,
-// on both paths and every engine, and the server keeps serving.
+// the step budget at entry, so under the server's default step budget
+// the four-trillion-iteration loop is refused at once — before a
+// goroutine, a buffer or an error slot exists for it — with the
+// step-limit error: by every engine in process, by the server on both
+// paths, and the server keeps serving.
 func TestForallTripCountIsBudgeted(t *testing.T) {
+	prog, err := lang.Parse(hugeForall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const serverSteps = 50_000_000 // serve.Config's default MaxSteps
+	for _, eng := range eqEngines {
+		_, st, err := interp.Run(prog, interp.Config{Engine: eng, MaxSteps: serverSteps}, "main")
+		if err == nil || !strings.Contains(err.Error(), "step limit exceeded") || st.Steps > 1 {
+			t.Errorf("%s: %v after %d steps, want the step-limit error with nothing run", eng, err, st.Steps)
+		}
+	}
+
 	srv := serve.New(serve.Config{})
 	defer srv.Close()
-	for _, eng := range eqEngines {
-		for _, parallel := range []bool{false, true} {
-			req := serve.Request{Source: hugeForall, Engine: eng.String(), Parallel: parallel}
-			if _, err := srv.Run(context.Background(), req); err != nil { // compile, off the clock
-				t.Fatal(err)
-			}
-			t0 := time.Now()
-			resp, err := srv.Run(context.Background(), req)
-			el := time.Since(t0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.OK || !strings.Contains(resp.Error, "step limit exceeded") || resp.Steps > 1 {
-				t.Errorf("%s parallel=%t: %+v, want the step-limit error with nothing run", eng, parallel, resp)
-			}
-			if *costGates && el > 50*time.Millisecond {
-				t.Errorf("%s parallel=%t: refused after %v, want under 50ms", eng, parallel, el)
-			}
+	for _, parallel := range []bool{false, true} {
+		req := serve.Request{Source: hugeForall, Parallel: parallel}
+		if _, err := srv.Run(context.Background(), req); err != nil { // compile, off the clock
+			t.Fatal(err)
+		}
+		t0 := time.Now()
+		resp, err := srv.Run(context.Background(), req)
+		el := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.OK || !strings.Contains(resp.Error, "step limit exceeded") || resp.Steps > 1 {
+			t.Errorf("serve parallel=%t: %+v, want the step-limit error with nothing run", parallel, resp)
+		}
+		if *costGates && el > 50*time.Millisecond {
+			t.Errorf("serve parallel=%t: refused after %v, want under 50ms", parallel, el)
 		}
 	}
 	if resp, err := srv.Run(context.Background(), serve.Request{Source: "function int main() { return 42; }"}); err != nil || resp.Result != "42" {

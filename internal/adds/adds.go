@@ -15,7 +15,6 @@ package adds
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -295,14 +294,6 @@ func (d *Decl) DisjointSiblings(fields ...string) bool {
 	return true
 }
 
-// CrossDimensionDisjoint reports whether a node reached by a forward
-// traversal along dimension a can never be reached by a forward traversal
-// along dimension b (and vice versa). True only for declared-independent
-// dimension pairs, e.g. sub||down in the 2-D range tree.
-func (d *Decl) CrossDimensionDisjoint(a, b string) bool {
-	return d.Independent(a, b)
-}
-
 // String renders the declaration in ADDS surface syntax, suitable for
 // re-parsing.
 func (d *Decl) String() string {
@@ -414,12 +405,4 @@ func (u *Universe) FieldDecl(typeName, fieldName string) (*Decl, *PointerField) 
 		return nil, nil
 	}
 	return d, f
-}
-
-// SortedTypes returns the declared type names sorted lexically (for
-// deterministic reporting).
-func (u *Universe) SortedTypes() []string {
-	out := u.Types()
-	sort.Strings(out)
-	return out
 }

@@ -274,20 +274,6 @@ func TestDisjointSiblings(t *testing.T) {
 	}
 }
 
-func TestCrossDimensionDisjoint(t *testing.T) {
-	rt := library(t).Decl("TwoDRangeTree")
-	if !rt.CrossDimensionDisjoint("sub", "down") {
-		t.Error("sub||down declared independent")
-	}
-	if rt.CrossDimensionDisjoint("down", "leaves") {
-		t.Error("down and leaves are dependent")
-	}
-	oc := library(t).Decl("Octree")
-	if oc.CrossDimensionDisjoint("down", "leaves") {
-		t.Error("octree dims are dependent: leaves reachable along both")
-	}
-}
-
 func TestPathNeverRevisits(t *testing.T) {
 	lib := library(t)
 	if !lib.Decl("OneWayList").PathNeverRevisits("next") {
@@ -321,12 +307,6 @@ func TestUniverse(t *testing.T) {
 	}
 	if _, f := u.FieldDecl("NoSuch", "next"); f != nil {
 		t.Error("FieldDecl should return nil for unknown type")
-	}
-	types := u.SortedTypes()
-	for i := 1; i < len(types); i++ {
-		if types[i-1] >= types[i] {
-			t.Errorf("SortedTypes not sorted: %v", types)
-		}
 	}
 	// Duplicate type rejected.
 	if err := u.Add(&Decl{Name: "Octree", Dims: []string{"d"}}); err == nil {

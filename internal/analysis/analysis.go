@@ -538,21 +538,6 @@ func (a *Analyzer) AnalyzeAll() (*Result, error) {
 	return &Result{Program: a, Funcs: a.results, Effects: a.effects}, nil
 }
 
-// Analyze runs the full program analysis and returns the result for one
-// function.
-func Analyze(prog *lang.Program, fnName string) (*FuncResult, error) {
-	a := New(prog)
-	res, err := a.AnalyzeAll()
-	if err != nil {
-		return nil, err
-	}
-	fr, ok := res.Funcs[fnName]
-	if !ok {
-		return nil, fmt.Errorf("analysis: no function %q", fnName)
-	}
-	return fr, nil
-}
-
 func sameViolationKeys(a, b map[ViolationKey]*Violation) bool {
 	if len(a) != len(b) {
 		return false

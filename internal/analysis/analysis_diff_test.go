@@ -348,11 +348,11 @@ func TestAnalyzesEachFunctionOnceCalleeFirst(t *testing.T) {
 	for _, c := range []struct{ src, fn string }{
 		{callerFirstSrc, "caller"}, {mutualSrc, "ping"}, {mutualSrc, "top"},
 	} {
-		fr, err := analysis.Analyze(lang.MustParse(c.src), c.fn)
+		res, err := analysis.New(lang.MustParse(c.src)).AnalyzeAll()
 		if err != nil {
 			t.Fatalf("%s: %v", c.fn, err)
 		}
-		if len(fr.Exit.Violations) == 0 {
+		if len(res.Funcs[c.fn].Exit.Violations) == 0 {
 			t.Errorf("%s: no exit violations, want the callee's", c.fn)
 		}
 	}

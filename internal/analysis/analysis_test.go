@@ -32,11 +32,11 @@ func analyzeOne(t *testing.T, src, fn string) (*lang.Program, *FuncResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := Analyze(prog, fn)
+	res, err := New(prog).AnalyzeAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, fr
+	return prog, res.Funcs[fn]
 }
 
 // TestPolyLoopMatrices reproduces PM1: the paper's path matrices for the

@@ -163,22 +163,18 @@ procedure zigzag(TwoWayList *h) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fn := range []string{"fwd", "bwd"} {
-		fr, err := Analyze(prog, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loop, _ := FindLoop(prog.Func(fn), 0)
-		if !fr.InductionStrictlyAdvances(loop, "p") {
-			t.Errorf("%s traversal must strictly advance", fn)
-		}
-	}
-	fr, err := Analyze(prog, "zigzag")
+	res, err := New(prog).AnalyzeAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, fn := range []string{"fwd", "bwd"} {
+		loop, _ := FindLoop(prog.Func(fn), 0)
+		if !res.Funcs[fn].InductionStrictlyAdvances(loop, "p") {
+			t.Errorf("%s traversal must strictly advance", fn)
+		}
+	}
 	loop, _ := FindLoop(prog.Func("zigzag"), 0)
-	if fr.InductionStrictlyAdvances(loop, "p") {
+	if res.Funcs["zigzag"].InductionStrictlyAdvances(loop, "p") {
 		t.Error("zigzag must not be proven to advance (it revisits p)")
 	}
 }

@@ -23,20 +23,6 @@ func (fr *FuncResult) After(s lang.Stmt) *State {
 	return fr.recorded().after[s]
 }
 
-// MayAliasAt reports whether handles a and b may alias in the state
-// before stmt. Unreached statements and unknown handles answer true
-// (conservative).
-func (fr *FuncResult) MayAliasAt(s lang.Stmt, a, b string) bool {
-	st := fr.Before(s)
-	if st == nil {
-		return true
-	}
-	if !st.PM.HasHandle(a) || !st.PM.HasHandle(b) {
-		return true
-	}
-	return st.PM.Get(a, b).Alias != pathmatrix.NoAlias
-}
-
 // InductionStrictlyAdvances reports whether, at the loop body's exit
 // (before the back edge), the previous-iteration handle v' is provably
 // not an alias of v and lies a definite ≥1-step path above it along a

@@ -1,11 +1,11 @@
 package analysis
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/adds"
 	"repro/internal/lang"
+	"repro/internal/pathmatrix"
 )
 
 func TestFindLoopAndAssignErrors(t *testing.T) {
@@ -25,32 +25,40 @@ procedure f(OneWayList *p) {
 	}
 }
 
+// analyzeFunc analyzes the whole program and returns fn's result.
+func analyzeFunc(t *testing.T, prog *lang.Program, fn string) *FuncResult {
+	t.Helper()
+	res, err := New(prog).AnalyzeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Funcs[fn]
+}
+
+// TestMayAliasAtConservativeFallbacks: two pointer parameters may
+// alias, a fresh node aliases neither, a handle the function never
+// declares has no row, and a statement the function does not hold has
+// no state — the facts a may-alias question reads, and where it must
+// answer "may".
 func TestMayAliasAtConservativeFallbacks(t *testing.T) {
 	prog := lang.MustParse(adds.OneWayListSrc + `
 procedure f(OneWayList *a, OneWayList *b) {
   var OneWayList *n = new OneWayList;
   print(1);
 }`)
-	fr, err := Analyze(prog, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := analyzeFunc(t, prog, "f")
 	fn := prog.Func("f")
-	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	if !fr.MayAliasAt(last, "a", "b") {
-		t.Error("possible aliases must answer true")
+	pm := fr.Before(fn.Body.Stmts[len(fn.Body.Stmts)-1]).PM
+	if pm.Get("a", "b").Alias == pathmatrix.NoAlias {
+		t.Error("two parameters must be possible aliases")
 	}
-	if fr.MayAliasAt(last, "n", "a") {
+	if pm.Get("n", "a").Alias != pathmatrix.NoAlias {
 		t.Error("fresh node cannot alias a parameter")
 	}
-	// Unknown handle and unreached statement: conservative true.
-	if !fr.MayAliasAt(last, "zz", "a") {
-		t.Error("unknown handle must answer true")
+	if pm.HasHandle("zz") {
+		t.Error("an undeclared handle has a row")
 	}
 	fake := &lang.ReturnStmt{}
-	if !fr.MayAliasAt(fake, "a", "b") {
-		t.Error("unreached statement must answer true")
-	}
 	if fr.Before(fake) != nil || fr.After(fake) != nil {
 		t.Error("unreached statement has no states")
 	}
@@ -58,8 +66,8 @@ procedure f(OneWayList *a, OneWayList *b) {
 
 func TestAnalyzeUnknownFunction(t *testing.T) {
 	prog := lang.MustParse(adds.OneWayListSrc + `procedure f(OneWayList *p) { }`)
-	if _, err := Analyze(prog, "nosuch"); err == nil || !strings.Contains(err.Error(), "no function") {
-		t.Errorf("err = %v", err)
+	if fr := analyzeFunc(t, prog, "nosuch"); fr != nil {
+		t.Errorf("unknown function has a result: %+v", fr)
 	}
 }
 
@@ -105,13 +113,10 @@ procedure f(OneWayList *a) {
   var OneWayList *p;
   print(1);
 }`)
-	fr, err := Analyze(prog, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := analyzeFunc(t, prog, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	if fr.MayAliasAt(last, "p", "a") {
+	if fr.Before(last).PM.Get("p", "a").Alias != pathmatrix.NoAlias {
 		t.Error("uninitialized pointer aliases nothing")
 	}
 }
@@ -127,10 +132,7 @@ procedure f(OneWayList *a, bool c) {
   }
   print(1);
 }`)
-	fr, err := Analyze(prog, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := analyzeFunc(t, prog, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
 	st := fr.Before(last)
@@ -149,10 +151,7 @@ function OneWayList * f(OneWayList *p) {
   }
   return NULL;
 }`)
-	fr, err := Analyze(prog, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := analyzeFunc(t, prog, "f")
 	if fr.Exit == nil {
 		t.Fatal("no exit state")
 	}

@@ -200,15 +200,6 @@ func (c *Compilation) AutoParallel(widthHint int) (*AutoPlan, error) {
 	return ap, nil
 }
 
-// Unroll applies the [HG92] unrolling transformation.
-func (c *Compilation) Unroll(fn string, loopIndex, factor int) (*Compilation, error) {
-	prog, err := transform.Unroll(c.Program, fn, loopIndex, factor)
-	if err != nil {
-		return nil, err
-	}
-	return Analyze(prog)
-}
-
 // RunConfig selects the execution mode for Run.
 type RunConfig struct {
 	// Engine selects the interpreter engine (default

@@ -286,41 +286,6 @@ func TestStripMineViaCore(t *testing.T) {
 	}
 }
 
-func TestUnrollViaCore(t *testing.T) {
-	c, err := Compile(scaleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	un, err := c.Unroll("scale", 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := un.Run(RunConfig{}, "main", interp.IntVal(17), interp.IntVal(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.I != 17*18 { // sum(1..17)*2
-		t.Errorf("unrolled result %d", got.I)
-	}
-	// The unrolled body repeats; the original compilation is untouched.
-	if n := strings.Count(lang.FormatFunc(un.Program.Func("scale")), "p = p->next;"); n != 3 {
-		t.Errorf("unrolled scale has %d advances, want 3", n)
-	}
-	if strings.Count(lang.FormatFunc(c.Program.Func("scale")), "p = p->next;") != 1 {
-		t.Error("Unroll mutated the original")
-	}
-	// Error paths: bad factor, unapprovable loop, unknown function.
-	if _, err := c.Unroll("scale", 0, 1); err == nil {
-		t.Error("factor < 2 must fail")
-	}
-	if _, err := c.Unroll("total", 0, 2); err == nil {
-		t.Error("reduction loop must be refused")
-	}
-	if _, err := c.Unroll("nosuch", 0, 2); err == nil {
-		t.Error("unknown function must fail")
-	}
-}
-
 // TestAutoParallelViaCore: the planner through the pipeline API — plan
 // report, per-width caching, and bit-identical execution.
 func TestAutoParallelViaCore(t *testing.T) {

@@ -141,7 +141,12 @@ func (a Access) Moved() bool { return a.key&movedBit != 0 }
 func (a Access) Field() string { return a.tab.fields[a.key&fieldMask>>fieldShift] }
 
 // Kind says whether the access reads or writes.
-func (a Access) Kind() AccessKind { return AccessKind(a.key & writeBit) }
+func (a Access) Kind() AccessKind {
+	if a.key&writeBit != 0 {
+		return Write
+	}
+	return Read
+}
 
 // IsPointer marks accesses to pointer (shape) fields rather than data
 // fields.
@@ -233,9 +238,6 @@ func (s *Summary) filter(mask, want uint64) []Access {
 
 // Writes returns the write accesses.
 func (s *Summary) Writes() []Access { return s.filter(writeBit, writeBit) }
-
-// Reads returns the read accesses.
-func (s *Summary) Reads() []Access { return s.filter(writeBit, 0) }
 
 // PointerWrites returns writes to pointer fields (structure mutation).
 func (s *Summary) PointerWrites() []Access { return s.filter(writeBit|ptrBit, writeBit|ptrBit) }

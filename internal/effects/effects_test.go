@@ -267,7 +267,13 @@ procedure f(OneWayList *p) {
   p->data = p->data + 1;
 }`)
 	sum := an.FuncSummary("f")
-	if len(sum.Writes()) == 0 || len(sum.Reads()) == 0 {
+	reads := 0
+	for _, a := range sum.Accesses {
+		if a.Kind() == Read {
+			reads++
+		}
+	}
+	if len(sum.Writes()) == 0 || reads == 0 || len(sum.Writes())+reads != len(sum.Accesses) {
 		t.Errorf("filters broken:\n%s", sum)
 	}
 	for _, w := range sum.Writes() {

@@ -47,13 +47,10 @@ type ServeFlags struct {
 	Workers      int           // -workers: executing requests (0 = GOMAXPROCS)
 	Queue        int           // -queue: admission queue depth (0 = 4×workers)
 	CacheEntries int           // -cache: compiled-program cache capacity
-	CacheShards  int           // -shards: cache shard count
 	Timeout      time.Duration // -timeout: default per-request wall clock
 	MaxSteps     int64         // -max-steps: per-request statement budget
 	MaxAllocs    int64         // -max-allocs: per-request allocation budget
 	MaxOutput    int64         // -max-output: per-request print() byte budget
-	MaxWidth     int           // -max-width: auto-parallelize strip-width cap
-	TenantQueue  int           // -tenant-queue: per-tenant admission quota
 	TraceRate    float64       // -trace-rate: fraction of requests traced into /debug/traces
 }
 
@@ -64,13 +61,10 @@ func RegisterServe(fs *flag.FlagSet) *ServeFlags {
 	fs.IntVar(&f.Workers, "workers", 0, "concurrently executing requests (0 = GOMAXPROCS)")
 	fs.IntVar(&f.Queue, "queue", 0, "admission queue depth (0 = 4×workers)")
 	fs.IntVar(&f.CacheEntries, "cache", 0, "compiled-program cache entries (0 = 128)")
-	fs.IntVar(&f.CacheShards, "shards", 0, "program cache shards (0 = 8)")
 	fs.DurationVar(&f.Timeout, "timeout", 0, "default per-request wall-clock budget (0 = 5s)")
 	fs.Int64Var(&f.MaxSteps, "max-steps", 0, "per-request statement budget (0 = 50M)")
 	fs.Int64Var(&f.MaxAllocs, "max-allocs", 0, "per-request allocation budget (0 = 1M)")
 	fs.Int64Var(&f.MaxOutput, "max-output", 0, "per-request print() byte budget (0 = 1MiB)")
-	fs.IntVar(&f.MaxWidth, "max-width", 0, "strip-width cap for auto-parallelized requests (0 = 256)")
-	fs.IntVar(&f.TenantQueue, "tenant-queue", 0, "per-tenant queued-request quota (0 = whole queue)")
 	fs.Float64Var(&f.TraceRate, "trace-rate", 0,
 		"fraction of requests traced into /debug/traces (0 = only profiled ones)")
 	return f
@@ -80,17 +74,14 @@ func RegisterServe(fs *flag.FlagSet) *ServeFlags {
 // server defaults).
 func (f *ServeFlags) ServerConfig() serve.Config {
 	return serve.Config{
-		Workers:          f.Workers,
-		QueueDepth:       f.Queue,
-		CacheEntries:     f.CacheEntries,
-		CacheShards:      f.CacheShards,
-		DefaultTimeout:   f.Timeout,
-		MaxSteps:         f.MaxSteps,
-		MaxAllocs:        f.MaxAllocs,
-		MaxOutputBytes:   f.MaxOutput,
-		MaxStripWidth:    f.MaxWidth,
-		TenantQueueDepth: f.TenantQueue,
-		TraceRate:        f.TraceRate,
+		Workers:        f.Workers,
+		QueueDepth:     f.Queue,
+		CacheEntries:   f.CacheEntries,
+		DefaultTimeout: f.Timeout,
+		MaxSteps:       f.MaxSteps,
+		MaxAllocs:      f.MaxAllocs,
+		MaxOutputBytes: f.MaxOutput,
+		TraceRate:      f.TraceRate,
 	}
 }
 

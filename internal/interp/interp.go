@@ -58,8 +58,8 @@ type Engine int
 
 // Execution engines. EngineKernel is the zero value, so it is what
 // every empty Config, RunConfig and parexec.Options resolves to, and
-// what every POST /run but "engine": "walk" runs (serve.ParseEngine);
-// the other two are explicit opt-ins of Go callers.
+// what every POST /run runs; the other two are explicit opt-ins of Go
+// callers.
 const (
 	// EngineKernel is the bytecode VM plus the SPMD vector path: strips
 	// the classifier proved vectorizable (ForallSite.Kernel != nil)
@@ -1348,12 +1348,6 @@ func Field(v Value, field string) (Value, error) {
 	return *fv, nil
 }
 
-// FieldInt reads an int data field of a node.
-func FieldInt(v Value, field string) (int64, error) {
-	fv, err := Field(v, field)
-	return fv.I, err
-}
-
 // FieldReal reads a real data field of a node.
 func FieldReal(v Value, field string) (float64, error) {
 	fv, err := Field(v, field)
@@ -1370,27 +1364,4 @@ func FieldPtr(v Value, field string) (Value, error) {
 		return Value{}, fmt.Errorf("interp: no pointer field %q", field)
 	}
 	return PtrVal(arr[0]), nil
-}
-
-// ListInts walks a list via `next`, reading an int field from each node
-// (bounded by limit to catch accidental cycles).
-func ListInts(head Value, field string, limit int) ([]int64, error) {
-	var out []int64
-	n := head.N
-	for n != nil {
-		if limit--; limit < 0 {
-			return nil, fmt.Errorf("interp: list longer than limit (cycle?)")
-		}
-		v := n.data(field)
-		if v == nil {
-			return nil, fmt.Errorf("interp: node lacks field %q", field)
-		}
-		out = append(out, v.I)
-		next := n.ptrs("next")
-		if len(next) == 0 {
-			break
-		}
-		n = next[0]
-	}
-	return out, nil
 }

@@ -363,25 +363,18 @@ func TestHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := ListInts(h, "v", 10)
-	if err != nil {
-		t.Fatal(err)
+	if v, _ := Field(h, "v"); v.I != 1 {
+		t.Errorf("Field = %v", v)
 	}
-	if len(vals) != 3 || vals[0] != 1 || vals[2] != 3 {
-		t.Errorf("list = %v", vals)
-	}
-	if _, err := ListInts(h, "v", 1); err == nil {
-		t.Error("limit must trip")
-	}
-	if n, _ := FieldInt(h, "v"); n != 1 {
-		t.Errorf("FieldInt = %d", n)
+	if _, err := Field(h, "nosuch"); err == nil {
+		t.Error("a missing field must fail")
 	}
 	nx, err := FieldPtr(h, "next")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := FieldInt(nx, "v"); n != 2 {
-		t.Errorf("next v = %d", n)
+	if v, _ := Field(nx, "v"); v.I != 2 {
+		t.Errorf("next v = %v", v)
 	}
 	if ip.Stats().Allocations != 3 {
 		t.Errorf("allocations = %d", ip.Stats().Allocations)

@@ -50,7 +50,6 @@ const (
 	NOT      // !
 	AND      // &&
 	OR       // ||
-	DBLPIPE  // || in ADDS where-clause context (same token as OR)
 	keywords // marker: everything after is a keyword
 
 	TYPE

@@ -500,85 +500,3 @@ func (s *System) TotalMomentum() Vec3 {
 	}
 	return p
 }
-
-// CountLeaves walks the tree and counts bodies (must equal len(Bodies)).
-func CountLeaves(n *Node) int {
-	if n == nil {
-		return 0
-	}
-	if n.IsLeaf() {
-		return 1
-	}
-	total := 0
-	for _, c := range n.Children {
-		total += CountLeaves(c)
-	}
-	return total
-}
-
-// TreeDepth returns the maximum depth.
-func TreeDepth(n *Node) int {
-	if n == nil {
-		return 0
-	}
-	max := 0
-	for _, c := range n.Children {
-		if d := TreeDepth(c); d > max {
-			max = d
-		}
-	}
-	return max + 1
-}
-
-// CheckTree verifies structural invariants: every leaf body lies inside
-// its ancestors' boxes, children occupy their octants, and each body
-// appears exactly once.
-func (s *System) CheckTree() error {
-	seen := map[*Body]bool{}
-	var walk func(n *Node) error
-	walk = func(n *Node) error {
-		if n == nil {
-			return nil
-		}
-		if n.IsLeaf() {
-			if seen[n.Body] {
-				return fmt.Errorf("nbody: body appears twice in the tree")
-			}
-			seen[n.Body] = true
-			return nil
-		}
-		for q, c := range n.Children {
-			if c == nil {
-				continue
-			}
-			if !c.IsLeaf() {
-				// expandBox and octantCenter derive child centers by
-				// different (mathematically equal) expressions, so
-				// compare with a tolerance scaled to the cell size.
-				want := octantCenter(n, q)
-				eps := n.Half * 1e-9
-				if math.Abs(c.Center.X-want.X) > eps ||
-					math.Abs(c.Center.Y-want.Y) > eps ||
-					math.Abs(c.Center.Z-want.Z) > eps {
-					return fmt.Errorf("nbody: child %d center %v, want %v", q, c.Center, want)
-				}
-				if math.Abs(c.Half-n.Half/2) > eps {
-					return fmt.Errorf("nbody: child %d half %g, want %g", q, c.Half, n.Half/2)
-				}
-			} else if octant(n.Center, c.Body.Pos) != q {
-				return fmt.Errorf("nbody: leaf in wrong octant")
-			}
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(s.Root); err != nil {
-		return err
-	}
-	if len(seen) != len(s.Bodies) {
-		return fmt.Errorf("nbody: tree holds %d bodies, system has %d", len(seen), len(s.Bodies))
-	}
-	return nil
-}

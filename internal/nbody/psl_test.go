@@ -25,12 +25,12 @@ func parseBH(t *testing.T) *lang.Program {
 // build_tree/expand_box/insert_particle leave no active violations
 // (§4.3.2's validation argument).
 func TestBHValidates(t *testing.T) {
-	prog := parseBH(t)
+	res, err := analysis.New(parseBH(t)).AnalyzeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, fn := range []string{"expand_box", "insert_particle", "build_tree", TimestepFunc} {
-		fr, err := analysis.Analyze(prog, fn)
-		if err != nil {
-			t.Fatalf("analyze %s: %v", fn, err)
-		}
+		fr := res.Funcs[fn]
 		if n := len(fr.Exit.Violations); n != 0 {
 			t.Errorf("%s exits with %d active violation(s): %v", fn, n, fr.Exit.ViolationKeys())
 		}
@@ -42,10 +42,11 @@ func TestBHValidates(t *testing.T) {
 // and new subtree) and repairs it before the iteration ends.
 func TestBHInsertTemporarySharing(t *testing.T) {
 	prog := parseBH(t)
-	fr, err := analysis.Analyze(prog, "insert_particle")
+	res, err := analysis.New(prog).AnalyzeAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fr := res.Funcs["insert_particle"]
 	fn := prog.Func("insert_particle")
 	// Find the store sub->subtrees[cq] = child and the repairing store
 	// t->subtrees[q] = sub.

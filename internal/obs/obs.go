@@ -72,14 +72,6 @@ func NewTrace(id string) *Trace {
 	return &Trace{id: id, t0: time.Now()}
 }
 
-// ID returns the trace ID ("" on nil).
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
 // Start opens a root span. Returns nil (harmless) on a nil trace.
 func (t *Trace) Start(name string) *Span {
 	if t == nil {

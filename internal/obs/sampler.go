@@ -40,11 +40,3 @@ func (s *Sampler) Sample() bool {
 	}
 	return s.n.Add(1)%s.every == 0
 }
-
-// Rate reports the effective sampling rate (0 on nil).
-func (s *Sampler) Rate() float64 {
-	if s == nil {
-		return 0
-	}
-	return 1 / float64(s.every)
-}

@@ -261,7 +261,9 @@ func fuzzProgram(t *testing.T, data []byte) {
 		case 2:
 			return PlusDesc(f, g)
 		default:
-			return StarDesc(f, g)
+			d := PlusDesc(f, g)
+			d.Star = true
+			return d
 		}
 	}
 	entry := func() Entry {
@@ -277,7 +279,7 @@ func fuzzProgram(t *testing.T, data []byte) {
 		case 0:
 			return func(e *Entry) { e.AddDesc(d) }
 		case 1:
-			return func(e *Entry) { e.RemoveExact(f) }
+			return func(e *Entry) { e.remove(func(d Desc) bool { return d.Exact && d.Fields[0] == f }) }
 		case 2:
 			return func(e *Entry) { e.RemovePathsUsing(f) }
 		case 3:
@@ -354,8 +356,8 @@ func FuzzMatrixVsModel(f *testing.F) {
 // richMatrix builds a matrix whose cells carry every descriptor kind.
 func richMatrix() *Matrix {
 	m := New("head", "p", "p'", "q")
-	m.Set("head", "p", Entry{Alias: PossibleAlias, Descs: []Desc{ExactDesc("next", 1), PlusDesc("next")}})
-	m.Set("p'", "p", Entry{Descs: []Desc{ExactIndexedDesc("down", "i", 2), StarDesc("down", "left")}})
+	m.Set("head", "p", Entry{Alias: PossibleAlias, Descs: []Desc{Desc{Fields: []string{"next"}, Exact: true, EdgeID: 1}, PlusDesc("next")}})
+	m.Set("p'", "p", Entry{Descs: []Desc{ExactIndexedDesc("down", "i", 2), {Fields: []string{"down", "left"}, Star: true}}})
 	m.Set("q", "p", Entry{Alias: DefiniteAlias})
 	m.Set("p", "q", Entry{Alias: DefiniteAlias, Descs: []Desc{PlusDesc("left", "right")}})
 	return m
@@ -401,11 +403,11 @@ func TestCloneIsolation(t *testing.T) {
 	}
 
 	entryMutators := []func(*Entry){
-		func(e *Entry) { e.AddDesc(ExactDesc("next", 9)) },
+		func(e *Entry) { e.AddDesc(Desc{Fields: []string{"next"}, Exact: true, EdgeID: 9}) },
 		func(e *Entry) { e.AddDesc(PlusDesc("down")) },
-		func(e *Entry) { e.AddDesc(StarDesc("next")) },
-		func(e *Entry) { e.RemoveExact("next") },
-		func(e *Entry) { e.RemoveExact("down") },
+		func(e *Entry) { e.AddDesc(Desc{Fields: []string{"next"}, Star: true}) },
+		func(e *Entry) { e.remove(func(d Desc) bool { return d.Exact && d.Fields[0] == "next" }) },
+		func(e *Entry) { e.remove(func(d Desc) bool { return d.Exact && d.Fields[0] == "down" }) },
 		func(e *Entry) { e.RemovePathsUsing("left") },
 		func(e *Entry) { e.RemoveExactsIndexedBy("i") },
 		func(e *Entry) { e.RemoveNonExactUsing("next") },

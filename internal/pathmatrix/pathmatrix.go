@@ -109,11 +109,6 @@ type Desc struct {
 	Index string
 }
 
-// ExactDesc returns an exact single-edge descriptor.
-func ExactDesc(field string, edgeID int) Desc {
-	return Desc{Fields: []string{field}, Exact: true, EdgeID: edgeID}
-}
-
 // ExactIndexedDesc returns an exact edge through one element of a
 // pointer-array field.
 func ExactIndexedDesc(field, index string, edgeID int) Desc {
@@ -126,13 +121,6 @@ func PlusDesc(fields ...string) Desc {
 	sort.Strings(fs)
 	fs = dedupSorted(fs)
 	return Desc{Fields: fs}
-}
-
-// StarDesc returns a ≥0-link path descriptor over the given fields.
-func StarDesc(fields ...string) Desc {
-	d := PlusDesc(fields...)
-	d.Star = true
-	return d
 }
 
 func dedupSorted(fs []string) []string {
@@ -310,12 +298,6 @@ func (e *Entry) remove(drop func(Desc) bool) []int {
 	}
 	e.Descs = keep
 	return removed
-}
-
-// RemoveExact deletes exact descriptors via field f (any index),
-// returning the IDs of the removed edges.
-func (e *Entry) RemoveExact(f string) []int {
-	return e.remove(func(d Desc) bool { return d.Exact && d.Fields[0] == f })
 }
 
 // RemovePathsUsing deletes every descriptor whose field set contains f

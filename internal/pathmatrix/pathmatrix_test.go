@@ -26,7 +26,7 @@ func TestAliasJoin(t *testing.T) {
 }
 
 func TestDescString(t *testing.T) {
-	if got := ExactDesc("next", 1).String(); got != "next" {
+	if got := (Desc{Fields: []string{"next"}, Exact: true, EdgeID: 1}).String(); got != "next" {
 		t.Errorf("exact = %q", got)
 	}
 	if got := PlusDesc("next").String(); got != "next+" {
@@ -42,7 +42,7 @@ func TestDescString(t *testing.T) {
 
 func TestEntryAddRemove(t *testing.T) {
 	var e Entry
-	e.AddDesc(ExactDesc("next", 7))
+	e.AddDesc(Desc{Fields: []string{"next"}, Exact: true, EdgeID: 7})
 	e.AddDesc(PlusDesc("next"))
 	e.AddDesc(PlusDesc("next")) // duplicate ignored
 	if len(e.Descs) != 2 {
@@ -52,11 +52,11 @@ func TestEntryAddRemove(t *testing.T) {
 		t.Errorf("HasExact = %d,%v", id, ok)
 	}
 	// Re-adding an exact with a new edge ID replaces the old edge.
-	e.AddDesc(ExactDesc("next", 9))
+	e.AddDesc(Desc{Fields: []string{"next"}, Exact: true, EdgeID: 9})
 	if id, _ := e.HasExact("next"); id != 9 {
 		t.Errorf("edge replace: id = %d, want 9", id)
 	}
-	removed := e.RemoveExact("next")
+	removed := e.remove(func(d Desc) bool { return d.Exact && d.Fields[0] == "next" })
 	if !reflect.DeepEqual(removed, []int{9}) {
 		t.Errorf("removed = %v", removed)
 	}
@@ -70,7 +70,7 @@ func TestEntryAddRemove(t *testing.T) {
 
 func TestRemovePathsUsing(t *testing.T) {
 	var e Entry
-	e.AddDesc(ExactDesc("left", 3))
+	e.AddDesc(Desc{Fields: []string{"left"}, Exact: true, EdgeID: 3})
 	e.AddDesc(PlusDesc("left", "right"))
 	e.AddDesc(PlusDesc("next"))
 	removed := e.RemovePathsUsing("left")
@@ -101,16 +101,16 @@ func TestEntryString(t *testing.T) {
 func TestJoinEntrySemantics(t *testing.T) {
 	// Same edge identity stays exact.
 	a := Entry{Alias: NoAlias}
-	a.AddDesc(ExactDesc("next", 5))
+	a.AddDesc(Desc{Fields: []string{"next"}, Exact: true, EdgeID: 5})
 	b := Entry{Alias: NoAlias}
-	b.AddDesc(ExactDesc("next", 5))
+	b.AddDesc(Desc{Fields: []string{"next"}, Exact: true, EdgeID: 5})
 	j := JoinEntry(a, b)
 	if _, ok := j.HasExact("next"); !ok {
 		t.Error("same edge must stay exact across join")
 	}
 	// Different identities weaken to plus.
 	c := Entry{Alias: NoAlias}
-	c.AddDesc(ExactDesc("next", 6))
+	c.AddDesc(Desc{Fields: []string{"next"}, Exact: true, EdgeID: 6})
 	j2 := JoinEntry(a, c)
 	if _, ok := j2.HasExact("next"); ok {
 		t.Error("different edges must weaken")
@@ -226,7 +226,7 @@ func TestMatrixJoinHandleUnion(t *testing.T) {
 
 func TestEqualAndClone(t *testing.T) {
 	a := New("x", "y")
-	a.Update("x", "y", func(e *Entry) { e.AddDesc(ExactDesc("f", 1)) })
+	a.Update("x", "y", func(e *Entry) { e.AddDesc(Desc{Fields: []string{"f"}, Exact: true, EdgeID: 1}) })
 	b := a.Clone()
 	if !Equal(a, b) {
 		t.Error("clone must equal original")
@@ -239,7 +239,7 @@ func TestEqualAndClone(t *testing.T) {
 		t.Error("different handle sets must differ")
 	}
 	c := New("y", "x") // same handles, different order
-	c.Update("x", "y", func(e *Entry) { e.AddDesc(ExactDesc("f", 1)) })
+	c.Update("x", "y", func(e *Entry) { e.AddDesc(Desc{Fields: []string{"f"}, Exact: true, EdgeID: 1}) })
 	if !Equal(a, c) {
 		t.Error("handle order must not affect equality")
 	}
@@ -248,7 +248,7 @@ func TestEqualAndClone(t *testing.T) {
 func TestStringFormat(t *testing.T) {
 	m := New("head", "p", "p'")
 	m.Update("head", "p", func(e *Entry) { e.AddDesc(PlusDesc("next")) })
-	m.Update("p'", "p", func(e *Entry) { e.AddDesc(ExactDesc("next", 1)) })
+	m.Update("p'", "p", func(e *Entry) { e.AddDesc(Desc{Fields: []string{"next"}, Exact: true, EdgeID: 1}) })
 	s := m.String()
 	for _, want := range []string{"head", "p'", "next+", "next", "="} {
 		if !strings.Contains(s, want) {
@@ -270,7 +270,7 @@ func randomEntry(r *rand.Rand) Entry {
 	for i, n := 0, r.Intn(3); i < n; i++ {
 		f := fields[r.Intn(len(fields))]
 		if r.Intn(2) == 0 {
-			e.AddDesc(ExactDesc(f, r.Intn(4)+1))
+			e.AddDesc(Desc{Fields: []string{f}, Exact: true, EdgeID: r.Intn(4) + 1})
 		} else {
 			e.AddDesc(PlusDesc(f))
 		}

@@ -5,7 +5,7 @@
 // picks a replica by is the source that replica keys its cache by.
 //
 // DecodeRequest is a single pass over the envelope every client
-// actually sends: an object of the twelve lower-case Request keys,
+// actually sends: an object of the nine lower-case Request keys,
 // each at most once, holding strings (with the \" \\ \/ \b \f \n \r \t
 // and non-surrogate \uXXXX escapes), true/false, non-negative integers
 // and an array of number literals. encoding/json stays the definition
@@ -123,37 +123,28 @@ func decodeFast(b []byte) (req Request, ok bool) {
 		case "fn":
 			bit = 1 << 1
 			req.Fn, i, ok = decodeString(b, i)
-		case "engine":
-			bit = 1 << 2
-			req.Engine, i, ok = decodeString(b, i)
-		case "tenant":
-			bit = 1 << 3
-			req.Tenant, i, ok = decodeString(b, i)
 		case "parallel":
-			bit = 1 << 4
+			bit = 1 << 2
 			req.Parallel, i, ok = decodeBool(b, i)
 		case "auto":
-			bit = 1 << 5
+			bit = 1 << 3
 			req.Auto, i, ok = decodeBool(b, i)
 		case "profile":
-			bit = 1 << 6
+			bit = 1 << 4
 			req.Profile, i, ok = decodeBool(b, i)
 		case "pes":
-			bit = 1 << 7
+			bit = 1 << 5
 			req.PEs, i, ok = decodeInt(b, i)
-		case "width":
-			bit = 1 << 8
-			req.Width, i, ok = decodeInt(b, i)
 		case "timeout_ms":
-			bit = 1 << 9
+			bit = 1 << 6
 			var v uint64
 			v, i, ok = decodeUint(b, i, math.MaxInt64)
 			req.TimeoutMS = int64(v)
 		case "seed":
-			bit = 1 << 10
+			bit = 1 << 7
 			req.Seed, i, ok = decodeUint(b, i, math.MaxUint64)
 		case "args":
-			bit = 1 << 11
+			bit = 1 << 8
 			req.Args, i, ok = decodeNumbers(b, i)
 		default:
 			return req, false

@@ -119,6 +119,7 @@ func decodeSeeds(t testing.TB) [][]byte {
 		`{"source":"x"`,
 		`{"source":"x","extra":[[[[1,{"a":[2]}]]]]}`,
 		`{"source":"x","-":"y","TraceID":"z"}`,
+		`{"source":"x","engine":"walk","width":8,"tenant":"a"}`,
 		`["source"]`,
 		`"source"`,
 		`null`,
@@ -164,6 +165,48 @@ func TestHotBodiesTakeFastPath(t *testing.T) {
 		if want, err := decodeJSON(body); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: fast path decoded %+v, encoding/json %+v (%v)", name, got, want, err)
 		}
+	}
+}
+
+// TestDecoderCoversEveryKey: every JSON key of Request, holding a valid
+// value, takes the single pass and decodes as encoding/json decodes it.
+// A field added to Request without a case in decodeFast fails here; a
+// case without a field does not compile.
+func TestDecoderCoversEveryKey(t *testing.T) {
+	rt := reflect.TypeOf(Request{})
+	keys := 0
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if key == "-" {
+			continue
+		}
+		var value string
+		switch f.Type.Kind() {
+		case reflect.String:
+			value = `"x"`
+		case reflect.Bool:
+			value = `true`
+		case reflect.Int, reflect.Int64, reflect.Uint64:
+			value = `7`
+		case reflect.Slice:
+			value = `[1,2.5]`
+		default:
+			t.Fatalf("Request.%s: no test value for a %s", f.Name, f.Type)
+		}
+		keys++
+		body := []byte(`{"` + key + `":` + value + `}`)
+		got, ok := decodeFast(body)
+		if !ok {
+			t.Errorf("%s: key %q fell back to encoding/json", body, key)
+			continue
+		}
+		if want, err := decodeJSON(body); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: fast path decoded %+v, encoding/json %+v (%v)", body, got, want, err)
+		}
+	}
+	if keys != 9 {
+		t.Errorf("Request has %d JSON keys, the decoder's file comment says nine", keys)
 	}
 }
 

@@ -7,14 +7,14 @@
 //	GET  /healthz      — 200 while serving, 503 once draining
 //
 // A /run body key Request does not name is ignored, as encoding/json
-// ignores it; "sched" and "chunk", which chose the pool's schedule
-// before it had only one, are two such keys.
+// ignores it. The server owns every execution choice, so "engine",
+// "width", "tenant", "sched" and "chunk", keys the wire once read, are
+// ignored like any other.
 //
-// Error mapping: malformed requests are 400 (413 over the body cap);
-// an "engine" ParseEngine does not list is one of them, "compiled"
-// included. Admission rejections are 503 (queue full, draining) or 429
-// (tenant over quota) with Retry-After (back-pressure the load
-// generator honors), and every admitted request is 200 — including
+// Error mapping: malformed requests are 400 (413 over the body cap).
+// Admission rejections (queue full, draining) are 503 with Retry-After
+// (back-pressure the load generator honors), and every admitted
+// request is 200 — including
 // failed programs, whose Response carries ok=false and the error
 // string. A failed program is a successful service interaction; what
 // "error" begins with says which:
@@ -26,8 +26,8 @@
 //     compile. No plan in the reply; the failure is cached.
 //   - "interp: bytecode engine: …": it compiled but did not lower to
 //     bytecode. An auto reply still carries its plan, each approved
-//     loop's vector_reason reading "kernel lowering unavailable: …";
-//     only "engine": "walk" still runs it.
+//     loop's vector_reason reading "kernel lowering unavailable: …".
+//     Only an in-process run on the tree walker still runs it.
 //   - "<line>:<col>: interp: …": the run failed — a fault or a budget.
 //   - "serve: cancelled while …": the client or the deadline gave up
 //     before the run began; "… while queued" is counted as abandoned,
@@ -96,11 +96,6 @@ func (s *Server) finishRun(ctx context.Context, w http.ResponseWriter, req Reque
 	case err == ErrBusy || err == ErrDraining:
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-	case err == ErrTenantBusy:
-		// Over-quota is the tenant's condition, not the service's: 429,
-		// so clients can tell "slow down, you" from "the server is full".
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
 	default:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 	}

@@ -10,8 +10,7 @@
 //     the hot phase exercises the hot/cold mix rather than a pure
 //     cache residency test. An AutoRate fraction is sent with
 //     "auto": true (planner-parallelized execution), so the parallel
-//     path carries load too, not just the serial one. No request
-//     names an engine: the server owns that choice.
+//     path carries load too, not just the serial one.
 //
 // Hit rates come from diffing the server's /stats around the hot
 // phase; latencies are measured client-side per request.
@@ -230,7 +229,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 				if hctx.Err() != nil && err != nil {
 					break // the phase deadline cut this request off mid-flight
 				}
-				if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
+				if status == http.StatusServiceUnavailable {
 					// Back-pressure: honor the server's Retry-After instead
 					// of hammering a service that just said it is full.
 					rejected.Add(1)

@@ -56,8 +56,6 @@ func writeMetrics(p *obs.Prom, st Stats) {
 	p.Gauge("psl_queue_capacity", "Admission queue capacity.", float64(st.Queue.Capacity))
 	p.Gauge("psl_queue_running", "Requests executing now.", float64(st.Queue.Running))
 	p.Gauge("psl_queue_workers", "Requests that may execute at once.", float64(st.Queue.Workers))
-	p.Gauge("psl_queue_tenants", "Tenants with queued requests.", float64(st.Queue.Tenants))
-	p.Counter("psl_tenant_rejected_total", "Admissions refused because the tenant's quota was full.", float64(st.Queue.TenantRejected))
 	promLatency(p, "psl_request_latency_seconds", "Latency of executed requests.", st.Latency)
 	promRuntime(p, st.Runtime)
 }

@@ -152,7 +152,7 @@ func TestAutoMissTraceShape(t *testing.T) {
 // line and attributed to its function.
 func TestProfileEfficiency(t *testing.T) {
 	s := newTestServer(t, Config{})
-	resp := mustRun(t, s, Request{Source: scalePar, Auto: true, PEs: 2, Width: 8, Profile: true})
+	resp := mustRun(t, s, Request{Source: scalePar, Auto: true, PEs: 2, Profile: true})
 	if !resp.OK || resp.Plan == nil || resp.Trace == nil {
 		t.Fatalf("profiled auto run: %+v", resp)
 	}
@@ -180,7 +180,7 @@ func TestProfileEfficiency(t *testing.T) {
 		t.Errorf("imbalance %.2f < 1 (busiest/mean cannot undercut the mean)", site.Imbalance)
 	}
 	// Unprofiled requests never pay for the report.
-	if again := mustRun(t, s, Request{Source: scalePar, Auto: true, PEs: 2, Width: 8}); len(again.Efficiency) != 0 {
+	if again := mustRun(t, s, Request{Source: scalePar, Auto: true, PEs: 2}); len(again.Efficiency) != 0 {
 		t.Errorf("unprofiled auto run returned an efficiency report")
 	}
 }
@@ -215,10 +215,10 @@ function int main() {
 }
 
 // TestTraceSampling: with TraceRate 1 every request lands in the
-// /debug/traces ring without any response carrying a trace; with the
-// rate unset the ring stays empty.
+// /debug/traces ring, which keeps the last traceRing, without any
+// response carrying a trace; with the rate unset the ring stays empty.
 func TestTraceSampling(t *testing.T) {
-	s := newTestServer(t, Config{TraceRate: 1, TraceBuffer: 8})
+	s := newTestServer(t, Config{TraceRate: 1})
 	for i := 0; i < 5; i++ {
 		if resp := mustRun(t, s, Request{Source: addSrc}); resp.Trace != nil {
 			t.Fatalf("sampled (not profiled) request %d returned a trace in the response", i)
@@ -226,6 +226,12 @@ func TestTraceSampling(t *testing.T) {
 	}
 	if n := s.traces.Len(); n != 5 {
 		t.Errorf("ring holds %d traces after 5 sampled requests, want 5", n)
+	}
+	for i := 5; i < traceRing+5; i++ {
+		mustRun(t, s, Request{Source: addSrc})
+	}
+	if n := s.traces.Len(); n != traceRing {
+		t.Errorf("ring holds %d traces after %d sampled requests, want its bound %d", n, traceRing+5, traceRing)
 	}
 
 	off := newTestServer(t, Config{})
@@ -349,7 +355,7 @@ func promValue(text, name string) (float64, bool) {
 // GET /debug/traces serves, newest first, and a propagated header ID
 // is adopted verbatim.
 func TestDebugTracesEndpoint(t *testing.T) {
-	s := newTestServer(t, Config{TraceBuffer: 4})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

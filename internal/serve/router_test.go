@@ -40,8 +40,8 @@ func routerCorpus(t *testing.T) []Program {
 }
 
 // TestRouterNoDuplicateCompiles: with every corpus program requested
-// repeatedly through the router — as serial, bytecode, and auto
-// variants — the compile count summed over the replicas equals the
+// repeatedly through the router — as serial, parallel, and auto
+// requests — the compile count summed over the replicas equals the
 // unique-variant count, and each program's entries sit on its owner
 // alone. Hashing on the source alone puts every variant of a program
 // on one replica; no replica compiles a program another one owns.
@@ -55,7 +55,7 @@ func TestRouterNoDuplicateCompiles(t *testing.T) {
 		for _, p := range corpus {
 			for _, req := range []Request{
 				{Source: p.Source},
-				{Source: p.Source, Engine: "bytecode"},
+				{Source: p.Source, Parallel: true, PEs: 2},
 				{Source: p.Source, Auto: true, PEs: 2},
 			} {
 				resp, status, _, err := postRun(context.Background(), ts.Client(), ts.URL, req)
@@ -69,7 +69,7 @@ func TestRouterNoDuplicateCompiles(t *testing.T) {
 		}
 	}
 
-	// Serial+bytecode share one cache entry per program; auto adds one.
+	// Serial and parallel share one cache entry per program; auto adds one.
 	wantVariants := 2 * len(corpus)
 	wantEntries := map[*Server]int{}
 	for _, p := range corpus {
@@ -101,7 +101,7 @@ func TestRouterVsDirectDifferential(t *testing.T) {
 	for _, p := range routerCorpus(t) {
 		for _, req := range []Request{
 			{Source: p.Source},
-			{Source: p.Source, Auto: true, PEs: 2, Width: 8},
+			{Source: p.Source, Auto: true, PEs: 2},
 		} {
 			want := mustRun(t, direct, req)
 			got, status, _, err := postRun(context.Background(), ts.Client(), ts.URL, req)

@@ -10,17 +10,17 @@
 //     (interp.CompileProgram; for a planned variant the planner's own
 //     lowering, transform.Plan.Code), so a repeat request skips lexing,
 //     parsing, checking, slot resolution, and lowering entirely — it
-//     binds a frame and runs, whichever engine it names.
+//     binds a frame and runs.
 //     Concurrent cold misses for one source are singleflighted: one
 //     build, everyone waits on it.
 //   - per-request sandboxing (execute below): wall-clock deadline via
 //     context cancellation plus step, allocation, and output-byte
-//     budgets, enforced inside every execution engine so the
-//     tree-walking oracle remains a valid differential check for the
-//     served configuration too.
+//     budgets, enforced inside every execution engine, so an
+//     in-process run on the tree-walking oracle is a valid differential
+//     check for the served configuration too.
 //   - an admission gate (gate.go): a request runs on the goroutine
 //     that brought it — net/http's, or whoever called Run. At most
-//     Workers run at once, a bounded fair queue parks the next few, and
+//     Workers run at once, a bounded FIFO parks the next few, and
 //     load beyond it is rejected, not buffered. The Server starts no
 //     goroutine, so Close has only requests to wait for.
 //   - a stats surface (stats.go, GET /stats): cache hit/miss/eviction
@@ -30,7 +30,7 @@
 //     (transform.AutoParallelize) runs the dependence test on every
 //     loop of the submitted program and strip-mines the approved ones;
 //     the planned variant is cached as its own entry keyed by
-//     (source, width), so hot auto requests skip analysis, planning,
+//     (source, strip width), so hot auto requests skip analysis, planning,
 //     and compilation exactly like hot serial requests skip the front
 //     end. The Response carries the plan: which loops run parallel,
 //     and why the rest were rejected.
@@ -66,35 +66,21 @@ type Config struct {
 	// on its caller's goroutine (0 = GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds how many requests may wait for one of those
-	// slots; a request arriving with the queue full is rejected with
-	// ErrBusy (0 = 4×Workers).
+	// slots, first come first served; a request arriving with the queue
+	// full is rejected with ErrBusy (0 = 4×Workers).
 	QueueDepth int
-	// TenantQueueDepth is the per-tenant admission quota: how many of a
-	// single tenant's requests may be queued at once. A tenant at its
-	// quota is rejected with ErrTenantBusy even while the global queue
-	// has room, so one tenant cannot crowd out the rest; dispatch across
-	// tenants with queued work is round-robin (fair queuing). 0 =
-	// QueueDepth, i.e. no per-tenant bound beyond the global one.
-	TenantQueueDepth int
-	// CacheEntries is the compiled-program cache capacity across all
-	// shards (0 = 128 entries). Capacity is split evenly per shard and
-	// rounded up, so the effective total is
-	// ceil(CacheEntries/CacheShards)×CacheShards — Stats reports the
-	// effective number.
+	// CacheEntries is the compiled-program cache capacity across its
+	// cacheShards shards (0 = 128 entries). Capacity is split evenly per
+	// shard and rounded up, so the effective total is
+	// ceil(CacheEntries/8)×8 — Stats reports the effective number.
 	CacheEntries int
-	// CacheShards is the shard count of the program cache (0 = 8).
-	CacheShards int
 	// MaxPEs caps the worker-pool size a parallel request may ask for
 	// (0 = 32); requests beyond it are rejected as malformed. Without
 	// a cap a single request could spawn unbounded goroutines, which
-	// no other sandbox budget bounds.
+	// no other sandbox budget bounds. It also bounds the auto strip
+	// width, transform.DefaultWidth of the PE count, and with it how many
+	// planned variants one source can pin.
 	MaxPEs int
-	// MaxStripWidth caps the strip width an auto request may ask for
-	// (0 = 256). Width only sets loop constants — runtime stays
-	// bounded by the sandbox budgets — but each distinct width is a
-	// separate cache variant, so the cap also bounds how many variants
-	// one source can pin.
-	MaxStripWidth int
 	// DefaultTimeout is the per-request wall-clock budget when the
 	// request does not name one (0 = 5s); MaxTimeout caps what a
 	// request may ask for (0 = 30s).
@@ -113,11 +99,17 @@ type Config struct {
 	// Nth) into the /debug/traces ring. 0 disables sampling — the hot
 	// path then takes no clock readings and allocates nothing for
 	// tracing. Requests with "profile": true or an X-PSL-Trace header
-	// are always traced, regardless of the rate.
+	// are always traced, regardless of the rate; the last traceRing of
+	// them are kept for /debug/traces.
 	TraceRate float64
-	// TraceBuffer bounds the /debug/traces ring (0 = 64 traces).
-	TraceBuffer int
 }
+
+// cacheShards is the program cache's shard count and traceRing the
+// number of traces /debug/traces keeps.
+const (
+	cacheShards = 8
+	traceRing   = 64
+)
 
 // defaultMaxSourceBytes is MaxSourceBytes's default; the Router reads
 // every body under the envelope it implies.
@@ -133,14 +125,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 128
 	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 8
-	}
 	if c.MaxPEs <= 0 {
 		c.MaxPEs = 32
-	}
-	if c.MaxStripWidth <= 0 {
-		c.MaxStripWidth = 256
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 5 * time.Second
@@ -160,9 +146,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxOutputBytes <= 0 {
 		c.MaxOutputBytes = 1 << 20
 	}
-	if c.TraceBuffer <= 0 {
-		c.TraceBuffer = 64
-	}
 	return c
 }
 
@@ -176,33 +159,23 @@ type Request struct {
 	// Args are the call arguments; integral JSON numbers become PSL
 	// ints, fractional ones reals.
 	Args []json.Number `json:"args,omitempty"`
-	// Engine is validated, not obeyed: the server owns the engine, so
-	// "", "kernel" and "bytecode" all run it (the bytecode VM with
-	// vectorized strips as batched kernels). Only "walk" selects
-	// something else, the differential oracle. See ParseEngine.
-	Engine string `json:"engine,omitempty"`
 	// Parallel runs forall regions on the parexec worker pool with PEs
-	// workers (0 = GOMAXPROCS). The pool has one schedule, so there is
-	// nothing else to choose: a "sched" or "chunk" key in the body is
-	// ignored like any unknown key.
+	// workers (0 = GOMAXPROCS, capped at Config.MaxPEs). The server owns
+	// every other execution choice — the engine, the schedule, the strip
+	// width — so there is nothing else to ask for: an "engine", "width",
+	// "tenant", "sched" or "chunk" key in the body is ignored like any
+	// unknown key.
 	Parallel bool `json:"parallel,omitempty"`
 	PEs      int  `json:"pes,omitempty"`
 	// Auto asks the planner to decide what is parallel: every while
 	// loop of the program goes through the dependence test, approved
 	// loops are strip-mined, and the transformed program runs on the
 	// parexec pool (PEs as with Parallel). The Response
-	// carries the plan. The planned variant is cached like any other
+	// carries the plan. The strip width is transform.DefaultWidth of the
+	// effective PE count. The planned variant is cached like any other
 	// program — keyed by (source, width) — so hot auto requests do no
 	// analysis, planning, or compilation.
 	Auto bool `json:"auto,omitempty"`
-	// Width overrides the strip width for Auto (0 = 4× the effective
-	// PE count, capped by the server's MaxStripWidth).
-	Width int `json:"width,omitempty"`
-	// Tenant attributes the request for admission: each tenant has its
-	// own quota of queue slots (Config.TenantQueueDepth) and its own
-	// fair-queuing turn. Empty is fine — anonymous requests share one
-	// tenant.
-	Tenant string `json:"tenant,omitempty"`
 	// Seed feeds the deterministic rand() builtin.
 	Seed uint64 `json:"seed,omitempty"`
 	// TimeoutMS requests a specific wall-clock budget instead of the
@@ -298,15 +271,10 @@ func planSummary(p *transform.Plan) *PlanSummary {
 	return ps
 }
 
-// Admission errors (ErrBusy and ErrDraining map to HTTP 503,
-// ErrTenantBusy to 429 — the tenant is over quota, the service is not
-// overloaded — all with Retry-After).
+// Admission errors (both map to HTTP 503 with Retry-After).
 var (
 	// ErrBusy rejects a request that found the admission queue full.
 	ErrBusy = errors.New("serve: queue full")
-	// ErrTenantBusy rejects a request whose tenant has exhausted its
-	// own quota of queue slots.
-	ErrTenantBusy = errors.New("serve: tenant quota exceeded")
 	// ErrDraining rejects requests arriving after Close began.
 	ErrDraining = errors.New("serve: draining")
 )
@@ -318,22 +286,6 @@ func (e *RequestError) Error() string { return e.Msg }
 
 func badRequest(format string, args ...any) error {
 	return &RequestError{Msg: fmt.Sprintf(format, args...)}
-}
-
-// ParseEngine is the wire's engine switch: the names "engine" on
-// POST /run may carry and what each runs. The empty name, "kernel" and
-// "bytecode" are the server's engine, the zero interp.Engine — one
-// answer, so a client cannot pick a slower path for the same result —
-// and "walk" is the tree-walking oracle, kept reachable so a reply can
-// be cross-checked. Anything else is a malformed request.
-func ParseEngine(name string) (interp.Engine, error) {
-	switch name {
-	case "", "kernel", "bytecode":
-		return interp.EngineKernel, nil
-	case "walk":
-		return interp.EngineWalk, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want kernel, bytecode or walk)", name)
 }
 
 // Server is the execution service. Create with New, expose over HTTP
@@ -364,11 +316,11 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
 		cfg:     cfg,
-		cache:   newCache(cfg.CacheEntries, cfg.CacheShards),
-		gate:    newGate(cfg.Workers, cfg.QueueDepth, cfg.TenantQueueDepth),
+		cache:   newCache(cfg.CacheEntries, cacheShards),
+		gate:    newGate(cfg.Workers, cfg.QueueDepth),
 		start:   time.Now(),
 		sampler: obs.NewSampler(cfg.TraceRate),
-		traces:  obs.NewRing(cfg.TraceBuffer),
+		traces:  obs.NewRing(traceRing),
 		latency: newHistogram(),
 	}
 }
@@ -384,7 +336,7 @@ func (s *Server) Close() {
 // Run validates, admits, and executes one request on the calling
 // goroutine. The returned error is nil for every request that reached
 // execution (Response.OK distinguishes success); non-nil errors are
-// admission rejections (ErrBusy, ErrTenantBusy, ErrDraining) or
+// admission rejections (ErrBusy, ErrDraining) or
 // *RequestError for malformed requests.
 func (s *Server) Run(ctx context.Context, req Request) (Response, error) {
 	s.requests.Add(1)
@@ -400,11 +352,6 @@ func (s *Server) Run(ctx context.Context, req Request) (Response, error) {
 		s.invalid.Add(1)
 		return Response{}, badRequest("source is %d bytes, cap is %d", len(req.Source), s.cfg.MaxSourceBytes)
 	}
-	eng, err := ParseEngine(req.Engine)
-	if err != nil {
-		s.invalid.Add(1)
-		return Response{}, badRequest("%v", err)
-	}
 	if req.Parallel || req.Auto {
 		if req.PEs < 0 || req.PEs > s.cfg.MaxPEs {
 			s.invalid.Add(1)
@@ -416,19 +363,12 @@ func (s *Server) Run(ctx context.Context, req Request) (Response, error) {
 			req.PEs = min(runtime.GOMAXPROCS(0), s.cfg.MaxPEs)
 		}
 	}
-	// Resolve the auto strip width up front: the resolved width is part
-	// of the cache key, so two requests that mean the same width share
-	// one planned variant.
+	// The auto strip width follows from the PE count; it is part of the
+	// cache key, so every request for one PE count shares one planned
+	// variant.
 	width := 0
 	if req.Auto {
-		if req.Width < 0 || req.Width > s.cfg.MaxStripWidth {
-			s.invalid.Add(1)
-			return Response{}, badRequest("width %d out of range [0, %d]", req.Width, s.cfg.MaxStripWidth)
-		}
-		width = req.Width
-		if width == 0 {
-			width = min(transform.DefaultWidth(req.PEs), s.cfg.MaxStripWidth)
-		}
+		width = transform.DefaultWidth(req.PEs)
 	}
 	args, err := convertArgs(req.Args)
 	if err != nil {
@@ -449,7 +389,7 @@ func (s *Server) Run(ctx context.Context, req Request) (Response, error) {
 	// released in a defer: net/http recovers a handler's panic, so the
 	// process outlives one and the slot must too.
 	adm := tr.Start("admission")
-	err = s.gate.enter(ctx, req.Tenant)
+	err = s.gate.enter(ctx)
 	adm.End()
 	if err == errAbandoned {
 		// The client abandoned the request while it was queued; nothing
@@ -465,7 +405,7 @@ func (s *Server) Run(ctx context.Context, req Request) (Response, error) {
 		return Response{}, err
 	}
 	defer s.gate.leave()
-	resp := s.execute(ctx, req, eng, width, args, tr)
+	resp := s.execute(ctx, req, width, args, tr)
 	s.finishTrace(tr, &resp, req.Profile)
 	return resp, nil
 }
@@ -488,9 +428,8 @@ func (s *Server) finishTrace(tr *obs.Trace, resp *Response, profile bool) {
 // execute runs one admitted request on the calling goroutine: cache
 // lookup (compiling — and for auto requests, planning — at most once
 // per distinct variant), then a sandboxed run — deadline, step,
-// allocation, and output budgets all active in whichever engine and
-// mode the request selected.
-func (s *Server) execute(ctx context.Context, req Request, eng interp.Engine, width int, args []interp.Value, tr *obs.Trace) Response {
+// allocation, and output budgets all active, serial or on the pool.
+func (s *Server) execute(ctx context.Context, req Request, width int, args []interp.Value, tr *obs.Trace) Response {
 	start := time.Now()
 	done := func(resp Response) Response {
 		el := time.Since(start)
@@ -565,7 +504,6 @@ func (s *Server) execute(ctx context.Context, req Request, eng interp.Engine, wi
 			prof = obs.NewForallProfiler()
 		}
 		v, st, rerr = parexec.Run(cp.Program(), parexec.Options{
-			Interp:         eng,
 			Compiled:       cp,
 			PEs:            req.PEs,
 			Seed:           req.Seed,
@@ -578,7 +516,6 @@ func (s *Server) execute(ctx context.Context, req Request, eng interp.Engine, wi
 		}, fn, args...)
 	} else {
 		v, st, rerr = interp.RunCompiled(cp, interp.Config{
-			Engine:         eng,
 			Seed:           req.Seed,
 			Output:         &out,
 			MaxSteps:       s.cfg.MaxSteps,

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/nbody"
@@ -94,28 +95,12 @@ func TestRunBasic(t *testing.T) {
 	if !resp.Cached {
 		t.Errorf("second request for the same source should hit the cache")
 	}
-	// Walk engine answers identically (the served differential check).
-	w := mustRun(t, s, Request{Source: addSrc, Engine: "walk"})
-	if w.Result != "42" || w.Output != "sum 5\n" {
-		t.Errorf("walk engine diverged: %+v", w)
-	}
-	// So does a request that names the VM — and it hits the same cache
-	// entry (entries are engine-independent).
-	bc := mustRun(t, s, Request{Source: addSrc, Engine: "bytecode"})
-	if bc.Result != "42" || bc.Output != "sum 5\n" {
-		t.Errorf("bytecode engine diverged: %+v", bc)
-	}
-	if !bc.Cached {
-		t.Errorf("bytecode request missed the engine-independent program cache")
-	}
 }
 
 func TestRunValidation(t *testing.T) {
 	s := newTestServer(t, Config{})
 	cases := []Request{
-		{},                                   // empty source
-		{Source: addSrc, Engine: "quantum"},  // unknown engine
-		{Source: addSrc, Engine: "compiled"}, // the closure engine's name went with it
+		{}, // empty source
 		{Source: addSrc, Args: []json.Number{json.Number("nope")}},
 	}
 	for i, req := range cases {
@@ -143,24 +128,30 @@ func TestRunValidation(t *testing.T) {
 // miss, repeats hit, and capacity overflow evicts the LRU entry so a
 // later repeat misses again.
 func TestCacheHitMissEviction(t *testing.T) {
-	s := newTestServer(t, Config{CacheEntries: 2, CacheShards: 1})
-	srcs := make([]string, 3)
-	for i := range srcs {
-		srcs[i] = fmt.Sprintf("%s\n// variant %d\n", addSrc, i)
+	c := newCache(2, 1)
+	builds := 0
+	get := func(src string) (cached bool) {
+		_, _, cached, err := c.get(context.Background(), serialKey(src), func() (*interp.CompiledProgram, *PlanSummary, error) {
+			builds++
+			return nil, nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cached
 	}
-	mustRun(t, s, Request{Source: srcs[0]}) // miss
-	mustRun(t, s, Request{Source: srcs[0]}) // hit
-	mustRun(t, s, Request{Source: srcs[1]}) // miss (cache full now)
-	mustRun(t, s, Request{Source: srcs[2]}) // miss, evicts srcs[0]
-	st := s.Stats().Cache
-	if st.Hits != 1 || st.Misses != 3 || st.Evictions != 1 || st.Compiles != 3 {
-		t.Fatalf("after fill: %+v", st)
+	get("a") // miss
+	get("a") // hit
+	get("b") // miss (cache full now)
+	get("c") // miss, evicts a
+	st := c.stats()
+	if st.Hits != 1 || st.Misses != 3 || st.Evictions != 1 || st.Compiles != 3 || builds != 3 {
+		t.Fatalf("after fill: %+v, %d builds", st, builds)
 	}
-	resp := mustRun(t, s, Request{Source: srcs[0]}) // miss again: was evicted
-	if resp.Cached {
+	if get("a") { // miss again: was evicted
 		t.Errorf("evicted program reported cached")
 	}
-	st = s.Stats().Cache
+	st = c.stats()
 	if st.Misses != 4 || st.Evictions != 2 || st.Entries != 2 {
 		t.Fatalf("after re-touch: %+v", st)
 	}
@@ -241,9 +232,7 @@ func TestCorpusCachedVsFresh(t *testing.T) {
 // TestHotPathZeroCompileWork is the acceptance guard: once a program
 // is resident, further requests do zero front-end work — no parses, no
 // checks, no code builds — observable as flat compile counters at both
-// the serve and interp layers, whichever engine name the request
-// carries. "compiled" is a second name for the bytecode VM: its reply
-// is the "bytecode" reply, byte for byte.
+// the serve and interp layers.
 func TestHotPathZeroCompileWork(t *testing.T) {
 	s := newTestServer(t, Config{})
 	mustRun(t, s, Request{Source: addSrc}) // warm
@@ -256,66 +245,52 @@ func TestHotPathZeroCompileWork(t *testing.T) {
 			t.Fatalf("hot request %d: %+v", i, resp)
 		}
 	}
-	reply := func(engine string) string {
-		resp := mustRun(t, s, Request{Source: addSrc, Engine: engine})
-		if !resp.OK || !resp.Cached {
-			t.Fatalf("hot %s request: %+v", engine, resp)
-		}
-		resp.ElapsedUS = 0
-		body, err := json.Marshal(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-	if bc, def := reply("bytecode"), reply(""); def != bc {
-		t.Errorf("engine-less reply\n%s\nengine bytecode\n%s", def, bc)
-	}
 	st := s.Stats().Cache
 	if st.Compiles != st0.Compiles || st.Misses != st0.Misses {
 		t.Errorf("hot requests compiled: %+v vs %+v", st, st0)
 	}
-	if st.Hits != st0.Hits+hot+2 {
-		t.Errorf("hits %d, want %d", st.Hits, st0.Hits+hot+2)
+	if st.Hits != st0.Hits+hot {
+		t.Errorf("hits %d, want %d", st.Hits, st0.Hits+hot)
 	}
 	if d := interp.CompileCount() - c0; d != 0 {
 		t.Errorf("front end ran %d times on the hot path", d)
 	}
 }
 
+// postBody sends body to s's POST /run and returns the status and the
+// reply, its elapsed time zeroed so that two replies can be compared.
+func postBody(t *testing.T, s *Server, body string) (int, Response) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(body)))
+	var resp Response
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("%s: %v (%q)", body, err, rec.Body.String())
+	}
+	resp.ElapsedUS = 0
+	return rec.Code, resp
+}
+
 // TestDefaultEngineOnTheWire: the server owns the engine. A POST /run
-// body without "engine", with "kernel" and with "bytecode" all run the
-// kernel engine; only "walk" selects something else (the name table
-// itself is pinned by the root TestDefaultEngine). Results
-// cannot tell engines apart, but a profiled auto run can: only the
-// kernel engine reports the vectorized loop's forall site as a kernel
-// site.
+// body runs the kernel engine whatever "engine" key it carries — none,
+// "kernel", "bytecode" or "walk" (the name table of the zero engine is
+// pinned by the root TestDefaultEngine). Results cannot tell engines
+// apart, but a profiled auto run can: only the kernel engine reports
+// the vectorized loop's forall site as a kernel site.
 func TestDefaultEngineOnTheWire(t *testing.T) {
 	s := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	kernelSite := func(engine string) bool {
-		t.Helper()
-		req := Request{Source: scalePar, Engine: engine, Auto: true, PEs: 2, Profile: true}
-		if body, _ := json.Marshal(req); engine == "" && bytes.Contains(body, []byte("engine")) {
-			t.Fatalf("request body %s carries an engine", body)
-		}
-		resp, status, _, err := postRun(context.Background(), ts.Client(), ts.URL, req)
-		if err != nil || status != http.StatusOK || !resp.OK || resp.Result != "630" {
-			t.Fatalf("engine %q: %v %d %+v", engine, err, status, resp)
+	src := jsonString(scalePar)
+	for _, extra := range []string{"", `,"engine":"kernel"`, `,"engine":"bytecode"`, `,"engine":"walk"`} {
+		status, resp := postBody(t, s, `{"source":`+src+`,"auto":true,"pes":2,"profile":true`+extra+`}`)
+		if status != http.StatusOK || !resp.OK || resp.Result != "630" {
+			t.Fatalf("body with %q: %d %+v", extra, status, resp)
 		}
 		if len(resp.Efficiency) != 1 || len(resp.Plan.Parallelized) != 1 || !resp.Plan.Parallelized[0].Vectorized {
-			t.Fatalf("engine %q: plan %+v efficiency %+v, want one vectorized loop and its site", engine, resp.Plan, resp.Efficiency)
+			t.Fatalf("body with %q: plan %+v efficiency %+v, want one vectorized loop and its site", extra, resp.Plan, resp.Efficiency)
 		}
-		return resp.Efficiency[0].Kernel
-	}
-	for _, name := range []string{"", "kernel", "bytecode"} {
-		if !kernelSite(name) {
-			t.Errorf("engine %q did not run the vectorized strip as a kernel", name)
+		if !resp.Efficiency[0].Kernel {
+			t.Errorf("body with %q did not run the vectorized strip as a kernel", extra)
 		}
-	}
-	if kernelSite("walk") {
-		t.Errorf("the oracle reported a kernel site: the probe cannot tell engines apart")
 	}
 }
 
@@ -403,7 +378,7 @@ func TestAutoRun(t *testing.T) {
 	if !serial.OK || serial.Result != "630" { // sum(1..20)*3
 		t.Fatalf("serial: %+v", serial)
 	}
-	auto := mustRun(t, s, Request{Source: scalePar, Auto: true, PEs: 4, Width: 16})
+	auto := mustRun(t, s, Request{Source: scalePar, Auto: true, PEs: 4})
 	if !auto.OK || auto.Result != serial.Result || auto.Output != serial.Output {
 		t.Fatalf("auto run diverged from serial: %+v", auto)
 	}
@@ -413,7 +388,7 @@ func TestAutoRun(t *testing.T) {
 	if auto.Plan == nil {
 		t.Fatalf("auto response lacks a plan")
 	}
-	if auto.Plan.Width != 16 || len(auto.Plan.Parallelized) != 1 {
+	if auto.Plan.Width != transform.DefaultWidth(4) || len(auto.Plan.Parallelized) != 1 {
 		t.Fatalf("plan: %+v", auto.Plan)
 	}
 	if got := auto.Plan.Parallelized[0]; got.Fn != "scale" || got.Loop != 0 || got.Helper == "" {
@@ -436,7 +411,7 @@ func TestAutoRun(t *testing.T) {
 	if resp := mustRun(t, s, Request{Source: scalePar}); !resp.Cached || resp.Plan != nil {
 		t.Errorf("serial repeat: cached=%v plan=%v", resp.Cached, resp.Plan)
 	}
-	again := mustRun(t, s, Request{Source: scalePar, Auto: true, PEs: 4, Width: 16})
+	again := mustRun(t, s, Request{Source: scalePar, Auto: true, PEs: 4})
 	if !again.Cached || again.Plan == nil || again.Result != serial.Result {
 		t.Errorf("auto repeat: %+v", again)
 	}
@@ -474,13 +449,11 @@ func TestAutoNameClash(t *testing.T) {
 	}
 }
 
-// TestAutoValidation: width out of range and PEs beyond the cap are
-// malformed, not executed.
+// TestAutoValidation: PEs out of range are malformed, not executed.
 func TestAutoValidation(t *testing.T) {
 	s := newTestServer(t, Config{})
 	for i, req := range []Request{
-		{Source: scalePar, Auto: true, Width: -1},
-		{Source: scalePar, Auto: true, Width: 1 << 20},
+		{Source: scalePar, Auto: true, PEs: -1},
 		{Source: scalePar, Auto: true, PEs: 1 << 30},
 	} {
 		if _, err := s.Run(context.Background(), req); err == nil {
@@ -537,35 +510,36 @@ func TestParallelPEsCap(t *testing.T) {
 	}
 }
 
-// TestScheduleKeysIgnored: the pool has one schedule, so a body that
-// still names one — "sched" and "chunk", keys the wire used to read —
-// is answered exactly as the same body without them: same status, same
-// reply but for the elapsed time.
+// TestScheduleKeysIgnored: the server owns every execution choice, so
+// a body that still names one — "sched" and "chunk", "engine", "width"
+// and "tenant", keys the wire used to read — is answered exactly as the
+// same body without them: same status, same reply but for the elapsed
+// time. That holds for a value the wire once refused, too.
 func TestScheduleKeysIgnored(t *testing.T) {
 	s := newTestServer(t, Config{})
-	src, err := json.Marshal(addSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	answer := func(extra string) (int, Response) {
-		body := `{"source":` + string(src) + `,"parallel":true` + extra + `}`
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(body)))
-		var resp Response
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("%s: %v (%q)", body, err, rec.Body.String())
+	for _, base := range []string{
+		`{"source":` + jsonString(addSrc) + `,"parallel":true`,
+		`{"source":` + jsonString(scalePar) + `,"auto":true,"pes":2`,
+	} {
+		postBody(t, s, base+"}") // warm the cache, so every answer below is a hit
+		wantCode, want := postBody(t, s, base+"}")
+		if wantCode != http.StatusOK || !want.OK || !want.Cached {
+			t.Fatalf("%s}: HTTP %d %+v", base, wantCode, want)
 		}
-		resp.ElapsedUS = 0
-		return rec.Code, resp
-	}
-	answer("") // warm the cache, so both answers below are hits
-	wantCode, want := answer("")
-	if wantCode != http.StatusOK || !want.OK || want.Result != "42" || !want.Cached {
-		t.Fatalf("plain parallel body: HTTP %d %+v", wantCode, want)
-	}
-	code, got := answer(`,"sched":"psychic","chunk":3`)
-	if code != wantCode || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-		t.Errorf("with sched and chunk: HTTP %d %+v, want HTTP %d %+v", code, got, wantCode, want)
+		wantJSON, _ := json.Marshal(want)
+		for _, extra := range []string{
+			`,"sched":"psychic","chunk":3`,
+			`,"engine":"walk"`,
+			`,"engine":"compiled"`,
+			`,"width":8`,
+			`,"width":-1`,
+			`,"tenant":"a"`,
+		} {
+			code, got := postBody(t, s, base+extra+"}")
+			if gotJSON, _ := json.Marshal(got); code != wantCode || string(gotJSON) != string(wantJSON) {
+				t.Errorf("%s}: with %s: HTTP %d %s, want HTTP %d %s", base[:30], extra, code, gotJSON, wantCode, wantJSON)
+			}
+		}
 	}
 }
 
@@ -755,7 +729,7 @@ func TestAbandonedWhileQueued(t *testing.T) {
 		t.Errorf("abandoned %d errors %d latency samples %d rejected %d, want 1 / 1 / 1 / 0",
 			st.Abandoned, st.Errors, st.Latency.Count, st.Rejected)
 	}
-	if st.Queue.Running != 0 || st.Queue.Depth != 0 || st.Queue.Tenants != 0 {
+	if st.Queue.Running != 0 || st.Queue.Depth != 0 {
 		t.Errorf("gate not idle afterwards: %+v", st.Queue)
 	}
 	if resp := mustRun(t, s, Request{Source: addSrc}); !resp.OK {
@@ -1062,10 +1036,9 @@ func TestBuildReportsPlannedCompileFailure(t *testing.T) {
 //     no plan; the failure is cached.
 //   - the planned program compiles but does not lower to bytecode: the
 //     entry is cached with its plan, every approved loop saying
-//     "kernel lowering unavailable: …" for a vector verdict, and runs on
-//     the server's engine, under any of its names, are 200 ok:false
-//     "interp: bytecode engine: …"; the walker, which needs no
-//     bytecode, still runs it.
+//     "kernel lowering unavailable: …" for a vector verdict, and a run
+//     is 200 ok:false "interp: bytecode engine: …"; the walker, which
+//     needs no bytecode, still runs it in process.
 func TestPlanFailureReplies(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -1087,7 +1060,7 @@ func TestPlanFailureReplies(t *testing.T) {
 	}
 	post := func(req Request) Response {
 		t.Helper()
-		req.Width, req.PEs = width, 2
+		req.PEs = 2 // transform.DefaultWidth(2) is width
 		resp, status, _, err := postRun(context.Background(), ts.Client(), ts.URL, req)
 		if err != nil || status != http.StatusOK {
 			t.Fatalf("POST /run: %v, status %d, want 200", err, status)
@@ -1130,21 +1103,31 @@ func TestPlanFailureReplies(t *testing.T) {
 	}
 
 	src = scalePar + "// planned program does not lower\n"
-	plant(src, true, func(total *lang.FuncDecl) {
+	noBank := func(total *lang.FuncDecl) {
 		total.Body.Stmts[0].(*lang.VarStmt).DeclType = &lang.Scalar{Kind: 9} // no register bank holds it
-	})
-	for _, eng := range []string{"", "kernel", "bytecode"} {
-		resp = post(Request{Source: src, Auto: true, Engine: eng})
-		if resp.OK || !strings.HasPrefix(resp.Error, "interp: bytecode engine: bytecode: total: ") {
-			t.Errorf("planned program does not lower, engine %q: %+v", eng, resp)
-		}
-		if resp.Plan == nil || len(resp.Plan.Parallelized) != 1 || resp.Plan.Parallelized[0].Vectorized ||
-			!strings.HasPrefix(resp.Plan.Parallelized[0].VectorReason, "kernel lowering unavailable: bytecode: total: ") {
-			t.Errorf("planned program does not lower, engine %q: plan %+v", eng, resp.Plan)
-		}
 	}
-	if resp = post(Request{Source: src, Auto: true, Engine: "walk"}); !resp.OK || resp.Result != "630" || resp.Plan == nil {
-		t.Errorf("planned program does not lower, engine walk: %+v", resp)
+	plant(src, true, noBank)
+	resp = post(Request{Source: src, Auto: true})
+	if resp.OK || !strings.HasPrefix(resp.Error, "interp: bytecode engine: bytecode: total: ") {
+		t.Errorf("planned program does not lower: %+v", resp)
+	}
+	if resp.Plan == nil || len(resp.Plan.Parallelized) != 1 || resp.Plan.Parallelized[0].Vectorized ||
+		!strings.HasPrefix(resp.Plan.Parallelized[0].VectorReason, "kernel lowering unavailable: bytecode: total: ") {
+		t.Errorf("planned program does not lower: plan %+v", resp.Plan)
+	}
+	// The walker, which needs no bytecode, still runs the planned program.
+	p := lang.MustParse(scalePar)
+	noBank(p.Func("total"))
+	c, err := core.Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap, err := c.AutoParallel(width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _, err := ap.Run(core.RunConfig{Engine: interp.EngineWalk}, "main"); err != nil || v.String() != "630" {
+		t.Errorf("planned program does not lower, on the walker: %v, %v; want 630", v, err)
 	}
 	if st := s.Stats(); st.Invalid != 0 || st.Rejected != 0 {
 		t.Errorf("a plan failure was counted as a bad or refused request: %+v", st)

@@ -13,10 +13,6 @@
 //     and the parexec pool use width > PEs so that a PE that finishes
 //     early can take more of the trip's iterations.
 //
-//   - Unroll ([HG92]): replicate the body, relying on the same
-//     speculative traversability to avoid per-copy NULL checks on the
-//     advances.
-//
 //   - AutoParallelize (autopar.go): the planner that closes the
 //     paper's loop — run the dependence test on every while loop of a
 //     whole program and strip-mine each approved one, no hand-picked
@@ -299,58 +295,4 @@ func freeName(base string, taken func(string) bool) string {
 		name = fmt.Sprintf("%s%d", base, n)
 	}
 	return name
-}
-
-// Unroll replicates the body of the loop `factor` times ([HG92]). Each
-// copy is guarded by a NULL check on the induction variable, but the
-// advances themselves run unguarded thanks to speculative
-// traversability. The loop must pass the same dependence test as
-// StripMine (unrolling reorders no writes, but the test guarantees the
-// copies do not interfere, which also keeps the transformation safe
-// under later scheduling).
-func Unroll(prog *lang.Program, fnName string, loopIndex, factor int) (*lang.Program, error) {
-	if factor < 2 {
-		return nil, fmt.Errorf("transform: unroll factor must be >= 2, got %d", factor)
-	}
-	rep, err := approveLoop(prog, fnName, loopIndex)
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Parallelizable {
-		return nil, fmt.Errorf("transform: loop #%d of %s is not unrollable:\n%s", loopIndex, fnName, rep)
-	}
-
-	clone := prog.Clone()
-	fn := clone.Func(fnName)
-	loop, err := analysis.FindLoop(fn, loopIndex)
-	if err != nil {
-		return nil, err
-	}
-	ind := rep.Induction
-	field := rep.AdvanceField
-
-	orig := lang.CloneBlock(loop.Body)
-	orig.Stmts = orig.Stmts[:len(orig.Stmts)-1] // drop advance
-
-	mkAdvance := func() lang.Stmt {
-		return &lang.AssignStmt{
-			LHS: &lang.Ident{Name: ind},
-			RHS: &lang.FieldExpr{X: &lang.Ident{Name: ind}, Field: field},
-		}
-	}
-	var stmts []lang.Stmt
-	// First copy runs unguarded (the loop condition holds).
-	stmts = append(stmts, lang.CloneBlock(orig), mkAdvance())
-	for k := 1; k < factor; k++ {
-		stmts = append(stmts, &lang.IfStmt{
-			Cond: &lang.BinExpr{Op: lang.NEQ, X: &lang.Ident{Name: ind}, Y: &lang.NullLit{}},
-			Then: lang.CloneBlock(orig),
-		}, mkAdvance()) // speculative: advances past NULL are safe
-	}
-	loop.Body = &lang.Block{Stmts: stmts}
-
-	if err := lang.Check(clone); err != nil {
-		return nil, fmt.Errorf("transform: internal: unrolled code does not check: %w", err)
-	}
-	return clone, nil
 }

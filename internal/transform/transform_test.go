@@ -155,47 +155,6 @@ func TestStripMineBadArgs(t *testing.T) {
 	}
 }
 
-func TestUnrollSemantics(t *testing.T) {
-	prog := lang.MustParse(scaleSrc)
-	want, _, err := interp.Run(prog, interp.Config{Seed: 1}, "main", interp.IntVal(29), interp.IntVal(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, factor := range []int{2, 3, 4, 8} {
-		un, err := Unroll(prog, "scale", 0, factor)
-		if err != nil {
-			t.Fatalf("factor=%d: %v", factor, err)
-		}
-		got, _, err := interp.Run(un, interp.Config{Seed: 1}, "main", interp.IntVal(29), interp.IntVal(2))
-		if err != nil {
-			t.Fatalf("factor=%d: %v", factor, err)
-		}
-		if got.I != want.I {
-			t.Errorf("factor=%d: result %d, want %d", factor, got.I, want.I)
-		}
-	}
-}
-
-func TestUnrollShape(t *testing.T) {
-	prog := lang.MustParse(scaleSrc)
-	un, err := Unroll(prog, "scale", 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := lang.FormatFunc(un.Func("scale"))
-	// Three advances per trip.
-	if n := strings.Count(text, "p = p->next;"); n != 3 {
-		t.Errorf("expected 3 advances, found %d:\n%s", n, text)
-	}
-	// Two guards (first copy unguarded).
-	if n := strings.Count(text, "if (p != NULL)"); n != 2 {
-		t.Errorf("expected 2 guards, found %d:\n%s", n, text)
-	}
-	if _, err := Unroll(prog, "scale", 0, 1); err == nil {
-		t.Error("factor < 2 must fail")
-	}
-}
-
 func TestStripMineSimulatedSpeedsUp(t *testing.T) {
 	// Strip-mining pays off when per-node processing dominates the
 	// traversal (the paper's footnote 1), so give each node real work.

@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -700,33 +702,73 @@ function int main() {
 }
 `
 
+// orthRow is testdata/orthlist.psl with breakage inserted at the end of
+// make_row, after the row is built: scale_row's loop then runs over the
+// broken row.
+func orthRow(t *testing.T, breakage string) string {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("testdata", "orthlist.psl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ret = "  return head;\n"
+	if strings.Count(string(src), ret) != 1 {
+		t.Fatalf("orthlist.psl no longer has one %q for the breakage to precede", ret)
+	}
+	return strings.Replace(string(src), ret, breakage+ret, 1)
+}
+
 // TestBrokenDeclarationsAreFlagged is the declaration leg of ROADMAP
 // item 1(c): a verdict is sound only if the declaration is true of the
-// heap. Each program breaks build's uniquely forward next — a join, two
-// nodes pointing at one; a cycle, tail->next = head — and then runs
-// walk's loop, which the planner approves because walk may assume the
-// declaration. Each must be flagged before that loop runs: by PM3
-// validation (build exits with a violation) or by the runtime shape
-// checks (ShapeChecksFatal) on the walker and on the VM alike. Which
-// alarms fire is pinned; a program neither flags is a soundness hole.
-// The join trips both. The cycle trips only the shape checks: after
+// heap. Each program breaks a declaration in the function that builds
+// the structure and then runs a loop over it, which the planner may
+// approve because the loop's function may assume the declaration. A
+// broken program must be flagged before that loop runs: by PM3
+// validation (the builder exits with a violation) or by the runtime
+// shape checks (ShapeChecksFatal) on the walker and on the VM alike.
+// Whether the loop is approved and which alarms fire are pinned; an
+// approved loop that neither alarm flags is a soundness hole.
+//
+// The first two rows break the one-way list's uniquely forward next: a
+// join, two nodes pointing at one; a cycle, tail->next = head. The
+// join trips both alarms. The cycle trips only the shape checks: after
 // build's loop the path matrix relates head and tail by =? alone — the
 // next+ path between them is lost — so the store closing the cycle is
 // recorded as a possible alias, not as a cycle, and PM3 calls build
-// valid at exit.
+// valid at exit. The other three break testdata/orthlist.psl's row,
+// and every one trips both alarms while scale_row's loop stays
+// approved: a join and a cycle along across, the dimension scale_row
+// walks (the cycle closes through an exact edge, head->across, so
+// unlike the list's PM3 sees it), and a join along down, the row's
+// other dimension, which leaves scale_row's X traversal as sound as it
+// was.
 func TestBrokenDeclarationsAreFlagged(t *testing.T) {
+	list := func(breakage string) string { return fmt.Sprintf(brokenList, breakage) }
 	for _, tc := range []struct {
-		name, breakage string
-		exit           string // build's exit violations, as PM3 prints them
-		shapeErr       string // the fatal shape check's error, "<nil>" for none
+		name, src     string
+		builder, loop string // the function that breaks the declaration, the one whose loop runs over it
+		approved      bool   // whether the planner approves loop's first while loop
+		exit          string // builder's exit violations, as PM3 prints them
+		shapeErr      string // the fatal shape check's error, "<nil>" for none
 	}{
-		{name: "join", breakage: "  var OneWayList *x = new OneWayList;\n  x->next = head->next;\n",
+		{name: "join", src: list("  var OneWayList *x = new OneWayList;\n  x->next = head->next;\n"),
+			builder: "build", loop: "walk", approved: true,
 			exit: "[sharing of OneWayList along X]", shapeErr: "interp: 19:4: runtime sharing of OneWayList along X"},
-		{name: "cycle", breakage: "  tail->next = head;\n",
+		{name: "cycle", src: list("  tail->next = head;\n"),
+			builder: "build", loop: "walk", approved: true,
 			exit: "[]", shapeErr: "interp: 18:7: runtime cycle of OneWayList along X"},
+		{name: "orthlist across join", src: orthRow(t, "  var OrthList *x = new OrthList;\n  x->across = head->across;\n"),
+			builder: "make_row", loop: "scale_row", approved: true,
+			exit: "[sharing of OrthList along X]", shapeErr: "interp: 29:4: runtime sharing of OrthList along X"},
+		{name: "orthlist across cycle", src: orthRow(t, "  head->across->across = head;\n"),
+			builder: "make_row", loop: "scale_row", approved: true,
+			exit: "[cycle of OrthList along X]", shapeErr: "interp: 28:15: runtime cycle of OrthList along X"},
+		{name: "orthlist down join", src: orthRow(t, "  var OrthList *x = new OrthList;\n  x->down = head->across;\n  head->down = head->across;\n"),
+			builder: "make_row", loop: "scale_row", approved: true,
+			exit: "[sharing of OrthList along Y]", shapeErr: "interp: 30:7: runtime sharing of OrthList along Y"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := core.Compile(fmt.Sprintf(brokenList, tc.breakage))
+			c, err := core.Compile(tc.src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -736,17 +778,17 @@ func TestBrokenDeclarationsAreFlagged(t *testing.T) {
 			}
 			approved := false
 			for _, lp := range auto.Plan.Loops {
-				approved = approved || (lp.Func == "walk" && lp.Parallelized)
+				approved = approved || (lp.Func == tc.loop && lp.Index == 0 && lp.Parallelized)
 			}
-			if !approved {
-				t.Fatalf("walk's loop is not approved, so nothing unsound could run:\n%s", auto.Plan)
+			if approved != tc.approved {
+				t.Errorf("%s's loop approved = %t, want %t:\n%s", tc.loop, approved, tc.approved, auto.Plan)
 			}
-			keys, err := c.ExitViolations("build")
+			keys, err := c.ExitViolations(tc.builder)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := fmt.Sprint(keys); got != tc.exit {
-				t.Errorf("PM3: build exits with %s, want %s", got, tc.exit)
+				t.Errorf("PM3: %s exits with %s, want %s", tc.builder, got, tc.exit)
 			}
 			for _, eng := range []interp.Engine{interp.EngineWalk, interp.EngineBytecode} {
 				_, _, err := interp.Run(auto.Program, interp.Config{
@@ -756,7 +798,7 @@ func TestBrokenDeclarationsAreFlagged(t *testing.T) {
 					t.Errorf("%s with fatal shape checks: %v, want %s", eng, err, tc.shapeErr)
 				}
 			}
-			if len(keys) == 0 && tc.shapeErr == "<nil>" {
+			if approved && len(keys) == 0 && tc.shapeErr == "<nil>" {
 				t.Error("neither alarm fires: the approved loop runs over a heap its declaration lies about")
 			}
 		})
