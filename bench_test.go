@@ -243,12 +243,13 @@ func BenchmarkR6BytecodePolySerial(b *testing.B) {
 
 // BenchmarkR6BytecodePolyParallel2 is the planned form of
 // BenchmarkR6BytecodePolySerial on two PEs: normalize strip-mined at
-// the planner's default width (4×PEs), 64 scalar barriers of eight
-// ≈5 µs iterations — the grain at which the barrier's cost, not the
-// work, decides whether the planned program beats the serial one.
+// width 8 (4×PEs, the planner's default when this benchmark was
+// recorded), 64 scalar barriers of eight ≈5 µs iterations — the grain
+// at which the barrier's cost, not the work, decides whether the
+// planned program beats the serial one.
 func BenchmarkR6BytecodePolyParallel2(b *testing.B) {
 	b.ReportAllocs()
-	benchRealPoly(b, interp.EngineBytecode, transform.DefaultWidth(2), 2)
+	benchRealPoly(b, interp.EngineBytecode, 8, 2)
 }
 
 func BenchmarkR6BytecodeForceSerial(b *testing.B) {

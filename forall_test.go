@@ -23,6 +23,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/parexec"
 	"repro/internal/serve"
+	"repro/internal/transform"
 )
 
 // forallAnswer is everything a caller can observe of one run.
@@ -44,12 +45,66 @@ func answerOf(v interp.Value, st interp.Stats, out string, err error) forallAnsw
 	return a
 }
 
-var forallPrograms = []struct {
+// forallProgram is one program of TestForallOneAnswer's table.
+type forallProgram struct {
 	name, src string
 	// wantErr is a fragment of the expected error ("" = success);
 	// wantOut, if set, pins the output stream itself.
 	wantErr, wantOut string
-}{
+}
+
+// stripWidths is the width grid the strip tests range over: one lane,
+// a width that divides no list, 8 and 32 (the planner's default on two
+// PEs at 4 and at 16 lanes a PE), the planner's cap of 128, and one
+// wider than the longest list any of them walks (the corpus's
+// poly-normalize holds 400 terms, stripSrc's list 37 nodes).
+var stripWidths = []int{1, 3, 8, 32, 128, 512}
+
+// stripSrc is the shape transform.StripMine emits at width w — a
+// forall of w lanes, each calling a helper that skips _pe links and
+// then guards on NULL — over a 37-node list, with a body no kernel
+// takes (it allocates and prints), so the VM runs it on the scalar
+// strip path.
+func stripSrc(w int) string {
+	return fmt.Sprintf(`
+type C [L] { int v; C *next is uniquely forward along L; };
+procedure _visit(int _pe, C *p, int k) {
+  for _k = 1 to _pe {
+    p = p->next;
+  }
+  if p != NULL {
+    var C *t = new C;
+    t->v = p->v * k;
+    p->v = p->v + t->v;
+    print(_pe, p->v);
+  }
+}
+function int main() {
+  var C *head = NULL;
+  var int i = 0;
+  while i < 37 {
+    var C *t = new C;
+    t->v = i;
+    t->next = head;
+    head = t;
+    i = i + 1;
+  }
+  var C *p = head;
+  var int k = 3;
+  while p != NULL {
+    forall _pe = 0 to %d { _visit(_pe, p, k); }
+    for _pe = 0 to %[1]d { p = p->next; }
+  }
+  var int s = 0;
+  p = head;
+  while p != NULL { s = s + p->v; p = p->next; }
+  return s;
+}`, w-1)
+}
+
+// forallPrograms is TestForallOneAnswer's table: hand-written foralls,
+// then stripSrc at every width of the grid.
+var forallPrograms = append([]forallProgram{
 	{name: "printing body", src: `
 function int main() {
   forall i = 0 to 9 { print(i, i * i); }
@@ -98,6 +153,14 @@ function int main() {
   }
   return 1;
 }`, wantErr: "integer division by zero", wantOut: "0\n1000\n2000\n3000\n4000\n5000\n6000\n"},
+}, stripPrograms()...)
+
+func stripPrograms() []forallProgram {
+	var ps []forallProgram
+	for _, w := range stripWidths {
+		ps = append(ps, forallProgram{name: fmt.Sprintf("strip of width %d", w), src: stripSrc(w)})
+	}
+	return ps
 }
 
 func TestForallOneAnswer(t *testing.T) {
@@ -166,12 +229,13 @@ func TestForallOneAnswer(t *testing.T) {
 	}
 }
 
-// TestPoolLeavesTheSerialRun: every corpus program, planned, run on a
-// pool of 1, 2 or 4 PEs, leaves the value, the output
-// and the whole Stats — barriers included — of the same planned program
-// run serially in place with no scheduler, on every engine. The
-// interpreter, not the pool, decides a forall's output, error and
-// barrier count.
+// TestPoolLeavesTheSerialRun: every corpus program, planned at every
+// width of the grid, run serially in place with no scheduler or on a
+// pool of 1, 2 or 4 PEs, on every engine, leaves the value, the output
+// and the whole Stats — barriers included — of the walker's serial run
+// of the same planned program, which executes every lane's skip loop
+// literally. The interpreter, not the pool or the strip path, decides a
+// forall's output, error and barrier count.
 func TestPoolLeavesTheSerialRun(t *testing.T) {
 	type run struct {
 		value, output string
@@ -183,34 +247,95 @@ func TestPoolLeavesTheSerialRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			auto, err := c.AutoParallel(8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cp := interp.CompileProgram(auto.Program)
-			for _, eng := range eqEngines {
-				var out bytes.Buffer
-				v, st, err := interp.RunCompiled(cp, interp.Config{Engine: eng, Seed: p.seed, Output: &out}, p.fn, p.args...)
+			for _, width := range stripWidths {
+				auto, err := c.AutoParallel(width)
 				if err != nil {
-					t.Fatalf("%s serially: %v", eng, err)
+					t.Fatal(err)
+				}
+				cp := interp.CompileProgram(auto.Program)
+				var out bytes.Buffer
+				v, st, err := interp.RunCompiled(cp, interp.Config{Engine: interp.EngineWalk, Seed: p.seed, Output: &out}, p.fn, p.args...)
+				if err != nil {
+					t.Fatalf("width %d on the walker: %v", width, err)
 				}
 				want := run{v.String(), out.String(), st}
-				for _, pes := range []int{1, 2, 4} {
+				for _, eng := range eqEngines {
 					out.Reset()
-					v, st, err := parexec.Run(auto.Program, parexec.Options{
-						Interp: eng, Compiled: cp, PEs: pes, Seed: p.seed, Output: &out,
-					}, p.fn, p.args...)
+					v, st, err := interp.RunCompiled(cp, interp.Config{Engine: eng, Seed: p.seed, Output: &out}, p.fn, p.args...)
 					if err != nil {
-						t.Fatalf("%s pes=%d: %v", eng, pes, err)
+						t.Fatalf("width %d, %s serially: %v", width, eng, err)
 					}
 					if got := (run{v.String(), out.String(), st}); got != want {
-						t.Errorf("%s pes=%d: value %s stats %+v, serially %s %+v (outputs equal: %t)",
-							eng, pes, got.value, got.st, want.value, want.st, got.output == want.output)
+						t.Errorf("width %d, %s serially: value %s stats %+v, walker %s %+v (outputs equal: %t)",
+							width, eng, got.value, got.st, want.value, want.st, got.output == want.output)
+					}
+					for _, pes := range []int{1, 2, 4} {
+						out.Reset()
+						v, st, err := parexec.Run(auto.Program, parexec.Options{
+							Interp: eng, Compiled: cp, PEs: pes, Seed: p.seed, Output: &out,
+						}, p.fn, p.args...)
+						if err != nil {
+							t.Fatalf("width %d, %s pes=%d: %v", width, eng, pes, err)
+						}
+						if got := (run{v.String(), out.String(), st}); got != want {
+							t.Errorf("width %d, %s pes=%d: value %s stats %+v, walker %s %+v (outputs equal: %t)",
+								width, eng, pes, got.value, got.st, want.value, want.st, got.output == want.output)
+						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// FuzzWidthInvariance: a program planned at any strip width from 1 to
+// 256, run on a pool of two PEs, answers exactly as the unplanned
+// program does on the walker — value, output, allocations and error
+// text. (Steps and barriers are the planned program's own: strip-mining
+// adds the skip loops and a barrier a strip.) prog picks the program:
+// an index of equivalenceCorpus, or else the seed of a generated
+// many-loop program (transform.GenLoopProgramPSL with genDriver).
+func FuzzWidthInvariance(f *testing.F) {
+	for prog := int64(0); prog < 10; prog++ {
+		for _, w := range stripWidths[:5] {
+			f.Add(prog, uint8(w-1))
+		}
+	}
+	f.Add(int64(-3), uint8(255))
+	f.Fuzz(func(t *testing.T, prog int64, width uint8) {
+		corpus := equivalenceCorpus(t)
+		var p eqProgram
+		if prog >= 0 && prog < int64(len(corpus)) {
+			p = corpus[prog]
+		} else {
+			gen := transform.GenLoopProgramPSL(prog)
+			var calls strings.Builder
+			for i := 0; strings.Contains(gen, fmt.Sprintf("procedure f%d(", i)); i++ {
+				fmt.Fprintf(&calls, "  f%d(head, other, n);\n", i)
+			}
+			p = eqProgram{name: fmt.Sprintf("generated %d", prog), src: gen + fmt.Sprintf(genDriver, calls.String()),
+				fn: "gen_main", args: []interp.Value{interp.IntVal(3)}}
+		}
+		c, err := core.Compile(p.src)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		auto, err := c.AutoParallel(int(width) + 1)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		var out bytes.Buffer
+		v, st, err := interp.Run(c.Program, interp.Config{Engine: interp.EngineWalk, Seed: p.seed, Output: &out}, p.fn, p.args...)
+		want := answerOf(v, st, out.String(), err)
+		out.Reset()
+		v, st, err = parexec.Run(auto.Program, parexec.Options{PEs: 2, Seed: p.seed, Output: &out}, p.fn, p.args...)
+		got := answerOf(v, st, out.String(), err)
+		got.steps, want.steps = 0, 0
+		if got != want {
+			t.Errorf("%s planned at width %d, on 2 PEs:\n got %+v\nwant %+v (the unplanned program on the walker)\n%s",
+				p.name, int(width)+1, got, want, auto.Plan)
+		}
+	})
 }
 
 // hugeForall is the 100-byte request body that used to take the server

@@ -247,9 +247,11 @@ type ForallSite struct {
 	// with the original while loop's position, so this is the key the
 	// planner's per-loop verdicts join on.
 	Pos lang.Pos
-	// Kernel is the strip's batched SPMD form when classifyKernel
-	// proved the body vectorizable, nil otherwise; VectorReason then
-	// says concretely why not (see kernel.go).
+	// Strip is the loop's strip shape when matchStrip recognized it, nil
+	// otherwise. Kernel is the strip's batched SPMD form when
+	// classifyKernel proved the body vectorizable, nil otherwise;
+	// VectorReason then says concretely why not (see kernel.go).
+	Strip        *Strip
 	Kernel       *Kernel
 	VectorReason string
 }
@@ -319,12 +321,17 @@ func Compile(cp *compile.Program) (*Program, error) {
 			return nil, fmt.Errorf("bytecode: %s: %w", f.Name, err)
 		}
 	}
-	// Every callee's parameter registers are known now.
+	// Every callee's parameter registers and code are known now.
 	for _, f := range p.Funcs {
 		for i := range f.Calls {
 			c := &f.Calls[i]
 			for j, a := range c.Args {
 				c.Moves[a.Bank] = append(c.Moves[a.Bank], Move{Src: a.Idx, Dst: p.Funcs[c.FuncIdx].Params[j].Reg.Idx})
+			}
+		}
+		for _, s := range f.Foralls {
+			if s.Strip != nil {
+				s.Strip.GuardPC = skipLoopEnd(p.Funcs[s.Strip.HelperIdx])
 			}
 		}
 	}
@@ -741,8 +748,15 @@ func (b *builder) forStmt(s *compile.For) error {
 		if err := b.stmts(s.Body); err != nil {
 			return err
 		}
-		b.f.Foralls[site].BodyEnd = int32(len(b.f.Code))
-		b.f.Foralls[site].Kernel, b.f.Foralls[site].VectorReason = b.classifyKernel(s, nCalls)
+		fs := &b.f.Foralls[site]
+		fs.BodyEnd = int32(len(b.f.Code))
+		sh := b.matchStrip(s, nCalls, fs.BodyEnd-fs.BodyStart)
+		if sh == nil {
+			fs.VectorReason = kNotStrip.Error()
+			return nil
+		}
+		fs.Strip = sh.strip
+		fs.Kernel, fs.VectorReason = sh.classifyKernel()
 		return nil
 	}
 

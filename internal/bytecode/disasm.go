@@ -141,8 +141,11 @@ func disasmFunc(sb *strings.Builder, f *Func) {
 	for i, s := range f.Foralls {
 		fmt.Fprintf(sb, "  forall[%d]: from=i%d to=i%d var=i%d body=[%d,%d)%s\n",
 			i, s.From, s.To, s.Var, s.BodyStart, s.BodyEnd, vecVerdict(s))
+		if s.Strip != nil {
+			disasmStrip(sb, i, s.Strip)
+		}
 		if s.Kernel != nil {
-			disasmKernel(sb, i, s.Kernel)
+			disasmKernel(sb, i, s.Strip, s.Kernel)
 		}
 	}
 	for i, c := range f.Calls {

@@ -80,10 +80,16 @@ func vecVerdict(s ForallSite) string {
 	return ""
 }
 
+// disasmStrip renders one forall site's strip line.
+func disasmStrip(sb *strings.Builder, site int, st *Strip) {
+	fmt.Fprintf(sb, "  forall[%d] strip: helper=%d call=%d advance=%s@%d guard=%d args-in-regs=%t\n",
+		site, st.HelperIdx, st.CallSite, st.AdvanceName, st.AdvanceOff, st.GuardPC, st.ArgsInRegs)
+}
+
 // disasmKernel renders one forall site's kernel block.
-func disasmKernel(sb *strings.Builder, site int, k *Kernel) {
+func disasmKernel(sb *strings.Builder, site int, st *Strip, k *Kernel) {
 	fmt.Fprintf(sb, "  forall[%d] kernel: helper=%d call=%d advance=%s@%d steps/lane=%d\n",
-		site, k.HelperIdx, k.CallSite, k.AdvanceName, k.AdvanceOff, k.NSteps)
+		site, st.HelperIdx, st.CallSite, st.AdvanceName, st.AdvanceOff, k.NSteps)
 	fmt.Fprintf(sb, "    slabs: int=%d real=%d bool=%d rootmask=b%d\n", k.NInt, k.NReal, k.NBool, k.RootMask)
 	var fields []string
 	for _, f := range k.Fields {

@@ -10,9 +10,11 @@
 // gather the touched fields AoS→SoA into flat slabs, execute the body
 // as fused whole-slab operations with execution masks for `if`
 // branches, and scatter the stored fields back at the barrier.
-// classifyKernel recognizes the pattern during lowering and attaches
-// the Kernel to its ForallSite; rejected strips carry a concrete
-// VectorReason instead, which transform's planner surfaces per loop.
+// matchStrip recognizes the shape during lowering and attaches a Strip
+// to every forall that has it, whether or not its body vectorizes;
+// classifyKernel then lowers the guarded body and attaches the Kernel
+// beside it. Rejected strips carry a concrete VectorReason instead,
+// which transform's planner surfaces per loop.
 // The run-time half (slab pools, mask evaluation, the transactional
 // fallback) lives in internal/interp's kernel engine.
 //
@@ -137,20 +139,39 @@ type KField struct {
 	Stored bool   // written by the body: scattered at the barrier
 }
 
-// Kernel is one vectorizable strip's lowered form, attached to its
-// ForallSite by classifyKernel.
-type Kernel struct {
-	// HelperIdx is the strip helper's function index; CallSite indexes
-	// the enclosing Func.Calls entry of the per-lane helper call, whose
-	// Args are the caller registers the prologue broadcasts read (and
-	// Args[1] the chain-start element pointer).
+// Strip is a forall in the exact shape transform.StripMine emits: the
+// body is one call helper(_pe, elem, frees...), none of the frees _pe
+// itself, of a procedure whose body is the skip loop
+// `for _k = 1 to _pe { elem = elem->adv }` followed by the NULL guard
+// `if elem != NULL {...}`. Lane k's element is
+// advance^k of the caller's elem, so the VM walks the chain once per
+// strip and starts every lane at the guard, on the scalar path and the
+// vector path alike, instead of running the lanes' skip loops.
+type Strip struct {
+	// HelperIdx is the helper's function index; CallSite indexes the
+	// enclosing Func.Calls entry of the per-lane helper call, whose Args
+	// are the caller registers a lane binds (Args[1] the chain-start
+	// element pointer).
 	HelperIdx int32
 	CallSite  int32
 	// AdvanceOff is the pointer-field offset the skip loop advances
-	// along (the gather phase walks this chain once for the strip).
+	// along; AdvanceName names it for the disassembly.
 	AdvanceOff  int32
 	AdvanceName string
+	// GuardPC is the helper's first pc past the skip loop: the NULL
+	// guard's statement step, where a lane whose element is known starts.
+	GuardPC int32
+	// ArgsInRegs reports that the forall body's code is the call's
+	// statement step and the call itself: every argument already sits in
+	// a caller register, so a lane binds the helper's parameters without
+	// running the body.
+	ArgsInRegs bool
+}
 
+// Kernel is one vectorizable strip's lowered form, attached to its
+// ForallSite (beside the site's Strip, which it builds on) by
+// classifyKernel.
+type Kernel struct {
 	Fields []KField
 	// Slab counts per bank; RootMask is the bool slab holding the
 	// lane-is-non-NULL mask the guarded body executes under.
@@ -172,42 +193,55 @@ func (e rejectErr) Error() string { return string(e) }
 
 const kNotStrip = rejectErr("loop body is not a strip-mined iteration pattern")
 
-// classifyKernel runs after a forall body has been lowered (nCalls is
-// len(f.Calls) before the body). It returns the strip's kernel, or the
-// reason it is not vectorizable.
-func (b *builder) classifyKernel(s *compile.For, nCalls int) (*Kernel, string) {
-	k, err := b.tryKernel(s, nCalls)
-	if err != nil {
-		return nil, err.Error()
-	}
-	return k, ""
+// stripShape is a recognized strip with the compile IR the kernel
+// classifier lowers: the helper, the call's arguments and the guard.
+type stripShape struct {
+	strip    *Strip
+	callee   *compile.Func
+	args     []compile.Expr
+	peSlot   int
+	elemSlot int
+	guard    *compile.If
 }
 
-func (b *builder) tryKernel(s *compile.For, nCalls int) (*Kernel, error) {
-	// The strip shape: the forall body is exactly one call
-	// helper(_pe, elem, frees...) ...
+// matchStrip recognizes the strip shape on a forall whose body has just
+// been lowered (nCalls is len(f.Calls) before the body, bodyLen the
+// number of instructions it lowered to). It returns nil when the loop
+// is not a strip. The Strip's GuardPC is filled in by Compile once the
+// helper is lowered.
+func (b *builder) matchStrip(s *compile.For, nCalls int, bodyLen int32) *stripShape {
+	// The forall body is exactly one call helper(_pe, elem, frees...) of
+	// a procedure ...
 	if len(s.Body) != 1 {
-		return nil, kNotStrip
+		return nil
 	}
 	cs, ok := s.Body[0].(*compile.CallStmt)
 	if !ok {
-		return nil, kNotStrip
+		return nil
 	}
 	call := cs.Call
 	if call.Builtin != compile.NotBuiltin || len(call.Args) < 2 || len(b.f.Calls) != nCalls+1 {
-		return nil, kNotStrip
+		return nil
 	}
 	pe, ok := call.Args[0].(*compile.SlotRef)
 	if !ok || pe.Slot != s.Slot {
-		return nil, kNotStrip
+		return nil
 	}
 	ind, ok := call.Args[1].(*compile.SlotRef)
 	if !ok || !isPtr(ind.Type()) {
-		return nil, kNotStrip
+		return nil
+	}
+	// Only the first argument may be the lane index: a lane binds the
+	// others from the caller's registers, and the caller never holds
+	// the index in the loop variable's.
+	for _, a := range call.Args[2:] {
+		if r, ok := a.(*compile.SlotRef); ok && r.Slot == s.Slot {
+			return nil
+		}
 	}
 	callee := b.cp.Funcs[call.FuncIdx]
-	if len(callee.Params) != len(call.Args) || len(callee.Body) != 2 {
-		return nil, kNotStrip
+	if callee.Result != nil || len(callee.Params) != len(call.Args) || len(callee.Body) != 2 {
+		return nil
 	}
 	peSlot := callee.Params[0].Slot
 	elemSlot := callee.Params[1].Slot
@@ -216,66 +250,91 @@ func (b *builder) tryKernel(s *compile.For, nCalls int) (*Kernel, error) {
 	// elem->adv }` followed by the NULL guard `if elem != NULL {...}`.
 	skip, ok := callee.Body[0].(*compile.For)
 	if !ok || skip.Parallel || len(skip.Body) != 1 {
-		return nil, kNotStrip
+		return nil
 	}
 	fromLit, ok := skip.From.(*compile.IntLit)
 	if !ok || fromLit.Val != 1 {
-		return nil, kNotStrip
+		return nil
 	}
 	toRef, ok := skip.To.(*compile.SlotRef)
 	if !ok || toRef.Slot != peSlot {
-		return nil, kNotStrip
+		return nil
 	}
 	adv, ok := skip.Body[0].(*compile.AssignSlot)
 	if !ok || adv.Slot != elemSlot {
-		return nil, kNotStrip
+		return nil
 	}
 	advLoad, ok := adv.RHS.(*compile.Load)
 	if !ok || !advLoad.IsPtr || advLoad.Index != nil {
-		return nil, kNotStrip
+		return nil
 	}
 	advBase, ok := advLoad.X.(*compile.SlotRef)
 	if !ok || advBase.Slot != elemSlot {
-		return nil, kNotStrip
+		return nil
 	}
 	guard, ok := callee.Body[1].(*compile.If)
 	if !ok || len(guard.Else) != 0 {
-		return nil, kNotStrip
+		return nil
 	}
 	cond, ok := guard.Cond.(*compile.Bin)
 	if !ok || cond.Op != lang.NEQ {
-		return nil, kNotStrip
+		return nil
 	}
 	condX, ok := cond.X.(*compile.SlotRef)
 	if !ok || condX.Slot != elemSlot {
-		return nil, kNotStrip
+		return nil
 	}
 	if _, ok := cond.Y.(*compile.NullLit); !ok {
-		return nil, kNotStrip
+		return nil
 	}
-
-	kb := &kbuilder{
-		callee:   callee,
-		args:     call.Args,
-		peSlot:   peSlot,
-		elemSlot: elemSlot,
-		slotSlab: make([]int32, callee.Slots),
-		slotBank: make([]Bank, callee.Slots),
-		fieldIdx: map[int32]int32{},
-		k: &Kernel{
+	return &stripShape{
+		strip: &Strip{
 			HelperIdx:   int32(call.FuncIdx),
 			CallSite:    int32(nCalls),
 			AdvanceOff:  int32(advLoad.Off),
 			AdvanceName: advLoad.Field,
+			ArgsInRegs:  bodyLen == 2,
 		},
+		callee:   callee,
+		args:     call.Args,
+		peSlot:   peSlot,
+		elemSlot: elemSlot,
+		guard:    guard,
+	}
+}
+
+// skipLoopEnd is a lowered strip helper's first pc past its skip loop.
+// The skip loop is the helper's first statement and holds no other
+// loop, so it ends with the function's first for.tail.
+func skipLoopEnd(helper *Func) int32 {
+	for pc, in := range helper.Code {
+		if in.Op == OpForTail {
+			return int32(pc) + 1
+		}
+	}
+	return 0
+}
+
+// classifyKernel lowers a recognized strip's guarded body to a kernel,
+// or returns the reason it is not vectorizable.
+func (sh *stripShape) classifyKernel() (*Kernel, string) {
+	kb := &kbuilder{
+		callee:   sh.callee,
+		args:     sh.args,
+		peSlot:   sh.peSlot,
+		elemSlot: sh.elemSlot,
+		slotSlab: make([]int32, sh.callee.Slots),
+		slotBank: make([]Bank, sh.callee.Slots),
+		fieldIdx: map[int32]int32{},
+		k:        &Kernel{},
 	}
 	for i := range kb.slotSlab {
 		kb.slotSlab[i] = -1
 	}
-	if err := kb.lower(guard.Then); err != nil {
-		return nil, err
+	if err := kb.lower(sh.guard.Then); err != nil {
+		return nil, err.Error()
 	}
-	return kb.k, nil
+	return kb.k, ""
 }
 
 // ---------------------------------------------------------------------------

@@ -167,9 +167,9 @@ type AutoPlan struct {
 // AutoParallel plans the whole program: every while loop of every
 // function goes through the dependence test, every approved loop is
 // strip-mined with the given width (widthHint <= 0 selects
-// transform.DefaultWidth for this host — 4 iterations per PE), and the
-// transformed program comes back as a new Compilation alongside the
-// structured plan. Planned variants are cached per resolved width on
+// transform.DefaultWidth for this host — 16 iterations per PE, at most
+// 128), and the transformed program comes back as a new Compilation
+// alongside the structured plan. Planned variants are cached per resolved width on
 // this Compilation, so only the first call per width pays for
 // planning; that first call tests every loop against the analyses this
 // Compilation already holds (see internal/transform) and analyzes

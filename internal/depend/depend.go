@@ -40,6 +40,10 @@ type Report struct {
 	Induction    string
 	AdvanceField string
 	Advance      *lang.AssignStmt
+	// Elem is the induction pointer's element type and Dim the
+	// dimension its advance field is declared along ("" when the test
+	// stopped before finding them, or the field is undeclared).
+	Elem, Dim string
 	// Parallelizable is the verdict.
 	Parallelizable bool
 	// Reasons lists the checks that failed (empty when parallelizable)
@@ -117,6 +121,7 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 			dim = pf.Dim
 		}
 	}
+	rep.Elem, rep.Dim = elem, dim
 	if before := fr.Before(loop); before != nil && decl != nil && dim != "" {
 		if !before.Valid(elem, dim) {
 			rep.Reasons = append(rep.Reasons,

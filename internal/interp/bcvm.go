@@ -21,6 +21,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bytecode"
 	"repro/internal/lang"
@@ -288,21 +289,7 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			site := &f.Calls[in.A]
 			callee := ip.bc.Funcs[site.FuncIdx]
 			nf := ip.getBCFrame(callee)
-			for _, m := range site.Moves[bytecode.BankInt] {
-				nf.i[m.Dst] = fr.i[m.Src]
-			}
-			for _, m := range site.Moves[bytecode.BankReal] {
-				nf.f[m.Dst] = fr.f[m.Src]
-			}
-			for _, m := range site.Moves[bytecode.BankBool] {
-				nf.b[m.Dst] = fr.b[m.Src]
-			}
-			for _, m := range site.Moves[bytecode.BankStr] {
-				nf.s[m.Dst] = fr.s[m.Src]
-			}
-			for _, m := range site.Moves[bytecode.BankNode] {
-				nf.n[m.Dst] = fr.n[m.Src]
-			}
+			nf.bindCall(site, fr)
 			// The walker's callFunc (depth guard on the Interp's live call
 			// depth, run, fell-off-the-end check) in one Go call.
 			if ip.cdepth > ip.maxDepth {
@@ -576,28 +563,17 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 
 // bcForall runs one parallel loop: the vector path when the strip
 // qualifies, otherwise private frames through realForall — the walker's
-// Real arm. An empty range is a no-op before either.
+// Real arm — each lane of a recognized strip starting at its helper's
+// guard. An empty range is a no-op before either.
 func (ip *Interp) bcForall(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallSite, pos lang.Pos) (ctrl, error) {
 	lo, hi := fr.i[site.From], fr.i[site.To]
 	if ok, err := ip.forallTrips(pos, lo, hi); !ok {
 		return ctrlNext, err
 	}
-	// The vector path: a strip the classifier proved vectorizable runs
-	// as a batched SoA kernel (kernel.go). StrictNull runs are excluded
-	// — the kernel's speculative gather walk assumes NULL propagation —
-	// and any in-flight fault or budget concern makes bcForallKernel
-	// report false having touched nothing, falling through to the
-	// scalar path below.
-	if ip.cfg.Engine == EngineKernel && site.Kernel != nil && !ip.cfg.StrictNull {
-		if ip.bcForallKernel(f, fr, site, pos, lo, hi) {
-			return ctrlNext, nil
-		}
-	}
-
 	// Iterations must see the enclosing call's remaining recursion
 	// budget (the walker threads its depth into every iteration).
 	depth := ip.cdepth
-	return ctrlNext, ip.realForall(pos, lo, hi, func(w *Interp, k int64) (ctrl, error) {
+	literal := func(w *Interp, k int64) (ctrl, error) {
 		nf := w.getBCFrame(f)
 		nf.copyBanksFrom(fr)
 		nf.i[site.Var] = k
@@ -605,5 +581,146 @@ func (ip *Interp) bcForall(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallS
 		c, err := w.runBC(f, nf, site.BodyStart, site.BodyEnd)
 		w.putBCFrame(nf)
 		return c, err
+	}
+	st := site.Strip
+	vector := ip.cfg.Engine == EngineKernel && site.Kernel != nil
+	// A strip walks its chain once, here, for both paths below. Lane
+	// indices below 0 skip nothing, which the closed forms do not model,
+	// and a call at this depth fails the depth guard: those strips run
+	// literally, as do strips wider than memory can hold and strips
+	// whose prologues the budget left cannot cover (stripFits).
+	if st == nil || !(vector || st.ArgsInRegs) || lo < 0 || depth > ip.maxDepth ||
+		int64(int(hi-lo+1)) != hi-lo+1 || !ip.stripFits(lo, hi) {
+		return ctrlNext, ip.realForall(pos, lo, hi, literal)
+	}
+	base := len(ip.lanes)
+	defer func() { ip.lanes = ip.lanes[:base] }()
+	nodes, walked := ip.stripWalk(st, fr.n[f.Calls[st.CallSite].Args[1].Idx], lo, int(hi-lo+1))
+
+	// The vector path: a strip the classifier proved vectorizable runs
+	// as a batched SoA kernel (kernel.go) when the walk reached every
+	// lane; any in-flight fault or budget concern makes bcForallKernel
+	// report false having touched nothing, falling through to the
+	// scalar path below.
+	if vector && walked == len(nodes) && ip.bcForallKernel(f, fr, site, pos, lo, hi, nodes) {
+		return ctrlNext, nil
+	}
+	if !st.ArgsInRegs {
+		return ctrlNext, ip.realForall(pos, lo, hi, literal)
+	}
+	helper := ip.bc.Funcs[st.HelperIdx]
+	call := &f.Calls[st.CallSite]
+	return ctrlNext, ip.realForall(pos, lo, hi, func(w *Interp, k int64) (ctrl, error) {
+		j := int(k - lo)
+		if j >= walked || !w.chargeStripPrologue(k) {
+			return literal(w, k)
+		}
+		nf := w.getBCFrame(helper)
+		nf.bindCall(call, fr)
+		nf.i[helper.Params[0].Reg.Idx] = k
+		nf.n[helper.Params[1].Reg.Idx] = nodes[j]
+		w.cdepth = depth + 1
+		_, err := w.runBC(helper, nf, st.GuardPC, int32(len(helper.Code)))
+		w.cdepth = depth
+		w.putBCFrame(nf)
+		return ctrlNext, err
 	})
+}
+
+// stripFits reports whether the prologues of lanes lo..hi (lo ≥ 0),
+// Σ(2+2k) = W(2+lo+hi) steps, fit the step budget left. The walk follows
+// lo+W−1 links and holds W nodes before any lane is charged; taking it
+// only when the lanes can pay for it keeps a wide range, which the
+// budget stops long before its last lane on the literal path, from
+// sizing anything by its width.
+func (ip *Interp) stripFits(lo, hi int64) bool {
+	left := ip.maxSteps - ip.sh.steps.Load() - ip.stepsLocal
+	return hi <= left/2 && lo+hi <= left/(hi-lo+1)-2
+}
+
+// stripWalk walks a strip's chain once: lane j's element is
+// advance^(lo+j) of start, the node lane j's skip loop would end on. The
+// nodes go on ip.lanes (a stack: a strip nested in a lane pushes above
+// them; the caller pops). walked is how many leading lanes the walk
+// reached: a lane at or past it would fault in its own skip loop — an
+// empty pointer array, or a read through NULL under StrictNull — and
+// must run literally, which raises the scalar engines' error.
+func (ip *Interp) stripWalk(st *bytecode.Strip, start *Node, lo int64, n int) (nodes []*Node, walked int) {
+	base := len(ip.lanes)
+	ip.lanes = slices.Grow(ip.lanes, n)[:base+n]
+	nodes = ip.lanes[base : base+n : base+n]
+	cur, ok := start, true
+	for s := int64(0); s < lo && ok; s++ {
+		cur, ok = ip.stripAdvance(cur, st.AdvanceOff)
+	}
+	for ok && walked < n {
+		nodes[walked] = cur
+		walked++
+		if walked < n {
+			cur, ok = ip.stripAdvance(cur, st.AdvanceOff)
+		}
+	}
+	return nodes, walked
+}
+
+// stripAdvance is one hop of a strip's skip loop, as its load.node
+// makes it: NULL reads as NULL (speculative traversability, §3.2)
+// unless StrictNull; an empty pointer array fails the hop.
+func (ip *Interp) stripAdvance(cur *Node, off int32) (*Node, bool) {
+	ip.stripHops++
+	if cur == nil {
+		return nil, !ip.cfg.StrictNull
+	}
+	arr := cur.parr[off]
+	if len(arr) == 0 {
+		return nil, false
+	}
+	return arr[0], true
+}
+
+// chargeStripPrologue charges lane k of a strip what its call statement
+// and skip loop cost on the literal path, 2+2k steps, and reports
+// whether the lane may start at the guard. The charge leaves the batched
+// step count where the literal path's per-statement stepC would: full
+// chunks flushed, the remainder pending. A lane the charge could take
+// past the step budget, or that would cross a flush after its run was
+// cancelled, runs literally instead, so the error it raises is the
+// literal path's, at the literal path's statement.
+func (ip *Interp) chargeStripPrologue(k int64) bool {
+	if k > ip.maxSteps/2 {
+		return false
+	}
+	pro := 2 + 2*k
+	if ip.sh.steps.Load()+ip.stepsLocal+pro > ip.maxSteps {
+		return false
+	}
+	s := ip.stepsLocal + pro
+	if s >= stepFlushChunk {
+		if ip.ctx != nil && ip.ctx.Err() != nil {
+			return false
+		}
+		ip.addSteps(s - s%stepFlushChunk)
+	}
+	ip.stepsLocal = s % stepFlushChunk
+	return true
+}
+
+// bindCall binds a call site's arguments from the caller frame into
+// the callee's frame fr: OpCall's binding, and a strip lane's.
+func (fr *bcFrame) bindCall(site *bytecode.CallSite, caller *bcFrame) {
+	for _, m := range site.Moves[bytecode.BankInt] {
+		fr.i[m.Dst] = caller.i[m.Src]
+	}
+	for _, m := range site.Moves[bytecode.BankReal] {
+		fr.f[m.Dst] = caller.f[m.Src]
+	}
+	for _, m := range site.Moves[bytecode.BankBool] {
+		fr.b[m.Dst] = caller.b[m.Src]
+	}
+	for _, m := range site.Moves[bytecode.BankStr] {
+		fr.s[m.Dst] = caller.s[m.Src]
+	}
+	for _, m := range site.Moves[bytecode.BankNode] {
+		fr.n[m.Dst] = caller.n[m.Src]
+	}
 }

@@ -19,6 +19,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bytecode"
+	"repro/internal/compile"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/parexec"
@@ -305,6 +307,7 @@ func fuzzDiff(t *testing.T, src string, a, b interp.Engine) {
 // lowering, or the VM is wrong.
 func FuzzBytecodeVsWalk(f *testing.F) {
 	seedPrograms(f)
+	seedStrips(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		fuzzDiff(t, src, interp.EngineWalk, interp.EngineBytecode)
 	})
@@ -345,6 +348,93 @@ function real main() {
   return acc;
 }`
 
+// stripVariant is stripPatternSeed with each old text replaced by its
+// new one, in order; it panics when one is missing, so a seed never
+// silently stops being the variant it names.
+func stripVariant(repl ...string) string {
+	src := stripPatternSeed
+	for i := 0; i < len(repl); i += 2 {
+		if !strings.Contains(src, repl[i]) {
+			panic("stripVariant: no " + repl[i])
+		}
+		src = strings.Replace(src, repl[i], repl[i+1], 1)
+	}
+	return src
+}
+
+// stripSeed is one strip-shaped seed program and whether the
+// recognizer must take it.
+type stripSeed struct {
+	name, src string
+	strip     bool
+}
+
+// stripSeeds are stripPatternSeed's neighbours. The first is a strip
+// wider than its list (16 lanes over 11 nodes), which the recognizer
+// takes; the rest are near misses it must refuse, each one change away
+// from the shape: a skip loop over an indexed field, a guard on another
+// variable, a statement before the skip loop, a skip loop bounded by
+// another parameter than the helper's _pe (though it holds the same
+// lane index), the lane index passed again as a later argument that
+// the guarded body reads. The fuzzers start from every one of them.
+var stripSeeds = []stripSeed{
+	{"wider than its list", stripVariant("_pe = 0 to 3", "_pe = 0 to 15", "_pe = 0 to 3", "_pe = 0 to 15"), true},
+	{"skip over an indexed field", stripVariant(
+		"C *next is uniquely forward along L;", "C *next is uniquely forward along L; C *alt[2];",
+		"p = p->next; }\n  if", "p = p->alt[0]; }\n  if"), false},
+	{"guard on another variable", stripVariant(
+		"real k) {", "real k, C *q) {",
+		"if p != NULL {", "if q != NULL { if p != NULL {",
+		"p->tag - 2; }\n  }", "p->tag - 2; }\n  } }",
+		"_scale_it(_pe, p, 1.25);", "_scale_it(_pe, p, 1.25, p);"), false},
+	{"statement before the skip loop", stripVariant(
+		"real k) {\n", "real k) {\n  var int z = _pe;\n"), false},
+	{"skip bound is not the helper's _pe", stripVariant(
+		"real k) {", "real k, int n) {",
+		"for _k = 1 to _pe", "for _k = 1 to n",
+		"_scale_it(_pe, p, 1.25);", "_scale_it(_pe, p, 1.25, _pe);"), false},
+	{"lane index passed again", stripVariant(
+		"real k) {", "real k, int n) {",
+		"p->tag = p->tag - 2;", "p->tag = p->tag - n;",
+		"var C *p = head;", "var C *p = head;\n  var real k = 1.25;",
+		"_scale_it(_pe, p, 1.25);", "_scale_it(_pe, p, k, _pe);"), false},
+}
+
+// TestStripSeedsRecognized: the recognizer takes the strip-shaped seeds
+// and refuses each near miss, whose forall then carries the not-a-strip
+// verdict.
+func TestStripSeedsRecognized(t *testing.T) {
+	for _, sd := range append([]stripSeed{{"stripPatternSeed", stripPatternSeed, true}}, stripSeeds...) {
+		prog, err := lang.Parse(sd.src)
+		if err != nil {
+			t.Fatalf("%s: %v", sd.name, err)
+		}
+		cp, err := compile.Compile(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", sd.name, err)
+		}
+		bp, err := bytecode.Compile(cp)
+		if err != nil {
+			t.Fatalf("%s: %v", sd.name, err)
+		}
+		sites := bp.Func("main").Foralls
+		if len(sites) != 1 {
+			t.Fatalf("%s: %d foralls in main, want 1", sd.name, len(sites))
+		}
+		if got := sites[0].Strip != nil; got != sd.strip {
+			t.Errorf("%s: recognized as a strip = %t, want %t (%s)", sd.name, got, sd.strip, sites[0].VectorReason)
+		}
+	}
+}
+
+// seedStrips adds stripPatternSeed and its neighbours.
+func seedStrips(f *testing.F) {
+	f.Add(stripPatternSeed)
+	for _, sd := range stripSeeds {
+		f.Add(sd.src)
+	}
+}
+
 // fuzzKernelParallel is the pooled leg of FuzzKernelVsBytecode: forall
 // programs run again through parexec (2 PEs) — the deployment path, on
 // which the kernel engine's vector strips go through the strip
@@ -381,7 +471,7 @@ func fuzzKernelParallel(t *testing.T, src string) {
 // shared scalar core.
 func FuzzKernelVsBytecode(f *testing.F) {
 	seedPrograms(f)
-	f.Add(stripPatternSeed)
+	seedStrips(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		fuzzDiff(t, src, interp.EngineBytecode, interp.EngineKernel)
 		fuzzKernelParallel(t, src)

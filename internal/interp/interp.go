@@ -285,6 +285,11 @@ type Interp struct {
 	// kern is the kernel engine's reusable strip state (kernel.go):
 	// slab storage, lazily built on the first vectorized strip.
 	kern *kernState
+	// lanes holds the element of every lane of the strips in flight on
+	// this interpreter, innermost last (stripWalk); stripHops counts the
+	// links those walks followed.
+	lanes     []*Node
+	stripHops int64
 	// stepsLocal batches the bytecode VM's statement count between
 	// flushes to the shared atomic (each Interp executes on one
 	// goroutine at a time, so the field needs no synchronization).

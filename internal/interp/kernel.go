@@ -3,10 +3,11 @@
 // the third engine, beside the tree-walking oracle and the bytecode VM
 // it extends.
 //
-// A strip executes in three phases. Gather walks the iterated pointer
-// chain once, records each lane's node, fills the root execution mask
-// (lane is non-NULL), and copies every touched field AoS→SoA into flat
-// per-bank slabs; scalar free variables broadcast into whole slabs.
+// A strip executes in three phases. Gather takes each lane's node from
+// the strip's one chain walk (bcForall's stripWalk, which the scalar
+// strip path shares), fills the root execution mask (lane is non-NULL),
+// and copies every touched field AoS→SoA into flat per-bank slabs;
+// scalar free variables broadcast into whole slabs.
 // Compute runs the lowered body as fused whole-slab operations, each
 // masked by its governing execution mask — `if` branches become mask
 // refinements, never control flow. Scatter commits the strip's step
@@ -17,14 +18,15 @@
 //
 // Execution is transactional: the heap is untouched until Scatter, so
 // any fault (a zero divisor in an active lane — possibly a spurious
-// one, since kernels evaluate && and || eagerly — a broken advance
-// chain, step-budget or depth or cancellation pressure) simply
-// discards the slabs and falls back to the scalar bytecode path, which
-// re-executes the strip from unmodified state and reproduces the exact
-// error text, partial writes, and accounting the other engines
-// produce. Success commits step totals bit-identical to the scalar
-// engines': 3+2k prologue steps for lane k in closed form plus one
-// step per active lane per body statement (mask popcounts).
+// one, since kernels evaluate && and || eagerly — or step-budget or
+// cancellation pressure) simply discards the slabs and falls back to
+// the scalar bytecode path, which re-executes the strip from
+// unmodified state and reproduces the exact error text, partial
+// writes, and accounting the other engines produce; a chain the walk
+// could not follow to the last lane never reaches the kernel. Success
+// commits step totals bit-identical to the scalar engines': 3+2k
+// prologue steps for lane k in closed form plus one step per active
+// lane per body statement (mask popcounts).
 package interp
 
 import (
@@ -60,20 +62,19 @@ type kernState struct {
 
 	ip *Interp // the owner; scatter commits steps to its shared counters
 
-	// The strip in flight, set by bcForallKernel before any phase runs.
+	// The strip in flight, set by bcForallKernel before any phase runs;
+	// nodes are its lanes' elements, from the strip's one chain walk.
 	kern          *bytecode.Kernel
 	fr            *bcFrame       // the caller's frame, read by gather
 	args          []bytecode.Reg // the helper call's argument registers
-	lo            int64          // first iteration index
 	prologueSteps int64
 }
 
-// ensure sizes the slabs for a strip of n lanes.
-func (ks *kernState) ensure(k *bytecode.Kernel, n int) {
-	if cap(ks.nodes) < n {
-		ks.nodes = make([]*Node, n)
-	}
-	ks.nodes = ks.nodes[:n]
+// ensure aims the state at a strip whose lanes' elements are nodes and
+// sizes its slabs.
+func (ks *kernState) ensure(k *bytecode.Kernel, nodes []*Node) {
+	ks.nodes = nodes
+	n := len(nodes)
 	if need := k.NInt * n; cap(ks.ib) < need {
 		ks.ib = make([]int64, need)
 	}
@@ -100,21 +101,6 @@ func sliceSlabs[T any](dst [][]T, back []T, slabs, n int) [][]T {
 	return dst
 }
 
-// kAdvance follows one link of the gather chain. NULL propagates
-// (speculative traversability, §3.2 — the scalar engines' OpLoadNode
-// does the same); an empty pointer array faults the strip so the
-// scalar path can raise its index error.
-func kAdvance(cur *Node, off int32) (*Node, error) {
-	if cur == nil {
-		return nil, nil
-	}
-	arr := cur.parr[off]
-	if len(arr) == 0 {
-		return nil, errKernelFault
-	}
-	return arr[0], nil
-}
-
 // bcForallKernel tries to run one parallel loop as a vectorized strip:
 // gather, compute over every lane, scatter, in place on the calling
 // goroutine, as one barrier. It reports whether the strip completed on
@@ -136,31 +122,26 @@ func kAdvance(cur *Node, off int32) (*Node, error) {
 //	137 216, 205 824    1.25 – 1.5
 //	274 432 … 548 864   0.94 – 1.29
 //
-// The planner and the server hand out strips of 4×PEs lanes capped at
-// 256 (≈17 000 on that scale), far inside the region where splitting
-// loses. Bringing a split back needs a workload of wider strips in the
-// benchmark first, measured on a host whose PEs are independent cores.
-func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallSite, pos lang.Pos, lo, hi int64) bool {
+// The planner and the server hand out strips of at most 128 lanes
+// (16×PEs capped at 128, transform.DefaultWidth; ≈8 600 on that
+// scale), far inside the region where splitting loses. Bringing a
+// split back needs a workload of wider strips in the benchmark first,
+// measured on a host whose PEs are independent cores.
+func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallSite, pos lang.Pos, lo, hi int64, nodes []*Node) bool {
 	kern := site.Kernel
 	n := hi - lo + 1
-	lanes := int(n)
-	if int64(lanes) != n {
-		return false
-	}
 	// Pre-checks: any condition under which the strip could hit a
 	// budget or cancellation mid-flight routes to the scalar path,
-	// which raises the exact error at the exact statement.
-	if ip.cdepth > ip.maxDepth {
-		return false
-	}
+	// which raises the exact error at the exact statement. (bcForall
+	// has already routed a strip at the depth limit or with negative
+	// lane indices there.)
 	if ip.ctx != nil && ip.ctx.Err() != nil {
 		return false
 	}
 	// Per lane k the strip prologue (helper call, skip loop, NULL
-	// guard) charges 3+2k steps; the body at most NSteps more. The
-	// closed form holds for lane indices from 0 up, and lanes whose
-	// skip loops alone outrun the budget would overflow it.
-	if lo < 0 || hi > ip.maxSteps/n {
+	// guard) charges 3+2k steps; the body at most NSteps more. Lanes
+	// whose skip loops alone outrun the budget would overflow it.
+	if hi > ip.maxSteps/n {
 		return false
 	}
 	prologueSteps := 3*n + (lo+hi)*n
@@ -174,16 +155,17 @@ func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.F
 		ks = &kernState{ip: ip}
 		ip.kern = ks
 	}
-	ks.ensure(kern, lanes)
-	ks.kern, ks.fr, ks.args = kern, fr, f.Calls[kern.CallSite].Args
-	ks.lo, ks.prologueSteps = lo, prologueSteps
+	ks.ensure(kern, nodes)
+	ks.kern, ks.fr, ks.args = kern, fr, f.Calls[site.Strip.CallSite].Args
+	ks.prologueSteps = prologueSteps
 
 	if ip.cfg.Profiler != nil {
 		if !ks.profiled(pos) {
 			return false
 		}
 	} else {
-		if ks.gather() != nil || ks.compute() != nil {
+		ks.gather()
+		if ks.compute() != nil {
 			return false
 		}
 		ks.scatter()
@@ -197,9 +179,7 @@ func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.F
 // task on PE 0 of Config.PEs.
 func (ks *kernState) profiled(pos lang.Pos) bool {
 	start := time.Now()
-	if ks.gather() != nil {
-		return false
-	}
+	ks.gather()
 	computeStart := time.Now()
 	if ks.compute() != nil {
 		return false
@@ -215,29 +195,14 @@ func (ks *kernState) profiled(pos lang.Pos) bool {
 	return true
 }
 
-// gather is the strip's first phase: one chain walk recording each
-// lane's node and the root mask, then a field-major AoS→SoA copy and
-// the free-argument broadcasts.
-func (ks *kernState) gather() error {
-	kern, fr, args, lanes := ks.kern, ks.fr, ks.args, len(ks.nodes)
-	// One chain walk: lane j's node is advance^(lo+j) of the caller's
-	// element argument.
-	cur := fr.n[args[1].Idx]
-	var err error
-	for s := int64(0); s < ks.lo; s++ {
-		if cur, err = kAdvance(cur, kern.AdvanceOff); err != nil {
-			return err
-		}
-	}
+// gather is the strip's first phase: the root mask from the lanes'
+// elements (the strip's chain walk already found them), then a
+// field-major AoS→SoA copy and the free-argument broadcasts.
+func (ks *kernState) gather() {
+	kern, fr, args := ks.kern, ks.fr, ks.args
 	root := ks.b[kern.RootMask]
-	for j := 0; j < lanes; j++ {
-		ks.nodes[j] = cur
-		root[j] = cur != nil
-		if j+1 < lanes {
-			if cur, err = kAdvance(cur, kern.AdvanceOff); err != nil {
-				return err
-			}
-		}
+	for j, nd := range ks.nodes {
+		root[j] = nd != nil
 	}
 	// Field-major copy over the recorded nodes: one bank dispatch per
 	// field, not per field per lane.
@@ -309,7 +274,6 @@ func (ks *kernState) gather() error {
 			}
 		}
 	}
-	return nil
 }
 
 // scatter is the strip's last phase, and the only one that writes
@@ -389,7 +353,9 @@ func (ks *kernState) scatter() {
 // compute is the strip's second phase: it executes the kernel body over
 // every lane. Every op is elementwise; ops with no execution mask (temp
 // destinations, mask combiners) run whole-slab, the rest test their
-// governing mask per lane.
+// governing mask per lane. Every slab of a strip has one length, and
+// each op re-slices its operands and mask to its destination's, so the
+// compiler proves every lane index in range once per op, not per lane.
 func (ks *kernState) compute() error {
 	for _, in := range ks.kern.Code {
 		switch in.Op {
@@ -404,7 +370,7 @@ func (ks *kernState) compute() error {
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = in.Imm
@@ -418,7 +384,7 @@ func (ks *kernState) compute() error {
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = in.Fv
@@ -433,7 +399,7 @@ func (ks *kernState) compute() error {
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = v
@@ -441,13 +407,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KMovInt:
 			a, b := ks.i[in.A], ks.i[in.B]
+			b = b[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j]
@@ -455,13 +422,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KMovReal:
 			a, b := ks.f[in.A], ks.f[in.B]
+			b = b[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j]
@@ -469,13 +437,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KMovBool:
 			a, b := ks.b[in.A], ks.b[in.B]
+			b = b[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j]
@@ -483,13 +452,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KIntToReal:
 			a, b := ks.f[in.A], ks.i[in.B]
+			b = b[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = float64(b[j])
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = float64(b[j])
@@ -498,13 +468,14 @@ func (ks *kernState) compute() error {
 
 		case bytecode.KAddInt:
 			a, b, c := ks.i[in.A], ks.i[in.B], ks.i[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] + c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] + c[j]
@@ -512,13 +483,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KSubInt:
 			a, b, c := ks.i[in.A], ks.i[in.B], ks.i[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] - c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] - c[j]
@@ -526,13 +498,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KMulInt:
 			a, b, c := ks.i[in.A], ks.i[in.B], ks.i[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] * c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] * c[j]
@@ -540,6 +513,7 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KDivInt:
 			a, b, c, m := ks.i[in.A], ks.i[in.B], ks.i[in.C], ks.b[in.M]
+			b, c, m = b[:len(a)], c[:len(a)], m[:len(a)]
 			for j := range m {
 				if m[j] {
 					if c[j] == 0 {
@@ -550,6 +524,7 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KModInt:
 			a, b, c, m := ks.i[in.A], ks.i[in.B], ks.i[in.C], ks.b[in.M]
+			b, c, m = b[:len(a)], c[:len(a)], m[:len(a)]
 			for j := range m {
 				if m[j] {
 					if c[j] == 0 {
@@ -560,13 +535,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KNegInt:
 			a, b := ks.i[in.A], ks.i[in.B]
+			b = b[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = -b[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = -b[j]
@@ -574,13 +550,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KEqInt:
 			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] == c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] == c[j]
@@ -588,13 +565,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KNeInt:
 			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] != c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] != c[j]
@@ -602,13 +580,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KLtInt:
 			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] < c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] < c[j]
@@ -616,13 +595,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KLeInt:
 			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] <= c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] <= c[j]
@@ -630,13 +610,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KGtInt:
 			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] > c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] > c[j]
@@ -644,13 +625,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KGeInt:
 			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] >= c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] >= c[j]
@@ -659,13 +641,14 @@ func (ks *kernState) compute() error {
 
 		case bytecode.KAddReal:
 			a, b, c := ks.f[in.A], ks.f[in.B], ks.f[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] + c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] + c[j]
@@ -673,13 +656,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KSubReal:
 			a, b, c := ks.f[in.A], ks.f[in.B], ks.f[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] - c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] - c[j]
@@ -687,13 +671,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KMulReal:
 			a, b, c := ks.f[in.A], ks.f[in.B], ks.f[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] * c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] * c[j]
@@ -701,13 +686,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KDivReal:
 			a, b, c := ks.f[in.A], ks.f[in.B], ks.f[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] / c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] / c[j]
@@ -715,13 +701,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KNegReal:
 			a, b := ks.f[in.A], ks.f[in.B]
+			b = b[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = -b[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = -b[j]
@@ -729,13 +716,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KEqReal:
 			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] == c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] == c[j]
@@ -743,13 +731,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KNeReal:
 			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] != c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] != c[j]
@@ -757,13 +746,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KLtReal:
 			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] < c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] < c[j]
@@ -771,13 +761,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KLeReal:
 			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] <= c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] <= c[j]
@@ -785,13 +776,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KGtReal:
 			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] > c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] > c[j]
@@ -799,13 +791,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KGeReal:
 			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] >= c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] >= c[j]
@@ -814,13 +807,14 @@ func (ks *kernState) compute() error {
 
 		case bytecode.KNot:
 			a, b := ks.b[in.A], ks.b[in.B]
+			b = b[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = !b[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = !b[j]
@@ -828,13 +822,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KEqBool:
 			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] == c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] == c[j]
@@ -842,13 +837,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KNeBool:
 			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] != c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] != c[j]
@@ -856,13 +852,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KAndBool:
 			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] && c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] && c[j]
@@ -870,13 +867,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KOrBool:
 			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = b[j] || c[j]
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = b[j] || c[j]
@@ -885,13 +883,14 @@ func (ks *kernState) compute() error {
 
 		case bytecode.KSqrt:
 			a, b := ks.f[in.A], ks.f[in.B]
+			b = b[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = math.Sqrt(b[j])
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = math.Sqrt(b[j])
@@ -899,13 +898,14 @@ func (ks *kernState) compute() error {
 			}
 		case bytecode.KAbs:
 			a, b := ks.f[in.A], ks.f[in.B]
+			b = b[:len(a)]
 			if in.M < 0 {
 				for j := range a {
 					a[j] = math.Abs(b[j])
 				}
 				continue
 			}
-			m := ks.b[in.M]
+			m := ks.b[in.M][:len(a)]
 			for j := range m {
 				if m[j] {
 					a[j] = math.Abs(b[j])
@@ -916,11 +916,13 @@ func (ks *kernState) compute() error {
 			// Unmasked by construction: a false parent lane forces false
 			// regardless of the cond slab's (possibly stale) content there.
 			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			for j := range a {
 				a[j] = b[j] && c[j]
 			}
 		case bytecode.KMaskAndNot:
 			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
+			b, c = b[:len(a)], c[:len(a)]
 			for j := range a {
 				a[j] = b[j] && !c[j]
 			}

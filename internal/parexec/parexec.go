@@ -235,8 +235,10 @@ func (t *task) drain(w *interp.Interp, pe int) {
 // vectorized) is parked almost as soon as it starts.
 //
 // Chosen on the one host measured (2-vCPU sandbox, go1.24, PEs 2;
-// PolyNormalize run(1024, 1.001) planned at width 8: 128 barriers of 8
-// iterations, ≈5 µs each; lower quartile of 300 runs, nine such samples
+// PolyNormalize run(1024, 1.001) planned at width 8, then the planner's
+// default of 4×PEs: 128 barriers of 8 iterations, ≈5 µs each — at
+// today's default of 16×PEs the run has a quarter as many barriers,
+// each four times wider; lower quartile of 300 runs, nine such samples
 // a setting, interleaved; the serial program read 4.0–4.9 ms, and a
 // pool that sent each PE its task down a channel and slept on a
 // WaitGroup 6.8–7.3 ms):

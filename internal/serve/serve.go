@@ -77,9 +77,10 @@ type Config struct {
 	// MaxPEs caps the worker-pool size a parallel request may ask for
 	// (0 = 32); requests beyond it are rejected as malformed. Without
 	// a cap a single request could spawn unbounded goroutines, which
-	// no other sandbox budget bounds. It also bounds the auto strip
-	// width, transform.DefaultWidth of the PE count, and with it how many
-	// planned variants one source can pin.
+	// no other sandbox budget bounds. The auto strip width,
+	// transform.DefaultWidth of the PE count, is 16 per PE and at most
+	// 128 whatever the cap, so one source pins at most eight planned
+	// variants.
 	MaxPEs int
 	// DefaultTimeout is the per-request wall-clock budget when the
 	// request does not name one (0 = 5s); MaxTimeout caps what a
@@ -172,7 +173,7 @@ type Request struct {
 	// loops are strip-mined, and the transformed program runs on the
 	// parexec pool (PEs as with Parallel). The Response
 	// carries the plan. The strip width is transform.DefaultWidth of the
-	// effective PE count. The planned variant is cached like any other
+	// effective PE count (16 per PE, at most 128). The planned variant is cached like any other
 	// program — keyed by (source, width) — so hot auto requests do no
 	// analysis, planning, or compilation.
 	Auto bool `json:"auto,omitempty"`

@@ -1043,7 +1043,7 @@ func TestPlanFailureReplies(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	const width = 8
+	width := transform.DefaultWidth(2)
 	// plant caches, under src's key, what a miss would have built had
 	// its parse produced scalePar damaged by damage.
 	plant := func(src string, auto bool, damage func(total *lang.FuncDecl)) {
@@ -1060,7 +1060,7 @@ func TestPlanFailureReplies(t *testing.T) {
 	}
 	post := func(req Request) Response {
 		t.Helper()
-		req.PEs = 2 // transform.DefaultWidth(2) is width
+		req.PEs = 2 // the planted entries' width
 		resp, status, _, err := postRun(context.Background(), ts.Client(), ts.URL, req)
 		if err != nil || status != http.StatusOK {
 			t.Fatalf("POST /run: %v, status %d, want 200", err, status)

@@ -68,15 +68,35 @@ import (
 )
 
 // DefaultWidth is the planner's width policy when the caller has no
-// opinion: 4 forall iterations per PE per barrier — wide enough that
-// a PE that finishes early takes more from the pool's cursor (the R2
-// convention), narrow enough that the FOR2 skip-ahead (quadratic in width) stays
-// modest. pes <= 0 means "this host": runtime.GOMAXPROCS.
+// opinion: 16 forall iterations per PE per barrier, at most 128. Each
+// barrier has a fixed cost (the pool's dispatch and join, a vector
+// strip's gather setup) that a wider strip spreads over more lanes, and
+// a PE that finishes early takes more from the pool's cursor. Width
+// costs no quadratic time: the VM walks a strip's chain once and charges
+// the lanes' FOR2 skip loops in closed form, so what grows with W is
+// only the paper's own accounting, W−1 skip steps per element. The cap
+// holds that charge at 127 steps, what 4 iterations per PE gave a
+// request at the server's default cap of 32 PEs. pes <= 0 means "this
+// host": runtime.GOMAXPROCS.
+//
+// Chosen on the one host measured (2-vCPU sandbox, go1.24, PEs 2; the
+// benchmark's run_s in ms, `go run ./benchmark -workload W -seconds 5`,
+// three rounds each taking every width in turn; median and range):
+//
+//	width          bh_sim              vec_sweep        plan_cold
+//	 8×PEs (16)   15.69 (15.22–15.77)  5.27 (5.22–5.32)  2.22 (2.19–2.25)
+//	16×PEs (32)   15.20 (15.01–15.24)  4.72 (4.32–4.73)  2.15 (2.13–2.18)
+//	32×PEs (64)   14.54 (14.42–14.81)  4.48 (4.45–4.50)  2.12 (2.09–2.14)
+//
+// 32×PEs read 1–5 % lower again, but it doubles the skip steps every
+// element is charged, which a served request's step budget pays, and
+// leaves a pool of four PEs at the cap already; 16×PEs took most of the
+// gain over 8×PEs.
 func DefaultWidth(pes int) int {
 	if pes <= 0 {
 		pes = runtime.GOMAXPROCS(0)
 	}
-	return 4 * pes
+	return min(16*pes, 128)
 }
 
 // DuplicateLoopPosError reports that two while loops of the input
@@ -310,6 +330,7 @@ func PlanAnalyzed(prog *lang.Program, res *analysis.Result, width int) (*Plan, e
 			return nil, err
 		}
 	}
+	requireValidExits(prog, res, reports)
 
 	// 3. Choose, in scan order: an approved loop not inside a chosen loop
 	// is chosen and the loops nested in it are absorbed; a rejected loop
@@ -374,6 +395,38 @@ func PlanAnalyzed(prog *lang.Program, res *analysis.Result, width int) (*Plan, e
 	annotateVectorVerdicts(plan)
 	plan.Timings.Lower = time.Since(t2)
 	return plan, nil
+}
+
+// requireValidExits holds every approval to the premise it rests on:
+// the loop's function assumes its element type's declaration along the
+// traversed dimension, which is only true of the heap if no function
+// leaves a violation of it behind. An approved loop over (T, D) is
+// rejected when some function exits with an active violation on (T, D);
+// the reason names the first such function, in program order, and the
+// violation. Loops another check rejected keep their reasons.
+func requireValidExits(prog *lang.Program, res *analysis.Result, reports []*depend.Report) {
+	type dimOf struct{ typ, dim string }
+	broken := map[dimOf]string{}
+	for _, f := range prog.Funcs {
+		fr := res.Funcs[f.Name]
+		if fr == nil || fr.Exit == nil {
+			continue
+		}
+		for _, k := range fr.Exit.ViolationKeys() {
+			if _, seen := broken[dimOf{k.Type, k.Dim}]; !seen {
+				broken[dimOf{k.Type, k.Dim}] = fmt.Sprintf("%s exits with an active violation (%s)", f.Name, k)
+			}
+		}
+	}
+	for _, r := range reports {
+		if r == nil || !r.Parallelizable || r.Dim == "" {
+			continue
+		}
+		if why, ok := broken[dimOf{r.Elem, r.Dim}]; ok {
+			r.Parallelizable = false
+			r.Reasons = []string{fmt.Sprintf("the %s declaration along %s does not hold of the heap: %s", r.Elem, r.Dim, why)}
+		}
+	}
 }
 
 // annotateVectorVerdicts builds the plan's code and joins the kernel

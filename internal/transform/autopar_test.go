@@ -281,8 +281,10 @@ func TestAutoParallelizeDefaults(t *testing.T) {
 	if plan.Width != DefaultWidth(0) {
 		t.Errorf("width %d, want DefaultWidth(0) = %d", plan.Width, DefaultWidth(0))
 	}
-	if DefaultWidth(4) != 16 {
-		t.Errorf("DefaultWidth(4) = %d, want 16", DefaultWidth(4))
+	for pes, want := range map[int]int{1: 16, 2: 32, 4: 64, 8: 128, 32: 128} {
+		if got := DefaultWidth(pes); got != want {
+			t.Errorf("DefaultWidth(%d) = %d, want %d (16 per PE, at most 128)", pes, got, want)
+		}
 	}
 	s := plan.Summary()
 	if !strings.Contains(s, "scale#0") || !strings.Contains(s, "parallelized 1/") {

@@ -74,6 +74,7 @@ func autoParallelizeFullRestart(prog *lang.Program, width int) (*Plan, error) {
 				} else if rep, err = depend.AnalyzeLoop(cur, res.Funcs[name], res.Effects, name, i); err != nil {
 					return nil, err
 				}
+				requireValidExits(cur, res, []*depend.Report{rep})
 				if lp == nil {
 					lp = newLoopPlan(loop.Pos(), name, i)
 					seen[loop.Pos()] = lp

@@ -721,48 +721,56 @@ func orthRow(t *testing.T, breakage string) string {
 // TestBrokenDeclarationsAreFlagged is the declaration leg of ROADMAP
 // item 1(c): a verdict is sound only if the declaration is true of the
 // heap. Each program breaks a declaration in the function that builds
-// the structure and then runs a loop over it, which the planner may
-// approve because the loop's function may assume the declaration. A
-// broken program must be flagged before that loop runs: by PM3
-// validation (the builder exits with a violation) or by the runtime
-// shape checks (ShapeChecksFatal) on the walker and on the VM alike.
-// Whether the loop is approved and which alarms fire are pinned; an
-// approved loop that neither alarm flags is a soundness hole.
+// the structure and then runs a loop over it, which the loop's function
+// may assume. Validation is a premise of the verdict (ROADMAP item
+// 2(a)): the planner rejects a loop over type T along dimension D when
+// some function exits with an active violation on (T, D), and says
+// which. A broken program must be flagged before that loop runs: by PM3
+// validation (the builder exits with a violation, and the loop is then
+// rejected) or by the runtime shape checks (ShapeChecksFatal) on the
+// walker and on the VM alike. Whether the loop is approved, the
+// rejection's reason, and which alarms fire are pinned; an approved
+// loop that neither alarm flags is a soundness hole.
 //
 // The first two rows break the one-way list's uniquely forward next: a
 // join, two nodes pointing at one; a cycle, tail->next = head. The
-// join trips both alarms. The cycle trips only the shape checks: after
-// build's loop the path matrix relates head and tail by =? alone — the
-// next+ path between them is lost — so the store closing the cycle is
+// join trips both alarms, and walk's loop is rejected. The cycle trips
+// only the shape checks, and walk's loop stays approved: after build's
+// loop the path matrix relates head and tail by =? alone — the next+
+// path between them is lost — so the store closing the cycle is
 // recorded as a possible alias, not as a cycle, and PM3 calls build
 // valid at exit. The other three break testdata/orthlist.psl's row,
-// and every one trips both alarms while scale_row's loop stays
-// approved: a join and a cycle along across, the dimension scale_row
-// walks (the cycle closes through an exact edge, head->across, so
-// unlike the list's PM3 sees it), and a join along down, the row's
-// other dimension, which leaves scale_row's X traversal as sound as it
-// was.
+// and every one trips both alarms: a join and a cycle along across,
+// the dimension scale_row walks (the cycle closes through an exact
+// edge, head->across, so unlike the list's PM3 sees it), which reject
+// scale_row's loop, and a join along down, the row's other dimension,
+// which leaves scale_row's X traversal as sound as it was and its loop
+// approved.
 func TestBrokenDeclarationsAreFlagged(t *testing.T) {
 	list := func(breakage string) string { return fmt.Sprintf(brokenList, breakage) }
 	for _, tc := range []struct {
 		name, src     string
 		builder, loop string // the function that breaks the declaration, the one whose loop runs over it
 		approved      bool   // whether the planner approves loop's first while loop
+		reason        string // the rejection's reason when it does not
 		exit          string // builder's exit violations, as PM3 prints them
 		shapeErr      string // the fatal shape check's error, "<nil>" for none
 	}{
 		{name: "join", src: list("  var OneWayList *x = new OneWayList;\n  x->next = head->next;\n"),
-			builder: "build", loop: "walk", approved: true,
-			exit: "[sharing of OneWayList along X]", shapeErr: "interp: 19:4: runtime sharing of OneWayList along X"},
+			builder: "build", loop: "walk",
+			reason: "the OneWayList declaration along X does not hold of the heap: build exits with an active violation (sharing of OneWayList along X)",
+			exit:   "[sharing of OneWayList along X]", shapeErr: "interp: 19:4: runtime sharing of OneWayList along X"},
 		{name: "cycle", src: list("  tail->next = head;\n"),
 			builder: "build", loop: "walk", approved: true,
 			exit: "[]", shapeErr: "interp: 18:7: runtime cycle of OneWayList along X"},
 		{name: "orthlist across join", src: orthRow(t, "  var OrthList *x = new OrthList;\n  x->across = head->across;\n"),
-			builder: "make_row", loop: "scale_row", approved: true,
-			exit: "[sharing of OrthList along X]", shapeErr: "interp: 29:4: runtime sharing of OrthList along X"},
+			builder: "make_row", loop: "scale_row",
+			reason: "the OrthList declaration along X does not hold of the heap: make_row exits with an active violation (sharing of OrthList along X)",
+			exit:   "[sharing of OrthList along X]", shapeErr: "interp: 29:4: runtime sharing of OrthList along X"},
 		{name: "orthlist across cycle", src: orthRow(t, "  head->across->across = head;\n"),
-			builder: "make_row", loop: "scale_row", approved: true,
-			exit: "[cycle of OrthList along X]", shapeErr: "interp: 28:15: runtime cycle of OrthList along X"},
+			builder: "make_row", loop: "scale_row",
+			reason: "the OrthList declaration along X does not hold of the heap: make_row exits with an active violation (cycle of OrthList along X)",
+			exit:   "[cycle of OrthList along X]", shapeErr: "interp: 28:15: runtime cycle of OrthList along X"},
 		{name: "orthlist down join", src: orthRow(t, "  var OrthList *x = new OrthList;\n  x->down = head->across;\n  head->down = head->across;\n"),
 			builder: "make_row", loop: "scale_row", approved: true,
 			exit: "[sharing of OrthList along Y]", shapeErr: "interp: 30:7: runtime sharing of OrthList along Y"},
@@ -776,12 +784,17 @@ func TestBrokenDeclarationsAreFlagged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			approved := false
+			approved, reason := false, ""
 			for _, lp := range auto.Plan.Loops {
-				approved = approved || (lp.Func == tc.loop && lp.Index == 0 && lp.Parallelized)
+				if lp.Func == tc.loop && lp.Index == 0 {
+					approved = lp.Parallelized
+					if lp.Report != nil && !lp.Report.Parallelizable {
+						reason = strings.Join(lp.Report.Reasons, "; ")
+					}
+				}
 			}
-			if approved != tc.approved {
-				t.Errorf("%s's loop approved = %t, want %t:\n%s", tc.loop, approved, tc.approved, auto.Plan)
+			if approved != tc.approved || reason != tc.reason {
+				t.Errorf("%s's loop approved = %t (%q), want %t (%q):\n%s", tc.loop, approved, reason, tc.approved, tc.reason, auto.Plan)
 			}
 			keys, err := c.ExitViolations(tc.builder)
 			if err != nil {
