@@ -24,9 +24,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bytecode"
+	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/lang"
@@ -369,6 +372,47 @@ func TestKernelStripAllocs(t *testing.T) {
 	bc, kern := allocs(interp.EngineBytecode), allocs(interp.EngineKernel)
 	if kern > bc+128 {
 		t.Errorf("kernel engine allocates %.0f objects/run, bytecode %.0f: want at most bytecode + 128 (nothing per strip)", kern, bc)
+	}
+}
+
+// TestVecForceKernelIsItsHelper pins what renaming makes of the
+// vector workload's strip: run_pair_forces' kernel is its helper's 79
+// guarded instructions with all 11 field loads renamed to their slabs
+// and all 3 stores folded into the instructions computing their
+// sources — 65 instructions, no load or store, no move added.
+func TestVecForceKernelIsItsHelper(t *testing.T) {
+	c, err := core.Compile(nbody.VecForcePSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := c.AutoParallel(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := compile.Compile(auto.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := bytecode.Compile(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := bp.Func(nbody.VecForceFunc).Foralls
+	if len(sites) != 1 || sites[0].Kernel == nil {
+		t.Fatalf("%s: foralls %+v, want one vectorized strip", nbody.VecForceFunc, sites)
+	}
+	k := sites[0].Kernel
+	moves := 0
+	for _, in := range k.Code {
+		switch s := in.Op.String(); {
+		case strings.HasPrefix(s, "load.") || strings.HasPrefix(s, "store."):
+			t.Errorf("kernel keeps %s", s)
+		case strings.HasPrefix(s, "mov."):
+			moves++
+		}
+	}
+	if len(k.Code) != 65 || moves != 0 || len(k.Fields) != 7 {
+		t.Errorf("kernel: %d instructions, %d moves, %d fields; want 65, 0, 7", len(k.Code), moves, len(k.Fields))
 	}
 }
 

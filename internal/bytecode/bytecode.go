@@ -248,9 +248,9 @@ type ForallSite struct {
 	// planner's per-loop verdicts join on.
 	Pos lang.Pos
 	// Strip is the loop's strip shape when matchStrip recognized it, nil
-	// otherwise. Kernel is the strip's batched SPMD form when
-	// classifyKernel proved the body vectorizable, nil otherwise;
-	// VectorReason then says concretely why not (see kernel.go).
+	// otherwise. Kernel is the strip's batched SPMD form when classify
+	// proved the body vectorizable, nil otherwise; VectorReason then says
+	// concretely why not (see kernel.go).
 	Strip        *Strip
 	Kernel       *Kernel
 	VectorReason string
@@ -321,7 +321,8 @@ func Compile(cp *compile.Program) (*Program, error) {
 			return nil, fmt.Errorf("bytecode: %s: %w", f.Name, err)
 		}
 	}
-	// Every callee's parameter registers and code are known now.
+	// Every callee's parameter registers and code are known now: bind
+	// the call sites, then read each strip helper's guarded body.
 	for _, f := range p.Funcs {
 		for i := range f.Calls {
 			c := &f.Calls[i]
@@ -329,9 +330,14 @@ func Compile(cp *compile.Program) (*Program, error) {
 				c.Moves[a.Bank] = append(c.Moves[a.Bank], Move{Src: a.Idx, Dst: p.Funcs[c.FuncIdx].Params[j].Reg.Idx})
 			}
 		}
-		for _, s := range f.Foralls {
-			if s.Strip != nil {
-				s.Strip.GuardPC = skipLoopEnd(p.Funcs[s.Strip.HelperIdx])
+		for i := range f.Foralls {
+			s := &f.Foralls[i]
+			if s.Strip == nil {
+				continue
+			}
+			s.Strip.GuardPC = skipLoopEnd(p.Funcs[s.Strip.HelperIdx])
+			if s.VectorReason == "" {
+				s.Kernel, s.VectorReason = p.classify(s)
 			}
 		}
 	}
@@ -750,13 +756,10 @@ func (b *builder) forStmt(s *compile.For) error {
 		}
 		fs := &b.f.Foralls[site]
 		fs.BodyEnd = int32(len(b.f.Code))
-		sh := b.matchStrip(s, nCalls, fs.BodyEnd-fs.BodyStart)
-		if sh == nil {
-			fs.VectorReason = kNotStrip.Error()
-			return nil
+		fs.Strip, fs.VectorReason = b.matchStrip(s, nCalls, fs.BodyEnd-fs.BodyStart)
+		if fs.Strip == nil {
+			fs.VectorReason = reasonNotStrip
 		}
-		fs.Strip = sh.strip
-		fs.Kernel, fs.VectorReason = sh.classifyKernel()
 		return nil
 	}
 

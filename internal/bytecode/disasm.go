@@ -115,12 +115,12 @@ func Disassemble(p *Program) string {
 		if i > 0 {
 			sb.WriteByte('\n')
 		}
-		disasmFunc(&sb, f)
+		disasmFunc(&sb, p, f)
 	}
 	return sb.String()
 }
 
-func disasmFunc(sb *strings.Builder, f *Func) {
+func disasmFunc(sb *strings.Builder, prog *Program, f *Func) {
 	fmt.Fprintf(sb, "func %s(", f.Name)
 	for i, p := range f.Params {
 		if i > 0 {
@@ -141,11 +141,12 @@ func disasmFunc(sb *strings.Builder, f *Func) {
 	for i, s := range f.Foralls {
 		fmt.Fprintf(sb, "  forall[%d]: from=i%d to=i%d var=i%d body=[%d,%d)%s\n",
 			i, s.From, s.To, s.Var, s.BodyStart, s.BodyEnd, vecVerdict(s))
-		if s.Strip != nil {
-			disasmStrip(sb, i, s.Strip)
+		if st := s.Strip; st != nil {
+			fmt.Fprintf(sb, "  forall[%d] strip: helper=%d call=%d advance=%s@%d guard=%d args-in-regs=%t\n",
+				i, st.HelperIdx, st.CallSite, st.AdvanceName, st.AdvanceOff, st.GuardPC, st.ArgsInRegs)
 		}
 		if s.Kernel != nil {
-			disasmKernel(sb, i, s.Strip, s.Kernel)
+			disasmKernel(sb, i, prog.Funcs[s.Strip.HelperIdx], s.Kernel)
 		}
 	}
 	for i, c := range f.Calls {
@@ -156,6 +157,43 @@ func disasmFunc(sb *strings.Builder, f *Func) {
 	}
 	for i, n := range f.News {
 		fmt.Fprintf(sb, "  new[%d]: %s\n", i, n.TypeName)
+	}
+}
+
+// vecVerdict is the suffix on a forall site line: the strip's
+// vectorization verdict, with the concrete reason when rejected.
+func vecVerdict(s ForallSite) string {
+	if s.Kernel != nil {
+		return " vec=kernel"
+	}
+	if s.VectorReason != "" {
+		return fmt.Sprintf(" vec=no (%s)", s.VectorReason)
+	}
+	return ""
+}
+
+// disasmKernel renders one forall site's kernel: its slabs, fields and
+// masks, then its code in the helper's mnemonics, each instruction with
+// the mask governing it and each branch with the two it splits that one
+// into (falls through, taken).
+func disasmKernel(sb *strings.Builder, site int, helper *Func, k *Kernel) {
+	fmt.Fprintf(sb, "  forall[%d] kernel: steps/lane=%d slabs: int=%d real=%d bool=%d masks=%d\n",
+		site, k.NSteps, k.NInt, k.NReal, k.NBool, k.NMasks)
+	var fields []string
+	for _, f := range k.Fields {
+		star := ""
+		if f.Stored {
+			star = "*"
+		}
+		fields = append(fields, fmt.Sprintf("%s%d=%s@%d%s", f.Bank, f.Slab, f.Name, f.Off, star))
+	}
+	fmt.Fprintf(sb, "    fields: %s\n", strings.Join(fields, " "))
+	for pc, in := range k.Code {
+		text := fmt.Sprintf("%-44s @m%d", instrText(helper, in), k.Masks[pc])
+		if isCondBranch(in.Op) {
+			text += fmt.Sprintf(" -> m%d m%d", in.C, in.C+1)
+		}
+		fmt.Fprintf(sb, "    %4d  %s\n", pc, text)
 	}
 }
 

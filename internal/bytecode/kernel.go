@@ -1,135 +1,58 @@
-// kernel.go — the SPMD vector-kernel IR and its classifier/lowering:
-// the fourth execution path's compile-time half.
+// kernel.go — strips and their vector kernels: the compile-time half of
+// the bytecode VM's vector path (the kernel engine).
 //
 // When a forall has the exact shape transform.StripMine emits — one
 // helper call per lane, the helper skipping k links along one pointer
-// field and guarding the body on NULL — and the guarded body is
-// straight-line arithmetic over the element's own data fields (no
-// calls, no allocation, no pointer-chasing beyond the element;
-// conditionals allowed), the strip admits a data-layout transform:
-// gather the touched fields AoS→SoA into flat slabs, execute the body
-// as fused whole-slab operations with execution masks for `if`
-// branches, and scatter the stored fields back at the barrier.
-// matchStrip recognizes the shape during lowering and attaches a Strip
-// to every forall that has it, whether or not its body vectorizes;
-// classifyKernel then lowers the guarded body and attaches the Kernel
-// beside it. Rejected strips carry a concrete VectorReason instead,
-// which transform's planner surfaces per loop.
-// The run-time half (slab pools, mask evaluation, the transactional
-// fallback) lives in internal/interp's kernel engine.
+// field and guarding the body on NULL — matchStrip records a Strip on
+// the site, whether or not its body vectorizes. Once the helper is
+// lowered, classify reads the helper's own bytecode from the guard's
+// fall-through to the end. When every instruction there can run
+// elementwise over the strip's lanes — arithmetic over the element's
+// own data fields and the helper's scalar parameters, conditionals
+// allowed, no calls, allocation, loops or pointer-chasing — it attaches
+// a Kernel: that code renamed onto struct-of-arrays slabs, each
+// instruction governed by an execution mask. A rejected strip carries a
+// concrete VectorReason instead, which transform's planner surfaces per
+// loop. The run-time half (gather, masked compute, scatter, the
+// transactional fallback) lives in internal/interp's kernel.go.
 //
-// Accounting parity: the only observable counters of a print-free,
-// allocation-free body are statement steps. The strip prologue (the
-// helper call, the skip loop, the NULL guard) contributes 3+2k steps
-// for lane k — charged in closed form by the runner — and every
-// guarded-body statement lowers to one KStep over its governing mask,
-// so per-strip step totals are bit-identical to the scalar engines'.
+// Renaming. Register r of a bank is slab r of that bank, and each
+// element field the body touches gets a slab after the registers. A read
+// whose register was last written, in pc order, under the read's own
+// mask sees that write's value in every lane; a register some read of
+// which sees otherwise is never renamed. (Masks are only ever compared
+// for equality: the masks of two ifs in a row overlap.) A load all of
+// whose reads are of the first kind, none after a store of its field,
+// goes, and its readers read the field's slab. A store whose source the
+// previous instruction of its statement computes under the same mask,
+// for the store alone, makes that instruction write the field's slab.
+// Every other load and store becomes a move. Each pass is linear in the
+// body.
+//
+// Masks. Mask 0 holds the lanes that have an element. Every branch —
+// they all jump forward — splits its governing mask into the lanes that
+// fall through and the lanes that take it, and where flows join, the
+// halves of a split merge back into the mask they came from. So each
+// lane executes exactly the instructions its scalar run executes, in
+// the same order: an operand of && or || only where the scalar engines
+// evaluate it, an integer division only where they divide.
+//
+// Accounting parity: the strip prologue (the helper call, the skip
+// loop, the NULL guard) costs lane k 3+2k steps, charged in closed form
+// by the runner, and each step of the body is charged once per lane of
+// its mask, so per-strip step totals are bit-identical to the scalar
+// engines'.
 package bytecode
 
 import (
-	"fmt"
-
 	"repro/internal/compile"
 	"repro/internal/lang"
 )
 
-// KOp is a vector-kernel opcode. Except for the prologue broadcasts
-// and the mask combiners, every op is elementwise over the strip's
-// lanes and executes only where its mask slab (KInstr.M) is true.
-type KOp uint8
-
-// Kernel opcodes. Register operands (A, B, C) are slab indices within
-// the bank the mnemonic names; M is the governing bool-slab mask
-// (kNoMask on the unmasked ops).
-const (
-	kopInvalid KOp = iota
-
-	// Prologue broadcasts: fill a whole slab from one caller scalar,
-	// read through the strip call site's argument list (B is the
-	// argument index). Unmasked — they run once per strip, serially,
-	// during the gather phase.
-	KParamInt  // I[A][*] = caller int arg B
-	KParamReal // F[A][*] = caller real arg B
-	KParamBool // B[A][*] = caller bool arg B
-
-	// Masked constants and moves.
-	KConstInt  // I[A][i] = Imm
-	KConstReal // F[A][i] = Fv
-	KConstBool // B[A][i] = Imm != 0
-	KMovInt    // I[A][i] = I[B][i]
-	KMovReal   // F[A][i] = F[B][i]
-	KMovBool   // B[A][i] = B[B][i]
-	KIntToReal // F[A][i] = float64(I[B][i])
-
-	// Integer ALU.
-	KAddInt // I[A][i] = I[B][i] + I[C][i]
-	KSubInt
-	KMulInt
-	KDivInt // faults the strip on a zero divisor in an active lane
-	KModInt // faults the strip on a zero divisor in an active lane
-	KNegInt // I[A][i] = -I[B][i]
-	KEqInt  // B[A][i] = I[B][i] == I[C][i]
-	KNeInt
-	KLtInt
-	KLeInt
-	KGtInt
-	KGeInt
-
-	// Real ALU (IEEE, fault-free).
-	KAddReal // F[A][i] = F[B][i] + F[C][i]
-	KSubReal
-	KMulReal
-	KDivReal
-	KNegReal // F[A][i] = -F[B][i]
-	KEqReal  // B[A][i] = F[B][i] == F[C][i]
-	KNeReal
-	KLtReal
-	KLeReal
-	KGtReal
-	KGeReal
-
-	// Bool ops. KAndBool/KOrBool evaluate both sides eagerly — sound
-	// because classified bodies are pure, and a spurious divide fault
-	// on a lane the scalar path would short-circuit past only costs
-	// the transactional fallback, never correctness.
-	KNot    // B[A][i] = !B[B][i]
-	KEqBool // B[A][i] = B[B][i] == B[C][i]
-	KNeBool
-	KAndBool // B[A][i] = B[B][i] && B[C][i]
-	KOrBool  // B[A][i] = B[B][i] || B[C][i]
-
-	// Builtins.
-	KSqrt // F[A][i] = sqrt(F[B][i])
-	KAbs  // F[A][i] = abs(F[B][i])
-
-	// Mask combiners (unmasked, full lane range; a false parent mask
-	// forces false regardless of the cond slab's garbage lanes).
-	KMaskAnd    // B[A][i] = B[B][i] && B[C][i]
-	KMaskAndNot // B[A][i] = B[B][i] && !B[C][i]
-
-	// Accounting: one statement executed on every active lane.
-	KStep // steps += popcount(B[M])
-
-	kopCount
-)
-
-// kNoMask marks an unmasked instruction (prologue, mask combiners).
-const kNoMask = int32(-1)
-
-// KInstr is one kernel instruction. A, B, C are slab indices; M the
-// mask slab (kNoMask when unmasked).
-type KInstr struct {
-	Op      KOp
-	A, B, C int32
-	M       int32
-	Imm     int64
-	Fv      float64
-}
-
 // KField is one element field the kernel touches, gathered into (and,
 // when Stored, scattered back from) a slab. Every touched field is
 // gathered — including store-only fields — so the scatter can write
-// all root-active lanes unconditionally: lanes an `if` masked off
+// all root-active lanes unconditionally: lanes a branch masked off
 // write back the value they were gathered with.
 type KField struct {
 	Off    int32  // offset within the element's data fields
@@ -164,84 +87,91 @@ type Strip struct {
 	// ArgsInRegs reports that the forall body's code is the call's
 	// statement step and the call itself: every argument already sits in
 	// a caller register, so a lane binds the helper's parameters without
-	// running the body.
+	// running the body. Both strip paths require it.
 	ArgsInRegs bool
 }
 
-// Kernel is one vectorizable strip's lowered form, attached to its
-// ForallSite (beside the site's Strip, which it builds on) by
-// classifyKernel.
+// Kernel is one vectorizable strip's guarded body renamed onto slabs,
+// attached to its ForallSite beside the Strip it builds on.
 type Kernel struct {
 	Fields []KField
-	// Slab counts per bank; RootMask is the bool slab holding the
-	// lane-is-non-NULL mask the guarded body executes under.
+	// Slab counts per bank: the helper's registers, then the fields.
 	NInt, NReal, NBool int
-	RootMask           int32
-
-	Prologue []KInstr // param broadcasts, run serially at gather
-	Code     []KInstr // the guarded body, elementwise and masked
-	// NSteps counts KStep instructions in Code: the per-lane upper
-	// bound used for the runner's conservative step-budget pre-check.
+	// Code is the helper's guarded body, renamed (see the file comment).
+	// A branch's C is the mask its fall-through lanes get, C+1 the mask
+	// of the lanes that take it; Masks[pc] is the mask governing Code[pc].
+	// NMasks counts the masks; mask 0 holds the lanes with an element.
+	Code   []Instr
+	Masks  []int32
+	NMasks int
+	// NSteps counts the steps in Code: the most a lane takes, the bound
+	// of the runner's step-budget pre-check.
 	NSteps int32
 }
 
-// rejectErr is a classifier rejection: its text is the concrete
-// per-loop VectorReason the plan report surfaces.
-type rejectErr string
-
-func (e rejectErr) Error() string { return string(e) }
-
-const kNotStrip = rejectErr("loop body is not a strip-mined iteration pattern")
-
-// stripShape is a recognized strip with the compile IR the kernel
-// classifier lowers: the helper, the call's arguments and the guard.
-type stripShape struct {
-	strip    *Strip
-	callee   *compile.Func
-	args     []compile.Expr
-	peSlot   int
-	elemSlot int
-	guard    *compile.If
-}
+// Vectorization verdicts: a strip's VectorReason is one of these, or
+// names the function its body calls.
+const (
+	reasonNotStrip  = "loop body is not a strip-mined iteration pattern"
+	reasonArgExpr   = "strip call argument is not a variable or literal"
+	reasonArgNotReg = "strip call argument is not in a caller register"
+	reasonLoop      = "body contains a loop"
+	reasonReturns   = "body returns"
+	reasonPrints    = "body prints"
+	reasonRand      = "body calls rand()"
+	reasonAllocates = "allocates"
+	reasonPointer   = "pointer-chasing access"
+	reasonString    = "string-valued expression"
+	reasonPE        = "uses the strip PE index"
+)
 
 // matchStrip recognizes the strip shape on a forall whose body has just
 // been lowered (nCalls is len(f.Calls) before the body, bodyLen the
 // number of instructions it lowered to). It returns nil when the loop
-// is not a strip. The Strip's GuardPC is filled in by Compile once the
+// is not a strip, and with a strip the reason it cannot vectorize
+// whatever its body, when a call argument is an expression the kernel
+// could not reproduce. Compile fills in the Strip's GuardPC once the
 // helper is lowered.
-func (b *builder) matchStrip(s *compile.For, nCalls int, bodyLen int32) *stripShape {
+func (b *builder) matchStrip(s *compile.For, nCalls int, bodyLen int32) (*Strip, string) {
 	// The forall body is exactly one call helper(_pe, elem, frees...) of
 	// a procedure ...
 	if len(s.Body) != 1 {
-		return nil
+		return nil, ""
 	}
 	cs, ok := s.Body[0].(*compile.CallStmt)
 	if !ok {
-		return nil
+		return nil, ""
 	}
 	call := cs.Call
 	if call.Builtin != compile.NotBuiltin || len(call.Args) < 2 || len(b.f.Calls) != nCalls+1 {
-		return nil
+		return nil, ""
 	}
 	pe, ok := call.Args[0].(*compile.SlotRef)
 	if !ok || pe.Slot != s.Slot {
-		return nil
+		return nil, ""
 	}
 	ind, ok := call.Args[1].(*compile.SlotRef)
 	if !ok || !isPtr(ind.Type()) {
-		return nil
+		return nil, ""
 	}
 	// Only the first argument may be the lane index: a lane binds the
 	// others from the caller's registers, and the caller never holds
 	// the index in the loop variable's.
+	argReason := ""
 	for _, a := range call.Args[2:] {
-		if r, ok := a.(*compile.SlotRef); ok && r.Slot == s.Slot {
-			return nil
+		switch a := a.(type) {
+		case *compile.SlotRef:
+			if a.Slot == s.Slot {
+				return nil, ""
+			}
+		case *compile.IntLit, *compile.RealLit, *compile.BoolLit:
+		default:
+			argReason = reasonArgExpr
 		}
 	}
 	callee := b.cp.Funcs[call.FuncIdx]
 	if callee.Result != nil || len(callee.Params) != len(call.Args) || len(callee.Body) != 2 {
-		return nil
+		return nil, ""
 	}
 	peSlot := callee.Params[0].Slot
 	elemSlot := callee.Params[1].Slot
@@ -250,57 +180,50 @@ func (b *builder) matchStrip(s *compile.For, nCalls int, bodyLen int32) *stripSh
 	// elem->adv }` followed by the NULL guard `if elem != NULL {...}`.
 	skip, ok := callee.Body[0].(*compile.For)
 	if !ok || skip.Parallel || len(skip.Body) != 1 {
-		return nil
+		return nil, ""
 	}
 	fromLit, ok := skip.From.(*compile.IntLit)
 	if !ok || fromLit.Val != 1 {
-		return nil
+		return nil, ""
 	}
 	toRef, ok := skip.To.(*compile.SlotRef)
 	if !ok || toRef.Slot != peSlot {
-		return nil
+		return nil, ""
 	}
 	adv, ok := skip.Body[0].(*compile.AssignSlot)
 	if !ok || adv.Slot != elemSlot {
-		return nil
+		return nil, ""
 	}
 	advLoad, ok := adv.RHS.(*compile.Load)
 	if !ok || !advLoad.IsPtr || advLoad.Index != nil {
-		return nil
+		return nil, ""
 	}
 	advBase, ok := advLoad.X.(*compile.SlotRef)
 	if !ok || advBase.Slot != elemSlot {
-		return nil
+		return nil, ""
 	}
 	guard, ok := callee.Body[1].(*compile.If)
 	if !ok || len(guard.Else) != 0 {
-		return nil
+		return nil, ""
 	}
 	cond, ok := guard.Cond.(*compile.Bin)
 	if !ok || cond.Op != lang.NEQ {
-		return nil
+		return nil, ""
 	}
 	condX, ok := cond.X.(*compile.SlotRef)
 	if !ok || condX.Slot != elemSlot {
-		return nil
+		return nil, ""
 	}
 	if _, ok := cond.Y.(*compile.NullLit); !ok {
-		return nil
+		return nil, ""
 	}
-	return &stripShape{
-		strip: &Strip{
-			HelperIdx:   int32(call.FuncIdx),
-			CallSite:    int32(nCalls),
-			AdvanceOff:  int32(advLoad.Off),
-			AdvanceName: advLoad.Field,
-			ArgsInRegs:  bodyLen == 2,
-		},
-		callee:   callee,
-		args:     call.Args,
-		peSlot:   peSlot,
-		elemSlot: elemSlot,
-		guard:    guard,
-	}
+	return &Strip{
+		HelperIdx:   int32(call.FuncIdx),
+		CallSite:    int32(nCalls),
+		AdvanceOff:  int32(advLoad.Off),
+		AdvanceName: advLoad.Field,
+		ArgsInRegs:  bodyLen == 2,
+	}, argReason
 }
 
 // skipLoopEnd is a lowered strip helper's first pc past its skip loop.
@@ -315,770 +238,587 @@ func skipLoopEnd(helper *Func) int32 {
 	return 0
 }
 
-// classifyKernel lowers a recognized strip's guarded body to a kernel,
-// or returns the reason it is not vectorizable.
-func (sh *stripShape) classifyKernel() (*Kernel, string) {
-	kb := &kbuilder{
-		callee:   sh.callee,
-		args:     sh.args,
-		peSlot:   sh.peSlot,
-		elemSlot: sh.elemSlot,
-		slotSlab: make([]int32, sh.callee.Slots),
-		slotBank: make([]Bank, sh.callee.Slots),
-		fieldIdx: map[int32]int32{},
-		k:        &Kernel{},
-	}
-	for i := range kb.slotSlab {
-		kb.slotSlab[i] = -1
-	}
-	if err := kb.lower(sh.guard.Then); err != nil {
-		return nil, err.Error()
-	}
-	return kb.k, ""
+// operand is one register operand of an instruction: the bank it names
+// and whether the instruction writes it. The zero value is no register.
+type operand struct {
+	bank  Bank
+	write bool
 }
 
-// ---------------------------------------------------------------------------
-// Lowering
+func rd(b Bank) operand { return operand{bank: b} }
+func wr(b Bank) operand { return operand{bank: b, write: true} }
 
-// kbuilder lowers one guarded strip body to kernel code. It mirrors
-// the scalar builder's register discipline over slabs: variable slots
-// and gathered fields own permanent slabs, expression temporaries
-// reuse a per-statement watermark, and `if` masks are permanent (they
-// outlive the statement that computes them).
-type kbuilder struct {
-	callee   *compile.Func
-	args     []compile.Expr // strip call-site arguments, one per param
-	peSlot   int
-	elemSlot int
-	k        *Kernel
+// opRegs gives each opcode's register operands in A, B and C. Calls and
+// prints name theirs in their site tables (see eachReg).
+var opRegs = [opCount][3]operand{
+	OpConstInt: {wr(BankInt)}, OpConstReal: {wr(BankReal)}, OpConstBool: {wr(BankBool)},
+	OpConstStr: {wr(BankStr)}, OpConstNull: {wr(BankNode)},
+	OpMovInt: {wr(BankInt), rd(BankInt)}, OpMovReal: {wr(BankReal), rd(BankReal)},
+	OpMovBool: {wr(BankBool), rd(BankBool)}, OpMovStr: {wr(BankStr), rd(BankStr)},
+	OpMovNode: {wr(BankNode), rd(BankNode)}, OpIntToReal: {wr(BankReal), rd(BankInt)},
 
-	slotSlab []int32 // variable slot -> slab (-1: not vectorizable as data)
-	slotBank []Bank
-	fieldIdx map[int32]int32 // data-field offset -> index into k.Fields
+	OpBr: {rd(BankBool)}, OpScAnd: {rd(BankBool)}, OpScOr: {rd(BankBool)},
+	OpForHead: {rd(BankInt), rd(BankInt), wr(BankInt)}, OpForTail: {wr(BankInt)},
+	OpReturnInt: {rd(BankInt)}, OpReturnReal: {rd(BankReal)}, OpReturnBool: {rd(BankBool)},
+	OpReturnStr: {rd(BankStr)}, OpReturnNode: {rd(BankNode)},
 
-	permTop [6]int32
-	tempTop [6]int32
-	maxTop  [6]int32
+	OpBrfEqInt: {rd(BankInt), rd(BankInt)}, OpBrfNeInt: {rd(BankInt), rd(BankInt)},
+	OpBrfLtInt: {rd(BankInt), rd(BankInt)}, OpBrfLeInt: {rd(BankInt), rd(BankInt)},
+	OpBrfGtInt: {rd(BankInt), rd(BankInt)}, OpBrfGeInt: {rd(BankInt), rd(BankInt)},
+	OpBrfEqReal: {rd(BankReal), rd(BankReal)}, OpBrfNeReal: {rd(BankReal), rd(BankReal)},
+	OpBrfLtReal: {rd(BankReal), rd(BankReal)}, OpBrfLeReal: {rd(BankReal), rd(BankReal)},
+	OpBrfGtReal: {rd(BankReal), rd(BankReal)}, OpBrfGeReal: {rd(BankReal), rd(BankReal)},
+	OpBrfEqNode: {rd(BankNode), rd(BankNode)}, OpBrfNeNode: {rd(BankNode), rd(BankNode)},
+	OpBrfNull: {rd(BankNode)}, OpBrfNonNull: {rd(BankNode)},
+
+	OpAddInt: {wr(BankInt), rd(BankInt), rd(BankInt)}, OpSubInt: {wr(BankInt), rd(BankInt), rd(BankInt)},
+	OpMulInt: {wr(BankInt), rd(BankInt), rd(BankInt)}, OpDivInt: {wr(BankInt), rd(BankInt), rd(BankInt)},
+	OpModInt: {wr(BankInt), rd(BankInt), rd(BankInt)}, OpNegInt: {wr(BankInt), rd(BankInt)},
+	OpEqInt: {wr(BankBool), rd(BankInt), rd(BankInt)}, OpNeInt: {wr(BankBool), rd(BankInt), rd(BankInt)},
+	OpLtInt: {wr(BankBool), rd(BankInt), rd(BankInt)}, OpLeInt: {wr(BankBool), rd(BankInt), rd(BankInt)},
+	OpGtInt: {wr(BankBool), rd(BankInt), rd(BankInt)}, OpGeInt: {wr(BankBool), rd(BankInt), rd(BankInt)},
+
+	OpAddReal: {wr(BankReal), rd(BankReal), rd(BankReal)}, OpSubReal: {wr(BankReal), rd(BankReal), rd(BankReal)},
+	OpMulReal: {wr(BankReal), rd(BankReal), rd(BankReal)}, OpDivReal: {wr(BankReal), rd(BankReal), rd(BankReal)},
+	OpNegReal: {wr(BankReal), rd(BankReal)},
+	OpEqReal:  {wr(BankBool), rd(BankReal), rd(BankReal)}, OpNeReal: {wr(BankBool), rd(BankReal), rd(BankReal)},
+	OpLtReal: {wr(BankBool), rd(BankReal), rd(BankReal)}, OpLeReal: {wr(BankBool), rd(BankReal), rd(BankReal)},
+	OpGtReal: {wr(BankBool), rd(BankReal), rd(BankReal)}, OpGeReal: {wr(BankBool), rd(BankReal), rd(BankReal)},
+
+	OpNot:    {wr(BankBool), rd(BankBool)},
+	OpEqBool: {wr(BankBool), rd(BankBool), rd(BankBool)}, OpNeBool: {wr(BankBool), rd(BankBool), rd(BankBool)},
+	OpEqStr: {wr(BankBool), rd(BankStr), rd(BankStr)}, OpNeStr: {wr(BankBool), rd(BankStr), rd(BankStr)},
+	OpEqNode: {wr(BankBool), rd(BankNode), rd(BankNode)}, OpNeNode: {wr(BankBool), rd(BankNode), rd(BankNode)},
+
+	OpNew:     {wr(BankNode)},
+	OpLoadInt: {wr(BankInt), rd(BankNode)}, OpLoadReal: {wr(BankReal), rd(BankNode)},
+	OpLoadBool: {wr(BankBool), rd(BankNode)}, OpLoadNode: {wr(BankNode), rd(BankNode)},
+	OpLoadNodeIdxBegin: {wr(BankNode), rd(BankNode)}, OpLoadNodeIdx: {wr(BankNode), rd(BankNode), rd(BankInt)},
+	OpStoreInt: {rd(BankNode), rd(BankInt)}, OpStoreReal: {rd(BankNode), rd(BankReal)},
+	OpStoreBool: {rd(BankNode), rd(BankBool)}, OpStoreNode: {rd(BankNode), rd(BankNode)},
+	OpStoreNodeIdxBegin: {rd(BankNode)}, OpStoreNodeIdx: {rd(BankNode), rd(BankNode), rd(BankInt)},
+
+	OpSqrt: {wr(BankReal), rd(BankReal)}, OpAbs: {wr(BankReal), rd(BankReal)}, OpRand: {wr(BankReal)},
 }
 
-func (kb *kbuilder) allocPerm(bank Bank) int32 {
-	s := kb.permTop[bank]
-	kb.permTop[bank]++
-	if kb.tempTop[bank] < kb.permTop[bank] {
-		kb.tempTop[bank] = kb.permTop[bank]
+// reg is operand k (0, 1, 2: A, B, C) of in.
+func reg(in *Instr, k int) *int32 {
+	switch k {
+	case 0:
+		return &in.A
+	case 1:
+		return &in.B
 	}
-	if kb.permTop[bank] > kb.maxTop[bank] {
-		kb.maxTop[bank] = kb.permTop[bank]
-	}
-	return s
+	return &in.C
 }
 
-func (kb *kbuilder) temp(bank Bank) int32 {
-	s := kb.tempTop[bank]
-	kb.tempTop[bank]++
-	if kb.tempTop[bank] > kb.maxTop[bank] {
-		kb.maxTop[bank] = kb.tempTop[bank]
+// eachReg calls fn for every register in reads or writes, in the order
+// the lowering evaluates them.
+func (f *Func) eachReg(in Instr, fn func(r Reg, write bool)) {
+	switch in.Op {
+	case OpCall:
+		c := f.Calls[in.A]
+		for _, a := range c.Args {
+			fn(a, false)
+		}
+		if c.Dst.Bank != BankNone {
+			fn(c.Dst, true)
+		}
+		return
+	case OpPrint:
+		for _, a := range f.Prints[in.A].Args {
+			fn(a, false)
+		}
+		return
 	}
-	return s
-}
-
-func (kb *kbuilder) resetTemps() { kb.tempTop = kb.permTop }
-
-// kDstBank gives each value-producing op's destination bank; ops with
-// no register destination (KStep, the mask combiners) are absent.
-func kDstBank(op KOp) (Bank, bool) {
-	switch op {
-	case KConstInt, KMovInt, KAddInt, KSubInt, KMulInt, KDivInt, KModInt, KNegInt:
-		return BankInt, true
-	case KConstReal, KMovReal, KIntToReal, KAddReal, KSubReal, KMulReal, KDivReal, KNegReal, KSqrt, KAbs:
-		return BankReal, true
-	case KEqInt, KNeInt, KLtInt, KLeInt, KGtInt, KGeInt,
-		KEqReal, KNeReal, KLtReal, KLeReal, KGtReal, KGeReal,
-		KConstBool, KMovBool, KNot, KEqBool, KNeBool, KAndBool, KOrBool:
-		return BankBool, true
-	}
-	return 0, false
-}
-
-// emit appends one instruction, dropping the execution mask when it is
-// provably unobservable: a temp destination is consumed within the same
-// statement under the same mask and never read by a masked-off lane, so
-// any op that cannot fault runs whole-slab. Int division and modulus
-// keep their masks — the per-lane zero check must only see active
-// lanes. (During statement codegen every permanent slab is already
-// allocated — masks before the condition, fields and variables in
-// pre-passes — so dst >= permTop identifies a temp exactly.)
-func (kb *kbuilder) emit(in KInstr) {
-	if in.M != kNoMask && in.Op != KDivInt && in.Op != KModInt {
-		if bank, ok := kDstBank(in.Op); ok && in.A >= kb.permTop[bank] {
-			in.M = kNoMask
+	for k, o := range opRegs[in.Op] {
+		if o.bank != BankNone {
+			fn(Reg{Bank: o.bank, Idx: *reg(&in, k)}, o.write)
 		}
 	}
-	kb.k.Code = append(kb.k.Code, in)
 }
 
-func (kb *kbuilder) lower(body []compile.Stmt) error {
-	kb.k.RootMask = kb.allocPerm(BankBool)
-	// Broadcast the helper's scalar free-variable parameters. _pe and
-	// the element pointer are positional (the lane index and the gather
-	// chain); node or string extras stay unslabbed and reject on use.
-	// The kernel never executes the call site's argument expressions,
-	// so each extra argument must be a shape it can reproduce without
-	// evaluation: a variable (broadcast the caller register) or a
-	// literal (broadcast the constant). Anything else — a field load, a
-	// nested call — could fault or cost steps when the scalar engines
-	// evaluate it per lane, and rejects the strip.
-	for i, p := range kb.callee.Params {
-		bank := BankOf(p.Type)
-		kb.slotBank[p.Slot] = bank
-		if i < 2 {
+// written is the register in writes, if any.
+func (f *Func) written(in Instr) (w Reg, ok bool) {
+	f.eachReg(in, func(r Reg, write bool) {
+		if write {
+			w, ok = r, true
+		}
+	})
+	return w, ok
+}
+
+func isCondBranch(op Op) bool {
+	return op == OpBr || op == OpScAnd || op == OpScOr || op >= OpBrfEqInt && op <= OpBrfNonNull
+}
+
+func isFieldLoad(op Op) bool  { return op == OpLoadInt || op == OpLoadReal || op == OpLoadBool }
+func isFieldStore(op Op) bool { return op == OpStoreInt || op == OpStoreReal || op == OpStoreBool }
+
+// classify builds the kernel of the strip at site s, or returns why its
+// guarded body does not vectorize.
+func (p *Program) classify(s *ForallSite) (*Kernel, string) {
+	st := s.Strip
+	h := p.Funcs[st.HelperIdx]
+	start := st.GuardPC + 2 // past the guard's step and brf.nonnull
+	if reason := p.vecReason(h, start); reason != "" {
+		return nil, reason
+	}
+	if !st.ArgsInRegs {
+		return nil, reasonArgNotReg
+	}
+	return newKernel(h, start)
+}
+
+// vecReason returns why the guarded body h.Code[start:] cannot run over
+// slabs, or "" when it can. Its answers are the reasons a walk over the
+// body's source would give, in the same precedence: first a string or
+// pointer variable declared outside loops, then the first offence in
+// the order the source evaluates — a statement's own (a loop, a return,
+// a call or print statement, a store through another pointer, an
+// assignment to the lane index or a pointer) before anything it
+// evaluates, an expression's before its operands'.
+func (p *Program) vecReason(h *Func, start int32) string {
+	code, end := h.Code, int32(len(h.Code))
+	pe, elem := h.Params[0].Reg, h.Params[1].Reg
+	endsStmt := func(pc int32) bool { return pc+1 == end || code[pc+1].Op == OpStep }
+
+	// lastW[base[bank]+r] is the last pc that wrote register r;
+	// subStart[pc-start] is where pc's evaluation starts (below); loops
+	// counts the loops around each pc, a loop running from its head to
+	// its back edge.
+	var base [BankNode + 2]int
+	for bk, size := range [...]int{BankInt: h.NInt, BankReal: h.NReal, BankBool: h.NBool, BankStr: h.NStr, BankNode: h.NNode} {
+		base[bk+1] = base[bk] + size
+	}
+	n := int(end - start)
+	buf := make([]int32, base[BankNode+1]+2*n+1)
+	lastW, subStart, loops := buf[:base[BankNode+1]], buf[base[BankNode+1]:][:n], buf[base[BankNode+1]+n:]
+	for pc := start; pc < end; pc++ {
+		from, to := int32(-1), pc
+		switch in := code[pc]; {
+		case in.Op == OpForTail, in.Op == OpJump && int32(in.Imm) <= pc:
+			from = max(int32(in.Imm), start)
+		case in.Op == OpForall:
+			from, to = pc, h.Foralls[in.A].BodyEnd-1
+		}
+		if from >= 0 {
+			loops[from-start]++
+			loops[to-start+1]--
+		}
+	}
+	for i := 1; i < n; i++ {
+		loops[i] += loops[i-1]
+	}
+
+	// Declarations: a statement that writes a string or pointer register
+	// no instruction has written before, a parameter's included, declares
+	// a variable of that type.
+	for i := range lastW {
+		lastW[i] = -1
+	}
+	for _, prm := range h.Params {
+		lastW[base[prm.Reg.Bank]+int(prm.Reg.Idx)] = start
+	}
+	for pc := start; pc < end; pc++ {
+		r, ok := h.written(code[pc])
+		if !ok || r.Bank != BankStr && r.Bank != BankNode {
 			continue
 		}
-		arg := kb.args[i]
-		switch bank {
-		case BankInt, BankReal, BankBool:
-		default:
-			if _, ok := arg.(*compile.SlotRef); !ok {
-				return rejectErr("strip call argument is not a variable or literal")
+		w := &lastW[base[r.Bank]+int(r.Idx)]
+		if *w < 0 && endsStmt(pc) && loops[pc-start] == 0 {
+			switch {
+			case code[pc].Op == OpNew:
+				return reasonAllocates
+			case r.Bank == BankStr:
+				return reasonString
 			}
+			return reasonPointer
+		}
+		*w = pc
+	}
+
+	// Offences in evaluation order. An instruction's evaluation starts
+	// where the code of its first operand computed in the same statement
+	// does (subStart); position 2·pc is just before pc's instruction.
+	for i := range lastW {
+		lastW[i] = -1
+	}
+	stmt := start - 1 // the current statement's step
+	// producer is the pc that computed r in the current statement, or -1.
+	producer := func(r Reg) int32 {
+		if w := lastW[base[r.Bank]+int(r.Idx)]; w > stmt {
+			return w
+		}
+		return -1
+	}
+	bestPos, best := int32(2*end+2), ""
+	offend := func(pos int32, reason string) {
+		if pos <= bestPos { // a later instruction at one position encloses the earlier
+			bestPos, best = pos, reason
+		}
+	}
+	for pc := start; pc < end; pc++ {
+		in := code[pc]
+		if in.Op == OpStep {
+			stmt = pc
 			continue
 		}
-		in := KInstr{A: kb.allocPerm(bank), M: kNoMask}
-		kb.slotSlab[p.Slot] = in.A
-		switch a := arg.(type) {
-		case *compile.SlotRef:
-			switch bank {
-			case BankInt:
-				in.Op = KParamInt
-			case BankReal:
-				in.Op = KParamReal
-			case BankBool:
-				in.Op = KParamBool
+		s := pc
+		h.eachReg(in, func(r Reg, write bool) {
+			if w := producer(r); !write && w >= 0 {
+				s = min(s, subStart[w-start])
 			}
-			in.B = int32(i)
-		case *compile.IntLit:
-			if bank == BankReal {
-				in.Op, in.Fv = KConstReal, float64(a.Val)
-			} else {
-				in.Op, in.Imm = KConstInt, a.Val
+		})
+		subStart[pc-start] = s
+		if reason, ok := stmtReason(p, h, in, pe, elem, endsStmt(pc)); ok {
+			offend(2*stmt, reason)
+		} else if in.Op == OpJump && int32(in.Imm) <= pc {
+			// A while loop: its statement's step precedes its head.
+			w := int32(in.Imm) - 1
+			for code[w].Op != OpStep {
+				w--
 			}
-		case *compile.RealLit:
-			in.Op, in.Fv = KConstReal, a.Val
-		case *compile.BoolLit:
-			in.Op = KConstBool
-			if a.Val {
-				in.Imm = 1
-			}
-		default:
-			return rejectErr("strip call argument is not a variable or literal")
-		}
-		kb.k.Prologue = append(kb.k.Prologue, in)
-	}
-	// Pre-passes allocate every declaration's slab and every touched
-	// field's slab before code generation, so no permanent slab is
-	// ever allocated mid-statement (above a live temporary).
-	if err := kb.assignSlabs(body); err != nil {
-		return err
-	}
-	if err := kb.scanFieldStmts(body); err != nil {
-		return err
-	}
-	if err := kb.stmts(body, kb.k.RootMask); err != nil {
-		return err
-	}
-	kb.k.NInt = int(kb.maxTop[BankInt])
-	kb.k.NReal = int(kb.maxTop[BankReal])
-	kb.k.NBool = int(kb.maxTop[BankBool])
-	return nil
-}
-
-// assignSlabs gives every variable declared in the guarded body a
-// permanent slab (lane-local storage). Loop bodies are skipped: the
-// statement pass rejects the loop before anything inside it is used.
-func (kb *kbuilder) assignSlabs(stmts []compile.Stmt) error {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *compile.Block:
-			if err := kb.assignSlabs(s.Stmts); err != nil {
-				return err
-			}
-		case *compile.VarSet:
-			switch bank := BankOf(s.Type); bank {
-			case BankInt, BankReal, BankBool:
-				kb.slotSlab[s.Slot] = kb.allocPerm(bank)
-				kb.slotBank[s.Slot] = bank
-			case BankStr:
-				return rejectErr("string-valued expression")
-			default:
-				if _, ok := s.Init.(*compile.New); ok {
-					return rejectErr("allocates")
+			offend(2*w, reasonLoop)
+		} else if reason := exprReason(p, h, in, elem); reason != "" {
+			offend(2*s, reason)
+		} else {
+			// An operand read in place is evaluated where the code of the
+			// operands before it ends.
+			at := s
+			h.eachReg(in, func(r Reg, write bool) {
+				switch w := producer(r); {
+				case write:
+				case w >= 0:
+					at = w + 1
+				case r == pe:
+					offend(2*at, reasonPE)
 				}
-				return rejectErr("pointer-chasing access")
-			}
-		case *compile.If:
-			if err := kb.assignSlabs(s.Then); err != nil {
-				return err
-			}
-			if err := kb.assignSlabs(s.Else); err != nil {
-				return err
-			}
+			})
+		}
+		if r, ok := h.written(in); ok {
+			lastW[base[r.Bank]+int(r.Idx)] = pc
 		}
 	}
-	return nil
+	return best
 }
 
-// scanFieldStmts registers every valid element-field access so field
-// slabs exist before code generation. Invalid accesses are left for
-// the statement pass, which rejects them with a concrete reason.
-func (kb *kbuilder) scanFieldStmts(stmts []compile.Stmt) error {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *compile.Block:
-			if err := kb.scanFieldStmts(s.Stmts); err != nil {
-				return err
+// stmtReason is the offence in raises on behalf of its whole statement,
+// before the statement evaluates anything: a loop, a return, a call or
+// print statement, a store through anything but the element, an
+// assignment (when in is its statement's last instruction) to the lane
+// index or to a string or pointer.
+func stmtReason(p *Program, h *Func, in Instr, pe, elem Reg, last bool) (string, bool) {
+	switch in.Op {
+	case OpForHead, OpForTail, OpForall:
+		return reasonLoop, true
+	case OpReturnVoid, OpReturnInt, OpReturnReal, OpReturnBool, OpReturnStr, OpReturnNode:
+		return reasonReturns, true
+	case OpPrint:
+		return reasonPrints, true
+	case OpCall:
+		if h.Calls[in.A].Dst.Bank == BankNone {
+			return "body calls function " + p.Funcs[h.Calls[in.A].FuncIdx].Name, true
+		}
+	case OpStoreNode, OpStoreNodeIdxBegin, OpStoreNodeIdx:
+		return reasonPointer, true
+	case OpStoreInt, OpStoreReal, OpStoreBool:
+		if in.A != elem.Idx {
+			return reasonPointer, true
+		}
+	}
+	if r, ok := h.written(in); ok && last {
+		switch {
+		case r == pe:
+			return reasonPE, true
+		case r.Bank == BankStr:
+			return reasonString, true
+		case r.Bank == BankNode:
+			return reasonPointer, true
+		}
+	}
+	return "", false
+}
+
+// exprReason is the offence in raises as an expression, before its
+// operands: a call, rand(), allocation, a string, or any pointer use but
+// loading the element's own data fields.
+func exprReason(p *Program, h *Func, in Instr, elem Reg) string {
+	switch in.Op {
+	case OpCall:
+		return "body calls function " + p.Funcs[h.Calls[in.A].FuncIdx].Name
+	case OpRand:
+		return reasonRand
+	case OpNew:
+		return reasonAllocates
+	case OpConstStr, OpMovStr, OpEqStr, OpNeStr:
+		return reasonString
+	case OpConstNull, OpMovNode, OpLoadNode, OpLoadNodeIdxBegin, OpLoadNodeIdx,
+		OpEqNode, OpNeNode, OpBrfEqNode, OpBrfNeNode, OpBrfNull, OpBrfNonNull:
+		return reasonPointer
+	case OpLoadInt, OpLoadReal, OpLoadBool:
+		if in.B != elem.Idx {
+			return reasonPointer
+		}
+	}
+	return ""
+}
+
+// kpc is what renaming learns of one instruction of a guarded body.
+type kpc struct {
+	mask  int32 // the governing mask
+	split int32 // a branch's fall-through mask; its taken mask is split+1
+	// into heads the branches that jump to this pc and next links them
+	// (body-relative pcs + 1; 0 ends the list).
+	into, next int32
+	field      int32    // a load's or store's index in Kernel.Fields
+	def        [3]int32 // per register operand read: the write it reads, or -1
+	readers    int32    // the reads of this instruction's value
+	fold       int32    // the field slab a folded store makes it write, or -1
+	newPC      int32    // its pc in the kernel
+	drop       bool     // renamed away
+	stale      bool     // a load some read of which follows a store of its field
+}
+
+// newKernel renames the guarded body h.Code[start:], which vecReason
+// accepted, onto slabs and masks.
+func newKernel(h *Func, start int32) (*Kernel, string) {
+	code := h.Code[start:]
+	info := make([]kpc, len(code)+1) // info[len(code)]: the body's end
+	nMasks, ok := bodyMasks(code, start, info)
+	if !ok {
+		return nil, reasonNotStrip
+	}
+	k := &Kernel{NInt: h.NInt, NReal: h.NReal, NBool: h.NBool, NMasks: nMasks}
+
+	// Field slabs, in order of first touch.
+	top := [BankBool + 1]*int{BankInt: &k.NInt, BankReal: &k.NReal, BankBool: &k.NBool}
+	fieldAt := map[int32]int32{} // field offset → index in k.Fields
+	for i, in := range code {
+		if !isFieldLoad(in.Op) && !isFieldStore(in.Op) {
+			continue
+		}
+		fi, ok := fieldAt[in.C]
+		if !ok {
+			bank := fieldBank(in.Op)
+			fi = int32(len(k.Fields))
+			fieldAt[in.C] = fi
+			k.Fields = append(k.Fields, KField{Off: in.C, Name: h.Names[in.Imm], Bank: bank, Slab: int32(*top[bank])})
+			*top[bank]++
+		}
+		info[i].field = fi
+		if isFieldStore(in.Op) {
+			k.Fields[fi].Stored = true
+		}
+	}
+
+	// Which write each read reads: the last write of its register before
+	// it, when that write runs under the read's own mask — then the read
+	// sees that write's value in every lane. A register some read of which
+	// reads otherwise is mixed: in some lane it may hold a value written
+	// under another mask, and no write to it is renamed. last holds, per
+	// register, the last write to it (and whether it is mixed), then per
+	// field the last store to it.
+	type slot struct {
+		w     int32
+		mixed bool
+	}
+	var base [BankBool + 2]int
+	for bk, size := range [...]int{BankInt: h.NInt, BankReal: h.NReal, BankBool: h.NBool} {
+		base[bk+1] = base[bk] + size
+	}
+	last := make([]slot, base[BankBool+1]+len(k.Fields))
+	for i := range last {
+		last[i].w = -1
+	}
+	regOf := func(o operand, r int32) *slot { return &last[base[o.bank]+int(r)] }
+	lastStore := last[base[BankBool+1]:]
+	for i := range code {
+		in, p := &code[i], &info[i]
+		p.def, p.fold = [3]int32{-1, -1, -1}, -1
+		for j, o := range opRegs[in.Op] {
+			if o.write || o.bank < BankInt || o.bank > BankBool {
+				continue
 			}
-		case *compile.VarSet:
-			if s.Init != nil {
-				if err := kb.scanFieldExpr(s.Init); err != nil {
-					return err
+			r := regOf(o, *reg(in, j))
+			if r.w < 0 || info[r.w].mask != p.mask {
+				r.mixed = true
+				continue
+			}
+			p.def[j] = r.w
+			info[r.w].readers++
+			if isFieldLoad(code[r.w].Op) && lastStore[info[r.w].field].w > r.w {
+				info[r.w].stale = true
+			}
+		}
+		if o := opRegs[in.Op][0]; o.write && o.bank >= BankInt && o.bank <= BankBool {
+			regOf(o, in.A).w = int32(i)
+		}
+		if isFieldStore(in.Op) {
+			lastStore[p.field].w = int32(i)
+		}
+	}
+	pure := func(i int) bool { // i's value is read only where def says
+		return !regOf(opRegs[code[i].Op][0], code[i].A).mixed
+	}
+
+	// Loads that go: their readers read the field's slab, which no store
+	// has changed since. Stores folded into the instruction before them:
+	// same statement, same mask, and that instruction's value read by the
+	// store alone, which it then writes to the field's slab.
+	kept := len(code)
+	for i, in := range code {
+		if isFieldLoad(in.Op) && pure(i) && !info[i].stale {
+			info[i].drop = true
+			kept--
+		}
+	}
+	for i := 1; i < len(code); i++ {
+		if p := i - 1; isFieldStore(code[i].Op) && code[p].Op != OpStep && !info[p].drop &&
+			info[i].def[1] == int32(p) && pure(p) && info[p].readers == 1 {
+			info[p].fold = k.Fields[info[i].field].Slab
+			info[i].drop = true
+			kept--
+		}
+	}
+
+	// The renamed code: loads and stores left become moves.
+	k.Code, k.Masks = make([]Instr, 0, kept), make([]int32, 0, kept)
+	for i, in := range code {
+		p := &info[i]
+		p.newPC = int32(len(k.Code))
+		if p.drop {
+			continue
+		}
+		for j, w := range p.def {
+			if w >= 0 && info[w].drop {
+				*reg(&in, j) = k.Fields[info[w].field].Slab
+			}
+		}
+		switch {
+		case isFieldLoad(in.Op):
+			in = Instr{Op: movOf(fieldBank(in.Op)), A: in.A, B: k.Fields[p.field].Slab}
+		case isFieldStore(in.Op):
+			in = Instr{Op: movOf(fieldBank(in.Op)), A: k.Fields[p.field].Slab, B: in.B}
+		case isCondBranch(in.Op):
+			in.C = p.split
+		case in.Op == OpStep:
+			k.NSteps++
+		}
+		if p.fold >= 0 {
+			in.A = p.fold
+		}
+		k.Code = append(k.Code, in)
+		k.Masks = append(k.Masks, p.mask)
+	}
+	info[len(code)].newPC = int32(len(k.Code))
+	for i, in := range k.Code {
+		if isCondBranch(in.Op) || in.Op == OpJump {
+			k.Code[i].Imm = int64(info[int32(in.Imm)-start].newPC)
+		}
+	}
+	return k, ""
+}
+
+// bodyMasks sets each instruction's governing mask, and each branch's
+// split, in info, in one pass over a guarded body that starts at pc
+// start: the code only branches forward. Mask 0 holds every lane with an
+// element; a split of mask m makes masks ft and ft+1 (ft odd), the lanes
+// that fall through and the lanes that take the branch. Where flows
+// join, the two halves of one split merge back into the mask they came
+// from, as buddies do in a buddy allocator; a join left with more than
+// one mask is not a structured flow, and ok is false.
+func bodyMasks(code []Instr, start int32, info []kpc) (nMasks int, ok bool) {
+	branches := 0
+	for _, in := range code {
+		if isCondBranch(in.Op) {
+			branches++
+		}
+	}
+	// parent[m] is the mask m was split from; here[m] is i+1 while mask
+	// m is among the masks joining at i.
+	buf := make([]int32, 2*(2*branches+1))
+	parent, here := buf[:1:2*branches+1], buf[2*branches+1:]
+	parent[0] = -1
+	var joinedBuf [8]int32
+	cur, reached := int32(0), true // the flow falling through into i
+	for i, in := range code {
+		if info[i].into != 0 {
+			stamp, count, joined := int32(i+1), 0, joinedBuf[:0]
+			put := func(m int32) {
+				for m > 0 {
+					buddy := m + 1
+					if m%2 == 0 {
+						buddy = m - 1
+					}
+					if here[buddy] != stamp {
+						break
+					}
+					here[buddy] = 0
+					count--
+					m = parent[m]
+				}
+				if here[m] != stamp {
+					here[m] = stamp
+					count++
+					joined = append(joined, m)
 				}
 			}
-		case *compile.AssignSlot:
-			if err := kb.scanFieldExpr(s.RHS); err != nil {
-				return err
+			if reached {
+				put(cur)
 			}
-		case *compile.StoreField:
-			if base, ok := s.Base.(*compile.SlotRef); ok && base.Slot == kb.elemSlot && !s.IsPtr && s.Index == nil {
-				fi, err := kb.field(s.Off, s.Field, BankOf(s.Type))
-				if err != nil {
-					return err
-				}
-				kb.k.Fields[fi].Stored = true
-			}
-			if err := kb.scanFieldExpr(s.RHS); err != nil {
-				return err
-			}
-		case *compile.If:
-			if err := kb.scanFieldExpr(s.Cond); err != nil {
-				return err
-			}
-			if err := kb.scanFieldStmts(s.Then); err != nil {
-				return err
-			}
-			if err := kb.scanFieldStmts(s.Else); err != nil {
-				return err
-			}
-		case *compile.CallStmt:
-			for _, a := range s.Call.Args {
-				if err := kb.scanFieldExpr(a); err != nil {
-					return err
+			for f := info[i].into; f != 0; f = info[f-1].next {
+				if from := &info[f-1]; code[f-1].Op == OpJump {
+					put(from.mask)
+				} else {
+					put(from.split + 1)
 				}
 			}
-		}
-	}
-	return nil
-}
-
-func (kb *kbuilder) scanFieldExpr(e compile.Expr) error {
-	switch e := e.(type) {
-	case *compile.Load:
-		if base, ok := e.X.(*compile.SlotRef); ok && base.Slot == kb.elemSlot && !e.IsPtr && e.Index == nil {
-			_, err := kb.field(e.Off, e.Field, BankOf(e.Type()))
-			return err
-		}
-		return kb.scanFieldExpr(e.X)
-	case *compile.Bin:
-		if err := kb.scanFieldExpr(e.X); err != nil {
-			return err
-		}
-		return kb.scanFieldExpr(e.Y)
-	case *compile.Un:
-		return kb.scanFieldExpr(e.X)
-	case *compile.Call:
-		for _, a := range e.Args {
-			if err := kb.scanFieldExpr(a); err != nil {
-				return err
+			if count != 1 {
+				return 0, false
 			}
-		}
-	}
-	return nil
-}
-
-// field registers one element data field, allocating its slab on first
-// touch. Offsets are unique across an element's data fields, so the
-// offset alone keys the table.
-func (kb *kbuilder) field(off int, name string, bank Bank) (int, error) {
-	switch bank {
-	case BankInt, BankReal, BankBool:
-	case BankStr:
-		return 0, rejectErr("string-valued expression")
-	default:
-		return 0, rejectErr("pointer-chasing access")
-	}
-	if i, ok := kb.fieldIdx[int32(off)]; ok {
-		return int(i), nil
-	}
-	slab := kb.allocPerm(bank)
-	kb.fieldIdx[int32(off)] = int32(len(kb.k.Fields))
-	kb.k.Fields = append(kb.k.Fields, KField{Off: int32(off), Name: name, Bank: bank, Slab: slab})
-	return len(kb.k.Fields) - 1, nil
-}
-
-// ---------------------------------------------------------------------------
-// Statements
-
-func (kb *kbuilder) stmts(stmts []compile.Stmt, m int32) error {
-	for _, s := range stmts {
-		if err := kb.stmt(s, m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (kb *kbuilder) stmt(s compile.Stmt, m int32) error {
-	kb.resetTemps()
-	// Every statement charges one step per active lane, mirroring the
-	// scalar engines' per-statement OpStep (blocks charge one too, then
-	// each child charges its own).
-	kb.emit(KInstr{Op: KStep, M: m})
-	kb.k.NSteps++
-	switch s := s.(type) {
-	case *compile.Block:
-		return kb.stmts(s.Stmts, m)
-
-	case *compile.VarSet:
-		dst := kb.slotSlab[s.Slot]
-		if s.Init == nil {
-			switch kb.slotBank[s.Slot] {
-			case BankInt:
-				kb.emit(KInstr{Op: KConstInt, A: dst, M: m})
-			case BankReal:
-				kb.emit(KInstr{Op: KConstReal, A: dst, M: m})
-			case BankBool:
-				kb.emit(KInstr{Op: KConstBool, A: dst, M: m})
+			for _, m := range joined {
+				if here[m] == stamp {
+					cur = m
+				}
 			}
-			return nil
+		} else if !reached {
+			return 0, false
 		}
-		return kb.assign(dst, s.Type, s.Init, m)
-
-	case *compile.AssignSlot:
-		dst, _, err := kb.slabFor(s.Slot)
-		if err != nil {
-			return err
+		info[i].mask, reached = cur, true
+		if !isCondBranch(in.Op) && in.Op != OpJump {
+			continue
 		}
-		return kb.assign(dst, s.Type, s.RHS, m)
-
-	case *compile.StoreField:
-		return kb.store(s, m)
-
-	case *compile.If:
-		// Mask slabs are permanent and allocated before the condition's
-		// temporaries, so they can never collide with a live temp.
-		thenM := kb.allocPerm(BankBool)
-		elseM := kNoMask
-		if len(s.Else) > 0 {
-			elseM = kb.allocPerm(BankBool)
+		to := int(in.Imm) - int(start)
+		if to <= i || to > len(code) {
+			return 0, false
 		}
-		cond, bank, err := kb.operand(s.Cond, m)
-		if err != nil {
-			return err
+		if in.Op == OpJump {
+			reached = false
+		} else {
+			info[i].split = int32(len(parent))
+			parent = append(parent, cur, cur)
+			cur = info[i].split
 		}
-		if bank != BankBool {
-			return kNotStrip
-		}
-		kb.emit(KInstr{Op: KMaskAnd, A: thenM, B: m, C: cond, M: kNoMask})
-		if elseM != kNoMask {
-			kb.emit(KInstr{Op: KMaskAndNot, A: elseM, B: m, C: cond, M: kNoMask})
-		}
-		if err := kb.stmts(s.Then, thenM); err != nil {
-			return err
-		}
-		if elseM != kNoMask {
-			return kb.stmts(s.Else, elseM)
-		}
-		return nil
-
-	case *compile.While:
-		return rejectErr("body contains a loop")
-	case *compile.For:
-		return rejectErr("body contains a loop")
-	case *compile.Return:
-		return rejectErr("body returns")
-
-	case *compile.CallStmt:
-		e := s.Call
-		switch e.Builtin {
-		case compile.BuiltinPrint:
-			return rejectErr("body prints")
-		case compile.BuiltinRand:
-			return rejectErr("body calls rand()")
-		case compile.BuiltinSqrt, compile.BuiltinAbs:
-			// Evaluated for effect only; the result is discarded.
-			_, _, err := kb.operand(e, m)
-			return err
-		}
-		return rejectErr(fmt.Sprintf("body calls function %s", e.Name))
+		info[i].next, info[to].into = info[to].into, int32(i+1)
 	}
-	return kNotStrip
+	return len(parent), true
 }
 
-func (kb *kbuilder) assign(dst int32, typ lang.Type, e compile.Expr, m int32) error {
-	if isReal(typ) && !isReal(e.Type()) {
-		return kb.evalIntoReal(e, dst, m)
+// fieldBank is the bank of the field a load or store moves.
+func fieldBank(op Op) Bank {
+	if isFieldStore(op) {
+		return opRegs[op][1].bank
 	}
-	return kb.evalInto(e, dst, m)
+	return opRegs[op][0].bank
 }
 
-func (kb *kbuilder) store(s *compile.StoreField, m int32) error {
-	if s.IsPtr {
-		return rejectErr("pointer-chasing access")
-	}
-	if s.Index != nil {
-		return rejectErr("indexed field access")
-	}
-	base, ok := s.Base.(*compile.SlotRef)
-	if !ok || base.Slot != kb.elemSlot {
-		return rejectErr("pointer-chasing access")
-	}
-	fi, err := kb.field(s.Off, s.Field, BankOf(s.Type))
-	if err != nil {
-		return err
-	}
-	return kb.assign(kb.k.Fields[fi].Slab, s.Type, s.RHS, m)
-}
-
-// ---------------------------------------------------------------------------
-// Expressions
-
-// slabFor resolves a variable slot to its slab, rejecting the slots a
-// kernel cannot model as lane-local data.
-func (kb *kbuilder) slabFor(slot int) (int32, Bank, error) {
-	if slot == kb.peSlot {
-		return 0, 0, rejectErr("uses the strip PE index")
-	}
-	if slot == kb.elemSlot {
-		return 0, 0, rejectErr("pointer-chasing access")
-	}
-	if kb.slotSlab[slot] < 0 {
-		switch kb.slotBank[slot] {
-		case BankNode:
-			return 0, 0, rejectErr("pointer-chasing access")
-		case BankStr:
-			return 0, 0, rejectErr("string-valued expression")
-		}
-		return 0, 0, kNotStrip
-	}
-	return kb.slotSlab[slot], kb.slotBank[slot], nil
-}
-
-// loadSlab resolves an element data-field load to the field's slab.
-func (kb *kbuilder) loadSlab(e *compile.Load) (int32, Bank, error) {
-	if e.IsPtr {
-		return 0, 0, rejectErr("pointer-chasing access")
-	}
-	if e.Index != nil {
-		return 0, 0, rejectErr("indexed field access")
-	}
-	base, ok := e.X.(*compile.SlotRef)
-	if !ok || base.Slot != kb.elemSlot {
-		return 0, 0, rejectErr("pointer-chasing access")
-	}
-	fi, err := kb.field(e.Off, e.Field, BankOf(e.Type()))
-	if err != nil {
-		return 0, 0, err
-	}
-	f := kb.k.Fields[fi]
-	return f.Slab, f.Bank, nil
-}
-
-// operand yields a slab holding e's value: variables and element
-// fields in place, everything else evaluated into a temporary.
-func (kb *kbuilder) operand(e compile.Expr, m int32) (int32, Bank, error) {
-	switch e := e.(type) {
-	case *compile.SlotRef:
-		return kb.slabFor(e.Slot)
-	case *compile.Load:
-		return kb.loadSlab(e)
-	}
-	bank := BankOf(e.Type())
-	switch bank {
-	case BankInt, BankReal, BankBool:
-	case BankStr:
-		return 0, 0, rejectErr("string-valued expression")
-	default:
-		return 0, 0, rejectErr("pointer-chasing access")
-	}
-	t := kb.temp(bank)
-	if err := kb.evalInto(e, t, m); err != nil {
-		return 0, 0, err
-	}
-	return t, bank, nil
-}
-
-// realOperand is operand for a real context: statically-int operands
-// get the int→real widening here.
-func (kb *kbuilder) realOperand(e compile.Expr, m int32) (int32, error) {
-	if isReal(e.Type()) {
-		sl, _, err := kb.operand(e, m)
-		return sl, err
-	}
-	if lit, ok := e.(*compile.IntLit); ok {
-		t := kb.temp(BankReal)
-		kb.emit(KInstr{Op: KConstReal, A: t, Fv: float64(lit.Val), M: m})
-		return t, nil
-	}
-	sl, _, err := kb.operand(e, m)
-	if err != nil {
-		return 0, err
-	}
-	t := kb.temp(BankReal)
-	kb.emit(KInstr{Op: KIntToReal, A: t, B: sl, M: m})
-	return t, nil
-}
-
-func (kb *kbuilder) evalIntoReal(e compile.Expr, dst int32, m int32) error {
-	if isReal(e.Type()) {
-		return kb.evalInto(e, dst, m)
-	}
-	if lit, ok := e.(*compile.IntLit); ok {
-		kb.emit(KInstr{Op: KConstReal, A: dst, Fv: float64(lit.Val), M: m})
-		return nil
-	}
-	sl, _, err := kb.operand(e, m)
-	if err != nil {
-		return err
-	}
-	kb.emit(KInstr{Op: KIntToReal, A: dst, B: sl, M: m})
-	return nil
-}
-
-func kmov(bank Bank) KOp {
+func movOf(bank Bank) Op {
 	switch bank {
 	case BankInt:
-		return KMovInt
+		return OpMovInt
 	case BankReal:
-		return KMovReal
+		return OpMovReal
 	}
-	return KMovBool
-}
-
-func (kb *kbuilder) evalInto(e compile.Expr, dst int32, m int32) error {
-	switch e := e.(type) {
-	case *compile.SlotRef:
-		sl, bank, err := kb.slabFor(e.Slot)
-		if err != nil {
-			return err
-		}
-		kb.emit(KInstr{Op: kmov(bank), A: dst, B: sl, M: m})
-		return nil
-	case *compile.Load:
-		sl, bank, err := kb.loadSlab(e)
-		if err != nil {
-			return err
-		}
-		kb.emit(KInstr{Op: kmov(bank), A: dst, B: sl, M: m})
-		return nil
-
-	case *compile.IntLit:
-		kb.emit(KInstr{Op: KConstInt, A: dst, Imm: e.Val, M: m})
-		return nil
-	case *compile.RealLit:
-		kb.emit(KInstr{Op: KConstReal, A: dst, Fv: e.Val, M: m})
-		return nil
-	case *compile.BoolLit:
-		imm := int64(0)
-		if e.Val {
-			imm = 1
-		}
-		kb.emit(KInstr{Op: KConstBool, A: dst, Imm: imm, M: m})
-		return nil
-	case *compile.StrLit:
-		return rejectErr("string-valued expression")
-	case *compile.NullLit:
-		return rejectErr("pointer-chasing access")
-	case *compile.New:
-		return rejectErr("allocates")
-
-	case *compile.Call:
-		switch e.Builtin {
-		case compile.BuiltinSqrt:
-			r, err := kb.realOperand(e.Args[0], m)
-			if err != nil {
-				return err
-			}
-			kb.emit(KInstr{Op: KSqrt, A: dst, B: r, M: m})
-			return nil
-		case compile.BuiltinAbs:
-			r, err := kb.realOperand(e.Args[0], m)
-			if err != nil {
-				return err
-			}
-			kb.emit(KInstr{Op: KAbs, A: dst, B: r, M: m})
-			return nil
-		case compile.BuiltinRand:
-			return rejectErr("body calls rand()")
-		case compile.BuiltinPrint:
-			return rejectErr("body prints")
-		}
-		return rejectErr(fmt.Sprintf("body calls function %s", e.Name))
-
-	case *compile.Bin:
-		return kb.bin(e, dst, m)
-
-	case *compile.Un:
-		switch e.Op {
-		case lang.MINUS:
-			if isReal(e.X.Type()) {
-				r, err := kb.realOperand(e.X, m)
-				if err != nil {
-					return err
-				}
-				kb.emit(KInstr{Op: KNegReal, A: dst, B: r, M: m})
-				return nil
-			}
-			sl, _, err := kb.operand(e.X, m)
-			if err != nil {
-				return err
-			}
-			kb.emit(KInstr{Op: KNegInt, A: dst, B: sl, M: m})
-			return nil
-		case lang.NOT:
-			sl, _, err := kb.operand(e.X, m)
-			if err != nil {
-				return err
-			}
-			kb.emit(KInstr{Op: KNot, A: dst, B: sl, M: m})
-			return nil
-		}
-		return kNotStrip
-	}
-	return kNotStrip
-}
-
-func (kb *kbuilder) bin(e *compile.Bin, dst int32, m int32) error {
-	op := e.Op
-	if op == lang.AND || op == lang.OR {
-		rx, _, err := kb.operand(e.X, m)
-		if err != nil {
-			return err
-		}
-		ry, _, err := kb.operand(e.Y, m)
-		if err != nil {
-			return err
-		}
-		kop := KAndBool
-		if op == lang.OR {
-			kop = KOrBool
-		}
-		kb.emit(KInstr{Op: kop, A: dst, B: rx, C: ry, M: m})
-		return nil
-	}
-
-	xt, yt := e.X.Type(), e.Y.Type()
-	switch {
-	case isStr(xt) || isStr(yt):
-		return rejectErr("string-valued expression")
-	case isPtr(xt) || isPtr(yt):
-		return rejectErr("pointer-chasing access")
-	case isReal(xt) || isReal(yt):
-		return kb.realBin(e, dst, m)
-	case isBool(xt) && isBool(yt):
-		rx, _, err := kb.operand(e.X, m)
-		if err != nil {
-			return err
-		}
-		ry, _, err := kb.operand(e.Y, m)
-		if err != nil {
-			return err
-		}
-		kop := KEqBool
-		if op == lang.NEQ {
-			kop = KNeBool
-		} else if op != lang.EQ {
-			return kNotStrip
-		}
-		kb.emit(KInstr{Op: kop, A: dst, B: rx, C: ry, M: m})
-		return nil
-	default:
-		return kb.intBin(e, dst, m)
-	}
-}
-
-func (kb *kbuilder) realBin(e *compile.Bin, dst int32, m int32) error {
-	rx, err := kb.realOperand(e.X, m)
-	if err != nil {
-		return err
-	}
-	ry, err := kb.realOperand(e.Y, m)
-	if err != nil {
-		return err
-	}
-	var op KOp
-	switch e.Op {
-	case lang.PLUS:
-		op = KAddReal
-	case lang.MINUS:
-		op = KSubReal
-	case lang.STAR:
-		op = KMulReal
-	case lang.SLASH:
-		op = KDivReal
-	case lang.EQ:
-		op = KEqReal
-	case lang.NEQ:
-		op = KNeReal
-	case lang.LT:
-		op = KLtReal
-	case lang.LE:
-		op = KLeReal
-	case lang.GT:
-		op = KGtReal
-	case lang.GE:
-		op = KGeReal
-	default:
-		return kNotStrip
-	}
-	kb.emit(KInstr{Op: op, A: dst, B: rx, C: ry, M: m})
-	return nil
-}
-
-func (kb *kbuilder) intBin(e *compile.Bin, dst int32, m int32) error {
-	rx, _, err := kb.operand(e.X, m)
-	if err != nil {
-		return err
-	}
-	ry, _, err := kb.operand(e.Y, m)
-	if err != nil {
-		return err
-	}
-	var op KOp
-	switch e.Op {
-	case lang.PLUS:
-		op = KAddInt
-	case lang.MINUS:
-		op = KSubInt
-	case lang.STAR:
-		op = KMulInt
-	case lang.SLASH:
-		op = KDivInt
-	case lang.PERCENT:
-		op = KModInt
-	case lang.EQ:
-		op = KEqInt
-	case lang.NEQ:
-		op = KNeInt
-	case lang.LT:
-		op = KLtInt
-	case lang.LE:
-		op = KLeInt
-	case lang.GT:
-		op = KGtInt
-	case lang.GE:
-		op = KGeInt
-	default:
-		return kNotStrip
-	}
-	kb.emit(KInstr{Op: op, A: dst, B: rx, C: ry, M: m})
-	return nil
+	return OpMovBool
 }

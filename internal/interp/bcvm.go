@@ -583,13 +583,13 @@ func (ip *Interp) bcForall(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallS
 		return c, err
 	}
 	st := site.Strip
-	vector := ip.cfg.Engine == EngineKernel && site.Kernel != nil
-	// A strip walks its chain once, here, for both paths below. Lane
-	// indices below 0 skip nothing, which the closed forms do not model,
-	// and a call at this depth fails the depth guard: those strips run
-	// literally, as do strips wider than memory can hold and strips
-	// whose prologues the budget left cannot cover (stripFits).
-	if st == nil || !(vector || st.ArgsInRegs) || lo < 0 || depth > ip.maxDepth ||
+	// A strip walks its chain once, here, for both paths below. A strip
+	// whose call evaluates an argument, lane indices below 0, which skip
+	// nothing and the closed forms do not model, and a call at this
+	// depth, which fails the depth guard, run literally, as do strips
+	// wider than memory can hold and strips whose prologues the budget
+	// left cannot cover (stripFits).
+	if st == nil || !st.ArgsInRegs || lo < 0 || depth > ip.maxDepth ||
 		int64(int(hi-lo+1)) != hi-lo+1 || !ip.stripFits(lo, hi) {
 		return ctrlNext, ip.realForall(pos, lo, hi, literal)
 	}
@@ -602,11 +602,9 @@ func (ip *Interp) bcForall(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallS
 	// lane; any in-flight fault or budget concern makes bcForallKernel
 	// report false having touched nothing, falling through to the
 	// scalar path below.
-	if vector && walked == len(nodes) && ip.bcForallKernel(f, fr, site, pos, lo, hi, nodes) {
+	if ip.cfg.Engine == EngineKernel && site.Kernel != nil && walked == len(nodes) &&
+		ip.bcForallKernel(f, fr, site, pos, lo, hi, nodes) {
 		return ctrlNext, nil
-	}
-	if !st.ArgsInRegs {
-		return ctrlNext, ip.realForall(pos, lo, hi, literal)
 	}
 	helper := ip.bc.Funcs[st.HelperIdx]
 	call := &f.Calls[st.CallSite]

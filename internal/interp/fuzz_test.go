@@ -315,9 +315,10 @@ func FuzzBytecodeVsWalk(f *testing.F) {
 
 // stripPatternSeed is the exact shape transform.StripMine emits — a
 // forall whose body is one helper call, the helper doing a skip-to-lane
-// walk plus NULL guard — so the kernel classifier accepts it and the
-// fuzzer starts from a program that actually exercises the vector path
-// (gather, masked compute, scatter, and the scalar fallback).
+// walk plus NULL guard, its arguments variables — so the kernel
+// classifier accepts it and the fuzzer starts from a program that
+// actually exercises the vector path (gather, masked compute, scatter,
+// and the scalar fallback).
 const stripPatternSeed = `
 type C [L] { int tag; real w; C *next is uniquely forward along L; };
 procedure _scale_it(int _pe, C *p, real k) {
@@ -338,8 +339,9 @@ function real main() {
     i = i + 1;
   }
   var C *p = head;
+  var real k = 1.25;
   while p != NULL {
-    forall _pe = 0 to 3 { _scale_it(_pe, p, 1.25); }
+    forall _pe = 0 to 3 { _scale_it(_pe, p, k); }
     for _pe = 0 to 3 { p = p->next; }
   }
   var real acc = 0.0;
@@ -362,49 +364,75 @@ func stripVariant(repl ...string) string {
 	return src
 }
 
-// stripSeed is one strip-shaped seed program and whether the
-// recognizer must take it.
+// stripSeed is one strip-shaped seed program, whether the recognizer
+// must take it and whether the classifier must vectorize it.
 type stripSeed struct {
-	name, src string
-	strip     bool
+	name, src     string
+	strip, kernel bool
 }
 
 // stripSeeds are stripPatternSeed's neighbours. The first is a strip
 // wider than its list (16 lanes over 11 nodes), which the recognizer
-// takes; the rest are near misses it must refuse, each one change away
-// from the shape: a skip loop over an indexed field, a guard on another
+// takes; then near misses it must refuse, each one change away from
+// the shape: a skip loop over an indexed field, a guard on another
 // variable, a statement before the skip loop, a skip loop bounded by
 // another parameter than the helper's _pe (though it holds the same
 // lane index), the lane index passed again as a later argument that
-// the guarded body reads. The fuzzers start from every one of them.
+// the guarded body reads. The rest are strips whose bodies stress the
+// kernel's masks and renaming — an else-if chain; a variable assigned
+// in one arm and read after the join; a field read into a variable,
+// stored, and the variable read after the store (a load must not be
+// renamed past a store of its field); a % under a mask whose inactive
+// lanes hold a zero divisor; values that cross two ifs in a row, whose
+// masks overlap (a loaded value whose field the first if stores, a
+// value loaded under the first if only, a loaded value the first if
+// reassigns) — and a strip passing a literal argument, which no strip
+// path takes: its lanes run the call literally. The fuzzers start from
+// every one of them.
 var stripSeeds = []stripSeed{
-	{"wider than its list", stripVariant("_pe = 0 to 3", "_pe = 0 to 15", "_pe = 0 to 3", "_pe = 0 to 15"), true},
+	{"wider than its list", stripVariant("_pe = 0 to 3", "_pe = 0 to 15", "_pe = 0 to 3", "_pe = 0 to 15"), true, true},
 	{"skip over an indexed field", stripVariant(
 		"C *next is uniquely forward along L;", "C *next is uniquely forward along L; C *alt[2];",
-		"p = p->next; }\n  if", "p = p->alt[0]; }\n  if"), false},
+		"p = p->next; }\n  if", "p = p->alt[0]; }\n  if"), false, false},
 	{"guard on another variable", stripVariant(
 		"real k) {", "real k, C *q) {",
 		"if p != NULL {", "if q != NULL { if p != NULL {",
 		"p->tag - 2; }\n  }", "p->tag - 2; }\n  } }",
-		"_scale_it(_pe, p, 1.25);", "_scale_it(_pe, p, 1.25, p);"), false},
+		"_scale_it(_pe, p, k);", "_scale_it(_pe, p, k, p);"), false, false},
 	{"statement before the skip loop", stripVariant(
-		"real k) {\n", "real k) {\n  var int z = _pe;\n"), false},
+		"real k) {\n", "real k) {\n  var int z = _pe;\n"), false, false},
 	{"skip bound is not the helper's _pe", stripVariant(
 		"real k) {", "real k, int n) {",
 		"for _k = 1 to _pe", "for _k = 1 to n",
-		"_scale_it(_pe, p, 1.25);", "_scale_it(_pe, p, 1.25, _pe);"), false},
+		"_scale_it(_pe, p, k);", "_scale_it(_pe, p, k, _pe);"), false, false},
 	{"lane index passed again", stripVariant(
 		"real k) {", "real k, int n) {",
 		"p->tag = p->tag - 2;", "p->tag = p->tag - n;",
-		"var C *p = head;", "var C *p = head;\n  var real k = 1.25;",
-		"_scale_it(_pe, p, 1.25);", "_scale_it(_pe, p, k, _pe);"), false},
+		"_scale_it(_pe, p, k);", "_scale_it(_pe, p, k, _pe);"), false, false},
+	{"else-if chain", stripVariant(
+		"} else { p->tag = p->tag - 2; }",
+		"} else if p->tag % 3 == 1 { p->tag = p->tag - 2; } else if p->w > 4.0 { p->w = p->w - k; } else { p->tag = p->tag * 5; }"), true, true},
+	{"assigned in one arm, read after the join", stripVariant(
+		"if p->tag % 3 == 0 {", "var real d = 0.5;\n    if p->tag % 2 == 0 { d = p->w * k; }\n    p->w = p->w + d;\n    if p->tag % 3 == 0 {"), true, true},
+	{"load, store, then the loaded value", stripVariant(
+		"if p->tag % 3 == 0 {", "var int t = p->tag;\n    p->tag = t * 2 + 1;\n    p->w = p->w + t;\n    if p->tag % 3 == 0 {"), true, true},
+	{"% under a mask over a zero divisor", stripVariant(
+		"if p->tag % 3 == 0 {", "if p->tag != 0 { p->w = p->w + 100 % p->tag; }\n    if p->tag % 3 == 0 {"), true, true},
+	{"a loaded value across an if that stores its field", stripVariant(
+		"if p->tag % 3 == 0 {", "var real t = p->w;\n    if p->tag > 4 { p->w = 2.0; }\n    if p->tag % 2 == 0 { p->w = p->w + t; }\n    if p->tag % 3 == 0 {"), true, true},
+	{"a value loaded under one if, read under the next", stripVariant(
+		"if p->tag % 3 == 0 {", "var real t = 0.5;\n    if p->tag > 4 { t = p->w; }\n    if p->tag % 2 == 0 { p->w = p->w + t; }\n    if p->tag % 3 == 0 {"), true, true},
+	{"a loaded value reassigned under one if, read under the next", stripVariant(
+		"if p->tag % 3 == 0 {", "var real t = p->w;\n    if p->tag > 4 { t = 3.0; }\n    if p->tag % 2 == 0 { p->w = p->w + t; }\n    if p->tag % 3 == 0 {"), true, true},
+	{"literal argument", stripVariant("_scale_it(_pe, p, k);", "_scale_it(_pe, p, 1.25);"), true, false},
 }
 
 // TestStripSeedsRecognized: the recognizer takes the strip-shaped seeds
 // and refuses each near miss, whose forall then carries the not-a-strip
-// verdict.
+// verdict, and the classifier vectorizes every strip but the one that
+// passes a literal.
 func TestStripSeedsRecognized(t *testing.T) {
-	for _, sd := range append([]stripSeed{{"stripPatternSeed", stripPatternSeed, true}}, stripSeeds...) {
+	for _, sd := range append([]stripSeed{{"stripPatternSeed", stripPatternSeed, true, true}}, stripSeeds...) {
 		prog, err := lang.Parse(sd.src)
 		if err != nil {
 			t.Fatalf("%s: %v", sd.name, err)
@@ -423,6 +451,9 @@ func TestStripSeedsRecognized(t *testing.T) {
 		}
 		if got := sites[0].Strip != nil; got != sd.strip {
 			t.Errorf("%s: recognized as a strip = %t, want %t (%s)", sd.name, got, sd.strip, sites[0].VectorReason)
+		}
+		if got := sites[0].Kernel != nil; got != sd.kernel {
+			t.Errorf("%s: vectorized = %t, want %t (%s)", sd.name, got, sd.kernel, sites[0].VectorReason)
 		}
 	}
 }

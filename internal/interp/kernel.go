@@ -1,24 +1,22 @@
-// The kernel engine's run-time half: batched SPMD execution of
-// vectorized strips (bytecode.Kernel) over struct-of-arrays slabs —
-// the third engine, beside the tree-walking oracle and the bytecode VM
-// it extends.
+// The run-time half of the bytecode VM's vector path (the kernel
+// engine): batched SPMD execution of vectorized strips (bytecode.Kernel)
+// over struct-of-arrays slabs.
 //
 // A strip executes in three phases. Gather takes each lane's node from
 // the strip's one chain walk (bcForall's stripWalk, which the scalar
-// strip path shares), fills the root execution mask (lane is non-NULL),
-// and copies every touched field AoS→SoA into flat per-bank slabs;
-// scalar free variables broadcast into whole slabs.
-// Compute runs the lowered body as fused whole-slab operations, each
-// masked by its governing execution mask — `if` branches become mask
-// refinements, never control flow. Scatter commits the strip's step
-// accounting and writes the stored fields back to the heap, all
-// root-active lanes unconditionally: a lane an `if` masked off writes
-// back the value it was gathered with, which is exactly the value the
-// scalar engines would have left in place.
+// strip path shares), fills mask 0 (lane is non-NULL), copies every
+// touched field AoS→SoA into flat per-bank slabs, and broadcasts the
+// helper's scalar parameters from the caller's registers into whole
+// slabs. Compute runs the kernel — the helper's own bytecode, renamed
+// onto slabs — one whole-slab operation per instruction, each under its
+// governing mask: a branch splits its mask in two, never jumps. Scatter
+// commits the strip's step accounting and writes the stored fields back
+// to the heap, all root-active lanes unconditionally: a lane a branch
+// masked off writes back the value it was gathered with, which is
+// exactly the value the scalar engines would have left in place.
 //
 // Execution is transactional: the heap is untouched until Scatter, so
-// any fault (a zero divisor in an active lane — possibly a spurious
-// one, since kernels evaluate && and || eagerly — or step-budget or
+// any fault (a zero divisor in an active lane, or step-budget or
 // cancellation pressure) simply discards the slabs and falls back to
 // the scalar bytecode path, which re-executes the strip from
 // unmodified state and reproduces the exact error text, partial
@@ -26,7 +24,7 @@
 // could not follow to the last lane never reaches the kernel. Success
 // commits step totals bit-identical to the scalar engines': 3+2k
 // prologue steps for lane k in closed form plus one step per active
-// lane per body statement (mask popcounts).
+// lane per body statement (the masks' lane counts).
 package interp
 
 import (
@@ -52,22 +50,25 @@ type kernState struct {
 	ib    []int64
 	fb    []float64
 	bb    []bool
-	i     [][]int64
-	f     [][]float64
-	b     [][]bool
-	// stepCounts[mask] aggregates how many KStep instructions each
-	// execution mask governs, so scatter popcounts each distinct mask
-	// once instead of once per statement.
-	stepCounts []int64
+	mb    []bool
+	// i, f and b hold one slab per kernel slab of the bank and a last,
+	// scratch slab; m one per mask.
+	i [][]int64
+	f [][]float64
+	b [][]bool
+	m [][]bool
+	// pop[m] is how many lanes mask m holds; a mask no branch computed
+	// holds none.
+	pop []int
 
 	ip *Interp // the owner; scatter commits steps to its shared counters
 
 	// The strip in flight, set by bcForallKernel before any phase runs;
 	// nodes are its lanes' elements, from the strip's one chain walk.
-	kern          *bytecode.Kernel
-	fr            *bcFrame       // the caller's frame, read by gather
-	args          []bytecode.Reg // the helper call's argument registers
-	prologueSteps int64
+	kern  *bytecode.Kernel
+	fr    *bcFrame           // the caller's frame, read by gather
+	call  *bytecode.CallSite // the helper call, whose moves gather broadcasts
+	steps int64              // the strip's step total, committed by scatter
 }
 
 // ensure aims the state at a strip whose lanes' elements are nodes and
@@ -75,30 +76,23 @@ type kernState struct {
 func (ks *kernState) ensure(k *bytecode.Kernel, nodes []*Node) {
 	ks.nodes = nodes
 	n := len(nodes)
-	if need := k.NInt * n; cap(ks.ib) < need {
-		ks.ib = make([]int64, need)
-	}
-	if need := k.NReal * n; cap(ks.fb) < need {
-		ks.fb = make([]float64, need)
-	}
-	if need := k.NBool * n; cap(ks.bb) < need {
-		ks.bb = make([]bool, need)
-	}
-	ks.i = sliceSlabs(ks.i, ks.ib, k.NInt, n)
-	ks.f = sliceSlabs(ks.f, ks.fb, k.NReal, n)
-	ks.b = sliceSlabs(ks.b, ks.bb, k.NBool, n)
-	if cap(ks.stepCounts) < k.NBool {
-		ks.stepCounts = make([]int64, k.NBool)
-	}
-	ks.stepCounts = ks.stepCounts[:k.NBool]
+	ks.ib, ks.i = slabs(ks.ib, ks.i, k.NInt+1, n)
+	ks.fb, ks.f = slabs(ks.fb, ks.f, k.NReal+1, n)
+	ks.bb, ks.b = slabs(ks.bb, ks.b, k.NBool+1, n)
+	ks.mb, ks.m = slabs(ks.mb, ks.m, k.NMasks, n)
+	ks.pop = resize(ks.pop, k.NMasks)
 }
 
-func sliceSlabs[T any](dst [][]T, back []T, slabs, n int) [][]T {
+// slabs re-slices back, grown when it is short, into count slabs of n.
+func slabs[T any](back []T, dst [][]T, count, n int) ([]T, [][]T) {
+	if cap(back) < count*n {
+		back = make([]T, count*n)
+	}
 	dst = dst[:0]
-	for s := 0; s < slabs; s++ {
+	for s := 0; s < count; s++ {
 		dst = append(dst, back[s*n:(s+1)*n])
 	}
-	return dst
+	return back, dst
 }
 
 // bcForallKernel tries to run one parallel loop as a vectorized strip:
@@ -156,8 +150,8 @@ func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.F
 		ip.kern = ks
 	}
 	ks.ensure(kern, nodes)
-	ks.kern, ks.fr, ks.args = kern, fr, f.Calls[site.Strip.CallSite].Args
-	ks.prologueSteps = prologueSteps
+	ks.kern, ks.fr, ks.call = kern, fr, &f.Calls[site.Strip.CallSite]
+	ks.steps = prologueSteps
 
 	if ip.cfg.Profiler != nil {
 		if !ks.profiled(pos) {
@@ -195,14 +189,18 @@ func (ks *kernState) profiled(pos lang.Pos) bool {
 	return true
 }
 
-// gather is the strip's first phase: the root mask from the lanes'
-// elements (the strip's chain walk already found them), then a
-// field-major AoS→SoA copy and the free-argument broadcasts.
+// gather is the strip's first phase: mask 0 from the lanes' elements
+// (the strip's chain walk already found them), then a field-major
+// AoS→SoA copy and the parameter broadcasts.
 func (ks *kernState) gather() {
-	kern, fr, args := ks.kern, ks.fr, ks.args
-	root := ks.b[kern.RootMask]
+	kern, fr := ks.kern, ks.fr
+	clear(ks.pop)
+	root := ks.m[0]
 	for j, nd := range ks.nodes {
 		root[j] = nd != nil
+		if nd != nil {
+			ks.pop[0]++
+		}
 	}
 	// Field-major copy over the recorded nodes: one bank dispatch per
 	// field, not per field per lane.
@@ -231,48 +229,23 @@ func (ks *kernState) gather() {
 			}
 		}
 	}
-	// Broadcast the free arguments: variables read the caller register
-	// named by the call site's argument list; literal arguments were
-	// folded into kconst entries at lowering (their caller registers are
-	// only written by body code the kernel path never runs, so they
-	// cannot be read here).
-	for _, in := range kern.Prologue {
-		switch in.Op {
-		case bytecode.KParamInt:
-			v := fr.i[args[in.B].Idx]
-			s := ks.i[in.A]
-			for j := range s {
-				s[j] = v
-			}
-		case bytecode.KParamReal:
-			v := fr.f[args[in.B].Idx]
-			s := ks.f[in.A]
-			for j := range s {
-				s[j] = v
-			}
-		case bytecode.KParamBool:
-			v := fr.b[args[in.B].Idx]
-			s := ks.b[in.A]
-			for j := range s {
-				s[j] = v
-			}
-		case bytecode.KConstInt:
-			s := ks.i[in.A]
-			for j := range s {
-				s[j] = in.Imm
-			}
-		case bytecode.KConstReal:
-			s := ks.f[in.A]
-			for j := range s {
-				s[j] = in.Fv
-			}
-		case bytecode.KConstBool:
-			v := in.Imm != 0
-			s := ks.b[in.A]
-			for j := range s {
-				s[j] = v
-			}
-		}
+	// Each helper parameter's slab holds, in every lane, the caller
+	// register the call site binds it from (the lane index and the
+	// element, which the body never reads, included).
+	for _, mv := range ks.call.Moves[bytecode.BankInt] {
+		fill(ks.i[mv.Dst], fr.i[mv.Src])
+	}
+	for _, mv := range ks.call.Moves[bytecode.BankReal] {
+		fill(ks.f[mv.Dst], fr.f[mv.Src])
+	}
+	for _, mv := range ks.call.Moves[bytecode.BankBool] {
+		fill(ks.b[mv.Dst], fr.b[mv.Src])
+	}
+}
+
+func fill[T any](s []T, v T) {
+	for j := range s {
+		s[j] = v
 	}
 }
 
@@ -280,35 +253,10 @@ func (ks *kernState) gather() {
 // shared state: it commits the step total and stores the fields back.
 func (ks *kernState) scatter() {
 	kern, lanes := ks.kern, len(ks.nodes)
-	// Commit the strip's exact step total: the closed-form prologue plus
-	// each body statement's active-lane popcount. Masks are
-	// single-assignment (every `if` refines into fresh slabs), so
-	// counting after compute is exact. bcForallKernel's conservative
-	// pre-check already proved the total fits the budget.
-	total := ks.prologueSteps
-	counts := ks.stepCounts
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, in := range kern.Code {
-		if in.Op == bytecode.KStep {
-			counts[in.M]++
-		}
-	}
-	for mi, c := range counts {
-		if c == 0 {
-			continue
-		}
-		var pop int64
-		for _, active := range ks.b[mi] {
-			if active {
-				pop++
-			}
-		}
-		total += c * pop
-	}
-	ks.ip.addSteps(total)
-	root := ks.b[kern.RootMask]
+	// bcForallKernel's conservative pre-check already proved the total
+	// fits the budget.
+	ks.ip.addSteps(ks.steps)
+	root := ks.m[0]
 	// Writes update Kind and the data word in place rather than
 	// assigning a fresh Value: a typed data field invariantly holds its
 	// own kind with every other union member zero, so the end state is
@@ -350,586 +298,424 @@ func (ks *kernState) scatter() {
 	}
 }
 
-// compute is the strip's second phase: it executes the kernel body over
-// every lane. Every op is elementwise; ops with no execution mask (temp
-// destinations, mask combiners) run whole-slab, the rest test their
-// governing mask per lane. Every slab of a strip has one length, and
-// each op re-slices its operands and mask to its destination's, so the
-// compiler proves every lane index in range once per op, not per lane.
+// out is the slab an instruction under mask m writes: dst itself when
+// the mask holds every lane (m nil), else the bank's scratch slab, which
+// merge then copies into dst on the mask's lanes.
+func out[T any](dst, scratch []T, m []bool) []T {
+	if m == nil {
+		return dst
+	}
+	return scratch[:len(dst)]
+}
+
+func merge[T any](dst, scratch []T, m []bool) {
+	scratch, m = scratch[:len(dst)], m[:len(dst)]
+	for j := range m {
+		if m[j] {
+			dst[j] = scratch[j]
+		}
+	}
+}
+
+// compute is the strip's second phase: it executes the kernel over every
+// lane, one whole-slab loop per instruction. An instruction whose mask
+// holds no lane is skipped, one whose mask holds every lane runs
+// straight into its destination, and any other runs into the scratch
+// slab and is merged on its mask's lanes — except an integer division,
+// which must fault only on an active lane's zero divisor and so tests
+// the mask itself. A branch computes, for every lane, whether it is
+// taken, and splits its mask into the lanes that fall through and the
+// lanes that take it. Every slab of a strip has one length, and each op
+// re-slices its operands to its destination's, so the compiler proves
+// every lane index in range once per op, not per lane.
 func (ks *kernState) compute() error {
-	for _, in := range ks.kern.Code {
+	kern, n := ks.kern, len(ks.nodes)
+	si, sf, sb := ks.i[kern.NInt], ks.f[kern.NReal], ks.b[kern.NBool]
+	for pc := range kern.Code {
+		in := &kern.Code[pc]
+		mi := kern.Masks[pc]
+		active := ks.pop[mi]
+		if active == 0 {
+			continue
+		}
+		var m []bool // nil: every lane is active
+		if active < n {
+			m = ks.m[mi]
+		}
+		var dst bytecode.Bank // the bank whose scratch holds the result
 		switch in.Op {
-		case bytecode.KStep:
-			// Accounted at scatter time from the final masks.
+		case bytecode.OpStep:
+			ks.steps += int64(active)
+		case bytecode.OpJump:
+			// The masks already say which lanes run what follows.
 
-		case bytecode.KConstInt:
-			a := ks.i[in.A]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = in.Imm
-				}
-				continue
+		case bytecode.OpConstInt:
+			fill(out(ks.i[in.A], si, m), in.Imm)
+			dst = bytecode.BankInt
+		case bytecode.OpConstReal:
+			fill(out(ks.f[in.A], sf, m), in.Fv)
+			dst = bytecode.BankReal
+		case bytecode.OpConstBool:
+			fill(out(ks.b[in.A], sb, m), in.Imm != 0)
+			dst = bytecode.BankBool
+		case bytecode.OpMovInt:
+			copy(out(ks.i[in.A], si, m), ks.i[in.B])
+			dst = bytecode.BankInt
+		case bytecode.OpMovReal:
+			copy(out(ks.f[in.A], sf, m), ks.f[in.B])
+			dst = bytecode.BankReal
+		case bytecode.OpMovBool:
+			copy(out(ks.b[in.A], sb, m), ks.b[in.B])
+			dst = bytecode.BankBool
+		case bytecode.OpIntToReal:
+			a := out(ks.f[in.A], sf, m)
+			b := ks.i[in.B][:len(a)]
+			for j := range a {
+				a[j] = float64(b[j])
 			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = in.Imm
-				}
-			}
-		case bytecode.KConstReal:
-			a := ks.f[in.A]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = in.Fv
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = in.Fv
-				}
-			}
-		case bytecode.KConstBool:
-			a := ks.b[in.A]
-			v := in.Imm != 0
-			if in.M < 0 {
-				for j := range a {
-					a[j] = v
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = v
-				}
-			}
-		case bytecode.KMovInt:
-			a, b := ks.i[in.A], ks.i[in.B]
-			b = b[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j]
-				}
-			}
-		case bytecode.KMovReal:
-			a, b := ks.f[in.A], ks.f[in.B]
-			b = b[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j]
-				}
-			}
-		case bytecode.KMovBool:
-			a, b := ks.b[in.A], ks.b[in.B]
-			b = b[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j]
-				}
-			}
-		case bytecode.KIntToReal:
-			a, b := ks.f[in.A], ks.i[in.B]
-			b = b[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = float64(b[j])
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = float64(b[j])
-				}
-			}
+			dst = bytecode.BankReal
 
-		case bytecode.KAddInt:
+		case bytecode.OpAddInt:
+			a := out(ks.i[in.A], si, m)
+			b, c := ks.i[in.B][:len(a)], ks.i[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] + c[j]
+			}
+			dst = bytecode.BankInt
+		case bytecode.OpSubInt:
+			a := out(ks.i[in.A], si, m)
+			b, c := ks.i[in.B][:len(a)], ks.i[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] - c[j]
+			}
+			dst = bytecode.BankInt
+		case bytecode.OpMulInt:
+			a := out(ks.i[in.A], si, m)
+			b, c := ks.i[in.B][:len(a)], ks.i[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] * c[j]
+			}
+			dst = bytecode.BankInt
+		case bytecode.OpDivInt, bytecode.OpModInt:
 			a, b, c := ks.i[in.A], ks.i[in.B], ks.i[in.C]
 			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] + c[j]
+			for j := range a {
+				if m != nil && !m[j] {
+					continue
 				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] + c[j]
+				if c[j] == 0 {
+					return errKernelFault
 				}
-			}
-		case bytecode.KSubInt:
-			a, b, c := ks.i[in.A], ks.i[in.B], ks.i[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] - c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] - c[j]
-				}
-			}
-		case bytecode.KMulInt:
-			a, b, c := ks.i[in.A], ks.i[in.B], ks.i[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] * c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] * c[j]
-				}
-			}
-		case bytecode.KDivInt:
-			a, b, c, m := ks.i[in.A], ks.i[in.B], ks.i[in.C], ks.b[in.M]
-			b, c, m = b[:len(a)], c[:len(a)], m[:len(a)]
-			for j := range m {
-				if m[j] {
-					if c[j] == 0 {
-						return errKernelFault
-					}
+				if in.Op == bytecode.OpDivInt {
 					a[j] = b[j] / c[j]
-				}
-			}
-		case bytecode.KModInt:
-			a, b, c, m := ks.i[in.A], ks.i[in.B], ks.i[in.C], ks.b[in.M]
-			b, c, m = b[:len(a)], c[:len(a)], m[:len(a)]
-			for j := range m {
-				if m[j] {
-					if c[j] == 0 {
-						return errKernelFault
-					}
+				} else {
 					a[j] = b[j] % c[j]
 				}
 			}
-		case bytecode.KNegInt:
-			a, b := ks.i[in.A], ks.i[in.B]
-			b = b[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = -b[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = -b[j]
-				}
-			}
-		case bytecode.KEqInt:
-			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] == c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] == c[j]
-				}
-			}
-		case bytecode.KNeInt:
-			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] != c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] != c[j]
-				}
-			}
-		case bytecode.KLtInt:
-			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] < c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] < c[j]
-				}
-			}
-		case bytecode.KLeInt:
-			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] <= c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] <= c[j]
-				}
-			}
-		case bytecode.KGtInt:
-			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] > c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] > c[j]
-				}
-			}
-		case bytecode.KGeInt:
-			a, b, c := ks.b[in.A], ks.i[in.B], ks.i[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] >= c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] >= c[j]
-				}
-			}
-
-		case bytecode.KAddReal:
-			a, b, c := ks.f[in.A], ks.f[in.B], ks.f[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] + c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] + c[j]
-				}
-			}
-		case bytecode.KSubReal:
-			a, b, c := ks.f[in.A], ks.f[in.B], ks.f[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] - c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] - c[j]
-				}
-			}
-		case bytecode.KMulReal:
-			a, b, c := ks.f[in.A], ks.f[in.B], ks.f[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] * c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] * c[j]
-				}
-			}
-		case bytecode.KDivReal:
-			a, b, c := ks.f[in.A], ks.f[in.B], ks.f[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] / c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] / c[j]
-				}
-			}
-		case bytecode.KNegReal:
-			a, b := ks.f[in.A], ks.f[in.B]
-			b = b[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = -b[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = -b[j]
-				}
-			}
-		case bytecode.KEqReal:
-			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] == c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] == c[j]
-				}
-			}
-		case bytecode.KNeReal:
-			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] != c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] != c[j]
-				}
-			}
-		case bytecode.KLtReal:
-			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] < c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] < c[j]
-				}
-			}
-		case bytecode.KLeReal:
-			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] <= c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] <= c[j]
-				}
-			}
-		case bytecode.KGtReal:
-			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] > c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] > c[j]
-				}
-			}
-		case bytecode.KGeReal:
-			a, b, c := ks.b[in.A], ks.f[in.B], ks.f[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] >= c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] >= c[j]
-				}
-			}
-
-		case bytecode.KNot:
-			a, b := ks.b[in.A], ks.b[in.B]
-			b = b[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = !b[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = !b[j]
-				}
-			}
-		case bytecode.KEqBool:
-			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] == c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] == c[j]
-				}
-			}
-		case bytecode.KNeBool:
-			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] != c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] != c[j]
-				}
-			}
-		case bytecode.KAndBool:
-			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] && c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] && c[j]
-				}
-			}
-		case bytecode.KOrBool:
-			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
-			b, c = b[:len(a)], c[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = b[j] || c[j]
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = b[j] || c[j]
-				}
-			}
-
-		case bytecode.KSqrt:
-			a, b := ks.f[in.A], ks.f[in.B]
-			b = b[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = math.Sqrt(b[j])
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = math.Sqrt(b[j])
-				}
-			}
-		case bytecode.KAbs:
-			a, b := ks.f[in.A], ks.f[in.B]
-			b = b[:len(a)]
-			if in.M < 0 {
-				for j := range a {
-					a[j] = math.Abs(b[j])
-				}
-				continue
-			}
-			m := ks.b[in.M][:len(a)]
-			for j := range m {
-				if m[j] {
-					a[j] = math.Abs(b[j])
-				}
-			}
-
-		case bytecode.KMaskAnd:
-			// Unmasked by construction: a false parent lane forces false
-			// regardless of the cond slab's (possibly stale) content there.
-			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
-			b, c = b[:len(a)], c[:len(a)]
+		case bytecode.OpNegInt:
+			a := out(ks.i[in.A], si, m)
+			b := ks.i[in.B][:len(a)]
 			for j := range a {
-				a[j] = b[j] && c[j]
+				a[j] = -b[j]
 			}
-		case bytecode.KMaskAndNot:
-			a, b, c := ks.b[in.A], ks.b[in.B], ks.b[in.C]
-			b, c = b[:len(a)], c[:len(a)]
+			dst = bytecode.BankInt
+		case bytecode.OpEqInt:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.i[in.B][:len(a)], ks.i[in.C][:len(a)]
 			for j := range a {
-				a[j] = b[j] && !c[j]
+				a[j] = b[j] == c[j]
 			}
+			dst = bytecode.BankBool
+		case bytecode.OpNeInt:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.i[in.B][:len(a)], ks.i[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] != c[j]
+			}
+			dst = bytecode.BankBool
+		case bytecode.OpLtInt:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.i[in.B][:len(a)], ks.i[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] < c[j]
+			}
+			dst = bytecode.BankBool
+		case bytecode.OpLeInt:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.i[in.B][:len(a)], ks.i[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] <= c[j]
+			}
+			dst = bytecode.BankBool
+		case bytecode.OpGtInt:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.i[in.B][:len(a)], ks.i[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] > c[j]
+			}
+			dst = bytecode.BankBool
+		case bytecode.OpGeInt:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.i[in.B][:len(a)], ks.i[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] >= c[j]
+			}
+			dst = bytecode.BankBool
+
+		case bytecode.OpAddReal:
+			a := out(ks.f[in.A], sf, m)
+			b, c := ks.f[in.B][:len(a)], ks.f[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] + c[j]
+			}
+			dst = bytecode.BankReal
+		case bytecode.OpSubReal:
+			a := out(ks.f[in.A], sf, m)
+			b, c := ks.f[in.B][:len(a)], ks.f[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] - c[j]
+			}
+			dst = bytecode.BankReal
+		case bytecode.OpMulReal:
+			a := out(ks.f[in.A], sf, m)
+			b, c := ks.f[in.B][:len(a)], ks.f[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] * c[j]
+			}
+			dst = bytecode.BankReal
+		case bytecode.OpDivReal:
+			a := out(ks.f[in.A], sf, m)
+			b, c := ks.f[in.B][:len(a)], ks.f[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] / c[j]
+			}
+			dst = bytecode.BankReal
+		case bytecode.OpNegReal:
+			a := out(ks.f[in.A], sf, m)
+			b := ks.f[in.B][:len(a)]
+			for j := range a {
+				a[j] = -b[j]
+			}
+			dst = bytecode.BankReal
+		case bytecode.OpEqReal:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.f[in.B][:len(a)], ks.f[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] == c[j]
+			}
+			dst = bytecode.BankBool
+		case bytecode.OpNeReal:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.f[in.B][:len(a)], ks.f[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] != c[j]
+			}
+			dst = bytecode.BankBool
+		case bytecode.OpLtReal:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.f[in.B][:len(a)], ks.f[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] < c[j]
+			}
+			dst = bytecode.BankBool
+		case bytecode.OpLeReal:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.f[in.B][:len(a)], ks.f[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] <= c[j]
+			}
+			dst = bytecode.BankBool
+		case bytecode.OpGtReal:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.f[in.B][:len(a)], ks.f[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] > c[j]
+			}
+			dst = bytecode.BankBool
+		case bytecode.OpGeReal:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.f[in.B][:len(a)], ks.f[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] >= c[j]
+			}
+			dst = bytecode.BankBool
+
+		case bytecode.OpNot:
+			a := out(ks.b[in.A], sb, m)
+			b := ks.b[in.B][:len(a)]
+			for j := range a {
+				a[j] = !b[j]
+			}
+			dst = bytecode.BankBool
+		case bytecode.OpEqBool:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.b[in.B][:len(a)], ks.b[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] == c[j]
+			}
+			dst = bytecode.BankBool
+		case bytecode.OpNeBool:
+			a := out(ks.b[in.A], sb, m)
+			b, c := ks.b[in.B][:len(a)], ks.b[in.C][:len(a)]
+			for j := range a {
+				a[j] = b[j] != c[j]
+			}
+			dst = bytecode.BankBool
+		case bytecode.OpSqrt:
+			a := out(ks.f[in.A], sf, m)
+			b := ks.f[in.B][:len(a)]
+			for j := range a {
+				a[j] = math.Sqrt(b[j])
+			}
+			dst = bytecode.BankReal
+		case bytecode.OpAbs:
+			a := out(ks.f[in.A], sf, m)
+			b := ks.f[in.B][:len(a)]
+			for j := range a {
+				a[j] = math.Abs(b[j])
+			}
+			dst = bytecode.BankReal
+
+		// Branches: taken[j] says whether lane j would jump.
+		case bytecode.OpBr, bytecode.OpScAnd:
+			t := ks.m[in.C+1]
+			b := ks.b[in.A][:len(t)]
+			for j := range t {
+				t[j] = !b[j]
+			}
+			ks.split(m, in.C, active)
+		case bytecode.OpScOr:
+			copy(ks.m[in.C+1], ks.b[in.A])
+			ks.split(m, in.C, active)
+		case bytecode.OpBrfEqInt:
+			t := ks.m[in.C+1]
+			x, y := ks.i[in.A][:len(t)], ks.i[in.B][:len(t)]
+			for j := range t {
+				t[j] = x[j] != y[j]
+			}
+			ks.split(m, in.C, active)
+		case bytecode.OpBrfNeInt:
+			t := ks.m[in.C+1]
+			x, y := ks.i[in.A][:len(t)], ks.i[in.B][:len(t)]
+			for j := range t {
+				t[j] = x[j] == y[j]
+			}
+			ks.split(m, in.C, active)
+		case bytecode.OpBrfLtInt:
+			t := ks.m[in.C+1]
+			x, y := ks.i[in.A][:len(t)], ks.i[in.B][:len(t)]
+			for j := range t {
+				t[j] = x[j] >= y[j]
+			}
+			ks.split(m, in.C, active)
+		case bytecode.OpBrfLeInt:
+			t := ks.m[in.C+1]
+			x, y := ks.i[in.A][:len(t)], ks.i[in.B][:len(t)]
+			for j := range t {
+				t[j] = x[j] > y[j]
+			}
+			ks.split(m, in.C, active)
+		case bytecode.OpBrfGtInt:
+			t := ks.m[in.C+1]
+			x, y := ks.i[in.A][:len(t)], ks.i[in.B][:len(t)]
+			for j := range t {
+				t[j] = x[j] <= y[j]
+			}
+			ks.split(m, in.C, active)
+		case bytecode.OpBrfGeInt:
+			t := ks.m[in.C+1]
+			x, y := ks.i[in.A][:len(t)], ks.i[in.B][:len(t)]
+			for j := range t {
+				t[j] = x[j] < y[j]
+			}
+			ks.split(m, in.C, active)
+		// A real branch negates the comparison: every ordered comparison
+		// with a NaN is false, so a NaN takes the branch.
+		case bytecode.OpBrfEqReal:
+			t := ks.m[in.C+1]
+			x, y := ks.f[in.A][:len(t)], ks.f[in.B][:len(t)]
+			for j := range t {
+				t[j] = !(x[j] == y[j])
+			}
+			ks.split(m, in.C, active)
+		case bytecode.OpBrfNeReal:
+			t := ks.m[in.C+1]
+			x, y := ks.f[in.A][:len(t)], ks.f[in.B][:len(t)]
+			for j := range t {
+				t[j] = !(x[j] != y[j])
+			}
+			ks.split(m, in.C, active)
+		case bytecode.OpBrfLtReal:
+			t := ks.m[in.C+1]
+			x, y := ks.f[in.A][:len(t)], ks.f[in.B][:len(t)]
+			for j := range t {
+				t[j] = !(x[j] < y[j])
+			}
+			ks.split(m, in.C, active)
+		case bytecode.OpBrfLeReal:
+			t := ks.m[in.C+1]
+			x, y := ks.f[in.A][:len(t)], ks.f[in.B][:len(t)]
+			for j := range t {
+				t[j] = !(x[j] <= y[j])
+			}
+			ks.split(m, in.C, active)
+		case bytecode.OpBrfGtReal:
+			t := ks.m[in.C+1]
+			x, y := ks.f[in.A][:len(t)], ks.f[in.B][:len(t)]
+			for j := range t {
+				t[j] = !(x[j] > y[j])
+			}
+			ks.split(m, in.C, active)
+		case bytecode.OpBrfGeReal:
+			t := ks.m[in.C+1]
+			x, y := ks.f[in.A][:len(t)], ks.f[in.B][:len(t)]
+			for j := range t {
+				t[j] = !(x[j] >= y[j])
+			}
+			ks.split(m, in.C, active)
 
 		default:
 			return errKernelFault
 		}
+		if m != nil {
+			switch dst {
+			case bytecode.BankInt:
+				merge(ks.i[in.A], si, m)
+			case bytecode.BankReal:
+				merge(ks.f[in.A], sf, m)
+			case bytecode.BankBool:
+				merge(ks.b[in.A], sb, m)
+			}
+		}
 	}
 	return nil
+}
+
+// split divides the lanes of a branch's mask m (nil: every lane), active
+// of them, into mask c, the lanes that fall through, and c+1, the lanes
+// that take the branch; c+1 arrives holding, for every lane, whether
+// the branch is taken there.
+func (ks *kernState) split(m []bool, c int32, active int) {
+	ft, tk := ks.m[c], ks.m[c+1]
+	tk = tk[:len(ft)]
+	taken := 0
+	if m == nil {
+		for j := range ft {
+			ft[j] = !tk[j]
+			if tk[j] {
+				taken++
+			}
+		}
+	} else {
+		m = m[:len(ft)]
+		for j := range ft {
+			t := m[j] && tk[j]
+			ft[j] = m[j] && !tk[j]
+			tk[j] = t
+			if t {
+				taken++
+			}
+		}
+	}
+	ks.pop[c], ks.pop[c+1] = active-taken, taken
 }

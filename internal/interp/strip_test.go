@@ -328,3 +328,42 @@ func TestWideStripStopsOnTheBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestMaskedStripsVectorize: a vector strip runs each instruction on
+// exactly the lanes the scalar engines run it on. An operand of && or ||
+// runs only where it is evaluated, so a guard that keeps a division away
+// from a zero divisor keeps the strip on the vector path: the list holds
+// v = 0, and the first two bodies divide by v only behind the guard, in
+// the then arm (&&) or the else arm (||). The masks of two ifs in a row
+// overlap — a lane can take both — so a value that crosses the second if
+// is still the one its lane computed: a variable loaded from a field the
+// first if then stores, one loaded under the first if only, and one
+// loaded before the first if reassigns it. Every strip of 16 lanes, the
+// last one's lanes past the list's end included, completes as a kernel,
+// and the run equals the walker's and the scalar VM's.
+func TestMaskedStripsVectorize(t *testing.T) {
+	const w = 16
+	for _, body := range []string{
+		"    if p->v != 0 && 60 / p->v > 4 { p->v = p->v * k; } else { p->v = p->v + 1; }",
+		"    if p->v == 0 || 60 / p->v > 4 { p->v = p->v + 1; } else { p->v = p->v * k - 60 / p->v; }",
+		"    var int t = p->v;\n    if p->v > 20 { p->v = 2; }\n    if p->v % 2 == 0 { p->v = p->v + t; }",
+		"    var int t = 1;\n    if p->v > 20 { t = p->v; }\n    if p->v % 2 == 0 { p->v = p->v + t; }",
+		"    var int t = p->v;\n    if p->v > 20 { t = 5; }\n    if p->v % 2 == 0 { p->v = p->v + t; }",
+	} {
+		prog := lang.MustParse(stripListSrc(w, stripShapeCall, body))
+		ref := runStrip(prog, Config{Engine: EngineWalk})
+		if ref.err != "" {
+			t.Fatalf("walker, body %q: %s", body, ref.err)
+		}
+		if got := runStrip(prog, Config{Engine: EngineBytecode}); got != ref {
+			t.Errorf("bytecode, body %q:\n got %+v\nwant %+v", body, got, ref)
+		}
+		prof := obs.NewForallProfiler()
+		if got := runStrip(prog, Config{Engine: EngineKernel, Profiler: prof}); got != ref {
+			t.Errorf("kernel, body %q:\n got %+v\nwant %+v", body, got, ref)
+		}
+		if rep := prof.Report(); len(rep) != 1 || !rep[0].Kernel || rep[0].Barriers != (37+w-1)/w {
+			t.Errorf("body %q: profile %+v, want all %d strips on the vector path", body, rep, (37+w-1)/w)
+		}
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/lang"
+	"repro/internal/nbody"
 	"repro/internal/transform"
 )
 
@@ -718,6 +719,22 @@ func orthRow(t *testing.T, breakage string) string {
 	return strings.Replace(string(src), ret, breakage+ret, 1)
 }
 
+// octree is nbody.BarnesHutPSL, with breakage inserted before the one
+// occurrence of anchor, plus a main that simulates one step of six
+// particles.
+func octree(t *testing.T, anchor, breakage string) string {
+	t.Helper()
+	if strings.Count(nbody.BarnesHutPSL, anchor) != 1 {
+		t.Fatalf("BarnesHutPSL no longer has one %q for the breakage to precede", anchor)
+	}
+	return strings.Replace(nbody.BarnesHutPSL, anchor, breakage+anchor, 1) + `
+function int main() {
+  var Octree *p = simulate(6, 1, 0.5, 0.01);
+  return 0;
+}
+`
+}
+
 // TestBrokenDeclarationsAreFlagged is the declaration leg of ROADMAP
 // item 1(c): a verdict is sound only if the declaration is true of the
 // heap. Each program breaks a declaration in the function that builds
@@ -746,6 +763,18 @@ func orthRow(t *testing.T, breakage string) string {
 // scale_row's loop, and a join along down, the row's other dimension,
 // which leaves scale_row's X traversal as sound as it was and its loop
 // approved.
+//
+// The last two break the octree of nbody.BarnesHutPSL, whose BHL1
+// (timestep's first loop) walks the particles along leaves and reads
+// the tree along down. A join along leaves in make_particles trips both
+// alarms and rejects BHL1. A join along down before build_tree returns
+// (a fresh node's subtrees[0] = the first particle, a leaf of the tree)
+// leaves BHL1 approved — it only reads the tree — and PM3 calls
+// build_tree valid at exit: it does not see the join. The fatal shape
+// check does fire, but earlier and not for the join: insert_particle's
+// sub->subtrees[cq] = child shares child until the next store repairs
+// it, which the unbroken octree trips too (115:12). So on the octree
+// the runtime alarm cannot tell a broken build from a sound one.
 func TestBrokenDeclarationsAreFlagged(t *testing.T) {
 	list := func(breakage string) string { return fmt.Sprintf(brokenList, breakage) }
 	for _, tc := range []struct {
@@ -774,6 +803,13 @@ func TestBrokenDeclarationsAreFlagged(t *testing.T) {
 		{name: "orthlist down join", src: orthRow(t, "  var OrthList *x = new OrthList;\n  x->down = head->across;\n  head->down = head->across;\n"),
 			builder: "make_row", loop: "scale_row", approved: true,
 			exit: "[sharing of OrthList along Y]", shapeErr: "interp: 30:7: runtime sharing of OrthList along Y"},
+		{name: "octree down join", src: octree(t, "  return root;\n", "  var Octree *x = new Octree;\n  x->subtrees[0] = particles;\n"),
+			builder: "build_tree", loop: "timestep", approved: true,
+			exit: "[]", shapeErr: "interp: 115:12: runtime sharing of Octree along down"},
+		{name: "octree leaves join", src: octree(t, "  return head;\n", "  var Octree *x = new Octree;\n  x->next = head->next;\n"),
+			builder: "make_particles", loop: "timestep",
+			reason: "the Octree declaration along leaves does not hold of the heap: make_particles exits with an active violation (sharing of Octree along leaves)",
+			exit:   "[sharing of Octree along leaves]", shapeErr: "interp: 235:4: runtime sharing of Octree along leaves"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := core.Compile(tc.src)
