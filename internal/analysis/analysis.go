@@ -20,6 +20,10 @@
 // pointer variable v assigned in a loop body, a handle v' tracks v's
 // value in the previous iteration, exactly as the paper's matrices show.
 //
+// Handles are identifier ids of the program's table (lang.Names), v'
+// is v's id with primeBit set, and a state turns them into text only
+// when it is printed.
+//
 // The interprocedural facts come from package effects, built once per
 // program by New: a call clears paths over the pointer fields its
 // callee's summary may write, and functions are analyzed in the
@@ -30,6 +34,7 @@ package analysis
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,7 +84,7 @@ func (k ViolationKey) String() string {
 // paper's "if another program statement fixes the relationship between
 // these two fields, the entry is removed" (§3.3.1).
 type EdgeRef struct {
-	Handle string
+	Handle lang.ID
 	Field  string
 	// Index is the index-expression text for pointer-array fields
 	// ("q" in t->subtrees[q]); "" for plain fields, "?" when the
@@ -108,10 +113,11 @@ type Violation struct {
 // and concurrent readers share it. To change one, take a Clone and use
 // the clone's methods. Clone copies the matrix's cell slice and shares
 // the two maps; the first method that writes a map after a Clone copies
-// it first (most statements write neither). Code outside this package
-// reads Violations and Prov and never writes them.
+// it first (most statements write neither). An empty map may be nil.
+// Code outside this package reads Violations and Prov and never writes
+// them.
 type State struct {
-	PM         *pathmatrix.Matrix
+	PM         *pathmatrix.Matrix[lang.ID]
 	Violations map[ViolationKey]*Violation
 	// Prov records, for handles whose current value was produced by a
 	// forward load, the dimension it was loaded along and (while still
@@ -120,7 +126,7 @@ type State struct {
 	// dimension can never be the same node — §3.1.3's sub||down) and
 	// distinct-parent uniqueness (children of provably different
 	// parents along a uniquely-forward dimension are different).
-	Prov map[string]Provenance
+	Prov map[lang.ID]Provenance
 
 	// sharedViolations / sharedProv: another State may hold the same
 	// map, so a writer must copy it first (ownViolations, ownProv).
@@ -131,18 +137,27 @@ type State struct {
 type Provenance struct {
 	// Dim is the dimension of the forward load.
 	Dim string
-	// Src names the base handle of the load, or "" once that handle
-	// has been reassigned (the parent node is then no longer nameable).
-	Src string
+	// Src is the base handle of the load, or 0 once that handle has
+	// been reassigned (the parent node is then no longer nameable).
+	Src lang.ID
 }
 
-// NewState returns an empty state.
-func NewState() *State {
-	return &State{
-		PM:         pathmatrix.New(),
-		Violations: map[ViolationKey]*Violation{},
-		Prov:       map[string]Provenance{},
+// primeBit marks a primed handle: v' is v|primeBit. Identifier ids stay
+// far below it.
+const primeBit lang.ID = 1 << 30
+
+// handleName renders a handle: its identifier, primed or not.
+func (a *Analyzer) handleName(h lang.ID) string {
+	if h&primeBit != 0 {
+		return a.prog.Names().Text(h&^primeBit) + "'"
 	}
+	return a.prog.Names().Text(h)
+}
+
+// newState returns an empty state; its nil maps count as shared, so the
+// first write makes them.
+func (a *Analyzer) newState() *State {
+	return (&State{PM: pathmatrix.New[lang.ID](a.handleName)}).snapshot()
 }
 
 // Clone returns an independent copy of the state. The receiver is only
@@ -188,23 +203,21 @@ func (s *State) ownViolations() {
 // ownProv makes s.Prov private to s before a write.
 func (s *State) ownProv() {
 	if s.sharedProv {
-		prov := make(map[string]Provenance, len(s.Prov))
-		for k, v := range s.Prov {
-			prov[k] = v
-		}
+		prov := make(map[lang.ID]Provenance, len(s.Prov))
+		maps.Copy(prov, s.Prov)
 		s.Prov, s.sharedProv = prov, false
 	}
 }
 
 // setProv records h's provenance; dropProv forgets it.
-func (s *State) setProv(h string, pv Provenance) {
+func (s *State) setProv(h lang.ID, pv Provenance) {
 	if old, ok := s.Prov[h]; !ok || old != pv {
 		s.ownProv()
 		s.Prov[h] = pv
 	}
 }
 
-func (s *State) dropProv(h string) {
+func (s *State) dropProv(h lang.ID) {
 	if _, ok := s.Prov[h]; ok {
 		s.ownProv()
 		delete(s.Prov, h)
@@ -250,7 +263,7 @@ func (s *State) ClearProvAlongDim(dim string) {
 // x->f = ... / x->f[idx] = ... definitely destroys that edge. pm is the
 // matrix before the store (so definite aliases of x are still visible).
 // Incomparable indices ("?") never match.
-func (s *State) fixViolationsForStore(x, f, idx string, pm *pathmatrix.Matrix) {
+func (s *State) fixViolationsForStore(x lang.ID, f, idx string, pm *pathmatrix.Matrix[lang.ID]) {
 	if idx == "?" || len(s.Violations) == 0 {
 		return
 	}
@@ -272,7 +285,7 @@ func (s *State) fixViolationsForStore(x, f, idx string, pm *pathmatrix.Matrix) {
 // exact descriptors and violation references indexed by it become
 // stale. Descriptors are dropped; references become unfixable ("?").
 func (s *State) invalidateIndexVar(name string) {
-	s.PM.UpdateAll(func(_, _ string, e *pathmatrix.Entry) {
+	s.PM.UpdateAll(func(_, _ lang.ID, e *pathmatrix.Entry) {
 		e.RemoveExactsIndexedBy(name)
 	})
 	if len(s.Violations) == 0 {
@@ -292,10 +305,10 @@ func (s *State) invalidateIndexVar(name string) {
 // references through h transfer to a definite alias if one exists,
 // otherwise they are dropped (the violation then persists untrackably),
 // and provenance facts naming h as their load source lose the name.
-func (s *State) Retarget(h string, pm *pathmatrix.Matrix) {
+func (s *State) Retarget(h lang.ID, pm *pathmatrix.Matrix[lang.ID]) {
 	for k, v := range s.Prov {
 		if v.Src == h {
-			v.Src = ""
+			v.Src = 0
 			s.setProv(k, v)
 		}
 	}
@@ -303,16 +316,15 @@ func (s *State) Retarget(h string, pm *pathmatrix.Matrix) {
 		return
 	}
 	s.ownViolations()
-	var alias string
-	for _, other := range pm.Aliases(h, false) {
-		alias = other
-		break
+	var alias lang.ID
+	if aliases := pm.Aliases(h, false); len(aliases) > 0 {
+		alias = aliases[0]
 	}
 	for _, v := range s.Violations {
 		out := v.Refs[:0]
 		for _, r := range v.Refs {
 			if r.Handle == h {
-				if alias == "" {
+				if alias == 0 {
 					continue // untrackable: drop the ref
 				}
 				r.Handle = alias
@@ -326,20 +338,19 @@ func (s *State) Retarget(h string, pm *pathmatrix.Matrix) {
 // joinStates joins matrices and unions violations (a violation active on
 // either path must be assumed active after the join).
 func joinStates(a, b *State) *State {
-	out := &State{
-		PM:         pathmatrix.Join(a.PM, b.PM),
-		Violations: copyViolations(a.Violations),
-		Prov:       make(map[string]Provenance, len(a.Prov)),
-	}
+	out := (&State{PM: pathmatrix.Join(a.PM, b.PM)}).snapshot()
 	for k, v := range a.Prov {
 		bv, ok := b.Prov[k]
 		if !ok || bv.Dim != v.Dim {
 			continue
 		}
 		if bv.Src != v.Src {
-			v.Src = ""
+			v.Src = 0
 		}
-		out.Prov[k] = v
+		out.setProv(k, v)
+	}
+	if len(a.Violations)+len(b.Violations) > 0 {
+		out.Violations, out.sharedViolations = copyViolations(a.Violations), false
 	}
 	for k, v := range b.Violations {
 		if prev, ok := out.Violations[k]; ok {
@@ -365,16 +376,8 @@ func joinStates(a, b *State) *State {
 // equalStates is the fixed-point test: matrices equal, the same
 // violation keys active, and the same provenance facts.
 func equalStates(a, b *State) bool {
-	if !pathmatrix.Equal(a.PM, b.PM) {
+	if !pathmatrix.Equal(a.PM, b.PM) || !sameViolationKeys(a.Violations, b.Violations) {
 		return false
-	}
-	if len(a.Violations) != len(b.Violations) {
-		return false
-	}
-	for k := range a.Violations {
-		if _, ok := b.Violations[k]; !ok {
-			return false
-		}
 	}
 	if len(a.Prov) != len(b.Prov) {
 		return false
@@ -553,28 +556,19 @@ func sameViolationKeys(a, b map[ViolationKey]*Violation) bool {
 // entryState builds the conservative function-entry assumption: every
 // pair of same-record-type pointer parameters may be aliases.
 func (a *Analyzer) entryState(f *lang.FuncDecl) *State {
-	s := NewState()
-	var ptrs []struct {
-		name string
-		elem string
-	}
+	s := a.newState()
+	var ptrs []lang.Param
 	for _, prm := range f.Params {
-		if elem, ok := lang.IsPointer(prm.Type); ok {
-			s.PM.AddHandle(prm.Name)
-			ptrs = append(ptrs, struct {
-				name string
-				elem string
-			}{prm.Name, elem})
+		if _, ok := lang.IsPointer(prm.Type); ok {
+			s.PM.AddHandle(prm.ID)
+			ptrs = append(ptrs, prm)
 		}
 	}
-	for i := range ptrs {
-		for j := range ptrs {
-			if i == j || ptrs[i].elem != ptrs[j].elem {
-				continue
+	for _, p := range ptrs {
+		for _, q := range ptrs {
+			if p.ID != q.ID && lang.TypeEq(p.Type, q.Type) {
+				s.PM.Update(p.ID, q.ID, func(e *pathmatrix.Entry) { e.Alias = pathmatrix.PossibleAlias })
 			}
-			s.PM.Update(ptrs[i].name, ptrs[j].name, func(e *pathmatrix.Entry) {
-				e.Alias = pathmatrix.PossibleAlias
-			})
 		}
 	}
 	return s
@@ -611,7 +605,7 @@ func (a *Analyzer) analyzeFunc(f *lang.FuncDecl, record bool, loops map[lang.Stm
 		}
 	}
 	if out == nil {
-		out = NewState()
+		out = a.newState()
 	}
 	fr.Exit = out.snapshot()
 	return fr, ctx.selfCall, nil
@@ -655,7 +649,7 @@ func (c *funcCtx) block(b *lang.Block, st *State) (*State, error) {
 	if b == nil {
 		return st, nil
 	}
-	var declared []string
+	var declared []lang.ID
 	cur := st
 	var prev lang.Stmt
 	for _, s := range b.Stmts {
@@ -689,7 +683,7 @@ func (c *funcCtx) block(b *lang.Block, st *State) (*State, error) {
 		}
 		if vs, ok := s.(*lang.VarStmt); ok {
 			if _, isPtr := lang.IsPointer(vs.DeclType); isPtr {
-				declared = append(declared, vs.Name)
+				declared = append(declared, vs.ID)
 			}
 		}
 		prev, cur = s, next

@@ -184,6 +184,23 @@ func TestAnalyzeAllMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzAnalysisMatchesReference holds AnalyzeAll to the round-robin
+// oracle on generated programs (transform.GenLoopProgramPSL), every
+// state compared as text.
+func FuzzAnalysisMatchesReference(f *testing.F) {
+	f.Add(int64(0))
+	f.Add(int64(201))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		prog, err := lang.Parse(transform.GenLoopProgramPSL(seed))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if diff := diffAgainstReference(prog); diff != "" {
+			t.Errorf("seed %d: %s", seed, diff)
+		}
+	})
+}
+
 // diffAgainstReference runs both analyses on prog and describes the
 // first difference ("" when there is none).
 func diffAgainstReference(prog *lang.Program) string {

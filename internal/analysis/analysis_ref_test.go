@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/lang"
+	"repro/internal/pathmatrix"
 )
 
 // String renders the state as the differential tests compare states:
@@ -14,11 +15,29 @@ import (
 func (s *State) String() string {
 	prov := make([]string, 0, len(s.Prov))
 	for h, p := range s.Prov {
-		prov = append(prov, fmt.Sprintf("%s:%s<-%s", h, p.Dim, p.Src))
+		src := ""
+		if p.Src != 0 {
+			src = s.PM.Name(p.Src)
+		}
+		prov = append(prov, fmt.Sprintf("%s:%s<-%s", s.PM.Name(h), p.Dim, src))
 	}
 	sort.Strings(prov)
 	return fmt.Sprintf("%s\nviolations %v\nprov %s", s.PM, s.ViolationKeys(), strings.Join(prov, " "))
 }
+
+// handle returns the handle the matrix prints as name ("p'" for a
+// primed one), or -1.
+func (s *State) handle(name string) lang.ID {
+	for _, h := range s.PM.Handles() {
+		if s.PM.Name(h) == name {
+			return h
+		}
+	}
+	return -1
+}
+
+// get returns the entry between the handles printed as r and c.
+func (s *State) get(r, c string) pathmatrix.Entry { return s.PM.Get(s.handle(r), s.handle(c)) }
 
 // The interprocedural mechanism AnalyzeAll had before it walked the
 // effect summaries' component order, kept as the oracle the new order

@@ -27,16 +27,16 @@ procedure f(TwoDRangeTree *a, TwoDRangeTree *b) {
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
 	st := fr.Before(last)
 
-	if got := st.PM.Get("s", "d").Alias; got != pathmatrix.NoAlias {
+	if got := st.get("s", "d").Alias; got != pathmatrix.NoAlias {
 		t.Errorf("sub-loaded vs down-loaded = %v, want NoAlias (sub||down)\n%s", got, st.PM)
 	}
-	if got := st.PM.Get("s", "l").Alias; got != pathmatrix.NoAlias {
+	if got := st.get("s", "l").Alias; got != pathmatrix.NoAlias {
 		t.Errorf("sub-loaded vs leaves-loaded = %v, want NoAlias (sub||leaves)\n%s", got, st.PM)
 	}
 	// down and leaves are dependent: d and l may alias (both b-derived
 	// one step along dependent dimensions — d = b->left could be the
 	// same leaf l = b->next points at).
-	if got := st.PM.Get("d", "l").Alias; got == pathmatrix.NoAlias {
+	if got := st.get("d", "l").Alias; got == pathmatrix.NoAlias {
 		t.Errorf("down-loaded vs leaves-loaded must stay possible (dependent dims)\n%s", st.PM)
 	}
 }
@@ -55,7 +55,7 @@ procedure f(TwoDRangeTree *a, TwoDRangeTree *b) {
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
 	st := fr.Before(last)
-	if got := st.PM.Get("s2", "d").Alias; got != pathmatrix.NoAlias {
+	if got := st.get("s2", "d").Alias; got != pathmatrix.NoAlias {
 		t.Errorf("copied sub-handle vs down-loaded = %v, want NoAlias\n%s", got, st.PM)
 	}
 }
@@ -80,7 +80,7 @@ procedure f(TwoDRangeTree *a, TwoDRangeTree *b, bool c) {
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
 	st := fr.Before(last)
 	// x may be down-loaded, so independence from down must NOT apply.
-	if got := st.PM.Get("x", "d").Alias; got == pathmatrix.NoAlias {
+	if got := st.get("x", "d").Alias; got == pathmatrix.NoAlias {
 		t.Errorf("mixed-provenance handle must stay possible vs down-loaded\n%s", st.PM)
 	}
 }
@@ -101,11 +101,11 @@ procedure f(OrthList *grid) {
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
 	st := fr.Before(last)
-	if got := st.PM.Get("r1", "r2").Alias; got != pathmatrix.NoAlias {
+	if got := st.get("r1", "r2").Alias; got != pathmatrix.NoAlias {
 		t.Errorf("successive down-loads must be distinct, got %v", got)
 	}
 	// a and b hang off distinct rows via a uniquely-forward field.
-	if got := st.PM.Get("a", "b").Alias; got != pathmatrix.NoAlias {
+	if got := st.get("a", "b").Alias; got != pathmatrix.NoAlias {
 		t.Errorf("across-children of distinct rows must be distinct, got %v\n%s", got, st.PM)
 	}
 }
@@ -195,16 +195,16 @@ procedure f(TwoWayList *a) {
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
 	st := fr.Before(last)
-	if st.PM.Get("a", "x").Alias != pathmatrix.NoAlias {
+	if st.get("a", "x").Alias != pathmatrix.NoAlias {
 		t.Error("a vs a->prev distinct (acyclic backward)")
 	}
-	if st.PM.Get("x", "y").Alias != pathmatrix.NoAlias {
+	if st.get("x", "y").Alias != pathmatrix.NoAlias {
 		t.Error("x vs x->prev distinct")
 	}
 	// a vs y: two backward steps; acyclicity of prev gives distinctness
 	// only through the recorded path — conservatively Possible is also
 	// acceptable, but never a false NoAlias-with-path claim.
-	e := st.PM.Get("a", "y")
+	e := st.get("a", "y")
 	if e.Alias == pathmatrix.NoAlias && !e.HasPath() {
 		t.Error("a vs y NoAlias without a justifying path")
 	}

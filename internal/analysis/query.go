@@ -32,14 +32,11 @@ func (fr *FuncResult) After(s lang.Stmt) *State {
 // processing of the loop's nodes (§3.3.2, §4.3.2).
 func (fr *FuncResult) InductionStrictlyAdvances(loop lang.Stmt, v string) bool {
 	st := fr.LoopBodyExit[loop]
-	if st == nil {
+	id, ok := fr.an.prog.Names().Lookup(v)
+	if st == nil || !ok || !st.PM.HasHandle(id) || !st.PM.HasHandle(id|primeBit) {
 		return false
 	}
-	prime := v + PrimeSuffix
-	if !st.PM.HasHandle(v) || !st.PM.HasHandle(prime) {
-		return false
-	}
-	e := st.PM.Get(prime, v)
+	e := st.PM.Get(id|primeBit, id)
 	if e.Alias != pathmatrix.NoAlias {
 		return false
 	}

@@ -48,14 +48,14 @@ procedure f(OneWayList *a, OneWayList *b) {
 }`)
 	fr := analyzeFunc(t, prog, "f")
 	fn := prog.Func("f")
-	pm := fr.Before(fn.Body.Stmts[len(fn.Body.Stmts)-1]).PM
-	if pm.Get("a", "b").Alias == pathmatrix.NoAlias {
+	st := fr.Before(fn.Body.Stmts[len(fn.Body.Stmts)-1])
+	if st.get("a", "b").Alias == pathmatrix.NoAlias {
 		t.Error("two parameters must be possible aliases")
 	}
-	if pm.Get("n", "a").Alias != pathmatrix.NoAlias {
+	if st.get("n", "a").Alias != pathmatrix.NoAlias {
 		t.Error("fresh node cannot alias a parameter")
 	}
-	if pm.HasHandle("zz") {
+	if st.handle("zz") >= 0 {
 		t.Error("an undeclared handle has a row")
 	}
 	fake := &lang.ReturnStmt{}
@@ -116,7 +116,7 @@ procedure f(OneWayList *a) {
 	fr := analyzeFunc(t, prog, "f")
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
-	if fr.Before(last).PM.Get("p", "a").Alias != pathmatrix.NoAlias {
+	if fr.Before(last).get("p", "a").Alias != pathmatrix.NoAlias {
 		t.Error("uninitialized pointer aliases nothing")
 	}
 }
@@ -136,7 +136,7 @@ procedure f(OneWayList *a, bool c) {
 	fn := prog.Func("f")
 	last := fn.Body.Stmts[len(fn.Body.Stmts)-1]
 	st := fr.Before(last)
-	if st.PM.HasHandle("tmp") {
+	if st.handle("tmp") >= 0 {
 		t.Error("block-local handle must be removed at scope exit")
 	}
 }

@@ -23,12 +23,12 @@ func (c *funcCtx) stmt(s lang.Stmt, st *State) (*State, error) {
 			st.invalidateIndexVar(s.Name)
 			return c.scalarEffects(st, s.Init)
 		}
-		st.PM.AddHandle(s.Name)
+		st.PM.AddHandle(s.ID)
 		if s.Init == nil {
 			// Uninitialized pointer: treated as NULL (no relationships).
 			return st, nil
 		}
-		return c.assignPointer(st, s.Name, s.Init, s.Pos())
+		return c.assignPointer(st, s.ID, s.Init, s.Pos())
 
 	case *lang.AssignStmt:
 		switch lhs := s.LHS.(type) {
@@ -37,7 +37,7 @@ func (c *funcCtx) stmt(s lang.Stmt, st *State) (*State, error) {
 				st.invalidateIndexVar(lhs.Name)
 				return c.scalarEffects(st, s.RHS)
 			}
-			return c.assignPointer(st, lhs.Name, s.RHS, s.Pos())
+			return c.assignPointer(st, lhs.ID, s.RHS, s.Pos())
 		case *lang.FieldExpr:
 			if _, isPtr := lang.IsPointer(lhs.Type()); isPtr {
 				return c.store(st, lhs, s.RHS, s.Pos())
@@ -59,7 +59,7 @@ func (c *funcCtx) stmt(s lang.Stmt, st *State) (*State, error) {
 			}
 		}
 		if c.exit == nil {
-			c.exit = st.Clone()
+			c.exit = st // control ends here: no one else writes st
 		} else {
 			c.exit = joinStates(c.exit, st)
 		}
@@ -76,7 +76,7 @@ func (c *funcCtx) stmt(s lang.Stmt, st *State) (*State, error) {
 		if err != nil {
 			return nil, err
 		}
-		elseIn := st.Clone()
+		elseIn := st // the then branch has its own clone
 		refineCond(elseIn, s.Cond, false)
 		elseOut := elseIn
 		if s.Else != nil {
@@ -107,7 +107,7 @@ func (c *funcCtx) stmt(s lang.Stmt, st *State) (*State, error) {
 // pointer loads do not move handles, but calls may mutate the heap).
 func (c *funcCtx) scalarEffects(st *State, e lang.Expr) (*State, error) {
 	var err error
-	lang.WalkExprs(wrapExprStmt(e), func(x lang.Expr) {
+	lang.WalkExprs(&lang.ReturnStmt{Value: e}, func(x lang.Expr) {
 		if err != nil {
 			return
 		}
@@ -118,20 +118,14 @@ func (c *funcCtx) scalarEffects(st *State, e lang.Expr) (*State, error) {
 	return st, err
 }
 
-// wrapExprStmt lets WalkExprs traverse a bare expression.
-func wrapExprStmt(e lang.Expr) lang.Stmt {
-	rs := &lang.ReturnStmt{Value: e}
-	return rs
-}
-
 // ---------------------------------------------------------------------------
 // Pointer assignment rules
 
 // assignPointer dispatches on the canonical RHS forms of a pointer
 // assignment to variable p.
-func (c *funcCtx) assignPointer(st *State, p string, rhs lang.Expr, pos lang.Pos) (*State, error) {
+func (c *funcCtx) assignPointer(st *State, p lang.ID, rhs lang.Expr, pos lang.Pos) (*State, error) {
 	st.PM.AddHandle(p)
-	if id, ok := rhs.(*lang.Ident); !ok || id.Name != p {
+	if id, ok := rhs.(*lang.Ident); !ok || id.ID != p {
 		// p is about to take a new value: violation edge references
 		// through p must transfer or drop.
 		st.Retarget(p, st.PM)
@@ -145,12 +139,12 @@ func (c *funcCtx) assignPointer(st *State, p string, rhs lang.Expr, pos lang.Pos
 
 	case *lang.Ident:
 		// p = q: p's relationships become exactly q's.
-		if rhs.Name == p {
+		if rhs.ID == p {
 			return st, nil
 		}
 		st.PM.Kill(p)
-		st.PM.CopyRelationships(p, rhs.Name)
-		if pv, ok := st.Prov[rhs.Name]; ok {
+		st.PM.CopyRelationships(p, rhs.ID)
+		if pv, ok := st.Prov[rhs.ID]; ok {
 			st.setProv(p, pv)
 		} else {
 			st.dropProv(p)
@@ -177,12 +171,12 @@ func (c *funcCtx) assignPointer(st *State, p string, rhs lang.Expr, pos lang.Pos
 }
 
 // load implements p = q->f (§3.3's load rule, sharpened by ADDS).
-func (c *funcCtx) load(st *State, p string, fe *lang.FieldExpr, pos lang.Pos) (*State, error) {
+func (c *funcCtx) load(st *State, p lang.ID, fe *lang.FieldExpr, pos lang.Pos) (*State, error) {
 	base := fe.Base()
 	if base == nil {
 		return nil, fmt.Errorf("%s: chained load not normalized", pos)
 	}
-	q := base.Name
+	q := base.ID
 	elem, _ := lang.IsPointer(base.Type())
 	decl := c.an.prog.Universe.Decl(elem)
 	pf := decl.Pointer(fe.Field)
@@ -190,8 +184,9 @@ func (c *funcCtx) load(st *State, p string, fe *lang.FieldExpr, pos lang.Pos) (*
 		return nil, fmt.Errorf("%s: %s has no pointer field %s", pos, elem, fe.Field)
 	}
 
-	old := st.PM.Clone()
-	st.PM.Kill(p)
+	// The matrix is read as it was before the load until p's new row
+	// and column are written, at the end.
+	old := st.PM
 
 	// If some handle y is the definite target of q->f (an exact edge
 	// from a definite alias of q, via a non-array field), the load binds
@@ -240,24 +235,25 @@ func (c *funcCtx) load(st *State, p string, fe *lang.FieldExpr, pos lang.Pos) (*
 	if pf.Dir == adds.Forward {
 		src := q
 		if q == p {
-			src = ""
+			src = 0
 		}
 		st.setProv(p, Provenance{Dim: pf.Dim, Src: src})
 	} else {
 		st.dropProv(p)
 	}
 
-	for _, x := range old.Handles() {
+	toPs := make([]pathmatrix.Entry, len(old.Handles()))
+	for i, x := range old.Handles() {
 		if x == p {
 			continue
 		}
 		exq := old.Get(x, q) // x -> q
 		eqx := old.Get(q, x) // q -> x
 
-		var toP pathmatrix.Entry // x -> p
+		toP := &toPs[i] // x -> p
 		switch {
 		case exq.Alias == pathmatrix.DefiniteAlias || x == q:
-			toP = baseEntry
+			*toP = baseEntry
 		default:
 			// Path extension: a definite monotone path from x to q
 			// extends by f into a definite monotone path from x to p
@@ -287,7 +283,7 @@ func (c *funcCtx) load(st *State, p string, fe *lang.FieldExpr, pos lang.Pos) (*
 					if decl.Independent(pv.Dim, pf.Dim) {
 						provNo = true
 					}
-					if pv.Dim == pf.Dim && pv.Src != "" && pv.Src != q &&
+					if pv.Dim == pf.Dim && pv.Src != 0 && pv.Src != q &&
 						decl.UniqueAlong(pf.Dim) && st.Valid(elem, pf.Dim) &&
 						old.Get(pv.Src, q).Alias == pathmatrix.NoAlias &&
 						old.Get(q, pv.Src).Alias == pathmatrix.NoAlias {
@@ -308,27 +304,17 @@ func (c *funcCtx) load(st *State, p string, fe *lang.FieldExpr, pos lang.Pos) (*
 				toP.Alias = pathmatrix.PossibleAlias
 			}
 		}
-		st.PM.Set(x, p, toP)
-
-		// Mirror the alias component (aliasing is symmetric); paths
-		// from p to x are unknown.
-		fromP := pathmatrix.Entry{Alias: toP.Alias}
-		st.PM.Set(p, x, fromP)
 	}
-	st.PM.Set(p, p, pathmatrix.Entry{Alias: pathmatrix.DefiniteAlias})
-	return st, nil
-}
-
-// allForwardAlong reports whether every named field is declared forward
-// along dim (and unambiguously so).
-func (c *funcCtx) allForwardAlong(fields []string, dim string) bool {
-	for _, f := range fields {
-		fi := c.an.fields[f]
-		if fi == nil || fi.Ambiguous || fi.Dir != adds.Forward || fi.Dim != dim {
-			return false
+	st.PM.Kill(p)
+	for i, x := range st.PM.Handles() {
+		if x != p {
+			// Mirror the alias component (aliasing is symmetric); paths
+			// from p to x are unknown.
+			st.PM.Set(x, p, toPs[i])
+			st.PM.Set(p, x, pathmatrix.Entry{Alias: toPs[i].Alias})
 		}
 	}
-	return true
+	return st, nil
 }
 
 // allMonotoneAlong reports whether every named field is declared with
@@ -405,7 +391,7 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 	if base == nil {
 		return nil, fmt.Errorf("%s: chained store not normalized", pos)
 	}
-	p := base.Name
+	p := base.ID
 	elem, _ := lang.IsPointer(base.Type())
 	decl := c.an.prog.Universe.Decl(elem)
 	pf := decl.Pointer(lhs.Field)
@@ -424,7 +410,7 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 	// edge being overwritten, so they go. Edges out of provably
 	// different nodes survive, but longer (plus/star) paths using f go
 	// everywhere: they might run through p's node mid-path.
-	st.PM.UpdateAll(func(a, _ string, e *pathmatrix.Entry) {
+	st.PM.UpdateAll(func(a, _ lang.ID, e *pathmatrix.Entry) {
 		if a == p || old.Get(a, p).Alias != pathmatrix.NoAlias {
 			e.RemovePathsUsing(lhs.Field)
 		} else {
@@ -444,7 +430,7 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 	if !ok {
 		return nil, fmt.Errorf("%s: non-canonical store RHS %T (normalizer bug?)", pos, rhs)
 	}
-	q := qid.Name
+	q := qid.ID
 
 	// 3. Validation, using relationships as they were before the store.
 	if pf.Dir == adds.Forward {
@@ -452,7 +438,7 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 		cycle := eqp.Alias == pathmatrix.DefiniteAlias
 		if !cycle {
 			for _, d := range eqp.Descs {
-				if c.allForwardAlong(d.Fields, pf.Dim) {
+				if c.allMonotoneAlong(d.Fields, pf.Dim, adds.Forward) {
 					cycle = true
 					break
 				}
@@ -566,7 +552,7 @@ func (c *funcCtx) call(st *State, call *lang.CallExpr) (*State, error) {
 		if fi := c.an.fields[f]; fi != nil {
 			st.ClearProvAlongDim(fi.Dim)
 		}
-		st.PM.UpdateAll(func(_, _ string, e *pathmatrix.Entry) {
+		st.PM.UpdateAll(func(_, _ lang.ID, e *pathmatrix.Entry) {
 			e.RemovePathsUsing(f)
 		})
 	}
@@ -587,7 +573,7 @@ func (c *funcCtx) call(st *State, call *lang.CallExpr) (*State, error) {
 
 // bindCallResult establishes relationships for p = f(...): the result
 // may alias anything of its own record type that the callee could reach.
-func (c *funcCtx) bindCallResult(st *State, p string, call *lang.CallExpr) *State {
+func (c *funcCtx) bindCallResult(st *State, p lang.ID, call *lang.CallExpr) *State {
 	st.PM.AddHandle(p)
 	st.PM.Kill(p)
 	elem := ""
@@ -658,23 +644,15 @@ func refineCond(st *State, cond lang.Expr, val bool) {
 		if _, isPtr := lang.IsPointer(xi.Type()); !isPtr {
 			return
 		}
-		if equalHolds {
-			// x == y: definite alias.
-			st.PM.Update(xi.Name, yi.Name, func(e *pathmatrix.Entry) { e.Alias = pathmatrix.DefiniteAlias })
-			st.PM.Update(yi.Name, xi.Name, func(e *pathmatrix.Entry) { e.Alias = pathmatrix.DefiniteAlias })
-		} else {
-			// x != y: not aliases; possible weakens to no.
-			st.PM.Update(xi.Name, yi.Name, func(e *pathmatrix.Entry) {
-				if e.Alias == pathmatrix.PossibleAlias {
-					e.Alias = pathmatrix.NoAlias
-				}
-			})
-			st.PM.Update(yi.Name, xi.Name, func(e *pathmatrix.Entry) {
-				if e.Alias == pathmatrix.PossibleAlias {
-					e.Alias = pathmatrix.NoAlias
-				}
-			})
+		refine := func(e *pathmatrix.Entry) {
+			if equalHolds {
+				e.Alias = pathmatrix.DefiniteAlias // x == y: definite alias
+			} else if e.Alias == pathmatrix.PossibleAlias {
+				e.Alias = pathmatrix.NoAlias // x != y: possible weakens to no
+			}
 		}
+		st.PM.Update(xi.ID, yi.ID, refine)
+		st.PM.Update(yi.ID, xi.ID, refine)
 	}
 }
 
@@ -683,25 +661,20 @@ func refineNull(st *State, x *lang.Ident, isNull bool) {
 	if _, isPtr := lang.IsPointer(x.Type()); !isPtr {
 		return
 	}
-	if isNull && st.PM.HasHandle(x.Name) {
+	if isNull && st.PM.HasHandle(x.ID) {
 		// x is NULL here: it aliases nothing.
-		st.Retarget(x.Name, st.PM)
-		st.PM.Kill(x.Name)
+		st.Retarget(x.ID, st.PM)
+		st.PM.Kill(x.ID)
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Loops
 
-// PrimeSuffix is appended to a variable name to form its primed handle
-// (the variable's value in the previous loop iteration).
-const PrimeSuffix = "'"
-
 // assignedPointerVars collects pointer variables assigned anywhere in
 // the block (the handles that need primes).
-func assignedPointerVars(b *lang.Block) []string {
-	seen := map[string]bool{}
-	var out []string
+func assignedPointerVars(b *lang.Block) []lang.ID {
+	var out []lang.ID
 	lang.Walk(b, func(s lang.Stmt) bool {
 		as, ok := s.(*lang.AssignStmt)
 		if !ok {
@@ -714,9 +687,8 @@ func assignedPointerVars(b *lang.Block) []string {
 		if _, isPtr := lang.IsPointer(id.Type()); !isPtr {
 			return true
 		}
-		if !seen[id.Name] {
-			seen[id.Name] = true
-			out = append(out, id.Name)
+		if !slices.Contains(out, id.ID) {
+			out = append(out, id.ID)
 		}
 		return true
 	})
@@ -731,12 +703,12 @@ func (c *funcCtx) whileLoop(w *lang.WhileStmt, st *State) (*State, error) {
 		return nil, err
 	}
 	vars := assignedPointerVars(w.Body)
-	head := st.Clone()
+	head := st // the caller's state, which it replaces with the exit
 	for _, v := range vars {
 		if !head.PM.HasHandle(v) {
 			continue
 		}
-		prime := v + PrimeSuffix
+		prime := v | primeBit
 		head.PM.AddHandle(prime)
 		// Before the first iteration the primed handle denotes the same
 		// value as the variable itself.
@@ -768,7 +740,7 @@ func (c *funcCtx) whileLoop(w *lang.WhileStmt, st *State) (*State, error) {
 		// Back edge: the previous-iteration handles take the variables'
 		// current values.
 		for _, v := range vars {
-			prime := v + PrimeSuffix
+			prime := v | primeBit
 			if !bodyOut.PM.HasHandle(prime) || !bodyOut.PM.HasHandle(v) {
 				continue
 			}
@@ -786,7 +758,7 @@ func (c *funcCtx) whileLoop(w *lang.WhileStmt, st *State) (*State, error) {
 	exit := head.Clone()
 	refineCond(exit, w.Cond, false)
 	for _, v := range vars {
-		exit.PM.RemoveHandle(v + PrimeSuffix)
+		exit.PM.RemoveHandle(v | primeBit)
 	}
 	return exit, nil
 }
@@ -803,7 +775,7 @@ func (c *funcCtx) forLoop(f *lang.ForStmt, st *State) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	head := st.Clone()
+	head := st // as whileLoop's
 	for iter := 0; ; iter++ {
 		if iter > maxLoopIterations {
 			return nil, fmt.Errorf("%s: loop analysis did not converge after %d iterations", f.Pos(), iter)

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -57,20 +56,20 @@ func dumpState(s *State) string {
 	b.WriteString(s.PM.String())
 	for _, r := range s.PM.Handles() {
 		for _, t := range s.PM.Handles() {
-			fmt.Fprintf(&b, "%s>%s %+v\n", r, t, s.PM.Get(r, t))
+			fmt.Fprintf(&b, "%s>%s %+v\n", s.PM.Name(r), s.PM.Name(t), s.PM.Get(r, t))
 		}
 	}
 	for _, k := range s.ViolationKeys() {
 		v := s.Violations[k]
 		fmt.Fprintf(&b, "violation %s refs=%v pos=%v\n", k, v.Refs, v.Pos)
 	}
-	var hs []string
+	var hs []lang.ID
 	for h := range s.Prov {
 		hs = append(hs, h)
 	}
-	sort.Strings(hs)
+	slices.Sort(hs)
 	for _, h := range hs {
-		fmt.Fprintf(&b, "prov %s=%+v\n", h, s.Prov[h])
+		fmt.Fprintf(&b, "prov %s=%+v\n", s.PM.Name(h), s.Prov[h])
 	}
 	return b.String()
 }
@@ -93,7 +92,7 @@ func snapshots(fr *FuncResult) []*State {
 // scribble applies every State and Matrix mutator the transfer rules
 // use to c.
 func scribble(c *State) {
-	hs := append([]string(nil), c.PM.Handles()...)
+	hs := append([]lang.ID(nil), c.PM.Handles()...)
 	for _, h := range hs {
 		c.setProv(h, Provenance{Dim: "down", Src: hs[0]})
 		c.Retarget(h, c.PM)
@@ -107,8 +106,8 @@ func scribble(c *State) {
 	}
 	key := ViolationKey{Type: "BinTree", Dim: "down", Kind: Cycle}
 	c.ownViolations()
-	c.Violations[key] = &Violation{Key: key, Refs: []EdgeRef{{Handle: "t", Field: "left"}}}
-	c.PM.UpdateAll(func(_, _ string, e *pathmatrix.Entry) {
+	c.Violations[key] = &Violation{Key: key, Refs: []EdgeRef{{Handle: c.handle("t"), Field: "left"}}}
+	c.PM.UpdateAll(func(_, _ lang.ID, e *pathmatrix.Entry) {
 		e.RemovePathsUsing("left")
 		e.RemovePathsUsing("next")
 		e.AddDesc(pathmatrix.PlusDesc("right"))
@@ -118,7 +117,7 @@ func scribble(c *State) {
 		c.PM.Kill(h)
 		c.PM.RemoveHandle(h)
 	}
-	c.PM.AddHandle("fresh")
+	c.PM.AddHandle(primeBit) // a handle no statement names
 }
 
 // TestStateCloneIsolation: every snapshot in a FuncResult survives

@@ -9,11 +9,11 @@
 // "speedups of a slow interpreter". This package moves all of that
 // resolution to compile time:
 //
-//   - every function gets a flat frame of numbered variable slots; the
-//     resolver assigns an index to each declaration (parameters, var
-//     statements, loop variables), so a reference is a slice index and
-//     forking a frame for a parallel iteration is one slice copy
-//     instead of rebuilding a chain of maps;
+//   - every function gets a flat frame of numbered variable slots, the
+//     ones lang.Check gave each declaration (parameters, var
+//     statements, loop variables) and each use, so a reference is a
+//     slice index and forking a frame for a parallel iteration is one
+//     slice copy instead of rebuilding a chain of maps;
 //   - every field access carries the field's offset within its record
 //     declaration (the index into adds.Decl.Data or .Pointers), so the
 //     heap can be addressed positionally;
@@ -63,11 +63,10 @@ type Program struct {
 
 // Func returns the named compiled function, or nil.
 func (p *Program) Func(name string) *Func {
-	i, ok := p.index[name]
-	if !ok {
-		return nil
+	if i := p.FuncIndex(name); i >= 0 {
+		return p.Funcs[i]
 	}
-	return p.Funcs[i]
+	return nil
 }
 
 // FuncIndex returns the index of the named function, or -1.
@@ -86,9 +85,9 @@ type Func struct {
 	// Decl is the source declaration.
 	Decl *lang.FuncDecl
 	// Slots is the frame size: the number of distinct variable
-	// declarations (each declaration gets its own slot; slots are not
-	// reused across sibling scopes, which keeps the resolver trivially
-	// correct at the cost of a few unused slots per frame).
+	// declarations (each declaration gets its own slot, len(Decl.Vars);
+	// slots are not reused across sibling scopes, which costs a few
+	// unused slots per frame).
 	Slots int
 	// Params lists the parameter slots in declaration order (always
 	// slots 0..len(Params)-1).
@@ -321,51 +320,34 @@ func Compile(p *lang.Program) (*Program, error) {
 
 func (cp *Program) compileFunc(cf *Func, f *lang.FuncDecl) error {
 	r := &resolver{cp: cp, fn: f}
-	r.push()
-	for _, prm := range f.Params {
-		slot := r.declare(prm.Name)
-		cf.Params = append(cf.Params, Param{Name: prm.Name, Slot: slot, Type: prm.Type})
+	for i, prm := range f.Params {
+		cf.Params = append(cf.Params, Param{Name: prm.Name, Slot: i, Type: prm.Type})
 	}
 	body, err := r.block(f.Body)
 	if err != nil {
 		return fmt.Errorf("compile: %s: %w", f.Name, err)
 	}
 	cf.Body = body
-	cf.Slots = r.nslots
+	cf.Slots = len(f.Vars)
 	return nil
 }
 
-// resolver assigns slots with the same scoping rules the checker
-// enforced: innermost declaration wins, each block opens a scope.
+// resolver lowers one function, reading the slots lang.Check resolved.
 type resolver struct {
-	cp     *Program
-	fn     *lang.FuncDecl
-	scopes []map[string]int
-	nslots int
+	cp *Program
+	fn *lang.FuncDecl
 }
 
-func (r *resolver) push() { r.scopes = append(r.scopes, map[string]int{}) }
-func (r *resolver) pop()  { r.scopes = r.scopes[:len(r.scopes)-1] }
-
-func (r *resolver) declare(name string) int {
-	slot := r.nslots
-	r.nslots++
-	r.scopes[len(r.scopes)-1][name] = slot
-	return slot
-}
-
-func (r *resolver) lookup(name string) (int, bool) {
-	for i := len(r.scopes) - 1; i >= 0; i-- {
-		if s, ok := r.scopes[i][name]; ok {
-			return s, true
-		}
+// slot returns the checked slot of a use of a variable, if the use
+// still names the declaration the checker resolved it to.
+func (r *resolver) slot(id *lang.Ident) (int, error) {
+	if id.Slot >= len(r.fn.Vars) || r.fn.Vars[id.Slot] != id.ID || r.cp.Lang.Names().Text(id.ID) != id.Name {
+		return 0, fmt.Errorf("%s: unresolved variable %q", id.Pos(), id.Name)
 	}
-	return 0, false
+	return id.Slot, nil
 }
 
 func (r *resolver) block(b *lang.Block) ([]Stmt, error) {
-	r.push()
-	defer r.pop()
 	out := make([]Stmt, 0, len(b.Stmts))
 	for _, s := range b.Stmts {
 		cs, err := r.stmt(s)
@@ -387,13 +369,11 @@ func (r *resolver) stmt(s lang.Stmt) (Stmt, error) {
 		return &Block{stmtBase: stmtBase{s.Pos()}, Stmts: body}, nil
 
 	case *lang.VarStmt:
-		// The initializer sees the enclosing scope, not the new slot.
 		init, err := r.expr(s.Init)
 		if err != nil {
 			return nil, err
 		}
-		slot := r.declare(s.Name)
-		return &VarSet{stmtBase: stmtBase{s.Pos()}, Name: s.Name, Slot: slot, Type: s.DeclType, Init: init}, nil
+		return &VarSet{stmtBase: stmtBase{s.Pos()}, Name: s.Name, Slot: s.Slot, Type: s.DeclType, Init: init}, nil
 
 	case *lang.AssignStmt:
 		rhs, err := r.expr(s.RHS)
@@ -402,9 +382,9 @@ func (r *resolver) stmt(s lang.Stmt) (Stmt, error) {
 		}
 		switch lhs := s.LHS.(type) {
 		case *lang.Ident:
-			slot, ok := r.lookup(lhs.Name)
-			if !ok {
-				return nil, fmt.Errorf("%s: unresolved variable %q", s.Pos(), lhs.Name)
+			slot, err := r.slot(lhs)
+			if err != nil {
+				return nil, err
 			}
 			return &AssignSlot{stmtBase: stmtBase{s.Pos()}, Name: lhs.Name, Slot: slot, Type: lhs.Type(), RHS: rhs}, nil
 		case *lang.FieldExpr:
@@ -480,14 +460,11 @@ func (r *resolver) stmt(s lang.Stmt) (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.push()
-		slot := r.declare(s.Var)
 		body, err := r.block(s.Body)
-		r.pop()
 		if err != nil {
 			return nil, err
 		}
-		return &For{stmtBase: stmtBase{s.Pos()}, VarName: s.Var, Slot: slot,
+		return &For{stmtBase: stmtBase{s.Pos()}, VarName: s.Var, Slot: s.Slot,
 			From: from, To: to, Body: body, Parallel: s.Parallel}, nil
 	}
 	return nil, fmt.Errorf("%s: unknown statement %T", s.Pos(), s)
@@ -555,9 +532,9 @@ func (r *resolver) expr(e lang.Expr) (Expr, error) {
 		return nil, nil
 
 	case *lang.Ident:
-		slot, ok := r.lookup(e.Name)
-		if !ok {
-			return nil, fmt.Errorf("%s: unresolved variable %q", e.Pos(), e.Name)
+		slot, err := r.slot(e)
+		if err != nil {
+			return nil, err
 		}
 		return &SlotRef{exprBase: exprBase{e.Pos(), e.Type()}, Name: e.Name, Slot: slot}, nil
 

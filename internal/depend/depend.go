@@ -132,7 +132,8 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 
 	// --- Effects of the body, excluding the advance itself.
 	body := bodyWithoutAdvance(loop.Body, adv)
-	anchors := anchorsFor(fn, loop, ind)
+	declared := declaredIn(loop.Body)
+	anchors := anchorsFor(loop, ind, declared)
 	sum := eff.BlockSummary(body, anchors)
 
 	// --- 3. No structure mutation.
@@ -143,7 +144,7 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 	}
 
 	// --- 5. No scalar loop-carried dependences.
-	if v, ok := outerScalarWrite(loop.Body, adv); ok {
+	if v, ok := outerScalarWrite(loop.Body, adv, declared); ok {
 		rep.Reasons = append(rep.Reasons,
 			fmt.Sprintf("body writes outer scalar %q (loop-carried dependence)", v))
 		return rep, nil
@@ -261,14 +262,7 @@ func bodyWithoutAdvance(body *lang.Block, adv *lang.AssignStmt) *lang.Block {
 // anchorsFor returns the pointer variables visible to the loop body from
 // outside: the induction variable plus every pointer identifier used in
 // the body that is not declared in it.
-func anchorsFor(fn *lang.FuncDecl, loop *lang.WhileStmt, ind string) []string {
-	declared := map[string]bool{}
-	lang.Walk(loop.Body, func(s lang.Stmt) bool {
-		if vs, ok := s.(*lang.VarStmt); ok {
-			declared[vs.Name] = true
-		}
-		return true
-	})
+func anchorsFor(loop *lang.WhileStmt, ind string, declared map[string]bool) []string {
 	seen := map[string]bool{ind: true}
 	out := []string{ind}
 	lang.Walk(loop.Body, func(s lang.Stmt) bool {
@@ -287,9 +281,9 @@ func anchorsFor(fn *lang.FuncDecl, loop *lang.WhileStmt, ind string) []string {
 	return out
 }
 
-// outerScalarWrite finds an assignment to a scalar variable declared
-// outside the loop body (other than the advance).
-func outerScalarWrite(body *lang.Block, adv *lang.AssignStmt) (string, bool) {
+// declaredIn returns the names the block declares, loop variables
+// included.
+func declaredIn(body *lang.Block) map[string]bool {
 	declared := map[string]bool{}
 	lang.Walk(body, func(s lang.Stmt) bool {
 		switch s := s.(type) {
@@ -300,6 +294,13 @@ func outerScalarWrite(body *lang.Block, adv *lang.AssignStmt) (string, bool) {
 		}
 		return true
 	})
+	return declared
+}
+
+// outerScalarWrite finds an assignment, other than the advance, to a
+// scalar variable the loop body does not declare (declared holds the
+// names it does).
+func outerScalarWrite(body *lang.Block, adv *lang.AssignStmt, declared map[string]bool) (string, bool) {
 	var name string
 	lang.Walk(body, func(s lang.Stmt) bool {
 		as, ok := s.(*lang.AssignStmt)

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/adds"
+	"repro/internal/lang"
 )
 
 // AccessKind distinguishes reads from writes.
@@ -59,45 +59,42 @@ const (
 	anchorMask = (1<<anchorBits - 1) << anchorShift
 )
 
-// Every table starts with the special anchors and the rand() stream's
-// field at these ids; id 0 is the empty name of either kind, so no
-// access word is zero.
+// The anchor and field parts of a word start with the special anchors
+// and the rand() stream's field; a variable's or field's part is its id
+// in the program's identifier table, offset past them. Part 0 is the
+// empty name of either kind, so no access word is zero.
 const (
 	regionUnknown = (iota + 1) << anchorShift
 	regionFresh
 	regionRand
 
+	anchorBase = regionRand>>anchorShift + 1
 	fieldState = 1 << fieldShift
+	fieldBase  = 2
 )
 
-var builtin = names{
-	anchors: []string{"", AnchorUnknown, AnchorFresh, AnchorRand},
-	fields:  []string{"", "state"},
-}
+var (
+	builtinAnchors = [anchorBase]string{"", AnchorUnknown, AnchorFresh, AnchorRand}
+	builtinFields  = [fieldBase]string{"", "state"}
+)
 
 // RandDraw is the access a call to rand() contributes, directly or
 // through any callee's summary.
-var RandDraw = Access{key: regionRand | fieldState | writeBit, tab: &builtin}
+var RandDraw = Access{key: regionRand | fieldState | writeBit, tab: &names{}}
 
-// names is an Analyzer's name table: anchors (the program's pointer
-// variables) and accessed fields by id, the universe's dimensions in
-// name order by bit. A name the word has no room for is left out, and a
-// lookup that misses degrades to the conservative answer — the unknown
-// anchor, the empty field, no dimension.
+// names renders an Analyzer's words: the program's identifier table for
+// anchors and fields, the universe's dimensions in name order by bit.
+// An id the word has no room for degrades to the conservative answer —
+// the unknown anchor, the empty field; a dimension, to none.
 type names struct {
-	anchors, fields, dims []string
-	anchorID, fieldID     map[string]uint64 // already shifted into place
-	dimBit                map[string]uint64
+	ids    *lang.Names
+	dims   []string
+	dimBit map[string]uint64
 }
 
-func newNames(u *adds.Universe) *names {
-	n := &names{
-		anchors:  slices.Clone(builtin.anchors),
-		fields:   slices.Clone(builtin.fields),
-		anchorID: map[string]uint64{},
-		fieldID:  map[string]uint64{},
-		dimBit:   map[string]uint64{},
-	}
+func newNames(prog *lang.Program) *names {
+	n := &names{ids: prog.Names(), dimBit: map[string]uint64{}}
+	u := prog.Universe
 	for _, t := range u.Types() {
 		n.dims = append(n.dims, u.Decl(t).Dims...)
 	}
@@ -110,13 +107,20 @@ func newNames(u *adds.Universe) *names {
 	return n
 }
 
-// intern gives s the next id of one of the table's two id spaces, if it
-// has none and the space has room.
-func intern(ids map[string]uint64, list *[]string, s string, shift, width int) {
-	if _, ok := ids[s]; !ok && len(*list) < 1<<width {
-		ids[s] = uint64(len(*list)) << shift
-		*list = append(*list, s)
+// anchor returns the region word of variable id's own node.
+func anchor(id lang.ID) uint64 {
+	if a := uint64(id) + anchorBase; a < 1<<anchorBits {
+		return a << anchorShift
 	}
+	return regionUnknown
+}
+
+// field returns the field part of a word.
+func field(id lang.ID) uint64 {
+	if f := uint64(id) + fieldBase; f < 1<<fieldBits {
+		return f << fieldShift
+	}
+	return 0
 }
 
 // Access is one field access of a region: where the base pointer may
@@ -131,14 +135,26 @@ type Access struct {
 
 // Anchor names the variable the region is relative to, or one of the
 // special anchors.
-func (a Access) Anchor() string { return a.tab.anchors[a.key>>anchorShift] }
+func (a Access) Anchor() string {
+	k := a.key >> anchorShift
+	if k < anchorBase {
+		return builtinAnchors[k]
+	}
+	return a.tab.ids.Text(lang.ID(k - anchorBase))
+}
 
 // Moved reports whether the region lies beyond the anchor's own node.
 func (a Access) Moved() bool { return a.key&movedBit != 0 }
 
 // Field is the accessed field name; "" for pointer-structure mutation
 // records (see IsPointer).
-func (a Access) Field() string { return a.tab.fields[a.key&fieldMask>>fieldShift] }
+func (a Access) Field() string {
+	k := a.key & fieldMask >> fieldShift
+	if k < fieldBase {
+		return builtinFields[k]
+	}
+	return a.tab.ids.Text(lang.ID(k - fieldBase))
+}
 
 // Kind says whether the access reads or writes.
 func (a Access) Kind() AccessKind {

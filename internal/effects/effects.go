@@ -3,11 +3,11 @@
 //
 // An access such as "reads the mass field of every node reachable from
 // node along the down dimension" renders as "R node.down*.mass" and is
-// held as one 64-bit word: the anchor and the field as small integers
-// from the Analyzer's name table, the dimension set as a bitset over
-// the universe's dimensions, and three flags (moved, write, pointer
-// field). The table is filled when NewAnalyzer starts and only read
-// afterwards, so concurrent BlockSummary calls need no lock.
+// held as one 64-bit word: the anchor and the field by their ids in the
+// program's identifier table, the dimension set as a bitset over the
+// universe's dimensions, and three flags (moved, write, pointer field).
+// The Analyzer only reads the table, so concurrent BlockSummary calls
+// need no lock.
 //
 // Summaries are closed over the call graph (recursion converges because
 // the dimension and field sets are finite). Package analysis builds the
@@ -46,7 +46,7 @@ type Analyzer struct {
 func NewAnalyzer(prog *lang.Program) *Analyzer {
 	a := &Analyzer{
 		prog:      prog,
-		tab:       newNames(prog.Universe),
+		tab:       newNames(prog),
 		summaries: make(map[string]*Summary, len(prog.Funcs)),
 		callees:   make(map[string][]string, len(prog.Funcs)),
 		walks:     make(map[string]int, len(prog.Funcs)),
@@ -60,27 +60,13 @@ func NewAnalyzer(prog *lang.Program) *Analyzer {
 	return a
 }
 
-// scan enters f's pointer variables and accessed fields into the name
-// table and collects the non-builtin functions f calls, in first-call
-// order. A pointer variable no expression mentions has no id: nothing
-// can be accessed through it.
+// scan collects the non-builtin functions f calls, in first-call order.
 func (a *Analyzer) scan(f *lang.FuncDecl) []string {
 	var out []string
-	seen := map[string]bool{}
 	lang.Walk(f.Body, func(s lang.Stmt) bool {
 		lang.WalkExprs(s, func(e lang.Expr) {
-			switch e := e.(type) {
-			case *lang.Ident:
-				if _, ok := lang.IsPointer(e.Type()); ok {
-					intern(a.tab.anchorID, &a.tab.anchors, e.Name, anchorShift, anchorBits)
-				}
-			case *lang.FieldExpr:
-				intern(a.tab.fieldID, &a.tab.fields, e.Field, fieldShift, fieldBits)
-			case *lang.CallExpr:
-				if lang.Builtins[e.Func] == nil && !seen[e.Func] {
-					seen[e.Func] = true
-					out = append(out, e.Func)
-				}
+			if e, ok := e.(*lang.CallExpr); ok && lang.Builtins[e.Func] == nil && !slices.Contains(out, e.Func) {
+				out = append(out, e.Func)
 			}
 		})
 		return true
@@ -117,13 +103,13 @@ func (a *Analyzer) solve() {
 // summaries, reporting whether f's summary grew.
 func (a *Analyzer) walk(f *lang.FuncDecl) bool {
 	a.walks[f.Name]++
-	anchors := make([]string, 0, len(f.Params))
+	anchors := make([]uint64, 0, len(f.Params))
 	for _, prm := range f.Params {
 		if _, ok := lang.IsPointer(prm.Type); ok {
-			anchors = append(anchors, prm.Name)
+			anchors = append(anchors, anchor(prm.ID))
 		}
 	}
-	found := a.BlockSummary(f.Body, anchors)
+	found := a.blockSummary(f.Body, anchors)
 	sum := a.summaries[f.Name]
 	if len(sum.Accesses) == 0 {
 		a.summaries[f.Name] = found // the first walk's set is the summary so far
@@ -201,25 +187,37 @@ func (a *Analyzer) FuncSummary(name string) *Summary {
 	return a.summaries[name]
 }
 
-// env holds, by anchor id, the region words each pointer variable may
-// point into; a variable with none reads as the unknown region.
-type env [][]uint64
+// env holds the region words each pointer variable, by its anchor word,
+// may point into; a variable with none reads as the unknown region. A
+// block names a handful of pointer variables, so it is a list.
+type env []regions
+
+type regions struct {
+	v  uint64
+	rs []uint64
+}
 
 var unknownOnly = []uint64{regionUnknown}
 
-func (e env) add(v, r uint64) bool {
-	v >>= anchorShift
-	if slices.Contains(e[v], r) {
+func (e *env) add(v, r uint64) bool {
+	i := slices.IndexFunc(*e, func(x regions) bool { return x.v == v })
+	if i < 0 {
+		i = len(*e)
+		*e = append(*e, regions{v: v})
+	} else if slices.Contains((*e)[i].rs, r) {
 		return false
 	}
-	e[v] = append(e[v], r)
+	(*e)[i].rs = append((*e)[i].rs, r)
 	return true
 }
 
-// of returns the regions of the named variable.
-func (a *Analyzer) of(ev env, name string) []uint64 {
-	if rs := ev[a.tab.anchorID[name]>>anchorShift]; len(rs) > 0 {
-		return rs
+// of returns the regions of variable id.
+func (e env) of(id lang.ID) []uint64 {
+	v := anchor(id)
+	for _, x := range e {
+		if x.v == v {
+			return x.rs
+		}
 	}
 	return unknownOnly
 }
@@ -240,11 +238,20 @@ func (a *Analyzer) dimOf(elem, field string) uint64 {
 // (loops need no special handling), then every field access is emitted
 // against its base's regions.
 func (a *Analyzer) BlockSummary(b *lang.Block, anchors []string) *Summary {
-	ev := make(env, len(a.tab.anchors))
+	words := make([]uint64, 0, len(anchors))
 	for _, v := range anchors {
-		if id, ok := a.tab.anchorID[v]; ok {
-			ev.add(id, id) // an id, shifted into place, is the anchor's own unmoved region
+		if id, ok := a.tab.ids.Lookup(v); ok {
+			words = append(words, anchor(id))
 		}
+	}
+	return a.blockSummary(b, words)
+}
+
+// blockSummary is BlockSummary over the anchors' region words.
+func (a *Analyzer) blockSummary(b *lang.Block, anchors []uint64) *Summary {
+	ev := make(env, 0, 8)
+	for _, v := range anchors {
+		ev.add(v, v) // an anchor's word is its own unmoved region
 	}
 
 	// Grow regions to a fixed point.
@@ -252,24 +259,23 @@ func (a *Analyzer) BlockSummary(b *lang.Block, anchors []string) *Summary {
 	for changed := true; changed; {
 		changed = false
 		lang.Walk(b, func(s lang.Stmt) bool {
-			var name string
+			var id lang.ID
 			var typ lang.Type
 			var rhs lang.Expr
 			switch s := s.(type) {
 			case *lang.VarStmt:
-				name, typ, rhs = s.Name, s.DeclType, s.Init
+				id, typ, rhs = s.ID, s.DeclType, s.Init
 			case *lang.AssignStmt:
-				if id, ok := s.LHS.(*lang.Ident); ok {
-					name, typ, rhs = id.Name, id.Type(), s.RHS
+				if lhs, ok := s.LHS.(*lang.Ident); ok {
+					id, typ, rhs = lhs.ID, lhs.Type(), s.RHS
 				}
 			}
-			id, ok := a.tab.anchorID[name]
-			if _, isPtr := lang.IsPointer(typ); !isPtr || rhs == nil || !ok {
+			if _, isPtr := lang.IsPointer(typ); !isPtr || rhs == nil {
 				return true
 			}
 			rs = a.rhsRegions(rs[:0], rhs, ev)
 			for _, r := range rs {
-				if ev.add(id, r) {
+				if ev.add(anchor(id), r) {
 					changed = true
 				}
 			}
@@ -311,7 +317,7 @@ func (a *Analyzer) rhsRegions(dst []uint64, rhs lang.Expr, ev env) []uint64 {
 	case *lang.NewExpr:
 		return append(dst, regionFresh)
 	case *lang.Ident:
-		return append(dst, a.of(ev, rhs.Name)...)
+		return append(dst, ev.of(rhs.ID)...)
 	case *lang.FieldExpr:
 		base := rhs.Base()
 		if base == nil {
@@ -319,7 +325,7 @@ func (a *Analyzer) rhsRegions(dst []uint64, rhs lang.Expr, ev env) []uint64 {
 		}
 		elem, _ := lang.IsPointer(base.Type())
 		along := a.dimOf(elem, rhs.Field) | movedBit
-		for _, r := range a.of(ev, base.Name) {
+		for _, r := range ev.of(base.ID) {
 			dst = append(dst, r|along)
 		}
 		return dst
@@ -352,12 +358,12 @@ func (a *Analyzer) rhsRegions(dst []uint64, rhs lang.Expr, ev env) []uint64 {
 func (a *Analyzer) emitFieldAccess(sum *Summary, fe *lang.FieldExpr, flags uint64, ev env) {
 	regions := unknownOnly
 	if base := fe.Base(); base != nil {
-		regions = a.of(ev, base.Name)
+		regions = ev.of(base.ID)
 	}
 	if _, isPtr := lang.IsPointer(fe.Type()); isPtr {
 		flags |= ptrBit
 	}
-	flags |= a.tab.fieldID[fe.Field]
+	flags |= field(fe.FieldID)
 	for _, r := range regions {
 		sum.add(r | flags)
 	}
@@ -387,13 +393,12 @@ func (a *Analyzer) emitCall(sum *Summary, call *lang.CallExpr, ev env) {
 	var params []param
 	var args []uint64
 	for i, prm := range callee.Params {
-		anchor, ok := a.tab.anchorID[prm.Name]
-		if _, isPtr := lang.IsPointer(prm.Type); !isPtr || !ok || i >= len(call.Args) {
+		if _, isPtr := lang.IsPointer(prm.Type); !isPtr || i >= len(call.Args) {
 			continue
 		}
 		lo := len(args)
 		args = a.rhsRegions(args, call.Args[i], ev)
-		params = append(params, param{anchor, lo, len(args)})
+		params = append(params, param{anchor(prm.ID), lo, len(args)})
 	}
 	for _, acc := range calleeSum.Accesses {
 		p := slices.IndexFunc(params, func(p param) bool { return p.anchor == acc.key&anchorMask })

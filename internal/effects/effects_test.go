@@ -174,9 +174,9 @@ procedure f(OneWayList *head) {
 // declaration (dimensions down and leaves), with one anchor.
 func octreeNames(t *testing.T) (*names, uint64) {
 	t.Helper()
-	tab := newNames(lang.MustParse(adds.OctreeSrc).Universe)
-	intern(tab.anchorID, &tab.anchors, "p", anchorShift, anchorBits)
-	return tab, tab.anchorID["p"]
+	prog := lang.MustParse(adds.OctreeSrc)
+	p := anchor(prog.Intern("p"))
+	return newNames(prog), p
 }
 
 func TestRegionString(t *testing.T) {
@@ -217,10 +217,11 @@ func TestJoinDims(t *testing.T) {
 	}
 }
 
-// TestNamesBeyondCapacity: a name the access word has no room for is
-// left out of the table, and the analysis degrades to the conservative
-// answer instead of spilling one part of the word into the next — here
-// a declaration with more dimensions than the bitset holds.
+// TestNamesBeyondCapacity: a dimension or id the access word has no
+// room for degrades to the conservative answer (no dimension, the empty
+// field, the unknown anchor) instead of spilling one part of the word
+// into the next — here a declaration with more dimensions than the
+// bitset holds, and ids past the field and anchor parts.
 func TestNamesBeyondCapacity(t *testing.T) {
 	var decl, body strings.Builder
 	decl.WriteString("type Wide [")
@@ -252,12 +253,9 @@ func TestNamesBeyondCapacity(t *testing.T) {
 		}
 	}
 
-	ids, list := map[string]uint64{}, []string{""}
-	for _, s := range []string{"a", "b", "a", "c", "d"} {
-		intern(ids, &list, s, 4, 2)
-	}
-	if len(list) != 4 || ids["c"] != 3<<4 || ids["d"] != 0 {
-		t.Errorf("intern past capacity: list %q ids %v", list, ids)
+	last := lang.ID(1<<fieldBits - 1 - fieldBase)
+	if field(last) != fieldMask || field(last+1) != 0 || anchor(1<<anchorBits) != regionUnknown {
+		t.Errorf("ids past capacity: field %#x, %#x; anchor %#x", field(last), field(last+1), anchor(1<<anchorBits))
 	}
 }
 

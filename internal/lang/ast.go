@@ -124,30 +124,27 @@ func (e *exprBase) Type() Type { return e.typ }
 // keep the tree typed.
 func (e *exprBase) SetType(t Type) { e.typ = t }
 
-// Ident is a variable reference.
+// Ident is a variable reference: its name, the name's id in the
+// program's table, and — once checked — the slot of the declaration it
+// resolves to (an index into its function's Vars).
 type Ident struct {
 	exprBase
 	Name string
+	ID   ID
+	Slot int
 }
 
 func (*Ident) exprNode() {}
-
-// NewIdent constructs a typed identifier at a position.
-func NewIdent(name string, t Type, pos Pos) *Ident {
-	id := &Ident{Name: name}
-	id.pos = pos
-	id.typ = t
-	return id
-}
 
 // FieldExpr is a pointer field access X->Field, optionally indexed
 // (X->Field[Index]) for pointer-array fields such as subtrees[i].
 // After normalization X is always an *Ident.
 type FieldExpr struct {
 	exprBase
-	X     Expr
-	Field string
-	Index Expr // nil unless the field is a pointer array
+	X       Expr
+	Field   string
+	FieldID ID   // Field's id in the program's table
+	Index   Expr // nil unless the field is a pointer array
 }
 
 func (*FieldExpr) exprNode() {}
@@ -262,10 +259,13 @@ type Block struct {
 func (*Block) stmtNode() {}
 
 // VarStmt declares a local variable with an optional initializer:
-// "var OneWayList *p = head;".
+// "var OneWayList *p = head;". ID is the name's id; Slot, set by the
+// checker, is the declaration's index in its function's Vars.
 type VarStmt struct {
 	stmtBase
 	Name     string
+	ID       ID
+	Slot     int
 	DeclType Type
 	Init     Expr // may be nil
 }
@@ -322,6 +322,8 @@ func (*CallStmt) stmtNode() {}
 type ForStmt struct {
 	stmtBase
 	Var      string
+	ID       ID  // Var's id
+	Slot     int // Var's declaration slot, as VarStmt's
 	From, To Expr
 	Body     *Block
 	Parallel bool
@@ -332,9 +334,10 @@ func (*ForStmt) stmtNode() {}
 // ---------------------------------------------------------------------------
 // Declarations
 
-// Param is a function parameter.
+// Param is a function parameter; parameter i has slot i.
 type Param struct {
 	Name string
+	ID   ID
 	Type Type
 }
 
@@ -345,6 +348,11 @@ type FuncDecl struct {
 	Params []Param
 	Result Type // nil for procedures
 	Body   *Block
+	// Vars names the function's declaration slots: the parameters, then
+	// every var and loop variable in the order the checker met them (and
+	// Normalize's temporaries after). Every variable the body mentions
+	// resolves to one slot, so a name is looked up once, by Check.
+	Vars []ID
 }
 
 // Pos returns the declaration's source position.
@@ -354,11 +362,13 @@ func (f *FuncDecl) Pos() Pos { return f.pos }
 func (f *FuncDecl) IsProcedure() bool { return f.Result == nil }
 
 // Program is a parsed, checked PSL program: the ADDS universe of its type
-// declarations plus its functions.
+// declarations plus its functions, and the table of the identifiers
+// they use.
 type Program struct {
 	Universe *adds.Universe
 	Funcs    []*FuncDecl
 	funcMap  map[string]*FuncDecl
+	names    *Names
 }
 
 // Func returns the named function, or nil.
@@ -380,9 +390,11 @@ func (p *Program) AddFunc(f *FuncDecl) error {
 // Clone returns a copy of the program that deep-copies every function,
 // or only the named ones, sharing the rest with p (which no one may then
 // modify). Transformations clone before rewriting so the original stays
-// available for comparison runs.
+// available for comparison runs. The two share p's identifier table
+// until one of them interns a new name (Intern).
 func (p *Program) Clone(names ...string) *Program {
-	q := &Program{Universe: p.Universe, Funcs: make([]*FuncDecl, 0, len(p.Funcs)), funcMap: make(map[string]*FuncDecl, len(p.Funcs))}
+	p.names.shared.Store(true)
+	q := &Program{Universe: p.Universe, Funcs: make([]*FuncDecl, 0, len(p.Funcs)), funcMap: make(map[string]*FuncDecl, len(p.Funcs)), names: p.names}
 	for _, f := range p.Funcs {
 		if len(names) == 0 || slices.Contains(names, f.Name) {
 			f = cloneFunc(f)
@@ -394,7 +406,7 @@ func (p *Program) Clone(names ...string) *Program {
 }
 
 func cloneFunc(f *FuncDecl) *FuncDecl {
-	nf := &FuncDecl{pos: f.pos, Name: f.Name, Result: f.Result}
+	nf := &FuncDecl{pos: f.pos, Name: f.Name, Result: f.Result, Vars: slices.Clone(f.Vars)}
 	nf.Params = append([]Param(nil), f.Params...)
 	nf.Body = CloneBlock(f.Body)
 	return nf
@@ -419,90 +431,80 @@ func CloneStmt(s Stmt) Stmt {
 	case *Block:
 		return CloneBlock(s)
 	case *VarStmt:
-		ns := &VarStmt{Name: s.Name, DeclType: s.DeclType, Init: CloneExpr(s.Init)}
-		ns.pos = s.pos
+		ns := shallow(s)
+		ns.Init = CloneExpr(s.Init)
 		return ns
 	case *AssignStmt:
-		ns := &AssignStmt{LHS: CloneExpr(s.LHS), RHS: CloneExpr(s.RHS)}
-		ns.pos = s.pos
+		ns := shallow(s)
+		ns.LHS, ns.RHS = CloneExpr(s.LHS), CloneExpr(s.RHS)
 		return ns
 	case *WhileStmt:
-		ns := &WhileStmt{Cond: CloneExpr(s.Cond), Body: CloneBlock(s.Body)}
-		ns.pos = s.pos
+		ns := shallow(s)
+		ns.Cond, ns.Body = CloneExpr(s.Cond), CloneBlock(s.Body)
 		return ns
 	case *IfStmt:
-		ns := &IfStmt{Cond: CloneExpr(s.Cond), Then: CloneBlock(s.Then), Else: CloneBlock(s.Else)}
-		ns.pos = s.pos
+		ns := shallow(s)
+		ns.Cond, ns.Then, ns.Else = CloneExpr(s.Cond), CloneBlock(s.Then), CloneBlock(s.Else)
 		return ns
 	case *ReturnStmt:
-		ns := &ReturnStmt{Value: CloneExpr(s.Value)}
-		ns.pos = s.pos
+		ns := shallow(s)
+		ns.Value = CloneExpr(s.Value)
 		return ns
 	case *CallStmt:
-		ns := &CallStmt{Call: CloneExpr(s.Call).(*CallExpr)}
-		ns.pos = s.pos
+		ns := shallow(s)
+		ns.Call = CloneExpr(s.Call).(*CallExpr)
 		return ns
 	case *ForStmt:
-		ns := &ForStmt{Var: s.Var, From: CloneExpr(s.From), To: CloneExpr(s.To),
-			Body: CloneBlock(s.Body), Parallel: s.Parallel}
-		ns.pos = s.pos
+		ns := shallow(s)
+		ns.From, ns.To, ns.Body = CloneExpr(s.From), CloneExpr(s.To), CloneBlock(s.Body)
 		return ns
 	}
 	panic(fmt.Sprintf("lang: CloneStmt: unknown statement %T", s))
 }
 
+// shallow copies one node.
+func shallow[T any](n *T) *T {
+	c := *n
+	return &c
+}
+
 // CloneExpr deep-copies an expression, preserving checked types.
 func CloneExpr(e Expr) Expr {
-	if e == nil {
-		return nil
-	}
 	switch e := e.(type) {
+	case nil:
+		return nil
 	case *Ident:
-		ne := &Ident{Name: e.Name}
-		ne.exprBase = e.exprBase
-		return ne
+		return shallow(e)
 	case *FieldExpr:
-		ne := &FieldExpr{X: CloneExpr(e.X), Field: e.Field, Index: CloneExpr(e.Index)}
-		ne.exprBase = e.exprBase
+		ne := shallow(e)
+		ne.X, ne.Index = CloneExpr(e.X), CloneExpr(e.Index)
 		return ne
 	case *CallExpr:
-		ne := &CallExpr{Func: e.Func}
-		ne.exprBase = e.exprBase
+		ne := shallow(e)
+		ne.Args = nil
 		for _, a := range e.Args {
 			ne.Args = append(ne.Args, CloneExpr(a))
 		}
 		return ne
 	case *NewExpr:
-		ne := &NewExpr{TypeName: e.TypeName}
-		ne.exprBase = e.exprBase
-		return ne
+		return shallow(e)
 	case *NullLit:
-		ne := &NullLit{}
-		ne.exprBase = e.exprBase
-		return ne
+		return shallow(e)
 	case *IntLit:
-		ne := &IntLit{Val: e.Val}
-		ne.exprBase = e.exprBase
-		return ne
+		return shallow(e)
 	case *RealLit:
-		ne := &RealLit{Val: e.Val}
-		ne.exprBase = e.exprBase
-		return ne
+		return shallow(e)
 	case *StrLit:
-		ne := &StrLit{Val: e.Val}
-		ne.exprBase = e.exprBase
-		return ne
+		return shallow(e)
 	case *BoolLit:
-		ne := &BoolLit{Val: e.Val}
-		ne.exprBase = e.exprBase
-		return ne
+		return shallow(e)
 	case *BinExpr:
-		ne := &BinExpr{Op: e.Op, X: CloneExpr(e.X), Y: CloneExpr(e.Y)}
-		ne.exprBase = e.exprBase
+		ne := shallow(e)
+		ne.X, ne.Y = CloneExpr(e.X), CloneExpr(e.Y)
 		return ne
 	case *UnExpr:
-		ne := &UnExpr{Op: e.Op, X: CloneExpr(e.X)}
-		ne.exprBase = e.exprBase
+		ne := shallow(e)
+		ne.X = CloneExpr(e.X)
 		return ne
 	}
 	panic(fmt.Sprintf("lang: CloneExpr: unknown expression %T", e))
@@ -515,26 +517,19 @@ func Walk(b *Block, fn func(Stmt) bool) bool {
 		return true
 	}
 	for _, s := range b.Stmts {
-		if !fn(s) {
-			return false
-		}
+		ok := fn(s)
 		switch s := s.(type) {
 		case *Block:
-			if !Walk(s, fn) {
-				return false
-			}
+			ok = ok && Walk(s, fn)
 		case *WhileStmt:
-			if !Walk(s.Body, fn) {
-				return false
-			}
+			ok = ok && Walk(s.Body, fn)
 		case *IfStmt:
-			if !Walk(s.Then, fn) || !Walk(s.Else, fn) {
-				return false
-			}
+			ok = ok && Walk(s.Then, fn) && Walk(s.Else, fn)
 		case *ForStmt:
-			if !Walk(s.Body, fn) {
-				return false
-			}
+			ok = ok && Walk(s.Body, fn)
+		}
+		if !ok {
+			return false
 		}
 	}
 	return true
@@ -543,43 +538,43 @@ func Walk(b *Block, fn func(Stmt) bool) bool {
 // WalkExprs calls fn for every expression appearing in the statement
 // (not recursing into nested statements).
 func WalkExprs(s Stmt, fn func(Expr)) {
-	var walkExpr func(Expr)
-	walkExpr = func(e Expr) {
-		if e == nil {
-			return
-		}
-		fn(e)
-		switch e := e.(type) {
-		case *FieldExpr:
-			walkExpr(e.X)
-			walkExpr(e.Index)
-		case *CallExpr:
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *BinExpr:
-			walkExpr(e.X)
-			walkExpr(e.Y)
-		case *UnExpr:
-			walkExpr(e.X)
-		}
-	}
 	switch s := s.(type) {
 	case *VarStmt:
-		walkExpr(s.Init)
+		walkExpr(s.Init, fn)
 	case *AssignStmt:
-		walkExpr(s.LHS)
-		walkExpr(s.RHS)
+		walkExpr(s.LHS, fn)
+		walkExpr(s.RHS, fn)
 	case *WhileStmt:
-		walkExpr(s.Cond)
+		walkExpr(s.Cond, fn)
 	case *IfStmt:
-		walkExpr(s.Cond)
+		walkExpr(s.Cond, fn)
 	case *ReturnStmt:
-		walkExpr(s.Value)
+		walkExpr(s.Value, fn)
 	case *CallStmt:
-		walkExpr(s.Call)
+		walkExpr(s.Call, fn)
 	case *ForStmt:
-		walkExpr(s.From)
-		walkExpr(s.To)
+		walkExpr(s.From, fn)
+		walkExpr(s.To, fn)
+	}
+}
+
+func walkExpr(e Expr, fn func(Expr)) {
+	if e == nil {
+		return
+	}
+	fn(e)
+	switch e := e.(type) {
+	case *FieldExpr:
+		walkExpr(e.X, fn)
+		walkExpr(e.Index, fn)
+	case *CallExpr:
+		for _, a := range e.Args {
+			walkExpr(a, fn)
+		}
+	case *BinExpr:
+		walkExpr(e.X, fn)
+		walkExpr(e.Y, fn)
+	case *UnExpr:
+		walkExpr(e.X, fn)
 	}
 }

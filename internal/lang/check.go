@@ -41,7 +41,7 @@ func Check(p *Program) error {
 // transformation touched is sound and leaves every other function's
 // expression types (and AST identity) untouched.
 func CheckFuncs(p *Program, fns ...*FuncDecl) error {
-	c := &checker{prog: p}
+	c := &checker{prog: p, vis: make([]binding, p.names.Len())}
 	for _, f := range fns {
 		if Builtins[f.Name] != nil {
 			return fmt.Errorf("%s: function %q shadows a builtin", f.Pos(), f.Name)
@@ -53,42 +53,71 @@ func CheckFuncs(p *Program, fns ...*FuncDecl) error {
 	return nil
 }
 
+// checker resolves names through one flat table indexed by id: vis
+// holds each name's innermost visible declaration, and hidden what
+// each declaration shadowed, restored when its scope closes.
 type checker struct {
 	prog   *Program
 	fn     *FuncDecl
-	scopes []map[string]Type
+	vis    []binding
+	hidden []shadowed
+	marks  []int  // len(hidden) at each open scope
+	types  []Type // the current function's, by slot
+	ptrs   []*Pointer
 }
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, map[string]Type{}) }
-func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
-
-func (c *checker) declare(name string, t Type, pos Pos) error {
-	top := c.scopes[len(c.scopes)-1]
-	if _, dup := top[name]; dup {
-		return fmt.Errorf("%s: %q redeclared in this scope", pos, name)
-	}
-	top[name] = t
-	return nil
-}
-
-func (c *checker) lookup(name string) (Type, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if t, ok := c.scopes[i][name]; ok {
-			return t, true
+// pointerTo returns the one pointer type to elem this check hands out.
+func (c *checker) pointerTo(elem string) *Pointer {
+	for _, p := range c.ptrs {
+		if p.Elem == elem {
+			return p
 		}
 	}
-	return nil, false
+	c.ptrs = append(c.ptrs, PointerTo(elem))
+	return c.ptrs[len(c.ptrs)-1]
+}
+
+// binding is a visible declaration: slot+1 (0: none) and the depth of
+// the scope that made it.
+type binding struct{ slot, depth int32 }
+
+type shadowed struct {
+	id   ID
+	prev binding
+}
+
+func (c *checker) pushScope() { c.marks = append(c.marks, len(c.hidden)) }
+
+func (c *checker) popScope() {
+	mark := c.marks[len(c.marks)-1]
+	for _, h := range c.hidden[mark:] {
+		c.vis[h.id] = h.prev
+	}
+	c.hidden, c.marks = c.hidden[:mark], c.marks[:len(c.marks)-1]
+}
+
+// declare gives the name id its next slot in the current function.
+func (c *checker) declare(name string, id ID, t Type, pos Pos) (int, error) {
+	prev, depth := c.vis[id], int32(len(c.marks))
+	if prev.slot != 0 && prev.depth == depth {
+		return 0, fmt.Errorf("%s: %q redeclared in this scope", pos, name)
+	}
+	slot := len(c.fn.Vars)
+	c.fn.Vars, c.types = append(c.fn.Vars, id), append(c.types, t)
+	c.hidden = append(c.hidden, shadowed{id, prev})
+	c.vis[id] = binding{int32(slot + 1), depth}
+	return slot, nil
 }
 
 func (c *checker) checkFunc(f *FuncDecl) error {
-	c.fn = f
-	c.scopes = nil
+	c.fn, f.Vars, c.types = f, make([]ID, 0, 2*len(f.Params)+8), c.types[:0]
 	c.pushScope()
+	defer c.popScope()
 	for _, prm := range f.Params {
 		if err := c.validType(prm.Type, f.Pos()); err != nil {
 			return err
 		}
-		if err := c.declare(prm.Name, prm.Type, f.Pos()); err != nil {
+		if _, err := c.declare(prm.Name, prm.ID, prm.Type, f.Pos()); err != nil {
 			return err
 		}
 	}
@@ -138,16 +167,16 @@ func (c *checker) checkStmt(s Stmt) error {
 				return fmt.Errorf("%s: cannot initialize %q: %v", s.Pos(), s.Name, err)
 			}
 		}
-		return c.declare(s.Name, s.DeclType, s.Pos())
+		var err error
+		s.Slot, err = c.declare(s.Name, s.ID, s.DeclType, s.Pos())
+		return err
 
 	case *AssignStmt:
 		if err := c.checkExpr(s.LHS); err != nil {
 			return err
 		}
-		switch lhs := s.LHS.(type) {
-		case *Ident:
-		case *FieldExpr:
-			_ = lhs
+		switch s.LHS.(type) {
+		case *Ident, *FieldExpr:
 		default:
 			return fmt.Errorf("%s: invalid assignment target", s.Pos())
 		}
@@ -210,7 +239,8 @@ func (c *checker) checkStmt(s Stmt) error {
 		}
 		c.pushScope()
 		defer c.popScope()
-		if err := c.declare(s.Var, Int, s.Pos()); err != nil {
+		var err error
+		if s.Slot, err = c.declare(s.Var, s.ID, Int, s.Pos()); err != nil {
 			return err
 		}
 		return c.checkBlock(s.Body)
@@ -252,11 +282,12 @@ func (c *checker) assignable(dst Type, value Expr) error {
 func (c *checker) checkExpr(e Expr) error {
 	switch e := e.(type) {
 	case *Ident:
-		t, ok := c.lookup(e.Name)
-		if !ok {
+		b := c.vis[e.ID]
+		if b.slot == 0 {
 			return fmt.Errorf("%s: undeclared variable %q", e.Pos(), e.Name)
 		}
-		e.SetType(t)
+		e.Slot = int(b.slot - 1)
+		e.SetType(c.types[e.Slot])
 		return nil
 
 	case *FieldExpr:
@@ -286,7 +317,7 @@ func (c *checker) checkExpr(e Expr) error {
 					return fmt.Errorf("%s: array index must be int", e.Pos())
 				}
 			}
-			e.SetType(PointerTo(pf.Type))
+			e.SetType(c.pointerTo(pf.Type))
 			return nil
 		}
 		if df := decl.DataField(e.Field); df != nil {
@@ -309,7 +340,7 @@ func (c *checker) checkExpr(e Expr) error {
 		if c.prog.Universe.Decl(e.TypeName) == nil {
 			return fmt.Errorf("%s: new of undeclared type %q", e.Pos(), e.TypeName)
 		}
-		e.SetType(PointerTo(e.TypeName))
+		e.SetType(c.pointerTo(e.TypeName))
 		return nil
 
 	case *NullLit:

@@ -6,9 +6,11 @@ import (
 	"unicode"
 )
 
-// Lexeme is one scanned token with its source text and position.
+// Lexeme is one scanned token with its source text and position; an
+// identifier's also carries its id in the lexer's table.
 type Lexeme struct {
 	Tok  Token
+	ID   ID
 	Text string
 	Pos  Pos
 }
@@ -21,17 +23,19 @@ func (l Lexeme) String() string {
 }
 
 // Lexer scans PSL source text into lexemes. Comments run from "//" to end
-// of line and from "/*" to "*/".
+// of line and from "/*" to "*/". Every word it scans is interned once in
+// its table, which already holds the keywords.
 type Lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
+	src   string
+	pos   int
+	line  int
+	col   int
+	names *Names
 }
 
-// NewLexer returns a lexer over src.
+// NewLexer returns a lexer over src with a fresh identifier table.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src, line: 1, col: 1, names: keywordNames.clone()}
 }
 
 func (l *Lexer) advance() byte {
@@ -108,14 +112,16 @@ func (l *Lexer) Next() (Lexeme, error) {
 	switch {
 	case isIdentStart(rune(c)):
 		start := l.pos
-		for l.pos < len(l.src) && isIdentPart(rune(l.peekByte())) {
-			l.advance()
+		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+			l.pos++ // never a newline
+			l.col++
 		}
 		text := l.src[start:l.pos]
-		if kw, ok := keywordMap[text]; ok {
-			return Lexeme{Tok: kw, Text: text, Pos: pos}, nil
+		id := l.names.intern(text)
+		if id <= ID(BOOLKW-keywords) { // the keywords' ids are 1..K, in token order
+			return Lexeme{Tok: keywords + Token(id), Text: text, Pos: pos}, nil
 		}
-		return Lexeme{Tok: IDENT, Text: text, Pos: pos}, nil
+		return Lexeme{Tok: IDENT, Text: text, ID: id, Pos: pos}, nil
 
 	case c >= '0' && c <= '9':
 		start := l.pos

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/adds"
@@ -51,7 +52,7 @@ func ParseRaw(src string) (*Program, error) {
 }
 
 func (p *parser) program() (*Program, error) {
-	prog := &Program{Universe: adds.NewUniverse(), funcMap: make(map[string]*FuncDecl)}
+	prog := &Program{Universe: adds.NewUniverse(), funcMap: make(map[string]*FuncDecl), names: p.lx.names}
 	for p.peek().Tok != EOF {
 		switch p.peek().Tok {
 		case TYPE:
@@ -86,6 +87,8 @@ type parser struct {
 	lx     *Lexer
 	cur    Lexeme
 	lexErr error
+	stmts  []Stmt // the open blocks' statements so far, innermost last
+	args   []Expr // the open calls' arguments so far, likewise
 }
 
 func (p *parser) peek() Lexeme { return p.cur }
@@ -328,7 +331,7 @@ func (p *parser) parseFunc() (*FuncDecl, error) {
 			if err != nil {
 				return nil, err
 			}
-			f.Params = append(f.Params, Param{Name: pn.Text, Type: t})
+			f.Params = append(f.Params, Param{Name: pn.Text, ID: pn.ID, Type: t})
 			if !p.accept(COMMA) {
 				break
 			}
@@ -355,6 +358,7 @@ func (p *parser) parseBlock() (*Block, error) {
 	}
 	b := &Block{}
 	b.pos = open.Pos
+	mark := len(p.stmts)
 	for p.peek().Tok != RBRACE {
 		if p.peek().Tok == EOF {
 			return nil, p.errf("unterminated block opened at %s", open.Pos)
@@ -363,7 +367,11 @@ func (p *parser) parseBlock() (*Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Stmts = append(b.Stmts, s)
+		p.stmts = append(p.stmts, s)
+	}
+	if len(p.stmts) > mark { // one exact-size slice per block
+		b.Stmts = slices.Clone(p.stmts[mark:])
+		p.stmts = p.stmts[:mark]
 	}
 	p.next() // }
 	return b, nil
@@ -457,7 +465,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := &ForStmt{Var: v.Text, From: from, To: to, Body: body, Parallel: kw.Tok == FORALL}
+		s := &ForStmt{Var: v.Text, ID: v.ID, From: from, To: to, Body: body, Parallel: kw.Tok == FORALL}
 		s.pos = kw.Pos
 		return s, nil
 	case LBRACE:
@@ -509,7 +517,7 @@ func (p *parser) parseVarStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &VarStmt{Name: name.Text, DeclType: t}
+	s := &VarStmt{Name: name.Text, ID: name.ID, DeclType: t}
 	s.pos = kw.Pos
 	if p.accept(ASSIGN) {
 		init, err := p.parseExpr()
@@ -527,109 +535,25 @@ func (p *parser) parseVarStmt() (Stmt, error) {
 // ---------------------------------------------------------------------------
 // Expressions
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(0) }
 
-func (p *parser) parseOr() (Expr, error) {
-	x, err := p.parseAnd()
+// binaryLevels lists the binary operators by precedence, loosest first;
+// every level is left-associative.
+var binaryLevels = [][]Token{{OR}, {AND}, {EQ, NEQ}, {LT, LE, GT, GE}, {PLUS, MINUS}, {STAR, SLASH, PERCENT}}
+
+// parseBinary parses a chain of level's operators over operands of the
+// next tighter level (unary expressions below the tightest).
+func (p *parser) parseBinary(level int) (Expr, error) {
+	if level == len(binaryLevels) {
+		return p.parseUnary()
+	}
+	x, err := p.parseBinary(level + 1)
 	if err != nil {
 		return nil, err
 	}
-	for p.peek().Tok == OR {
+	for slices.Contains(binaryLevels[level], p.peek().Tok) {
 		op := p.next()
-		y, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		b := &BinExpr{Op: OR, X: x, Y: y}
-		b.pos = op.Pos
-		x = b
-	}
-	return x, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	x, err := p.parseEquality()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek().Tok == AND {
-		op := p.next()
-		y, err := p.parseEquality()
-		if err != nil {
-			return nil, err
-		}
-		b := &BinExpr{Op: AND, X: x, Y: y}
-		b.pos = op.Pos
-		x = b
-	}
-	return x, nil
-}
-
-func (p *parser) parseEquality() (Expr, error) {
-	x, err := p.parseRelational()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek().Tok == EQ || p.peek().Tok == NEQ {
-		op := p.next()
-		y, err := p.parseRelational()
-		if err != nil {
-			return nil, err
-		}
-		b := &BinExpr{Op: op.Tok, X: x, Y: y}
-		b.pos = op.Pos
-		x = b
-	}
-	return x, nil
-}
-
-func (p *parser) parseRelational() (Expr, error) {
-	x, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		tok := p.peek().Tok
-		if tok != LT && tok != LE && tok != GT && tok != GE {
-			return x, nil
-		}
-		op := p.next()
-		y, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		b := &BinExpr{Op: op.Tok, X: x, Y: y}
-		b.pos = op.Pos
-		x = b
-	}
-}
-
-func (p *parser) parseAdditive() (Expr, error) {
-	x, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek().Tok == PLUS || p.peek().Tok == MINUS {
-		op := p.next()
-		y, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		b := &BinExpr{Op: op.Tok, X: x, Y: y}
-		b.pos = op.Pos
-		x = b
-	}
-	return x, nil
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	x, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek().Tok == STAR || p.peek().Tok == SLASH || p.peek().Tok == PERCENT {
-		op := p.next()
-		y, err := p.parseUnary()
+		y, err := p.parseBinary(level + 1)
 		if err != nil {
 			return nil, err
 		}
@@ -666,7 +590,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		fe := &FieldExpr{X: x, Field: field.Text}
+		fe := &FieldExpr{X: x, Field: field.Text, FieldID: field.ID}
 		fe.pos = arrow.Pos
 		if p.accept(LBRACK) {
 			idx, err := p.parseExpr()
@@ -693,23 +617,26 @@ func (p *parser) parsePrimary() (Expr, error) {
 			call := &CallExpr{Func: lex.Text}
 			call.pos = lex.Pos
 			if p.peek().Tok != RPAREN {
+				mark := len(p.args)
 				for {
 					a, err := p.parseExpr()
 					if err != nil {
 						return nil, err
 					}
-					call.Args = append(call.Args, a)
+					p.args = append(p.args, a)
 					if !p.accept(COMMA) {
 						break
 					}
 				}
+				call.Args = slices.Clone(p.args[mark:])
+				p.args = p.args[:mark]
 			}
 			if _, err := p.expect(RPAREN); err != nil {
 				return nil, err
 			}
 			return call, nil
 		}
-		id := &Ident{Name: lex.Text}
+		id := &Ident{Name: lex.Text, ID: lex.ID}
 		id.pos = lex.Pos
 		return id, nil
 	case INT:

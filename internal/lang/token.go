@@ -8,12 +8,20 @@
 // The package contains the lexer, parser, AST, type checker, a
 // normalizer that rewrites chained pointer accesses into canonical
 // single-step statements, and a source printer.
+//
+// Every program has one identifier table (Names): the lexer interns
+// each name once, the AST carries the ids, and Check resolves each use
+// to its declaration's slot, so later stages index by id and never hash
+// a name again. After the lexer, only Program.Intern appends — in
+// Normalize, and in transform for the names a rewrite creates; a Clone
+// shares the table until either side interns a new name, which copies
+// it first. Every other reader only reads, without a lock.
 package lang
 
 import "fmt"
 
 // Token identifies a lexical token kind.
-type Token int
+type Token int32
 
 // Token kinds.
 const (
@@ -101,16 +109,6 @@ func (t Token) String() string {
 		return s
 	}
 	return fmt.Sprintf("Token(%d)", int(t))
-}
-
-var keywordMap = map[string]Token{
-	"type": TYPE, "function": FUNCTION, "procedure": PROCEDURE, "var": VAR,
-	"while": WHILE, "if": IF, "else": ELSE, "return": RETURN,
-	"for": FOR, "forall": FORALL, "to": TO, "new": NEW, "NULL": NULLKW,
-	"true": TRUE, "false": FALSE,
-	"is": IS, "uniquely": UNIQUELY, "forward": FORWARD, "backward": BACKWARD,
-	"along": ALONG, "where": WHERE,
-	"int": INTKW, "real": REALKW, "bool": BOOLKW,
 }
 
 // Pos is a source position (1-based line and column).

@@ -205,7 +205,7 @@ func (m *model) String() string {
 
 // agree fails the test unless the matrix and the model answer every
 // query the same way.
-func agree(t *testing.T, step string, m *Matrix, ref *model) {
+func agree(t *testing.T, step string, m *Matrix[string], ref *model) {
 	t.Helper()
 	if got := m.Handles(); !reflect.DeepEqual(append([]string(nil), got...), append([]string(nil), ref.handles...)) {
 		t.Fatalf("%s: handles %v, model %v", step, got, ref.handles)
@@ -291,7 +291,7 @@ func fuzzProgram(t *testing.T, data []byte) {
 		}
 	}
 
-	ms := [2]*Matrix{New(), New()}
+	ms := [2]*Matrix[string]{New[string](nil), New[string](nil)}
 	refs := [2]*model{newModel(), newModel()}
 	for step := 0; pos < len(data) && step < 400; step++ {
 		x := next(2)
@@ -354,8 +354,8 @@ func FuzzMatrixVsModel(f *testing.F) {
 }
 
 // richMatrix builds a matrix whose cells carry every descriptor kind.
-func richMatrix() *Matrix {
-	m := New("head", "p", "p'", "q")
+func richMatrix() *Matrix[string] {
+	m := New(nil, "head", "p", "p'", "q")
 	m.Set("head", "p", Entry{Alias: PossibleAlias, Descs: []Desc{Desc{Fields: []string{"next"}, Exact: true, EdgeID: 1}, PlusDesc("next")}})
 	m.Set("p'", "p", Entry{Descs: []Desc{ExactIndexedDesc("down", "i", 2), {Fields: []string{"down", "left"}, Star: true}}})
 	m.Set("q", "p", Entry{Alias: DefiniteAlias})
@@ -364,7 +364,7 @@ func richMatrix() *Matrix {
 }
 
 // contents deep-copies everything observable about a matrix.
-func contents(m *Matrix) map[string]interface{} {
+func contents(m *Matrix[string]) map[string]interface{} {
 	out := map[string]interface{}{"handles": append([]string(nil), m.Handles()...), "text": m.String()}
 	for _, r := range m.Handles() {
 		for _, s := range m.Handles() {
@@ -445,7 +445,7 @@ func TestCloneIsolation(t *testing.T) {
 // the struct and the cell slice, whatever the cells hold.
 func TestCloneCost(t *testing.T) {
 	m := richMatrix()
-	var sink *Matrix
+	var sink *Matrix[string]
 	if allocs := testing.AllocsPerRun(100, func() { sink = m.Clone() }); allocs > 2 {
 		t.Errorf("Matrix.Clone allocates %.0f objects, want at most 2", allocs)
 	}

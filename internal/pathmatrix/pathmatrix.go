@@ -4,7 +4,10 @@
 //
 // A path matrix PM is indexed by the live pointer handles (variables,
 // plus primed handles such as p' that denote a variable's value in the
-// previous loop iteration). The entry PM(r, s) records the relationship
+// previous loop iteration). What names a handle is the caller's choice,
+// the type parameter H: package analysis uses identifier ids and prints
+// them through the program's table, the tests here use strings. The
+// entry PM(r, s) records the relationship
 // from the node pointed to by r to the node pointed to by s:
 //
 //   - an alias component: NoAlias (the exploitable guarantee: r and s
@@ -43,7 +46,6 @@ package pathmatrix
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -117,20 +119,9 @@ func ExactIndexedDesc(field, index string, edgeID int) Desc {
 
 // PlusDesc returns a ≥1-link path descriptor over the given fields.
 func PlusDesc(fields ...string) Desc {
-	fs := append([]string(nil), fields...)
-	sort.Strings(fs)
-	fs = dedupSorted(fs)
-	return Desc{Fields: fs}
-}
-
-func dedupSorted(fs []string) []string {
-	out := fs[:0]
-	for i, f := range fs {
-		if i == 0 || f != fs[i-1] {
-			out = append(out, f)
-		}
-	}
-	return out
+	fs := slices.Clone(fields)
+	slices.Sort(fs)
+	return Desc{Fields: slices.Compact(fs)}
 }
 
 // String renders "f" (or "f[q]") for exact edges, "f+" / "(f.g)+" for
@@ -166,14 +157,7 @@ func sameFields(a, b Desc) bool {
 }
 
 // HasField reports whether the descriptor's field set contains f.
-func (d Desc) HasField(f string) bool {
-	for _, x := range d.Fields {
-		if x == f {
-			return true
-		}
-	}
-	return false
-}
+func (d Desc) HasField(f string) bool { return slices.Contains(d.Fields, f) }
 
 // Entry is one cell of the matrix. Copies of an Entry share Descs; the
 // methods below replace the slice rather than write into it.
@@ -382,12 +366,7 @@ func JoinEntry(a, b Entry) Entry {
 }
 
 func (e Entry) hasFields(d Desc) bool {
-	for _, x := range e.Descs {
-		if sameFields(x, d) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(e.Descs, func(x Desc) bool { return sameFields(x, d) })
 }
 
 // dropSubsumedStars filters the (owned) descriptors in place.
@@ -444,36 +423,47 @@ func (e Entry) String() string {
 // ---------------------------------------------------------------------------
 // Matrix
 
-// Matrix is a path matrix over a set of handles: the handle names in
+// Matrix is a path matrix over a set of handles: the handles in
 // insertion order plus one dense row-major slice of len(handles)²
 // entries. The handle slice is never written after it is built (adding
 // or removing a handle builds a new one), so clones share it; the
 // entries are values whose Descs are immutable, so Clone copies the one
 // cell slice and nothing under it.
-type Matrix struct {
-	handles []string
+type Matrix[H comparable] struct {
+	handles []H
 	cells   []Entry
+	name    func(H) string // nil: fmt's %v
 }
 
-// New returns a matrix over the given handles. Diagonal entries are
-// DefiniteAlias (every handle aliases itself); all others are zero
-// (NoAlias): callers establish initial relationships explicitly.
-func New(handles ...string) *Matrix {
-	m := &Matrix{}
+// New returns a matrix over the given handles, which print as name
+// renders them (with fmt's %v if name is nil), and so do its clones and
+// joins. Diagonal entries are DefiniteAlias (every handle aliases
+// itself); all others are zero (NoAlias): callers establish initial
+// relationships explicitly.
+func New[H comparable](name func(H) string, handles ...H) *Matrix[H] {
+	m := &Matrix[H]{name: name}
 	for _, h := range handles {
 		m.AddHandle(h)
 	}
 	return m
 }
 
-// Handles returns the handle names in insertion order. The slice is the
+// Name renders a handle as the matrix prints it.
+func (m *Matrix[H]) Name(h H) string {
+	if m.name == nil {
+		return fmt.Sprint(h)
+	}
+	return m.name(h)
+}
+
+// Handles returns the handles in insertion order. The slice is the
 // matrix's own and must not be modified; it stays valid (and unchanged)
 // if handles are later added or removed.
-func (m *Matrix) Handles() []string { return m.handles }
+func (m *Matrix[H]) Handles() []H { return m.handles }
 
 // index returns h's row/column, or -1. Matrices hold 5–15 handles, so a
 // scan beats a map — and leaves nothing to copy.
-func (m *Matrix) index(h string) int {
+func (m *Matrix[H]) index(h H) int {
 	for i, x := range m.handles {
 		if x == h {
 			return i
@@ -483,16 +473,16 @@ func (m *Matrix) index(h string) int {
 }
 
 // HasHandle reports whether h is tracked.
-func (m *Matrix) HasHandle(h string) bool { return m.index(h) >= 0 }
+func (m *Matrix[H]) HasHandle(h H) bool { return m.index(h) >= 0 }
 
 // AddHandle introduces a handle with a definite self-alias and no other
 // relationships. Adding an existing handle is a no-op.
-func (m *Matrix) AddHandle(h string) {
+func (m *Matrix[H]) AddHandle(h H) {
 	if m.index(h) >= 0 {
 		return
 	}
 	n := len(m.handles)
-	handles := make([]string, n+1)
+	handles := make([]H, n+1)
 	copy(handles, m.handles)
 	handles[n] = h
 	cells := make([]Entry, (n+1)*(n+1))
@@ -504,13 +494,13 @@ func (m *Matrix) AddHandle(h string) {
 }
 
 // RemoveHandle deletes a handle and all its relationships.
-func (m *Matrix) RemoveHandle(h string) {
+func (m *Matrix[H]) RemoveHandle(h H) {
 	i := m.index(h)
 	if i < 0 {
 		return
 	}
 	n := len(m.handles)
-	handles := make([]string, 0, n-1)
+	handles := make([]H, 0, n-1)
 	handles = append(append(handles, m.handles[:i]...), m.handles[i+1:]...)
 	cells := make([]Entry, 0, (n-1)*(n-1))
 	for r := 0; r < n; r++ {
@@ -525,7 +515,7 @@ func (m *Matrix) RemoveHandle(h string) {
 
 // Kill resets all of h's relationships (but keeps the handle): used when
 // h is reassigned or set to NULL. The self entry returns to definite.
-func (m *Matrix) Kill(h string) {
+func (m *Matrix[H]) Kill(h H) {
 	i := m.index(h)
 	if i < 0 {
 		return
@@ -541,7 +531,7 @@ func (m *Matrix) Kill(h string) {
 // Get returns the entry from r to s (zero entry if either is untracked).
 // The entry's Descs are shared with the matrix: the Entry methods never
 // write through them, and neither may the caller.
-func (m *Matrix) Get(r, s string) Entry {
+func (m *Matrix[H]) Get(r, s H) Entry {
 	i, j := m.index(r), m.index(s)
 	if i < 0 || j < 0 {
 		return Entry{}
@@ -551,26 +541,26 @@ func (m *Matrix) Get(r, s string) Entry {
 
 // cell returns the address of the entry from r to s, panicking on an
 // untracked handle.
-func (m *Matrix) cell(r, s string) *Entry {
+func (m *Matrix[H]) cell(r, s H) *Entry {
 	i, j := m.index(r), m.index(s)
 	if i < 0 {
-		panic(fmt.Sprintf("pathmatrix: Set: unknown handle %q", r))
+		panic(fmt.Sprintf("pathmatrix: Set: unknown handle %q", m.Name(r)))
 	}
 	if j < 0 {
-		panic(fmt.Sprintf("pathmatrix: Set: unknown handle %q", s))
+		panic(fmt.Sprintf("pathmatrix: Set: unknown handle %q", m.Name(s)))
 	}
 	return &m.cells[i*len(m.handles)+j]
 }
 
 // Set stores the entry from r to s. Both handles must be tracked.
-func (m *Matrix) Set(r, s string, e Entry) { *m.cell(r, s) = e }
+func (m *Matrix[H]) Set(r, s H, e Entry) { *m.cell(r, s) = e }
 
 // Update applies fn to the entry from r to s, in place.
-func (m *Matrix) Update(r, s string, fn func(*Entry)) { fn(m.cell(r, s)) }
+func (m *Matrix[H]) Update(r, s H, fn func(*Entry)) { fn(m.cell(r, s)) }
 
 // UpdateAll applies fn to every entry in place, row by row. fn sees the
 // handle pair the entry relates.
-func (m *Matrix) UpdateAll(fn func(r, s string, e *Entry)) {
+func (m *Matrix[H]) UpdateAll(fn func(r, s H, e *Entry)) {
 	n := len(m.handles)
 	for i, r := range m.handles {
 		for j, s := range m.handles {
@@ -580,15 +570,15 @@ func (m *Matrix) UpdateAll(fn func(r, s string, e *Entry)) {
 }
 
 // Clone copies the matrix: one struct, one cell slice.
-func (m *Matrix) Clone() *Matrix {
-	return &Matrix{handles: m.handles, cells: append([]Entry(nil), m.cells...)}
+func (m *Matrix[H]) Clone() *Matrix[H] {
+	return &Matrix[H]{handles: m.handles, cells: append([]Entry(nil), m.cells...), name: m.name}
 }
 
 // Join computes the least upper bound of two matrices over the union of
 // their handle sets. A handle present on only one side contributes its
 // entries weakened against the zero entry (alias facts weaken to
-// PossibleAlias unless both sides agree).
-func Join(a, b *Matrix) *Matrix {
+// PossibleAlias unless both sides agree). The join prints as a does.
+func Join[H comparable](a, b *Matrix[H]) *Matrix[H] {
 	// The union lists a's handles, then b's newcomers, so an output
 	// index below na is also a's index; ib maps it to b's (-1: absent).
 	handles := a.handles[:len(a.handles):len(a.handles)]
@@ -598,11 +588,12 @@ func Join(a, b *Matrix) *Matrix {
 		}
 	}
 	n, na, nb := len(handles), len(a.handles), len(b.handles)
-	ib := make([]int, n)
+	var buf [16]int
+	ib := scratch(&buf, n)
 	for k, h := range handles {
 		ib[k] = b.index(h)
 	}
-	out := &Matrix{handles: handles, cells: make([]Entry, n*n)}
+	out := &Matrix[H]{handles: handles, cells: make([]Entry, n*n), name: a.name}
 	for r := 0; r < n; r++ {
 		for s := 0; s < n; s++ {
 			inA := r < na && s < na
@@ -622,14 +613,24 @@ func Join(a, b *Matrix) *Matrix {
 	return out
 }
 
+// scratch returns n ints, in buf when they fit: matrices hold 5–15
+// handles.
+func scratch(buf *[16]int, n int) []int {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]int, n)
+}
+
 // Equal reports whether the two matrices have identical handle sets and
 // entries (fixed-point test).
-func Equal(a, b *Matrix) bool {
+func Equal[H comparable](a, b *Matrix[H]) bool {
 	n := len(a.handles)
 	if n != len(b.handles) {
 		return false
 	}
-	ib := make([]int, n)
+	var buf [16]int
+	ib := scratch(&buf, n)
 	for k, h := range a.handles {
 		if ib[k] = b.index(h); ib[k] < 0 {
 			return false
@@ -648,7 +649,7 @@ func Equal(a, b *Matrix) bool {
 // CopyRelationships makes dst's relationships identical to src's
 // (including the mutual definite alias), as required by "dst = src".
 // dst's previous relationships must already be killed.
-func (m *Matrix) CopyRelationships(dst, src string) {
+func (m *Matrix[H]) CopyRelationships(dst, src H) {
 	m.cell(dst, src) // both handles must be tracked
 	d, s, n := m.index(dst), m.index(src), len(m.handles)
 	for h := 0; h < n; h++ {
@@ -665,12 +666,12 @@ func (m *Matrix) CopyRelationships(dst, src string) {
 
 // Aliases enumerates handles h with a definite or possible alias to r
 // (excluding r itself).
-func (m *Matrix) Aliases(r string, includePossible bool) []string {
+func (m *Matrix[H]) Aliases(r H, includePossible bool) []H {
 	i := m.index(r)
 	if i < 0 {
 		return nil
 	}
-	var out []string
+	var out []H
 	n := len(m.handles)
 	for j, h := range m.handles {
 		if j == i {
@@ -690,14 +691,14 @@ func (m *Matrix) Aliases(r string, includePossible bool) []string {
 //	head    | =       | next+   |
 //	p       |         | =       |
 //	p'      |         | next    | =
-func (m *Matrix) String() string {
+func (m *Matrix[H]) String() string {
 	n := len(m.handles)
+	names := make([]string, n)
 	cols := make([]int, n+1)
 	for j, h := range m.handles {
-		if len(h) > cols[0] {
-			cols[0] = len(h)
-		}
-		cols[j+1] = len(h)
+		names[j] = m.Name(h)
+		cols[0] = max(cols[0], len(names[j]))
+		cols[j+1] = len(names[j])
 	}
 	grid := make([]string, len(m.cells))
 	for k, e := range m.cells {
@@ -712,12 +713,12 @@ func (m *Matrix) String() string {
 		b.WriteString(strings.Repeat(" ", w-len(s)))
 	}
 	pad("", cols[0])
-	for j, s := range m.handles {
+	for j, s := range names {
 		b.WriteString(" | ")
 		pad(s, cols[j+1])
 	}
 	b.WriteString("\n")
-	for i, r := range m.handles {
+	for i, r := range names {
 		pad(r, cols[0])
 		for j := range m.handles {
 			b.WriteString(" | ")

@@ -131,7 +131,7 @@ func TestJoinEntrySemantics(t *testing.T) {
 }
 
 func TestMatrixBasics(t *testing.T) {
-	m := New("head", "p")
+	m := New(nil, "head", "p")
 	if got := m.Get("head", "head").Alias; got != DefiniteAlias {
 		t.Errorf("diagonal = %v", got)
 	}
@@ -162,7 +162,7 @@ func TestMatrixBasics(t *testing.T) {
 }
 
 func TestRemoveHandleCompaction(t *testing.T) {
-	m := New("a", "b", "c")
+	m := New(nil, "a", "b", "c")
 	m.Update("a", "c", func(e *Entry) { e.Alias = PossibleAlias })
 	m.Update("c", "b", func(e *Entry) { e.AddDesc(PlusDesc("f")) })
 	m.RemoveHandle("b")
@@ -180,7 +180,7 @@ func TestRemoveHandleCompaction(t *testing.T) {
 }
 
 func TestCopyRelationships(t *testing.T) {
-	m := New("head", "p", "q")
+	m := New(nil, "head", "p", "q")
 	m.Update("head", "q", func(e *Entry) { e.AddDesc(PlusDesc("next")) })
 	m.Kill("p")
 	m.CopyRelationships("p", "head")
@@ -193,7 +193,7 @@ func TestCopyRelationships(t *testing.T) {
 }
 
 func TestAliases(t *testing.T) {
-	m := New("a", "b", "c")
+	m := New(nil, "a", "b", "c")
 	m.Update("a", "b", func(e *Entry) { e.Alias = DefiniteAlias })
 	m.Update("a", "c", func(e *Entry) { e.Alias = PossibleAlias })
 	if got := m.Aliases("a", false); !reflect.DeepEqual(got, []string{"b"}) {
@@ -205,9 +205,9 @@ func TestAliases(t *testing.T) {
 }
 
 func TestMatrixJoinHandleUnion(t *testing.T) {
-	a := New("p", "q")
+	a := New(nil, "p", "q")
 	a.Update("p", "q", func(e *Entry) { e.Alias = DefiniteAlias })
-	b := New("p")
+	b := New(nil, "p")
 	j := Join(a, b)
 	if !j.HasHandle("q") {
 		t.Fatal("join must union handles")
@@ -217,7 +217,7 @@ func TestMatrixJoinHandleUnion(t *testing.T) {
 		t.Errorf("p-q = %v", j.Get("p", "q"))
 	}
 	// Shared entries weaken.
-	b2 := New("p", "q")
+	b2 := New(nil, "p", "q")
 	j2 := Join(a, b2)
 	if j2.Get("p", "q").Alias != PossibleAlias {
 		t.Errorf("shared weaken: %v", j2.Get("p", "q"))
@@ -225,7 +225,7 @@ func TestMatrixJoinHandleUnion(t *testing.T) {
 }
 
 func TestEqualAndClone(t *testing.T) {
-	a := New("x", "y")
+	a := New(nil, "x", "y")
 	a.Update("x", "y", func(e *Entry) { e.AddDesc(Desc{Fields: []string{"f"}, Exact: true, EdgeID: 1}) })
 	b := a.Clone()
 	if !Equal(a, b) {
@@ -235,10 +235,10 @@ func TestEqualAndClone(t *testing.T) {
 	if Equal(a, b) {
 		t.Error("mutated clone must differ")
 	}
-	if Equal(a, New("x")) {
+	if Equal(a, New(nil, "x")) {
 		t.Error("different handle sets must differ")
 	}
-	c := New("y", "x") // same handles, different order
+	c := New(nil, "y", "x") // same handles, different order
 	c.Update("x", "y", func(e *Entry) { e.AddDesc(Desc{Fields: []string{"f"}, Exact: true, EdgeID: 1}) })
 	if !Equal(a, c) {
 		t.Error("handle order must not affect equality")
@@ -246,7 +246,7 @@ func TestEqualAndClone(t *testing.T) {
 }
 
 func TestStringFormat(t *testing.T) {
-	m := New("head", "p", "p'")
+	m := New(nil, "head", "p", "p'")
 	m.Update("head", "p", func(e *Entry) { e.AddDesc(PlusDesc("next")) })
 	m.Update("p'", "p", func(e *Entry) { e.AddDesc(Desc{Fields: []string{"next"}, Exact: true, EdgeID: 1}) })
 	s := m.String()
@@ -370,10 +370,10 @@ func TestQuickJoinConvergence(t *testing.T) {
 
 func TestQuickMatrixJoinCommutative(t *testing.T) {
 	f := func(a, b, c, d entryGen) bool {
-		m1 := New("p", "q")
+		m1 := New(nil, "p", "q")
 		m1.Set("p", "q", a.E)
 		m1.Set("q", "p", b.E)
-		m2 := New("p", "q")
+		m2 := New(nil, "p", "q")
 		m2.Set("p", "q", c.E)
 		m2.Set("q", "p", d.E)
 		return Equal(Join(m1, m2), Join(m2, m1))

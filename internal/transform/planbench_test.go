@@ -135,7 +135,9 @@ func TestPlanCostSubquadratic(t *testing.T) {
 // instead of after every rewrite, 17 976; effect sets of integers and
 // one type check per touched function, about 16 200; recording only the
 // states the dependence test reads and cloning only the rewritten
-// functions, about 14 800.
+// functions, about 14 800; one identifier table, names resolved once by
+// the checker, and a rewrite that moves the loop body into its helper
+// instead of copying it, about 11 560.
 func TestPlanAllocations(t *testing.T) {
 	prog := planProgram(t, ManyLoopProgramPSL(10, 5))
 	allocs := testing.AllocsPerRun(3, func() {
@@ -144,8 +146,8 @@ func TestPlanAllocations(t *testing.T) {
 		}
 	})
 	t.Logf("AutoParallelize(ManyLoopProgramPSL(10,5), 8): %.0f allocations", allocs)
-	if allocs > 15000 {
-		t.Errorf("planning the 50-loop program allocates %.0f objects, want at most 15000", allocs)
+	if allocs > 12140 {
+		t.Errorf("planning the 50-loop program allocates %.0f objects, want at most 12140", allocs)
 	}
 }
 

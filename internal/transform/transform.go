@@ -136,7 +136,8 @@ func rewriteLoop(prog *lang.Program, rep *depend.Report, fnName string, loopInde
 
 	helperName := freeName(fmt.Sprintf("_%s_L%d_iteration", fnName, loopIndex),
 		func(n string) bool { return prog.Func(n) != nil })
-	helper, err := buildHelper(helperName, pe, skip, ind, indType, field, loop, frees)
+	nb := namer{prog}
+	helper, err := nb.buildHelper(helperName, pe, skip, ind, indType, field, loop, frees)
 	if err != nil {
 		return nil, err
 	}
@@ -147,12 +148,13 @@ func rewriteLoop(prog *lang.Program, rep *depend.Report, fnName string, loopInde
 	// Replace the loop body:
 	//   forall i = 0 to width-1 { helper(i, p, frees...); }  // parallel
 	//   for i = 0 to width-1 { p = p->f; }                   // FOR1
-	args := []lang.Expr{&lang.Ident{Name: pe}, &lang.Ident{Name: ind}}
+	args := []lang.Expr{nb.ident(pe), nb.ident(ind)}
 	for _, fv := range frees {
-		args = append(args, &lang.Ident{Name: fv.Name})
+		args = append(args, nb.ident(fv.Name))
 	}
 	parallel := &lang.ForStmt{
 		Var:      pe,
+		ID:       prog.Intern(pe),
 		From:     lang.NewIntLit(0, loop.Pos()),
 		To:       lang.NewIntLit(int64(width-1), loop.Pos()),
 		Parallel: true,
@@ -166,17 +168,29 @@ func rewriteLoop(prog *lang.Program, rep *depend.Report, fnName string, loopInde
 	parallel.SetPos(loop.Pos())
 	advance := &lang.ForStmt{
 		Var:  pe,
+		ID:   prog.Intern(pe),
 		From: lang.NewIntLit(0, loop.Pos()),
 		To:   lang.NewIntLit(int64(width-1), loop.Pos()),
-		Body: &lang.Block{Stmts: []lang.Stmt{
-			&lang.AssignStmt{
-				LHS: &lang.Ident{Name: ind},
-				RHS: &lang.FieldExpr{X: &lang.Ident{Name: ind}, Field: field},
-			},
-		}},
+		Body: &lang.Block{Stmts: []lang.Stmt{nb.advance(ind, field)}},
 	}
 	loop.Body = &lang.Block{Stmts: []lang.Stmt{parallel, advance}}
 	return helper, nil
+}
+
+// namer builds the rewrite's nodes, interning each name it introduces
+// into the program being rewritten; checkGenerated resolves them.
+type namer struct{ prog *lang.Program }
+
+func (nb namer) ident(name string) *lang.Ident {
+	return &lang.Ident{Name: name, ID: nb.prog.Intern(name)}
+}
+
+// advance builds "p = p->f;".
+func (nb namer) advance(ind, field string) *lang.AssignStmt {
+	return &lang.AssignStmt{
+		LHS: nb.ident(ind),
+		RHS: &lang.FieldExpr{X: nb.ident(ind), Field: field, FieldID: nb.prog.Intern(field)},
+	}
 }
 
 // buildHelper constructs:
@@ -185,24 +199,21 @@ func rewriteLoop(prog *lang.Program, rep *depend.Report, fnName string, loopInde
 //	  for <k> = 1 to <pe> { p = p->f; }   // FOR2: speculative skip-ahead
 //	  if p != NULL { <body without advance> }
 //	}
-func buildHelper(name, pe, k, ind string, indType lang.Type, field string, loop *lang.WhileStmt, frees []lang.Param) (*lang.FuncDecl, error) {
-	params := []lang.Param{{Name: pe, Type: lang.Int}, {Name: ind, Type: indType}}
+func (nb namer) buildHelper(name, pe, k, ind string, indType lang.Type, field string, loop *lang.WhileStmt, frees []lang.Param) (*lang.FuncDecl, error) {
+	params := []lang.Param{{Name: pe, ID: nb.prog.Intern(pe), Type: lang.Int}, {Name: ind, ID: nb.prog.Intern(ind), Type: indType}}
 	params = append(params, frees...)
 
 	skip := &lang.ForStmt{
 		Var:  k,
+		ID:   nb.prog.Intern(k),
 		From: lang.NewIntLit(1, loop.Pos()),
-		To:   &lang.Ident{Name: pe},
-		Body: &lang.Block{Stmts: []lang.Stmt{
-			&lang.AssignStmt{
-				LHS: &lang.Ident{Name: ind},
-				RHS: &lang.FieldExpr{X: &lang.Ident{Name: ind}, Field: field},
-			},
-		}},
+		To:   nb.ident(pe),
+		Body: &lang.Block{Stmts: []lang.Stmt{nb.advance(ind, field)}},
 	}
 
-	// Clone the body and drop the trailing advance.
-	body := lang.CloneBlock(loop.Body)
+	// Move the body, less its trailing advance: the rewrite gives the
+	// loop a new one, and the program is a copy no one else reads.
+	body := loop.Body
 	if len(body.Stmts) == 0 {
 		return nil, fmt.Errorf("transform: empty loop body")
 	}
@@ -211,7 +222,7 @@ func buildHelper(name, pe, k, ind string, indType lang.Type, field string, loop 
 	guard := &lang.IfStmt{
 		Cond: &lang.BinExpr{
 			Op: lang.NEQ,
-			X:  &lang.Ident{Name: ind},
+			X:  nb.ident(ind),
 			Y:  &lang.NullLit{},
 		},
 		Then: body,
@@ -223,29 +234,17 @@ func buildHelper(name, pe, k, ind string, indType lang.Type, field string, loop 
 	}, nil
 }
 
-// inductionType finds the pointer type of the induction variable from
-// its uses in the loop.
+// inductionType finds the pointer type of the induction variable in
+// the loop's (checked) condition, ind != NULL.
 func inductionType(loop *lang.WhileStmt, ind string) lang.Type {
-	var t lang.Type
 	if be, ok := loop.Cond.(*lang.BinExpr); ok {
 		for _, e := range []lang.Expr{be.X, be.Y} {
-			if id, ok := e.(*lang.Ident); ok && id.Name == ind && id.Type() != nil {
-				t = id.Type()
+			if id, ok := e.(*lang.Ident); ok && id.Name == ind {
+				return id.Type()
 			}
 		}
 	}
-	if t != nil {
-		return t
-	}
-	lang.Walk(loop.Body, func(s lang.Stmt) bool {
-		lang.WalkExprs(s, func(e lang.Expr) {
-			if id, ok := e.(*lang.Ident); ok && id.Name == ind && id.Type() != nil {
-				t = id.Type()
-			}
-		})
-		return t == nil
-	})
-	return t
+	return nil
 }
 
 // freeVars lists the variables the body reads that are declared outside
@@ -263,14 +262,14 @@ func freeVars(body *lang.Block, ind string) ([]lang.Param, map[string]bool) {
 		}
 		return true
 	})
-	seen := map[string]lang.Type{}
+	seen := map[string]*lang.Ident{}
 	lang.Walk(body, func(s lang.Stmt) bool {
 		lang.WalkExprs(s, func(e lang.Expr) {
 			id, ok := e.(*lang.Ident)
 			if !ok || taken[id.Name] || id.Type() == nil {
 				return
 			}
-			seen[id.Name] = id.Type()
+			seen[id.Name] = id
 		})
 		return true
 	})
@@ -281,7 +280,7 @@ func freeVars(body *lang.Block, ind string) ([]lang.Param, map[string]bool) {
 	sort.Strings(names)
 	out := make([]lang.Param, len(names))
 	for i, n := range names {
-		out[i] = lang.Param{Name: n, Type: seen[n]}
+		out[i] = lang.Param{Name: n, ID: seen[n].ID, Type: seen[n].Type()}
 		taken[n] = true
 	}
 	return out, taken
