@@ -1,7 +1,7 @@
-// Package bytecode lowers the slot-resolved IR of internal/compile
-// into a flat instruction array executed by internal/interp's
-// switch-loop VM — the production engine, checked against the
-// tree-walking oracle.
+// Package bytecode lowers a checked PSL program, in one walk over its
+// AST against the tables of internal/compile, into a flat instruction
+// array executed by internal/interp's switch-loop VM — the production
+// engine, checked against the tree-walking oracle.
 //
 // Where the walker pays an interface type switch per AST node and
 // boxes every intermediate in a Kind-tagged Value, the bytecode form
@@ -21,9 +21,9 @@
 // walker is the order of its checks — null, budget, bounds — so that a
 // failing run reports the same error at the same position.
 //
-// A Program is immutable once Compile returns, like the compile IR it
-// is built from: one Program is shared without locks by every
-// interpreter and worker fork executing it.
+// A Program is immutable once Compile returns, like the tables it is
+// built from: one Program is shared without locks by every interpreter
+// and worker fork executing it.
 package bytecode
 
 import (
@@ -290,46 +290,44 @@ type Func struct {
 // Program is a lowered program: one Func per compile.Func, same order.
 type Program struct {
 	Funcs []*Func
-	index map[string]int
+	cp    *compile.Program
 }
 
 // Func returns the named function, or nil.
 func (p *Program) Func(name string) *Func {
-	i, ok := p.index[name]
-	if !ok {
-		return nil
+	if i := p.cp.FuncIndex(name); i >= 0 {
+		return p.Funcs[i]
 	}
-	return p.Funcs[i]
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Lowering
 
-// Compile lowers a compiled program to bytecode. Errors indicate IR
-// the lowering does not model (they should not occur for checked
-// programs) and are reported rather than panicked: interp surfaces
-// them at Call as "interp: bytecode engine: …", and only the walker
-// still runs such a program.
+// Compile lowers a checked program to bytecode in one walk over its
+// AST, reading each use's slot off the AST and field offsets and
+// callees from cp's tables. Errors indicate input the lowering does not
+// model — a use the checker did not resolve, a type no register bank
+// holds (they should not occur for checked programs) — and are reported
+// rather than panicked: interp's CompileProgram hands them back, and
+// only the walker still runs such a program.
 func Compile(cp *compile.Program) (*Program, error) {
-	p := &Program{index: make(map[string]int, len(cp.Funcs))}
+	p := &Program{Funcs: make([]*Func, len(cp.Funcs)), cp: cp}
+	funcs := make([]Func, len(cp.Funcs))
 	for i, f := range cp.Funcs {
-		p.index[f.Name] = i
-		p.Funcs = append(p.Funcs, &Func{Name: f.Name, Result: f.Result})
+		funcs[i] = Func{Name: f.Decl.Name, Result: f.Decl.Result}
+		p.Funcs[i] = &funcs[i]
 	}
+	b := &builder{cp: cp, names: make([]nameRef, cp.Lang.Names().Len())}
 	for i, f := range cp.Funcs {
-		if err := lowerFunc(cp, p.Funcs[i], f); err != nil {
-			return nil, fmt.Errorf("bytecode: %s: %w", f.Name, err)
+		if err := b.lowerFunc(p.Funcs[i], f, i); err != nil {
+			return nil, fmt.Errorf("bytecode: %s: %w", f.Decl.Name, err)
 		}
 	}
 	// Every callee's parameter registers and code are known now: bind
 	// the call sites, then read each strip helper's guarded body.
 	for _, f := range p.Funcs {
-		for i := range f.Calls {
-			c := &f.Calls[i]
-			for j, a := range c.Args {
-				c.Moves[a.Bank] = append(c.Moves[a.Bank], Move{Src: a.Idx, Dst: p.Funcs[c.FuncIdx].Params[j].Reg.Idx})
-			}
-		}
+		p.bindCalls(f)
 		for i := range f.Foralls {
 			s := &f.Foralls[i]
 			if s.Strip == nil {
@@ -342,6 +340,32 @@ func Compile(cp *compile.Program) (*Program, error) {
 		}
 	}
 	return p, nil
+}
+
+// bindCalls pairs each argument of f's call sites with the callee
+// parameter it binds, every site's moves carved from one array.
+func (p *Program) bindCalls(f *Func) {
+	n := 0
+	for i := range f.Calls {
+		n += len(f.Calls[i].Args)
+	}
+	moves := make([]Move, n)
+	for i := range f.Calls {
+		c := &f.Calls[i]
+		var per [BankNode + 1]int
+		for _, a := range c.Args {
+			per[a.Bank]++
+		}
+		for bank, k := range per {
+			if k > 0 {
+				c.Moves[bank], moves = moves[:0:k], moves[k:]
+			}
+		}
+		params := p.Funcs[c.FuncIdx].Params
+		for j, a := range c.Args {
+			c.Moves[a.Bank] = append(c.Moves[a.Bank], Move{Src: a.Idx, Dst: params[j].Reg.Idx})
+		}
+	}
 }
 
 // BankOf maps a static type to its register bank.
@@ -384,10 +408,25 @@ func isStr(t lang.Type) bool {
 	return ok && s.Kind == lang.KindString
 }
 
+// Per-bank opcodes: a register's zero constant, move and return, a data
+// field's load and store (none for strings and pointers).
+var (
+	zeroOps  = [BankNode + 1]Op{BankInt: OpConstInt, BankReal: OpConstReal, BankBool: OpConstBool, BankStr: OpConstStr, BankNode: OpConstNull}
+	movOps   = [BankNode + 1]Op{BankInt: OpMovInt, BankReal: OpMovReal, BankBool: OpMovBool, BankStr: OpMovStr, BankNode: OpMovNode}
+	retOps   = [BankNode + 1]Op{BankInt: OpReturnInt, BankReal: OpReturnReal, BankBool: OpReturnBool, BankStr: OpReturnStr, BankNode: OpReturnNode}
+	loadOps  = [BankNode + 1]Op{BankInt: OpLoadInt, BankReal: OpLoadReal, BankBool: OpLoadBool}
+	storeOps = [BankNode + 1]Op{BankInt: OpStoreInt, BankReal: OpStoreReal, BankBool: OpStoreBool}
+)
+
+// builder lowers a program's functions one after another; what it keeps
+// across them is only storage.
 type builder struct {
 	cp      *compile.Program
+	fn      *lang.FuncDecl
 	f       *Func
 	slotReg []Reg // variable slot -> home register
+	n       size  // the current function's pre-walk tally
+	err     error // the pre-walk's first failure
 
 	// permTop is the per-bank high-water mark of permanent registers
 	// (slot homes and hidden loop counters); tempTop is the current
@@ -396,30 +435,51 @@ type builder struct {
 	tempTop [6]int32
 	maxTop  [6]int32
 
-	strIdx  map[string]int32
-	nameIdx map[string]int32
+	strIdx map[string]int32
+	// names[id] is the index of field name id in the current function's
+	// Names pool, when its fn is the function's number (index + 1).
+	names []nameRef
+	fnNum int32
+	// args is what is left of the current function's argument-register
+	// array, from which each call and print takes its Args.
+	args []Reg
 }
 
-func lowerFunc(cp *compile.Program, bf *Func, f *compile.Func) error {
-	b := &builder{
-		cp:      cp,
-		f:       bf,
-		slotReg: make([]Reg, f.Slots),
-		strIdx:  map[string]int32{},
-		nameIdx: map[string]int32{},
-	}
+type nameRef struct{ fn, idx int32 }
+
+// size is what a function's pre-walk counts: a bound on the
+// instructions its code holds, and the size of its site tables.
+type size struct {
+	code, calls, args, prints, foralls, news int
+}
+
+func (b *builder) lowerFunc(bf *Func, f *compile.Func, i int) error {
+	fn := f.Decl
+	b.fn, b.f, b.fnNum, b.n, b.err = fn, bf, int32(i)+1, size{}, nil
+	b.permTop, b.tempTop, b.maxTop = [6]int32{}, [6]int32{}, [6]int32{}
+	b.strIdx = nil
+	b.slotReg = append(b.slotReg[:0], make([]Reg, f.Slots)...)
 	// Home registers: parameters first, then every declaration found
-	// in the body (each declaration owns its slot; compile never
+	// in the body (each declaration owns its slot; the checker never
 	// reuses slots across types).
-	for _, prm := range f.Params {
+	bf.Params = make([]Param, len(fn.Params))
+	for i, prm := range fn.Params {
 		r := b.allocPerm(BankOf(prm.Type))
-		b.slotReg[prm.Slot] = r
-		bf.Params = append(bf.Params, Param{Name: prm.Name, Type: prm.Type, Reg: r})
+		b.slotReg[i] = r
+		bf.Params[i] = Param{Name: prm.Name, Type: prm.Type, Reg: r}
 	}
-	if err := b.assignSlots(f.Body); err != nil {
-		return err
+	b.assignSlots(fn.Body.Stmts)
+	if b.err != nil {
+		return b.err
 	}
-	if err := b.stmts(f.Body); err != nil {
+	bf.Code = make([]Instr, 0, b.n.code)
+	bf.Pos = make([]lang.Pos, 0, b.n.code)
+	bf.Calls = make([]CallSite, 0, b.n.calls)
+	bf.Prints = make([]PrintSite, 0, b.n.prints)
+	bf.Foralls = make([]ForallSite, 0, b.n.foralls)
+	bf.News = make([]NewSite, 0, b.n.news)
+	b.args = make([]Reg, b.n.args)
+	if err := b.stmts(fn.Body.Stmts); err != nil {
 		return err
 	}
 	bf.NInt = int(b.maxTop[BankInt])
@@ -460,41 +520,147 @@ func (b *builder) temp(bank Bank) Reg {
 // previous statement are dead and their registers reusable.
 func (b *builder) resetTemps() { b.tempTop = b.permTop }
 
-// assignSlots walks the IR allocating a home register for every
-// variable declaration (VarSet, loop variables). Parameters are
-// handled by the caller.
-func (b *builder) assignSlots(stmts []compile.Stmt) error {
+// assignSlots walks the body before it is lowered, allocating a home
+// register for every variable declaration (var statements, loop
+// variables) and counting, in b.n, what the lowering will emit; b.err
+// is the first declaration it could not home. Parameters are handled
+// by the caller.
+func (b *builder) assignSlots(stmts []lang.Stmt) {
+	n := &b.n
 	for _, s := range stmts {
+		n.code++ // the statement's step
 		switch s := s.(type) {
-		case *compile.Block:
-			if err := b.assignSlots(s.Stmts); err != nil {
-				return err
+		case *lang.Block:
+			b.assignSlots(s.Stmts)
+		case *lang.VarStmt:
+			b.declare(s.Pos(), s.Name, s.Slot, s.DeclType)
+			if s.Init == nil {
+				n.code++ // the zero value's constant
 			}
-		case *compile.VarSet:
-			bank := BankOf(s.Type)
-			if bank == BankNone {
-				return fmt.Errorf("%s: var %s has unbankable type %v", s.Pos(), s.Name, s.Type)
+			b.count(s.Init, true, isReal(s.DeclType))
+		case *lang.AssignStmt:
+			if fe, ok := s.LHS.(*lang.FieldExpr); ok {
+				n.code++ // the store
+				b.count(fe.X, false, false)
+				if fe.Index != nil {
+					n.code++ // the indexed store's null check
+					b.count(fe.Index, false, false)
+				}
+				b.count(s.RHS, false, isReal(fe.Type()))
+			} else {
+				b.count(s.RHS, true, isReal(s.LHS.Type()))
 			}
-			b.slotReg[s.Slot] = b.allocPerm(bank)
-		case *compile.While:
-			if err := b.assignSlots(s.Body); err != nil {
-				return err
+		case *lang.WhileStmt:
+			n.code += 3 // the branch out, the back edge's step and jump
+			b.count(s.Cond, false, false)
+			b.assignSlots(s.Body.Stmts)
+		case *lang.IfStmt:
+			n.code++ // the branch
+			b.count(s.Cond, false, false)
+			b.assignSlots(s.Then.Stmts)
+			if s.Else != nil {
+				n.code++ // the jump over the else
+				b.assignSlots(s.Else.Stmts)
 			}
-		case *compile.If:
-			if err := b.assignSlots(s.Then); err != nil {
-				return err
+		case *lang.ReturnStmt:
+			n.code++
+			b.count(s.Value, false, isReal(b.fn.Result))
+		case *lang.CallStmt:
+			b.count(s.Call, false, false)
+		case *lang.ForStmt:
+			n.code += 2 // for.head and for.tail
+			if s.Parallel {
+				n.code-- // one forall
+				n.foralls++
 			}
-			if err := b.assignSlots(s.Else); err != nil {
-				return err
-			}
-		case *compile.For:
-			b.slotReg[s.Slot] = b.allocPerm(BankInt)
-			if err := b.assignSlots(s.Body); err != nil {
-				return err
-			}
+			b.count(s.From, true, false)
+			b.count(s.To, true, false)
+			b.declare(s.Pos(), s.Var, s.Slot, lang.Int)
+			b.assignSlots(s.Body.Stmts)
 		}
 	}
-	return nil
+}
+
+// declare gives a declaration's slot its home register, or records in
+// b.err why it cannot.
+func (b *builder) declare(pos lang.Pos, name string, slot int, t lang.Type) {
+	bank := BankOf(t)
+	switch {
+	case b.err != nil:
+	case bank == BankNone:
+		b.err = fmt.Errorf("%s: var %s has unbankable type %v", pos, name, t)
+	case slot < 0 || slot >= len(b.slotReg):
+		b.err = fmt.Errorf("%s: var %s has no slot (program not checked?)", pos, name)
+	default:
+		b.slotReg[slot] = b.allocPerm(bank)
+	}
+}
+
+// count adds to the pre-walk's tally what lowering e emits at most:
+// evaluated into a register (into) or read as an operand, widened to
+// real when real.
+func (b *builder) count(e lang.Expr, into, real bool) {
+	n := &b.n
+	switch e := e.(type) {
+	case nil:
+		return
+	case *lang.Ident:
+		if into || real && !isReal(e.Type()) {
+			n.code++ // a move, or the widening
+		}
+		return
+	case *lang.IntLit:
+		n.code++ // const.int, or const.real widened
+		return
+	case *lang.FieldExpr:
+		b.count(e.X, false, false)
+		if e.Index != nil {
+			n.code++ // the indexed load's null check
+			b.count(e.Index, false, false)
+		}
+	case *lang.CallExpr:
+		switch e.Func {
+		case "sqrt", "abs":
+			for _, a := range e.Args {
+				b.count(a, false, true)
+			}
+		case "rand":
+		case "print":
+			n.prints++
+			n.args += len(e.Args)
+			for _, a := range e.Args {
+				b.count(a, false, false)
+			}
+		default:
+			n.calls++
+			n.args += len(e.Args)
+			var params []lang.Param
+			if i := b.cp.FuncIndex(e.Func); i >= 0 {
+				params = b.cp.Funcs[i].Decl.Params
+			}
+			for i, a := range e.Args {
+				b.count(a, false, i < len(params) && isReal(params[i].Type))
+			}
+		}
+	case *lang.BinExpr:
+		if e.Op == lang.AND || e.Op == lang.OR {
+			n.code++ // the probe; the operator's own count covers the move
+			b.count(e.X, true, false)
+			b.count(e.Y, true, false)
+		} else {
+			real := isReal(e.X.Type()) || isReal(e.Y.Type())
+			b.count(e.X, false, real)
+			b.count(e.Y, false, real)
+		}
+	case *lang.UnExpr:
+		b.count(e.X, false, false)
+	case *lang.NewExpr:
+		n.news++
+	}
+	n.code++ // the expression's own instruction
+	if real && !isReal(e.Type()) {
+		n.code++ // the widening
+	}
 }
 
 func (b *builder) emit(pos lang.Pos, in Instr) int32 {
@@ -514,26 +680,66 @@ func (b *builder) str(s string) int32 {
 	if i, ok := b.strIdx[s]; ok {
 		return i
 	}
+	if b.strIdx == nil {
+		b.strIdx = map[string]int32{}
+	}
 	i := int32(len(b.f.Strs))
 	b.f.Strs = append(b.f.Strs, s)
 	b.strIdx[s] = i
 	return i
 }
 
-func (b *builder) name(s string) int32 {
-	if i, ok := b.nameIdx[s]; ok {
-		return i
+// name is the index of fe's field name in the function's Names pool,
+// which fe's field must already have resolved (field).
+func (b *builder) name(fe *lang.FieldExpr) int32 {
+	ref := &b.names[fe.FieldID]
+	if ref.fn != b.fnNum {
+		*ref = nameRef{fn: b.fnNum, idx: int32(len(b.f.Names))}
+		b.f.Names = append(b.f.Names, fe.Field)
 	}
-	i := int32(len(b.f.Names))
-	b.f.Names = append(b.f.Names, s)
-	b.nameIdx[s] = i
-	return i
+	return ref.idx
+}
+
+// argRegs takes n argument registers from the function's array.
+func (b *builder) argRegs(n int) []Reg {
+	if len(b.args) < n { // the pre-walk counts every argument
+		b.args = make([]Reg, n)
+	}
+	r := b.args[:n:n]
+	b.args = b.args[n:]
+	return r
+}
+
+// slot returns the home register of a use of a variable, if the use
+// still names the declaration the checker resolved it to.
+func (b *builder) slot(id *lang.Ident) (Reg, error) {
+	if id.Slot < 0 || id.Slot >= len(b.fn.Vars) || b.fn.Vars[id.Slot] != id.ID || b.cp.Lang.Names().Text(id.ID) != id.Name {
+		return Reg{}, fmt.Errorf("%s: unresolved variable %q", id.Pos(), id.Name)
+	}
+	return b.slotReg[id.Slot], nil
+}
+
+// field resolves base->field against the record declaration of the
+// base's static pointer type.
+func (b *builder) field(fe *lang.FieldExpr) (compile.Field, error) {
+	if fe.X.Type() == nil {
+		return compile.Field{}, fmt.Errorf("%s: untyped field base (program not checked?)", fe.Pos())
+	}
+	elem, ok := lang.IsPointer(fe.X.Type())
+	if !ok {
+		return compile.Field{}, fmt.Errorf("%s: field base is not a pointer", fe.Pos())
+	}
+	f, ok := b.cp.Field(elem, fe.FieldID)
+	if !ok || b.cp.Lang.Names().Text(fe.FieldID) != fe.Field {
+		return compile.Field{}, fmt.Errorf("%s: type %q has no field %q", fe.Pos(), elem, fe.Field)
+	}
+	return f, nil
 }
 
 // ---------------------------------------------------------------------------
 // Statements
 
-func (b *builder) stmts(stmts []compile.Stmt) error {
+func (b *builder) stmts(stmts []lang.Stmt) error {
 	for _, s := range stmts {
 		if err := b.stmt(s); err != nil {
 			return err
@@ -542,47 +748,47 @@ func (b *builder) stmts(stmts []compile.Stmt) error {
 	return nil
 }
 
-func (b *builder) stmt(s compile.Stmt) error {
+func (b *builder) stmt(s lang.Stmt) error {
 	b.resetTemps()
 	pos := s.Pos()
 	b.emit(pos, Instr{Op: OpStep})
 	switch s := s.(type) {
-	case *compile.Block:
+	case *lang.Block:
 		return b.stmts(s.Stmts)
 
-	case *compile.VarSet:
+	case *lang.VarStmt:
 		dst := b.slotReg[s.Slot]
 		if s.Init == nil {
 			// Zero value.
-			switch dst.Bank {
-			case BankInt:
-				b.emit(pos, Instr{Op: OpConstInt, A: dst.Idx})
-			case BankReal:
-				b.emit(pos, Instr{Op: OpConstReal, A: dst.Idx})
-			case BankBool:
-				b.emit(pos, Instr{Op: OpConstBool, A: dst.Idx})
-			case BankStr:
-				b.emit(pos, Instr{Op: OpConstStr, A: dst.Idx, B: b.str("")})
-			case BankNode:
-				b.emit(pos, Instr{Op: OpConstNull, A: dst.Idx})
+			in := Instr{Op: zeroOps[dst.Bank], A: dst.Idx}
+			if dst.Bank == BankStr {
+				in.B = b.str("")
 			}
+			b.emit(pos, in)
 			return nil
 		}
-		return b.assignTo(dst, s.Type, s.Init)
+		return b.assignTo(dst, s.DeclType, s.Init)
 
-	case *compile.AssignSlot:
-		return b.assignTo(b.slotReg[s.Slot], s.Type, s.RHS)
+	case *lang.AssignStmt:
+		switch lhs := s.LHS.(type) {
+		case *lang.Ident:
+			dst, err := b.slot(lhs)
+			if err != nil {
+				return err
+			}
+			return b.assignTo(dst, lhs.Type(), s.RHS)
+		case *lang.FieldExpr:
+			return b.storeField(pos, lhs, s.RHS)
+		}
+		return fmt.Errorf("%s: bad assignment target %T", pos, s.LHS)
 
-	case *compile.StoreField:
-		return b.storeField(s)
-
-	case *compile.While:
+	case *lang.WhileStmt:
 		head := int32(len(b.f.Code))
 		br, err := b.condBranch(s.Cond)
 		if err != nil {
 			return err
 		}
-		if err := b.stmts(s.Body); err != nil {
+		if err := b.stmts(s.Body.Stmts); err != nil {
 			return err
 		}
 		b.emit(pos, Instr{Op: OpStep})
@@ -590,12 +796,12 @@ func (b *builder) stmt(s compile.Stmt) error {
 		b.patch(br)
 		return nil
 
-	case *compile.If:
+	case *lang.IfStmt:
 		br, err := b.condBranch(s.Cond)
 		if err != nil {
 			return err
 		}
-		if err := b.stmts(s.Then); err != nil {
+		if err := b.stmts(s.Then.Stmts); err != nil {
 			return err
 		}
 		if s.Else == nil {
@@ -604,133 +810,104 @@ func (b *builder) stmt(s compile.Stmt) error {
 		}
 		end := b.emit(pos, Instr{Op: OpJump})
 		b.patch(br)
-		if err := b.stmts(s.Else); err != nil {
+		if err := b.stmts(s.Else.Stmts); err != nil {
 			return err
 		}
 		b.patch(end)
 		return nil
 
-	case *compile.Return:
+	case *lang.ReturnStmt:
 		if s.Value == nil {
 			b.emit(pos, Instr{Op: OpReturnVoid})
 			return nil
 		}
 		// The value is coerced to the declared result type at the call
 		// boundary; emit the int→real widening statically.
-		fn := b.f
-		if isReal(fn.Result) && !isReal(s.Value.Type()) {
-			r, err := b.realOperand(s.Value)
-			if err != nil {
-				return err
-			}
-			b.emit(pos, Instr{Op: OpReturnReal, A: r.Idx})
-			return nil
-		}
-		r, err := b.operand(s.Value)
+		r, err := b.operandAs(s.Value, isReal(b.fn.Result))
 		if err != nil {
 			return err
 		}
-		var op Op
-		switch r.Bank {
-		case BankInt:
-			op = OpReturnInt
-		case BankReal:
-			op = OpReturnReal
-		case BankBool:
-			op = OpReturnBool
-		case BankStr:
-			op = OpReturnStr
-		case BankNode:
-			op = OpReturnNode
-		default:
+		if retOps[r.Bank] == opInvalid {
 			return fmt.Errorf("%s: return of unbankable type %v", pos, s.Value.Type())
 		}
-		b.emit(pos, Instr{Op: op, A: r.Idx})
+		b.emit(pos, Instr{Op: retOps[r.Bank], A: r.Idx})
 		return nil
 
-	case *compile.CallStmt:
+	case *lang.CallStmt:
 		e := s.Call
-		if e.Builtin == compile.BuiltinPrint {
+		switch e.Func {
+		case "print":
 			return b.printCall(e)
-		}
-		if e.Builtin != compile.NotBuiltin {
+		case "sqrt", "abs", "rand":
 			// A builtin evaluated for effect: discard into a temp.
 			return b.evalInto(e, b.temp(BankReal))
 		}
 		return b.userCall(e, Reg{Bank: BankNone})
 
-	case *compile.For:
+	case *lang.ForStmt:
 		return b.forStmt(s)
 	}
 	return fmt.Errorf("%s: unknown statement %T", pos, s)
 }
 
 // assignTo stores an expression into a slot home register.
-func (b *builder) assignTo(dst Reg, typ lang.Type, e compile.Expr) error {
+func (b *builder) assignTo(dst Reg, typ lang.Type, e lang.Expr) error {
 	if isReal(typ) && !isReal(e.Type()) {
 		return b.evalIntoReal(e, dst)
 	}
 	return b.evalInto(e, dst)
 }
 
-func (b *builder) storeField(s *compile.StoreField) error {
-	pos := s.Pos()
-	if s.IsPtr {
-		rs, err := b.operand(s.RHS)
+// storeField lowers "lhs = rhs;" for a field target.
+func (b *builder) storeField(pos lang.Pos, lhs *lang.FieldExpr, rhs lang.Expr) error {
+	fld, err := b.field(lhs)
+	if err != nil {
+		return err
+	}
+	if fld.IsPtr {
+		rs, err := b.operand(rhs)
 		if err != nil {
 			return err
 		}
-		rb, err := b.operand(s.Base)
+		rb, err := b.operand(lhs.X)
 		if err != nil {
 			return err
 		}
-		if s.Index == nil {
-			b.emit(pos, Instr{Op: OpStoreNode, A: rb.Idx, B: rs.Idx, C: int32(s.Off),
-				Imm: int64(b.name(s.Field))})
+		if lhs.Index == nil {
+			b.emit(pos, Instr{Op: OpStoreNode, A: rb.Idx, B: rs.Idx, C: int32(fld.Off),
+				Imm: int64(b.name(lhs))})
 			return nil
 		}
 		b.emit(pos, Instr{Op: OpStoreNodeIdxBegin, A: rb.Idx})
-		ri, err := b.operand(s.Index)
+		ri, err := b.operand(lhs.Index)
 		if err != nil {
 			return err
 		}
 		b.emit(pos, Instr{Op: OpStoreNodeIdx, A: rb.Idx, B: rs.Idx, C: ri.Idx,
-			Imm: packOffName(s.Off, b.name(s.Field))})
+			Imm: packOffName(fld.Off, b.name(lhs))})
 		return nil
 	}
 
 	// Data store: rhs evaluates before the base, as the walker orders it.
-	var rs Reg
-	var err error
-	if isReal(s.Type) && !isReal(s.RHS.Type()) {
-		rs, err = b.realOperand(s.RHS)
-	} else {
-		rs, err = b.operand(s.RHS)
-	}
+	typ := lhs.Type()
+	rs, err := b.operandAs(rhs, isReal(typ))
 	if err != nil {
 		return err
 	}
-	rb, err := b.operand(s.Base)
+	rb, err := b.operand(lhs.X)
 	if err != nil {
 		return err
 	}
-	var op Op
-	switch BankOf(s.Type) {
-	case BankInt:
-		op = OpStoreInt
-	case BankReal:
-		op = OpStoreReal
-	case BankBool:
-		op = OpStoreBool
-	default:
-		return fmt.Errorf("%s: data field %s has unbankable type %v", pos, s.Field, s.Type)
+	op := storeOps[BankOf(typ)]
+	if op == opInvalid {
+		return fmt.Errorf("%s: data field %s has unbankable type %v", pos, lhs.Field, typ)
 	}
-	b.emit(pos, Instr{Op: op, A: rb.Idx, B: rs.Idx, C: int32(s.Off),
-		Imm: int64(b.name(s.Field))})
+	b.emit(pos, Instr{Op: op, A: rb.Idx, B: rs.Idx, C: int32(fld.Off),
+		Imm: int64(b.name(lhs))})
 	return nil
 }
 
-func (b *builder) forStmt(s *compile.For) error {
+func (b *builder) forStmt(s *lang.ForStmt) error {
 	pos := s.Pos()
 	// Hidden counter and bound live in permanent registers: the loop
 	// variable's home is writable by the body without perturbing
@@ -751,7 +928,7 @@ func (b *builder) forStmt(s *compile.For) error {
 		b.emit(pos, Instr{Op: OpForall, A: site})
 		b.f.Foralls[site].BodyStart = int32(len(b.f.Code))
 		nCalls := len(b.f.Calls)
-		if err := b.stmts(s.Body); err != nil {
+		if err := b.stmts(s.Body.Stmts); err != nil {
 			return err
 		}
 		fs := &b.f.Foralls[site]
@@ -764,7 +941,7 @@ func (b *builder) forStmt(s *compile.For) error {
 	}
 
 	head := b.emit(pos, Instr{Op: OpForHead, A: k.Idx, B: hi.Idx, C: varReg.Idx})
-	if err := b.stmts(s.Body); err != nil {
+	if err := b.stmts(s.Body.Stmts); err != nil {
 		return err
 	}
 	b.emit(pos, Instr{Op: OpForTail, A: k.Idx, Imm: int64(head)})
@@ -773,10 +950,14 @@ func (b *builder) forStmt(s *compile.For) error {
 }
 
 // boundInto evaluates a loop bound into a hidden register: a plain
-// move when the bound is a slot, a direct evaluation otherwise.
-func (b *builder) boundInto(e compile.Expr, dst Reg) error {
-	if sr, ok := e.(*compile.SlotRef); ok {
-		b.emit(e.Pos(), Instr{Op: OpMovInt, A: dst.Idx, B: b.slotReg[sr.Slot].Idx})
+// move when the bound is a variable, a direct evaluation otherwise.
+func (b *builder) boundInto(e lang.Expr, dst Reg) error {
+	if id, ok := e.(*lang.Ident); ok {
+		src, err := b.slot(id)
+		if err != nil {
+			return err
+		}
+		b.emit(e.Pos(), Instr{Op: OpMovInt, A: dst.Idx, B: src.Idx})
 		return nil
 	}
 	return b.evalInto(e, dst)
@@ -798,7 +979,7 @@ var brfOf = [opCount]Op{
 // drops the literal's const.null (brf.null, brf.nonnull). A condition
 // whose code holds a jump — &&, ||, an indexed pointer load's NULL join
 // — keeps the compare and br.false, so no jump target moves.
-func (b *builder) condBranch(cond compile.Expr) (int32, error) {
+func (b *builder) condBranch(cond lang.Expr) (int32, error) {
 	start := len(b.f.Code)
 	rc, err := b.operand(cond)
 	if err != nil {
@@ -842,11 +1023,11 @@ func UnpackOffName(imm int64) (off int, name int32) {
 // ---------------------------------------------------------------------------
 // Expressions
 
-// operand yields a register holding e's value: a slot's home register,
-// read in place without a move, or a fresh temporary.
-func (b *builder) operand(e compile.Expr) (Reg, error) {
-	if sr, ok := e.(*compile.SlotRef); ok {
-		return b.slotReg[sr.Slot], nil
+// operand yields a register holding e's value: a variable's home
+// register, read in place without a move, or a fresh temporary.
+func (b *builder) operand(e lang.Expr) (Reg, error) {
+	if id, ok := e.(*lang.Ident); ok {
+		return b.slot(id)
 	}
 	t := b.temp(BankOf(e.Type()))
 	if t.Bank == BankNone {
@@ -860,11 +1041,11 @@ func (b *builder) operand(e compile.Expr) (Reg, error) {
 
 // realOperand is operand for a statically-int expression consumed in a
 // real context: the int→real widening is emitted here.
-func (b *builder) realOperand(e compile.Expr) (Reg, error) {
+func (b *builder) realOperand(e lang.Expr) (Reg, error) {
 	if isReal(e.Type()) {
 		return b.operand(e)
 	}
-	if lit, ok := e.(*compile.IntLit); ok {
+	if lit, ok := e.(*lang.IntLit); ok {
 		t := b.temp(BankReal)
 		b.emit(e.Pos(), Instr{Op: OpConstReal, A: t.Idx, Fv: float64(lit.Val)})
 		return t, nil
@@ -878,13 +1059,21 @@ func (b *builder) realOperand(e compile.Expr) (Reg, error) {
 	return t, nil
 }
 
+// operandAs is realOperand when real, operand otherwise.
+func (b *builder) operandAs(e lang.Expr, real bool) (Reg, error) {
+	if real {
+		return b.realOperand(e)
+	}
+	return b.operand(e)
+}
+
 // evalIntoReal evaluates a statically-int expression into a real
 // destination register.
-func (b *builder) evalIntoReal(e compile.Expr, dst Reg) error {
+func (b *builder) evalIntoReal(e lang.Expr, dst Reg) error {
 	if isReal(e.Type()) {
 		return b.evalInto(e, dst)
 	}
-	if lit, ok := e.(*compile.IntLit); ok {
+	if lit, ok := e.(*lang.IntLit); ok {
 		b.emit(e.Pos(), Instr{Op: OpConstReal, A: dst.Idx, Fv: float64(lit.Val)})
 		return nil
 	}
@@ -897,63 +1086,57 @@ func (b *builder) evalIntoReal(e compile.Expr, dst Reg) error {
 }
 
 // evalInto emits code leaving e's value in dst.
-func (b *builder) evalInto(e compile.Expr, dst Reg) error {
+func (b *builder) evalInto(e lang.Expr, dst Reg) error {
 	pos := e.Pos()
 	switch e := e.(type) {
-	case *compile.SlotRef:
-		src := b.slotReg[e.Slot]
-		var op Op
-		switch src.Bank {
-		case BankInt:
-			op = OpMovInt
-		case BankReal:
-			op = OpMovReal
-		case BankBool:
-			op = OpMovBool
-		case BankStr:
-			op = OpMovStr
-		case BankNode:
-			op = OpMovNode
+	case *lang.Ident:
+		src, err := b.slot(e)
+		if err != nil {
+			return err
 		}
-		b.emit(pos, Instr{Op: op, A: dst.Idx, B: src.Idx})
+		b.emit(pos, Instr{Op: movOps[src.Bank], A: dst.Idx, B: src.Idx})
 		return nil
 
-	case *compile.IntLit:
+	case *lang.IntLit:
 		b.emit(pos, Instr{Op: OpConstInt, A: dst.Idx, Imm: e.Val})
 		return nil
-	case *compile.RealLit:
+	case *lang.RealLit:
 		b.emit(pos, Instr{Op: OpConstReal, A: dst.Idx, Fv: e.Val})
 		return nil
-	case *compile.StrLit:
+	case *lang.StrLit:
 		b.emit(pos, Instr{Op: OpConstStr, A: dst.Idx, B: b.str(e.Val)})
 		return nil
-	case *compile.BoolLit:
+	case *lang.BoolLit:
 		imm := int64(0)
 		if e.Val {
 			imm = 1
 		}
 		b.emit(pos, Instr{Op: OpConstBool, A: dst.Idx, Imm: imm})
 		return nil
-	case *compile.NullLit:
+	case *lang.NullLit:
 		b.emit(pos, Instr{Op: OpConstNull, A: dst.Idx})
 		return nil
 
-	case *compile.New:
+	case *lang.NewExpr:
+		decl := b.cp.Lang.Universe.Decl(e.TypeName)
+		if decl == nil {
+			return fmt.Errorf("%s: new of unknown type %q", pos, e.TypeName)
+		}
 		site := int32(len(b.f.News))
-		b.f.News = append(b.f.News, NewSite{TypeName: e.TypeName, Decl: e.Decl})
+		b.f.News = append(b.f.News, NewSite{TypeName: e.TypeName, Decl: decl})
 		b.emit(pos, Instr{Op: OpNew, A: dst.Idx, B: site})
 		return nil
 
-	case *compile.Load:
+	case *lang.FieldExpr:
 		return b.load(e, dst)
 
-	case *compile.Call:
+	case *lang.CallExpr:
 		return b.call(e, dst)
 
-	case *compile.Bin:
+	case *lang.BinExpr:
 		return b.bin(e, dst)
 
-	case *compile.Un:
+	case *lang.UnExpr:
 		op := OpNegInt
 		switch {
 		case e.Op == lang.NOT:
@@ -973,31 +1156,28 @@ func (b *builder) evalInto(e compile.Expr, dst Reg) error {
 	return fmt.Errorf("%s: unknown expression %T", pos, e)
 }
 
-func (b *builder) load(e *compile.Load, dst Reg) error {
+func (b *builder) load(e *lang.FieldExpr, dst Reg) error {
 	pos := e.Pos()
+	fld, err := b.field(e)
+	if err != nil {
+		return err
+	}
 	rb, err := b.operand(e.X)
 	if err != nil {
 		return err
 	}
-	name := b.name(e.Field)
-	if !e.IsPtr {
-		var op Op
-		switch BankOf(e.Type()) {
-		case BankInt:
-			op = OpLoadInt
-		case BankReal:
-			op = OpLoadReal
-		case BankBool:
-			op = OpLoadBool
-		default:
+	name := b.name(e)
+	if !fld.IsPtr {
+		op := loadOps[BankOf(e.Type())]
+		if op == opInvalid {
 			return fmt.Errorf("%s: data field %s has unbankable type %v", pos, e.Field, e.Type())
 		}
-		b.emit(pos, Instr{Op: op, A: dst.Idx, B: rb.Idx, C: int32(e.Off),
+		b.emit(pos, Instr{Op: op, A: dst.Idx, B: rb.Idx, C: int32(fld.Off),
 			Imm: int64(name)})
 		return nil
 	}
 	if e.Index == nil {
-		b.emit(pos, Instr{Op: OpLoadNode, A: dst.Idx, B: rb.Idx, C: int32(e.Off),
+		b.emit(pos, Instr{Op: OpLoadNode, A: dst.Idx, B: rb.Idx, C: int32(fld.Off),
 			Imm: int64(name)})
 		return nil
 	}
@@ -1010,61 +1190,59 @@ func (b *builder) load(e *compile.Load, dst Reg) error {
 		return err
 	}
 	b.emit(pos, Instr{Op: OpLoadNodeIdx, A: dst.Idx, B: rb.Idx, C: ri.Idx,
-		Imm: packOffName(e.Off, name)})
+		Imm: packOffName(fld.Off, name)})
 	b.patch(begin)
 	return nil
 }
 
-func (b *builder) call(e *compile.Call, dst Reg) error {
+func (b *builder) call(e *lang.CallExpr, dst Reg) error {
 	pos := e.Pos()
-	switch e.Builtin {
-	case compile.BuiltinSqrt, compile.BuiltinAbs:
+	switch e.Func {
+	case "sqrt", "abs":
 		r, err := b.realOperand(e.Args[0])
 		if err != nil {
 			return err
 		}
 		op := OpSqrt
-		if e.Builtin == compile.BuiltinAbs {
+		if e.Func == "abs" {
 			op = OpAbs
 		}
 		b.emit(pos, Instr{Op: op, A: dst.Idx, B: r.Idx})
 		return nil
-	case compile.BuiltinRand:
+	case "rand":
 		b.emit(pos, Instr{Op: OpRand, A: dst.Idx})
 		return nil
-	case compile.BuiltinPrint:
+	case "print":
 		return fmt.Errorf("%s: print in value position", pos)
 	}
 	return b.userCall(e, dst)
 }
 
-func (b *builder) userCall(e *compile.Call, dst Reg) error {
-	// Arguments evaluate in order into their source registers (slot
+func (b *builder) userCall(e *lang.CallExpr, dst Reg) error {
+	idx := b.cp.FuncIndex(e.Func)
+	if idx < 0 {
+		return fmt.Errorf("%s: call to unknown function %q", e.Pos(), e.Func)
+	}
+	// Arguments evaluate in order into their source registers (variable
 	// homes pass through untouched). The VM copies them into the callee
 	// frame.
-	callee := b.cp.Funcs[e.FuncIdx]
-	args := make([]Reg, len(e.Args))
+	params := b.cp.Funcs[idx].Decl.Params
+	args := b.argRegs(len(e.Args))
 	for i, a := range e.Args {
-		var r Reg
-		var err error
-		if isReal(callee.Params[i].Type) && !isReal(a.Type()) {
-			r, err = b.realOperand(a)
-		} else {
-			r, err = b.operand(a)
-		}
+		r, err := b.operandAs(a, isReal(params[i].Type))
 		if err != nil {
 			return err
 		}
 		args[i] = r
 	}
 	site := int32(len(b.f.Calls))
-	b.f.Calls = append(b.f.Calls, CallSite{FuncIdx: int32(e.FuncIdx), Args: args, Dst: dst})
+	b.f.Calls = append(b.f.Calls, CallSite{FuncIdx: int32(idx), Args: args, Dst: dst})
 	b.emit(e.Pos(), Instr{Op: OpCall, A: site})
 	return nil
 }
 
-func (b *builder) printCall(e *compile.Call) error {
-	args := make([]Reg, len(e.Args))
+func (b *builder) printCall(e *lang.CallExpr) error {
+	args := b.argRegs(len(e.Args))
 	for i, a := range e.Args {
 		r, err := b.operand(a)
 		if err != nil {
@@ -1078,7 +1256,7 @@ func (b *builder) printCall(e *compile.Call) error {
 	return nil
 }
 
-func (b *builder) bin(e *compile.Bin, dst Reg) error {
+func (b *builder) bin(e *lang.BinExpr, dst Reg) error {
 	pos := e.Pos()
 	op := e.Op
 
@@ -1114,26 +1292,23 @@ func (b *builder) bin(e *compile.Bin, dst Reg) error {
 	xt, yt := e.X.Type(), e.Y.Type()
 	switch {
 	case isStr(xt) && isStr(yt):
-		return b.cmp2(e, dst, OpEqStr, OpNeStr, b.operand)
+		return b.cmp2(e, dst, OpEqStr, OpNeStr)
 	case isPtr(xt) || isPtr(yt):
-		return b.cmp2(e, dst, OpEqNode, OpNeNode, b.operand)
-	case isReal(xt) || isReal(yt):
-		return b.realBin(e, dst)
+		return b.cmp2(e, dst, OpEqNode, OpNeNode)
 	case isBool(xt) && isBool(yt):
-		return b.cmp2(e, dst, OpEqBool, OpNeBool, b.operand)
+		return b.cmp2(e, dst, OpEqBool, OpNeBool)
 	default:
-		return b.intBin(e, dst)
+		return b.arith(e, dst, isReal(xt) || isReal(yt))
 	}
 }
 
 // cmp2 lowers an == / != over same-bank operands.
-func (b *builder) cmp2(e *compile.Bin, dst Reg, eqOp, neOp Op,
-	opnd func(compile.Expr) (Reg, error)) error {
-	rx, err := opnd(e.X)
+func (b *builder) cmp2(e *lang.BinExpr, dst Reg, eqOp, neOp Op) error {
+	rx, err := b.operand(e.X)
 	if err != nil {
 		return err
 	}
-	ry, err := opnd(e.Y)
+	ry, err := b.operand(e.Y)
 	if err != nil {
 		return err
 	}
@@ -1147,79 +1322,36 @@ func (b *builder) cmp2(e *compile.Bin, dst Reg, eqOp, neOp Op,
 	return nil
 }
 
-func (b *builder) realBin(e *compile.Bin, dst Reg) error {
-	rx, err := b.realOperand(e.X)
-	if err != nil {
-		return err
-	}
-	ry, err := b.realOperand(e.Y)
-	if err != nil {
-		return err
-	}
-	var op Op
-	switch e.Op {
-	case lang.PLUS:
-		op = OpAddReal
-	case lang.MINUS:
-		op = OpSubReal
-	case lang.STAR:
-		op = OpMulReal
-	case lang.SLASH:
-		op = OpDivReal
-	case lang.EQ:
-		op = OpEqReal
-	case lang.NEQ:
-		op = OpNeReal
-	case lang.LT:
-		op = OpLtReal
-	case lang.LE:
-		op = OpLeReal
-	case lang.GT:
-		op = OpGtReal
-	case lang.GE:
-		op = OpGeReal
-	default:
-		return fmt.Errorf("%s: bad real op %s", e.Pos(), e.Op)
-	}
-	b.emit(e.Pos(), Instr{Op: op, A: dst.Idx, B: rx.Idx, C: ry.Idx})
-	return nil
+// arithOps gives each arithmetic or comparison operator its int and its
+// real opcode (none for % on reals).
+var arithOps = [lang.OR + 1][2]Op{
+	lang.PLUS: {OpAddInt, OpAddReal}, lang.MINUS: {OpSubInt, OpSubReal}, lang.STAR: {OpMulInt, OpMulReal},
+	lang.SLASH: {OpDivInt, OpDivReal}, lang.PERCENT: {OpModInt},
+	lang.EQ: {OpEqInt, OpEqReal}, lang.NEQ: {OpNeInt, OpNeReal}, lang.LT: {OpLtInt, OpLtReal},
+	lang.LE: {OpLeInt, OpLeReal}, lang.GT: {OpGtInt, OpGtReal}, lang.GE: {OpGeInt, OpGeReal},
 }
 
-func (b *builder) intBin(e *compile.Bin, dst Reg) error {
-	rx, err := b.operand(e.X)
+// arith lowers an int arithmetic or comparison, or with real a real one
+// (whose int operands widen).
+func (b *builder) arith(e *lang.BinExpr, dst Reg, real bool) error {
+	rx, err := b.operandAs(e.X, real)
 	if err != nil {
 		return err
 	}
-	ry, err := b.operand(e.Y)
+	ry, err := b.operandAs(e.Y, real)
 	if err != nil {
 		return err
+	}
+	kind, what := 0, "int"
+	if real {
+		kind, what = 1, "real"
 	}
 	var op Op
-	switch e.Op {
-	case lang.PLUS:
-		op = OpAddInt
-	case lang.MINUS:
-		op = OpSubInt
-	case lang.STAR:
-		op = OpMulInt
-	case lang.SLASH:
-		op = OpDivInt
-	case lang.PERCENT:
-		op = OpModInt
-	case lang.EQ:
-		op = OpEqInt
-	case lang.NEQ:
-		op = OpNeInt
-	case lang.LT:
-		op = OpLtInt
-	case lang.LE:
-		op = OpLeInt
-	case lang.GT:
-		op = OpGtInt
-	case lang.GE:
-		op = OpGeInt
-	default:
-		return fmt.Errorf("%s: bad int op %s", e.Pos(), e.Op)
+	if e.Op >= 0 && e.Op < lang.Token(len(arithOps)) {
+		op = arithOps[e.Op][kind]
+	}
+	if op == opInvalid {
+		return fmt.Errorf("%s: bad %s op %s", e.Pos(), what, e.Op)
 	}
 	b.emit(e.Pos(), Instr{Op: op, A: dst.Idx, B: rx.Idx, C: ry.Idx})
 	return nil

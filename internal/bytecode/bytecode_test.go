@@ -256,3 +256,51 @@ func TestFuncLookup(t *testing.T) {
 		t.Fatalf("Func(nonexistent) = %v, want nil", f)
 	}
 }
+
+// TestCodeSizedOnce: the pre-walk's count bounds every function's code,
+// so Code and Pos are allocated once, at the counted size, and never
+// grow, and it counts each site table exactly. The bound stays close:
+// over the golden programs it overshoots the code by under a quarter.
+func TestCodeSizedOnce(t *testing.T) {
+	var code, bound int
+	for _, name := range goldenFiles {
+		src, err := os.ReadFile(filepath.Join("testdata", name+".psl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := compile.Compile(lang.MustParse(string(src)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp, err := Compile(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range bp.Funcs {
+			b := &builder{cp: cp, fn: cp.Funcs[i].Decl, slotReg: make([]Reg, cp.Funcs[i].Slots)}
+			b.assignSlots(b.fn.Body.Stmts)
+			n := b.n
+			if len(f.Code) > n.code || cap(f.Code) != n.code || cap(f.Pos) != n.code {
+				t.Errorf("%s/%s: %d instructions in Code of cap %d, Pos of cap %d; counted %d",
+					name, f.Name, len(f.Code), cap(f.Code), cap(f.Pos), n.code)
+			}
+			for _, c := range []struct {
+				what      string
+				len, want int
+			}{
+				{"calls", len(f.Calls), n.calls}, {"prints", len(f.Prints), n.prints},
+				{"foralls", len(f.Foralls), n.foralls}, {"news", len(f.News), n.news},
+			} {
+				if c.len != c.want {
+					t.Errorf("%s/%s: %d %s, counted %d", name, f.Name, c.len, c.what, c.want)
+				}
+			}
+			code += len(f.Code)
+			bound += n.code
+		}
+	}
+	t.Logf("%d instructions, bound %d (%.3fx)", code, bound, float64(bound)/float64(code))
+	if 4*bound > 5*code {
+		t.Errorf("the bound %d overshoots %d instructions by over a quarter", bound, code)
+	}
+}

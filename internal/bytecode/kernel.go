@@ -44,10 +44,7 @@
 // engines'.
 package bytecode
 
-import (
-	"repro/internal/compile"
-	"repro/internal/lang"
-)
+import "repro/internal/lang"
 
 // KField is one element field the kernel touches, gathered into (and,
 // when Stored, scattered back from) a slab. Every touched field is
@@ -127,30 +124,30 @@ const (
 
 // matchStrip recognizes the strip shape on a forall whose body has just
 // been lowered (nCalls is len(f.Calls) before the body, bodyLen the
-// number of instructions it lowered to). It returns nil when the loop
-// is not a strip, and with a strip the reason it cannot vectorize
-// whatever its body, when a call argument is an expression the kernel
-// could not reproduce. Compile fills in the Strip's GuardPC once the
-// helper is lowered.
-func (b *builder) matchStrip(s *compile.For, nCalls int, bodyLen int32) (*Strip, string) {
+// number of instructions it lowered to), reading the callee's
+// declaration. It returns nil when the loop is not a strip, and with a
+// strip the reason it cannot vectorize whatever its body, when a call
+// argument is an expression the kernel could not reproduce. Compile
+// fills in the Strip's GuardPC once the helper is lowered.
+func (b *builder) matchStrip(s *lang.ForStmt, nCalls int, bodyLen int32) (*Strip, string) {
 	// The forall body is exactly one call helper(_pe, elem, frees...) of
 	// a procedure ...
-	if len(s.Body) != 1 {
+	if len(s.Body.Stmts) != 1 {
 		return nil, ""
 	}
-	cs, ok := s.Body[0].(*compile.CallStmt)
+	cs, ok := s.Body.Stmts[0].(*lang.CallStmt)
 	if !ok {
 		return nil, ""
 	}
 	call := cs.Call
-	if call.Builtin != compile.NotBuiltin || len(call.Args) < 2 || len(b.f.Calls) != nCalls+1 {
+	if lang.Builtins[call.Func] != nil || len(call.Args) < 2 || len(b.f.Calls) != nCalls+1 {
 		return nil, ""
 	}
-	pe, ok := call.Args[0].(*compile.SlotRef)
+	pe, ok := call.Args[0].(*lang.Ident)
 	if !ok || pe.Slot != s.Slot {
 		return nil, ""
 	}
-	ind, ok := call.Args[1].(*compile.SlotRef)
+	ind, ok := call.Args[1].(*lang.Ident)
 	if !ok || !isPtr(ind.Type()) {
 		return nil, ""
 	}
@@ -160,67 +157,75 @@ func (b *builder) matchStrip(s *compile.For, nCalls int, bodyLen int32) (*Strip,
 	argReason := ""
 	for _, a := range call.Args[2:] {
 		switch a := a.(type) {
-		case *compile.SlotRef:
+		case *lang.Ident:
 			if a.Slot == s.Slot {
 				return nil, ""
 			}
-		case *compile.IntLit, *compile.RealLit, *compile.BoolLit:
+		case *lang.IntLit, *lang.RealLit, *lang.BoolLit:
 		default:
 			argReason = reasonArgExpr
 		}
 	}
-	callee := b.cp.Funcs[call.FuncIdx]
-	if callee.Result != nil || len(callee.Params) != len(call.Args) || len(callee.Body) != 2 {
+	helperIdx := b.f.Calls[nCalls].FuncIdx
+	callee := b.cp.Funcs[helperIdx].Decl
+	if callee.Result != nil || len(callee.Params) != len(call.Args) || len(callee.Body.Stmts) != 2 {
 		return nil, ""
 	}
-	peSlot := callee.Params[0].Slot
-	elemSlot := callee.Params[1].Slot
+	// Parameters hold the first slots.
+	const peSlot, elemSlot = 0, 1
 
 	// ... whose body is the skip loop `for _k = 1 to _pe { elem =
 	// elem->adv }` followed by the NULL guard `if elem != NULL {...}`.
-	skip, ok := callee.Body[0].(*compile.For)
-	if !ok || skip.Parallel || len(skip.Body) != 1 {
+	skip, ok := callee.Body.Stmts[0].(*lang.ForStmt)
+	if !ok || skip.Parallel || len(skip.Body.Stmts) != 1 {
 		return nil, ""
 	}
-	fromLit, ok := skip.From.(*compile.IntLit)
+	fromLit, ok := skip.From.(*lang.IntLit)
 	if !ok || fromLit.Val != 1 {
 		return nil, ""
 	}
-	toRef, ok := skip.To.(*compile.SlotRef)
+	toRef, ok := skip.To.(*lang.Ident)
 	if !ok || toRef.Slot != peSlot {
 		return nil, ""
 	}
-	adv, ok := skip.Body[0].(*compile.AssignSlot)
-	if !ok || adv.Slot != elemSlot {
+	adv, ok := skip.Body.Stmts[0].(*lang.AssignStmt)
+	if !ok {
 		return nil, ""
 	}
-	advLoad, ok := adv.RHS.(*compile.Load)
-	if !ok || !advLoad.IsPtr || advLoad.Index != nil {
+	if lhs, ok := adv.LHS.(*lang.Ident); !ok || lhs.Slot != elemSlot {
 		return nil, ""
 	}
-	advBase, ok := advLoad.X.(*compile.SlotRef)
+	advLoad, ok := adv.RHS.(*lang.FieldExpr)
+	if !ok || advLoad.Index != nil {
+		return nil, ""
+	}
+	advField, err := b.field(advLoad)
+	if err != nil || !advField.IsPtr {
+		return nil, ""
+	}
+	advBase, ok := advLoad.X.(*lang.Ident)
 	if !ok || advBase.Slot != elemSlot {
 		return nil, ""
 	}
-	guard, ok := callee.Body[1].(*compile.If)
-	if !ok || len(guard.Else) != 0 {
+	guard, ok := callee.Body.Stmts[1].(*lang.IfStmt)
+	if !ok || guard.Else != nil && len(guard.Else.Stmts) != 0 {
 		return nil, ""
 	}
-	cond, ok := guard.Cond.(*compile.Bin)
+	cond, ok := guard.Cond.(*lang.BinExpr)
 	if !ok || cond.Op != lang.NEQ {
 		return nil, ""
 	}
-	condX, ok := cond.X.(*compile.SlotRef)
+	condX, ok := cond.X.(*lang.Ident)
 	if !ok || condX.Slot != elemSlot {
 		return nil, ""
 	}
-	if _, ok := cond.Y.(*compile.NullLit); !ok {
+	if _, ok := cond.Y.(*lang.NullLit); !ok {
 		return nil, ""
 	}
 	return &Strip{
-		HelperIdx:   int32(call.FuncIdx),
+		HelperIdx:   helperIdx,
 		CallSite:    int32(nCalls),
-		AdvanceOff:  int32(advLoad.Off),
+		AdvanceOff:  int32(advField.Off),
 		AdvanceName: advLoad.Field,
 		ArgsInRegs:  bodyLen == 2,
 	}, argReason
@@ -697,9 +702,9 @@ func newKernel(h *Func, start int32) (*Kernel, string) {
 		}
 		switch {
 		case isFieldLoad(in.Op):
-			in = Instr{Op: movOf(fieldBank(in.Op)), A: in.A, B: k.Fields[p.field].Slab}
+			in = Instr{Op: movOps[fieldBank(in.Op)], A: in.A, B: k.Fields[p.field].Slab}
 		case isFieldStore(in.Op):
-			in = Instr{Op: movOf(fieldBank(in.Op)), A: k.Fields[p.field].Slab, B: in.B}
+			in = Instr{Op: movOps[fieldBank(in.Op)], A: k.Fields[p.field].Slab, B: in.B}
 		case isCondBranch(in.Op):
 			in.C = p.split
 		case in.Op == OpStep:
@@ -811,14 +816,4 @@ func fieldBank(op Op) Bank {
 		return opRegs[op][1].bank
 	}
 	return opRegs[op][0].bank
-}
-
-func movOf(bank Bank) Op {
-	switch bank {
-	case BankInt:
-		return OpMovInt
-	case BankReal:
-		return OpMovReal
-	}
-	return OpMovBool
 }

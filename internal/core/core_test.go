@@ -442,7 +442,7 @@ func TestPlannedAnalysisErrorSurfacesAtFirstUse(t *testing.T) {
 	loop := c.Program.Func("total").Body.Stmts[2].(*lang.WhileStmt)
 	advance := loop.Body.Stmts[len(loop.Body.Stmts)-1].(*lang.AssignStmt)
 	inner := advance.RHS.(*lang.FieldExpr)
-	outer := &lang.FieldExpr{X: inner, Field: "next"}
+	outer := &lang.FieldExpr{X: inner, Field: "next", FieldID: inner.FieldID}
 	outer.SetType(inner.Type())
 	advance.RHS = outer
 

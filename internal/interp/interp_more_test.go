@@ -200,3 +200,27 @@ func TestNewBuildsEveryTime(t *testing.T) {
 		t.Errorf("a walk interpreter and two runs of one handle built %d times, want 1", d)
 	}
 }
+
+// TestCompiledProgramOneError: a handle has one error. A program the
+// lowering rejects — a var whose type no register bank holds — fails
+// its handle's Err, as a program the tables reject does, so a caller
+// that checks Err (serve's miss path) never keeps code whose every Call
+// would fail; the VM reports the same error, and the walker still runs
+// the program.
+func TestCompiledProgramOneError(t *testing.T) {
+	prog := lang.MustParse(`function int f() { var int x = 1; return x + 1; }`)
+	prog.Func("f").Body.Stmts[0].(*lang.VarStmt).DeclType = &lang.Scalar{Kind: 9}
+	cp := CompileProgram(prog)
+	if cp.Err() == nil || !strings.Contains(cp.Err().Error(), "unbankable type") {
+		t.Fatalf("Err() = %v, want the lowering's failure", cp.Err())
+	}
+	if bc, err := cp.Bytecode(); bc != nil || err != cp.Err() {
+		t.Errorf("Bytecode() = %v, %v; want nil and Err()'s error", bc, err)
+	}
+	if _, _, err := RunCompiled(cp, Config{}, "f"); err == nil || !strings.Contains(err.Error(), cp.Err().Error()) {
+		t.Errorf("run on the VM: %v, want %v", err, cp.Err())
+	}
+	if v, _, err := RunCompiled(cp, Config{Engine: EngineWalk}, "f"); err != nil || v.I != 2 {
+		t.Errorf("run on the walker: %v, %v; want 2", v, err)
+	}
+}

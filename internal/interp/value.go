@@ -44,7 +44,7 @@ const (
 // index the slices with offsets resolved at compile time; the
 // tree-walker, the shape checker and the Field* inspectors start from a
 // field name and find its position in the declaration themselves (data,
-// ptrs), so the oracle does not lean on the compile IR it checks.
+// ptrs), so the oracle does not lean on the offset table it checks.
 // Stores write one slot in place and the slices never grow, which keeps
 // concurrent access to different fields of one node race-free — the
 // parallel executor relies on it (the dependence test guarantees no two

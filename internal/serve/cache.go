@@ -190,8 +190,8 @@ type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
-	// Compiles counts front-end builds (parse + check + compile IR +
-	// bytecode). The hot-path contract is that it tracks misses, never
+	// Compiles counts front-end builds (parse + check + compile's tables
+	// + the bytecode lowering). The hot-path contract is that it tracks misses, never
 	// hits: TestHotPathZeroCompileWork pins it together with
 	// interp.CompileCount.
 	Compiles int64 `json:"compiles"`

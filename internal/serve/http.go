@@ -20,14 +20,11 @@
 // "error" begins with says which:
 //
 //   - "compile: …": the program could not be built — a parse or check
-//     error, or for an auto request a failed plan: path-matrix analysis
-//     of the input (the only analysis a request runs — nothing here
-//     analyses the planned program) or a planned program that does not
-//     compile. No plan in the reply; the failure is cached.
-//   - "interp: bytecode engine: …": it compiled but did not lower to
-//     bytecode. An auto reply still carries its plan, each approved
-//     loop's vector_reason reading "kernel lowering unavailable: …".
-//     Only an in-process run on the tree walker still runs it.
+//     error, a program (or for an auto request, a planned program) that
+//     does not lower to bytecode, or a failed plan: path-matrix
+//     analysis of the input (the only analysis a request runs — nothing
+//     here analyses the planned program). No plan in the reply; the
+//     failure is cached.
 //   - "<line>:<col>: interp: …": the run failed — a fault or a budget.
 //   - "serve: cancelled while …": the client or the deadline gave up
 //     before the run began; "… while queued" is counted as abandoned,

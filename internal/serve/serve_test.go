@@ -1032,13 +1032,13 @@ func TestBuildReportsPlannedCompileFailure(t *testing.T) {
 //     the planned program (core.AutoParallel's callers may, and then see
 //     the error at that first use — internal/core pins it). A serial
 //     request for the same program runs: nothing analyses it.
-//   - the planned program does not compile: 200 ok:false "compile: …",
-//     no plan; the failure is cached.
-//   - the planned program compiles but does not lower to bytecode: the
-//     entry is cached with its plan, every approved loop saying
-//     "kernel lowering unavailable: …" for a vector verdict, and a run
-//     is 200 ok:false "interp: bytecode engine: …"; the walker, which
-//     needs no bytecode, still runs it in process.
+//   - the planned program does not compile — a use the lowering cannot
+//     resolve, or a type no register bank holds: 200 ok:false
+//     "compile: bytecode: …", no plan; the failure is cached, not an
+//     entry every hit would fail to run. The plan itself still says
+//     "kernel lowering unavailable: …" for each approved loop's vector
+//     verdict, and the walker, which needs no bytecode, still runs the
+//     planned program in process.
 func TestPlanFailureReplies(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -1075,7 +1075,7 @@ func TestPlanFailureReplies(t *testing.T) {
 		loop := total.Body.Stmts[2].(*lang.WhileStmt)
 		advance := loop.Body.Stmts[len(loop.Body.Stmts)-1].(*lang.AssignStmt)
 		inner := advance.RHS.(*lang.FieldExpr)
-		outer := &lang.FieldExpr{X: inner, Field: "next"}
+		outer := &lang.FieldExpr{X: inner, Field: "next", FieldID: inner.FieldID}
 		outer.SetType(inner.Type())
 		advance.RHS = outer
 	}
@@ -1108,12 +1108,9 @@ func TestPlanFailureReplies(t *testing.T) {
 	}
 	plant(src, true, noBank)
 	resp = post(Request{Source: src, Auto: true})
-	if resp.OK || !strings.HasPrefix(resp.Error, "interp: bytecode engine: bytecode: total: ") {
+	if resp.OK || !strings.HasPrefix(resp.Error, "compile: bytecode: total: ") || !strings.Contains(resp.Error, "unbankable type") ||
+		resp.Plan != nil || resp.Steps != 0 {
 		t.Errorf("planned program does not lower: %+v", resp)
-	}
-	if resp.Plan == nil || len(resp.Plan.Parallelized) != 1 || resp.Plan.Parallelized[0].Vectorized ||
-		!strings.HasPrefix(resp.Plan.Parallelized[0].VectorReason, "kernel lowering unavailable: bytecode: total: ") {
-		t.Errorf("planned program does not lower: plan %+v", resp.Plan)
 	}
 	// The walker, which needs no bytecode, still runs the planned program.
 	p := lang.MustParse(scalePar)
@@ -1125,6 +1122,11 @@ func TestPlanFailureReplies(t *testing.T) {
 	ap, err := c.AutoParallel(width)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, lp := range ap.Plan.Loops {
+		if lp.Parallelized && (lp.Vectorized || !strings.HasPrefix(lp.VectorReason, "kernel lowering unavailable: bytecode: total: ")) {
+			t.Errorf("planned program does not lower: loop %+v", lp)
+		}
 	}
 	if v, _, err := ap.Run(core.RunConfig{Engine: interp.EngineWalk}, "main"); err != nil || v.String() != "630" {
 		t.Errorf("planned program does not lower, on the walker: %v, %v; want 630", v, err)
