@@ -437,7 +437,8 @@ type builder struct {
 
 	strIdx map[string]int32
 	// names[id] is the index of field name id in the current function's
-	// Names pool, when its fn is the function's number (index + 1).
+	// Names pool, when its fn is the function's number (index + 1); the
+	// pre-walk marks the names it counts with the number negated.
 	names []nameRef
 	fnNum int32
 	// args is what is left of the current function's argument-register
@@ -450,7 +451,7 @@ type nameRef struct{ fn, idx int32 }
 // size is what a function's pre-walk counts: a bound on the
 // instructions its code holds, and the size of its site tables.
 type size struct {
-	code, calls, args, prints, foralls, news int
+	code, calls, args, prints, foralls, news, names int
 }
 
 func (b *builder) lowerFunc(bf *Func, f *compile.Func, i int) error {
@@ -478,6 +479,7 @@ func (b *builder) lowerFunc(bf *Func, f *compile.Func, i int) error {
 	bf.Prints = make([]PrintSite, 0, b.n.prints)
 	bf.Foralls = make([]ForallSite, 0, b.n.foralls)
 	bf.News = make([]NewSite, 0, b.n.news)
+	bf.Names = make([]string, 0, b.n.names)
 	b.args = make([]Reg, b.n.args)
 	if err := b.stmts(fn.Body.Stmts); err != nil {
 		return err
@@ -541,6 +543,7 @@ func (b *builder) assignSlots(stmts []lang.Stmt) {
 		case *lang.AssignStmt:
 			if fe, ok := s.LHS.(*lang.FieldExpr); ok {
 				n.code++ // the store
+				b.countName(fe)
 				b.count(fe.X, false, false)
 				if fe.Index != nil {
 					n.code++ // the indexed store's null check
@@ -613,6 +616,7 @@ func (b *builder) count(e lang.Expr, into, real bool) {
 		n.code++ // const.int, or const.real widened
 		return
 	case *lang.FieldExpr:
+		b.countName(e)
 		b.count(e.X, false, false)
 		if e.Index != nil {
 			n.code++ // the indexed load's null check
@@ -700,11 +704,18 @@ func (b *builder) name(fe *lang.FieldExpr) int32 {
 	return ref.idx
 }
 
-// argRegs takes n argument registers from the function's array.
-func (b *builder) argRegs(n int) []Reg {
-	if len(b.args) < n { // the pre-walk counts every argument
-		b.args = make([]Reg, n)
+// countName counts fe's field name into the function's Names pool,
+// once.
+func (b *builder) countName(fe *lang.FieldExpr) {
+	if uint(fe.FieldID) < uint(len(b.names)) && b.names[fe.FieldID].fn != -b.fnNum {
+		b.names[fe.FieldID].fn = -b.fnNum
+		b.n.names++
 	}
+}
+
+// argRegs takes n argument registers from the function's array, which
+// the pre-walk sized to every call's and print's arguments.
+func (b *builder) argRegs(n int) []Reg {
 	r := b.args[:n:n]
 	b.args = b.args[n:]
 	return r

@@ -257,6 +257,18 @@ func TestFuncLookup(t *testing.T) {
 	}
 }
 
+// args counts the argument registers of f's calls and prints.
+func args(f *Func) int {
+	n := 0
+	for _, c := range f.Calls {
+		n += len(c.Args)
+	}
+	for _, p := range f.Prints {
+		n += len(p.Args)
+	}
+	return n
+}
+
 // TestCodeSizedOnce: the pre-walk's count bounds every function's code,
 // so Code and Pos are allocated once, at the counted size, and never
 // grow, and it counts each site table exactly. The bound stays close:
@@ -277,7 +289,8 @@ func TestCodeSizedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, f := range bp.Funcs {
-			b := &builder{cp: cp, fn: cp.Funcs[i].Decl, slotReg: make([]Reg, cp.Funcs[i].Slots)}
+			b := &builder{cp: cp, fn: cp.Funcs[i].Decl, slotReg: make([]Reg, cp.Funcs[i].Slots),
+				names: make([]nameRef, cp.Lang.Names().Len()), fnNum: int32(i) + 1}
 			b.assignSlots(b.fn.Body.Stmts)
 			n := b.n
 			if len(f.Code) > n.code || cap(f.Code) != n.code || cap(f.Pos) != n.code {
@@ -290,6 +303,7 @@ func TestCodeSizedOnce(t *testing.T) {
 			}{
 				{"calls", len(f.Calls), n.calls}, {"prints", len(f.Prints), n.prints},
 				{"foralls", len(f.Foralls), n.foralls}, {"news", len(f.News), n.news},
+				{"field names", len(f.Names), n.names}, {"arguments", args(f), n.args},
 			} {
 				if c.len != c.want {
 					t.Errorf("%s/%s: %d %s, counted %d", name, f.Name, c.len, c.what, c.want)
