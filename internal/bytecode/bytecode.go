@@ -454,9 +454,9 @@ type size struct {
 	code, calls, args, prints, foralls, news, names int
 }
 
-func (b *builder) lowerFunc(bf *Func, f *compile.Func, i int) error {
+func (b *builder) lowerFunc(bf *Func, f *compile.Func, idx int) error {
 	fn := f.Decl
-	b.fn, b.f, b.fnNum, b.n, b.err = fn, bf, int32(i)+1, size{}, nil
+	b.fn, b.f, b.fnNum, b.n, b.err = fn, bf, int32(idx)+1, size{}, nil
 	b.permTop, b.tempTop, b.maxTop = [6]int32{}, [6]int32{}, [6]int32{}
 	b.strIdx = nil
 	b.slotReg = append(b.slotReg[:0], make([]Reg, f.Slots)...)
