@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -439,7 +440,9 @@ func (ip *Interp) Call(fn string, args ...Value) (Value, error) {
 		}
 		return v, err
 	}
-	return ip.callFunc(f, args, 0)
+	vals := make([]Value, max(len(args), len(f.Vars)))
+	copy(vals, args)
+	return ip.callFunc(f, vals, 0)
 }
 
 // Run is a convenience: interpret fn and return stats.
@@ -538,50 +541,37 @@ func (ip *Interp) rand() float64 {
 // ---------------------------------------------------------------------------
 // Frames
 
+// frame is one call's variables, indexed by the checker's slots: vals[i]
+// holds the declaration fn.Vars[i] names — the parameters at 0..n-1,
+// then every var and loop variable of the body. Fields stay resolved by
+// name (Node.data, Node.ptrs): the walker does not lean on the offset
+// table the VM's lowering builds.
 type frame struct {
-	fn     *lang.FuncDecl
-	scopes []map[string]*Value
+	fn   *lang.FuncDecl
+	vals []Value
 }
 
-func (fr *frame) push() { fr.scopes = append(fr.scopes, map[string]*Value{}) }
-func (fr *frame) pop()  { fr.scopes = fr.scopes[:len(fr.scopes)-1] }
-
-func (fr *frame) declare(name string, v Value) {
-	val := v
-	fr.scopes[len(fr.scopes)-1][name] = &val
-}
-
-func (fr *frame) lookup(name string) (*Value, bool) {
-	for i := len(fr.scopes) - 1; i >= 0; i-- {
-		if v, ok := fr.scopes[i][name]; ok {
-			return v, true
-		}
+// at returns the variable in slot s if fn.Vars says s holds the name id,
+// as the bytecode builder checks of every use, and nil otherwise.
+func (fr frame) at(id lang.ID, s int) *Value {
+	if uint(s) < uint(len(fr.fn.Vars)) && fr.fn.Vars[s] == id {
+		return &fr.vals[s]
 	}
-	return nil, false
+	return nil
 }
 
-// snapshot returns a frame whose scopes copy the current bindings;
-// parallel iterations get independent frames so concurrent variable
-// writes cannot race (heap writes are the program's responsibility —
-// the dependence test guarantees transformed code is race-free).
-//
-// Cost note: this rebuilds every scope map of the live frame on every
-// forall iteration fork — the dominant allocation source of walker
-// parallel runs (~330k allocs per R2 force run vs ~0.9k for the
-// bytecode VM, whose register-bank fork is five slice copies; see
-// DESIGN.md's R3 section and BENCH_interp.json). Kept as-is: the
-// walker is the oracle, and oracles should stay simple.
-func (fr *frame) snapshot() *frame {
-	nf := &frame{fn: fr.fn}
-	for _, sc := range fr.scopes {
-		nsc := make(map[string]*Value, len(sc))
-		for k, v := range sc {
-			val := *v
-			nsc[k] = &val
-		}
-		nf.scopes = append(nf.scopes, nsc)
-	}
-	return nf
+// unresolved is the error for a use or declaration whose slot at
+// rejects: the program was not checked, or not again after a rewrite.
+func (fr frame) unresolved(pos lang.Pos, name string, s int) error {
+	return fmt.Errorf("%s: interp: %s: variable %q does not resolve to slot %d (program not checked?)", pos, fr.fn.Name, name, s)
+}
+
+// snapshot returns a copy of the frame for one parallel iteration, so
+// concurrent variable writes cannot race (heap writes are the program's
+// responsibility — the dependence test guarantees transformed code is
+// race-free). It is one slice copy, as the VM's register-bank fork is.
+func (fr frame) snapshot() frame {
+	return frame{fn: fr.fn, vals: slices.Clone(fr.vals)}
 }
 
 // ---------------------------------------------------------------------------
@@ -594,17 +584,20 @@ const (
 	ctrlReturn
 )
 
-func (ip *Interp) callFunc(f *lang.FuncDecl, args []Value, depth int) (Value, error) {
+// callFunc runs f on vals, its frame: at least len(f.Vars) long, with
+// the call's arguments in the parameter slots (parameter i is slot i).
+func (ip *Interp) callFunc(f *lang.FuncDecl, vals []Value, depth int) (Value, error) {
 	if depth > ip.maxDepth {
 		return Value{}, fmt.Errorf("interp: recursion depth exceeded in %s", f.Name)
 	}
-	ip.charge(ip.cfg.Costs.CallOver)
-	fr := &frame{fn: f}
-	fr.push()
-	for i, prm := range f.Params {
-		fr.declare(prm.Name, coerce(args[i], prm.Type))
+	if f.Vars == nil {
+		return Value{}, fmt.Errorf("%s: interp: function %s is not checked", f.Pos(), f.Name)
 	}
-	c, rv, err := ip.execBlock(f.Body, fr, depth)
+	ip.charge(ip.cfg.Costs.CallOver)
+	for i, prm := range f.Params {
+		vals[i] = coerce(vals[i], prm.Type)
+	}
+	c, rv, err := ip.execBlock(f.Body, frame{fn: f, vals: vals}, depth)
 	if err != nil {
 		return Value{}, err
 	}
@@ -620,9 +613,7 @@ func (ip *Interp) callFunc(f *lang.FuncDecl, args []Value, depth int) (Value, er
 	return Value{}, nil
 }
 
-func (ip *Interp) execBlock(b *lang.Block, fr *frame, depth int) (ctrl, Value, error) {
-	fr.push()
-	defer fr.pop()
+func (ip *Interp) execBlock(b *lang.Block, fr frame, depth int) (ctrl, Value, error) {
 	for _, s := range b.Stmts {
 		c, rv, err := ip.execStmt(s, fr, depth)
 		if err != nil {
@@ -635,7 +626,7 @@ func (ip *Interp) execBlock(b *lang.Block, fr *frame, depth int) (ctrl, Value, e
 	return ctrlNext, Value{}, nil
 }
 
-func (ip *Interp) execStmt(s lang.Stmt, fr *frame, depth int) (ctrl, Value, error) {
+func (ip *Interp) execStmt(s lang.Stmt, fr frame, depth int) (ctrl, Value, error) {
 	if err := ip.step(s.Pos()); err != nil {
 		return ctrlNext, Value{}, err
 	}
@@ -652,8 +643,12 @@ func (ip *Interp) execStmt(s lang.Stmt, fr *frame, depth int) (ctrl, Value, erro
 			}
 			v = coerce(iv, s.DeclType)
 		}
+		slot := fr.at(s.ID, s.Slot)
+		if slot == nil {
+			return ctrlNext, Value{}, fr.unresolved(s.Pos(), s.Name, s.Slot)
+		}
 		ip.charge(ip.cfg.Costs.VarAccess)
-		fr.declare(s.Name, v)
+		*slot = v
 		return ctrlNext, Value{}, nil
 
 	case *lang.AssignStmt:
@@ -715,16 +710,16 @@ func (ip *Interp) execStmt(s lang.Stmt, fr *frame, depth int) (ctrl, Value, erro
 	return ctrlNext, Value{}, fmt.Errorf("%s: interp: unknown statement %T", s.Pos(), s)
 }
 
-func (ip *Interp) execAssign(s *lang.AssignStmt, fr *frame, depth int) error {
+func (ip *Interp) execAssign(s *lang.AssignStmt, fr frame, depth int) error {
 	rv, err := ip.eval(s.RHS, fr, depth)
 	if err != nil {
 		return err
 	}
 	switch lhs := s.LHS.(type) {
 	case *lang.Ident:
-		slot, ok := fr.lookup(lhs.Name)
-		if !ok {
-			return fmt.Errorf("%s: interp: undefined variable %q", s.Pos(), lhs.Name)
+		slot := fr.at(lhs.ID, lhs.Slot)
+		if slot == nil {
+			return fr.unresolved(s.Pos(), lhs.Name, lhs.Slot)
 		}
 		ip.charge(ip.cfg.Costs.VarAccess)
 		*slot = coerce(rv, lhs.Type())
@@ -769,7 +764,7 @@ func (ip *Interp) execAssign(s *lang.AssignStmt, fr *frame, depth int) error {
 	return fmt.Errorf("%s: interp: bad assignment target %T", s.Pos(), s.LHS)
 }
 
-func (ip *Interp) execFor(s *lang.ForStmt, fr *frame, depth int) (ctrl, Value, error) {
+func (ip *Interp) execFor(s *lang.ForStmt, fr frame, depth int) (ctrl, Value, error) {
 	fromV, err := ip.eval(s.From, fr, depth)
 	if err != nil {
 		return ctrlNext, Value{}, err
@@ -779,13 +774,15 @@ func (ip *Interp) execFor(s *lang.ForStmt, fr *frame, depth int) (ctrl, Value, e
 		return ctrlNext, Value{}, err
 	}
 	from, to := fromV.I, toV.I
+	iv := fr.at(s.ID, s.Slot)
+	if iv == nil {
+		return ctrlNext, Value{}, fr.unresolved(s.Pos(), s.Var, s.Slot)
+	}
 
 	if !s.Parallel {
 		for k := from; k <= to; k++ {
-			fr.push()
-			fr.declare(s.Var, IntVal(k))
+			*iv = IntVal(k)
 			c, rv, err := ip.execBlock(s.Body, fr, depth)
-			fr.pop()
 			if err != nil {
 				return ctrlNext, Value{}, err
 			}
@@ -808,18 +805,15 @@ func (ip *Interp) execFor(s *lang.ForStmt, fr *frame, depth int) (ctrl, Value, e
 	}
 	if ip.cfg.Mode == Simulated {
 		return ctrlNext, Value{}, ip.simForall(from, to, s.Pos(), func(k int64) (ctrl, error) {
-			fr.push()
-			fr.declare(s.Var, IntVal(k))
+			*iv = IntVal(k)
 			c, _, err := ip.execBlock(s.Body, fr, depth)
-			fr.pop()
 			return c, err
 		})
 	}
 	// Each iteration gets a snapshot frame.
 	return ctrlNext, Value{}, ip.realForall(s.Pos(), from, to, func(w *Interp, k int64) (ctrl, error) {
 		nf := fr.snapshot()
-		nf.push()
-		nf.declare(s.Var, IntVal(k))
+		nf.vals[s.Slot] = IntVal(k)
 		c, _, err := w.execBlock(s.Body, nf, depth)
 		return c, err
 	})
@@ -1028,12 +1022,12 @@ func (ip *Interp) simForall(from, to int64, pos lang.Pos, runIter func(k int64) 
 // ---------------------------------------------------------------------------
 // Expressions
 
-func (ip *Interp) eval(e lang.Expr, fr *frame, depth int) (Value, error) {
+func (ip *Interp) eval(e lang.Expr, fr frame, depth int) (Value, error) {
 	switch e := e.(type) {
 	case *lang.Ident:
-		slot, ok := fr.lookup(e.Name)
-		if !ok {
-			return Value{}, fmt.Errorf("%s: interp: undefined variable %q", e.Pos(), e.Name)
+		slot := fr.at(e.ID, e.Slot)
+		if slot == nil {
+			return Value{}, fr.unresolved(e.Pos(), e.Name, e.Slot)
 		}
 		ip.charge(ip.cfg.Costs.VarAccess)
 		return *slot, nil
@@ -1148,7 +1142,7 @@ func (ip *Interp) printLine(pos lang.Pos, args []Value) error {
 	return nil
 }
 
-func (ip *Interp) evalField(e *lang.FieldExpr, fr *frame, depth int) (Value, error) {
+func (ip *Interp) evalField(e *lang.FieldExpr, fr frame, depth int) (Value, error) {
 	base, err := ip.eval(e.X, fr, depth)
 	if err != nil {
 		return Value{}, err
@@ -1186,14 +1180,22 @@ func (ip *Interp) evalField(e *lang.FieldExpr, fr *frame, depth int) (Value, err
 	return *v, nil
 }
 
-func (ip *Interp) evalCall(e *lang.CallExpr, fr *frame, depth int) (Value, error) {
-	args := make([]Value, len(e.Args))
+func (ip *Interp) evalCall(e *lang.CallExpr, fr frame, depth int) (Value, error) {
+	// A function's arguments are evaluated into its frame.
+	n, f := len(e.Args), ip.prog.Func(e.Func)
+	if f != nil {
+		n = max(n, len(f.Vars))
+	}
+	args := make([]Value, n)
 	for i, a := range e.Args {
 		v, err := ip.eval(a, fr, depth)
 		if err != nil {
 			return Value{}, err
 		}
 		args[i] = v
+	}
+	if f != nil {
+		return ip.callFunc(f, args, depth+1)
 	}
 	switch e.Func {
 	case "sqrt":
@@ -1208,14 +1210,10 @@ func (ip *Interp) evalCall(e *lang.CallExpr, fr *frame, depth int) (Value, error
 	case "print":
 		return Value{}, ip.printLine(e.Pos(), args)
 	}
-	f := ip.prog.Func(e.Func)
-	if f == nil {
-		return Value{}, fmt.Errorf("%s: interp: call to unknown function %q", e.Pos(), e.Func)
-	}
-	return ip.callFunc(f, args, depth+1)
+	return Value{}, fmt.Errorf("%s: interp: call to unknown function %q", e.Pos(), e.Func)
 }
 
-func (ip *Interp) evalBin(e *lang.BinExpr, fr *frame, depth int) (Value, error) {
+func (ip *Interp) evalBin(e *lang.BinExpr, fr frame, depth int) (Value, error) {
 	// Short-circuit logic first.
 	if e.Op == lang.AND || e.Op == lang.OR {
 		x, err := ip.eval(e.X, fr, depth)
