@@ -16,7 +16,7 @@
 //	                   after -stripmine, on -pes real PEs unless -sim
 //	-shapecheck        validate ADDS shape promises at runtime (§2.2)
 //	-sim               run on the simulated machine (with -pes): the
-//	                   tree walker counting cycles, ~20x slower than
+//	                   tree walker counting cycles, ~10x slower than
 //	                   the VM a plain -run uses
 //	-pes n             PE count: simulated with -sim, real after
 //	                   -stripmine (default 4)
@@ -40,7 +40,7 @@ func main() {
 	matrixAt := flag.String("matrix", "", "fn:stmt — print matrix after stmt")
 	stripmine := flag.String("stripmine", "", "fn:loop:pes — strip-mine a loop")
 	runFn := flag.String("run", "", "function to interpret (niladic)")
-	sim := flag.Bool("sim", false, "use the simulated Sequent machine (runs on the tree walker, ~20x slower than the VM)")
+	sim := flag.Bool("sim", false, "use the simulated Sequent machine (runs on the tree walker, ~10x slower than the VM)")
 	pes := flag.Int("pes", 4, "PE count: simulated with -sim, real for -run after -stripmine")
 	seed := flag.Uint64("seed", 7, "rand() seed")
 	shapecheck := flag.Bool("shapecheck", false, "validate ADDS shapes at runtime during -run")
