@@ -14,19 +14,18 @@ import (
 // has no slots, and a walk run of it is an error that names the
 // function, not a panic and not an answer.
 func TestWalkRejectsUncheckedProgram(t *testing.T) {
-	for _, tc := range []struct{ src, fn string }{
-		{"function int f(int n) { var int x = n + 1; return x; }", "f"},
-		{"function int g() { return 4; }", "g"},
+	for _, tc := range []struct {
+		src, fn string
+		args    []Value
+	}{
+		{"function int f(int n) { var int x = n + 1; return x; }", "f", []Value{IntVal(3)}},
+		{"function int g() { return 4; }", "g", nil},
 	} {
 		prog, err := lang.ParseRaw(tc.src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var args []Value
-		if tc.fn == "f" {
-			args = []Value{IntVal(3)}
-		}
-		v, err := New(prog, Config{Engine: EngineWalk}).Call(tc.fn, args...)
+		v, err := New(prog, Config{Engine: EngineWalk}).Call(tc.fn, tc.args...)
 		if err == nil || !strings.Contains(err.Error(), "function "+tc.fn+" ") {
 			t.Errorf("%s: got %v, %v; want an error naming the function", tc.fn, v, err)
 		}
