@@ -3,6 +3,7 @@ package lang
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // fuzzSeeds are small but representative PSL programs: every statement
@@ -50,12 +51,18 @@ function real g(T *t, int k) {
 }
 
 // FuzzLexer: the lexer never panics and either yields lexemes ending
-// in EOF or reports an error.
+// in EOF or reports an error, and on a source with no byte at or above
+// 0x80 it agrees with the reference lexer (LexDiff) lexeme for lexeme.
 func FuzzLexer(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if !strings.ContainsFunc(src, func(r rune) bool { return r >= utf8.RuneSelf }) {
+			if d := LexDiff(src); d != "" {
+				t.Fatalf("LexAll and the reference disagree: %s\n--- source ---\n%q", d, src)
+			}
+		}
 		lexemes, err := LexAll(src)
 		if err != nil {
 			return

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -140,5 +141,44 @@ func TestLexIllegal(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "unexpected character") && !strings.Contains(err.Error(), "1:") {
 			t.Errorf("LexAll(%q) error lacks position: %v", src, err)
 		}
+	}
+}
+
+// TestLexUnicode: a byte at or above 0x80 is read as part of a UTF-8
+// character. Identifiers take Unicode letters (and digits after the
+// first), an error names the character the source holds, invalid UTF-8
+// is an error at its byte, and columns count bytes. The lexer before
+// this read each byte as a Latin-1 rune: café failed on '©', π on
+// '\u0080', and ªb lexed only because both bytes of ª are Latin-1
+// letters.
+func TestLexUnicode(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"var int café = 1;", `var@1:1 int@1:5 identifier("café")@1:9 =@1:15 int literal("1")@1:17 ;@1:18 EOF@1:19`},
+		{"π", `identifier("π")@1:1 EOF@1:3`},
+		{"ªb", `identifier("ªb")@1:1 EOF@1:4`},
+		{"x٣ _é", `identifier("x٣")@1:1 identifier("_é")@1:5 EOF@1:8`},
+		{`"é\t" é`, `string literal("é\t")@1:1 identifier("é")@1:8 EOF@1:10`},
+		{"a ©", "1:3: unexpected character '©'"},
+		{"\n ٣x", "2:2: unexpected character '٣'"},
+		{"a\xffb", "1:2: invalid UTF-8 byte 0xff"},
+		{"é\xe9", "1:3: invalid UTF-8 byte 0xe9"},
+		{`"\é"`, `1:1: unknown string escape \é`},
+	} {
+		lexemes, err := LexAll(c.src)
+		got := fmt.Sprint(err)
+		if err == nil {
+			var parts []string
+			for _, l := range lexemes {
+				parts = append(parts, fmt.Sprintf("%s@%s", l, l.Pos))
+			}
+			got = strings.Join(parts, " ")
+		}
+		if got != c.want {
+			t.Errorf("LexAll(%q) = %s, want %s", c.src, got, c.want)
+		}
+	}
+	prog, err := Parse("function real área(real lado) { var real π = 3.14; return π * lado * lado; }")
+	if err != nil || prog.Func("área") == nil {
+		t.Errorf("Unicode identifiers do not parse: %v", err)
 	}
 }

@@ -1,9 +1,13 @@
 package lang_test
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/interp"
@@ -39,14 +43,11 @@ function int hops(int n) {
   return hops;
 }`
 
-// TestParseMatchesReference holds Parse — lexemes pulled on demand, one
-// type check — to the reference pipeline in parse_ref_test.go (the
-// whole source lexed first, a second check after normalization): the
-// same printed program, the same type on every expression and the same
-// error text, over the corpus, both program generators and sources
-// whose first error is a lexing error behind a syntax or declaration
-// error.
-func TestParseMatchesReference(t *testing.T) {
+// frontCorpus is the sources the front end's oracles run over: the
+// corpus, both program generators, and sources whose first error is a
+// lexing error behind a syntax or declaration error.
+func frontCorpus(t *testing.T) map[string]string {
+	t.Helper()
 	in := map[string]string{
 		"barnes-hut":       nbody.BarnesHutPSL,
 		"barnes-hut-force": nbody.BarnesHutForcePSL,
@@ -74,30 +75,186 @@ func TestParseMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		in[fmt.Sprintf("generated-%d", seed)] = transform.GenLoopProgramPSL(seed)
 	}
-	for name, src := range in {
+	return in
+}
+
+// TestParseMatchesReference holds Parse — lexemes pulled on demand, one
+// type check — to the reference pipeline in parse_ref_test.go (the
+// whole source lexed first, a second check after normalization): the
+// same printed program, the same type on every expression and the same
+// error text, over frontCorpus.
+func TestParseMatchesReference(t *testing.T) {
+	for name, src := range frontCorpus(t) {
 		if d := lang.ParseDiff(src); d != "" {
 			t.Errorf("%s: %s", name, d)
 		}
 	}
 }
 
-// TestParseAllocations pins what parsing Barnes–Hut costs the
-// allocator. It took 2 727 objects with the whole source lexed into a
-// lexeme slice, a string per one-byte token, a one-statement slice per
-// normalized statement and a second check; about 1 550 with each stage
-// keeping its own string-keyed scopes; it takes about 1 225 with one
-// identifier table the lexer fills, names the checker resolves once,
-// statement and argument lists built at their exact size, and statement
-// lists Normalize rebuilds only where it hoists.
-func TestParseAllocations(t *testing.T) {
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := lang.Parse(nbody.BarnesHutPSL); err != nil {
+// TestLexMatchesReference holds LexAll to the lexer kept in
+// lexer_ref_test.go: the same lexemes (token, id, text, position) and
+// the same error text over frontCorpus.
+func TestLexMatchesReference(t *testing.T) {
+	for name, src := range frontCorpus(t) {
+		if d := lang.LexDiff(src); d != "" {
+			t.Errorf("%s: %s", name, d)
+		}
+	}
+}
+
+var writeParseGolden = flag.Bool("write-parse-golden", false, "rewrite testdata/parse.golden")
+
+// TestParseGolden holds what Parse builds over frontCorpus to
+// testdata/parse.golden, recorded before the lexer and parser were
+// rewritten: per source, its error or its identifier table in id order
+// and every function's parameters, slots, statements and expressions in
+// walk order, each with its position, node type, checked type and the
+// fields the parser fills. -write-parse-golden rewrites it.
+func TestParseGolden(t *testing.T) {
+	in := frontCorpus(t)
+	var sb strings.Builder
+	names := make([]string, 0, len(in))
+	for name := range in {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(&sb, "== %s\n", name)
+		prog, err := lang.Parse(in[name])
+		if err != nil {
+			fmt.Fprintf(&sb, "error: %v\n", err)
+			continue
+		}
+		describeProgram(&sb, prog)
+	}
+	const path = "testdata/parse.golden"
+	if *writeParseGolden {
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("Parse(BarnesHutPSL): %.0f allocations", allocs)
-	if allocs > 1286 {
-		t.Errorf("parsing Barnes–Hut allocates %.0f objects, want at most 1286", allocs)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (record with -write-parse-golden)", err)
+	}
+	if got := sb.String(); got != string(want) {
+		g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(g) && i < len(w); i++ {
+			if g[i] != w[i] {
+				t.Fatalf("parse.golden line %d:\n got %s\nwant %s", i+1, g[i], w[i])
+			}
+		}
+		t.Fatalf("parse.golden: %d lines, want %d", len(g), len(w))
+	}
+}
+
+// nodeType is n's Go type without the package.
+func nodeType(n lang.Node) string { return strings.TrimPrefix(fmt.Sprintf("%T", n), "*lang.") }
+
+// describeProgram writes prog's golden entry to sb.
+func describeProgram(sb *strings.Builder, prog *lang.Program) {
+	names := prog.Names()
+	sb.WriteString("names:")
+	for id := lang.ID(1); int(id) < names.Len(); id++ {
+		sb.WriteString(" " + names.Text(id))
+	}
+	sb.WriteString("\n")
+	for _, f := range prog.Funcs {
+		fmt.Fprintf(sb, "func %s %s result=%v params=%v vars=%v\n", f.Pos(), f.Name, f.Result, f.Params, f.Vars)
+		lang.Walk(f.Body, func(s lang.Stmt) bool {
+			fmt.Fprintf(sb, "  %s %s", s.Pos(), nodeType(s))
+			switch s := s.(type) {
+			case *lang.Block:
+				fmt.Fprintf(sb, " stmts=%d", len(s.Stmts))
+			case *lang.VarStmt:
+				fmt.Fprintf(sb, " %s id=%d slot=%d %v init=%t", s.Name, s.ID, s.Slot, s.DeclType, s.Init != nil)
+			case *lang.ForStmt:
+				fmt.Fprintf(sb, " %s id=%d slot=%d parallel=%t", s.Var, s.ID, s.Slot, s.Parallel)
+			case *lang.IfStmt:
+				fmt.Fprintf(sb, " else=%t", s.Else != nil)
+			}
+			sb.WriteString("\n")
+			lang.WalkExprs(s, func(e lang.Expr) {
+				fmt.Fprintf(sb, "    %s %s %v", e.Pos(), nodeType(e), e.Type())
+				switch e := e.(type) {
+				case *lang.Ident:
+					fmt.Fprintf(sb, " %s id=%d slot=%d", e.Name, e.ID, e.Slot)
+				case *lang.FieldExpr:
+					fmt.Fprintf(sb, " %s id=%d indexed=%t", e.Field, e.FieldID, e.Index != nil)
+				case *lang.CallExpr:
+					fmt.Fprintf(sb, " %s args=%d", e.Func, len(e.Args))
+				case *lang.BinExpr:
+					fmt.Fprintf(sb, " %s", e.Op)
+				case *lang.UnExpr:
+					fmt.Fprintf(sb, " %s", e.Op)
+				case *lang.NewExpr:
+					fmt.Fprintf(sb, " %s", e.TypeName)
+				case *lang.IntLit:
+					fmt.Fprintf(sb, " %d", e.Val)
+				case *lang.RealLit:
+					fmt.Fprintf(sb, " %v", e.Val)
+				case *lang.StrLit:
+					fmt.Fprintf(sb, " %q", e.Val)
+				case *lang.BoolLit:
+					fmt.Fprintf(sb, " %t", e.Val)
+				}
+				sb.WriteString("\n")
+			})
+			return true
+		})
+	}
+}
+
+// TestParseAllocs pins what parsing costs the allocator, in counts
+// that repeat exactly rather than in time. Barnes–Hut took 2 727 objects
+// with the whole source lexed into a lexeme slice, a string per
+// one-byte token, a one-statement slice per normalized statement and a
+// second check; about 1 550 with each stage keeping its own
+// string-keyed scopes; 1 225 with one identifier table the lexer fills,
+// names the checker resolves once, and statement and argument lists
+// built at their exact size; it takes about 280 with nodes, statement
+// lists and argument lists taken from chunks of the parse, and each
+// pointer type made once. The 50-loop program went from 1 179 to about
+// 180. The chunks are sized to what the parse still needs, so the bytes
+// stay at or below what a heap object per node took: 88 248 and 75 576.
+//
+// Under the race detector a chunk costs two allocations (the
+// instrumented build materializes the zeroed source slices.Grow appends
+// from), so the pins are read only without it; CI's cost-gate step runs
+// this test so.
+func TestParseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes what allocates")
+	}
+	for _, c := range []struct {
+		name          string
+		src           string
+		allocs, bytes float64
+	}{
+		{"many-loop-10x5", transform.ManyLoopProgramPSL(10, 5), 190, 75576},
+		{"barnes-hut", nbody.BarnesHutPSL, 295, 88248},
+	} {
+		parse := func() {
+			if _, err := lang.Parse(c.src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(5, parse)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			parse()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("Parse(%s): %.0f allocations, %.0f bytes", c.name, allocs, bytes)
+		if allocs > c.allocs {
+			t.Errorf("parsing %s allocates %.0f objects, want at most %.0f", c.name, allocs, c.allocs)
+		}
+		if bytes > c.bytes {
+			t.Errorf("parsing %s allocates %.0f bytes, want at most %.0f", c.name, bytes, c.bytes)
+		}
 	}
 }
 

@@ -35,157 +35,203 @@ func MustParse(src string) *Program {
 	return p
 }
 
+// maxNesting bounds how deep blocks, parentheses, unary operators, calls,
+// index brackets and else-ifs may nest, all counted together. The parser
+// recurses once per level, and a deep enough source would otherwise
+// overflow the goroutine's stack, which no recover can catch.
+const maxNesting = 1000
+
 // ParseRaw parses without checking or normalizing. A lexing error
 // anywhere in src is reported ahead of any other error, as if the whole
 // source had been lexed first.
 func ParseRaw(src string) (*Program, error) {
-	p := &parser{lx: NewLexer(src)}
-	p.cur, p.lexErr = p.lx.Next()
+	p := &parser{Lexer: *NewLexer(src)}
+	p.scan()
 	prog, err := p.program()
-	for err != nil && p.lexErr == nil && p.cur.Tok != EOF {
+	for err != nil && p.err == nil && p.lex.Tok != EOF {
 		p.next()
 	}
-	if p.lexErr != nil {
-		return nil, p.lexErr
+	if p.err != nil {
+		return nil, p.err
 	}
 	return prog, err
 }
 
-func (p *parser) program() (*Program, error) {
-	prog := &Program{Universe: adds.NewUniverse(), funcMap: make(map[string]*FuncDecl), names: p.lx.names}
-	for p.peek().Tok != EOF {
-		switch p.peek().Tok {
+// parser reads the lexer's current lexeme in place. After the first
+// lexing error that lexeme stays ILLEGAL, which no production accepts,
+// and ParseRaw reports the lexing error. A production that fails panics
+// with a bailout, which program turns back into the error.
+type parser struct {
+	Lexer
+	depth  int     // open blocks, parentheses, unary operators, calls, index brackets and else-ifs
+	stmts  []Stmt  // the open blocks' statements so far, innermost last
+	args   []Expr  // the open calls' arguments so far, likewise
+	params []Param // the current function's parameters so far
+
+	idents   slab[Ident]
+	fields   slab[FieldExpr]
+	bins     slab[BinExpr]
+	ints     slab[IntLit]
+	reals    slab[RealLit]
+	calls    slab[CallExpr]
+	blocks   slab[Block]
+	vars     slab[VarStmt]
+	assigns  slab[AssignStmt]
+	whiles   slab[WhileStmt]
+	ifs      slab[IfStmt]
+	returns  slab[ReturnStmt]
+	callSts  slab[CallStmt]
+	fors     slab[ForStmt]
+	nulls    slab[NullLit]
+	lists    slab[Stmt] // blocks' statement lists
+	argLists slab[Expr] // calls' argument lists
+	ptrs     []*Pointer // the pointer types met so far, each made once
+}
+
+type bailout struct{ err error }
+
+func (p *parser) program() (prog *Program, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			b, ok := r.(bailout)
+			if !ok {
+				panic(r)
+			}
+			prog, err = nil, b.err
+		}
+	}()
+	prog = &Program{Universe: adds.NewUniverse(), funcMap: make(map[string]*FuncDecl), names: p.names}
+	for p.lex.Tok != EOF {
+		switch p.lex.Tok {
 		case TYPE:
-			d, err := p.parseTypeDecl()
-			if err != nil {
-				return nil, err
-			}
-			if err := prog.Universe.Add(d); err != nil {
-				return nil, err
-			}
+			p.check(prog.Universe.Add(p.parseTypeDecl()))
 		case FUNCTION, PROCEDURE:
-			f, err := p.parseFunc()
-			if err != nil {
-				return nil, err
-			}
-			if err := prog.AddFunc(f); err != nil {
-				return nil, err
-			}
+			p.check(prog.AddFunc(p.parseFunc()))
 		default:
-			return nil, p.errf("expected type, function, or procedure, found %s", p.peek())
+			p.fail("expected type, function, or procedure, found %s", p.lex)
 		}
 	}
-	if err := prog.Universe.Check(); err != nil {
-		return nil, err
-	}
+	p.check(prog.Universe.Check())
 	return prog, nil
 }
 
-// parser pulls lexemes one at a time. After the first lexing error cur
-// stays ILLEGAL, which no production accepts, and ParseRaw reports it.
-type parser struct {
-	lx     *Lexer
-	cur    Lexeme
-	lexErr error
-	stmts  []Stmt // the open blocks' statements so far, innermost last
-	args   []Expr // the open calls' arguments so far, likewise
+// slab hands out one kind of node from chunks shared by the nodes of a
+// parse. A chunk holds half the nodes the parse would still make at the
+// rate it has made them so far, so chunks grow with the parse and shrink
+// again towards its end, and a tiny program gets chunks of one.
+type slab[T any] struct {
+	chunk []T
+	used  int // slots of chunk handed out
+	n     int // nodes handed out over the parse
 }
 
-func (p *parser) peek() Lexeme { return p.cur }
-
-func (p *parser) next() Lexeme {
-	lex := p.cur
-	if lex.Tok != EOF && lex.Tok != ILLEGAL {
-		p.cur, p.lexErr = p.lx.Next()
+// carve returns k zeroed, adjacent Ts from s, as a slice with no room to
+// grow in place.
+func carve[T any](p *parser, s *slab[T], k int) []T {
+	if s.used+k > len(s.chunk) {
+		left := int64(s.n) * int64(len(p.src)-p.off) / int64(2*max(p.off, 1))
+		s.chunk = slices.Grow(s.chunk[:0:0], k+int(min(left, 255)))
+		s.chunk, s.used = s.chunk[:cap(s.chunk)], 0
 	}
-	return lex
+	x := s.chunk[s.used : s.used+k : s.used+k]
+	s.used += k
+	s.n += k
+	return x
+}
+
+// node returns a zeroed node from s.
+func node[T any](p *parser, s *slab[T]) *T { return &carve(p, s, 1)[0] }
+
+func (p *parser) next() {
+	if p.lex.Tok != EOF && p.lex.Tok != ILLEGAL {
+		p.scan()
+	}
 }
 
 func (p *parser) accept(tok Token) bool {
-	if p.peek().Tok == tok {
+	if p.lex.Tok == tok {
 		p.next()
 		return true
 	}
 	return false
 }
 
-func (p *parser) expect(tok Token) (Lexeme, error) {
-	lex := p.peek()
-	if lex.Tok != tok {
-		return lex, p.errf("expected %s, found %s", tok, lex)
+// want consumes a tok.
+func (p *parser) want(tok Token) {
+	if p.lex.Tok != tok {
+		p.fail("expected %s, found %s", tok, p.lex)
 	}
-	return p.next(), nil
+	p.next()
 }
 
-func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("%s: %s", p.peek().Pos, fmt.Sprintf(format, args...))
+// ident consumes an identifier and returns its text and id.
+func (p *parser) ident() (string, ID) {
+	text, id := p.lex.Text, p.lex.ID
+	p.want(IDENT)
+	return text, id
+}
+
+// fail abandons the parse with an error at the current lexeme.
+func (p *parser) fail(format string, args ...any) {
+	p.check(fmt.Errorf("%s: %s", p.lex.Pos, fmt.Sprintf(format, args...)))
+}
+
+func (p *parser) check(err error) {
+	if err != nil {
+		panic(bailout{err})
+	}
+}
+
+// enter opens a nesting level at pos; the caller closes it with
+// p.depth--.
+func (p *parser) enter(pos Pos) {
+	if p.depth++; p.depth > maxNesting {
+		p.check(fmt.Errorf("%s: nesting deeper than %d", pos, maxNesting))
+	}
 }
 
 // ---------------------------------------------------------------------------
 // Type declarations (ADDS)
 
-func (p *parser) parseTypeDecl() (*adds.Decl, error) {
-	if _, err := p.expect(TYPE); err != nil {
-		return nil, err
-	}
-	name, err := p.expect(IDENT)
-	if err != nil {
-		return nil, err
-	}
-	d := &adds.Decl{Name: name.Text}
-	for p.peek().Tok == LBRACK {
-		p.next()
-		dim, err := p.expect(IDENT)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(RBRACK); err != nil {
-			return nil, err
-		}
-		d.Dims = append(d.Dims, dim.Text)
+func (p *parser) parseTypeDecl() *adds.Decl {
+	p.want(TYPE)
+	d := &adds.Decl{}
+	d.Name, _ = p.ident()
+	for p.accept(LBRACK) {
+		dim, _ := p.ident()
+		p.want(RBRACK)
+		d.Dims = append(d.Dims, dim)
 	}
 	if len(d.Dims) == 0 {
 		d.Dims = []string{adds.DefaultDimension}
 	}
 	if p.accept(WHERE) {
 		for {
-			a, err := p.expect(IDENT)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(OR); err != nil { // "||"
-				return nil, err
-			}
-			b, err := p.expect(IDENT)
-			if err != nil {
-				return nil, err
-			}
-			d.Indep = append(d.Indep, [2]string{a.Text, b.Text})
+			a, _ := p.ident()
+			p.want(OR) // "||"
+			b, _ := p.ident()
+			d.Indep = append(d.Indep, [2]string{a, b})
 			if !p.accept(COMMA) {
 				break
 			}
 		}
 	}
-	if _, err := p.expect(LBRACE); err != nil {
-		return nil, err
-	}
-	for p.peek().Tok != RBRACE {
-		if err := p.parseFieldDecl(d); err != nil {
-			return nil, err
-		}
+	p.want(LBRACE)
+	for p.lex.Tok != RBRACE {
+		p.parseFieldDecl(d)
 	}
 	p.next() // }
 	p.accept(SEMI)
-	return d, nil
+	return d
 }
 
-func (p *parser) parseFieldDecl(d *adds.Decl) error {
-	var typeName string
-	switch p.peek().Tok {
+func (p *parser) parseFieldDecl(d *adds.Decl) {
+	typeName := p.lex.Text
+	switch p.lex.Tok {
 	case INTKW, REALKW, BOOLKW, IDENT:
-		typeName = p.next().Text
+		p.next()
 	default:
-		return p.errf("expected field type, found %s", p.peek())
+		p.fail("expected field type, found %s", p.lex)
 	}
 	isPointer := p.accept(STAR)
 	type pending struct {
@@ -194,72 +240,55 @@ func (p *parser) parseFieldDecl(d *adds.Decl) error {
 	}
 	var names []pending
 	for {
-		name, err := p.expect(IDENT)
-		if err != nil {
-			return err
-		}
+		name, _ := p.ident()
 		count := 1
 		if p.accept(LBRACK) {
-			num, err := p.expect(INT)
-			if err != nil {
-				return err
-			}
+			num := p.lex.Text
+			p.want(INT)
 			// maxPtrArray bounds pointer-array fields: the paper's
 			// structures top out at 8 (the octree); anything huge is a
 			// typo or an allocation bomb (every `new` materializes the
 			// whole array).
 			const maxPtrArray = 1024
-			n, convErr := strconv.Atoi(num.Text)
+			n, convErr := strconv.Atoi(num)
 			if convErr != nil || n < 1 || n > maxPtrArray {
-				return p.errf("bad array count %q (1..%d)", num.Text, maxPtrArray)
+				p.fail("bad array count %q (1..%d)", num, maxPtrArray)
 			}
 			count = n
-			if _, err := p.expect(RBRACK); err != nil {
-				return err
-			}
+			p.want(RBRACK)
 		}
-		names = append(names, pending{name.Text, count})
+		names = append(names, pending{name, count})
 		if !p.accept(COMMA) {
 			break
 		}
 		if isPointer {
-			if _, err := p.expect(STAR); err != nil {
-				return err
-			}
+			p.want(STAR)
 		}
 	}
 	if !isPointer {
 		for _, n := range names {
 			if n.count != 1 {
-				return p.errf("array data fields are not supported: %s.%s", d.Name, n.name)
+				p.fail("array data fields are not supported: %s.%s", d.Name, n.name)
 			}
 			d.Data = append(d.Data, adds.DataField{Name: n.name, Type: typeName})
 		}
-		_, err := p.expect(SEMI)
-		return err
+		p.want(SEMI)
+		return
 	}
 	dim, dir, unique := "", adds.Unknown, false
 	if p.accept(IS) {
-		if p.accept(UNIQUELY) {
-			unique = true
-		}
-		switch p.peek().Tok {
+		unique = p.accept(UNIQUELY)
+		switch p.lex.Tok {
 		case FORWARD:
 			dir = adds.Forward
 		case BACKWARD:
 			dir = adds.Backward
 		default:
-			return p.errf("expected forward or backward, found %s", p.peek())
+			p.fail("expected forward or backward, found %s", p.lex)
 		}
 		p.next()
-		if _, err := p.expect(ALONG); err != nil {
-			return err
-		}
-		dimTok, err := p.expect(IDENT)
-		if err != nil {
-			return err
-		}
-		dim = dimTok.Text
+		p.want(ALONG)
+		dim, _ = p.ident()
 	}
 	if dim == "" {
 		dim = adds.DefaultDimension
@@ -273,424 +302,332 @@ func (p *parser) parseFieldDecl(d *adds.Decl) error {
 			Dim: dim, Dir: dir, Unique: unique,
 		})
 	}
-	_, err := p.expect(SEMI)
-	return err
+	p.want(SEMI)
 }
 
 // ---------------------------------------------------------------------------
 // Functions
 
 // parseType parses "int", "real", "bool", or "Name *".
-func (p *parser) parseType() (Type, error) {
-	switch p.peek().Tok {
+func (p *parser) parseType() Type {
+	switch p.lex.Tok {
 	case INTKW:
 		p.next()
-		return Int, nil
+		return Int
 	case REALKW:
 		p.next()
-		return Real, nil
+		return Real
 	case BOOLKW:
 		p.next()
-		return Bool, nil
+		return Bool
 	case IDENT:
-		name := p.next().Text
-		if _, err := p.expect(STAR); err != nil {
-			return nil, fmt.Errorf("%v (record types are used only through pointers)", err)
+		name := p.lex.Text
+		p.next()
+		if p.lex.Tok != STAR {
+			p.fail("expected %s, found %s (record types are used only through pointers)", STAR, p.lex)
 		}
-		return PointerTo(name), nil
+		p.next()
+		for _, t := range p.ptrs {
+			if t.Elem == name {
+				return t
+			}
+		}
+		t := PointerTo(name)
+		p.ptrs = append(p.ptrs, t)
+		return t
 	}
-	return nil, p.errf("expected a type, found %s", p.peek())
+	p.fail("expected a type, found %s", p.lex)
+	return nil
 }
 
-func (p *parser) parseFunc() (*FuncDecl, error) {
-	kw := p.next() // FUNCTION or PROCEDURE
-	f := &FuncDecl{pos: kw.Pos}
-	if kw.Tok == FUNCTION {
+func (p *parser) parseFunc() *FuncDecl {
+	f := &FuncDecl{pos: p.lex.Pos}
+	isFunc := p.lex.Tok == FUNCTION // else PROCEDURE
+	p.next()
+	if isFunc {
 		// function <rettype> <name>(params) { ... }
-		rt, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		f.Result = rt
+		f.Result = p.parseType()
 	}
-	name, err := p.expect(IDENT)
-	if err != nil {
-		return nil, err
-	}
-	f.Name = name.Text
-	if _, err := p.expect(LPAREN); err != nil {
-		return nil, err
-	}
-	if p.peek().Tok != RPAREN {
+	f.Name, _ = p.ident()
+	p.want(LPAREN)
+	if p.lex.Tok != RPAREN {
+		params := p.params[:0]
 		for {
-			t, err := p.parseType()
-			if err != nil {
-				return nil, err
-			}
-			pn, err := p.expect(IDENT)
-			if err != nil {
-				return nil, err
-			}
-			f.Params = append(f.Params, Param{Name: pn.Text, ID: pn.ID, Type: t})
+			t := p.parseType()
+			name, id := p.ident()
+			params = append(params, Param{Name: name, ID: id, Type: t})
 			if !p.accept(COMMA) {
 				break
 			}
 		}
+		f.Params, p.params = slices.Clone(params), params
 	}
-	if _, err := p.expect(RPAREN); err != nil {
-		return nil, err
-	}
-	body, err := p.parseBlock()
-	if err != nil {
-		return nil, err
-	}
-	f.Body = body
-	return f, nil
+	p.want(RPAREN)
+	f.Body = p.parseBlock()
+	return f
 }
 
 // ---------------------------------------------------------------------------
 // Statements
 
-func (p *parser) parseBlock() (*Block, error) {
-	open, err := p.expect(LBRACE)
-	if err != nil {
-		return nil, err
-	}
-	b := &Block{}
-	b.pos = open.Pos
+func (p *parser) parseBlock() *Block {
+	open := p.lex.Pos
+	p.want(LBRACE)
+	p.enter(open)
+	b := node(p, &p.blocks)
+	b.pos = open
 	mark := len(p.stmts)
-	for p.peek().Tok != RBRACE {
-		if p.peek().Tok == EOF {
-			return nil, p.errf("unterminated block opened at %s", open.Pos)
+	for p.lex.Tok != RBRACE {
+		if p.lex.Tok == EOF {
+			p.fail("unterminated block opened at %s", open)
 		}
-		s, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
+		s := p.parseStmt()
 		p.stmts = append(p.stmts, s)
 	}
-	if len(p.stmts) > mark { // one exact-size slice per block
-		b.Stmts = slices.Clone(p.stmts[mark:])
+	if len(p.stmts) > mark {
+		b.Stmts = carve(p, &p.lists, len(p.stmts)-mark)
+		copy(b.Stmts, p.stmts[mark:])
 		p.stmts = p.stmts[:mark]
 	}
 	p.next() // }
-	return b, nil
+	p.depth--
+	return b
 }
 
-func (p *parser) parseStmt() (Stmt, error) {
-	switch p.peek().Tok {
+func (p *parser) parseStmt() Stmt {
+	pos := p.lex.Pos
+	switch p.lex.Tok {
 	case VAR:
-		return p.parseVarStmt()
+		p.next()
+		s := node(p, &p.vars)
+		s.pos = pos
+		s.DeclType = p.parseType()
+		s.Name, s.ID = p.ident()
+		if p.accept(ASSIGN) {
+			s.Init = p.parseExpr()
+		}
+		p.want(SEMI)
+		return s
 	case WHILE:
-		kw := p.next()
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		body, err := p.parseBlock()
-		if err != nil {
-			return nil, err
-		}
-		s := &WhileStmt{Cond: cond, Body: body}
-		s.pos = kw.Pos
-		return s, nil
+		p.next()
+		s := node(p, &p.whiles)
+		s.pos = pos
+		s.Cond = p.parseExpr()
+		s.Body = p.parseBlock()
+		return s
 	case IF:
-		kw := p.next()
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
+		p.next()
+		s := node(p, &p.ifs)
+		s.pos = pos
+		s.Cond = p.parseExpr()
+		s.Then = p.parseBlock()
+		if !p.accept(ELSE) {
+			return s
 		}
-		then, err := p.parseBlock()
-		if err != nil {
-			return nil, err
+		if p.lex.Tok != IF {
+			s.Else = p.parseBlock()
+			return s
 		}
-		s := &IfStmt{Cond: cond, Then: then}
-		s.pos = kw.Pos
-		if p.accept(ELSE) {
-			if p.peek().Tok == IF {
-				// else if: wrap the nested if in a block.
-				nested, err := p.parseStmt()
-				if err != nil {
-					return nil, err
-				}
-				eb := &Block{}
-				eb.pos = nested.Pos()
-				eb.Stmts = []Stmt{nested}
-				s.Else = eb
-			} else {
-				els, err := p.parseBlock()
-				if err != nil {
-					return nil, err
-				}
-				s.Else = els
-			}
-		}
-		return s, nil
+		// else if: wrap the nested if in a block.
+		p.enter(p.lex.Pos)
+		nested := p.parseStmt()
+		p.depth--
+		s.Else = node(p, &p.blocks)
+		s.Else.pos = nested.Pos()
+		s.Else.Stmts = []Stmt{nested}
+		return s
 	case RETURN:
-		kw := p.next()
-		s := &ReturnStmt{}
-		s.pos = kw.Pos
-		if p.peek().Tok != SEMI {
-			v, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			s.Value = v
+		p.next()
+		s := node(p, &p.returns)
+		s.pos = pos
+		if p.lex.Tok != SEMI {
+			s.Value = p.parseExpr()
 		}
-		if _, err := p.expect(SEMI); err != nil {
-			return nil, err
-		}
-		return s, nil
+		p.want(SEMI)
+		return s
 	case FOR, FORALL:
-		kw := p.next()
-		v, err := p.expect(IDENT)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(ASSIGN); err != nil {
-			return nil, err
-		}
-		from, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TO); err != nil {
-			return nil, err
-		}
-		to, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		body, err := p.parseBlock()
-		if err != nil {
-			return nil, err
-		}
-		s := &ForStmt{Var: v.Text, ID: v.ID, From: from, To: to, Body: body, Parallel: kw.Tok == FORALL}
-		s.pos = kw.Pos
-		return s, nil
+		s := node(p, &p.fors)
+		s.pos, s.Parallel = pos, p.lex.Tok == FORALL
+		p.next()
+		s.Var, s.ID = p.ident()
+		p.want(ASSIGN)
+		s.From = p.parseExpr()
+		p.want(TO)
+		s.To = p.parseExpr()
+		s.Body = p.parseBlock()
+		return s
 	case LBRACE:
 		return p.parseBlock()
-	default:
-		// Assignment or call statement: parse a postfix expression first.
-		lhs, err := p.parsePostfix()
-		if err != nil {
-			return nil, err
-		}
-		if p.peek().Tok == ASSIGN {
-			eq := p.next()
-			switch lhs.(type) {
-			case *Ident, *FieldExpr:
-			default:
-				return nil, fmt.Errorf("%s: cannot assign to this expression", eq.Pos)
-			}
-			rhs, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(SEMI); err != nil {
-				return nil, err
-			}
-			s := &AssignStmt{LHS: lhs, RHS: rhs}
-			s.pos = lhs.Pos()
-			return s, nil
-		}
-		call, ok := lhs.(*CallExpr)
-		if !ok {
-			return nil, p.errf("expected assignment or call statement")
-		}
-		if _, err := p.expect(SEMI); err != nil {
-			return nil, err
-		}
-		s := &CallStmt{Call: call}
-		s.pos = call.Pos()
-		return s, nil
 	}
-}
-
-func (p *parser) parseVarStmt() (Stmt, error) {
-	kw := p.next() // var
-	t, err := p.parseType()
-	if err != nil {
-		return nil, err
-	}
-	name, err := p.expect(IDENT)
-	if err != nil {
-		return nil, err
-	}
-	s := &VarStmt{Name: name.Text, ID: name.ID, DeclType: t}
-	s.pos = kw.Pos
-	if p.accept(ASSIGN) {
-		init, err := p.parseExpr()
-		if err != nil {
-			return nil, err
+	// Assignment or call statement: parse a postfix expression first.
+	lhs := p.parsePostfix()
+	if p.lex.Tok == ASSIGN {
+		switch lhs.(type) {
+		case *Ident, *FieldExpr:
+		default:
+			p.fail("cannot assign to this expression")
 		}
-		s.Init = init
+		p.next()
+		s := node(p, &p.assigns)
+		s.pos, s.LHS = lhs.Pos(), lhs
+		s.RHS = p.parseExpr()
+		p.want(SEMI)
+		return s
 	}
-	if _, err := p.expect(SEMI); err != nil {
-		return nil, err
+	call, ok := lhs.(*CallExpr)
+	if !ok {
+		p.fail("expected assignment or call statement")
 	}
-	return s, nil
+	p.want(SEMI)
+	s := node(p, &p.callSts)
+	s.pos, s.Call = call.Pos(), call
+	return s
 }
 
 // ---------------------------------------------------------------------------
 // Expressions
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(0) }
-
-// binaryLevels lists the binary operators by precedence, loosest first;
-// every level is left-associative.
-var binaryLevels = [][]Token{{OR}, {AND}, {EQ, NEQ}, {LT, LE, GT, GE}, {PLUS, MINUS}, {STAR, SLASH, PERCENT}}
-
-// parseBinary parses a chain of level's operators over operands of the
-// next tighter level (unary expressions below the tightest).
-func (p *parser) parseBinary(level int) (Expr, error) {
-	if level == len(binaryLevels) {
-		return p.parseUnary()
-	}
-	x, err := p.parseBinary(level + 1)
-	if err != nil {
-		return nil, err
-	}
-	for slices.Contains(binaryLevels[level], p.peek().Tok) {
-		op := p.next()
-		y, err := p.parseBinary(level + 1)
-		if err != nil {
-			return nil, err
-		}
-		b := &BinExpr{Op: op.Tok, X: x, Y: y}
-		b.pos = op.Pos
-		x = b
-	}
-	return x, nil
+// binaryPrec is each binary operator's precedence, loosest 1; it is 0
+// for every other token. Every level is left-associative.
+var binaryPrec = [BOOLKW + 1]int{
+	OR: 1, AND: 2, EQ: 3, NEQ: 3, LT: 4, LE: 4, GT: 4, GE: 4,
+	PLUS: 5, MINUS: 5, STAR: 6, SLASH: 6, PERCENT: 6,
 }
 
-func (p *parser) parseUnary() (Expr, error) {
-	switch p.peek().Tok {
-	case MINUS, NOT:
-		op := p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		u := &UnExpr{Op: op.Tok, X: x}
-		u.pos = op.Pos
-		return u, nil
+func (p *parser) parseExpr() Expr { return p.parseBinary(1) }
+
+// parseBinary parses a unary operand followed by every binary operator
+// of precedence prec or tighter, each with a right operand whose own
+// operators bind tighter than it: one call per operand.
+func (p *parser) parseBinary(prec int) Expr {
+	x := p.parseUnary()
+	for binaryPrec[p.lex.Tok] >= prec {
+		b := node(p, &p.bins)
+		b.pos, b.Op, b.X = p.lex.Pos, p.lex.Tok, x
+		p.next()
+		b.Y = p.parseBinary(binaryPrec[b.Op] + 1)
+		x = b
+	}
+	return x
+}
+
+func (p *parser) parseUnary() Expr {
+	if op := p.lex.Tok; op == MINUS || op == NOT {
+		u := &UnExpr{Op: op}
+		u.pos = p.lex.Pos
+		p.enter(u.pos)
+		p.next()
+		u.X = p.parseUnary()
+		p.depth--
+		return u
 	}
 	return p.parsePostfix()
 }
 
-func (p *parser) parsePostfix() (Expr, error) {
-	x, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek().Tok == ARROW {
-		arrow := p.next()
-		field, err := p.expect(IDENT)
-		if err != nil {
-			return nil, err
-		}
-		fe := &FieldExpr{X: x, Field: field.Text, FieldID: field.ID}
-		fe.pos = arrow.Pos
-		if p.accept(LBRACK) {
-			idx, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(RBRACK); err != nil {
-				return nil, err
-			}
-			fe.Index = idx
+func (p *parser) parsePostfix() Expr {
+	x := p.parsePrimary()
+	for p.lex.Tok == ARROW {
+		fe := node(p, &p.fields)
+		fe.pos, fe.X = p.lex.Pos, x
+		p.next()
+		fe.Field, fe.FieldID = p.ident()
+		if p.lex.Tok == LBRACK {
+			p.enter(p.lex.Pos)
+			p.next()
+			fe.Index = p.parseExpr()
+			p.want(RBRACK)
+			p.depth--
 		}
 		x = fe
 	}
-	return x, nil
+	return x
 }
 
-func (p *parser) parsePrimary() (Expr, error) {
-	lex := p.peek()
+func (p *parser) parsePrimary() Expr {
+	lex := &p.lex
+	pos, text := lex.Pos, lex.Text
 	switch lex.Tok {
 	case IDENT:
+		id := lex.ID
 		p.next()
-		if p.peek().Tok == LPAREN {
-			p.next()
-			call := &CallExpr{Func: lex.Text}
-			call.pos = lex.Pos
-			if p.peek().Tok != RPAREN {
-				mark := len(p.args)
-				for {
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					p.args = append(p.args, a)
-					if !p.accept(COMMA) {
-						break
-					}
-				}
-				call.Args = slices.Clone(p.args[mark:])
-				p.args = p.args[:mark]
-			}
-			if _, err := p.expect(RPAREN); err != nil {
-				return nil, err
-			}
-			return call, nil
+		if lex.Tok == LPAREN {
+			return p.parseCall(text, pos)
 		}
-		id := &Ident{Name: lex.Text, ID: lex.ID}
-		id.pos = lex.Pos
-		return id, nil
+		e := node(p, &p.idents)
+		e.pos, e.Name, e.ID = pos, text, id
+		return e
 	case INT:
-		p.next()
-		v, err := strconv.ParseInt(lex.Text, 10, 64)
+		v, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%s: bad integer literal %q", lex.Pos, lex.Text)
+			p.check(fmt.Errorf("%s: bad integer literal %q", pos, text))
 		}
-		e := &IntLit{Val: v}
-		e.pos = lex.Pos
-		return e, nil
+		p.next()
+		e := node(p, &p.ints)
+		e.pos, e.Val = pos, v
+		return e
 	case REAL:
-		p.next()
-		v, err := strconv.ParseFloat(lex.Text, 64)
+		v, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%s: bad real literal %q", lex.Pos, lex.Text)
+			p.check(fmt.Errorf("%s: bad real literal %q", pos, text))
 		}
-		e := &RealLit{Val: v}
-		e.pos = lex.Pos
-		return e, nil
+		p.next()
+		e := node(p, &p.reals)
+		e.pos, e.Val = pos, v
+		return e
 	case STRING:
 		p.next()
-		e := &StrLit{Val: lex.Text}
-		e.pos = lex.Pos
-		return e, nil
+		e := &StrLit{Val: text}
+		e.pos = pos
+		return e
 	case TRUE, FALSE:
-		p.next()
 		e := &BoolLit{Val: lex.Tok == TRUE}
-		e.pos = lex.Pos
-		return e, nil
+		e.pos = pos
+		p.next()
+		return e
 	case NULLKW:
 		p.next()
-		e := &NullLit{}
-		e.pos = lex.Pos
-		return e, nil
+		e := node(p, &p.nulls)
+		e.pos = pos
+		return e
 	case NEW:
 		p.next()
-		name, err := p.expect(IDENT)
-		if err != nil {
-			return nil, err
-		}
-		e := &NewExpr{TypeName: name.Text}
-		e.pos = lex.Pos
-		return e, nil
+		e := &NewExpr{}
+		e.pos = pos
+		e.TypeName, _ = p.ident()
+		return e
 	case LPAREN:
+		p.enter(pos)
 		p.next()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(RPAREN); err != nil {
-			return nil, err
-		}
-		return e, nil
+		e := p.parseExpr()
+		p.want(RPAREN)
+		p.depth--
+		return e
 	}
-	return nil, p.errf("expected an expression, found %s", lex)
+	p.fail("expected an expression, found %s", p.lex)
+	return nil
+}
+
+// parseCall parses a call's parenthesized arguments; name is already
+// consumed.
+func (p *parser) parseCall(name string, pos Pos) *CallExpr {
+	p.enter(p.lex.Pos)
+	p.next() // (
+	call := node(p, &p.calls)
+	call.pos, call.Func = pos, name
+	if p.lex.Tok != RPAREN {
+		mark := len(p.args)
+		for {
+			a := p.parseExpr()
+			p.args = append(p.args, a)
+			if !p.accept(COMMA) {
+				break
+			}
+		}
+		call.Args = carve(p, &p.argLists, len(p.args)-mark)
+		copy(call.Args, p.args[mark:])
+		p.args = p.args[:mark]
+	}
+	p.want(RPAREN)
+	p.depth--
+	return call
 }

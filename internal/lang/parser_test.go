@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -362,5 +363,56 @@ procedure f() {
 }`
 	if _, err := Parse(src); err != nil {
 		t.Fatalf("int→real widening should be accepted: %v", err)
+	}
+}
+
+// TestNestingLimit: blocks, parentheses, unary operators, calls, index
+// brackets and else-ifs nest at most maxNesting levels deep, counted
+// together, so no source can overflow the parser's stack. Each case
+// builds a source whose deepest point is base + n levels; it parses at
+// base + n = maxNesting, and one level more is an error at the opener
+// of the level too many.
+func TestNestingLimit(t *testing.T) {
+	const list = "type L [X] { int v; L *next[2] is uniquely forward along X; };\n"
+	for _, c := range []struct {
+		name  string
+		base  int // levels at n = 0: the function body, and below an else-if chain its last then-block
+		build func(n int) string
+		open  string // the opener of each counted level
+	}{
+		{"parentheses", 1, func(n int) string {
+			return "function int f() { return " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; }"
+		}, "("},
+		{"unary chain", 1, func(n int) string { return "function int f() { return " + strings.Repeat("-", n) + "1; }" }, "-"},
+		{"nested calls", 1, func(n int) string {
+			return "function int f(int x) { return " + strings.Repeat("f(", n) + "1" + strings.Repeat(")", n) + "; }"
+		}, "("},
+		{"nested blocks", 1, func(n int) string {
+			return "procedure f() { " + strings.Repeat("{ ", n) + strings.Repeat("} ", n) + "}"
+		}, "{"},
+		{"index brackets", 1, func(n int) string {
+			return list + "procedure f(L *p) { p->next[" + strings.Repeat("p->next[", n-1) + "0" + strings.Repeat("]->v", n-1) + "] = NULL; }"
+		}, "["},
+		{"else-if chain", 2, func(n int) string {
+			return "procedure f() { if true { }" + strings.Repeat(" else if true { }", n) + " }"
+		}, "{"},
+	} {
+		n := maxNesting - c.base
+		if _, err := Parse(c.build(n)); err != nil {
+			t.Errorf("%s at the limit: %v", c.name, err)
+		}
+		src := c.build(n + 1)
+		_, err := Parse(src)
+		var line, col int
+		if err != nil {
+			fmt.Sscanf(err.Error(), "%d:%d:", &line, &col)
+		}
+		if err == nil || !strings.HasSuffix(err.Error(), fmt.Sprintf(": nesting deeper than %d", maxNesting)) || line < 1 {
+			t.Errorf("%s one level past the limit: %v", c.name, err)
+			continue
+		}
+		if at := strings.Split(src, "\n")[line-1]; !strings.HasPrefix(at[col-1:], c.open) {
+			t.Errorf("%s: the error names %d:%d, which is not a %q", c.name, line, col, c.open)
+		}
 	}
 }

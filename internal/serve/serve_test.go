@@ -124,6 +124,35 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestDeepNestingIsACompileError: a source of 500 000 nested
+// parentheses, 1 000 030 bytes and so under the default source cap,
+// once took the process down with a goroutine stack overflow, which no
+// recover catches. The parser's nesting limit makes it a compile error
+// like any other, and the server goes on answering. A flat chain of
+// binary operators nests nothing, so one far longer than the limit is
+// still planned and run.
+func TestDeepNestingIsACompileError(t *testing.T) {
+	s := newTestServer(t, Config{})
+	const n = 500000
+	deep := "function int main(){return " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + ";}"
+	if len(deep) != 1000030 {
+		t.Fatalf("source is %d bytes, want 1000030", len(deep))
+	}
+	status, resp := postBody(t, s, `{"source":`+jsonString(deep)+`}`)
+	if status != http.StatusOK || resp.OK || !strings.HasPrefix(resp.Error, "compile: ") ||
+		!strings.HasSuffix(resp.Error, "nesting deeper than 1000") {
+		t.Fatalf("deep source: %d %+v, want a compile error naming the nesting limit", status, resp)
+	}
+	if status, resp := postBody(t, s, `{"source":`+jsonString(addSrc)+`}`); status != http.StatusOK || !resp.OK || resp.Result != "42" {
+		t.Fatalf("request after the deep source: %d %+v", status, resp)
+	}
+	const terms = 20000
+	flat := "function int main(){return " + strings.Repeat("1+", terms-1) + "1;}"
+	if status, resp := postBody(t, s, `{"source":`+jsonString(flat)+`,"auto":true}`); status != http.StatusOK || !resp.OK || resp.Result != "20000" {
+		t.Fatalf("flat chain of %d terms: %d %+v", terms, status, resp)
+	}
+}
+
 // TestCacheHitMissEviction pins the cache accounting: distinct sources
 // miss, repeats hit, and capacity overflow evicts the LRU entry so a
 // later repeat misses again.

@@ -1,14 +1,15 @@
 // Planner-cost benchmarks and the committed BENCH_plan.json
-// trajectory: wall cost of planning generated many-loop programs at 25,
-// 100 and 200 approved loops, plus the scaling rows that show cost
-// grows linearly in loops. Regenerate with:
+// trajectory: wall cost of parsing and of planning generated many-loop
+// programs at 25, 100 and 200 approved loops, plus the scaling rows that
+// show both costs grow linearly in loops. Regenerate with:
 //
 //	go test ./internal/transform -run TestBenchPlanJSON -write-bench-plan
 //
 // The non-writing run only validates shape; absolute numbers are
-// machine-dependent and never asserted. TestPlanCostSubquadratic is the
-// regression gate: it compares the allocation counts of a small and a
-// large plan and, under -cost-gates, their per-loop wall time.
+// machine-dependent and never asserted. TestPlanCostSubquadratic and
+// TestParseCostLinear are the regression gates: they compare the
+// allocation counts of a small and a large plan (parse) and, under
+// -cost-gates, their wall time per loop (per source byte).
 package transform
 
 import (
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,6 +129,51 @@ func TestPlanCostSubquadratic(t *testing.T) {
 	}
 }
 
+// TestParseCostLinear is the parser's gate: lang.Parse costs the same
+// per source byte at 200 loops as at 25, eight times the source.
+//
+// Always, in exact counts: the 200-loop source may allocate at most
+// 1.5x as many objects per byte as the 25-loop one.
+//
+// Under -cost-gates, additionally in wall-clock time: its nanoseconds
+// per byte may be at most 1.5x those of the 25-loop source (means over
+// interleaved rounds, as in TestPlanCostSubquadratic).
+func TestParseCostLinear(t *testing.T) {
+	small, large := ManyLoopProgramPSL(5, 5), ManyLoopProgramPSL(20, 10)
+	perByte := func(src string, v float64) float64 { return v / float64(len(src)) }
+	allocs := func(src string) float64 {
+		return testing.AllocsPerRun(3, func() { planProgram(t, src) })
+	}
+	ratio := perByte(large, allocs(large)) / perByte(small, allocs(small))
+	t.Logf("allocations per byte, 25 -> 200 loops: %.2fx", ratio)
+	if ratio > 1.5 {
+		t.Errorf("8x the source costs %.2fx the allocations per byte, want at most 1.5x", ratio)
+	}
+
+	if !*costGates {
+		return
+	}
+	parse := func(src string, k int) time.Duration {
+		start := time.Now()
+		for i := 0; i < k; i++ {
+			planProgram(t, src)
+		}
+		return time.Since(start)
+	}
+	var tSmall, tLarge time.Duration
+	for round := 0; round < 10; round++ {
+		tSmall += parse(small, 16)
+		tLarge += parse(large, 2)
+	}
+	nsSmall := perByte(small, float64(tSmall)/(10*16))
+	nsLarge := perByte(large, float64(tLarge)/(10*2))
+	t.Logf("per byte: %.2f ns at 25 loops, %.2f ns at 200 loops (%.2fx)", nsSmall, nsLarge, nsLarge/nsSmall)
+	if nsLarge > 1.5*nsSmall {
+		t.Errorf("a byte costs %.2fx as much to parse at 200 loops as at 25 (want at most 1.5x): %.2f ns vs %.2f ns",
+			nsLarge/nsSmall, nsLarge, nsSmall)
+	}
+}
+
 // TestPlanAllocations pins what planning the benchmark's 50-loop
 // program costs the allocator — the deterministic face of verdict_s.
 // With map-backed path matrices deep-copied twice per statement the
@@ -153,12 +200,14 @@ func TestPlanAllocations(t *testing.T) {
 	}
 }
 
-// planBenchEntry is one measured row of BENCH_plan.json.
+// planBenchEntry is one measured row of BENCH_plan.json. A parse row
+// also has the source's bytes per second.
 type planBenchEntry struct {
-	Name    string  `json:"name"`
-	Loops   int     `json:"loops"`
-	NsPerOp float64 `json:"ns_per_op"`
-	N       int     `json:"n"`
+	Name        string  `json:"name"`
+	Loops       int     `json:"loops"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerSec float64 `json:"bytes_per_s,omitempty"`
+	N           int     `json:"n"`
 }
 
 // planBenchFile is the BENCH_plan.json schema. GoMaxProcs and
@@ -177,6 +226,8 @@ type planBenchFile struct {
 	// loops, 16 and 64 for quadratic.
 	Scaling4xLoops float64 `json:"scaling_4x_loops"`
 	Scaling8xLoops float64 `json:"scaling_8x_loops"`
+	// ParseScaling8x is the same ratio for lang.Parse of the source.
+	ParseScaling8x float64 `json:"parse_scaling_8x"`
 }
 
 // TestBenchPlanJSON validates (and with -write-bench-plan, regenerates)
@@ -194,13 +245,19 @@ func TestBenchPlanJSON(t *testing.T) {
 		t.Fatalf("BENCH_plan.json does not parse: %v", err)
 	}
 	want := map[string]bool{
-		"plan-25-loops":  false,
-		"plan-100-loops": false,
-		"plan-200-loops": false,
+		"plan-25-loops":   false,
+		"plan-100-loops":  false,
+		"plan-200-loops":  false,
+		"parse-25-loops":  false,
+		"parse-100-loops": false,
+		"parse-200-loops": false,
 	}
 	for _, e := range f.Entries {
 		if e.NsPerOp <= 0 {
 			t.Errorf("%s: non-positive ns/op %v", e.Name, e.NsPerOp)
+		}
+		if strings.HasPrefix(e.Name, "parse-") && e.BytesPerSec <= 0 {
+			t.Errorf("%s: non-positive bytes/s %v", e.Name, e.BytesPerSec)
 		}
 		if _, ok := want[e.Name]; ok {
 			want[e.Name] = true
@@ -216,6 +273,9 @@ func TestBenchPlanJSON(t *testing.T) {
 	}
 	if f.Scaling8xLoops <= 0 || f.Scaling8xLoops > 16 {
 		t.Errorf("recorded 8x-loops scaling %.2fx outside the near-linear band (0, 16]: a loop at 200 loops costs more than twice a loop at 25", f.Scaling8xLoops)
+	}
+	if f.ParseScaling8x <= 0 || f.ParseScaling8x > 16 {
+		t.Errorf("recorded 8x-loops parse scaling %.2fx outside the near-linear band (0, 16]", f.ParseScaling8x)
 	}
 	if f.GoMaxProcs <= 0 {
 		t.Errorf("recorded gomaxprocs %d should be positive (regenerate with -write-bench-plan)", f.GoMaxProcs)
@@ -253,6 +313,22 @@ func writePlanBenchJSON(t *testing.T) {
 	}
 	f.Scaling4xLoops = ns[100] / ns[25]
 	f.Scaling8xLoops = ns[200] / ns[25]
+	parseNs := map[int]float64{}
+	for _, c := range []struct{ n, m int }{{5, 5}, {20, 5}, {20, 10}} {
+		src := ManyLoopProgramPSL(c.n, c.m)
+		r := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				planProgram(b, src)
+			}
+		})
+		loops := c.n * c.m
+		parseNs[loops] = float64(r.T.Nanoseconds()) / float64(r.N)
+		name := fmt.Sprintf("parse-%d-loops", loops)
+		f.Entries = append(f.Entries, planBenchEntry{Name: name, Loops: loops, NsPerOp: parseNs[loops],
+			BytesPerSec: float64(len(src)) / parseNs[loops] * 1e9, N: r.N})
+		t.Logf("%s: %.0f ns/op (N=%d)", name, parseNs[loops], r.N)
+	}
+	f.ParseScaling8x = parseNs[200] / parseNs[25]
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -260,6 +336,6 @@ func writePlanBenchJSON(t *testing.T) {
 	if err := os.WriteFile(benchPlanJSONPath, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("wrote BENCH_plan.json (4x-loops scaling %.2fx, 8x-loops scaling %.2fx)\n",
-		f.Scaling4xLoops, f.Scaling8xLoops)
+	fmt.Printf("wrote BENCH_plan.json (4x-loops scaling %.2fx, 8x-loops scaling %.2fx, parse %.2fx)\n",
+		f.Scaling4xLoops, f.Scaling8xLoops, f.ParseScaling8x)
 }
