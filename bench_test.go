@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"io"
 	"math/rand"
 	"testing"
 
@@ -226,6 +227,38 @@ func benchR3ForceParallel(b *testing.B, eng interp.Engine) {
 }
 
 func BenchmarkR3WalkForceParallel4(b *testing.B) { benchR3ForceParallel(b, interp.EngineWalk) }
+
+// bhSimDriver is the benchmark's bench_sim entry point: the paper's
+// program end to end, the final positions folded into one real.
+const bhSimDriver = `
+function real bench_sim(int n, int steps, real theta, real dt) {
+  var Octree *particles = simulate(n, steps, theta, dt);
+  var real s = 0.0;
+  var Octree *p = particles;
+  while p != NULL {
+    s = s + p->posx + p->posy + p->posz;
+    p = p->next;
+  }
+  return s;
+}
+`
+
+// BenchmarkR3WalkBarnesHutSim is the oracle's own cost: bench_sim(256,
+// 2) on the walker, the run `go run ./benchmark` takes its bh_sim
+// references from (same call, same default rand() seed).
+func BenchmarkR3WalkBarnesHutSim(b *testing.B) {
+	prog, err := lang.Parse(nbody.BarnesHutPSL + bhSimDriver)
+	if err != nil {
+		b.Fatal(err)
+	}
+	args := []interp.Value{interp.IntVal(256), interp.IntVal(2), interp.RealVal(0.5), interp.RealVal(0.01)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := interp.Run(prog, interp.Config{Engine: interp.EngineWalk, Seed: 44, Output: io.Discard}, "bench_sim", args...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // ---------------------------------------------------------------------------
 // R6 — the flat bytecode VM (interp.EngineBytecode) on the same R3

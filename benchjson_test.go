@@ -77,6 +77,7 @@ var benchConfigs = []struct {
 	{"R2-force/serial", interp.EngineBytecode, BenchmarkR6BytecodeForceSerial},
 	{"R2-force/par4", interp.EngineWalk, BenchmarkR3WalkForceParallel4},
 	{"R2-force/par4", interp.EngineBytecode, BenchmarkR6BytecodeForceParallel4},
+	{"R3-bhsim/serial", interp.EngineWalk, BenchmarkR3WalkBarnesHutSim},
 	{"R8-vecforce/serial", interp.EngineBytecode, BenchmarkR8BytecodeVecForceSerial},
 	{"R8-vecforce/serial", interp.EngineKernel, BenchmarkR8KernelVecForceSerial},
 }

@@ -487,9 +487,10 @@ func assertSpeedupFloor(t *testing.T, slow, fast floorConfig, fn string, args []
 // the R2 force workload, run serially, the flat instruction loop over
 // typed register banks must be many times faster than the tree-walker,
 // so R1/R2 are not "speedups of a slow interpreter". The honest ratio
-// on an idle host is recorded in BENCH_interp.json (≈ 11×: the walker
-// reads a slot frame, but still pays an AST walk, a Kind-tagged Value
-// per expression and a field lookup by name; see also the ledger's
+// on an idle host is recorded in BENCH_interp.json (≈ 10×: the walker
+// reads a slot frame off a per-interpreter stack and allocates no more
+// than the VM, but still pays an AST walk, a Kind-tagged Value per
+// expression and a field lookup by name; see also the ledger's
 // interp.steps_per_s rows in `go run ./benchmark`); the
 // floor here is loose, and looser still under the race detector, whose
 // per-access instrumentation falls heaviest on the VM's tight switch

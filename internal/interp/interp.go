@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -306,6 +305,13 @@ type Interp struct {
 	bufs  []*bytes.Buffer
 	// cdepth is the bytecode VM's live call depth.
 	cdepth int
+	// walkPool is the walker's frame stack: every private []Value it
+	// makes — a call's slot frame, a builtin's argument list, a Real-mode
+	// forall iteration's snapshot — is popped here and pushed back when
+	// that call or iteration ends, so frames are taken and returned LIFO
+	// and after warm-up nothing allocates. Like bcPool it is per-Interp
+	// and bounded; Fork builds a fresh Interp, so forks never share it.
+	walkPool [][]Value
 }
 
 // state holds the counters an interpreter shares with its forks.
@@ -440,9 +446,11 @@ func (ip *Interp) Call(fn string, args ...Value) (Value, error) {
 		}
 		return v, err
 	}
-	vals := make([]Value, max(len(args), len(f.Vars)))
+	vals := ip.getVals(max(len(args), len(f.Vars)))
 	copy(vals, args)
-	return ip.callFunc(f, vals, 0)
+	v, err := ip.callFunc(f, vals, 0)
+	ip.putVals(vals)
+	return v, err
 }
 
 // Run is a convenience: interpret fn and return stats.
@@ -566,12 +574,39 @@ func (fr frame) unresolved(pos lang.Pos, name string, s int) error {
 	return fmt.Errorf("%s: interp: %s: variable %q does not resolve to slot %d (program not checked?)", pos, fr.fn.Name, name, s)
 }
 
-// snapshot returns a copy of the frame for one parallel iteration, so
-// concurrent variable writes cannot race (heap writes are the program's
-// responsibility — the dependence test guarantees transformed code is
-// race-free). It is one slice copy, as the VM's register-bank fork is.
-func (fr frame) snapshot() frame {
-	return frame{fn: fr.fn, vals: slices.Clone(fr.vals)}
+// getVals pops a zeroed frame of length n off the walker's frame stack,
+// growing the top entry when it is too small; the stack is empty only
+// on warm-up or deeper than walkPool's bound.
+func (ip *Interp) getVals(n int) []Value {
+	if l := len(ip.walkPool); l > 0 {
+		vals := ip.walkPool[l-1]
+		ip.walkPool = ip.walkPool[:l-1]
+		return resize(vals, n)
+	}
+	return make([]Value, n)
+}
+
+// putVals zeroes vals and pushes it back, so a reused frame reads as a
+// fresh one and the stack pins no dead node or string. Every entry is
+// zero up to its capacity: it was made zeroed, and whatever a user
+// wrote into it lies within the length cleared here.
+func (ip *Interp) putVals(vals []Value) {
+	clear(vals)
+	if len(ip.walkPool) < 64 {
+		ip.walkPool = append(ip.walkPool, vals)
+	}
+}
+
+// snapshot returns a copy of the frame for one parallel iteration on w,
+// so concurrent variable writes cannot race (heap writes are the
+// program's responsibility — the dependence test guarantees transformed
+// code is race-free). It is one slice copy, as the VM's register-bank
+// fork is, into a frame from w's own stack: the caller gives it back
+// with w.putVals when the iteration ends.
+func (fr frame) snapshot(w *Interp) frame {
+	vals := w.getVals(len(fr.vals))
+	copy(vals, fr.vals)
+	return frame{fn: fr.fn, vals: vals}
 }
 
 // ---------------------------------------------------------------------------
@@ -810,11 +845,12 @@ func (ip *Interp) execFor(s *lang.ForStmt, fr frame, depth int) (ctrl, Value, er
 			return c, err
 		})
 	}
-	// Each iteration gets a snapshot frame.
+	// Each iteration gets a snapshot frame from its worker's stack.
 	return ctrlNext, Value{}, ip.realForall(s.Pos(), from, to, func(w *Interp, k int64) (ctrl, error) {
-		nf := fr.snapshot()
+		nf := fr.snapshot(w)
 		nf.vals[s.Slot] = IntVal(k)
 		c, _, err := w.execBlock(s.Body, nf, depth)
+		w.putVals(nf.vals)
 		return c, err
 	})
 }
@@ -1181,12 +1217,14 @@ func (ip *Interp) evalField(e *lang.FieldExpr, fr frame, depth int) (Value, erro
 }
 
 func (ip *Interp) evalCall(e *lang.CallExpr, fr frame, depth int) (Value, error) {
-	// A function's arguments are evaluated into its frame.
+	// A function's arguments are evaluated into its frame, a builtin's
+	// into its argument list, both off the walker's frame stack.
 	n, f := len(e.Args), ip.prog.Func(e.Func)
 	if f != nil {
 		n = max(n, len(f.Vars))
 	}
-	args := make([]Value, n)
+	args := ip.getVals(n)
+	defer ip.putVals(args)
 	for i, a := range e.Args {
 		v, err := ip.eval(a, fr, depth)
 		if err != nil {

@@ -185,6 +185,84 @@ func TestOutputMergedInIterationOrder(t *testing.T) {
 	}
 }
 
+// callingSrc is a forall whose iterations call functions — recursion,
+// a builtin, a print — and write disjoint nodes, so each iteration's
+// frames come from its worker's frame stack.
+const callingSrc = `
+type Cell [X]
+{ int v;
+  Cell *next is uniquely forward along X;
+};
+
+function int fib(int n) {
+  if n < 2 { return n; }
+  return fib(n - 1) + fib(n - 2);
+}
+
+procedure visit(int i, Cell *c) {
+  var int f = fib(i % 12);
+  var real r = sqrt(f);
+  c->v = f;
+  print(i, f, r);
+}
+
+function int main(int n) {
+  var Cell *head = NULL;
+  var int k = 0;
+  while k < n {
+    var Cell *t = new Cell;
+    t->next = head;
+    head = t;
+    k = k + 1;
+  }
+  forall i = 0 to n - 1 {
+    var Cell *c = head;
+    var int j = 0;
+    while j < i {
+      c = c->next;
+      j = j + 1;
+    }
+    visit(i, c);
+  }
+  var int s = 0;
+  var Cell *p = head;
+  while p != NULL {
+    s = s + p->v;
+    p = p->next;
+  }
+  return s;
+}
+`
+
+// TestWalkPoolCallsMatchSerial: on two PEs the walker's pool run of a
+// forall whose iterations call functions is bit-identical to the
+// serial walk — value, output and every counter. Each PE's iterations
+// take their frames from that PE's own interpreter; the -race job runs
+// this test to hold them to it.
+func TestWalkPoolCallsMatchSerial(t *testing.T) {
+	prog, err := lang.Parse(callingSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := interp.IntVal(48)
+	var serialOut bytes.Buffer
+	want, wantSt, err := interp.Run(prog, interp.Config{Engine: interp.EngineWalk, Output: &serialOut}, "main", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		var out bytes.Buffer
+		got, st, err := parexec.Run(prog, parexec.Options{Interp: interp.EngineWalk, PEs: 2, Output: &out}, "main", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || st != wantSt || !bytes.Equal(out.Bytes(), serialOut.Bytes()) {
+			t.Fatalf("run %d: pool %s %+v, serial %s %+v; outputs equal: %v",
+				i, got, st, want, wantSt, bytes.Equal(out.Bytes(), serialOut.Bytes()))
+		}
+	}
+}
+
 // TestBarnesHutParallelMatchesSerial: the full §4.3 pipeline — both BH
 // loops strip-mined — integrates to the same trajectories on the pool.
 func TestBarnesHutParallelMatchesSerial(t *testing.T) {
