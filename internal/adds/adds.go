@@ -161,22 +161,32 @@ func (d *Decl) Validate() error {
 
 // Pointer returns the pointer field with the given name, or nil.
 func (d *Decl) Pointer(name string) *PointerField {
-	for i := range d.Pointers {
-		if d.Pointers[i].Name == name {
-			return &d.Pointers[i]
-		}
+	if i := d.PointerIndex(name); i >= 0 {
+		return &d.Pointers[i]
 	}
 	return nil
 }
 
-// DataField returns the data field with the given name, or nil.
-func (d *Decl) DataField(name string) *DataField {
-	for i := range d.Data {
-		if d.Data[i].Name == name {
-			return &d.Data[i]
+// PointerIndex returns the index in Pointers of the field with the
+// given name, or -1.
+func (d *Decl) PointerIndex(name string) int {
+	for i := range d.Pointers {
+		if d.Pointers[i].Name == name {
+			return i
 		}
 	}
-	return nil
+	return -1
+}
+
+// DataIndex returns the index in Data of the field with the given
+// name, or -1.
+func (d *Decl) DataIndex(name string) int {
+	for i := range d.Data {
+		if d.Data[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // HasDim reports whether dim is a declared dimension of d.

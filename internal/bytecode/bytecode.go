@@ -287,16 +287,17 @@ type Func struct {
 	Foralls []ForallSite
 }
 
-// Program is a lowered program: one Func per compile.Func, same order.
+// Program is a lowered program: one Func per function, same order.
 type Program struct {
 	Funcs []*Func
-	cp    *compile.Program
 }
 
 // Func returns the named function, or nil.
 func (p *Program) Func(name string) *Func {
-	if i := p.cp.FuncIndex(name); i >= 0 {
-		return p.Funcs[i]
+	for _, f := range p.Funcs {
+		if f.Name == name {
+			return f
+		}
 	}
 	return nil
 }
@@ -305,23 +306,24 @@ func (p *Program) Func(name string) *Func {
 // Lowering
 
 // Compile lowers a checked program to bytecode in one walk over its
-// AST, reading each use's slot off the AST and field offsets and
-// callees from cp's tables. Errors indicate input the lowering does not
-// model — a use the checker did not resolve, a type no register bank
-// holds (they should not occur for checked programs) — and are reported
-// rather than panicked: interp's CompileProgram hands them back, and
-// only the walker still runs such a program.
+// AST, reading what lang.Check resolved off the AST: each use's slot,
+// each field access's offset, each call's callee. Errors indicate input
+// the lowering does not model — a use the checker did not resolve, a
+// type no register bank holds (they should not occur for checked
+// programs) — and are reported rather than panicked: interp's
+// CompileProgram hands them back, and only the walker still runs such
+// a program.
 func Compile(cp *compile.Program) (*Program, error) {
-	p := &Program{Funcs: make([]*Func, len(cp.Funcs)), cp: cp}
+	p := &Program{Funcs: make([]*Func, len(cp.Funcs))}
 	funcs := make([]Func, len(cp.Funcs))
 	for i, f := range cp.Funcs {
-		funcs[i] = Func{Name: f.Decl.Name, Result: f.Decl.Result}
+		funcs[i] = Func{Name: f.Name, Result: f.Result}
 		p.Funcs[i] = &funcs[i]
 	}
 	b := &builder{cp: cp, names: make([]nameRef, cp.Lang.Names().Len())}
 	for i, f := range cp.Funcs {
 		if err := b.lowerFunc(p.Funcs[i], f, i); err != nil {
-			return nil, fmt.Errorf("bytecode: %s: %w", f.Decl.Name, err)
+			return nil, fmt.Errorf("bytecode: %s: %w", f.Name, err)
 		}
 	}
 	// Every callee's parameter registers and code are known now: bind
@@ -454,12 +456,11 @@ type size struct {
 	code, calls, args, prints, foralls, news, names int
 }
 
-func (b *builder) lowerFunc(bf *Func, f *compile.Func, idx int) error {
-	fn := f.Decl
+func (b *builder) lowerFunc(bf *Func, fn *lang.FuncDecl, idx int) error {
 	b.fn, b.f, b.fnNum, b.n, b.err = fn, bf, int32(idx)+1, size{}, nil
 	b.permTop, b.tempTop, b.maxTop = [6]int32{}, [6]int32{}, [6]int32{}
 	b.strIdx = nil
-	b.slotReg = append(b.slotReg[:0], make([]Reg, f.Slots)...)
+	b.slotReg = append(b.slotReg[:0], make([]Reg, len(fn.Vars))...)
 	// Home registers: parameters first, then every declaration found
 	// in the body (each declaration owns its slot; the checker never
 	// reuses slots across types).
@@ -639,8 +640,8 @@ func (b *builder) count(e lang.Expr, into, real bool) {
 			n.calls++
 			n.args += len(e.Args)
 			var params []lang.Param
-			if i := b.cp.FuncIndex(e.Func); i >= 0 {
-				params = b.cp.Funcs[i].Decl.Params
+			if _, f := b.callee(e); f != nil {
+				params = f.Params
 			}
 			for i, a := range e.Args {
 				b.count(a, false, i < len(params) && isReal(params[i].Type))
@@ -730,21 +731,38 @@ func (b *builder) slot(id *lang.Ident) (Reg, error) {
 	return b.slotReg[id.Slot], nil
 }
 
-// field resolves base->field against the record declaration of the
-// base's static pointer type.
-func (b *builder) field(fe *lang.FieldExpr) (compile.Field, error) {
-	if fe.X.Type() == nil {
-		return compile.Field{}, fmt.Errorf("%s: untyped field base (program not checked?)", fe.Pos())
-	}
+// field checks that the record declaration of the base's static
+// pointer type holds base->field at the offset the checker recorded
+// (FieldExpr.Off), among its Pointers or its Data as the access's type
+// says.
+func (b *builder) field(fe *lang.FieldExpr) error {
 	elem, ok := lang.IsPointer(fe.X.Type())
-	if !ok {
-		return compile.Field{}, fmt.Errorf("%s: field base is not a pointer", fe.Pos())
+	if !ok || fe.Type() == nil {
+		return fmt.Errorf("%s: untyped field access (program not checked?)", fe.Pos())
 	}
-	f, ok := b.cp.Field(elem, fe.FieldID)
-	if !ok || b.cp.Lang.Names().Text(fe.FieldID) != fe.Field {
-		return compile.Field{}, fmt.Errorf("%s: type %q has no field %q", fe.Pos(), elem, fe.Field)
+	decl, name := b.cp.Lang.Universe.Decl(elem), ""
+	switch {
+	case decl == nil:
+	case isPtr(fe.Type()) && uint(fe.Off) < uint(len(decl.Pointers)):
+		name = decl.Pointers[fe.Off].Name
+	case !isPtr(fe.Type()) && uint(fe.Off) < uint(len(decl.Data)):
+		name = decl.Data[fe.Off].Name
 	}
-	return f, nil
+	if name != fe.Field || b.cp.Lang.Names().Text(fe.FieldID) != fe.Field {
+		return fmt.Errorf("%s: type %q has no field %q", fe.Pos(), elem, fe.Field)
+	}
+	return nil
+}
+
+// callee returns the index and declaration of the function the checker
+// resolved a call to (CallExpr.Callee), or nil if that is not a
+// function of the program's by the call's name.
+func (b *builder) callee(e *lang.CallExpr) (int32, *lang.FuncDecl) {
+	i := int(e.Callee) - 1
+	if i < 0 || i >= len(b.cp.Funcs) || b.cp.Funcs[i].Name != e.Func {
+		return -1, nil
+	}
+	return int32(i), b.cp.Funcs[i]
 }
 
 // ---------------------------------------------------------------------------
@@ -871,11 +889,10 @@ func (b *builder) assignTo(dst Reg, typ lang.Type, e lang.Expr) error {
 
 // storeField lowers "lhs = rhs;" for a field target.
 func (b *builder) storeField(pos lang.Pos, lhs *lang.FieldExpr, rhs lang.Expr) error {
-	fld, err := b.field(lhs)
-	if err != nil {
+	if err := b.field(lhs); err != nil {
 		return err
 	}
-	if fld.IsPtr {
+	if isPtr(lhs.Type()) {
 		rs, err := b.operand(rhs)
 		if err != nil {
 			return err
@@ -885,7 +902,7 @@ func (b *builder) storeField(pos lang.Pos, lhs *lang.FieldExpr, rhs lang.Expr) e
 			return err
 		}
 		if lhs.Index == nil {
-			b.emit(pos, Instr{Op: OpStoreNode, A: rb.Idx, B: rs.Idx, C: int32(fld.Off),
+			b.emit(pos, Instr{Op: OpStoreNode, A: rb.Idx, B: rs.Idx, C: lhs.Off,
 				Imm: int64(b.name(lhs))})
 			return nil
 		}
@@ -895,7 +912,7 @@ func (b *builder) storeField(pos lang.Pos, lhs *lang.FieldExpr, rhs lang.Expr) e
 			return err
 		}
 		b.emit(pos, Instr{Op: OpStoreNodeIdx, A: rb.Idx, B: rs.Idx, C: ri.Idx,
-			Imm: packOffName(fld.Off, b.name(lhs))})
+			Imm: packOffName(lhs.Off, b.name(lhs))})
 		return nil
 	}
 
@@ -913,7 +930,7 @@ func (b *builder) storeField(pos lang.Pos, lhs *lang.FieldExpr, rhs lang.Expr) e
 	if op == opInvalid {
 		return fmt.Errorf("%s: data field %s has unbankable type %v", pos, lhs.Field, typ)
 	}
-	b.emit(pos, Instr{Op: op, A: rb.Idx, B: rs.Idx, C: int32(fld.Off),
+	b.emit(pos, Instr{Op: op, A: rb.Idx, B: rs.Idx, C: lhs.Off,
 		Imm: int64(b.name(lhs))})
 	return nil
 }
@@ -1021,7 +1038,7 @@ func (b *builder) condBranch(cond lang.Expr) (int32, error) {
 	return int32(last), nil
 }
 
-func packOffName(off int, name int32) int64 {
+func packOffName(off, name int32) int64 {
 	return int64(off)<<32 | int64(uint32(name))
 }
 
@@ -1169,8 +1186,7 @@ func (b *builder) evalInto(e lang.Expr, dst Reg) error {
 
 func (b *builder) load(e *lang.FieldExpr, dst Reg) error {
 	pos := e.Pos()
-	fld, err := b.field(e)
-	if err != nil {
+	if err := b.field(e); err != nil {
 		return err
 	}
 	rb, err := b.operand(e.X)
@@ -1178,17 +1194,17 @@ func (b *builder) load(e *lang.FieldExpr, dst Reg) error {
 		return err
 	}
 	name := b.name(e)
-	if !fld.IsPtr {
+	if !isPtr(e.Type()) {
 		op := loadOps[BankOf(e.Type())]
 		if op == opInvalid {
 			return fmt.Errorf("%s: data field %s has unbankable type %v", pos, e.Field, e.Type())
 		}
-		b.emit(pos, Instr{Op: op, A: dst.Idx, B: rb.Idx, C: int32(fld.Off),
+		b.emit(pos, Instr{Op: op, A: dst.Idx, B: rb.Idx, C: e.Off,
 			Imm: int64(name)})
 		return nil
 	}
 	if e.Index == nil {
-		b.emit(pos, Instr{Op: OpLoadNode, A: dst.Idx, B: rb.Idx, C: int32(fld.Off),
+		b.emit(pos, Instr{Op: OpLoadNode, A: dst.Idx, B: rb.Idx, C: e.Off,
 			Imm: int64(name)})
 		return nil
 	}
@@ -1201,7 +1217,7 @@ func (b *builder) load(e *lang.FieldExpr, dst Reg) error {
 		return err
 	}
 	b.emit(pos, Instr{Op: OpLoadNodeIdx, A: dst.Idx, B: rb.Idx, C: ri.Idx,
-		Imm: packOffName(fld.Off, name)})
+		Imm: packOffName(e.Off, name)})
 	b.patch(begin)
 	return nil
 }
@@ -1230,14 +1246,14 @@ func (b *builder) call(e *lang.CallExpr, dst Reg) error {
 }
 
 func (b *builder) userCall(e *lang.CallExpr, dst Reg) error {
-	idx := b.cp.FuncIndex(e.Func)
-	if idx < 0 {
+	idx, f := b.callee(e)
+	if f == nil {
 		return fmt.Errorf("%s: call to unknown function %q", e.Pos(), e.Func)
 	}
 	// Arguments evaluate in order into their source registers (variable
 	// homes pass through untouched). The VM copies them into the callee
 	// frame.
-	params := b.cp.Funcs[idx].Decl.Params
+	params := f.Params
 	args := b.argRegs(len(e.Args))
 	for i, a := range e.Args {
 		r, err := b.operandAs(a, isReal(params[i].Type))
@@ -1247,7 +1263,7 @@ func (b *builder) userCall(e *lang.CallExpr, dst Reg) error {
 		args[i] = r
 	}
 	site := int32(len(b.f.Calls))
-	b.f.Calls = append(b.f.Calls, CallSite{FuncIdx: int32(idx), Args: args, Dst: dst})
+	b.f.Calls = append(b.f.Calls, CallSite{FuncIdx: idx, Args: args, Dst: dst})
 	b.emit(e.Pos(), Instr{Op: OpCall, A: site})
 	return nil
 }

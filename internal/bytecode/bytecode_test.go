@@ -289,7 +289,7 @@ func TestCodeSizedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, f := range bp.Funcs {
-			b := &builder{cp: cp, fn: cp.Funcs[i].Decl, slotReg: make([]Reg, cp.Funcs[i].Slots),
+			b := &builder{cp: cp, fn: cp.Funcs[i], slotReg: make([]Reg, len(cp.Funcs[i].Vars)),
 				names: make([]nameRef, cp.Lang.Names().Len()), fnNum: int32(i) + 1}
 			b.assignSlots(b.fn.Body.Stmts)
 			n := b.n

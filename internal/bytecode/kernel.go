@@ -167,7 +167,7 @@ func (b *builder) matchStrip(s *lang.ForStmt, nCalls int, bodyLen int32) (*Strip
 		}
 	}
 	helperIdx := b.f.Calls[nCalls].FuncIdx
-	callee := b.cp.Funcs[helperIdx].Decl
+	callee := b.cp.Funcs[helperIdx]
 	if callee.Result != nil || len(callee.Params) != len(call.Args) || len(callee.Body.Stmts) != 2 {
 		return nil, ""
 	}
@@ -199,8 +199,7 @@ func (b *builder) matchStrip(s *lang.ForStmt, nCalls int, bodyLen int32) (*Strip
 	if !ok || advLoad.Index != nil {
 		return nil, ""
 	}
-	advField, err := b.field(advLoad)
-	if err != nil || !advField.IsPtr {
+	if b.field(advLoad) != nil || !isPtr(advLoad.Type()) {
 		return nil, ""
 	}
 	advBase, ok := advLoad.X.(*lang.Ident)
@@ -225,7 +224,7 @@ func (b *builder) matchStrip(s *lang.ForStmt, nCalls int, bodyLen int32) (*Strip
 	return &Strip{
 		HelperIdx:   helperIdx,
 		CallSite:    int32(nCalls),
-		AdvanceOff:  int32(advField.Off),
+		AdvanceOff:  advLoad.Off,
 		AdvanceName: advLoad.Field,
 		ArgsInRegs:  bodyLen == 2,
 	}, argReason

@@ -42,14 +42,16 @@ func mustCompile(t *testing.T, src string) *Program {
 	return cp
 }
 
-// fn returns the named function's frame.
-func fn(t *testing.T, cp *Program, name string) *Func {
+// fn returns the named function.
+func fn(t *testing.T, cp *Program, name string) *lang.FuncDecl {
 	t.Helper()
-	i := cp.FuncIndex(name)
-	if i < 0 {
-		t.Fatalf("%s not compiled", name)
+	for _, f := range cp.Funcs {
+		if f.Name == name {
+			return f
+		}
 	}
-	return cp.Funcs[i]
+	t.Fatalf("%s not compiled", name)
+	return nil
 }
 
 // TestSlotAssignment: parameters take the first slots, each declaration
@@ -57,58 +59,15 @@ func fn(t *testing.T, cp *Program, name string) *Func {
 func TestSlotAssignment(t *testing.T) {
 	cp := mustCompile(t, listSrc)
 	f := fn(t, cp, "sum")
-	if len(f.Decl.Params) != 1 || f.Decl.Params[0].Name != "head" || f.Decl.Vars[0] != f.Decl.Params[0].ID {
-		t.Fatalf("params = %+v, vars %v", f.Decl.Params, f.Decl.Vars)
+	if len(f.Params) != 1 || f.Params[0].Name != "head" || f.Vars[0] != f.Params[0].ID {
+		t.Fatalf("params = %+v, vars %v", f.Params, f.Vars)
 	}
 	// head, p, s — no temporaries needed for this body.
-	if f.Slots != 3 {
-		t.Errorf("sum frame has %d slots, want 3", f.Slots)
+	if len(f.Vars) != 3 {
+		t.Errorf("sum frame has %d slots, want 3", len(f.Vars))
 	}
-	if got := cp.FuncIndex("touch"); got != 1 {
-		t.Errorf("FuncIndex(touch) = %d", got)
-	}
-	if cp.FuncIndex("nope") != -1 {
-		t.Error("unknown function must resolve to -1")
-	}
-}
-
-// TestFieldOffsets: offsets index the declaration's Data/Pointers
-// slices in source order, keyed by the field name's id; a name the
-// record does not declare, or a record the program does not, resolves
-// to nothing.
-func TestFieldOffsets(t *testing.T) {
-	cp := mustCompile(t, listSrc)
-	id := func(name string) lang.ID {
-		t.Helper()
-		id, ok := cp.Lang.Names().Lookup(name)
-		if !ok {
-			t.Fatalf("%s not in the identifier table", name)
-		}
-		return id
-	}
-	for _, c := range []struct {
-		field string
-		want  Field
-	}{
-		{"data", Field{Off: 0, ok: true}},
-		{"aux", Field{Off: 1, ok: true}},
-		// weight is the third data field (data, aux, weight).
-		{"weight", Field{Off: 2, ok: true}},
-		{"next", Field{Off: 0, IsPtr: true, ok: true}},
-	} {
-		if got, ok := cp.Field("OneWayList", id(c.field)); !ok || got != c.want {
-			t.Errorf("OneWayList.%s = %+v, %v; want %+v", c.field, got, ok, c.want)
-		}
-	}
-	for _, c := range []struct{ record, field string }{
-		{"OneWayList", "sum"}, {"OneWayList", "head"}, {"Nope", "data"},
-	} {
-		if got, ok := cp.Field(c.record, id(c.field)); ok {
-			t.Errorf("%s.%s resolved to %+v", c.record, c.field, got)
-		}
-	}
-	if got, ok := cp.Field("OneWayList", lang.ID(cp.Lang.Names().Len()+5)); ok {
-		t.Errorf("an id past the table resolved to %+v", got)
+	if cp.Funcs[1].Name != "touch" {
+		t.Errorf("frame 1 is %s, want touch: frames follow the program's order", cp.Funcs[1].Name)
 	}
 }
 
@@ -128,10 +87,10 @@ function int f(int x) {
 `)
 	f := fn(t, cp, "f")
 	// x, y, inner x.
-	if f.Slots != 3 {
-		t.Fatalf("frame has %d slots, want 3", f.Slots)
+	if len(f.Vars) != 3 {
+		t.Fatalf("frame has %d slots, want 3", len(f.Vars))
 	}
-	ifs := f.Decl.Body.Stmts[1].(*lang.IfStmt)
+	ifs := f.Body.Stmts[1].(*lang.IfStmt)
 	inner := ifs.Then.Stmts[0].(*lang.VarStmt)
 	if inner.Slot == 0 {
 		t.Error("inner x must shadow with a fresh slot")
@@ -143,23 +102,6 @@ function int f(int x) {
 	asgn := ifs.Then.Stmts[1].(*lang.AssignStmt)
 	if rhs := asgn.RHS.(*lang.Ident); rhs.Slot != inner.Slot {
 		t.Errorf("y = x resolves x to slot %d, want inner slot %d", rhs.Slot, inner.Slot)
-	}
-}
-
-// TestBuiltinResolution: user functions resolve to their index in
-// program order; builtins are no function of the program's.
-func TestBuiltinResolution(t *testing.T) {
-	cp := mustCompile(t, `
-function real g(real x) { return sqrt(abs(x)) + rand(); }
-function real h(real x) { print("x", x); return g(x); }
-`)
-	if cp.FuncIndex("g") != 0 || cp.FuncIndex("h") != 1 {
-		t.Errorf("FuncIndex(g), FuncIndex(h) = %d, %d", cp.FuncIndex("g"), cp.FuncIndex("h"))
-	}
-	for _, b := range []string{"sqrt", "abs", "rand", "print"} {
-		if i := cp.FuncIndex(b); i != -1 {
-			t.Errorf("builtin %s resolved to function %d", b, i)
-		}
 	}
 }
 
@@ -186,15 +128,15 @@ procedure loops() {
 }
 `)
 	f := fn(t, cp, "loops")
-	ser := f.Decl.Body.Stmts[1].(*lang.ForStmt)
-	par := f.Decl.Body.Stmts[2].(*lang.ForStmt)
+	ser := f.Body.Stmts[1].(*lang.ForStmt)
+	par := f.Body.Stmts[2].(*lang.ForStmt)
 	if ser.Parallel || !par.Parallel {
 		t.Errorf("Parallel flags: serial=%v parallel=%v", ser.Parallel, par.Parallel)
 	}
 	if ser.Slot == par.Slot {
 		t.Error("sibling loop variables should still get distinct slots")
 	}
-	if f.Slots != 3 {
-		t.Errorf("frame has %d slots, want 3", f.Slots)
+	if len(f.Vars) != 3 {
+		t.Errorf("frame has %d slots, want 3", len(f.Vars))
 	}
 }

@@ -80,19 +80,43 @@ func (a *Analyzer) scan(f *lang.FuncDecl) []string {
 // summaries; inside a recursive component a function is re-walked only
 // when the summary of a member it calls grew (the accesses only
 // accumulate, and the field and dimension sets are finite, so this
-// terminates).
+// terminates). A component's work list is its members' positions, each
+// at most once in it: when a member's summary grows, the members that
+// call it are queued in member order, through the component's reverse
+// edges, so a walk costs what its callers number, not the component.
 func (a *Analyzer) solve() {
 	for _, members := range a.comps {
-		queue := append([]*lang.FuncDecl(nil), members...)
+		if len(members) == 1 {
+			f := members[0]
+			for a.walk(f) && slices.Contains(a.callees[f.Name], f.Name) {
+			}
+			continue
+		}
+		pos := make(map[string]int, len(members))
+		for i, f := range members {
+			pos[f.Name] = i
+		}
+		callers := make([][]int, len(members))
+		for j, g := range members {
+			for _, c := range a.callees[g.Name] {
+				if i, ok := pos[c]; ok {
+					callers[i] = append(callers[i], j)
+				}
+			}
+		}
+		queue, queued := make([]int, len(members)), make([]bool, len(members))
+		for i := range queue {
+			queue[i], queued[i] = i, true
+		}
 		for len(queue) > 0 {
-			f := queue[0]
-			queue = queue[1:]
-			if !a.walk(f) {
+			i := queue[0]
+			queue, queued[i] = queue[1:], false
+			if !a.walk(members[i]) {
 				continue
 			}
-			for _, g := range members {
-				if slices.Contains(a.callees[g.Name], f.Name) && !slices.Contains(queue, g) {
-					queue = append(queue, g)
+			for _, j := range callers[i] {
+				if !queued[j] {
+					queue, queued[j] = append(queue, j), true
 				}
 			}
 		}

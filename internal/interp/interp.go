@@ -290,10 +290,13 @@ type Interp struct {
 	// links those walks followed.
 	lanes     []*Node
 	stripHops int64
-	// stepsLocal batches the bytecode VM's statement count between
-	// flushes to the shared atomic (each Interp executes on one
-	// goroutine at a time, so the field needs no synchronization).
-	stepsLocal int64
+	// stepsLocal batches the statement count between flushes to the
+	// shared atomic: the bytecode VM's always, the walker's when serial
+	// (no Forall scheduler and not a fork: no other writer), up to
+	// stepMark (step). Each Interp executes on one goroutine at a time,
+	// so these need no synchronization.
+	stepsLocal, stepMark int64
+	serial               bool
 	// ownSteps and ownAllocs are what this interpreter itself — not its
 	// parent or sibling forks — has added to the shared step and
 	// allocation counters: the difference across one forall iteration
@@ -369,6 +372,7 @@ func newInterp(prog *lang.Program, cfg Config) *Interp {
 		maxAllocs: cfg.MaxAllocs,
 		maxOutput: cfg.MaxOutputBytes,
 		ctx:       cfg.Ctx,
+		serial:    cfg.Forall == nil,
 	}
 	return ip
 }
@@ -450,6 +454,8 @@ func (ip *Interp) Call(fn string, args ...Value) (Value, error) {
 	copy(vals, args)
 	v, err := ip.callFunc(f, vals, 0)
 	ip.putVals(vals)
+	ip.addSteps(ip.stepsLocal) // a serial walk's batch
+	ip.stepsLocal, ip.stepMark = 0, ip.stepMark-ip.stepsLocal
 	return v, err
 }
 
@@ -475,13 +481,27 @@ func (ip *Interp) addSteps(n int64) int64 {
 	return ip.sh.steps.Add(n)
 }
 
+// step charges the walker's statement at pos: the statement that takes
+// the run's total past MaxSteps fails, and one that takes it to a
+// multiple of stepFlushChunk polls cancellation. A serial interpreter
+// publishes its batch only then (stepMark), where the VM flushes and at
+// Call return; a scheduled run and its forks add each statement to the
+// counter they share.
 func (ip *Interp) step(pos lang.Pos) error {
-	n := ip.addSteps(1)
+	var n int64
+	if ip.serial {
+		if ip.stepsLocal++; ip.stepsLocal < ip.stepMark {
+			return nil
+		}
+		n = ip.addSteps(ip.stepsLocal)
+		ip.stepsLocal = 0
+		ip.markSteps()
+	} else {
+		n = ip.addSteps(1)
+	}
 	if n > ip.maxSteps {
 		return fmt.Errorf("%s: interp: step limit exceeded (%d)", pos, ip.maxSteps)
 	}
-	// Poll cancellation at the same granularity the bytecode VM does
-	// (flushSteps): every stepFlushChunk statements.
 	if ip.ctx != nil && n&(stepFlushChunk-1) == 0 {
 		if err := ip.ctx.Err(); err != nil {
 			return fmt.Errorf("%s: interp: run cancelled: %v", pos, err)
@@ -490,15 +510,28 @@ func (ip *Interp) step(pos lang.Pos) error {
 	return nil
 }
 
+// markSteps sets stepMark to the batch count of the statement that
+// takes the total to the next multiple of stepFlushChunk, or past
+// MaxSteps if sooner (a zero mark: the next statement). Whatever else
+// adds steps calls it.
+func (ip *Interp) markSteps() {
+	total := ip.sh.steps.Load() + ip.stepsLocal
+	next := stepFlushChunk - total&(stepFlushChunk-1)
+	if room := ip.maxSteps - total; room < next {
+		next = room + 1
+	}
+	ip.stepMark = ip.stepsLocal + next
+}
+
 // stepFlushChunk is how many bytecode-VM statements run between
 // flushes of the local step count to the shared atomic. Batching keeps
 // the hot loop off the shared cache line (which parallel workers would
 // otherwise contend on every statement); the step limit is still
-// enforced, at chunk granularity. This is the one intentional
-// accounting difference from the walker, which bumps the shared counter
-// per statement: totals are identical at every quiescent point (Call
-// return, forall iteration end); only the instant at which a MaxSteps
-// overrun is detected moves by up to one chunk.
+// enforced, at chunk granularity, so the VM detects a MaxSteps overrun
+// up to one chunk later than the walker, which fails on the exact
+// statement. Totals are identical at every quiescent point (Call
+// return, forall iteration end). The walker polls cancellation on the
+// statements that take the total to a multiple of the chunk.
 const stepFlushChunk = 256
 
 // stepC is the bytecode VM's per-statement accounting for code[pc].
@@ -518,7 +551,7 @@ func (ip *Interp) flushSteps(pos lang.Pos) error {
 		return nil
 	}
 	n := ip.stepsLocal
-	ip.stepsLocal = 0
+	ip.stepsLocal, ip.stepMark = 0, ip.stepMark-n
 	if ip.addSteps(n) > ip.maxSteps {
 		return fmt.Errorf("%s: interp: step limit exceeded (%d)", pos, ip.maxSteps)
 	}
@@ -551,9 +584,9 @@ func (ip *Interp) rand() float64 {
 
 // frame is one call's variables, indexed by the checker's slots: vals[i]
 // holds the declaration fn.Vars[i] names — the parameters at 0..n-1,
-// then every var and loop variable of the body. Fields stay resolved by
-// name (Node.data, Node.ptrs): the walker does not lean on the offset
-// table the VM's lowering builds.
+// then every var and loop variable of the body. Fields and callees are
+// the checker's too: an access reads its record at FieldExpr.Off, a
+// call runs Program.Funcs[CallExpr.Callee-1].
 type frame struct {
 	fn   *lang.FuncDecl
 	vals []Value
@@ -760,16 +793,15 @@ func (ip *Interp) execAssign(s *lang.AssignStmt, fr frame, depth int) error {
 		*slot = coerce(rv, lhs.Type())
 		return nil
 	case *lang.FieldExpr:
-		base, err := ip.eval(lhs.X, fr, depth)
+		node, err := ip.base(lhs.X, fr, depth)
 		if err != nil {
 			return err
 		}
-		if base.N == nil {
+		if node == nil {
 			return fmt.Errorf("%s: interp: store through NULL pointer", s.Pos())
 		}
 		ip.charge(ip.cfg.Costs.FieldStore)
-		node := base.N
-		if _, isPtr := lang.IsPointer(lhs.Type()); isPtr {
+		if _, isPtr := lhs.Type().(*lang.Pointer); isPtr {
 			idx := 0
 			if lhs.Index != nil {
 				iv, err := ip.eval(lhs.Index, fr, depth)
@@ -778,7 +810,7 @@ func (ip *Interp) execAssign(s *lang.AssignStmt, fr frame, depth int) error {
 				}
 				idx = int(iv.I)
 			}
-			arr := node.ptrs(lhs.Field)
+			arr := node.ptrsAt(lhs.Off)
 			if idx < 0 || idx >= len(arr) {
 				return fmt.Errorf("%s: interp: index %d out of range for %s.%s[%d]", s.Pos(), idx, node.Type, lhs.Field, len(arr))
 			}
@@ -789,11 +821,10 @@ func (ip *Interp) execAssign(s *lang.AssignStmt, fr frame, depth int) error {
 			}
 			return nil
 		}
-		slot := node.data(lhs.Field)
-		if slot == nil {
+		if lhs.Type() == nil || uint(lhs.Off) >= uint(len(node.vals)) {
 			return fmt.Errorf("%s: interp: %s has no data field %q", s.Pos(), node.Type, lhs.Field)
 		}
-		*slot = coerce(rv, lhs.Type())
+		node.vals[lhs.Off] = coerce(rv, lhs.Type())
 		return nil
 	}
 	return fmt.Errorf("%s: interp: bad assignment target %T", s.Pos(), s.LHS)
@@ -871,6 +902,7 @@ func (ip *Interp) forallTrips(pos lang.Pos, from, to int64) (bool, error) {
 		return false, fmt.Errorf("%s: interp: step limit exceeded (%d)", pos, ip.maxSteps)
 	}
 	ip.addSteps(n)
+	ip.markSteps()
 	return true, nil
 }
 
@@ -1178,13 +1210,28 @@ func (ip *Interp) printLine(pos lang.Pos, args []Value) error {
 	return nil
 }
 
+// base evaluates the base of a field access to the node it points at:
+// a normalized base, an *Ident, is read from its slot in place.
+func (ip *Interp) base(x lang.Expr, fr frame, depth int) (*Node, error) {
+	if id, ok := x.(*lang.Ident); ok {
+		slot := fr.at(id.ID, id.Slot)
+		if slot == nil {
+			return nil, fr.unresolved(id.Pos(), id.Name, id.Slot)
+		}
+		ip.charge(ip.cfg.Costs.VarAccess)
+		return slot.N, nil
+	}
+	v, err := ip.eval(x, fr, depth)
+	return v.N, err
+}
+
 func (ip *Interp) evalField(e *lang.FieldExpr, fr frame, depth int) (Value, error) {
-	base, err := ip.eval(e.X, fr, depth)
+	node, err := ip.base(e.X, fr, depth)
 	if err != nil {
 		return Value{}, err
 	}
-	_, isPtr := lang.IsPointer(e.Type())
-	if base.N == nil {
+	_, isPtr := e.Type().(*lang.Pointer)
+	if node == nil {
 		if isPtr && !ip.cfg.StrictNull {
 			// Speculative traversability (§3.2): walking a pointer
 			// field past the end of a structure yields NULL.
@@ -1193,7 +1240,6 @@ func (ip *Interp) evalField(e *lang.FieldExpr, fr frame, depth int) (Value, erro
 		return Value{}, fmt.Errorf("%s: interp: field %s read through NULL pointer", e.Pos(), e.Field)
 	}
 	ip.charge(ip.cfg.Costs.FieldLoad)
-	node := base.N
 	if isPtr {
 		idx := 0
 		if e.Index != nil {
@@ -1203,24 +1249,24 @@ func (ip *Interp) evalField(e *lang.FieldExpr, fr frame, depth int) (Value, erro
 			}
 			idx = int(iv.I)
 		}
-		arr := node.ptrs(e.Field)
+		arr := node.ptrsAt(e.Off)
 		if idx < 0 || idx >= len(arr) {
 			return Value{}, fmt.Errorf("%s: interp: index %d out of range for %s.%s[%d]", e.Pos(), idx, node.Type, e.Field, len(arr))
 		}
 		return PtrVal(arr[idx]), nil
 	}
-	v := node.data(e.Field)
-	if v == nil {
+	if e.Type() == nil || uint(e.Off) >= uint(len(node.vals)) {
 		return Value{}, fmt.Errorf("%s: interp: %s has no data field %q", e.Pos(), node.Type, e.Field)
 	}
-	return *v, nil
+	return node.vals[e.Off], nil
 }
 
 func (ip *Interp) evalCall(e *lang.CallExpr, fr frame, depth int) (Value, error) {
 	// A function's arguments are evaluated into its frame, a builtin's
 	// into its argument list, both off the walker's frame stack.
-	n, f := len(e.Args), ip.prog.Func(e.Func)
-	if f != nil {
+	n, f := len(e.Args), (*lang.FuncDecl)(nil)
+	if e.Callee > 0 && int(e.Callee) <= len(ip.prog.Funcs) {
+		f = ip.prog.Funcs[e.Callee-1]
 		n = max(n, len(f.Vars))
 	}
 	args := ip.getVals(n)
@@ -1382,11 +1428,11 @@ func Field(v Value, field string) (Value, error) {
 	if v.N == nil {
 		return Value{}, fmt.Errorf("interp: Field on NULL")
 	}
-	fv := v.N.data(field)
-	if fv == nil {
+	i := v.N.decl.DataIndex(field)
+	if i < 0 {
 		return Value{}, fmt.Errorf("interp: no field %q", field)
 	}
-	return *fv, nil
+	return v.N.vals[i], nil
 }
 
 // FieldReal reads a real data field of a node.
@@ -1400,9 +1446,9 @@ func FieldPtr(v Value, field string) (Value, error) {
 	if v.N == nil {
 		return Value{}, fmt.Errorf("interp: FieldPtr on NULL")
 	}
-	arr := v.N.ptrs(field)
-	if len(arr) == 0 {
+	i := v.N.decl.PointerIndex(field)
+	if i < 0 || len(v.N.parr[i]) == 0 {
 		return Value{}, fmt.Errorf("interp: no pointer field %q", field)
 	}
-	return PtrVal(arr[0]), nil
+	return PtrVal(v.N.parr[i][0]), nil
 }

@@ -123,12 +123,11 @@ func (ip *Interp) reachesForward(src, dst *Node, dim string) bool {
 			continue
 		}
 		seen[n] = true
-		decl := ip.prog.Universe.Decl(n.Type)
-		if decl == nil {
-			continue
-		}
-		for _, pf := range decl.FieldsAlong(dim, adds.Forward) {
-			for _, next := range n.ptrs(pf.Name) {
+		for i, pf := range n.decl.Pointers {
+			if pf.Dim != dim || pf.Dir != adds.Forward {
+				continue
+			}
+			for _, next := range n.parr[i] {
 				if next != nil {
 					stack = append(stack, next)
 				}

@@ -40,11 +40,11 @@ const (
 
 // Node is a heap record instance. Fields are stored by position, in
 // the order of the record's ADDS declaration: vals[i] is decl.Data[i]
-// and parr[i] is decl.Pointers[i]. The engines that run compiled code
-// index the slices with offsets resolved at compile time; the
-// tree-walker, the shape checker and the Field* inspectors start from a
-// field name and find its position in the declaration themselves (data,
-// ptrs), so the oracle does not lean on the offset table it checks.
+// and parr[i] is decl.Pointers[i]. Every engine indexes the slices with
+// the offset lang.Check recorded on the access (FieldExpr.Off; the
+// walker checking it is in range, the bytecode in its instructions);
+// only the shape checker's store check and the Field* inspectors start
+// from a field name and find its position in the declaration.
 // Stores write one slot in place and the slices never grow, which keeps
 // concurrent access to different fields of one node race-free — the
 // parallel executor relies on it (the dependence test guarantees no two
@@ -64,26 +64,13 @@ type Node struct {
 	inEdges map[string]int
 }
 
-// data returns the named scalar field's slot, or nil if the record
-// declares no such field.
-func (n *Node) data(field string) *Value {
-	for i := range n.decl.Data {
-		if n.decl.Data[i].Name == field {
-			return &n.vals[i]
-		}
+// ptrsAt returns the targets of the pointer field at off, or nil if the
+// record has none there.
+func (n *Node) ptrsAt(off int32) []*Node {
+	if uint(off) >= uint(len(n.parr)) {
+		return nil
 	}
-	return nil
-}
-
-// ptrs returns the named pointer field's targets, or nil if the record
-// declares no such field.
-func (n *Node) ptrs(field string) []*Node {
-	for i := range n.decl.Pointers {
-		if n.decl.Pointers[i].Name == field {
-			return n.parr[i]
-		}
-	}
-	return nil
+	return n.parr[off]
 }
 
 // Value is a PSL runtime value.

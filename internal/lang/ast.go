@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/adds"
@@ -138,13 +139,15 @@ func (*Ident) exprNode() {}
 
 // FieldExpr is a pointer field access X->Field, optionally indexed
 // (X->Field[Index]) for pointer-array fields such as subtrees[i].
-// After normalization X is always an *Ident.
+// After normalization X is always an *Ident. Check sets Off, the index
+// of Field in its record's Pointers, or Data if its type is a scalar.
 type FieldExpr struct {
 	exprBase
 	X       Expr
 	Field   string
-	FieldID ID   // Field's id in the program's table
-	Index   Expr // nil unless the field is a pointer array
+	FieldID ID    // Field's id in the program's table
+	Off     int32 // set by Check
+	Index   Expr  // nil unless the field is a pointer array
 }
 
 func (*FieldExpr) exprNode() {}
@@ -156,11 +159,13 @@ func (f *FieldExpr) Base() *Ident {
 	return id
 }
 
-// CallExpr is a function call.
+// CallExpr is a function call. Once checked, Callee is the callee's
+// index in Program.Funcs plus one, and 0 for a builtin.
 type CallExpr struct {
 	exprBase
-	Func string
-	Args []Expr
+	Func   string
+	Callee int32
+	Args   []Expr
 }
 
 func (*CallExpr) exprNode() {}
@@ -367,13 +372,16 @@ func (f *FuncDecl) IsProcedure() bool { return f.Result == nil }
 type Program struct {
 	Universe *adds.Universe
 	Funcs    []*FuncDecl
-	funcMap  map[string]*FuncDecl
+	funcMap  map[string]int32 // a function's index in Funcs
 	names    *Names
 }
 
 // Func returns the named function, or nil.
 func (p *Program) Func(name string) *FuncDecl {
-	return p.funcMap[name]
+	if i, ok := p.funcMap[name]; ok {
+		return p.Funcs[i]
+	}
+	return nil
 }
 
 // AddFunc installs a function (used by transformations that synthesize
@@ -382,8 +390,8 @@ func (p *Program) AddFunc(f *FuncDecl) error {
 	if _, dup := p.funcMap[f.Name]; dup {
 		return fmt.Errorf("lang: function %q already defined", f.Name)
 	}
+	p.funcMap[f.Name] = int32(len(p.Funcs))
 	p.Funcs = append(p.Funcs, f)
-	p.funcMap[f.Name] = f
 	return nil
 }
 
@@ -391,16 +399,17 @@ func (p *Program) AddFunc(f *FuncDecl) error {
 // or only the named ones, sharing the rest with p (which no one may then
 // modify). Transformations clone before rewriting so the original stays
 // available for comparison runs. The two share p's identifier table
-// until one of them interns a new name (Intern).
+// until one of them interns a new name (Intern). Every function keeps
+// its index, so the callees a shared body's calls resolved to (Callee)
+// are the clone's too.
 func (p *Program) Clone(names ...string) *Program {
 	p.names.shared.Store(true)
-	q := &Program{Universe: p.Universe, Funcs: make([]*FuncDecl, 0, len(p.Funcs)), funcMap: make(map[string]*FuncDecl, len(p.Funcs)), names: p.names}
+	q := &Program{Universe: p.Universe, Funcs: make([]*FuncDecl, 0, len(p.Funcs)), funcMap: maps.Clone(p.funcMap), names: p.names}
 	for _, f := range p.Funcs {
 		if len(names) == 0 || slices.Contains(names, f.Name) {
 			f = cloneFunc(f)
 		}
 		q.Funcs = append(q.Funcs, f)
-		q.funcMap[f.Name] = f
 	}
 	return q
 }

@@ -27,9 +27,12 @@ var Builtins = map[string]*Builtin{
 }
 
 // Check type-checks the program in place, annotating every expression
-// with its type. It verifies ADDS field references, assignment and call
-// compatibility (with implicit int→real widening), condition types, and
-// return correctness.
+// with its type and resolving every name once: each variable use to its
+// declaration's slot (Ident.Slot), each field access to its offset in
+// the record (FieldExpr.Off), each call to its callee (CallExpr.Callee).
+// It verifies ADDS field references, assignment and call compatibility
+// (with implicit int→real widening), condition types, and return
+// correctness.
 func Check(p *Program) error {
 	return CheckFuncs(p, p.Funcs...)
 }
@@ -302,7 +305,8 @@ func (c *checker) checkExpr(e Expr) error {
 		if decl == nil {
 			return fmt.Errorf("%s: unknown record type %q", e.Pos(), elem)
 		}
-		if pf := decl.Pointer(e.Field); pf != nil {
+		if off := decl.PointerIndex(e.Field); off >= 0 {
+			pf := &decl.Pointers[off]
 			if pf.Count > 1 && e.Index == nil {
 				return fmt.Errorf("%s: field %s.%s is a pointer array; an index is required", e.Pos(), elem, e.Field)
 			}
@@ -317,17 +321,19 @@ func (c *checker) checkExpr(e Expr) error {
 					return fmt.Errorf("%s: array index must be int", e.Pos())
 				}
 			}
+			e.Off = int32(off)
 			e.SetType(c.pointerTo(pf.Type))
 			return nil
 		}
-		if df := decl.DataField(e.Field); df != nil {
+		if off := decl.DataIndex(e.Field); off >= 0 {
 			if e.Index != nil {
 				return fmt.Errorf("%s: data field %s.%s is not an array", e.Pos(), elem, e.Field)
 			}
-			t, err := scalarTypeOf(df.Type)
+			t, err := scalarTypeOf(decl.Data[off].Type)
 			if err != nil {
 				return fmt.Errorf("%s: field %s.%s: %v", e.Pos(), elem, e.Field, err)
 			}
+			e.Off = int32(off)
 			e.SetType(t)
 			return nil
 		}
@@ -415,10 +421,11 @@ func (c *checker) checkCall(e *CallExpr) error {
 		e.SetType(b.Result)
 		return nil
 	}
-	f := c.prog.Func(e.Func)
-	if f == nil {
+	i, ok := c.prog.funcMap[e.Func]
+	if !ok {
 		return fmt.Errorf("%s: call to undefined function %q", e.Pos(), e.Func)
 	}
+	f := c.prog.Funcs[i]
 	if len(e.Args) != len(f.Params) {
 		return fmt.Errorf("%s: %s expects %d arguments, got %d", e.Pos(), f.Name, len(f.Params), len(e.Args))
 	}
@@ -427,6 +434,7 @@ func (c *checker) checkCall(e *CallExpr) error {
 			return fmt.Errorf("%s: argument %d of %s: %v", e.Pos(), i+1, f.Name, err)
 		}
 	}
+	e.Callee = i + 1
 	e.SetType(f.Result)
 	return nil
 }

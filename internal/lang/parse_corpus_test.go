@@ -108,8 +108,9 @@ var writeParseGolden = flag.Bool("write-parse-golden", false, "rewrite testdata/
 // testdata/parse.golden, recorded before the lexer and parser were
 // rewritten: per source, its error or its identifier table in id order
 // and every function's parameters, slots, statements and expressions in
-// walk order, each with its position, node type, checked type and the
-// fields the parser fills. -write-parse-golden rewrites it.
+// walk order, each with its position, node type, checked type, the
+// fields the parser fills and what the checker resolved (slots, field
+// offsets, callees). -write-parse-golden rewrites it.
 func TestParseGolden(t *testing.T) {
 	in := frontCorpus(t)
 	var sb strings.Builder
@@ -180,9 +181,9 @@ func describeProgram(sb *strings.Builder, prog *lang.Program) {
 				case *lang.Ident:
 					fmt.Fprintf(sb, " %s id=%d slot=%d", e.Name, e.ID, e.Slot)
 				case *lang.FieldExpr:
-					fmt.Fprintf(sb, " %s id=%d indexed=%t", e.Field, e.FieldID, e.Index != nil)
+					fmt.Fprintf(sb, " %s id=%d off=%d indexed=%t", e.Field, e.FieldID, e.Off, e.Index != nil)
 				case *lang.CallExpr:
-					fmt.Fprintf(sb, " %s args=%d", e.Func, len(e.Args))
+					fmt.Fprintf(sb, " %s callee=%d args=%d", e.Func, e.Callee, len(e.Args))
 				case *lang.BinExpr:
 					fmt.Fprintf(sb, " %s", e.Op)
 				case *lang.UnExpr:

@@ -100,7 +100,7 @@ func (p *parser) program() (prog *Program, err error) {
 			prog, err = nil, b.err
 		}
 	}()
-	prog = &Program{Universe: adds.NewUniverse(), funcMap: make(map[string]*FuncDecl), names: p.names}
+	prog = &Program{Universe: adds.NewUniverse(), funcMap: make(map[string]int32), names: p.names}
 	for p.lex.Tok != EOF {
 		switch p.lex.Tok {
 		case TYPE:
