@@ -9,7 +9,8 @@
 // of either fast path — are visible in review diffs rather than lost
 // to whoever happens to run the benchmarks.
 //
-// Regenerate (takes ~30 s) with:
+// Each row is the median of five interleaved runs. Regenerate (takes
+// ~90 s) with:
 //
 //	go test -run TestBenchInterpJSON -write-bench .
 //
@@ -20,11 +21,13 @@
 package repro
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/interp"
@@ -40,7 +43,7 @@ type benchEntry struct {
 	Engine      string  `json:"engine"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	N           int     `json:"n"` // benchmark iterations behind the measurement
+	N           int     `json:"n"` // iterations of the median run
 }
 
 // benchFile is the BENCH_interp.json schema. GoMaxProcs and GoVersion
@@ -134,9 +137,16 @@ func writeBenchJSON(t *testing.T) {
 	}
 	var walkForce, bytecodeForce float64
 	var bytecodeVec, kernelVec float64
-	for _, c := range benchConfigs {
-		r := testing.Benchmark(c.run)
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
+	// The rounds interleave the configurations, so each row's runs are
+	// spread over the whole record rather than taken back to back.
+	runs := make([][]testing.BenchmarkResult, len(benchConfigs))
+	for round := 0; round < benchRuns; round++ {
+		for i, c := range benchConfigs {
+			runs[i] = append(runs[i], testing.Benchmark(c.run))
+		}
+	}
+	for i, c := range benchConfigs {
+		r, ns := median(runs[i])
 		f.Entries = append(f.Entries, benchEntry{
 			Name:        c.name,
 			Engine:      c.engine.String(),
@@ -176,4 +186,18 @@ func writeBenchJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Printf("wrote %s (serial force speedup %.2fx)\n", benchJSONPath, f.SpeedupSerialForceBytecode)
+}
+
+// benchRuns is how many testing.Benchmark runs each row's figure is the
+// median of. A run lasts about a second, which is only 3–4 iterations
+// of the Barnes–Hut oracle, so one run alone moved that row by ~9 %
+// between back-to-back records.
+const benchRuns = 5
+
+// median returns the run with the median ns/op, and that ns/op.
+func median(runs []testing.BenchmarkResult) (testing.BenchmarkResult, float64) {
+	nsPerOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
+	slices.SortFunc(runs, func(a, b testing.BenchmarkResult) int { return cmp.Compare(nsPerOp(a), nsPerOp(b)) })
+	mid := runs[len(runs)/2]
+	return mid, nsPerOp(mid)
 }

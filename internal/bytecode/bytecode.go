@@ -336,9 +336,7 @@ func Compile(cp *compile.Program) (*Program, error) {
 				continue
 			}
 			s.Strip.GuardPC = skipLoopEnd(p.Funcs[s.Strip.HelperIdx])
-			if s.VectorReason == "" {
-				s.Kernel, s.VectorReason = p.classify(s)
-			}
+			s.Kernel, s.VectorReason = p.classify(s)
 		}
 	}
 	return p, nil
@@ -961,7 +959,7 @@ func (b *builder) forStmt(s *lang.ForStmt) error {
 		}
 		fs := &b.f.Foralls[site]
 		fs.BodyEnd = int32(len(b.f.Code))
-		fs.Strip, fs.VectorReason = b.matchStrip(s, nCalls, fs.BodyEnd-fs.BodyStart)
+		fs.Strip = b.matchStrip(s, nCalls, fs.BodyEnd-fs.BodyStart)
 		if fs.Strip == nil {
 			fs.VectorReason = reasonNotStrip
 		}

@@ -110,7 +110,6 @@ type Kernel struct {
 // names the function its body calls.
 const (
 	reasonNotStrip  = "loop body is not a strip-mined iteration pattern"
-	reasonArgExpr   = "strip call argument is not a variable or literal"
 	reasonArgNotReg = "strip call argument is not in a caller register"
 	reasonLoop      = "body contains a loop"
 	reasonReturns   = "body returns"
@@ -125,51 +124,42 @@ const (
 // matchStrip recognizes the strip shape on a forall whose body has just
 // been lowered (nCalls is len(f.Calls) before the body, bodyLen the
 // number of instructions it lowered to), reading the callee's
-// declaration. It returns nil when the loop is not a strip, and with a
-// strip the reason it cannot vectorize whatever its body, when a call
-// argument is an expression the kernel could not reproduce. Compile
+// declaration. It returns nil when the loop is not a strip. Compile
 // fills in the Strip's GuardPC once the helper is lowered.
-func (b *builder) matchStrip(s *lang.ForStmt, nCalls int, bodyLen int32) (*Strip, string) {
+func (b *builder) matchStrip(s *lang.ForStmt, nCalls int, bodyLen int32) *Strip {
 	// The forall body is exactly one call helper(_pe, elem, frees...) of
 	// a procedure ...
 	if len(s.Body.Stmts) != 1 {
-		return nil, ""
+		return nil
 	}
 	cs, ok := s.Body.Stmts[0].(*lang.CallStmt)
 	if !ok {
-		return nil, ""
+		return nil
 	}
 	call := cs.Call
 	if lang.Builtins[call.Func] != nil || len(call.Args) < 2 || len(b.f.Calls) != nCalls+1 {
-		return nil, ""
+		return nil
 	}
 	pe, ok := call.Args[0].(*lang.Ident)
 	if !ok || pe.Slot != s.Slot {
-		return nil, ""
+		return nil
 	}
 	ind, ok := call.Args[1].(*lang.Ident)
 	if !ok || !isPtr(ind.Type()) {
-		return nil, ""
+		return nil
 	}
 	// Only the first argument may be the lane index: a lane binds the
 	// others from the caller's registers, and the caller never holds
 	// the index in the loop variable's.
-	argReason := ""
 	for _, a := range call.Args[2:] {
-		switch a := a.(type) {
-		case *lang.Ident:
-			if a.Slot == s.Slot {
-				return nil, ""
-			}
-		case *lang.IntLit, *lang.RealLit, *lang.BoolLit:
-		default:
-			argReason = reasonArgExpr
+		if a, ok := a.(*lang.Ident); ok && a.Slot == s.Slot {
+			return nil
 		}
 	}
 	helperIdx := b.f.Calls[nCalls].FuncIdx
 	callee := b.cp.Funcs[helperIdx]
 	if callee.Result != nil || len(callee.Params) != len(call.Args) || len(callee.Body.Stmts) != 2 {
-		return nil, ""
+		return nil
 	}
 	// Parameters hold the first slots.
 	const peSlot, elemSlot = 0, 1
@@ -178,48 +168,48 @@ func (b *builder) matchStrip(s *lang.ForStmt, nCalls int, bodyLen int32) (*Strip
 	// elem->adv }` followed by the NULL guard `if elem != NULL {...}`.
 	skip, ok := callee.Body.Stmts[0].(*lang.ForStmt)
 	if !ok || skip.Parallel || len(skip.Body.Stmts) != 1 {
-		return nil, ""
+		return nil
 	}
 	fromLit, ok := skip.From.(*lang.IntLit)
 	if !ok || fromLit.Val != 1 {
-		return nil, ""
+		return nil
 	}
 	toRef, ok := skip.To.(*lang.Ident)
 	if !ok || toRef.Slot != peSlot {
-		return nil, ""
+		return nil
 	}
 	adv, ok := skip.Body.Stmts[0].(*lang.AssignStmt)
 	if !ok {
-		return nil, ""
+		return nil
 	}
 	if lhs, ok := adv.LHS.(*lang.Ident); !ok || lhs.Slot != elemSlot {
-		return nil, ""
+		return nil
 	}
 	advLoad, ok := adv.RHS.(*lang.FieldExpr)
 	if !ok || advLoad.Index != nil {
-		return nil, ""
+		return nil
 	}
 	if b.field(advLoad) != nil || !isPtr(advLoad.Type()) {
-		return nil, ""
+		return nil
 	}
 	advBase, ok := advLoad.X.(*lang.Ident)
 	if !ok || advBase.Slot != elemSlot {
-		return nil, ""
+		return nil
 	}
 	guard, ok := callee.Body.Stmts[1].(*lang.IfStmt)
 	if !ok || guard.Else != nil && len(guard.Else.Stmts) != 0 {
-		return nil, ""
+		return nil
 	}
 	cond, ok := guard.Cond.(*lang.BinExpr)
 	if !ok || cond.Op != lang.NEQ {
-		return nil, ""
+		return nil
 	}
 	condX, ok := cond.X.(*lang.Ident)
 	if !ok || condX.Slot != elemSlot {
-		return nil, ""
+		return nil
 	}
 	if _, ok := cond.Y.(*lang.NullLit); !ok {
-		return nil, ""
+		return nil
 	}
 	return &Strip{
 		HelperIdx:   helperIdx,
@@ -227,7 +217,7 @@ func (b *builder) matchStrip(s *lang.ForStmt, nCalls int, bodyLen int32) (*Strip
 		AdvanceOff:  advLoad.Off,
 		AdvanceName: advLoad.Field,
 		ArgsInRegs:  bodyLen == 2,
-	}, argReason
+	}
 }
 
 // skipLoopEnd is a lowered strip helper's first pc past its skip loop.
@@ -253,7 +243,7 @@ func rd(b Bank) operand { return operand{bank: b} }
 func wr(b Bank) operand { return operand{bank: b, write: true} }
 
 // opRegs gives each opcode's register operands in A, B and C. Calls and
-// prints name theirs in their site tables (see eachReg).
+// prints name theirs in their site tables.
 var opRegs = [opCount][3]operand{
 	OpConstInt: {wr(BankInt)}, OpConstReal: {wr(BankReal)}, OpConstBool: {wr(BankBool)},
 	OpConstStr: {wr(BankStr)}, OpConstNull: {wr(BankNode)},
@@ -316,42 +306,6 @@ func reg(in *Instr, k int) *int32 {
 	return &in.C
 }
 
-// eachReg calls fn for every register in reads or writes, in the order
-// the lowering evaluates them.
-func (f *Func) eachReg(in Instr, fn func(r Reg, write bool)) {
-	switch in.Op {
-	case OpCall:
-		c := f.Calls[in.A]
-		for _, a := range c.Args {
-			fn(a, false)
-		}
-		if c.Dst.Bank != BankNone {
-			fn(c.Dst, true)
-		}
-		return
-	case OpPrint:
-		for _, a := range f.Prints[in.A].Args {
-			fn(a, false)
-		}
-		return
-	}
-	for k, o := range opRegs[in.Op] {
-		if o.bank != BankNone {
-			fn(Reg{Bank: o.bank, Idx: *reg(&in, k)}, o.write)
-		}
-	}
-}
-
-// written is the register in writes, if any.
-func (f *Func) written(in Instr) (w Reg, ok bool) {
-	f.eachReg(in, func(r Reg, write bool) {
-		if write {
-			w, ok = r, true
-		}
-	})
-	return w, ok
-}
-
 func isCondBranch(op Op) bool {
 	return op == OpBr || op == OpScAnd || op == OpScOr || op >= OpBrfEqInt && op <= OpBrfNonNull
 }
@@ -359,210 +313,76 @@ func isCondBranch(op Op) bool {
 func isFieldLoad(op Op) bool  { return op == OpLoadInt || op == OpLoadReal || op == OpLoadBool }
 func isFieldStore(op Op) bool { return op == OpStoreInt || op == OpStoreReal || op == OpStoreBool }
 
-// classify builds the kernel of the strip at site s, or returns why its
-// guarded body does not vectorize.
+// classify builds the kernel of the strip at site s, or returns why it
+// does not vectorize: first a lane that cannot bind its parameters from
+// the caller's registers, then the reason of the guarded body's first
+// offending instruction in pc order (vecReason), then a body whose
+// branches do not nest.
 func (p *Program) classify(s *ForallSite) (*Kernel, string) {
 	st := s.Strip
+	if !st.ArgsInRegs {
+		return nil, reasonArgNotReg
+	}
 	h := p.Funcs[st.HelperIdx]
 	start := st.GuardPC + 2 // past the guard's step and brf.nonnull
 	if reason := p.vecReason(h, start); reason != "" {
 		return nil, reason
 	}
-	if !st.ArgsInRegs {
-		return nil, reasonArgNotReg
-	}
 	return newKernel(h, start)
 }
 
 // vecReason returns why the guarded body h.Code[start:] cannot run over
-// slabs, or "" when it can. Its answers are the reasons a walk over the
-// body's source would give, in the same precedence: first a string or
-// pointer variable declared outside loops, then the first offence in
-// the order the source evaluates — a statement's own (a loop, a return,
-// a call or print statement, a store through another pointer, an
-// assignment to the lane index or a pointer) before anything it
-// evaluates, an expression's before its operands'.
+// slabs, or "" when it can: the reason of its first instruction, in pc
+// order, that offends. A loop, a return, a print, a call, rand(),
+// allocation and any string offend; so does any pointer use but loading
+// or storing the element's own data fields, and any read or write of
+// the lane index. A while loop offends at its head, the smallest target
+// of a backward jump, so that its condition's offences are the loop's.
 func (p *Program) vecReason(h *Func, start int32) string {
-	code, end := h.Code, int32(len(h.Code))
+	code := h.Code[start:]
 	pe, elem := h.Params[0].Reg, h.Params[1].Reg
-	endsStmt := func(pc int32) bool { return pc+1 == end || code[pc+1].Op == OpStep }
-
-	// lastW[base[bank]+r] is the last pc that wrote register r;
-	// subStart[pc-start] is where pc's evaluation starts (below); loops
-	// counts the loops around each pc, a loop running from its head to
-	// its back edge.
-	var base [BankNode + 2]int
-	for bk, size := range [...]int{BankInt: h.NInt, BankReal: h.NReal, BankBool: h.NBool, BankStr: h.NStr, BankNode: h.NNode} {
-		base[bk+1] = base[bk] + size
-	}
-	n := int(end - start)
-	buf := make([]int32, base[BankNode+1]+2*n+1)
-	lastW, subStart, loops := buf[:base[BankNode+1]], buf[base[BankNode+1]:][:n], buf[base[BankNode+1]+n:]
-	for pc := start; pc < end; pc++ {
-		from, to := int32(-1), pc
-		switch in := code[pc]; {
-		case in.Op == OpForTail, in.Op == OpJump && int32(in.Imm) <= pc:
-			from = max(int32(in.Imm), start)
-		case in.Op == OpForall:
-			from, to = pc, h.Foralls[in.A].BodyEnd-1
-		}
-		if from >= 0 {
-			loops[from-start]++
-			loops[to-start+1]--
+	head := int32(len(code))
+	for pc, in := range code {
+		if to := int32(in.Imm) - start; in.Op == OpJump && to <= int32(pc) {
+			head = min(head, to)
 		}
 	}
-	for i := 1; i < n; i++ {
-		loops[i] += loops[i-1]
-	}
-
-	// Declarations: a statement that writes a string or pointer register
-	// no instruction has written before, a parameter's included, declares
-	// a variable of that type.
-	for i := range lastW {
-		lastW[i] = -1
-	}
-	for _, prm := range h.Params {
-		lastW[base[prm.Reg.Bank]+int(prm.Reg.Idx)] = start
-	}
-	for pc := start; pc < end; pc++ {
-		r, ok := h.written(code[pc])
-		if !ok || r.Bank != BankStr && r.Bank != BankNode {
-			continue
+	for pc, in := range code {
+		if int32(pc) == head {
+			return reasonLoop
 		}
-		w := &lastW[base[r.Bank]+int(r.Idx)]
-		if *w < 0 && endsStmt(pc) && loops[pc-start] == 0 {
-			switch {
-			case code[pc].Op == OpNew:
-				return reasonAllocates
-			case r.Bank == BankStr:
-				return reasonString
-			}
+		switch in.Op {
+		case OpForHead, OpForTail, OpForall:
+			return reasonLoop
+		case OpReturnVoid, OpReturnInt, OpReturnReal, OpReturnBool, OpReturnStr, OpReturnNode:
+			return reasonReturns
+		case OpPrint:
+			return reasonPrints
+		case OpCall:
+			return "body calls function " + p.Funcs[h.Calls[in.A].FuncIdx].Name
+		case OpRand:
+			return reasonRand
+		case OpNew:
+			return reasonAllocates
+		case OpConstStr, OpMovStr, OpEqStr, OpNeStr:
+			return reasonString
+		case OpConstNull, OpMovNode, OpLoadNode, OpLoadNodeIdxBegin, OpLoadNodeIdx,
+			OpStoreNode, OpStoreNodeIdxBegin, OpStoreNodeIdx,
+			OpEqNode, OpNeNode, OpBrfEqNode, OpBrfNeNode, OpBrfNull, OpBrfNonNull:
 			return reasonPointer
-		}
-		*w = pc
-	}
-
-	// Offences in evaluation order. An instruction's evaluation starts
-	// where the code of its first operand computed in the same statement
-	// does (subStart); position 2·pc is just before pc's instruction.
-	for i := range lastW {
-		lastW[i] = -1
-	}
-	stmt := start - 1 // the current statement's step
-	// producer is the pc that computed r in the current statement, or -1.
-	producer := func(r Reg) int32 {
-		if w := lastW[base[r.Bank]+int(r.Idx)]; w > stmt {
-			return w
-		}
-		return -1
-	}
-	bestPos, best := int32(2*end+2), ""
-	offend := func(pos int32, reason string) {
-		if pos <= bestPos { // a later instruction at one position encloses the earlier
-			bestPos, best = pos, reason
-		}
-	}
-	for pc := start; pc < end; pc++ {
-		in := code[pc]
-		if in.Op == OpStep {
-			stmt = pc
-			continue
-		}
-		s := pc
-		h.eachReg(in, func(r Reg, write bool) {
-			if w := producer(r); !write && w >= 0 {
-				s = min(s, subStart[w-start])
+		case OpLoadInt, OpLoadReal, OpLoadBool:
+			if in.B != elem.Idx {
+				return reasonPointer
 			}
-		})
-		subStart[pc-start] = s
-		if reason, ok := stmtReason(p, h, in, pe, elem, endsStmt(pc)); ok {
-			offend(2*stmt, reason)
-		} else if in.Op == OpJump && int32(in.Imm) <= pc {
-			// A while loop: its statement's step precedes its head.
-			w := int32(in.Imm) - 1
-			for code[w].Op != OpStep {
-				w--
+		case OpStoreInt, OpStoreReal, OpStoreBool:
+			if in.A != elem.Idx {
+				return reasonPointer
 			}
-			offend(2*w, reasonLoop)
-		} else if reason := exprReason(p, h, in, elem); reason != "" {
-			offend(2*s, reason)
-		} else {
-			// An operand read in place is evaluated where the code of the
-			// operands before it ends.
-			at := s
-			h.eachReg(in, func(r Reg, write bool) {
-				switch w := producer(r); {
-				case write:
-				case w >= 0:
-					at = w + 1
-				case r == pe:
-					offend(2*at, reasonPE)
-				}
-			})
 		}
-		if r, ok := h.written(in); ok {
-			lastW[base[r.Bank]+int(r.Idx)] = pc
-		}
-	}
-	return best
-}
-
-// stmtReason is the offence in raises on behalf of its whole statement,
-// before the statement evaluates anything: a loop, a return, a call or
-// print statement, a store through anything but the element, an
-// assignment (when in is its statement's last instruction) to the lane
-// index or to a string or pointer.
-func stmtReason(p *Program, h *Func, in Instr, pe, elem Reg, last bool) (string, bool) {
-	switch in.Op {
-	case OpForHead, OpForTail, OpForall:
-		return reasonLoop, true
-	case OpReturnVoid, OpReturnInt, OpReturnReal, OpReturnBool, OpReturnStr, OpReturnNode:
-		return reasonReturns, true
-	case OpPrint:
-		return reasonPrints, true
-	case OpCall:
-		if h.Calls[in.A].Dst.Bank == BankNone {
-			return "body calls function " + p.Funcs[h.Calls[in.A].FuncIdx].Name, true
-		}
-	case OpStoreNode, OpStoreNodeIdxBegin, OpStoreNodeIdx:
-		return reasonPointer, true
-	case OpStoreInt, OpStoreReal, OpStoreBool:
-		if in.A != elem.Idx {
-			return reasonPointer, true
-		}
-	}
-	if r, ok := h.written(in); ok && last {
-		switch {
-		case r == pe:
-			return reasonPE, true
-		case r.Bank == BankStr:
-			return reasonString, true
-		case r.Bank == BankNode:
-			return reasonPointer, true
-		}
-	}
-	return "", false
-}
-
-// exprReason is the offence in raises as an expression, before its
-// operands: a call, rand(), allocation, a string, or any pointer use but
-// loading the element's own data fields.
-func exprReason(p *Program, h *Func, in Instr, elem Reg) string {
-	switch in.Op {
-	case OpCall:
-		return "body calls function " + p.Funcs[h.Calls[in.A].FuncIdx].Name
-	case OpRand:
-		return reasonRand
-	case OpNew:
-		return reasonAllocates
-	case OpConstStr, OpMovStr, OpEqStr, OpNeStr:
-		return reasonString
-	case OpConstNull, OpMovNode, OpLoadNode, OpLoadNodeIdxBegin, OpLoadNodeIdx,
-		OpEqNode, OpNeNode, OpBrfEqNode, OpBrfNeNode, OpBrfNull, OpBrfNonNull:
-		return reasonPointer
-	case OpLoadInt, OpLoadReal, OpLoadBool:
-		if in.B != elem.Idx {
-			return reasonPointer
+		for k, o := range opRegs[in.Op] {
+			if o.bank == pe.Bank && *reg(&in, k) == pe.Idx {
+				return reasonPE
+			}
 		}
 	}
 	return ""

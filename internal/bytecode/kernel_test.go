@@ -16,7 +16,11 @@ var costGates = flag.Bool("cost-gates", false, "also assert that classifying a s
 // stripBodySrc is a strip over a list whose helper's guarded body is
 // body; the helper's parameters give a body a real, an int, a pointer
 // and a bool to use besides the lane index and the element.
-func stripBodySrc(body string) string {
+func stripBodySrc(body string) string { return stripCallSrc(body, "k") }
+
+// stripCallSrc is stripBodySrc with arg as the strip call's third
+// argument, the helper's real parameter.
+func stripCallSrc(body, arg string) string {
 	return fmt.Sprintf(`
 type C [L] { int tag; real w; real y; bool ok; C *next is uniquely forward along L; };
 function int f(int x) { return x + 1; }
@@ -33,9 +37,9 @@ function int main() {
   var int n = 2;
   var C *q = NULL;
   var bool b = true;
-  forall _pe = 0 to 3 { _h(_pe, p, k, n, q, b); }
+  forall _pe = 0 to 3 { _h(_pe, p, %s, n, q, b); }
   return 0;
-}`, body)
+}`, body, arg)
 }
 
 // stripSite lowers src and returns main's one forall.
@@ -56,38 +60,48 @@ func stripSite(t testing.TB, src string) *ForallSite {
 	return site
 }
 
-// TestVectorReasonPrecedence pins which reason a body with more than
-// one offence reports: a string or pointer variable declared outside a
-// loop first, wherever it stands; otherwise the first offence in the
-// order the source evaluates — a statement's own (a loop, a return, a
-// call or print statement, a store through another pointer, an
-// assignment to the lane index) before anything it evaluates, an
-// expression's before its operands', left operands before right.
-func TestVectorReasonPrecedence(t *testing.T) {
-	for _, c := range []struct{ body, want string }{
-		{"print(p->tag);\n    var C *r = p->next;", "pointer-chasing access"},
-		{"g(p);\n    var C *r = new C;", "allocates"},
-		{"q = new C;", "pointer-chasing access"},
-		{"for i = 1 to 3 { var C *r = p->next; }\n    print(1);", "body contains a loop"},
-		{"while p->tag > 100 { print(p->tag); }", "body contains a loop"},
-		{"q->tag = f(p->tag);", "pointer-chasing access"},
+// TestVectorReasonPCOrder pins which reason a strip with more than one
+// offence reports: a call argument a lane cannot bind from a caller
+// register first, whatever the body; otherwise the reason of the guarded
+// body's first offending instruction in pc order, a while loop offending
+// at its head (the first instruction of its condition).
+func TestVectorReasonPCOrder(t *testing.T) {
+	for _, c := range []struct{ body, arg, want string }{
+		{"print(p->tag);\n    var C *r = p->next;", "", "body prints"},
+		{"g(p);\n    var C *r = new C;", "", "body calls function g"},
+		{"q = new C;", "", "allocates"},
+		{"for i = 1 to 3 { var C *r = p->next; }\n    print(1);", "", "body contains a loop"},
+		{"while p->tag > 100 { print(p->tag); }", "", "body contains a loop"},
+		{"while q->tag > 100 { p->tag = 1; }", "", "body contains a loop"},
+		{"q->tag = f(p->tag);", "", "body calls function f"},
 		// The lowering holds p->next in a pointer variable of its own.
-		{"p->tag = f(p->next->tag);", "pointer-chasing access"},
-		{"p->tag = p->next->tag + f(1);", "pointer-chasing access"},
-		{"p->tag = f(_pe);", "body calls function f"},
-		{"p->tag = _pe + f(1);", "uses the strip PE index"},
-		{"var int t = f(1) + _pe;", "body calls function f"},
-		{"p->w = rand() + _pe;", "body calls rand()"},
-		{"p->w = _pe + rand();", "uses the strip PE index"},
-		{"_pe = 3;\n    return;", "uses the strip PE index"},
-		{"if _pe > 1 { print(p->tag); }", "uses the strip PE index"},
-		{"if p == q { print(1); }", "pointer-chasing access"},
-		{"p->tag = p->tag + 1;\n    print(\"y\");", "body prints"},
-		{"if \"a\" != \"b\" && p->tag > 1 { g(q); }", "string-valued expression"},
-		{"if b { p->w = p->w * k; } else { p->tag = p->tag % n; }", ""},
+		{"p->tag = f(p->next->tag);", "", "pointer-chasing access"},
+		{"p->tag = p->next->tag + f(1);", "", "pointer-chasing access"},
+		{"p->tag = f(_pe);", "", "body calls function f"},
+		// The call is evaluated before the add that reads the lane index.
+		{"p->tag = _pe + f(1);", "", "body calls function f"},
+		{"var int t = f(1) + _pe;", "", "body calls function f"},
+		{"p->w = rand() + _pe;", "", "body calls rand()"},
+		// The lane index is widened to real before rand() is called.
+		{"p->w = _pe + rand();", "", "uses the strip PE index"},
+		{"_pe = 3;\n    return;", "", "uses the strip PE index"},
+		{"if _pe > 1 { print(p->tag); }", "", "uses the strip PE index"},
+		{"if p == q { print(1); }", "", "pointer-chasing access"},
+		{"p->tag = p->tag + 1;\n    print(\"y\");", "", "string-valued expression"},
+		{"if \"a\" != \"b\" && p->tag > 1 { g(q); }", "", "string-valued expression"},
+		{"if b { p->w = p->w * k; } else { p->tag = p->tag % n; }", "", ""},
+		// A literal or an expression argument takes an instruction of the
+		// forall body, so a lane could not bind it from a register.
+		{"p->w = k;", "1.0", "strip call argument is not in a caller register"},
+		{"p->w = k;", "k + 1.0", "strip call argument is not in a caller register"},
+		{"print(1);", "k + 1.0", "strip call argument is not in a caller register"},
 	} {
-		if got := stripSite(t, stripBodySrc("    "+c.body)).VectorReason; got != c.want {
-			t.Errorf("body %q: reason %q, want %q", c.body, got, c.want)
+		arg := c.arg
+		if arg == "" {
+			arg = "k"
+		}
+		if got := stripSite(t, stripCallSrc("    "+c.body, arg)).VectorReason; got != c.want {
+			t.Errorf("body %q, argument %s: reason %q, want %q", c.body, arg, got, c.want)
 		}
 	}
 }

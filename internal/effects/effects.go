@@ -36,6 +36,11 @@ type Analyzer struct {
 	// the order solve works through them.
 	callees map[string][]string
 	comps   [][]*lang.FuncDecl
+	// seen[i] is the number of the scan that last met a call resolved to
+	// prog.Funcs[i] (CallExpr.Callee-1), so each scan dedups its callees
+	// in constant time per call.
+	seen  []int32
+	scans int32
 	// walks counts how often solve has walked each function's body;
 	// tests pin that a non-recursive function is walked once.
 	walks map[string]int
@@ -50,6 +55,7 @@ func NewAnalyzer(prog *lang.Program) *Analyzer {
 		summaries: make(map[string]*Summary, len(prog.Funcs)),
 		callees:   make(map[string][]string, len(prog.Funcs)),
 		walks:     make(map[string]int, len(prog.Funcs)),
+		seen:      make([]int32, len(prog.Funcs)),
 	}
 	for _, f := range prog.Funcs {
 		a.summaries[f.Name] = &Summary{tab: a.tab}
@@ -61,13 +67,26 @@ func NewAnalyzer(prog *lang.Program) *Analyzer {
 }
 
 // scan collects the non-builtin functions f calls, in first-call order.
+// A call the checker did not resolve to a function of the program's by
+// its name is deduplicated by name.
 func (a *Analyzer) scan(f *lang.FuncDecl) []string {
+	a.scans++
 	var out []string
 	lang.Walk(f.Body, func(s lang.Stmt) bool {
 		lang.WalkExprs(s, func(e lang.Expr) {
-			if e, ok := e.(*lang.CallExpr); ok && lang.Builtins[e.Func] == nil && !slices.Contains(out, e.Func) {
-				out = append(out, e.Func)
+			c, ok := e.(*lang.CallExpr)
+			if !ok || lang.Builtins[c.Func] != nil {
+				return
 			}
+			if i := int(c.Callee) - 1; i >= 0 && i < len(a.seen) && a.prog.Funcs[i].Name == c.Func {
+				if a.seen[i] == a.scans {
+					return
+				}
+				a.seen[i] = a.scans
+			} else if slices.Contains(out, c.Func) {
+				return
+			}
+			out = append(out, c.Func)
 		})
 		return true
 	})

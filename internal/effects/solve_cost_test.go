@@ -76,3 +76,64 @@ func TestEffectsSolveCostLinear(t *testing.T) {
 			perLarge/perSmall, 4*n, n, perLarge, perSmall)
 	}
 }
+
+// fanPSL is n empty procedures and a procedure main that calls each of
+// them twice: p0 ... p(n-1), then p(n-1) ... p0.
+func fanPSL(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "procedure p%d() { }\n", i)
+	}
+	b.WriteString("procedure main() {\n")
+	for i := 0; i < 2*n; i++ {
+		fmt.Fprintf(&b, "  p%d();\n", min(i, 2*n-1-i))
+	}
+	b.WriteString("}\n")
+	return b.String()
+}
+
+// TestEffectsScanCostLinear: collecting the callees of a procedure that
+// calls k distinct procedures costs the same per callee at 4k. The list
+// holds each callee once, in first-call order; under -cost-gates the
+// time per callee at 4k must stay within 1.5x of that at k, which a scan
+// that searches the callees found so far for each call does not (about
+// 3x, 2-vCPU host, go1.24).
+func TestEffectsScanCostLinear(t *testing.T) {
+	const k = 1000
+	small, large := lang.MustParse(fanPSL(k)), lang.MustParse(fanPSL(4*k))
+	a := NewAnalyzer(large)
+	got := a.callees["main"]
+	if len(got) != 4*k {
+		t.Fatalf("main calls %d distinct procedures, scan found %d", 4*k, len(got))
+	}
+	for i, c := range got {
+		if want := fmt.Sprintf("p%d", i); c != want {
+			t.Fatalf("callee %d is %s, want %s (first-call order)", i, c, want)
+		}
+	}
+
+	if !*costGates {
+		return
+	}
+	// The best of several rounds per size: one scan is tens of
+	// microseconds, so a single round reads the machine's noise.
+	perCallee := func(prog *lang.Program, n, reps int) float64 {
+		a := NewAnalyzer(prog)
+		main := prog.Funcs[len(prog.Funcs)-1]
+		best := time.Duration(1 << 62)
+		for round := 0; round < 9; round++ {
+			start := time.Now()
+			for i := 0; i < reps; i++ {
+				a.scan(main)
+			}
+			best = min(best, time.Since(start))
+		}
+		return float64(best) / float64(reps*n)
+	}
+	perSmall, perLarge := perCallee(small, k, 32), perCallee(large, 4*k, 8)
+	t.Logf("per callee: %.0f ns at %d, %.0f ns at %d (%.2fx)", perSmall, k, perLarge, 4*k, perLarge/perSmall)
+	if perLarge > 1.5*perSmall {
+		t.Errorf("a callee costs %.2fx as much to scan among %d as among %d (want at most 1.5x): %.0f ns vs %.0f ns",
+			perLarge/perSmall, 4*k, k, perLarge, perSmall)
+	}
+}
