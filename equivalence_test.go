@@ -263,8 +263,56 @@ func TestEngineEquivalence(t *testing.T) {
 					}
 				}
 			}
+
+			// Budgets: a run that exhausts MaxSteps fails on the same
+			// statement, with the same output and Stats, on every
+			// engine, serially and on a pool of one PE, which runs
+			// iterations in order.
+			variants["serial"] = c.Program
+			for vname, prog := range variants {
+				_, full, _ := runEngine(t, prog, interp.Config{Engine: interp.EngineWalk, Seed: p.seed}, p.fn, p.args)
+				for _, limit := range []int64{full.Steps / 3, full.Steps / 2, full.Steps - 1} {
+					ref := budgetRun(prog, interp.EngineWalk, 0, limit, p.seed, p.fn, p.args)
+					if !strings.Contains(ref.err, "step limit exceeded") {
+						t.Fatalf("%s/%s MaxSteps %d: walker %+v, want the step limit", p.name, vname, limit, ref)
+					}
+					for _, eng := range eqEngines {
+						for _, pes := range []int{0, 1} {
+							if got := budgetRun(prog, eng, pes, limit, p.seed, p.fn, p.args); got != ref {
+								t.Errorf("%s/%s MaxSteps %d, %s pes=%d:\n got %+v\nwant %+v (serial walker)",
+									p.name, vname, limit, eng, pes, got, ref)
+							}
+						}
+					}
+				}
+			}
 		})
 	}
+}
+
+// budgetOutcome is everything a caller observes of a run that may fail.
+type budgetOutcome struct {
+	value, out, err string
+	st              interp.Stats
+}
+
+// budgetRun runs fn under MaxSteps limit on eng: in place with pes 0,
+// else on a parexec pool of pes PEs.
+func budgetRun(prog *lang.Program, eng interp.Engine, pes int, limit int64, seed uint64, fn string, args []interp.Value) budgetOutcome {
+	var out bytes.Buffer
+	var v interp.Value
+	var st interp.Stats
+	var err error
+	if pes == 0 {
+		v, st, err = interp.Run(prog, interp.Config{Engine: eng, MaxSteps: limit, Seed: seed, Output: &out}, fn, args...)
+	} else {
+		v, st, err = parexec.Run(prog, parexec.Options{Interp: eng, PEs: pes, MaxSteps: limit, Seed: seed, Output: &out}, fn, args...)
+	}
+	r := budgetOutcome{value: v.String(), out: out.String(), st: st}
+	if err != nil {
+		r.value, r.err = "", err.Error()
+	}
+	return r
 }
 
 // TestDefaultEngine is the grid's default column: a caller who sets no

@@ -171,8 +171,7 @@ const (
 	OpLoadReal // ... .F
 	OpLoadBool // ... .B
 	// OpLoadNode reads pointer field C (index 0) of N[B] into N[A]:
-	// a NULL base yields NULL (speculative traversability, §3.2) unless
-	// StrictNull.
+	// a NULL base yields NULL (speculative traversability, §3.2).
 	OpLoadNode
 	// OpLoadNodeIdxBegin starts an indexed pointer load: on NULL base,
 	// N[A] = nil and pc = Imm (skipping the index expression, which a

@@ -101,8 +101,8 @@ type Kernel struct {
 	Code   []Instr
 	Masks  []int32
 	NMasks int
-	// NSteps counts the steps in Code: the most a lane takes, the bound
-	// of the runner's step-budget pre-check.
+	// NSteps counts the steps in Code, the most a lane takes past its
+	// guard; the disassembly reports it.
 	NSteps int32
 }
 

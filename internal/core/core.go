@@ -54,8 +54,8 @@ type Compilation struct {
 	analyzeErr  error
 
 	// auto caches planned variants per strip width, so repeated
-	// AutoParallel calls (the serving layer's hot path) re-plan
-	// nothing. Guarded by autoMu; lazily allocated.
+	// AutoParallel calls re-plan nothing. Guarded by autoMu; lazily
+	// allocated.
 	autoMu sync.Mutex
 	auto   map[int]*AutoPlan
 

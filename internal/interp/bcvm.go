@@ -12,9 +12,10 @@
 // Value, and allocates nothing once the frame pool is warm.
 //
 // Semantics are pinned to the walker — same results, printed output,
-// error text, and sandbox budgets; step totals agree at every quiescent
-// point (see stepFlushChunk). The equivalence grid, FuzzBytecodeVsWalk,
-// and the sandbox-parity suite enforce this. The VM holds no cost
+// error text, and sandbox budgets, and the same step ledger (step,
+// publish), so a step limit fails on the walker's statement. The
+// equivalence grid, FuzzBytecodeVsWalk, TestWalkStepLimitExact and the
+// sandbox-parity suite enforce this. The VM holds no cost
 // model: Simulated mode runs on the walker (newInterp).
 package interp
 
@@ -160,8 +161,11 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 		ipc := pc
 		pc++
 		if in.Op == bytecode.OpStep {
-			if err := ip.stepC(f, ipc); err != nil {
-				return ctrlNext, err
+			// step, with the position looked up only when it publishes.
+			if ip.stepsLocal++; ip.stepsLocal >= ip.stepMark {
+				if err := ip.publish(f.Pos[ipc]); err != nil {
+					return ctrlNext, err
+				}
 			}
 			continue
 		}
@@ -272,8 +276,10 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 				fr.i[in.C] = fr.i[in.A]
 			}
 		case bytecode.OpForTail:
-			if err := ip.stepC(f, ipc); err != nil {
-				return ctrlNext, err
+			if ip.stepsLocal++; ip.stepsLocal >= ip.stepMark {
+				if err := ip.publish(f.Pos[ipc]); err != nil {
+					return ctrlNext, err
+				}
 			}
 			fr.i[in.A]++
 			pc = int32(in.Imm)
@@ -458,12 +464,9 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 		case bytecode.OpLoadNode:
 			n := fr.n[in.B]
 			if n == nil {
-				if !ip.cfg.StrictNull {
-					// Speculative traversability (§3.2): NULL reads as NULL.
-					fr.n[in.A] = nil
-					continue
-				}
-				return ctrlNext, fmt.Errorf("%s: interp: field %s read through NULL pointer", f.Pos[ipc], f.Names[in.Imm])
+				// Speculative traversability (§3.2): NULL reads as NULL.
+				fr.n[in.A] = nil
+				continue
 			}
 			arr := n.parr[in.C]
 			if len(arr) == 0 {
@@ -473,13 +476,9 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 
 		case bytecode.OpLoadNodeIdxBegin:
 			if fr.n[in.B] == nil {
-				if !ip.cfg.StrictNull {
-					// NULL base: skip the index expression entirely.
-					fr.n[in.A] = nil
-					pc = int32(in.Imm)
-					continue
-				}
-				return ctrlNext, fmt.Errorf("%s: interp: field %s read through NULL pointer", f.Pos[ipc], f.Names[in.C])
+				// NULL base: skip the index expression entirely.
+				fr.n[in.A] = nil
+				pc = int32(in.Imm)
 			}
 		case bytecode.OpLoadNodeIdx:
 			off, name := bytecode.UnpackOffName(in.Imm)
@@ -587,8 +586,9 @@ func (ip *Interp) bcForall(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallS
 	// whose call evaluates an argument, lane indices below 0, which skip
 	// nothing and the closed forms do not model, and a call at this
 	// depth, which fails the depth guard, run literally, as do strips
-	// wider than memory can hold and strips whose prologues the budget
-	// left cannot cover (stripFits).
+	// wider than memory can hold and strips whose prologues the room
+	// left cannot cover (stripFits), which also bounds every closed-form
+	// count below.
 	if st == nil || !st.ArgsInRegs || lo < 0 || depth > ip.maxDepth ||
 		int64(int(hi-lo+1)) != hi-lo+1 || !ip.stripFits(lo, hi) {
 		return ctrlNext, ip.realForall(pos, lo, hi, literal)
@@ -599,18 +599,21 @@ func (ip *Interp) bcForall(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallS
 
 	// The vector path: a strip the classifier proved vectorizable runs
 	// as a batched SoA kernel (kernel.go) when the walk reached every
-	// lane; any in-flight fault or budget concern makes bcForallKernel
-	// report false having touched nothing, falling through to the
-	// scalar path below.
+	// lane; a fault, or steps it cannot pay, makes bcForallKernel report
+	// false having touched nothing, falling through to the scalar path
+	// below.
 	if ip.cfg.Engine == EngineKernel && site.Kernel != nil && walked == len(nodes) &&
 		ip.bcForallKernel(f, fr, site, pos, lo, hi, nodes) {
 		return ctrlNext, nil
 	}
 	helper := ip.bc.Funcs[st.HelperIdx]
 	call := &f.Calls[st.CallSite]
+	// Lane k starts at the guard having paid what its call statement and
+	// skip loop cost on the literal path, 2+2k steps; a lane that cannot
+	// pay them runs literally, so its failure is the literal path's.
 	return ctrlNext, ip.realForall(pos, lo, hi, func(w *Interp, k int64) (ctrl, error) {
 		j := int(k - lo)
-		if j >= walked || !w.chargeStripPrologue(k) {
+		if j >= walked || !w.pay(2+2*k) {
 			return literal(w, k)
 		}
 		nf := w.getBCFrame(helper)
@@ -626,13 +629,13 @@ func (ip *Interp) bcForall(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallS
 }
 
 // stripFits reports whether the prologues of lanes lo..hi (lo ≥ 0),
-// Σ(2+2k) = W(2+lo+hi) steps, fit the step budget left. The walk follows
+// Σ(2+2k) = W(2+lo+hi) steps, fit the room left. The walk follows
 // lo+W−1 links and holds W nodes before any lane is charged; taking it
 // only when the lanes can pay for it keeps a wide range, which the
 // budget stops long before its last lane on the literal path, from
 // sizing anything by its width.
 func (ip *Interp) stripFits(lo, hi int64) bool {
-	left := ip.maxSteps - ip.sh.steps.Load() - ip.stepsLocal
+	left := ip.room()
 	return hi <= left/2 && lo+hi <= left/(hi-lo+1)-2
 }
 
@@ -640,9 +643,9 @@ func (ip *Interp) stripFits(lo, hi int64) bool {
 // advance^(lo+j) of start, the node lane j's skip loop would end on. The
 // nodes go on ip.lanes (a stack: a strip nested in a lane pushes above
 // them; the caller pops). walked is how many leading lanes the walk
-// reached: a lane at or past it would fault in its own skip loop — an
-// empty pointer array, or a read through NULL under StrictNull — and
-// must run literally, which raises the scalar engines' error.
+// reached: a lane at or past it would fault in its own skip loop on an
+// empty pointer array, and must run literally, which raises the scalar
+// engines' error.
 func (ip *Interp) stripWalk(st *bytecode.Strip, start *Node, lo int64, n int) (nodes []*Node, walked int) {
 	base := len(ip.lanes)
 	ip.lanes = slices.Grow(ip.lanes, n)[:base+n]
@@ -662,45 +665,18 @@ func (ip *Interp) stripWalk(st *bytecode.Strip, start *Node, lo int64, n int) (n
 }
 
 // stripAdvance is one hop of a strip's skip loop, as its load.node
-// makes it: NULL reads as NULL (speculative traversability, §3.2)
-// unless StrictNull; an empty pointer array fails the hop.
+// makes it: NULL reads as NULL (speculative traversability, §3.2); an
+// empty pointer array fails the hop.
 func (ip *Interp) stripAdvance(cur *Node, off int32) (*Node, bool) {
 	ip.stripHops++
 	if cur == nil {
-		return nil, !ip.cfg.StrictNull
+		return nil, true
 	}
 	arr := cur.parr[off]
 	if len(arr) == 0 {
 		return nil, false
 	}
 	return arr[0], true
-}
-
-// chargeStripPrologue charges lane k of a strip what its call statement
-// and skip loop cost on the literal path, 2+2k steps, and reports
-// whether the lane may start at the guard. The charge leaves the batched
-// step count where the literal path's per-statement stepC would: full
-// chunks flushed, the remainder pending. A lane the charge could take
-// past the step budget, or that would cross a flush after its run was
-// cancelled, runs literally instead, so the error it raises is the
-// literal path's, at the literal path's statement.
-func (ip *Interp) chargeStripPrologue(k int64) bool {
-	if k > ip.maxSteps/2 {
-		return false
-	}
-	pro := 2 + 2*k
-	if ip.sh.steps.Load()+ip.stepsLocal+pro > ip.maxSteps {
-		return false
-	}
-	s := ip.stepsLocal + pro
-	if s >= stepFlushChunk {
-		if ip.ctx != nil && ip.ctx.Err() != nil {
-			return false
-		}
-		ip.addSteps(s - s%stepFlushChunk)
-	}
-	ip.stepsLocal = s % stepFlushChunk
-	return true
 }
 
 // bindCall binds a call site's arguments from the caller frame into

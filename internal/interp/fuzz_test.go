@@ -2,9 +2,9 @@
 // the three execution engines. Any program the front end accepts must
 // behave identically under the tree-walking oracle, the flat bytecode
 // VM, and the kernel engine — same value, same printed output, same
-// error/no-error outcome, and the same step/allocation counters. (The
-// simulated machine's cycles are the walker's alone, so they have no
-// second engine to disagree with.) This is the property that lets
+// error text, and the same step/allocation counters, a failed run's
+// too. (The simulated machine's cycles are the walker's alone, so they
+// have no second engine to disagree with.) This is the property that lets
 // later PRs refactor the execution core freely: the walker defines
 // the semantics, the fuzzers hunt for programs where a fast path
 // disagrees. The two fuzzers compose: bytecode is pinned to the
@@ -27,9 +27,8 @@ import (
 )
 
 // fuzzMaxSteps bounds each engine run. Runaway programs hit the limit
-// in every engine; the limit is detected at slightly different
-// instants (the bytecode VM batches step accounting), so limit-hit
-// runs only compare error-ness, not counters.
+// in every engine, on the same statement (the step ledger is one), so
+// limit-hit runs compare like any other failed run.
 const fuzzMaxSteps = 100_000
 
 func seedPrograms(f *testing.F) {
@@ -242,26 +241,13 @@ func runOne(prog *lang.Program, eng interp.Engine, mode interp.Mode, fn string, 
 	return engineOutcome{v: v, stats: st, out: out.String(), err: err}
 }
 
-func isLimitErr(err error) bool {
-	return err != nil && (strings.Contains(err.Error(), "step limit") ||
-		strings.Contains(err.Error(), "recursion depth"))
-}
-
+// compareOutcomes fails on any difference between two runs: the same
+// error text (position included) or none, and the same value, output
+// and Stats, for a failed run too.
 func compareOutcomes(t *testing.T, label string, a, b interp.Engine, w, c engineOutcome) {
 	t.Helper()
-	// Resource-limit errors fire at engine-specific instants; only
-	// agreement on "some limit was hit" is required.
-	if isLimitErr(w.err) || isLimitErr(c.err) {
-		if !isLimitErr(w.err) || !isLimitErr(c.err) {
-			t.Fatalf("%s: limit asymmetry: %s err=%v, %s err=%v", label, a, w.err, b, c.err)
-		}
-		return
-	}
-	if (w.err != nil) != (c.err != nil) {
-		t.Fatalf("%s: error asymmetry: %s err=%v, %s err=%v", label, a, w.err, b, c.err)
-	}
-	if w.err != nil {
-		return
+	if errText(w.err) != errText(c.err) {
+		t.Fatalf("%s: error divergence: %s err=%v, %s err=%v", label, a, w.err, b, c.err)
 	}
 	if w.v.String() != c.v.String() {
 		t.Fatalf("%s: value divergence: %s %s, %s %s", label, a, w.v, b, c.v)
@@ -300,6 +286,17 @@ func fuzzDiff(t *testing.T, src string, a, b interp.Engine) {
 		(s.stats.Cycles <= 0 || s.stats.WorkCycles < s.stats.Cycles) {
 		t.Fatalf("simulated: elapsed %d cycles, work %d", s.stats.Cycles, s.stats.WorkCycles)
 	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+func isStepLimit(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "step limit exceeded")
 }
 
 // FuzzBytecodeVsWalk pins the bytecode VM to the walker, the
@@ -492,6 +489,13 @@ func fuzzKernelParallel(t *testing.T, src string) {
 	}
 	w := run(interp.EngineBytecode)
 	c := run(interp.EngineKernel)
+	// Two PEs charge one budget concurrently, each publishing its count
+	// every few hundred statements, so which statement of which
+	// iteration passes the limit is a race: pooled runs must agree only
+	// that it was passed.
+	if isStepLimit(w.err) && isStepLimit(c.err) {
+		return
+	}
 	compareOutcomes(t, "parexec", interp.EngineBytecode, interp.EngineKernel, w, c)
 }
 

@@ -30,8 +30,8 @@
 //
 // Paper provenance: speculative traversability — loading a pointer
 // field through NULL yields NULL — is §3.2 (the transformed code's
-// unguarded FOR1/FOR2 advances rely on it; StrictNull disables it for
-// tests); runtime shape checks against ADDS declarations are §2.2;
+// unguarded FOR1/FOR2 advances rely on it); runtime shape checks
+// against ADDS declarations are §2.2;
 // Simulated mode's cost accounting (max-over-PEs per forall plus a
 // barrier, CostModel cycles) implements the §4.4 measurement setup,
 // with Scheduling choosing the §4.3.3 static iteration→PE mapping.
@@ -67,9 +67,9 @@ const (
 	// into flat slabs, the body run as fused whole-slab operations with
 	// execution masks, results scattered back at the barrier.
 	// Everything else (and every fallback: faults, step-budget
-	// pressure, StrictNull runs) executes on the bytecode VM, so
-	// results, output, accounting, and error text stay bit-identical to
-	// the other engines.
+	// pressure) executes on the bytecode VM, so results, output,
+	// accounting, and error text stay bit-identical to the other
+	// engines.
 	EngineKernel Engine = iota
 	// EngineBytecode executes flat bytecode (internal/bytecode) over
 	// typed per-function register banks — slot-resolved variables,
@@ -171,7 +171,7 @@ type Config struct {
 	// PEs is the run's PE count: the simulated machine's in Simulated
 	// mode (0: one PE per iteration), the pool's in Real mode (parexec
 	// sets it), where it sizes the per-PE rows of the strip profiles
-	// Profiler receives.
+	// Profiler receives and, above one, says iterations run at once.
 	PEs    int
 	Costs  CostModel
 	Output io.Writer
@@ -180,15 +180,15 @@ type Config struct {
 	// for pays one step per trip; a forall pays its whole trip count at
 	// entry, so a range larger than the remaining budget fails before
 	// anything runs or is allocated.
-	MaxSteps   int64
-	MaxDepth   int  // 0 = default (4096)
-	StrictNull bool // disable speculative traversability (for tests)
+	MaxSteps int64
+	MaxDepth int // 0 = default (4096)
 	// Ctx, if non-nil, cancels the run: a deadline or explicit cancel
-	// makes Call return an error. Every engine polls it on the step
-	// path, at stepFlushChunk granularity, so a runaway loop is cut
-	// within a few hundred statements. The sandbox budgets below plus
-	// Ctx are what the serving layer (internal/serve) relies on to run
-	// untrusted programs.
+	// makes Call return an error. Every engine polls it wherever it
+	// publishes its step count (publish), at least every stepFlushChunk
+	// statements, so a runaway loop is cut within a few hundred
+	// statements. The sandbox budgets below plus Ctx are what the
+	// serving layer (internal/serve) relies on to run untrusted
+	// programs.
 	Ctx context.Context
 	// MaxAllocs bounds `new` node allocations across the run and all
 	// its forks (0 = unlimited). Shared, like the allocation counter,
@@ -268,8 +268,8 @@ type Interp struct {
 	maxDepth  int
 	maxAllocs int64
 	maxOutput int64
-	// ctx is the optional cancellation signal (Config.Ctx), polled at
-	// stepFlushChunk granularity on the walker's and the VM's step paths.
+	// ctx is the optional cancellation signal (Config.Ctx), polled on
+	// every publish of the step count.
 	ctx context.Context
 
 	// bc is the flat program when cfg.Engine is EngineKernel or
@@ -290,13 +290,15 @@ type Interp struct {
 	// links those walks followed.
 	lanes     []*Node
 	stripHops int64
-	// stepsLocal batches the statement count between flushes to the
-	// shared atomic: the bytecode VM's always, the walker's when serial
-	// (no Forall scheduler and not a fork: no other writer), up to
-	// stepMark (step). Each Interp executes on one goroutine at a time,
-	// so these need no synchronization.
+	// stepsLocal is the step count this interpreter has not yet
+	// published; the statement that takes it to stepMark publishes it.
+	// Every engine, root or fork, keeps this one ledger, on one goroutine
+	// at a time, so it needs no synchronization.
 	stepsLocal, stepMark int64
-	serial               bool
+	// trace, a test hook (export_test.go), has every statement publish
+	// and sees each charge: a statement's position with trips 0, a forall
+	// entry's with its trips.
+	trace func(pos lang.Pos, trips int64)
 	// ownSteps and ownAllocs are what this interpreter itself — not its
 	// parent or sibling forks — has added to the shared step and
 	// allocation counters: the difference across one forall iteration
@@ -372,7 +374,6 @@ func newInterp(prog *lang.Program, cfg Config) *Interp {
 		maxAllocs: cfg.MaxAllocs,
 		maxOutput: cfg.MaxOutputBytes,
 		ctx:       cfg.Ctx,
-		serial:    cfg.Forall == nil,
 	}
 	return ip
 }
@@ -445,17 +446,14 @@ func (ip *Interp) Call(fn string, args ...Value) (Value, error) {
 			return Value{}, fmt.Errorf("interp: bytecode engine: %w", ip.bcErr)
 		}
 		v, err := ip.callBytecode(ip.bc.Func(fn), args)
-		if ferr := ip.flushSteps(f.Pos()); err == nil && ferr != nil {
-			err = ferr
-		}
+		ip.flush()
 		return v, err
 	}
 	vals := ip.getVals(max(len(args), len(f.Vars)))
 	copy(vals, args)
 	v, err := ip.callFunc(f, vals, 0)
 	ip.putVals(vals)
-	ip.addSteps(ip.stepsLocal) // a serial walk's batch
-	ip.stepsLocal, ip.stepMark = 0, ip.stepMark-ip.stepsLocal
+	ip.flush()
 	return v, err
 }
 
@@ -481,78 +479,29 @@ func (ip *Interp) addSteps(n int64) int64 {
 	return ip.sh.steps.Add(n)
 }
 
-// step charges the walker's statement at pos: the statement that takes
-// the run's total past MaxSteps fails, and one that takes it to a
-// multiple of stepFlushChunk polls cancellation. A serial interpreter
-// publishes its batch only then (stepMark), where the VM flushes and at
-// Call return; a scheduled run and its forks add each statement to the
-// counter they share.
-func (ip *Interp) step(pos lang.Pos) error {
-	var n int64
-	if ip.serial {
-		if ip.stepsLocal++; ip.stepsLocal < ip.stepMark {
-			return nil
-		}
-		n = ip.addSteps(ip.stepsLocal)
-		ip.stepsLocal = 0
-		ip.markSteps()
-	} else {
-		n = ip.addSteps(1)
-	}
-	if n > ip.maxSteps {
-		return fmt.Errorf("%s: interp: step limit exceeded (%d)", pos, ip.maxSteps)
-	}
-	if ip.ctx != nil && n&(stepFlushChunk-1) == 0 {
-		if err := ip.ctx.Err(); err != nil {
-			return fmt.Errorf("%s: interp: run cancelled: %v", pos, err)
-		}
-	}
-	return nil
-}
-
-// markSteps sets stepMark to the batch count of the statement that
-// takes the total to the next multiple of stepFlushChunk, or past
-// MaxSteps if sooner (a zero mark: the next statement). Whatever else
-// adds steps calls it.
-func (ip *Interp) markSteps() {
-	total := ip.sh.steps.Load() + ip.stepsLocal
-	next := stepFlushChunk - total&(stepFlushChunk-1)
-	if room := ip.maxSteps - total; room < next {
-		next = room + 1
-	}
-	ip.stepMark = ip.stepsLocal + next
-}
-
-// stepFlushChunk is how many bytecode-VM statements run between
-// flushes of the local step count to the shared atomic. Batching keeps
-// the hot loop off the shared cache line (which parallel workers would
-// otherwise contend on every statement); the step limit is still
-// enforced, at chunk granularity, so the VM detects a MaxSteps overrun
-// up to one chunk later than the walker, which fails on the exact
-// statement. Totals are identical at every quiescent point (Call
-// return, forall iteration end). The walker polls cancellation on the
-// statements that take the total to a multiple of the chunk.
+// stepFlushChunk bounds the statements between two publishes of an
+// interpreter's step count (step, publish): batching keeps the hot loop
+// off the shared cache line, and marking the statement past MaxSteps
+// keeps a serial run failing on it, on every engine.
 const stepFlushChunk = 256
 
-// stepC is the bytecode VM's per-statement accounting for code[pc].
-func (ip *Interp) stepC(f *bytecode.Func, pc int32) error {
-	ip.stepsLocal++
-	if ip.stepsLocal >= stepFlushChunk {
-		return ip.flushSteps(f.Pos[pc])
-	}
-	return nil
-}
-
-// flushSteps publishes the batched statement count. The shared total
-// is exact whenever an Interp is quiescent (Call returned, or a
-// parallel iteration completed), which is when Stats is read.
-func (ip *Interp) flushSteps(pos lang.Pos) error {
-	if ip.stepsLocal == 0 {
+// step charges the statement at pos.
+func (ip *Interp) step(pos lang.Pos) error {
+	if ip.stepsLocal++; ip.stepsLocal < ip.stepMark {
 		return nil
 	}
-	n := ip.stepsLocal
-	ip.stepsLocal, ip.stepMark = 0, ip.stepMark-n
-	if ip.addSteps(n) > ip.maxSteps {
+	if ip.trace != nil {
+		ip.trace(pos, 0)
+	}
+	return ip.publish(pos)
+}
+
+// publish adds the local count to the shared total and sets the next
+// mark; the statement at pos fails if the total is past MaxSteps or the
+// run was cancelled. Every statement that fails on the budget fails
+// here; a forall's trips are refused before any runs (forallTrips).
+func (ip *Interp) publish(pos lang.Pos) error {
+	if total := ip.flush(); total > ip.maxSteps {
 		return fmt.Errorf("%s: interp: step limit exceeded (%d)", pos, ip.maxSteps)
 	}
 	if ip.ctx != nil {
@@ -561,6 +510,46 @@ func (ip *Interp) flushSteps(pos lang.Pos) error {
 		}
 	}
 	return nil
+}
+
+// flush is publish without the checks, which Call's return needs not;
+// it returns the new total.
+func (ip *Interp) flush() int64 {
+	total := ip.addSteps(ip.stepsLocal)
+	ip.stepsLocal = 0
+	ip.markSteps(total)
+	return total
+}
+
+// markSteps sets stepMark, against total (this interpreter's count
+// included), to the statement that takes the total to the next multiple
+// of stepFlushChunk, or past MaxSteps if sooner.
+func (ip *Interp) markSteps(total int64) {
+	next := stepFlushChunk - total&(stepFlushChunk-1)
+	if room := ip.maxSteps - total; room < next {
+		next = room + 1
+	}
+	if ip.trace != nil {
+		next = 1
+	}
+	ip.stepMark = ip.stepsLocal + next
+}
+
+// room is how many more steps the run may take before one fails.
+func (ip *Interp) room() int64 {
+	return ip.maxSteps - ip.sh.steps.Load() - ip.stepsLocal
+}
+
+// pay charges in one piece n steps a literal path would charge a
+// statement at a time, unless one of those would fail (n is past the
+// room left, or crosses the mark of a cancelled run): then it charges
+// nothing and reports false, and the caller runs them literally.
+func (ip *Interp) pay(n int64) bool {
+	if n > ip.room() || ip.stepsLocal+n >= ip.stepMark && ip.ctx != nil && ip.ctx.Err() != nil {
+		return false
+	}
+	ip.stepsLocal += n
+	return true
 }
 
 // rand is a SplitMix64-style deterministic generator. It is safe for
@@ -889,8 +878,9 @@ func (ip *Interp) execFor(s *lang.ForStmt, fr frame, depth int) (ctrl, Value, er
 // forallTrips charges a parallel loop over [from, to] its trip count:
 // one step an iteration, what a serial for pays per trip, but in one
 // piece and at entry — in both modes, on every engine, before anything
-// sized by the range is allocated or scheduled. A range the remaining
-// budget cannot cover therefore fails at once, having run nothing. It
+// sized by the range is allocated or scheduled. A range the room left
+// cannot cover therefore fails at once, having run nothing. The charge
+// is published, so a scheduler's forks mark against the true total. It
 // reports whether there are iterations to run; false with a nil error
 // is an empty range, which costs nothing and joins no barrier.
 func (ip *Interp) forallTrips(pos lang.Pos, from, to int64) (bool, error) {
@@ -898,11 +888,16 @@ func (ip *Interp) forallTrips(pos lang.Pos, from, to int64) (bool, error) {
 		return false, nil
 	}
 	n := to - from + 1 // wraps to <= 0 on a range wider than an int64
-	if n <= 0 || n > ip.maxSteps-ip.sh.steps.Load()-ip.stepsLocal {
+	if n <= 0 || n > ip.room() {
 		return false, fmt.Errorf("%s: interp: step limit exceeded (%d)", pos, ip.maxSteps)
 	}
-	ip.addSteps(n)
-	ip.markSteps()
+	if ip.trace != nil {
+		ip.trace(pos, n)
+	}
+	ip.stepsLocal += n
+	if err := ip.publish(pos); err != nil {
+		return false, err
+	}
 	return true, nil
 }
 
@@ -910,7 +905,8 @@ func (ip *Interp) forallTrips(pos lang.Pos, from, to int64) (bool, error) {
 // two looks at the cancellation signal, and the most a ForallScheduler
 // is handed in one call: scheduledWindow's per-iteration output buffers
 // and ledger are bounded by it, not by the loop's range. Strips the
-// planner emits are at most 256 wide and always fit one window.
+// planner emits are at most 128 wide (transform.DefaultWidth) and always
+// fit one window.
 const forallWindow = 4096
 
 // realForall runs the Real-mode iterations [from, to] of a parallel
@@ -923,15 +919,17 @@ const forallWindow = 4096
 // program with and without a pool.
 func (ip *Interp) realForall(pos lang.Pos, from, to int64, body func(w *Interp, k int64) (ctrl, error)) error {
 	// run is one whole iteration on w: the body, the ban on returning
-	// out of a forall, and the flush of the engine's batched step count
-	// (so a worker's charges are exact whenever an iteration ends).
+	// out of a forall, and the publish of what it left unpublished (so a
+	// worker's charges are exact whenever an iteration ends).
 	run := func(w *Interp, k int64) error {
 		c, err := body(w, k)
 		if err == nil && c == ctrlReturn {
 			err = fmt.Errorf("%s: interp: return inside forall is not allowed", pos)
 		}
-		if ferr := w.flushSteps(pos); err == nil {
-			err = ferr
+		if w.stepsLocal > 0 {
+			if perr := w.publish(pos); err == nil {
+				err = perr
+			}
 		}
 		return err
 	}
@@ -981,7 +979,13 @@ type iterCost struct {
 // to and including the first failing iteration — what it printed before
 // it failed is the last output flushed — the later iterations' steps
 // and allocations are taken back out, and the failing iteration's error
-// is the window's.
+// is the window's. Each iteration marks against the total as it starts
+// (forallTrips published the root's), so one-at-a-time scheduling fails
+// on the serial run's statement — except on a pool of several PEs,
+// where siblings move the total unseen and such a mark would fail at a
+// statement that depends on their timing: there an iteration starts a
+// chunk of its own ahead, and one shorter than a chunk fails, if at
+// all, at its end.
 func (ip *Interp) scheduledWindow(pos lang.Pos, lo, hi int64, run func(w *Interp, k int64) error) error {
 	n := int(hi - lo + 1)
 	if cap(ip.costs) < n {
@@ -992,10 +996,16 @@ func (ip *Interp) scheduledWindow(pos lang.Pos, lo, hi int64, run func(w *Interp
 	}
 	costs, bufs := ip.costs[:n], ip.bufs[:n]
 	clear(costs)
+	beside := ip.cfg.PEs > 1
 	serr := ip.cfg.Forall(pos, lo, hi, func(w *Interp, k int64) error {
 		i := k - lo
 		steps, allocs, out := w.ownSteps, w.ownAllocs, w.out
 		w.out = bufs[i]
+		if beside {
+			w.stepMark = w.stepsLocal + stepFlushChunk
+		} else {
+			w.markSteps(w.sh.steps.Load())
+		}
 		err := run(w, k)
 		w.out = out
 		costs[i] = iterCost{w.ownSteps - steps, w.ownAllocs - allocs, err}
@@ -1011,7 +1021,7 @@ func (ip *Interp) scheduledWindow(pos lang.Pos, lo, hi int64, run func(w *Interp
 		steps += c.steps
 		allocs += c.allocs
 	}
-	ip.sh.steps.Add(-steps)
+	ip.markSteps(ip.sh.steps.Add(-steps))
 	ip.sh.allocs.Add(-allocs)
 	ip.outMu.Lock()
 	for _, b := range bufs[:ran] {
@@ -1232,7 +1242,7 @@ func (ip *Interp) evalField(e *lang.FieldExpr, fr frame, depth int) (Value, erro
 	}
 	_, isPtr := e.Type().(*lang.Pointer)
 	if node == nil {
-		if isPtr && !ip.cfg.StrictNull {
+		if isPtr {
 			// Speculative traversability (§3.2): walking a pointer
 			// field past the end of a structure yields NULL.
 			return NullVal(), nil

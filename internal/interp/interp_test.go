@@ -97,22 +97,6 @@ function bool main() {
 	}
 }
 
-func TestStrictNullMode(t *testing.T) {
-	prog := lang.MustParse(listSrc + `
-function List * main() {
-  var List *p = NULL;
-  return p->next;
-}`)
-	ip := New(prog, Config{StrictNull: true})
-	if _, err := ip.Call("main"); err == nil {
-		t.Error("StrictNull must fault on NULL traversal")
-	}
-	ip2 := New(prog, Config{})
-	if v, err := ip2.Call("main"); err != nil || !v.IsNull() {
-		t.Errorf("speculative mode: v=%v err=%v", v, err)
-	}
-}
-
 func TestDataFieldThroughNullFaults(t *testing.T) {
 	prog := lang.MustParse(listSrc + `
 function int main() {

@@ -16,15 +16,15 @@
 // exactly the value the scalar engines would have left in place.
 //
 // Execution is transactional: the heap is untouched until Scatter, so
-// any fault (a zero divisor in an active lane, or step-budget or
-// cancellation pressure) simply discards the slabs and falls back to
-// the scalar bytecode path, which re-executes the strip from
-// unmodified state and reproduces the exact error text, partial
-// writes, and accounting the other engines produce; a chain the walk
-// could not follow to the last lane never reaches the kernel. Success
-// commits step totals bit-identical to the scalar engines': 3+2k
-// prologue steps for lane k in closed form plus one step per active
-// lane per body statement (the masks' lane counts).
+// any fault (a zero divisor in an active lane, or steps the run cannot
+// pay) simply discards the slabs and falls back to the scalar bytecode
+// path, which re-executes the strip from unmodified state and
+// reproduces the exact error text, partial writes, and accounting the
+// other engines produce; a chain the walk could not follow to the last
+// lane never reaches the kernel. Success pays step totals bit-identical
+// to the scalar engines': 3+2k prologue steps for lane k in closed form
+// plus one step per active lane per body statement (the masks' lane
+// counts).
 package interp
 
 import (
@@ -61,14 +61,14 @@ type kernState struct {
 	// holds none.
 	pop []int
 
-	ip *Interp // the owner; scatter commits steps to its shared counters
+	ip *Interp // the owner; scatter pays the strip's steps to its ledger
 
 	// The strip in flight, set by bcForallKernel before any phase runs;
 	// nodes are its lanes' elements, from the strip's one chain walk.
 	kern  *bytecode.Kernel
 	fr    *bcFrame           // the caller's frame, read by gather
 	call  *bytecode.CallSite // the helper call, whose moves gather broadcasts
-	steps int64              // the strip's step total, committed by scatter
+	steps int64              // the strip's step total, paid by scatter
 }
 
 // ensure aims the state at a strip whose lanes' elements are nodes and
@@ -100,7 +100,9 @@ func slabs[T any](back []T, dst [][]T, count, n int) ([]T, [][]T) {
 // goroutine, as one barrier. It reports whether the strip completed on
 // the vector path; false means nothing observable happened (no heap
 // writes, no accounting, no barrier) and the caller must run the scalar
-// path, whose window is then the barrier.
+// path, whose window is then the barrier. bcForall has already routed to
+// the scalar path a strip whose prologues the room left cannot cover,
+// one at the depth limit and one with negative lane indices.
 //
 // The compute phase is not split across a pool of PEs, because on the
 // one host measured it never repaid the dispatch (2-vCPU sandbox,
@@ -124,26 +126,6 @@ func slabs[T any](back []T, dst [][]T, count, n int) ([]T, [][]T) {
 func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.ForallSite, pos lang.Pos, lo, hi int64, nodes []*Node) bool {
 	kern := site.Kernel
 	n := hi - lo + 1
-	// Pre-checks: any condition under which the strip could hit a
-	// budget or cancellation mid-flight routes to the scalar path,
-	// which raises the exact error at the exact statement. (bcForall
-	// has already routed a strip at the depth limit or with negative
-	// lane indices there.)
-	if ip.ctx != nil && ip.ctx.Err() != nil {
-		return false
-	}
-	// Per lane k the strip prologue (helper call, skip loop, NULL
-	// guard) charges 3+2k steps; the body at most NSteps more. Lanes
-	// whose skip loops alone outrun the budget would overflow it.
-	if hi > ip.maxSteps/n {
-		return false
-	}
-	prologueSteps := 3*n + (lo+hi)*n
-	bound := prologueSteps + int64(kern.NSteps)*n
-	if ip.sh.steps.Load()+ip.stepsLocal+bound > ip.maxSteps {
-		return false
-	}
-
 	ks := ip.kern
 	if ks == nil {
 		ks = &kernState{ip: ip}
@@ -151,7 +133,9 @@ func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.F
 	}
 	ks.ensure(kern, nodes)
 	ks.kern, ks.fr, ks.call = kern, fr, &f.Calls[site.Strip.CallSite]
-	ks.steps = prologueSteps
+	// Per lane k the strip prologue (helper call, skip loop, NULL guard)
+	// charges 3+2k steps; compute adds the body's.
+	ks.steps = 3*n + (lo+hi)*n
 
 	if ip.cfg.Profiler != nil {
 		if !ks.profiled(pos) {
@@ -159,10 +143,9 @@ func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.F
 		}
 	} else {
 		ks.gather()
-		if ks.compute() != nil {
+		if ks.compute() != nil || !ks.scatter() {
 			return false
 		}
-		ks.scatter()
 	}
 	ip.sh.barriers.Add(1)
 	return true
@@ -179,7 +162,9 @@ func (ks *kernState) profiled(pos lang.Pos) bool {
 		return false
 	}
 	scatterStart := time.Now()
-	ks.scatter()
+	if !ks.scatter() {
+		return false
+	}
 	end := time.Now()
 	pes := max(ks.ip.cfg.PEs, 1)
 	busy, tasks := make([]int64, pes), make([]int64, pes)
@@ -250,12 +235,14 @@ func fill[T any](s []T, v T) {
 }
 
 // scatter is the strip's last phase, and the only one that writes
-// shared state: it commits the step total and stores the fields back.
-func (ks *kernState) scatter() {
+// shared state: it pays the strip's steps and stores the fields back. It
+// reports false, having written nothing, when the steps cannot be paid:
+// the scalar path then fails on the statement the budget runs out at.
+func (ks *kernState) scatter() bool {
 	kern, lanes := ks.kern, len(ks.nodes)
-	// bcForallKernel's conservative pre-check already proved the total
-	// fits the budget.
-	ks.ip.addSteps(ks.steps)
+	if !ks.ip.pay(ks.steps) {
+		return false
+	}
 	root := ks.m[0]
 	// Writes update Kind and the data word in place rather than
 	// assigning a fresh Value: a typed data field invariantly holds its
@@ -296,6 +283,7 @@ func (ks *kernState) scatter() {
 			}
 		}
 	}
+	return true
 }
 
 // out is the slab an instruction under mask m writes: dst itself when

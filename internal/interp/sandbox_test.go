@@ -104,15 +104,17 @@ func TestMaxAllocsEquivalence(t *testing.T) {
 	}
 }
 
-// TestMaxStepsEquivalence: the step limit trips in every engine with
-// the same message. The VM may attribute its chunk flush to a
-// neighboring statement (limits fire at engine-specific instants, the
-// long-standing fuzzer carve-out), so positions are not compared.
+// TestMaxStepsEquivalence: the step limit trips in every engine on the
+// same statement, with the same error text, position included, and the
+// same output.
 func TestMaxStepsEquivalence(t *testing.T) {
-	errs, _ := runAll(t, Config{MaxSteps: 1000}, "spin", IntVal(1_000_000))
+	errs, outs := runAll(t, Config{MaxSteps: 1000}, "spin", IntVal(1_000_000))
 	for i, e := range errs {
 		if !strings.Contains(e, "step limit exceeded (1000)") {
 			t.Errorf("engine %s: error %q, want step limit", sandboxEngines[i], e)
+		}
+		if e != errs[0] || outs[i] != outs[0] {
+			t.Errorf("engines disagree: %s %q %q vs %s %q %q", sandboxEngines[0], errs[0], outs[0], sandboxEngines[i], e, outs[i])
 		}
 	}
 	errs, _ = runAll(t, Config{MaxSteps: 10_000_000}, "spin", IntVal(1000))

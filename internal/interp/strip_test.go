@@ -133,44 +133,61 @@ func (c *cancelAfter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestStripFallbacks: where a lane's skip loop would fail — a read
-// through NULL under StrictNull, a step budget that runs out inside it,
-// a run cancelled mid-strip — the strip path runs that lane literally,
-// and the run ends as the literal path ends it: same value, output,
-// error text and position, and Stats. The NULL read fails at one
-// statement in every engine, so there the walker is the reference. The
-// VM notices a spent budget or a cancelled run at its batched step
-// flush, not at the walker's statement (DESIGN.md, R6: only the instant
-// moves), so for those two the reference is the VM on the same program
-// with the recognizer refused (literalCall), and the walker must agree
-// on the error's message.
+// TestStripFallbacks: where a lane's skip loop would fail — an empty
+// pointer array met mid-strip, a step budget that runs out inside it, a
+// run cancelled mid-strip — the strip path runs that lane literally,
+// and the run ends as the literal path ends it and as the walker does:
+// same value, output, error text and position, and Stats.
 func TestStripFallbacks(t *testing.T) {
 	const w = 16 // the third strip starts at node 32: lanes 5 and up meet the list's end
 	strip := lang.MustParse(stripListSrc(w, stripShapeCall, scalarBody))
 	literal := lang.MustParse(stripListSrc(w, literalCall, scalarBody))
 
-	t.Run("NULL mid-strip under StrictNull", func(t *testing.T) {
-		ref := runStrip(strip, Config{Engine: EngineWalk, StrictNull: true})
-		if !strings.Contains(ref.err, "field next read through NULL pointer") || !strings.HasSuffix(ref.output, "4 0\n") {
-			t.Fatalf("walker: %+v, want the NULL read in lane 6's skip loop, after the strip's first lanes", ref)
+	// Node 20 of the list (counting from the head) is given an empty
+	// next array between building the list and sweeping it, which no
+	// program can declare: the walk of the strip that reaches it stops
+	// there, the other way a strip's walk ends short of its last lane.
+	t.Run("empty pointer array mid-strip", func(t *testing.T) {
+		run := func(w int, body string, cfg Config) stripRun {
+			prog := lang.MustParse(stripSweepSrc(w, body))
+			var out bytes.Buffer
+			cfg.Output = &out
+			ip := New(prog, cfg)
+			head, err := ip.Call("build")
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := head.N
+			for i := 0; i < 20; i++ {
+				n = n.parr[0][0]
+			}
+			n.parr[0] = nil
+			v, err := ip.Call("sweep", head)
+			r := stripRun{value: v.String(), st: ip.Stats(), output: out.String()}
+			if err != nil {
+				r.value, r.err = "", err.Error()
+			}
+			return r
+		}
+		ref := run(w, scalarBody, Config{Engine: EngineWalk})
+		if !strings.HasPrefix(ref.err, "5:10: interp: index 0 out of range for C.next[0]") || !strings.Contains(ref.output, "\n4 ") {
+			t.Fatalf("walker: %+v, want the empty array in lane 5's skip loop, after the strip's first lanes", ref)
 		}
 		for _, eng := range []Engine{EngineBytecode, EngineKernel} {
-			if got := runStrip(strip, Config{Engine: eng, StrictNull: true}); got != ref {
+			if got := run(w, scalarBody, Config{Engine: eng}); got != ref {
 				t.Errorf("%s:\n got %+v\nwant %+v", eng, got, ref)
 			}
 		}
-		// A vector body under StrictNull: the kernel takes a strip whose
-		// walk reached every lane (width 37 ends on the list's last node)
-		// and declines one that met NULL first (width 16), whose lanes
-		// past it then fail literally.
-		for w, vectorized := range map[int]int64{37: 1, 16: 2} {
-			prog := lang.MustParse(stripListSrc(w, stripShapeCall, vectorBody))
-			ref := runStrip(prog, Config{Engine: EngineWalk, StrictNull: true})
-			if (w == 16) != strings.Contains(ref.err, "read through NULL pointer") {
+		// A vector body: the kernel takes the strips whose walk reached
+		// every lane, before node 20, and declines the one that did not,
+		// whose lanes from the empty array on then fail literally.
+		for w, vectorized := range map[int]int64{16: 1, 8: 2} {
+			ref := run(w, vectorBody, Config{Engine: EngineWalk})
+			if !strings.Contains(ref.err, "index 0 out of range") {
 				t.Fatalf("vector body at width %d on the walker: %+v", w, ref)
 			}
 			prof := obs.NewForallProfiler()
-			if got := runStrip(prog, Config{Engine: EngineKernel, StrictNull: true, Profiler: prof}); got != ref {
+			if got := run(w, vectorBody, Config{Engine: EngineKernel, Profiler: prof}); got != ref {
 				t.Errorf("vector body at width %d, kernel:\n got %+v\nwant %+v", w, got, ref)
 			}
 			if rep := prof.Report(); len(rep) != 1 || !rep[0].Kernel || rep[0].Barriers != vectorized {
@@ -212,16 +229,15 @@ func TestStripFallbacks(t *testing.T) {
 				t.Fatalf("walker: %q, want the step limit inside the skip loop (5:5)", ref.err)
 			}
 			for _, eng := range []Engine{EngineBytecode, EngineKernel} {
-				want := runStrip(literal, Config{Engine: eng, MaxSteps: limit})
+				if want := runStrip(literal, Config{Engine: eng, MaxSteps: limit}); want != ref {
+					t.Errorf("%s, body %q, literal lanes:\n got %+v\nwant %+v (walker)", eng, body, want, ref)
+				}
 				var out bytes.Buffer
 				ip := New(strip, Config{Engine: eng, MaxSteps: limit, Output: &out})
 				got := runStripOn(ip)
 				got.output = out.String()
-				if got != want {
-					t.Errorf("%s, body %q:\n got %+v\nwant %+v (literal lanes)", eng, body, got, want)
-				}
-				if msg(got.err) != msg(ref.err) {
-					t.Errorf("%s, body %q: error %q, walker %q", eng, body, got.err, ref.err)
+				if got != ref {
+					t.Errorf("%s, body %q:\n got %+v\nwant %+v (walker)", eng, body, got, ref)
 				}
 				// Two strips walk (W−1 links each) with spinBody, one
 				// with scalarBody.
@@ -244,28 +260,27 @@ func TestStripFallbacks(t *testing.T) {
 			return r
 		}
 		ref := run(strip, EngineWalk)
-		if !strings.Contains(ref.err, "run cancelled: context canceled") {
-			t.Fatalf("walker: %+v, want the cancellation", ref)
+		if !strings.Contains(ref.err, "run cancelled: context canceled") || !strings.HasSuffix(ref.output, "3 68\n") {
+			t.Fatalf("walker: %+v, want the cancellation right after lane 3 of the second strip", ref)
 		}
 		for _, eng := range []Engine{EngineBytecode, EngineKernel} {
-			want := run(literal, eng)
-			got := run(strip, eng)
-			if got != want {
-				t.Errorf("%s:\n got %+v\nwant %+v (literal lanes)", eng, got, want)
+			if got := run(literal, eng); got != ref {
+				t.Errorf("%s, literal lanes:\n got %+v\nwant %+v (walker)", eng, got, ref)
 			}
-			if !strings.HasSuffix(got.output, "3 68\n") || msg(got.err) != msg(ref.err) {
-				t.Errorf("%s: %+v, want the cancellation right after lane 3 of the second strip, with the walker's message %q", eng, got, ref.err)
+			if got := run(strip, eng); got != ref {
+				t.Errorf("%s:\n got %+v\nwant %+v (walker)", eng, got, ref)
 			}
 		}
 	})
 }
 
-// msg is an error's text without its leading source position.
-func msg(err string) string {
-	if i := strings.Index(err, "interp: "); i >= 0 {
-		return err[i:]
-	}
-	return err
+// stripSweepSrc is stripListSrc's program split in two: build returns
+// the list, and sweep runs the strips over it and returns the checksum.
+func stripSweepSrc(w int, body string) string {
+	src := stripListSrc(w, stripShapeCall, body)
+	src = strings.Replace(src, "function int main() {", "function C * build() {", 1)
+	src = strings.Replace(src, "  var C *p = head;\n", "  return head;\n}\nfunction int sweep(C *head) {\n  var C *p = head;\n", 1)
+	return src
 }
 
 // stepsAt is an output stream that records the run's step count when

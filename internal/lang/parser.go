@@ -36,9 +36,12 @@ func MustParse(src string) *Program {
 }
 
 // maxNesting bounds how deep blocks, parentheses, unary operators, calls,
-// index brackets and else-ifs may nest, all counted together. The parser
-// recurses once per level, and a deep enough source would otherwise
-// overflow the goroutine's stack, which no recover can catch.
+// index brackets and else-ifs may nest, and how long a chain of binary
+// operators or of field accesses may run, all counted together. The
+// parser recurses once per nesting level, and the checker, the
+// normalizer, the lowering and the walker once per level of the tree a
+// chain builds; a deep enough source would otherwise overflow the
+// goroutine's stack, which no recover can catch.
 const maxNesting = 1000
 
 // ParseRaw parses without checking or normalizing. A lexing error
@@ -63,7 +66,7 @@ func ParseRaw(src string) (*Program, error) {
 // with a bailout, which program turns back into the error.
 type parser struct {
 	Lexer
-	depth  int     // open blocks, parentheses, unary operators, calls, index brackets and else-ifs
+	depth  int     // open blocks, parentheses, unary operators, calls, index brackets, else-ifs and chain links
 	stmts  []Stmt  // the open blocks' statements so far, innermost last
 	args   []Expr  // the open calls' arguments so far, likewise
 	params []Param // the current function's parameters so far
@@ -187,6 +190,16 @@ func (p *parser) check(err error) {
 func (p *parser) enter(pos Pos) {
 	if p.depth++; p.depth > maxNesting {
 		p.check(fmt.Errorf("%s: nesting deeper than %d", pos, maxNesting))
+	}
+}
+
+// link opens a level for the chain link at pos: a binary operator or a
+// field access, each of which puts what the chain built so far one
+// level deeper in the tree, though the parser reads the chain without
+// recursing. The caller closes a chain's links when it ends.
+func (p *parser) link(pos Pos) {
+	if p.depth++; p.depth > maxNesting {
+		p.check(fmt.Errorf("%s: expression deeper than %d", pos, maxNesting))
 	}
 }
 
@@ -498,16 +511,20 @@ func (p *parser) parseExpr() Expr { return p.parseBinary(1) }
 
 // parseBinary parses a unary operand followed by every binary operator
 // of precedence prec or tighter, each with a right operand whose own
-// operators bind tighter than it: one call per operand.
+// operators bind tighter than it: one call per operand. Each operator is
+// a link of a left-deep chain.
 func (p *parser) parseBinary(prec int) Expr {
 	x := p.parseUnary()
-	for binaryPrec[p.lex.Tok] >= prec {
+	links := 0
+	for ; binaryPrec[p.lex.Tok] >= prec; links++ {
 		b := node(p, &p.bins)
 		b.pos, b.Op, b.X = p.lex.Pos, p.lex.Tok, x
+		p.link(b.pos)
 		p.next()
 		b.Y = p.parseBinary(binaryPrec[b.Op] + 1)
 		x = b
 	}
+	p.depth -= links
 	return x
 }
 
@@ -524,11 +541,20 @@ func (p *parser) parseUnary() Expr {
 	return p.parsePostfix()
 }
 
+// parsePostfix parses a primary and its chain of field accesses. Every
+// access past the first is a link; the first is not, so that an index
+// nested in an access, p->a[p->a[…]->v], costs one level each, its
+// bracket's, as a parenthesis does.
 func (p *parser) parsePostfix() Expr {
 	x := p.parsePrimary()
-	for p.lex.Tok == ARROW {
+	links := 0
+	for first := true; p.lex.Tok == ARROW; first = false {
 		fe := node(p, &p.fields)
 		fe.pos, fe.X = p.lex.Pos, x
+		if !first {
+			p.link(fe.pos)
+			links++
+		}
 		p.next()
 		fe.Field, fe.FieldID = p.ident()
 		if p.lex.Tok == LBRACK {
@@ -540,6 +566,7 @@ func (p *parser) parsePostfix() Expr {
 		}
 		x = fe
 	}
+	p.depth -= links
 	return x
 }
 

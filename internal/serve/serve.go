@@ -444,8 +444,14 @@ func (s *Server) execute(ctx context.Context, req Request, width int, args []int
 
 	// The wall-clock budget starts before the cache lookup, so it also
 	// bounds time spent waiting on another request's in-flight build of
-	// the same source. The build itself (parse/check/codegen) is not
-	// preemptible, but its input is bounded by MaxSourceBytes.
+	// the same source. The build itself (parse, check, codegen and, for
+	// an auto request, the planner) is not preemptible. MaxSourceBytes
+	// and the parser's depth bound (no nesting or chain past 1 000
+	// levels, so every tree walk's stack is bounded) keep the front end
+	// and the lowering small; the planner's path-matrix analysis is not
+	// bounded by either, being cubic in a function's pointer variables,
+	// so an auto build of a body of a few tens of kB can outrun any
+	// timeout.
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < s.cfg.MaxTimeout {

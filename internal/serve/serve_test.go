@@ -129,8 +129,9 @@ func TestRunValidation(t *testing.T) {
 // once took the process down with a goroutine stack overflow, which no
 // recover catches. The parser's nesting limit makes it a compile error
 // like any other, and the server goes on answering. A flat chain of
-// binary operators nests nothing, so one far longer than the limit is
-// still planned and run.
+// binary operators builds a tree as deep as it is long, so it is held to
+// the same limit: one at the limit is planned and run, one far longer is
+// a compile error naming the expression's depth.
 func TestDeepNestingIsACompileError(t *testing.T) {
 	s := newTestServer(t, Config{})
 	const n = 500000
@@ -148,8 +149,14 @@ func TestDeepNestingIsACompileError(t *testing.T) {
 	}
 	const terms = 20000
 	flat := "function int main(){return " + strings.Repeat("1+", terms-1) + "1;}"
-	if status, resp := postBody(t, s, `{"source":`+jsonString(flat)+`,"auto":true}`); status != http.StatusOK || !resp.OK || resp.Result != "20000" {
-		t.Fatalf("flat chain of %d terms: %d %+v", terms, status, resp)
+	if status, resp := postBody(t, s, `{"source":`+jsonString(flat)+`,"auto":true}`); status != http.StatusOK || resp.OK ||
+		!strings.HasPrefix(resp.Error, "compile: ") || !strings.HasSuffix(resp.Error, "expression deeper than 1000") {
+		t.Fatalf("flat chain of %d terms: %d %+v, want a compile error naming the expression's depth", terms, status, resp)
+	}
+	// main's body is the first level, each + one more.
+	flat = "function int main(){return " + strings.Repeat("1+", 999) + "1;}"
+	if status, resp := postBody(t, s, `{"source":`+jsonString(flat)+`,"auto":true}`); status != http.StatusOK || !resp.OK || resp.Result != "1000" {
+		t.Fatalf("flat chain at the limit: %d %+v", status, resp)
 	}
 }
 
