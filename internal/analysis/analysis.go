@@ -20,9 +20,11 @@
 // pointer variable v assigned in a loop body, a handle v' tracks v's
 // value in the previous iteration, exactly as the paper's matrices show.
 //
-// Handles are identifier ids of the program's table (lang.Names), v'
-// is v's id with primeBit set, and a state turns them into text only
-// when it is printed.
+// A function's handles are numbered once, from lang.Check's slots
+// (handleSet): every pointer slot has one, in slot order, and a pointer
+// variable that a while body assigns has its prime v' right after it.
+// So a shadowing declaration is a handle of its own, and every state of
+// a function is one fixed matrix whose live set follows the scopes.
 //
 // The interprocedural facts come from package effects, built once per
 // program by New: a call clears paths over the pointer fields its
@@ -84,7 +86,7 @@ func (k ViolationKey) String() string {
 // paper's "if another program statement fixes the relationship between
 // these two fields, the entry is removed" (§3.3.1).
 type EdgeRef struct {
-	Handle lang.ID
+	Handle int
 	Field  string
 	// Index is the index-expression text for pointer-array fields
 	// ("q" in t->subtrees[q]); "" for plain fields, "?" when the
@@ -117,7 +119,7 @@ type Violation struct {
 // Code outside this package reads Violations and Prov and never writes
 // them.
 type State struct {
-	PM         *pathmatrix.Matrix[lang.ID]
+	PM         *pathmatrix.Matrix
 	Violations map[ViolationKey]*Violation
 	// Prov records, for handles whose current value was produced by a
 	// forward load, the dimension it was loaded along and (while still
@@ -126,7 +128,7 @@ type State struct {
 	// dimension can never be the same node — §3.1.3's sub||down) and
 	// distinct-parent uniqueness (children of provably different
 	// parents along a uniquely-forward dimension are different).
-	Prov map[lang.ID]Provenance
+	Prov map[int]Provenance
 
 	// sharedViolations / sharedProv: another State may hold the same
 	// map, so a writer must copy it first (ownViolations, ownProv).
@@ -137,27 +139,67 @@ type State struct {
 type Provenance struct {
 	// Dim is the dimension of the forward load.
 	Dim string
-	// Src is the base handle of the load, or 0 once that handle has
-	// been reassigned (the parent node is then no longer nameable).
-	Src lang.ID
+	// Src is the base handle of the load, or noHandle once that handle
+	// has been reassigned (the parent node is then no longer nameable).
+	Src int
 }
 
-// primeBit marks a primed handle: v' is v|primeBit. Identifier ids stay
-// far below it.
-const primeBit lang.ID = 1 << 30
+// noHandle names no handle: a Provenance.Src whose handle was
+// reassigned, or a handleSet's entry for a scalar slot.
+const noHandle = -1
 
-// handleName renders a handle: its identifier, primed or not.
-func (a *Analyzer) handleName(h lang.ID) string {
-	if h&primeBit != 0 {
-		return a.prog.Names().Text(h&^primeBit) + "'"
+// handleSet numbers one function's path-matrix handles.
+type handleSet struct {
+	of    []int    // slot → its handle; noHandle for a scalar slot
+	prime []int    // slot → its prime's handle; noHandle when no while body assigns it
+	names []string // handle → its printed name
+}
+
+// numberHandles gives every pointer slot of f a handle, in slot order,
+// and a pointer variable that some while body assigns its prime right
+// after it: the paper's head | p | p'.
+func numberHandles(f *lang.FuncDecl) *handleSet {
+	n := len(f.Vars)
+	ptr := make([]string, n) // slot → name; "" for a scalar
+	primed := make([]bool, n)
+	for i, prm := range f.Params {
+		if _, ok := lang.IsPointer(prm.Type); ok {
+			ptr[i] = prm.Name
+		}
 	}
-	return a.prog.Names().Text(h)
+	lang.Walk(f.Body, func(s lang.Stmt) bool {
+		switch s := s.(type) {
+		case *lang.VarStmt:
+			if _, isPtr := lang.IsPointer(s.DeclType); isPtr {
+				ptr[s.Slot] = s.Name
+			}
+		case *lang.WhileStmt:
+			for _, v := range assignedPointerVars(s.Body) {
+				primed[v] = true
+			}
+		}
+		return true
+	})
+	hs := &handleSet{of: make([]int, n), prime: make([]int, n)}
+	for slot, name := range ptr {
+		hs.of[slot], hs.prime[slot] = noHandle, noHandle
+		if name == "" {
+			continue
+		}
+		hs.of[slot] = len(hs.names)
+		hs.names = append(hs.names, name)
+		if primed[slot] {
+			hs.prime[slot] = len(hs.names)
+			hs.names = append(hs.names, name+"'")
+		}
+	}
+	return hs
 }
 
-// newState returns an empty state; its nil maps count as shared, so the
-// first write makes them.
-func (a *Analyzer) newState() *State {
-	return (&State{PM: pathmatrix.New[lang.ID](a.handleName)}).snapshot()
+// newState returns a state with no live handle; its nil maps count as
+// shared, so the first write makes them.
+func (hs *handleSet) newState() *State {
+	return (&State{PM: pathmatrix.New(hs.names)}).snapshot()
 }
 
 // Clone returns an independent copy of the state. The receiver is only
@@ -203,21 +245,21 @@ func (s *State) ownViolations() {
 // ownProv makes s.Prov private to s before a write.
 func (s *State) ownProv() {
 	if s.sharedProv {
-		prov := make(map[lang.ID]Provenance, len(s.Prov))
+		prov := make(map[int]Provenance, len(s.Prov))
 		maps.Copy(prov, s.Prov)
 		s.Prov, s.sharedProv = prov, false
 	}
 }
 
 // setProv records h's provenance; dropProv forgets it.
-func (s *State) setProv(h lang.ID, pv Provenance) {
+func (s *State) setProv(h int, pv Provenance) {
 	if old, ok := s.Prov[h]; !ok || old != pv {
 		s.ownProv()
 		s.Prov[h] = pv
 	}
 }
 
-func (s *State) dropProv(h lang.ID) {
+func (s *State) dropProv(h int) {
 	if _, ok := s.Prov[h]; ok {
 		s.ownProv()
 		delete(s.Prov, h)
@@ -263,7 +305,7 @@ func (s *State) ClearProvAlongDim(dim string) {
 // x->f = ... / x->f[idx] = ... definitely destroys that edge. pm is the
 // matrix before the store (so definite aliases of x are still visible).
 // Incomparable indices ("?") never match.
-func (s *State) fixViolationsForStore(x lang.ID, f, idx string, pm *pathmatrix.Matrix[lang.ID]) {
+func (s *State) fixViolationsForStore(x int, f, idx string, pm *pathmatrix.Matrix) {
 	if idx == "?" || len(s.Violations) == 0 {
 		return
 	}
@@ -285,7 +327,7 @@ func (s *State) fixViolationsForStore(x lang.ID, f, idx string, pm *pathmatrix.M
 // exact descriptors and violation references indexed by it become
 // stale. Descriptors are dropped; references become unfixable ("?").
 func (s *State) invalidateIndexVar(name string) {
-	s.PM.UpdateAll(func(_, _ lang.ID, e *pathmatrix.Entry) {
+	s.PM.UpdateAll(func(_, _ int, e *pathmatrix.Entry) {
 		e.RemoveExactsIndexedBy(name)
 	})
 	if len(s.Violations) == 0 {
@@ -305,10 +347,10 @@ func (s *State) invalidateIndexVar(name string) {
 // references through h transfer to a definite alias if one exists,
 // otherwise they are dropped (the violation then persists untrackably),
 // and provenance facts naming h as their load source lose the name.
-func (s *State) Retarget(h lang.ID, pm *pathmatrix.Matrix[lang.ID]) {
+func (s *State) Retarget(h int, pm *pathmatrix.Matrix) {
 	for k, v := range s.Prov {
 		if v.Src == h {
-			v.Src = 0
+			v.Src = noHandle
 			s.setProv(k, v)
 		}
 	}
@@ -316,7 +358,7 @@ func (s *State) Retarget(h lang.ID, pm *pathmatrix.Matrix[lang.ID]) {
 		return
 	}
 	s.ownViolations()
-	var alias lang.ID
+	alias := noHandle
 	if aliases := pm.Aliases(h, false); len(aliases) > 0 {
 		alias = aliases[0]
 	}
@@ -324,7 +366,7 @@ func (s *State) Retarget(h lang.ID, pm *pathmatrix.Matrix[lang.ID]) {
 		out := v.Refs[:0]
 		for _, r := range v.Refs {
 			if r.Handle == h {
-				if alias == 0 {
+				if alias == noHandle {
 					continue // untrackable: drop the ref
 				}
 				r.Handle = alias
@@ -345,7 +387,7 @@ func joinStates(a, b *State) *State {
 			continue
 		}
 		if bv.Src != v.Src {
-			v.Src = 0
+			v.Src = noHandle
 		}
 		out.setProv(k, v)
 	}
@@ -459,6 +501,7 @@ type FuncResult struct {
 
 	an         *Analyzer
 	fn         *lang.FuncDecl
+	handles    *handleSet
 	loopBefore map[lang.Stmt]*State // before each reached while loop
 	// before and after hold every reached statement's states (recorded).
 	recordOnce    sync.Once
@@ -555,19 +598,17 @@ func sameViolationKeys(a, b map[ViolationKey]*Violation) bool {
 
 // entryState builds the conservative function-entry assumption: every
 // pair of same-record-type pointer parameters may be aliases.
-func (a *Analyzer) entryState(f *lang.FuncDecl) *State {
-	s := a.newState()
-	var ptrs []lang.Param
-	for _, prm := range f.Params {
-		if _, ok := lang.IsPointer(prm.Type); ok {
-			s.PM.AddHandle(prm.ID)
-			ptrs = append(ptrs, prm)
+func entryState(f *lang.FuncDecl, hs *handleSet) *State {
+	s := hs.newState()
+	for i := range f.Params {
+		if h := hs.of[i]; h != noHandle {
+			s.PM.Declare(h)
 		}
 	}
-	for _, p := range ptrs {
-		for _, q := range ptrs {
-			if p.ID != q.ID && lang.TypeEq(p.Type, q.Type) {
-				s.PM.Update(p.ID, q.ID, func(e *pathmatrix.Entry) { e.Alias = pathmatrix.PossibleAlias })
+	for i, p := range f.Params {
+		for j, q := range f.Params {
+			if i != j && hs.of[i] != noHandle && hs.of[j] != noHandle && lang.TypeEq(p.Type, q.Type) {
+				s.PM.Update(hs.of[i], hs.of[j], func(e *pathmatrix.Entry) { e.Alias = pathmatrix.PossibleAlias })
 			}
 		}
 	}
@@ -584,14 +625,15 @@ func (a *Analyzer) analyzeFunc(f *lang.FuncDecl, record bool, loops map[lang.Stm
 		LoopBodyExit:  make(map[lang.Stmt]*State),
 		an:            a,
 		fn:            f,
+		handles:       numberHandles(f),
 		loopBefore:    make(map[lang.Stmt]*State),
 	}
 	if record {
 		fr.before, fr.after = make(map[lang.Stmt]*State), make(map[lang.Stmt]*State)
 		fr.recordOnce.Do(func() {}) // nothing to replay
 	}
-	fr.Entry = a.entryState(f)
-	ctx := &funcCtx{an: a, fr: fr, fn: f, record: record, loops: loops}
+	fr.Entry = entryState(f, fr.handles)
+	ctx := &funcCtx{an: a, fr: fr, fn: f, hs: fr.handles, record: record, loops: loops}
 	st := fr.Entry.Clone()
 	out, err := ctx.block(f.Body, st)
 	if err != nil {
@@ -605,7 +647,7 @@ func (a *Analyzer) analyzeFunc(f *lang.FuncDecl, record bool, loops map[lang.Stm
 		}
 	}
 	if out == nil {
-		out = a.newState()
+		out = fr.handles.newState()
 	}
 	fr.Exit = out.snapshot()
 	return fr, ctx.selfCall, nil
@@ -634,6 +676,7 @@ type funcCtx struct {
 	an   *Analyzer
 	fr   *FuncResult
 	fn   *lang.FuncDecl
+	hs   *handleSet
 	exit *State // join of states at return statements
 	// record keeps every statement's states, not only loops'; edgeID
 	// numbers exact edges per function, so a replay numbers them alike.
@@ -644,12 +687,12 @@ type funcCtx struct {
 
 // block analyzes a block, returning the fall-through state (nil when the
 // block definitely returns). Pointer handles declared in the block are
-// removed from the resulting state (scope exit).
+// dropped from the resulting state (scope exit).
 func (c *funcCtx) block(b *lang.Block, st *State) (*State, error) {
 	if b == nil {
 		return st, nil
 	}
-	var declared []lang.ID
+	var declared []int
 	cur := st
 	var prev lang.Stmt
 	for _, s := range b.Stmts {
@@ -682,8 +725,8 @@ func (c *funcCtx) block(b *lang.Block, st *State) (*State, error) {
 			return nil, err
 		}
 		if vs, ok := s.(*lang.VarStmt); ok {
-			if _, isPtr := lang.IsPointer(vs.DeclType); isPtr {
-				declared = append(declared, vs.ID)
+			if h := c.hs.of[vs.Slot]; h != noHandle {
+				declared = append(declared, h)
 			}
 		}
 		prev, cur = s, next
@@ -693,7 +736,7 @@ func (c *funcCtx) block(b *lang.Block, st *State) (*State, error) {
 	}
 	if cur != nil {
 		for _, h := range declared {
-			cur.PM.RemoveHandle(h)
+			cur.PM.Drop(h)
 		}
 	}
 	return cur, nil

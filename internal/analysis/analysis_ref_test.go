@@ -16,7 +16,7 @@ func (s *State) String() string {
 	prov := make([]string, 0, len(s.Prov))
 	for h, p := range s.Prov {
 		src := ""
-		if p.Src != 0 {
+		if p.Src != noHandle {
 			src = s.PM.Name(p.Src)
 		}
 		prov = append(prov, fmt.Sprintf("%s:%s<-%s", s.PM.Name(h), p.Dim, src))
@@ -25,19 +25,36 @@ func (s *State) String() string {
 	return fmt.Sprintf("%s\nviolations %v\nprov %s", s.PM, s.ViolationKeys(), strings.Join(prov, " "))
 }
 
-// handle returns the handle the matrix prints as name ("p'" for a
+// handle returns the live handle the matrix prints as name ("p'" for a
 // primed one), or -1.
-func (s *State) handle(name string) lang.ID {
-	for _, h := range s.PM.Handles() {
-		if s.PM.Name(h) == name {
+func (s *State) handle(name string) int {
+	for h := 0; h < s.PM.Len(); h++ {
+		if s.PM.Live(h) && s.PM.Name(h) == name {
 			return h
 		}
 	}
 	return -1
 }
 
-// get returns the entry between the handles printed as r and c.
-func (s *State) get(r, c string) pathmatrix.Entry { return s.PM.Get(s.handle(r), s.handle(c)) }
+// get returns the entry between the handles printed as r and c (zero
+// when either is not live).
+func (s *State) get(r, c string) pathmatrix.Entry {
+	hr, hc := s.handle(r), s.handle(c)
+	if hr < 0 || hc < 0 {
+		return pathmatrix.Entry{}
+	}
+	return s.PM.Get(hr, hc)
+}
+
+// advances is InductionStrictlyAdvances for the variable named v.
+func (fr *FuncResult) advances(loop lang.Stmt, v string) bool {
+	for slot, h := range fr.handles.of {
+		if h != noHandle && fr.handles.names[h] == v {
+			return fr.InductionStrictlyAdvances(loop, slot)
+		}
+	}
+	return false
+}
 
 // The interprocedural mechanism AnalyzeAll had before it walked the
 // effect summaries' component order, kept as the oracle the new order

@@ -81,7 +81,7 @@ func TestPolyLoopMatrices(t *testing.T) {
 	if pp.Alias != pathmatrix.NoAlias || !pp.HasPath() {
 		t.Errorf("after advance: p' -> p = %q, want next edge with no alias\n%s", pp, after.PM)
 	}
-	if !fr.InductionStrictlyAdvances(loop, "p") {
+	if !fr.advances(loop, "p") {
 		t.Error("induction pointer must provably advance")
 	}
 
@@ -120,7 +120,7 @@ procedure scale(ListNode *head, int c) {
 		t.Errorf("without ADDS the analysis must not prove head/p distinct\n%s", after.PM)
 	}
 	loop, _ := FindLoop(scale, 0)
-	if fr.InductionStrictlyAdvances(loop, "p") {
+	if fr.advances(loop, "p") {
 		t.Error("without ADDS the induction must not provably advance")
 	}
 }
@@ -526,7 +526,7 @@ procedure walk(Octree *particles) {
 	prog, fr := analyzeOne(t, src, "walk")
 	fn := prog.Func("walk")
 	loop, _ := FindLoop(fn, 0)
-	if !fr.InductionStrictlyAdvances(loop, "p") {
+	if !fr.advances(loop, "p") {
 		t.Error("octree leaves traversal must strictly advance")
 	}
 }

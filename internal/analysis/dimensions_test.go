@@ -128,7 +128,7 @@ procedure scalerow(OrthList *row, int c) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fr.InductionStrictlyAdvances(loop, "p") {
+	if !fr.advances(loop, "p") {
 		t.Error("across-traversal must strictly advance")
 	}
 }
@@ -169,12 +169,12 @@ procedure zigzag(TwoWayList *h) {
 	}
 	for _, fn := range []string{"fwd", "bwd"} {
 		loop, _ := FindLoop(prog.Func(fn), 0)
-		if !res.Funcs[fn].InductionStrictlyAdvances(loop, "p") {
+		if !res.Funcs[fn].advances(loop, "p") {
 			t.Errorf("%s traversal must strictly advance", fn)
 		}
 	}
 	loop, _ := FindLoop(prog.Func("zigzag"), 0)
-	if res.Funcs["zigzag"].InductionStrictlyAdvances(loop, "p") {
+	if res.Funcs["zigzag"].advances(loop, "p") {
 		t.Error("zigzag must not be proven to advance (it revisits p)")
 	}
 }

@@ -24,19 +24,20 @@ func (fr *FuncResult) After(s lang.Stmt) *State {
 }
 
 // InductionStrictlyAdvances reports whether, at the loop body's exit
-// (before the back edge), the previous-iteration handle v' is provably
+// (before the back edge), for the variable v in slot slot (its
+// lang.Ident.Slot), the previous-iteration handle v' is provably
 // not an alias of v and lies a definite ≥1-step path above it along a
 // single acyclic forward dimension. By induction over iterations the
 // paths compose along the acyclic dimension, so all iterations' values
 // of v are pairwise distinct — the fact that licenses parallel
 // processing of the loop's nodes (§3.3.2, §4.3.2).
-func (fr *FuncResult) InductionStrictlyAdvances(loop lang.Stmt, v string) bool {
+func (fr *FuncResult) InductionStrictlyAdvances(loop lang.Stmt, slot int) bool {
 	st := fr.LoopBodyExit[loop]
-	id, ok := fr.an.prog.Names().Lookup(v)
-	if st == nil || !ok || !st.PM.HasHandle(id) || !st.PM.HasHandle(id|primeBit) {
+	h, prime := fr.handles.of[slot], fr.handles.prime[slot]
+	if st == nil || h == noHandle || prime == noHandle || !st.PM.Live(h) || !st.PM.Live(prime) {
 		return false
 	}
-	e := st.PM.Get(id|primeBit, id)
+	e := st.PM.Get(prime, h)
 	if e.Alias != pathmatrix.NoAlias {
 		return false
 	}

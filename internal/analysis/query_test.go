@@ -141,6 +141,45 @@ procedure f(OneWayList *a, bool c) {
 	}
 }
 
+// shadowSrc assigns p = s, where s aliases the outer q, on the branch
+// that declares an inner pointer named inner.
+func shadowSrc(fn, inner string) string {
+	return `
+procedure ` + fn + `(OneWayList *head, int k) {
+  var OneWayList *q = head; var OneWayList *s = q;
+  var OneWayList *p = new OneWayList;
+  if k == 0 { var OneWayList *` + inner + ` = new OneWayList; ` + inner + `->data = 1; p = s; }
+  var OneWayList *r = q;
+  while r != NULL { r->data = p->data + 1; r = r->next; }
+}`
+}
+
+// TestShadowingKeepsOuterHandle: an inner declaration that shadows q is
+// a handle of its own, so its scope exit leaves the outer q's row in
+// place. Before the loop p == q whenever k == 0, so the q/p entry must
+// be a possible alias, exactly as when the inner variable is named q2.
+func TestShadowingKeepsOuterHandle(t *testing.T) {
+	prog := lang.MustParse(adds.OneWayListSrc + shadowSrc("f", "q") + shadowSrc("g", "q2"))
+	res, err := New(prog).AnalyzeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := func(fn string) *State {
+		loop, err := FindLoop(prog.Func(fn), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Funcs[fn].Before(loop)
+	}
+	f, g := before("f"), before("g")
+	if got := f.get("q", "p").Alias; got != pathmatrix.PossibleAlias {
+		t.Errorf("shadowed: q/p = %v, want =?\n%s", got, f.PM)
+	}
+	if f.PM.String() != g.PM.String() {
+		t.Errorf("shadowing changed the matrix before the loop:\n%s\nrenamed:\n%s", f.PM, g.PM)
+	}
+}
+
 // TestLoopBodyAlwaysReturns: a while whose body returns is analyzed
 // without hanging and the loop runs at most once.
 func TestLoopBodyAlwaysReturns(t *testing.T) {

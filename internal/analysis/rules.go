@@ -23,12 +23,13 @@ func (c *funcCtx) stmt(s lang.Stmt, st *State) (*State, error) {
 			st.invalidateIndexVar(s.Name)
 			return c.scalarEffects(st, s.Init)
 		}
-		st.PM.AddHandle(s.ID)
+		h := c.hs.of[s.Slot]
+		st.PM.Declare(h)
 		if s.Init == nil {
 			// Uninitialized pointer: treated as NULL (no relationships).
 			return st, nil
 		}
-		return c.assignPointer(st, s.ID, s.Init, s.Pos())
+		return c.assignPointer(st, h, s.Init, s.Pos())
 
 	case *lang.AssignStmt:
 		switch lhs := s.LHS.(type) {
@@ -37,7 +38,7 @@ func (c *funcCtx) stmt(s lang.Stmt, st *State) (*State, error) {
 				st.invalidateIndexVar(lhs.Name)
 				return c.scalarEffects(st, s.RHS)
 			}
-			return c.assignPointer(st, lhs.ID, s.RHS, s.Pos())
+			return c.assignPointer(st, c.hs.of[lhs.Slot], s.RHS, s.Pos())
 		case *lang.FieldExpr:
 			if _, isPtr := lang.IsPointer(lhs.Type()); isPtr {
 				return c.store(st, lhs, s.RHS, s.Pos())
@@ -71,13 +72,13 @@ func (c *funcCtx) stmt(s lang.Stmt, st *State) (*State, error) {
 			return nil, err
 		}
 		thenIn := st.Clone()
-		refineCond(thenIn, s.Cond, true)
+		c.refineCond(thenIn, s.Cond, true)
 		thenOut, err := c.block(s.Then, thenIn)
 		if err != nil {
 			return nil, err
 		}
 		elseIn := st // the then branch has its own clone
-		refineCond(elseIn, s.Cond, false)
+		c.refineCond(elseIn, s.Cond, false)
 		elseOut := elseIn
 		if s.Else != nil {
 			elseOut, err = c.block(s.Else, elseIn)
@@ -122,10 +123,9 @@ func (c *funcCtx) scalarEffects(st *State, e lang.Expr) (*State, error) {
 // Pointer assignment rules
 
 // assignPointer dispatches on the canonical RHS forms of a pointer
-// assignment to variable p.
-func (c *funcCtx) assignPointer(st *State, p lang.ID, rhs lang.Expr, pos lang.Pos) (*State, error) {
-	st.PM.AddHandle(p)
-	if id, ok := rhs.(*lang.Ident); !ok || id.ID != p {
+// assignment to the variable whose handle is p.
+func (c *funcCtx) assignPointer(st *State, p int, rhs lang.Expr, pos lang.Pos) (*State, error) {
+	if id, ok := rhs.(*lang.Ident); !ok || c.hs.of[id.Slot] != p {
 		// p is about to take a new value: violation edge references
 		// through p must transfer or drop.
 		st.Retarget(p, st.PM)
@@ -139,12 +139,13 @@ func (c *funcCtx) assignPointer(st *State, p lang.ID, rhs lang.Expr, pos lang.Po
 
 	case *lang.Ident:
 		// p = q: p's relationships become exactly q's.
-		if rhs.ID == p {
+		q := c.hs.of[rhs.Slot]
+		if q == p {
 			return st, nil
 		}
 		st.PM.Kill(p)
-		st.PM.CopyRelationships(p, rhs.ID)
-		if pv, ok := st.Prov[rhs.ID]; ok {
+		st.PM.CopyRelationships(p, q)
+		if pv, ok := st.Prov[q]; ok {
 			st.setProv(p, pv)
 		} else {
 			st.dropProv(p)
@@ -171,12 +172,12 @@ func (c *funcCtx) assignPointer(st *State, p lang.ID, rhs lang.Expr, pos lang.Po
 }
 
 // load implements p = q->f (§3.3's load rule, sharpened by ADDS).
-func (c *funcCtx) load(st *State, p lang.ID, fe *lang.FieldExpr, pos lang.Pos) (*State, error) {
+func (c *funcCtx) load(st *State, p int, fe *lang.FieldExpr, pos lang.Pos) (*State, error) {
 	base := fe.Base()
 	if base == nil {
 		return nil, fmt.Errorf("%s: chained load not normalized", pos)
 	}
-	q := base.ID
+	q := c.hs.of[base.Slot]
 	elem, _ := lang.IsPointer(base.Type())
 	decl := c.an.prog.Universe.Decl(elem)
 	pf := decl.Pointer(fe.Field)
@@ -187,16 +188,18 @@ func (c *funcCtx) load(st *State, p lang.ID, fe *lang.FieldExpr, pos lang.Pos) (
 	// The matrix is read as it was before the load until p's new row
 	// and column are written, at the end.
 	old := st.PM
+	n := old.Len()
 
 	// If some handle y is the definite target of q->f (an exact edge
 	// from a definite alias of q, via a non-array field), the load binds
-	// p to y's relationships.
+	// p to y's relationships. A dead handle's entries are zero, so these
+	// loops pass over it.
 	if pf.Count == 1 {
-		for _, x := range old.Handles() {
+		for x := 0; x < n; x++ {
 			if x != q && old.Get(q, x).Alias != pathmatrix.DefiniteAlias {
 				continue
 			}
-			for _, y := range old.Handles() {
+			for y := 0; y < n; y++ {
 				if y == p {
 					continue // old p's value is being replaced
 				}
@@ -235,22 +238,22 @@ func (c *funcCtx) load(st *State, p lang.ID, fe *lang.FieldExpr, pos lang.Pos) (
 	if pf.Dir == adds.Forward {
 		src := q
 		if q == p {
-			src = 0
+			src = noHandle
 		}
 		st.setProv(p, Provenance{Dim: pf.Dim, Src: src})
 	} else {
 		st.dropProv(p)
 	}
 
-	toPs := make([]pathmatrix.Entry, len(old.Handles()))
-	for i, x := range old.Handles() {
-		if x == p {
+	toPs := make([]pathmatrix.Entry, n)
+	for x := 0; x < n; x++ {
+		if x == p || !old.Live(x) {
 			continue
 		}
 		exq := old.Get(x, q) // x -> q
 		eqx := old.Get(q, x) // q -> x
 
-		toP := &toPs[i] // x -> p
+		toP := &toPs[x] // x -> p
 		switch {
 		case exq.Alias == pathmatrix.DefiniteAlias || x == q:
 			*toP = baseEntry
@@ -283,7 +286,7 @@ func (c *funcCtx) load(st *State, p lang.ID, fe *lang.FieldExpr, pos lang.Pos) (
 					if decl.Independent(pv.Dim, pf.Dim) {
 						provNo = true
 					}
-					if pv.Dim == pf.Dim && pv.Src != 0 && pv.Src != q &&
+					if pv.Dim == pf.Dim && pv.Src != noHandle && pv.Src != q &&
 						decl.UniqueAlong(pf.Dim) && st.Valid(elem, pf.Dim) &&
 						old.Get(pv.Src, q).Alias == pathmatrix.NoAlias &&
 						old.Get(q, pv.Src).Alias == pathmatrix.NoAlias {
@@ -306,12 +309,12 @@ func (c *funcCtx) load(st *State, p lang.ID, fe *lang.FieldExpr, pos lang.Pos) (
 		}
 	}
 	st.PM.Kill(p)
-	for i, x := range st.PM.Handles() {
-		if x != p {
+	for x := 0; x < n; x++ {
+		if x != p && st.PM.Live(x) {
 			// Mirror the alias component (aliasing is symmetric); paths
 			// from p to x are unknown.
-			st.PM.Set(x, p, toPs[i])
-			st.PM.Set(p, x, pathmatrix.Entry{Alias: toPs[i].Alias})
+			st.PM.Set(x, p, toPs[x])
+			st.PM.Set(p, x, pathmatrix.Entry{Alias: toPs[x].Alias})
 		}
 	}
 	return st, nil
@@ -391,7 +394,7 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 	if base == nil {
 		return nil, fmt.Errorf("%s: chained store not normalized", pos)
 	}
-	p := base.ID
+	p := c.hs.of[base.Slot]
 	elem, _ := lang.IsPointer(base.Type())
 	decl := c.an.prog.Universe.Decl(elem)
 	pf := decl.Pointer(lhs.Field)
@@ -410,7 +413,7 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 	// edge being overwritten, so they go. Edges out of provably
 	// different nodes survive, but longer (plus/star) paths using f go
 	// everywhere: they might run through p's node mid-path.
-	st.PM.UpdateAll(func(a, _ lang.ID, e *pathmatrix.Entry) {
+	st.PM.UpdateAll(func(a, _ int, e *pathmatrix.Entry) {
 		if a == p || old.Get(a, p).Alias != pathmatrix.NoAlias {
 			e.RemovePathsUsing(lhs.Field)
 		} else {
@@ -430,7 +433,7 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 	if !ok {
 		return nil, fmt.Errorf("%s: non-canonical store RHS %T (normalizer bug?)", pos, rhs)
 	}
-	q := qid.ID
+	q := c.hs.of[qid.Slot]
 
 	// 3. Validation, using relationships as they were before the store.
 	if pf.Dir == adds.Forward {
@@ -464,8 +467,9 @@ func (c *funcCtx) store(st *State, lhs *lang.FieldExpr, rhs lang.Expr, pos lang.
 		// along this unique dimension.
 		if decl.UniqueAlong(pf.Dim) {
 			var refs []EdgeRef
-			for _, a := range old.Handles() {
-				for _, b := range old.Handles() {
+			n := old.Len()
+			for a := 0; a < n; a++ {
+				for b := 0; b < n; b++ {
 					if b != q && old.Get(b, q).Alias != pathmatrix.DefiniteAlias {
 						continue
 					}
@@ -552,7 +556,7 @@ func (c *funcCtx) call(st *State, call *lang.CallExpr) (*State, error) {
 		if fi := c.an.fields[f]; fi != nil {
 			st.ClearProvAlongDim(fi.Dim)
 		}
-		st.PM.UpdateAll(func(_, _ lang.ID, e *pathmatrix.Entry) {
+		st.PM.UpdateAll(func(_, _ int, e *pathmatrix.Entry) {
 			e.RemovePathsUsing(f)
 		})
 	}
@@ -573,8 +577,7 @@ func (c *funcCtx) call(st *State, call *lang.CallExpr) (*State, error) {
 
 // bindCallResult establishes relationships for p = f(...): the result
 // may alias anything of its own record type that the callee could reach.
-func (c *funcCtx) bindCallResult(st *State, p lang.ID, call *lang.CallExpr) *State {
-	st.PM.AddHandle(p)
+func (c *funcCtx) bindCallResult(st *State, p int, call *lang.CallExpr) *State {
 	st.PM.Kill(p)
 	elem := ""
 	if call.Type() != nil {
@@ -583,8 +586,8 @@ func (c *funcCtx) bindCallResult(st *State, p lang.ID, call *lang.CallExpr) *Sta
 	if elem == "" {
 		return st
 	}
-	for _, h := range st.PM.Handles() {
-		if h == p {
+	for h := 0; h < st.PM.Len(); h++ {
+		if h == p || !st.PM.Live(h) {
 			continue
 		}
 		// Only same-type handles can alias (PSL has no casts). We do
@@ -605,7 +608,7 @@ func (c *funcCtx) bindCallResult(st *State, p lang.ID, call *lang.CallExpr) *Sta
 // refineCond sharpens the state under the assumption that cond evaluated
 // to val: NULL comparisons kill handles, pointer equality merges or
 // separates them.
-func refineCond(st *State, cond lang.Expr, val bool) {
+func (c *funcCtx) refineCond(st *State, cond lang.Expr, val bool) {
 	be, ok := cond.(*lang.BinExpr)
 	if !ok {
 		return
@@ -613,14 +616,14 @@ func refineCond(st *State, cond lang.Expr, val bool) {
 	switch be.Op {
 	case lang.AND:
 		if val {
-			refineCond(st, be.X, true)
-			refineCond(st, be.Y, true)
+			c.refineCond(st, be.X, true)
+			c.refineCond(st, be.Y, true)
 		}
 		return
 	case lang.OR:
 		if !val {
-			refineCond(st, be.X, false)
-			refineCond(st, be.Y, false)
+			c.refineCond(st, be.X, false)
+			c.refineCond(st, be.Y, false)
 		}
 		return
 	case lang.EQ, lang.NEQ:
@@ -637,9 +640,9 @@ func refineCond(st *State, cond lang.Expr, val bool) {
 
 	switch {
 	case xIsIdent && yIsNull:
-		refineNull(st, xi, equalHolds)
+		c.refineNull(st, xi, equalHolds)
 	case yIsIdent && xIsNull:
-		refineNull(st, yi, equalHolds)
+		c.refineNull(st, yi, equalHolds)
 	case xIsIdent && yIsIdent:
 		if _, isPtr := lang.IsPointer(xi.Type()); !isPtr {
 			return
@@ -651,44 +654,37 @@ func refineCond(st *State, cond lang.Expr, val bool) {
 				e.Alias = pathmatrix.NoAlias // x != y: possible weakens to no
 			}
 		}
-		st.PM.Update(xi.ID, yi.ID, refine)
-		st.PM.Update(yi.ID, xi.ID, refine)
+		x, y := c.hs.of[xi.Slot], c.hs.of[yi.Slot]
+		st.PM.Update(x, y, refine)
+		st.PM.Update(y, x, refine)
 	}
 }
 
 // refineNull applies x == NULL (isNull true) or x != NULL (false).
-func refineNull(st *State, x *lang.Ident, isNull bool) {
+func (c *funcCtx) refineNull(st *State, x *lang.Ident, isNull bool) {
 	if _, isPtr := lang.IsPointer(x.Type()); !isPtr {
 		return
 	}
-	if isNull && st.PM.HasHandle(x.ID) {
+	if h := c.hs.of[x.Slot]; isNull && st.PM.Live(h) {
 		// x is NULL here: it aliases nothing.
-		st.Retarget(x.ID, st.PM)
-		st.PM.Kill(x.ID)
+		st.Retarget(h, st.PM)
+		st.PM.Kill(h)
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Loops
 
-// assignedPointerVars collects pointer variables assigned anywhere in
-// the block (the handles that need primes).
-func assignedPointerVars(b *lang.Block) []lang.ID {
-	var out []lang.ID
+// assignedPointerVars collects the slots of the pointer variables
+// assigned anywhere in the block (the handles that need primes).
+func assignedPointerVars(b *lang.Block) []int {
+	var out []int
 	lang.Walk(b, func(s lang.Stmt) bool {
-		as, ok := s.(*lang.AssignStmt)
-		if !ok {
-			return true
-		}
-		id, ok := as.LHS.(*lang.Ident)
-		if !ok {
-			return true
-		}
-		if _, isPtr := lang.IsPointer(id.Type()); !isPtr {
-			return true
-		}
-		if !slices.Contains(out, id.ID) {
-			out = append(out, id.ID)
+		if as, ok := s.(*lang.AssignStmt); ok {
+			id, ok := as.LHS.(*lang.Ident)
+			if _, isPtr := lang.IsPointer(as.LHS.Type()); ok && isPtr && !slices.Contains(out, id.Slot) {
+				out = append(out, id.Slot)
+			}
 		}
 		return true
 	})
@@ -705,15 +701,13 @@ func (c *funcCtx) whileLoop(w *lang.WhileStmt, st *State) (*State, error) {
 	vars := assignedPointerVars(w.Body)
 	head := st // the caller's state, which it replaces with the exit
 	for _, v := range vars {
-		if !head.PM.HasHandle(v) {
-			continue
+		if h := c.hs.of[v]; head.PM.Live(h) {
+			// Before the first iteration the primed handle denotes the
+			// same value as the variable itself.
+			prime := c.hs.prime[v]
+			head.PM.Declare(prime)
+			head.PM.CopyRelationships(prime, h)
 		}
-		prime := v | primeBit
-		head.PM.AddHandle(prime)
-		// Before the first iteration the primed handle denotes the same
-		// value as the variable itself.
-		head.PM.Kill(prime)
-		head.PM.CopyRelationships(prime, v)
 	}
 
 	for iter := 0; ; iter++ {
@@ -721,7 +715,7 @@ func (c *funcCtx) whileLoop(w *lang.WhileStmt, st *State) (*State, error) {
 			return nil, fmt.Errorf("%s: loop analysis did not converge after %d iterations", w.Pos(), iter)
 		}
 		bodyIn := head.Clone()
-		refineCond(bodyIn, w.Cond, true)
+		c.refineCond(bodyIn, w.Cond, true)
 		bodyOut, err := c.block(w.Body, bodyIn)
 		if err != nil {
 			return nil, err
@@ -740,12 +734,12 @@ func (c *funcCtx) whileLoop(w *lang.WhileStmt, st *State) (*State, error) {
 		// Back edge: the previous-iteration handles take the variables'
 		// current values.
 		for _, v := range vars {
-			prime := v | primeBit
-			if !bodyOut.PM.HasHandle(prime) || !bodyOut.PM.HasHandle(v) {
+			h, prime := c.hs.of[v], c.hs.prime[v]
+			if !bodyOut.PM.Live(prime) || !bodyOut.PM.Live(h) {
 				continue
 			}
 			bodyOut.PM.Kill(prime)
-			bodyOut.PM.CopyRelationships(prime, v)
+			bodyOut.PM.CopyRelationships(prime, h)
 		}
 		next := joinStates(head, bodyOut)
 		if equalStates(next, head) {
@@ -756,9 +750,9 @@ func (c *funcCtx) whileLoop(w *lang.WhileStmt, st *State) (*State, error) {
 	c.fr.LoopInvariant[w] = head // cloned into bodyIn above, never written since
 
 	exit := head.Clone()
-	refineCond(exit, w.Cond, false)
+	c.refineCond(exit, w.Cond, false)
 	for _, v := range vars {
-		exit.PM.RemoveHandle(v | primeBit)
+		exit.PM.Drop(c.hs.prime[v])
 	}
 	return exit, nil
 }

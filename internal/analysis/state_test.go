@@ -54,8 +54,8 @@ procedure probe(Octree *t, int i) {
 func dumpState(s *State) string {
 	var b strings.Builder
 	b.WriteString(s.PM.String())
-	for _, r := range s.PM.Handles() {
-		for _, t := range s.PM.Handles() {
+	for r := 0; r < s.PM.Len(); r++ {
+		for t := 0; t < s.PM.Len(); t++ {
 			fmt.Fprintf(&b, "%s>%s %+v\n", s.PM.Name(r), s.PM.Name(t), s.PM.Get(r, t))
 		}
 	}
@@ -63,7 +63,7 @@ func dumpState(s *State) string {
 		v := s.Violations[k]
 		fmt.Fprintf(&b, "violation %s refs=%v pos=%v\n", k, v.Refs, v.Pos)
 	}
-	var hs []lang.ID
+	var hs []int
 	for h := range s.Prov {
 		hs = append(hs, h)
 	}
@@ -92,7 +92,14 @@ func snapshots(fr *FuncResult) []*State {
 // scribble applies every State and Matrix mutator the transfer rules
 // use to c.
 func scribble(c *State) {
-	hs := append([]lang.ID(nil), c.PM.Handles()...)
+	var hs, dead []int
+	for h := 0; h < c.PM.Len(); h++ {
+		if c.PM.Live(h) {
+			hs = append(hs, h)
+		} else {
+			dead = append(dead, h)
+		}
+	}
 	for _, h := range hs {
 		c.setProv(h, Provenance{Dim: "down", Src: hs[0]})
 		c.Retarget(h, c.PM)
@@ -107,7 +114,7 @@ func scribble(c *State) {
 	key := ViolationKey{Type: "BinTree", Dim: "down", Kind: Cycle}
 	c.ownViolations()
 	c.Violations[key] = &Violation{Key: key, Refs: []EdgeRef{{Handle: c.handle("t"), Field: "left"}}}
-	c.PM.UpdateAll(func(_, _ lang.ID, e *pathmatrix.Entry) {
+	c.PM.UpdateAll(func(_, _ int, e *pathmatrix.Entry) {
 		e.RemovePathsUsing("left")
 		e.RemovePathsUsing("next")
 		e.AddDesc(pathmatrix.PlusDesc("right"))
@@ -115,9 +122,11 @@ func scribble(c *State) {
 	})
 	for _, h := range hs {
 		c.PM.Kill(h)
-		c.PM.RemoveHandle(h)
+		c.PM.Drop(h)
 	}
-	c.PM.AddHandle(primeBit) // a handle no statement names
+	for _, h := range dead { // handles out of scope at c
+		c.PM.Declare(h)
+	}
 }
 
 // TestStateCloneIsolation: every snapshot in a FuncResult survives

@@ -91,11 +91,12 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 	rep := &Report{Func: fn.Name, Loop: loop}
 
 	// --- Recognize the canonical pointer-chasing form.
-	ind, ok := inductionOfCond(loop.Cond)
-	if !ok {
+	indVar := inductionOfCond(loop.Cond)
+	if indVar == nil {
 		rep.Reasons = append(rep.Reasons, "loop condition is not `p != NULL`")
 		return rep, nil
 	}
+	ind := indVar.Name
 	rep.Induction = ind
 	adv, field, ok := advanceOf(loop.Body, ind)
 	if !ok {
@@ -105,7 +106,7 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 	rep.Advance, rep.AdvanceField = adv, field
 
 	// --- 1. The induction pointer strictly advances.
-	if !fr.InductionStrictlyAdvances(loop, ind) {
+	if !fr.InductionStrictlyAdvances(loop, indVar.Slot) {
 		rep.Reasons = append(rep.Reasons,
 			fmt.Sprintf("analysis cannot prove %s visits a new node each iteration (p' may alias p)", ind))
 		return rep, nil
@@ -191,23 +192,24 @@ func declaredAs(pf *adds.PointerField) string {
 	return pf.Dir.String()
 }
 
-// inductionOfCond recognizes "p != NULL" / "NULL != p".
-func inductionOfCond(cond lang.Expr) (string, bool) {
+// inductionOfCond recognizes "p != NULL" / "NULL != p", returning p
+// (nil for any other condition).
+func inductionOfCond(cond lang.Expr) *lang.Ident {
 	be, ok := cond.(*lang.BinExpr)
 	if !ok || be.Op != lang.NEQ {
-		return "", false
+		return nil
 	}
 	if id, ok := be.X.(*lang.Ident); ok {
 		if _, isNull := be.Y.(*lang.NullLit); isNull {
-			return id.Name, true
+			return id
 		}
 	}
 	if id, ok := be.Y.(*lang.Ident); ok {
 		if _, isNull := be.X.(*lang.NullLit); isNull {
-			return id.Name, true
+			return id
 		}
 	}
-	return "", false
+	return nil
 }
 
 // advanceOf recognizes a final "p = p->f;" in the body.

@@ -8,17 +8,20 @@ import (
 	"testing"
 )
 
-// model is the reference the dense Matrix is fuzzed against: handles in
-// insertion order and a map from handle pair to entry, absent meaning
-// zero. It shares no storage with anything — every entry going in or
-// out is deep-copied — so a Matrix that lets two owners see one slice
-// diverges from it.
+// model is the reference the dense Matrix is fuzzed against: string
+// handles, each at a fixed index (its place in names), a live set, and
+// a map from handle pair to entry, absent meaning zero. It shares no
+// storage with anything — every entry going in or out is deep-copied —
+// so a Matrix that lets two owners see one slice diverges from it.
 type model struct {
-	handles []string
-	cells   map[[2]string]Entry
+	names []string
+	live  map[string]bool
+	cells map[[2]string]Entry
 }
 
-func newModel() *model { return &model{cells: map[[2]string]Entry{}} }
+func newModel(names []string) *model {
+	return &model{names: names, live: map[string]bool{}, cells: map[[2]string]Entry{}}
+}
 
 func deepEntry(e Entry) Entry {
 	out := Entry{Alias: e.Alias}
@@ -29,13 +32,15 @@ func deepEntry(e Entry) Entry {
 	return out
 }
 
-func (m *model) has(h string) bool {
-	for _, x := range m.handles {
-		if x == h {
-			return true
+// handles lists the live handles in index order.
+func (m *model) handles() []string {
+	var out []string
+	for _, h := range m.names {
+		if m.live[h] {
+			out = append(out, h)
 		}
 	}
-	return false
+	return out
 }
 
 func (m *model) get(r, s string) Entry { return deepEntry(m.cells[[2]string{r, s}]) }
@@ -56,30 +61,18 @@ func (m *model) dropPairs(h string) {
 	}
 }
 
-func (m *model) addHandle(h string) {
-	if m.has(h) {
-		return
-	}
-	m.handles = append(m.handles, h)
-	m.set(h, h, Entry{Alias: DefiniteAlias})
+func (m *model) declare(h string) {
+	m.live[h] = true
+	m.kill(h)
 }
 
-func (m *model) removeHandle(h string) {
-	if !m.has(h) {
-		return
-	}
+func (m *model) drop(h string) {
 	m.dropPairs(h)
-	var keep []string
-	for _, x := range m.handles {
-		if x != h {
-			keep = append(keep, x)
-		}
-	}
-	m.handles = keep
+	delete(m.live, h)
 }
 
 func (m *model) kill(h string) {
-	if !m.has(h) {
+	if !m.live[h] {
 		return
 	}
 	m.dropPairs(h)
@@ -87,7 +80,7 @@ func (m *model) kill(h string) {
 }
 
 func (m *model) copyRelationships(dst, src string) {
-	for _, h := range m.handles {
+	for _, h := range m.handles() {
 		if h == dst || h == src {
 			continue
 		}
@@ -100,8 +93,10 @@ func (m *model) copyRelationships(dst, src string) {
 }
 
 func (m *model) clone() *model {
-	out := newModel()
-	out.handles = append([]string(nil), m.handles...)
+	out := newModel(m.names)
+	for h := range m.live {
+		out.live[h] = true
+	}
 	for k, e := range m.cells {
 		out.cells[k] = deepEntry(e)
 	}
@@ -109,17 +104,17 @@ func (m *model) clone() *model {
 }
 
 func joinModel(a, b *model) *model {
-	out := newModel()
-	for _, h := range a.handles {
-		out.addHandle(h)
+	out := newModel(a.names)
+	for _, h := range a.names {
+		out.live[h] = a.live[h] || b.live[h]
+		if !out.live[h] {
+			delete(out.live, h)
+		}
 	}
-	for _, h := range b.handles {
-		out.addHandle(h)
-	}
-	for _, r := range out.handles {
-		for _, s := range out.handles {
-			inA := a.has(r) && a.has(s)
-			inB := b.has(r) && b.has(s)
+	for _, r := range out.handles() {
+		for _, s := range out.handles() {
+			inA := a.live[r] && a.live[s]
+			inB := b.live[r] && b.live[s]
 			var e Entry
 			switch {
 			case inA && inB:
@@ -136,16 +131,11 @@ func joinModel(a, b *model) *model {
 }
 
 func equalModel(a, b *model) bool {
-	if len(a.handles) != len(b.handles) {
+	if !reflect.DeepEqual(a.handles(), b.handles()) {
 		return false
 	}
-	for _, h := range a.handles {
-		if !b.has(h) {
-			return false
-		}
-	}
-	for _, r := range a.handles {
-		for _, s := range a.handles {
+	for _, r := range a.handles() {
+		for _, s := range a.handles() {
 			if !EqualEntry(a.get(r, s), b.get(r, s)) {
 				return false
 			}
@@ -156,7 +146,7 @@ func equalModel(a, b *model) bool {
 
 func (m *model) aliases(r string, includePossible bool) []string {
 	var out []string
-	for _, h := range m.handles {
+	for _, h := range m.handles() {
 		if h == r {
 			continue
 		}
@@ -170,15 +160,16 @@ func (m *model) aliases(r string, includePossible bool) []string {
 // String renders the model the way the paper prints matrices, written
 // independently of Matrix.String.
 func (m *model) String() string {
+	hs := m.handles()
 	width := func(col int) int {
 		w := 0
 		if col > 0 {
-			w = len(m.handles[col-1])
+			w = len(hs[col-1])
 		}
-		for _, r := range m.handles {
+		for _, r := range hs {
 			cell := r
 			if col > 0 {
-				cell = m.get(r, m.handles[col-1]).String()
+				cell = m.get(r, hs[col-1]).String()
 			}
 			if len(cell) > w {
 				w = len(cell)
@@ -189,41 +180,46 @@ func (m *model) String() string {
 	var b strings.Builder
 	row := func(first string, cell func(s string) string) {
 		b.WriteString(first + strings.Repeat(" ", width(0)-len(first)))
-		for j, s := range m.handles {
+		for j, s := range hs {
 			c := cell(s)
 			b.WriteString(" | " + c + strings.Repeat(" ", width(j+1)-len(c)))
 		}
 		b.WriteString("\n")
 	}
 	row("", func(s string) string { return s })
-	for _, r := range m.handles {
+	for _, r := range hs {
 		r := r
 		row(r, func(s string) string { return m.get(r, s).String() })
 	}
 	return b.String()
 }
 
+// names renders handles as the matrix names them.
+func names(m *Matrix, hs []int) []string {
+	var out []string
+	for _, h := range hs {
+		out = append(out, m.Name(h))
+	}
+	return out
+}
+
 // agree fails the test unless the matrix and the model answer every
 // query the same way.
-func agree(t *testing.T, step string, m *Matrix[string], ref *model) {
+func agree(t *testing.T, step string, m *Matrix, ref *model) {
 	t.Helper()
-	if got := m.Handles(); !reflect.DeepEqual(append([]string(nil), got...), append([]string(nil), ref.handles...)) {
-		t.Fatalf("%s: handles %v, model %v", step, got, ref.handles)
-	}
-	names := append([]string{"<untracked>"}, ref.handles...)
-	for _, r := range names {
-		if m.HasHandle(r) != ref.has(r) {
-			t.Fatalf("%s: HasHandle(%s) = %v", step, r, m.HasHandle(r))
+	for r, rn := range ref.names {
+		if m.Name(r) != rn || m.Live(r) != ref.live[rn] {
+			t.Fatalf("%s: handle %d is %q live %v, model %q live %v", step, r, m.Name(r), m.Live(r), rn, ref.live[rn])
 		}
-		for _, s := range names {
-			got, want := m.Get(r, s), ref.get(r, s)
+		for s, sn := range ref.names {
+			got, want := m.Get(r, s), ref.get(rn, sn)
 			if !EqualEntry(got, want) || got.String() != want.String() {
-				t.Fatalf("%s: Get(%s,%s) = %q, model %q", step, r, s, got, want)
+				t.Fatalf("%s: Get(%s,%s) = %q, model %q", step, rn, sn, got, want)
 			}
 		}
 		for _, poss := range []bool{false, true} {
-			if got, want := m.Aliases(r, poss), ref.aliases(r, poss); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: Aliases(%s,%v) = %v, model %v", step, r, poss, got, want)
+			if got, want := names(m, m.Aliases(r, poss)), ref.aliases(rn, poss); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Aliases(%s,%v) = %v, model %v", step, rn, poss, got, want)
 			}
 		}
 	}
@@ -291,41 +287,42 @@ func fuzzProgram(t *testing.T, data []byte) {
 		}
 	}
 
-	ms := [2]*Matrix[string]{New[string](nil), New[string](nil)}
-	refs := [2]*model{newModel(), newModel()}
+	ms := [2]*Matrix{New(fuzzHandles), New(fuzzHandles)}
+	refs := [2]*model{newModel(fuzzHandles), newModel(fuzzHandles)}
 	for step := 0; pos < len(data) && step < 400; step++ {
 		x := next(2)
 		m, ref := ms[x], refs[x]
-		h, g := fuzzHandles[next(5)], fuzzHandles[next(5)]
+		h, g := next(len(fuzzHandles)), next(len(fuzzHandles))
+		hn, gn := fuzzHandles[h], fuzzHandles[g]
 		op := next(9)
 		switch op {
 		case 0, 1:
-			m.AddHandle(h)
-			ref.addHandle(h)
+			m.Declare(h)
+			ref.declare(hn)
 		case 2:
-			m.RemoveHandle(h)
-			ref.removeHandle(h)
+			m.Drop(h)
+			ref.drop(hn)
 		case 3:
 			m.Kill(h)
-			ref.kill(h)
+			ref.kill(hn)
 		case 4:
-			if ref.has(h) && ref.has(g) {
+			if ref.live[hn] && ref.live[gn] {
 				e := entry()
 				m.Set(h, g, e)
-				ref.set(h, g, e)
+				ref.set(hn, gn, e)
 			}
 		case 5:
-			if ref.has(h) && ref.has(g) {
+			if ref.live[hn] && ref.live[gn] {
 				fn := mutator()
 				m.Update(h, g, fn)
-				e := ref.get(h, g)
+				e := ref.get(hn, gn)
 				fn(&e)
-				ref.set(h, g, e)
+				ref.set(hn, gn, e)
 			}
 		case 6:
-			if ref.has(h) && ref.has(g) {
+			if ref.live[hn] && ref.live[gn] {
 				m.CopyRelationships(h, g)
-				ref.copyRelationships(h, g)
+				ref.copyRelationships(hn, gn)
 			}
 		case 7:
 			ms[x], refs[x] = ms[1-x].Clone(), refs[1-x].clone()
@@ -353,22 +350,42 @@ func FuzzMatrixVsModel(f *testing.F) {
 	f.Fuzz(fuzzProgram)
 }
 
+// liveMatrix returns a matrix over names with every handle live.
+func liveMatrix(names ...string) *Matrix {
+	m := New(names)
+	for h := range names {
+		m.Declare(h)
+	}
+	return m
+}
+
+// The handles of richMatrix, and fresh, which is not live in it.
+const (
+	rHead = iota
+	rP
+	rPPrime
+	rQ
+	rFresh
+)
+
 // richMatrix builds a matrix whose cells carry every descriptor kind.
-func richMatrix() *Matrix[string] {
-	m := New(nil, "head", "p", "p'", "q")
-	m.Set("head", "p", Entry{Alias: PossibleAlias, Descs: []Desc{Desc{Fields: []string{"next"}, Exact: true, EdgeID: 1}, PlusDesc("next")}})
-	m.Set("p'", "p", Entry{Descs: []Desc{ExactIndexedDesc("down", "i", 2), {Fields: []string{"down", "left"}, Star: true}}})
-	m.Set("q", "p", Entry{Alias: DefiniteAlias})
-	m.Set("p", "q", Entry{Alias: DefiniteAlias, Descs: []Desc{PlusDesc("left", "right")}})
+func richMatrix() *Matrix {
+	m := liveMatrix("head", "p", "p'", "q", "fresh")
+	m.Drop(rFresh)
+	m.Set(rHead, rP, Entry{Alias: PossibleAlias, Descs: []Desc{Desc{Fields: []string{"next"}, Exact: true, EdgeID: 1}, PlusDesc("next")}})
+	m.Set(rPPrime, rP, Entry{Descs: []Desc{ExactIndexedDesc("down", "i", 2), {Fields: []string{"down", "left"}, Star: true}}})
+	m.Set(rQ, rP, Entry{Alias: DefiniteAlias})
+	m.Set(rP, rQ, Entry{Alias: DefiniteAlias, Descs: []Desc{PlusDesc("left", "right")}})
 	return m
 }
 
 // contents deep-copies everything observable about a matrix.
-func contents(m *Matrix[string]) map[string]interface{} {
-	out := map[string]interface{}{"handles": append([]string(nil), m.Handles()...), "text": m.String()}
-	for _, r := range m.Handles() {
-		for _, s := range m.Handles() {
-			out[r+"→"+s] = deepEntry(m.Get(r, s))
+func contents(m *Matrix) map[string]interface{} {
+	out := map[string]interface{}{"text": m.String()}
+	for r := 0; r < m.Len(); r++ {
+		out[m.Name(r)] = m.Live(r)
+		for s := 0; s < m.Len(); s++ {
+			out[m.Name(r)+"→"+m.Name(s)] = deepEntry(m.Get(r, s))
 		}
 	}
 	return out
@@ -397,7 +414,7 @@ func TestCloneIsolation(t *testing.T) {
 				}
 				_ = contents(m)
 				_ = Equal(m, m.Clone())
-				_ = Join(m, m).Aliases("p", true)
+				_ = Join(m, m).Aliases(rP, true)
 			}
 		}()
 	}
@@ -416,23 +433,26 @@ func TestCloneIsolation(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		for _, fn := range entryMutators {
 			c := m.Clone()
-			for _, r := range c.Handles() {
-				for _, s := range c.Handles() {
+			for r := 0; r < c.Len(); r++ {
+				for s := 0; s < c.Len(); s++ {
 					e := c.Get(r, s) // an entry read out of the clone
 					fn(&e)
-					c.Update(r, s, fn)
+					if c.Live(r) && c.Live(s) {
+						c.Update(r, s, fn)
+					}
 				}
 			}
-			c.UpdateAll(func(_, _ string, e *Entry) { fn(e) })
+			c.UpdateAll(func(_, _ int, e *Entry) { fn(e) })
 		}
 		c := m.Clone()
-		c.Set("head", "p", Entry{})
-		c.Kill("p")
-		c.CopyRelationships("p", "head")
-		c.AddHandle("fresh")
-		c.RemoveHandle("q")
+		c.Set(rHead, rP, Entry{})
+		c.Kill(rP)
+		c.CopyRelationships(rP, rHead)
+		c.Declare(rFresh)
+		c.Drop(rQ)
 		j := Join(m, c)
-		j.Kill("head")
+		j.Kill(rHead)
+		j.Drop(rP)
 	}
 	close(stop)
 	readers.Wait()
@@ -445,7 +465,7 @@ func TestCloneIsolation(t *testing.T) {
 // the struct and the cell slice, whatever the cells hold.
 func TestCloneCost(t *testing.T) {
 	m := richMatrix()
-	var sink *Matrix[string]
+	var sink *Matrix
 	if allocs := testing.AllocsPerRun(100, func() { sink = m.Clone() }); allocs > 2 {
 		t.Errorf("Matrix.Clone allocates %.0f objects, want at most 2", allocs)
 	}

@@ -2,12 +2,13 @@
 // Nicolau, extended per Hummel/Nicolau/Hendren (ICPP 1992) to "general"
 // path matrices driven by ADDS declarations.
 //
-// A path matrix PM is indexed by the live pointer handles (variables,
-// plus primed handles such as p' that denote a variable's value in the
-// previous loop iteration). What names a handle is the caller's choice,
-// the type parameter H: package analysis uses identifier ids and prints
-// them through the program's table, the tests here use strings. The
-// entry PM(r, s) records the relationship
+// A path matrix PM is indexed by pointer handles (variables, plus
+// primed handles such as p' that denote a variable's value in the
+// previous loop iteration). The handles are fixed when the matrix is
+// made: the caller numbers them 0 to n-1 and names each one (package
+// analysis gives every pointer slot of a function one handle and each
+// loop-assigned variable's prime the next), and a live set says which
+// are in scope. The entry PM(r, s) records the relationship
 // from the node pointed to by r to the node pointed to by s:
 //
 //   - an alias component: NoAlias (the exploitable guarantee: r and s
@@ -30,14 +31,17 @@
 //
 // # Representation and the immutability contract
 //
-// A Matrix is a handle slice plus one dense row-major []Entry; an Entry
-// is a value holding a Descs slice; a Desc holds a Fields slice. Descs
-// and Fields are immutable once built: every Entry method that changes
-// the descriptors (AddDesc, the Remove family) leaves the old slice
-// untouched and installs a fresh one, and nothing ever writes through
-// Fields. That is what makes Matrix.Clone one slice copy, lets a clone
-// and its source — or a snapshot and the goroutines reading it — share
-// everything below the cell slice, and lets Get hand out entries
+// A Matrix is its handles' names, a live set and one dense row-major
+// []Entry of n² cells; a declaration marks a handle live, a scope exit
+// zeroes its row and column and clears its bit, so neither moves a
+// cell, and Join and Equal walk the same indices on both operands. An
+// Entry is a value holding a Descs slice; a Desc holds a Fields slice.
+// Descs and Fields are immutable once built: every Entry method that
+// changes the descriptors (AddDesc, the Remove family) leaves the old
+// slice untouched and installs a fresh one, and nothing ever writes
+// through Fields. That is what makes Matrix.Clone one slice copy, lets a
+// clone and its source — or a snapshot and the goroutines reading it —
+// share everything below the cell slice, and lets Get hand out entries
 // without copying. The rule for callers: an Entry read from a Matrix is
 // never written through (no e.Descs[i] = …, no d.Fields[i] = …); change
 // it with the Entry methods, or take Entry.Clone first.
@@ -423,224 +427,184 @@ func (e Entry) String() string {
 // ---------------------------------------------------------------------------
 // Matrix
 
-// Matrix is a path matrix over a set of handles: the handles in
-// insertion order plus one dense row-major slice of len(handles)²
-// entries. The handle slice is never written after it is built (adding
-// or removing a handle builds a new one), so clones share it; the
-// entries are values whose Descs are immutable, so Clone copies the one
-// cell slice and nothing under it.
-type Matrix[H comparable] struct {
-	handles []H
-	cells   []Entry
-	name    func(H) string // nil: fmt's %v
+// Matrix is a path matrix over a fixed set of handles, numbered 0 to
+// n-1: their names, a live set, and one dense row-major slice of n²
+// entries. A dead handle's row and column are zero. The names and the
+// live set are never written after they are built (Declare and Drop
+// build a new live set), so clones share them; the entries are values
+// whose Descs are immutable, so Clone copies the one cell slice and
+// nothing under it.
+type Matrix struct {
+	names []string
+	live  []bool
+	cells []Entry
 }
 
-// New returns a matrix over the given handles, which print as name
-// renders them (with fmt's %v if name is nil), and so do its clones and
-// joins. Diagonal entries are DefiniteAlias (every handle aliases
-// itself); all others are zero (NoAlias): callers establish initial
-// relationships explicitly.
-func New[H comparable](name func(H) string, handles ...H) *Matrix[H] {
-	m := &Matrix[H]{name: name}
-	for _, h := range handles {
-		m.AddHandle(h)
-	}
-	return m
+// New returns a matrix over len(names) handles, none of them live;
+// handle h prints as names[h], and so it does in the matrix's clones
+// and joins.
+func New(names []string) *Matrix {
+	n := len(names)
+	return &Matrix{names: names, live: make([]bool, n), cells: make([]Entry, n*n)}
 }
+
+// Len returns the number of handles, live or not.
+func (m *Matrix) Len() int { return len(m.names) }
 
 // Name renders a handle as the matrix prints it.
-func (m *Matrix[H]) Name(h H) string {
-	if m.name == nil {
-		return fmt.Sprint(h)
+func (m *Matrix) Name(h int) string { return m.names[h] }
+
+// Live reports whether h is in scope.
+func (m *Matrix) Live(h int) bool { return m.live[h] }
+
+// setLive sets h's bit in a copy of the live set, if it changes.
+func (m *Matrix) setLive(h int, v bool) {
+	if m.live[h] != v {
+		live := slices.Clone(m.live)
+		live[h] = v
+		m.live = live
 	}
-	return m.name(h)
 }
 
-// Handles returns the handles in insertion order. The slice is the
-// matrix's own and must not be modified; it stays valid (and unchanged)
-// if handles are later added or removed.
-func (m *Matrix[H]) Handles() []H { return m.handles }
-
-// index returns h's row/column, or -1. Matrices hold 5–15 handles, so a
-// scan beats a map — and leaves nothing to copy.
-func (m *Matrix[H]) index(h H) int {
-	for i, x := range m.handles {
-		if x == h {
-			return i
-		}
+// clear zeroes h's row and column.
+func (m *Matrix) clear(h int) {
+	n := len(m.names)
+	clear(m.cells[h*n : (h+1)*n])
+	for k := h; k < len(m.cells); k += n {
+		m.cells[k] = Entry{}
 	}
-	return -1
 }
 
-// HasHandle reports whether h is tracked.
-func (m *Matrix[H]) HasHandle(h H) bool { return m.index(h) >= 0 }
-
-// AddHandle introduces a handle with a definite self-alias and no other
-// relationships. Adding an existing handle is a no-op.
-func (m *Matrix[H]) AddHandle(h H) {
-	if m.index(h) >= 0 {
-		return
-	}
-	n := len(m.handles)
-	handles := make([]H, n+1)
-	copy(handles, m.handles)
-	handles[n] = h
-	cells := make([]Entry, (n+1)*(n+1))
-	for i := 0; i < n; i++ {
-		copy(cells[i*(n+1):], m.cells[i*n:(i+1)*n])
-	}
-	cells[n*(n+1)+n] = Entry{Alias: DefiniteAlias}
-	m.handles, m.cells = handles, cells
+// Declare makes h live with a definite self-alias and no other
+// relationships (a live h loses its old ones, as Kill).
+func (m *Matrix) Declare(h int) {
+	m.setLive(h, true)
+	m.Kill(h)
 }
 
-// RemoveHandle deletes a handle and all its relationships.
-func (m *Matrix[H]) RemoveHandle(h H) {
-	i := m.index(h)
-	if i < 0 {
-		return
-	}
-	n := len(m.handles)
-	handles := make([]H, 0, n-1)
-	handles = append(append(handles, m.handles[:i]...), m.handles[i+1:]...)
-	cells := make([]Entry, 0, (n-1)*(n-1))
-	for r := 0; r < n; r++ {
-		if r == i {
-			continue
-		}
-		row := m.cells[r*n : (r+1)*n]
-		cells = append(append(cells, row[:i]...), row[i+1:]...)
-	}
-	m.handles, m.cells = handles, cells
+// Drop ends h's scope: its row and column return to zero and it leaves
+// the live set.
+func (m *Matrix) Drop(h int) {
+	m.clear(h)
+	m.setLive(h, false)
 }
 
-// Kill resets all of h's relationships (but keeps the handle): used when
-// h is reassigned or set to NULL. The self entry returns to definite.
-func (m *Matrix[H]) Kill(h H) {
-	i := m.index(h)
-	if i < 0 {
-		return
+// Kill resets all of a live h's relationships (but keeps it live): used
+// when h is reassigned or set to NULL. The self entry returns to
+// definite.
+func (m *Matrix) Kill(h int) {
+	if m.live[h] {
+		m.clear(h)
+		m.cells[h*len(m.names)+h] = Entry{Alias: DefiniteAlias}
 	}
-	n := len(m.handles)
-	for k := 0; k < n; k++ {
-		m.cells[i*n+k] = Entry{}
-		m.cells[k*n+i] = Entry{}
-	}
-	m.cells[i*n+i] = Entry{Alias: DefiniteAlias}
 }
 
-// Get returns the entry from r to s (zero entry if either is untracked).
+// Get returns the entry from r to s (the zero entry if either is dead).
 // The entry's Descs are shared with the matrix: the Entry methods never
 // write through them, and neither may the caller.
-func (m *Matrix[H]) Get(r, s H) Entry {
-	i, j := m.index(r), m.index(s)
-	if i < 0 || j < 0 {
-		return Entry{}
+func (m *Matrix) Get(r, s int) Entry { return m.cells[r*len(m.names)+s] }
+
+// cell returns the address of the entry from r to s, panicking on a
+// dead handle.
+func (m *Matrix) cell(r, s int) *Entry {
+	if !m.live[r] || !m.live[s] {
+		panic(fmt.Sprintf("pathmatrix: Set: %q or %q is not live", m.names[r], m.names[s]))
 	}
-	return m.cells[i*len(m.handles)+j]
+	return &m.cells[r*len(m.names)+s]
 }
 
-// cell returns the address of the entry from r to s, panicking on an
-// untracked handle.
-func (m *Matrix[H]) cell(r, s H) *Entry {
-	i, j := m.index(r), m.index(s)
-	if i < 0 {
-		panic(fmt.Sprintf("pathmatrix: Set: unknown handle %q", m.Name(r)))
-	}
-	if j < 0 {
-		panic(fmt.Sprintf("pathmatrix: Set: unknown handle %q", m.Name(s)))
-	}
-	return &m.cells[i*len(m.handles)+j]
-}
-
-// Set stores the entry from r to s. Both handles must be tracked.
-func (m *Matrix[H]) Set(r, s H, e Entry) { *m.cell(r, s) = e }
+// Set stores the entry from r to s. Both handles must be live.
+func (m *Matrix) Set(r, s int, e Entry) { *m.cell(r, s) = e }
 
 // Update applies fn to the entry from r to s, in place.
-func (m *Matrix[H]) Update(r, s H, fn func(*Entry)) { fn(m.cell(r, s)) }
+func (m *Matrix) Update(r, s int, fn func(*Entry)) { fn(m.cell(r, s)) }
 
-// UpdateAll applies fn to every entry in place, row by row. fn sees the
-// handle pair the entry relates.
-func (m *Matrix[H]) UpdateAll(fn func(r, s H, e *Entry)) {
-	n := len(m.handles)
-	for i, r := range m.handles {
-		for j, s := range m.handles {
-			fn(r, s, &m.cells[i*n+j])
+// UpdateAll applies fn in place to every entry between live handles,
+// row by row. fn sees the handle pair the entry relates.
+func (m *Matrix) UpdateAll(fn func(r, s int, e *Entry)) {
+	n := len(m.names)
+	for r := 0; r < n; r++ {
+		if !m.live[r] {
+			continue
+		}
+		for s := 0; s < n; s++ {
+			if m.live[s] {
+				fn(r, s, &m.cells[r*n+s])
+			}
 		}
 	}
 }
 
 // Clone copies the matrix: one struct, one cell slice.
-func (m *Matrix[H]) Clone() *Matrix[H] {
-	return &Matrix[H]{handles: m.handles, cells: append([]Entry(nil), m.cells...), name: m.name}
+func (m *Matrix) Clone() *Matrix {
+	return &Matrix{names: m.names, live: m.live, cells: slices.Clone(m.cells)}
 }
 
-// Join computes the least upper bound of two matrices over the union of
-// their handle sets. A handle present on only one side contributes its
-// entries weakened against the zero entry (alias facts weaken to
-// PossibleAlias unless both sides agree). The join prints as a does.
-func Join[H comparable](a, b *Matrix[H]) *Matrix[H] {
-	// The union lists a's handles, then b's newcomers, so an output
-	// index below na is also a's index; ib maps it to b's (-1: absent).
-	handles := a.handles[:len(a.handles):len(a.handles)]
-	for _, h := range b.handles {
-		if a.index(h) < 0 {
-			handles = append(handles, h)
+// sameLive reports whether a and b have the same live handles,
+// panicking unless they number the same handles.
+func sameLive(a, b *Matrix) bool {
+	if len(a.names) != len(b.names) {
+		panic(fmt.Sprintf("pathmatrix: %d handles against %d", len(a.names), len(b.names)))
+	}
+	for h, live := range a.live {
+		if b.live[h] != live {
+			return false
 		}
 	}
-	n, na, nb := len(handles), len(a.handles), len(b.handles)
-	var buf [16]int
-	ib := scratch(&buf, n)
-	for k, h := range handles {
-		ib[k] = b.index(h)
+	return true
+}
+
+// Join computes the least upper bound of two matrices over the same
+// handles, walking the same indices on both. A handle is live in the
+// join when it is live on either side. An entry between handles live on
+// both sides is JoinEntry of the two; an entry involving a handle live
+// on one side only is copied from that side, not weakened. For package
+// analysis, whose handles are declaration slots, that is safe: every
+// block drops its declarations before control reaches a join, so two
+// sides differ only at a function's exit, where the variables live on
+// one return path only are out of scope. The other case is a prime
+// that a nested loop over the same variable dropped: the outer loop's
+// head then keeps the prime's entries from the loop's entry. The join
+// prints as a does.
+func Join(a, b *Matrix) *Matrix {
+	n := len(a.names)
+	out := &Matrix{names: a.names, live: a.live, cells: make([]Entry, n*n)}
+	if !sameLive(a, b) {
+		out.live = make([]bool, n)
+		for h := range out.live {
+			out.live[h] = a.live[h] || b.live[h]
+		}
 	}
-	out := &Matrix[H]{handles: handles, cells: make([]Entry, n*n), name: a.name}
 	for r := 0; r < n; r++ {
+		if !out.live[r] {
+			continue
+		}
 		for s := 0; s < n; s++ {
-			inA := r < na && s < na
-			inB := ib[r] >= 0 && ib[s] >= 0
-			var e Entry
+			k := r*n + s
+			inA := a.live[r] && a.live[s]
+			inB := b.live[r] && b.live[s]
 			switch {
 			case inA && inB:
-				e = JoinEntry(a.cells[r*na+s], b.cells[ib[r]*nb+ib[s]])
+				out.cells[k] = JoinEntry(a.cells[k], b.cells[k])
 			case inA:
-				e = a.cells[r*na+s]
+				out.cells[k] = a.cells[k]
 			case inB:
-				e = b.cells[ib[r]*nb+ib[s]]
+				out.cells[k] = b.cells[k]
 			}
-			out.cells[r*n+s] = e
 		}
 	}
 	return out
 }
 
-// scratch returns n ints, in buf when they fit: matrices hold 5–15
-// handles.
-func scratch(buf *[16]int, n int) []int {
-	if n <= len(buf) {
-		return buf[:n]
-	}
-	return make([]int, n)
-}
-
-// Equal reports whether the two matrices have identical handle sets and
-// entries (fixed-point test).
-func Equal[H comparable](a, b *Matrix[H]) bool {
-	n := len(a.handles)
-	if n != len(b.handles) {
+// Equal reports whether the two matrices have the same live handles and
+// identical entries (fixed-point test).
+func Equal(a, b *Matrix) bool {
+	if !sameLive(a, b) {
 		return false
 	}
-	var buf [16]int
-	ib := scratch(&buf, n)
-	for k, h := range a.handles {
-		if ib[k] = b.index(h); ib[k] < 0 {
+	for k := range a.cells {
+		if !EqualEntry(a.cells[k], b.cells[k]) {
 			return false
-		}
-	}
-	for r := 0; r < n; r++ {
-		for s := 0; s < n; s++ {
-			if !EqualEntry(a.cells[r*n+s], b.cells[ib[r]*n+ib[s]]) {
-				return false
-			}
 		}
 	}
 	return true
@@ -649,35 +613,31 @@ func Equal[H comparable](a, b *Matrix[H]) bool {
 // CopyRelationships makes dst's relationships identical to src's
 // (including the mutual definite alias), as required by "dst = src".
 // dst's previous relationships must already be killed.
-func (m *Matrix[H]) CopyRelationships(dst, src H) {
-	m.cell(dst, src) // both handles must be tracked
-	d, s, n := m.index(dst), m.index(src), len(m.handles)
+func (m *Matrix) CopyRelationships(dst, src int) {
+	m.cell(dst, src) // both handles must be live
+	n := len(m.names)
 	for h := 0; h < n; h++ {
-		if h == d || h == s {
+		if h == dst || h == src {
 			continue
 		}
-		m.cells[d*n+h] = m.cells[s*n+h]
-		m.cells[h*n+d] = m.cells[h*n+s]
+		m.cells[dst*n+h] = m.cells[src*n+h]
+		m.cells[h*n+dst] = m.cells[h*n+src]
 	}
-	m.cells[d*n+s] = Entry{Alias: DefiniteAlias}
-	m.cells[s*n+d] = Entry{Alias: DefiniteAlias}
-	m.cells[d*n+d] = Entry{Alias: DefiniteAlias}
+	m.cells[dst*n+src] = Entry{Alias: DefiniteAlias}
+	m.cells[src*n+dst] = Entry{Alias: DefiniteAlias}
+	m.cells[dst*n+dst] = Entry{Alias: DefiniteAlias}
 }
 
-// Aliases enumerates handles h with a definite or possible alias to r
-// (excluding r itself).
-func (m *Matrix[H]) Aliases(r H, includePossible bool) []H {
-	i := m.index(r)
-	if i < 0 {
-		return nil
-	}
-	var out []H
-	n := len(m.handles)
-	for j, h := range m.handles {
-		if j == i {
+// Aliases enumerates the live handles h with a definite or possible
+// alias to r (excluding r itself), in handle order.
+func (m *Matrix) Aliases(r int, includePossible bool) []int {
+	var out []int
+	n := len(m.names)
+	for h := 0; h < n; h++ {
+		if h == r || !m.live[h] {
 			continue
 		}
-		a := m.cells[i*n+j].Alias
+		a := m.cells[r*n+h].Alias
 		if a == DefiniteAlias || (includePossible && a == PossibleAlias) {
 			out = append(out, h)
 		}
@@ -685,44 +645,42 @@ func (m *Matrix[H]) Aliases(r H, includePossible bool) []H {
 	return out
 }
 
-// String renders the matrix as the paper prints them:
+// String renders the live handles in handle order, as the paper prints
+// its matrices:
 //
 //	        | head    | p       | p'
 //	head    | =       | next+   |
 //	p       |         | =       |
 //	p'      |         | next    | =
-func (m *Matrix[H]) String() string {
-	n := len(m.handles)
-	names := make([]string, n)
-	cols := make([]int, n+1)
-	for j, h := range m.handles {
-		names[j] = m.Name(h)
-		cols[0] = max(cols[0], len(names[j]))
-		cols[j+1] = len(names[j])
+func (m *Matrix) String() string {
+	var hs []int
+	for h, live := range m.live {
+		if live {
+			hs = append(hs, h)
+		}
 	}
-	grid := make([]string, len(m.cells))
-	for k, e := range m.cells {
-		grid[k] = e.String()
-		if j := k%n + 1; len(grid[k]) > cols[j] {
-			cols[j] = len(grid[k])
+	rows := [][]string{{""}}
+	for _, r := range hs {
+		rows[0] = append(rows[0], m.names[r])
+		row := []string{m.names[r]}
+		for _, s := range hs {
+			row = append(row, m.Get(r, s).String())
+		}
+		rows = append(rows, row)
+	}
+	width := make([]int, len(hs)+1)
+	for _, row := range rows {
+		for j, c := range row {
+			width[j] = max(width[j], len(c))
 		}
 	}
 	var b strings.Builder
-	pad := func(s string, w int) {
-		b.WriteString(s)
-		b.WriteString(strings.Repeat(" ", w-len(s)))
-	}
-	pad("", cols[0])
-	for j, s := range names {
-		b.WriteString(" | ")
-		pad(s, cols[j+1])
-	}
-	b.WriteString("\n")
-	for i, r := range names {
-		pad(r, cols[0])
-		for j := range m.handles {
-			b.WriteString(" | ")
-			pad(grid[i*n+j], cols[j+1])
+	for _, row := range rows {
+		for j, c := range row {
+			if j > 0 {
+				b.WriteString(" | ")
+			}
+			b.WriteString(c + strings.Repeat(" ", width[j]-len(c)))
 		}
 		b.WriteString("\n")
 	}

@@ -131,124 +131,150 @@ func TestJoinEntrySemantics(t *testing.T) {
 }
 
 func TestMatrixBasics(t *testing.T) {
-	m := New(nil, "head", "p")
-	if got := m.Get("head", "head").Alias; got != DefiniteAlias {
+	const head, p = 0, 1
+	m := liveMatrix("head", "p")
+	if got := m.Get(head, head).Alias; got != DefiniteAlias {
 		t.Errorf("diagonal = %v", got)
 	}
-	if !m.Get("head", "p").IsZero() {
+	if !m.Get(head, p).IsZero() {
 		t.Error("off-diagonal should start zero")
 	}
-	m.Update("head", "p", func(e *Entry) { e.AddDesc(PlusDesc("next")) })
-	if !m.Get("head", "p").HasPath() {
+	m.Update(head, p, func(e *Entry) { e.AddDesc(PlusDesc("next")) })
+	if !m.Get(head, p).HasPath() {
 		t.Error("update lost")
 	}
-	m.Kill("p")
-	if m.Get("head", "p").HasPath() {
+	m.Kill(p)
+	if m.Get(head, p).HasPath() {
 		t.Error("kill must clear relationships")
 	}
-	if m.Get("p", "p").Alias != DefiniteAlias {
+	if m.Get(p, p).Alias != DefiniteAlias {
 		t.Error("kill must keep self alias")
 	}
-	if !m.HasHandle("p") {
+	if !m.Live(p) {
 		t.Error("kill must keep the handle")
 	}
-	m.RemoveHandle("p")
-	if m.HasHandle("p") {
-		t.Error("handle not removed")
+	m.Drop(p)
+	if m.Live(p) {
+		t.Error("handle not dropped")
 	}
-	if len(m.Handles()) != 1 {
-		t.Errorf("handles = %v", m.Handles())
+	if m.Len() != 2 || !m.Get(p, p).IsZero() {
+		t.Errorf("a dropped handle keeps its index and a zero row: %d handles, p/p %v", m.Len(), m.Get(p, p))
 	}
 }
 
-func TestRemoveHandleCompaction(t *testing.T) {
-	m := New(nil, "a", "b", "c")
-	m.Update("a", "c", func(e *Entry) { e.Alias = PossibleAlias })
-	m.Update("c", "b", func(e *Entry) { e.AddDesc(PlusDesc("f")) })
-	m.RemoveHandle("b")
-	if got := m.Get("a", "c").Alias; got != PossibleAlias {
-		t.Errorf("a-c lost after compaction: %v", got)
+// TestDeclareAndDrop: dropping a handle zeroes its row and column and
+// leaves every other entry where it was; declaring it again starts it
+// afresh, with its self-alias only.
+func TestDeclareAndDrop(t *testing.T) {
+	const a, b, c = 0, 1, 2
+	m := liveMatrix("a", "b", "c")
+	m.Update(a, c, func(e *Entry) { e.Alias = PossibleAlias })
+	m.Update(c, b, func(e *Entry) { e.AddDesc(PlusDesc("f")) })
+	m.Update(b, a, func(e *Entry) { e.AddDesc(PlusDesc("g")) })
+	m.Drop(b)
+	if got := m.Get(a, c).Alias; got != PossibleAlias {
+		t.Errorf("a-c lost after drop: %v", got)
 	}
-	if m.Get("c", "a").Alias != NoAlias {
-		t.Error("c-a should be zero")
+	if !m.Get(c, b).IsZero() || !m.Get(b, a).IsZero() {
+		t.Error("b's row and column should be zero")
 	}
-	m.AddHandle("d")
-	m.Update("d", "a", func(e *Entry) { e.Alias = DefiniteAlias })
-	if m.Get("d", "a").Alias != DefiniteAlias {
-		t.Error("post-compaction add broken")
+	if got := m.String(); strings.Contains(got, "b") {
+		t.Errorf("a dropped handle prints:\n%s", got)
 	}
+	m.Declare(b)
+	if m.Get(b, b).Alias != DefiniteAlias || !m.Get(c, b).IsZero() {
+		t.Error("a declared handle has its self-alias and nothing else")
+	}
+	m.Update(b, a, func(e *Entry) { e.Alias = DefiniteAlias })
+	m.Declare(b)
+	if !m.Get(b, a).IsZero() {
+		t.Error("declaring a live handle drops its relationships")
+	}
+}
+
+func TestSetDeadHandlePanics(t *testing.T) {
+	m := New([]string{"a", "b"})
+	m.Declare(0)
+	defer func() {
+		if recover() == nil {
+			t.Error("Set on a dead handle must panic")
+		}
+	}()
+	m.Set(0, 1, Entry{Alias: PossibleAlias})
 }
 
 func TestCopyRelationships(t *testing.T) {
-	m := New(nil, "head", "p", "q")
-	m.Update("head", "q", func(e *Entry) { e.AddDesc(PlusDesc("next")) })
-	m.Kill("p")
-	m.CopyRelationships("p", "head")
-	if m.Get("p", "q").String() != "next+" {
-		t.Errorf("p-q = %q", m.Get("p", "q"))
+	const head, p, q = 0, 1, 2
+	m := liveMatrix("head", "p", "q")
+	m.Update(head, q, func(e *Entry) { e.AddDesc(PlusDesc("next")) })
+	m.Kill(p)
+	m.CopyRelationships(p, head)
+	if m.Get(p, q).String() != "next+" {
+		t.Errorf("p-q = %q", m.Get(p, q))
 	}
-	if m.Get("p", "head").Alias != DefiniteAlias || m.Get("head", "p").Alias != DefiniteAlias {
+	if m.Get(p, head).Alias != DefiniteAlias || m.Get(head, p).Alias != DefiniteAlias {
 		t.Error("copy must set mutual definite alias")
 	}
 }
 
 func TestAliases(t *testing.T) {
-	m := New(nil, "a", "b", "c")
-	m.Update("a", "b", func(e *Entry) { e.Alias = DefiniteAlias })
-	m.Update("a", "c", func(e *Entry) { e.Alias = PossibleAlias })
-	if got := m.Aliases("a", false); !reflect.DeepEqual(got, []string{"b"}) {
+	const a, b, c = 0, 1, 2
+	m := liveMatrix("a", "b", "c")
+	m.Update(a, b, func(e *Entry) { e.Alias = DefiniteAlias })
+	m.Update(a, c, func(e *Entry) { e.Alias = PossibleAlias })
+	if got := m.Aliases(a, false); !reflect.DeepEqual(got, []int{b}) {
 		t.Errorf("definite aliases = %v", got)
 	}
-	if got := m.Aliases("a", true); !reflect.DeepEqual(got, []string{"b", "c"}) {
+	if got := m.Aliases(a, true); !reflect.DeepEqual(got, []int{b, c}) {
 		t.Errorf("all aliases = %v", got)
 	}
 }
 
 func TestMatrixJoinHandleUnion(t *testing.T) {
-	a := New(nil, "p", "q")
-	a.Update("p", "q", func(e *Entry) { e.Alias = DefiniteAlias })
-	b := New(nil, "p")
+	const p, q = 0, 1
+	a := liveMatrix("p", "q")
+	a.Update(p, q, func(e *Entry) { e.Alias = DefiniteAlias })
+	b := a.Clone()
+	b.Drop(q)
 	j := Join(a, b)
-	if !j.HasHandle("q") {
-		t.Fatal("join must union handles")
+	if !j.Live(q) {
+		t.Fatal("join must union the live sets")
 	}
-	// q only existed in a, so its entries carry over unweakened.
-	if j.Get("p", "q").Alias != DefiniteAlias {
-		t.Errorf("p-q = %v", j.Get("p", "q"))
+	// q was live only in a, so its entries carry over unweakened.
+	if j.Get(p, q).Alias != DefiniteAlias {
+		t.Errorf("p-q = %v", j.Get(p, q))
 	}
 	// Shared entries weaken.
-	b2 := New(nil, "p", "q")
-	j2 := Join(a, b2)
-	if j2.Get("p", "q").Alias != PossibleAlias {
-		t.Errorf("shared weaken: %v", j2.Get("p", "q"))
+	j2 := Join(a, liveMatrix("p", "q"))
+	if j2.Get(p, q).Alias != PossibleAlias {
+		t.Errorf("shared weaken: %v", j2.Get(p, q))
 	}
 }
 
 func TestEqualAndClone(t *testing.T) {
-	a := New(nil, "x", "y")
-	a.Update("x", "y", func(e *Entry) { e.AddDesc(Desc{Fields: []string{"f"}, Exact: true, EdgeID: 1}) })
+	const x, y = 0, 1
+	a := liveMatrix("x", "y")
+	a.Update(x, y, func(e *Entry) { e.AddDesc(Desc{Fields: []string{"f"}, Exact: true, EdgeID: 1}) })
 	b := a.Clone()
 	if !Equal(a, b) {
 		t.Error("clone must equal original")
 	}
-	b.Update("x", "y", func(e *Entry) { e.Alias = PossibleAlias })
+	b.Update(x, y, func(e *Entry) { e.Alias = PossibleAlias })
 	if Equal(a, b) {
 		t.Error("mutated clone must differ")
 	}
-	if Equal(a, New(nil, "x")) {
-		t.Error("different handle sets must differ")
-	}
-	c := New(nil, "y", "x") // same handles, different order
-	c.Update("x", "y", func(e *Entry) { e.AddDesc(Desc{Fields: []string{"f"}, Exact: true, EdgeID: 1}) })
-	if !Equal(a, c) {
-		t.Error("handle order must not affect equality")
+	c := a.Clone()
+	c.Drop(y)
+	if Equal(a, c) {
+		t.Error("different live sets must differ")
 	}
 }
 
 func TestStringFormat(t *testing.T) {
-	m := New(nil, "head", "p", "p'")
-	m.Update("head", "p", func(e *Entry) { e.AddDesc(PlusDesc("next")) })
-	m.Update("p'", "p", func(e *Entry) { e.AddDesc(Desc{Fields: []string{"next"}, Exact: true, EdgeID: 1}) })
+	const head, p, pPrime = 0, 1, 2
+	m := liveMatrix("head", "p", "p'")
+	m.Update(head, p, func(e *Entry) { e.AddDesc(PlusDesc("next")) })
+	m.Update(pPrime, p, func(e *Entry) { e.AddDesc(Desc{Fields: []string{"next"}, Exact: true, EdgeID: 1}) })
 	s := m.String()
 	for _, want := range []string{"head", "p'", "next+", "next", "="} {
 		if !strings.Contains(s, want) {
@@ -370,12 +396,13 @@ func TestQuickJoinConvergence(t *testing.T) {
 
 func TestQuickMatrixJoinCommutative(t *testing.T) {
 	f := func(a, b, c, d entryGen) bool {
-		m1 := New(nil, "p", "q")
-		m1.Set("p", "q", a.E)
-		m1.Set("q", "p", b.E)
-		m2 := New(nil, "p", "q")
-		m2.Set("p", "q", c.E)
-		m2.Set("q", "p", d.E)
+		const p, q = 0, 1
+		m1 := liveMatrix("p", "q")
+		m1.Set(p, q, a.E)
+		m1.Set(q, p, b.E)
+		m2 := liveMatrix("p", "q")
+		m2.Set(p, q, c.E)
+		m2.Set(q, p, d.E)
 		return Equal(Join(m1, m2), Join(m2, m1))
 	}
 	if err := quick.Check(f, nil); err != nil {

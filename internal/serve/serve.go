@@ -448,10 +448,12 @@ func (s *Server) execute(ctx context.Context, req Request, width int, args []int
 	// an auto request, the planner) is not preemptible. MaxSourceBytes
 	// and the parser's depth bound (no nesting or chain past 1 000
 	// levels, so every tree walk's stack is bounded) keep the front end
-	// and the lowering small; the planner's path-matrix analysis is not
-	// bounded by either, being cubic in a function's pointer variables,
-	// so an auto build of a body of a few tens of kB can outrun any
-	// timeout.
+	// and the lowering small. The planner's path-matrix analysis is not
+	// bounded by either: a function's matrix is n×n in its pointer
+	// variables, and while a declaration or a load costs O(n), every
+	// store, call and join costs O(n²), and no bound on n rejects a
+	// function yet, so an auto build of a large enough body can outrun
+	// any timeout.
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < s.cfg.MaxTimeout {
