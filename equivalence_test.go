@@ -28,6 +28,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adds"
 	"repro/internal/bytecode"
 	"repro/internal/compile"
 	"repro/internal/core"
@@ -99,8 +100,50 @@ func equivalenceCorpus(t *testing.T) []eqProgram {
 		{name: "many-loop-10x5", src: transform.ManyLoopProgramPSL(10, 5) + manyLoopDriver, fn: "run_many",
 			args:    []interp.Value{interp.IntVal(40)},
 			stripFn: "work0", stripLoop: 0},
+		// A strip whose body reads the outer c and declares its own c in
+		// a nested block: the helper must take the outer one.
+		{name: "shadowed-scale", src: adds.OneWayListSrc + shadowedScalePSL, fn: "scale_checksum",
+			args:    []interp.Value{interp.IntVal(40), interp.IntVal(3)},
+			stripFn: "scale", stripLoop: 0},
 	}
 }
+
+// shadowedScalePSL scales a list, clamping large products with an inner
+// c that shadows the factor, and returns a position-weighted checksum.
+const shadowedScalePSL = `
+procedure scale(OneWayList *head, int c) {
+  var OneWayList *p = head;
+  while p != NULL {
+    p->data = p->data * c;
+    if p->data > 50 {
+      var int c = 2;
+      p->data = p->data - c;
+    }
+    p = p->next;
+  }
+}
+
+function int scale_checksum(int n, int c) {
+  var OneWayList *head = NULL;
+  var int i = 0;
+  while i < n {
+    var OneWayList *t = new OneWayList;
+    t->data = i;
+    t->next = head;
+    head = t;
+    i = i + 1;
+  }
+  scale(head, c);
+  var int s = 0;
+  var OneWayList *p = head;
+  while p != NULL {
+    i = i + 1;
+    s = s + i * p->data;
+    p = p->next;
+  }
+  return s;
+}
+`
 
 // simChecksumDriver gives nbody.BarnesHutPSL an entry point that
 // returns a number: simulate, then fold the positions in list order.

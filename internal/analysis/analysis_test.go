@@ -619,3 +619,59 @@ func TestCycleDropPoint(t *testing.T) {
 		t.Errorf("build, after tail->next = head: tail→head %q, exit violations %v; want \"=?,next\" and none", entry(st, "tail", "head"), fr.Exit.ViolationKeys())
 	}
 }
+
+// TestCallResultDropsProvenance: p = f(…) gives p a new value, so the
+// forward-load fact p held before (x came from h along a) no longer
+// describes it. f and g differ only in what x held before the call;
+// after "y = h->fb" — and getb returns h->fb, so x == y at run time —
+// the two states must agree on x and y, and may not say they are
+// disjoint.
+func TestCallResultDropsProvenance(t *testing.T) {
+	const src = `
+type T [a][b] where a||b
+{ int data;
+  T *fa is uniquely forward along a;
+  T *fb is uniquely forward along b;
+};
+
+function T * getb(T *h) {
+  return h->fb;
+}
+
+procedure f(T *h) {
+  var T *x = h->fa;
+  var T *y = NULL;
+  x = getb(h);
+  y = h->fb;
+}
+
+procedure g(T *h) {
+  var T *x = NULL;
+  var T *y = NULL;
+  x = getb(h);
+  y = h->fb;
+}
+`
+	entry := func(fn string) pathmatrix.Entry {
+		prog, fr := analyzeOne(t, src, fn)
+		as, err := FindAssign(prog.Func(fn), "y = h->fb;")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := fr.After(as)
+		if st == nil {
+			t.Fatalf("%s: no state after y = h->fb", fn)
+		}
+		if _, ok := st.Prov[st.handle("x")]; ok {
+			t.Errorf("%s: x keeps a provenance after x = getb(h)", fn)
+		}
+		return st.get("x", "y")
+	}
+	f, g := entry("f"), entry("g")
+	if f.String() != g.String() {
+		t.Errorf("x/y after y = h->fb: f has %v, g has %v", f, g)
+	}
+	if f.Alias == pathmatrix.NoAlias {
+		t.Errorf("x/y = %v: x = getb(h) may be h->fb, so x and y may alias", f)
+	}
+}

@@ -576,9 +576,11 @@ func (c *funcCtx) call(st *State, call *lang.CallExpr) (*State, error) {
 }
 
 // bindCallResult establishes relationships for p = f(...): the result
-// may alias anything of its own record type that the callee could reach.
+// may alias anything of its own record type that the callee could reach,
+// and p's old provenance no longer describes it.
 func (c *funcCtx) bindCallResult(st *State, p int, call *lang.CallExpr) *State {
 	st.PM.Kill(p)
+	st.dropProv(p)
 	elem := ""
 	if call.Type() != nil {
 		elem, _ = lang.IsPointer(call.Type())

@@ -17,14 +17,19 @@
 //     region touches disjoint fields — exactly why BHL1 parallelizes:
 //     compute_force writes only force fields of p while reading only
 //     mass/position fields of the tree;
-//  5. the body carries no scalar loop-carried dependences (no writes to
-//     scalars declared outside the loop);
+//  5. the body carries no loop-carried dependences through variables:
+//     it writes no scalar or pointer declared outside the loop, the
+//     induction's advance excepted. "Outside" is by declaration, not
+//     by name: each use is keyed by the slot lang.Check resolved it
+//     to, so a body that also declares an s of its own in a nested
+//     block still writes the outer s it assigns;
 //  6. the body never calls rand(), directly or through a callee: the
 //     generator is one stream shared by every iteration.
 package depend
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/adds"
@@ -44,6 +49,15 @@ type Report struct {
 	// dimension its advance field is declared along ("" when the test
 	// stopped before finding them, or the field is undeclared).
 	Elem, Dim string
+	// The loop's scope, from one walk of its body keyed by the checker's
+	// slots (set once the loop is in canonical form): IndType is the
+	// induction's pointer type; Free lists the outer variables the body
+	// reads, the induction excepted, sorted by name; Names holds every
+	// name the body declares or reads. A variable is outer when its
+	// declaration lies outside the loop.
+	IndType lang.Type
+	Free    []lang.Param
+	Names   map[string]bool
 	// Parallelizable is the verdict.
 	Parallelizable bool
 	// Reasons lists the checks that failed (empty when parallelizable)
@@ -98,12 +112,13 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 	}
 	ind := indVar.Name
 	rep.Induction = ind
-	adv, field, ok := advanceOf(loop.Body, ind)
+	adv, field, ok := advanceOf(loop.Body, indVar)
 	if !ok {
 		rep.Reasons = append(rep.Reasons, "loop body does not end with `"+ind+" = "+ind+"->f`")
 		return rep, nil
 	}
 	rep.Advance, rep.AdvanceField = adv, field
+	anchors, outerWrite := rep.scope(len(fn.Vars), indVar)
 
 	// --- 1. The induction pointer strictly advances.
 	if !fr.InductionStrictlyAdvances(loop, indVar.Slot) {
@@ -113,7 +128,7 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 	}
 
 	// --- 2. The declaration is valid at the loop.
-	elem := inductionElem(loop, ind)
+	elem, _ := lang.IsPointer(rep.IndType)
 	decl := prog.Universe.Decl(elem)
 	var pf *adds.PointerField
 	var dim string
@@ -133,8 +148,6 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 
 	// --- Effects of the body, excluding the advance itself.
 	body := bodyWithoutAdvance(loop.Body, adv)
-	declared := declaredIn(loop.Body)
-	anchors := anchorsFor(loop, ind, declared)
 	sum := eff.BlockSummary(body, anchors)
 
 	// --- 3. No structure mutation.
@@ -144,10 +157,16 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 		return rep, nil
 	}
 
-	// --- 5. No scalar loop-carried dependences.
-	if v, ok := outerScalarWrite(loop.Body, adv, declared); ok {
+	// --- 5. No writes to variables declared outside the loop: each
+	// carries a value from one iteration to the next, and an iteration
+	// procedure would write its own copy, never the caller's.
+	if outerWrite != nil {
+		kind := "scalar"
+		if _, isPtr := lang.IsPointer(outerWrite.Type()); isPtr {
+			kind = "pointer"
+		}
 		rep.Reasons = append(rep.Reasons,
-			fmt.Sprintf("body writes outer scalar %q (loop-carried dependence)", v))
+			fmt.Sprintf("body writes outer %s %q (loop-carried dependence)", kind, outerWrite.Name))
 		return rep, nil
 	}
 
@@ -212,8 +231,9 @@ func inductionOfCond(cond lang.Expr) *lang.Ident {
 	return nil
 }
 
-// advanceOf recognizes a final "p = p->f;" in the body.
-func advanceOf(body *lang.Block, ind string) (*lang.AssignStmt, string, bool) {
+// advanceOf recognizes a final "p = p->f;" in the body, where both p
+// resolve to the induction's declaration.
+func advanceOf(body *lang.Block, ind *lang.Ident) (*lang.AssignStmt, string, bool) {
 	if len(body.Stmts) == 0 {
 		return nil, "", false
 	}
@@ -222,31 +242,57 @@ func advanceOf(body *lang.Block, ind string) (*lang.AssignStmt, string, bool) {
 		return nil, "", false
 	}
 	lhs, ok := as.LHS.(*lang.Ident)
-	if !ok || lhs.Name != ind {
+	if !ok || lhs.Slot != ind.Slot {
 		return nil, "", false
 	}
 	fe, ok := as.RHS.(*lang.FieldExpr)
-	if !ok || fe.Base() == nil || fe.Base().Name != ind || fe.Index != nil {
+	if !ok || fe.Base() == nil || fe.Base().Slot != ind.Slot || fe.Index != nil {
 		return nil, "", false
 	}
 	return as, fe.Field, true
 }
 
-func inductionElem(loop *lang.WhileStmt, ind string) string {
-	var elem string
-	lang.Walk(loop.Body, func(s lang.Stmt) bool {
-		found := false
+// scope walks the loop body once, keyed by the checker's slots (nvars
+// is the function's count): a slot a var or for inside the body
+// declares belongs to the body, every other slot is outer. It sets
+// rep's IndType, Free and Names, and returns the anchors the effect
+// summary starts from — the induction, then each outer pointer the
+// body reads, in order of first use — and the first outer variable
+// other than the induction the body assigns (nil if none).
+func (rep *Report) scope(nvars int, ind *lang.Ident) (anchors []string, outerWrite *lang.Ident) {
+	const inBody, outer = 1, 2
+	where := make([]byte, nvars)
+	where[ind.Slot] = outer
+	rep.IndType = ind.Type()
+	rep.Names = map[string]bool{ind.Name: true}
+	anchors = []string{ind.Name}
+	lang.Walk(rep.Loop.Body, func(s lang.Stmt) bool {
+		switch s := s.(type) {
+		case *lang.VarStmt:
+			where[s.Slot], rep.Names[s.Name] = inBody, true
+		case *lang.ForStmt:
+			where[s.Slot], rep.Names[s.Var] = inBody, true
+		case *lang.AssignStmt:
+			if id, ok := s.LHS.(*lang.Ident); ok && where[id.Slot] != inBody && id.Slot != ind.Slot && outerWrite == nil {
+				outerWrite = id
+			}
+		}
 		lang.WalkExprs(s, func(e lang.Expr) {
-			if id, ok := e.(*lang.Ident); ok && id.Name == ind {
-				if el, ok := lang.IsPointer(id.Type()); ok {
-					elem = el
-					found = true
-				}
+			id, ok := e.(*lang.Ident)
+			if !ok || where[id.Slot] != 0 {
+				return
+			}
+			where[id.Slot] = outer
+			rep.Names[id.Name] = true
+			rep.Free = append(rep.Free, lang.Param{Name: id.Name, ID: id.ID, Type: id.Type()})
+			if _, isPtr := lang.IsPointer(id.Type()); isPtr {
+				anchors = append(anchors, id.Name)
 			}
 		})
-		return !found
+		return true
 	})
-	return elem
+	sort.Slice(rep.Free, func(i, j int) bool { return rep.Free[i].Name < rep.Free[j].Name })
+	return anchors, outerWrite
 }
 
 // bodyWithoutAdvance clones the body minus the final advance statement.
@@ -259,67 +305,6 @@ func bodyWithoutAdvance(body *lang.Block, adv *lang.AssignStmt) *lang.Block {
 		nb.Stmts = append(nb.Stmts, s)
 	}
 	return nb
-}
-
-// anchorsFor returns the pointer variables visible to the loop body from
-// outside: the induction variable plus every pointer identifier used in
-// the body that is not declared in it.
-func anchorsFor(loop *lang.WhileStmt, ind string, declared map[string]bool) []string {
-	seen := map[string]bool{ind: true}
-	out := []string{ind}
-	lang.Walk(loop.Body, func(s lang.Stmt) bool {
-		lang.WalkExprs(s, func(e lang.Expr) {
-			id, ok := e.(*lang.Ident)
-			if !ok || seen[id.Name] || declared[id.Name] {
-				return
-			}
-			if _, isPtr := lang.IsPointer(id.Type()); isPtr {
-				seen[id.Name] = true
-				out = append(out, id.Name)
-			}
-		})
-		return true
-	})
-	return out
-}
-
-// declaredIn returns the names the block declares, loop variables
-// included.
-func declaredIn(body *lang.Block) map[string]bool {
-	declared := map[string]bool{}
-	lang.Walk(body, func(s lang.Stmt) bool {
-		switch s := s.(type) {
-		case *lang.VarStmt:
-			declared[s.Name] = true
-		case *lang.ForStmt:
-			declared[s.Var] = true
-		}
-		return true
-	})
-	return declared
-}
-
-// outerScalarWrite finds an assignment, other than the advance, to a
-// scalar variable the loop body does not declare (declared holds the
-// names it does).
-func outerScalarWrite(body *lang.Block, adv *lang.AssignStmt, declared map[string]bool) (string, bool) {
-	var name string
-	lang.Walk(body, func(s lang.Stmt) bool {
-		as, ok := s.(*lang.AssignStmt)
-		if !ok || as == adv {
-			return true
-		}
-		id, ok := as.LHS.(*lang.Ident)
-		if !ok || declared[id.Name] {
-			return true
-		}
-		if _, isPtr := lang.IsPointer(id.Type()); isPtr {
-			return true // pointer reassignments are caught by analysis
-		}
-		name = id.Name
-		return false
-	})
-	return name, name != ""
 }
 
 // randPath names one call chain from the block to rand(): "rand()", or

@@ -238,3 +238,75 @@ procedure f(OneWayList *head) {
 		t.Errorf("a loop that only prints must stay approvable:\n%s", rep)
 	}
 }
+
+// TestScopeBySlot: the body's scope is decided by declaration, not by
+// name. A body that declares its own c in a nested block still reads
+// the outer c, which is its one free variable; one that declares its
+// own s still writes the outer s it assigns first.
+func TestScopeBySlot(t *testing.T) {
+	reps := reports(t, adds.OneWayListSrc+`
+procedure scale(OneWayList *head, int c) {
+  var OneWayList *p = head;
+  while p != NULL {
+    p->data = p->data * c;
+    if p->data > 50 {
+      var int c = 2;
+      p->data = p->data - c;
+    }
+    p = p->next;
+  }
+}`, "scale")
+	r := reps[0]
+	if !r.Parallelizable {
+		t.Fatalf("scale loop must parallelize:\n%s", r)
+	}
+	if len(r.Free) != 1 || r.Free[0].Name != "c" || !lang.TypeEq(r.Free[0].Type, lang.Int) {
+		t.Errorf("Free = %v, want the outer int c alone", r.Free)
+	}
+	if elem, ok := lang.IsPointer(r.IndType); !ok || elem != "OneWayList" {
+		t.Errorf("IndType = %v, want OneWayList *", r.IndType)
+	}
+	for _, n := range []string{"p", "c"} {
+		if !r.Names[n] {
+			t.Errorf("Names lacks %q: %v", n, r.Names)
+		}
+	}
+
+	reps = reports(t, adds.OneWayListSrc+`
+function int total(OneWayList *head) {
+  var int s = 0;
+  var OneWayList *p = head;
+  while p != NULL {
+    s = s + p->data;
+    if s > 50 {
+      var int s = 1;
+      p->data = p->data + s;
+    }
+    p = p->next;
+  }
+  return s;
+}`, "total")
+	if reps[0].Parallelizable || !strings.Contains(reps[0].String(), `body writes outer scalar "s"`) {
+		t.Errorf("an outer s written beside an inner s must be a loop-carried dependence:\n%s", reps[0])
+	}
+}
+
+// TestOuterPointerWriteRejected: a body that assigns a pointer declared
+// outside the loop carries it from iteration to iteration, like a
+// scalar, and a strip helper would assign its own copy: after a
+// planned run q would still be NULL, and q->data would fault.
+func TestOuterPointerWriteRejected(t *testing.T) {
+	reps := reports(t, adds.OneWayListSrc+`
+function int last(OneWayList *head) {
+  var OneWayList *q = head;
+  var OneWayList *p = head;
+  while p != NULL {
+    q = p;
+    p = p->next;
+  }
+  return q->data;
+}`, "last")
+	if reps[0].Parallelizable || !strings.Contains(reps[0].String(), `body writes outer pointer "q"`) {
+		t.Errorf("an outer pointer written in the body must be a loop-carried dependence:\n%s", reps[0])
+	}
+}

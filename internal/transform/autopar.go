@@ -360,9 +360,11 @@ func PlanAnalyzed(prog *lang.Program, res *analysis.Result, width int) (*Plan, e
 	// 4. Rewrite the chosen loops, in scan order, on one copy of prog that
 	// clones only the functions holding them. Each rewrite moves its
 	// nested loops out of the function, so a later sibling is addressed at
-	// its input index less the loops moved so far. A rewrite reads types
-	// only off the loop it moves, so the synthesized nodes are typed by
-	// one check at the end: each touched function and each helper once.
+	// its input index less the loops moved so far. A rewrite reads the
+	// helper's parameters and their types off the loop's report — the
+	// scope the dependence test found by the checker's slots — so the
+	// synthesized nodes are typed by one check at the end: each touched
+	// function and each helper once.
 	plan.Program = prog.Clone(rewritten...)
 	plan.Parallelized = len(chosen)
 	var touched []*lang.FuncDecl

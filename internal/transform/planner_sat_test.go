@@ -9,6 +9,7 @@ import (
 	"repro/internal/depend"
 	"repro/internal/interp"
 	"repro/internal/lang"
+	"repro/internal/parexec"
 )
 
 // TestAutoParallelizeDuplicateLoopPos: the planner keys loops by source
@@ -211,6 +212,151 @@ func TestStripMineAvoidsTakenNames(t *testing.T) {
 				}
 				if got.I != want.I || want.I != 3*37*38/2 {
 					t.Errorf("%s: planned program returned %d, serial %d, want %d", engine, got.I, want.I, 3*37*38/2)
+				}
+			}
+		})
+	}
+}
+
+// shadowTwins are valid variants of scaleSrc whose loop body redeclares,
+// in a nested block, a name it also uses from outside the loop: an
+// outer int c it reads, an outer s it writes, an outer q it stores
+// through. Each has a twin that names the inner variable differently.
+// The inner declaration is another variable, so each pair is one
+// program and must get one plan. Every variant keeps scale's loop, the
+// one loop the planner approves.
+var shadowTwins = []struct{ name, old, shadowed, renamed string }{
+	{"scale reads outer c", scaleProc, `
+procedure scale(OneWayList *head, int c) {
+  var OneWayList *p = head;
+  while p != NULL {
+    p->data = p->data * c;
+    if p->data > 50 {
+      var int c = 2;
+      p->data = p->data - c;
+    }
+    p = p->next;
+  }
+}
+`, `
+procedure scale(OneWayList *head, int c) {
+  var OneWayList *p = head;
+  while p != NULL {
+    p->data = p->data * c;
+    if p->data > 50 {
+      var int d = 2;
+      p->data = p->data - d;
+    }
+    p = p->next;
+  }
+}
+`},
+	{"sum writes outer s", "    s = s + p->data;\n", `    s = s + p->data;
+    if s > 50 {
+      var int s = 1;
+      p->data = p->data + s;
+    }
+`, `    s = s + p->data;
+    if s > 50 {
+      var int t = 1;
+      p->data = p->data + t;
+    }
+`},
+	{"bump stores through outer q", mainOpening, `procedure bump(OneWayList *head) {
+  var OneWayList *q = head;
+  var OneWayList *p = head;
+  while p != NULL {
+    q->data = q->data + 1;
+    if p->data > 50 {
+      var OneWayList *q = p;
+      q->data = q->data - 1;
+    }
+    p = p->next;
+  }
+}
+
+` + mainOpening + "  bump(h);\n", `procedure bump(OneWayList *head) {
+  var OneWayList *q = head;
+  var OneWayList *p = head;
+  while p != NULL {
+    q->data = q->data + 1;
+    if p->data > 50 {
+      var OneWayList *r = p;
+      r->data = r->data - 1;
+    }
+    p = p->next;
+  }
+}
+
+` + mainOpening + "  bump(h);\n"},
+}
+
+// mainOpening is scaleSrc's main up to its call of scale.
+const mainOpening = "function int main(int n, int c) {\n  var OneWayList *h = build(n);\n  scale(h, c);\n"
+
+// TestShadowedNamesPlanAsTheirTwins: the dependence test and the
+// strip-miner scope a loop by the checker's slots, so a nested
+// declaration that reuses an outer name changes nothing — not the
+// verdicts, not the helper's parameters. Each program plans, its plan
+// reads as its renamed twin's, StripMine of the approved loop writes
+// the planner's program, and the planned program computes what the
+// serial one does on the walker, the kernel engine and a pool of 2 PEs.
+func TestShadowedNamesPlanAsTheirTwins(t *testing.T) {
+	for _, tc := range shadowTwins {
+		t.Run(tc.name, func(t *testing.T) {
+			if !strings.Contains(scaleSrc, tc.old) {
+				t.Fatalf("scaleSrc no longer holds %q", tc.old)
+			}
+			prog := lang.MustParse(strings.Replace(scaleSrc, tc.old, tc.shadowed, 1))
+			twin := lang.MustParse(strings.Replace(scaleSrc, tc.old, tc.renamed, 1))
+			plan, err := AutoParallelize(prog, 4)
+			if err != nil {
+				t.Fatalf("AutoParallelize: %v", err)
+			}
+			twinPlan, err := AutoParallelize(twin, 4)
+			if err != nil {
+				t.Fatalf("AutoParallelize (twin): %v", err)
+			}
+			if got, want := plan.String(), twinPlan.String(); got != want {
+				t.Errorf("plan differs from the renamed twin's:\n%s\n--- twin ---\n%s", got, want)
+			}
+			if plan.Parallelized != 1 || !loopByFunc(t, plan, "scale", 0).Parallelized {
+				t.Fatalf("want scale#0 the one approved loop:\n%s", plan)
+			}
+			sm, err := StripMine(prog, "scale", 0, 4)
+			if err != nil {
+				t.Fatalf("StripMine: %v", err)
+			}
+			if got, want := lang.Format(sm.Program), lang.Format(plan.Program); got != want {
+				t.Errorf("StripMine and AutoParallelize disagree:\n%s\n---\n%s", got, want)
+			}
+
+			args := []interp.Value{interp.IntVal(37), interp.IntVal(3)}
+			want, _, err := interp.Run(prog, interp.Config{Engine: interp.EngineWalk}, "main", args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tw, _, err := interp.Run(twin, interp.Config{Engine: interp.EngineWalk}, "main", args...); err != nil || tw.I != want.I {
+				t.Fatalf("twin returned %d (%v), the program %d", tw.I, err, want.I)
+			}
+			runs := map[string]func() (interp.Value, interp.Stats, error){
+				"walk": func() (interp.Value, interp.Stats, error) {
+					return interp.Run(plan.Program, interp.Config{Engine: interp.EngineWalk}, "main", args...)
+				},
+				"kernel": func() (interp.Value, interp.Stats, error) {
+					return interp.Run(plan.Program, interp.Config{Engine: interp.EngineKernel}, "main", args...)
+				},
+				"2 PEs": func() (interp.Value, interp.Stats, error) {
+					return parexec.Run(plan.Program, parexec.Options{PEs: 2}, "main", args...)
+				},
+			}
+			for leg, run := range runs {
+				got, _, err := run()
+				if err != nil {
+					t.Fatalf("%s: planned program: %v\n%s", leg, err, lang.Format(plan.Program))
+				}
+				if got.I != want.I {
+					t.Errorf("%s: planned program returned %d, serial %d", leg, got.I, want.I)
 				}
 			}
 		})

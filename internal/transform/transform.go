@@ -23,7 +23,6 @@ package transform
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/depend"
@@ -99,12 +98,12 @@ func checkGenerated(prog *lang.Program, fns ...*lang.FuncDecl) error {
 // rewriteLoop is the §4.3.3 rewrite itself, directly on prog: it
 // replaces the body of loop loopIndex of fnName and appends the
 // iteration procedure, which it returns. The synthesized nodes are left
-// untyped (checkGenerated types them); everything the rewrite needs to
-// know about types it reads off the loop it moves. On error the program
-// may be left partially rewritten. The names it introduces — the helper, the PE index
-// and the skip-ahead counter — are the documented ones unless the
-// program already uses them, in which case a numeric suffix makes them
-// free.
+// untyped (checkGenerated types them); the types and names the rewrite
+// needs it reads off rep's scope of the loop. On error the program may
+// be left partially rewritten. The names it introduces — the helper,
+// the PE index and the skip-ahead counter — are the documented ones
+// unless the program already uses them, in which case a numeric suffix
+// makes them free.
 func rewriteLoop(prog *lang.Program, rep *depend.Report, fnName string, loopIndex, width int) (*lang.FuncDecl, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("transform: strip width must be >= 1, got %d", width)
@@ -118,26 +117,19 @@ func rewriteLoop(prog *lang.Program, rep *depend.Report, fnName string, loopInde
 	if err != nil {
 		return nil, err
 	}
-	ind := rep.Induction
-	field := rep.AdvanceField
+	ind, field := rep.Induction, rep.AdvanceField
 
-	indType := inductionType(loop, ind)
-	if indType == nil {
-		return nil, fmt.Errorf("transform: cannot determine type of induction %q", ind)
-	}
-
-	// Free variables of the body (excluding the induction and locals):
-	// they become parameters of the iteration procedure.
-	frees, taken := freeVars(loop.Body, ind)
-	inBody := func(n string) bool { return taken[n] }
-	pe := freeName("_pe", inBody)
-	taken[pe] = true
-	skip := freeName("_k", inBody)
+	// The report's scope gives the iteration procedure its parameters —
+	// the induction, then the body's free variables — and the names the
+	// synthesized PE index and skip-ahead counter must avoid.
+	taken := func(n string) bool { return rep.Names[n] }
+	pe := freeName("_pe", taken)
+	skip := freeName("_k", taken)
 
 	helperName := freeName(fmt.Sprintf("_%s_L%d_iteration", fnName, loopIndex),
 		func(n string) bool { return prog.Func(n) != nil })
 	nb := namer{prog}
-	helper, err := nb.buildHelper(helperName, pe, skip, ind, indType, field, loop, frees)
+	helper, err := nb.buildHelper(helperName, pe, skip, rep, loop)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +141,7 @@ func rewriteLoop(prog *lang.Program, rep *depend.Report, fnName string, loopInde
 	//   forall i = 0 to width-1 { helper(i, p, frees...); }  // parallel
 	//   for i = 0 to width-1 { p = p->f; }                   // FOR1
 	args := []lang.Expr{nb.ident(pe), nb.ident(ind)}
-	for _, fv := range frees {
+	for _, fv := range rep.Free {
 		args = append(args, nb.ident(fv.Name))
 	}
 	parallel := &lang.ForStmt{
@@ -199,9 +191,10 @@ func (nb namer) advance(ind, field string) *lang.AssignStmt {
 //	  for <k> = 1 to <pe> { p = p->f; }   // FOR2: speculative skip-ahead
 //	  if p != NULL { <body without advance> }
 //	}
-func (nb namer) buildHelper(name, pe, k, ind string, indType lang.Type, field string, loop *lang.WhileStmt, frees []lang.Param) (*lang.FuncDecl, error) {
-	params := []lang.Param{{Name: pe, ID: nb.prog.Intern(pe), Type: lang.Int}, {Name: ind, ID: nb.prog.Intern(ind), Type: indType}}
-	params = append(params, frees...)
+func (nb namer) buildHelper(name, pe, k string, rep *depend.Report, loop *lang.WhileStmt) (*lang.FuncDecl, error) {
+	ind, field := rep.Induction, rep.AdvanceField
+	params := []lang.Param{{Name: pe, ID: nb.prog.Intern(pe), Type: lang.Int}, {Name: ind, ID: nb.prog.Intern(ind), Type: rep.IndType}}
+	params = append(params, rep.Free...)
 
 	skip := &lang.ForStmt{
 		Var:  k,
@@ -232,58 +225,6 @@ func (nb namer) buildHelper(name, pe, k, ind string, indType lang.Type, field st
 		Params: params,
 		Body:   &lang.Block{Stmts: []lang.Stmt{skip, guard}},
 	}, nil
-}
-
-// inductionType finds the pointer type of the induction variable in
-// the loop's (checked) condition, ind != NULL.
-func inductionType(loop *lang.WhileStmt, ind string) lang.Type {
-	if be, ok := loop.Cond.(*lang.BinExpr); ok {
-		for _, e := range []lang.Expr{be.X, be.Y} {
-			if id, ok := e.(*lang.Ident); ok && id.Name == ind {
-				return id.Type()
-			}
-		}
-	}
-	return nil
-}
-
-// freeVars lists the variables the body reads that are declared outside
-// it (excluding the induction variable), in deterministic order, and
-// the set of every name the body binds or reads from outside — what a
-// name synthesized around the body must avoid.
-func freeVars(body *lang.Block, ind string) ([]lang.Param, map[string]bool) {
-	taken := map[string]bool{ind: true}
-	lang.Walk(body, func(s lang.Stmt) bool {
-		switch s := s.(type) {
-		case *lang.VarStmt:
-			taken[s.Name] = true
-		case *lang.ForStmt:
-			taken[s.Var] = true
-		}
-		return true
-	})
-	seen := map[string]*lang.Ident{}
-	lang.Walk(body, func(s lang.Stmt) bool {
-		lang.WalkExprs(s, func(e lang.Expr) {
-			id, ok := e.(*lang.Ident)
-			if !ok || taken[id.Name] || id.Type() == nil {
-				return
-			}
-			seen[id.Name] = id
-		})
-		return true
-	})
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]lang.Param, len(names))
-	for i, n := range names {
-		out[i] = lang.Param{Name: n, ID: seen[n].ID, Type: seen[n].Type()}
-		taken[n] = true
-	}
-	return out, taken
 }
 
 // freeName returns base, or base with the smallest numeric suffix that
