@@ -500,7 +500,7 @@ type FuncResult struct {
 	LoopBodyExit map[lang.Stmt]*State
 
 	an         *Analyzer
-	fn         *lang.FuncDecl
+	index      int // the function's in prog.Funcs
 	handles    *handleSet
 	loopBefore map[lang.Stmt]*State // before each reached while loop
 	// before and after hold every reached statement's states (recorded).
@@ -508,19 +508,20 @@ type FuncResult struct {
 	before, after map[lang.Stmt]*State
 }
 
-// Analyzer runs general path matrix analysis over a program.
+// Analyzer runs general path matrix analysis over a program; exitViols
+// and analyses are by function index.
 type Analyzer struct {
 	prog      *lang.Program
 	fields    map[string]*fieldInfo
 	effects   *effects.Analyzer
 	results   map[string]*FuncResult
-	exitViols map[string]map[ViolationKey]*Violation
+	exitViols []map[ViolationKey]*Violation
 	// recursed is set by the call rule when a function calls itself: a
 	// one-function component is analyzed again only then.
 	recursed bool
 	// analyses counts analyzeFunc runs per function; tests pin that a
 	// function outside any recursion is analyzed once.
-	analyses map[string]int
+	analyses []int
 }
 
 // maxLoopIterations bounds loop fixed-point iteration as a safety net;
@@ -535,8 +536,8 @@ func New(prog *lang.Program) *Analyzer {
 		fields:    buildFieldInfo(prog.Universe),
 		effects:   effects.NewAnalyzer(prog),
 		results:   make(map[string]*FuncResult),
-		exitViols: make(map[string]map[ViolationKey]*Violation),
-		analyses:  make(map[string]int),
+		exitViols: make([]map[ViolationKey]*Violation, len(prog.Funcs)),
+		analyses:  make([]int, len(prog.Funcs)),
 	}
 }
 
@@ -561,20 +562,20 @@ func (a *Analyzer) AnalyzeAll() (*Result, error) {
 		a.recursed = len(members) > 1
 		for round := 0; round < len(members)+2; round++ {
 			changed := false
-			for _, f := range members {
-				a.analyses[f.Name]++
+			for _, i := range members {
+				a.analyses[i]++
 				// A recursive component's members read exit violations
 				// that change after, so they record as they run.
-				fr, selfCall, err := a.analyzeFunc(f, a.recursed, nil)
+				fr, selfCall, err := a.analyzeFunc(i, a.recursed, nil)
 				if err != nil {
 					return nil, err
 				}
 				a.recursed = a.recursed || selfCall
-				a.results[f.Name] = fr
-				if !sameViolationKeys(a.exitViols[f.Name], fr.Exit.Violations) {
+				a.results[fr.Name] = fr
+				if !sameViolationKeys(a.exitViols[i], fr.Exit.Violations) {
 					changed = true
 				}
-				a.exitViols[f.Name] = fr.Exit.Violations
+				a.exitViols[i] = fr.Exit.Violations
 			}
 			if !changed || !a.recursed {
 				break
@@ -615,16 +616,17 @@ func entryState(f *lang.FuncDecl, hs *handleSet) *State {
 	return s
 }
 
-// analyzeFunc analyzes f, writing nothing outside its result; record
-// keeps every statement's states, and a replay passes the loops' states
-// the analysis recorded, to be kept.
-func (a *Analyzer) analyzeFunc(f *lang.FuncDecl, record bool, loops map[lang.Stmt]*State) (fr *FuncResult, selfCall bool, err error) {
+// analyzeFunc analyzes prog.Funcs[i], writing nothing outside its
+// result; record keeps every statement's states, and a replay passes
+// the loops' states the analysis recorded, to be kept.
+func (a *Analyzer) analyzeFunc(i int, record bool, loops map[lang.Stmt]*State) (fr *FuncResult, selfCall bool, err error) {
+	f := a.prog.Funcs[i]
 	fr = &FuncResult{
 		Name:          f.Name,
 		LoopInvariant: make(map[lang.Stmt]*State),
 		LoopBodyExit:  make(map[lang.Stmt]*State),
 		an:            a,
-		fn:            f,
+		index:         i,
 		handles:       numberHandles(f),
 		loopBefore:    make(map[lang.Stmt]*State),
 	}
@@ -633,7 +635,7 @@ func (a *Analyzer) analyzeFunc(f *lang.FuncDecl, record bool, loops map[lang.Stm
 		fr.recordOnce.Do(func() {}) // nothing to replay
 	}
 	fr.Entry = entryState(f, fr.handles)
-	ctx := &funcCtx{an: a, fr: fr, fn: f, hs: fr.handles, record: record, loops: loops}
+	ctx := &funcCtx{an: a, fr: fr, hs: fr.handles, record: record, loops: loops}
 	st := fr.Entry.Clone()
 	out, err := ctx.block(f.Body, st)
 	if err != nil {
@@ -662,7 +664,7 @@ func (a *Analyzer) analyzeFunc(f *lang.FuncDecl, record bool, loops map[lang.Stm
 // reaches the same states: an error is a broken invariant.
 func (fr *FuncResult) recorded() *FuncResult {
 	fr.recordOnce.Do(func() {
-		full, _, err := fr.an.analyzeFunc(fr.fn, true, fr.loopBefore)
+		full, _, err := fr.an.analyzeFunc(fr.index, true, fr.loopBefore)
 		if err != nil {
 			panic(fmt.Sprintf("analysis: replaying %s: %v", fr.Name, err))
 		}
@@ -675,7 +677,6 @@ func (fr *FuncResult) recorded() *FuncResult {
 type funcCtx struct {
 	an   *Analyzer
 	fr   *FuncResult
-	fn   *lang.FuncDecl
 	hs   *handleSet
 	exit *State // join of states at return statements
 	// record keeps every statement's states, not only loops'; edgeID

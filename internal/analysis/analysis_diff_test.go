@@ -212,7 +212,7 @@ func diffAgainstReference(prog *lang.Program) string {
 	if gotErr != nil {
 		return ""
 	}
-	for _, f := range prog.Funcs {
+	for i, f := range prog.Funcs {
 		g, w := got.Funcs[f.Name], want.Funcs[f.Name]
 		if d := diffStates("entry", g.Entry, w.Entry); d != "" {
 			return f.Name + ": " + d
@@ -237,7 +237,7 @@ func diffAgainstReference(prog *lang.Program) string {
 			}
 		}
 		var fields []string
-		for _, w := range got.Effects.FuncSummary(f.Name).PointerWrites() {
+		for _, w := range got.Effects.FuncSummary(i).PointerWrites() {
 			if !slices.Contains(fields, w.Field()) {
 				fields = append(fields, w.Field())
 			}

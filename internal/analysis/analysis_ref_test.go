@@ -76,18 +76,18 @@ func (a *Analyzer) refAnalyzeAll() (*Result, error) {
 	// that ends with an active violation poisons its callers.
 	for round := 0; round < len(a.prog.Funcs)+2; round++ {
 		changed := false
-		for _, f := range a.prog.Funcs {
-			prev := a.exitViols[f.Name]
-			fr, _, err := a.analyzeFunc(f, true, nil)
+		for i := range a.prog.Funcs {
+			prev := a.exitViols[i]
+			fr, _, err := a.analyzeFunc(i, true, nil)
 			if err != nil {
 				return nil, err
 			}
-			a.results[f.Name] = fr
+			a.results[fr.Name] = fr
 			now := fr.Exit.Violations
 			if !sameViolationKeys(prev, now) {
 				changed = true
 			}
-			a.exitViols[f.Name] = now
+			a.exitViols[i] = now
 		}
 		if !changed {
 			break
@@ -172,4 +172,11 @@ func StoredFields(prog *lang.Program, fn string) map[string]bool {
 }
 
 // Analyses reports how often AnalyzeAll analyzed fn.
-func (a *Analyzer) Analyses(fn string) int { return a.analyses[fn] }
+func (a *Analyzer) Analyses(fn string) int {
+	for i, f := range a.prog.Funcs {
+		if f.Name == fn {
+			return a.analyses[i]
+		}
+	}
+	return 0
+}

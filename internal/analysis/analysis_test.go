@@ -675,3 +675,37 @@ procedure g(T *h) {
 		t.Errorf("x/y = %v: x = getb(h) may be h->fb, so x and y may alias", f)
 	}
 }
+
+// TestNestedLoopDropsOuterPrime pins ROADMAP item 2(c) as it stands,
+// the guard its fix flips: a pointer variable has one prime per
+// function, and the inner while drops q' at its exit, so the outer
+// loop's back edge never carries q'. The outer head's invariant then
+// holds q' = h and q' = p at once — both definite aliases, although p
+// advances past h. The dependence test reads only the body exit, where
+// q' is dead, so no verdict rests on it today.
+func TestNestedLoopDropsOuterPrime(t *testing.T) {
+	prog, fr := analyzeOne(t, adds.OneWayListSrc+`
+procedure f(OneWayList *h) {
+  var OneWayList *p = h;
+  var OneWayList *q = h;
+  while p != NULL {
+    q = p;
+    while q != NULL {
+      q = q->next;
+    }
+    p = p->next;
+  }
+}
+`, "f")
+	outer, err := FindLoop(prog.Func("f"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := fr.LoopInvariant[outer]
+	if got := [2]string{inv.get("q'", "h").String(), inv.get("q'", "p").String()}; got != [2]string{"=", "="} {
+		t.Errorf("outer invariant: q'→h, q'→p = %q, want both \"=\" (item 2(c)'s dropped prime)\n%s", got, inv)
+	}
+	if body := fr.LoopBodyExit[outer]; body.handle("q'") >= 0 {
+		t.Errorf("outer body exit holds q' live; item 2(c) says the inner loop drops it\n%s", body)
+	}
+}

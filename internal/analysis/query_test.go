@@ -94,14 +94,16 @@ procedure ro(OneWayList *p) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pw := res.Effects.FuncSummary("mut").PointerWrites(); len(pw) != 1 || pw[0].Field() != "next" {
+	if pw := res.Effects.FuncSummary(0).PointerWrites(); len(pw) != 1 || pw[0].Field() != "next" {
 		t.Errorf("mut stores = %v", pw)
 	}
-	if pw := res.Effects.FuncSummary("ro").PointerWrites(); len(pw) != 0 {
+	if pw := res.Effects.FuncSummary(1).PointerWrites(); len(pw) != 0 {
 		t.Errorf("ro stores = %v", pw)
 	}
-	if sum := res.Effects.FuncSummary("nosuch"); sum != nil {
-		t.Errorf("unknown fn summary = %v", sum)
+	for _, i := range []int{-1, len(prog.Funcs)} {
+		if sum := res.Effects.FuncSummary(i); sum != nil {
+			t.Errorf("summary of function %d = %v, want nil", i, sum)
+		}
 	}
 }
 

@@ -542,7 +542,8 @@ func (c *funcCtx) call(st *State, call *lang.CallExpr) (*State, error) {
 	if lang.Builtins[call.Func] != nil {
 		return st, nil // builtins do not touch the heap
 	}
-	sum := c.an.effects.FuncSummary(call.Func)
+	callee := int(call.Callee) - 1
+	sum := c.an.effects.FuncSummary(callee)
 	if sum == nil {
 		return nil, fmt.Errorf("%s: call to unknown function %q", call.Pos(), call.Func)
 	}
@@ -563,8 +564,8 @@ func (c *funcCtx) call(st *State, call *lang.CallExpr) (*State, error) {
 	// Propagate the callee's exit violations. AnalyzeAll analyzes
 	// callees first, so these are final — except within a recursive
 	// component, which it re-analyzes until they stabilize.
-	c.selfCall = c.selfCall || call.Func == c.fn.Name
-	for k, v := range c.an.exitViols[call.Func] {
+	c.selfCall = c.selfCall || callee == c.fr.index
+	for k, v := range c.an.exitViols[callee] {
 		if _, ok := st.Violations[k]; !ok {
 			nv := *v
 			nv.Refs = nil // the witnessing edges are callee-local

@@ -77,7 +77,7 @@ func dumpState(s *State) string {
 // snapshots lists every State a FuncResult holds or replays.
 func snapshots(fr *FuncResult) []*State {
 	out := []*State{fr.Entry, fr.Exit}
-	lang.Walk(fr.fn.Body, func(s lang.Stmt) bool {
+	lang.Walk(fr.an.prog.Funcs[fr.index].Body, func(s lang.Stmt) bool {
 		out = append(out, fr.Before(s), fr.After(s))
 		return true
 	})
@@ -215,8 +215,8 @@ procedure pong(OneWayList *h, int n) {
 		t.Fatal(err)
 	}
 	stale := ViolationKey{Type: "OneWayList", Dim: "X", Kind: Cycle}
-	for _, f := range prog.Funcs {
-		a.exitViols[f.Name] = map[ViolationKey]*Violation{stale: {Key: stale}}
+	for i := range prog.Funcs {
+		a.exitViols[i] = map[ViolationKey]*Violation{stale: {Key: stale}}
 	}
 	for _, f := range prog.Funcs {
 		lang.Walk(f.Body, func(s lang.Stmt) bool {

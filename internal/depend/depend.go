@@ -148,7 +148,7 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 
 	// --- Effects of the body, excluding the advance itself.
 	body := bodyWithoutAdvance(loop.Body, adv)
-	sum := eff.BlockSummary(body, anchors)
+	sum := eff.BlockSummary(fn, body, anchors)
 
 	// --- 3. No structure mutation.
 	if pw := sum.PointerWrites(); len(pw) > 0 {
@@ -182,7 +182,7 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 	}
 
 	// --- 4. Field-granularity write/collision check.
-	if conflict, why := crossIterationConflict(sum, ind); conflict {
+	if conflict, why := crossIterationConflict(sum, indVar.Slot); conflict {
 		rep.Reasons = append(rep.Reasons, why)
 		return rep, nil
 	}
@@ -255,17 +255,17 @@ func advanceOf(body *lang.Block, ind *lang.Ident) (*lang.AssignStmt, string, boo
 // scope walks the loop body once, keyed by the checker's slots (nvars
 // is the function's count): a slot a var or for inside the body
 // declares belongs to the body, every other slot is outer. It sets
-// rep's IndType, Free and Names, and returns the anchors the effect
-// summary starts from — the induction, then each outer pointer the
+// rep's IndType, Free and Names, and returns the slots the effect
+// summary is anchored on — the induction, then each outer pointer the
 // body reads, in order of first use — and the first outer variable
 // other than the induction the body assigns (nil if none).
-func (rep *Report) scope(nvars int, ind *lang.Ident) (anchors []string, outerWrite *lang.Ident) {
+func (rep *Report) scope(nvars int, ind *lang.Ident) (anchors []int, outerWrite *lang.Ident) {
 	const inBody, outer = 1, 2
 	where := make([]byte, nvars)
 	where[ind.Slot] = outer
 	rep.IndType = ind.Type()
 	rep.Names = map[string]bool{ind.Name: true}
-	anchors = []string{ind.Name}
+	anchors = []int{ind.Slot}
 	lang.Walk(rep.Loop.Body, func(s lang.Stmt) bool {
 		switch s := s.(type) {
 		case *lang.VarStmt:
@@ -286,7 +286,7 @@ func (rep *Report) scope(nvars int, ind *lang.Ident) (anchors []string, outerWri
 			rep.Names[id.Name] = true
 			rep.Free = append(rep.Free, lang.Param{Name: id.Name, ID: id.ID, Type: id.Type()})
 			if _, isPtr := lang.IsPointer(id.Type()); isPtr {
-				anchors = append(anchors, id.Name)
+				anchors = append(anchors, id.Slot)
 			}
 		})
 		return true
@@ -311,7 +311,7 @@ func bodyWithoutAdvance(body *lang.Block, adv *lang.AssignStmt) *lang.Block {
 // "draw() -> rand()" when the draw happens inside a callee. The effect
 // summaries say which callees to descend into.
 func randPath(prog *lang.Program, eff *effects.Analyzer, b *lang.Block) string {
-	visited := map[string]bool{}
+	visited := make([]bool, len(prog.Funcs))
 	var find func(b *lang.Block) string
 	find = func(b *lang.Block) string {
 		path := ""
@@ -321,12 +321,13 @@ func randPath(prog *lang.Program, eff *effects.Analyzer, b *lang.Block) string {
 				if !ok || path != "" {
 					return
 				}
+				i := int(call.Callee) - 1
 				if call.Func == "rand" {
 					path = "rand()"
-				} else if f := prog.Func(call.Func); f != nil && !visited[f.Name] && eff.FuncSummary(f.Name).Has(effects.RandDraw) {
-					visited[f.Name] = true
-					if sub := find(f.Body); sub != "" {
-						path = f.Name + "() -> " + sub
+				} else if sum := eff.FuncSummary(i); sum != nil && i < len(visited) && !visited[i] && sum.Has(effects.RandDraw) {
+					visited[i] = true
+					if sub := find(prog.Funcs[i].Body); sub != "" {
+						path = call.Func + "() -> " + sub
 					}
 				}
 			})
@@ -338,31 +339,24 @@ func randPath(prog *lang.Program, eff *effects.Analyzer, b *lang.Block) string {
 }
 
 // crossIterationConflict checks the field-granularity condition: every
-// write must be anchored on the induction's own node; any other access
-// that may overlap a write's region must touch a different field.
-func crossIterationConflict(sum *effects.Summary, ind string) (bool, string) {
-	ownNode := func(a effects.Access) bool {
-		return a.Anchor() == ind && !a.Moved()
-	}
-	fresh := func(a effects.Access) bool {
-		return a.Anchor() == effects.AnchorFresh
-	}
+// write must be anchored on the own node of the induction, at slot ind;
+// any other access that may overlap a write's region must touch a
+// different field.
+func crossIterationConflict(sum *effects.Summary, ind int) (bool, string) {
 	for _, w := range sum.Writes() {
-		if fresh(w) {
+		if w.Fresh() {
 			continue // writes to freshly allocated nodes never conflict
 		}
-		if !ownNode(w) {
+		if w.Slot() != ind || w.Moved() {
 			return true, fmt.Sprintf("write %s is not confined to the iteration's own node", w)
 		}
 		// Own-node write: iterations write distinct nodes, so the only
 		// cross-iteration hazard is another iteration *reaching* this
-		// node through a moved region and touching the same field.
+		// node through a moved region and touching the same field. An
+		// access to the own node is the same distinct node, no overlap.
 		for _, a := range sum.Accesses {
-			if a == w || fresh(a) {
+			if a == w || a.Fresh() || a.Slot() == ind && !a.Moved() {
 				continue
-			}
-			if ownNode(a) {
-				continue // same distinct node, no cross-iteration overlap
 			}
 			if a.Field() == w.Field() {
 				return true, fmt.Sprintf("write %s may collide with %s in another iteration", w, a)

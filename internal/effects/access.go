@@ -41,7 +41,7 @@ const (
 )
 
 // The layout of an access word, low bits first: write, pointer field,
-// moved, field id, dimension bitset, anchor id. The high three parts
+// moved, field id, dimension bitset, anchor slot. The high three parts
 // are the region, so rebasing an access onto a base region and moving a
 // region along a dimension are each one OR.
 const (
@@ -60,9 +60,10 @@ const (
 )
 
 // The anchor and field parts of a word start with the special anchors
-// and the rand() stream's field; a variable's or field's part is its id
-// in the program's identifier table, offset past them. Part 0 is the
-// empty name of either kind, so no access word is zero.
+// and the rand() stream's field; a variable's part is its slot in the
+// summarised function, a field's its id in the program's identifier
+// table, offset past them. Part 0 is the empty name of either kind, so
+// no access word is zero.
 const (
 	regionUnknown = (iota + 1) << anchorShift
 	regionFresh
@@ -80,12 +81,12 @@ var (
 
 // RandDraw is the access a call to rand() contributes, directly or
 // through any callee's summary.
-var RandDraw = Access{key: regionRand | fieldState | writeBit, tab: &names{}}
+var RandDraw = Access{key: regionRand | fieldState | writeBit, in: &scope{names: &names{}}}
 
 // names renders an Analyzer's words: the program's identifier table for
-// anchors and fields, the universe's dimensions in name order by bit.
-// An id the word has no room for degrades to the conservative answer —
-// the unknown anchor, the empty field; a dimension, to none.
+// names, the universe's dimensions in name order by bit. A slot or id
+// the word has no room for degrades to the conservative answer — the
+// unknown anchor, the empty field; a dimension, to none.
 type names struct {
 	ids    *lang.Names
 	dims   []string
@@ -107,9 +108,16 @@ func newNames(prog *lang.Program) *names {
 	return n
 }
 
-// anchor returns the region word of variable id's own node.
-func anchor(id lang.ID) uint64 {
-	if a := uint64(id) + anchorBase; a < 1<<anchorBits {
+// scope renders the words of one summary: its program's names, and the
+// summarised function's slots (Vars), which name its anchors.
+type scope struct {
+	*names
+	vars []lang.ID
+}
+
+// anchor returns the region word of slot's own node.
+func anchor(slot int) uint64 {
+	if a := uint64(slot) + anchorBase; a < 1<<anchorBits {
 		return a << anchorShift
 	}
 	return regionUnknown
@@ -127,20 +135,30 @@ func field(id lang.ID) uint64 {
 // point relative to an anchor variable — the anchor's node itself, or
 // (moved) any node reachable from it by traversing the region's
 // dimensions — and which field is read or written there. Accesses of
-// one Analyzer compare with ==.
+// one Summary compare with ==.
 type Access struct {
 	key uint64
-	tab *names
+	in  *scope // renders the word
 }
 
-// Anchor names the variable the region is relative to, or one of the
-// special anchors.
+// Slot returns the slot, in the summarised function, of the variable
+// the region is relative to; it is negative for a special anchor.
+func (a Access) Slot() int { return int(a.key>>anchorShift) - anchorBase }
+
+// Fresh reports whether the region is a node allocated inside the
+// analyzed code.
+func (a Access) Fresh() bool { return a.key&anchorMask == regionFresh }
+
+// Anchor names the variable the region is relative to, through its
+// function's Vars (a slot past them is the unknown anchor), or one of
+// the special anchors.
 func (a Access) Anchor() string {
-	k := a.key >> anchorShift
-	if k < anchorBase {
-		return builtinAnchors[k]
+	if slot := a.Slot(); slot < 0 {
+		return builtinAnchors[slot+anchorBase]
+	} else if slot < len(a.in.vars) {
+		return a.in.ids.Text(a.in.vars[slot])
 	}
-	return a.tab.ids.Text(lang.ID(k - anchorBase))
+	return AnchorUnknown
 }
 
 // Moved reports whether the region lies beyond the anchor's own node.
@@ -153,7 +171,7 @@ func (a Access) Field() string {
 	if k < fieldBase {
 		return builtinFields[k]
 	}
-	return a.tab.ids.Text(lang.ID(k - fieldBase))
+	return a.in.ids.Text(lang.ID(k - fieldBase))
 }
 
 // Kind says whether the access reads or writes.
@@ -182,7 +200,7 @@ func (a Access) Region() string {
 	b.WriteString(a.Anchor())
 	for ; dims != 0; dims &= dims - 1 {
 		b.WriteByte('.')
-		b.WriteString(a.tab.dims[bits.TrailingZeros64(dims)])
+		b.WriteString(a.in.dims[bits.TrailingZeros64(dims)])
 	}
 	b.WriteByte('*')
 	return b.String()
@@ -203,17 +221,17 @@ func (a Access) String() string {
 // adding one is O(1).
 type Summary struct {
 	Accesses []Access
-	tab      *names
-	// slots is an open-addressed table of the words in Accesses (a power
-	// of two long, at most half full; 0 marks an empty slot).
-	slots []uint64
+	scope
+	// set is an open-addressed table of the words in Accesses (a power
+	// of two long, at most half full; 0 marks an empty cell).
+	set []uint64
 }
 
-// slot returns where key is, or would go, in the table.
-func (s *Summary) slot(key uint64) int {
-	mask := len(s.slots) - 1
+// cell returns where key is, or would go, in the table.
+func (s *Summary) cell(key uint64) int {
+	mask := len(s.set) - 1
 	i := int(key*0x9e3779b97f4a7c15>>32) & mask
-	for s.slots[i] != 0 && s.slots[i] != key {
+	for s.set[i] != 0 && s.set[i] != key {
 		i = (i + 1) & mask
 	}
 	return i
@@ -221,24 +239,24 @@ func (s *Summary) slot(key uint64) int {
 
 // add inserts an access, deduplicating.
 func (s *Summary) add(key uint64) bool {
-	if 2*len(s.Accesses) >= len(s.slots) {
-		s.slots = make([]uint64, max(16, 2*len(s.slots)))
+	if 2*len(s.Accesses) >= len(s.set) {
+		s.set = make([]uint64, max(16, 2*len(s.set)))
 		for _, a := range s.Accesses {
-			s.slots[s.slot(a.key)] = a.key
+			s.set[s.cell(a.key)] = a.key
 		}
 	}
-	i := s.slot(key)
-	if s.slots[i] == key {
+	i := s.cell(key)
+	if s.set[i] == key {
 		return false
 	}
-	s.slots[i] = key
-	s.Accesses = append(s.Accesses, Access{key: key, tab: s.tab})
+	s.set[i] = key
+	s.Accesses = append(s.Accesses, Access{key: key, in: &s.scope})
 	return true
 }
 
 // Has reports whether the summary contains the access.
 func (s *Summary) Has(a Access) bool {
-	return len(s.slots) > 0 && s.slots[s.slot(a.key)] == a.key
+	return len(s.set) > 0 && s.set[s.cell(a.key)] == a.key
 }
 
 // filter returns the accesses whose flag bits under mask equal want.

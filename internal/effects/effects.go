@@ -3,11 +3,15 @@
 //
 // An access such as "reads the mass field of every node reachable from
 // node along the down dimension" renders as "R node.down*.mass" and is
-// held as one 64-bit word: the anchor and the field by their ids in the
-// program's identifier table, the dimension set as a bitset over the
-// universe's dimensions, and three flags (moved, write, pointer field).
-// The Analyzer only reads the table, so concurrent BlockSummary calls
-// need no lock.
+// held as one 64-bit word: the anchor by its slot in the summarised
+// function (lang.Check's numbering: parameter i is slot i), the field
+// by its id in the program's identifier table, the dimension set as a
+// bitset over the universe's dimensions, and three flags (moved, write,
+// pointer field). A summary renders its anchors through its own
+// function's Vars, so two variables that share a name are two anchors.
+// Summaries are held by function index, and a call reads its callee's
+// through CallExpr.Callee. The Analyzer only reads its tables, so
+// concurrent BlockSummary calls need no lock.
 //
 // Summaries are closed over the call graph (recursion converges because
 // the dimension and field sets are finite). Package analysis builds the
@@ -26,67 +30,60 @@ import (
 	"repro/internal/lang"
 )
 
-// Analyzer computes summaries over one program.
+// Analyzer computes summaries over one program. Its per-function
+// tables are indexed like prog.Funcs.
 type Analyzer struct {
 	prog      *lang.Program
 	tab       *names
-	summaries map[string]*Summary
-	// callees is the caller→callee graph (each function's callees in
-	// first-call order) and comps its strongly connected components in
-	// the order solve works through them.
-	callees map[string][]string
-	comps   [][]*lang.FuncDecl
-	// seen[i] is the number of the scan that last met a call resolved to
-	// prog.Funcs[i] (CallExpr.Callee-1), so each scan dedups its callees
-	// in constant time per call.
+	summaries []*Summary
+	// callees is the call graph (each function's callees in first-call
+	// order) and comps its strongly connected components in the order
+	// solve works through them.
+	callees [][]int
+	comps   [][]int
+	// seen[i] is the number of the scan that last met a call to
+	// function i, so each scan dedups its callees in constant time.
 	seen  []int32
 	scans int32
 	// walks counts how often solve has walked each function's body;
 	// tests pin that a non-recursive function is walked once.
-	walks map[string]int
+	walks []int
 }
 
 // NewAnalyzer prepares function summaries for the program, closing them
 // over the call graph.
 func NewAnalyzer(prog *lang.Program) *Analyzer {
+	n := len(prog.Funcs)
 	a := &Analyzer{
 		prog:      prog,
 		tab:       newNames(prog),
-		summaries: make(map[string]*Summary, len(prog.Funcs)),
-		callees:   make(map[string][]string, len(prog.Funcs)),
-		walks:     make(map[string]int, len(prog.Funcs)),
-		seen:      make([]int32, len(prog.Funcs)),
+		summaries: make([]*Summary, n),
+		callees:   make([][]int, n),
+		walks:     make([]int, n),
+		seen:      make([]int32, n),
 	}
-	for _, f := range prog.Funcs {
-		a.summaries[f.Name] = &Summary{tab: a.tab}
-		a.callees[f.Name] = a.scan(f)
+	for i, f := range prog.Funcs {
+		a.summaries[i] = &Summary{scope: scope{a.tab, f.Vars}}
+		a.callees[i] = a.scan(f)
 	}
 	a.comps = a.components()
 	a.solve()
 	return a
 }
 
-// scan collects the non-builtin functions f calls, in first-call order.
-// A call the checker did not resolve to a function of the program's by
-// its name is deduplicated by name.
-func (a *Analyzer) scan(f *lang.FuncDecl) []string {
+// scan collects the functions f calls (CallExpr.Callee), in first-call
+// order.
+func (a *Analyzer) scan(f *lang.FuncDecl) []int {
 	a.scans++
-	var out []string
+	var out []int
 	lang.Walk(f.Body, func(s lang.Stmt) bool {
 		lang.WalkExprs(s, func(e lang.Expr) {
-			c, ok := e.(*lang.CallExpr)
-			if !ok || lang.Builtins[c.Func] != nil {
-				return
-			}
-			if i := int(c.Callee) - 1; i >= 0 && i < len(a.seen) && a.prog.Funcs[i].Name == c.Func {
-				if a.seen[i] == a.scans {
-					return
+			if c, ok := e.(*lang.CallExpr); ok {
+				if i := int(c.Callee) - 1; i >= 0 && i < len(a.seen) && a.seen[i] != a.scans {
+					a.seen[i] = a.scans
+					out = append(out, i)
 				}
-				a.seen[i] = a.scans
-			} else if slices.Contains(out, c.Func) {
-				return
 			}
-			out = append(out, c.Func)
 		})
 		return true
 	})
@@ -104,21 +101,23 @@ func (a *Analyzer) scan(f *lang.FuncDecl) []string {
 // call it are queued in member order, through the component's reverse
 // edges, so a walk costs what its callers number, not the component.
 func (a *Analyzer) solve() {
+	pos := make([]int, len(a.summaries)) // a function's place in its component
+	for _, members := range a.comps {
+		for j, f := range members {
+			pos[f] = j
+		}
+	}
 	for _, members := range a.comps {
 		if len(members) == 1 {
 			f := members[0]
-			for a.walk(f) && slices.Contains(a.callees[f.Name], f.Name) {
+			for a.walk(f) && slices.Contains(a.callees[f], f) {
 			}
 			continue
 		}
-		pos := make(map[string]int, len(members))
-		for i, f := range members {
-			pos[f.Name] = i
-		}
 		callers := make([][]int, len(members))
 		for j, g := range members {
-			for _, c := range a.callees[g.Name] {
-				if i, ok := pos[c]; ok {
+			for _, c := range a.callees[g] {
+				if i := pos[c]; i < len(members) && members[i] == c {
 					callers[i] = append(callers[i], j)
 				}
 			}
@@ -142,20 +141,21 @@ func (a *Analyzer) solve() {
 	}
 }
 
-// walk re-derives f's accesses from its body and the current callee
-// summaries, reporting whether f's summary grew.
-func (a *Analyzer) walk(f *lang.FuncDecl) bool {
-	a.walks[f.Name]++
-	anchors := make([]uint64, 0, len(f.Params))
-	for _, prm := range f.Params {
+// walk re-derives function i's accesses from its body and the current
+// callee summaries, reporting whether its summary grew.
+func (a *Analyzer) walk(i int) bool {
+	a.walks[i]++
+	f := a.prog.Funcs[i]
+	anchors := make([]int, 0, len(f.Params))
+	for slot, prm := range f.Params {
 		if _, ok := lang.IsPointer(prm.Type); ok {
-			anchors = append(anchors, anchor(prm.ID))
+			anchors = append(anchors, slot)
 		}
 	}
-	found := a.blockSummary(f.Body, anchors)
-	sum := a.summaries[f.Name]
+	found := a.BlockSummary(f, f.Body, anchors)
+	sum := a.summaries[i]
 	if len(sum.Accesses) == 0 {
-		a.summaries[f.Name] = found // the first walk's set is the summary so far
+		a.summaries[i] = found // the first walk's set is the summary so far
 		return len(found.Accesses) > 0
 	}
 	grew := false
@@ -170,97 +170,86 @@ func (a *Analyzer) walk(f *lang.FuncDecl) bool {
 // components returns the strongly connected components of the call
 // graph, callees before callers (Tarjan's algorithm emits them in that
 // order), each component's members in program order.
-func (a *Analyzer) components() [][]*lang.FuncDecl {
-	index := map[string]int{} // 1-based visit number
-	low := map[string]int{}
-	comp := map[string]int{} // component number, assigned when popped
-	var stack []string
-	n := 0
-	var visit func(v string)
-	visit = func(v string) {
-		index[v] = len(index) + 1
-		low[v] = index[v]
+func (a *Analyzer) components() [][]int {
+	n := len(a.summaries)
+	index := make([]int, n) // 1-based visit number
+	low := make([]int, n)
+	comp := make([]int, n) // 1-based component number, assigned when popped
+	var stack []int
+	visits, ncomp := 0, 0
+	var visit func(v int)
+	visit = func(v int) {
+		visits++
+		index[v], low[v] = visits, visits
 		stack = append(stack, v)
 		for _, w := range a.callees[v] {
-			if a.summaries[w] == nil {
-				continue // call to an undefined function
-			}
 			if index[w] == 0 {
 				visit(w)
 				low[v] = min(low[v], low[w])
-			} else if _, done := comp[w]; !done {
+			} else if comp[w] == 0 {
 				low[v] = min(low[v], index[w])
 			}
 		}
 		if low[v] == index[v] {
+			ncomp++
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				comp[w] = n
+				comp[w] = ncomp
 				if w == v {
 					break
 				}
 			}
-			n++
 		}
 	}
-	for _, f := range a.prog.Funcs {
-		if index[f.Name] == 0 {
-			visit(f.Name)
+	for v := 0; v < n; v++ {
+		if index[v] == 0 {
+			visit(v)
 		}
 	}
-	out := make([][]*lang.FuncDecl, n)
-	for _, f := range a.prog.Funcs {
-		if k, ok := comp[f.Name]; ok {
-			out[k] = append(out[k], f)
-		}
+	out := make([][]int, ncomp)
+	for v, k := range comp {
+		out[k-1] = append(out[k-1], v)
 	}
 	return out
 }
 
 // Components returns the strongly connected components of the call
-// graph in the order the summaries were solved: callees before callers,
-// each component's members in program order. It is the program's one
-// interprocedural order — package analysis walks it too. The slices are
-// shared and must not be modified.
-func (a *Analyzer) Components() [][]*lang.FuncDecl { return a.comps }
+// graph, as function indices, in the order the summaries were solved:
+// callees before callers, each component's members in program order.
+// It is the program's one interprocedural order — package analysis
+// walks it too. The slices are shared and must not be modified.
+func (a *Analyzer) Components() [][]int { return a.comps }
 
-// FuncSummary returns the closed summary for a function.
-func (a *Analyzer) FuncSummary(name string) *Summary {
-	return a.summaries[name]
+// FuncSummary returns the closed summary of prog.Funcs[i], or nil when
+// i is no function's index: int(call.Callee)-1 of a call to a builtin,
+// or one that resolved to no function of the program.
+func (a *Analyzer) FuncSummary(i int) *Summary {
+	if i < 0 || i >= len(a.summaries) {
+		return nil
+	}
+	return a.summaries[i]
 }
 
-// env holds the region words each pointer variable, by its anchor word,
-// may point into; a variable with none reads as the unknown region. A
-// block names a handful of pointer variables, so it is a list.
-type env []regions
-
-type regions struct {
-	v  uint64
-	rs []uint64
-}
+// env holds, by slot, the region words each variable of the summarised
+// function may point into; a variable with none, or a slot past the
+// function's, reads as the unknown region.
+type env [][]uint64
 
 var unknownOnly = []uint64{regionUnknown}
 
-func (e *env) add(v, r uint64) bool {
-	i := slices.IndexFunc(*e, func(x regions) bool { return x.v == v })
-	if i < 0 {
-		i = len(*e)
-		*e = append(*e, regions{v: v})
-	} else if slices.Contains((*e)[i].rs, r) {
+func (e env) add(slot int, r uint64) bool {
+	if slices.Contains(e[slot], r) {
 		return false
 	}
-	(*e)[i].rs = append((*e)[i].rs, r)
+	e[slot] = append(e[slot], r)
 	return true
 }
 
-// of returns the regions of variable id.
-func (e env) of(id lang.ID) []uint64 {
-	v := anchor(id)
-	for _, x := range e {
-		if x.v == v {
-			return x.rs
-		}
+// of returns the regions of the variable at slot.
+func (e env) of(slot int) []uint64 {
+	if uint(slot) < uint(len(e)) && len(e[slot]) > 0 {
+		return e[slot]
 	}
 	return unknownOnly
 }
@@ -274,27 +263,19 @@ func (a *Analyzer) dimOf(elem, field string) uint64 {
 	return a.tab.dimBit[pf.Dim]
 }
 
-// BlockSummary computes the effect summary of a block with the given
-// anchor variables (e.g. a loop body anchored on its induction pointer
-// and the enclosing function's parameters). The collection is
-// flow-insensitive: variable regions grow monotonically to a fixed point
-// (loops need no special handling), then every field access is emitted
-// against its base's regions.
-func (a *Analyzer) BlockSummary(b *lang.Block, anchors []string) *Summary {
-	words := make([]uint64, 0, len(anchors))
-	for _, v := range anchors {
-		if id, ok := a.tab.ids.Lookup(v); ok {
-			words = append(words, anchor(id))
+// BlockSummary computes the effect summary of a block of fn with the
+// given anchors, slots of fn (e.g. a loop body anchored on its
+// induction pointer and the outer pointers it reads); a slot past fn's
+// Vars anchors nothing. The collection is flow-insensitive: variable
+// regions grow monotonically to a fixed point (loops need no special
+// handling), then every field access is emitted against its base's
+// regions.
+func (a *Analyzer) BlockSummary(fn *lang.FuncDecl, b *lang.Block, anchors []int) *Summary {
+	ev := make(env, len(fn.Vars))
+	for _, slot := range anchors {
+		if uint(slot) < uint(len(ev)) {
+			ev.add(slot, anchor(slot)) // an anchor's word is its own unmoved region
 		}
-	}
-	return a.blockSummary(b, words)
-}
-
-// blockSummary is BlockSummary over the anchors' region words.
-func (a *Analyzer) blockSummary(b *lang.Block, anchors []uint64) *Summary {
-	ev := make(env, 0, 8)
-	for _, v := range anchors {
-		ev.add(v, v) // an anchor's word is its own unmoved region
 	}
 
 	// Grow regions to a fixed point.
@@ -302,23 +283,23 @@ func (a *Analyzer) blockSummary(b *lang.Block, anchors []uint64) *Summary {
 	for changed := true; changed; {
 		changed = false
 		lang.Walk(b, func(s lang.Stmt) bool {
-			var id lang.ID
+			var slot int
 			var typ lang.Type
 			var rhs lang.Expr
 			switch s := s.(type) {
 			case *lang.VarStmt:
-				id, typ, rhs = s.ID, s.DeclType, s.Init
+				slot, typ, rhs = s.Slot, s.DeclType, s.Init
 			case *lang.AssignStmt:
 				if lhs, ok := s.LHS.(*lang.Ident); ok {
-					id, typ, rhs = lhs.ID, lhs.Type(), s.RHS
+					slot, typ, rhs = lhs.Slot, lhs.Type(), s.RHS
 				}
 			}
-			if _, isPtr := lang.IsPointer(typ); !isPtr || rhs == nil {
+			if _, isPtr := lang.IsPointer(typ); !isPtr || rhs == nil || uint(slot) >= uint(len(ev)) {
 				return true
 			}
 			rs = a.rhsRegions(rs[:0], rhs, ev)
 			for _, r := range rs {
-				if ev.add(anchor(id), r) {
+				if ev.add(slot, r) {
 					changed = true
 				}
 			}
@@ -327,7 +308,7 @@ func (a *Analyzer) blockSummary(b *lang.Block, anchors []uint64) *Summary {
 	}
 
 	// Emit accesses.
-	sum := &Summary{tab: a.tab}
+	sum := &Summary{scope: scope{a.tab, fn.Vars}}
 	lang.Walk(b, func(s lang.Stmt) bool {
 		// Writes via assignment LHS.
 		as, _ := s.(*lang.AssignStmt)
@@ -360,7 +341,7 @@ func (a *Analyzer) rhsRegions(dst []uint64, rhs lang.Expr, ev env) []uint64 {
 	case *lang.NewExpr:
 		return append(dst, regionFresh)
 	case *lang.Ident:
-		return append(dst, ev.of(rhs.ID)...)
+		return append(dst, ev.of(rhs.Slot)...)
 	case *lang.FieldExpr:
 		base := rhs.Base()
 		if base == nil {
@@ -368,7 +349,7 @@ func (a *Analyzer) rhsRegions(dst []uint64, rhs lang.Expr, ev env) []uint64 {
 		}
 		elem, _ := lang.IsPointer(base.Type())
 		along := a.dimOf(elem, rhs.Field) | movedBit
-		for _, r := range ev.of(base.ID) {
+		for _, r := range ev.of(base.Slot) {
 			dst = append(dst, r|along)
 		}
 		return dst
@@ -401,7 +382,7 @@ func (a *Analyzer) rhsRegions(dst []uint64, rhs lang.Expr, ev env) []uint64 {
 func (a *Analyzer) emitFieldAccess(sum *Summary, fe *lang.FieldExpr, flags uint64, ev env) {
 	regions := unknownOnly
 	if base := fe.Base(); base != nil {
-		regions = ev.of(base.ID)
+		regions = ev.of(base.Slot)
 	}
 	if _, isPtr := lang.IsPointer(fe.Type()); isPtr {
 		flags |= ptrBit
@@ -412,8 +393,9 @@ func (a *Analyzer) emitFieldAccess(sum *Summary, fe *lang.FieldExpr, flags uint6
 	}
 }
 
-// emitCall substitutes the callee's summary, rebasing parameter-anchored
-// accesses onto the caller's argument regions.
+// emitCall substitutes the callee's summary, rebasing each access
+// anchored on a parameter's slot onto the regions of the caller's
+// argument at that position.
 func (a *Analyzer) emitCall(sum *Summary, call *lang.CallExpr, ev env) {
 	if lang.Builtins[call.Func] != nil {
 		if call.Func == "rand" {
@@ -421,37 +403,33 @@ func (a *Analyzer) emitCall(sum *Summary, call *lang.CallExpr, ev env) {
 		}
 		return
 	}
-	callee := a.prog.Func(call.Func)
-	calleeSum := a.summaries[call.Func]
-	if callee == nil || calleeSum == nil {
+	i := int(call.Callee) - 1
+	callee := a.FuncSummary(i)
+	if callee == nil {
 		sum.add(regionUnknown | writeBit | ptrBit)
 		return
 	}
-	// Each pointer parameter's anchor, and its argument's regions as a
-	// stretch of args.
-	type param struct {
-		anchor uint64
-		lo, hi int
-	}
-	var params []param
+	// The regions of argument k, when parameter k is a pointer, are
+	// args[at[k]:at[k+1]].
+	params := a.prog.Funcs[i].Params
+	at := make([]int, min(len(params), len(call.Args))+1)
 	var args []uint64
-	for i, prm := range callee.Params {
-		if _, isPtr := lang.IsPointer(prm.Type); !isPtr || i >= len(call.Args) {
-			continue
+	for k := range at[1:] {
+		if _, isPtr := lang.IsPointer(params[k].Type); isPtr {
+			args = a.rhsRegions(args, call.Args[k], ev)
 		}
-		lo := len(args)
-		args = a.rhsRegions(args, call.Args[i], ev)
-		params = append(params, param{anchor(prm.ID), lo, len(args)})
+		at[k+1] = len(args)
 	}
-	for _, acc := range calleeSum.Accesses {
-		p := slices.IndexFunc(params, func(p param) bool { return p.anchor == acc.key&anchorMask })
-		if p < 0 {
-			// Fresh/unknown-anchored callee accesses pass through.
+	for _, acc := range callee.Accesses {
+		switch k, rest := acc.Slot(), acc.key&^anchorMask; {
+		case k < 0: // a fresh, unknown or rand() access passes through
 			sum.add(acc.key)
-			continue
-		}
-		for _, base := range args[params[p].lo:params[p].hi] {
-			sum.add(base | acc.key&^anchorMask)
+		case k+1 >= len(at):
+			sum.add(regionUnknown | rest)
+		default:
+			for _, base := range args[at[k]:at[k+1]] {
+				sum.add(base | rest)
+			}
 		}
 	}
 }

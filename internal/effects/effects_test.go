@@ -20,6 +20,16 @@ func summaries(t *testing.T, src string) (*lang.Program, *Analyzer) {
 	return prog, NewAnalyzer(prog)
 }
 
+// named returns the summary of the function called name, or nil.
+func (a *Analyzer) named(name string) *Summary {
+	for i, f := range a.prog.Funcs {
+		if f.Name == name {
+			return a.summaries[i]
+		}
+	}
+	return nil
+}
+
 func hasAccess(s *Summary, substr string) bool {
 	for _, a := range s.Accesses {
 		if strings.Contains(a.String(), substr) {
@@ -34,7 +44,7 @@ func TestDirectFieldAccesses(t *testing.T) {
 procedure f(OneWayList *p, int c) {
   p->data = p->data * c;
 }`)
-	sum := an.FuncSummary("f")
+	sum := an.named("f")
 	if !hasAccess(sum, "W p.data") {
 		t.Errorf("missing write:\n%s", sum)
 	}
@@ -55,7 +65,7 @@ procedure f(OneWayList *head) {
     p = p->next;
   }
 }`)
-	sum := an.FuncSummary("f")
+	sum := an.named("f")
 	// p ranges over head and everything reachable along X: the write
 	// must appear against both the unmoved and the moved region.
 	if !hasAccess(sum, "W head.data") {
@@ -71,7 +81,7 @@ func TestPointerWriteDetected(t *testing.T) {
 procedure f(OneWayList *a, OneWayList *b) {
   a->next = b;
 }`)
-	pw := an.FuncSummary("f").PointerWrites()
+	pw := an.named("f").PointerWrites()
 	if len(pw) != 1 || pw[0].Field() != "next" {
 		t.Errorf("pointer writes = %v", pw)
 	}
@@ -86,7 +96,7 @@ procedure f(OneWayList *head) {
   var OneWayList *p = head->next;
   zero(p);
 }`)
-	sum := an.FuncSummary("f")
+	sum := an.named("f")
 	// zero's write to x rebases onto head.X* (p = head->next moved).
 	if !hasAccess(sum, "W head.X*.data") {
 		t.Errorf("callee write not rebased:\n%s", sum)
@@ -102,7 +112,7 @@ procedure touch(BinTree *t) {
     touch(t->right);
   }
 }`)
-	sum := an.FuncSummary("touch")
+	sum := an.named("touch")
 	if !hasAccess(sum, "W t.data") {
 		t.Errorf("missing direct write:\n%s", sum)
 	}
@@ -117,7 +127,7 @@ procedure f() {
   var OneWayList *n = new OneWayList;
   n->data = 5;
 }`)
-	sum := an.FuncSummary("f")
+	sum := an.named("f")
 	found := false
 	for _, a := range sum.Accesses {
 		if a.Kind() == Write && a.Anchor() == AnchorFresh {
@@ -148,9 +158,45 @@ procedure f(OneWayList *head, int c) {
 		return true
 	})
 	// Anchored on p itself (the loop view): the body writes p.data.
-	sum := an.BlockSummary(loop.Body, []string{"p", "head"})
+	sum := an.BlockSummary(fn, loop.Body, []int{2, 0}) // p, head
+	if fn.Vars[2] != prog.Intern("p") {
+		t.Fatalf("slot 2 is %s, want p", prog.Names().Text(fn.Vars[2]))
+	}
 	if !hasAccess(sum, "W p.data") {
 		t.Errorf("loop-anchored write missing:\n%s", sum)
+	}
+}
+
+// TestShadowingPointerIsItsOwnAnchor: an anchor is a slot, so the inner
+// q of the loop body below — declared at the iteration's own node —
+// writes p.v, and the outer q the body reads keeps a region of its
+// own: the body holds W p.v and R q.w, and no W q.v.
+func TestShadowingPointerIsItsOwnAnchor(t *testing.T) {
+	prog, an := summaries(t, `type L [X] { int v; int w; L *next is uniquely forward along X; };
+procedure work(L *head, L *q, int c) {
+  var L *p = head;
+  while p != NULL {
+    p->v = q->w + c;
+    if p->v > 5 {
+      var L *q = p;
+      q->v = c;
+    }
+    p = p->next;
+  }
+}`)
+	fn := prog.Func("work")
+	loop := fn.Body.Stmts[1].(*lang.WhileStmt)
+	sum := an.BlockSummary(fn, loop.Body, []int{3, 1}) // p, the outer q
+	if want := []lang.ID{prog.Intern("p"), prog.Intern("q")}; fn.Vars[3] != want[0] || fn.Vars[1] != want[1] {
+		t.Fatalf("slots 3 and 1 are %s and %s, want p and q", prog.Names().Text(fn.Vars[3]), prog.Names().Text(fn.Vars[1]))
+	}
+	for _, want := range []string{"W p.v", "R q.w"} {
+		if !hasAccess(sum, want) {
+			t.Errorf("missing %q:\n%s", want, sum)
+		}
+	}
+	if hasAccess(sum, "W q.v") {
+		t.Errorf("the inner q's write lands on the outer q's region:\n%s", sum)
 	}
 }
 
@@ -163,33 +209,32 @@ procedure f(OneWayList *head) {
   var OneWayList *p = find(head);
   p->data = 1;
 }`)
-	sum := an.FuncSummary("f")
+	sum := an.named("f")
 	// p may point anywhere reachable from head.
 	if !hasAccess(sum, "W head.") && !hasAccess(sum, "W head ") {
 		t.Errorf("call-result write should anchor at head (moved):\n%s", sum)
 	}
 }
 
-// octreeNames is the name table of a program over the octree
-// declaration (dimensions down and leaves), with one anchor.
-func octreeNames(t *testing.T) (*names, uint64) {
+// octreeNames is the scope of a function over the octree declaration
+// (dimensions down and leaves) whose one slot is p, and p's anchor.
+func octreeNames(t *testing.T) (*scope, uint64) {
 	t.Helper()
 	prog := lang.MustParse(adds.OctreeSrc)
-	p := anchor(prog.Intern("p"))
-	return newNames(prog), p
+	return &scope{newNames(prog), []lang.ID{prog.Intern("p")}}, anchor(0)
 }
 
 func TestRegionString(t *testing.T) {
-	tab, p := octreeNames(t)
+	in, p := octreeNames(t)
 	for _, c := range []struct {
 		key  uint64
 		want string
 	}{
 		{p, "p"},
-		{p | movedBit | tab.dimBit["down"] | tab.dimBit["leaves"], "p.down.leaves*"},
+		{p | movedBit | in.dimBit["down"] | in.dimBit["leaves"], "p.down.leaves*"},
 		{p | movedBit, "p.?*"},
 	} {
-		if got := (Access{key: c.key, tab: tab}).Region(); got != c.want {
+		if got := (Access{key: c.key, in: in}).Region(); got != c.want {
 			t.Errorf("region %#x = %q, want %q", c.key, got, c.want)
 		}
 	}
@@ -198,8 +243,8 @@ func TestRegionString(t *testing.T) {
 // TestJoinDims: joining dimension sets is an OR of region words, and
 // the set renders in name order whatever order it was joined in.
 func TestJoinDims(t *testing.T) {
-	tab, p := octreeNames(t)
-	down, leaves := tab.dimBit["down"], tab.dimBit["leaves"]
+	in, p := octreeNames(t)
+	down, leaves := in.dimBit["down"], in.dimBit["leaves"]
 	if down == 0 || leaves == 0 || down == leaves {
 		t.Fatalf("dimension bits down=%#x leaves=%#x", down, leaves)
 	}
@@ -211,7 +256,7 @@ func TestJoinDims(t *testing.T) {
 		{p | movedBit | leaves | down, "p.down.leaves*"},
 		{p | movedBit | (down | leaves) | down, "p.down.leaves*"},
 	} {
-		if got := (Access{key: c.key, tab: tab}).Region(); got != c.want {
+		if got := (Access{key: c.key, in: in}).Region(); got != c.want {
 			t.Errorf("region %#x = %q, want %q", c.key, got, c.want)
 		}
 	}
@@ -241,7 +286,7 @@ func TestNamesBeyondCapacity(t *testing.T) {
 	if n := len(an.tab.dims); n != dimBits {
 		t.Fatalf("table holds %d dimensions, want %d", n, dimBits)
 	}
-	sum := an.FuncSummary("f")
+	sum := an.named("f")
 	for _, want := range []string{"W p.data", "W p.d00*.data", fmt.Sprintf("W p.d%02d*.data", dimBits-1), "W p.?*.data"} {
 		if !hasAccess(sum, want) {
 			t.Errorf("missing %q:\n%s", want, sum)
@@ -257,6 +302,14 @@ func TestNamesBeyondCapacity(t *testing.T) {
 	if field(last) != fieldMask || field(last+1) != 0 || anchor(1<<anchorBits) != regionUnknown {
 		t.Errorf("ids past capacity: field %#x, %#x; anchor %#x", field(last), field(last+1), anchor(1<<anchorBits))
 	}
+	// A slot past the function's Vars renders, and anchors, as unknown.
+	f := an.prog.Func("f")
+	if got := (Access{key: anchor(len(f.Vars)), in: &an.named("f").scope}).Anchor(); got != AnchorUnknown {
+		t.Errorf("slot past Vars renders as %q, want %q", got, AnchorUnknown)
+	}
+	if sum := an.BlockSummary(f, f.Body, []int{len(f.Vars)}); !hasAccess(sum, "W <unknown>.data") || hasAccess(sum, "p.") {
+		t.Errorf("a block anchored past Vars:\n%s", sum)
+	}
 }
 
 func TestWritesReadsFilters(t *testing.T) {
@@ -264,7 +317,7 @@ func TestWritesReadsFilters(t *testing.T) {
 procedure f(OneWayList *p) {
   p->data = p->data + 1;
 }`)
-	sum := an.FuncSummary("f")
+	sum := an.named("f")
 	reads := 0
 	for _, a := range sum.Accesses {
 		if a.Kind() == Read {
@@ -281,11 +334,11 @@ procedure f(OneWayList *p) {
 	}
 }
 
-// recursive reports whether f can reach itself through calls.
-func recursive(a *Analyzer, f string) bool {
-	seen := map[string]bool{}
-	var reach func(g string) bool
-	reach = func(g string) bool {
+// recursive reports whether function f can reach itself through calls.
+func recursive(a *Analyzer, f int) bool {
+	seen := map[int]bool{}
+	var reach func(g int) bool
+	reach = func(g int) bool {
 		for _, h := range a.callees[g] {
 			if h == f {
 				return true
@@ -310,9 +363,9 @@ func TestSolveWalksCalleesFirst(t *testing.T) {
 	prog := lang.MustParse(nbody.BarnesHutPSL)
 	a := NewAnalyzer(prog)
 	sawRecursive := false
-	for _, f := range prog.Funcs {
-		n := a.walks[f.Name]
-		if recursive(a, f.Name) {
+	for i, f := range prog.Funcs {
+		n := a.walks[i]
+		if recursive(a, i) {
 			sawRecursive = true
 			if n < 2 {
 				t.Errorf("recursive %s walked %d times: a fixed point needs a confirming walk", f.Name, n)
@@ -338,11 +391,11 @@ function real quiet(OneWayList *p) { print(p->data); return sqrt(abs(1.0)); }
 `)
 	a := NewAnalyzer(prog)
 	for fn, want := range map[string]bool{"draw": true, "twice": true, "quiet": false} {
-		if got := a.FuncSummary(fn).Has(RandDraw); got != want {
-			t.Errorf("%s: Has(RandDraw) = %v, want %v (%s)", fn, got, want, a.FuncSummary(fn))
+		if got := a.named(fn).Has(RandDraw); got != want {
+			t.Errorf("%s: Has(RandDraw) = %v, want %v (%s)", fn, got, want, a.named(fn))
 		}
 	}
-	if s := a.FuncSummary("twice").String(); s != "W <rand>.state" {
+	if s := a.named("twice").String(); s != "W <rand>.state" {
 		t.Errorf("twice summary = %q", s)
 	}
 }

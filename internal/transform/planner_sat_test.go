@@ -297,10 +297,7 @@ const mainOpening = "function int main(int n, int c) {\n  var OneWayList *h = bu
 // TestShadowedNamesPlanAsTheirTwins: the dependence test and the
 // strip-miner scope a loop by the checker's slots, so a nested
 // declaration that reuses an outer name changes nothing — not the
-// verdicts, not the helper's parameters. Each program plans, its plan
-// reads as its renamed twin's, StripMine of the approved loop writes
-// the planner's program, and the planned program computes what the
-// serial one does on the walker, the kernel engine and a pool of 2 PEs.
+// verdicts, not the helper's parameters.
 func TestShadowedNamesPlanAsTheirTwins(t *testing.T) {
 	for _, tc := range shadowTwins {
 		t.Run(tc.name, func(t *testing.T) {
@@ -309,56 +306,113 @@ func TestShadowedNamesPlanAsTheirTwins(t *testing.T) {
 			}
 			prog := lang.MustParse(strings.Replace(scaleSrc, tc.old, tc.shadowed, 1))
 			twin := lang.MustParse(strings.Replace(scaleSrc, tc.old, tc.renamed, 1))
-			plan, err := AutoParallelize(prog, 4)
-			if err != nil {
-				t.Fatalf("AutoParallelize: %v", err)
-			}
-			twinPlan, err := AutoParallelize(twin, 4)
-			if err != nil {
-				t.Fatalf("AutoParallelize (twin): %v", err)
-			}
-			if got, want := plan.String(), twinPlan.String(); got != want {
-				t.Errorf("plan differs from the renamed twin's:\n%s\n--- twin ---\n%s", got, want)
-			}
-			if plan.Parallelized != 1 || !loopByFunc(t, plan, "scale", 0).Parallelized {
-				t.Fatalf("want scale#0 the one approved loop:\n%s", plan)
-			}
-			sm, err := StripMine(prog, "scale", 0, 4)
-			if err != nil {
-				t.Fatalf("StripMine: %v", err)
-			}
-			if got, want := lang.Format(sm.Program), lang.Format(plan.Program); got != want {
-				t.Errorf("StripMine and AutoParallelize disagree:\n%s\n---\n%s", got, want)
-			}
-
-			args := []interp.Value{interp.IntVal(37), interp.IntVal(3)}
-			want, _, err := interp.Run(prog, interp.Config{Engine: interp.EngineWalk}, "main", args...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tw, _, err := interp.Run(twin, interp.Config{Engine: interp.EngineWalk}, "main", args...); err != nil || tw.I != want.I {
-				t.Fatalf("twin returned %d (%v), the program %d", tw.I, err, want.I)
-			}
-			runs := map[string]func() (interp.Value, interp.Stats, error){
-				"walk": func() (interp.Value, interp.Stats, error) {
-					return interp.Run(plan.Program, interp.Config{Engine: interp.EngineWalk}, "main", args...)
-				},
-				"kernel": func() (interp.Value, interp.Stats, error) {
-					return interp.Run(plan.Program, interp.Config{Engine: interp.EngineKernel}, "main", args...)
-				},
-				"2 PEs": func() (interp.Value, interp.Stats, error) {
-					return parexec.Run(plan.Program, parexec.Options{PEs: 2}, "main", args...)
-				},
-			}
-			for leg, run := range runs {
-				got, _, err := run()
-				if err != nil {
-					t.Fatalf("%s: planned program: %v\n%s", leg, err, lang.Format(plan.Program))
-				}
-				if got.I != want.I {
-					t.Errorf("%s: planned program returned %d, serial %d", leg, got.I, want.I)
-				}
-			}
+			assertPlansAsTwin(t, prog, twin, "scale")
 		})
 	}
+}
+
+// assertPlansAsTwin: prog plans, its plan reads as its renamed twin's,
+// fn#0 is the one approved loop, StripMine of it writes the planner's
+// program, and the planned program computes what the serial one does on
+// the walker, the kernel engine and a pool of 2 PEs.
+func assertPlansAsTwin(t *testing.T, prog, twin *lang.Program, fn string) {
+	t.Helper()
+	plan, err := AutoParallelize(prog, 4)
+	if err != nil {
+		t.Fatalf("AutoParallelize: %v", err)
+	}
+	twinPlan, err := AutoParallelize(twin, 4)
+	if err != nil {
+		t.Fatalf("AutoParallelize (twin): %v", err)
+	}
+	if got, want := plan.String(), twinPlan.String(); got != want {
+		t.Errorf("plan differs from the renamed twin's:\n%s\n--- twin ---\n%s", got, want)
+	}
+	if plan.Parallelized != 1 || !loopByFunc(t, plan, fn, 0).Parallelized {
+		t.Fatalf("want %s#0 the one approved loop:\n%s", fn, plan)
+	}
+	sm, err := StripMine(prog, fn, 0, 4)
+	if err != nil {
+		t.Fatalf("StripMine: %v", err)
+	}
+	if got, want := lang.Format(sm.Program), lang.Format(plan.Program); got != want {
+		t.Errorf("StripMine and AutoParallelize disagree:\n%s\n---\n%s", got, want)
+	}
+
+	args := []interp.Value{interp.IntVal(37), interp.IntVal(3)}
+	want, _, err := interp.Run(prog, interp.Config{Engine: interp.EngineWalk}, "main", args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tw, _, err := interp.Run(twin, interp.Config{Engine: interp.EngineWalk}, "main", args...); err != nil || tw.I != want.I {
+		t.Fatalf("twin returned %d (%v), the program %d", tw.I, err, want.I)
+	}
+	runs := map[string]func() (interp.Value, interp.Stats, error){
+		"walk": func() (interp.Value, interp.Stats, error) {
+			return interp.Run(plan.Program, interp.Config{Engine: interp.EngineWalk}, "main", args...)
+		},
+		"kernel": func() (interp.Value, interp.Stats, error) {
+			return interp.Run(plan.Program, interp.Config{Engine: interp.EngineKernel}, "main", args...)
+		},
+		"2 PEs": func() (interp.Value, interp.Stats, error) {
+			return parexec.Run(plan.Program, parexec.Options{PEs: 2}, "main", args...)
+		},
+	}
+	for leg, run := range runs {
+		got, _, err := run()
+		if err != nil {
+			t.Fatalf("%s: planned program: %v\n%s", leg, err, lang.Format(plan.Program))
+		}
+		if got.I != want.I {
+			t.Errorf("%s: planned program returned %d, serial %d", leg, got.I, want.I)
+		}
+	}
+}
+
+// anchorTwinSrc is a list loop whose body reads the outer pointer q
+// and, in a nested block, declares a pointer named inner at the
+// iteration's own node and writes through it; main runs it on a list of
+// n nodes.
+func anchorTwinSrc(inner string) string {
+	return strings.ReplaceAll(`type L [X] { int v; int w; L *next is uniquely forward along X; };
+procedure work(L *head, L *q, int c) {
+  var L *p = head;
+  while p != NULL {
+    p->v = q->w + c;
+    if p->v > 5 {
+      var L *INNER = p;
+      INNER->v = c;
+    }
+    p = p->next;
+  }
+}
+function int main(int n, int c) {
+  var L *h = NULL;
+  var int i = n;
+  while i > 0 {
+    var L *x = new L;
+    x->w = i;
+    x->next = h;
+    h = x;
+    i = i - 1;
+  }
+  work(h, h, c * 2);
+  var int s = 0;
+  var L *p = h;
+  while p != NULL {
+    s = s * 3 + p->v;
+    p = p->next;
+  }
+  return s;
+}
+`, "INNER", inner)
+}
+
+// TestShadowedAnchorsPlanAsTheirTwins: the effect summaries anchor a
+// region to a variable's slot, not its name, so an inner q that points
+// at the iteration's own node writes there — W p.v — and the outer q
+// the body reads stays a region of its own: work#0 is approved, as in
+// its twin with the inner variable named r.
+func TestShadowedAnchorsPlanAsTheirTwins(t *testing.T) {
+	assertPlansAsTwin(t, lang.MustParse(anchorTwinSrc("q")), lang.MustParse(anchorTwinSrc("r")), "work")
 }
