@@ -23,7 +23,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/parexec"
 	"repro/internal/serve"
-	"repro/internal/transform"
 )
 
 // forallAnswer is everything a caller can observe of one run.
@@ -308,13 +307,7 @@ func FuzzWidthInvariance(f *testing.F) {
 		if prog >= 0 && prog < int64(len(corpus)) {
 			p = corpus[prog]
 		} else {
-			gen := transform.GenLoopProgramPSL(prog)
-			var calls strings.Builder
-			for i := 0; strings.Contains(gen, fmt.Sprintf("procedure f%d(", i)); i++ {
-				fmt.Fprintf(&calls, "  f%d(head, other, n);\n", i)
-			}
-			p = eqProgram{name: fmt.Sprintf("generated %d", prog), src: gen + fmt.Sprintf(genDriver, calls.String()),
-				fn: "gen_main", args: []interp.Value{interp.IntVal(3)}}
+			p = genProgram(prog)
 		}
 		c, err := core.Compile(p.src)
 		if err != nil {
