@@ -4,12 +4,12 @@
 // engine, checked against the tree-walking oracle.
 //
 // Where the walker pays an interface type switch per AST node and
-// boxes every intermediate in a Kind-tagged Value, the bytecode form
+// boxes every stored value in a Value, the bytecode form
 // is a []Instr per function plus *typed
 // register banks*: every variable slot and expression temporary lives
 // in a per-function []int64, []float64, []bool, []string, or []*Node
-// bank chosen from its static type (sound because the interpreter's
-// coercion rule keeps runtime kinds equal to static types). Hot
+// bank chosen from its static type (the type lang.Check recorded, at
+// which the walker evaluates the same expression). Hot
 // arithmetic therefore runs as direct slice indexing over unboxed
 // machine words — no closure dispatch, no Value construction, no
 // interface traffic. The register-file layout follows the

@@ -2,10 +2,10 @@
 // instruction arrays and typed register banks — the production engine,
 // checked against the tree-walking oracle (interp.go).
 //
-// Where the walker resolves names at every step — map-chain scope
-// lookups per variable, field-name hashing per heap access, function
-// lookup per call, an interface type switch per AST node — and moves
-// every intermediate through a Kind-tagged Value, this VM runs a
+// Both engines read the checker's resolution (slots, field offsets,
+// callees) and compute at its static types; where the walker still
+// pays a recursive call and an interface type switch per AST node, a
+// slot check per variable and a boxed Value per store, this VM runs a
 // for-loop over []Instr with direct slice indexing into per-frame
 // []int64 / []float64 / []bool / []string / []*Node banks: hot
 // arithmetic (R1 polyscale, R2 force) touches no interface, builds no

@@ -449,8 +449,13 @@ func (ip *Interp) Call(fn string, args ...Value) (Value, error) {
 		ip.flush()
 		return v, err
 	}
+	// The argument boundary is the one place a Value's kind can differ
+	// from its static type: an int passed for a real parameter widens
+	// here, once, and the walk below reads every slot at its type.
 	vals := ip.getVals(max(len(args), len(f.Vars)))
-	copy(vals, args)
+	for i, a := range args {
+		vals[i] = coerce(a, f.Params[i].Type)
+	}
 	v, err := ip.callFunc(f, vals, 0)
 	ip.putVals(vals)
 	ip.flush()
@@ -642,7 +647,8 @@ const (
 )
 
 // callFunc runs f on vals, its frame: at least len(f.Vars) long, with
-// the call's arguments in the parameter slots (parameter i is slot i).
+// the call's arguments in the parameter slots (parameter i is slot i),
+// each boxed at its parameter's type.
 func (ip *Interp) callFunc(f *lang.FuncDecl, vals []Value, depth int) (Value, error) {
 	if depth > ip.maxDepth {
 		return Value{}, fmt.Errorf("interp: recursion depth exceeded in %s", f.Name)
@@ -651,18 +657,12 @@ func (ip *Interp) callFunc(f *lang.FuncDecl, vals []Value, depth int) (Value, er
 		return Value{}, fmt.Errorf("%s: interp: function %s is not checked", f.Pos(), f.Name)
 	}
 	ip.charge(ip.cfg.Costs.CallOver)
-	for i, prm := range f.Params {
-		vals[i] = coerce(vals[i], prm.Type)
-	}
 	c, rv, err := ip.execBlock(f.Body, frame{fn: f, vals: vals}, depth)
 	if err != nil {
 		return Value{}, err
 	}
 	if c == ctrlReturn {
-		if f.Result != nil {
-			return coerce(rv, f.Result), nil
-		}
-		return Value{}, nil
+		return rv, nil
 	}
 	if f.Result != nil {
 		return Value{}, fmt.Errorf("interp: function %s fell off the end without returning", f.Name)
@@ -694,11 +694,10 @@ func (ip *Interp) execStmt(s lang.Stmt, fr frame, depth int) (ctrl, Value, error
 	case *lang.VarStmt:
 		v := zeroValue(s.DeclType)
 		if s.Init != nil {
-			iv, err := ip.eval(s.Init, fr, depth)
-			if err != nil {
+			var err error
+			if v, err = ip.eval(s.Init, s.DeclType, fr, depth); err != nil {
 				return ctrlNext, Value{}, err
 			}
-			v = coerce(iv, s.DeclType)
 		}
 		slot := fr.at(s.ID, s.Slot)
 		if slot == nil {
@@ -713,12 +712,12 @@ func (ip *Interp) execStmt(s lang.Stmt, fr frame, depth int) (ctrl, Value, error
 
 	case *lang.WhileStmt:
 		for {
-			cond, err := ip.eval(s.Cond, fr, depth)
+			cond, err := ip.evalBool(s.Cond, fr, depth)
 			if err != nil {
 				return ctrlNext, Value{}, err
 			}
 			ip.charge(ip.cfg.Costs.Branch)
-			if !cond.B {
+			if !cond {
 				return ctrlNext, Value{}, nil
 			}
 			c, rv, err := ip.execBlock(s.Body, fr, depth)
@@ -734,12 +733,12 @@ func (ip *Interp) execStmt(s lang.Stmt, fr frame, depth int) (ctrl, Value, error
 		}
 
 	case *lang.IfStmt:
-		cond, err := ip.eval(s.Cond, fr, depth)
+		cond, err := ip.evalBool(s.Cond, fr, depth)
 		if err != nil {
 			return ctrlNext, Value{}, err
 		}
 		ip.charge(ip.cfg.Costs.Branch)
-		if cond.B {
+		if cond {
 			return ip.execBlock(s.Then, fr, depth)
 		}
 		if s.Else != nil {
@@ -751,7 +750,7 @@ func (ip *Interp) execStmt(s lang.Stmt, fr frame, depth int) (ctrl, Value, error
 		if s.Value == nil {
 			return ctrlReturn, Value{}, nil
 		}
-		v, err := ip.eval(s.Value, fr, depth)
+		v, err := ip.eval(s.Value, fr.fn.Result, fr, depth)
 		if err != nil {
 			return ctrlNext, Value{}, err
 		}
@@ -768,7 +767,7 @@ func (ip *Interp) execStmt(s lang.Stmt, fr frame, depth int) (ctrl, Value, error
 }
 
 func (ip *Interp) execAssign(s *lang.AssignStmt, fr frame, depth int) error {
-	rv, err := ip.eval(s.RHS, fr, depth)
+	rv, err := ip.eval(s.RHS, s.LHS.Type(), fr, depth)
 	if err != nil {
 		return err
 	}
@@ -779,10 +778,10 @@ func (ip *Interp) execAssign(s *lang.AssignStmt, fr frame, depth int) error {
 			return fr.unresolved(s.Pos(), lhs.Name, lhs.Slot)
 		}
 		ip.charge(ip.cfg.Costs.VarAccess)
-		*slot = coerce(rv, lhs.Type())
+		*slot = rv
 		return nil
 	case *lang.FieldExpr:
-		node, err := ip.base(lhs.X, fr, depth)
+		node, err := ip.evalPtr(lhs.X, fr, depth)
 		if err != nil {
 			return err
 		}
@@ -790,21 +789,13 @@ func (ip *Interp) execAssign(s *lang.AssignStmt, fr frame, depth int) error {
 			return fmt.Errorf("%s: interp: store through NULL pointer", s.Pos())
 		}
 		ip.charge(ip.cfg.Costs.FieldStore)
-		if _, isPtr := lhs.Type().(*lang.Pointer); isPtr {
-			idx := 0
-			if lhs.Index != nil {
-				iv, err := ip.eval(lhs.Index, fr, depth)
-				if err != nil {
-					return err
-				}
-				idx = int(iv.I)
+		if isPtr(lhs.Type()) {
+			elem, err := ip.elem(s.Pos(), node, lhs, fr, depth)
+			if err != nil {
+				return err
 			}
-			arr := node.ptrsAt(lhs.Off)
-			if idx < 0 || idx >= len(arr) {
-				return fmt.Errorf("%s: interp: index %d out of range for %s.%s[%d]", s.Pos(), idx, node.Type, lhs.Field, len(arr))
-			}
-			old := arr[idx]
-			arr[idx] = rv.N
+			old := *elem
+			*elem = rv.N
 			if ip.cfg.ShapeChecks {
 				return ip.checkStore(s.Pos(), node, lhs.Field, old, rv.N)
 			}
@@ -813,22 +804,21 @@ func (ip *Interp) execAssign(s *lang.AssignStmt, fr frame, depth int) error {
 		if lhs.Type() == nil || uint(lhs.Off) >= uint(len(node.vals)) {
 			return fmt.Errorf("%s: interp: %s has no data field %q", s.Pos(), node.Type, lhs.Field)
 		}
-		node.vals[lhs.Off] = coerce(rv, lhs.Type())
+		node.vals[lhs.Off] = rv
 		return nil
 	}
 	return fmt.Errorf("%s: interp: bad assignment target %T", s.Pos(), s.LHS)
 }
 
 func (ip *Interp) execFor(s *lang.ForStmt, fr frame, depth int) (ctrl, Value, error) {
-	fromV, err := ip.eval(s.From, fr, depth)
+	from, err := ip.evalInt(s.From, fr, depth)
 	if err != nil {
 		return ctrlNext, Value{}, err
 	}
-	toV, err := ip.eval(s.To, fr, depth)
+	to, err := ip.evalInt(s.To, fr, depth)
 	if err != nil {
 		return ctrlNext, Value{}, err
 	}
-	from, to := fromV.I, toV.I
 	iv := fr.at(s.ID, s.Slot)
 	if iv == nil {
 		return ctrlNext, Value{}, fr.unresolved(s.Pos(), s.Var, s.Slot)
@@ -1099,67 +1089,480 @@ func (ip *Interp) simForall(from, to int64, pos lang.Pos, runIter func(k int64) 
 
 // ---------------------------------------------------------------------------
 // Expressions
+//
+// Every expression evaluates at the static type lang.Check recorded on
+// it (e.Type()), as the VM's register banks do: evalInt, evalReal,
+// evalBool and evalPtr return unboxed Go values, and an int operand of a
+// real operation widens where it is consumed, in evalReal. A Value is
+// built only where one is stored — a frame slot, a node field, a call
+// argument, a return, a print argument — by eval, at the type of the
+// place it goes.
 
-func (ip *Interp) eval(e lang.Expr, fr frame, depth int) (Value, error) {
+// eval evaluates e and boxes it at t, the static type of the place its
+// value is stored (an int widens to a real place).
+func (ip *Interp) eval(e lang.Expr, t lang.Type, fr frame, depth int) (Value, error) {
+	switch t := t.(type) {
+	case *lang.Pointer:
+		n, err := ip.evalPtr(e, fr, depth)
+		return PtrVal(n), err
+	case *lang.Scalar:
+		switch t.Kind {
+		case lang.KindInt:
+			i, err := ip.evalInt(e, fr, depth)
+			return IntVal(i), err
+		case lang.KindReal:
+			f, err := ip.evalReal(e, fr, depth)
+			return RealVal(f), err
+		case lang.KindBool:
+			b, err := ip.evalBool(e, fr, depth)
+			return BoolVal(b), err
+		case lang.KindString:
+			if s, ok := e.(*lang.StrLit); ok {
+				return StrVal(s.Val), nil
+			}
+		}
+	}
+	// A place of a type no value has takes e at its own type; a
+	// procedure call (a print argument) has none and is the zero Value.
+	if et := e.Type(); et != nil && !lang.TypeEq(et, t) {
+		return ip.eval(e, et, fr, depth)
+	}
+	if c, ok := e.(*lang.CallExpr); ok {
+		return ip.evalCall(c, fr, depth)
+	}
+	return Value{}, unknownExpr(e)
+}
+
+func unknownExpr(e lang.Expr) error {
+	return fmt.Errorf("%s: interp: unknown expression %T", e.Pos(), e)
+}
+
+// is reports whether t is the scalar type of kind k.
+func is(t lang.Type, k lang.ScalarKind) bool {
+	s, ok := t.(*lang.Scalar)
+	return ok && s.Kind == k
+}
+
+func isReal(t lang.Type) bool { return is(t, lang.KindReal) }
+
+func isPtr(t lang.Type) bool {
+	_, ok := t.(*lang.Pointer)
+	return ok
+}
+
+// evalInt evaluates a statically-int e.
+func (ip *Interp) evalInt(e lang.Expr, fr frame, depth int) (int64, error) {
+	switch e := e.(type) {
+	case *lang.IntLit:
+		return e.Val, nil
+	case *lang.Ident:
+		v, err := ip.read(e, fr)
+		if err != nil {
+			return 0, err
+		}
+		return v.I, nil
+	case *lang.FieldExpr:
+		v, err := ip.data(e, fr, depth)
+		if err != nil {
+			return 0, err
+		}
+		return v.I, nil
+	case *lang.BinExpr:
+		return ip.intBin(e, fr, depth)
+	case *lang.UnExpr:
+		x, err := ip.evalInt(e.X, fr, depth)
+		if err != nil {
+			return 0, err
+		}
+		ip.charge(ip.cfg.Costs.IntOp)
+		return -x, nil
+	case *lang.CallExpr:
+		v, err := ip.evalCall(e, fr, depth)
+		return v.I, err
+	}
+	return 0, unknownExpr(e)
+}
+
+// evalReal evaluates a statically-real e, or widens a statically-int
+// one: an int operand is computed as an int, then converted.
+func (ip *Interp) evalReal(e lang.Expr, fr frame, depth int) (float64, error) {
+	switch e := e.(type) {
+	case *lang.RealLit:
+		return e.Val, nil
+	case *lang.IntLit:
+		return float64(e.Val), nil
+	case *lang.Ident:
+		if isReal(e.Type()) {
+			v, err := ip.read(e, fr)
+			if err != nil {
+				return 0, err
+			}
+			return v.F, nil
+		}
+	case *lang.FieldExpr:
+		if isReal(e.Type()) {
+			v, err := ip.data(e, fr, depth)
+			if err != nil {
+				return 0, err
+			}
+			return v.F, nil
+		}
+	case *lang.BinExpr:
+		if isReal(e.Type()) {
+			return ip.realBin(e, fr, depth)
+		}
+	case *lang.UnExpr:
+		if isReal(e.Type()) {
+			x, err := ip.evalReal(e.X, fr, depth)
+			if err != nil {
+				return 0, err
+			}
+			ip.charge(ip.cfg.Costs.RealOp)
+			return -x, nil
+		}
+	case *lang.CallExpr:
+		if e.Callee == 0 || int(e.Callee) > len(ip.prog.Funcs) {
+			return ip.builtin(e, fr, depth)
+		}
+		if isReal(e.Type()) {
+			v, err := ip.evalCall(e, fr, depth)
+			return v.F, err
+		}
+	}
+	i, err := ip.evalInt(e, fr, depth)
+	return float64(i), err
+}
+
+// evalBool evaluates a statically-bool e.
+func (ip *Interp) evalBool(e lang.Expr, fr frame, depth int) (bool, error) {
+	switch e := e.(type) {
+	case *lang.BoolLit:
+		return e.Val, nil
+	case *lang.Ident:
+		v, err := ip.read(e, fr)
+		if err != nil {
+			return false, err
+		}
+		return v.B, nil
+	case *lang.FieldExpr:
+		v, err := ip.data(e, fr, depth)
+		if err != nil {
+			return false, err
+		}
+		return v.B, nil
+	case *lang.BinExpr:
+		return ip.boolBin(e, fr, depth)
+	case *lang.UnExpr:
+		x, err := ip.evalBool(e.X, fr, depth)
+		if err != nil {
+			return false, err
+		}
+		ip.charge(ip.cfg.Costs.IntOp)
+		return !x, nil
+	case *lang.CallExpr:
+		v, err := ip.evalCall(e, fr, depth)
+		return v.B, err
+	}
+	return false, unknownExpr(e)
+}
+
+// evalPtr evaluates a statically-pointer e.
+func (ip *Interp) evalPtr(e lang.Expr, fr frame, depth int) (*Node, error) {
 	switch e := e.(type) {
 	case *lang.Ident:
-		slot := fr.at(e.ID, e.Slot)
-		if slot == nil {
-			return Value{}, fr.unresolved(e.Pos(), e.Name, e.Slot)
+		v, err := ip.read(e, fr)
+		if err != nil {
+			return nil, err
 		}
-		ip.charge(ip.cfg.Costs.VarAccess)
-		return *slot, nil
-
-	case *lang.IntLit:
-		return IntVal(e.Val), nil
-	case *lang.RealLit:
-		return RealVal(e.Val), nil
-	case *lang.StrLit:
-		return StrVal(e.Val), nil
-	case *lang.BoolLit:
-		return BoolVal(e.Val), nil
+		return v.N, nil
 	case *lang.NullLit:
-		return NullVal(), nil
-
+		return nil, nil
 	case *lang.NewExpr:
 		return ip.alloc(e.TypeName)
-
 	case *lang.FieldExpr:
-		return ip.evalField(e, fr, depth)
-
+		node, err := ip.evalPtr(e.X, fr, depth)
+		if err != nil || node == nil {
+			// Speculative traversability (§3.2): walking a pointer
+			// field past the end of a structure yields NULL.
+			return nil, err
+		}
+		ip.charge(ip.cfg.Costs.FieldLoad)
+		elem, err := ip.elem(e.Pos(), node, e, fr, depth)
+		if err != nil {
+			return nil, err
+		}
+		return *elem, nil
 	case *lang.CallExpr:
-		return ip.evalCall(e, fr, depth)
+		v, err := ip.evalCall(e, fr, depth)
+		return v.N, err
+	}
+	return nil, unknownExpr(e)
+}
 
-	case *lang.BinExpr:
-		return ip.evalBin(e, fr, depth)
+// read returns the variable an identifier names, charging the access.
+func (ip *Interp) read(id *lang.Ident, fr frame) (*Value, error) {
+	v := fr.at(id.ID, id.Slot)
+	if v == nil {
+		return nil, fr.unresolved(id.Pos(), id.Name, id.Slot)
+	}
+	ip.charge(ip.cfg.Costs.VarAccess)
+	return v, nil
+}
 
-	case *lang.UnExpr:
-		v, err := ip.eval(e.X, fr, depth)
+// data returns the data field a scalar access e reads, charging the
+// load: the base is evaluated first, and a NULL base is an error.
+func (ip *Interp) data(e *lang.FieldExpr, fr frame, depth int) (*Value, error) {
+	node, err := ip.evalPtr(e.X, fr, depth)
+	if err != nil {
+		return nil, err
+	}
+	if node == nil {
+		return nil, fmt.Errorf("%s: interp: field %s read through NULL pointer", e.Pos(), e.Field)
+	}
+	ip.charge(ip.cfg.Costs.FieldLoad)
+	if e.Type() == nil || uint(e.Off) >= uint(len(node.vals)) {
+		return nil, fmt.Errorf("%s: interp: %s has no data field %q", e.Pos(), node.Type, e.Field)
+	}
+	return &node.vals[e.Off], nil
+}
+
+// elem evaluates the index of a pointer access e on node (none is
+// element 0) and returns that element of the field, or the range error
+// raised at pos.
+func (ip *Interp) elem(pos lang.Pos, node *Node, e *lang.FieldExpr, fr frame, depth int) (**Node, error) {
+	idx := int64(0)
+	if e.Index != nil {
+		var err error
+		if idx, err = ip.evalInt(e.Index, fr, depth); err != nil {
+			return nil, err
+		}
+	}
+	arr := node.ptrsAt(e.Off)
+	if idx < 0 || idx >= int64(len(arr)) {
+		return nil, fmt.Errorf("%s: interp: index %d out of range for %s.%s[%d]", pos, idx, node.Type, e.Field, len(arr))
+	}
+	return &arr[idx], nil
+}
+
+// intBin evaluates an int arithmetic e: both operands, then the divisor
+// check.
+func (ip *Interp) intBin(e *lang.BinExpr, fr frame, depth int) (int64, error) {
+	a, err := ip.evalInt(e.X, fr, depth)
+	if err != nil {
+		return 0, err
+	}
+	b, err := ip.evalInt(e.Y, fr, depth)
+	if err != nil {
+		return 0, err
+	}
+	ip.charge(ip.cfg.Costs.IntOp)
+	switch e.Op {
+	case lang.PLUS:
+		return a + b, nil
+	case lang.MINUS:
+		return a - b, nil
+	case lang.STAR:
+		return a * b, nil
+	case lang.SLASH:
+		if b == 0 {
+			return 0, fmt.Errorf("%s: interp: integer division by zero", e.Pos())
+		}
+		return a / b, nil
+	case lang.PERCENT:
+		if b == 0 {
+			return 0, fmt.Errorf("%s: interp: integer modulo by zero", e.Pos())
+		}
+		return a % b, nil
+	}
+	return 0, fmt.Errorf("%s: interp: bad int op %s", e.Pos(), e.Op)
+}
+
+// realBin evaluates a real arithmetic e.
+func (ip *Interp) realBin(e *lang.BinExpr, fr frame, depth int) (float64, error) {
+	a, err := ip.evalReal(e.X, fr, depth)
+	if err != nil {
+		return 0, err
+	}
+	b, err := ip.evalReal(e.Y, fr, depth)
+	if err != nil {
+		return 0, err
+	}
+	ip.charge(ip.cfg.Costs.RealOp)
+	switch e.Op {
+	case lang.PLUS:
+		return a + b, nil
+	case lang.MINUS:
+		return a - b, nil
+	case lang.STAR:
+		return a * b, nil
+	case lang.SLASH:
+		return a / b, nil
+	}
+	return 0, fmt.Errorf("%s: interp: bad real op %s", e.Pos(), e.Op)
+}
+
+// boolBin evaluates a logic operator or a comparison, at its operands'
+// static types as the VM lowers it: pointers (NULL has the other side's
+// type), strings or bools, then numbers — real if either side is.
+func (ip *Interp) boolBin(e *lang.BinExpr, fr frame, depth int) (bool, error) {
+	if e.Op == lang.AND || e.Op == lang.OR {
+		x, err := ip.evalBool(e.X, fr, depth)
+		if err != nil {
+			return false, err
+		}
+		ip.charge(ip.cfg.Costs.IntOp)
+		if x == (e.Op == lang.OR) {
+			return x, nil
+		}
+		return ip.evalBool(e.Y, fr, depth)
+	}
+	xt, yt := e.X.Type(), e.Y.Type()
+	switch {
+	case isPtr(xt) || isPtr(yt):
+		x, err := ip.evalPtr(e.X, fr, depth)
+		if err != nil {
+			return false, err
+		}
+		y, err := ip.evalPtr(e.Y, fr, depth)
+		if err != nil {
+			return false, err
+		}
+		ip.charge(ip.cfg.Costs.IntOp)
+		return equal(e, x == y, "pointer")
+	case is(xt, lang.KindString) && is(yt, lang.KindString), is(xt, lang.KindBool) && is(yt, lang.KindBool):
+		x, err := ip.eval(e.X, xt, fr, depth)
+		if err != nil {
+			return false, err
+		}
+		y, err := ip.eval(e.Y, yt, fr, depth)
+		if err != nil {
+			return false, err
+		}
+		ip.charge(ip.cfg.Costs.IntOp)
+		return equal(e, x == y, xt.String())
+	case isReal(xt) || isReal(yt):
+		a, err := ip.evalReal(e.X, fr, depth)
+		if err != nil {
+			return false, err
+		}
+		b, err := ip.evalReal(e.Y, fr, depth)
+		if err != nil {
+			return false, err
+		}
+		ip.charge(ip.cfg.Costs.RealOp)
+		return compare(e, a, b, "real")
+	}
+	a, err := ip.evalInt(e.X, fr, depth)
+	if err != nil {
+		return false, err
+	}
+	b, err := ip.evalInt(e.Y, fr, depth)
+	if err != nil {
+		return false, err
+	}
+	ip.charge(ip.cfg.Costs.IntOp)
+	return compare(e, a, b, "int")
+}
+
+// equal is the equality test e of two operands, given whether they are
+// equal.
+func equal(e *lang.BinExpr, eq bool, what string) (bool, error) {
+	switch e.Op {
+	case lang.EQ:
+		return eq, nil
+	case lang.NEQ:
+		return !eq, nil
+	}
+	return false, fmt.Errorf("%s: interp: bad %s op %s", e.Pos(), what, e.Op)
+}
+
+// compare is the numeric comparison e of a and b.
+func compare[T int64 | float64](e *lang.BinExpr, a, b T, what string) (bool, error) {
+	switch e.Op {
+	case lang.EQ:
+		return a == b, nil
+	case lang.NEQ:
+		return a != b, nil
+	case lang.LT:
+		return a < b, nil
+	case lang.LE:
+		return a <= b, nil
+	case lang.GT:
+		return a > b, nil
+	case lang.GE:
+		return a >= b, nil
+	}
+	return false, fmt.Errorf("%s: interp: bad %s op %s", e.Pos(), what, e.Op)
+}
+
+// evalCall runs a call for its boxed result: a function's (its return
+// boxed it at the result type), print's zero Value, or a builtin's.
+func (ip *Interp) evalCall(e *lang.CallExpr, fr frame, depth int) (Value, error) {
+	if e.Callee == 0 || int(e.Callee) > len(ip.prog.Funcs) {
+		if e.Func == "print" {
+			return Value{}, ip.print(e, fr, depth)
+		}
+		f, err := ip.builtin(e, fr, depth)
+		return RealVal(f), err
+	}
+	// The arguments are evaluated into the callee's frame, at its
+	// parameters' types, off the walker's frame stack.
+	f := ip.prog.Funcs[e.Callee-1]
+	args := ip.getVals(max(len(e.Args), len(f.Vars)))
+	defer ip.putVals(args)
+	for i, a := range e.Args {
+		v, err := ip.eval(a, f.Params[i].Type, fr, depth)
 		if err != nil {
 			return Value{}, err
 		}
-		switch e.Op {
-		case lang.MINUS:
-			if v.Kind == KindInt {
-				ip.charge(ip.cfg.Costs.IntOp)
-				return IntVal(-v.I), nil
-			}
-			ip.charge(ip.cfg.Costs.RealOp)
-			return RealVal(-v.F), nil
-		case lang.NOT:
-			ip.charge(ip.cfg.Costs.IntOp)
-			return BoolVal(!v.B), nil
-		}
+		args[i] = v
 	}
-	return Value{}, fmt.Errorf("%s: interp: unknown expression %T", e.Pos(), e)
+	return ip.callFunc(f, args, depth+1)
 }
 
-func (ip *Interp) alloc(typeName string) (Value, error) {
+// builtin runs one of the real-valued builtins.
+func (ip *Interp) builtin(e *lang.CallExpr, fr frame, depth int) (float64, error) {
+	switch e.Func {
+	case "sqrt", "abs":
+		x, err := ip.evalReal(e.Args[0], fr, depth)
+		if err != nil {
+			return 0, err
+		}
+		if e.Func == "abs" {
+			ip.charge(ip.cfg.Costs.RealOp)
+			return math.Abs(x), nil
+		}
+		ip.charge(ip.cfg.Costs.Sqrt)
+		return math.Sqrt(x), nil
+	case "rand":
+		ip.charge(ip.cfg.Costs.RealOp)
+		return ip.rand(), nil
+	}
+	return 0, fmt.Errorf("%s: interp: call to unknown function %q", e.Pos(), e.Func)
+}
+
+// print evaluates print's arguments, each at its own type, into a list
+// off the walker's frame stack, and prints them.
+func (ip *Interp) print(e *lang.CallExpr, fr frame, depth int) error {
+	args := ip.getVals(len(e.Args))
+	defer ip.putVals(args)
+	for i, a := range e.Args {
+		v, err := ip.eval(a, a.Type(), fr, depth)
+		if err != nil {
+			return err
+		}
+		args[i] = v
+	}
+	return ip.printLine(e.Pos(), args)
+}
+
+func (ip *Interp) alloc(typeName string) (*Node, error) {
 	decl := ip.prog.Universe.Decl(typeName)
 	if decl == nil {
-		return Value{}, fmt.Errorf("interp: new of unknown type %q", typeName)
+		return nil, fmt.Errorf("interp: new of unknown type %q", typeName)
 	}
-	return ip.allocNode(decl, typeName)
+	v, err := ip.allocNode(decl, typeName)
+	return v.N, err
 }
 
 // allocNode builds a fresh record: one positional slot per declared
@@ -1220,216 +1623,6 @@ func (ip *Interp) printLine(pos lang.Pos, args []Value) error {
 	return nil
 }
 
-// base evaluates the base of a field access to the node it points at:
-// a normalized base, an *Ident, is read from its slot in place.
-func (ip *Interp) base(x lang.Expr, fr frame, depth int) (*Node, error) {
-	if id, ok := x.(*lang.Ident); ok {
-		slot := fr.at(id.ID, id.Slot)
-		if slot == nil {
-			return nil, fr.unresolved(id.Pos(), id.Name, id.Slot)
-		}
-		ip.charge(ip.cfg.Costs.VarAccess)
-		return slot.N, nil
-	}
-	v, err := ip.eval(x, fr, depth)
-	return v.N, err
-}
-
-func (ip *Interp) evalField(e *lang.FieldExpr, fr frame, depth int) (Value, error) {
-	node, err := ip.base(e.X, fr, depth)
-	if err != nil {
-		return Value{}, err
-	}
-	_, isPtr := e.Type().(*lang.Pointer)
-	if node == nil {
-		if isPtr {
-			// Speculative traversability (§3.2): walking a pointer
-			// field past the end of a structure yields NULL.
-			return NullVal(), nil
-		}
-		return Value{}, fmt.Errorf("%s: interp: field %s read through NULL pointer", e.Pos(), e.Field)
-	}
-	ip.charge(ip.cfg.Costs.FieldLoad)
-	if isPtr {
-		idx := 0
-		if e.Index != nil {
-			iv, err := ip.eval(e.Index, fr, depth)
-			if err != nil {
-				return Value{}, err
-			}
-			idx = int(iv.I)
-		}
-		arr := node.ptrsAt(e.Off)
-		if idx < 0 || idx >= len(arr) {
-			return Value{}, fmt.Errorf("%s: interp: index %d out of range for %s.%s[%d]", e.Pos(), idx, node.Type, e.Field, len(arr))
-		}
-		return PtrVal(arr[idx]), nil
-	}
-	if e.Type() == nil || uint(e.Off) >= uint(len(node.vals)) {
-		return Value{}, fmt.Errorf("%s: interp: %s has no data field %q", e.Pos(), node.Type, e.Field)
-	}
-	return node.vals[e.Off], nil
-}
-
-func (ip *Interp) evalCall(e *lang.CallExpr, fr frame, depth int) (Value, error) {
-	// A function's arguments are evaluated into its frame, a builtin's
-	// into its argument list, both off the walker's frame stack.
-	n, f := len(e.Args), (*lang.FuncDecl)(nil)
-	if e.Callee > 0 && int(e.Callee) <= len(ip.prog.Funcs) {
-		f = ip.prog.Funcs[e.Callee-1]
-		n = max(n, len(f.Vars))
-	}
-	args := ip.getVals(n)
-	defer ip.putVals(args)
-	for i, a := range e.Args {
-		v, err := ip.eval(a, fr, depth)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
-	}
-	if f != nil {
-		return ip.callFunc(f, args, depth+1)
-	}
-	switch e.Func {
-	case "sqrt":
-		ip.charge(ip.cfg.Costs.Sqrt)
-		return RealVal(math.Sqrt(args[0].AsReal())), nil
-	case "abs":
-		ip.charge(ip.cfg.Costs.RealOp)
-		return RealVal(math.Abs(args[0].AsReal())), nil
-	case "rand":
-		ip.charge(ip.cfg.Costs.RealOp)
-		return RealVal(ip.rand()), nil
-	case "print":
-		return Value{}, ip.printLine(e.Pos(), args)
-	}
-	return Value{}, fmt.Errorf("%s: interp: call to unknown function %q", e.Pos(), e.Func)
-}
-
-func (ip *Interp) evalBin(e *lang.BinExpr, fr frame, depth int) (Value, error) {
-	// Short-circuit logic first.
-	if e.Op == lang.AND || e.Op == lang.OR {
-		x, err := ip.eval(e.X, fr, depth)
-		if err != nil {
-			return Value{}, err
-		}
-		ip.charge(ip.cfg.Costs.IntOp)
-		if e.Op == lang.AND && !x.B {
-			return BoolVal(false), nil
-		}
-		if e.Op == lang.OR && x.B {
-			return BoolVal(true), nil
-		}
-		return ip.eval(e.Y, fr, depth)
-	}
-	x, err := ip.eval(e.X, fr, depth)
-	if err != nil {
-		return Value{}, err
-	}
-	y, err := ip.eval(e.Y, fr, depth)
-	if err != nil {
-		return Value{}, err
-	}
-
-	// Pointer comparison.
-	if x.Kind == KindPtr || y.Kind == KindPtr {
-		ip.charge(ip.cfg.Costs.IntOp)
-		eq := x.N == y.N
-		if e.Op == lang.EQ {
-			return BoolVal(eq), nil
-		}
-		return BoolVal(!eq), nil
-	}
-
-	// String comparison (strings mostly exist as print arguments, but
-	// == / != between them is well-typed and must compare contents,
-	// not fall through to the always-zero integer fields).
-	if x.Kind == KindString && y.Kind == KindString {
-		ip.charge(ip.cfg.Costs.IntOp)
-		switch e.Op {
-		case lang.EQ:
-			return BoolVal(x.S == y.S), nil
-		case lang.NEQ:
-			return BoolVal(x.S != y.S), nil
-		}
-		return Value{}, fmt.Errorf("%s: interp: bad string op %s", e.Pos(), e.Op)
-	}
-
-	// Numeric / bool scalar ops.
-	real2 := x.Kind == KindReal || y.Kind == KindReal
-	if real2 {
-		ip.charge(ip.cfg.Costs.RealOp)
-		a, b := x.AsReal(), y.AsReal()
-		switch e.Op {
-		case lang.PLUS:
-			return RealVal(a + b), nil
-		case lang.MINUS:
-			return RealVal(a - b), nil
-		case lang.STAR:
-			return RealVal(a * b), nil
-		case lang.SLASH:
-			return RealVal(a / b), nil
-		case lang.EQ:
-			return BoolVal(a == b), nil
-		case lang.NEQ:
-			return BoolVal(a != b), nil
-		case lang.LT:
-			return BoolVal(a < b), nil
-		case lang.LE:
-			return BoolVal(a <= b), nil
-		case lang.GT:
-			return BoolVal(a > b), nil
-		case lang.GE:
-			return BoolVal(a >= b), nil
-		}
-		return Value{}, fmt.Errorf("%s: interp: bad real op %s", e.Pos(), e.Op)
-	}
-	if x.Kind == KindBool && y.Kind == KindBool {
-		ip.charge(ip.cfg.Costs.IntOp)
-		switch e.Op {
-		case lang.EQ:
-			return BoolVal(x.B == y.B), nil
-		case lang.NEQ:
-			return BoolVal(x.B != y.B), nil
-		}
-		return Value{}, fmt.Errorf("%s: interp: bad bool op %s", e.Pos(), e.Op)
-	}
-	ip.charge(ip.cfg.Costs.IntOp)
-	a, b := x.I, y.I
-	switch e.Op {
-	case lang.PLUS:
-		return IntVal(a + b), nil
-	case lang.MINUS:
-		return IntVal(a - b), nil
-	case lang.STAR:
-		return IntVal(a * b), nil
-	case lang.SLASH:
-		if b == 0 {
-			return Value{}, fmt.Errorf("%s: interp: integer division by zero", e.Pos())
-		}
-		return IntVal(a / b), nil
-	case lang.PERCENT:
-		if b == 0 {
-			return Value{}, fmt.Errorf("%s: interp: integer modulo by zero", e.Pos())
-		}
-		return IntVal(a % b), nil
-	case lang.EQ:
-		return BoolVal(a == b), nil
-	case lang.NEQ:
-		return BoolVal(a != b), nil
-	case lang.LT:
-		return BoolVal(a < b), nil
-	case lang.LE:
-		return BoolVal(a <= b), nil
-	case lang.GT:
-		return BoolVal(a > b), nil
-	case lang.GE:
-		return BoolVal(a >= b), nil
-	}
-	return Value{}, fmt.Errorf("%s: interp: bad int op %s", e.Pos(), e.Op)
-}
-
 // ---------------------------------------------------------------------------
 // Heap inspection helpers (used by tests and examples)
 
@@ -1445,10 +1638,13 @@ func Field(v Value, field string) (Value, error) {
 	return v.N.vals[i], nil
 }
 
-// FieldReal reads a real data field of a node.
+// FieldReal reads a real data field of a node; an int field widens.
 func FieldReal(v Value, field string) (float64, error) {
 	fv, err := Field(v, field)
-	return fv.AsReal(), err
+	if fv.Kind == KindInt {
+		return float64(fv.I), err
+	}
+	return fv.F, err
 }
 
 // FieldPtr reads a pointer field (index 0) of a node.

@@ -91,12 +91,6 @@ func StrVal(s string) Value   { return Value{Kind: KindString, S: s} }
 func PtrVal(n *Node) Value    { return Value{Kind: KindPtr, N: n} }
 func NullVal() Value          { return Value{Kind: KindPtr} }
 func (v Value) IsNull() bool  { return v.Kind == KindPtr && v.N == nil }
-func (v Value) AsReal() float64 {
-	if v.Kind == KindInt {
-		return float64(v.I)
-	}
-	return v.F
-}
 
 // String renders the value for print().
 func (v Value) String() string {
