@@ -111,6 +111,16 @@ func autoKey(source string, width int) [32]byte {
 	return variantKey("auto:"+strconv.Itoa(width), source)
 }
 
+// requestKey is the cache key of the variant a request runs: its
+// source's auto plan at width when auto is set, else its serial
+// program. The source is hashed once.
+func requestKey(source string, auto bool, width int) [32]byte {
+	if auto {
+		return autoKey(source, width)
+	}
+	return serialKey(source)
+}
+
 // keyHasher is a SHA-256 state plus the scratch a source is fed
 // through: hash.Hash takes bytes, and converting a source to bytes
 // would copy all of it to the heap on every request.

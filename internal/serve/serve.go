@@ -465,10 +465,7 @@ func (s *Server) execute(ctx context.Context, req Request, width int, args []int
 	rctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	key := serialKey(req.Source)
-	if req.Auto {
-		key = autoKey(req.Source, width)
-	}
+	key := requestKey(req.Source, req.Auto, width)
 	// The cache span covers the lookup including any singleflight wait
 	// on another request's in-flight build; the parse/plan/compile
 	// children appear only when THIS request ran the cold build (the

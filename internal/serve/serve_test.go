@@ -946,6 +946,25 @@ func BenchmarkServeHot(b *testing.B) {
 	}
 }
 
+// BenchmarkServeHotAuto is BenchmarkServeHot for a hot auto request,
+// the vector-force sweep at 64 bodies and 4 steps: a cache hit on the
+// planned variant, run on the pool.
+func BenchmarkServeHotAuto(b *testing.B) {
+	s := New(Config{})
+	defer s.Close()
+	req := Request{Source: nbody.VecForcePSL, Fn: nbody.VecForceFunc, Auto: true, Args: []json.Number{"64", "4", "0.5"}}
+	if resp, err := s.Run(context.Background(), req); err != nil || !resp.OK {
+		b.Fatalf("warm: %v %+v", err, resp)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resp, err := s.Run(context.Background(), req); err != nil || !resp.OK || !resp.Cached {
+			b.Fatal(err, resp.Error)
+		}
+	}
+}
+
 // BenchmarkServeHotParallel is BenchmarkServeHot from GOMAXPROCS callers
 // at once — the case a cross-goroutine hand-off costs most, and what
 // the gate's one mutex has to carry.
@@ -1086,11 +1105,7 @@ func TestPlanFailureReplies(t *testing.T) {
 		t.Helper()
 		p := lang.MustParse(scalePar)
 		damage(p.Func("total"))
-		key := serialKey(src)
-		if auto {
-			key = autoKey(src, width)
-		}
-		s.cache.get(context.Background(), key, func() (*interp.CompiledProgram, *PlanSummary, error) {
+		s.cache.get(context.Background(), requestKey(src, auto, width), func() (*interp.CompiledProgram, *PlanSummary, error) {
 			return build(p, auto, width, nil)
 		})
 	}
