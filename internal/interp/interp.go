@@ -1221,7 +1221,7 @@ func (ip *Interp) evalReal(e lang.Expr, fr frame, depth int) (float64, error) {
 			return -x, nil
 		}
 	case *lang.CallExpr:
-		if e.Callee == 0 || int(e.Callee) > len(ip.prog.Funcs) {
+		if ip.callee(e) == nil {
 			return ip.builtin(e, fr, depth)
 		}
 		if isReal(e.Type()) {
@@ -1498,16 +1498,16 @@ func compare[T int64 | float64](e *lang.BinExpr, a, b T, what string) (bool, err
 // evalCall runs a call for its boxed result: a function's (its return
 // boxed it at the result type), print's zero Value, or a builtin's.
 func (ip *Interp) evalCall(e *lang.CallExpr, fr frame, depth int) (Value, error) {
-	if e.Callee == 0 || int(e.Callee) > len(ip.prog.Funcs) {
+	f := ip.callee(e)
+	if f == nil {
 		if e.Func == "print" {
 			return Value{}, ip.print(e, fr, depth)
 		}
-		f, err := ip.builtin(e, fr, depth)
-		return RealVal(f), err
+		x, err := ip.builtin(e, fr, depth)
+		return RealVal(x), err
 	}
 	// The arguments are evaluated into the callee's frame, at its
 	// parameters' types, off the walker's frame stack.
-	f := ip.prog.Funcs[e.Callee-1]
 	args := ip.getVals(max(len(e.Args), len(f.Vars)))
 	defer ip.putVals(args)
 	for i, a := range e.Args {
@@ -1518,6 +1518,14 @@ func (ip *Interp) evalCall(e *lang.CallExpr, fr frame, depth int) (Value, error)
 		args[i] = v
 	}
 	return ip.callFunc(f, args, depth+1)
+}
+
+// callee is the function a call runs, or nil for a builtin.
+func (ip *Interp) callee(e *lang.CallExpr) *lang.FuncDecl {
+	if e.Callee > 0 && int(e.Callee) <= len(ip.prog.Funcs) {
+		return ip.prog.Funcs[e.Callee-1]
+	}
+	return nil
 }
 
 // builtin runs one of the real-valued builtins.
