@@ -22,6 +22,7 @@ package repro
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,6 +36,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/nbody"
+	"repro/internal/obs"
 	"repro/internal/parexec"
 	"repro/internal/transform"
 )
@@ -105,8 +107,87 @@ func equivalenceCorpus(t *testing.T) []eqProgram {
 		{name: "shadowed-scale", src: adds.OneWayListSrc + shadowedScalePSL, fn: "scale_checksum",
 			args:    []interp.Value{interp.IntVal(40), interp.IntVal(3)},
 			stripFn: "scale", stripLoop: 0},
+		// Every field kind at its edge values, stored and read serially
+		// and through a vectorized strip that masks half its lanes off.
+		{name: "field-words", src: fieldWordsPSL, fn: "field_words",
+			args:    []interp.Value{interp.IntVal(40)},
+			stripFn: "sweep", stripLoop: 0},
 	}
 }
+
+// fieldWordsPSL stores the edge values of each field kind — MinInt64,
+// MaxInt64 and -1; -0.0, ±Inf, NaN and the least subnormal; both bools
+// — into a list, one combination a node, and reads them back. sweep's
+// loop vectorizes, and its branch masks off every odd tag, so half the
+// lanes write back exactly the words they were gathered with while the
+// other half compute on them (wrapping, sign and NaN arithmetic).
+// field_words prints every field and returns an int checksum, which
+// classifies each real by comparisons: a NaN result would never equal
+// itself.
+const fieldWordsPSL = `
+type Word [X]
+{ int i, tag;
+  real r;
+  bool b;
+  Word *next is uniquely forward along X;
+};
+
+function int edge_int(int k) {
+  if k % 3 == 0 { return -9223372036854775807 - 1; }
+  if k % 3 == 1 { return 9223372036854775807; }
+  return -1;
+}
+
+function real edge_real(int k) {
+  if k % 5 == 0 { return -0.0; }
+  if k % 5 == 1 { return 1.0 / 0.0; }
+  if k % 5 == 2 { return -1.0 / 0.0; }
+  if k % 5 == 3 { return sqrt(-1.0); }
+  return 4.9e-324;
+}
+
+procedure sweep(Word *head) {
+  var Word *p = head;
+  while p != NULL {
+    if p->tag % 2 == 0 {
+      p->i = p->i - 1;
+      p->r = p->r * -2.0;
+      p->b = !p->b;
+    }
+    p = p->next;
+  }
+}
+
+function int field_words(int n) {
+  var Word *head = NULL;
+  var int k = 0;
+  while k < n {
+    var Word *t = new Word;
+    t->tag = k;
+    t->i = edge_int(k);
+    t->r = edge_real(k);
+    t->b = k % 4 < 2;
+    t->next = head;
+    head = t;
+    k = k + 1;
+  }
+  sweep(head);
+  var int s = 0;
+  var Word *p = head;
+  while p != NULL {
+    print(p->tag, p->i, p->r, p->b);
+    s = s * 31 + p->i;
+    if p->r != p->r { s = s + 1; }
+    if p->r > 1.0 { s = s + 2; }
+    if p->r < -1.0 { s = s + 3; }
+    if p->r > 0.0 && p->r < 1.0 { s = s + 5; }
+    if p->r == 0.0 && 1.0 / p->r < 0.0 { s = s + 7; }
+    if p->b { s = s + 11; }
+    p = p->next;
+  }
+  return s;
+}
+`
 
 // shadowedScalePSL scales a list, clamping large products with an inner
 // c that shadows the factor, and returns a position-weighted checksum.
@@ -356,6 +437,39 @@ func budgetRun(prog *lang.Program, eng interp.Engine, pes int, limit int64, seed
 		r.value, r.err = "", err.Error()
 	}
 	return r
+}
+
+// TestFieldWordsStripVectorizes holds the field-words entry to its
+// purpose: the planner vectorizes sweep's loop, and on the kernel engine
+// every strip of it completes on the vector path, so the edge values
+// really pass through gather and scatter.
+func TestFieldWordsStripVectorizes(t *testing.T) {
+	var p eqProgram
+	for _, q := range equivalenceCorpus(t) {
+		if q.name == "field-words" {
+			p = q
+		}
+	}
+	c, err := core.Compile(p.src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const width = 8
+	auto, err := c.AutoParallel(width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := auto.Plan.String(); !strings.Contains(plan, "PARALLELIZED sweep#0") || !strings.Contains(plan, "vectorized: kernel") {
+		t.Fatalf("sweep's loop is not vectorized:\n%s", plan)
+	}
+	prof := obs.NewForallProfiler()
+	if _, _, err := interp.Run(auto.Program, interp.Config{Engine: interp.EngineKernel, Profiler: prof, Output: io.Discard}, p.fn, p.args...); err != nil {
+		t.Fatal(err)
+	}
+	strips := (p.args[0].I + width - 1) / width
+	if rep := prof.Report(); len(rep) != 1 || !rep[0].Kernel || rep[0].Barriers != strips || rep[0].Tasks != strips {
+		t.Fatalf("profile %+v, want all %d strips on the vector path", rep, strips)
+	}
 }
 
 // TestDefaultEngine is the grid's default column: a caller who sets no
