@@ -167,9 +167,9 @@ const (
 
 	// Heap.
 	OpNew      // N[A] = allocNode(News[B]) (budget check)
-	OpLoadInt  // null check; I[A] = N[B].vals[C].I
-	OpLoadReal // ... .F
-	OpLoadBool // ... .B
+	OpLoadInt  // null check; I[A] = int64(N[B].words[C])
+	OpLoadReal // null check; F[A] = Float64frombits(N[B].words[C])
+	OpLoadBool // null check; B[A] = N[B].words[C] != 0
 	// OpLoadNode reads pointer field C (index 0) of N[B] into N[A]:
 	// a NULL base yields NULL (speculative traversability, §3.2).
 	OpLoadNode
@@ -179,10 +179,10 @@ const (
 	// code ending in OpLoadNodeIdx.
 	OpLoadNodeIdxBegin // A=dst, B=base, C=name, Imm=join pc
 	OpLoadNodeIdx      // N[A] = N[B].parr[off][I[C]], Imm=off<<32|name
-	OpStoreInt         // null check; N[A].vals[C] = I[B]
-	OpStoreReal
-	OpStoreBool
-	OpStoreNode // N[A].parr[C][0] = N[B], Imm=name (shape checks apply)
+	OpStoreInt         // null check; N[A].words[C] = uint64(I[B])
+	OpStoreReal        // null check; N[A].words[C] = Float64bits(F[B])
+	OpStoreBool        // null check; N[A].words[C] = 1 if B[B], else 0
+	OpStoreNode        // N[A].parr[C][0] = N[B], Imm=name (shape checks apply)
 	// OpStoreNodeIdxBegin: null check before the index expression
 	// evaluates (matching the walker's order); the store completes in
 	// OpStoreNodeIdx.

@@ -447,19 +447,19 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			if n == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: field %s read through NULL pointer", f.Pos[ipc], f.Names[in.Imm])
 			}
-			fr.i[in.A] = n.vals[in.C].I
+			fr.i[in.A] = int64(n.words[in.C])
 		case bytecode.OpLoadReal:
 			n := fr.n[in.B]
 			if n == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: field %s read through NULL pointer", f.Pos[ipc], f.Names[in.Imm])
 			}
-			fr.f[in.A] = n.vals[in.C].F
+			fr.f[in.A] = math.Float64frombits(n.words[in.C])
 		case bytecode.OpLoadBool:
 			n := fr.n[in.B]
 			if n == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: field %s read through NULL pointer", f.Pos[ipc], f.Names[in.Imm])
 			}
-			fr.b[in.A] = n.vals[in.C].B
+			fr.b[in.A] = n.words[in.C] != 0
 
 		case bytecode.OpLoadNode:
 			n := fr.n[in.B]
@@ -495,19 +495,19 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			if n == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: store through NULL pointer", f.Pos[ipc])
 			}
-			n.vals[in.C] = IntVal(fr.i[in.B])
+			n.words[in.C] = uint64(fr.i[in.B])
 		case bytecode.OpStoreReal:
 			n := fr.n[in.A]
 			if n == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: store through NULL pointer", f.Pos[ipc])
 			}
-			n.vals[in.C] = RealVal(fr.f[in.B])
+			n.words[in.C] = math.Float64bits(fr.f[in.B])
 		case bytecode.OpStoreBool:
 			n := fr.n[in.A]
 			if n == nil {
 				return ctrlNext, fmt.Errorf("%s: interp: store through NULL pointer", f.Pos[ipc])
 			}
-			n.vals[in.C] = BoolVal(fr.b[in.B])
+			n.words[in.C] = boolWord(fr.b[in.B])
 
 		case bytecode.OpStoreNode:
 			n := fr.n[in.A]

@@ -801,10 +801,10 @@ func (ip *Interp) execAssign(s *lang.AssignStmt, fr frame, depth int) error {
 			}
 			return nil
 		}
-		if lhs.Type() == nil || uint(lhs.Off) >= uint(len(node.vals)) {
+		if lhs.Type() == nil || uint(lhs.Off) >= uint(len(node.words)) {
 			return fmt.Errorf("%s: interp: %s has no data field %q", s.Pos(), node.Type, lhs.Field)
 		}
-		node.vals[lhs.Off] = rv
+		node.words[lhs.Off] = rv.word()
 		return nil
 	}
 	return fmt.Errorf("%s: interp: bad assignment target %T", s.Pos(), s.LHS)
@@ -1162,11 +1162,8 @@ func (ip *Interp) evalInt(e lang.Expr, fr frame, depth int) (int64, error) {
 		}
 		return v.I, nil
 	case *lang.FieldExpr:
-		v, err := ip.data(e, fr, depth)
-		if err != nil {
-			return 0, err
-		}
-		return v.I, nil
+		w, err := ip.data(e, fr, depth)
+		return int64(w), err
 	case *lang.BinExpr:
 		return ip.intBin(e, fr, depth)
 	case *lang.UnExpr:
@@ -1201,11 +1198,8 @@ func (ip *Interp) evalReal(e lang.Expr, fr frame, depth int) (float64, error) {
 		}
 	case *lang.FieldExpr:
 		if isReal(e.Type()) {
-			v, err := ip.data(e, fr, depth)
-			if err != nil {
-				return 0, err
-			}
-			return v.F, nil
+			w, err := ip.data(e, fr, depth)
+			return math.Float64frombits(w), err
 		}
 	case *lang.BinExpr:
 		if isReal(e.Type()) {
@@ -1245,11 +1239,8 @@ func (ip *Interp) evalBool(e lang.Expr, fr frame, depth int) (bool, error) {
 		}
 		return v.B, nil
 	case *lang.FieldExpr:
-		v, err := ip.data(e, fr, depth)
-		if err != nil {
-			return false, err
-		}
-		return v.B, nil
+		w, err := ip.data(e, fr, depth)
+		return w != 0, err
 	case *lang.BinExpr:
 		return ip.boolBin(e, fr, depth)
 	case *lang.UnExpr:
@@ -1309,21 +1300,22 @@ func (ip *Interp) read(id *lang.Ident, fr frame) (*Value, error) {
 	return v, nil
 }
 
-// data returns the data field a scalar access e reads, charging the
-// load: the base is evaluated first, and a NULL base is an error.
-func (ip *Interp) data(e *lang.FieldExpr, fr frame, depth int) (*Value, error) {
+// data returns the word of the data field a scalar access e reads,
+// charging the load: the base is evaluated first, and a NULL base is an
+// error.
+func (ip *Interp) data(e *lang.FieldExpr, fr frame, depth int) (uint64, error) {
 	node, err := ip.evalPtr(e.X, fr, depth)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if node == nil {
-		return nil, fmt.Errorf("%s: interp: field %s read through NULL pointer", e.Pos(), e.Field)
+		return 0, fmt.Errorf("%s: interp: field %s read through NULL pointer", e.Pos(), e.Field)
 	}
 	ip.charge(ip.cfg.Costs.FieldLoad)
-	if e.Type() == nil || uint(e.Off) >= uint(len(node.vals)) {
-		return nil, fmt.Errorf("%s: interp: %s has no data field %q", e.Pos(), node.Type, e.Field)
+	if e.Type() == nil || uint(e.Off) >= uint(len(node.words)) {
+		return 0, fmt.Errorf("%s: interp: %s has no data field %q", e.Pos(), node.Type, e.Field)
 	}
-	return &node.vals[e.Off], nil
+	return node.words[e.Off], nil
 }
 
 // elem evaluates the index of a pointer access e on node (none is
@@ -1573,8 +1565,9 @@ func (ip *Interp) alloc(typeName string) (*Node, error) {
 	return v.N, err
 }
 
-// allocNode builds a fresh record: one positional slot per declared
-// field, zeroed to the field's type. The MaxAllocs budget is checked
+// allocNode builds a fresh record: one zero word per data field and
+// one NULL slot per pointer, the slots of every pointer field cut from
+// one backing array. The MaxAllocs budget is checked
 // on the shared counter, so parallel iterations draw from one pool and
 // the failing allocation is deterministic in serial runs.
 func (ip *Interp) allocNode(decl *adds.Decl, typeName string) (Value, error) {
@@ -1584,24 +1577,19 @@ func (ip *Interp) allocNode(decl *adds.Decl, typeName string) (Value, error) {
 		return Value{}, fmt.Errorf("interp: allocation limit exceeded (%d)", ip.maxAllocs)
 	}
 	n := &Node{
-		Type: typeName,
-		decl: decl,
-		vals: make([]Value, len(decl.Data)),
-		parr: make([][]*Node, len(decl.Pointers)),
-		id:   ip.sh.nextID.Add(1),
+		Type:  typeName,
+		decl:  decl,
+		words: make([]uint64, len(decl.Data)),
+		parr:  make([][]*Node, len(decl.Pointers)),
+		id:    ip.sh.nextID.Add(1),
 	}
-	for i, df := range decl.Data {
-		switch df.Type {
-		case "real":
-			n.vals[i] = RealVal(0)
-		case "bool":
-			n.vals[i] = BoolVal(false)
-		default:
-			n.vals[i] = IntVal(0)
-		}
+	slots := 0
+	for _, pf := range decl.Pointers {
+		slots += pf.Count
 	}
+	back := make([]*Node, slots)
 	for i, pf := range decl.Pointers {
-		n.parr[i] = make([]*Node, pf.Count)
+		n.parr[i], back = back[:pf.Count:pf.Count], back[pf.Count:]
 	}
 	return PtrVal(n), nil
 }
@@ -1643,7 +1631,7 @@ func Field(v Value, field string) (Value, error) {
 	if i < 0 {
 		return Value{}, fmt.Errorf("interp: no field %q", field)
 	}
-	return v.N.vals[i], nil
+	return wordValue(v.N.words[i], v.N.decl.Data[i].Type), nil
 }
 
 // FieldReal reads a real data field of a node; an int field widens.

@@ -195,21 +195,21 @@ func (ks *kernState) gather() {
 			s := ks.i[fld.Slab]
 			for j, nd := range ks.nodes {
 				if nd != nil {
-					s[j] = nd.vals[fld.Off].I
+					s[j] = int64(nd.words[fld.Off])
 				}
 			}
 		case bytecode.BankReal:
 			s := ks.f[fld.Slab]
 			for j, nd := range ks.nodes {
 				if nd != nil {
-					s[j] = nd.vals[fld.Off].F
+					s[j] = math.Float64frombits(nd.words[fld.Off])
 				}
 			}
 		case bytecode.BankBool:
 			s := ks.b[fld.Slab]
 			for j, nd := range ks.nodes {
 				if nd != nil {
-					s[j] = nd.vals[fld.Off].B
+					s[j] = nd.words[fld.Off] != 0
 				}
 			}
 		}
@@ -244,11 +244,6 @@ func (ks *kernState) scatter() bool {
 		return false
 	}
 	root := ks.m[0]
-	// Writes update Kind and the data word in place rather than
-	// assigning a fresh Value: a typed data field invariantly holds its
-	// own kind with every other union member zero, so the end state is
-	// identical to IntVal/RealVal/BoolVal assignment — minus the write
-	// barrier the Value's pointer members would force.
 	for _, fld := range kern.Fields {
 		if !fld.Stored {
 			continue
@@ -258,27 +253,21 @@ func (ks *kernState) scatter() bool {
 			s := ks.i[fld.Slab]
 			for j := 0; j < lanes; j++ {
 				if root[j] {
-					v := &ks.nodes[j].vals[fld.Off]
-					v.Kind = KindInt
-					v.I = s[j]
+					ks.nodes[j].words[fld.Off] = uint64(s[j])
 				}
 			}
 		case bytecode.BankReal:
 			s := ks.f[fld.Slab]
 			for j := 0; j < lanes; j++ {
 				if root[j] {
-					v := &ks.nodes[j].vals[fld.Off]
-					v.Kind = KindReal
-					v.F = s[j]
+					ks.nodes[j].words[fld.Off] = math.Float64bits(s[j])
 				}
 			}
 		case bytecode.BankBool:
 			s := ks.b[fld.Slab]
 			for j := 0; j < lanes; j++ {
 				if root[j] {
-					v := &ks.nodes[j].vals[fld.Off]
-					v.Kind = KindBool
-					v.B = s[j]
+					ks.nodes[j].words[fld.Off] = boolWord(s[j])
 				}
 			}
 		}

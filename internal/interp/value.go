@@ -21,6 +21,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/adds"
 	"repro/internal/lang"
@@ -39,23 +40,28 @@ const (
 )
 
 // Node is a heap record instance. Fields are stored by position, in
-// the order of the record's ADDS declaration: vals[i] is decl.Data[i]
+// the order of the record's ADDS declaration: words[i] is decl.Data[i]
 // and parr[i] is decl.Pointers[i]. Every engine indexes the slices with
 // the offset lang.Check recorded on the access (FieldExpr.Off; the
 // walker checking it is in range, the bytecode in its instructions);
 // only the shape checker's store check and the Field* inspectors start
 // from a field name and find its position in the declaration.
-// Stores write one slot in place and the slices never grow, which keeps
-// concurrent access to different fields of one node race-free — the
-// parallel executor relies on it (the dependence test guarantees no two
-// iterations touch the same field of the same node).
+// A data field is one word at its declared type: two's complement for
+// int, math.Float64bits for real, 0 or 1 for bool, so the zero word is
+// every field's zero value and the words hold no pointer for the
+// collector to scan. Stores write one word or one pointer slot in place
+// and the slices never grow, which keeps concurrent access to different
+// fields of one node race-free — the parallel executor relies on it
+// (the dependence test guarantees no two iterations touch the same
+// field of the same node).
 type Node struct {
 	Type string
 	decl *adds.Decl
-	// vals holds the scalar fields, indexed like decl.Data.
-	vals []Value
+	// words holds the scalar fields, indexed like decl.Data.
+	words []uint64
 	// parr holds the pointer fields, indexed like decl.Pointers; each
-	// entry has the declared Count length (1 for plain pointers).
+	// entry has the declared Count length (1 for plain pointers), and
+	// all of them are cut from one backing array.
 	parr [][]*Node
 	// id is a stable allocation number for deterministic printing.
 	id int64
@@ -71,6 +77,36 @@ func (n *Node) ptrsAt(off int32) []*Node {
 		return nil
 	}
 	return n.parr[off]
+}
+
+// boolWord is b as a data-field word.
+func boolWord(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// word encodes a scalar v as a data-field word of its own kind.
+func (v Value) word() uint64 {
+	switch v.Kind {
+	case KindReal:
+		return math.Float64bits(v.F)
+	case KindBool:
+		return boolWord(v.B)
+	}
+	return uint64(v.I)
+}
+
+// wordValue decodes a data-field word at the field's declared type.
+func wordValue(w uint64, typ string) Value {
+	switch typ {
+	case "real":
+		return RealVal(math.Float64frombits(w))
+	case "bool":
+		return BoolVal(w != 0)
+	}
+	return IntVal(int64(w))
 }
 
 // Value is a PSL runtime value.
