@@ -41,10 +41,11 @@ import (
 var errKernelFault = errors.New("interp: kernel strip fault")
 
 // kernState is an Interp's reusable strip state: contiguous per-bank
-// backing arrays, re-sliced per strip, and the binding fields below
-// that aim the phases at the strip in flight — so a warm loop allocates
-// nothing. One Interp executes one strip at a time (the strip is the
-// barrier), so a single state per Interp suffices.
+// backing arrays, re-sliced when a strip's kernel or width changes, and
+// the binding fields below that aim the phases at the strip in flight —
+// so a warm loop allocates nothing. One Interp executes one strip at a
+// time (the strip is the barrier), so a single state per Interp
+// suffices.
 type kernState struct {
 	nodes []*Node
 	ib    []int64
@@ -65,22 +66,26 @@ type kernState struct {
 
 	// The strip in flight, set by bcForallKernel before any phase runs;
 	// nodes are its lanes' elements, from the strip's one chain walk.
+	// kern and len(nodes) are also what the slabs are sliced for.
 	kern  *bytecode.Kernel
 	fr    *bcFrame           // the caller's frame, read by gather
 	call  *bytecode.CallSite // the helper call, whose moves gather broadcasts
 	steps int64              // the strip's step total, paid by scatter
 }
 
-// ensure aims the state at a strip whose lanes' elements are nodes and
-// sizes its slabs.
+// ensure aims the state at a strip of kernel k whose lanes' elements
+// are nodes. It re-slices the slabs only when k or the lane count
+// differs from the last strip's, so a loop's full strips share one
+// slicing.
 func (ks *kernState) ensure(k *bytecode.Kernel, nodes []*Node) {
-	ks.nodes = nodes
-	n := len(nodes)
-	ks.ib, ks.i = slabs(ks.ib, ks.i, k.NInt+1, n)
-	ks.fb, ks.f = slabs(ks.fb, ks.f, k.NReal+1, n)
-	ks.bb, ks.b = slabs(ks.bb, ks.b, k.NBool+1, n)
-	ks.mb, ks.m = slabs(ks.mb, ks.m, k.NMasks, n)
-	ks.pop = resize(ks.pop, k.NMasks)
+	if n := len(nodes); k != ks.kern || n != len(ks.nodes) {
+		ks.ib, ks.i = slabs(ks.ib, ks.i, k.NInt+1, n)
+		ks.fb, ks.f = slabs(ks.fb, ks.f, k.NReal+1, n)
+		ks.bb, ks.b = slabs(ks.bb, ks.b, k.NBool+1, n)
+		ks.mb, ks.m = slabs(ks.mb, ks.m, k.NMasks, n)
+		ks.pop = resize(ks.pop, k.NMasks)
+	}
+	ks.kern, ks.nodes = k, nodes
 }
 
 // slabs re-slices back, grown when it is short, into count slabs of n.
@@ -132,7 +137,7 @@ func (ip *Interp) bcForallKernel(f *bytecode.Func, fr *bcFrame, site *bytecode.F
 		ip.kern = ks
 	}
 	ks.ensure(kern, nodes)
-	ks.kern, ks.fr, ks.call = kern, fr, &f.Calls[site.Strip.CallSite]
+	ks.fr, ks.call = fr, &f.Calls[site.Strip.CallSite]
 	// Per lane k the strip prologue (helper call, skip loop, NULL guard)
 	// charges 3+2k steps; compute adds the body's.
 	ks.steps = 3*n + (lo+hi)*n
