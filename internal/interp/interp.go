@@ -1122,13 +1122,9 @@ func (ip *Interp) eval(e lang.Expr, t lang.Type, fr frame, depth int) (Value, er
 			}
 		}
 	}
-	// A place of a type no value has takes e at its own type; a
-	// procedure call (a print argument) has none and is the zero Value.
+	// A place of a type no value has takes e at its own type.
 	if et := e.Type(); et != nil && !lang.TypeEq(et, t) {
 		return ip.eval(e, et, fr, depth)
-	}
-	if c, ok := e.(*lang.CallExpr); ok {
-		return ip.evalCall(c, fr, depth)
 	}
 	return Value{}, unknownExpr(e)
 }

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -107,6 +108,41 @@ function int f(bool b) {
 	}
 	if v, err := ip.Call("f", BoolVal(true)); err != nil || v.I != 1 {
 		t.Errorf("true path: %v %v", v, err)
+	}
+}
+
+// TestProcedureCallIsNotAValue: a call that returns nothing may stand
+// only as a statement. As a print argument, as an operand of == or !=,
+// or nested in another print, the checker rejects it, so the walker and
+// the VM fail alike instead of the walker printing a zero the VM's
+// lowering cannot produce.
+func TestProcedureCallIsNotAValue(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`procedure p() { }
+function int main() { print(p()); return 0; }`, "2:29: procedure p has no value"},
+		{`procedure p() { }
+function int main() { if p() == p() { return 1; } if p() != 1 { return 2; } return 0; }`, "2:26: procedure p has no value"},
+		{`function int main() { print(print(1)); return 0; }`, "1:29: procedure print has no value"},
+	} {
+		var errs []string
+		for _, eng := range []Engine{EngineWalk, EngineBytecode} {
+			err := func() error {
+				prog, err := lang.Parse(tc.src)
+				if err != nil {
+					return err
+				}
+				_, _, err = Run(prog, Config{Engine: eng, Output: io.Discard}, "main")
+				return err
+			}()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%q on %s: %v, want %q", tc.src, eng, err, tc.want)
+				continue
+			}
+			errs = append(errs, err.Error())
+		}
+		if len(errs) == 2 && errs[0] != errs[1] {
+			t.Errorf("%q: the walker says %q, the VM %q", tc.src, errs[0], errs[1])
+		}
 	}
 }
 

@@ -228,7 +228,7 @@ func (c *checker) checkStmt(s Stmt) error {
 		return nil
 
 	case *CallStmt:
-		return c.checkExpr(s.Call)
+		return c.checkCall(s.Call)
 
 	case *ForStmt:
 		if err := c.checkExpr(s.From); err != nil {
@@ -340,7 +340,16 @@ func (c *checker) checkExpr(e Expr) error {
 		return fmt.Errorf("%s: type %q has no field %q", e.Pos(), elem, e.Field)
 
 	case *CallExpr:
-		return c.checkCall(e)
+		// Only a call statement may drop a call's result, so a call
+		// that has none is not an expression: not a print argument,
+		// not an operand.
+		if err := c.checkCall(e); err != nil {
+			return err
+		}
+		if e.Type() == nil {
+			return fmt.Errorf("%s: procedure %s has no value", e.Pos(), e.Func)
+		}
+		return nil
 
 	case *NewExpr:
 		if c.prog.Universe.Decl(e.TypeName) == nil {
