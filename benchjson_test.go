@@ -1,6 +1,6 @@
 // BENCH_interp.json is the checked-in interpreter performance
-// trajectory: ns/op for the tree-walking oracle, the flat bytecode VM,
-// and the SPMD kernel path on the R1
+// trajectory: ns, Go allocations and bytes per op for the tree-walking
+// oracle, the flat bytecode VM, and the SPMD kernel path on the R1
 // (polynomial), R2 (Barnes-Hut force), and R8 (vectorizable force)
 // workloads, regenerated via testing.Benchmark from the same
 // BenchmarkR3*/BenchmarkR6*/BenchmarkR8* configurations CI compiles.
@@ -43,6 +43,7 @@ type benchEntry struct {
 	Engine      string  `json:"engine"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
 	N           int     `json:"n"` // iterations of the median run
 }
 
@@ -102,6 +103,9 @@ func TestBenchInterpJSON(t *testing.T) {
 		if e.NsPerOp <= 0 {
 			t.Errorf("%s %s: non-positive ns/op %v", e.Name, e.Engine, e.NsPerOp)
 		}
+		if e.BytesPerOp <= 0 {
+			t.Errorf("%s %s: non-positive bytes/op %v (regenerate with -write-bench)", e.Name, e.Engine, e.BytesPerOp)
+		}
 		seen[e.Name+"/"+e.Engine] = true
 	}
 	for _, c := range benchConfigs {
@@ -152,6 +156,7 @@ func writeBenchJSON(t *testing.T) {
 			Engine:      c.engine.String(),
 			NsPerOp:     ns,
 			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
 			N:           r.N,
 		})
 		if c.name == "R2-force/serial" {
