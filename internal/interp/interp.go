@@ -1563,9 +1563,9 @@ func (ip *Interp) alloc(typeName string) (*Node, error) {
 
 // allocNode builds a fresh record: one zero word per data field and
 // one NULL slot per pointer, the slots of every pointer field cut from
-// one backing array. The MaxAllocs budget is checked
-// on the shared counter, so parallel iterations draw from one pool and
-// the failing allocation is deterministic in serial runs.
+// one backing array. The MaxAllocs budget is checked on the shared
+// counter, so parallel iterations draw from one pool and the failing
+// allocation is deterministic in serial runs.
 func (ip *Interp) allocNode(decl *adds.Decl, typeName string) (Value, error) {
 	ip.charge(ip.cfg.Costs.Alloc)
 	ip.ownAllocs++

@@ -197,10 +197,10 @@ func TestSimulatedDeterminism(t *testing.T) {
 // only, data plus one pointer, and Barnes-Hut's Octree (15 data fields,
 // subtrees[8] and next). A node is its header, one word per data field
 // and, when it has pointers, the per-field slice headers and one array
-// of slots: the Octree is 4 allocations of about 352 B, where a Value
-// per field cost 5 and 1 112 B. The cost is read as a loop of n `new`s
-// less the same loop run zero times. Under the race detector the counts
-// are not read; CI's cost-gate step runs this test without it.
+// of slots: the Octree is 4 allocations of 352 B. The cost is read as a
+// loop of n `new`s less the same loop run zero times. Under the race
+// detector the counts are not read; CI's cost-gate step runs this test
+// without it.
 func TestNodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation changes what allocates")
