@@ -22,7 +22,6 @@ import (
 	"repro/internal/parexec"
 	"repro/internal/sequent"
 	"repro/internal/structures/bignum"
-	"repro/internal/structures/list"
 	"repro/internal/structures/orthlist"
 	"repro/internal/structures/poly"
 	"repro/internal/structures/rangetree"
@@ -614,17 +613,6 @@ func BenchmarkParseBarnesHut(b *testing.B) {
 		if _, err := lang.Parse(nbody.BarnesHutPSL); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkListParallelEach(b *testing.B) {
-	l := list.New[int]()
-	for i := 0; i < 2048; i++ {
-		l.Append(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.ParallelEach(4, func(n *list.Node[int]) { n.Data++ })
 	}
 }
 

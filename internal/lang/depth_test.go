@@ -124,66 +124,6 @@ func TestMiBChainFailsToParse(t *testing.T) {
 	}
 }
 
-// treeDepth is how many levels deep a function's tree runs: a statement
-// or expression one below its parent.
-func treeDepth(f *lang.FuncDecl) int {
-	var stmt func(s lang.Stmt) int
-	var expr func(e lang.Expr) int
-	exprs := func(es ...lang.Expr) int {
-		d := 0
-		for _, e := range es {
-			if e != nil {
-				d = max(d, expr(e))
-			}
-		}
-		return d
-	}
-	block := func(b *lang.Block) int {
-		d := 0
-		if b != nil {
-			for _, s := range b.Stmts {
-				d = max(d, stmt(s))
-			}
-		}
-		return d
-	}
-	expr = func(e lang.Expr) int {
-		switch e := e.(type) {
-		case *lang.FieldExpr:
-			return 1 + exprs(e.X, e.Index)
-		case *lang.CallExpr:
-			return 1 + exprs(e.Args...)
-		case *lang.BinExpr:
-			return 1 + exprs(e.X, e.Y)
-		case *lang.UnExpr:
-			return 1 + exprs(e.X)
-		}
-		return 1
-	}
-	stmt = func(s lang.Stmt) int {
-		switch s := s.(type) {
-		case *lang.Block:
-			return 1 + block(s)
-		case *lang.VarStmt:
-			return 1 + exprs(s.Init)
-		case *lang.AssignStmt:
-			return 1 + exprs(s.LHS, s.RHS)
-		case *lang.WhileStmt:
-			return 1 + max(exprs(s.Cond), block(s.Body))
-		case *lang.IfStmt:
-			return 1 + max(exprs(s.Cond), block(s.Then), block(s.Else))
-		case *lang.ReturnStmt:
-			return 1 + exprs(s.Value)
-		case *lang.CallStmt:
-			return 1 + expr(s.Call)
-		case *lang.ForStmt:
-			return 1 + max(exprs(s.From, s.To), block(s.Body))
-		}
-		return 1
-	}
-	return 1 + block(f.Body)
-}
-
 // TestCorpusTreeDepth logs the corpus's deepest tree, far inside the
 // bound the parser holds chains to.
 func TestCorpusTreeDepth(t *testing.T) {
@@ -194,7 +134,7 @@ func TestCorpusTreeDepth(t *testing.T) {
 			continue
 		}
 		for _, f := range prog.Funcs {
-			if d := treeDepth(f); d > deepest {
+			if d := lang.TreeDepth(f); d > deepest {
 				deepest, where = d, name+"."+f.Name
 			}
 		}

@@ -78,7 +78,9 @@ func FuzzLexer(f *testing.F) {
 // round-trips through the printer — print → parse → print reaches a
 // fixed point on the first print. This is the property that keeps
 // Format output usable as input (the transformed programs the harness
-// prints are real PSL).
+// prints are real PSL). Every function it accepts is at most
+// maxNesting levels deep (treeDepth), the bound the walks over the
+// tree rely on.
 func FuzzParser(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -100,7 +102,72 @@ func FuzzParser(f *testing.F) {
 		if s1 != s2 {
 			t.Fatalf("print→parse→print not stable:\n--- first ---\n%s\n--- second ---\n%s", s1, s2)
 		}
+		for _, fn := range p1.Funcs {
+			if d := treeDepth(fn); d > maxNesting {
+				t.Fatalf("%s's tree is %d levels deep, past the parser's bound of %d\n--- source ---\n%s", fn.Name, d, maxNesting, src)
+			}
+		}
 	})
+}
+
+// treeDepth is how many levels deep a function's tree runs: a statement
+// or expression one below its parent.
+func treeDepth(f *FuncDecl) int {
+	var stmt func(s Stmt) int
+	var expr func(e Expr) int
+	exprs := func(es ...Expr) int {
+		d := 0
+		for _, e := range es {
+			if e != nil {
+				d = max(d, expr(e))
+			}
+		}
+		return d
+	}
+	block := func(b *Block) int {
+		d := 0
+		if b != nil {
+			for _, s := range b.Stmts {
+				d = max(d, stmt(s))
+			}
+		}
+		return d
+	}
+	expr = func(e Expr) int {
+		switch e := e.(type) {
+		case *FieldExpr:
+			return 1 + exprs(e.X, e.Index)
+		case *CallExpr:
+			return 1 + exprs(e.Args...)
+		case *BinExpr:
+			return 1 + exprs(e.X, e.Y)
+		case *UnExpr:
+			return 1 + exprs(e.X)
+		}
+		return 1
+	}
+	stmt = func(s Stmt) int {
+		switch s := s.(type) {
+		case *Block:
+			return 1 + block(s)
+		case *VarStmt:
+			return 1 + exprs(s.Init)
+		case *AssignStmt:
+			return 1 + exprs(s.LHS, s.RHS)
+		case *WhileStmt:
+			return 1 + max(exprs(s.Cond), block(s.Body))
+		case *IfStmt:
+			return 1 + max(exprs(s.Cond), block(s.Then), block(s.Else))
+		case *ReturnStmt:
+			return 1 + exprs(s.Value)
+		case *CallStmt:
+			return 1 + expr(s.Call)
+		case *ForStmt:
+			return 1 + max(exprs(s.From, s.To), block(s.Body))
+		}
+		return 1
+	}
+	return 1 + block(f.Body)
 }
 
 // TestQuotePSL pins the printer's escape set to what the lexer accepts.

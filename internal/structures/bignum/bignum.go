@@ -130,31 +130,6 @@ func (b *Int) Add(c *Int) *Int {
 	return fromLimbs(out)
 }
 
-// Sub returns b - c; it panics if c > b (unsigned arithmetic).
-func (b *Int) Sub(c *Int) *Int {
-	if b.Cmp(c) < 0 {
-		panic("bignum: negative result")
-	}
-	p, q := head(b), head(c)
-	var out []int
-	borrow := 0
-	for p != nil {
-		d := p.Data - borrow
-		if q != nil {
-			d -= q.Data
-			q = q.Next
-		}
-		borrow = 0
-		if d < 0 {
-			d += Base
-			borrow = 1
-		}
-		out = append(out, d)
-		p = p.Next
-	}
-	return fromLimbs(out)
-}
-
 // Mul returns b * c (schoolbook over the limb lists).
 func (b *Int) Mul(c *Int) *Int {
 	if b.IsZero() || c.IsZero() {
@@ -216,19 +191,6 @@ func (b *Int) Cmp(c *Int) int {
 		}
 	}
 	return 0
-}
-
-// Int64 converts to int64, or reports overflow.
-func (b *Int) Int64() (int64, bool) {
-	var v int64
-	limbs := sliceOf(b)
-	for i := len(limbs) - 1; i >= 0; i-- {
-		if v > (1<<62)/Base {
-			return 0, false
-		}
-		v = v*Base + int64(limbs[i])
-	}
-	return v, true
 }
 
 // Fib returns the n-th Fibonacci number — a workload that grows lists

@@ -45,9 +45,6 @@ func TestArithmeticBasics(t *testing.T) {
 	if got := a.Add(b).String(); got != "1000000" {
 		t.Errorf("add = %s", got)
 	}
-	if got := a.Sub(New(999000)).String(); got != "999" {
-		t.Errorf("sub = %s", got)
-	}
 	if got := New(123456).Mul(New(789012)).String(); got != "97408265472" {
 		t.Errorf("mul = %s", got)
 	}
@@ -60,15 +57,6 @@ func TestArithmeticBasics(t *testing.T) {
 	if New(1000).Cmp(New(999)) != 1 {
 		t.Error("cmp across limb counts broken")
 	}
-}
-
-func TestSubPanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	New(1).Sub(New(2))
 }
 
 func TestZeroHandling(t *testing.T) {
@@ -84,19 +72,6 @@ func TestZeroHandling(t *testing.T) {
 	}
 	if got := z.Add(New(5)).String(); got != "5" {
 		t.Errorf("0 + 5 = %s", got)
-	}
-	if got := New(5).Sub(New(5)); !got.IsZero() {
-		t.Errorf("5 - 5 = %s", got)
-	}
-}
-
-func TestInt64(t *testing.T) {
-	v, ok := New(9876543210).Int64()
-	if !ok || v != 9876543210 {
-		t.Errorf("Int64 = %d, %v", v, ok)
-	}
-	if _, ok := Factorial(50).Int64(); ok {
-		t.Error("50! must overflow int64")
 	}
 }
 
@@ -134,21 +109,6 @@ func TestQuickMulMatchesBig(t *testing.T) {
 		x, y := New(int64(a)), New(int64(b))
 		want := new(big.Int).Mul(big.NewInt(int64(a)), big.NewInt(int64(b)))
 		return x.Mul(y).String() == want.String()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickSubMatchesBig(t *testing.T) {
-	f := func(a, b uint32) bool {
-		hi, lo := a, b
-		if hi < lo {
-			hi, lo = lo, hi
-		}
-		x, y := New(int64(hi)), New(int64(lo))
-		want := new(big.Int).Sub(big.NewInt(int64(hi)), big.NewInt(int64(lo)))
-		return x.Sub(y).String() == want.String()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,8 +1,8 @@
-// Package list implements the paper's §3.1.1 one-way and §2.2 two-way
-// linked lists as generic Go containers, with runtime verifiers for the
-// ADDS properties their declarations promise (acyclicity and uniqueness
-// along the X dimension) and a strip-mined parallel traversal that
-// mirrors the paper's §4.3.3 transformation.
+// Package list implements the paper's §3.1.1 one-way linked list as a
+// generic Go container, with runtime verifiers for the ADDS properties
+// its declaration promises (acyclicity and uniqueness along the X
+// dimension) and a strip-mined parallel traversal that mirrors the
+// paper's §4.3.3 transformation.
 package list
 
 import (
@@ -111,42 +111,6 @@ func (l *List[T]) Slice() []T {
 	return out
 }
 
-// Reverse reverses the list in place. (A shape-preserving rearrangement:
-// the ADDS abstraction is temporarily broken mid-loop and restored at
-// exit, exactly the §3.3.1 pattern.)
-func (l *List[T]) Reverse() {
-	var prev *Node[T]
-	p := l.head
-	l.tail = p
-	for p != nil {
-		next := p.Next
-		p.Next = prev
-		prev = p
-		p = next
-	}
-	l.head = prev
-}
-
-// Map builds a new list by applying fn to each element.
-func Map[T, U any](l *List[T], fn func(T) U) *List[U] {
-	out := New[U]()
-	for p := l.head; p != nil; p = p.Next {
-		out.Append(fn(p.Data))
-	}
-	return out
-}
-
-// Filter builds a new list with the elements for which pred holds.
-func Filter[T any](l *List[T], pred func(T) bool) *List[T] {
-	out := New[T]()
-	for p := l.head; p != nil; p = p.Next {
-		if pred(p.Data) {
-			out.Append(p.Data)
-		}
-	}
-	return out
-}
-
 // ParallelEach processes every node with pes workers using the paper's
 // strip-mined schedule (§4.3.3): worker i handles nodes i, i+pes, …,
 // each skipping ahead speculatively from the shared cursor. fn must not
@@ -206,107 +170,6 @@ func (l *List[T]) VerifyUnique() error {
 		if seen[p] && p == l.head {
 			return fmt.Errorf("list: head has an in-edge")
 		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Two-way lists (§2.2's TwoWayList)
-
-// DNode is a doubly linked node ("next uniquely forward, prev backward
-// along X").
-type DNode[T any] struct {
-	Data T
-	Next *DNode[T]
-	Prev *DNode[T]
-}
-
-// DList is a two-way linked list.
-type DList[T any] struct {
-	head, tail *DNode[T]
-	n          int
-}
-
-// NewD builds a two-way list from elements.
-func NewD[T any](xs ...T) *DList[T] {
-	l := &DList[T]{}
-	for _, x := range xs {
-		l.Append(x)
-	}
-	return l
-}
-
-// Len returns the number of nodes.
-func (l *DList[T]) Len() int { return l.n }
-
-// Head returns the first node.
-func (l *DList[T]) Head() *DNode[T] { return l.head }
-
-// Tail returns the last node.
-func (l *DList[T]) Tail() *DNode[T] { return l.tail }
-
-// Append adds x at the tail.
-func (l *DList[T]) Append(x T) *DNode[T] {
-	node := &DNode[T]{Data: x, Prev: l.tail}
-	if l.tail == nil {
-		l.head = node
-	} else {
-		l.tail.Next = node
-	}
-	l.tail = node
-	l.n++
-	return node
-}
-
-// Remove unlinks a node.
-func (l *DList[T]) Remove(node *DNode[T]) {
-	if node.Prev != nil {
-		node.Prev.Next = node.Next
-	} else {
-		l.head = node.Next
-	}
-	if node.Next != nil {
-		node.Next.Prev = node.Prev
-	} else {
-		l.tail = node.Prev
-	}
-	node.Next, node.Prev = nil, nil
-	l.n--
-}
-
-// Forward traverses head→tail (never visits a node twice: the §2.2
-// property that enables parallel processing).
-func (l *DList[T]) Forward(fn func(*DNode[T])) {
-	for p := l.head; p != nil; p = p.Next {
-		fn(p)
-	}
-}
-
-// Backward traverses tail→head.
-func (l *DList[T]) Backward(fn func(*DNode[T])) {
-	for p := l.tail; p != nil; p = p.Prev {
-		fn(p)
-	}
-}
-
-// VerifyLinks checks next/prev consistency — the invariant the ADDS
-// forward/backward pair promises.
-func (l *DList[T]) VerifyLinks() error {
-	if l.head != nil && l.head.Prev != nil {
-		return fmt.Errorf("dlist: head has a prev")
-	}
-	count := 0
-	for p := l.head; p != nil; p = p.Next {
-		count++
-		if count > l.n {
-			return fmt.Errorf("dlist: cycle detected")
-		}
-		if p.Next != nil && p.Next.Prev != p {
-			return fmt.Errorf("dlist: broken next/prev pairing")
-		}
-	}
-	if count != l.n {
-		return fmt.Errorf("dlist: length %d, walked %d", l.n, count)
 	}
 	return nil
 }

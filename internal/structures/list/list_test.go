@@ -58,41 +58,6 @@ func TestInsertAfterAndRemove(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	l := New(1, 2, 3, 4)
-	l.Reverse()
-	if !reflect.DeepEqual(l.Slice(), []int{4, 3, 2, 1}) {
-		t.Errorf("reversed = %v", l.Slice())
-	}
-	if err := l.VerifyAcyclic(); err != nil {
-		t.Error(err)
-	}
-	if err := l.VerifyUnique(); err != nil {
-		t.Error(err)
-	}
-	l.Append(0)
-	if !reflect.DeepEqual(l.Slice(), []int{4, 3, 2, 1, 0}) {
-		t.Errorf("append after reverse = %v (tail stale?)", l.Slice())
-	}
-	empty := New[int]()
-	empty.Reverse()
-	if empty.Len() != 0 {
-		t.Error("empty reverse")
-	}
-}
-
-func TestMapFilter(t *testing.T) {
-	l := New(1, 2, 3, 4, 5)
-	doubled := Map(l, func(x int) int { return 2 * x })
-	if !reflect.DeepEqual(doubled.Slice(), []int{2, 4, 6, 8, 10}) {
-		t.Errorf("map = %v", doubled.Slice())
-	}
-	even := Filter(l, func(x int) bool { return x%2 == 0 })
-	if !reflect.DeepEqual(even.Slice(), []int{2, 4}) {
-		t.Errorf("filter = %v", even.Slice())
-	}
-}
-
 func TestParallelEach(t *testing.T) {
 	for _, pes := range []int{1, 2, 4, 7} {
 		l := New[int]()
@@ -155,54 +120,5 @@ func TestQuickAppendOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQuickReverseInvolution(t *testing.T) {
-	f := func(xs []int) bool {
-		l := New(xs...)
-		l.Reverse()
-		l.Reverse()
-		return reflect.DeepEqual(l.Slice(), append([]int{}, xs...))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDList(t *testing.T) {
-	l := NewD(1, 2, 3)
-	if l.Len() != 3 {
-		t.Fatalf("len = %d", l.Len())
-	}
-	if err := l.VerifyLinks(); err != nil {
-		t.Fatal(err)
-	}
-	var fwd, bwd []int
-	l.Forward(func(n *DNode[int]) { fwd = append(fwd, n.Data) })
-	l.Backward(func(n *DNode[int]) { bwd = append(bwd, n.Data) })
-	if !reflect.DeepEqual(fwd, []int{1, 2, 3}) || !reflect.DeepEqual(bwd, []int{3, 2, 1}) {
-		t.Errorf("fwd=%v bwd=%v", fwd, bwd)
-	}
-	// Remove middle, head, tail.
-	l.Remove(l.Head().Next)
-	if err := l.VerifyLinks(); err != nil {
-		t.Fatal(err)
-	}
-	l.Remove(l.Head())
-	l.Remove(l.Tail())
-	if l.Len() != 0 || l.Head() != nil || l.Tail() != nil {
-		t.Errorf("not empty: len=%d", l.Len())
-	}
-	if err := l.VerifyLinks(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDListVerifyCatchesBreaks(t *testing.T) {
-	l := NewD(1, 2, 3)
-	l.Head().Next.Prev = nil // break pairing
-	if err := l.VerifyLinks(); err == nil {
-		t.Error("broken pairing not detected")
 	}
 }

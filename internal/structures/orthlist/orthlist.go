@@ -65,11 +65,7 @@ func (m *Matrix) Get(r, c int) float64 {
 // Set stores v at (r, c); storing zero removes the element.
 func (m *Matrix) Set(r, c int, v float64) {
 	m.check(r, c)
-	if v == 0 {
-		m.remove(r, c)
-		return
-	}
-	// Find or create in the row list.
+	// Find in the row list; update, remove or create.
 	var prev *Node
 	n := m.rowHead[r]
 	for n != nil && n.Col < c {
@@ -77,7 +73,14 @@ func (m *Matrix) Set(r, c int, v float64) {
 		n = n.Across
 	}
 	if n != nil && n.Col == c {
-		n.Val = v
+		if v == 0 {
+			m.unlink(n)
+		} else {
+			n.Val = v
+		}
+		return
+	}
+	if v == 0 {
 		return
 	}
 	node := &Node{Row: r, Col: c, Val: v}
@@ -112,18 +115,12 @@ func (m *Matrix) Set(r, c int, v float64) {
 	m.nnz++
 }
 
-func (m *Matrix) remove(r, c int) {
-	n := m.rowHead[r]
-	for n != nil && n.Col < c {
-		n = n.Across
-	}
-	if n == nil || n.Col != c {
-		return
-	}
+// unlink splices n out of its row and its column.
+func (m *Matrix) unlink(n *Node) {
 	if n.Back != nil {
 		n.Back.Across = n.Across
 	} else {
-		m.rowHead[r] = n.Across
+		m.rowHead[n.Row] = n.Across
 	}
 	if n.Across != nil {
 		n.Across.Back = n.Back
@@ -131,7 +128,7 @@ func (m *Matrix) remove(r, c int) {
 	if n.Up != nil {
 		n.Up.Down = n.Down
 	} else {
-		m.colHead[c] = n.Down
+		m.colHead[n.Col] = n.Down
 	}
 	if n.Down != nil {
 		n.Down.Up = n.Up
@@ -144,27 +141,6 @@ func (m *Matrix) EachInRow(r int, fn func(*Node)) {
 	for n := m.rowHead[r]; n != nil; n = n.Across {
 		fn(n)
 	}
-}
-
-// EachInCol traverses column c forward along Y.
-func (m *Matrix) EachInCol(c int, fn func(*Node)) {
-	for n := m.colHead[c]; n != nil; n = n.Down {
-		fn(n)
-	}
-}
-
-// RowSum returns the sum of row r.
-func (m *Matrix) RowSum(r int) float64 {
-	var s float64
-	m.EachInRow(r, func(n *Node) { s += n.Val })
-	return s
-}
-
-// ColSum returns the sum of column c.
-func (m *Matrix) ColSum(c int) float64 {
-	var s float64
-	m.EachInCol(c, func(n *Node) { s += n.Val })
-	return s
 }
 
 // Add returns m + o.
@@ -231,10 +207,14 @@ func (m *Matrix) Transpose() *Matrix {
 // goroutine per strip of rows. Rows are disjoint along X ("parallel
 // traversals of different rows along X will never visit the same
 // node"), which is exactly the ADDS property that makes this safe.
+// Elements that become zero are unlinked after the parallel pass, on
+// the calling goroutine: columns cross rows, so their links are not
+// disjoint between workers.
 func (m *Matrix) ScaleRowsParallel(pes int, factor func(row int) float64) {
 	if pes < 1 {
 		pes = 1
 	}
+	zeroed := make([][]*Node, pes)
 	var wg sync.WaitGroup
 	for i := 0; i < pes; i++ {
 		wg.Add(1)
@@ -244,11 +224,19 @@ func (m *Matrix) ScaleRowsParallel(pes int, factor func(row int) float64) {
 				f := factor(r)
 				for n := m.rowHead[r]; n != nil; n = n.Across {
 					n.Val *= f
+					if n.Val == 0 {
+						zeroed[i] = append(zeroed[i], n)
+					}
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
+	for _, ns := range zeroed {
+		for _, n := range ns {
+			m.unlink(n)
+		}
+	}
 }
 
 // MulVec returns m·x as a dense vector.
@@ -277,11 +265,11 @@ func (m *Matrix) Dense() [][]float64 {
 	return out
 }
 
-// Verify checks the orthogonal-list invariants: row lists strictly
-// increasing in column with consistent back links, column lists
-// strictly increasing in row with consistent up links, and the same
-// node set reachable along both dimensions (the declared dependence of
-// X and Y).
+// Verify checks the orthogonal-list invariants: every node holds a
+// nonzero, row lists strictly increasing in column with consistent back
+// links, column lists strictly increasing in row with consistent up
+// links, and the same node set reachable along both dimensions (the
+// declared dependence of X and Y).
 func (m *Matrix) Verify() error {
 	rowNodes := map[*Node]bool{}
 	for r := 0; r < m.Rows; r++ {
@@ -296,6 +284,9 @@ func (m *Matrix) Verify() error {
 			}
 			if n.Back != prev {
 				return fmt.Errorf("orthlist: row %d broken back link at col %d", r, n.Col)
+			}
+			if n.Val == 0 {
+				return fmt.Errorf("orthlist: zero stored at (%d,%d)", r, n.Col)
 			}
 			lastCol = n.Col
 			prev = n

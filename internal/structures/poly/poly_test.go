@@ -2,9 +2,15 @@ package poly
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+func equal(p, q *Poly) bool { return slices.Equal(p.Terms(), q.Terms()) }
+
+// degree is p's largest exponent; p must be nonzero.
+func degree(p *Poly) int { return p.Terms()[0].Exp }
 
 func TestPaperExample(t *testing.T) {
 	// 451x^31 + 10x^13 + 4 (§3.1.1).
@@ -12,8 +18,8 @@ func TestPaperExample(t *testing.T) {
 	if got := p.String(); got != "451x^31 + 10x^13 + 4" {
 		t.Errorf("string = %q", got)
 	}
-	if p.Degree() != 31 || p.Len() != 3 {
-		t.Errorf("degree=%d len=%d", p.Degree(), p.Len())
+	if degree(p) != 31 || p.Len() != 3 {
+		t.Errorf("degree=%d len=%d", degree(p), p.Len())
 	}
 	if err := p.Verify(); err != nil {
 		t.Error(err)
@@ -24,7 +30,7 @@ func TestScale(t *testing.T) {
 	p := New(Term{451, 31}, Term{10, 13}, Term{4, 0})
 	p.Scale(3)
 	want := New(Term{1353, 31}, Term{30, 13}, Term{12, 0})
-	if !p.Equal(want) {
+	if !equal(p, want) {
 		t.Errorf("scaled = %s", p)
 	}
 	p.Scale(0)
@@ -46,7 +52,7 @@ func TestScaleParallelMatchesScale(t *testing.T) {
 	for _, pes := range []int{1, 2, 4, 7} {
 		got := mk()
 		got.ScaleParallel(pes, 7)
-		if !got.Equal(want) {
+		if !equal(got, want) {
 			t.Errorf("pes=%d mismatch", pes)
 		}
 	}
@@ -62,12 +68,12 @@ func TestAdd(t *testing.T) {
 	q := New(Term{2, 2}, Term{5, 1})
 	sum := p.Add(q)
 	want := New(Term{3, 2}, Term{5, 1}, Term{3, 0})
-	if !sum.Equal(want) {
+	if !equal(sum, want) {
 		t.Errorf("sum = %s", sum)
 	}
 	// Cancellation drops terms.
 	r := New(Term{-3, 2})
-	if got := sum.Add(r); got.Len() != 2 || got.Degree() != 1 {
+	if got := sum.Add(r); got.Len() != 2 || degree(got) != 1 {
 		t.Errorf("cancelled = %s", got)
 	}
 	if err := sum.Verify(); err != nil {
@@ -84,7 +90,7 @@ func TestMul(t *testing.T) {
 	q := New(Term{1, 1}, Term{-1, 0})
 	got := p.Mul(q)
 	want := New(Term{1, 2}, Term{-1, 0})
-	if !got.Equal(want) {
+	if !equal(got, want) {
 		t.Errorf("(x+1)(x-1) = %s", got)
 	}
 	if !p.Mul(Zero()).IsZero() {
@@ -99,7 +105,7 @@ func TestDerivative(t *testing.T) {
 	p := New(Term{451, 31}, Term{10, 13}, Term{4, 0})
 	d := p.Derivative()
 	want := New(Term{451 * 31, 30}, Term{130, 12})
-	if !d.Equal(want) {
+	if !equal(d, want) {
 		t.Errorf("d/dx = %s", d)
 	}
 	if !Zero().Derivative().IsZero() {
@@ -131,7 +137,7 @@ func TestAddTermMergesAndOrders(t *testing.T) {
 	}
 	// Merge to zero removes the node.
 	p.addTerm(Term{-2, 5})
-	if p.Degree() != 3 {
+	if degree(p) != 3 {
 		t.Errorf("after cancel: %s", p)
 	}
 }
@@ -191,7 +197,7 @@ func TestQuickMulDegree(t *testing.T) {
 		if p.IsZero() || q.IsZero() {
 			return p.Mul(q).IsZero()
 		}
-		return p.Mul(q).Degree() == p.Degree()+q.Degree()
+		return degree(p.Mul(q)) == degree(p)+degree(q)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -208,11 +208,6 @@ func (t *Tree) QueryRect(x1, y1, x2, y2 float64) []Point {
 	return out
 }
 
-// CountRect counts points in the rectangle without materializing them.
-func (t *Tree) CountRect(x1, y1, x2, y2 float64) int {
-	return len(t.QueryRect(x1, y1, x2, y2))
-}
-
 // Leaves returns the points in leaves-dimension order.
 func (t *Tree) Leaves() []Point {
 	var out []Point

@@ -77,9 +77,6 @@ func TestQueryRect(t *testing.T) {
 	if !reflect.DeepEqual(ids, []int{1, 4, 5}) {
 		t.Errorf("rect ids = %v (points %v)", ids, got)
 	}
-	if tr.CountRect(2, 2, 8, 6) != 3 {
-		t.Error("CountRect disagrees")
-	}
 	if len(tr.QueryRect(5, 5, 4, 6)) != 0 {
 		t.Error("inverted rect")
 	}
