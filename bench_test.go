@@ -22,6 +22,7 @@ import (
 	"repro/internal/parexec"
 	"repro/internal/sequent"
 	"repro/internal/structures/bignum"
+	"repro/internal/structures/list"
 	"repro/internal/structures/orthlist"
 	"repro/internal/structures/poly"
 	"repro/internal/structures/rangetree"
@@ -400,14 +401,18 @@ procedure close(OneWayList *a, OneWayList *x) {
 
 // F2 — one-way list traversal (scale loop), sequential vs strip-mined.
 
+// BenchmarkFig2ListScaleSequential is the scale loop over the one-way
+// list a Poly keeps its terms in, on one goroutine.
 func BenchmarkFig2ListScaleSequential(b *testing.B) {
-	p := poly.New()
-	for i := 0; i < 4096; i++ {
-		p = p.Add(poly.New(poly.Term{Coef: int64(i + 1), Exp: i}))
+	l := list.New[poly.Term]()
+	for i := 4095; i >= 0; i-- {
+		l.Append(poly.Term{Coef: int64(i + 1), Exp: i})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Scale(3)
+		for n := l.Head(); n != nil; n = n.Next {
+			n.Data.Coef *= 3
+		}
 	}
 }
 

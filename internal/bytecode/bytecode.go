@@ -7,8 +7,8 @@
 // boxes every stored value in a Value, the bytecode form
 // is a []Instr per function plus *typed
 // register banks*: every variable slot and expression temporary lives
-// in a per-function []int64, []float64, []bool, []string, or []*Node
-// bank chosen from its static type (the type lang.Check recorded, at
+// in a per-function []int64, []float64, []bool or []*Node bank chosen
+// from its static type (the type lang.Check recorded, at
 // which the walker evaluates the same expression). Hot
 // arithmetic therefore runs as direct slice indexing over unboxed
 // machine words — no closure dispatch, no Value construction, no
@@ -44,7 +44,7 @@ const (
 	BankInt       // []int64
 	BankReal      // []float64
 	BankBool      // []bool
-	BankStr       // []string
+	BankStr       // no registers: a print argument's string-pool index
 	BankNode      // []*interp Node
 )
 
@@ -83,12 +83,10 @@ const (
 	OpConstInt  // I[A] = Imm
 	OpConstReal // F[A] = Fv
 	OpConstBool // B[A] = (Imm != 0)
-	OpConstStr  // S[A] = Strs[B]
 	OpConstNull // N[A] = nil
 	OpMovInt    // I[A] = I[B]
 	OpMovReal   // F[A] = F[B]
 	OpMovBool   // B[A] = B[B]
-	OpMovStr    // S[A] = S[B]
 	OpMovNode   // N[A] = N[B]
 	OpIntToReal // F[A] = float64(I[B]) (static int→real coercion)
 
@@ -107,7 +105,6 @@ const (
 	OpReturnInt  // ret = I[A]
 	OpReturnReal // ret = F[A]
 	OpReturnBool // ret = B[A]
-	OpReturnStr  // ret = S[A]
 	OpReturnNode // ret = N[A]
 
 	// Fused compare-and-branch (condBranch): taken when the comparison
@@ -156,12 +153,10 @@ const (
 	OpGtReal
 	OpGeReal
 
-	// Bool / string / pointer ops.
+	// Bool / pointer ops.
 	OpNot    // B[A] = !B[B]
 	OpEqBool // B[A] = B[B] == B[C]
 	OpNeBool
-	OpEqStr // B[A] = S[B] == S[C]
-	OpNeStr
 	OpEqNode // B[A] = N[B] == N[C]
 	OpNeNode
 
@@ -230,8 +225,9 @@ type CallSite struct {
 // Move copies caller register Src into callee register Dst of one bank.
 type Move struct{ Src, Dst int32 }
 
-// PrintSite is one print() call's argument registers, boxed to Values
-// at run time (print allocates in every engine).
+// PrintSite is one print() call's arguments: registers, rendered to
+// text at run time (print allocates in every engine), and string
+// literals, each its index in the Strs pool under Bank BankStr.
 type PrintSite struct {
 	Args []Reg
 }
@@ -271,14 +267,14 @@ type Func struct {
 	// Register bank sizes: slots first (each variable declaration's
 	// home register), then expression temporaries and hidden loop
 	// counters.
-	NInt, NReal, NBool, NStr, NNode int
+	NInt, NReal, NBool, NNode int
 
 	Code []Instr
 	// Pos is parallel to Code: the source position each instruction
 	// reports in errors.
 	Pos []lang.Pos
 
-	Strs    []string // string literal pool
+	Strs    []string // print's string literals
 	Names   []string // field-name pool (error text, shape checks)
 	News    []NewSite
 	Calls   []CallSite
@@ -402,17 +398,12 @@ func isBool(t lang.Type) bool {
 	return ok && s.Kind == lang.KindBool
 }
 
-func isStr(t lang.Type) bool {
-	s, ok := t.(*lang.Scalar)
-	return ok && s.Kind == lang.KindString
-}
-
 // Per-bank opcodes: a register's zero constant, move and return, a data
-// field's load and store (none for strings and pointers).
+// field's load and store (none for pointers).
 var (
-	zeroOps  = [BankNode + 1]Op{BankInt: OpConstInt, BankReal: OpConstReal, BankBool: OpConstBool, BankStr: OpConstStr, BankNode: OpConstNull}
-	movOps   = [BankNode + 1]Op{BankInt: OpMovInt, BankReal: OpMovReal, BankBool: OpMovBool, BankStr: OpMovStr, BankNode: OpMovNode}
-	retOps   = [BankNode + 1]Op{BankInt: OpReturnInt, BankReal: OpReturnReal, BankBool: OpReturnBool, BankStr: OpReturnStr, BankNode: OpReturnNode}
+	zeroOps  = [BankNode + 1]Op{BankInt: OpConstInt, BankReal: OpConstReal, BankBool: OpConstBool, BankNode: OpConstNull}
+	movOps   = [BankNode + 1]Op{BankInt: OpMovInt, BankReal: OpMovReal, BankBool: OpMovBool, BankNode: OpMovNode}
+	retOps   = [BankNode + 1]Op{BankInt: OpReturnInt, BankReal: OpReturnReal, BankBool: OpReturnBool, BankNode: OpReturnNode}
 	loadOps  = [BankNode + 1]Op{BankInt: OpLoadInt, BankReal: OpLoadReal, BankBool: OpLoadBool}
 	storeOps = [BankNode + 1]Op{BankInt: OpStoreInt, BankReal: OpStoreReal, BankBool: OpStoreBool}
 )
@@ -485,7 +476,6 @@ func (b *builder) lowerFunc(bf *Func, fn *lang.FuncDecl, idx int) error {
 	bf.NInt = int(b.maxTop[BankInt])
 	bf.NReal = int(b.maxTop[BankReal])
 	bf.NBool = int(b.maxTop[BankBool])
-	bf.NStr = int(b.maxTop[BankStr])
 	bf.NNode = int(b.maxTop[BankNode])
 	return nil
 }
@@ -613,6 +603,8 @@ func (b *builder) count(e lang.Expr, into, real bool) {
 	case *lang.IntLit:
 		n.code++ // const.int, or const.real widened
 		return
+	case *lang.StrLit:
+		return // a print's literal is its site's pool index
 	case *lang.FieldExpr:
 		b.countName(e)
 		b.count(e.X, false, false)
@@ -785,12 +777,7 @@ func (b *builder) stmt(s lang.Stmt) error {
 	case *lang.VarStmt:
 		dst := b.slotReg[s.Slot]
 		if s.Init == nil {
-			// Zero value.
-			in := Instr{Op: zeroOps[dst.Bank], A: dst.Idx}
-			if dst.Bank == BankStr {
-				in.B = b.str("")
-			}
-			b.emit(pos, in)
+			b.emit(pos, Instr{Op: zeroOps[dst.Bank], A: dst.Idx}) // the zero value
 			return nil
 		}
 		return b.assignTo(dst, s.DeclType, s.Init)
@@ -1128,9 +1115,6 @@ func (b *builder) evalInto(e lang.Expr, dst Reg) error {
 	case *lang.RealLit:
 		b.emit(pos, Instr{Op: OpConstReal, A: dst.Idx, Fv: e.Val})
 		return nil
-	case *lang.StrLit:
-		b.emit(pos, Instr{Op: OpConstStr, A: dst.Idx, B: b.str(e.Val)})
-		return nil
 	case *lang.BoolLit:
 		imm := int64(0)
 		if e.Val {
@@ -1265,9 +1249,16 @@ func (b *builder) userCall(e *lang.CallExpr, dst Reg) error {
 	return nil
 }
 
+// printCall lowers a print: a string literal argument is its index
+// in the function's Strs pool (Bank BankStr), any other argument a
+// register.
 func (b *builder) printCall(e *lang.CallExpr) error {
 	args := b.argRegs(len(e.Args))
 	for i, a := range e.Args {
+		if s, ok := a.(*lang.StrLit); ok {
+			args[i] = Reg{Bank: BankStr, Idx: b.str(s.Val)}
+			continue
+		}
 		r, err := b.operand(a)
 		if err != nil {
 			return err
@@ -1315,8 +1306,6 @@ func (b *builder) bin(e *lang.BinExpr, dst Reg) error {
 
 	xt, yt := e.X.Type(), e.Y.Type()
 	switch {
-	case isStr(xt) && isStr(yt):
-		return b.cmp2(e, dst, OpEqStr, OpNeStr)
 	case isPtr(xt) || isPtr(yt):
 		return b.cmp2(e, dst, OpEqNode, OpNeNode)
 	case isBool(xt) && isBool(yt):

@@ -73,7 +73,8 @@ func TestDisassembleGolden(t *testing.T) {
 	}
 }
 
-// bankSize returns the register count of one bank of f.
+// bankSize returns the register count of one bank of f; BankStr's
+// indexes are a print's string literals in the Strs pool.
 func bankSize(f *Func, b Bank) int32 {
 	switch b {
 	case BankInt:
@@ -83,7 +84,7 @@ func bankSize(f *Func, b Bank) int32 {
 	case BankBool:
 		return int32(f.NBool)
 	case BankStr:
-		return int32(f.NStr)
+		return int32(len(f.Strs))
 	case BankNode:
 		return int32(f.NNode)
 	}
@@ -161,10 +162,6 @@ func TestCompileInvariants(t *testing.T) {
 				case OpNew:
 					if int(in.B) < 0 || int(in.B) >= len(f.News) {
 						t.Errorf("%s@%d: new site %d out of range", f.Name, pc, in.B)
-					}
-				case OpConstStr:
-					if int(in.B) < 0 || int(in.B) >= len(f.Strs) {
-						t.Errorf("%s@%d: string pool index %d out of range", f.Name, pc, in.B)
 					}
 				}
 			}

@@ -13,12 +13,10 @@ var opNames = [opCount]string{
 	OpConstInt:  "const.int",
 	OpConstReal: "const.real",
 	OpConstBool: "const.bool",
-	OpConstStr:  "const.str",
 	OpConstNull: "const.null",
 	OpMovInt:    "mov.int",
 	OpMovReal:   "mov.real",
 	OpMovBool:   "mov.bool",
-	OpMovStr:    "mov.str",
 	OpMovNode:   "mov.node",
 	OpIntToReal: "i2r",
 
@@ -36,7 +34,6 @@ var opNames = [opCount]string{
 	OpReturnInt:  "ret.int",
 	OpReturnReal: "ret.real",
 	OpReturnBool: "ret.bool",
-	OpReturnStr:  "ret.str",
 	OpReturnNode: "ret.node",
 
 	OpBrfEqInt: "brf.eq.int", OpBrfNeInt: "brf.ne.int", OpBrfLtInt: "brf.lt.int",
@@ -74,8 +71,6 @@ var opNames = [opCount]string{
 	OpNot:    "not",
 	OpEqBool: "eq.bool",
 	OpNeBool: "ne.bool",
-	OpEqStr:  "eq.str",
-	OpNeStr:  "ne.str",
 	OpEqNode: "eq.node",
 	OpNeNode: "ne.node",
 
@@ -133,8 +128,8 @@ func disasmFunc(sb *strings.Builder, prog *Program, f *Func) {
 		fmt.Fprintf(sb, " %s", f.Result)
 	}
 	sb.WriteByte('\n')
-	fmt.Fprintf(sb, "  banks: int=%d real=%d bool=%d str=%d node=%d\n",
-		f.NInt, f.NReal, f.NBool, f.NStr, f.NNode)
+	fmt.Fprintf(sb, "  banks: int=%d real=%d bool=%d node=%d\n",
+		f.NInt, f.NReal, f.NBool, f.NNode)
 	for pc, in := range f.Code {
 		fmt.Fprintf(sb, "  %4d  %-44s ; %s\n", pc, instrText(f, in), f.Pos[pc])
 	}
@@ -150,10 +145,10 @@ func disasmFunc(sb *strings.Builder, prog *Program, f *Func) {
 		}
 	}
 	for i, c := range f.Calls {
-		fmt.Fprintf(sb, "  call[%d]: fn=%d args=%s dst=%s\n", i, c.FuncIdx, regList(c.Args), regOrNone(c.Dst))
+		fmt.Fprintf(sb, "  call[%d]: fn=%d args=%s dst=%s\n", i, c.FuncIdx, regList(f, c.Args), regOrNone(c.Dst))
 	}
 	for i, pr := range f.Prints {
-		fmt.Fprintf(sb, "  print[%d]: args=%s\n", i, regList(pr.Args))
+		fmt.Fprintf(sb, "  print[%d]: args=%s\n", i, regList(f, pr.Args))
 	}
 	for i, n := range f.News {
 		fmt.Fprintf(sb, "  new[%d]: %s\n", i, n.TypeName)
@@ -197,9 +192,14 @@ func disasmKernel(sb *strings.Builder, site int, helper *Func, k *Kernel) {
 	}
 }
 
-func regList(rs []Reg) string {
+// regList renders argument registers, a print's string literal quoted.
+func regList(f *Func, rs []Reg) string {
 	var parts []string
 	for _, r := range rs {
+		if r.Bank == BankStr {
+			parts = append(parts, fmt.Sprintf("%q", f.Strs[r.Idx]))
+			continue
+		}
 		parts = append(parts, fmt.Sprintf("%s%d", r.Bank, r.Idx))
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
@@ -221,8 +221,6 @@ func instrText(f *Func, in Instr) string {
 		return fmt.Sprintf("%-16s f%d, %g", op, in.A, in.Fv)
 	case OpConstBool:
 		return fmt.Sprintf("%-16s b%d, %t", op, in.A, in.Imm != 0)
-	case OpConstStr:
-		return fmt.Sprintf("%-16s s%d, %q", op, in.A, f.Strs[in.B])
 	case OpConstNull:
 		return fmt.Sprintf("%-16s n%d", op, in.A)
 	case OpMovInt:
@@ -231,8 +229,6 @@ func instrText(f *Func, in Instr) string {
 		return fmt.Sprintf("%-16s f%d, f%d", op, in.A, in.B)
 	case OpMovBool:
 		return fmt.Sprintf("%-16s b%d, b%d", op, in.A, in.B)
-	case OpMovStr:
-		return fmt.Sprintf("%-16s s%d, s%d", op, in.A, in.B)
 	case OpMovNode:
 		return fmt.Sprintf("%-16s n%d, n%d", op, in.A, in.B)
 	case OpIntToReal:
@@ -262,8 +258,6 @@ func instrText(f *Func, in Instr) string {
 		return fmt.Sprintf("%-16s f%d", op, in.A)
 	case OpReturnBool:
 		return fmt.Sprintf("%-16s b%d", op, in.A)
-	case OpReturnStr:
-		return fmt.Sprintf("%-16s s%d", op, in.A)
 	case OpReturnNode:
 		return fmt.Sprintf("%-16s n%d", op, in.A)
 
@@ -294,8 +288,6 @@ func instrText(f *Func, in Instr) string {
 		return fmt.Sprintf("%-16s b%d, b%d", op, in.A, in.B)
 	case OpEqBool, OpNeBool:
 		return fmt.Sprintf("%-16s b%d, b%d, b%d", op, in.A, in.B, in.C)
-	case OpEqStr, OpNeStr:
-		return fmt.Sprintf("%-16s b%d, s%d, s%d", op, in.A, in.B, in.C)
 	case OpEqNode, OpNeNode:
 		return fmt.Sprintf("%-16s b%d, n%d, n%d", op, in.A, in.B, in.C)
 

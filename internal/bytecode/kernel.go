@@ -117,7 +117,6 @@ const (
 	reasonRand      = "body calls rand()"
 	reasonAllocates = "allocates"
 	reasonPointer   = "pointer-chasing access"
-	reasonString    = "string-valued expression"
 	reasonPE        = "uses the strip PE index"
 )
 
@@ -245,16 +244,14 @@ func wr(b Bank) operand { return operand{bank: b, write: true} }
 // opRegs gives each opcode's register operands in A, B and C. Calls and
 // prints name theirs in their site tables.
 var opRegs = [opCount][3]operand{
-	OpConstInt: {wr(BankInt)}, OpConstReal: {wr(BankReal)}, OpConstBool: {wr(BankBool)},
-	OpConstStr: {wr(BankStr)}, OpConstNull: {wr(BankNode)},
+	OpConstInt: {wr(BankInt)}, OpConstReal: {wr(BankReal)}, OpConstBool: {wr(BankBool)}, OpConstNull: {wr(BankNode)},
 	OpMovInt: {wr(BankInt), rd(BankInt)}, OpMovReal: {wr(BankReal), rd(BankReal)},
-	OpMovBool: {wr(BankBool), rd(BankBool)}, OpMovStr: {wr(BankStr), rd(BankStr)},
-	OpMovNode: {wr(BankNode), rd(BankNode)}, OpIntToReal: {wr(BankReal), rd(BankInt)},
+	OpMovBool: {wr(BankBool), rd(BankBool)}, OpMovNode: {wr(BankNode), rd(BankNode)},
+	OpIntToReal: {wr(BankReal), rd(BankInt)},
 
 	OpBr: {rd(BankBool)}, OpScAnd: {rd(BankBool)}, OpScOr: {rd(BankBool)},
 	OpForHead: {rd(BankInt), rd(BankInt), wr(BankInt)}, OpForTail: {wr(BankInt)},
-	OpReturnInt: {rd(BankInt)}, OpReturnReal: {rd(BankReal)}, OpReturnBool: {rd(BankBool)},
-	OpReturnStr: {rd(BankStr)}, OpReturnNode: {rd(BankNode)},
+	OpReturnInt: {rd(BankInt)}, OpReturnReal: {rd(BankReal)}, OpReturnBool: {rd(BankBool)}, OpReturnNode: {rd(BankNode)},
 
 	OpBrfEqInt: {rd(BankInt), rd(BankInt)}, OpBrfNeInt: {rd(BankInt), rd(BankInt)},
 	OpBrfLtInt: {rd(BankInt), rd(BankInt)}, OpBrfLeInt: {rd(BankInt), rd(BankInt)},
@@ -281,7 +278,6 @@ var opRegs = [opCount][3]operand{
 
 	OpNot:    {wr(BankBool), rd(BankBool)},
 	OpEqBool: {wr(BankBool), rd(BankBool), rd(BankBool)}, OpNeBool: {wr(BankBool), rd(BankBool), rd(BankBool)},
-	OpEqStr: {wr(BankBool), rd(BankStr), rd(BankStr)}, OpNeStr: {wr(BankBool), rd(BankStr), rd(BankStr)},
 	OpEqNode: {wr(BankBool), rd(BankNode), rd(BankNode)}, OpNeNode: {wr(BankBool), rd(BankNode), rd(BankNode)},
 
 	OpNew:     {wr(BankNode)},
@@ -333,11 +329,11 @@ func (p *Program) classify(s *ForallSite) (*Kernel, string) {
 
 // vecReason returns why the guarded body h.Code[start:] cannot run over
 // slabs, or "" when it can: the reason of its first instruction, in pc
-// order, that offends. A loop, a return, a print, a call, rand(),
-// allocation and any string offend; so does any pointer use but loading
-// or storing the element's own data fields, and any read or write of
-// the lane index. A while loop offends at its head, the smallest target
-// of a backward jump, so that its condition's offences are the loop's.
+// order, that offends. A loop, a return, a print, a call, rand() and
+// allocation offend; so does any pointer use but loading or storing the
+// element's own data fields, and any read or write of the lane index.
+// A while loop offends at its head, the smallest target of a backward
+// jump, so that its condition's offences are the loop's.
 func (p *Program) vecReason(h *Func, start int32) string {
 	code := h.Code[start:]
 	pe, elem := h.Params[0].Reg, h.Params[1].Reg
@@ -354,7 +350,7 @@ func (p *Program) vecReason(h *Func, start int32) string {
 		switch in.Op {
 		case OpForHead, OpForTail, OpForall:
 			return reasonLoop
-		case OpReturnVoid, OpReturnInt, OpReturnReal, OpReturnBool, OpReturnStr, OpReturnNode:
+		case OpReturnVoid, OpReturnInt, OpReturnReal, OpReturnBool, OpReturnNode:
 			return reasonReturns
 		case OpPrint:
 			return reasonPrints
@@ -364,8 +360,6 @@ func (p *Program) vecReason(h *Func, start int32) string {
 			return reasonRand
 		case OpNew:
 			return reasonAllocates
-		case OpConstStr, OpMovStr, OpEqStr, OpNeStr:
-			return reasonString
 		case OpConstNull, OpMovNode, OpLoadNode, OpLoadNodeIdxBegin, OpLoadNodeIdx,
 			OpStoreNode, OpStoreNodeIdxBegin, OpStoreNodeIdx,
 			OpEqNode, OpNeNode, OpBrfEqNode, OpBrfNeNode, OpBrfNull, OpBrfNonNull:

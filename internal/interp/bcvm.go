@@ -7,7 +7,7 @@
 // pays a recursive call and an interface type switch per AST node, a
 // slot check per variable and a boxed Value per store, this VM runs a
 // for-loop over []Instr with direct slice indexing into per-frame
-// []int64 / []float64 / []bool / []string / []*Node banks: hot
+// []int64 / []float64 / []bool / []*Node banks: hot
 // arithmetic (R1 polyscale, R2 force) touches no interface, builds no
 // Value, and allocates nothing once the frame pool is warm.
 //
@@ -34,13 +34,11 @@ type bcFrame struct {
 	i []int64
 	f []float64
 	b []bool
-	s []string
 	n []*Node
 
 	retI int64
 	retF float64
 	retB bool
-	retS string
 	retN *Node
 
 	fn *bytecode.Func // the function the banks are sized for
@@ -66,7 +64,6 @@ func (ip *Interp) getBCFrame(f *bytecode.Func) *bcFrame {
 	fr.i = resize(fr.i, f.NInt)
 	fr.f = resize(fr.f, f.NReal)
 	fr.b = resize(fr.b, f.NBool)
-	fr.s = resize(fr.s, f.NStr)
 	fr.n = resize(fr.n, f.NNode)
 	return fr
 }
@@ -91,7 +88,6 @@ func (fr *bcFrame) copyBanksFrom(src *bcFrame) {
 	copy(fr.i, src.i)
 	copy(fr.f, src.f)
 	copy(fr.b, src.b)
-	copy(fr.s, src.s)
 	copy(fr.n, src.n)
 }
 
@@ -109,8 +105,6 @@ func (ip *Interp) callBytecode(f *bytecode.Func, args []Value) (Value, error) {
 			fr.f[p.Reg.Idx] = v.F
 		case bytecode.BankBool:
 			fr.b[p.Reg.Idx] = v.B
-		case bytecode.BankStr:
-			fr.s[p.Reg.Idx] = v.S
 		case bytecode.BankNode:
 			fr.n[p.Reg.Idx] = v.N
 		}
@@ -134,8 +128,6 @@ func (ip *Interp) callBytecode(f *bytecode.Func, args []Value) (Value, error) {
 		return RealVal(fr.retF), nil
 	case bytecode.BankBool:
 		return BoolVal(fr.retB), nil
-	case bytecode.BankStr:
-		return StrVal(fr.retS), nil
 	case bytecode.BankNode:
 		return PtrVal(fr.retN), nil
 	}
@@ -176,8 +168,6 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			fr.f[in.A] = in.Fv
 		case bytecode.OpConstBool:
 			fr.b[in.A] = in.Imm != 0
-		case bytecode.OpConstStr:
-			fr.s[in.A] = f.Strs[in.B]
 		case bytecode.OpConstNull:
 			fr.n[in.A] = nil
 		case bytecode.OpMovInt:
@@ -186,8 +176,6 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			fr.f[in.A] = fr.f[in.B]
 		case bytecode.OpMovBool:
 			fr.b[in.A] = fr.b[in.B]
-		case bytecode.OpMovStr:
-			fr.s[in.A] = fr.s[in.B]
 		case bytecode.OpMovNode:
 			fr.n[in.A] = fr.n[in.B]
 		case bytecode.OpIntToReal:
@@ -319,8 +307,6 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 				fr.f[site.Dst.Idx] = nf.retF
 			case bytecode.BankBool:
 				fr.b[site.Dst.Idx] = nf.retB
-			case bytecode.BankStr:
-				fr.s[site.Dst.Idx] = nf.retS
 			case bytecode.BankNode:
 				fr.n[site.Dst.Idx] = nf.retN
 			}
@@ -328,19 +314,19 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 
 		case bytecode.OpPrint:
 			site := &f.Prints[in.A]
-			args := make([]Value, len(site.Args))
+			args := make([]string, len(site.Args))
 			for j, a := range site.Args {
 				switch a.Bank {
 				case bytecode.BankInt:
-					args[j] = IntVal(fr.i[a.Idx])
+					args[j] = IntVal(fr.i[a.Idx]).String()
 				case bytecode.BankReal:
-					args[j] = RealVal(fr.f[a.Idx])
+					args[j] = RealVal(fr.f[a.Idx]).String()
 				case bytecode.BankBool:
-					args[j] = BoolVal(fr.b[a.Idx])
+					args[j] = BoolVal(fr.b[a.Idx]).String()
 				case bytecode.BankStr:
-					args[j] = StrVal(fr.s[a.Idx])
+					args[j] = f.Strs[a.Idx]
 				case bytecode.BankNode:
-					args[j] = PtrVal(fr.n[a.Idx])
+					args[j] = PtrVal(fr.n[a.Idx]).String()
 				}
 			}
 			if err := ip.printLine(f.Pos[ipc], args); err != nil {
@@ -357,9 +343,6 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			return ctrlReturn, nil
 		case bytecode.OpReturnBool:
 			fr.retB = fr.b[in.A]
-			return ctrlReturn, nil
-		case bytecode.OpReturnStr:
-			fr.retS = fr.s[in.A]
 			return ctrlReturn, nil
 		case bytecode.OpReturnNode:
 			fr.retN = fr.n[in.A]
@@ -425,10 +408,6 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			fr.b[in.A] = fr.b[in.B] == fr.b[in.C]
 		case bytecode.OpNeBool:
 			fr.b[in.A] = fr.b[in.B] != fr.b[in.C]
-		case bytecode.OpEqStr:
-			fr.b[in.A] = fr.s[in.B] == fr.s[in.C]
-		case bytecode.OpNeStr:
-			fr.b[in.A] = fr.s[in.B] != fr.s[in.C]
 		case bytecode.OpEqNode:
 			fr.b[in.A] = fr.n[in.B] == fr.n[in.C]
 		case bytecode.OpNeNode:
@@ -690,9 +669,6 @@ func (fr *bcFrame) bindCall(site *bytecode.CallSite, caller *bcFrame) {
 	}
 	for _, m := range site.Moves[bytecode.BankBool] {
 		fr.b[m.Dst] = caller.b[m.Src]
-	}
-	for _, m := range site.Moves[bytecode.BankStr] {
-		fr.s[m.Dst] = caller.s[m.Src]
 	}
 	for _, m := range site.Moves[bytecode.BankNode] {
 		fr.n[m.Dst] = caller.n[m.Src]

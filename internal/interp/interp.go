@@ -433,6 +433,23 @@ func (ip *Interp) Call(fn string, args ...Value) (Value, error) {
 	if len(args) != len(f.Params) {
 		return Value{}, fmt.Errorf("interp: %s expects %d args, got %d", fn, len(f.Params), len(args))
 	}
+	// The argument boundary is the one place a Value's kind can differ
+	// from its static type: an int passed for a real parameter widens
+	// (each engine binds it so), and any other mismatch, or a node of
+	// another record type, fails here, before an engine reads a field of
+	// the wrong kind or at the wrong offset.
+	for i, a := range args {
+		t := f.Params[i].Type
+		elem, ptr := lang.IsPointer(t)
+		if coerce(a, t).Kind == zeroValue(t).Kind && (!ptr || a.N == nil || a.N.Type == elem) {
+			continue
+		}
+		have := a.Kind.String()
+		if a.N != nil {
+			have = a.N.Type + "*"
+		}
+		return Value{}, fmt.Errorf("interp: %s: argument %d is %s, not %s", fn, i+1, have, t)
+	}
 	// A context that is already dead fails here, before any execution,
 	// so every engine reports an identical error at an identical point.
 	if ip.ctx != nil {
@@ -449,9 +466,8 @@ func (ip *Interp) Call(fn string, args ...Value) (Value, error) {
 		ip.flush()
 		return v, err
 	}
-	// The argument boundary is the one place a Value's kind can differ
-	// from its static type: an int passed for a real parameter widens
-	// here, once, and the walk below reads every slot at its type.
+	// An int passed for a real parameter widens here, once, and the walk
+	// below reads every slot at its type.
 	vals := ip.getVals(max(len(args), len(f.Vars)))
 	for i, a := range args {
 		vals[i] = coerce(a, f.Params[i].Type)
@@ -1116,10 +1132,6 @@ func (ip *Interp) eval(e lang.Expr, t lang.Type, fr frame, depth int) (Value, er
 		case lang.KindBool:
 			b, err := ip.evalBool(e, fr, depth)
 			return BoolVal(b), err
-		case lang.KindString:
-			if s, ok := e.(*lang.StrLit); ok {
-				return StrVal(s.Val), nil
-			}
 		}
 	}
 	// A place of a type no value has takes e at its own type.
@@ -1417,7 +1429,7 @@ func (ip *Interp) boolBin(e *lang.BinExpr, fr frame, depth int) (bool, error) {
 		}
 		ip.charge(ip.cfg.Costs.IntOp)
 		return equal(e, x == y, "pointer")
-	case is(xt, lang.KindString) && is(yt, lang.KindString), is(xt, lang.KindBool) && is(yt, lang.KindBool):
+	case is(xt, lang.KindBool) && is(yt, lang.KindBool):
 		x, err := ip.eval(e.X, xt, fr, depth)
 		if err != nil {
 			return false, err
@@ -1537,17 +1549,20 @@ func (ip *Interp) builtin(e *lang.CallExpr, fr frame, depth int) (float64, error
 	return 0, fmt.Errorf("%s: interp: call to unknown function %q", e.Pos(), e.Func)
 }
 
-// print evaluates print's arguments, each at its own type, into a list
-// off the walker's frame stack, and prints them.
+// print renders print's arguments, a string literal as its text and
+// any other argument evaluated at its own type, and prints them.
 func (ip *Interp) print(e *lang.CallExpr, fr frame, depth int) error {
-	args := ip.getVals(len(e.Args))
-	defer ip.putVals(args)
+	args := make([]string, len(e.Args))
 	for i, a := range e.Args {
+		if s, ok := a.(*lang.StrLit); ok {
+			args[i] = s.Val
+			continue
+		}
 		v, err := ip.eval(a, a.Type(), fr, depth)
 		if err != nil {
 			return err
 		}
-		args[i] = v
+		args[i] = v.String()
 	}
 	return ip.printLine(e.Pos(), args)
 }
@@ -1590,22 +1605,14 @@ func (ip *Interp) allocNode(decl *adds.Decl, typeName string) (Value, error) {
 	return PtrVal(n), nil
 }
 
-// printLine renders print() arguments the one way every engine must
-// (space-separated, newline-terminated) and writes the line under the
-// output lock. The MaxOutputBytes budget is charged on the shared
+// printLine joins print() arguments' text the one way every engine
+// must (space-separated, newline-terminated) and writes the line under
+// the output lock. The MaxOutputBytes budget is charged on the shared
 // counter before writing, so a run over budget fails without emitting
 // the overflowing line; underlying writer errors are ignored, as they
 // always were — only the byte budget aborts execution.
-func (ip *Interp) printLine(pos lang.Pos, args []Value) error {
-	var b strings.Builder
-	for i, a := range args {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(a.String())
-	}
-	b.WriteByte('\n')
-	line := b.String()
+func (ip *Interp) printLine(pos lang.Pos, args []string) error {
+	line := strings.Join(args, " ") + "\n"
 	if ip.maxOutput > 0 && ip.sh.outBytes.Add(int64(len(line))) > ip.maxOutput {
 		return fmt.Errorf("%s: interp: output limit exceeded (%d bytes)", pos, ip.maxOutput)
 	}

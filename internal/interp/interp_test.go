@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/lang"
 )
@@ -387,5 +388,77 @@ procedure main() {
 	}
 	if ipC.Stats().Cycles != ipB.Stats().Cycles {
 		t.Errorf("uniform work: cyclic %d vs block %d should match", ipC.Stats().Cycles, ipB.Stats().Cycles)
+	}
+}
+
+// TestCallRejectsMismatchedArgs: Call widens an int argument of a real
+// parameter and refuses any other argument whose kind does not fit its
+// parameter, and a node of another record type, with one error on every
+// engine, before any engine runs. Each engine once read the wrong
+// kind's zero field instead (a real passed for an int ran as 0, an int
+// for a bool as false, an int for a pointer as NULL), and the VM indexed
+// a node of another type at the parameter type's offsets.
+func TestCallRejectsMismatchedArgs(t *testing.T) {
+	prog := lang.MustParse(listSrc + `
+type Pair [Y] { int a; real c; Pair *p is uniquely forward along Y; Pair *q is uniquely forward along Y; };
+function int twice(int x) { return x + x; }
+function real half(real x) { return x / 2; }
+function bool not(bool b) { return !b; }
+function bool empty(List *l) { return l == NULL; }
+function real second(Pair *x) { return x->c + x->q->c; }
+`)
+	list, _, err := Run(prog, Config{}, "build", IntVal(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		fn   string
+		arg  Value
+		want string // the result, or the error
+	}{
+		{"twice", IntVal(21), "42"},
+		{"twice", RealVal(1.5), "interp: twice: argument 1 is real, not int"},
+		{"half", IntVal(3), "1.5"},
+		{"half", BoolVal(true), "interp: half: argument 1 is bool, not real"},
+		{"not", BoolVal(false), "true"},
+		{"not", IntVal(1), "interp: not: argument 1 is int, not bool"},
+		{"empty", NullVal(), "true"},
+		{"empty", IntVal(0), "interp: empty: argument 1 is int, not List*"},
+		{"empty", RealVal(0), "interp: empty: argument 1 is real, not List*"},
+		{"build", NullVal(), "interp: build: argument 1 is ptr, not int"},
+		{"empty", list, "false"},
+		{"second", list, "interp: second: argument 1 is List*, not Pair*"},
+		{"twice", list, "interp: twice: argument 1 is List*, not int"},
+	}
+	configs := map[string]Config{
+		"walk":      {Engine: EngineWalk},
+		"bytecode":  {Engine: EngineBytecode},
+		"kernel":    {Engine: EngineKernel},
+		"simulated": {Mode: Simulated},
+	}
+	for name, cfg := range configs {
+		for _, c := range cases {
+			var out bytes.Buffer
+			cfg.Output = &out
+			v, st, err := Run(prog, cfg, c.fn, c.arg)
+			got := v.String()
+			if err != nil {
+				got = err.Error()
+				if st.Steps != 0 || out.Len() != 0 {
+					t.Errorf("%s: %s(%v) ran %d steps before failing", name, c.fn, c.arg, st.Steps)
+				}
+			}
+			if got != c.want {
+				t.Errorf("%s: %s(%s %s) = %q, want %q", name, c.fn, c.arg.Kind, c.arg, got, c.want)
+			}
+		}
+	}
+}
+
+// TestValueSize: a Value is five words, a kind and one field for each
+// of int, real, bool and pointer; no value is a string.
+func TestValueSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Value{}); sz != 40 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 40", sz)
 	}
 }

@@ -35,9 +35,18 @@ const (
 	KindInt Kind = iota
 	KindReal
 	KindBool
-	KindString
 	KindPtr
 )
+
+var kindNames = [...]string{KindInt: "int", KindReal: "real", KindBool: "bool", KindPtr: "ptr"}
+
+// String names the kind ("int", "real", "bool", "ptr").
+func (k Kind) String() string {
+	if uint(k) < uint(len(kindNames)) {
+		return kindNames[k]
+	}
+	return "?"
+}
 
 // Node is a heap record instance. Fields are stored by position, in
 // the order of the record's ADDS declaration: words[i] is decl.Data[i]
@@ -115,7 +124,6 @@ type Value struct {
 	I    int64
 	F    float64
 	B    bool
-	S    string
 	N    *Node
 }
 
@@ -123,7 +131,6 @@ type Value struct {
 func IntVal(i int64) Value    { return Value{Kind: KindInt, I: i} }
 func RealVal(f float64) Value { return Value{Kind: KindReal, F: f} }
 func BoolVal(b bool) Value    { return Value{Kind: KindBool, B: b} }
-func StrVal(s string) Value   { return Value{Kind: KindString, S: s} }
 func PtrVal(n *Node) Value    { return Value{Kind: KindPtr, N: n} }
 func NullVal() Value          { return Value{Kind: KindPtr} }
 func (v Value) IsNull() bool  { return v.Kind == KindPtr && v.N == nil }
@@ -137,8 +144,6 @@ func (v Value) String() string {
 		return fmt.Sprintf("%g", v.F)
 	case KindBool:
 		return fmt.Sprintf("%t", v.B)
-	case KindString:
-		return v.S
 	case KindPtr:
 		if v.N == nil {
 			return "NULL"
@@ -159,8 +164,6 @@ func zeroValue(t lang.Type) Value {
 			return RealVal(0)
 		case lang.KindBool:
 			return BoolVal(false)
-		default:
-			return StrVal("")
 		}
 	case *lang.Pointer:
 		return NullVal()

@@ -208,7 +208,8 @@ type RealLit struct {
 
 func (*RealLit) exprNode() {}
 
-// StrLit is a string literal (only meaningful as a print argument).
+// StrLit is a string literal; the checker accepts one only as a print
+// argument.
 type StrLit struct {
 	exprBase
 	Val string

@@ -18,7 +18,8 @@ type Builtin struct {
 //	sqrt(real) real   — square root
 //	abs(real)  real   — absolute value
 //	rand()     real   — deterministic pseudo-random in [0,1)
-//	print(...)        — write arguments to the interpreter's output
+//	print(...)        — write arguments to the interpreter's output (a
+//	                    string literal is a value only here)
 var Builtins = map[string]*Builtin{
 	"sqrt":  {Name: "sqrt", Params: []Type{Real}, Result: Real},
 	"abs":   {Name: "abs", Params: []Type{Real}, Result: Real},
@@ -370,8 +371,7 @@ func (c *checker) checkExpr(e Expr) error {
 		e.SetType(Real)
 		return nil
 	case *StrLit:
-		e.SetType(String)
-		return nil
+		return fmt.Errorf("%s: a string literal may appear only as an argument of print", e.Pos())
 	case *BoolLit:
 		e.SetType(Bool)
 		return nil
@@ -404,6 +404,10 @@ func (c *checker) checkExpr(e Expr) error {
 
 func (c *checker) checkCall(e *CallExpr) error {
 	for _, a := range e.Args {
+		if s, ok := a.(*StrLit); ok && e.Func == "print" {
+			s.SetType(String)
+			continue
+		}
 		if err := c.checkExpr(a); err != nil {
 			return err
 		}

@@ -163,6 +163,34 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestStringLiteralOnlyInPrint: a string literal is a value only as a
+// direct argument of print; in every other position the checker names
+// its position.
+func TestStringLiteralOnlyInPrint(t *testing.T) {
+	const msg = ": a string literal may appear only as an argument of print"
+	for _, c := range []struct{ name, src, want string }{
+		{"var initializer", `procedure f() { var int i = "a"; }`, "1:29" + msg},
+		{"assignment", `procedure f() { var int i = 0; i = "a"; }`, "1:36" + msg},
+		{"== operand", `procedure f() { if "a" == "b" { } }`, "1:20" + msg},
+		{"!= operand", `procedure f(int i) { if i != "b" { } }`, "1:30" + msg},
+		{"function argument", `procedure g(int i) { } procedure f() { g("a"); }`, "1:42" + msg},
+		{"return", `function int f() { return "a"; }`, "1:27" + msg},
+		{"operand inside print", `procedure f() { print("a" == "b"); }`, "1:23" + msg},
+	} {
+		if _, err := Parse(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+	prog, err := Parse(`procedure f(int x) { print("label", x); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := prog.Funcs[0].Body.Stmts[0].(*CallStmt).Call.Args[0]
+	if !TypeEq(lit.Type(), String) {
+		t.Errorf("print's literal has type %v, want string", lit.Type())
+	}
+}
+
 // TestDeclarationsOnlySource: a source of declarations and nothing else
 // is a program — it parses, checks, and each Decl.String() reads back
 // through this parser to the same text. This is the one reader of the

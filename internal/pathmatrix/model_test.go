@@ -46,7 +46,7 @@ func (m *model) handles() []string {
 func (m *model) get(r, s string) Entry { return deepEntry(m.cells[[2]string{r, s}]) }
 
 func (m *model) set(r, s string, e Entry) {
-	if e.IsZero() {
+	if EqualEntry(e, Entry{}) {
 		delete(m.cells, [2]string{r, s})
 		return
 	}

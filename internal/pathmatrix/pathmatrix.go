@@ -170,10 +170,6 @@ type Entry struct {
 	Descs []Desc
 }
 
-// IsZero reports whether the entry carries no information beyond the
-// non-alias guarantee.
-func (e Entry) IsZero() bool { return e.Alias == NoAlias && len(e.Descs) == 0 }
-
 // HasExact returns the edge ID of an exact descriptor via the plain
 // (non-array) field f, if any.
 func (e Entry) HasExact(f string) (int, bool) {

@@ -136,7 +136,7 @@ func TestMatrixBasics(t *testing.T) {
 	if got := m.Get(head, head).Alias; got != DefiniteAlias {
 		t.Errorf("diagonal = %v", got)
 	}
-	if !m.Get(head, p).IsZero() {
+	if !EqualEntry(m.Get(head, p), Entry{}) {
 		t.Error("off-diagonal should start zero")
 	}
 	m.Update(head, p, func(e *Entry) { e.AddDesc(PlusDesc("next")) })
@@ -157,7 +157,7 @@ func TestMatrixBasics(t *testing.T) {
 	if m.Live(p) {
 		t.Error("handle not dropped")
 	}
-	if m.Len() != 2 || !m.Get(p, p).IsZero() {
+	if m.Len() != 2 || !EqualEntry(m.Get(p, p), Entry{}) {
 		t.Errorf("a dropped handle keeps its index and a zero row: %d handles, p/p %v", m.Len(), m.Get(p, p))
 	}
 }
@@ -175,19 +175,19 @@ func TestDeclareAndDrop(t *testing.T) {
 	if got := m.Get(a, c).Alias; got != PossibleAlias {
 		t.Errorf("a-c lost after drop: %v", got)
 	}
-	if !m.Get(c, b).IsZero() || !m.Get(b, a).IsZero() {
+	if !EqualEntry(m.Get(c, b), Entry{}) || !EqualEntry(m.Get(b, a), Entry{}) {
 		t.Error("b's row and column should be zero")
 	}
 	if got := m.String(); strings.Contains(got, "b") {
 		t.Errorf("a dropped handle prints:\n%s", got)
 	}
 	m.Declare(b)
-	if m.Get(b, b).Alias != DefiniteAlias || !m.Get(c, b).IsZero() {
+	if m.Get(b, b).Alias != DefiniteAlias || !EqualEntry(m.Get(c, b), Entry{}) {
 		t.Error("a declared handle has its self-alias and nothing else")
 	}
 	m.Update(b, a, func(e *Entry) { e.Alias = DefiniteAlias })
 	m.Declare(b)
-	if !m.Get(b, a).IsZero() {
+	if !EqualEntry(m.Get(b, a), Entry{}) {
 		t.Error("declaring a live handle drops its relationships")
 	}
 }

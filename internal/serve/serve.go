@@ -548,7 +548,7 @@ func (s *Server) execute(ctx context.Context, req Request, width int, args []int
 		resp.Error = rerr.Error()
 	} else {
 		resp.Result = v.String()
-		resp.Kind = kindName(v)
+		resp.Kind = v.Kind.String()
 	}
 	mergeSp.End()
 	return done(resp)
@@ -645,20 +645,4 @@ func convertArgs(nums []json.Number) ([]interp.Value, error) {
 		args[i] = interp.RealVal(fv)
 	}
 	return args, nil
-}
-
-func kindName(v interp.Value) string {
-	switch v.Kind {
-	case interp.KindInt:
-		return "int"
-	case interp.KindReal:
-		return "real"
-	case interp.KindBool:
-		return "bool"
-	case interp.KindString:
-		return "string"
-	case interp.KindPtr:
-		return "ptr"
-	}
-	return "?"
 }

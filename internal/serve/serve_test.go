@@ -124,6 +124,37 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestMismatchedArgsFail: an argument whose kind does not fit its
+// parameter is a failed run naming it, serial and on the pool, where it
+// once ran as its parameter's zero (a real for an int as 0, an int for a
+// bool as false, an int for a pointer as NULL).
+func TestMismatchedArgsFail(t *testing.T) {
+	s := newTestServer(t, Config{})
+	src := `
+type Cell [X] { int v; Cell *next is uniquely forward along X; };
+function int twice(int x) { return x + x; }
+function bool not(bool b) { return !b; }
+function bool empty(Cell *c) { return c == NULL; }
+`
+	for _, c := range []struct {
+		fn, arg, want string
+	}{
+		{"twice", "1.5", "interp: twice: argument 1 is real, not int"},
+		{"not", "1", "interp: not: argument 1 is int, not bool"},
+		{"empty", "0", "interp: empty: argument 1 is int, not Cell*"},
+	} {
+		for _, parallel := range []bool{false, true} {
+			resp := mustRun(t, s, Request{Source: src, Fn: c.fn, Args: []json.Number{json.Number(c.arg)}, Parallel: parallel})
+			if resp.OK || resp.Error != c.want || resp.Result != "" {
+				t.Errorf("%s(%s), parallel %t: %+v, want error %q", c.fn, c.arg, parallel, resp, c.want)
+			}
+		}
+	}
+	if resp := mustRun(t, s, Request{Source: src, Fn: "twice", Args: []json.Number{"21"}}); !resp.OK || resp.Result != "42" {
+		t.Errorf("twice(21) = %+v", resp)
+	}
+}
+
 // TestDeepNestingIsACompileError: a source of 500 000 nested
 // parentheses, 1 000 030 bytes and so under the default source cap,
 // once took the process down with a goroutine stack overflow, which no

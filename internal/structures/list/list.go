@@ -95,13 +95,6 @@ func (l *List[T]) Remove(pred func(T) bool) bool {
 	return false
 }
 
-// Each applies fn to every element in order.
-func (l *List[T]) Each(fn func(*Node[T])) {
-	for p := l.head; p != nil; p = p.Next {
-		fn(p)
-	}
-}
-
 // Slice copies the elements into a slice.
 func (l *List[T]) Slice() []T {
 	out := make([]T, 0, l.n)

@@ -32,8 +32,10 @@ func TestInsertAfterAndRemove(t *testing.T) {
 		t.Errorf("slice = %v", l.Slice())
 	}
 	// Inserting after the tail must update the tail.
-	var tail *Node[string]
-	l.Each(func(n *Node[string]) { tail = n })
+	tail := l.Head()
+	for tail.Next != nil {
+		tail = tail.Next
+	}
 	l.InsertAfter(tail, "d")
 	l.Append("e")
 	if !reflect.DeepEqual(l.Slice(), []string{"a", "b", "c", "d", "e"}) {
@@ -88,8 +90,10 @@ func TestParallelEach(t *testing.T) {
 
 func TestVerifyDetectsCycle(t *testing.T) {
 	l := New(1, 2, 3)
-	var last *Node[int]
-	l.Each(func(n *Node[int]) { last = n })
+	last := l.Head()
+	for last.Next != nil {
+		last = last.Next
+	}
 	last.Next = l.Head() // close a cycle
 	if err := l.VerifyAcyclic(); err == nil {
 		t.Error("cycle not detected")

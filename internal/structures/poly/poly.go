@@ -96,20 +96,10 @@ func (p *Poly) String() string {
 	return strings.Join(parts, " + ")
 }
 
-// Scale multiplies every coefficient by c in place — exactly the
-// traversal the paper analyzes in §3.3.2.
-func (p *Poly) Scale(c int64) {
-	if c == 0 {
-		p.terms = list.New[Term]()
-		return
-	}
-	p.terms.Each(func(n *list.Node[Term]) {
-		n.Data.Coef *= c
-	})
-}
-
-// ScaleParallel is Scale over the strip-mined traversal (§4.3.3): the
-// node processing is what parallelizes, as the analysis proves.
+// ScaleParallel multiplies every coefficient by c in place over the
+// strip-mined traversal (§4.3.3) of the loop the paper analyzes in
+// §3.3.2: the node processing is what parallelizes, as the analysis
+// proves.
 func (p *Poly) ScaleParallel(pes int, c int64) {
 	if c == 0 {
 		p.terms = list.New[Term]()

@@ -5,9 +5,23 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/structures/list"
 )
 
 func equal(p, q *Poly) bool { return slices.Equal(p.Terms(), q.Terms()) }
+
+// Scale multiplies every coefficient by c in place, serially: the
+// oracle ScaleParallel is held to.
+func (p *Poly) Scale(c int64) {
+	if c == 0 {
+		p.terms = list.New[Term]()
+		return
+	}
+	for n := p.terms.Head(); n != nil; n = n.Next {
+		n.Data.Coef *= c
+	}
+}
 
 // degree is p's largest exponent; p must be nonzero.
 func degree(p *Poly) int { return p.Terms()[0].Exp }

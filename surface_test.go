@@ -12,7 +12,11 @@
 //   - pkg.Name in another package's file, pkg being that file's import
 //     of the declaring package;
 //   - a bare Name in a file of the declaring package;
-//   - .Name after anything but an import name, for a method Name.
+//   - .Name after anything but an import name, for a method Name, in a
+//     file whose package has the method's package in its module import
+//     closure (the package itself and every module package it imports,
+//     directly or not): a value of the receiver type can reach no other
+//     file.
 //
 // A declaration's references to itself do not count. References from
 // benchmark/ are kept apart: a name only the frozen benchmark uses is
@@ -122,13 +126,47 @@ type exportedDecl struct {
 
 func (d exportedDecl) String() string { return displayName(d.dir, d.recv, d.name) }
 
-// refKey is the reference that counts as a call of d: ".Name" for a
-// method, the display name otherwise.
+// refKey is the reference that counts as a call of d: for a method a
+// selector .Name that can reach d's package, keyed "dir..Name" (no
+// display name holds ".."), the display name otherwise.
 func (d exportedDecl) refKey() string {
 	if d.recv != "" {
-		return "." + d.name
+		return methodKey(d.dir, d.name)
 	}
 	return d.String()
+}
+
+func methodKey(dir, name string) string { return dir + ".." + name }
+
+// importClosure maps each package directory to the module packages its
+// non-test files reach through imports, itself included.
+func importClosure(files []surfaceFile) map[string]map[string]bool {
+	imports := map[string][]string{}
+	for _, f := range files {
+		for _, im := range f.file.Imports {
+			if p, _ := strconv.Unquote(im.Path.Value); strings.HasPrefix(p, modulePath+"/") {
+				imports[f.dir] = append(imports[f.dir], strings.TrimPrefix(p, modulePath+"/"))
+			}
+		}
+	}
+	closure := map[string]map[string]bool{}
+	var reach func(dir string, into map[string]bool)
+	reach = func(dir string, into map[string]bool) {
+		if into[dir] {
+			return
+		}
+		into[dir] = true
+		for _, im := range imports[dir] {
+			reach(im, into)
+		}
+	}
+	for _, f := range files {
+		if closure[f.dir] == nil {
+			closure[f.dir] = map[string]bool{}
+			reach(f.dir, closure[f.dir])
+		}
+	}
+	return closure
 }
 
 // findUncalled returns the exported names no non-test file outside
@@ -194,9 +232,12 @@ func findUncalled(t *testing.T) map[string]bool {
 		}
 	}
 
-	// refs holds "dir.Name" for package-level references and ".Name"
-	// for method selectors; benchRefs the same from benchmark/.
+	// refs holds "dir.Name" for package-level references and
+	// "dir..Name" for a method selector, one for each dir in the
+	// closure of the selector's package; benchRefs the same from
+	// benchmark/.
 	refs, benchRefs := map[string]bool{}, map[string]bool{}
+	closure := importClosure(files)
 	for _, f := range files {
 		into := refs
 		if f.dir == "benchmark" || strings.HasPrefix(f.dir, "benchmark/") {
@@ -239,7 +280,9 @@ func findUncalled(t *testing.T) map[string]bool {
 							return false
 						}
 					}
-					add("." + x.Sel.Name)
+					for dir := range closure[f.dir] {
+						add(methodKey(dir, x.Sel.Name))
+					}
 				case *ast.Ident:
 					if !self[x] {
 						add(displayName(f.dir, "", x.Name))

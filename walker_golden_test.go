@@ -62,7 +62,7 @@ function real mixed(int n) {
     s = s + i / 2 + i * 0.5 - -i % 3;
     i = i + 1;
   }
-  var bool b = s > n && !(s == 0.0) || "a" != "b";
+  var bool b = s > n && !(s == 0.0) || true != false;
   print(s, b, -s, n / 2, NULL, new Cell == NULL);
   return s / 0;
 }
