@@ -71,7 +71,6 @@ func benchNative(b *testing.B, driver string, pes int) {
 func BenchmarkNativeBHSequential(b *testing.B) { benchNative(b, "seq", 0) }
 func BenchmarkNativeBHParallel4(b *testing.B)  { benchNative(b, "par", 4) }
 func BenchmarkNativeBHParallel7(b *testing.B)  { benchNative(b, "par", 7) }
-func BenchmarkNativeBHPool4(b *testing.B)      { benchNative(b, "pool", 4) }
 func BenchmarkNativeBHDirectN2(b *testing.B)   { benchNative(b, "direct", 0) }
 func BenchmarkNativeBHPlummerSeq(b *testing.B) {
 	s := nbody.NewPlummer(512, 7, 0.5, 0.01)

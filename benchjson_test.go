@@ -2,8 +2,10 @@
 // trajectory: ns, Go allocations and bytes per op for the tree-walking
 // oracle, the flat bytecode VM, and the SPMD kernel path on the R1
 // (polynomial), R2 (Barnes-Hut force), and R8 (vectorizable force)
-// workloads, regenerated via testing.Benchmark from the same
-// BenchmarkR3*/BenchmarkR6*/BenchmarkR8* configurations CI compiles.
+// workloads, and for the paper's structures in Go (engine "native":
+// the Figure 2 list scale, Figure 3 row scale and Barnes–Hut, sequential
+// and on 4 PEs), regenerated via testing.Benchmark from the same
+// BenchmarkR3*/R6*/R8*/Fig2*/Fig3*/NativeBH* configurations CI compiles.
 // Future PRs that touch the execution core re-emit the file and
 // commit it, so the walk/bytecode/kernel gaps — and any regression
 // of either fast path — are visible in review diffs rather than lost
@@ -29,8 +31,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-
-	"repro/internal/interp"
 )
 
 var writeBench = flag.Bool("write-bench", false, "re-measure and rewrite BENCH_interp.json")
@@ -68,48 +68,50 @@ type benchFile struct {
 	SpeedupSerialForceKernel float64 `json:"speedup_serial_force_kernel"`
 }
 
-// benchConfigs maps trajectory entries to the BenchmarkR3* bodies.
+// benchConfigs maps trajectory entries to the benchmark bodies. engine
+// labels the row: an interp.Engine's name, or "native" for the paper's
+// structures in Go, whose parallel/sequential pairs
+// TestNativeParallelSpeedupFloor holds to their recorded ratios.
 var benchConfigs = []struct {
 	name   string
-	engine interp.Engine
+	engine string
 	run    func(*testing.B)
 }{
-	{"R1-poly/serial", interp.EngineWalk, BenchmarkR3WalkPolySerial},
-	{"R1-poly/serial", interp.EngineBytecode, BenchmarkR6BytecodePolySerial},
-	{"R1-poly/par2", interp.EngineBytecode, BenchmarkR6BytecodePolyParallel2},
-	{"R2-force/serial", interp.EngineWalk, BenchmarkR3WalkForceSerial},
-	{"R2-force/serial", interp.EngineBytecode, BenchmarkR6BytecodeForceSerial},
-	{"R2-force/par4", interp.EngineWalk, BenchmarkR3WalkForceParallel4},
-	{"R2-force/par4", interp.EngineBytecode, BenchmarkR6BytecodeForceParallel4},
-	{"R3-bhsim/serial", interp.EngineWalk, BenchmarkR3WalkBarnesHutSim},
-	{"R8-vecforce/serial", interp.EngineBytecode, BenchmarkR8BytecodeVecForceSerial},
-	{"R8-vecforce/serial", interp.EngineKernel, BenchmarkR8KernelVecForceSerial},
+	{"R1-poly/serial", "walk", BenchmarkR3WalkPolySerial},
+	{"R1-poly/serial", "bytecode", BenchmarkR6BytecodePolySerial},
+	{"R1-poly/par2", "bytecode", BenchmarkR6BytecodePolyParallel2},
+	{"R2-force/serial", "walk", BenchmarkR3WalkForceSerial},
+	{"R2-force/serial", "bytecode", BenchmarkR6BytecodeForceSerial},
+	{"R2-force/par4", "walk", BenchmarkR3WalkForceParallel4},
+	{"R2-force/par4", "bytecode", BenchmarkR6BytecodeForceParallel4},
+	{"R3-bhsim/serial", "walk", BenchmarkR3WalkBarnesHutSim},
+	{"R8-vecforce/serial", "bytecode", BenchmarkR8BytecodeVecForceSerial},
+	{"R8-vecforce/serial", "kernel", BenchmarkR8KernelVecForceSerial},
+	{"Fig2ListScaleSequential", "native", BenchmarkFig2ListScaleSequential},
+	{"Fig2ListScaleParallel4", "native", BenchmarkFig2ListScaleParallel4},
+	{"Fig3SparseRowScaleParallel", "native", BenchmarkFig3SparseRowScaleParallel},
+	{"NativeBHSequential", "native", BenchmarkNativeBHSequential},
+	{"NativeBHParallel4", "native", BenchmarkNativeBHParallel4},
 }
 
 func TestBenchInterpJSON(t *testing.T) {
 	if *writeBench {
 		writeBenchJSON(t)
 	}
-	data, err := os.ReadFile(benchJSONPath)
-	if err != nil {
-		t.Fatalf("%v (regenerate with `go test -run TestBenchInterpJSON -write-bench .`)", err)
-	}
-	var f benchFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatalf("%s does not parse: %v", benchJSONPath, err)
-	}
+	f := readBenchJSON(t)
 	seen := map[string]bool{}
 	for _, e := range f.Entries {
 		if e.NsPerOp <= 0 {
 			t.Errorf("%s %s: non-positive ns/op %v", e.Name, e.Engine, e.NsPerOp)
 		}
-		if e.BytesPerOp <= 0 {
+		// Every interpreted run allocates; a native loop may not.
+		if e.BytesPerOp <= 0 && e.Engine != "native" {
 			t.Errorf("%s %s: non-positive bytes/op %v (regenerate with -write-bench)", e.Name, e.Engine, e.BytesPerOp)
 		}
 		seen[e.Name+"/"+e.Engine] = true
 	}
 	for _, c := range benchConfigs {
-		if key := c.name + "/" + c.engine.String(); !seen[key] {
+		if key := c.name + "/" + c.engine; !seen[key] {
 			t.Errorf("%s missing entry %s (regenerate with -write-bench)", benchJSONPath, key)
 		}
 	}
@@ -126,6 +128,70 @@ func TestBenchInterpJSON(t *testing.T) {
 	}
 	if f.GoVersion == "" {
 		t.Error("recorded go_version is empty (regenerate with -write-bench)")
+	}
+}
+
+func readBenchJSON(t *testing.T) benchFile {
+	t.Helper()
+	data, err := os.ReadFile(benchJSONPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with `go test -run TestBenchInterpJSON -write-bench .`)", err)
+	}
+	var f benchFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatalf("%s does not parse: %v", benchJSONPath, err)
+	}
+	return f
+}
+
+// TestNativeParallelSpeedupFloor holds the native structures' parallel
+// schedules to what BENCH_interp.json recorded: under -cost-gates each
+// pair's parallel/sequential ns ratio, measured now, may be at most
+// twice the recorded one (up to 3 attempts, so one noisy measurement
+// does not fail the gate). On 2 vCPUs a one-multiply list body on 4 PEs cannot
+// beat the plain loop, so the gate is a ratio, not a speedup: it
+// catches a schedule that pays per strip again, as the one that read
+// ×240 did. The recorded ratios come from a build without the race
+// detector, so a race build asserts only that the rows exist.
+func TestNativeParallelSpeedupFloor(t *testing.T) {
+	f := readBenchJSON(t)
+	recorded := map[string]float64{}
+	for _, e := range f.Entries {
+		if e.Engine == "native" {
+			recorded[e.Name] = e.NsPerOp
+		}
+	}
+	bench := map[string]func(*testing.B){}
+	for _, c := range benchConfigs {
+		bench[c.name] = c.run
+	}
+	for _, pair := range [][2]string{
+		{"Fig2ListScaleSequential", "Fig2ListScaleParallel4"},
+		{"NativeBHSequential", "NativeBHParallel4"},
+	} {
+		seq, par := recorded[pair[0]], recorded[pair[1]]
+		if seq <= 0 || par <= 0 {
+			t.Errorf("%s has no native rows %s and %s (regenerate with -write-bench)", benchJSONPath, pair[0], pair[1])
+			continue
+		}
+		if !*costGates || raceEnabled {
+			continue
+		}
+		bound := 2 * par / seq
+		var ratio float64
+		for attempt := 1; attempt <= 3; attempt++ {
+			s := nsPerOp(testing.Benchmark(bench[pair[0]]))
+			p := nsPerOp(testing.Benchmark(bench[pair[1]]))
+			ratio = p / s
+			t.Logf("attempt %d: %s %.0f ns, %s %.0f ns, ratio %.2f (recorded %.2f, bound %.2f)",
+				attempt, pair[0], s, pair[1], p, ratio, par/seq, bound)
+			if ratio <= bound {
+				break
+			}
+		}
+		if ratio > bound {
+			t.Errorf("%s is %.2f× %s, over twice the recorded %.2f×", pair[1], ratio, pair[0], par/seq)
+		}
 	}
 }
 
@@ -153,7 +219,7 @@ func writeBenchJSON(t *testing.T) {
 		r, ns := median(runs[i])
 		f.Entries = append(f.Entries, benchEntry{
 			Name:        c.name,
-			Engine:      c.engine.String(),
+			Engine:      c.engine,
 			NsPerOp:     ns,
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
@@ -161,17 +227,17 @@ func writeBenchJSON(t *testing.T) {
 		})
 		if c.name == "R2-force/serial" {
 			switch c.engine {
-			case interp.EngineWalk:
+			case "walk":
 				walkForce = ns
-			case interp.EngineBytecode:
+			case "bytecode":
 				bytecodeForce = ns
 			}
 		}
 		if c.name == "R8-vecforce/serial" {
 			switch c.engine {
-			case interp.EngineBytecode:
+			case "bytecode":
 				bytecodeVec = ns
-			case interp.EngineKernel:
+			case "kernel":
 				kernelVec = ns
 			}
 		}
@@ -201,8 +267,9 @@ const benchRuns = 5
 
 // median returns the run with the median ns/op, and that ns/op.
 func median(runs []testing.BenchmarkResult) (testing.BenchmarkResult, float64) {
-	nsPerOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
 	slices.SortFunc(runs, func(a, b testing.BenchmarkResult) int { return cmp.Compare(nsPerOp(a), nsPerOp(b)) })
 	mid := runs[len(runs)/2]
 	return mid, nsPerOp(mid)
 }
+
+func nsPerOp(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }

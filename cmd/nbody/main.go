@@ -5,12 +5,12 @@
 // PSL, N ∈ {128, 512, 1024}, 80 time steps, 4 and 7 PEs).
 //
 // Without -table it runs the native Go implementation and reports wall
-// time (drivers: seq, par, pool, direct).
+// time (drivers: seq, par, direct).
 //
 // Usage:
 //
 //	nbody -table [-measure k] [-ns 128,512,1024] [-pes 4,7]
-//	nbody [-driver seq|par|pool|direct] [-n 1024] [-steps 10] [-pes 4]
+//	nbody [-driver seq|par|direct] [-n 1024] [-steps 10] [-pes 4]
 package main
 
 import (
@@ -30,10 +30,10 @@ func main() {
 	measure := flag.Int("measure", 1, "time steps actually simulated per table cell")
 	nsFlag := flag.String("ns", "128,512,1024", "particle counts for -table")
 	pesFlag := flag.String("pes", "4,7", "PE counts for -table")
-	driver := flag.String("driver", "seq", "native driver: seq|par|pool|direct")
+	driver := flag.String("driver", "seq", "native driver: seq|par|direct")
 	n := flag.Int("n", 1024, "particles (native mode)")
 	steps := flag.Int("steps", 10, "time steps (native mode)")
-	npes := flag.Int("npes", 4, "goroutines for par/pool drivers")
+	npes := flag.Int("npes", 4, "PEs for the par driver (0 = GOMAXPROCS)")
 	theta := flag.Float64("theta", 0.5, "well-separated threshold")
 	dt := flag.Float64("dt", 0.01, "integration step")
 	seed := flag.Uint64("seed", 7, "particle generator seed")

@@ -31,7 +31,7 @@ func main() {
 
 	par := nbody.NewUniform(n, 7, 0.5, 0.01)
 	t0 = time.Now()
-	par.Run("pool", steps, 4)
+	par.Run("par", steps, 4)
 	parTime := time.Since(t0)
 
 	match := true
@@ -41,7 +41,7 @@ func main() {
 			break
 		}
 	}
-	fmt.Printf("sequential: %v   parallel(4 workers): %v   trajectories match: %v\n",
+	fmt.Printf("sequential: %v   parallel(4 PEs): %v   trajectories match: %v\n",
 		seqTime.Round(time.Millisecond), parTime.Round(time.Millisecond), match)
 	if runtime.GOMAXPROCS(0) < 2 {
 		fmt.Println("(single-CPU machine: wall-clock speedup needs more cores;")

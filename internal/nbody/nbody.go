@@ -3,7 +3,8 @@ package nbody
 import (
 	"fmt"
 	"math"
-	"sync"
+
+	"repro/internal/sched"
 )
 
 // Vec3 is a 3-vector.
@@ -326,78 +327,20 @@ func (s *System) Step() {
 	}
 }
 
-// StepParallel runs one time step with BHL1 and BHL2 strip-mined across
-// pes goroutines using the same static cyclic schedule as the
-// transformed PSL code: worker i processes particles i, i+pes, i+2·pes…
-// by skipping ahead along the leaves list (FOR2) while the main loop
-// advances pes nodes per trip (FOR1).
+// StepParallel runs one time step with BHL1 and BHL2 each spread over
+// pes PEs — the caller and pes−1 goroutines — by sched.Stride along the
+// leaves list: PE i starts at particle i (FOR2's skip) and advances pes
+// particles after each one (FOR1's advance), with no barrier between
+// trips. pes ≤ 0 means GOMAXPROCS. Forces are per-body, so the
+// trajectory is Step's bit for bit.
 func (s *System) StepParallel(pes int) {
 	s.BuildTree()
-	s.parallelOverList(pes, func(b *Body) {
+	next := func(b *Body) *Body { return b.Next }
+	sched.Stride(pes, s.Head, next, func(b *Body) {
 		b.Force = Vec3{}
 		s.forceOn(b, s.Root)
 	})
-	s.parallelOverList(pes, func(b *Body) {
-		s.integrate(b)
-	})
-}
-
-// parallelOverList is the runtime shape of §4.3.3's transformed loop.
-func (s *System) parallelOverList(pes int, work func(*Body)) {
-	p := s.Head
-	for p != nil {
-		var wg sync.WaitGroup
-		for i := 0; i < pes; i++ {
-			wg.Add(1)
-			go func(i int, p *Body) {
-				defer wg.Done()
-				// FOR2: skip ahead i nodes, speculatively.
-				for k := 1; k <= i && p != nil; k++ {
-					p = p.Next
-				}
-				if p != nil {
-					work(p)
-				}
-			}(i, p)
-		}
-		wg.Wait()
-		// FOR1: serial advance by pes nodes (speculative past the end).
-		for i := 0; i < pes && p != nil; i++ {
-			p = p.Next
-		}
-	}
-}
-
-// StepParallelPool is StepParallel with long-lived workers (one per PE
-// processing a cyclic slice of the body array). It computes identical
-// forces with far less goroutine churn; the ablation benchmarks compare
-// the two (the paper's point (4): granularity was not tuned).
-func (s *System) StepParallelPool(pes int) {
-	s.BuildTree()
-	var wg sync.WaitGroup
-	for i := 0; i < pes; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := i; j < len(s.Bodies); j += pes {
-				b := s.Bodies[j]
-				b.Force = Vec3{}
-				s.forceOn(b, s.Root)
-			}
-		}(i)
-	}
-	wg.Wait()
-	wg = sync.WaitGroup{}
-	for i := 0; i < pes; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := i; j < len(s.Bodies); j += pes {
-				s.integrate(s.Bodies[j])
-			}
-		}(i)
-	}
-	wg.Wait()
+	sched.Stride(pes, s.Head, next, s.integrate)
 }
 
 // DirectStep runs one O(N²) time step — the paper's §4.1 "obvious
@@ -420,7 +363,7 @@ func (s *System) DirectStep() {
 }
 
 // Run advances the system `steps` steps with the given driver:
-// "seq", "par", "pool", or "direct". pes is ignored for seq/direct.
+// "seq", "par" or "direct". pes is ignored for seq/direct.
 func (s *System) Run(driver string, steps, pes int) error {
 	for i := 0; i < steps; i++ {
 		switch driver {
@@ -428,8 +371,6 @@ func (s *System) Run(driver string, steps, pes int) error {
 			s.Step()
 		case "par":
 			s.StepParallel(pes)
-		case "pool":
-			s.StepParallelPool(pes)
 		case "direct":
 			s.DirectStep()
 		default:

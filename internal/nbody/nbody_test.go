@@ -115,25 +115,23 @@ func TestBHApproximatesDirect(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential: the strip-mined drivers compute
-// identical trajectories (forces are per-body; no reduction order
-// differences).
+// TestParallelMatchesSequential: the strided driver computes identical
+// trajectories (forces are per-body; no reduction order differences)
+// at every PE count, pes ≤ 0 meaning GOMAXPROCS.
 func TestParallelMatchesSequential(t *testing.T) {
 	ref := NewUniform(120, 3, 0.5, 0.01)
 	for i := 0; i < 3; i++ {
 		ref.Step()
 	}
-	for _, driver := range []string{"par", "pool"} {
-		for _, pes := range []int{2, 4, 7} {
-			s := NewUniform(120, 3, 0.5, 0.01)
-			if err := s.Run(driver, 3, pes); err != nil {
-				t.Fatal(err)
-			}
-			for i := range ref.Bodies {
-				if ref.Bodies[i].Pos != s.Bodies[i].Pos {
-					t.Fatalf("%s(%d): body %d position %v vs %v",
-						driver, pes, i, s.Bodies[i].Pos, ref.Bodies[i].Pos)
-				}
+	for _, pes := range []int{-1, 0, 1, 2, 4, 7} {
+		s := NewUniform(120, 3, 0.5, 0.01)
+		if err := s.Run("par", 3, pes); err != nil {
+			t.Fatal(err)
+		}
+		for i := range ref.Bodies {
+			if ref.Bodies[i].Pos != s.Bodies[i].Pos {
+				t.Fatalf("par(%d): body %d position %v vs %v",
+					pes, i, s.Bodies[i].Pos, ref.Bodies[i].Pos)
 			}
 		}
 	}

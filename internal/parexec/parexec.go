@@ -15,12 +15,12 @@
 // granularity, disjoint fields), so no locking of the heap is needed.
 //
 // Every PE takes a forall's iterations one at a time from one shared
-// cursor, so a PE that finishes early takes more and the schedule
-// adapts to uneven iteration costs at the price of one atomic add per
-// iteration. Which PE ran which iteration never shows in the result —
-// see below. (The paper's "simple static scheduling" of §4.3.3 is a
-// property of the simulated machine, interp.Scheduling, not of this
-// pool.)
+// cursor (sched.Cursor, the schedule sched.ForEach runs too), so a PE
+// that finishes early takes more and the schedule adapts to uneven
+// iteration costs at the price of one atomic add per iteration. Which
+// PE ran which iteration never shows in the result — see below. (The
+// paper's "simple static scheduling" of §4.3.3 is a property of the
+// simulated machine, interp.Scheduling, not of this pool.)
 //
 // Strips the kernel classifier vectorized (the default engine,
 // interp.EngineKernel) never reach the pool: the interpreter runs a
@@ -66,6 +66,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // Options configures a Run.
@@ -158,31 +159,11 @@ func Run(prog *lang.Program, opt Options, fn string, args ...interp.Value) (inte
 // ---------------------------------------------------------------------------
 // Pool internals
 
-// cursor hands out the iterations of one range, next through to, one
-// at a time to whoever asks first. It is the pool's one schedule, and
-// ForEach's.
-type cursor struct {
-	next atomic.Int64
-	to   int64
-}
-
-// reset makes the cursor hand out from through to.
-func (c *cursor) reset(from, to int64) {
-	c.next.Store(from)
-	c.to = to
-}
-
-// take claims the next iteration; ok is false once the range is drained.
-func (c *cursor) take() (k int64, ok bool) {
-	k = c.next.Add(1) - 1
-	return k, k <= c.to
-}
-
 // task is the forall the pool is running. It lives in the runState and
 // is reset, not rebuilt, for every forall, so a barrier allocates
 // nothing of the pool's.
 type task struct {
-	cursor
+	sched.Cursor
 	run func(w *interp.Interp, k int64) error
 
 	// Profiling slots (nil when no profiler is installed — the nil
@@ -201,7 +182,7 @@ type task struct {
 // claim; w is the caller's own fork, not necessarily worker pe's.
 func (t *task) drain(w *interp.Interp, pe int) {
 	for {
-		k, ok := t.take()
+		k, ok := t.Take()
 		if !ok {
 			break
 		}
@@ -385,7 +366,7 @@ func (rs *runState) await(me *worker, seen uint64) uint64 {
 // output and error (interp.ForallScheduler).
 func (rs *runState) forall(pos lang.Pos, from, to int64, run func(w *interp.Interp, k int64) error) error {
 	t := &rs.t
-	t.reset(from, to)
+	t.Reset(from, to)
 	t.run = run
 	if rs.prof != nil {
 		clear(t.busy)

@@ -1,4 +1,4 @@
-package parexec
+package sched
 
 import (
 	"runtime"
@@ -45,18 +45,24 @@ func TestForEachConcurrent(t *testing.T) {
 	}
 }
 
-// TestForEachCallerIsPE0: the calling goroutine takes a share of the
-// work, so pes PEs are pes−1 goroutines beside it.
-func TestForEachCallerIsPE0(t *testing.T) {
+// TestCallerIsPE0: the calling goroutine takes a share of the work, so
+// pes PEs are pes−1 goroutines beside it, in both schedules.
+func TestCallerIsPE0(t *testing.T) {
 	const pes = 4
-	baseline := int64(runtime.NumGoroutine())
-	var peak atomic.Int64
-	ForEach(pes, 256, func(int) {
-		if n := int64(runtime.NumGoroutine()); n > peak.Load() {
-			peak.Store(n)
+	head, _ := chain(256)
+	for name, run := range map[string]func(probe func()){
+		"ForEach": func(probe func()) { ForEach(pes, 256, func(int) { probe() }) },
+		"Stride":  func(probe func()) { Stride(pes, head, func(p *node) *node { return p.next }, func(*node) { probe() }) },
+	} {
+		baseline := int64(runtime.NumGoroutine())
+		var peak atomic.Int64
+		run(func() {
+			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+				peak.Store(n)
+			}
+		})
+		if got := peak.Load() - baseline; got > pes-1 {
+			t.Errorf("%s: %d goroutines started for %d PEs, want at most %d", name, got, pes, pes-1)
 		}
-	})
-	if got := peak.Load() - baseline; got > pes-1 {
-		t.Errorf("%d goroutines started for %d PEs, want at most %d", got, pes, pes-1)
 	}
 }

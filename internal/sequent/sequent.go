@@ -24,7 +24,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/nbody"
-	"repro/internal/parexec"
+	"repro/internal/sched"
 	"repro/internal/tablefmt"
 	"repro/internal/transform"
 )
@@ -168,7 +168,7 @@ func BarnesHutTable(cfg TableConfig) (*Table, error) {
 	per := len(programs)
 	cycles := make([]int64, len(cfg.Ns)*per)
 	errs := make([]error, len(cycles))
-	parexec.ForEach(0, len(cycles), func(k int) {
+	sched.ForEach(0, len(cycles), func(k int) {
 		k = len(cycles) - 1 - k
 		n, j := cfg.Ns[k/per], k%per
 		m := Machine{PEs: widths[j], ClockHz: DefaultClockHz, Costs: costs, Sched: cfg.Sched, Seed: cfg.Seed}

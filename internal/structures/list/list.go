@@ -1,13 +1,14 @@
 // Package list implements the paper's §3.1.1 one-way linked list as a
 // generic Go container, with runtime verifiers for the ADDS properties
 // its declaration promises (acyclicity and uniqueness along the X
-// dimension) and a strip-mined parallel traversal that mirrors the
+// dimension) and a strided parallel traversal in the shape of the
 // paper's §4.3.3 transformation.
 package list
 
 import (
 	"fmt"
-	"sync"
+
+	"repro/internal/sched"
 )
 
 // Node is a one-way list node ("OneWayList *next is uniquely forward
@@ -104,35 +105,14 @@ func (l *List[T]) Slice() []T {
 	return out
 }
 
-// ParallelEach processes every node with pes workers using the paper's
-// strip-mined schedule (§4.3.3): worker i handles nodes i, i+pes, …,
-// each skipping ahead speculatively from the shared cursor. fn must not
-// touch other nodes (the dependence condition the analysis proves for
-// such loops).
+// ParallelEach runs fn on every node on pes PEs — the caller and pes−1
+// goroutines — with sched.Stride: PE i starts at node i (FOR2's skip)
+// and advances pes nodes after each node (FOR1's advance), with no
+// barrier between trips. pes ≤ 0 means GOMAXPROCS. fn must not touch
+// other nodes (the dependence condition the analysis proves for such
+// loops).
 func (l *List[T]) ParallelEach(pes int, fn func(*Node[T])) {
-	if pes < 1 {
-		pes = 1
-	}
-	p := l.head
-	for p != nil {
-		var wg sync.WaitGroup
-		for i := 0; i < pes; i++ {
-			wg.Add(1)
-			go func(i int, p *Node[T]) {
-				defer wg.Done()
-				for k := 1; k <= i && p != nil; k++ { // FOR2
-					p = p.Next
-				}
-				if p != nil {
-					fn(p)
-				}
-			}(i, p)
-		}
-		wg.Wait()
-		for i := 0; i < pes && p != nil; i++ { // FOR1
-			p = p.Next
-		}
-	}
+	sched.Stride(pes, l.head, func(n *Node[T]) *Node[T] { return n.Next }, fn)
 }
 
 // VerifyAcyclic checks the "forward along X" promise at runtime with

@@ -61,7 +61,7 @@ func TestInsertAfterAndRemove(t *testing.T) {
 }
 
 func TestParallelEach(t *testing.T) {
-	for _, pes := range []int{1, 2, 4, 7} {
+	for _, pes := range []int{-1, 0, 1, 2, 4, 7} {
 		l := New[int]()
 		for i := 0; i < 100; i++ {
 			l.Append(i)
@@ -79,12 +79,6 @@ func TestParallelEach(t *testing.T) {
 				t.Fatalf("pes=%d: node %d = %d", pes, i, v)
 			}
 		}
-	}
-	// pes < 1 falls back to sequential.
-	l := New(1, 2)
-	l.ParallelEach(0, func(n *Node[int]) { n.Data++ })
-	if !reflect.DeepEqual(l.Slice(), []int{2, 3}) {
-		t.Errorf("fallback = %v", l.Slice())
 	}
 }
 

@@ -9,7 +9,9 @@ package orthlist
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
+
+	"repro/internal/sched"
 )
 
 // Node is one nonzero element with its four links.
@@ -143,33 +145,6 @@ func (m *Matrix) EachInRow(r int, fn func(*Node)) {
 	}
 }
 
-// Add returns m + o.
-func (m *Matrix) Add(o *Matrix) *Matrix {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic("orthlist: dimension mismatch")
-	}
-	out := New(m.Rows, m.Cols)
-	for r := 0; r < m.Rows; r++ {
-		a, b := m.rowHead[r], o.rowHead[r]
-		for a != nil || b != nil {
-			switch {
-			case b == nil || (a != nil && a.Col < b.Col):
-				out.Set(r, a.Col, a.Val)
-				a = a.Across
-			case a == nil || b.Col < a.Col:
-				out.Set(r, b.Col, b.Val)
-				b = b.Across
-			default:
-				if v := a.Val + b.Val; v != 0 {
-					out.Set(r, a.Col, v)
-				}
-				a, b = a.Across, b.Across
-			}
-		}
-	}
-	return out
-}
-
 // Mul returns the sparse product m × o.
 func (m *Matrix) Mul(o *Matrix) *Matrix {
 	if m.Cols != o.Rows {
@@ -203,38 +178,34 @@ func (m *Matrix) Transpose() *Matrix {
 	return out
 }
 
-// ScaleRowsParallel multiplies every row by its factor using one
-// goroutine per strip of rows. Rows are disjoint along X ("parallel
-// traversals of different rows along X will never visit the same
-// node"), which is exactly the ADDS property that makes this safe.
-// Elements that become zero are unlinked after the parallel pass, on
-// the calling goroutine: columns cross rows, so their links are not
-// disjoint between workers.
+// ScaleRowsParallel multiplies every row by its factor on pes PEs — the
+// caller and pes−1 goroutines — each taking the next row from
+// sched.ForEach's cursor; pes ≤ 0 means GOMAXPROCS. Rows are disjoint
+// along X ("parallel traversals of different rows along X will never
+// visit the same node"), which is exactly the ADDS property that makes
+// this safe. Elements that become zero are unlinked after the parallel
+// pass, row by row on the calling goroutine: columns cross rows, so
+// their links are not disjoint between PEs. The pass only flags that
+// some element became zero, so a scale that zeroes nothing neither
+// allocates nor walks the rows twice.
 func (m *Matrix) ScaleRowsParallel(pes int, factor func(row int) float64) {
-	if pes < 1 {
-		pes = 1
-	}
-	zeroed := make([][]*Node, pes)
-	var wg sync.WaitGroup
-	for i := 0; i < pes; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for r := i; r < m.Rows; r += pes {
-				f := factor(r)
-				for n := m.rowHead[r]; n != nil; n = n.Across {
-					n.Val *= f
-					if n.Val == 0 {
-						zeroed[i] = append(zeroed[i], n)
-					}
-				}
+	var zeroed atomic.Bool
+	sched.ForEach(pes, m.Rows, func(r int) {
+		f := factor(r)
+		for n := m.rowHead[r]; n != nil; n = n.Across {
+			if n.Val *= f; n.Val == 0 {
+				zeroed.Store(true)
 			}
-		}(i)
+		}
+	})
+	if !zeroed.Load() {
+		return
 	}
-	wg.Wait()
-	for _, ns := range zeroed {
-		for _, n := range ns {
-			m.unlink(n)
+	for r := 0; r < m.Rows; r++ {
+		for n := m.rowHead[r]; n != nil; n = n.Across {
+			if n.Val == 0 {
+				m.unlink(n)
+			}
 		}
 	}
 }

@@ -99,26 +99,6 @@ func TestSums(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	a := New(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(1, 1, 2)
-	b := New(2, 2)
-	b.Set(0, 0, -1) // cancels
-	b.Set(0, 1, 5)
-	sum := a.Add(b)
-	want := [][]float64{{0, 5}, {0, 2}}
-	if !reflect.DeepEqual(sum.Dense(), want) {
-		t.Errorf("sum = %v", sum.Dense())
-	}
-	if sum.NNZ() != 2 {
-		t.Errorf("nnz = %d (cancellation must drop the node)", sum.NNZ())
-	}
-	if err := sum.Verify(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMulAgainstDense(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	a, b := New(5, 7), New(7, 4)
@@ -186,7 +166,7 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestScaleRowsParallel(t *testing.T) {
-	for _, pes := range []int{1, 2, 4, 7} {
+	for _, pes := range []int{-1, 0, 1, 2, 4, 7} {
 		m := New(20, 20)
 		for r := 0; r < 20; r++ {
 			for c := 0; c < 20; c += r + 1 {
@@ -204,13 +184,6 @@ func TestScaleRowsParallel(t *testing.T) {
 		if err := m.Verify(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// pes < 1 falls back.
-	m := New(2, 2)
-	m.Set(0, 0, 2)
-	m.ScaleRowsParallel(0, func(int) float64 { return 3 })
-	if m.Get(0, 0) != 6 {
-		t.Error("fallback broken")
 	}
 }
 

@@ -26,8 +26,8 @@
 //     over generated programs.
 //
 //   - The dependence tests are independent read-only queries, so they
-//     run as one batch on parexec's own scheduling machinery
-//     (parexec.ForEach) — the tool eating its own cooking. Verdicts are
+//     run as one batch on the schedule parexec's pool runs foralls on
+//     (sched.ForEach) — the tool eating its own cooking. Verdicts are
 //     consumed strictly in scan order (functions in program order, each
 //     function's loops in lang.Walk order), so the plan and the
 //     transformed program are deterministic.
@@ -64,7 +64,7 @@ import (
 	"repro/internal/depend"
 	"repro/internal/interp"
 	"repro/internal/lang"
-	"repro/internal/parexec"
+	"repro/internal/sched"
 )
 
 // DefaultWidth is the planner's width policy when the caller has no
@@ -317,7 +317,7 @@ func PlanAnalyzed(prog *lang.Program, res *analysis.Result, width int) (*Plan, e
 	}
 	reports := make([]*depend.Report, len(sites))
 	errs := make([]error, len(sites))
-	parexec.ForEach(0, len(sites), func(k int) {
+	sched.ForEach(0, len(sites), func(k int) {
 		s := sites[k]
 		if containsForall(s.loop.Body) {
 			reports[k] = noNesting(s.fn, s.loop)
