@@ -141,3 +141,67 @@ func TestShapeCheckBarnesHutCleanExceptInsertTransient(t *testing.T) {
 		}
 	}
 }
+
+// shapeViolationsOn runs main with shape checks on under eng and
+// returns the rendered violations.
+func shapeViolationsOn(t *testing.T, src string, eng Engine) []string {
+	t.Helper()
+	ip := New(lang.MustParse(src), Config{Engine: eng, ShapeChecks: true})
+	if _, err := ip.Call("main"); err != nil {
+		t.Fatalf("%s: %v", eng, err)
+	}
+	var out []string
+	for _, v := range ip.ShapeViolations() {
+		out = append(out, v.String())
+	}
+	return out
+}
+
+// TestShapeCheckSharedDimensionAcrossTypes: in-edges along a dimension
+// are counted by its name, whatever record declares it and at whatever
+// position it stands in that record's dimension list. A's X is its
+// second dimension and B's its first; n's in-edge from a->c and its
+// second from x->m are both along X, so the second store shares n.
+func TestShapeCheckSharedDimensionAcrossTypes(t *testing.T) {
+	const src = `
+type B [X] { int w; B *m is uniquely forward along X; };
+type A [Y][X] { int v; A *up is uniquely forward along Y; B *c is uniquely forward along X; };
+procedure main() {
+  var A *a = new A;
+  var B *x = new B;
+  var B *n = new B;
+  a->c = n;
+  x->m = n;
+}`
+	for _, eng := range []Engine{EngineWalk, EngineBytecode} {
+		got := shapeViolationsOn(t, src, eng)
+		want := []string{"9:4: runtime sharing of B along X"}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: violations = %q, want %q", eng, got, want)
+		}
+	}
+}
+
+// TestShapeCheckPointerArraySharing: a pointer-array element is checked
+// like a plain pointer field, at a constant or a computed index.
+func TestShapeCheckPointerArraySharing(t *testing.T) {
+	const src = `
+type T [down] { int v; T *kids[2] is uniquely forward along down; };
+procedure main() {
+  var T *a = new T;
+  var T *b = new T;
+  var T *n = new T;
+  var int i = 1;
+  a->kids[i] = n;
+  b->kids[0] = n;
+  a->kids[i] = NULL;
+  b->kids[i] = n;
+}`
+	for _, eng := range []Engine{EngineWalk, EngineBytecode} {
+		got := shapeViolationsOn(t, src, eng)
+		want := []string{"9:4: runtime sharing of T along down", "11:4: runtime sharing of T along down"}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: violations = %q, want %q", eng, got, want)
+		}
+	}
+}
