@@ -251,12 +251,6 @@ type ForallSite struct {
 	VectorReason string
 }
 
-// NewSite is one `new T` allocation site.
-type NewSite struct {
-	TypeName string
-	Decl     *adds.Decl
-}
-
 // Func is one function's flat code plus its register-file shape and
 // constant pools.
 type Func struct {
@@ -274,9 +268,9 @@ type Func struct {
 	// reports in errors.
 	Pos []lang.Pos
 
-	Strs    []string // print's string literals
-	Names   []string // field-name pool (error text, shape checks)
-	News    []NewSite
+	Strs    []string     // print's string literals
+	Names   []string     // field-name pool (error text)
+	News    []*adds.Decl // each `new T` site's declaration of T
 	Calls   []CallSite
 	Prints  []PrintSite
 	Foralls []ForallSite
@@ -467,7 +461,7 @@ func (b *builder) lowerFunc(bf *Func, fn *lang.FuncDecl, idx int) error {
 	bf.Calls = make([]CallSite, 0, b.n.calls)
 	bf.Prints = make([]PrintSite, 0, b.n.prints)
 	bf.Foralls = make([]ForallSite, 0, b.n.foralls)
-	bf.News = make([]NewSite, 0, b.n.news)
+	bf.News = make([]*adds.Decl, 0, b.n.news)
 	bf.Names = make([]string, 0, b.n.names)
 	b.args = make([]Reg, b.n.args)
 	if err := b.stmts(fn.Body.Stmts); err != nil {
@@ -1127,12 +1121,11 @@ func (b *builder) evalInto(e lang.Expr, dst Reg) error {
 		return nil
 
 	case *lang.NewExpr:
-		decl := b.cp.Lang.Universe.Decl(e.TypeName)
-		if decl == nil {
+		if e.Decl == nil {
 			return fmt.Errorf("%s: new of unknown type %q", pos, e.TypeName)
 		}
 		site := int32(len(b.f.News))
-		b.f.News = append(b.f.News, NewSite{TypeName: e.TypeName, Decl: decl})
+		b.f.News = append(b.f.News, e.Decl)
 		b.emit(pos, Instr{Op: OpNew, A: dst.Idx, B: site})
 		return nil
 

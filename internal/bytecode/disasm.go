@@ -150,8 +150,8 @@ func disasmFunc(sb *strings.Builder, prog *Program, f *Func) {
 	for i, pr := range f.Prints {
 		fmt.Fprintf(sb, "  print[%d]: args=%s\n", i, regList(f, pr.Args))
 	}
-	for i, n := range f.News {
-		fmt.Fprintf(sb, "  new[%d]: %s\n", i, n.TypeName)
+	for i, d := range f.News {
+		fmt.Fprintf(sb, "  new[%d]: %s\n", i, d.Name)
 	}
 }
 

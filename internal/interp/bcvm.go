@@ -414,12 +414,11 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			fr.b[in.A] = fr.n[in.B] != fr.n[in.C]
 
 		case bytecode.OpNew:
-			site := &f.News[in.B]
-			v, err := ip.allocNode(site.Decl, site.TypeName)
+			n, err := ip.allocNode(f.News[in.B])
 			if err != nil {
 				return ctrlNext, err
 			}
-			fr.n[in.A] = v.N
+			fr.n[in.A] = n
 
 		case bytecode.OpLoadInt:
 			n := fr.n[in.B]
@@ -449,7 +448,7 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			}
 			arr := n.parr[in.C]
 			if len(arr) == 0 {
-				return ctrlNext, fmt.Errorf("%s: interp: index 0 out of range for %s.%s[0]", f.Pos[ipc], n.Type, f.Names[in.Imm])
+				return ctrlNext, fmt.Errorf("%s: interp: index 0 out of range for %s.%s[0]", f.Pos[ipc], n.decl.Name, f.Names[in.Imm])
 			}
 			fr.n[in.A] = arr[0]
 
@@ -465,7 +464,7 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			idx := fr.i[in.C]
 			arr := n.parr[off]
 			if idx < 0 || idx >= int64(len(arr)) {
-				return ctrlNext, fmt.Errorf("%s: interp: index %d out of range for %s.%s[%d]", f.Pos[ipc], idx, n.Type, f.Names[name], len(arr))
+				return ctrlNext, fmt.Errorf("%s: interp: index %d out of range for %s.%s[%d]", f.Pos[ipc], idx, n.decl.Name, f.Names[name], len(arr))
 			}
 			fr.n[in.A] = arr[idx]
 
@@ -495,12 +494,12 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			}
 			arr := n.parr[in.C]
 			if len(arr) == 0 {
-				return ctrlNext, fmt.Errorf("%s: interp: index 0 out of range for %s.%s[0]", f.Pos[ipc], n.Type, f.Names[in.Imm])
+				return ctrlNext, fmt.Errorf("%s: interp: index 0 out of range for %s.%s[0]", f.Pos[ipc], n.decl.Name, f.Names[in.Imm])
 			}
 			old := arr[0]
 			arr[0] = fr.n[in.B]
 			if ip.cfg.ShapeChecks {
-				if err := ip.checkStore(f.Pos[ipc], n, f.Names[in.Imm], old, fr.n[in.B]); err != nil {
+				if err := ip.checkStore(f.Pos[ipc], n, in.C, old, fr.n[in.B]); err != nil {
 					return ctrlNext, err
 				}
 			}
@@ -515,12 +514,12 @@ func (ip *Interp) runBC(f *bytecode.Func, fr *bcFrame, pc, end int32) (ctrl, err
 			idx := fr.i[in.C]
 			arr := n.parr[off]
 			if idx < 0 || idx >= int64(len(arr)) {
-				return ctrlNext, fmt.Errorf("%s: interp: index %d out of range for %s.%s[%d]", f.Pos[ipc], idx, n.Type, f.Names[name], len(arr))
+				return ctrlNext, fmt.Errorf("%s: interp: index %d out of range for %s.%s[%d]", f.Pos[ipc], idx, n.decl.Name, f.Names[name], len(arr))
 			}
 			old := arr[idx]
 			arr[idx] = fr.n[in.B]
 			if ip.cfg.ShapeChecks {
-				if err := ip.checkStore(f.Pos[ipc], n, f.Names[name], old, fr.n[in.B]); err != nil {
+				if err := ip.checkStore(f.Pos[ipc], n, int32(off), old, fr.n[in.B]); err != nil {
 					return ctrlNext, err
 				}
 			}

@@ -329,8 +329,9 @@ type state struct {
 	nextID   atomic.Int64
 	outBytes atomic.Int64
 
-	shapeMu  sync.Mutex
+	shapeMu  sync.Mutex // guards shapeLog and shape
 	shapeLog []ShapeViolation
+	shape    *shapeTable // the checker's table; nil unless Config.ShapeChecks
 }
 
 // New creates an interpreter for a checked, normalized program,
@@ -374,6 +375,9 @@ func newInterp(prog *lang.Program, cfg Config) *Interp {
 		maxAllocs: cfg.MaxAllocs,
 		maxOutput: cfg.MaxOutputBytes,
 		ctx:       cfg.Ctx,
+	}
+	if cfg.ShapeChecks {
+		ip.sh.shape = newShapeTable(prog.Universe)
 	}
 	return ip
 }
@@ -436,17 +440,20 @@ func (ip *Interp) Call(fn string, args ...Value) (Value, error) {
 	// The argument boundary is the one place a Value's kind can differ
 	// from its static type: an int passed for a real parameter widens
 	// (each engine binds it so), and any other mismatch, or a node of
-	// another record type, fails here, before an engine reads a field of
+	// another declaration, fails here, before an engine reads a field of
 	// the wrong kind or at the wrong offset.
 	for i, a := range args {
 		t := f.Params[i].Type
 		elem, ptr := lang.IsPointer(t)
-		if coerce(a, t).Kind == zeroValue(t).Kind && (!ptr || a.N == nil || a.N.Type == elem) {
+		if coerce(a, t).Kind == zeroValue(t).Kind && (!ptr || a.N == nil || a.N.decl == ip.prog.Universe.Decl(elem)) {
 			continue
 		}
 		have := a.Kind.String()
 		if a.N != nil {
-			have = a.N.Type + "*"
+			have = a.N.decl.Name + "*"
+		}
+		if a.N != nil && a.N.decl.Name == elem {
+			have = "another program's " + have
 		}
 		return Value{}, fmt.Errorf("interp: %s: argument %d is %s, not %s", fn, i+1, have, t)
 	}
@@ -813,12 +820,12 @@ func (ip *Interp) execAssign(s *lang.AssignStmt, fr frame, depth int) error {
 			old := *elem
 			*elem = rv.N
 			if ip.cfg.ShapeChecks {
-				return ip.checkStore(s.Pos(), node, lhs.Field, old, rv.N)
+				return ip.checkStore(s.Pos(), node, lhs.Off, old, rv.N)
 			}
 			return nil
 		}
 		if lhs.Type() == nil || uint(lhs.Off) >= uint(len(node.words)) {
-			return fmt.Errorf("%s: interp: %s has no data field %q", s.Pos(), node.Type, lhs.Field)
+			return fmt.Errorf("%s: interp: %s has no data field %q", s.Pos(), node.decl.Name, lhs.Field)
 		}
 		node.words[lhs.Off] = rv.word()
 		return nil
@@ -1277,7 +1284,10 @@ func (ip *Interp) evalPtr(e lang.Expr, fr frame, depth int) (*Node, error) {
 	case *lang.NullLit:
 		return nil, nil
 	case *lang.NewExpr:
-		return ip.alloc(e.TypeName)
+		if e.Decl == nil {
+			return nil, fmt.Errorf("interp: new of unknown type %q", e.TypeName)
+		}
+		return ip.allocNode(e.Decl)
 	case *lang.FieldExpr:
 		node, err := ip.evalPtr(e.X, fr, depth)
 		if err != nil || node == nil {
@@ -1321,7 +1331,7 @@ func (ip *Interp) data(e *lang.FieldExpr, fr frame, depth int) (uint64, error) {
 	}
 	ip.charge(ip.cfg.Costs.FieldLoad)
 	if e.Type() == nil || uint(e.Off) >= uint(len(node.words)) {
-		return 0, fmt.Errorf("%s: interp: %s has no data field %q", e.Pos(), node.Type, e.Field)
+		return 0, fmt.Errorf("%s: interp: %s has no data field %q", e.Pos(), node.decl.Name, e.Field)
 	}
 	return node.words[e.Off], nil
 }
@@ -1337,9 +1347,12 @@ func (ip *Interp) elem(pos lang.Pos, node *Node, e *lang.FieldExpr, fr frame, de
 			return nil, err
 		}
 	}
-	arr := node.ptrsAt(e.Off)
+	var arr []*Node
+	if uint(e.Off) < uint(len(node.parr)) {
+		arr = node.parr[e.Off]
+	}
 	if idx < 0 || idx >= int64(len(arr)) {
-		return nil, fmt.Errorf("%s: interp: index %d out of range for %s.%s[%d]", pos, idx, node.Type, e.Field, len(arr))
+		return nil, fmt.Errorf("%s: interp: index %d out of range for %s.%s[%d]", pos, idx, node.decl.Name, e.Field, len(arr))
 	}
 	return &arr[idx], nil
 }
@@ -1567,28 +1580,18 @@ func (ip *Interp) print(e *lang.CallExpr, fr frame, depth int) error {
 	return ip.printLine(e.Pos(), args)
 }
 
-func (ip *Interp) alloc(typeName string) (*Node, error) {
-	decl := ip.prog.Universe.Decl(typeName)
-	if decl == nil {
-		return nil, fmt.Errorf("interp: new of unknown type %q", typeName)
-	}
-	v, err := ip.allocNode(decl, typeName)
-	return v.N, err
-}
-
 // allocNode builds a fresh record: one zero word per data field and
 // one NULL slot per pointer, the slots of every pointer field cut from
 // one backing array. The MaxAllocs budget is checked on the shared
 // counter, so parallel iterations draw from one pool and the failing
 // allocation is deterministic in serial runs.
-func (ip *Interp) allocNode(decl *adds.Decl, typeName string) (Value, error) {
+func (ip *Interp) allocNode(decl *adds.Decl) (*Node, error) {
 	ip.charge(ip.cfg.Costs.Alloc)
 	ip.ownAllocs++
 	if n := ip.sh.allocs.Add(1); ip.maxAllocs > 0 && n > ip.maxAllocs {
-		return Value{}, fmt.Errorf("interp: allocation limit exceeded (%d)", ip.maxAllocs)
+		return nil, fmt.Errorf("interp: allocation limit exceeded (%d)", ip.maxAllocs)
 	}
 	n := &Node{
-		Type:  typeName,
 		decl:  decl,
 		words: make([]uint64, len(decl.Data)),
 		parr:  make([][]*Node, len(decl.Pointers)),
@@ -1602,7 +1605,7 @@ func (ip *Interp) allocNode(decl *adds.Decl, typeName string) (Value, error) {
 	for i, pf := range decl.Pointers {
 		n.parr[i], back = back[:pf.Count:pf.Count], back[pf.Count:]
 	}
-	return PtrVal(n), nil
+	return n, nil
 }
 
 // printLine joins print() arguments' text the one way every engine
@@ -1625,7 +1628,8 @@ func (ip *Interp) printLine(pos lang.Pos, args []string) error {
 // ---------------------------------------------------------------------------
 // Heap inspection helpers (used by tests and examples)
 
-// Field reads any data field of a node as a Value.
+// Field reads any data field of a node as a Value, decoding its word at
+// the field's declared type.
 func Field(v Value, field string) (Value, error) {
 	if v.N == nil {
 		return Value{}, fmt.Errorf("interp: Field on NULL")
@@ -1634,7 +1638,14 @@ func Field(v Value, field string) (Value, error) {
 	if i < 0 {
 		return Value{}, fmt.Errorf("interp: no field %q", field)
 	}
-	return wordValue(v.N.words[i], v.N.decl.Data[i].Type), nil
+	switch w := v.N.words[i]; v.N.decl.Data[i].Type {
+	case "real":
+		return RealVal(math.Float64frombits(w)), nil
+	case "bool":
+		return BoolVal(w != 0), nil
+	default:
+		return IntVal(int64(w)), nil
+	}
 }
 
 // FieldReal reads a real data field of a node; an int field widens.

@@ -204,7 +204,7 @@ func TestNewOctreeAllocations(t *testing.T) {
 	ip := New(prog, Config{Engine: EngineWalk})
 	decl := prog.Universe.Decl("Octree")
 	got := testing.AllocsPerRun(100, func() {
-		if _, err := ip.allocNode(decl, "Octree"); err != nil {
+		if _, err := ip.allocNode(decl); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -218,7 +218,7 @@ func TestNewOctreeAllocations(t *testing.T) {
 // only, data plus one pointer, and Barnes-Hut's Octree (15 data fields,
 // subtrees[8] and next). A node is its header, one word per data field
 // and, when it has pointers, the per-field slice headers and one array
-// of slots: the Octree is 4 allocations of 352 B. The cost is read as a
+// of slots: the Octree is 4 allocations of 320 B. The cost is read as a
 // loop of n `new`s less the same loop run zero times. Under the race
 // detector the counts are not read; CI's cost-gate step runs this test
 // without it.
@@ -240,9 +240,9 @@ function int make(int n) {
 		name, src     string
 		allocs, bytes float64
 	}{
-		{"Flat", `type Flat [X] { int a, b; real c; bool d; };`, 2, 128},
-		{"Link", `type Link [X] { int a; real c; Link *next is uniquely forward along X; };`, 4, 144},
-		{"Octree", nbody.BarnesHutPSL, 4, 400},
+		{"Flat", `type Flat [X] { int a, b; real c; bool d; };`, 2, 96},
+		{"Link", `type Link [X] { int a; real c; Link *next is uniquely forward along X; };`, 4, 112},
+		{"Octree", nbody.BarnesHutPSL, 4, 320},
 	} {
 		prog := lang.MustParse(shape.src + fmt.Sprintf(loop, shape.name))
 		for _, eng := range []Engine{EngineWalk, EngineBytecode} {

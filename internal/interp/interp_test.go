@@ -393,11 +393,13 @@ procedure main() {
 
 // TestCallRejectsMismatchedArgs: Call widens an int argument of a real
 // parameter and refuses any other argument whose kind does not fit its
-// parameter, and a node of another record type, with one error on every
-// engine, before any engine runs. Each engine once read the wrong
-// kind's zero field instead (a real passed for an int ran as 0, an int
-// for a bool as false, an int for a pointer as NULL), and the VM indexed
-// a node of another type at the parameter type's offsets.
+// parameter, and a node of another record type or of another program's
+// declaration of the same name, with one error on every engine, before
+// any engine runs. Each engine once read the wrong kind's zero field
+// instead (a real passed for an int ran as 0, an int for a bool as
+// false, an int for a pointer as NULL), and the VM indexed a node of
+// another type, or of another program's, at the parameter type's
+// offsets.
 func TestCallRejectsMismatchedArgs(t *testing.T) {
 	prog := lang.MustParse(listSrc + `
 type Pair [Y] { int a; real c; Pair *p is uniquely forward along Y; Pair *q is uniquely forward along Y; };
@@ -406,8 +408,16 @@ function real half(real x) { return x / 2; }
 function bool not(bool b) { return !b; }
 function bool empty(List *l) { return l == NULL; }
 function real second(Pair *x) { return x->c + x->q->c; }
+function int value(List *l) { return l->v; }
 `)
 	list, _, err := Run(prog, Config{}, "build", IntVal(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Another program's List has no data field: read at this program's
+	// offset of v, it had the VM index past its words and panic.
+	foreign, _, err := Run(lang.MustParse(`type List [X] { List *next is uniquely forward along X; };
+function List * mk() { return new List; }`), Config{}, "mk")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,6 +439,7 @@ function real second(Pair *x) { return x->c + x->q->c; }
 		{"empty", list, "false"},
 		{"second", list, "interp: second: argument 1 is List*, not Pair*"},
 		{"twice", list, "interp: twice: argument 1 is List*, not int"},
+		{"value", foreign, "interp: value: argument 1 is another program's List*, not List*"},
 	}
 	configs := map[string]Config{
 		"walk":      {Engine: EngineWalk},
@@ -460,5 +471,15 @@ function real second(Pair *x) { return x->c + x->q->c; }
 func TestValueSize(t *testing.T) {
 	if sz := unsafe.Sizeof(Value{}); sz != 40 {
 		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 40", sz)
+	}
+}
+
+// TestNodeSize: a Node is its declaration, its data words, its pointer
+// slots and its id — 64 bytes, Go's 64-byte size class. Its type name
+// is its declaration's, and the shape checker's in-edge counts live in
+// the checker's own table.
+func TestNodeSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Node{}); sz != 64 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d, want 64", sz)
 	}
 }

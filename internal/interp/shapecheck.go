@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/adds"
 	"repro/internal/lang"
@@ -18,9 +19,11 @@ import (
 //   - cycle: a store that closes a cycle along a declared-forward
 //     (acyclic) direction, detected by a bounded walk.
 //
-// Violations are recorded (see ShapeViolations); with
-// ShapeChecksFatal they abort execution instead, which is the
-// behaviour a debugging build would want.
+// A store names its field by offset in the node's declaration, and the
+// check counts in-edges by node id and dimension number in a side
+// table that exists only while the checks are on. Violations are
+// recorded (see ShapeViolations); with ShapeChecksFatal they abort
+// execution instead, which is the behaviour a debugging build would want.
 
 // ShapeViolation is one runtime shape-check failure.
 type ShapeViolation struct {
@@ -39,98 +42,114 @@ func (v ShapeViolation) String() string {
 func (ip *Interp) ShapeViolations() []ShapeViolation {
 	ip.sh.shapeMu.Lock()
 	defer ip.sh.shapeMu.Unlock()
-	out := make([]ShapeViolation, len(ip.sh.shapeLog))
-	copy(out, ip.sh.shapeLog)
-	return out
+	return append([]ShapeViolation{}, ip.sh.shapeLog...)
 }
 
-func (ip *Interp) recordShape(v ShapeViolation) error {
+// shapeTable is the checker's state, shared by an interpreter and its
+// forks under state.shapeMu. dimOf[d][off] numbers the dimension of
+// declaration d's pointer field off, or is -1 if the field is not
+// forward; a name has one number in every declaration. rows holds one
+// row per node id (see row), and stack is the cycle walks', reused.
+// Ids are the run's own (the Interp's and its forks'), so a node
+// another interpreter allocated shares the row of this run's node of
+// its id.
+type shapeTable struct {
+	dimOf map[*adds.Decl][]int32
+	ndims int
+	rows  []int64
+	walk  int64
+	stack []*Node
+}
+
+// newShapeTable numbers the dimensions u's forward fields run along.
+func newShapeTable(u *adds.Universe) *shapeTable {
+	tab := &shapeTable{dimOf: make(map[*adds.Decl][]int32, u.Len())}
+	var names []string
+	for _, t := range u.Types() {
+		d := u.Decl(t)
+		row := make([]int32, len(d.Pointers))
+		for i, pf := range d.Pointers {
+			row[i] = int32(slices.Index(names, pf.Dim))
+			if pf.Dir != adds.Forward {
+				row[i] = -1
+			} else if row[i] < 0 {
+				row[i], names = int32(len(names)), append(names, pf.Dim)
+			}
+		}
+		tab.dimOf[d] = row
+	}
+	tab.ndims = len(names)
+	return tab
+}
+
+// row returns node n's row, growing the table to hold it: row[0] is the
+// last cycle walk to visit n, and row[1+dim] counts its in-edges along dim.
+func (tab *shapeTable) row(n *Node) []int64 {
+	w, id := 1+tab.ndims, int(n.id)
+	if more := (id+1)*w - len(tab.rows); more > 0 {
+		tab.rows = append(tab.rows, make([]int64, max(more, len(tab.rows)))...)
+	}
+	return tab.rows[id*w : (id+1)*w]
+}
+
+// checkStore validates the store node.parr[off][idx] = target against
+// the field's ADDS annotation. old is the edge's previous target.
+func (ip *Interp) checkStore(pos lang.Pos, node *Node, off int32, old, target *Node) error {
 	ip.sh.shapeMu.Lock()
-	ip.sh.shapeLog = append(ip.sh.shapeLog, v)
-	ip.sh.shapeMu.Unlock()
-	if ip.cfg.ShapeChecksFatal {
-		return fmt.Errorf("interp: %s", v)
-	}
-	return nil
-}
-
-// checkStore validates the store node.field[idx] = target against the
-// field's ADDS annotation. old is the edge's previous target.
-func (ip *Interp) checkStore(pos lang.Pos, node *Node, field string, old, target *Node) error {
-	decl := ip.prog.Universe.Decl(node.Type)
-	if decl == nil {
+	defer ip.sh.shapeMu.Unlock()
+	tab, pf := ip.sh.shape, &node.decl.Pointers[off]
+	dim := tab.dimOf[node.decl][off]
+	if dim < 0 {
 		return nil
 	}
-	pf := decl.Pointer(field)
-	if pf == nil || pf.Dir != adds.Forward {
+	violation := func(kind string) error {
+		v := ShapeViolation{Pos: pos, Kind: kind, Type: node.decl.Name, Dim: pf.Dim}
+		if ip.sh.shapeLog = append(ip.sh.shapeLog, v); ip.cfg.ShapeChecksFatal {
+			return fmt.Errorf("interp: %s", v)
+		}
 		return nil
 	}
-
-	// Uniqueness: maintain per-dimension in-edge counts.
-	if pf.Unique {
-		if old != nil {
-			ip.sh.shapeMu.Lock()
-			if old.inEdges != nil {
-				old.inEdges[pf.Dim]--
-			}
-			ip.sh.shapeMu.Unlock()
-		}
-		if target != nil {
-			ip.sh.shapeMu.Lock()
-			if target.inEdges == nil {
-				target.inEdges = map[string]int{}
-			}
-			target.inEdges[pf.Dim]++
-			count := target.inEdges[pf.Dim]
-			ip.sh.shapeMu.Unlock()
-			if count > 1 {
-				if err := ip.recordShape(ShapeViolation{
-					Pos: pos, Kind: "sharing", Type: node.Type, Dim: pf.Dim,
-				}); err != nil {
-					return err
-				}
-			}
+	// Uniqueness: count in-edges along dim.
+	if pf.Unique && old != nil {
+		tab.row(old)[1+dim]--
+	}
+	var err error
+	if pf.Unique && target != nil {
+		in := tab.row(target)
+		if in[1+dim]++; in[1+dim] > 1 {
+			err = violation("sharing")
 		}
 	}
-
-	// Acyclicity: does the new edge close a forward cycle along the
-	// dimension? Bounded DFS from target through forward fields.
-	if target != nil && ip.reachesForward(target, node, pf.Dim) {
-		if err := ip.recordShape(ShapeViolation{
-			Pos: pos, Kind: "cycle", Type: node.Type, Dim: pf.Dim,
-		}); err != nil {
-			return err
-		}
+	// Acyclicity: does the new edge close a forward cycle along dim?
+	if err == nil && target != nil && tab.reaches(target, node, dim) {
+		err = violation("cycle")
 	}
-	return nil
+	return err
 }
 
 // shapeWalkLimit bounds the cycle check's walk, in nodes visited.
 const shapeWalkLimit = 100_000
 
-// reachesForward reports whether dst is reachable from src by following
+// reaches reports whether dst is reachable from src by following
 // forward fields along dim, visiting at most shapeWalkLimit nodes.
-func (ip *Interp) reachesForward(src, dst *Node, dim string) bool {
-	seen := map[*Node]bool{}
-	stack := []*Node{src}
-	for len(stack) > 0 && len(seen) < shapeWalkLimit {
+func (tab *shapeTable) reaches(src, dst *Node, dim int32) bool {
+	tab.walk++
+	stack := append(tab.stack[:0], src)
+	defer func() { tab.stack = stack[:0] }()
+	for visited := 0; len(stack) > 0 && visited < shapeWalkLimit; {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if n == dst {
 			return true
 		}
-		if seen[n] {
+		if n == nil || tab.row(n)[0] == tab.walk {
 			continue
 		}
-		seen[n] = true
-		for i, pf := range n.decl.Pointers {
-			if pf.Dim != dim || pf.Dir != adds.Forward {
-				continue
-			}
-			for _, next := range n.parr[i] {
-				if next != nil {
-					stack = append(stack, next)
-				}
+		tab.row(n)[0] = tab.walk
+		visited++
+		for i, d := range tab.dimOf[n.decl] {
+			if d == dim {
+				stack = append(stack, n.parr[i]...)
 			}
 		}
 	}

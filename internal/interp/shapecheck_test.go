@@ -205,3 +205,61 @@ procedure main() {
 		}
 	}
 }
+
+// TestShapeCheckedStoreAllocs: with shape checks on, a warmed
+// interpreter relinks an existing list — reversing it in place, every
+// store into a node that exists, no `new` — without allocating: the
+// in-edge counts and the cycle walk's visited set and stack are the
+// checker's, reused. The cost is read as a reversal of n nodes less a
+// reversal of none. Under the race detector the counts are not read.
+func TestShapeCheckedStoreAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes what allocates")
+	}
+	prog := lang.MustParse(checkListSrc + `
+function List * build(int n) {
+  var List *head = NULL;
+  var int i = 0;
+  while i < n {
+    var List *node = new List;
+    node->next = head;
+    head = node;
+    i = i + 1;
+  }
+  return head;
+}
+function List * reverse(List *p) {
+  var List *prev = NULL;
+  while p != NULL {
+    var List *next = p->next;
+    p->next = prev;
+    prev = p;
+    p = next;
+  }
+  return prev;
+}`)
+	for _, eng := range []Engine{EngineWalk, EngineBytecode} {
+		ip := New(prog, Config{Engine: eng, ShapeChecks: true, ShapeChecksFatal: true})
+		const n = 256
+		list, err := ip.Call("build", IntVal(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		relink := func(head Value) func() {
+			return func() {
+				v, err := ip.Call("reverse", head)
+				if err != nil || v.IsNull() != head.IsNull() {
+					t.Fatalf("%s: reverse = %v, %v", eng, v, err)
+				}
+				head = v
+			}
+		}
+		perStore := (testing.AllocsPerRun(10, relink(list)) - testing.AllocsPerRun(10, relink(NullVal()))) / n
+		if perStore != 0 {
+			t.Errorf("%s: a checked store costs %.2f allocations, want 0", eng, perStore)
+		}
+		if vs := ip.ShapeViolations(); len(vs) != 0 {
+			t.Errorf("%s: relinking flagged %v", eng, vs)
+		}
+	}
+}

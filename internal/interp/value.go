@@ -53,8 +53,8 @@ func (k Kind) String() string {
 // and parr[i] is decl.Pointers[i]. Every engine indexes the slices with
 // the offset lang.Check recorded on the access (FieldExpr.Off; the
 // walker checking it is in range, the bytecode in its instructions);
-// only the shape checker's store check and the Field* inspectors start
-// from a field name and find its position in the declaration.
+// only the Field* inspectors start from a field name and find its
+// position in the declaration. The record's type name is decl.Name.
 // A data field is one word at its declared type: two's complement for
 // int, math.Float64bits for real, 0 or 1 for bool, so the zero word is
 // every field's zero value and the words hold no pointer for the
@@ -64,7 +64,6 @@ func (k Kind) String() string {
 // (the dependence test guarantees no two iterations touch the same
 // field of the same node).
 type Node struct {
-	Type string
 	decl *adds.Decl
 	// words holds the scalar fields, indexed like decl.Data.
 	words []uint64
@@ -72,20 +71,8 @@ type Node struct {
 	// entry has the declared Count length (1 for plain pointers), and
 	// all of them are cut from one backing array.
 	parr [][]*Node
-	// id is a stable allocation number for deterministic printing.
+	// id is the node's allocation number, for printing and shape checks.
 	id int64
-	// inEdges counts in-edges per uniquely-forward dimension when
-	// runtime shape checks are enabled.
-	inEdges map[string]int
-}
-
-// ptrsAt returns the targets of the pointer field at off, or nil if the
-// record has none there.
-func (n *Node) ptrsAt(off int32) []*Node {
-	if uint(off) >= uint(len(n.parr)) {
-		return nil
-	}
-	return n.parr[off]
 }
 
 // boolWord is b as a data-field word.
@@ -105,17 +92,6 @@ func (v Value) word() uint64 {
 		return boolWord(v.B)
 	}
 	return uint64(v.I)
-}
-
-// wordValue decodes a data-field word at the field's declared type.
-func wordValue(w uint64, typ string) Value {
-	switch typ {
-	case "real":
-		return RealVal(math.Float64frombits(w))
-	case "bool":
-		return BoolVal(w != 0)
-	}
-	return IntVal(int64(w))
 }
 
 // Value is a PSL runtime value.
@@ -148,7 +124,7 @@ func (v Value) String() string {
 		if v.N == nil {
 			return "NULL"
 		}
-		return fmt.Sprintf("<%s#%d>", v.N.Type, v.N.id)
+		return fmt.Sprintf("<%s#%d>", v.N.decl.Name, v.N.id)
 	}
 	return "?"
 }

@@ -174,6 +174,7 @@ func (*CallExpr) exprNode() {}
 type NewExpr struct {
 	exprBase
 	TypeName string
+	Decl     *adds.Decl // T's declaration, recorded by Check
 }
 
 func (*NewExpr) exprNode() {}

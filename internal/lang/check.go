@@ -353,7 +353,7 @@ func (c *checker) checkExpr(e Expr) error {
 		return nil
 
 	case *NewExpr:
-		if c.prog.Universe.Decl(e.TypeName) == nil {
+		if e.Decl = c.prog.Universe.Decl(e.TypeName); e.Decl == nil {
 			return fmt.Errorf("%s: new of undeclared type %q", e.Pos(), e.TypeName)
 		}
 		e.SetType(c.pointerTo(e.TypeName))

@@ -55,9 +55,9 @@ func calleeByName(prog *lang.Program, name string) int {
 	return -1
 }
 
-// resolutionMismatches lists every field access and call of prog whose
-// recorded resolution disagrees with the lookup by name, and counts
-// the accesses and calls it compared.
+// resolutionMismatches lists every field access, call and `new` of prog
+// whose recorded resolution disagrees with the lookup by name, and
+// counts the accesses and calls it compared.
 func resolutionMismatches(prog *lang.Program) (bad []string, fields, calls int) {
 	for _, f := range prog.Funcs {
 		lang.Walk(f.Body, func(s lang.Stmt) bool {
@@ -76,6 +76,11 @@ func resolutionMismatches(prog *lang.Program) (bad []string, fields, calls int) 
 					if want := calleeByName(prog, e.Func); int(e.Callee) != want {
 						bad = append(bad, fmt.Sprintf("%s: %s: call of %s has callee=%d, by name %d",
 							e.Pos(), f.Name, e.Func, e.Callee, want))
+					}
+				case *lang.NewExpr:
+					if want := prog.Universe.Decl(e.TypeName); e.Decl != want || want == nil {
+						bad = append(bad, fmt.Sprintf("%s: %s: new %s has decl %p, by name %p",
+							e.Pos(), f.Name, e.TypeName, e.Decl, want))
 					}
 				}
 			})
