@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -52,6 +53,11 @@ type Compilation struct {
 	analyzeOnce sync.Once
 	analysis    *analysis.Result
 	analyzeErr  error
+
+	// verdicts is depend.AnalyzeProgram's, reached on first use.
+	verdictOnce sync.Once
+	verdicts    []*depend.Report
+	verdictErr  error
 
 	// auto caches planned variants per strip width, so repeated
 	// AutoParallel calls re-plan nothing. Guarded by autoMu; lazily
@@ -116,36 +122,36 @@ func (c *Compilation) ExitViolations(fn string) ([]analysis.ViolationKey, error)
 	return fr.Exit.ViolationKeys(), nil
 }
 
-// LoopReports runs the dependence test on every while loop of fn.
+// loopVerdicts returns the verdict on every while loop, in scan order.
+func (c *Compilation) loopVerdicts() ([]*depend.Report, error) {
+	c.verdictOnce.Do(func() {
+		if c.verdictErr = c.analyze(); c.verdictErr == nil {
+			c.verdicts, c.verdictErr = depend.AnalyzeProgram(c.Program, c.analysis)
+		}
+	})
+	return c.verdicts, c.verdictErr
+}
+
+// LoopReports returns the verdict on every while loop of fn, in
+// lang.Walk order: depend.AnalyzeProgram's, the one the planner,
+// StripMine and CompareBaselines give too.
 func (c *Compilation) LoopReports(fn string) ([]*depend.Report, error) {
-	fr, err := c.FuncResult(fn)
+	reps, err := c.loopVerdicts()
 	if err != nil {
 		return nil, err
 	}
-	f := c.Program.Func(fn)
-	var loops []*lang.WhileStmt
-	lang.Walk(f.Body, func(s lang.Stmt) bool {
-		if w, ok := s.(*lang.WhileStmt); ok {
-			loops = append(loops, w)
-		}
-		return true
-	})
-	var out []*depend.Report
-	for i := range loops {
-		rep, err := depend.AnalyzeLoop(c.Program, fr, c.analysis.Effects, fn, i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rep)
+	if c.Program.Func(fn) == nil {
+		return nil, fmt.Errorf("core: no function %q", fn)
 	}
-	return out, nil
+	return slices.DeleteFunc(slices.Clone(reps), func(r *depend.Report) bool { return r.Func != fn }), nil
 }
 
 // StripMine applies §4.3.3's transformation to the loopIndex-th while
 // loop of fn with the given strip width (forall iterations per trip of
 // the outer loop; the paper uses width = PEs, the scheduling policies
 // in parexec want width > PEs) and returns a new compilation of the
-// transformed program.
+// transformed program. It fails, with the reasons, unless the loop's
+// verdict (the one LoopReports gives) approves it.
 func (c *Compilation) StripMine(fn string, loopIndex, width int) (*Compilation, error) {
 	res, err := transform.StripMine(c.Program, fn, loopIndex, width)
 	if err != nil {
@@ -164,17 +170,15 @@ type AutoPlan struct {
 	Plan *transform.Plan
 }
 
-// AutoParallel plans the whole program: every while loop of every
-// function goes through the dependence test, every approved loop is
-// strip-mined with the given width (widthHint <= 0 selects
-// transform.DefaultWidth for this host — 16 iterations per PE, at most
-// 128), and the transformed program comes back as a new Compilation
-// alongside the structured plan. Planned variants are cached per resolved width on
-// this Compilation, so only the first call per width pays for
-// planning; that first call tests every loop against the analyses this
-// Compilation already holds (see internal/transform) and analyzes
-// nothing again, so cold-path plan cost grows linearly with loops. The
-// serial Compilation is untouched either way.
+// AutoParallel plans the whole program from the verdicts LoopReports
+// reads: every approved loop is strip-mined with the given width
+// (widthHint <= 0 selects transform.DefaultWidth for this host — 16
+// iterations per PE, at most 128), and the transformed program comes
+// back as a new Compilation alongside the structured plan. Planned
+// variants are cached per resolved width, so only the first call per
+// width pays for planning, and no call analyzes anything again (see
+// internal/transform): cold-path plan cost grows linearly with loops.
+// The serial Compilation is untouched either way.
 func (c *Compilation) AutoParallel(widthHint int) (*AutoPlan, error) {
 	width := widthHint
 	if width <= 0 {
@@ -185,10 +189,11 @@ func (c *Compilation) AutoParallel(widthHint int) (*AutoPlan, error) {
 	if ap, ok := c.auto[width]; ok {
 		return ap, nil
 	}
-	if err := c.analyze(); err != nil {
+	verdicts, err := c.loopVerdicts()
+	if err != nil {
 		return nil, err
 	}
-	plan, err := transform.PlanAnalyzed(c.Program, c.analysis, width)
+	plan, err := transform.PlanAnalyzed(c.Program, verdicts, width)
 	if err != nil {
 		return nil, err
 	}
@@ -388,23 +393,20 @@ func yn(b bool) string {
 	return "no"
 }
 
-// CompareBaselines runs the k-limited baseline and the ADDS analysis on
-// the loopIndex-th while loop of fn and reports who can parallelize it;
-// either reports a missing function or loop.
+// CompareBaselines runs the k-limited baseline on the loopIndex-th
+// while loop of fn, which reports a missing function or loop, and sets
+// beside it the loop's ADDS verdict — the one LoopReports gives.
 func (c *Compilation) CompareBaselines(fn string, loopIndex int) (*BaselineVerdicts, error) {
 	kl := klimit.New(c.Program, klimit.DefaultK)
 	kv, err := kl.LoopParallelizable(fn, loopIndex)
 	if err != nil {
 		return nil, err
 	}
-	fr, err := c.FuncResult(fn)
+	reps, err := c.LoopReports(fn)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := depend.AnalyzeLoop(c.Program, fr, c.analysis.Effects, fn, loopIndex)
-	if err != nil {
-		return nil, err
-	}
+	rep := reps[loopIndex]
 	return &BaselineVerdicts{
 		Func:      fn,
 		LoopIndex: loopIndex,

@@ -24,11 +24,20 @@
 //     to, so a body that also declares an s of its own in a nested
 //     block still writes the outer s it assigns;
 //  6. the body never calls rand(), directly or through a callee: the
-//     generator is one stream shared by every iteration.
+//     generator is one stream shared by every iteration;
+//  7. the body holds no forall: parallelism is never nested;
+//  8. no function exits with an active violation on the traversed
+//     dimension: check 2's premise holds of the heap (ROADMAP 2(a)).
+//
+// AnalyzeLoop runs checks 1–6 on one loop; AnalyzeProgram runs all
+// eight on every loop of a program and gives the one verdict the
+// planner, StripMine, core's LoopReports and the X1 table read.
 package depend
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -36,12 +45,17 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/effects"
 	"repro/internal/lang"
+	"repro/internal/sched"
 )
 
 // Report explains the parallelizability verdict for one loop.
 type Report struct {
+	// Func and Index locate the loop (Index counts Func's while loops
+	// in lang.Walk order); Nested counts the while loops in its body.
 	Func         string
+	Index        int
 	Loop         *lang.WhileStmt
+	Nested       int
 	Induction    string
 	AdvanceField string
 	Advance      *lang.AssignStmt
@@ -67,23 +81,101 @@ type Report struct {
 
 // String renders a one-line verdict plus reasons.
 func (r *Report) String() string {
-	verdict := "PARALLELIZABLE"
+	loop, verdict := "loop", "PARALLELIZABLE"
+	if r.Induction != "" {
+		loop = "while " + r.Induction + " != NULL"
+	}
+	if r.AdvanceField != "" {
+		loop += " over " + r.AdvanceField
+	}
 	if !r.Parallelizable {
 		verdict = "NOT PARALLELIZABLE"
 	}
-	return fmt.Sprintf("%s.%s over %s: %s\n  %s",
-		r.Func, loopDesc(r), r.AdvanceField, verdict, strings.Join(r.Reasons, "\n  "))
+	return fmt.Sprintf("%s.%s: %s\n  %s", r.Func, loop, verdict, strings.Join(r.Reasons, "\n  "))
 }
 
-func loopDesc(r *Report) string {
-	if r.Induction == "" {
-		return "loop"
+// NestedForall is the reason a loop whose body holds a forall is
+// rejected, by the nesting guard or by a planner about to put one there.
+const NestedForall = "body already contains a parallel forall (the planner does not nest parallelism)"
+
+// AnalyzeProgram gives the verdict on every while loop of prog, in scan
+// order: functions in program order, each function's loops in
+// lang.Walk order (pre-order, so the loops nested in reports[k] are the
+// next reports[k].Nested). res must be prog's analysis. A loop whose
+// body holds a forall is rejected by the nesting guard; every other
+// loop goes through AnalyzeLoop, all of them as one batch on the
+// schedule parexec's pool runs foralls on (sched.ForEach); then every
+// approval is held to its declaration's premise.
+func AnalyzeProgram(prog *lang.Program, res *analysis.Result) ([]*Report, error) {
+	var reports []*Report
+	for _, f := range prog.Funcs {
+		for i, loop := range under[*lang.WhileStmt](f.Body) {
+			reports = append(reports, &Report{Func: f.Name, Index: i, Loop: loop, Nested: len(under[*lang.WhileStmt](loop.Body))})
+		}
 	}
-	return "while " + r.Induction + " != NULL"
+	errs := make([]error, len(reports))
+	sched.ForEach(0, len(reports), func(k int) {
+		r := reports[k]
+		if slices.ContainsFunc(under[*lang.ForStmt](r.Loop.Body), func(f *lang.ForStmt) bool { return f.Parallel }) {
+			r.Reasons = []string{NestedForall}
+		} else if reports[k], errs[k] = AnalyzeLoop(prog, res.Funcs[r.Func], res.Effects, r.Func, r.Index); errs[k] == nil {
+			reports[k].Nested = r.Nested
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	requireValidExits(prog, res, reports)
+	return reports, nil
 }
 
-// AnalyzeLoop runs the full dependence test on the n-th while loop of
-// function fnName, against one function's path-matrix analysis and the
+// requireValidExits holds every approval to the premise it rests on:
+// the loop's function assumes its element type's declaration along the
+// traversed dimension, which is only true of the heap if no function
+// leaves a violation of it behind. An approved loop over (T, D) is
+// rejected when some function exits with an active violation on (T, D);
+// the reason names the first such function, in program order, and the
+// violation. Loops another check rejected keep their reasons.
+func requireValidExits(prog *lang.Program, res *analysis.Result, reports []*Report) {
+	type dimOf struct{ typ, dim string }
+	broken := map[dimOf]string{}
+	for _, f := range prog.Funcs {
+		fr := res.Funcs[f.Name]
+		if fr == nil || fr.Exit == nil {
+			continue
+		}
+		for _, k := range fr.Exit.ViolationKeys() {
+			if _, seen := broken[dimOf{k.Type, k.Dim}]; !seen {
+				broken[dimOf{k.Type, k.Dim}] = fmt.Sprintf("%s exits with an active violation (%s)", f.Name, k)
+			}
+		}
+	}
+	for _, r := range reports {
+		if !r.Parallelizable || r.Dim == "" {
+			continue
+		}
+		if why, ok := broken[dimOf{r.Elem, r.Dim}]; ok {
+			r.Parallelizable = false
+			r.Reasons = []string{fmt.Sprintf("the %s declaration along %s does not hold of the heap: %s", r.Elem, r.Dim, why)}
+		}
+	}
+}
+
+// under lists the statements of type T under body in lang.Walk order —
+// for while loops, the order FindLoop counts by.
+func under[T lang.Stmt](body *lang.Block) []T {
+	var out []T
+	lang.Walk(body, func(s lang.Stmt) bool {
+		if t, ok := s.(T); ok {
+			out = append(out, t)
+		}
+		return true
+	})
+	return out
+}
+
+// AnalyzeLoop runs checks 1–6 of the dependence test on the n-th while
+// loop of function fnName, against one function's path-matrix analysis and the
 // program's effect summaries — both from one analysis.AnalyzeAll result
 // (res.Funcs[fnName], res.Effects).
 //
@@ -91,8 +183,8 @@ func loopDesc(r *Report) string {
 // path-matrix queries return entries by value and BlockSummary builds
 // a fresh Summary from the memoized per-function tables — so
 // independent loops may be tested from concurrent goroutines against
-// the same fr/eff pair. The planner relies on this to run every
-// dependence test of a program as one batch on the parexec pool.
+// the same fr/eff pair. AnalyzeProgram relies on this to run every
+// dependence test of a program as one batch (AnalyzeProgram).
 func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analyzer, fnName string, loopIndex int) (*Report, error) {
 	fn := prog.Func(fnName)
 	if fn == nil {
@@ -102,7 +194,7 @@ func AnalyzeLoop(prog *lang.Program, fr *analysis.FuncResult, eff *effects.Analy
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Func: fn.Name, Loop: loop}
+	rep := &Report{Func: fn.Name, Index: loopIndex, Loop: loop}
 
 	// --- Recognize the canonical pointer-chasing form.
 	indVar := inductionOfCond(loop.Cond)

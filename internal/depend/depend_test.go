@@ -182,14 +182,78 @@ procedure f(OneWayList *head, int n) {
 	if reps[0].Parallelizable {
 		t.Error("counted loop is not a pointer chase")
 	}
-	if !strings.Contains(reps[0].String(), "not `p != NULL`") {
-		t.Errorf("reason:\n%s", reps[0])
+	// Neither loop got as far as an advance, so neither verdict names
+	// one: no "over" clause.
+	if got, want := reps[0].String(), "f.loop: NOT PARALLELIZABLE\n  loop condition is not `p != NULL`"; got != want {
+		t.Errorf("counted loop renders\n%s\nwant\n%s", got, want)
 	}
 	if reps[1].Parallelizable {
 		t.Error("no advance: not the canonical form")
 	}
-	if !strings.Contains(reps[1].String(), "does not end with") {
-		t.Errorf("reason:\n%s", reps[1])
+	if got, want := reps[1].String(), "f.while p != NULL: NOT PARALLELIZABLE\n  loop body does not end with `p = p->f`"; got != want {
+		t.Errorf("advance-less loop renders\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestAnalyzeProgramScanAndNestingGuard: the program verdict comes in
+// scan order, each report locating its loop (Index) and counting the
+// loops nested in it (Nested); a loop whose body holds a forall is
+// rejected by the nesting guard whatever checks 1–6 would say of it —
+// here they approve it, as AnalyzeLoop shows — and its verdict, which
+// never found an advance, names none.
+func TestAnalyzeProgramScanAndNestingGuard(t *testing.T) {
+	prog, err := lang.Parse(adds.OneWayListSrc + `
+procedure twice(OneWayList *head) {
+  var OneWayList *p = head;
+  while p != NULL {
+    forall i = 0 to 0 {
+      p->data = p->data * 2;
+    }
+    p = p->next;
+  }
+}
+
+procedure outer(OneWayList *head, int n) {
+  var int k = 0;
+  while k < n {
+    var OneWayList *q = head;
+    while q != NULL {
+      q->data = q->data + 1;
+      q = q->next;
+    }
+    k = k + 1;
+  }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := analysis.New(prog).AnalyzeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := AnalyzeProgram(prog, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type at struct {
+		fn            string
+		index, nested int
+		ok            bool
+	}
+	want := []at{{"twice", 0, 0, false}, {"outer", 0, 1, false}, {"outer", 1, 0, true}}
+	if len(reps) != len(want) {
+		t.Fatalf("%d reports, want %d", len(reps), len(want))
+	}
+	for k, r := range reps {
+		if got := (at{r.Func, r.Index, r.Nested, r.Parallelizable}); got != want[k] {
+			t.Errorf("report %d = %+v, want %+v:\n%s", k, got, want[k], r)
+		}
+	}
+	if got, want := reps[0].String(), "twice.loop: NOT PARALLELIZABLE\n  "+NestedForall; got != want {
+		t.Errorf("nesting guard renders\n%s\nwant\n%s", got, want)
+	}
+	if alone, err := AnalyzeLoop(prog, res.Funcs["twice"], res.Effects, "twice", 0); err != nil || !alone.Parallelizable {
+		t.Errorf("checks 1-6 on the forall-body loop: %v, %v; want it approved (the guard alone rejects it)", alone, err)
 	}
 }
 

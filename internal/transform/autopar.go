@@ -11,8 +11,10 @@
 //
 //   - Verdict first, rewrite once — the paper's own order (§3 analysis,
 //     §4.2 test, §4.3.3 strip-mine). The *input* program is analyzed
-//     once; every while loop is tested against that one analysis; the
-//     outermost approved loops are then strip-mined, in scan order, on
+//     once; package depend gives every while loop its verdict against
+//     that one analysis (depend.AnalyzeProgram, the verdict StripMine,
+//     core's LoopReports and the X1 table read too); the outermost
+//     approved loops are then strip-mined, in scan order, on
 //     one copy that clones only the functions holding them (the others
 //     are shared with the input, which nothing modifies). Nothing is
 //     re-analyzed after a rewrite, so planning costs one analysis plus
@@ -25,20 +27,18 @@
 //     text, transformed program, loop coordinates) over the corpus and
 //     over generated programs.
 //
-//   - The dependence tests are independent read-only queries, so they
-//     run as one batch on the schedule parexec's pool runs foralls on
-//     (sched.ForEach) — the tool eating its own cooking. Verdicts are
-//     consumed strictly in scan order (functions in program order, each
-//     function's loops in lang.Walk order), so the plan and the
-//     transformed program are deterministic.
+//   - Verdicts are consumed strictly in depend's scan order (functions
+//     in program order, each function's loops in lang.Walk order), so
+//     the plan and the transformed program are deterministic.
 //
-//   - Parallelism is never nested. An approved loop inside an approved
-//     loop moves into the outer loop's helper and is reported as
-//     absorbed, not rejected; a rejected loop around an approved one
-//     reports that its body holds a forall; helpers synthesized by the
-//     rewrites are not planned at all. Either way the inner loop
-//     already runs inside (or as) parallel iterations, and a second
-//     level of foralls would only oversubscribe the worker pool.
+//   - Parallelism is never nested. depend rejects a loop whose body
+//     already holds a forall; an approved loop inside an approved loop
+//     moves into the outer loop's helper and is reported as absorbed,
+//     not rejected; a rejected loop around an approved one reports that
+//     its body holds a forall; helpers synthesized by the rewrites are
+//     not planned at all. Either way the inner loop already runs inside
+//     (or as) parallel iterations, and a second level of foralls would
+//     only oversubscribe the worker pool.
 //
 //   - A rewrite moves the while loops nested in the approved body into
 //     the helper, shifting the index of every later loop of that
@@ -64,7 +64,6 @@ import (
 	"repro/internal/depend"
 	"repro/internal/interp"
 	"repro/internal/lang"
-	"repro/internal/sched"
 )
 
 // DefaultWidth is the planner's width policy when the caller has no
@@ -119,17 +118,15 @@ func (e *DuplicateLoopPosError) Error() string {
 		e.FuncA, e.FuncB, e.Pos)
 }
 
-// checkLoopPositions returns a DuplicateLoopPosError if two while loops
-// of prog share a source position.
-func checkLoopPositions(prog *lang.Program) error {
+// checkLoopPositions returns a DuplicateLoopPosError if two of the
+// reported loops share a source position.
+func checkLoopPositions(reports []*depend.Report) error {
 	owner := map[lang.Pos]string{}
-	for _, f := range prog.Funcs {
-		for _, loop := range whileLoops(f.Body) {
-			if prev, dup := owner[loop.Pos()]; dup {
-				return &DuplicateLoopPosError{Pos: loop.Pos(), FuncA: prev, FuncB: f.Name}
-			}
-			owner[loop.Pos()] = f.Name
+	for _, r := range reports {
+		if prev, dup := owner[r.Loop.Pos()]; dup {
+			return &DuplicateLoopPosError{Pos: r.Loop.Pos(), FuncA: prev, FuncB: r.Func}
 		}
+		owner[r.Loop.Pos()] = r.Func
 	}
 	return nil
 }
@@ -221,11 +218,11 @@ type Plan struct {
 	Timings Timings
 }
 
-// Timings is the wall time of each planning stage, always filled:
-// Analyze is the whole-program analysis, effect summaries included
-// (zero when the caller handed it in, see PlanAnalyzed), Depend the
-// batch of loop tests, Rewrite the strip-mining and the type check of
-// what it touched, Lower the build of Plan.Code.
+// Timings is the wall time of each planning stage: Analyze is the
+// whole-program analysis, effect summaries included, and Depend the
+// verdicts (depend.AnalyzeProgram) — both zero when the caller handed
+// the verdicts in, see PlanAnalyzed; Rewrite is the strip-mining and
+// the type check of what it touched, Lower the build of Plan.Code.
 type Timings struct {
 	Analyze, Depend, Rewrite, Lower time.Duration
 }
@@ -256,179 +253,90 @@ func (p *Plan) String() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// noNesting is the verdict of a loop whose body holds a forall, written
-// in the source or about to be put there by strip-mining a nested loop.
-func noNesting(fn string, loop *lang.WhileStmt) *depend.Report {
-	return &depend.Report{Func: fn, Loop: loop,
-		Reasons: []string{"body already contains a parallel forall (the planner does not nest parallelism)"}}
-}
-
 // AutoParallelize plans and transforms a whole checked program: every
-// while loop of every function is put through the dependence test, and
-// every approved loop not nested in another approved loop is
-// strip-mined with the given width (width <= 0 selects DefaultWidth for
-// this host). The input program is analyzed once and not modified; the
-// tests run in parallel as one batch; the resulting program is exactly
+// while loop of every function gets depend's verdict, and every
+// approved loop not nested in another approved loop is strip-mined with
+// the given width (width <= 0 selects DefaultWidth for this host). The
+// input program is analyzed once and not modified; the verdicts are
+// reached in parallel as one batch; the resulting program is exactly
 // what the equivalent sequence of hand-written StripMine calls would
 // produce, in program order (see the package comment).
 func AutoParallelize(prog *lang.Program, width int) (*Plan, error) {
-	// 1. One analysis of the input program, effect summaries included.
 	t0 := time.Now()
 	res, err := analysis.New(prog).AnalyzeAll()
 	if err != nil {
 		return nil, err
 	}
 	t1 := time.Now()
-	plan, err := PlanAnalyzed(prog, res, width)
+	reports, err := depend.AnalyzeProgram(prog, res)
 	if err != nil {
 		return nil, err
 	}
-	plan.Timings.Analyze = t1.Sub(t0)
+	t2 := time.Now()
+	plan, err := PlanAnalyzed(prog, reports, width)
+	if err != nil {
+		return nil, err
+	}
+	plan.Timings.Analyze, plan.Timings.Depend = t1.Sub(t0), t2.Sub(t1)
 	return plan, nil
 }
 
 // PlanAnalyzed is AutoParallelize for a caller that already holds the
-// program's analysis (core.Compilation does): steps 2 to 5, against res
-// and its effect summaries, which must describe prog as it is now.
-func PlanAnalyzed(prog *lang.Program, res *analysis.Result, width int) (*Plan, error) {
+// program's verdicts (core.Compilation does): reports must be
+// depend.AnalyzeProgram's for prog as it is now. It chooses the loops
+// to strip-mine, rewrites them and lowers the result; it decides no
+// verdict of its own.
+func PlanAnalyzed(prog *lang.Program, reports []*depend.Report, width int) (*Plan, error) {
 	if width <= 0 {
 		width = DefaultWidth(0)
 	}
-	if err := checkLoopPositions(prog); err != nil {
+	if err := checkLoopPositions(reports); err != nil {
 		return nil, err
 	}
 
-	// 2. Every while loop, in scan order, tested in one batch on the
-	// executor's own pool: each test is a read-only query of the program,
-	// the analysis and the effect summaries. Walk order is pre-order, so
-	// the loops nested in sites[k] are the next sites[k].nested entries.
-	t0 := time.Now()
-	type site struct {
-		fn     string
-		index  int // among fn's while loops, in the input program
-		loop   *lang.WhileStmt
-		nested int
-	}
-	var sites []site
-	for _, f := range prog.Funcs {
-		for i, loop := range whileLoops(f.Body) {
-			sites = append(sites, site{fn: f.Name, index: i, loop: loop, nested: len(whileLoops(loop.Body))})
-		}
-	}
-	reports := make([]*depend.Report, len(sites))
-	errs := make([]error, len(sites))
-	sched.ForEach(0, len(sites), func(k int) {
-		s := sites[k]
-		if containsForall(s.loop.Body) {
-			reports[k] = noNesting(s.fn, s.loop)
-			return
-		}
-		reports[k], errs[k] = depend.AnalyzeLoop(prog, res.Funcs[s.fn], res.Effects, s.fn, s.index)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	requireValidExits(prog, res, reports)
-
-	// 3. Choose, in scan order: an approved loop not inside a chosen loop
-	// is chosen and the loops nested in it are absorbed; a rejected loop
+	// Choose, in scan order: an approved loop not inside a chosen loop is
+	// chosen and the loops nested in it are absorbed; a rejected loop
 	// around an approved one will hold that loop's forall.
-	plan := &Plan{Width: width, Program: prog, Loops: make([]*LoopPlan, len(sites))}
-	for k, s := range sites {
-		plan.Loops[k] = &LoopPlan{Func: s.fn, Index: s.index, Pos: s.loop.Pos(), Report: reports[k]}
+	plan := &Plan{Width: width, Program: prog, Loops: make([]*LoopPlan, len(reports))}
+	for k, r := range reports {
+		plan.Loops[k] = &LoopPlan{Func: r.Func, Index: r.Index, Pos: r.Loop.Pos(), Report: r}
 	}
 	var chosen []int
-	var rewritten []string // the functions holding them
-	for k := 0; k < len(sites); k++ {
-		inner := reports[k+1 : k+1+sites[k].nested]
-		if reports[k].Parallelizable {
+	for k := 0; k < len(reports); k++ {
+		r := reports[k]
+		inner := reports[k+1 : k+1+r.Nested]
+		if r.Parallelizable {
 			chosen = append(chosen, k)
-			rewritten = append(rewritten, sites[k].fn)
 			k += len(inner)
 		} else if slices.ContainsFunc(inner, func(r *depend.Report) bool { return r.Parallelizable }) {
-			plan.Loops[k].Report = noNesting(sites[k].fn, sites[k].loop)
+			plan.Loops[k].Report = &depend.Report{Func: r.Func, Index: r.Index, Loop: r.Loop, Nested: r.Nested,
+				Reasons: []string{depend.NestedForall}}
 		}
 	}
-	t1 := time.Now()
-	plan.Timings.Depend = t1.Sub(t0)
 	if len(chosen) == 0 {
 		return plan, nil
 	}
 
-	// 4. Rewrite the chosen loops, in scan order, on one copy of prog that
-	// clones only the functions holding them. Each rewrite moves its
-	// nested loops out of the function, so a later sibling is addressed at
-	// its input index less the loops moved so far. A rewrite reads the
-	// helper's parameters and their types off the loop's report — the
-	// scope the dependence test found by the checker's slots — so the
-	// synthesized nodes are typed by one check at the end: each touched
-	// function and each helper once.
-	plan.Program = prog.Clone(rewritten...)
-	plan.Parallelized = len(chosen)
-	var touched []*lang.FuncDecl
-	fn, moved := "", 0
-	for _, k := range chosen {
-		s := sites[k]
-		if s.fn != fn {
-			fn, moved = s.fn, 0
-			touched = append(touched, plan.Program.Func(fn))
-		}
-		helper, err := rewriteLoop(plan.Program, reports[k], s.fn, s.index-moved, width)
-		if err != nil {
-			return nil, err
-		}
-		touched = append(touched, helper)
-		moved += s.nested
-		lp := plan.Loops[k]
-		lp.Parallelized, lp.Helper, lp.Width = true, helper.Name, width
-		for _, in := range plan.Loops[k+1 : k+1+s.nested] {
-			in.Absorbed, in.AbsorbedInto, in.Report = true, helper.Name, nil
-		}
-	}
-	if err := checkGenerated(plan.Program, touched...); err != nil {
+	t0 := time.Now()
+	program, helpers, err := rewrite(prog, reports, chosen, width)
+	if err != nil {
 		return nil, err
 	}
-	t2 := time.Now()
-	plan.Timings.Rewrite = t2.Sub(t1)
+	plan.Program, plan.Parallelized = program, len(chosen)
+	for j, k := range chosen {
+		lp := plan.Loops[k]
+		lp.Parallelized, lp.Helper, lp.Width = true, helpers[j], width
+		for _, in := range plan.Loops[k+1 : k+1+reports[k].Nested] {
+			in.Absorbed, in.AbsorbedInto, in.Report = true, helpers[j], nil
+		}
+	}
+	t1 := time.Now()
+	plan.Timings.Rewrite = t1.Sub(t0)
 
-	// 5. The kernel classifier's verdict on every strip.
+	// The kernel classifier's verdict on every strip.
 	annotateVectorVerdicts(plan)
-	plan.Timings.Lower = time.Since(t2)
+	plan.Timings.Lower = time.Since(t1)
 	return plan, nil
-}
-
-// requireValidExits holds every approval to the premise it rests on:
-// the loop's function assumes its element type's declaration along the
-// traversed dimension, which is only true of the heap if no function
-// leaves a violation of it behind. An approved loop over (T, D) is
-// rejected when some function exits with an active violation on (T, D);
-// the reason names the first such function, in program order, and the
-// violation. Loops another check rejected keep their reasons.
-func requireValidExits(prog *lang.Program, res *analysis.Result, reports []*depend.Report) {
-	type dimOf struct{ typ, dim string }
-	broken := map[dimOf]string{}
-	for _, f := range prog.Funcs {
-		fr := res.Funcs[f.Name]
-		if fr == nil || fr.Exit == nil {
-			continue
-		}
-		for _, k := range fr.Exit.ViolationKeys() {
-			if _, seen := broken[dimOf{k.Type, k.Dim}]; !seen {
-				broken[dimOf{k.Type, k.Dim}] = fmt.Sprintf("%s exits with an active violation (%s)", f.Name, k)
-			}
-		}
-	}
-	for _, r := range reports {
-		if r == nil || !r.Parallelizable || r.Dim == "" {
-			continue
-		}
-		if why, ok := broken[dimOf{r.Elem, r.Dim}]; ok {
-			r.Parallelizable = false
-			r.Reasons = []string{fmt.Sprintf("the %s declaration along %s does not hold of the heap: %s", r.Elem, r.Dim, why)}
-		}
-	}
 }
 
 // annotateVectorVerdicts builds the plan's code and joins the kernel
@@ -471,30 +379,4 @@ func annotateVectorVerdicts(plan *Plan) {
 			lp.VectorReason = "kernel lowering unavailable: no forall at the loop's position"
 		}
 	}
-}
-
-// whileLoops enumerates the while loops under a block in lang.Walk
-// order — the same order LoopReports and FindLoop count by.
-func whileLoops(body *lang.Block) []*lang.WhileStmt {
-	var loops []*lang.WhileStmt
-	lang.Walk(body, func(s lang.Stmt) bool {
-		if w, ok := s.(*lang.WhileStmt); ok {
-			loops = append(loops, w)
-		}
-		return true
-	})
-	return loops
-}
-
-// containsForall reports whether any statement under body is a
-// parallel for (a forall region).
-func containsForall(body *lang.Block) bool {
-	found := false
-	lang.Walk(body, func(s lang.Stmt) bool {
-		if f, ok := s.(*lang.ForStmt); ok && f.Parallel {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

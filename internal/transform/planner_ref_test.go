@@ -14,12 +14,14 @@ import (
 	"repro/internal/parexec"
 )
 
-// autoParallelizeFullRestart is the reference planner: test loops in
-// scan order, strip-mine the first approval, re-analyze the whole
-// program from scratch, restart the scan at the first function, until a
-// scan approves nothing — quadratic in approved loops, and it assumes
-// nothing about what a rewrite does to the other loops' verdicts.
-// AutoParallelize, which tests every loop against one analysis of the
+// autoParallelizeFullRestart is the reference planner, built on the
+// public pieces — depend's verdict on the current program and StripMine:
+// take verdicts in scan order, strip-mine the first approval,
+// re-analyze the whole program from scratch, restart the scan at the
+// first function, until a scan approves nothing — quadratic in approved
+// loops, and it assumes nothing about what a rewrite does to the other
+// loops' verdicts. The helpers the rewrites add are not planned.
+// AutoParallelize, which reaches every verdict on one analysis of the
 // input, must produce the same Plan; that the two agree is exactly the
 // claim "strip-mining an approved loop never changes the verdict of any
 // other loop", and TestPlanMatchesFullRestart checks it.
@@ -27,85 +29,75 @@ func autoParallelizeFullRestart(prog *lang.Program, width int) (*Plan, error) {
 	if width <= 0 {
 		width = DefaultWidth(0)
 	}
-	if err := checkLoopPositions(prog); err != nil {
-		return nil, err
-	}
 	plan := &Plan{Width: width}
-
-	names := make([]string, 0, len(prog.Funcs))
 	type loopAt struct {
 		fn    string
 		index int
 	}
-	origIndex := map[lang.Pos]loopAt{}
-	for _, f := range prog.Funcs {
-		names = append(names, f.Name)
-		for i, loop := range whileLoops(f.Body) {
-			origIndex[loop.Pos()] = loopAt{fn: f.Name, index: i}
+	var origIndex map[lang.Pos]loopAt
+	seen := map[lang.Pos]*LoopPlan{}
+	loopPlan := func(r *depend.Report) *LoopPlan {
+		lp := seen[r.Loop.Pos()]
+		if lp == nil {
+			at, ok := origIndex[r.Loop.Pos()]
+			if !ok {
+				at = loopAt{r.Func, r.Index}
+			}
+			lp = &LoopPlan{Func: at.fn, Index: at.index, Pos: r.Loop.Pos()}
+			seen[r.Loop.Pos()] = lp
+			plan.Loops = append(plan.Loops, lp)
 		}
-	}
-	newLoopPlan := func(pos lang.Pos, fn string, index int) *LoopPlan {
-		if at, ok := origIndex[pos]; ok {
-			fn, index = at.fn, at.index
-		}
-		return &LoopPlan{Func: fn, Index: index, Pos: pos}
+		return lp
 	}
 
-	seen := map[lang.Pos]*LoopPlan{}
 	cur := prog
 	for {
 		res, err := analysis.New(cur).AnalyzeAll()
 		if err != nil {
 			return nil, err
 		}
-		transformed := false
-	scan:
-		for _, name := range names {
-			fn := cur.Func(name)
-			loops := whileLoops(fn.Body)
-			for i, loop := range loops {
-				lp := seen[loop.Pos()]
-				if lp != nil && (lp.Parallelized || lp.Absorbed) {
-					continue
-				}
-				var rep *depend.Report
-				if containsForall(loop.Body) {
-					rep = noNesting(name, loop)
-				} else if rep, err = depend.AnalyzeLoop(cur, res.Funcs[name], res.Effects, name, i); err != nil {
-					return nil, err
-				}
-				requireValidExits(cur, res, []*depend.Report{rep})
-				if lp == nil {
-					lp = newLoopPlan(loop.Pos(), name, i)
-					seen[loop.Pos()] = lp
-					plan.Loops = append(plan.Loops, lp)
-				}
-				lp.Report = rep
-				if !rep.Parallelizable {
-					continue
-				}
-				sm, err := stripMineCloned(cur, rep, name, i, width)
-				if err != nil {
-					return nil, err
-				}
-				lp.Parallelized = true
-				lp.Helper = sm.Helper
-				lp.Width = width
-				plan.Parallelized++
-				for _, inner := range whileLoops(loop.Body) {
-					ilp := seen[inner.Pos()]
-					if ilp == nil {
-						ilp = newLoopPlan(inner.Pos(), name, slices.Index(loops, inner))
-						seen[inner.Pos()] = ilp
-						plan.Loops = append(plan.Loops, ilp)
-					}
-					ilp.Absorbed = true
-					ilp.AbsorbedInto = sm.Helper
-				}
-				cur = sm.Program
-				transformed = true
-				break scan
+		reports, err := depend.AnalyzeProgram(cur, res)
+		if err != nil {
+			return nil, err
+		}
+		if origIndex == nil {
+			if err := checkLoopPositions(reports); err != nil {
+				return nil, err
 			}
+			origIndex = map[lang.Pos]loopAt{}
+			for _, r := range reports {
+				origIndex[r.Loop.Pos()] = loopAt{r.Func, r.Index}
+			}
+		}
+		transformed := false
+		for k, rep := range reports {
+			if prog.Func(rep.Func) == nil {
+				continue // a helper an earlier rewrite added
+			}
+			if lp := seen[rep.Loop.Pos()]; lp != nil && (lp.Parallelized || lp.Absorbed) {
+				continue
+			}
+			lp := loopPlan(rep)
+			lp.Report = rep
+			if !rep.Parallelizable {
+				continue
+			}
+			sm, err := StripMine(cur, rep.Func, rep.Index, width)
+			if err != nil {
+				return nil, err
+			}
+			lp.Parallelized = true
+			lp.Helper = sm.Helper
+			lp.Width = width
+			plan.Parallelized++
+			for _, inner := range reports[k+1 : k+1+rep.Nested] {
+				ilp := loopPlan(inner)
+				ilp.Absorbed = true
+				ilp.AbsorbedInto = sm.Helper
+			}
+			cur = sm.Program
+			transformed = true
+			break
 		}
 		if !transformed {
 			break

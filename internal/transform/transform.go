@@ -18,11 +18,14 @@
 //     whole program and strip-mine each approved one, no hand-picked
 //     function names or loop indices.
 //
-// All of them refuse to run unless package depend approves the loop.
+// All of them refuse to run unless package depend approves the loop:
+// each rewrites only loops that depend.AnalyzeProgram's verdict
+// approves, and none decides a verdict of its own.
 package transform
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/depend"
@@ -44,76 +47,89 @@ type StripMineResult struct {
 // the given strip width — the number of iterations each trip of the
 // outer loop runs as one parallel forall (§4.3.3 uses width = PEs; a
 // larger width hands the executor's PEs more iterations to share per
-// barrier). It returns a transformed copy of the program (the
-// input is not modified) and fails if the dependence test rejects the
-// loop.
+// barrier). It is the planner's rewrite applied to one chosen loop,
+// licensed by the loop's depend.AnalyzeProgram verdict — the one the
+// planner reads — and it fails with that verdict's reasons unless the
+// loop is approved. The input is not modified; the transformed copy
+// shares every function but fnName with it.
 func StripMine(prog *lang.Program, fnName string, loopIndex, width int) (*StripMineResult, error) {
-	rep, err := approveLoop(prog, fnName, loopIndex)
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Parallelizable {
-		return nil, fmt.Errorf("transform: loop #%d of %s is not parallelizable:\n%s", loopIndex, fnName, rep)
-	}
-	return stripMineCloned(prog, rep, fnName, loopIndex, width)
-}
-
-// approveLoop runs the full front half of every transformation in this
-// package — path-matrix analysis, effect summaries, the dependence
-// test — on one loop. The planner (AutoParallelize) reuses the verdict
-// it computed during its scan instead of calling this again per loop.
-func approveLoop(prog *lang.Program, fnName string, loopIndex int) (*depend.Report, error) {
 	res, err := analysis.New(prog).AnalyzeAll()
 	if err != nil {
 		return nil, err
 	}
-	return depend.AnalyzeLoop(prog, res.Funcs[fnName], res.Effects, fnName, loopIndex)
-}
-
-// stripMineCloned is the rewrite half of StripMine: it trusts rep (the
-// dependence report licensing loop loopIndex of fnName on this exact
-// program), performs the §4.3.3 transformation on a clone and re-checks
-// the two functions it touched — fnName and the appended helper.
-func stripMineCloned(prog *lang.Program, rep *depend.Report, fnName string, loopIndex, width int) (*StripMineResult, error) {
-	clone := prog.Clone()
-	helper, err := rewriteLoop(clone, rep, fnName, loopIndex, width)
-	if err == nil {
-		err = checkGenerated(clone, clone.Func(fnName), helper)
-	}
+	reports, err := depend.AnalyzeProgram(prog, res)
 	if err != nil {
 		return nil, err
 	}
-	return &StripMineResult{Program: clone, Report: rep, Helper: helper.Name, Width: width}, nil
+	k := slices.IndexFunc(reports, func(r *depend.Report) bool { return r.Func == fnName && r.Index == loopIndex })
+	if k < 0 {
+		return nil, fmt.Errorf("transform: no while loop #%d of %s", loopIndex, fnName)
+	}
+	rep := reports[k]
+	if !rep.Parallelizable {
+		return nil, fmt.Errorf("transform: loop #%d of %s is not parallelizable:\n%s", loopIndex, fnName, rep)
+	}
+	program, helpers, err := rewrite(prog, reports, []int{k}, width)
+	if err != nil {
+		return nil, err
+	}
+	return &StripMineResult{Program: program, Report: rep, Helper: helpers[0], Width: width}, nil
 }
 
-// checkGenerated type-checks the functions a rewrite touched, to type
-// the synthesized nodes.
-func checkGenerated(prog *lang.Program, fns ...*lang.FuncDecl) error {
-	if err := lang.CheckFuncs(prog, fns...); err != nil {
-		return fmt.Errorf("transform: internal: generated code does not check: %w", err)
+// rewrite strip-mines the chosen loops — indices into reports, an
+// AnalyzeProgram result for prog, in scan order, none nested in another
+// — on one copy of prog that clones only the functions holding them,
+// and returns the copy and the helpers' names. Each rewrite moves its
+// nested loops out of the function, so a later sibling is addressed at
+// its input index less the loops moved so far. A rewrite reads the
+// helper's parameters and their types off the loop's report — the scope
+// the dependence test found by the checker's slots — so the synthesized
+// nodes are typed by one check at the end: each touched function and
+// each helper once.
+func rewrite(prog *lang.Program, reports []*depend.Report, chosen []int, width int) (*lang.Program, []string, error) {
+	fns := make([]string, len(chosen))
+	for j, k := range chosen {
+		fns[j] = reports[k].Func
 	}
-	return nil
+	out := prog.Clone(fns...)
+	var touched []*lang.FuncDecl
+	helpers := make([]string, len(chosen))
+	fn, moved := "", 0
+	for j, k := range chosen {
+		r := reports[k]
+		if r.Func != fn {
+			fn, moved = r.Func, 0
+			touched = append(touched, out.Func(fn))
+		}
+		helper, err := rewriteLoop(out, r, r.Index-moved, width)
+		if err != nil {
+			return nil, nil, err
+		}
+		touched = append(touched, helper)
+		helpers[j] = helper.Name
+		moved += r.Nested
+	}
+	if err := lang.CheckFuncs(out, touched...); err != nil {
+		return nil, nil, fmt.Errorf("transform: internal: generated code does not check: %w", err)
+	}
+	return out, helpers, nil
 }
 
 // rewriteLoop is the §4.3.3 rewrite itself, directly on prog: it
-// replaces the body of loop loopIndex of fnName and appends the
-// iteration procedure, which it returns. The synthesized nodes are left
-// untyped (checkGenerated types them); the types and names the rewrite
+// replaces the body of rep's loop, now loop loopIndex of rep.Func, and
+// appends the iteration procedure, which it returns. The synthesized
+// nodes are left untyped (rewrite types them); the types and names the rewrite
 // needs it reads off rep's scope of the loop. On error the program may
 // be left partially rewritten. The names it introduces — the helper,
 // the PE index and the skip-ahead counter — are the documented ones
 // unless the program already uses them, in which case a numeric suffix
 // makes them free.
-func rewriteLoop(prog *lang.Program, rep *depend.Report, fnName string, loopIndex, width int) (*lang.FuncDecl, error) {
+func rewriteLoop(prog *lang.Program, rep *depend.Report, loopIndex, width int) (*lang.FuncDecl, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("transform: strip width must be >= 1, got %d", width)
 	}
 
-	fn := prog.Func(fnName)
-	if fn == nil {
-		return nil, fmt.Errorf("transform: no function %q", fnName)
-	}
-	loop, err := analysis.FindLoop(fn, loopIndex)
+	loop, err := analysis.FindLoop(prog.Func(rep.Func), loopIndex)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +142,7 @@ func rewriteLoop(prog *lang.Program, rep *depend.Report, fnName string, loopInde
 	pe := freeName("_pe", taken)
 	skip := freeName("_k", taken)
 
-	helperName := freeName(fmt.Sprintf("_%s_L%d_iteration", fnName, loopIndex),
+	helperName := freeName(fmt.Sprintf("_%s_L%d_iteration", rep.Func, loopIndex),
 		func(n string) bool { return prog.Func(n) != nil })
 	nb := namer{prog}
 	helper, err := nb.buildHelper(helperName, pe, skip, rep, loop)
@@ -170,7 +186,7 @@ func rewriteLoop(prog *lang.Program, rep *depend.Report, fnName string, loopInde
 }
 
 // namer builds the rewrite's nodes, interning each name it introduces
-// into the program being rewritten; checkGenerated resolves them.
+// into the program being rewritten; rewrite's check resolves them.
 type namer struct{ prog *lang.Program }
 
 func (nb namer) ident(name string) *lang.Ident {

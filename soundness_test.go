@@ -769,6 +769,51 @@ function int main() {
 `
 }
 
+// brokenDeclaration is one program of TestBrokenDeclarationsAreFlagged.
+type brokenDeclaration struct {
+	name, src     string
+	builder, loop string // the function that breaks the declaration, the one whose loop runs over it
+	approved      bool   // whether the planner approves loop's first while loop
+	reason        string // the rejection's reason when it does not
+	exit          string // builder's exit violations, as PM3 prints them
+	shapeErr      string // the fatal shape check's error, "<nil>" for none
+	hole          bool   // approved with neither alarm: a reported hole (ROADMAP item 1(c))
+}
+
+func brokenDeclarations(t *testing.T) []brokenDeclaration {
+	list := func(breakage string) string { return fmt.Sprintf(brokenList, breakage) }
+	return []brokenDeclaration{
+		{name: "join", src: list("  var OneWayList *x = new OneWayList;\n  x->next = head->next;\n"),
+			builder: "build", loop: "walk",
+			reason: "the OneWayList declaration along X does not hold of the heap: build exits with an active violation (sharing of OneWayList along X)",
+			exit:   "[sharing of OneWayList along X]", shapeErr: "interp: 19:4: runtime sharing of OneWayList along X"},
+		{name: "cycle", src: list("  tail->next = head;\n"),
+			builder: "build", loop: "walk", approved: true,
+			exit: "[]", shapeErr: "interp: 18:7: runtime cycle of OneWayList along X"},
+		{name: "orthlist across join", src: orthRow(t, "  var OrthList *x = new OrthList;\n  x->across = head->across;\n"),
+			builder: "make_row", loop: "scale_row",
+			reason: "the OrthList declaration along X does not hold of the heap: make_row exits with an active violation (sharing of OrthList along X)",
+			exit:   "[sharing of OrthList along X]", shapeErr: "interp: 29:4: runtime sharing of OrthList along X"},
+		{name: "orthlist across cycle", src: orthRow(t, "  head->across->across = head;\n"),
+			builder: "make_row", loop: "scale_row",
+			reason: "the OrthList declaration along X does not hold of the heap: make_row exits with an active violation (cycle of OrthList along X)",
+			exit:   "[cycle of OrthList along X]", shapeErr: "interp: 28:15: runtime cycle of OrthList along X"},
+		{name: "orthlist down join", src: orthRow(t, "  var OrthList *x = new OrthList;\n  x->down = head->across;\n  head->down = head->across;\n"),
+			builder: "make_row", loop: "scale_row", approved: true,
+			exit: "[sharing of OrthList along Y]", shapeErr: "interp: 30:7: runtime sharing of OrthList along Y"},
+		{name: "octree down join", src: octree(t, "  return root;\n", "  var Octree *x = new Octree;\n  x->subtrees[0] = particles;\n"),
+			builder: "build_tree", loop: "timestep", approved: true,
+			exit: "[]", shapeErr: "interp: 115:12: runtime sharing of Octree along down"},
+		{name: "octree leaves join", src: octree(t, "  return head;\n", "  var Octree *x = new Octree;\n  x->next = head->next;\n"),
+			builder: "make_particles", loop: "timestep",
+			reason: "the Octree declaration along leaves does not hold of the heap: make_particles exits with an active violation (sharing of Octree along leaves)",
+			exit:   "[sharing of Octree along leaves]", shapeErr: "interp: 235:4: runtime sharing of Octree along leaves"},
+		{name: "range tree sub also down", src: rangeTree,
+			builder: "build", loop: "walk", approved: true,
+			exit: "[]", shapeErr: "<nil>", hole: true},
+	}
+}
+
 // TestBrokenDeclarationsAreFlagged is the declaration leg of ROADMAP
 // item 1(c): a verdict is sound only if the declaration is true of the
 // heap. Each program breaks a declaration in the function that builds
@@ -820,45 +865,7 @@ function int main() {
 // ROADMAP item 1(c), not fixed: the load rule's independence disproof
 // trusts sub||down.
 func TestBrokenDeclarationsAreFlagged(t *testing.T) {
-	list := func(breakage string) string { return fmt.Sprintf(brokenList, breakage) }
-	for _, tc := range []struct {
-		name, src     string
-		builder, loop string // the function that breaks the declaration, the one whose loop runs over it
-		approved      bool   // whether the planner approves loop's first while loop
-		reason        string // the rejection's reason when it does not
-		exit          string // builder's exit violations, as PM3 prints them
-		shapeErr      string // the fatal shape check's error, "<nil>" for none
-		hole          bool   // approved with neither alarm: a reported hole (ROADMAP item 1(c))
-	}{
-		{name: "join", src: list("  var OneWayList *x = new OneWayList;\n  x->next = head->next;\n"),
-			builder: "build", loop: "walk",
-			reason: "the OneWayList declaration along X does not hold of the heap: build exits with an active violation (sharing of OneWayList along X)",
-			exit:   "[sharing of OneWayList along X]", shapeErr: "interp: 19:4: runtime sharing of OneWayList along X"},
-		{name: "cycle", src: list("  tail->next = head;\n"),
-			builder: "build", loop: "walk", approved: true,
-			exit: "[]", shapeErr: "interp: 18:7: runtime cycle of OneWayList along X"},
-		{name: "orthlist across join", src: orthRow(t, "  var OrthList *x = new OrthList;\n  x->across = head->across;\n"),
-			builder: "make_row", loop: "scale_row",
-			reason: "the OrthList declaration along X does not hold of the heap: make_row exits with an active violation (sharing of OrthList along X)",
-			exit:   "[sharing of OrthList along X]", shapeErr: "interp: 29:4: runtime sharing of OrthList along X"},
-		{name: "orthlist across cycle", src: orthRow(t, "  head->across->across = head;\n"),
-			builder: "make_row", loop: "scale_row",
-			reason: "the OrthList declaration along X does not hold of the heap: make_row exits with an active violation (cycle of OrthList along X)",
-			exit:   "[cycle of OrthList along X]", shapeErr: "interp: 28:15: runtime cycle of OrthList along X"},
-		{name: "orthlist down join", src: orthRow(t, "  var OrthList *x = new OrthList;\n  x->down = head->across;\n  head->down = head->across;\n"),
-			builder: "make_row", loop: "scale_row", approved: true,
-			exit: "[sharing of OrthList along Y]", shapeErr: "interp: 30:7: runtime sharing of OrthList along Y"},
-		{name: "octree down join", src: octree(t, "  return root;\n", "  var Octree *x = new Octree;\n  x->subtrees[0] = particles;\n"),
-			builder: "build_tree", loop: "timestep", approved: true,
-			exit: "[]", shapeErr: "interp: 115:12: runtime sharing of Octree along down"},
-		{name: "octree leaves join", src: octree(t, "  return head;\n", "  var Octree *x = new Octree;\n  x->next = head->next;\n"),
-			builder: "make_particles", loop: "timestep",
-			reason: "the Octree declaration along leaves does not hold of the heap: make_particles exits with an active violation (sharing of Octree along leaves)",
-			exit:   "[sharing of Octree along leaves]", shapeErr: "interp: 235:4: runtime sharing of Octree along leaves"},
-		{name: "range tree sub also down", src: rangeTree,
-			builder: "build", loop: "walk", approved: true,
-			exit: "[]", shapeErr: "<nil>", hole: true},
-	} {
+	for _, tc := range brokenDeclarations(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := core.Compile(tc.src)
 			if err != nil {
